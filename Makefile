@@ -7,7 +7,12 @@ GO ?= go
 # Per-fuzzer budget for the `fuzz` smoke target.
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build test race fuzz chaos bench bench-all bench-infer
+# internal/tensor benchmarks the bench targets run: the GEMM kernels alone
+# and the whole stages around them (pack from the image + GEMM + epilogue,
+# and the first max pool).
+TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96
+
+.PHONY: check fmt vet build test race fuzz chaos bench bench-all bench-infer profile
 
 check: fmt vet build test race
 
@@ -57,8 +62,9 @@ chaos:
 #
 # BENCH_SMOKE=1 instead runs one iteration of every inference/serving
 # headline benchmark (both engines, all shard counts, the sync baselines,
-# a training epoch) plus the stem GEMM kernels, a GOMAXPROCS=4 run of the
-# pinned-lane multi-core row, and compiles the snapshot tool — the CI gate
+# a training epoch) plus the stem GEMM kernels and the whole conv/pool
+# stages, a GOMAXPROCS=4 run of the pinned-lane multi-core row, and compiles
+# the snapshot tool — the CI gate
 # that catches harness breakage without paying for a full trajectory run.
 # ServeOverload8x2 rides in the BenchmarkServe match and is itself a gate:
 # it fails the run unless the brownout ladder engages, releases, and holds
@@ -71,7 +77,7 @@ bench:
 ifdef BENCH_SMOKE
 	$(GO) test -run=NONE -bench='BenchmarkInfer|BenchmarkServe|BenchmarkSync|BenchmarkTrainingEpoch' -benchtime=1x .
 	GOMAXPROCS=4 $(GO) test -run=NONE -bench='BenchmarkServeRotationPinned' -benchtime=1x .
-	$(GO) test -run=NONE -bench='BenchmarkGemm|BenchmarkQGemm' -benchtime=1x ./internal/tensor/
+	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1x ./internal/tensor/
 	$(GO) build -o /dev/null ./cmd/percival-bench
 else
 	$(GO) run ./cmd/percival-bench -out BENCH_9.json
@@ -84,4 +90,16 @@ bench-all:
 # Just the inference-latency trajectory (see PERFORMANCE.md).
 bench-infer:
 	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch' -benchmem .
-	$(GO) test -run=NONE -bench='BenchmarkGemm|BenchmarkQGemm' -benchtime=1s ./internal/tensor/
+	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
+
+# Where one frame goes: `pprof -top` of the single-frame forward on each
+# engine at one P — the per-function attribution PERFORMANCE.md tabulates.
+# The test binary and the profiles land in PROFILE_DIR.
+PROFILE_DIR ?= .bench_build/profile
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	@for b in InferSingle InferSingleInt8; do \
+		GOMAXPROCS=1 $(GO) test -run=NONE -bench="Benchmark$$b\$$" -benchtime=300x \
+			-o $(PROFILE_DIR)/percival.test -cpuprofile $(PROFILE_DIR)/$$b.prof . || exit 1; \
+		$(GO) tool pprof -top -nodecount=16 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$b.prof || exit 1; \
+	done

@@ -222,21 +222,6 @@ func BenchmarkClassifySingleFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkClassifyPaperResolution measures the 224×224×4 forward pass of
-// the paper-scale fork with random weights (pure inference cost).
-func BenchmarkClassifyPaperResolution(b *testing.B) {
-	net, err := squeezenet.Build(squeezenet.PaperConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	squeezenet.PretrainedInit(net, 1)
-	x := tensor.New(1, 4, 224, 224)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Forward(x.Clone(), false)
-	}
-}
-
 // BenchmarkAblationArchitecture contrasts the fork against the original
 // SqueezeNet it was cut down from (the Fig. 3 latency motivation).
 func BenchmarkAblationArchitecture(b *testing.B) {
@@ -267,8 +252,11 @@ func BenchmarkAblationArchitecture(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationConvAlgo contrasts the im2col+GEMM convolution against a
-// direct nested-loop convolution on a representative fork layer.
+// BenchmarkAblationConvAlgo contrasts three ways to run a representative fork
+// layer: the production forward, which packs GEMM panels straight from the
+// image; im2col into a column matrix followed by a dense GEMM — the reference
+// the production path is tested against bit for bit, and the form
+// ConvBackward still needs; and a direct nested-loop convolution.
 func BenchmarkAblationConvAlgo(b *testing.B) {
 	spec := tensor.ConvSpec{InC: 64, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	rng := rand.New(rand.NewSource(2))
@@ -276,18 +264,26 @@ func BenchmarkAblationConvAlgo(b *testing.B) {
 	for i := range x.Data {
 		x.Data[i] = float32(rng.NormFloat64())
 	}
-	w := make([]float32, spec.OutC*spec.InC*9)
+	k := spec.InC * 9
+	w := make([]float32, spec.OutC*k)
 	for i := range w {
 		w[i] = float32(rng.NormFloat64())
 	}
 	oh, ow := spec.OutSize(28, 28)
-	col := make([]float32, spec.InC*9*oh*ow)
-	b.Run("im2col-gemm", func(b *testing.B) {
+	y := tensor.New(1, spec.OutC, oh, ow)
+	b.Run("packed-direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tensor.ConvForward(x, w, nil, spec, col)
+			tensor.ConvForwardInto(x, w, nil, spec, y, 0, false)
 		}
 	})
-	b.Run("direct", func(b *testing.B) {
+	b.Run("im2col+gemm", func(b *testing.B) {
+		col := make([]float32, k*oh*ow)
+		for i := 0; i < b.N; i++ {
+			tensor.Im2col(x.Data, spec.InC, 28, 28, spec, col)
+			tensor.Gemm(w, col, y.Data, spec.OutC, k, oh*ow)
+		}
+	})
+	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			directConv(x, w, spec)
 		}

@@ -78,14 +78,7 @@ func (c *Conv2D) inferConv(x *tensor.Tensor, a *tensor.Arena, owned, relu bool) 
 	}
 	oh, ow := c.Spec.OutSize(x.Shape[2], x.Shape[3])
 	y := a.GetTensor(x.Shape[0], c.Spec.OutC, oh, ow)
-	var colp []float32
-	if n := c.Spec.ColScratchLen(x.Shape[2], x.Shape[3]); n > 0 {
-		colp = a.Get(n)
-	}
-	tensor.ConvForwardInto(x, c.Wt.W.Data, c.Bias.W.Data, c.Spec, colp, y, 0, relu)
-	if colp != nil {
-		a.Put(colp)
-	}
+	tensor.ConvForwardInto(x, c.Wt.W.Data, c.Bias.W.Data, c.Spec, y, 0, relu)
 	if owned {
 		a.PutTensor(x)
 	}
@@ -150,11 +143,8 @@ func (f *Fire) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*ten
 	n, h, w := s.Shape[0], s.Shape[2], s.Shape[3]
 	e1, e3 := f.Expand1.Spec.OutC, f.Expand3.Spec.OutC
 	y := a.GetTensor(n, e1+e3, h, w)
-	tensor.ConvForwardInto(s, f.Expand1.Wt.W.Data, f.Expand1.Bias.W.Data, f.Expand1.Spec, nil, y, 0, true)
-	sp := f.Expand3.Spec
-	colp := a.Get(sp.ColScratchLen(h, w))
-	tensor.ConvForwardInto(s, f.Expand3.Wt.W.Data, f.Expand3.Bias.W.Data, sp, colp, y, e1, true)
-	a.Put(colp)
+	tensor.ConvForwardInto(s, f.Expand1.Wt.W.Data, f.Expand1.Bias.W.Data, f.Expand1.Spec, y, 0, true)
+	tensor.ConvForwardInto(s, f.Expand3.Wt.W.Data, f.Expand3.Bias.W.Data, f.Expand3.Spec, y, e1, true)
 	a.PutTensor(s)
 	return y, true
 }

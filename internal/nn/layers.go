@@ -39,9 +39,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != c.Spec.InC {
 		panic(fmt.Sprintf("nn: conv %s: input shape %s, want [N,%d,H,W]", c.name, shapeStr(x.Shape), c.Spec.InC))
 	}
-	scratch := tensor.GetScratch(c.Spec.ColScratchLen(x.Shape[2], x.Shape[3]))
-	y := tensor.ConvForward(x, c.Wt.W.Data, c.Bias.W.Data, c.Spec, *scratch)
-	tensor.PutScratch(scratch)
+	y := tensor.ConvForward(x, c.Wt.W.Data, c.Bias.W.Data, c.Spec)
 	if train {
 		c.lastIn = x
 	}

@@ -12,17 +12,44 @@ type ConvSpec struct {
 	PadH, PadW int
 }
 
-// OutSize returns the output spatial size for an input of h×w.
+// OutSize returns the output spatial size for an input of h×w: 0 along an
+// axis whose padded extent is smaller than the kernel.
 func (s ConvSpec) OutSize(h, w int) (oh, ow int) {
-	oh = (h+2*s.PadH-s.KH)/s.StrideH + 1
-	ow = (w+2*s.PadW-s.KW)/s.StrideW + 1
-	return oh, ow
+	return windowCount(h, s.PadH, s.KH, s.StrideH), windowCount(w, s.PadW, s.KW, s.StrideW)
+}
+
+// windowCount is the number of whole k-wide windows at the given stride that
+// fit in an axis of size elements padded by pad on both sides. It is 0 when
+// not even one fits — plain (size+2*pad-k)/stride+1 would truncate the
+// negative quotient toward zero and report 1.
+func windowCount(size, pad, k, stride int) int {
+	span := size + 2*pad - k
+	if span < 0 {
+		return 0
+	}
+	return span/stride + 1
+}
+
+// validOx returns the range 0 <= lo <= hi <= ow of output columns ox whose
+// tap base+ox*stride lands inside a w-wide input row; columns outside [lo, hi)
+// read padding. Hoisting this out of the pixel loop is what lets the
+// im2col-style copies run without a per-element bounds test.
+func validOx(base, stride, w, ow int) (lo, hi int) {
+	if base < 0 {
+		lo = min((-base+stride-1)/stride, ow)
+	}
+	if last := w - 1 - base; last >= 0 {
+		hi = min(last/stride+1, ow)
+	}
+	return lo, max(lo, hi)
 }
 
 // Im2col expands one image (C×H×W, a slice of a batch tensor) into the column
-// matrix used by GEMM convolution: shape [C*KH*KW, outH*outW], row-major into
+// matrix of a GEMM convolution: shape [C*KH*KW, outH*outW], row-major into
 // col, which must have capacity for that many elements. Zero padding is
-// materialized as zeros.
+// materialized as zeros. Only ConvBackward needs the matrix in memory (its
+// dW product reads it transposed); the forward pass reads the same matrix
+// through a convView, and is tested bit for bit against Im2col+Gemm.
 func Im2col(img []float32, c, h, w int, s ConvSpec, col []float32) (oh, ow int) {
 	oh, ow = s.OutSize(h, w)
 	rowLen := oh * ow
@@ -105,11 +132,10 @@ func (s ConvSpec) is1x1Fast() bool {
 		s.PadH == 0 && s.PadW == 0
 }
 
-// ColScratchLen returns the col scratch length ConvForward/ConvBackward
-// require for an h×w input: 0 when the pointwise fast path applies (the
-// scratch is unused and may be nil), InC*KH*KW*outH*outW otherwise. Callers
-// sizing scratch buffers should use this rather than re-deriving the
-// fast-path condition.
+// ColScratchLen returns the im2col scratch length ConvBackward (and the INT8
+// engine's Im2colU8) require for an h×w input: 0 when the pointwise fast
+// path applies (the scratch is unused and may be nil), InC*KH*KW*outH*outW
+// otherwise. The FP32 forward needs none: it packs straight from the image.
 func (s ConvSpec) ColScratchLen(h, w int) int {
 	if s.is1x1Fast() {
 		return 0
@@ -128,82 +154,202 @@ func checkColScratch(fn string, col []float32, s ConvSpec, oh, ow int) {
 	}
 }
 
-// ConvForward computes a batched convolution y = conv(x, w) + b using
-// im2col+GEMM, one GEMM per batch element. x is [N,C,H,W]; w is
-// [OutC, InC*KH*KW] flattened; b is [OutC] (may be nil); col is scratch of at
-// least InC*KH*KW*outH*outW elements (unused, and may be nil, for 1×1
-// stride-1 unpadded convolutions). Returns [N,OutC,outH,outW].
-func ConvForward(x *Tensor, w, b []float32, s ConvSpec, col []float32) *Tensor {
+// convView presents one image (C×H×W) as the K×N column matrix of a
+// convolution — row p is the tap (ch, ky, kx), column j the output position
+// (oy, ox) — without materializing it. It is the B operand of the forward
+// GEMM: the blocked driver packs its panels straight from the image, so
+// every input element is read once and written once.
+type convView struct {
+	img  []float32
+	h, w int
+	s    ConvSpec
+	ow   int
+}
+
+// convTap is one row of the column matrix resolved to its channel plane and
+// kernel offsets, with the valid output-column range hoisted (see validOx).
+type convTap struct {
+	plane      []float32
+	ky, base   int // input row = oy*StrideH - PadH + ky, column = base + ox*StrideW
+	oxLo, oxHi int
+}
+
+func (v *convView) tap(p int) convTap {
+	khw := v.s.KH * v.s.KW
+	ch, r := p/khw, p%khw
+	t := convTap{plane: v.img[ch*v.h*v.w : (ch+1)*v.h*v.w], ky: r / v.s.KW, base: r%v.s.KW - v.s.PadW}
+	t.oxLo, t.oxHi = validOx(t.base, v.s.StrideW, v.w, v.ow)
+	return t
+}
+
+// panelCursor appends columns to one row of a packed block: lane is the
+// next column's slot in the current nr-wide panel row, which starts at
+// dst[0]; the same row of the next panel starts step elements later. With nr
+// covering the whole row it writes a plain slice.
+type panelCursor struct {
+	dst            []float32
+	lane, nr, step int
+}
+
+// next returns the slots of the next run of at most n columns that fit the
+// current panel, and advances past them — into the next panel when this one
+// is full and is not the block's last.
+func (c *panelCursor) next(n int) []float32 {
+	take := min(n, c.nr-c.lane)
+	d := c.dst[c.lane : c.lane+take]
+	if c.lane += take; c.lane == c.nr && len(c.dst) > c.step {
+		c.dst, c.lane = c.dst[c.step:], 0
+	}
+	return d
+}
+
+// zero appends n zero columns.
+func (c *panelCursor) zero(n int) {
+	for n > 0 {
+		d := c.next(n)
+		clear(d)
+		n -= len(d)
+	}
+}
+
+// gather appends n columns read from src at the given stride: a copy for
+// stride 1 (SqueezeNet's 3×3 expands), a branch-free strided gather
+// otherwise (the stem).
+func (c *panelCursor) gather(n int, src []float32, stride int) {
+	for n > 0 {
+		d := c.next(n)
+		if stride == 1 {
+			copy(d, src)
+		} else {
+			gatherF32(d, src, stride)
+		}
+		if n -= len(d); n > 0 {
+			src = src[len(d)*stride:]
+		}
+	}
+}
+
+// gatherF32 writes dst[i] = src[i*stride]. Stride 2 — the paper net's stem
+// and its pools — has a vector body that de-interleaves 16 source elements
+// into 8 at a time; it reads the odd element after the last even one, so it
+// stops where src does and the loop finishes.
+func gatherF32(dst, src []float32, stride int) {
+	i := 0
+	if stride == 2 && haveQuantASM {
+		if i = min(len(dst), len(src)/2) &^ 7; i > 0 {
+			gather2F32x8(&dst[0], &src[0], int64(i))
+		}
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = src[i*stride]
+	}
+}
+
+// pack is packB for the conv operand: it writes the kc×nc block at (p0, j0)
+// into nr-column micro-panels, zero-padded past the last valid column. Each
+// tap walks the block one output row at a time — the row's padding columns
+// are zero, the rest come from one input row — so every element is read once
+// from the image and written once into its panel.
+func (v *convView) pack(dst []float32, p0, kc, j0, nc, nr int) {
+	sh, sw := v.s.StrideH, v.s.StrideW
+	oy0, ox0 := j0/v.ow, j0%v.ow
+	padded := (nc + nr - 1) / nr * nr
+	for p := 0; p < kc; p++ {
+		t := v.tap(p0 + p)
+		c := panelCursor{dst: dst[p*nr:], nr: nr, step: nr * kc}
+		oy, ox := oy0, ox0
+		for jj := 0; jj < nc; {
+			seg := min(v.ow-ox, nc-jj)
+			iy := oy*sh - v.s.PadH + t.ky
+			lo, hi := max(t.oxLo, ox), min(t.oxHi, ox+seg)
+			if iy < 0 || iy >= v.h || lo >= hi {
+				c.zero(seg)
+			} else {
+				c.zero(lo - ox)
+				c.gather(hi-lo, t.plane[iy*v.w+t.base+lo*sw:], sw)
+				c.zero(ox + seg - hi)
+			}
+			jj += seg
+			if ox += seg; ox == v.ow {
+				ox = 0
+				oy++
+			}
+		}
+		c.zero(padded - nc)
+	}
+}
+
+// row writes row p of the column matrix into dst, one column per element:
+// a one-tap block packed into a single panel as wide as the row.
+func (v *convView) row(dst []float32, p int) {
+	v.pack(dst, p, 1, 0, len(dst), len(dst))
+}
+
+// ConvForward computes a batched convolution y = conv(x, w) + b, one GEMM
+// per batch element. x is [N,C,H,W]; w is [OutC, InC*KH*KW] flattened; b is
+// [OutC] (may be nil). Returns [N,OutC,outH,outW].
+func ConvForward(x *Tensor, w, b []float32, s ConvSpec) *Tensor {
 	n := x.Shape[0]
 	oh, ow := s.OutSize(x.Shape[2], x.Shape[3])
+	if oh == 0 || ow == 0 {
+		panicEmptyOutput("ConvForward", x.Shape, s.KH, s.KW, s.PadH, s.PadW)
+	}
 	y := New(n, s.OutC, oh, ow)
-	ConvForwardInto(x, w, b, s, col, y, 0, false)
+	ConvForwardInto(x, w, b, s, y, 0, false)
 	return y
+}
+
+// panicEmptyOutput reports a window that does not fit its (padded) input.
+func panicEmptyOutput(fn string, inShape []int, kh, kw, padH, padW int) {
+	panic(fmt.Sprintf("tensor: %s: %d×%d window does not fit input %v padded by %d×%d: empty output",
+		fn, kh, kw, inShape, padH, padW))
 }
 
 // ConvForwardInto computes conv(x, w) + b into a caller-provided output
 // tensor. y must be [N, dstC, outH, outW] with chOff+OutC <= dstC; the
 // result lands in channels [chOff, chOff+OutC), which lets callers write
 // branch outputs (SqueezeNet's expand pair) directly into their concatenated
-// destination. When relu is set, bias addition and max(0,·) are fused into
-// the output pass, eliminating the separate activation sweep.
+// destination. When relu is set, max(0,·) is fused with the bias addition.
 //
-// 1×1/stride-1/unpadded convolutions skip Im2col entirely — the input is
-// already the column matrix — and ignore col (which may be nil).
-func ConvForwardInto(x *Tensor, w, b []float32, s ConvSpec, col []float32, y *Tensor, chOff int, relu bool) {
+// Each image is one GEMM whose B operand is the image itself: as the dense
+// [InC, H*W] matrix for 1×1/stride-1/unpadded convolutions, as a convView
+// otherwise. Bias and ReLU run as the GEMM's epilogue, per cache-resident
+// column block (see gemmBlocked).
+func ConvForwardInto(x *Tensor, w, b []float32, s ConvSpec, y *Tensor, chOff int, relu bool) {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := s.OutSize(h, wd)
+	if oh == 0 || ow == 0 {
+		panicEmptyOutput("ConvForwardInto", x.Shape, s.KH, s.KW, s.PadH, s.PadW)
+	}
 	spatial := oh * ow
 	dstC := y.Shape[1]
 	if y.Shape[0] != n || y.Shape[2] != oh || y.Shape[3] != ow || chOff+s.OutC > dstC {
 		panic(fmt.Sprintf("tensor: ConvForwardInto: output shape %v cannot hold [%d,%d,%d,%d] at channel offset %d",
 			y.Shape, n, s.OutC, oh, ow, chOff))
 	}
-	fast := s.is1x1Fast()
-	if !fast {
-		checkColScratch("ConvForwardInto", col, s, oh, ow)
-	}
 	k := s.InC * s.KH * s.KW
+	if c != s.InC || len(w) < s.OutC*k {
+		panic(fmt.Sprintf("tensor: ConvForwardInto: input %v / %d weights do not match spec %+v", x.Shape, len(w), s))
+	}
+	ep := gemmEpilogue{bias: b, relu: relu}
+	view := convView{h: h, w: wd, s: s, ow: ow}
 	for i := 0; i < n; i++ {
 		img := x.Data[i*c*h*wd : (i+1)*c*h*wd]
 		out := y.Data[(i*dstC+chOff)*spatial : (i*dstC+chOff)*spatial+s.OutC*spatial]
-		if fast {
-			// The image is already the [InC, H*W] column matrix.
-			Gemm(w, img, out, s.OutC, k, spatial)
-		} else {
-			Im2col(img, c, h, wd, s, col)
-			Gemm(w, col, out, s.OutC, k, spatial)
+		bop := gemmB{data: img}
+		if !s.is1x1Fast() {
+			view.img = img
+			bop = gemmB{conv: &view}
 		}
-		if b == nil && !relu {
-			continue
-		}
-		for oc := 0; oc < s.OutC; oc++ {
-			var bias float32
-			if b != nil {
-				bias = b[oc]
-			}
-			row := out[oc*spatial : (oc+1)*spatial]
-			if relu {
-				for j, v := range row {
-					v += bias
-					if v < 0 {
-						v = 0
-					}
-					row[j] = v
-				}
-			} else {
-				for j := range row {
-					row[j] += bias
-				}
-			}
-		}
+		clear(out)
+		gemmDispatch(w, bop, out, s.OutC, k, spatial, false, ep)
 	}
 }
 
 // ConvBackward computes gradients for the im2col convolution. Given upstream
 // gradient dy ([N,OutC,outH,outW]), the stored input x and weights w, it
 // accumulates dW ([OutC, InC*KH*KW]) and db ([OutC]) and returns dx with x's
-// shape. col is scratch shared with the forward pass.
+// shape. col is im2col scratch of at least ColScratchLen elements.
 func ConvBackward(x, dy *Tensor, w, dw, db []float32, s ConvSpec, col []float32) *Tensor {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := s.OutSize(h, wd)

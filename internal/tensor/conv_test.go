@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// TestConvForward1x1FastPath checks the pointwise fast path (which skips
-// Im2col and accepts a nil col scratch) against the naive direct conv.
+// TestConvForward1x1FastPath checks the pointwise fast path (the image is the
+// dense B operand) against the naive direct conv.
 func TestConvForward1x1FastPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	s := ConvSpec{InC: 5, OutC: 7, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 	x := FromSlice(randSlice(rng, 3*5*6*4), 3, 5, 6, 4)
 	w := randSlice(rng, s.OutC*s.InC)
 	b := randSlice(rng, s.OutC)
-	got := ConvForward(x, w, b, s, nil) // nil col: fast path must not touch it
+	got := ConvForward(x, w, b, s)
 	want := naiveConv(x, w, b, s)
 	if !got.SameShape(want) {
 		t.Fatalf("shape %v want %v", got.Shape, want.Shape)
@@ -38,11 +38,10 @@ func TestConvForwardIntoChannelOffset(t *testing.T) {
 	b1 := randSlice(rng, s1.OutC)
 	w3 := randSlice(rng, s3.OutC*s3.InC*9)
 	b3 := randSlice(rng, s3.OutC)
-	col := make([]float32, s3.InC*9*5*5)
 
 	y := New(2, 7, 5, 5)
-	ConvForwardInto(in, w1, b1, s1, nil, y, 0, false)
-	ConvForwardInto(in, w3, b3, s3, col, y, 3, false)
+	ConvForwardInto(in, w1, b1, s1, y, 0, false)
+	ConvForwardInto(in, w3, b3, s3, y, 3, false)
 
 	y1 := naiveConv(in, w1, b1, s1)
 	y3 := naiveConv(in, w3, b3, s3)
@@ -74,10 +73,9 @@ func TestConvForwardIntoFusedReLU(t *testing.T) {
 	w := randSlice(rng, s.OutC*s.InC*9)
 	b := randSlice(rng, s.OutC)
 	oh, ow := s.OutSize(9, 9)
-	col := make([]float32, s.InC*9*oh*ow)
 
 	fused := New(1, s.OutC, oh, ow)
-	ConvForwardInto(x, w, b, s, col, fused, 0, true)
+	ConvForwardInto(x, w, b, s, fused, 0, true)
 
 	want := naiveConv(x, w, b, s)
 	for i, v := range want.Data {
@@ -99,26 +97,31 @@ func TestConvScratchValidation(t *testing.T) {
 	x := FromSlice(randSlice(rng, 1*2*5*5), 1, 2, 5, 5)
 	w := randSlice(rng, s.OutC*s.InC*9)
 	short := make([]float32, 7) // far too small
-
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s: expected panic on undersized col scratch", name)
-			}
-			msg, ok := r.(string)
-			if !ok || !strings.Contains(msg, "col scratch") {
-				t.Fatalf("%s: panic %v lacks diagnostic message", name, r)
-			}
-		}()
-		fn()
-	}
-	expectPanic("ConvForward", func() { ConvForward(x, w, nil, s, short) })
-	expectPanic("ConvBackward", func() {
+	msg := panicMessage(t, "ConvBackward", func() {
 		dy := New(1, s.OutC, 5, 5)
 		dw := make([]float32, len(w))
 		ConvBackward(x, dy, w, dw, nil, s, short)
 	})
+	if !strings.Contains(msg, "col scratch") {
+		t.Fatalf("panic %q lacks diagnostic message", msg)
+	}
+}
+
+// panicMessage runs fn, which must panic with a string, and returns it.
+func panicMessage(t *testing.T, name string, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s: expected a panic", name)
+		}
+		var ok bool
+		if msg, ok = r.(string); !ok {
+			t.Fatalf("%s: panic %v is not a diagnostic string", name, r)
+		}
+	}()
+	fn()
+	return ""
 }
 
 // TestConvBackward1x1FastPath verifies the pointwise backward shortcut
@@ -132,7 +135,7 @@ func TestConvBackward1x1FastPath(t *testing.T) {
 	oh, ow := s.OutSize(4, 4)
 	coef := randSlice(rng, s.OutC*oh*ow)
 	objective := func() float64 {
-		y := ConvForward(x, w, b, s, nil)
+		y := ConvForward(x, w, b, s)
 		var v float64
 		for i, c := range coef {
 			v += float64(c) * float64(y.Data[i])
@@ -232,5 +235,44 @@ func TestArenaReusesBuffersExactly(t *testing.T) {
 	}
 	if t2.Shape[0] != 3 || t2.Shape[1] != 2 {
 		t.Fatalf("recycled tensor shape %v", t2.Shape)
+	}
+}
+
+// benchConvStage times one whole convolution stage — pack from the image,
+// GEMM, bias+ReLU epilogue — on random data, so the clamp sees both signs.
+func benchConvStage(b *testing.B, s ConvSpec, res int) {
+	rng := rand.New(rand.NewSource(31))
+	x := FromSlice(randSlice(rng, s.InC*res*res), 1, s.InC, res, res)
+	w := randSlice(rng, s.OutC*s.InC*s.KH*s.KW)
+	bias := randSlice(rng, s.OutC)
+	oh, ow := s.OutSize(res, res)
+	y := New(1, s.OutC, oh, ow)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ConvForwardInto(x, w, bias, s, y, 0, true)
+	}
+}
+
+// BenchmarkConvStem224 is the paper net's stem: 7×7/2 over 224×224×4.
+func BenchmarkConvStem224(b *testing.B) {
+	benchConvStage(b, ConvSpec{InC: 4, OutC: 96, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 224)
+}
+
+// BenchmarkConvExpand3x3_13 is the last fire pair's 3×3 expand at 13×13.
+func BenchmarkConvExpand3x3_13(b *testing.B) {
+	benchConvStage(b, ConvSpec{InC: 64, OutC: 256, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 13)
+}
+
+// BenchmarkMaxPool112x96 is the paper net's first pool: 3×3/2 over the
+// stem's 96 planes of 112×112.
+func BenchmarkMaxPool112x96(b *testing.B) {
+	rng := rand.New(rand.NewSource(32))
+	x := FromSlice(randSlice(rng, 96*112*112), 1, 96, 112, 112)
+	p := PoolSpec{K: 3, Stride: 2}
+	oh, ow := p.OutSize(112, 112)
+	y := New(1, 96, oh, ow)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MaxPoolForwardInto(x, p, y)
 	}
 }

@@ -1,0 +1,277 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// at is the differential tests' oracle: element (iy, ix) of an h×w plane by
+// plain index arithmetic, or pad when the position lies outside it. Both the
+// convolution's column matrix and the pooling window are defined through it,
+// so neither reference shares a loop with the code under test.
+func at(plane []float32, h, w, iy, ix int, pad float32) float32 {
+	if iy < 0 || iy >= h || ix < 0 || ix >= w {
+		return pad
+	}
+	return plane[iy*w+ix]
+}
+
+// oracleCol builds the [C*KH*KW, oh*ow] column matrix of one image element by
+// element: row p is tap (ch, ky, kx), column j is output position (oy, ox).
+func oracleCol(img []float32, c, h, w int, s ConvSpec) []float32 {
+	oh, ow := s.OutSize(h, w)
+	k, n := c*s.KH*s.KW, oh*ow
+	col := make([]float32, k*n)
+	for p := 0; p < k; p++ {
+		ch, ky, kx := p/(s.KH*s.KW), p/s.KW%s.KH, p%s.KW
+		for j := 0; j < n; j++ {
+			oy, ox := j/ow, j%ow
+			col[p*n+j] = at(img[ch*h*w:(ch+1)*h*w], h, w, oy*s.StrideH-s.PadH+ky, ox*s.StrideW-s.PadW+kx, 0)
+		}
+	}
+	return col
+}
+
+// convCase is one drawn convolution: the spec, the input plane size, and how
+// the output is placed and finished.
+type convCase struct {
+	s     ConvSpec
+	h, w  int
+	chOff int
+	relu  bool
+	bias  bool
+}
+
+// convCases returns the structural cases the blocked driver can hit — every
+// n%nr remainder, output rows narrower and wider than a panel, K past one
+// kcBlock, N past one ncBlock, the strided padded stem — followed by random
+// draws over stride 1–3, pad 0–3 and rectangular kernels, most of which are
+// small enough for the unblocked path.
+func convCases(rng *rand.Rand) []convCase {
+	var cases []convCase
+	// One output row of every width 33..65: n%16 and n%32 take every value,
+	// and ow > nr.
+	for w := 33; w <= 65; w++ {
+		cases = append(cases, convCase{
+			s: ConvSpec{InC: 8, OutC: 16, KH: 1, KW: 3, StrideH: 1, StrideW: 1, PadW: 1},
+			h: 1, w: w, relu: w%2 == 0, bias: w%3 != 0, chOff: w % 3,
+		})
+	}
+	cases = append(cases,
+		// ow = 13 < nr, k = 288 spans two kcBlocks.
+		convCase{s: ConvSpec{InC: 32, OutC: 20, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h: 13, w: 13, relu: true, bias: true, chOff: 2},
+		// n = 48×48 = 2304 spans two ncBlocks.
+		convCase{s: ConvSpec{InC: 3, OutC: 9, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h: 48, w: 48, relu: true, bias: true},
+		// The stem's shape: 7×7/2, pad 3, on a non-square odd plane.
+		convCase{s: ConvSpec{InC: 4, OutC: 10, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, h: 37, w: 41, bias: true, chOff: 1},
+		// Padding wider than the plane: some taps see no input column at all.
+		convCase{s: ConvSpec{InC: 2, OutC: 40, KH: 3, KW: 7, StrideH: 1, StrideW: 2, PadH: 1, PadW: 3}, h: 30, w: 2, relu: true},
+	)
+	for len(cases) < 160 {
+		cc := convCase{
+			s: ConvSpec{
+				InC: 1 + rng.Intn(4), OutC: 1 + rng.Intn(20),
+				KH: 1 + rng.Intn(5), KW: 1 + rng.Intn(5),
+				StrideH: 1 + rng.Intn(3), StrideW: 1 + rng.Intn(3),
+				PadH: rng.Intn(4), PadW: rng.Intn(4),
+			},
+			h: 1 + rng.Intn(40), w: 1 + rng.Intn(40),
+			chOff: rng.Intn(4), relu: rng.Intn(2) == 0, bias: rng.Intn(3) != 0,
+		}
+		if oh, ow := cc.s.OutSize(cc.h, cc.w); oh == 0 || ow == 0 {
+			continue
+		}
+		cases = append(cases, cc)
+	}
+	return cases
+}
+
+// TestConvDirectPackMatchesIm2colGemm is the forward convolution's
+// differential test: ConvForwardInto, which packs GEMM panels straight from
+// the image and finishes each column block with the fused epilogue, must
+// equal — bit for bit — the column matrix built by the oracle (which Im2col
+// must equal too), multiplied by Gemm, then biased and clamped by a scalar
+// loop. It runs under every FP32 kernel tier the CPU offers, with batch 3.
+func TestConvDirectPackMatchesIm2colGemm(t *testing.T) {
+	active := gemmTier
+	defer func() { gemmTier = active }()
+	tiers := []gemmTierT{active}
+	if active.kind == tierKind8x32 {
+		tiers = append(tiers, gemmTierT{name: "avx2-6x16", kind: tierKind6x16, mr: mrTile, nr: nrTile, mc: mcBlock})
+	}
+	const batch = 3
+	sentinel := float32(math.Inf(1))
+	for _, tier := range tiers {
+		gemmTier = tier
+		rng := rand.New(rand.NewSource(41))
+		for ci, cc := range convCases(rng) {
+			s, h, w := cc.s, cc.h, cc.w
+			name := fmt.Sprintf("%s case %d %+v", tier.name, ci, cc)
+			oh, ow := s.OutSize(h, w)
+			k, n := s.InC*s.KH*s.KW, oh*ow
+			x := FromSlice(randSlice(rng, batch*s.InC*h*w), batch, s.InC, h, w)
+			wt := randSlice(rng, s.OutC*k)
+			var bias []float32
+			if cc.bias {
+				bias = randSlice(rng, s.OutC)
+			}
+			dstC := cc.chOff + s.OutC + 1
+			y := New(batch, dstC, oh, ow)
+			y.Fill(sentinel)
+			ConvForwardInto(x, wt, bias, s, y, cc.chOff, cc.relu)
+
+			im2col := make([]float32, k*n)
+			want := make([]float32, s.OutC*n)
+			for i := 0; i < batch; i++ {
+				img := x.Data[i*s.InC*h*w : (i+1)*s.InC*h*w]
+				col := oracleCol(img, s.InC, h, w, s)
+				Im2col(img, s.InC, h, w, s, im2col)
+				for e := range col {
+					if math.Float32bits(col[e]) != math.Float32bits(im2col[e]) {
+						t.Fatalf("%s: Im2col[%d,%d]=%v, oracle %v", name, e/n, e%n, im2col[e], col[e])
+					}
+				}
+				Gemm(wt, col, want, s.OutC, k, n)
+				for ch := 0; ch < dstC; ch++ {
+					got := y.Data[(i*dstC+ch)*n : (i*dstC+ch+1)*n]
+					oc := ch - cc.chOff
+					for j, g := range got {
+						wv := sentinel // channels outside [chOff, chOff+OutC) stay untouched
+						if oc >= 0 && oc < s.OutC {
+							wv = want[oc*n+j]
+							if bias != nil {
+								wv += bias[oc]
+							}
+							if cc.relu && wv < 0 {
+								wv = 0
+							}
+						}
+						if math.Float32bits(g) != math.Float32bits(wv) {
+							t.Fatalf("%s: y[%d,%d,%d]=%v (%#x), want %v (%#x)",
+								name, i, ch, j, g, math.Float32bits(g), wv, math.Float32bits(wv))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaxPoolMatchesWindowScan is the max pool's differential test:
+// MaxPoolForwardInto — the separable vector path when unpadded, the scalar
+// loop when padded — must equal a K×K window scan through the oracle with
+// -Inf padding. Planes are random, all-negative and all -Inf; widths cover
+// every w%16 class. Values are compared with ==: the inputs hold no NaN and
+// no -0, the two corners MaxPoolForwardInto's comment leaves unpinned.
+func TestMaxPoolMatchesWindowScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	negInf := float32(math.Inf(-1))
+	for _, k := range []int{2, 3} {
+		for stride := 1; stride <= 3; stride++ {
+			for _, pad := range []int{0, 1} {
+				for w := 3; w <= 35; w++ {
+					p := PoolSpec{K: k, Stride: stride, Pad: pad}
+					h := 3 + rng.Intn(7)
+					oh, ow := p.OutSize(h, w)
+					x := FromSlice(randSlice(rng, 2*3*h*w), 2, 3, h, w)
+					for i, v := range x.Data[h*w : 2*h*w] { // plane 1: all negative
+						x.Data[h*w+i] = -float32(math.Abs(float64(v))) - 1
+					}
+					for i := range x.Data[2*h*w : 3*h*w] { // plane 2: all -Inf
+						x.Data[2*h*w+i] = negInf
+					}
+					y := New(2, 3, oh, ow)
+					MaxPoolForwardInto(x, p, y)
+					for pl := 0; pl < 6; pl++ {
+						plane := x.Data[pl*h*w : (pl+1)*h*w]
+						for oy := 0; oy < oh; oy++ {
+							for ox := 0; ox < ow; ox++ {
+								want := negInf
+								for ky := 0; ky < k; ky++ {
+									for kx := 0; kx < k; kx++ {
+										if v := at(plane, h, w, oy*stride-pad+ky, ox*stride-pad+kx, negInf); v > want {
+											want = v
+										}
+									}
+								}
+								if got := y.Data[(pl*oh+oy)*ow+ox]; got != want {
+									t.Fatalf("%+v on %dx%d plane %d: y[%d,%d]=%v want %v", p, h, w, pl, oy, ox, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVectorHelpersMatchScalar pins the three FP32 row helpers to their
+// scalar definitions bit for bit — NaN, -0 and ±Inf included — at every
+// length from below one vector to past several, so the vector bodies, their
+// ragged ends and the portable loops cannot drift apart.
+func TestVectorHelpersMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	special := []float32{float32(math.NaN()), float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1))}
+	draw := func(n int) []float32 {
+		s := randSlice(rng, n)
+		for i := range s {
+			if rng.Intn(4) == 0 {
+				s[i] = special[rng.Intn(len(special))]
+			}
+		}
+		return s
+	}
+	same := func(name string, n int, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s n=%d: [%d]=%v (%#x), want %v (%#x)", name, n, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
+	for n := 1; n <= 41; n++ {
+		for _, bias := range []float32{0.75, float32(math.Copysign(0, -1))} {
+			row := draw(n)
+			want := make([]float32, n)
+			for i, v := range row {
+				if v += bias; v < 0 {
+					v = 0
+				}
+				want[i] = v
+			}
+			biasReLU(row, bias)
+			same("biasReLU", n, row, want)
+		}
+		for k := 1; k <= 3; k++ {
+			for _, stride := range []int{1, n + 3} {
+				src := draw(n + (k-1)*stride)
+				want := make([]float32, n)
+				for i := range want {
+					m := src[i]
+					for tap := 1; tap < k; tap++ {
+						if v := src[i+tap*stride]; v > m {
+							m = v
+						}
+					}
+					want[i] = m
+				}
+				got := make([]float32, n)
+				maxF32Into(got, src, k, stride)
+				same(fmt.Sprintf("maxF32Into k=%d stride=%d", k, stride), n, got, want)
+			}
+		}
+		for stride := 1; stride <= 3; stride++ {
+			src := draw((n-1)*stride + 1) // ends on the last element read
+			want := make([]float32, n)
+			for i := range want {
+				want[i] = src[i*stride]
+			}
+			got := make([]float32, n)
+			gatherF32(got, src, stride)
+			same(fmt.Sprintf("gatherF32 stride=%d", stride), n, got, want)
+		}
+	}
+}

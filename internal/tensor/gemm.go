@@ -70,7 +70,7 @@ func Gemm(a, b, c []float32, m, k, n int) {
 		panic("tensor: Gemm buffer too small")
 	}
 	clear(c[:m*n])
-	gemmDispatch(a, b, c, m, k, n, false, false)
+	gemmDispatch(a, gemmB{data: b}, c, m, k, n, false, gemmEpilogue{})
 }
 
 // GemmAcc computes C += A×B with the same layout as Gemm.
@@ -78,7 +78,7 @@ func GemmAcc(a, b, c []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("tensor: GemmAcc buffer too small")
 	}
-	gemmDispatch(a, b, c, m, k, n, false, false)
+	gemmDispatch(a, gemmB{data: b}, c, m, k, n, false, gemmEpilogue{})
 }
 
 // GemmTA computes C = Aᵀ×B where A is stored K×M (so Aᵀ is M×K), B is K×N,
@@ -88,7 +88,7 @@ func GemmTA(a, b, c []float32, m, k, n int) {
 		panic("tensor: GemmTA buffer too small")
 	}
 	clear(c[:m*n])
-	gemmDispatch(a, b, c, m, k, n, true, false)
+	gemmDispatch(a, gemmB{data: b}, c, m, k, n, true, gemmEpilogue{})
 }
 
 // GemmTAAcc computes C += Aᵀ×B with A stored K×M.
@@ -96,7 +96,7 @@ func GemmTAAcc(a, b, c []float32, m, k, n int) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic("tensor: GemmTA buffer too small")
 	}
-	gemmDispatch(a, b, c, m, k, n, true, false)
+	gemmDispatch(a, gemmB{data: b}, c, m, k, n, true, gemmEpilogue{})
 }
 
 // GemmTB computes C = A×Bᵀ where A is M×K, B is stored N×K, C is M×N.
@@ -105,7 +105,7 @@ func GemmTB(a, b, c []float32, m, k, n int) {
 		panic("tensor: GemmTB buffer too small")
 	}
 	clear(c[:m*n])
-	gemmDispatch(a, b, c, m, k, n, false, true)
+	gemmDispatch(a, gemmB{data: b, trans: true}, c, m, k, n, false, gemmEpilogue{})
 }
 
 // GemmTBAcc computes C += A×Bᵀ with B stored N×K.
@@ -113,28 +113,89 @@ func GemmTBAcc(a, b, c []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("tensor: GemmTB buffer too small")
 	}
-	gemmDispatch(a, b, c, m, k, n, false, true)
+	gemmDispatch(a, gemmB{data: b, trans: true}, c, m, k, n, false, gemmEpilogue{})
 }
 
-// gemmDispatch routes a C += op(A)×op(B) product to the small unblocked loop
-// or the packed blocked kernel. aT means A is stored K×M; bT means B is
-// stored N×K. At most one of aT/bT is set by the public entry points.
-func gemmDispatch(a, b, c []float32, m, k, n int, aT, bT bool) {
+// gemmB is the B operand of a product: a dense row-major matrix (stored K×N,
+// or N×K when trans), or — when conv is set — the implicit K×N column matrix
+// of a convolution, read straight from the image (see convView).
+type gemmB struct {
+	data  []float32
+	trans bool
+	conv  *convView
+}
+
+// gemmEpilogue is the per-row bias add and ReLU clamp a convolution applies
+// to its finished product: c = c + bias[row], then max(c, 0) when relu is
+// set. The zero value does nothing.
+type gemmEpilogue struct {
+	bias []float32
+	relu bool
+}
+
+// apply runs the epilogue over columns [j0, j0+nc) of the m×n matrix c.
+func (e gemmEpilogue) apply(c []float32, m, n, j0, nc int) {
+	if e.bias == nil && !e.relu {
+		return
+	}
+	for i := 0; i < m; i++ {
+		var bias float32
+		if e.bias != nil {
+			bias = e.bias[i]
+		}
+		row := c[i*n+j0 : i*n+j0+nc]
+		if e.relu {
+			biasReLU(row, bias)
+		} else {
+			for j := range row {
+				row[j] += bias
+			}
+		}
+	}
+}
+
+// biasReLU computes row = max(row+bias, 0), leaving a NaN or -0 sum as it is
+// (the loop's `v < 0` is false for both; VMAXPS returns the sum, its second
+// source, for both), so the vector body and the scalar tail agree bit for
+// bit. The vector body also spares real activations, whose signs no branch
+// predictor learns, a mispredict every other element.
+func biasReLU(row []float32, bias float32) {
+	j := 0
+	if haveQuantASM && len(row) >= 8 {
+		j = len(row) &^ 7
+		biasReLUF32x8(&row[0], int64(j), bias)
+	}
+	for ; j < len(row); j++ {
+		v := row[j] + bias
+		if v < 0 {
+			v = 0
+		}
+		row[j] = v
+	}
+}
+
+// gemmDispatch routes a C += op(A)×op(B) product, followed by the epilogue,
+// to the small unblocked loop or the packed blocked kernel. aT means A is
+// stored K×M. At most one of aT/b.trans is set by the public entry points.
+func gemmDispatch(a []float32, b gemmB, c []float32, m, k, n int, aT bool, ep gemmEpilogue) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
 	if m*k*n <= gemmSmallThreshold {
-		gemmSmall(a, b, c, m, k, n, aT, bT)
+		gemmSmall(a, b, c, m, k, n, aT)
+		ep.apply(c, m, n, 0, n)
 		return
 	}
-	gemmBlocked(a, b, c, m, k, n, aT, bT)
+	gemmBlocked(a, b, c, m, k, n, aT, ep)
 }
 
 // gemmSmall is the unblocked fallback for problems too small to amortize
 // packing. Loop orders match the storage layouts so every inner loop streams
-// contiguously.
-func gemmSmall(a, b, c []float32, m, k, n int, aT, bT bool) {
-	if bT {
+// contiguously; every C element accumulates its k terms in ascending order
+// whichever loop is outermost.
+func gemmSmall(a []float32, bop gemmB, c []float32, m, k, n int, aT bool) {
+	b := bop.data
+	if bop.trans {
 		// C[i,j] = dot(A row i, B row j): both contiguous.
 		for i := 0; i < m; i++ {
 			arow := a[i*k : i*k+k]
@@ -148,6 +209,28 @@ func gemmSmall(a, b, c []float32, m, k, n int, aT, bT bool) {
 				crow[j] += sum
 			}
 		}
+		return
+	}
+	if bop.conv != nil {
+		// B rows come from the image one at a time, so k is outermost: each
+		// row is produced once and spent on every row of A (never transposed
+		// here).
+		rowp := GetScratch(n)
+		brow := *rowp
+		for p := 0; p < k; p++ {
+			bop.conv.row(brow, p)
+			for i := 0; i < m; i++ {
+				av := a[i*k+p]
+				if av == 0 {
+					continue
+				}
+				crow := c[i*n : i*n+n]
+				for j, bv := range brow {
+					crow[j] += av * bv
+				}
+			}
+		}
+		PutScratch(rowp)
 		return
 	}
 	for i := 0; i < m; i++ {
@@ -174,14 +257,15 @@ func gemmSmall(a, b, c []float32, m, k, n int, aT, bT bool) {
 // blocks, packing B and A into micro-panel layout and running the
 // register-tiled kernel over every (ir, jr) tile. Parallelism fans the column
 // panels of each (ic, pc, jc) block across the worker pool; panels write
-// disjoint regions of C.
-func gemmBlocked(a, b, c []float32, m, k, n int, aT, bT bool) {
+// disjoint regions of C. The epilogue runs over each column block right
+// after its last k-block, while that block of C is still cache-resident.
+func gemmBlocked(a []float32, b gemmB, c []float32, m, k, n int, aT bool, ep gemmEpilogue) {
 	lda := k
 	if aT {
 		lda = m
 	}
 	ldb := n
-	if bT {
+	if b.trans {
 		ldb = k
 	}
 	tier := gemmTier
@@ -200,7 +284,11 @@ func gemmBlocked(a, b, c []float32, m, k, n int, aT, bT bool) {
 			kc := min(kcBlock, k-pc)
 			bbufp := GetScratch(ncPanels * nr * kc)
 			bbuf := *bbufp
-			packB(bbuf, b, ldb, bT, pc, kc, jc, nc, nr)
+			if b.conv != nil {
+				b.conv.pack(bbuf, pc, kc, jc, nc, nr)
+			} else {
+				packB(bbuf, b.data, ldb, b.trans, pc, kc, jc, nc, nr)
+			}
 			for ic := 0; ic < m; ic += tier.mc {
 				mc := min(tier.mc, m-ic)
 				mcPanels := (mc + mr - 1) / mr
@@ -224,6 +312,7 @@ func gemmBlocked(a, b, c []float32, m, k, n int, aT, bT bool) {
 			}
 			PutScratch(bbufp)
 		}
+		ep.apply(c, m, n, jc, nc)
 	}
 }
 

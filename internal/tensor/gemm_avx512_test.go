@@ -92,10 +92,10 @@ func TestGemmAVX512TierMatchesAVX2Tier(t *testing.T) {
 				b := randSlice(rng, k*n)
 				gemmTier = avx512
 				c512 := make([]float32, m*n)
-				gemmBlocked(a, b, c512, m, k, n, false, false)
+				gemmBlocked(a, gemmB{data: b}, c512, m, k, n, false, gemmEpilogue{})
 				gemmTier = avx2
 				c256 := make([]float32, m*n)
-				gemmBlocked(a, b, c256, m, k, n, false, false)
+				gemmBlocked(a, gemmB{data: b}, c256, m, k, n, false, gemmEpilogue{})
 				for i := range c512 {
 					if c512[i] != c256[i] {
 						t.Fatalf("m=%d k=%d n=%d: c[%d]=%b (avx512) vs %b (avx2)", m, k, n, i, c512[i], c256[i])

@@ -14,11 +14,9 @@ type PoolSpec struct {
 
 // OutSize returns the output spatial size of pooling an h×w input. Following
 // the convention used by SqueezeNet (ceil mode off), partial windows beyond
-// the padded edge are dropped.
+// the padded edge are dropped; an input smaller than one window pools to 0.
 func (p PoolSpec) OutSize(h, w int) (oh, ow int) {
-	oh = (h+2*p.Pad-p.K)/p.Stride + 1
-	ow = (w+2*p.Pad-p.K)/p.Stride + 1
-	return oh, ow
+	return windowCount(h, p.Pad, p.K, p.Stride), windowCount(w, p.Pad, p.K, p.Stride)
 }
 
 // MaxPoolForward computes max pooling over x ([N,C,H,W]) and records the
@@ -84,11 +82,25 @@ func MaxPoolForwardArgmax(x *Tensor, p PoolSpec, y *Tensor, argmax []int32) {
 // MaxPoolForwardInto computes max pooling into a caller-provided output
 // tensor without recording argmax indices — the inference-path variant, which
 // performs no allocation. y must be [N,C,outH,outW].
+//
+// Unpadded pooling (every pool in the PERCIVAL architectures) takes the
+// separable path, which agrees with the scalar window scan by value on
+// NaN-free input. Two corners are deliberately left unpinned: a window
+// holding both +0 and -0 as its maximum may yield either (they compare
+// equal), and a NaN, which the scalar scan never selects, propagates from
+// the separable path when it sits first in its column or row of the window.
 func MaxPoolForwardInto(x *Tensor, p PoolSpec, y *Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := p.OutSize(h, w)
+	if oh == 0 || ow == 0 {
+		panicEmptyOutput("MaxPoolForwardInto", x.Shape, p.K, p.K, p.Pad, p.Pad)
+	}
 	if y.Shape[0] != n || y.Shape[1] != c || y.Shape[2] != oh || y.Shape[3] != ow {
 		panic(fmt.Sprintf("tensor: MaxPoolForwardInto: output shape %v, want [%d,%d,%d,%d]", y.Shape, n, c, oh, ow))
+	}
+	if p.Pad == 0 {
+		maxPoolSeparable(x.Data, n*c, h, w, p, y.Data, oh, ow)
+		return
 	}
 	oi := 0
 	for i := 0; i < n*c; i++ {
@@ -116,6 +128,50 @@ func MaxPoolForwardInto(x *Tensor, p PoolSpec, y *Tensor) {
 				oi++
 			}
 		}
+	}
+}
+
+// maxPoolSeparable is the unpadded fast path over `planes` h×w planes. Per
+// output row, one maxF32Into pass takes the vertical max of the K window
+// rows into rowmax, a second takes the horizontal K-tap max of rowmax at
+// every column into hmax, and the outputs are hmax at the stride — 2K reads
+// per output instead of K² bounds-tested window probes, and no branch that
+// depends on the data. Every window lies inside the plane (OutSize drops
+// partial ones), so nothing is range-checked.
+func maxPoolSeparable(x []float32, planes, h, w int, p PoolSpec, y []float32, oh, ow int) {
+	span := w - p.K + 1 // window start columns
+	bufp := GetScratch(w + span)
+	rowmax, hmax := (*bufp)[:w], (*bufp)[w:]
+	for i := 0; i < planes; i++ {
+		plane := x[i*h*w : (i+1)*h*w]
+		yp := y[i*oh*ow : (i+1)*oh*ow]
+		for oy := 0; oy < oh; oy++ {
+			maxF32Into(rowmax, plane[oy*p.Stride*w:], p.K, w)
+			maxF32Into(hmax, rowmax, p.K, 1)
+			gatherF32(yp[oy*ow:oy*ow+ow], hmax, p.Stride)
+		}
+	}
+	PutScratch(bufp)
+}
+
+// maxF32Into computes dst[i] = max(src[i], src[i+stride], …) over k taps. A
+// later tap replaces the running maximum only when it compares greater, in
+// the vector body (VMAXPS, the running maximum as second source) as in the
+// loop, so the two agree bit for bit.
+func maxF32Into(dst, src []float32, k, stride int) {
+	src = src[:len(dst)+(k-1)*stride]
+	if haveQuantASM && len(dst) >= 8 {
+		maxF32x8(&dst[0], &src[0], int64(len(dst)), int64(k), int64(stride))
+		return
+	}
+	for i := range dst {
+		m := src[i]
+		for t := 1; t < k; t++ {
+			if v := src[i+t*stride]; v > m {
+				m = v
+			}
+		}
+		dst[i] = m
 	}
 }
 

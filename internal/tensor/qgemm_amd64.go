@@ -15,6 +15,25 @@ func qgemmKernel4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64)
 //go:noescape
 func maxU8x32(dst, src *uint8, n int64)
 
+// maxF32x8 computes dst[i] = max over t < k of src[i+t*stride] for n >= 8
+// elements with VMAXPS; see qgemm_amd64.s.
+//
+//go:noescape
+func maxF32x8(dst, src *float32, n, k, stride int64)
+
+// gather2F32x8 writes dst[i] = src[2*i] for n float32s (n a multiple of 8),
+// reading 2n source elements; see qgemm_amd64.s.
+//
+//go:noescape
+func gather2F32x8(dst, src *float32, n int64)
+
+// biasReLUF32x8 computes dst = max(dst+bias, 0) over n float32s (n a
+// multiple of 8) with VADDPS/VMAXPS, the sum as the second source; see
+// qgemm_amd64.s.
+//
+//go:noescape
+func biasReLUF32x8(dst *float32, n int64, bias float32)
+
 // requantU8x32 is the vectorized requantization epilogue in qgemm_amd64.s:
 // dst[i] = clamp(roundeven(float32(acc[i])*mult + beta), lo, hi) for n
 // elements, n a multiple of 32.
@@ -30,8 +49,9 @@ func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64)
 
 // haveQuantASM gates the quantized kernels on the same AVX2+FMA+OS-XSAVE
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
-// epilogue uses FMA). haveVNNI additionally selects the VPDPBUSD kernel on
-// parts with AVX512-VNNI and AVX512VL.
+// epilogue uses FMA), and with them the FP32 row helpers beside maxU8x32
+// (maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2). haveVNNI additionally
+// selects the VPDPBUSD kernel on parts with AVX512-VNNI and AVX512VL.
 var (
 	haveQuantASM = haveFMA
 	haveVNNI     = detectVNNI()

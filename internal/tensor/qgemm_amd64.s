@@ -306,6 +306,109 @@ mxloop:
 	VZEROUPPER
 	RET
 
+// func maxF32x8(dst, src *float32, n, k, stride int64)
+//
+// dst[i] = max(src[i], src[i+stride], …, src[i+(k-1)*stride]) for n >= 8
+// float32s, k >= 1 — both passes of the separable FP32 max pool (stride = row
+// width for the vertical one, 1 for the horizontal one). The running maximum
+// is VMAXPS's second source, which it returns when the operands are equal or
+// unordered, matching the portable loop's `if v > m`. A ragged end (n not a
+// multiple of 8) is covered by one more vector overlapping the last full
+// one instead of a scalar tail.
+TEXT ·maxF32x8(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ k+24(FP), R8
+	MOVQ stride+32(FP), R9
+	SHLQ $2, R9
+	MOVQ CX, DX
+	ANDQ $7, DX
+	SHRQ $3, CX
+
+mxfvec:
+	VMOVUPS (SI), Y0
+	MOVQ SI, R10
+	MOVQ R8, R11
+
+mxftap:
+	DECQ R11
+	JEQ  mxfstore
+	ADDQ R9, R10
+	VMOVUPS (R10), Y1
+	VMAXPS  Y0, Y1, Y0
+	JMP  mxftap
+
+mxfstore:
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNE  mxfvec
+
+	TESTQ DX, DX
+	JEQ   mxfdone
+	LEAQ  -32(SI)(DX*4), SI
+	LEAQ  -32(DI)(DX*4), DI
+	XORQ  DX, DX
+	MOVQ  $1, CX
+	JMP   mxfvec
+
+mxfdone:
+	VZEROUPPER
+	RET
+
+// func gather2F32x8(dst, src *float32, n int64)
+//
+// dst[i] = src[2*i] for n float32s, n a positive multiple of 8 — the stride-2
+// gather of the stem's panel packing and of the pools' column pick. Each
+// iteration loads 16 consecutive source elements (so 2n in all, one past the
+// last even one), keeps the even ones of each 128-bit lane (VSHUFPS 0x88)
+// and puts the four pairs back in memory order (VPERMPD 0xD8).
+TEXT ·gather2F32x8(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+
+g2loop:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VSHUFPS $0x88, Y1, Y0, Y0
+	VPERMPD $0xD8, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNE  g2loop
+
+	VZEROUPPER
+	RET
+
+// func biasReLUF32x8(dst *float32, n int64, bias float32)
+//
+// dst = max(dst + bias, 0) element-wise over n float32s, n a positive
+// multiple of 8 — the fused conv epilogue. The sum is VMAXPS's second source,
+// which it returns for a NaN or a -0 sum, as the portable loop's
+// `if v < 0 { v = 0 }` does.
+TEXT ·biasReLUF32x8(SB), NOSPLIT, $0-20
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSS bias+16(FP), Y1
+	VXORPS Y2, Y2, Y2
+	SHRQ $3, CX
+
+brloop:
+	VADDPS  (DI), Y1, Y0
+	VMAXPS  Y0, Y2, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	DECQ CX
+	JNE  brloop
+
+	VZEROUPPER
+	RET
+
 // qpermIdx reorders the dword groups produced by the in-lane
 // VPACKSSDW/VPACKUSWB cascade back into memory order.
 DATA qpermIdx<>+0(SB)/4, $0

@@ -10,6 +10,21 @@ func maxU8x32(dst, src *uint8, n int64) {
 	panic("tensor: maxU8x32 without assembly support")
 }
 
+// maxF32x8 is never called when haveQuantASM is false.
+func maxF32x8(dst, src *float32, n, k, stride int64) {
+	panic("tensor: maxF32x8 without assembly support")
+}
+
+// gather2F32x8 is never called when haveQuantASM is false.
+func gather2F32x8(dst, src *float32, n int64) {
+	panic("tensor: gather2F32x8 without assembly support")
+}
+
+// biasReLUF32x8 is never called when haveQuantASM is false.
+func biasReLUF32x8(dst *float32, n int64, bias float32) {
+	panic("tensor: biasReLUF32x8 without assembly support")
+}
+
 // requantU8ASM is never called when haveQuantASM is false.
 func requantU8ASM(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8) {
 	panic("tensor: requantU8ASM without assembly support")

@@ -193,16 +193,7 @@ func Im2colU8(img []uint8, c, h, w int, s ConvSpec, col []uint8, zp uint8) (oh, 
 				ri++
 				// Valid ox range: 0 <= kx - PadW + ox*StrideW < w.
 				base := kx - s.PadW
-				oxLo, oxHi := 0, ow
-				if base < 0 {
-					oxLo = (-base + s.StrideW - 1) / s.StrideW
-				}
-				if base+(ow-1)*s.StrideW >= w {
-					oxHi = (w-1-base)/s.StrideW + 1
-				}
-				if oxHi < oxLo {
-					oxHi = oxLo
-				}
+				oxLo, oxHi := validOx(base, s.StrideW, w, ow)
 				di := 0
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*s.StrideH - s.PadH + ky
@@ -252,11 +243,14 @@ func fillU8(dst []uint8, v uint8) {
 // instead of K² branchy window probes.
 func MaxPoolU8Into(x []uint8, n, c, h, w int, p PoolSpec, y []uint8) (oh, ow int) {
 	oh, ow = p.OutSize(h, w)
+	if oh == 0 || ow == 0 {
+		panicEmptyOutput("MaxPoolU8Into", []int{n, c, h, w}, p.K, p.K, p.Pad, p.Pad)
+	}
 	if len(x) < n*c*h*w || len(y) < n*c*oh*ow {
 		panic(fmt.Sprintf("tensor: MaxPoolU8Into: x %d / y %d too small for [%d,%d,%d,%d]→[%d,%d]",
 			len(x), len(y), n, c, h, w, oh, ow))
 	}
-	if p.Pad == 0 && oh > 0 && ow > 0 {
+	if p.Pad == 0 {
 		maxPoolU8Separable(x, n, c, h, w, p, y, oh, ow)
 		return oh, ow
 	}

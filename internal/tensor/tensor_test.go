@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -238,9 +239,7 @@ func TestConvForwardMatchesNaive(t *testing.T) {
 		x := FromSlice(randSlice(rng, 2*s.InC*9*9), 2, s.InC, 9, 9)
 		w := randSlice(rng, s.OutC*s.InC*s.KH*s.KW)
 		b := randSlice(rng, s.OutC)
-		oh, ow := s.OutSize(9, 9)
-		col := make([]float32, s.InC*s.KH*s.KW*oh*ow)
-		got := ConvForward(x, w, b, s, col)
+		got := ConvForward(x, w, b, s)
 		want := naiveConv(x, w, b, s)
 		if !got.SameShape(want) {
 			t.Fatalf("spec %+v: shape %v want %v", s, got.Shape, want.Shape)
@@ -266,7 +265,7 @@ func TestConvBackwardNumerical(t *testing.T) {
 	// scalar objective: sum of outputs weighted by fixed random coefficients
 	coef := randSlice(rng, s.OutC*oh*ow)
 	objective := func() float64 {
-		y := ConvForward(x, w, b, s, col)
+		y := ConvForward(x, w, b, s)
 		var v float64
 		for i, c := range coef {
 			v += float64(c) * float64(y.Data[i])
@@ -500,5 +499,43 @@ func TestConvSpecOutSize(t *testing.T) {
 	oh, ow = p.OutSize(109, 109)
 	if oh != 54 || ow != 54 {
 		t.Fatalf("pool OutSize = %d,%d", oh, ow)
+	}
+	// The window exactly fits: one output. One short of fitting: none — the
+	// negative quotient must not truncate toward zero into a phantom window.
+	if oh, ow = s.OutSize(7, 8); oh != 1 || ow != 1 {
+		t.Fatalf("OutSize(7,8) = %d,%d, want 1,1", oh, ow)
+	}
+	if oh, ow = s.OutSize(6, 6); oh != 0 || ow != 0 {
+		t.Fatalf("OutSize(6,6) = %d,%d, want 0,0", oh, ow)
+	}
+	if oh, ow = s.OutSize(9, 5); oh != 2 || ow != 0 {
+		t.Fatalf("OutSize(9,5) = %d,%d, want 2,0", oh, ow)
+	}
+	if oh, ow = p.OutSize(2, 2); oh != 0 || ow != 0 {
+		t.Fatalf("pool OutSize(2,2) = %d,%d, want 0,0", oh, ow)
+	}
+	padded := ConvSpec{KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}
+	if oh, ow = padded.OutSize(1, 1); oh != 1 || ow != 1 {
+		t.Fatalf("padded OutSize(1,1) = %d,%d, want 1,1", oh, ow)
+	}
+}
+
+// TestEmptyOutputRejected checks the forward kernels refuse a window that
+// does not fit its input, naming the shapes, instead of scoring a partial
+// window.
+func TestEmptyOutputRejected(t *testing.T) {
+	x := New(1, 1, 2, 2)
+	y := New(1, 1, 1, 1)
+	p := PoolSpec{K: 3, Stride: 2}
+	s := ConvSpec{InC: 1, OutC: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 2}
+	for name, fn := range map[string]func(){
+		"ConvForwardInto":    func() { ConvForwardInto(x, make([]float32, 9), nil, s, y, 0, false) },
+		"MaxPoolForwardInto": func() { MaxPoolForwardInto(x, p, y) },
+		"MaxPoolU8Into":      func() { MaxPoolU8Into(make([]uint8, 4), 1, 1, 2, 2, p, make([]uint8, 1)) },
+	} {
+		msg := panicMessage(t, name, fn)
+		if !strings.Contains(msg, name) || !strings.Contains(msg, "3×3 window") || !strings.Contains(msg, "[1 1 2 2]") {
+			t.Errorf("%s: panic %q does not name the function and shapes", name, msg)
+		}
 	}
 }
