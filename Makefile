@@ -1,6 +1,7 @@
 # Development targets. `make check` is the gate every change must pass: it
-# includes a gofmt cleanliness check and a race-detector run over the
-# packages that share the GEMM worker pool and the inference arena.
+# includes a gofmt cleanliness check, a cross-architecture vet and a
+# race-detector run over the packages that share the GEMM worker pool and the
+# inference arena.
 
 GO ?= go
 
@@ -10,7 +11,7 @@ FUZZTIME ?= 15s
 # internal/tensor benchmarks the bench targets run: the GEMM kernels alone
 # and the whole stages around them (pack from the image + GEMM + epilogue,
 # and the first max pool).
-TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96
+TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkMaxPoolU8_112x96
 
 .PHONY: check fmt vet build test race fuzz chaos bench bench-all bench-infer profile
 
@@ -23,8 +24,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# The second pass vets the packages with per-architecture files as arm64
+# sees them, so an assembly helper added without its qgemm_noasm.go /
+# gemm_noasm.go stub fails here rather than on someone's non-amd64 build.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/
 
 build:
 	$(GO) build ./...
@@ -33,7 +38,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/tensor/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
+	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
 
 # Native Go fuzzing smoke pass over the decoders that face untrusted input
 # (EasyList rules, HTML, the persistent-socket wire framing, the admin

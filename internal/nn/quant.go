@@ -55,7 +55,7 @@ func (q *QuantizedSequential) InputQuant() tensor.QuantParams { return q.inQ }
 // the FP32 model.
 func (q *QuantizedSequential) SizeBytes() int {
 	total := 0
-	addConv := func(c *qConv) { total += len(c.wq) + 8*len(c.mult) }
+	addConv := func(c *qConv) { total += len(c.wq) + 8*len(c.rq.Mult) }
 	for _, op := range q.ops {
 		switch o := op.(type) {
 		case *qConv:
@@ -105,55 +105,26 @@ func (q *QuantizedSequential) PredictArena(x *tensor.Tensor, a *tensor.Arena) *t
 type qConv struct {
 	spec tensor.ConvSpec
 	wq   []int8
-	// mult/beta fold sW·sIn/sOut and bias − sW·sIn·zIn·Σw (plus zOut) per
-	// output channel; see Quantize.
-	mult, beta []float32
-	relu       bool
-	inZP       uint8
-	outZero    int32
+	// rq folds sW·sIn/sOut and bias − sW·sIn·zIn·Σw (plus zOut) per output
+	// channel; see Quantize.
+	rq   tensor.Requant
+	inZP uint8
 }
 
 // runInto computes the convolution into channels [chOff, chOff+OutC) of the
 // u8 output buffer y laid out [n, dstC, oh, ow] — the direct-to-concat hook
 // used by the fire module.
-func (c *qConv) runInto(x qAct, y []uint8, dstC, chOff int, a *tensor.Arena) (oh, ow int) {
+func (c *qConv) runInto(x qAct, y []uint8, dstC, chOff int) (oh, ow int) {
 	if x.c != c.spec.InC {
 		panic(fmt.Sprintf("nn: quantized conv: input has %d channels, want %d", x.c, c.spec.InC))
 	}
-	oh, ow = c.spec.OutSize(x.h, x.w)
-	spatial := oh * ow
-	k := c.spec.InC * c.spec.KH * c.spec.KW
-	var col []uint8
-	if n := c.spec.ColScratchLen(x.h, x.w); n > 0 {
-		col = a.GetU8(n)
-	}
-	acc := a.GetI32(c.spec.OutC * spatial)
-	il := x.imageLen()
-	for i := 0; i < x.n; i++ {
-		img := x.data[i*il : (i+1)*il]
-		src := img
-		if col != nil {
-			tensor.Im2colU8(img, x.c, x.h, x.w, c.spec, col, c.inZP)
-			src = col
-		}
-		tensor.QGemm(c.wq, src, acc, c.spec.OutC, k, spatial)
-		out := y[(i*dstC+chOff)*spatial:]
-		for oc := 0; oc < c.spec.OutC; oc++ {
-			tensor.RequantizeU8(out[oc*spatial:oc*spatial+spatial],
-				acc[oc*spatial:(oc+1)*spatial], c.mult[oc], c.beta[oc], c.outZero, c.relu)
-		}
-	}
-	if col != nil {
-		a.PutU8(col)
-	}
-	a.PutI32(acc)
-	return oh, ow
+	return tensor.QConvForwardInto(x.data, x.n, x.h, x.w, c.wq, c.spec, c.inZP, c.rq, y, dstC, chOff)
 }
 
 func (c *qConv) forward(x qAct, a *tensor.Arena) qAct {
 	oh, ow := c.spec.OutSize(x.h, x.w)
 	y := a.GetU8(x.n * c.spec.OutC * oh * ow)
-	c.runInto(x, y, c.spec.OutC, 0, a)
+	c.runInto(x, y, c.spec.OutC, 0)
 	a.PutU8(x.data)
 	return qAct{data: y, n: x.n, c: c.spec.OutC, h: oh, w: ow}
 }
@@ -170,8 +141,8 @@ func (f *qFire) forward(x qAct, a *tensor.Arena) qAct {
 	s := f.squeeze.forward(x, a)
 	e1, e3 := f.expand1.spec.OutC, f.expand3.spec.OutC
 	y := a.GetU8(s.n * (e1 + e3) * s.h * s.w)
-	f.expand1.runInto(s, y, e1+e3, 0, a)
-	f.expand3.runInto(s, y, e1+e3, e1, a)
+	f.expand1.runInto(s, y, e1+e3, 0)
+	f.expand3.runInto(s, y, e1+e3, e1)
 	a.PutU8(s.data)
 	return qAct{data: y, n: s.n, c: e1 + e3, h: s.h, w: s.w}
 }
@@ -204,23 +175,12 @@ type qFinal struct {
 func (f *qFinal) forward(x qAct, a *tensor.Arena) *tensor.Tensor {
 	oh, ow := f.spec.OutSize(x.h, x.w)
 	spatial := oh * ow
-	k := f.spec.InC * f.spec.KH * f.spec.KW
-	var col []uint8
-	if n := f.spec.ColScratchLen(x.h, x.w); n > 0 {
-		col = a.GetU8(n)
-	}
 	acc := a.GetI32(f.spec.OutC * spatial)
 	out := a.GetTensor(x.n, f.spec.OutC)
 	il := x.imageLen()
 	inv := 1 / float32(spatial)
 	for i := 0; i < x.n; i++ {
-		img := x.data[i*il : (i+1)*il]
-		src := img
-		if col != nil {
-			tensor.Im2colU8(img, x.c, x.h, x.w, f.spec, col, f.inZP)
-			src = col
-		}
-		tensor.QGemm(f.wq, src, acc, f.spec.OutC, k, spatial)
+		tensor.QConvAcc(x.data[i*il:(i+1)*il], x.h, x.w, f.wq, f.spec, f.inZP, acc)
 		for oc := 0; oc < f.spec.OutC; oc++ {
 			var sum int64
 			for _, v := range acc[oc*spatial : (oc+1)*spatial] {
@@ -228,9 +188,6 @@ func (f *qFinal) forward(x qAct, a *tensor.Arena) *tensor.Tensor {
 			}
 			out.Data[i*f.spec.OutC+oc] = f.mult[oc]*float32(sum)*inv + f.beta[oc]
 		}
-	}
-	if col != nil {
-		a.PutU8(col)
 	}
 	a.PutI32(acc)
 	a.PutU8(x.data)
@@ -407,8 +364,8 @@ func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool) *qConv {
 		beta[oc] = (c.Bias.W.Data[oc]-m*float32(inQ.Zero)*float32(wsum[oc]))/outQ.Scale + float32(outQ.Zero)
 	}
 	return &qConv{
-		spec: c.Spec, wq: wq, mult: mult, beta: beta,
-		relu: relu, inZP: uint8(inQ.Zero), outZero: outQ.Zero,
+		spec: c.Spec, wq: wq, inZP: uint8(inQ.Zero),
+		rq: tensor.Requant{Mult: mult, Beta: beta, ZOut: outQ.Zero, ReLU: relu},
 	}
 }
 

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // ConvSpec describes a 2-D convolution (square kernels are the common case in
 // SqueezeNet but rectangular ones are supported).
@@ -132,10 +135,10 @@ func (s ConvSpec) is1x1Fast() bool {
 		s.PadH == 0 && s.PadW == 0
 }
 
-// ColScratchLen returns the im2col scratch length ConvBackward (and the INT8
-// engine's Im2colU8) require for an h×w input: 0 when the pointwise fast
-// path applies (the scratch is unused and may be nil), InC*KH*KW*outH*outW
-// otherwise. The FP32 forward needs none: it packs straight from the image.
+// ColScratchLen returns the im2col scratch length ConvBackward requires for
+// an h×w input: 0 when the pointwise fast path applies (the scratch is unused
+// and may be nil), InC*KH*KW*outH*outW otherwise. Neither forward pass needs
+// any: both pack straight from the image.
 func (s ConvSpec) ColScratchLen(h, w int) int {
 	if s.is1x1Fast() {
 		return 0
@@ -154,75 +157,99 @@ func checkColScratch(fn string, col []float32, s ConvSpec, oh, ow int) {
 	}
 }
 
+// pixel is the element type of an image a convView reads: float32 on the
+// FP32 forward, uint8 on the quantized one.
+type pixel interface{ float32 | uint8 }
+
 // convView presents one image (C×H×W) as the K×N column matrix of a
 // convolution — row p is the tap (ch, ky, kx), column j the output position
 // (oy, ox) — without materializing it. It is the B operand of the forward
-// GEMM: the blocked driver packs its panels straight from the image, so
-// every input element is read once and written once.
-type convView struct {
-	img  []float32
-	h, w int
-	s    ConvSpec
-	ow   int
+// GEMM on both engines: the blocked drivers pack their panels straight from
+// the image, so every input element is read once and written once. Padding
+// positions read as fill: 0 for float32, the activation zero point (the
+// encoding of real 0) for uint8.
+type convView[T pixel] struct {
+	img    []T
+	h, w   int
+	s      ConvSpec
+	oh, ow int
+	fill   T
+	// strided is the element type's gather, gatherF32 or gatherU8.
+	strided func(dst, src []T, stride int)
 }
 
 // convTap is one row of the column matrix resolved to its channel plane and
-// kernel offsets, with the valid output-column range hoisted (see validOx).
-type convTap struct {
-	plane      []float32
-	ky, base   int // input row = oy*StrideH - PadH + ky, column = base + ox*StrideW
+// kernel offsets, with the valid output row and column ranges hoisted (see
+// validOx): outside them the tap reads padding.
+type convTap[T pixel] struct {
+	plane      []T
+	top, base  int // input row = top + oy*StrideH, column = base + ox*StrideW
+	oyLo, oyHi int
 	oxLo, oxHi int
 }
 
-func (v *convView) tap(p int) convTap {
+func (v *convView[T]) tap(p int) convTap[T] {
 	khw := v.s.KH * v.s.KW
 	ch, r := p/khw, p%khw
-	t := convTap{plane: v.img[ch*v.h*v.w : (ch+1)*v.h*v.w], ky: r / v.s.KW, base: r%v.s.KW - v.s.PadW}
+	t := convTap[T]{plane: v.img[ch*v.h*v.w : (ch+1)*v.h*v.w], top: r/v.s.KW - v.s.PadH, base: r%v.s.KW - v.s.PadW}
+	t.oyLo, t.oyHi = validOx(t.top, v.s.StrideH, v.h, v.oh)
 	t.oxLo, t.oxHi = validOx(t.base, v.s.StrideW, v.w, v.ow)
 	return t
 }
 
-// panelCursor appends columns to one row of a packed block: lane is the
-// next column's slot in the current nr-wide panel row, which starts at
-// dst[0]; the same row of the next panel starts step elements later. With nr
-// covering the whole row it writes a plain slice.
-type panelCursor struct {
-	dst            []float32
-	lane, nr, step int
+// panelRow is one row of a packed block, addressed by column: column j sits
+// in lane j%nr of panel j/nr, and the same row of the next panel starts step
+// elements later. nr = 1<<shift (every FP32 tier's panel width is a power of
+// two); plainRow's shift puts every column in panel 0, a plain slice.
+type panelRow[T pixel] struct {
+	dst   []T
+	shift uint
+	step  int
 }
 
-// next returns the slots of the next run of at most n columns that fit the
-// current panel, and advances past them — into the next panel when this one
-// is full and is not the block's last.
-func (c *panelCursor) next(n int) []float32 {
-	take := min(n, c.nr-c.lane)
-	d := c.dst[c.lane : c.lane+take]
-	if c.lane += take; c.lane == c.nr && len(c.dst) > c.step {
-		c.dst, c.lane = c.dst[c.step:], 0
-	}
-	return d
+// plainRow addresses dst as one unbroken row.
+func plainRow[T pixel](dst []T) panelRow[T] { return panelRow[T]{dst: dst, shift: 62} }
+
+// run returns the slots of columns [j, j+n) that lie in column j's panel.
+func (r *panelRow[T]) run(j, n int) []T {
+	lane := j & (1<<r.shift - 1)
+	o := j>>r.shift*r.step + lane
+	return r.dst[o : o+min(n, 1<<r.shift-lane)]
 }
 
-// zero appends n zero columns.
-func (c *panelCursor) zero(n int) {
+// set sets column j to v.
+func (r *panelRow[T]) set(j int, v T) {
+	r.dst[j>>r.shift*r.step+j&(1<<r.shift-1)] = v
+}
+
+// fill sets columns [j, j+n) to v.
+func (r *panelRow[T]) fill(j, n int, v T) {
 	for n > 0 {
-		d := c.next(n)
-		clear(d)
-		n -= len(d)
+		d := r.run(j, n)
+		if v == 0 {
+			clear(d)
+		} else {
+			for i := range d {
+				d[i] = v
+			}
+		}
+		j, n = j+len(d), n-len(d)
 	}
 }
 
-// gather appends n columns read from src at the given stride: a copy for
-// stride 1 (SqueezeNet's 3×3 expands), a branch-free strided gather
-// otherwise (the stem).
-func (c *panelCursor) gather(n int, src []float32, stride int) {
+// gather sets r's columns [j, j+n) to src read at the view's column stride:
+// a copy for stride 1 (SqueezeNet's 3×3 expands), a branch-free strided
+// gather otherwise (the stem).
+func (v *convView[T]) gather(r *panelRow[T], j, n int, src []T) {
+	stride := v.s.StrideW
 	for n > 0 {
-		d := c.next(n)
+		d := r.run(j, n)
 		if stride == 1 {
 			copy(d, src)
 		} else {
-			gatherF32(d, src, stride)
+			v.strided(d, src, stride)
 		}
+		j += len(d)
 		if n -= len(d); n > 0 {
 			src = src[len(d)*stride:]
 		}
@@ -245,44 +272,93 @@ func gatherF32(dst, src []float32, stride int) {
 	}
 }
 
-// pack is packB for the conv operand: it writes the kc×nc block at (p0, j0)
-// into nr-column micro-panels, zero-padded past the last valid column. Each
-// tap walks the block one output row at a time — the row's padding columns
-// are zero, the rest come from one input row — so every element is read once
-// from the image and written once into its panel.
-func (v *convView) pack(dst []float32, p0, kc, j0, nc, nr int) {
-	sh, sw := v.s.StrideH, v.s.StrideW
-	oy0, ox0 := j0/v.ow, j0%v.ow
-	padded := (nc + nr - 1) / nr * nr
-	for p := 0; p < kc; p++ {
-		t := v.tap(p0 + p)
-		c := panelCursor{dst: dst[p*nr:], nr: nr, step: nr * kc}
-		oy, ox := oy0, ox0
-		for jj := 0; jj < nc; {
-			seg := min(v.ow-ox, nc-jj)
-			iy := oy*sh - v.s.PadH + t.ky
-			lo, hi := max(t.oxLo, ox), min(t.oxHi, ox+seg)
-			if iy < 0 || iy >= v.h || lo >= hi {
-				c.zero(seg)
-			} else {
-				c.zero(lo - ox)
-				c.gather(hi-lo, t.plane[iy*v.w+t.base+lo*sw:], sw)
-				c.zero(ox + seg - hi)
-			}
-			jj += seg
-			if ox += seg; ox == v.ow {
-				ox = 0
-				oy++
-			}
-		}
-		c.zero(padded - nc)
+// gatherU8 is gatherF32 for bytes. Its stride-2 body covers a ragged end
+// with one more 16-byte step overlapping the last, so only a run shorter than
+// 16 — or the one ending on src's last byte — reaches the loop.
+func gatherU8(dst, src []uint8, stride int) {
+	i := 0
+	if n := min(len(dst), len(src)/2); stride == 2 && haveQuantASM && n >= 16 {
+		gather2U8x16(&dst[0], &src[0], int64(n))
+		i = n
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = src[i*stride]
 	}
 }
 
-// row writes row p of the column matrix into dst, one column per element:
-// a one-tap block packed into a single panel as wide as the row.
-func (v *convView) row(dst []float32, p int) {
-	v.pack(dst, p, 1, 0, len(dst), len(dst))
+// row writes columns [j0, j0+len(dst)) of row p of the column matrix into
+// dst, one column per element.
+func (v *convView[T]) row(dst []T, p, j0 int) {
+	r := plainRow(dst)
+	v.walk(&r, p, j0, len(dst))
+}
+
+// walk is the one tap walker both engines pack through: it writes columns
+// [j0, j0+nc) of row p of the column matrix to columns [0, nc) of r, which
+// lays them out as the sink wants them (FP32 micro-panel rows for
+// packConvPanels, a plain staging row for the quantized quad transposer).
+//
+// Columns whose input row falls outside the plane are fill. The rest are
+// gathered one output row at a time, each row's valid run from one input row
+// — or, when an output row's step through the plane equals its length in
+// source elements (StrideH·w = StrideW·ow, every "same" 3×3), all rows at
+// once: the source index is then StrideW·column + constant across row
+// boundaries too, and one gather writes every run, with in-plane neighbours
+// at the padding columns. Those columns are stamped with fill last, one
+// strided pass per padding column.
+func (v *convView[T]) walk(r *panelRow[T], p, j0, nc int) {
+	t := v.tap(p)
+	sh, sw, ow := v.s.StrideH, v.s.StrideW, v.ow
+	// Slots [a, b): the block's columns whose input row exists.
+	a := min(max(t.oyLo*ow-j0, 0), nc)
+	b := max(min(t.oyHi*ow-j0, nc), a)
+	r.fill(0, a, v.fill)
+	r.fill(b, nc-b, v.fill)
+	if a == b {
+		return
+	}
+	row0 := (j0+a)/ow*ow - j0 // slot of column 0 of the first output row in [a, b)
+	if sh*v.w == sw*ow {
+		off := t.top*v.w + t.base + sw*j0 // slot s reads plane[off+s*sw]
+		lo, hi := validOx(off, sw, len(t.plane), nc)
+		if lo, hi = max(lo, a), min(hi, b); lo < hi {
+			v.gather(r, lo, hi-lo, t.plane[off+lo*sw:])
+		}
+	} else {
+		si := (t.top+(j0+a)/ow*sh)*v.w + t.base // plane index of column 0's tap
+		for s := row0; s < b; s, si = s+ow, si+sh*v.w {
+			if lo, hi := max(s+t.oxLo, a), min(s+t.oxHi, b); lo < hi {
+				v.gather(r, lo, hi-lo, t.plane[si+(lo-s)*sw:])
+			}
+		}
+	}
+	for _, pad := range [2][2]int{{0, t.oxLo}, {t.oxHi, ow}} {
+		for ox := pad[0]; ox < pad[1]; ox++ {
+			s := row0 + ox
+			if s < a {
+				s += ow
+			}
+			for ; s < b; s += ow {
+				r.set(s, v.fill)
+			}
+		}
+	}
+}
+
+// packConvPanels is packB for the FP32 conv operand: it writes the kc×nc
+// block at (p0, j0) into nr-column micro-panels, zero-padded past the last
+// valid column. nr must be a power of two.
+func packConvPanels(v *convView[float32], dst []float32, p0, kc, j0, nc, nr int) {
+	if nr&(nr-1) != 0 {
+		panic(fmt.Sprintf("tensor: packConvPanels: panel width %d is not a power of two", nr))
+	}
+	padded := (nc + nr - 1) / nr * nr
+	shift := uint(bits.TrailingZeros(uint(nr)))
+	for p := 0; p < kc; p++ {
+		r := panelRow[float32]{dst: dst[p*nr:], shift: shift, step: nr * kc}
+		v.walk(&r, p0+p, j0, nc)
+		r.fill(nc, padded-nc, 0)
+	}
 }
 
 // ConvForward computes a batched convolution y = conv(x, w) + b, one GEMM
@@ -332,7 +408,7 @@ func ConvForwardInto(x *Tensor, w, b []float32, s ConvSpec, y *Tensor, chOff int
 		panic(fmt.Sprintf("tensor: ConvForwardInto: input %v / %d weights do not match spec %+v", x.Shape, len(w), s))
 	}
 	ep := gemmEpilogue{bias: b, relu: relu}
-	view := convView{h: h, w: wd, s: s, ow: ow}
+	view := convView[float32]{h: h, w: wd, s: s, oh: oh, ow: ow, strided: gatherF32}
 	for i := 0; i < n; i++ {
 		img := x.Data[i*c*h*wd : (i+1)*c*h*wd]
 		out := y.Data[(i*dstC+chOff)*spatial : (i*dstC+chOff)*spatial+s.OutC*spatial]

@@ -253,15 +253,18 @@ func benchConvStage(b *testing.B, s ConvSpec, res int) {
 	}
 }
 
+// The paper net's stem (7×7/2 over 224×224×4) and its last fire pair's 3×3
+// expand (at 13×13), the two conv stages benchmarked on both engines.
+var (
+	stemSpec      = ConvSpec{InC: 4, OutC: 96, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}
+	expand3x3Spec = ConvSpec{InC: 64, OutC: 256, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+)
+
 // BenchmarkConvStem224 is the paper net's stem: 7×7/2 over 224×224×4.
-func BenchmarkConvStem224(b *testing.B) {
-	benchConvStage(b, ConvSpec{InC: 4, OutC: 96, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 224)
-}
+func BenchmarkConvStem224(b *testing.B) { benchConvStage(b, stemSpec, 224) }
 
 // BenchmarkConvExpand3x3_13 is the last fire pair's 3×3 expand at 13×13.
-func BenchmarkConvExpand3x3_13(b *testing.B) {
-	benchConvStage(b, ConvSpec{InC: 64, OutC: 256, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 13)
-}
+func BenchmarkConvExpand3x3_13(b *testing.B) { benchConvStage(b, expand3x3Spec, 13) }
 
 // BenchmarkMaxPool112x96 is the paper net's first pool: 3×3/2 over the
 // stem's 96 planes of 112×112.

@@ -10,8 +10,9 @@ import (
 // at is the differential tests' oracle: element (iy, ix) of an h×w plane by
 // plain index arithmetic, or pad when the position lies outside it. Both the
 // convolution's column matrix and the pooling window are defined through it,
-// so neither reference shares a loop with the code under test.
-func at(plane []float32, h, w, iy, ix int, pad float32) float32 {
+// on either element type, so no reference shares a loop with the code under
+// test.
+func at[T pixel](plane []T, h, w, iy, ix int, pad T) T {
 	if iy < 0 || iy >= h || ix < 0 || ix >= w {
 		return pad
 	}
@@ -19,16 +20,17 @@ func at(plane []float32, h, w, iy, ix int, pad float32) float32 {
 }
 
 // oracleCol builds the [C*KH*KW, oh*ow] column matrix of one image element by
-// element: row p is tap (ch, ky, kx), column j is output position (oy, ox).
-func oracleCol(img []float32, c, h, w int, s ConvSpec) []float32 {
+// element: row p is tap (ch, ky, kx), column j is output position (oy, ox),
+// and positions outside the image read pad.
+func oracleCol[T pixel](img []T, c, h, w int, s ConvSpec, pad T) []T {
 	oh, ow := s.OutSize(h, w)
 	k, n := c*s.KH*s.KW, oh*ow
-	col := make([]float32, k*n)
+	col := make([]T, k*n)
 	for p := 0; p < k; p++ {
 		ch, ky, kx := p/(s.KH*s.KW), p/s.KW%s.KH, p%s.KW
 		for j := 0; j < n; j++ {
 			oy, ox := j/ow, j%ow
-			col[p*n+j] = at(img[ch*h*w:(ch+1)*h*w], h, w, oy*s.StrideH-s.PadH+ky, ox*s.StrideW-s.PadW+kx, 0)
+			col[p*n+j] = at(img[ch*h*w:(ch+1)*h*w], h, w, oy*s.StrideH-s.PadH+ky, ox*s.StrideW-s.PadW+kx, pad)
 		}
 	}
 	return col
@@ -44,18 +46,19 @@ type convCase struct {
 	bias  bool
 }
 
-// convCases returns the structural cases the blocked driver can hit — every
-// n%nr remainder, output rows narrower and wider than a panel, K past one
-// kcBlock, N past one ncBlock, the strided padded stem — followed by random
-// draws over stride 1–3, pad 0–3 and rectangular kernels, most of which are
-// small enough for the unblocked path.
+// convCases returns the structural cases the blocked drivers of both engines
+// can hit — every n%nr remainder and every k%4 one, output rows narrower
+// and wider than a panel, K past one kcBlock / kcQBlock, N past one ncBlock /
+// ncQBlock, the strided padded stem — followed by random draws over stride
+// 1–3, pad 0–3 and rectangular kernels, most of which are small enough for
+// the unblocked path.
 func convCases(rng *rand.Rand) []convCase {
 	var cases []convCase
 	// One output row of every width 33..65: n%16 and n%32 take every value,
-	// and ow > nr.
+	// ow > nr, and k = 15, 18, 21, 24 ends on every partial quad.
 	for w := 33; w <= 65; w++ {
 		cases = append(cases, convCase{
-			s: ConvSpec{InC: 8, OutC: 16, KH: 1, KW: 3, StrideH: 1, StrideW: 1, PadW: 1},
+			s: ConvSpec{InC: 5 + w%4, OutC: 20, KH: 1, KW: 3, StrideH: 1, StrideW: 1, PadW: 1},
 			h: 1, w: w, relu: w%2 == 0, bias: w%3 != 0, chOff: w % 3,
 		})
 	}
@@ -68,8 +71,15 @@ func convCases(rng *rand.Rand) []convCase {
 		convCase{s: ConvSpec{InC: 4, OutC: 10, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, h: 37, w: 41, bias: true, chOff: 1},
 		// Padding wider than the plane: some taps see no input column at all.
 		convCase{s: ConvSpec{InC: 2, OutC: 40, KH: 3, KW: 7, StrideH: 1, StrideW: 2, PadH: 1, PadW: 3}, h: 30, w: 2, relu: true},
+		// ow = 16, one quantized panel exactly; k = 522 spans two kcQBlocks
+		// and ends on a ragged quad.
+		convCase{s: ConvSpec{InC: 58, OutC: 7, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h: 9, w: 16, relu: true, bias: true, chOff: 1},
+		// n = 66×66 = 4356 spans two ncQBlocks, k = 27 ends on three taps.
+		convCase{s: ConvSpec{InC: 3, OutC: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h: 66, w: 66, bias: true},
+		// A column stride with the row stride 1: rows of 20 from 40 inputs.
+		convCase{s: ConvSpec{InC: 5, OutC: 12, KH: 3, KW: 4, StrideH: 1, StrideW: 2, PadH: 1, PadW: 1}, h: 21, w: 40, relu: true, chOff: 3},
 	)
-	for len(cases) < 160 {
+	for len(cases) < 163 {
 		cc := convCase{
 			s: ConvSpec{
 				InC: 1 + rng.Intn(4), OutC: 1 + rng.Intn(20),
@@ -126,7 +136,7 @@ func TestConvDirectPackMatchesIm2colGemm(t *testing.T) {
 			want := make([]float32, s.OutC*n)
 			for i := 0; i < batch; i++ {
 				img := x.Data[i*s.InC*h*w : (i+1)*s.InC*h*w]
-				col := oracleCol(img, s.InC, h, w, s)
+				col := oracleCol(img, s.InC, h, w, s, 0)
 				Im2col(img, s.InC, h, w, s, im2col)
 				for e := range col {
 					if math.Float32bits(col[e]) != math.Float32bits(im2col[e]) {
@@ -272,6 +282,202 @@ func TestVectorHelpersMatchScalar(t *testing.T) {
 			got := make([]float32, n)
 			gatherF32(got, src, stride)
 			same(fmt.Sprintf("gatherF32 stride=%d", stride), n, got, want)
+		}
+	}
+}
+
+// TestQConvDirectPackMatchesOracle is the quantized forward convolution's
+// differential test: QConvForwardInto — quad panels packed straight from the
+// u8 image, requantized per cache-hot column block — must equal, byte for
+// byte, the oracle's column matrix with zero-point padding, multiplied by the
+// naive reference product and requantized one element at a time by the fused
+// scalar formula; QConvAcc must equal the reference product itself. It runs
+// over the FP32 test's cases under every quantized kernel tier the CPU
+// offers, with batch 3 and the zero point cycling through 0, 17 and 127.
+func TestQConvDirectPackMatchesOracle(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	const batch = 3
+	const sentinel = 0xEE
+	for _, tier := range quantTiers() {
+		useQuantTier(tier)
+		rng := rand.New(rand.NewSource(44))
+		for ci, cc := range convCases(rng) {
+			s, h, w := cc.s, cc.h, cc.w
+			zp := []uint8{0, 17, 127}[ci%3]
+			name := fmt.Sprintf("%s case %d %+v zp %d", tier.name, ci, cc, zp)
+			oh, ow := s.OutSize(h, w)
+			k, n, il := s.InC*s.KH*s.KW, oh*ow, s.InC*h*w
+			wq, x := randQOperands(rng, s.OutC, k, batch*il/k+1)
+			x = x[:batch*il]
+			rq := Requant{Mult: make([]float32, s.OutC), Beta: make([]float32, s.OutC), ZOut: int32(rng.Intn(QMaxU8)), ReLU: cc.relu}
+			for oc := range rq.Mult {
+				rq.Mult[oc] = float32((0.5 + rng.Float64()) / (80 * math.Sqrt(float64(k))))
+				rq.Beta[oc] = float32(60 + 20*rng.NormFloat64())
+			}
+			dstC := cc.chOff + s.OutC + 1
+			y := make([]uint8, batch*dstC*n)
+			for i := range y {
+				y[i] = sentinel
+			}
+			QConvForwardInto(x, batch, h, w, wq, s, zp, rq, y, dstC, cc.chOff)
+
+			acc := make([]int32, s.OutC*n)
+			lo := int32(0)
+			if rq.ReLU {
+				lo = rq.ZOut
+			}
+			for i := 0; i < batch; i++ {
+				img := x[i*il : (i+1)*il]
+				want := qgemmRef(wq, oracleCol(img, s.InC, h, w, s, zp), s.OutC, k, n)
+				QConvAcc(img, h, w, wq, s, zp, acc)
+				for e := range want {
+					if acc[e] != want[e] {
+						t.Fatalf("%s: QConvAcc[%d,%d,%d]=%d, want %d", name, i, e/n, e%n, acc[e], want[e])
+					}
+				}
+				for ch := 0; ch < dstC; ch++ {
+					got := y[(i*dstC+ch)*n : (i*dstC+ch+1)*n]
+					oc := ch - cc.chOff
+					for j, g := range got {
+						wv := uint8(sentinel) // channels outside [chOff, chOff+OutC) stay untouched
+						if oc >= 0 && oc < s.OutC {
+							wv = requantRef(want[oc*n+j], rq.Mult[oc], rq.Beta[oc], lo)
+						}
+						if g != wv {
+							t.Fatalf("%s: y[%d,%d,%d]=%d, want %d", name, i, ch, j, g, wv)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// requantRef is RequantizeU8 for one element, as its contract states it:
+// one fused multiply-add, round to nearest even, clamp to [lo, QMaxU8].
+func requantRef(acc int32, mult, beta float32, lo int32) uint8 {
+	f := float32(math.FMA(float64(float32(acc)), float64(mult), float64(beta)))
+	return uint8(min(max(int32(math.RoundToEven(float64(f))), lo), QMaxU8))
+}
+
+// TestMaxPoolU8MatchesWindowScan is the u8 max pool's differential test:
+// MaxPoolU8Into — whole-row vector passes when unpadded, the scalar loop when
+// padded — must equal a K×K window scan through the oracle with 0 padding,
+// for K 2–3, stride 1–3 and every width from below one 16-byte vector to
+// past two 32-byte ones (every w%32 class), on the vector and portable paths.
+func TestMaxPoolU8MatchesWindowScan(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	for _, tier := range quantTiers() {
+		if tier.vnni {
+			continue // same row helpers as the AVX2 tier
+		}
+		useQuantTier(tier)
+		rng := rand.New(rand.NewSource(45))
+		for _, k := range []int{2, 3} {
+			for stride := 1; stride <= 3; stride++ {
+				for _, pad := range []int{0, 1} {
+					for w := 3; w <= 99; w++ {
+						p := PoolSpec{K: k, Stride: stride, Pad: pad}
+						h := 3 + rng.Intn(7)
+						oh, ow := p.OutSize(h, w)
+						const planes = 4 // [2,2,h,w]
+						x := make([]uint8, planes*h*w)
+						for i := range x {
+							x[i] = uint8(rng.Intn(256))
+						}
+						y := make([]uint8, planes*oh*ow)
+						MaxPoolU8Into(x, 2, 2, h, w, p, y)
+						for pl := 0; pl < planes; pl++ {
+							plane := x[pl*h*w : (pl+1)*h*w]
+							for oy := 0; oy < oh; oy++ {
+								for ox := 0; ox < ow; ox++ {
+									var want uint8
+									for ky := 0; ky < k; ky++ {
+										for kx := 0; kx < k; kx++ {
+											want = max(want, at(plane, h, w, oy*stride-pad+ky, ox*stride-pad+kx, 0))
+										}
+									}
+									if got := y[(pl*oh+oy)*ow+ox]; got != want {
+										t.Fatalf("%s %+v on %dx%d plane %d: y[%d,%d]=%d want %d", tier.name, p, h, w, pl, oy, ox, got, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestByteHelpersMatchScalar pins the three byte row helpers of the INT8
+// forward — the quad transposer, the strided gather and the K-tap row max —
+// to their scalar definitions at every length from below one vector to past
+// several, so the vector bodies, their overlapping ragged ends and the
+// portable loops cannot drift apart.
+func TestByteHelpersMatchScalar(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	rng := rand.New(rand.NewSource(46))
+	draw := func(n int) []uint8 {
+		s := make([]uint8, n)
+		for i := range s {
+			s[i] = uint8(rng.Intn(256))
+		}
+		return s
+	}
+	for _, tier := range quantTiers() {
+		if tier.vnni {
+			continue
+		}
+		useQuantTier(tier)
+		for n := 1; n <= 100; n++ {
+			// Four rows ld apart into panels step apart; bytes between the
+			// panels' quads must stay untouched, missing columns read 0.
+			ld, step, panels := n+5, 4*nrQTile+7, (n+nrQTile-1)/nrQTile
+			src := draw(3*ld + n)
+			got := draw(panels * step)
+			want := append([]uint8(nil), got...)
+			for j := 0; j < panels*nrQTile; j++ {
+				for r := 0; r < 4; r++ {
+					var v uint8
+					if j < n {
+						v = src[r*ld+j]
+					}
+					want[j/nrQTile*step+j%nrQTile*4+r] = v
+				}
+			}
+			transposeQuad(got, step, src, ld, n)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s transposeQuad nc=%d: [%d]=%d want %d", tier.name, n, i, got[i], want[i])
+				}
+			}
+			for stride := 1; stride <= 3; stride++ {
+				src := draw((n-1)*stride + 1) // ends on the last element read
+				got := make([]uint8, n)
+				gatherU8(got, src, stride)
+				for i := range got {
+					if got[i] != src[i*stride] {
+						t.Fatalf("%s gatherU8 n=%d stride=%d: [%d]=%d want %d", tier.name, n, stride, i, got[i], src[i*stride])
+					}
+				}
+			}
+			for k := 1; k <= 3; k++ {
+				for _, stride := range []int{1, n + 3} {
+					src := draw(n + (k-1)*stride)
+					got := make([]uint8, n)
+					maxU8Into(got, src, k, stride)
+					for i := range got {
+						want := src[i]
+						for tap := 1; tap < k; tap++ {
+							want = max(want, src[i+tap*stride])
+						}
+						if got[i] != want {
+							t.Fatalf("%s maxU8Into n=%d k=%d stride=%d: [%d]=%d want %d", tier.name, n, k, stride, i, got[i], want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

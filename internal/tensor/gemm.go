@@ -122,7 +122,7 @@ func GemmTBAcc(a, b, c []float32, m, k, n int) {
 type gemmB struct {
 	data  []float32
 	trans bool
-	conv  *convView
+	conv  *convView[float32]
 }
 
 // gemmEpilogue is the per-row bias add and ReLU clamp a convolution applies
@@ -218,7 +218,7 @@ func gemmSmall(a []float32, bop gemmB, c []float32, m, k, n int, aT bool) {
 		rowp := GetScratch(n)
 		brow := *rowp
 		for p := 0; p < k; p++ {
-			bop.conv.row(brow, p)
+			bop.conv.row(brow, p, 0)
 			for i := 0; i < m; i++ {
 				av := a[i*k+p]
 				if av == 0 {
@@ -285,7 +285,7 @@ func gemmBlocked(a []float32, b gemmB, c []float32, m, k, n int, aT bool, ep gem
 			bbufp := GetScratch(ncPanels * nr * kc)
 			bbuf := *bbufp
 			if b.conv != nil {
-				b.conv.pack(bbuf, pc, kc, jc, nc, nr)
+				packConvPanels(b.conv, bbuf, pc, kc, jc, nc, nr)
 			} else {
 				packB(bbuf, b.data, ldb, b.trans, pc, kc, jc, nc, nr)
 			}

@@ -1,5 +1,7 @@
 package tensor
 
+import "encoding/binary"
+
 // Quantized-GEMM tuning knobs. The driver mirrors the FP32 blocked GEMM
 // (gemm.go) — same three-level blocking, same worker pool — but the packed
 // layout groups the K dimension into quads of 4 bytes, matching the AVX2
@@ -37,49 +39,120 @@ func QGemm(a []int8, b []uint8, c []int32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("tensor: QGemm buffer too small")
 	}
+	clear(c[:m*n])
+	qgemmDispatch(a, qgemmB{data: b}, c, m, k, n, nil)
+}
+
+// qgemmB is the B operand of a quantized product: a dense row-major k×n
+// matrix, or — when conv is set — the implicit column matrix of a
+// convolution, read straight from the u8 image (see convView).
+type qgemmB struct {
+	data []uint8
+	conv *convView[uint8]
+}
+
+// qgemmEpilogue requantizes a product's finished accumulators into the next
+// layer's u8 activations: row i of the product goes through RequantizeU8 with
+// rq's constants for channel i into dst[i*ld:]. A product with an epilogue
+// never materializes its m×n int32 matrix (see qgemmBlocked).
+type qgemmEpilogue struct {
+	rq  Requant
+	dst []uint8
+	ld  int
+}
+
+// apply requantizes the m×nc accumulator block acc (row stride nc) into
+// columns [j0, j0+nc) of the destination.
+func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int) {
+	for i := 0; i < m; i++ {
+		RequantizeU8(e.dst[i*e.ld+j0:i*e.ld+j0+nc], acc[i*nc:(i+1)*nc], e.rq.Mult[i], e.rq.Beta[i], e.rq.ZOut, e.rq.ReLU)
+	}
+}
+
+// qgemmDispatch routes a product to the small unblocked loop or the packed
+// blocked kernel. With ep nil it accumulates into the m×n matrix c, which
+// the caller has cleared; with an epilogue c is unused and the requantized
+// bytes land in ep.dst.
+func qgemmDispatch(a []int8, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	clear(c[:m*n])
-	if m*k*n <= qgemmSmallThreshold {
+	if m*k*n > qgemmSmallThreshold {
+		qgemmBlocked(a, b, c, m, k, n, ep)
+		return
+	}
+	if ep == nil {
 		qgemmSmall(a, b, c, m, k, n)
 		return
 	}
-	qgemmBlocked(a, b, c, m, k, n)
+	accp := GetScratchI32(m * n)
+	clear(*accp)
+	qgemmSmall(a, b, *accp, m, k, n)
+	ep.apply(*accp, m, n, 0)
+	PutScratchI32(accp)
 }
 
 // qgemmSmall is the unblocked path for problems too small to amortize
-// packing.
-func qgemmSmall(a []int8, b []uint8, c []int32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		crow := c[i*n : i*n+n]
-		arow := a[i*k : i*k+k]
-		for p, av := range arow {
-			if av == 0 {
+// packing. k is outermost so a conv operand produces each row of its column
+// matrix once.
+func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
+	var rowp *[]uint8
+	if b.conv != nil {
+		rowp = GetScratchU8(n)
+	}
+	for p := 0; p < k; p++ {
+		var brow []uint8
+		if b.conv != nil {
+			// row gets the scratch itself, not brow: through a variable that
+			// also holds b.data, escape analysis would move the caller's
+			// stack-resident view to the heap (the zero-alloc tests notice).
+			b.conv.row(*rowp, p, 0)
+			brow = *rowp
+		} else {
+			brow = b.data[p*n : p*n+n]
+		}
+		for i := 0; i < m; i++ {
+			w := int32(a[i*k+p])
+			if w == 0 {
 				continue
 			}
-			w := int32(av)
-			brow := b[p*n : p*n+n]
+			crow := c[i*n : i*n+n]
 			for j, bv := range brow {
 				crow[j] += w * int32(bv)
 			}
 		}
+	}
+	if rowp != nil {
+		PutScratchU8(rowp)
 	}
 }
 
 // qgemmBlocked runs the packed three-level blocked product. Column panels of
 // each block fan across the shared worker pool exactly like the FP32 path;
 // panels write disjoint C regions.
-func qgemmBlocked(a []int8, b []uint8, c []int32, m, k, n int) {
+//
+// With an epilogue, the accumulator is one m×nc block instead of the m×n
+// matrix: each ncQBlock column block is cleared, accumulated over every
+// k-block and requantized into ep.dst while it is still cache-resident.
+func qgemmBlocked(a []int8, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
 	// Same driver accounting as gemmBlocked: concurrent products split the
 	// pool budget, and a share below 2 goroutines runs serial.
 	drivers := int(gemmDrivers.Add(1))
 	defer gemmDrivers.Add(-1)
 	budget := gemmWorkerBudget(drivers)
 	serial := m*k*n < qgemmParallelThreshold || budget < 2
+	var accp *[]int32
+	if ep != nil {
+		accp = GetScratchI32(m * min(ncQBlock, n))
+	}
 	for jc := 0; jc < n; jc += ncQBlock {
 		nc := min(ncQBlock, n-jc)
 		ncPanels := (nc + nrQTile - 1) / nrQTile
+		cblk, cj, ldc := c, jc, n
+		if ep != nil {
+			cblk, cj, ldc = (*accp)[:m*nc], 0, nc
+			clear(cblk)
+		}
 		for pc := 0; pc < k; pc += kcQBlock {
 			kc := min(kcQBlock, k-pc)
 			quads := (kc + 3) / 4
@@ -93,9 +166,9 @@ func qgemmBlocked(a []int8, b []uint8, c []int32, m, k, n int) {
 				abuf := *abufp
 				packAQuads(abuf, a, k, ic, mc, pc, kc)
 				blk := qgemmBlock{
-					abuf: abuf, bbuf: bbuf, c: c,
-					ic: ic, jc: jc, quads: quads, mc: mc, nc: nc,
-					mcPanels: mcPanels, n: n,
+					abuf: abuf, bbuf: bbuf, c: cblk,
+					ic: ic, jc: cj, quads: quads, mc: mc, nc: nc,
+					mcPanels: mcPanels, n: ldc,
 				}
 				if serial {
 					for jp := 0; jp < ncPanels; jp++ {
@@ -108,6 +181,12 @@ func qgemmBlocked(a []int8, b []uint8, c []int32, m, k, n int) {
 			}
 			PutScratchU8(bbufp)
 		}
+		if ep != nil {
+			ep.apply(cblk, m, nc, jc)
+		}
+	}
+	if accp != nil {
+		PutScratchI32(accp)
 	}
 }
 
@@ -217,72 +296,62 @@ func packAQuads(dst []int8, a []int8, lda, i0, mc, p0, kc int) {
 	}
 }
 
-// packBQuads copies the kc×nc block of B at (p0, j0) into quad micro-panel
+// packBQuads writes the kc×nc block of B at (p0, j0) into quad micro-panel
 // layout: for each panel of nrQTile columns, quad q holds per-column byte
 // groups [c0 k..k+3 | c1 k..k+3 | ...], zero-padded past the last valid
 // column and past kc within the final partial quad.
-func packBQuads(dst []uint8, b []uint8, ldb, p0, kc, j0, nc int) {
+//
+// Each quad is four rows of the block run through transposeQuad. A full quad
+// of a dense B is transposed where it lies (ldb apart); a conv operand's four
+// taps — and a dense B's ragged last quad, above zero rows — are first
+// written as plain rows into a 4×nc staging block small enough to stay in L1.
+func packBQuads(dst []uint8, b qgemmB, ldb, p0, kc, j0, nc int) {
 	quads := (kc + 3) / 4
-	di := 0
-	for jr := 0; jr < nc; jr += nrQTile {
-		cols := min(nrQTile, nc-jr)
-		if cols == nrQTile {
-			// Full panel: 4×16 byte transpose per quad, assembled as 16
-			// little-endian words (one word per column) so each column costs
-			// one 4-byte store instead of four scattered byte stores.
-			for q := 0; q < kc/4; q++ {
-				src := (p0+q*4)*ldb + j0 + jr
-				r0 := b[src : src+nrQTile]
-				r1 := b[src+ldb : src+ldb+nrQTile]
-				r2 := b[src+2*ldb : src+2*ldb+nrQTile]
-				r3 := b[src+3*ldb : src+3*ldb+nrQTile]
-				out := dst[di : di+64]
-				for j := 0; j < nrQTile; j++ {
-					w := uint32(r0[j]) | uint32(r1[j])<<8 | uint32(r2[j])<<16 | uint32(r3[j])<<24
-					out[j*4] = uint8(w)
-					out[j*4+1] = uint8(w >> 8)
-					out[j*4+2] = uint8(w >> 16)
-					out[j*4+3] = uint8(w >> 24)
-				}
-				di += 64
-			}
-			if kc%4 != 0 {
-				p := kc &^ 3
-				kq := kc - p
-				out := dst[di : di+64]
-				clear(out)
-				for t := 0; t < kq; t++ {
-					src := (p0+p+t)*ldb + j0 + jr
-					row := b[src : src+nrQTile]
-					for j := 0; j < nrQTile; j++ {
-						out[j*4+t] = row[j]
-					}
-				}
-				di += 64
-			}
-			continue
-		}
-		for q := 0; q < quads; q++ {
-			p := q * 4
-			kq := min(4, kc-p)
-			for cidx := 0; cidx < nrQTile; cidx++ {
-				if cidx < cols {
-					src := (p0+p)*ldb + j0 + jr + cidx
-					for t := 0; t < kq; t++ {
-						dst[di+t] = b[src+t*ldb]
-					}
-					for t := kq; t < 4; t++ {
-						dst[di+t] = 0
-					}
+	stagep := GetScratchU8(4 * nc)
+	stage := *stagep
+	for q := 0; q < quads; q++ {
+		p, rows := p0+q*4, min(4, kc-q*4)
+		src, ld := stage, nc
+		if b.conv == nil && rows == 4 {
+			src, ld = b.data[p*ldb+j0:], ldb
+		} else {
+			for t := 0; t < rows; t++ {
+				row := stage[t*nc : (t+1)*nc]
+				if b.conv != nil {
+					b.conv.row(row, p+t, j0)
 				} else {
-					dst[di] = 0
-					dst[di+1] = 0
-					dst[di+2] = 0
-					dst[di+3] = 0
+					copy(row, b.data[(p+t)*ldb+j0:])
 				}
-				di += 4
 			}
+			clear(stage[rows*nc:])
 		}
+		transposeQuad(dst[q*4*nrQTile:], quads*4*nrQTile, src, ld, nc)
+	}
+	PutScratchU8(stagep)
+}
+
+// transposeQuad interleaves four nc-byte rows (src[r*ld:], r < 4) into quad
+// groups: panel jp's 16 columns become the 64 bytes at dst[jp*step:], column
+// j's four row bytes adjacent. The vector body is a 4×16 byte transpose per
+// panel; the portable loop assembles one little-endian word per column, and
+// also finishes the last panel when nc is not a multiple of 16, zero-padding
+// the missing columns.
+func transposeQuad(dst []uint8, step int, src []uint8, ld, nc int) {
+	jp := 0
+	if full := nc / nrQTile; haveQuantASM && full > 0 {
+		transposeQuad16(&dst[0], int64(step), &src[0], int64(ld), int64(full))
+		jp = full
+	}
+	r0, r1, r2, r3 := src[:nc], src[ld:ld+nc], src[2*ld:2*ld+nc], src[3*ld:3*ld+nc]
+	for ; jp*nrQTile < nc; jp++ {
+		j0 := jp * nrQTile
+		cols := min(nrQTile, nc-j0)
+		out := dst[jp*step : jp*step+4*nrQTile]
+		for j := 0; j < cols; j++ {
+			w := uint32(r0[j0+j]) | uint32(r1[j0+j])<<8 | uint32(r2[j0+j])<<16 | uint32(r3[j0+j])<<24
+			binary.LittleEndian.PutUint32(out[j*4:], w)
+		}
+		clear(out[cols*4:])
 	}
 }
 

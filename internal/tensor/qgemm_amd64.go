@@ -9,11 +9,24 @@ package tensor
 //go:noescape
 func qgemmKernel4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64)
 
-// maxU8x32 computes dst = max(dst, src) over n bytes (n a multiple of 32)
-// with VPMAXUB; see qgemm_amd64.s.
+// transposeQuad16 writes the 4×16 byte transpose of `panels` consecutive
+// 16-column groups of four rows ld apart, 64 bytes each, step apart; see
+// qgemm_amd64.s.
 //
 //go:noescape
-func maxU8x32(dst, src *uint8, n int64)
+func transposeQuad16(dst *uint8, step int64, src *uint8, ld, panels int64)
+
+// gather2U8x16 writes dst[i] = src[2*i] for n >= 16 bytes, reading 2n source
+// bytes; see qgemm_amd64.s.
+//
+//go:noescape
+func gather2U8x16(dst, src *uint8, n int64)
+
+// maxU8x16 computes dst[i] = max over t < k of src[i+t*stride] for n >= 16
+// bytes with VPMAXUB; see qgemm_amd64.s.
+//
+//go:noescape
+func maxU8x16(dst, src *uint8, n, k, stride int64)
 
 // maxF32x8 computes dst[i] = max over t < k of src[i+t*stride] for n >= 8
 // elements with VMAXPS; see qgemm_amd64.s.
@@ -49,8 +62,9 @@ func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64)
 
 // haveQuantASM gates the quantized kernels on the same AVX2+FMA+OS-XSAVE
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
-// epilogue uses FMA), and with them the FP32 row helpers beside maxU8x32
-// (maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2). haveVNNI additionally
+// epilogue uses FMA), and with them the byte and FP32 row helpers
+// (transposeQuad16, gather2U8x16, maxU8x16; maxF32x8, gather2F32x8,
+// biasReLUF32x8 — AVX/AVX2). haveVNNI additionally
 // selects the VPDPBUSD kernel on parts with AVX512-VNNI and AVX512VL.
 var (
 	haveQuantASM = haveFMA

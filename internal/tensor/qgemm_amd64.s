@@ -284,25 +284,198 @@ vdone:
 	VZEROUPPER
 	RET
 
-// func maxU8x32(dst, src *uint8, n int64)
+// func transposeQuad16(dst *uint8, step int64, src *uint8, ld, panels int64)
 //
-// dst = max(dst, src) element-wise over n bytes, n a positive multiple of
-// 32 — the vertical pass of the separable u8 max pool.
-TEXT ·maxU8x32(SB), NOSPLIT, $0-24
+// The quad panels' 4×16 byte transpose: for each of `panels` consecutive
+// 16-column groups it loads 16 bytes from each of four rows ld bytes apart
+// and stores the 64 bytes [c0r0 c0r1 c0r2 c0r3 | c1r0 … | c15r3] — bytes
+// interleaved pairwise (PUNPCK{L,H}BW: rows 0,1 and rows 2,3), then the
+// pairs word-wise (PUNPCK{L,H}WD) — at dst, dst+step, …. Two panels go
+// through at YMM width while there are two (the unpacks work per 128-bit
+// lane, so the low lanes hold one panel and the high lanes the next), the
+// odd one at XMM width.
+TEXT ·transposeQuad16(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ step+8(FP), DX
+	MOVQ src+16(FP), SI
+	MOVQ ld+24(FP), R8
+	MOVQ panels+32(FP), CX
+	LEAQ (SI)(R8*2), R9
+
+tq2:
+	CMPQ CX, $2
+	JLT  tq1
+	VMOVDQU (SI), Y0
+	VMOVDQU (SI)(R8*1), Y1
+	VMOVDQU (R9), Y2
+	VMOVDQU (R9)(R8*1), Y3
+	VPUNPCKLBW Y1, Y0, Y4
+	VPUNPCKHBW Y1, Y0, Y5
+	VPUNPCKLBW Y3, Y2, Y6
+	VPUNPCKHBW Y3, Y2, Y7
+	VPUNPCKLWD Y6, Y4, Y0
+	VPUNPCKHWD Y6, Y4, Y1
+	VPUNPCKLWD Y7, Y5, Y2
+	VPUNPCKHWD Y7, Y5, Y3
+	LEAQ (DI)(DX*1), R10
+	VMOVDQU X0, (DI)
+	VMOVDQU X1, 16(DI)
+	VMOVDQU X2, 32(DI)
+	VMOVDQU X3, 48(DI)
+	VEXTRACTI128 $1, Y0, (R10)
+	VEXTRACTI128 $1, Y1, 16(R10)
+	VEXTRACTI128 $1, Y2, 32(R10)
+	VEXTRACTI128 $1, Y3, 48(R10)
+	ADDQ $32, SI
+	ADDQ $32, R9
+	LEAQ (R10)(DX*1), DI
+	SUBQ $2, CX
+	JMP  tq2
+
+tq1:
+	TESTQ CX, CX
+	JEQ   tqdone
+	VMOVDQU (SI), X0
+	VMOVDQU (SI)(R8*1), X1
+	VMOVDQU (R9), X2
+	VMOVDQU (R9)(R8*1), X3
+	VPUNPCKLBW X1, X0, X4
+	VPUNPCKHBW X1, X0, X5
+	VPUNPCKLBW X3, X2, X6
+	VPUNPCKHBW X3, X2, X7
+	VPUNPCKLWD X6, X4, X0
+	VPUNPCKHWD X6, X4, X1
+	VPUNPCKLWD X7, X5, X2
+	VPUNPCKHWD X7, X5, X3
+	VMOVDQU X0, (DI)
+	VMOVDQU X1, 16(DI)
+	VMOVDQU X2, 32(DI)
+	VMOVDQU X3, 48(DI)
+
+tqdone:
+	VZEROUPPER
+	RET
+
+// func gather2U8x16(dst, src *uint8, n int64)
+//
+// dst[i] = src[2*i] for n >= 16 bytes — the stride-2 gather of the quantized
+// stem's packing and of the u8 pools' column pick, beside gather2F32x8. Each
+// step masks the odd bytes out of 64 (or 32) consecutive source bytes, so 2n
+// are read in all, one past the last even one, narrows the 16-bit lanes
+// (VPACKUSWB) and, at YMM width, puts the four quadwords back in memory order
+// (VPERMQ 0xD8). 32 bytes a step while they last, then 16; a ragged end is
+// covered by one more 16-byte step overlapping the last.
+TEXT ·gather2U8x16(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
-	SHRQ $5, CX
+	VPCMPEQW Y2, Y2, Y2
+	VPSRLW   $8, Y2, Y2
 
-mxloop:
-	VMOVDQU (DI), Y0
-	VPMAXUB (SI), Y0, Y0
+g2b32:
+	CMPQ CX, $32
+	JLT  g2b16
+	VPAND     (SI), Y2, Y0
+	VPAND     32(SI), Y2, Y1
+	VPACKUSWB Y1, Y0, Y0
+	VPERMQ    $0xD8, Y0, Y0
+	VMOVDQU   Y0, (DI)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	SUBQ $32, CX
+	JMP  g2b32
+
+g2b16:
+	CMPQ CX, $16
+	JLT  g2btail
+	VPAND     (SI), X2, X0
+	VPAND     16(SI), X2, X1
+	VPACKUSWB X1, X0, X0
+	VMOVDQU   X0, (DI)
+	ADDQ $32, SI
+	ADDQ $16, DI
+	SUBQ $16, CX
+	JMP  g2b16
+
+g2btail:
+	TESTQ CX, CX
+	JEQ   g2bdone
+	LEAQ  -32(SI)(CX*2), SI
+	LEAQ  -16(DI)(CX*1), DI
+	MOVQ  $16, CX
+	JMP   g2b16
+
+g2bdone:
+	VZEROUPPER
+	RET
+
+// func maxU8x16(dst, src *uint8, n, k, stride int64)
+//
+// dst[i] = max(src[i], src[i+stride], …, src[i+(k-1)*stride]) for n >= 16
+// bytes, k >= 1 — both passes of the separable u8 max pool (stride = row
+// width for the vertical one, 1 for the horizontal one), the byte twin of
+// maxF32x8. 32 bytes a step while they last, then 16; a ragged end is covered
+// by one more 16-byte step overlapping the last instead of a scalar tail.
+TEXT ·maxU8x16(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ k+24(FP), R8
+	MOVQ stride+32(FP), R9
+
+mxb32:
+	CMPQ CX, $32
+	JLT  mxb16
+	VMOVDQU (SI), Y0
+	MOVQ SI, R10
+	MOVQ R8, R11
+	DECQ R11
+	JEQ  mxb32store
+
+mxb32tap:
+	ADDQ R9, R10
+	VPMAXUB (R10), Y0, Y0
+	DECQ R11
+	JNE  mxb32tap
+
+mxb32store:
 	VMOVDQU Y0, (DI)
 	ADDQ $32, SI
 	ADDQ $32, DI
-	DECQ CX
-	JNE  mxloop
+	SUBQ $32, CX
+	JMP  mxb32
 
+mxb16:
+	CMPQ CX, $16
+	JLT  mxbtail
+	VMOVDQU (SI), X0
+	MOVQ SI, R10
+	MOVQ R8, R11
+	DECQ R11
+	JEQ  mxb16store
+
+mxb16tap:
+	ADDQ R9, R10
+	VPMAXUB (R10), X0, X0
+	DECQ R11
+	JNE  mxb16tap
+
+mxb16store:
+	VMOVDQU X0, (DI)
+	ADDQ $16, SI
+	ADDQ $16, DI
+	SUBQ $16, CX
+	JMP  mxb16
+
+mxbtail:
+	TESTQ CX, CX
+	JEQ   mxbdone
+	LEAQ  -16(SI)(CX*1), SI
+	LEAQ  -16(DI)(CX*1), DI
+	MOVQ  $16, CX
+	JMP   mxb16
+
+mxbdone:
 	VZEROUPPER
 	RET
 

@@ -54,20 +54,29 @@ func ChooseQuantParams(minV, maxV float32) QuantParams {
 }
 
 // QuantizeU8 quantizes real values into [0, QMaxU8]: q = clamp(round(v/s)+z).
+// The clamp is taken in the float domain, before the conversion to integer,
+// so out-of-range inputs saturate on every platform (a float→int conversion
+// that overflows is platform-defined: amd64 used to wrap 1e30 and +Inf to 0):
+// anything above the range, +Inf included, maps to QMaxU8; anything below,
+// -Inf included, to 0; NaN to the zero point, the encoding of real 0.
 func QuantizeU8(dst []uint8, src []float32, q QuantParams) {
 	if len(dst) < len(src) {
 		panic("tensor: QuantizeU8 dst too small")
 	}
 	inv := 1 / q.Scale
 	// Round half-up via the +0.5 truncation: exact for the non-negative
-	// in-range values, and the clamp absorbs the truncated negatives.
+	// in-range values, and the clamp absorbs the negatives.
 	zf := float32(q.Zero) + 0.5
+	dst = dst[:len(src)]
 	for i, v := range src {
-		x := int32(v*inv + zf)
-		if x < 0 {
-			x = 0
-		} else if x > QMaxU8 {
+		f := v*inv + zf
+		x := q.Zero // NaN: no comparison below holds
+		if f >= QMaxU8 {
 			x = QMaxU8
+		} else if f >= 0 {
+			x = int32(f)
+		} else if f < 0 {
+			x = 0
 		}
 		dst[i] = uint8(x)
 	}
@@ -133,6 +142,15 @@ func QuantizeWeightsPerChannel(w []float32, outC, k int) (wq []int8, scales []fl
 // and the output zero-point. relu raises the lower clamp to the output zero
 // point, fusing the activation into the pass that already touches every
 // element.
+//
+// acc·mult + beta is one fused multiply-add — a single rounding — wherever an
+// element sits in the row and whichever path computes it, so a byte does not
+// depend on how the caller split the row into blocks or on the replica's CPU.
+// The vector body is VFMADD213PS; a ragged end goes through the same routine
+// on a zero-padded 32-element block; the portable loop fuses in float64,
+// where the product of two float32s is exact (it could differ from the
+// hardware FMA only when the float64 sum lands exactly on a float32 rounding
+// midpoint, which the differential test has never drawn).
 func RequantizeU8(dst []uint8, acc []int32, mult, beta float32, zOut int32, relu bool) {
 	if len(dst) < len(acc) {
 		panic("tensor: RequantizeU8 dst too small")
@@ -141,14 +159,23 @@ func RequantizeU8(dst []uint8, acc []int32, mult, beta float32, zOut int32, relu
 	if relu {
 		lo = zOut
 	}
-	if haveQuantASM && len(acc) >= 32 {
+	if haveQuantASM {
 		n := len(acc) &^ 31
-		requantU8ASM(&acc[0], &dst[0], int64(n), mult, beta, uint8(lo), QMaxU8)
-		acc = acc[n:]
-		dst = dst[n:]
+		if n > 0 {
+			requantU8ASM(&acc[0], &dst[0], int64(n), mult, beta, uint8(lo), QMaxU8)
+		}
+		if tail := len(acc) - n; tail > 0 {
+			var ta [32]int32
+			var td [32]uint8
+			copy(ta[:], acc[n:])
+			requantU8ASM(&ta[0], &td[0], 32, mult, beta, uint8(lo), QMaxU8)
+			copy(dst[n:], td[:tail])
+		}
+		return
 	}
 	for i, a := range acc {
-		x := int32(math.RoundToEven(float64(float32(a)*mult + beta)))
+		f := float32(math.FMA(float64(float32(a)), float64(mult), float64(beta)))
+		x := int32(math.RoundToEven(float64(f)))
 		if x < lo {
 			x = lo
 		} else if x > QMaxU8 {
@@ -170,66 +197,71 @@ func DequantizeAcc(dst []float32, acc []int32, mult, beta float32) {
 	}
 }
 
-// Im2colU8 is the quantized counterpart of Im2col: it expands one u8 image
-// (C×H×W) into the [C*KH*KW, outH*outW] column matrix. Zero padding is
-// materialized as the activation zero-point zp (the quantized encoding of
-// real 0), so the zero-point compensation term stays exact across padded
-// positions.
+// Requant is the per-output-channel requantization a quantized convolution
+// applies to its int32 accumulators (see RequantizeU8): Mult and Beta hold
+// one constant per output channel, ZOut is the output zero point, and ReLU
+// raises the lower clamp to it.
+type Requant struct {
+	Mult, Beta []float32
+	ZOut       int32
+	ReLU       bool
+}
+
+// qconvOperand returns one u8 image as the B operand of its convolution's
+// GEMM: the dense [InC, H*W] matrix for a pointwise convolution, the caller's
+// convView pointed at the image otherwise. The view's fill is the activation
+// zero point — the quantized encoding of real 0 — so the zero-point
+// compensation term stays exact across padded positions.
+func qconvOperand(view *convView[uint8], img []uint8) qgemmB {
+	if view.s.is1x1Fast() {
+		return qgemmB{data: img}
+	}
+	view.img = img
+	return qgemmB{conv: view}
+}
+
+// QConvForwardInto is the quantized ConvForwardInto: it convolves the n u8
+// images in x ([n, InC, h, w], zero point zp) with the s8 weights wq
+// ([OutC, InC*KH*KW]) and requantizes the result into channels
+// [chOff, chOff+OutC) of the u8 output y ([n, dstC, outH, outW]).
 //
-// The horizontal bounds test is hoisted out of the pixel loop: for each
-// (ky, kx) the valid output-column range is computed once, the out-of-range
-// edges are filled with zp, and the interior degenerates to a memmove for
-// stride-1 convolutions (SqueezeNet's 3×3 expands) or a branchless strided
-// gather otherwise (the strided stem).
-func Im2colU8(img []uint8, c, h, w int, s ConvSpec, col []uint8, zp uint8) (oh, ow int) {
+// Each image is one quantized GEMM whose B operand is the image itself and
+// whose epilogue is the requantization, so neither the column matrix nor the
+// OutC×outH×outW int32 accumulator exists (see qgemmBlocked).
+func QConvForwardInto(x []uint8, n, h, w int, wq []int8, s ConvSpec, zp uint8, rq Requant, y []uint8, dstC, chOff int) (oh, ow int) {
 	oh, ow = s.OutSize(h, w)
-	rowLen := oh * ow
-	ri := 0
-	for ch := 0; ch < c; ch++ {
-		chOff := ch * h * w
-		for ky := 0; ky < s.KH; ky++ {
-			for kx := 0; kx < s.KW; kx++ {
-				dst := col[ri*rowLen : (ri+1)*rowLen]
-				ri++
-				// Valid ox range: 0 <= kx - PadW + ox*StrideW < w.
-				base := kx - s.PadW
-				oxLo, oxHi := validOx(base, s.StrideW, w, ow)
-				di := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*s.StrideH - s.PadH + ky
-					drow := dst[di : di+ow]
-					di += ow
-					if iy < 0 || iy >= h {
-						fillU8(drow, zp)
-						continue
-					}
-					for x := 0; x < oxLo; x++ {
-						drow[x] = zp
-					}
-					for x := oxHi; x < ow; x++ {
-						drow[x] = zp
-					}
-					row := img[chOff+iy*w : chOff+iy*w+w]
-					if s.StrideW == 1 {
-						copy(drow[oxLo:oxHi], row[base+oxLo:base+oxHi])
-						continue
-					}
-					ix := base + oxLo*s.StrideW
-					for x := oxLo; x < oxHi; x++ {
-						drow[x] = row[ix]
-						ix += s.StrideW
-					}
-				}
-			}
-		}
+	if oh == 0 || ow == 0 {
+		panicEmptyOutput("QConvForwardInto", []int{n, s.InC, h, w}, s.KH, s.KW, s.PadH, s.PadW)
+	}
+	spatial, k, il := oh*ow, s.InC*s.KH*s.KW, s.InC*h*w
+	if len(x) < n*il || len(wq) < s.OutC*k || len(rq.Mult) < s.OutC || len(rq.Beta) < s.OutC ||
+		chOff+s.OutC > dstC || len(y) < n*dstC*spatial {
+		panic(fmt.Sprintf("tensor: QConvForwardInto: x %d / wq %d / requant %d,%d / y %d do not fit [%d,%d,%d,%d]→[%d,%d,%d,%d] at channel offset %d of %d",
+			len(x), len(wq), len(rq.Mult), len(rq.Beta), len(y), n, s.InC, h, w, n, s.OutC, oh, ow, chOff, dstC))
+	}
+	ep := qgemmEpilogue{rq: rq, ld: spatial}
+	view := convView[uint8]{h: h, w: w, s: s, oh: oh, ow: ow, fill: zp, strided: gatherU8}
+	for i := 0; i < n; i++ {
+		ep.dst = y[(i*dstC+chOff)*spatial:]
+		qgemmDispatch(wq, qconvOperand(&view, x[i*il:(i+1)*il]), nil, s.OutC, k, spatial, &ep)
 	}
 	return oh, ow
 }
 
-func fillU8(dst []uint8, v uint8) {
-	for i := range dst {
-		dst[i] = v
+// QConvAcc convolves one u8 image ([InC, h, w], zero point zp) with the s8
+// weights wq and leaves the raw int32 accumulators in acc ([OutC, outH*outW])
+// — for the classifier head, whose epilogue is an average, not a
+// requantization.
+func QConvAcc(img []uint8, h, w int, wq []int8, s ConvSpec, zp uint8, acc []int32) {
+	oh, ow := s.OutSize(h, w)
+	spatial, k := oh*ow, s.InC*s.KH*s.KW
+	if len(img) < s.InC*h*w || len(wq) < s.OutC*k || len(acc) < s.OutC*spatial {
+		panic(fmt.Sprintf("tensor: QConvAcc: img %d / wq %d / acc %d do not fit [%d,%d,%d]→[%d,%d,%d]",
+			len(img), len(wq), len(acc), s.InC, h, w, s.OutC, oh, ow))
 	}
+	clear(acc[:s.OutC*spatial])
+	view := convView[uint8]{h: h, w: w, s: s, oh: oh, ow: ow, fill: zp, strided: gatherU8}
+	qgemmDispatch(wq, qconvOperand(&view, img[:s.InC*h*w]), acc, s.OutC, k, spatial, nil)
 }
 
 // MaxPoolU8Into max-pools u8 activations ([N,C,H,W] planes in x) into y.
@@ -237,10 +269,8 @@ func fillU8(dst []uint8, v uint8) {
 // maximum is taken directly on the quantized bytes and the tensor's
 // quantization parameters pass through unchanged.
 //
-// Unpadded pooling (every pool in the PERCIVAL architectures) runs a
-// separable fast path: a vectorizable vertical max over the window rows into
-// a row buffer, then a small horizontal max per output — 2K reads per output
-// instead of K² branchy window probes.
+// Unpadded pooling (every pool in the PERCIVAL architectures) runs the
+// separable path — see maxPoolU8Separable.
 func MaxPoolU8Into(x []uint8, n, c, h, w int, p PoolSpec, y []uint8) (oh, ow int) {
 	oh, ow = p.OutSize(h, w)
 	if oh == 0 || ow == 0 {
@@ -251,7 +281,7 @@ func MaxPoolU8Into(x []uint8, n, c, h, w int, p PoolSpec, y []uint8) (oh, ow int
 			len(x), len(y), n, c, h, w, oh, ow))
 	}
 	if p.Pad == 0 {
-		maxPoolU8Separable(x, n, c, h, w, p, y, oh, ow)
+		maxPoolU8Separable(x, n*c, h, w, p, y, oh, ow)
 		return oh, ow
 	}
 	oi := 0
@@ -284,48 +314,42 @@ func MaxPoolU8Into(x []uint8, n, c, h, w int, p PoolSpec, y []uint8) (oh, ow int
 	return oh, ow
 }
 
-// maxPoolU8Separable is the unpadded fast path: vertical max of the K window
-// rows into rowmax (VPMAXUB-vectorized on amd64), then a horizontal K-max
-// per output element.
-func maxPoolU8Separable(x []uint8, n, c, h, w int, p PoolSpec, y []uint8, oh, ow int) {
-	rowmaxP := GetScratchU8(w)
-	rowmax := *rowmaxP
-	for i := 0; i < n*c; i++ {
+// maxPoolU8Separable is the unpadded fast path, the byte twin of
+// maxPoolSeparable: per output row, one maxU8Into pass takes the vertical max
+// of the K window rows into rowmax, a second the horizontal K-tap max of
+// rowmax at every window start into hmax, and gatherU8 picks hmax at the
+// stride — whole rows of VPMAXUB and a vector stride-2 pick, with no branch
+// that depends on the data.
+func maxPoolU8Separable(x []uint8, planes, h, w int, p PoolSpec, y []uint8, oh, ow int) {
+	span := w - p.K + 1 // window start columns
+	bufp := GetScratchU8(w + span)
+	rowmax, hmax := (*bufp)[:w], (*bufp)[w:]
+	for i := 0; i < planes; i++ {
 		plane := x[i*h*w : (i+1)*h*w]
 		yp := y[i*oh*ow : (i+1)*oh*ow]
 		for oy := 0; oy < oh; oy++ {
-			iy := oy * p.Stride
-			copy(rowmax, plane[iy*w:iy*w+w])
-			for t := 1; t < p.K; t++ {
-				maxU8Into(rowmax, plane[(iy+t)*w:(iy+t)*w+w])
-			}
-			out := yp[oy*ow : oy*ow+ow]
-			for ox := 0; ox < ow; ox++ {
-				ix := ox * p.Stride
-				m := rowmax[ix]
-				for t := 1; t < p.K; t++ {
-					if v := rowmax[ix+t]; v > m {
-						m = v
-					}
-				}
-				out[ox] = m
-			}
+			maxU8Into(rowmax, plane[oy*p.Stride*w:], p.K, w)
+			maxU8Into(hmax, rowmax, p.K, 1)
+			gatherU8(yp[oy*ow:oy*ow+ow], hmax, p.Stride)
 		}
 	}
-	PutScratchU8(rowmaxP)
+	PutScratchU8(bufp)
 }
 
-// maxU8Into computes dst = max(dst, src) element-wise.
-func maxU8Into(dst, src []uint8) {
-	j := 0
-	if haveQuantASM && len(dst) >= 32 {
-		m := len(dst) &^ 31
-		maxU8x32(&dst[0], &src[0], int64(m))
-		j = m
+// maxU8Into computes dst[i] = max(src[i], src[i+stride], …) over k taps. The
+// vector body covers a ragged end with one more vector overlapping the last,
+// so rows of 16 bytes or more never reach the loop.
+func maxU8Into(dst, src []uint8, k, stride int) {
+	src = src[:len(dst)+(k-1)*stride]
+	if haveQuantASM && len(dst) >= 16 {
+		maxU8x16(&dst[0], &src[0], int64(len(dst)), int64(k), int64(stride))
+		return
 	}
-	for ; j < len(dst); j++ {
-		if src[j] > dst[j] {
-			dst[j] = src[j]
+	for i := range dst {
+		m := src[i]
+		for t := 1; t < k; t++ {
+			m = max(m, src[i+t*stride])
 		}
+		dst[i] = m
 	}
 }

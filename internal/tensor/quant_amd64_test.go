@@ -47,3 +47,21 @@ func TestQGemmKernelMatchesGeneric(t *testing.T) {
 		}
 	}
 }
+
+// quantTiers lists the tiers this CPU can run, portable first.
+func quantTiers() []quantTier {
+	tiers := []quantTier{{name: "portable"}}
+	if haveFMA {
+		tiers = append(tiers, quantTier{name: "avx2", asm: true})
+	}
+	if detectVNNI() {
+		tiers = append(tiers, quantTier{name: "vnni", asm: true, vnni: true})
+	}
+	return tiers
+}
+
+func currentQuantTier() quantTier { return quantTier{asm: haveQuantASM, vnni: haveVNNI} }
+
+// useQuantTier switches the dispatch flags; tests restore the detected tier
+// with defer useQuantTier(currentQuantTier()).
+func useQuantTier(q quantTier) { haveQuantASM, haveVNNI = q.asm, q.vnni }

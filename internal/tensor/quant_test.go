@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// quantTier is one of the quantized engine's kernel tiers: the portable Go
+// loops, the AVX2 kernel and row helpers, or AVX2 helpers with the VNNI
+// kernel. quantTiers, currentQuantTier and useQuantTier are per-architecture
+// (quant_amd64_test.go, quant_noasm_test.go).
+type quantTier struct {
+	name      string
+	asm, vnni bool
+}
+
 // qgemmRef is the naive int32 reference product for the quantized GEMM.
 func qgemmRef(a []int8, b []uint8, m, k, n int) []int32 {
 	c := make([]int32, m*n)
@@ -151,67 +160,103 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequantizeU8MatchesScalar checks the vectorized requantization epilogue
-// against the scalar reference, including the ReLU lower clamp, across sizes
-// that exercise both the 32-wide body and the scalar tail.
-func TestRequantizeU8MatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, n := range []int{1, 31, 32, 33, 100, 256, 1000} {
-		for _, relu := range []bool{false, true} {
-			acc := make([]int32, n)
-			for i := range acc {
-				acc[i] = int32(rng.Intn(2_000_000) - 1_000_000)
-			}
-			mult := float32(rng.Float64() * 1e-4)
-			beta := float32(rng.NormFloat64() * 10)
-			zOut := int32(rng.Intn(QMaxU8))
-			got := make([]uint8, n)
-			RequantizeU8(got, acc, mult, beta, zOut, relu)
-			lo := int32(0)
-			if relu {
-				lo = zOut
-			}
-			for i, a := range acc {
-				x := int32(math.RoundToEven(float64(float32(a)*mult + beta)))
-				if x < lo {
-					x = lo
-				} else if x > QMaxU8 {
-					x = QMaxU8
-				}
-				if got[i] != uint8(x) {
-					t.Fatalf("n=%d relu=%v: dst[%d]=%d want %d (acc=%d mult=%v beta=%v)",
-						n, relu, i, got[i], x, a, mult, beta)
-				}
+// TestQuantizeU8Saturates pins the out-of-range stance: values above the
+// representable range — however far, +Inf included — quantize to QMaxU8,
+// values below it to 0, NaN to the zero point. The conversion used to wrap:
+// with Scale 1/127, 1e6 mapped to 127 but 1.7e7, 1e30 and +Inf to 0.
+func TestQuantizeU8Saturates(t *testing.T) {
+	inf := float32(math.Inf(1))
+	for _, q := range []QuantParams{{Scale: 1.0 / 127, Zero: 0}, {Scale: 0.05, Zero: 31}, {Scale: 3, Zero: 127}} {
+		src := []float32{1e6, 1.7e7, 1e30, math.MaxFloat32, inf, -1e6, -1.7e7, -1e30, -math.MaxFloat32, -inf, float32(math.NaN()), 0}
+		want := []uint8{127, 127, 127, 127, 127, 0, 0, 0, 0, 0, uint8(q.Zero), uint8(q.Zero)}
+		got := make([]uint8, len(src))
+		QuantizeU8(got, src, q)
+		for i := range src {
+			if got[i] != want[i] {
+				t.Errorf("%+v: QuantizeU8(%v) = %d, want %d", q, src[i], got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestIm2colU8MatchesFloat checks the quantized im2col against the float one
-// on the same (quantized) data, with zero-point-encoded padding.
-func TestIm2colU8MatchesFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	s := ConvSpec{InC: 3, OutC: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
-	c, h, w := 3, 9, 7
-	imgU := make([]uint8, c*h*w)
-	imgF := make([]float32, c*h*w)
-	zp := uint8(17)
-	for i := range imgU {
-		imgU[i] = uint8(rng.Intn(QMaxU8 + 1))
-		imgF[i] = float32(imgU[i])
-	}
-	oh, ow := s.OutSize(h, w)
-	colU := make([]uint8, s.InC*s.KH*s.KW*oh*ow)
-	colF := make([]float32, len(colU))
-	Im2colU8(imgU, c, h, w, s, colU, zp)
-	Im2col(imgF, c, h, w, s, colF)
-	for i := range colU {
-		want := colF[i]
-		if want == 0 && colU[i] == zp {
-			continue // padding encodes real 0 as the zero point
+// TestRequantizeU8MatchesScalar holds RequantizeU8 to its contract — one
+// fused multiply-add, round to nearest even, clamp — wherever an element sits
+// and whichever path computes it: over 2²⁴ random draws (2²⁰ with -short)
+// the 32-wide vector body (a whole row), the ragged-end path (the same row in
+// 31-element calls) and the portable loop must all equal the scalar
+// reference. The three tuples are draws on which the two-rounding
+// acc·mult, then +beta that the tail and the portable loop used to compute
+// lands one step away from the fused result.
+func TestRequantizeU8MatchesScalar(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	for _, c := range []struct {
+		acc        int32
+		mult, beta float32
+		want       uint8
+	}{
+		{855013, 8.237385e-05, -12.930717, 57},
+		{636537, 3.4848978e-05, -7.682663, 15},
+		{646136, 5.1796946e-05, -4.9678707, 28},
+	} {
+		if got := requantRef(c.acc, c.mult, c.beta, 0); got != c.want {
+			t.Fatalf("reference (%d, %v, %v) = %d, want %d", c.acc, c.mult, c.beta, got, c.want)
 		}
-		if float32(colU[i]) != want {
-			t.Fatalf("col[%d]=%d want %v", i, colU[i], want)
+		for _, tier := range quantTiers() {
+			useQuantTier(tier)
+			for _, n := range []int{1, 32, 33} { // alone in a tail, in a body, in the tail after a body
+				acc, got := make([]int32, n), make([]uint8, n)
+				acc[n-1] = c.acc
+				RequantizeU8(got, acc, c.mult, c.beta, 0, false)
+				if got[n-1] != c.want {
+					t.Errorf("%s n=%d: (%d, %v, %v) = %d, want %d", tier.name, n, c.acc, c.mult, c.beta, got[n-1], c.want)
+				}
+			}
+		}
+	}
+
+	rows, rowLen := 1<<12, 1<<12
+	if testing.Short() {
+		rows = 1 << 8
+	}
+	rng := rand.New(rand.NewSource(15))
+	acc := make([]int32, rowLen)
+	want, got := make([]uint8, rowLen), make([]uint8, rowLen)
+	for r := 0; r < rows; r++ {
+		for i := range acc {
+			acc[i] = int32(rng.Intn(2_000_000) - 1_000_000)
+		}
+		mult := float32(rng.Float64() * 1e-4)
+		beta := float32(rng.NormFloat64() * 10)
+		zOut := int32(rng.Intn(QMaxU8))
+		relu := r%2 == 0
+		lo := int32(0)
+		if relu {
+			lo = zOut
+		}
+		for i, a := range acc {
+			want[i] = requantRef(a, mult, beta, lo)
+		}
+		check := func(path string) {
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, relu=%v: dst[%d]=%d want %d (acc=%d mult=%v beta=%v)", path, relu, i, got[i], want[i], acc[i], mult, beta)
+				}
+			}
+		}
+		for _, tier := range quantTiers() {
+			if tier.vnni {
+				continue // same requantize routine as the AVX2 tier
+			}
+			useQuantTier(tier)
+			clear(got)
+			RequantizeU8(got, acc, mult, beta, zOut, relu)
+			check(tier.name + " whole row")
+			clear(got)
+			for i := 0; i < rowLen; i += 31 {
+				e := min(i+31, rowLen)
+				RequantizeU8(got[i:e], acc[i:e], mult, beta, zOut, relu)
+			}
+			check(tier.name + " 31-element calls")
 		}
 	}
 }
@@ -334,5 +379,49 @@ func BenchmarkRequantizeU8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		RequantizeU8(dst, acc, 1e-4, 3, 5, true)
+	}
+}
+
+// benchQConvStage times one whole quantized convolution stage — quad panels
+// packed from the u8 image, GEMM, requantize epilogue — on seeded random
+// bytes.
+func benchQConvStage(b *testing.B, s ConvSpec, res int) {
+	rng := rand.New(rand.NewSource(33))
+	k := s.InC * s.KH * s.KW
+	wq, x := randQOperands(rng, s.OutC, k, s.InC*res*res/k+1)
+	rq := Requant{Mult: make([]float32, s.OutC), Beta: make([]float32, s.OutC), ZOut: 3, ReLU: true}
+	for oc := range rq.Mult {
+		rq.Mult[oc], rq.Beta[oc] = float32(1/(80*math.Sqrt(float64(k)))), 40
+	}
+	oh, ow := s.OutSize(res, res)
+	y := make([]uint8, s.OutC*oh*ow)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		QConvForwardInto(x, 1, res, res, wq, s, 17, rq, y, s.OutC, 0)
+	}
+}
+
+// BenchmarkConvStemU8_224 is BenchmarkConvStem224 on the INT8 engine.
+func BenchmarkConvStemU8_224(b *testing.B) { benchQConvStage(b, stemSpec, 224) }
+
+// BenchmarkConvExpand3x3U8_13 is BenchmarkConvExpand3x3_13 on the INT8 engine.
+func BenchmarkConvExpand3x3U8_13(b *testing.B) { benchQConvStage(b, expand3x3Spec, 13) }
+
+// BenchmarkMaxPoolU8_112x96 is the paper net's first pool on the INT8 engine:
+// 3×3/2 over the stem's 96 planes of 112×112, on seeded random bytes — an
+// all-zero plane never mispredicts a compare, which hid what the scalar
+// horizontal pass cost on real frames.
+func BenchmarkMaxPoolU8_112x96(b *testing.B) {
+	rng := rand.New(rand.NewSource(34))
+	x := make([]uint8, 96*112*112)
+	for i := range x {
+		x[i] = uint8(rng.Intn(QMaxU8 + 1))
+	}
+	p := PoolSpec{K: 3, Stride: 2}
+	oh, ow := p.OutSize(112, 112)
+	y := make([]uint8, 96*oh*ow)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MaxPoolU8Into(x, 1, 96, 112, 112, p, y)
 	}
 }
