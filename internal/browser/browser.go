@@ -120,7 +120,9 @@ type RenderResult struct {
 	RenderTimeMS float64
 	// NetworkMS is the simulated fetch critical path.
 	NetworkMS float64
-	// ComputeMS is measured parse/layout/decode/classify/raster time.
+	// ComputeMS is measured parse/layout/decode/classify/raster time. It
+	// excludes the simulation's own work of drawing and encoding the page's
+	// creatives, which a real browser receives from the network.
 	ComputeMS float64
 	// Images lists every image resource considered.
 	Images []RenderedImage
@@ -246,27 +248,33 @@ func (b *Browser) Render(url string, epoch int) (*RenderResult, error) {
 	}
 	res.NetworkMS += maxChain
 
-	// materialize encoded bytes outside the timed compute section: encoding
-	// is an artifact of the simulation, not browser work
+	// Materialize encoded bytes with the compute clock stopped: drawing a
+	// creative and encoding it are artifacts of the simulation, not browser
+	// work, so their time is taken out of ComputeMS below.
+	simStart := time.Now()
 	encoded := map[string][]byte{}
 	dims := map[string][2]int{}
-	var futures map[string]*serve.Future
-	if b.cfg.AsyncServe != nil {
-		futures = make(map[string]*serve.Future, len(resolve))
-	}
+	bitmaps := make(map[string]*imaging.Bitmap, len(resolve))
 	for src, f := range resolve {
 		bm := f.spec.Render(epoch)
-		if futures != nil {
-			// async inspection: classification is in flight from the moment
-			// pixels exist, overlapping layout and rasterization below
-			futures[src] = b.cfg.AsyncServe.SubmitAsync(bm)
-		}
 		data, err := imaging.Encode(bm, f.spec.Format)
 		if err != nil {
 			return nil, fmt.Errorf("browser: encode %s: %w", src, err)
 		}
 		encoded[src] = data
 		dims[src] = [2]int{bm.W, bm.H}
+		bitmaps[src] = bm
+	}
+	simulated := time.Since(simStart)
+	// async inspection: classification is in flight from the moment pixels
+	// exist, overlapping layout and rasterization below — submitted only now,
+	// so none of it hides in the stopped-clock section above
+	var futures map[string]*serve.Future
+	if b.cfg.AsyncServe != nil {
+		futures = make(map[string]*serve.Future, len(bitmaps))
+		for src, bm := range bitmaps {
+			futures[src] = b.cfg.AsyncServe.SubmitAsync(bm)
+		}
 	}
 
 	// --- compute phase (measured) ---
@@ -306,7 +314,7 @@ func (b *Browser) Render(url string, epoch int) (*RenderResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("browser: raster %s: %w", url, err)
 	}
-	res.ComputeMS = float64(time.Since(computeStart).Microseconds()) / 1000
+	res.ComputeMS = float64((time.Since(computeStart) - simulated).Microseconds()) / 1000
 	res.Surface = surface
 	res.Stats = stats
 	res.DocHeight = box.H

@@ -1,9 +1,11 @@
 package browser
 
 import (
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"percival/internal/core"
 	"percival/internal/easylist"
@@ -232,6 +234,42 @@ func TestRenderTimeIncludesNetworkCriticalPath(t *testing.T) {
 	}
 	if res.NetworkMS < maxDelay {
 		t.Fatalf("network %v < slowest image %v", res.NetworkMS, maxDelay)
+	}
+}
+
+// TestComputeExcludesSimulatedEncoding checks ComputeMS leaves out what the
+// simulation spends drawing and encoding the page's creatives — bytes a real
+// browser gets from the network — so the gap between Render's wall time and
+// ComputeMS must cover most of that work, measured here on its own (the best
+// of three, so a noisy box only makes the gap look larger by comparison).
+func TestComputeExcludesSimulatedEncoding(t *testing.T) {
+	c, _ := corpusAndList(t, 8, 3)
+	b, _ := New(Config{Profile: Chromium(), Corpus: c})
+	url := firstPage(c)
+	warm, err := b.Render(url, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := time.Duration(math.MaxInt64)
+	for rep := 0; rep < 3; rep++ {
+		start := time.Now()
+		for _, ri := range warm.Images {
+			if _, err := imaging.Encode(ri.Spec.Render(0), ri.Spec.Format); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode = min(encode, time.Since(start))
+	}
+	start := time.Now()
+	res, err := b.Render(url, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	compute := time.Duration(res.ComputeMS * float64(time.Millisecond))
+	if gap := wall - compute; gap < encode/2 {
+		t.Fatalf("Render took %v and reports %v of compute: the %v gap does not cover the %v spent encoding %d creatives",
+			wall, compute, gap, encode, len(warm.Images))
 	}
 }
 
