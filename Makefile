@@ -10,8 +10,8 @@ FUZZTIME ?= 15s
 
 # internal/tensor benchmarks the bench targets run: the GEMM kernels alone
 # and the whole stages around them (pack from the image + GEMM + epilogue,
-# and the first max pool).
-TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkMaxPoolU8_112x96
+# the first max pool, and the FP32 stem with that pool fused behind it).
+TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkMaxPoolU8_112x96
 
 .PHONY: check fmt vet build test race fuzz chaos bench bench-all bench-infer profile
 
@@ -42,13 +42,15 @@ race:
 
 # Native Go fuzzing smoke pass over the decoders that face untrusted input
 # (EasyList rules, HTML, the persistent-socket wire framing, the admin
-# control-plane request bodies). Each fuzzer runs for FUZZTIME; crashers are
-# written to the package's testdata/fuzz corpus and reproduced by `go test`.
+# control-plane request bodies, model files). Each fuzzer runs for FUZZTIME;
+# crashers are written to the package's testdata/fuzz corpus and reproduced
+# by `go test`.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/easylist
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/dom
 	$(GO) test -run=NONE -fuzz=FuzzWireMsg -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzAdminRequest -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/nn
 
 # Fault-injection smoke: drives the fleet supervisor (eviction, redial,
 # hedging, local fallback) and the daemon's serving edge through flapping /
@@ -98,8 +100,9 @@ bench-infer:
 	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
 
 # Where one frame goes: `pprof -top` of the single-frame forward on each
-# engine at one P — the per-function attribution PERFORMANCE.md tabulates.
-# The test binary and the profiles land in PROFILE_DIR.
+# engine at one P, by flat time and then by cumulative time — the
+# per-function attribution PERFORMANCE.md tabulates (its tables quote the
+# cumulative view). The test binary and the profiles land in PROFILE_DIR.
 PROFILE_DIR ?= .bench_build/profile
 profile:
 	@mkdir -p $(PROFILE_DIR)
@@ -107,4 +110,5 @@ profile:
 		GOMAXPROCS=1 $(GO) test -run=NONE -bench="Benchmark$$b\$$" -benchtime=300x \
 			-o $(PROFILE_DIR)/percival.test -cpuprofile $(PROFILE_DIR)/$$b.prof . || exit 1; \
 		$(GO) tool pprof -top -nodecount=16 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$b.prof || exit 1; \
+		$(GO) tool pprof -top -cum -nodecount=24 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$b.prof || exit 1; \
 	done

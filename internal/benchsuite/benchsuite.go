@@ -49,12 +49,25 @@ func PaperQuantNet() *nn.QuantizedSequential {
 	return qnet
 }
 
+// paperFrames returns n seeded frames at paper resolution, uniform in [0,1)
+// like a decoded bitmap. The inference benchmarks time these, not the
+// all-zero tensor.New leaves: zero activations never mispredict a compare and
+// all take one side of every ReLU, which once hid a scalar loop's real cost.
+func paperFrames(n int) *tensor.Tensor {
+	rng := rand.New(rand.NewSource(5))
+	x := tensor.New(n, 4, 224, 224)
+	for i := range x.Data {
+		x.Data[i] = rng.Float32()
+	}
+	return x
+}
+
 // InferSingle measures raw single-frame FP32 inference latency at paper
 // resolution on the arena fast path: the per-frame cost PERCIVAL adds to
 // the rendering critical path. Steady state should report 0 allocs/op.
 func InferSingle(b *testing.B) {
 	net := PaperNet()
-	x := tensor.New(1, 4, 224, 224)
+	x := paperFrames(1)
 	a := tensor.NewArena()
 	a.PutTensor(nn.PredictArena(net, x, a)) // warm the arena
 	b.ReportAllocs()
@@ -68,7 +81,7 @@ func InferSingle(b *testing.B) {
 // quantized engine — the INT8 counterpart of InferSingle.
 func InferSingleInt8(b *testing.B) {
 	qnet := PaperQuantNet()
-	x := tensor.New(1, 4, 224, 224)
+	x := paperFrames(1)
 	a := tensor.NewArena()
 	a.PutTensor(qnet.PredictArena(x, a))
 	b.ReportAllocs()
@@ -82,7 +95,7 @@ func InferSingleInt8(b *testing.B) {
 // the ClassifyBatch workload.
 func InferBatch(b *testing.B) {
 	net := PaperNet()
-	x := tensor.New(8, 4, 224, 224)
+	x := paperFrames(8)
 	a := tensor.NewArena()
 	a.PutTensor(nn.PredictArena(net, x, a))
 	b.ReportAllocs()
@@ -97,7 +110,7 @@ func InferBatch(b *testing.B) {
 // forward pass).
 func InferBatchInt8(b *testing.B) {
 	qnet := PaperQuantNet()
-	x := tensor.New(8, 4, 224, 224)
+	x := paperFrames(8)
 	a := tensor.NewArena()
 	a.PutTensor(qnet.PredictArena(x, a))
 	b.ReportAllocs()

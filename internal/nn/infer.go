@@ -28,8 +28,8 @@ type inferLayer interface {
 
 // ForwardInfer runs an inference-mode forward pass drawing all intermediate
 // buffers from a. The returned tensor is owned by the arena: copy out any
-// values before returning it (or the arena) to a pool. Adjacent
-// Conv2D+ReLU pairs are fused into a single output pass.
+// values before returning it (or the arena) to a pool. An adjacent Conv2D,
+// ReLU and unpadded MaxPool run as one stage.
 func (s *Sequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	y, owned := s.forwardInfer(x, a, false)
 	if !owned {
@@ -43,19 +43,28 @@ func (s *Sequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Ten
 	return y
 }
 
-// forwardInfer implements inferLayer, peephole-fusing Conv2D+ReLU pairs.
+// forwardInfer implements inferLayer, peephole-fusing a Conv2D with the ReLU
+// and then the unpadded MaxPool that follow it: the pool runs in the
+// convolution's epilogue and the convolution's own output — the paper net's
+// largest tensor, 4.8 MB a frame after the stem — is never written.
 func (s *Sequential) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
 	for i := 0; i < len(s.Layers); i++ {
 		l := s.Layers[i]
 		if c, ok := l.(*Conv2D); ok {
-			relu := false
+			st := c.stage()
 			if i+1 < len(s.Layers) {
 				if _, isRelu := s.Layers[i+1].(*ReLU); isRelu {
-					relu = true
+					st.ReLU = true
 					i++
 				}
 			}
-			x, owned = c.inferConv(x, a, owned, relu)
+			if i+1 < len(s.Layers) {
+				if m, isPool := s.Layers[i+1].(*MaxPool); isPool && m.Spec.Pad == 0 {
+					st.Pool = m.Spec
+					i++
+				}
+			}
+			x, owned = c.inferStage(&st, x, a, owned)
 			continue
 		}
 		if il, ok := l.(inferLayer); ok {
@@ -71,14 +80,38 @@ func (s *Sequential) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool)
 	return x, owned
 }
 
-// inferConv is the arena conv forward, optionally fusing the following ReLU.
-func (c *Conv2D) inferConv(x *tensor.Tensor, a *tensor.Arena, owned, relu bool) (*tensor.Tensor, bool) {
+// packedWeights returns the weights' GEMM panels, packed on first use and
+// again after any rewrite of Wt (Param.Changed), then shared by every
+// goroutine and engine replica inferring through this layer. Goroutines
+// racing on the first use may each pack once; they store equal panels.
+func (c *Conv2D) packedWeights() *tensor.PackedWeights {
+	gen := c.Wt.gen.Load()
+	if p := c.pack.Load(); p != nil && p.gen == gen {
+		return p.weights
+	}
+	k := c.Spec.InC * c.Spec.KH * c.Spec.KW
+	p := &convPack{gen: gen, weights: tensor.PackWeights(c.Wt.W.Data, c.Spec.OutC, k)}
+	c.pack.Store(p)
+	return p.weights
+}
+
+// stage returns the convolution as an inference stage with packed weights;
+// callers add the ReLU and pool they fuse behind it.
+func (c *Conv2D) stage() tensor.ConvStage {
+	return tensor.ConvStage{Spec: c.Spec, W: c.Wt.W.Data, Packed: c.packedWeights(), Bias: c.Bias.W.Data}
+}
+
+// inferStage runs st — c's stage — from x into a fresh arena tensor.
+func (c *Conv2D) inferStage(st *tensor.ConvStage, x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
 	if len(x.Shape) != 4 || x.Shape[1] != c.Spec.InC {
 		panic(fmt.Sprintf("nn: conv %s: input shape %s, want [N,%d,H,W]", c.name, shapeStr(x.Shape), c.Spec.InC))
 	}
 	oh, ow := c.Spec.OutSize(x.Shape[2], x.Shape[3])
+	if st.Pool.K > 0 {
+		oh, ow = st.Pool.OutSize(oh, ow)
+	}
 	y := a.GetTensor(x.Shape[0], c.Spec.OutC, oh, ow)
-	tensor.ConvForwardInto(x, c.Wt.W.Data, c.Bias.W.Data, c.Spec, y, 0, relu)
+	st.ForwardInto(x, y, 0)
 	if owned {
 		a.PutTensor(x)
 	}
@@ -86,7 +119,8 @@ func (c *Conv2D) inferConv(x *tensor.Tensor, a *tensor.Arena, owned, relu bool) 
 }
 
 func (c *Conv2D) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	return c.inferConv(x, a, owned, false)
+	st := c.stage()
+	return c.inferStage(&st, x, a, owned)
 }
 
 // forwardInfer for ReLU clamps in place on arena-owned tensors. A caller-
@@ -139,12 +173,14 @@ func (d *Dropout) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*
 // two expand branches directly into their slots of the concatenated output,
 // eliminating the intermediate expand tensors and the concat copy.
 func (f *Fire) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	s, _ := f.Squeeze.inferConv(x, a, owned, true)
+	sq, ex1, ex3 := f.Squeeze.stage(), f.Expand1.stage(), f.Expand3.stage()
+	sq.ReLU, ex1.ReLU, ex3.ReLU = true, true, true
+	s, _ := f.Squeeze.inferStage(&sq, x, a, owned)
 	n, h, w := s.Shape[0], s.Shape[2], s.Shape[3]
 	e1, e3 := f.Expand1.Spec.OutC, f.Expand3.Spec.OutC
 	y := a.GetTensor(n, e1+e3, h, w)
-	tensor.ConvForwardInto(s, f.Expand1.Wt.W.Data, f.Expand1.Bias.W.Data, f.Expand1.Spec, y, 0, true)
-	tensor.ConvForwardInto(s, f.Expand3.Wt.W.Data, f.Expand3.Bias.W.Data, f.Expand3.Spec, y, e1, true)
+	ex1.ForwardInto(s, y, 0)
+	ex3.ForwardInto(s, y, e1)
 	a.PutTensor(s)
 	return y, true
 }

@@ -10,6 +10,7 @@ import (
 // initialization is deterministic under a fixed seed.
 func InitHe(l Layer, rng *rand.Rand) {
 	for _, p := range l.Params() {
+		p.Changed()
 		if len(p.W.Shape) == 1 { // bias
 			p.W.Zero()
 			continue
@@ -26,6 +27,7 @@ func InitHe(l Layer, rng *rand.Rand) {
 // classifier convolution where He can saturate the softmax early.
 func InitXavier(l Layer, rng *rand.Rand) {
 	for _, p := range l.Params() {
+		p.Changed()
 		if len(p.W.Shape) == 1 {
 			p.W.Zero()
 			continue

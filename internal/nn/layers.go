@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"percival/internal/tensor"
 )
@@ -16,6 +17,17 @@ type Conv2D struct {
 
 	// training-only state (single goroutine)
 	lastIn *tensor.Tensor
+
+	// pack caches the weights' GEMM panels for the inference path (see
+	// packedWeights). Training never reads it.
+	pack atomic.Pointer[convPack]
+}
+
+// convPack is a convolution's packed weights and the Wt generation they were
+// packed from.
+type convPack struct {
+	gen     uint64
+	weights *tensor.PackedWeights
 }
 
 // NewConv2D constructs a convolution layer with zeroed weights; call an

@@ -7,6 +7,7 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"percival/internal/tensor"
 )
@@ -16,7 +17,18 @@ type Param struct {
 	Name string
 	W    *tensor.Tensor
 	Grad *tensor.Tensor
+
+	// gen counts rewrites of W (see Changed).
+	gen atomic.Uint64
 }
+
+// Changed records a rewrite of W's values. The inference path keeps forms
+// derived from the weights (a convolution's packed GEMM panels) and compares
+// this count before every use, so whatever writes W.Data — an optimizer
+// step, an initializer, Load — calls Changed on each Param it writes, and
+// the next inference pass rebuilds from the new weights. Like any write to
+// W, it must not run concurrently with inference on the same model.
+func (p *Param) Changed() { p.gen.Add(1) }
 
 // NewParam allocates a parameter and matching zero gradient.
 func NewParam(name string, shape ...int) *Param {

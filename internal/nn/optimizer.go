@@ -36,6 +36,7 @@ func (o *SGD) Step() {
 			v[j] = mom*v[j] - lr*grad
 			w[j] += v[j]
 		}
+		p.Changed()
 	}
 }
 

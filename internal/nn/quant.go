@@ -55,7 +55,7 @@ func (q *QuantizedSequential) InputQuant() tensor.QuantParams { return q.inQ }
 // the FP32 model.
 func (q *QuantizedSequential) SizeBytes() int {
 	total := 0
-	addConv := func(c *qConv) { total += len(c.wq) + 8*len(c.rq.Mult) }
+	addConv := func(c *qConv) { total += c.wq.Len() + 8*len(c.rq.Mult) }
 	for _, op := range q.ops {
 		switch o := op.(type) {
 		case *qConv:
@@ -66,7 +66,7 @@ func (q *QuantizedSequential) SizeBytes() int {
 			addConv(o.expand3)
 		}
 	}
-	total += len(q.final.wq) + 8*len(q.final.mult)
+	total += q.final.wq.Len() + 8*len(q.final.mult)
 	return total
 }
 
@@ -104,7 +104,7 @@ func (q *QuantizedSequential) PredictArena(x *tensor.Tensor, a *tensor.Arena) *t
 // requantize epilogue.
 type qConv struct {
 	spec tensor.ConvSpec
-	wq   []int8
+	wq   tensor.QWeights
 	// rq folds sW·sIn/sOut and bias − sW·sIn·zIn·Σw (plus zOut) per output
 	// channel; see Quantize.
 	rq   tensor.Requant
@@ -167,7 +167,7 @@ func (p *qPool) forward(x qAct, a *tensor.Arena) qAct {
 // leaves the quantized domain exactly once, on C·N values.
 type qFinal struct {
 	spec       tensor.ConvSpec
-	wq         []int8
+	wq         tensor.QWeights
 	mult, beta []float32
 	inZP       uint8
 }
@@ -364,7 +364,7 @@ func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool) *qConv {
 		beta[oc] = (c.Bias.W.Data[oc]-m*float32(inQ.Zero)*float32(wsum[oc]))/outQ.Scale + float32(outQ.Zero)
 	}
 	return &qConv{
-		spec: c.Spec, wq: wq, inZP: uint8(inQ.Zero),
+		spec: c.Spec, wq: tensor.PackQWeights(wq, c.Spec.OutC, k), inZP: uint8(inQ.Zero),
 		rq: tensor.Requant{Mult: mult, Beta: beta, ZOut: outQ.Zero, ReLU: relu},
 	}
 }
@@ -380,7 +380,7 @@ func buildQFinal(c *Conv2D, inQ tensor.QuantParams) *qFinal {
 		mult[oc] = ws[oc] * inQ.Scale
 		beta[oc] = c.Bias.W.Data[oc] - mult[oc]*float32(inQ.Zero)*float32(wsum[oc])
 	}
-	return &qFinal{spec: c.Spec, wq: wq, mult: mult, beta: beta, inZP: uint8(inQ.Zero)}
+	return &qFinal{spec: c.Spec, wq: tensor.PackQWeights(wq, c.Spec.OutC, k), mult: mult, beta: beta, inZP: uint8(inQ.Zero)}
 }
 
 func reluInPlace(data []float32) {

@@ -86,7 +86,9 @@ func save(w io.Writer, l Layer, version uint16) error {
 
 // Load reads weights into an already-constructed model. Parameter names and
 // shapes must match exactly; this guards against loading a mismatched
-// architecture.
+// architecture. The file is decoded in full before the model is touched: on
+// any error — truncation, a mismatch halfway through — l keeps the weights
+// it had.
 func Load(r io.Reader, l Layer) error {
 	br := bufio.NewReader(r)
 	var hdr [4]byte
@@ -98,34 +100,35 @@ func Load(r io.Reader, l Layer) error {
 	}
 	var version uint16
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return err
+		return fmt.Errorf("nn: load: version: %w", err)
 	}
 	if version != versionFloat32 && version != versionFloat16 {
 		return fmt.Errorf("nn: load: unsupported version %d", version)
 	}
 	var n uint32
 	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return err
+		return fmt.Errorf("nn: load: parameter count: %w", err)
 	}
 	params := l.Params()
-	if int(n) != len(params) {
+	if int64(n) != int64(len(params)) {
 		return fmt.Errorf("nn: load: file has %d params, model has %d", n, len(params))
 	}
-	for _, p := range params {
+	decoded := make([][]float32, len(params))
+	for pi, p := range params {
 		var nameLen uint16
 		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return err
+			return fmt.Errorf("nn: load: %s: %w", p.Name, err)
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(br, name); err != nil {
-			return err
+			return fmt.Errorf("nn: load: %s: %w", p.Name, err)
 		}
 		if string(name) != p.Name {
 			return fmt.Errorf("nn: load: parameter %q in file, model expects %q", name, p.Name)
 		}
 		rank, err := br.ReadByte()
 		if err != nil {
-			return err
+			return fmt.Errorf("nn: load: %s: %w", p.Name, err)
 		}
 		if int(rank) != len(p.W.Shape) {
 			return fmt.Errorf("nn: load: %s: rank %d, model expects %d", p.Name, rank, len(p.W.Shape))
@@ -133,26 +136,34 @@ func Load(r io.Reader, l Layer) error {
 		for i := 0; i < int(rank); i++ {
 			var d uint32
 			if err := binary.Read(br, binary.LittleEndian, &d); err != nil {
-				return err
+				return fmt.Errorf("nn: load: %s: %w", p.Name, err)
 			}
-			if int(d) != p.W.Shape[i] {
+			if int64(d) != int64(p.W.Shape[i]) {
 				return fmt.Errorf("nn: load: %s: dim %d is %d, model expects %d", p.Name, i, d, p.W.Shape[i])
 			}
 		}
+		// The shape matched the model's, so the length is the model's too,
+		// not a number the file chose.
+		w := make([]float32, p.W.Len())
 		switch version {
 		case versionFloat32:
-			if err := binary.Read(br, binary.LittleEndian, p.W.Data); err != nil {
-				return err
+			if err := binary.Read(br, binary.LittleEndian, w); err != nil {
+				return fmt.Errorf("nn: load: %s: %w", p.Name, err)
 			}
 		case versionFloat16:
-			half := make([]uint16, p.W.Len())
+			half := make([]uint16, len(w))
 			if err := binary.Read(br, binary.LittleEndian, half); err != nil {
-				return err
+				return fmt.Errorf("nn: load: %s: %w", p.Name, err)
 			}
 			for i, h := range half {
-				p.W.Data[i] = HalfToFloat32(h)
+				w[i] = HalfToFloat32(h)
 			}
 		}
+		decoded[pi] = w
+	}
+	for pi, p := range params {
+		copy(p.W.Data, decoded[pi])
+		p.Changed()
 	}
 	return nil
 }

@@ -168,32 +168,119 @@ type pixel interface{ float32 | uint8 }
 // the image, so every input element is read once and written once. Padding
 // positions read as fill: 0 for float32, the activation zero point (the
 // encoding of real 0) for uint8.
+//
+// Taps read planes of h×w elements at a step of (sh, sw) per output row and
+// column. Those are the image's own channels at the convolution's strides —
+// or, once usePhases has run on a strided convolution, the image's phase
+// planes at step 1: channel ch de-interleaved into ph×pw planes, plane
+// (py, px) holding img[ch][y*ph+py][x*pw+px] at (y, x), so that tap
+// (ch, ky, kx) of a stride-2 stem walks one plane contiguously, as every tap
+// of a stride-1 convolution does, instead of gathering every other element
+// of every other image row once per tap.
 type convView[T pixel] struct {
-	img    []T
+	planes []T
 	h, w   int
+	sh, sw int
+	ph, pw int
 	s      ConvSpec
 	oh, ow int
 	fill   T
 	// strided is the element type's gather, gatherF32 or gatherU8.
 	strided func(dst, src []T, stride int)
+	// spread, when set, is the element type's copyRuns: gather hands it a
+	// contiguous source that covers whole panels.
+	spread func(dst []T, dstStep int, src []T, srcStep, n, runs int)
+	// phases is the scratch setImage splits each image into (nil: taps read
+	// the image itself); srcH×srcW is the image's own plane size.
+	phases     []T
+	srcH, srcW int
 }
 
-// convTap is one row of the column matrix resolved to its channel plane and
-// kernel offsets, with the valid output row and column ranges hoisted (see
+// newConvView returns the view of h×w images under s, reading the image's
+// own planes.
+func newConvView[T pixel](h, w int, s ConvSpec, fill T, strided func(dst, src []T, stride int)) convView[T] {
+	oh, ow := s.OutSize(h, w)
+	return convView[T]{h: h, w: w, sh: s.StrideH, sw: s.StrideW, ph: 1, pw: 1, s: s, oh: oh, ow: ow, fill: fill, strided: strided}
+}
+
+// phaseLen returns the scratch length usePhases needs, or 0 when the view
+// should keep reading the image: an unstrided convolution has nothing to
+// de-interleave, and only phase planes exactly one output row wide
+// (ceil(w/StrideW) = ow) give the walker its linear single-copy path (see
+// walk) — narrower or wider ones would trade a strided gather per row for a
+// copy per row, at the price of the split.
+func (v *convView[T]) phaseLen() int {
+	s := v.s
+	if s.StrideH*s.StrideW == 1 || (v.w+s.StrideW-1)/s.StrideW != v.ow {
+		return 0
+	}
+	return s.InC * s.StrideH * s.StrideW * ((v.h + s.StrideH - 1) / s.StrideH) * v.ow
+}
+
+// usePhases switches the view to phase planes held in buf (phaseLen
+// elements); each setImage then de-interleaves its image into them.
+func (v *convView[T]) usePhases(buf []T) {
+	v.phases, v.srcH, v.srcW = buf, v.h, v.w
+	v.ph, v.pw = v.sh, v.sw
+	v.h, v.w = (v.h+v.ph-1)/v.ph, (v.w+v.pw-1)/v.pw
+	v.sh, v.sw = 1, 1
+}
+
+// setImage points the view at one image, splitting it into the phase planes
+// when those are in use. Slots of a phase plane past the image's last row or
+// column (an odd size leaves the later phases one short) are padding and
+// hold fill.
+func (v *convView[T]) setImage(img []T) {
+	if v.phases == nil {
+		v.planes = img
+		return
+	}
+	v.planes = v.phases
+	di := 0
+	for ch := 0; ch < v.s.InC; ch++ {
+		plane := img[ch*v.srcH*v.srcW : (ch+1)*v.srcH*v.srcW]
+		for py := 0; py < v.ph; py++ {
+			for px := 0; px < v.pw; px++ {
+				cols := (v.srcW - px + v.pw - 1) / v.pw
+				for iy := py; iy < v.h*v.ph; iy, di = iy+v.ph, di+v.w {
+					row := plainRow(v.phases[di : di+v.w])
+					if iy >= v.srcH {
+						cols = 0
+					} else if v.pw == 1 {
+						copy(row.dst, plane[iy*v.srcW:])
+					} else {
+						v.strided(row.dst[:cols], plane[iy*v.srcW+px:], v.pw)
+					}
+					row.fill(cols, v.w-cols, v.fill)
+				}
+			}
+		}
+	}
+}
+
+// convTap is one row of the column matrix resolved to its plane and offsets
+// within it, with the valid output row and column ranges hoisted (see
 // validOx): outside them the tap reads padding.
 type convTap[T pixel] struct {
 	plane      []T
-	top, base  int // input row = top + oy*StrideH, column = base + ox*StrideW
+	top, base  int // plane row = top + oy*sh, column = base + ox*sw
 	oyLo, oyHi int
 	oxLo, oxHi int
 }
 
+// tap resolves row p. Kernel offset (dy, dx) from the output position's
+// origin lands in phase (dy mod ph, dx mod pw) at plane offset
+// (⌊dy/ph⌋, ⌊dx/pw⌋); with one phase per axis that is the channel's plane at
+// (dy, dx) itself.
 func (v *convView[T]) tap(p int) convTap[T] {
 	khw := v.s.KH * v.s.KW
 	ch, r := p/khw, p%khw
-	t := convTap[T]{plane: v.img[ch*v.h*v.w : (ch+1)*v.h*v.w], top: r/v.s.KW - v.s.PadH, base: r%v.s.KW - v.s.PadW}
-	t.oyLo, t.oyHi = validOx(t.top, v.s.StrideH, v.h, v.oh)
-	t.oxLo, t.oxHi = validOx(t.base, v.s.StrideW, v.w, v.ow)
+	dy, dx := r/v.s.KW-v.s.PadH, r%v.s.KW-v.s.PadW
+	py, px := (dy%v.ph+v.ph)%v.ph, (dx%v.pw+v.pw)%v.pw
+	pl := (ch*v.ph+py)*v.pw + px
+	t := convTap[T]{plane: v.planes[pl*v.h*v.w : (pl+1)*v.h*v.w], top: (dy - py) / v.ph, base: (dx - px) / v.pw}
+	t.oyLo, t.oyHi = validOx(t.top, v.sh, v.h, v.oh)
+	t.oxLo, t.oxHi = validOx(t.base, v.sw, v.w, v.ow)
 	return t
 }
 
@@ -237,12 +324,19 @@ func (r *panelRow[T]) fill(j, n int, v T) {
 	}
 }
 
-// gather sets r's columns [j, j+n) to src read at the view's column stride:
-// a copy for stride 1 (SqueezeNet's 3×3 expands), a branch-free strided
-// gather otherwise (the stem).
+// gather sets r's columns [j, j+n) to src read at the view's column step: a
+// copy for step 1 (SqueezeNet's 3×3 expands, and the stem through its phase
+// planes), a branch-free strided gather otherwise.
 func (v *convView[T]) gather(r *panelRow[T], j, n int, src []T) {
-	stride := v.s.StrideW
+	stride := v.sw
 	for n > 0 {
+		if full := n >> r.shift; full > 0 && stride == 1 && v.spread != nil && j&(1<<r.shift-1) == 0 {
+			// Whole panels ahead: one call spreads the source across them.
+			nr := 1 << r.shift
+			v.spread(r.dst[j>>r.shift*r.step:], r.step, src, nr, nr, full)
+			j, n, src = j+full*nr, n-full*nr, src[full*nr:]
+			continue
+		}
 		d := r.run(j, n)
 		if stride == 1 {
 			copy(d, src)
@@ -253,6 +347,23 @@ func (v *convView[T]) gather(r *panelRow[T], j, n int, src []T) {
 		if n -= len(d); n > 0 {
 			src = src[len(d)*stride:]
 		}
+	}
+}
+
+// copyRuns copies `runs` runs of n elements, run i from src[i*srcStep:] to
+// dst[i*dstStep:] — the inner loop of both panel packers: one contiguous
+// source row spread across the same row of consecutive panels (gather), or
+// one panel's rows collected from a row-major matrix (packB). The vector body
+// covers the two FP32 panel widths, 16 and 32, without a memmove call per
+// run.
+func copyRuns(dst []float32, dstStep int, src []float32, srcStep, n, runs int) {
+	if haveQuantASM && (n == 16 || n == 32) {
+		_, _ = dst[(runs-1)*dstStep+n-1], src[(runs-1)*srcStep+n-1]
+		copyRunsF32(&dst[0], int64(dstStep), &src[0], int64(srcStep), int64(n), int64(runs))
+		return
+	}
+	for i := 0; i < runs; i++ {
+		copy(dst[i*dstStep:i*dstStep+n], src[i*srcStep:])
 	}
 }
 
@@ -299,16 +410,16 @@ func (v *convView[T]) row(dst []T, p, j0 int) {
 // packConvPanels, a plain staging row for the quantized quad transposer).
 //
 // Columns whose input row falls outside the plane are fill. The rest are
-// gathered one output row at a time, each row's valid run from one input row
+// gathered one output row at a time, each row's valid run from one plane row
 // — or, when an output row's step through the plane equals its length in
-// source elements (StrideH·w = StrideW·ow, every "same" 3×3), all rows at
-// once: the source index is then StrideW·column + constant across row
-// boundaries too, and one gather writes every run, with in-plane neighbours
-// at the padding columns. Those columns are stamped with fill last, one
-// strided pass per padding column.
+// source elements (sh·w = sw·ow: every "same" 3×3, and every phase-plane
+// view), all rows at once: the source index is then sw·column + constant
+// across row boundaries too, and one gather writes every run, with in-plane
+// neighbours at the padding columns. Those columns are stamped with fill
+// last, one strided pass per padding column.
 func (v *convView[T]) walk(r *panelRow[T], p, j0, nc int) {
 	t := v.tap(p)
-	sh, sw, ow := v.s.StrideH, v.s.StrideW, v.ow
+	sh, sw, ow := v.sh, v.sw, v.ow
 	// Slots [a, b): the block's columns whose input row exists.
 	a := min(max(t.oyLo*ow-j0, 0), nc)
 	b := max(min(t.oyHi*ow-j0, nc), a)
@@ -386,39 +497,96 @@ func panicEmptyOutput(fn string, inShape []int, kh, kw, padH, padW int) {
 // result lands in channels [chOff, chOff+OutC), which lets callers write
 // branch outputs (SqueezeNet's expand pair) directly into their concatenated
 // destination. When relu is set, max(0,·) is fused with the bias addition.
+// It is ConvStage.ForwardInto without packed weights or a pool.
+func ConvForwardInto(x *Tensor, w, b []float32, s ConvSpec, y *Tensor, chOff int, relu bool) {
+	st := ConvStage{Spec: s, W: w, Bias: b, ReLU: relu}
+	st.forwardInto("ConvForwardInto", x, y, chOff)
+}
+
+// ConvStage is one inference-time convolution stage: the convolution, its
+// bias, and optionally the ReLU and the unpadded max pool that follow it,
+// computed as one pass.
+type ConvStage struct {
+	Spec ConvSpec
+	W    []float32 // [OutC, InC*KH*KW] flattened
+	// Packed, when set, is PackWeights(W, OutC, InC*KH*KW): the forward GEMM
+	// then packs no weights. The caller keeps it in step with W.
+	Packed *PackedWeights
+	Bias   []float32 // [OutC], may be nil
+	ReLU   bool
+	// Pool, when K > 0, is a max pool (Pad must be 0) applied to the
+	// convolution's biased, clamped output, which is then never
+	// materialized: ForwardInto's y is the pooled tensor.
+	Pool PoolSpec
+}
+
+// ForwardInto runs the stage on x ([N,InC,H,W]) into channels
+// [chOff, chOff+OutC) of y ([N, dstC, outH, outW], the stage's output size:
+// the convolution's, or the pool's of it).
 //
 // Each image is one GEMM whose B operand is the image itself: as the dense
 // [InC, H*W] matrix for 1×1/stride-1/unpadded convolutions, as a convView
-// otherwise. Bias and ReLU run as the GEMM's epilogue, per cache-resident
-// column block (see gemmBlocked).
-func ConvForwardInto(x *Tensor, w, b []float32, s ConvSpec, y *Tensor, chOff int, relu bool) {
+// otherwise — on phase planes when the convolution is strided. Bias, ReLU
+// and the pool run as the GEMM's epilogue, per cache-resident column block
+// (see gemmBlocked). The result is bit for bit what ConvForwardInto followed
+// by MaxPoolForwardInto computes.
+func (st *ConvStage) ForwardInto(x, y *Tensor, chOff int) {
+	st.forwardInto("ConvStage.ForwardInto", x, y, chOff)
+}
+
+// forwardInto is ForwardInto reporting misuse under the entry point's name.
+func (st *ConvStage) forwardInto(fn string, x, y *Tensor, chOff int) {
+	s := st.Spec
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := s.OutSize(h, wd)
 	if oh == 0 || ow == 0 {
-		panicEmptyOutput("ConvForwardInto", x.Shape, s.KH, s.KW, s.PadH, s.PadW)
+		panicEmptyOutput(fn, x.Shape, s.KH, s.KW, s.PadH, s.PadW)
 	}
-	spatial := oh * ow
+	ep := gemmEpilogue{bias: st.Bias, relu: st.ReLU}
+	outH, outW := oh, ow
+	if st.Pool.K > 0 {
+		if st.Pool.Pad != 0 {
+			panic(fmt.Sprintf("tensor: %s: fused pool %+v must be unpadded", fn, st.Pool))
+		}
+		outH, outW = st.Pool.OutSize(oh, ow)
+		if outH == 0 || outW == 0 {
+			panicEmptyOutput(fn, []int{n, s.OutC, oh, ow}, st.Pool.K, st.Pool.K, 0, 0)
+		}
+		ep.pool = poolSink{spec: st.Pool, ow: ow, poh: outH, pow: outW}
+	}
+	spatial := outH * outW
 	dstC := y.Shape[1]
-	if y.Shape[0] != n || y.Shape[2] != oh || y.Shape[3] != ow || chOff+s.OutC > dstC {
-		panic(fmt.Sprintf("tensor: ConvForwardInto: output shape %v cannot hold [%d,%d,%d,%d] at channel offset %d",
-			y.Shape, n, s.OutC, oh, ow, chOff))
+	if y.Shape[0] != n || y.Shape[2] != outH || y.Shape[3] != outW || chOff+s.OutC > dstC {
+		panic(fmt.Sprintf("tensor: %s: output shape %v cannot hold [%d,%d,%d,%d] at channel offset %d",
+			fn, y.Shape, n, s.OutC, outH, outW, chOff))
 	}
 	k := s.InC * s.KH * s.KW
-	if c != s.InC || len(w) < s.OutC*k {
-		panic(fmt.Sprintf("tensor: ConvForwardInto: input %v / %d weights do not match spec %+v", x.Shape, len(w), s))
+	if c != s.InC || len(st.W) < s.OutC*k {
+		panic(fmt.Sprintf("tensor: %s: input %v / %d weights do not match spec %+v", fn, x.Shape, len(st.W), s))
 	}
-	ep := gemmEpilogue{bias: b, relu: relu}
-	view := convView[float32]{h: h, w: wd, s: s, oh: oh, ow: ow, strided: gatherF32}
+	a := gemmA{data: st.W, pack: st.Packed}
+	view := newConvView(h, wd, s, 0, gatherF32)
+	view.spread = copyRuns
+	var phases *[]float32
+	if pl := view.phaseLen(); pl > 0 {
+		phases = GetScratch(pl)
+		view.usePhases(*phases)
+	}
 	for i := 0; i < n; i++ {
 		img := x.Data[i*c*h*wd : (i+1)*c*h*wd]
 		out := y.Data[(i*dstC+chOff)*spatial : (i*dstC+chOff)*spatial+s.OutC*spatial]
 		bop := gemmB{data: img}
 		if !s.is1x1Fast() {
-			view.img = img
+			view.setImage(img)
 			bop = gemmB{conv: &view}
 		}
-		clear(out)
-		gemmDispatch(w, bop, out, s.OutC, k, spatial, false, ep)
+		if ep.pool.active() {
+			ep.pool.dst, out = out, nil
+		}
+		gemmDispatch(a, bop, out, s.OutC, k, oh*ow, false, ep)
+	}
+	if phases != nil {
+		PutScratch(phases)
 	}
 }
 

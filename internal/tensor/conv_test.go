@@ -263,6 +263,25 @@ var (
 // BenchmarkConvStem224 is the paper net's stem: 7×7/2 over 224×224×4.
 func BenchmarkConvStem224(b *testing.B) { benchConvStage(b, stemSpec, 224) }
 
+// BenchmarkConvStemPool224 is the paper net's whole first stage as inference
+// runs it: the stem with packed weights, ReLU and the 3×3/2 pool fused into
+// its epilogue — what BenchmarkConvStem224 plus BenchmarkMaxPool112x96 cost
+// before the two were one pass.
+func BenchmarkConvStemPool224(b *testing.B) {
+	rng := rand.New(rand.NewSource(31))
+	s, p := stemSpec, PoolSpec{K: 3, Stride: 2}
+	x := FromSlice(randSlice(rng, s.InC*224*224), 1, s.InC, 224, 224)
+	w := randSlice(rng, s.OutC*s.InC*s.KH*s.KW)
+	st := ConvStage{Spec: s, W: w, Packed: PackWeights(w, s.OutC, s.InC*s.KH*s.KW), Bias: randSlice(rng, s.OutC), ReLU: true, Pool: p}
+	oh, ow := s.OutSize(224, 224)
+	oh, ow = p.OutSize(oh, ow)
+	y := New(1, s.OutC, oh, ow)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.ForwardInto(x, y, 0)
+	}
+}
+
 // BenchmarkConvExpand3x3_13 is the last fire pair's 3×3 expand at 13×13.
 func BenchmarkConvExpand3x3_13(b *testing.B) { benchConvStage(b, expand3x3Spec, 13) }
 

@@ -78,8 +78,16 @@ func convCases(rng *rand.Rand) []convCase {
 		convCase{s: ConvSpec{InC: 3, OutC: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h: 66, w: 66, bias: true},
 		// A column stride with the row stride 1: rows of 20 from 40 inputs.
 		convCase{s: ConvSpec{InC: 5, OutC: 12, KH: 3, KW: 4, StrideH: 1, StrideW: 2, PadH: 1, PadW: 1}, h: 21, w: 40, relu: true, chOff: 3},
+		// Phase-plane views (see phaseCases): the stem's shape on an even
+		// plane, stride 3 on a width with a short last phase, a row stride
+		// alone — and a stride 2 whose output rows are one short of a phase
+		// plane's, which must stay on the per-row gathers.
+		convCase{s: ConvSpec{InC: 3, OutC: 16, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, h: 38, w: 40, relu: true, bias: true},
+		convCase{s: ConvSpec{InC: 2, OutC: 11, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, h: 29, w: 31, bias: true, chOff: 2},
+		convCase{s: ConvSpec{InC: 4, OutC: 9, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}, h: 33, w: 36, relu: true},
+		convCase{s: ConvSpec{InC: 4, OutC: 9, KH: 3, KW: 3, StrideH: 2, StrideW: 2}, h: 40, w: 40, relu: true, bias: true},
 	)
-	for len(cases) < 163 {
+	for len(cases) < 167 {
 		cc := convCase{
 			s: ConvSpec{
 				InC: 1 + rng.Intn(4), OutC: 1 + rng.Intn(20),
@@ -98,6 +106,17 @@ func convCases(rng *rand.Rand) []convCase {
 	return cases
 }
 
+// fp32Tiers lists the FP32 kernel tiers this CPU can run, the active one
+// first: an AVX-512 part also runs the 6×16 tile. Tests install one with
+// gemmTier = tier and restore the active tier when done.
+func fp32Tiers() []gemmTierT {
+	tiers := []gemmTierT{gemmTier}
+	if gemmTier.kind == tierKind8x32 {
+		tiers = append(tiers, gemmTierT{name: "avx2-6x16", kind: tierKind6x16, mr: mrTile, nr: nrTile, mc: mcBlock})
+	}
+	return tiers
+}
+
 // TestConvDirectPackMatchesIm2colGemm is the forward convolution's
 // differential test: ConvForwardInto, which packs GEMM panels straight from
 // the image and finishes each column block with the fused epilogue, must
@@ -107,10 +126,7 @@ func convCases(rng *rand.Rand) []convCase {
 func TestConvDirectPackMatchesIm2colGemm(t *testing.T) {
 	active := gemmTier
 	defer func() { gemmTier = active }()
-	tiers := []gemmTierT{active}
-	if active.kind == tierKind8x32 {
-		tiers = append(tiers, gemmTierT{name: "avx2-6x16", kind: tierKind6x16, mr: mrTile, nr: nrTile, mc: mcBlock})
-	}
+	tiers := fp32Tiers()
 	const batch = 3
 	sentinel := float32(math.Inf(1))
 	for _, tier := range tiers {
@@ -131,6 +147,23 @@ func TestConvDirectPackMatchesIm2colGemm(t *testing.T) {
 			y := New(batch, dstC, oh, ow)
 			y.Fill(sentinel)
 			ConvForwardInto(x, wt, bias, s, y, cc.chOff, cc.relu)
+
+			// Weights packed once must give what packing per call gives —
+			// also when they were packed for another tier's tile height and
+			// the driver has to set them aside.
+			for _, packTier := range tiers {
+				gemmTier = packTier
+				st := ConvStage{Spec: s, W: wt, Packed: PackWeights(wt, s.OutC, k), Bias: bias, ReLU: cc.relu}
+				gemmTier = tier
+				yp := New(batch, dstC, oh, ow)
+				yp.Fill(sentinel)
+				st.ForwardInto(x, yp, cc.chOff)
+				for e := range y.Data {
+					if math.Float32bits(yp.Data[e]) != math.Float32bits(y.Data[e]) {
+						t.Fatalf("%s: packed under %s: y[%d]=%v, packed per call %v", name, packTier.name, e, yp.Data[e], y.Data[e])
+					}
+				}
+			}
 
 			im2col := make([]float32, k*n)
 			want := make([]float32, s.OutC*n)
@@ -218,10 +251,10 @@ func TestMaxPoolMatchesWindowScan(t *testing.T) {
 	}
 }
 
-// TestVectorHelpersMatchScalar pins the three FP32 row helpers to their
-// scalar definitions bit for bit — NaN, -0 and ±Inf included — at every
-// length from below one vector to past several, so the vector bodies, their
-// ragged ends and the portable loops cannot drift apart.
+// TestVectorHelpersMatchScalar pins the FP32 row helpers to their scalar
+// definitions bit for bit — NaN, -0 and ±Inf included — at every length from
+// below one vector to past several, so the vector bodies, their ragged ends
+// and the portable loops cannot drift apart.
 func TestVectorHelpersMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	special := []float32{float32(math.NaN()), float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1))}
@@ -240,6 +273,21 @@ func TestVectorHelpersMatchScalar(t *testing.T) {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("%s n=%d: [%d]=%v (%#x), want %v (%#x)", name, n, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 			}
+		}
+	}
+	// copyRuns at both vector widths and one it has no body for; elements
+	// between the destination runs must stay as they were.
+	for _, n := range []int{16, 32, 24} {
+		for runs := 1; runs <= 5; runs++ {
+			dstStep, srcStep := n+9, n+rng.Intn(3)*7
+			src := draw((runs-1)*srcStep + n)
+			got := draw((runs-1)*dstStep + n)
+			want := append([]float32(nil), got...)
+			for i := 0; i < runs; i++ {
+				copy(want[i*dstStep:i*dstStep+n], src[i*srcStep:])
+			}
+			copyRuns(got, dstStep, src, srcStep, n, runs)
+			same(fmt.Sprintf("copyRuns runs=%d steps %d,%d", runs, dstStep, srcStep), n, got, want)
 		}
 	}
 	for n := 1; n <= 41; n++ {
@@ -319,7 +367,9 @@ func TestQConvDirectPackMatchesOracle(t *testing.T) {
 			for i := range y {
 				y[i] = sentinel
 			}
-			QConvForwardInto(x, batch, h, w, wq, s, zp, rq, y, dstC, cc.chOff)
+			// Weights packed once for the requantized product, per call (a
+			// QWeights without panels, as QGemm builds) for the raw one.
+			QConvForwardInto(x, batch, h, w, PackQWeights(wq, s.OutC, k), s, zp, rq, y, dstC, cc.chOff)
 
 			acc := make([]int32, s.OutC*n)
 			lo := int32(0)
@@ -329,7 +379,7 @@ func TestQConvDirectPackMatchesOracle(t *testing.T) {
 			for i := 0; i < batch; i++ {
 				img := x[i*il : (i+1)*il]
 				want := qgemmRef(wq, oracleCol(img, s.InC, h, w, s, zp), s.OutC, k, n)
-				QConvAcc(img, h, w, wq, s, zp, acc)
+				QConvAcc(img, h, w, QWeights{data: wq, m: s.OutC, k: k}, s, zp, acc)
 				for e := range want {
 					if acc[e] != want[e] {
 						t.Fatalf("%s: QConvAcc[%d,%d,%d]=%d, want %d", name, i, e/n, e%n, acc[e], want[e])
@@ -476,6 +526,266 @@ func TestByteHelpersMatchScalar(t *testing.T) {
 							t.Fatalf("%s maxU8Into n=%d k=%d stride=%d: [%d]=%d want %d", tier.name, n, k, stride, i, got[i], want)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// phaseCases are convolutions drawn for the phase-plane view: phased says
+// whether convView.phaseLen must take it (strided, and a phase plane exactly
+// one output row wide) or leave the convolution on the per-row gathers.
+var phaseCases = []struct {
+	s      ConvSpec
+	h, w   int
+	phased bool
+}{
+	// The stem's 7×7/2 pad 3 on even and on odd planes (odd: the later
+	// phases are a row and a column short, and must read as padding there).
+	{ConvSpec{InC: 3, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 38, 40, true},
+	{ConvSpec{InC: 3, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 37, 41, true},
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 9, 33, true},
+	// Stride 3 on every w%3.
+	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, 30, 30, true},
+	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, 29, 31, true},
+	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, 31, 32, true},
+	// One axis strided, and the two at different strides.
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}, 21, 36, true},
+	{ConvSpec{InC: 2, KH: 3, KW: 4, StrideH: 1, StrideW: 2, PadH: 1, PadW: 1}, 21, 40, true},
+	{ConvSpec{InC: 2, KH: 4, KW: 5, StrideH: 3, StrideW: 2, PadH: 1, PadW: 2}, 20, 35, true},
+	// Padding past the kernel: taps whose offset is below -stride.
+	{ConvSpec{InC: 1, KH: 2, KW: 3, StrideH: 2, StrideW: 2, PadH: 3, PadW: 1}, 12, 18, true},
+	// Output rows narrower or wider than a phase plane: no linear path, so
+	// the view stays on the image.
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 2}, 40, 40, false},
+	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 2, StrideW: 2}, 21, 33, false},
+	{ConvSpec{InC: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 20, 40, false},
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 3, StrideW: 3, PadH: 0, PadW: 3}, 20, 30, false},
+	// Unstrided: nothing to de-interleave.
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 13, 17, false},
+}
+
+// checkPhaseView compares every way the drivers read a view — whole rows,
+// rows from the middle of an output row, and (via panels, for float32) the
+// packed micro-panels at both tile widths — with the oracle's column matrix,
+// for a batch of three images bound to the view one after the other.
+func checkPhaseView[T pixel](t *testing.T, name string, s ConvSpec, h, w int, phased bool, fill T, strided func(dst, src []T, stride int),
+	draw func(n int) []T, panels func(v *convView[T], col []T, k, n int)) {
+	t.Helper()
+	view := newConvView(h, w, s, fill, strided)
+	if got := view.phaseLen() > 0; got != phased {
+		t.Fatalf("%s: phaseLen()=%d, want phased=%v", name, view.phaseLen(), phased)
+	}
+	if phased {
+		buf := draw(view.phaseLen()) // stale planes from a previous image
+		view.usePhases(buf)
+	}
+	k, n := s.InC*s.KH*s.KW, view.oh*view.ow
+	for img := 0; img < 3; img++ {
+		x := draw(s.InC * h * w)
+		col := oracleCol(x, s.InC, h, w, s, fill)
+		view.setImage(x)
+		for _, j0 := range []int{0, 5 % n, view.ow % n} {
+			row := make([]T, n-j0)
+			for p := 0; p < k; p++ {
+				view.row(row, p, j0)
+				for j, g := range row {
+					if g != col[p*n+j0+j] {
+						t.Fatalf("%s image %d: row %d col %d = %v, oracle %v", name, img, p, j0+j, g, col[p*n+j0+j])
+					}
+				}
+			}
+		}
+		if panels != nil {
+			panels(&view, col, k, n)
+		}
+	}
+}
+
+// TestPhaseViewMatchesOracle pins the phase-plane conv view — the image
+// de-interleaved once, every tap then read at step 1 — to the oracle's column
+// matrix bit for bit, on float32 and on uint8 with a non-zero fill, with the
+// vector gathers on and off, for strides 2 and 3 on odd and even planes, and
+// checks that shapes without the linear path stay on the per-row walk (which
+// the same comparison covers).
+func TestPhaseViewMatchesOracle(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	for _, tier := range quantTiers() {
+		if tier.vnni {
+			continue // same row helpers as the AVX2 tier
+		}
+		useQuantTier(tier)
+		rng := rand.New(rand.NewSource(47))
+		for ci, pc := range phaseCases {
+			name := fmt.Sprintf("%s case %d %+v on %dx%d", tier.name, ci, pc.s, pc.h, pc.w)
+			// Compared with ==, so no NaN; -0 never appears (fill is +0).
+			checkPhaseView(t, name+" f32", pc.s, pc.h, pc.w, pc.phased, 0, gatherF32,
+				func(n int) []float32 { return randSlice(rng, n) },
+				func(v *convView[float32], col []float32, k, n int) {
+					for _, nr := range []int{16, 32} {
+						j0 := v.ow % n
+						nc := n - j0
+						padded := (nc + nr - 1) / nr * nr
+						buf := randSlice(rng, padded*k)
+						packConvPanels(v, buf, 0, k, j0, nc, nr)
+						for p := 0; p < k; p++ {
+							for j := 0; j < padded; j++ {
+								var want float32
+								if j < nc {
+									want = col[p*n+j0+j]
+								}
+								if got := buf[j/nr*nr*k+p*nr+j%nr]; math.Float32bits(got) != math.Float32bits(want) {
+									t.Fatalf("%s: nr=%d panel row %d col %d = %v, oracle %v", name, nr, p, j, got, want)
+								}
+							}
+						}
+					}
+				})
+			checkPhaseView(t, name+" u8", pc.s, pc.h, pc.w, pc.phased, 17, gatherU8,
+				func(n int) []uint8 {
+					b := make([]uint8, n)
+					for i := range b {
+						b[i] = uint8(rng.Intn(256))
+					}
+					return b
+				}, nil)
+		}
+	}
+}
+
+// TestConvPoolFusedMatchesConvThenPool is the fused stage's differential
+// test: ConvStage with a Pool — the blocked driver handing whole output rows
+// to the pooling epilogue, which carries the rows a window overhangs from one
+// block to the next — must equal ConvForwardInto followed by
+// MaxPoolForwardInto bit for bit. Cases put block boundaries on and off a
+// pooled row for pools 3/2 and 2/2, run k past one kcBlock, rows wider than
+// one ncBlock, a stride above the window, the pointwise and the unblocked
+// paths; each with batch 3, under every FP32 tier, weights packed and not.
+func TestConvPoolFusedMatchesConvThenPool(t *testing.T) {
+	active := gemmTier
+	defer func() { gemmTier = active }()
+	tiers := fp32Tiers()
+	stem := ConvSpec{InC: 3, OutC: 10, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}
+	deep := ConvSpec{InC: 32, OutC: 9, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1} // k = 288 > kcBlock
+	cases := []struct {
+		s    ConvSpec
+		h, w int
+		p    PoolSpec
+	}{
+		// ow = 48: blocks of 42 rows. Row 42 starts a 2/2 and a 3/2 window;
+		// the 3/2 window from row 40 straddles the boundary.
+		{stem, 100, 96, PoolSpec{K: 3, Stride: 2}},
+		{stem, 100, 96, PoolSpec{K: 2, Stride: 2}},
+		// ow = 96: blocks of 21 rows, so the first boundary falls inside a
+		// 2/2 window as well and the second starts one.
+		{stem, 100, 192, PoolSpec{K: 3, Stride: 2}},
+		{stem, 100, 192, PoolSpec{K: 2, Stride: 2}},
+		// An odd ow = 47 shares no factor with the panel width: blocks of 32
+		// rows keep every panel but the last whole.
+		{stem, 99, 93, PoolSpec{K: 3, Stride: 2}},
+		// Three blocks (32 or 40 rows by tier) and two k-blocks, the second
+		// of which an edge tile sums apart: the panels must sit where the
+		// unfused product's do.
+		{deep, 90, 50, PoolSpec{K: 3, Stride: 2}},
+		{deep, 90, 50, PoolSpec{K: 2, Stride: 2}},
+		// Stride above the window: rows between windows are skipped.
+		{deep, 90, 50, PoolSpec{K: 2, Stride: 3}},
+		// Overlapping windows at stride 1.
+		{stem, 100, 96, PoolSpec{K: 3, Stride: 1}},
+		// Rows wider than ncBlock: one row a block, K-1 carried each time.
+		{ConvSpec{InC: 1, OutC: 4, KH: 1, KW: 3, StrideH: 1, StrideW: 1, PadW: 1}, 7, 2100, PoolSpec{K: 3, Stride: 2}},
+		// The pointwise conv's dense operand.
+		{ConvSpec{InC: 8, OutC: 6, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, 60, 40, PoolSpec{K: 2, Stride: 2}},
+		// Small enough for the unblocked product.
+		{ConvSpec{InC: 1, OutC: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 6, 7, PoolSpec{K: 2, Stride: 2}},
+		// The window covers the whole output: one pooled element a plane.
+		{ConvSpec{InC: 2, OutC: 40, KH: 3, KW: 3, StrideH: 1, StrideW: 1}, 5, 5, PoolSpec{K: 3, Stride: 2}},
+	}
+	const batch, chOff = 3, 2
+	sentinel := float32(math.Inf(1))
+	for _, tier := range tiers {
+		gemmTier = tier
+		rng := rand.New(rand.NewSource(48))
+		for ci, cc := range cases {
+			s := cc.s
+			name := fmt.Sprintf("%s case %d %+v on %dx%d pool %+v", tier.name, ci, s, cc.h, cc.w, cc.p)
+			oh, ow := s.OutSize(cc.h, cc.w)
+			poh, pow := cc.p.OutSize(oh, ow)
+			k := s.InC * s.KH * s.KW
+			x := FromSlice(randSlice(rng, batch*s.InC*cc.h*cc.w), batch, s.InC, cc.h, cc.w)
+			wt := randSlice(rng, s.OutC*k)
+			bias := randSlice(rng, s.OutC)
+			relu := ci%3 != 2
+
+			full := New(batch, s.OutC, oh, ow)
+			ConvForwardInto(x, wt, bias, s, full, 0, relu)
+			want := New(batch, s.OutC, poh, pow)
+			MaxPoolForwardInto(full, cc.p, want)
+
+			for _, packed := range []*PackedWeights{nil, PackWeights(wt, s.OutC, k)} {
+				st := ConvStage{Spec: s, W: wt, Packed: packed, Bias: bias, ReLU: relu, Pool: cc.p}
+				dstC := chOff + s.OutC + 1
+				got := New(batch, dstC, poh, pow)
+				got.Fill(sentinel)
+				st.ForwardInto(x, got, chOff)
+				for i := 0; i < batch; i++ {
+					for ch := 0; ch < dstC; ch++ {
+						for j := 0; j < poh*pow; j++ {
+							wv := sentinel // channels outside [chOff, chOff+OutC) stay untouched
+							if oc := ch - chOff; oc >= 0 && oc < s.OutC {
+								wv = want.Data[(i*s.OutC+oc)*poh*pow+j]
+							}
+							if g := got.Data[(i*dstC+ch)*poh*pow+j]; math.Float32bits(g) != math.Float32bits(wv) {
+								t.Fatalf("%s packed=%v: y[%d,%d,%d,%d]=%v (%#x), conv then pool %v (%#x)",
+									name, packed != nil, i, ch, j/pow, j%pow, g, math.Float32bits(g), wv, math.Float32bits(wv))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmOverwritesWithoutClearing pins the store-first-k-block contract on
+// both engines: Gemm and QGemm into a buffer full of garbage must equal the
+// accumulating product onto zeros, bit for bit — full tiles, edge tiles, one
+// k-block and several, and the unblocked path — under every tier.
+func TestGemmOverwritesWithoutClearing(t *testing.T) {
+	active := gemmTier
+	defer func() { gemmTier = active }()
+	defer useQuantTier(currentQuantTier())
+	tiers := fp32Tiers()
+	shapes := [][3]int{{3, 5, 7}, {8, 19, 32}, {9, 19, 33}, {13, 300, 70}, {140, 40, 2100}, {64, 600, 50}}
+	rng := rand.New(rand.NewSource(49))
+	for _, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, b := randSlice(rng, m*k), randSlice(rng, k*n)
+		for _, tier := range tiers {
+			gemmTier = tier
+			want := make([]float32, m*n)
+			GemmAcc(a, b, want, m, k, n)
+			got := randSlice(rng, m*n)
+			got[0] = float32(math.NaN())
+			Gemm(a, b, got, m, k, n)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s %dx%dx%d: c[%d]=%v over garbage, %v onto zeros", tier.name, m, k, n, i, got[i], want[i])
+				}
+			}
+		}
+		qa, qb := randQOperands(rng, m, k, n)
+		want := qgemmRef(qa, qb, m, k, n)
+		for _, tier := range quantTiers() {
+			useQuantTier(tier)
+			got := make([]int32, m*n)
+			for i := range got {
+				got[i] = rng.Int31()
+			}
+			QGemm(qa, qb, got, m, k, n)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s %dx%dx%d: c[%d]=%d over garbage, want %d", tier.name, m, k, n, i, got[i], want[i])
 				}
 			}
 		}

@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // Blocked-GEMM tuning knobs (see PERFORMANCE.md for the derivation):
 //
 //   - mrTile×nrTile is the base register-blocked micro-kernel footprint. On
@@ -69,8 +71,7 @@ func Gemm(a, b, c []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("tensor: Gemm buffer too small")
 	}
-	clear(c[:m*n])
-	gemmDispatch(a, gemmB{data: b}, c, m, k, n, false, gemmEpilogue{})
+	gemmDispatch(gemmA{data: a}, gemmB{data: b}, c, m, k, n, false, gemmEpilogue{})
 }
 
 // GemmAcc computes C += A×B with the same layout as Gemm.
@@ -78,7 +79,7 @@ func GemmAcc(a, b, c []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("tensor: GemmAcc buffer too small")
 	}
-	gemmDispatch(a, gemmB{data: b}, c, m, k, n, false, gemmEpilogue{})
+	gemmDispatch(gemmA{data: a}, gemmB{data: b}, c, m, k, n, true, gemmEpilogue{})
 }
 
 // GemmTA computes C = Aᵀ×B where A is stored K×M (so Aᵀ is M×K), B is K×N,
@@ -87,8 +88,7 @@ func GemmTA(a, b, c []float32, m, k, n int) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic("tensor: GemmTA buffer too small")
 	}
-	clear(c[:m*n])
-	gemmDispatch(a, gemmB{data: b}, c, m, k, n, true, gemmEpilogue{})
+	gemmDispatch(gemmA{data: a, trans: true}, gemmB{data: b}, c, m, k, n, false, gemmEpilogue{})
 }
 
 // GemmTAAcc computes C += Aᵀ×B with A stored K×M.
@@ -96,7 +96,7 @@ func GemmTAAcc(a, b, c []float32, m, k, n int) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic("tensor: GemmTA buffer too small")
 	}
-	gemmDispatch(a, gemmB{data: b}, c, m, k, n, true, gemmEpilogue{})
+	gemmDispatch(gemmA{data: a, trans: true}, gemmB{data: b}, c, m, k, n, true, gemmEpilogue{})
 }
 
 // GemmTB computes C = A×Bᵀ where A is M×K, B is stored N×K, C is M×N.
@@ -104,8 +104,7 @@ func GemmTB(a, b, c []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("tensor: GemmTB buffer too small")
 	}
-	clear(c[:m*n])
-	gemmDispatch(a, gemmB{data: b, trans: true}, c, m, k, n, false, gemmEpilogue{})
+	gemmDispatch(gemmA{data: a}, gemmB{data: b, trans: true}, c, m, k, n, false, gemmEpilogue{})
 }
 
 // GemmTBAcc computes C += A×Bᵀ with B stored N×K.
@@ -113,7 +112,44 @@ func GemmTBAcc(a, b, c []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("tensor: GemmTB buffer too small")
 	}
-	gemmDispatch(a, gemmB{data: b, trans: true}, c, m, k, n, false, gemmEpilogue{})
+	gemmDispatch(gemmA{data: a}, gemmB{data: b, trans: true}, c, m, k, n, true, gemmEpilogue{})
+}
+
+// gemmA is the A operand of a product: a dense row-major matrix (stored M×K,
+// or K×M when trans), with — when pack is set — its micro-panels already
+// built (see PackWeights), so the blocked driver packs nothing.
+type gemmA struct {
+	data  []float32
+	trans bool
+	pack  *PackedWeights
+}
+
+// PackedWeights holds an M×K left operand — a convolution's weights — in the
+// blocked driver's micro-panel layout for the kernel tier active when
+// PackWeights ran, so a forward pass stops re-packing the same matrix on
+// every product. It is immutable: share it between goroutines freely, and
+// build a new one when the weights change.
+type PackedWeights struct {
+	m, k int
+	mr   int
+	// panels holds, for each kcBlock of K in turn, packA's output for all M
+	// rows: the block at k offset pc starts at mPad*pc (mPad = M rounded up
+	// to mr), and its rows from ic on — ic a multiple of mr — ic*kc further.
+	panels []float32
+}
+
+// PackWeights packs the row-major m×k matrix w. The result does not alias w.
+func PackWeights(w []float32, m, k int) *PackedWeights {
+	if len(w) < m*k {
+		panic(fmt.Sprintf("tensor: PackWeights: %d weights, want %d×%d", len(w), m, k))
+	}
+	mr := gemmTier.mr
+	mPad := (m + mr - 1) / mr * mr
+	p := &PackedWeights{m: m, k: k, mr: mr, panels: make([]float32, mPad*k)}
+	for pc := 0; pc < k; pc += kcBlock {
+		packA(p.panels[mPad*pc:], w, k, false, 0, m, pc, min(kcBlock, k-pc), mr)
+	}
+	return p
 }
 
 // gemmB is the B operand of a product: a dense row-major matrix (stored K×N,
@@ -125,16 +161,20 @@ type gemmB struct {
 	conv  *convView[float32]
 }
 
-// gemmEpilogue is the per-row bias add and ReLU clamp a convolution applies
-// to its finished product: c = c + bias[row], then max(c, 0) when relu is
-// set. The zero value does nothing.
+// gemmEpilogue is what a convolution does to its finished product: the
+// per-row bias add and ReLU clamp — c = c + bias[row], then max(c, 0) when
+// relu is set — and, when pool is active, the max pool that follows, in which
+// case the product never reaches C (see poolSink). The zero value does
+// nothing.
 type gemmEpilogue struct {
 	bias []float32
 	relu bool
+	pool poolSink
 }
 
-// apply runs the epilogue over columns [j0, j0+nc) of the m×n matrix c.
-func (e gemmEpilogue) apply(c []float32, m, n, j0, nc int) {
+// apply runs the bias and ReLU over columns [j0, j0+nc) of the m-row matrix
+// c, rows ldc apart.
+func (e gemmEpilogue) apply(c []float32, m, ldc, j0, nc int) {
 	if e.bias == nil && !e.relu {
 		return
 	}
@@ -143,7 +183,7 @@ func (e gemmEpilogue) apply(c []float32, m, n, j0, nc int) {
 		if e.bias != nil {
 			bias = e.bias[i]
 		}
-		row := c[i*n+j0 : i*n+j0+nc]
+		row := c[i*ldc+j0 : i*ldc+j0+nc]
 		if e.relu {
 			biasReLU(row, bias)
 		} else {
@@ -174,32 +214,56 @@ func biasReLU(row []float32, bias float32) {
 	}
 }
 
-// gemmDispatch routes a C += op(A)×op(B) product, followed by the epilogue,
-// to the small unblocked loop or the packed blocked kernel. aT means A is
-// stored K×M. At most one of aT/b.trans is set by the public entry points.
-func gemmDispatch(a []float32, b gemmB, c []float32, m, k, n int, aT bool, ep gemmEpilogue) {
-	if m == 0 || k == 0 || n == 0 {
+// gemmDispatch routes the product op(A)×op(B), followed by the epilogue, to
+// the small unblocked loop or the packed blocked kernel: C += product when
+// acc is set, C = product otherwise — without a clearing pass over C: the
+// first k-block's kernels store instead of accumulating. At most one of
+// a.trans/b.trans is set by the public entry points. With a pooling epilogue
+// c is unused and acc must be false.
+func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmEpilogue) {
+	if m == 0 || n == 0 {
 		return
 	}
-	if m*k*n <= gemmSmallThreshold {
-		gemmSmall(a, b, c, m, k, n, aT)
-		ep.apply(c, m, n, 0, n)
+	if k == 0 {
+		if !acc {
+			clear(c[:m*n])
+		}
 		return
 	}
-	gemmBlocked(a, b, c, m, k, n, aT, ep)
+	if m*k*n > gemmSmallThreshold {
+		gemmBlocked(a, b, c, m, k, n, acc, ep)
+		return
+	}
+	ldc := n
+	var fused poolRun
+	if ep.pool.active() {
+		fused = ep.pool.start(m, n/ep.pool.ow)
+		c, ldc = fused.target()
+	}
+	if !acc {
+		for i := 0; i < m; i++ {
+			clear(c[i*ldc : i*ldc+n])
+		}
+	}
+	gemmSmall(a, b, c, ldc, m, k, n)
+	ep.apply(c, m, ldc, 0, n)
+	if ep.pool.active() {
+		fused.emit(n / ep.pool.ow)
+		fused.release()
+	}
 }
 
 // gemmSmall is the unblocked fallback for problems too small to amortize
-// packing. Loop orders match the storage layouts so every inner loop streams
-// contiguously; every C element accumulates its k terms in ascending order
-// whichever loop is outermost.
-func gemmSmall(a []float32, bop gemmB, c []float32, m, k, n int, aT bool) {
-	b := bop.data
+// packing: C (rows ldc apart) += op(A)×op(B). Loop orders match the storage
+// layouts so every inner loop streams contiguously; every C element
+// accumulates its k terms in ascending order whichever loop is outermost.
+func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int) {
+	a, b := aop.data, bop.data
 	if bop.trans {
 		// C[i,j] = dot(A row i, B row j): both contiguous.
 		for i := 0; i < m; i++ {
 			arow := a[i*k : i*k+k]
-			crow := c[i*n : i*n+n]
+			crow := c[i*ldc : i*ldc+n]
 			for j := 0; j < n; j++ {
 				brow := b[j*k : j*k+k]
 				var sum float32
@@ -224,7 +288,7 @@ func gemmSmall(a []float32, bop gemmB, c []float32, m, k, n int, aT bool) {
 				if av == 0 {
 					continue
 				}
-				crow := c[i*n : i*n+n]
+				crow := c[i*ldc : i*ldc+n]
 				for j, bv := range brow {
 					crow[j] += av * bv
 				}
@@ -234,10 +298,10 @@ func gemmSmall(a []float32, bop gemmB, c []float32, m, k, n int, aT bool) {
 		return
 	}
 	for i := 0; i < m; i++ {
-		crow := c[i*n : i*n+n]
+		crow := c[i*ldc : i*ldc+n]
 		for p := 0; p < k; p++ {
 			var av float32
-			if aT {
+			if aop.trans {
 				av = a[p*m+i]
 			} else {
 				av = a[i*k+p]
@@ -254,14 +318,22 @@ func gemmSmall(a []float32, bop gemmB, c []float32, m, k, n int, aT bool) {
 }
 
 // gemmBlocked is the cache-blocked path: loops (jc, pc, ic) over NC/KC/MC
-// blocks, packing B and A into micro-panel layout and running the
-// register-tiled kernel over every (ir, jr) tile. Parallelism fans the column
-// panels of each (ic, pc, jc) block across the worker pool; panels write
-// disjoint regions of C. The epilogue runs over each column block right
-// after its last k-block, while that block of C is still cache-resident.
-func gemmBlocked(a []float32, b gemmB, c []float32, m, k, n int, aT bool, ep gemmEpilogue) {
+// blocks, packing B and (unless a.pack supplies the panels) A into
+// micro-panel layout and running the register-tiled kernel over every
+// (ir, jr) tile. Parallelism fans the column panels of each (ic, pc, jc)
+// block across the worker pool; panels write disjoint regions of C. Unless
+// acc is set, the first k-block's kernels store their tiles instead of
+// adding to C. The epilogue runs over each column block right after its last
+// k-block, while that block of C is still cache-resident.
+//
+// With a pooling epilogue the column blocks are whole output rows of the
+// convolution and land in the pool's row scratch instead of C: each block is
+// biased, clamped and max-pooled while it is cache-resident, so the
+// convolution's full output is never written, swept or read back (see
+// poolRun).
+func gemmBlocked(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmEpilogue) {
 	lda := k
-	if aT {
+	if a.trans {
 		lda = m
 	}
 	ldb := n
@@ -270,6 +342,16 @@ func gemmBlocked(a []float32, b gemmB, c []float32, m, k, n int, aT bool, ep gem
 	}
 	tier := gemmTier
 	mr, nr := tier.mr, tier.nr
+	mPad := (m + mr - 1) / mr * mr
+	var panels []float32
+	if p := a.pack; p != nil {
+		if p.m != m || p.k != k {
+			panic(fmt.Sprintf("tensor: packed weights are %d×%d, product wants %d×%d", p.m, p.k, m, k))
+		}
+		if p.mr == mr { // else packed under another tier (tests swap them): pack per call
+			panels = p.panels
+		}
+	}
 	// Register as a driver so concurrent products split the pool instead of
 	// each fanning to GOMAXPROCS (see gemmWorkerBudget); a budget below 2
 	// goroutines means serial is the faster plan.
@@ -277,9 +359,27 @@ func gemmBlocked(a []float32, b gemmB, c []float32, m, k, n int, aT bool, ep gem
 	defer gemmDrivers.Add(-1)
 	budget := gemmWorkerBudget(drivers)
 	serial := m*k*n < gemmParallelThreshold || budget < 2
-	for jc := 0; jc < n; jc += ncBlock {
-		nc := min(ncBlock, n-jc)
+	step := ncBlock
+	var fused poolRun
+	if ow := ep.pool.ow; ep.pool.active() {
+		// Blocks are whole output rows and, but for the last, whole panels
+		// (ow&-ow is the largest power of two dividing ow, as nr is one): the
+		// product's panels, and with them the columns whose later k-blocks
+		// an edge tile sums apart, then sit exactly where the unfused
+		// product has them, and the two agree bit for bit at any k.
+		unit := nr / min(nr, ow&-ow)
+		blockRows := max(ncBlock/ow/unit, 1) * unit
+		fused = ep.pool.start(m, blockRows)
+		step = blockRows * ow
+	}
+	for jc := 0; jc < n; jc += step {
+		nc := min(step, n-jc)
 		ncPanels := (nc + nr - 1) / nr
+		cblk, cj, ldc := c, jc, n
+		if ep.pool.active() {
+			cblk, ldc = fused.target()
+			cj = 0
+		}
 		for pc := 0; pc < k; pc += kcBlock {
 			kc := min(kcBlock, k-pc)
 			bbufp := GetScratch(ncPanels * nr * kc)
@@ -292,14 +392,21 @@ func gemmBlocked(a []float32, b gemmB, c []float32, m, k, n int, aT bool, ep gem
 			for ic := 0; ic < m; ic += tier.mc {
 				mc := min(tier.mc, m-ic)
 				mcPanels := (mc + mr - 1) / mr
-				abufp := GetScratch(mcPanels * mr * kc)
-				abuf := *abufp
-				packA(abuf, a, lda, aT, ic, mc, pc, kc, mr)
+				var abufp *[]float32
+				var abuf []float32
+				if panels != nil {
+					abuf = panels[mPad*pc+ic*kc:]
+				} else {
+					abufp = GetScratch(mcPanels * mr * kc)
+					abuf = *abufp
+					packA(abuf, a.data, lda, a.trans, ic, mc, pc, kc, mr)
+				}
 				blk := gemmBlock{
-					abuf: abuf, bbuf: bbuf, c: c,
-					ic: ic, jc: jc, kc: kc, mc: mc, nc: nc,
-					mcPanels: mcPanels, n: n,
+					abuf: abuf, bbuf: bbuf, c: cblk,
+					ic: ic, jc: cj, kc: kc, mc: mc, nc: nc,
+					mcPanels: mcPanels, n: ldc,
 					mr: mr, nr: nr, kind: tier.kind,
+					store: !acc && pc == 0,
 				}
 				if serial {
 					for jp := 0; jp < ncPanels; jp++ {
@@ -308,11 +415,19 @@ func gemmBlocked(a []float32, b gemmB, c []float32, m, k, n int, aT bool, ep gem
 				} else {
 					blk.parallel(ncPanels, budget)
 				}
-				PutScratch(abufp)
+				if abufp != nil {
+					PutScratch(abufp)
+				}
 			}
 			PutScratch(bbufp)
 		}
-		ep.apply(c, m, n, jc, nc)
+		ep.apply(cblk, m, ldc, cj, nc)
+		if ep.pool.active() {
+			fused.emit(nc / ep.pool.ow)
+		}
+	}
+	if ep.pool.active() {
+		fused.release()
 	}
 }
 
@@ -325,6 +440,7 @@ type gemmBlock struct {
 	mcPanels, n        int
 	mr, nr             int
 	kind               uint8
+	store              bool // overwrite C with the block product instead of adding to it
 }
 
 // parallel fans the block's column panels across the worker pool, bounded by
@@ -346,16 +462,19 @@ func (g *gemmBlock) panel(jp int) {
 		i := g.ic + ip*mr
 		rows := min(mr, g.mc-ip*mr)
 		if rows == mr && cols == nr {
-			gemmKernelTier(g.kind, g.kc, apanel, bpanel, g.c[i*g.n+j:], g.n)
+			gemmKernelTier(g.kind, g.kc, apanel, bpanel, g.c[i*g.n+j:], g.n, g.store)
 			continue
 		}
-		// Edge tile: run the full-size kernel on a zeroed scratch tile, then
-		// fold the valid region into C.
-		clear(tile[:mr*nr])
-		gemmKernelTier(g.kind, g.kc, apanel, bpanel, tile[:], nr)
+		// Edge tile: the full-size kernel stores into a scratch tile, whose
+		// valid region then replaces or joins C's.
+		gemmKernelTier(g.kind, g.kc, apanel, bpanel, tile[:], nr, true)
 		for r := 0; r < rows; r++ {
 			crow := g.c[(i+r)*g.n+j:]
 			trow := tile[r*nr:]
+			if g.store {
+				copy(crow[:cols], trow)
+				continue
+			}
 			for t := 0; t < cols; t++ {
 				crow[t] += trow[t]
 			}
@@ -431,11 +550,8 @@ func packB(dst, b []float32, ldb int, trans bool, p0, kc, j0, nc, nr int) {
 	for jr := 0; jr < nc; jr += nr {
 		cols := min(nr, nc-jr)
 		if !trans && cols == nr {
-			for p := 0; p < kc; p++ {
-				src := (p0+p)*ldb + j0 + jr
-				copy(dst[di:di+nr], b[src:src+nr])
-				di += nr
-			}
+			copyRuns(dst[di:], nr, b[p0*ldb+j0+jr:], ldb, nr, kc)
+			di += kc * nr
 			continue
 		}
 		for p := 0; p < kc; p++ {
@@ -456,8 +572,14 @@ func packB(dst, b []float32, ldb int, trans bool, p0, kc, j0, nc, nr int) {
 }
 
 // gemmKernelGenericTile is the portable micro-kernel over the packed panels:
-// the mr×nr tile of C at stride ldc accumulates kc outer products.
-func gemmKernelGenericTile(kc int, a, b, ctile []float32, ldc, mr, nr int) {
+// the mr×nr tile of C at stride ldc — cleared first when store is set —
+// accumulates kc outer products.
+func gemmKernelGenericTile(kc int, a, b, ctile []float32, ldc, mr, nr int, store bool) {
+	if store {
+		for r := 0; r < mr; r++ {
+			clear(ctile[r*ldc : r*ldc+nr])
+		}
+	}
 	for p := 0; p < kc; p++ {
 		ap := a[p*mr : p*mr+mr]
 		bp := b[p*nr : p*nr+nr]
@@ -476,12 +598,12 @@ func gemmKernelGenericTile(kc int, a, b, ctile []float32, ldc, mr, nr int) {
 
 // gemmKernelGeneric is the 6×16 instantiation, used on non-amd64 builds and
 // as the runtime fallback when AVX2/FMA is unavailable.
-func gemmKernelGeneric(kc int, a, b, ctile []float32, ldc int) {
-	gemmKernelGenericTile(kc, a, b, ctile, ldc, mrTile, nrTile)
+func gemmKernelGeneric(kc int, a, b, ctile []float32, ldc int, store bool) {
+	gemmKernelGenericTile(kc, a, b, ctile, ldc, mrTile, nrTile, store)
 }
 
 // gemmKernelGeneric8x32 is the 8×32 instantiation — the portable reference
 // the AVX-512F kernel is bit-compared against in tests.
-func gemmKernelGeneric8x32(kc int, a, b, ctile []float32, ldc int) {
-	gemmKernelGenericTile(kc, a, b, ctile, ldc, 8, 32)
+func gemmKernelGeneric8x32(kc int, a, b, ctile []float32, ldc int, store bool) {
+	gemmKernelGenericTile(kc, a, b, ctile, ldc, 8, 32, store)
 }

@@ -4,16 +4,17 @@ package tensor
 
 import "os"
 
-// sgemmKernel6x16 is the FMA micro-kernel in gemm_amd64.s.
+// sgemmKernel6x16 is the FMA micro-kernel in gemm_amd64.s. With store set it
+// overwrites the C tile with the product instead of adding to it.
 //
 //go:noescape
-func sgemmKernel6x16(kc int64, a, b, c *float32, ldc int64)
+func sgemmKernel6x16(kc int64, a, b, c *float32, ldc int64, store bool)
 
 // sgemmKernel8x32 is the AVX-512F micro-kernel in gemm_amd64.s: a 8×32 tile
 // held in 16 ZMM accumulators.
 //
 //go:noescape
-func sgemmKernel8x32(kc int64, a, b, c *float32, ldc int64)
+func sgemmKernel8x32(kc int64, a, b, c *float32, ldc int64, store bool)
 
 //go:noescape
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -90,21 +91,21 @@ func init() {
 
 // gemmKernel runs one packed 6×16 micro-tile update (see gemmKernelGeneric
 // for the semantics), dispatching to the FMA kernel when available.
-func gemmKernel(kc int, a, b, ctile []float32, ldc int) {
+func gemmKernel(kc int, a, b, ctile []float32, ldc int, store bool) {
 	if haveFMA {
-		sgemmKernel6x16(int64(kc), &a[0], &b[0], &ctile[0], int64(ldc))
+		sgemmKernel6x16(int64(kc), &a[0], &b[0], &ctile[0], int64(ldc), store)
 		return
 	}
-	gemmKernelGeneric(kc, a, b, ctile, ldc)
+	gemmKernelGeneric(kc, a, b, ctile, ldc, store)
 }
 
 // gemmKernelTier dispatches one packed micro-tile update by tier kind with
 // direct calls (see gemmTierT for why this is not a func value). The 8×32
 // kind is only ever installed behind detectAVX512.
-func gemmKernelTier(kind uint8, kc int, a, b, ctile []float32, ldc int) {
+func gemmKernelTier(kind uint8, kc int, a, b, ctile []float32, ldc int, store bool) {
 	if kind == tierKind8x32 {
-		sgemmKernel8x32(int64(kc), &a[0], &b[0], &ctile[0], int64(ldc))
+		sgemmKernel8x32(int64(kc), &a[0], &b[0], &ctile[0], int64(ldc), store)
 		return
 	}
-	gemmKernel(kc, a, b, ctile, ldc)
+	gemmKernel(kc, a, b, ctile, ldc, store)
 }

@@ -26,7 +26,8 @@ func fmaRef8x32(kc int, a, b, ctile []float32, ldc int) {
 
 // TestGemmKernelAVX512BitExact compares the ZMM kernel against the
 // FMA-emulating portable reference bit for bit across kc values that hit the
-// unrolled loop, the odd tail, and a full L1 panel.
+// unrolled loop, the odd tail, and a full L1 panel — accumulating onto a
+// random tile, and storing over it, which must equal accumulating onto +0.
 func TestGemmKernelAVX512BitExact(t *testing.T) {
 	if !haveAVX512 {
 		t.Skip("no AVX-512F+VL on this CPU")
@@ -35,13 +36,18 @@ func TestGemmKernelAVX512BitExact(t *testing.T) {
 	for _, kc := range []int{1, 2, 3, 7, 8, 15, 64, 255, 256} {
 		a := randSlice(rng, kc*8)
 		b := randSlice(rng, kc*32)
-		got := randSlice(rng, 8*32)
-		want := append([]float32(nil), got...)
-		sgemmKernel8x32(int64(kc), &a[0], &b[0], &got[0], 32)
-		fmaRef8x32(kc, a, b, want, 32)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("kc=%d: c[%d]=%b want %b (bit mismatch)", kc, i, got[i], want[i])
+		for _, store := range []bool{false, true} {
+			got := randSlice(rng, 8*32)
+			want := append([]float32(nil), got...)
+			if store {
+				clear(want)
+			}
+			sgemmKernel8x32(int64(kc), &a[0], &b[0], &got[0], 32, store)
+			fmaRef8x32(kc, a, b, want, 32)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("kc=%d store=%v: c[%d]=%b want %b (bit mismatch)", kc, store, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -60,7 +66,7 @@ func TestGemmKernelAVX512WideStride(t *testing.T) {
 	b := randSlice(rng, kc*32)
 	got := randSlice(rng, 8*ldc)
 	want := append([]float32(nil), got...)
-	sgemmKernel8x32(int64(kc), &a[0], &b[0], &got[0], ldc)
+	sgemmKernel8x32(int64(kc), &a[0], &b[0], &got[0], ldc, false)
 	fmaRef8x32(kc, a, b, want, ldc)
 	for i := range got {
 		if got[i] != want[i] {
@@ -92,10 +98,10 @@ func TestGemmAVX512TierMatchesAVX2Tier(t *testing.T) {
 				b := randSlice(rng, k*n)
 				gemmTier = avx512
 				c512 := make([]float32, m*n)
-				gemmBlocked(a, gemmB{data: b}, c512, m, k, n, false, gemmEpilogue{})
+				gemmBlocked(gemmA{data: a}, gemmB{data: b}, c512, m, k, n, false, gemmEpilogue{})
 				gemmTier = avx2
 				c256 := make([]float32, m*n)
-				gemmBlocked(a, gemmB{data: b}, c256, m, k, n, false, gemmEpilogue{})
+				gemmBlocked(gemmA{data: a}, gemmB{data: b}, c256, m, k, n, false, gemmEpilogue{})
 				for i := range c512 {
 					if c512[i] != c256[i] {
 						t.Fatalf("m=%d k=%d n=%d: c[%d]=%b (avx512) vs %b (avx2)", m, k, n, i, c512[i], c256[i])

@@ -131,28 +131,109 @@ func MaxPoolForwardInto(x *Tensor, p PoolSpec, y *Tensor) {
 	}
 }
 
-// maxPoolSeparable is the unpadded fast path over `planes` h×w planes. Per
-// output row, one maxF32Into pass takes the vertical max of the K window
-// rows into rowmax, a second takes the horizontal K-tap max of rowmax at
-// every column into hmax, and the outputs are hmax at the stride — 2K reads
-// per output instead of K² bounds-tested window probes, and no branch that
-// depends on the data. Every window lies inside the plane (OutSize drops
+// maxPoolSeparable is the unpadded fast path over `planes` h×w planes: one
+// poolRow per output row. Every window lies inside the plane (OutSize drops
 // partial ones), so nothing is range-checked.
 func maxPoolSeparable(x []float32, planes, h, w int, p PoolSpec, y []float32, oh, ow int) {
-	span := w - p.K + 1 // window start columns
-	bufp := GetScratch(w + span)
-	rowmax, hmax := (*bufp)[:w], (*bufp)[w:]
+	bufp := GetScratch(poolRowScratch(w, p))
 	for i := 0; i < planes; i++ {
 		plane := x[i*h*w : (i+1)*h*w]
 		yp := y[i*oh*ow : (i+1)*oh*ow]
 		for oy := 0; oy < oh; oy++ {
-			maxF32Into(rowmax, plane[oy*p.Stride*w:], p.K, w)
-			maxF32Into(hmax, rowmax, p.K, 1)
-			gatherF32(yp[oy*ow:oy*ow+ow], hmax, p.Stride)
+			poolRow(yp[oy*ow:oy*ow+ow], plane[oy*p.Stride*w:], w, p, *bufp)
 		}
 	}
 	PutScratch(bufp)
 }
+
+// poolRowScratch is the scratch length poolRow needs for w-wide rows.
+func poolRowScratch(w int, p PoolSpec) int { return 2*w - p.K + 1 }
+
+// poolRow writes one output row of an unpadded max pool from the K input
+// rows at the head of src, w apart. One maxF32Into pass takes the vertical
+// max of the K rows into rowmax, a second takes the horizontal K-tap max of
+// rowmax at every window start column into hmax, and the outputs are hmax at
+// the stride — 2K reads per output instead of K² bounds-tested window
+// probes, and no branch that depends on the data.
+func poolRow(dst, src []float32, w int, p PoolSpec, scratch []float32) {
+	rowmax, hmax := scratch[:w], scratch[w:2*w-p.K+1]
+	maxF32Into(rowmax, src, p.K, w)
+	maxF32Into(hmax, rowmax, p.K, 1)
+	gatherF32(dst, hmax, p.Stride)
+}
+
+// poolSink is the pooling half of a fused convolution → max-pool stage, as
+// the GEMM epilogue sees it: the product's columns are rows of ow (the
+// convolution's output rows, m planes of them), and instead of landing in C
+// they are max-pooled, unpadded, into dst — m planes of poh×pow. The zero
+// value is inactive.
+type poolSink struct {
+	spec     PoolSpec
+	ow       int
+	poh, pow int
+	dst      []float32
+}
+
+func (p *poolSink) active() bool { return p.spec.K > 0 }
+
+// poolRun is one product's pass through a poolSink. The blocked driver hands
+// it the convolution's output a block of whole rows at a time, in order; each
+// plane's rows sit in its slab of the scratch, below the few rows carried
+// over from the block before (a window overhangs its block by up to K-1
+// rows), and emit pools every window that is complete while the block is
+// still cache-resident. Each pooled row is poolRow's, exactly as
+// MaxPoolForwardInto would compute it from the materialized output.
+type poolRun struct {
+	poolSink
+	m    int
+	bufp *[]float32 // m slabs of cap rows, then poolRow's scratch
+	cap  int        // rows per slab: one block's plus the K-1 carried
+	base int        // the output row held in slab row 0
+	held int        // rows carried from earlier blocks: slab rows [0, held)
+	py   int        // next pooled row to emit
+}
+
+// start begins a run over m planes fed at most blockRows rows at a time.
+func (p *poolSink) start(m, blockRows int) poolRun {
+	r := poolRun{poolSink: *p, m: m, cap: blockRows + p.spec.K - 1}
+	r.bufp = GetScratch(m*r.cap*p.ow + poolRowScratch(p.ow, p.spec))
+	return r
+}
+
+// target returns where the next block's product goes: row i of the block's
+// m×(rows·ow) matrix at c[i*ldc:].
+func (r *poolRun) target() (c []float32, ldc int) {
+	return (*r.bufp)[r.held*r.ow:], r.cap * r.ow
+}
+
+// emit takes the rows just written at target (bias and ReLU applied), pools
+// every window they complete and moves the rows later windows still need to
+// the head of each slab.
+func (r *poolRun) emit(rows int) {
+	k, stride, ow := r.spec.K, r.spec.Stride, r.ow
+	end := r.base + r.held + rows // rows [base, end) are held
+	done := r.py
+	if end >= k {
+		done = max(done, min((end-k)/stride+1, r.poh))
+	}
+	keep := end // first row a later window reads
+	if done < r.poh {
+		keep = min(max(done*stride, r.base), end)
+	}
+	ld := r.cap * ow
+	scratch := (*r.bufp)[r.m*ld:]
+	for i := 0; i < r.m; i++ {
+		slab := (*r.bufp)[i*ld : (i+1)*ld]
+		for py := r.py; py < done; py++ {
+			poolRow(r.dst[(i*r.poh+py)*r.pow:][:r.pow], slab[(py*stride-r.base)*ow:], ow, r.spec, scratch)
+		}
+		copy(slab, slab[(keep-r.base)*ow:(end-r.base)*ow])
+	}
+	r.base, r.held, r.py = keep, end-keep, done
+}
+
+// release returns the run's scratch.
+func (r *poolRun) release() { PutScratch(r.bufp) }
 
 // maxF32Into computes dst[i] = max(src[i], src[i+stride], …) over k taps. A
 // later tap replaces the running maximum only when it compares greater, in

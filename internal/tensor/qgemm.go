@@ -1,6 +1,9 @@
 package tensor
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Quantized-GEMM tuning knobs. The driver mirrors the FP32 blocked GEMM
 // (gemm.go) — same three-level blocking, same worker pool — but the packed
@@ -39,9 +42,40 @@ func QGemm(a []int8, b []uint8, c []int32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("tensor: QGemm buffer too small")
 	}
-	clear(c[:m*n])
-	qgemmDispatch(a, qgemmB{data: b}, c, m, k, n, nil)
+	qgemmDispatch(QWeights{data: a}, qgemmB{data: b}, c, m, k, n, nil)
 }
+
+// QWeights is the A operand of a quantized product: the row-major m×k s8
+// matrix and, when built by PackQWeights, its quad micro-panels, so the
+// blocked driver packs nothing. The panel layout is the same under every
+// kernel tier. Immutable once built: share it freely.
+type QWeights struct {
+	data []int8
+	m, k int
+	// quads holds, for each kcQBlock of K in turn, packAQuads' output for
+	// all M rows: the block at k offset pc starts at mPad*pc (mPad = M
+	// rounded up to mrQTile; every block but the last spans whole quads), and
+	// its rows from ic on — ic a multiple of mrQTile — ic*quads*4 further.
+	quads []int8
+}
+
+// PackQWeights wraps the row-major m×k matrix wq, which it keeps (the
+// unblocked path reads it) and must not change afterwards, with its packed
+// panels.
+func PackQWeights(wq []int8, m, k int) QWeights {
+	if len(wq) < m*k {
+		panic(fmt.Sprintf("tensor: PackQWeights: %d weights, want %d×%d", len(wq), m, k))
+	}
+	mPad := (m + mrQTile - 1) / mrQTile * mrQTile
+	w := QWeights{data: wq, m: m, k: k, quads: make([]int8, mPad*((k+3)/4*4))}
+	for pc := 0; pc < k; pc += kcQBlock {
+		packAQuads(w.quads[mPad*pc:], wq, k, 0, m, pc, min(kcQBlock, k-pc))
+	}
+	return w
+}
+
+// Len returns the number of weights, m×k.
+func (w QWeights) Len() int { return w.m * w.k }
 
 // qgemmB is the B operand of a quantized product: a dense row-major k×n
 // matrix, or — when conv is set — the implicit column matrix of a
@@ -70,11 +104,18 @@ func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int) {
 }
 
 // qgemmDispatch routes a product to the small unblocked loop or the packed
-// blocked kernel. With ep nil it accumulates into the m×n matrix c, which
-// the caller has cleared; with an epilogue c is unused and the requantized
-// bytes land in ep.dst.
-func qgemmDispatch(a []int8, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
-	if m == 0 || k == 0 || n == 0 {
+// blocked kernel. With ep nil it overwrites the m×n matrix c with the
+// product; with an epilogue c is unused and the requantized bytes land in
+// ep.dst. Neither way does the blocked path clear an accumulator: the first
+// k-block's kernels store instead of adding.
+func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
+	if m == 0 || n == 0 {
+		return
+	}
+	if k == 0 {
+		if ep == nil {
+			clear(c[:m*n])
+		}
 		return
 	}
 	if m*k*n > qgemmSmallThreshold {
@@ -82,12 +123,13 @@ func qgemmDispatch(a []int8, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue
 		return
 	}
 	if ep == nil {
-		qgemmSmall(a, b, c, m, k, n)
+		clear(c[:m*n])
+		qgemmSmall(a.data, b, c, m, k, n)
 		return
 	}
 	accp := GetScratchI32(m * n)
 	clear(*accp)
-	qgemmSmall(a, b, *accp, m, k, n)
+	qgemmSmall(a.data, b, *accp, m, k, n)
 	ep.apply(*accp, m, n, 0)
 	PutScratchI32(accp)
 }
@@ -132,9 +174,10 @@ func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
 // panels write disjoint C regions.
 //
 // With an epilogue, the accumulator is one m×nc block instead of the m×n
-// matrix: each ncQBlock column block is cleared, accumulated over every
-// k-block and requantized into ep.dst while it is still cache-resident.
-func qgemmBlocked(a []int8, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
+// matrix: each ncQBlock column block is accumulated over every k-block and
+// requantized into ep.dst while it is still cache-resident.
+func qgemmBlocked(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
+	mPad := (m + mrQTile - 1) / mrQTile * mrQTile
 	// Same driver accounting as gemmBlocked: concurrent products split the
 	// pool budget, and a share below 2 goroutines runs serial.
 	drivers := int(gemmDrivers.Add(1))
@@ -151,7 +194,6 @@ func qgemmBlocked(a []int8, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue)
 		cblk, cj, ldc := c, jc, n
 		if ep != nil {
 			cblk, cj, ldc = (*accp)[:m*nc], 0, nc
-			clear(cblk)
 		}
 		for pc := 0; pc < k; pc += kcQBlock {
 			kc := min(kcQBlock, k-pc)
@@ -162,13 +204,20 @@ func qgemmBlocked(a []int8, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue)
 			for ic := 0; ic < m; ic += mcQBlock {
 				mc := min(mcQBlock, m-ic)
 				mcPanels := (mc + mrQTile - 1) / mrQTile
-				abufp := GetScratchI8(mcPanels * mrQTile * quads * 4)
-				abuf := *abufp
-				packAQuads(abuf, a, k, ic, mc, pc, kc)
+				var abufp *[]int8
+				var abuf []int8
+				if a.quads != nil {
+					abuf = a.quads[mPad*pc+ic*quads*4:]
+				} else {
+					abufp = GetScratchI8(mcPanels * mrQTile * quads * 4)
+					abuf = *abufp
+					packAQuads(abuf, a.data, k, ic, mc, pc, kc)
+				}
 				blk := qgemmBlock{
 					abuf: abuf, bbuf: bbuf, c: cblk,
 					ic: ic, jc: cj, quads: quads, mc: mc, nc: nc,
 					mcPanels: mcPanels, n: ldc,
+					store: pc == 0,
 				}
 				if serial {
 					for jp := 0; jp < ncPanels; jp++ {
@@ -177,7 +226,9 @@ func qgemmBlocked(a []int8, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue)
 				} else {
 					blk.parallel(ncPanels, budget)
 				}
-				PutScratchI8(abufp)
+				if abufp != nil {
+					PutScratchI8(abufp)
+				}
 			}
 			PutScratchU8(bbufp)
 		}
@@ -199,6 +250,7 @@ type qgemmBlock struct {
 	ic, jc        int
 	quads, mc, nc int
 	mcPanels, n   int
+	store         bool // overwrite C with the block product instead of adding to it
 }
 
 func (g qgemmBlock) parallel(ncPanels, budget int) {
@@ -215,16 +267,19 @@ func (g *qgemmBlock) panel(jp int) {
 		i := g.ic + ip*mrQTile
 		rows := min(mrQTile, g.mc-ip*mrQTile)
 		if rows == mrQTile && cols == nrQTile {
-			qgemmKernel(g.quads, apanel, bpanel, g.c[i*g.n+j:], g.n)
+			qgemmKernel(g.quads, apanel, bpanel, g.c[i*g.n+j:], g.n, g.store)
 			continue
 		}
-		// Edge tile: full-size kernel into a zeroed scratch tile, then fold
-		// the valid region into C.
-		clear(tile[:])
-		qgemmKernel(g.quads, apanel, bpanel, tile[:], nrQTile)
+		// Edge tile: the full-size kernel stores into a scratch tile, whose
+		// valid region then replaces or joins C's.
+		qgemmKernel(g.quads, apanel, bpanel, tile[:], nrQTile, true)
 		for r := 0; r < rows; r++ {
 			crow := g.c[(i+r)*g.n+j:]
 			trow := tile[r*nrQTile:]
+			if g.store {
+				copy(crow[:cols], trow)
+				continue
+			}
 			for t := 0; t < cols; t++ {
 				crow[t] += trow[t]
 			}
@@ -358,8 +413,14 @@ func transposeQuad(dst []uint8, step int, src []uint8, ld, nc int) {
 // qgemmKernelGeneric is the portable micro-kernel over the packed quad
 // panels: the mrQTile×nrQTile int32 tile at stride ldc accumulates `quads`
 // groups of 4 rank-1 byte updates. Used on non-amd64 builds and as the
-// runtime fallback when AVX2 is unavailable.
-func qgemmKernelGeneric(quads int, a []int8, b []uint8, ctile []int32, ldc int) {
+// runtime fallback when AVX2 is unavailable. With store set the tile is
+// cleared first.
+func qgemmKernelGeneric(quads int, a []int8, b []uint8, ctile []int32, ldc int, store bool) {
+	if store {
+		for r := 0; r < mrQTile; r++ {
+			clear(ctile[r*ldc : r*ldc+nrQTile])
+		}
+	}
 	for q := 0; q < quads; q++ {
 		ap := a[q*mrQTile*4 : (q+1)*mrQTile*4]
 		bp := b[q*nrQTile*4 : (q+1)*nrQTile*4]

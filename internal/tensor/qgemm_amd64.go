@@ -4,10 +4,11 @@ package tensor
 
 // qgemmKernel4x16 is the AVX2 VPMADDUBSW/VPMADDWD micro-kernel in
 // qgemm_amd64.s: one packed 4×16 int32 micro-tile update over `quads` groups
-// of 4 k-steps.
+// of 4 k-steps. With store set it overwrites the C tile with the product
+// instead of adding to it.
 //
 //go:noescape
-func qgemmKernel4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64)
+func qgemmKernel4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
 
 // transposeQuad16 writes the 4×16 byte transpose of `panels` consecutive
 // 16-column groups of four rows ld apart, 64 bytes each, step apart; see
@@ -40,6 +41,12 @@ func maxF32x8(dst, src *float32, n, k, stride int64)
 //go:noescape
 func gather2F32x8(dst, src *float32, n int64)
 
+// copyRunsF32 copies `runs` runs of n float32s (n = 16 or 32), run i from
+// src+i*srcStep to dst+i*dstStep; see qgemm_amd64.s.
+//
+//go:noescape
+func copyRunsF32(dst *float32, dstStep int64, src *float32, srcStep, n, runs int64)
+
 // biasReLUF32x8 computes dst = max(dst+bias, 0) over n float32s (n a
 // multiple of 8) with VADDPS/VMAXPS, the sum as the second source; see
 // qgemm_amd64.s.
@@ -58,7 +65,7 @@ func requantU8x32(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi ui
 // variant of the micro-kernel in qgemm_amd64.s.
 //
 //go:noescape
-func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64)
+func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
 
 // haveQuantASM gates the quantized kernels on the same AVX2+FMA+OS-XSAVE
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
@@ -101,14 +108,14 @@ func requantU8ASM(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi ui
 // qgemmKernel runs one packed 4×16 micro-tile update (see qgemmKernelGeneric
 // for the semantics), dispatching to the best available kernel:
 // AVX512-VNNI, then AVX2, then the portable Go fallback.
-func qgemmKernel(quads int, a []int8, b []uint8, ctile []int32, ldc int) {
+func qgemmKernel(quads int, a []int8, b []uint8, ctile []int32, ldc int, store bool) {
 	if haveVNNI {
-		qgemmKernelVNNI4x16(int64(quads), &a[0], &b[0], &ctile[0], int64(ldc))
+		qgemmKernelVNNI4x16(int64(quads), &a[0], &b[0], &ctile[0], int64(ldc), store)
 		return
 	}
 	if haveQuantASM {
-		qgemmKernel4x16(int64(quads), &a[0], &b[0], &ctile[0], int64(ldc))
+		qgemmKernel4x16(int64(quads), &a[0], &b[0], &ctile[0], int64(ldc), store)
 		return
 	}
-	qgemmKernelGeneric(quads, a, b, ctile, ldc)
+	qgemmKernelGeneric(quads, a, b, ctile, ldc, store)
 }

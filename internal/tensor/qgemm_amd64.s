@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func qgemmKernel4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64)
+// func qgemmKernel4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
 //
 // Quantized GEMM micro-kernel: accumulates a 4×16 tile of int32 C (row
 // stride ldc ints) with `quads` groups of 4 rank-1 byte updates from the
@@ -14,8 +14,9 @@
 // pairs into saturating int16 (VPMADDUBSW — saturation-free because
 // activations are ≤ 127, see QuantParams), widens pairs into int32
 // (VPMADDWD with ones) and accumulates (VPADDD). The quad loop is unrolled
-// by two.
-TEXT ·qgemmKernel4x16(SB), NOSPLIT, $0-40
+// by two. With store set the tile starts from zero instead of from C, which
+// is then only written.
+TEXT ·qgemmKernel4x16(SB), NOSPLIT, $0-41
 	MOVQ quads+0(FP), AX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
@@ -27,6 +28,20 @@ TEXT ·qgemmKernel4x16(SB), NOSPLIT, $0-40
 	VPCMPEQD Y8, Y8, Y8
 	VPSRLW   $15, Y8, Y8
 
+	MOVBLZX store+40(FP), R9
+	TESTL R9, R9
+	JZ    load
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	JMP   start
+
+load:
 	// Load the 4×16 int32 C tile.
 	MOVQ DI, R8
 	VMOVDQU (R8), Y0
@@ -41,6 +56,7 @@ TEXT ·qgemmKernel4x16(SB), NOSPLIT, $0-40
 	VMOVDQU (R8), Y6
 	VMOVDQU 32(R8), Y7
 
+start:
 	MOVQ AX, CX
 	SHRQ $1, CX
 	JZ   tail
@@ -177,15 +193,15 @@ done:
 	VZEROUPPER
 	RET
 
-// func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64)
+// func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
 //
 // AVX512-VNNI variant of the quantized micro-kernel over the same packed
 // quad panels: VPDPBUSD fuses the VPMADDUBSW/VPMADDWD/VPADDD chain into one
 // u8×s8 dot-product-accumulate, tripling per-instruction work. Uses only YMM
 // width (AVX512VL), so it runs at full clock on every VNNI part. The quad
 // loop is unrolled by two using the EVEX high registers for the second
-// quad's operands.
-TEXT ·qgemmKernelVNNI4x16(SB), NOSPLIT, $0-40
+// quad's operands. store is qgemmKernel4x16's.
+TEXT ·qgemmKernelVNNI4x16(SB), NOSPLIT, $0-41
 	MOVQ quads+0(FP), AX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
@@ -193,6 +209,20 @@ TEXT ·qgemmKernelVNNI4x16(SB), NOSPLIT, $0-40
 	MOVQ ldc+32(FP), DX
 	SHLQ $2, DX            // row stride in bytes
 
+	MOVBLZX store+40(FP), R9
+	TESTL R9, R9
+	JZ    vload
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	JMP   vstart
+
+vload:
 	// Load the 4×16 int32 C tile.
 	MOVQ DI, R8
 	VMOVDQU (R8), Y0
@@ -207,6 +237,7 @@ TEXT ·qgemmKernelVNNI4x16(SB), NOSPLIT, $0-40
 	VMOVDQU (R8), Y6
 	VMOVDQU 32(R8), Y7
 
+vstart:
 	MOVQ AX, CX
 	SHRQ $1, CX
 	JZ   vtail
@@ -555,6 +586,51 @@ g2loop:
 	DECQ CX
 	JNE  g2loop
 
+	VZEROUPPER
+	RET
+
+// func copyRunsF32(dst *float32, dstStep int64, src *float32, srcStep, n, runs int64)
+//
+// Copies `runs` runs of n float32s, n = 16 or 32 (one micro-panel row of
+// either FP32 tier): run i from src + i*srcStep to dst + i*dstStep, steps in
+// elements. It is copyRuns' vector body (see conv.go).
+TEXT ·copyRunsF32(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ dstStep+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ srcStep+24(FP), R9
+	MOVQ n+32(FP), DX
+	MOVQ runs+40(FP), CX
+	SHLQ $2, R8
+	SHLQ $2, R9
+	CMPQ DX, $32
+	JEQ  cr32
+
+cr16:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ R9, SI
+	ADDQ R8, DI
+	DECQ CX
+	JNE  cr16
+	VZEROUPPER
+	RET
+
+cr32:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ R9, SI
+	ADDQ R8, DI
+	DECQ CX
+	JNE  cr32
 	VZEROUPPER
 	RET
 

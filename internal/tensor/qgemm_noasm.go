@@ -30,6 +30,11 @@ func gather2F32x8(dst, src *float32, n int64) {
 	panic("tensor: gather2F32x8 without assembly support")
 }
 
+// copyRunsF32 is never called when haveQuantASM is false.
+func copyRunsF32(dst *float32, dstStep int64, src *float32, srcStep, n, runs int64) {
+	panic("tensor: copyRunsF32 without assembly support")
+}
+
 // biasReLUF32x8 is never called when haveQuantASM is false.
 func biasReLUF32x8(dst *float32, n int64, bias float32) {
 	panic("tensor: biasReLUF32x8 without assembly support")
@@ -42,6 +47,6 @@ func requantU8ASM(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi ui
 
 // qgemmKernel runs one packed 4×16 micro-tile update on platforms without an
 // assembly kernel.
-func qgemmKernel(quads int, a []int8, b []uint8, ctile []int32, ldc int) {
-	qgemmKernelGeneric(quads, a, b, ctile, ldc)
+func qgemmKernel(quads int, a []int8, b []uint8, ctile []int32, ldc int, store bool) {
+	qgemmKernelGeneric(quads, a, b, ctile, ldc, store)
 }

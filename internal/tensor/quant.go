@@ -216,34 +216,49 @@ func qconvOperand(view *convView[uint8], img []uint8) qgemmB {
 	if view.s.is1x1Fast() {
 		return qgemmB{data: img}
 	}
-	view.img = img
+	view.setImage(img)
 	return qgemmB{conv: view}
+}
+
+// newQConvView returns the u8 view of h×w images under s, on phase planes
+// from the byte scratch pool when the convolution is strided (see
+// convView.phaseLen); the caller returns a non-nil scratch with PutScratchU8.
+func newQConvView(h, w int, s ConvSpec, zp uint8) (view convView[uint8], phases *[]uint8) {
+	view = newConvView(h, w, s, zp, gatherU8)
+	if pl := view.phaseLen(); pl > 0 {
+		phases = GetScratchU8(pl)
+		view.usePhases(*phases)
+	}
+	return view, phases
 }
 
 // QConvForwardInto is the quantized ConvForwardInto: it convolves the n u8
 // images in x ([n, InC, h, w], zero point zp) with the s8 weights wq
-// ([OutC, InC*KH*KW]) and requantizes the result into channels
+// ([OutC, InC*KH*KW], packed once) and requantizes the result into channels
 // [chOff, chOff+OutC) of the u8 output y ([n, dstC, outH, outW]).
 //
 // Each image is one quantized GEMM whose B operand is the image itself and
 // whose epilogue is the requantization, so neither the column matrix nor the
 // OutC×outH×outW int32 accumulator exists (see qgemmBlocked).
-func QConvForwardInto(x []uint8, n, h, w int, wq []int8, s ConvSpec, zp uint8, rq Requant, y []uint8, dstC, chOff int) (oh, ow int) {
+func QConvForwardInto(x []uint8, n, h, w int, wq QWeights, s ConvSpec, zp uint8, rq Requant, y []uint8, dstC, chOff int) (oh, ow int) {
 	oh, ow = s.OutSize(h, w)
 	if oh == 0 || ow == 0 {
 		panicEmptyOutput("QConvForwardInto", []int{n, s.InC, h, w}, s.KH, s.KW, s.PadH, s.PadW)
 	}
 	spatial, k, il := oh*ow, s.InC*s.KH*s.KW, s.InC*h*w
-	if len(x) < n*il || len(wq) < s.OutC*k || len(rq.Mult) < s.OutC || len(rq.Beta) < s.OutC ||
+	if len(x) < n*il || wq.m != s.OutC || wq.k != k || len(rq.Mult) < s.OutC || len(rq.Beta) < s.OutC ||
 		chOff+s.OutC > dstC || len(y) < n*dstC*spatial {
-		panic(fmt.Sprintf("tensor: QConvForwardInto: x %d / wq %d / requant %d,%d / y %d do not fit [%d,%d,%d,%d]→[%d,%d,%d,%d] at channel offset %d of %d",
-			len(x), len(wq), len(rq.Mult), len(rq.Beta), len(y), n, s.InC, h, w, n, s.OutC, oh, ow, chOff, dstC))
+		panic(fmt.Sprintf("tensor: QConvForwardInto: x %d / wq %d×%d / requant %d,%d / y %d do not fit [%d,%d,%d,%d]→[%d,%d,%d,%d] at channel offset %d of %d",
+			len(x), wq.m, wq.k, len(rq.Mult), len(rq.Beta), len(y), n, s.InC, h, w, n, s.OutC, oh, ow, chOff, dstC))
 	}
 	ep := qgemmEpilogue{rq: rq, ld: spatial}
-	view := convView[uint8]{h: h, w: w, s: s, oh: oh, ow: ow, fill: zp, strided: gatherU8}
+	view, phases := newQConvView(h, w, s, zp)
 	for i := 0; i < n; i++ {
 		ep.dst = y[(i*dstC+chOff)*spatial:]
 		qgemmDispatch(wq, qconvOperand(&view, x[i*il:(i+1)*il]), nil, s.OutC, k, spatial, &ep)
+	}
+	if phases != nil {
+		PutScratchU8(phases)
 	}
 	return oh, ow
 }
@@ -252,16 +267,18 @@ func QConvForwardInto(x []uint8, n, h, w int, wq []int8, s ConvSpec, zp uint8, r
 // weights wq and leaves the raw int32 accumulators in acc ([OutC, outH*outW])
 // — for the classifier head, whose epilogue is an average, not a
 // requantization.
-func QConvAcc(img []uint8, h, w int, wq []int8, s ConvSpec, zp uint8, acc []int32) {
+func QConvAcc(img []uint8, h, w int, wq QWeights, s ConvSpec, zp uint8, acc []int32) {
 	oh, ow := s.OutSize(h, w)
 	spatial, k := oh*ow, s.InC*s.KH*s.KW
-	if len(img) < s.InC*h*w || len(wq) < s.OutC*k || len(acc) < s.OutC*spatial {
-		panic(fmt.Sprintf("tensor: QConvAcc: img %d / wq %d / acc %d do not fit [%d,%d,%d]→[%d,%d,%d]",
-			len(img), len(wq), len(acc), s.InC, h, w, s.OutC, oh, ow))
+	if len(img) < s.InC*h*w || wq.m != s.OutC || wq.k != k || len(acc) < s.OutC*spatial {
+		panic(fmt.Sprintf("tensor: QConvAcc: img %d / wq %d×%d / acc %d do not fit [%d,%d,%d]→[%d,%d,%d]",
+			len(img), wq.m, wq.k, len(acc), s.InC, h, w, s.OutC, oh, ow))
 	}
-	clear(acc[:s.OutC*spatial])
-	view := convView[uint8]{h: h, w: w, s: s, oh: oh, ow: ow, fill: zp, strided: gatherU8}
+	view, phases := newQConvView(h, w, s, zp)
 	qgemmDispatch(wq, qconvOperand(&view, img[:s.InC*h*w]), acc, s.OutC, k, spatial, nil)
+	if phases != nil {
+		PutScratchU8(phases)
+	}
 }
 
 // MaxPoolU8Into max-pools u8 activations ([N,C,H,W] planes in x) into y.

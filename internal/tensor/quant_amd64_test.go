@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// TestQGemmKernelMatchesGeneric checks the assembly micro-kernel against the
-// portable one on identical packed panels.
+// TestQGemmKernelMatchesGeneric checks the assembly micro-kernels against the
+// portable one on identical packed panels, accumulating onto a random tile
+// and storing over it — which must equal accumulating onto a zero tile.
 func TestQGemmKernelMatchesGeneric(t *testing.T) {
 	if !haveQuantASM {
 		t.Skip("no quantized assembly kernel on this platform")
@@ -27,21 +28,33 @@ func TestQGemmKernelMatchesGeneric(t *testing.T) {
 		for i := range init {
 			init[i] = int32(rng.Intn(1000) - 500)
 		}
-		want := append([]int32(nil), init...)
-		qgemmKernelGeneric(quads, a, b, want, nrQTile)
-		got := append([]int32(nil), init...)
-		qgemmKernel4x16(int64(quads), &a[0], &b[0], &got[0], int64(nrQTile))
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("avx2 quads=%d: tile[%d]=%d want %d", quads, i, got[i], want[i])
+		for _, store := range []bool{false, true} {
+			want := append([]int32(nil), init...)
+			if store {
+				clear(want)
 			}
-		}
-		if haveVNNI {
-			got = append(got[:0], init...)
-			qgemmKernelVNNI4x16(int64(quads), &a[0], &b[0], &got[0], int64(nrQTile))
+			qgemmKernelGeneric(quads, a, b, want, nrQTile, false)
+			got := append([]int32(nil), init...)
+			qgemmKernelGeneric(quads, a, b, got, nrQTile, store)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("vnni quads=%d: tile[%d]=%d want %d", quads, i, got[i], want[i])
+					t.Fatalf("portable quads=%d store=%v: tile[%d]=%d want %d", quads, store, i, got[i], want[i])
+				}
+			}
+			got = append(got[:0], init...)
+			qgemmKernel4x16(int64(quads), &a[0], &b[0], &got[0], int64(nrQTile), store)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("avx2 quads=%d store=%v: tile[%d]=%d want %d", quads, store, i, got[i], want[i])
+				}
+			}
+			if haveVNNI {
+				got = append(got[:0], init...)
+				qgemmKernelVNNI4x16(int64(quads), &a[0], &b[0], &got[0], int64(nrQTile), store)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("vnni quads=%d store=%v: tile[%d]=%d want %d", quads, store, i, got[i], want[i])
+					}
 				}
 			}
 		}

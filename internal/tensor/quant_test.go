@@ -395,9 +395,10 @@ func benchQConvStage(b *testing.B, s ConvSpec, res int) {
 	}
 	oh, ow := s.OutSize(res, res)
 	y := make([]uint8, s.OutC*oh*ow)
+	packed := PackQWeights(wq, s.OutC, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		QConvForwardInto(x, 1, res, res, wq, s, 17, rq, y, s.OutC, 0)
+		QConvForwardInto(x, 1, res, res, packed, s, 17, rq, y, s.OutC, 0)
 	}
 }
 
