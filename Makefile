@@ -13,7 +13,7 @@ FUZZTIME ?= 15s
 # the first max pool, and the FP32 stem with that pool fused behind it).
 TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkMaxPoolU8_112x96
 
-.PHONY: check fmt vet build test race fuzz chaos bench bench-all bench-infer profile
+.PHONY: check fmt vet build test race fuzz chaos bench bench-all bench-infer bench-check profile
 
 check: fmt vet build test race
 
@@ -98,6 +98,12 @@ bench-all:
 bench-infer:
 	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch' -benchmem .
 	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
+
+# The repo benchmark (BENCHMARK.json + bench/) is a module of its own, so
+# `go vet ./...` and `go test ./...` at the root never see it: vet it and run
+# its short tests from inside.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Where one frame goes: `pprof -top` of the single-frame forward on each
 # engine at one P, by flat time and then by cumulative time — the

@@ -138,8 +138,7 @@ func BenchmarkServeRotation8(b *testing.B) { benchsuite.ServeRotation8(b) }
 func BenchmarkServeRotation8Int8(b *testing.B) { benchsuite.ServeRotation8Int8(b) }
 
 // BenchmarkServeRotation8x2 is the rotation workload over 2 dispatch
-// shards (content-hash range partitions, per-shard backend replicas) with
-// the AIMD adaptive linger policy.
+// shards (content-hash range partitions, per-shard backend replicas).
 func BenchmarkServeRotation8x2(b *testing.B) { benchsuite.ServeRotation8x2(b) }
 
 // BenchmarkServeRotation8x2Int8 is the INT8 2-shard rotation benchmark.

@@ -72,7 +72,7 @@ type BenchResult struct {
 }
 
 // ShardPoint is one point of the per-shard-count throughput trajectory on
-// the rotation workload (shards > 1 run the AIMD adaptive linger policy).
+// the rotation workload.
 type ShardPoint struct {
 	Shards  int     `json:"shards"`
 	FP32FPS float64 `json:"fp32_frames_per_sec"`
@@ -131,7 +131,7 @@ type ServeResult struct {
 	// steady state (non-repeating frames, cache off): pure batching
 	SteadyFP32FPS     float64 `json:"steady_fp32_frames_per_sec"`
 	SteadyAllocsPerOp int64   `json:"steady_allocs_per_op"`
-	// sharded steady state (2 shards, adaptive policy, cache off)
+	// sharded steady state (2 shards, cache off)
 	ShardedSteadyFPS         float64 `json:"sharded_steady_frames_per_sec"`
 	ShardedSteadyAllocsPerOp int64   `json:"sharded_steady_allocs_per_op"`
 }

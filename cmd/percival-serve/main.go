@@ -19,7 +19,8 @@
 //
 //	percival-serve                        # train a reduced-scale model, serve on :8093
 //	percival-serve -res 224 -int8         # paper-scale INT8 engine
-//	percival-serve -shards 4 -adaptive    # sharded dispatch, AIMD linger
+//	percival-serve -shards 4              # sharded dispatch: one batcher,
+//	                                      # cache slice and replica per shard
 //	percival-serve -shards 4 -lanes       # multi-core: one OS-thread-locked,
 //	                                      # core-pinned dispatch lane per shard
 //	                                      # with the GEMM worker pool
@@ -27,8 +28,8 @@
 //	                                      # (per-lane counters on /metrics)
 //	percival-serve -admission             # unified admission controller: the
 //	                                      # graded brownout ladder gates the
-//	                                      # queue door and co-adapts linger,
-//	                                      # batch cap and shed deadline under
+//	                                      # queue door and co-adapts batch
+//	                                      # cap and shed deadline under
 //	                                      # overload (stage in /healthz)
 //	percival-serve -backend fp32 -int8    # quantize, but pin serving to FP32
 //	percival-serve -peers h1:8093,h2:8093 # front a self-healing fleet: shards
@@ -105,11 +106,9 @@ func main() {
 		backendName = flag.String("backend", "auto", "serving backend: fp32, int8, or auto (the parity-gated default)")
 		shards      = flag.Int("shards", 1, "dispatch shards (content-hash range partitions, each with its own batcher and backend replica)")
 		lanes       = flag.Bool("lanes", false, "pin one dispatch lane per shard to its own OS thread and core, and partition the GEMM worker pool across the lanes (multi-core serving; overrides -workers)")
-		adaptive    = flag.Bool("adaptive", false, "adapt the batch linger with the AIMD policy instead of the fixed -linger")
-		admission   = flag.Bool("admission", false, "run the unified admission controller: graded brownout (cache-only -> degraded -> shed) gates the queue door and co-adapts linger, batch cap and shed deadline; wraps the -adaptive AIMD policy or the fixed -linger")
+		admission   = flag.Bool("admission", false, "run the unified admission controller: graded brownout (cache-only -> degraded -> shed) gates the queue door and co-adapts batch cap and shed deadline")
 		workers     = flag.Int("workers", 0, "dispatch workers across all shards (0 = GOMAXPROCS)")
 		maxBatch    = flag.Int("batch", 16, "max frames per forward pass")
-		linger      = flag.Duration("linger", 2*time.Millisecond, "batch linger budget (fixed policy)")
 		queue       = flag.Int("queue", 0, "submit queue depth (0 = default)")
 		deadline    = flag.Duration("deadline", 500*time.Millisecond, "load-shed deadline (0 disables)")
 		cacheSize   = flag.Int("cache", 4096, "verdict cache entries (0 = default)")
@@ -196,7 +195,6 @@ func main() {
 	serving := engine.NewCanaryBackend(reg, backend)
 	opts := serve.Options{
 		MaxBatch:   *maxBatch,
-		Linger:     *linger,
 		Workers:    *workers,
 		QueueDepth: *queue,
 		Deadline:   *deadline,
@@ -205,17 +203,9 @@ func main() {
 		PinLanes:   *lanes,
 		Backend:    serving,
 	}
-	switch {
-	case *admission:
-		// the controller wraps whichever linger policy the flags chose; the
-		// fleet's congestion windows feed its pressure signal automatically
-		inner := serve.Policy(serve.FixedPolicy{D: *linger})
-		if *adaptive {
-			inner = serve.NewAIMDPolicy()
-		}
-		opts.Policy = serve.NewAdmissionController(serve.AdmissionOptions{Linger: inner})
-	case *adaptive:
-		opts.Policy = serve.NewAIMDPolicy()
+	if *admission {
+		// the fleet's congestion windows feed its pressure signal automatically
+		opts.Policy = serve.NewAdmissionController(serve.AdmissionOptions{})
 	}
 	srv, err := serve.New(svc, opts)
 	if err != nil {
@@ -299,7 +289,7 @@ func main() {
 		<-sig
 		log.Print("shutting down: draining in-flight requests")
 		// Graceful drain, not drop: finish in-flight HTTP requests, then
-		// close the serve layer (which flushes open linger batches and
+		// close the serve layer (which flushes the open batches and
 		// resolves every queued future) before snapshotting the cache.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		if err := httpSrv.Shutdown(ctx); err != nil {
@@ -326,15 +316,8 @@ func main() {
 			}
 		}
 	}()
-	mode := "fixed"
-	if *adaptive {
-		mode = "adaptive"
-	}
-	if *admission {
-		mode = "admission/" + mode
-	}
-	log.Printf("serving on %s (shards=%d batch<=%d linger=%s/%v deadline=%v)",
-		*addr, srv.Shards(), *maxBatch, mode, *linger, *deadline)
+	log.Printf("serving on %s (shards=%d batch<=%d deadline=%v admission=%v)",
+		*addr, srv.Shards(), *maxBatch, *deadline, *admission)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal("percival-serve: ", err)
 	}

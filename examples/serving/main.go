@@ -47,12 +47,12 @@ func main() {
 	}
 
 	// Two dispatch shards, each with its own coalescing batcher and backend
-	// replica, partitioned by content-hash range; the AIMD policy adapts the
-	// batch linger to the live latency histogram instead of a fixed 2ms.
+	// replica, partitioned by content-hash range. Batching is work-conserving:
+	// a batch leaves the moment a worker is free and fills only while every
+	// worker is busy, so there is no batching delay to configure.
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
 		Deadline: time.Second,
 	})
 	if err != nil {
@@ -154,7 +154,6 @@ func main() {
 	front, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
 		Deadline: time.Second,
 		Backend:  fleet,
 	})

@@ -129,7 +129,6 @@ func ServeReroute8x2(b *testing.B) {
 	staticSrv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   3,
-		Policy:   serve.NewAIMDPolicy(),
 		Backend:  staticFleet,
 	})
 	if err != nil {
@@ -165,7 +164,6 @@ func ServeReroute8x2(b *testing.B) {
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   3,
-		Policy:   serve.NewAIMDPolicy(),
 		Backend:  serving,
 	})
 	if err != nil {

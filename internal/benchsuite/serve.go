@@ -67,7 +67,6 @@ func serveSteady(b *testing.B, quantized bool) {
 	frames := synth.SampleFrames(17, 64)
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch:     16,
-		Linger:       2 * time.Millisecond,
 		DisableCache: true,
 	})
 	if err != nil {
@@ -127,16 +126,11 @@ func ServeSteady8Int8(b *testing.B) { serveSteady(b, true) }
 // creative is amortized over ServeConcurrency sightings via the sharded
 // cache and in-flight coalescing. shards > 1 partitions dispatch by
 // content-hash range (each shard with its own batcher and backend replica)
-// and runs the AIMD adaptive linger policy — the per-shard-count points of
-// the throughput trajectory.
+// — the per-shard-count points of the throughput trajectory.
 func serveRotation(b *testing.B, shards int, quantized bool) {
 	opts := serve.Options{
 		MaxBatch: 16,
-		Linger:   2 * time.Millisecond,
 		Shards:   shards,
-	}
-	if shards > 1 {
-		opts.Policy = serve.NewAIMDPolicy()
 	}
 	serveRotationOpts(b, opts, quantized)
 }
@@ -175,22 +169,20 @@ func serveRotationOpts(b *testing.B, opts serve.Options, quantized bool) {
 }
 
 // ServeRotation8 is the FP32 rotation-workload serving benchmark
-// (single shard, fixed linger — the PR-3 anchor configuration).
+// (single shard — the PR-3 anchor configuration).
 func ServeRotation8(b *testing.B) { serveRotation(b, 1, false) }
 
 // ServeRotation8Int8 is the INT8 rotation-workload serving benchmark.
 func ServeRotation8Int8(b *testing.B) { serveRotation(b, 1, true) }
 
-// ServeRotation8x2 is the FP32 rotation workload over 2 dispatch shards
-// with the AIMD adaptive linger policy.
+// ServeRotation8x2 is the FP32 rotation workload over 2 dispatch shards.
 func ServeRotation8x2(b *testing.B) { serveRotation(b, 2, false) }
 
 // ServeRotation8x2Int8 is the INT8 rotation workload over 2 dispatch
-// shards with the adaptive policy.
+// shards.
 func ServeRotation8x2Int8(b *testing.B) { serveRotation(b, 2, true) }
 
-// ServeRotation8x4 is the FP32 rotation workload over 4 dispatch shards
-// with the adaptive policy.
+// ServeRotation8x4 is the FP32 rotation workload over 4 dispatch shards.
 func ServeRotation8x4(b *testing.B) { serveRotation(b, 4, false) }
 
 // ServeRotationPinned is the core-pinned lane configuration of the rotation
@@ -206,12 +198,8 @@ func ServeRotationPinned(b *testing.B) {
 	}
 	opts := serve.Options{
 		MaxBatch: 16,
-		Linger:   2 * time.Millisecond,
 		Shards:   shards,
 		PinLanes: true,
-	}
-	if shards > 1 {
-		opts.Policy = serve.NewAIMDPolicy()
 	}
 	serveRotationOpts(b, opts, false)
 }
@@ -247,7 +235,6 @@ func ServeRemote8x2(b *testing.B) {
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
 		Backend:  pool,
 	})
 	if err != nil {
@@ -329,7 +316,6 @@ func ServeRemoteWire8x2(b *testing.B) {
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
 		Backend:  pool,
 	})
 	if err != nil {
@@ -502,7 +488,6 @@ func ServeChaos8x2(b *testing.B) {
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
 		Backend:  fleet,
 	})
 	if err != nil {
@@ -847,16 +832,14 @@ func ServeOverload8x2(b *testing.B) {
 	reportFPS(b, answered.Load())
 }
 
-// ServeSteady8x2 is the sharded steady-state benchmark: 2 shards, AIMD
-// policy, memoization off — the 0 allocs/op gate for the sharded dispatch
-// hot path.
+// ServeSteady8x2 is the sharded steady-state benchmark: 2 shards,
+// memoization off — the 0 allocs/op gate for the sharded dispatch hot path.
 func ServeSteady8x2(b *testing.B) {
 	svc := PaperService(false)
 	frames := synth.SampleFrames(17, 64)
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch:     16,
 		Shards:       2,
-		Policy:       serve.NewAIMDPolicy(),
 		DisableCache: true,
 	})
 	if err != nil {

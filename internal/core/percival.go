@@ -106,6 +106,7 @@ type Percival struct {
 	cacheHits   atomic.Int64
 	totalNanos  atomic.Int64
 	inPathNanos atomic.Int64
+	inPathFwd   atomic.Int64
 }
 
 // New builds a PERCIVAL service around a trained network.
@@ -321,6 +322,7 @@ func (p *Percival) InspectFrame(src string, frame *imaging.Bitmap) bool {
 		return false
 	}
 	if p.opts.DisableCache {
+		p.inPathFwd.Add(1)
 		verdict := p.IsAd(frame)
 		if verdict {
 			p.blocked.Add(1)
@@ -337,6 +339,7 @@ func (p *Percival) InspectFrame(src string, frame *imaging.Bitmap) bool {
 	}
 	switch p.opts.Mode {
 	case Synchronous:
+		p.inPathFwd.Add(1)
 		verdict := p.IsAd(frame)
 		p.cache.put(key, verdict)
 		if verdict {
@@ -370,16 +373,22 @@ type Stats struct {
 	// rendering critical path. In asynchronous mode this excludes background
 	// classification, which is the mode's whole point.
 	InPathMS float64
+	// InPathForwards counts the model forward passes InspectFrame ran before
+	// it returned: one per cache miss in synchronous mode, none in
+	// asynchronous mode — the structural fact behind InPathMS, which a test
+	// can assert where wall-clock sums are at the scheduler's mercy.
+	InPathForwards int64
 }
 
 // Stats returns a snapshot of the service counters.
 func (p *Percival) Stats() Stats {
 	n := p.classified.Load()
 	s := Stats{
-		Classified: n,
-		Blocked:    p.blocked.Load(),
-		CacheHits:  p.cacheHits.Load(),
-		InPathMS:   float64(p.inPathNanos.Load()) / 1e6,
+		Classified:     n,
+		Blocked:        p.blocked.Load(),
+		CacheHits:      p.cacheHits.Load(),
+		InPathMS:       float64(p.inPathNanos.Load()) / 1e6,
+		InPathForwards: p.inPathFwd.Load(),
 	}
 	if n > 0 {
 		s.AvgClassifyMS = float64(p.totalNanos.Load()) / float64(n) / 1e6

@@ -256,7 +256,8 @@ type Fleet struct {
 	fallbacks metrics.Counter // chunks scored by the local Fallback
 
 	chunks  chunkPool // pooled dispatch chunks (lazy wire encodings)
-	scores  sync.Pool // *[]float64 hedge scratch buffers
+	arms    sync.Pool // *hedgeArm
+	timers  sync.Pool // *time.Timer hedge-delay timers, stopped and drained
 	closed  chan struct{}
 	closeMu sync.Mutex
 	redials sync.WaitGroup
@@ -699,11 +700,59 @@ func (f *Fleet) hedgeDelay(p *fleetPeer) time.Duration {
 	return d
 }
 
-// hedgeOutcome is one arm's result.
-type hedgeOutcome struct {
-	peer *fleetPeer
-	out  []float64
-	err  error
+// hedgeArm is one try of a chunk against one peer, run on its own goroutine
+// so the dispatcher can race it against the hedge timer and the other arm.
+// Each arm runs under one cancelable deadline — the peer's whole chunk
+// budget; the per-attempt RTO is the transport's business. Arms are pooled
+// with their score buffer and result channel; the dispatcher waits every
+// arm it started out before returning, so a recycled arm has no goroutine
+// (or canceled context) left behind it.
+type hedgeArm struct {
+	peer   *fleetPeer
+	out    []float64 // the arm's own scores; copied out if it wins
+	cancel context.CancelFunc
+	res    chan error // buffered(1)
+}
+
+func (a *hedgeArm) run(ctx context.Context, chunk *wireChunk) {
+	a.res <- a.peer.b.tryChunk(ctx, chunk, a.out)
+}
+
+// startArm issues chunk (n frames) to peer p on a pooled arm.
+func (f *Fleet) startArm(p *fleetPeer, chunk *wireChunk, n int) *hedgeArm {
+	a, _ := f.arms.Get().(*hedgeArm)
+	if a == nil {
+		a = &hedgeArm{res: make(chan error, 1)}
+	}
+	a.peer, a.out = p, resized(a.out, n)
+	ctx, cancel := context.WithTimeout(context.Background(), f.chunkBudget(p))
+	a.cancel = cancel
+	go a.run(ctx, chunk)
+	return a
+}
+
+// putArm recycles an arm whose result has been received.
+func (f *Fleet) putArm(a *hedgeArm) {
+	a.cancel()
+	a.peer = nil
+	f.arms.Put(a)
+}
+
+// settle records one finished arm's outcome against its peer, copies a
+// success into out (nil: the chunk was decided by the other arm) and
+// recycles the arm. Reports whether out now holds the chunk's scores.
+func (f *Fleet) settle(a *hedgeArm, err error, out []float64) bool {
+	defer f.putArm(a)
+	if err != nil {
+		f.recordFailure(a.peer)
+		return false
+	}
+	a.peer.recordSuccess(len(a.out))
+	if out == nil {
+		return false
+	}
+	copy(out, a.out)
+	return true
 }
 
 // sendHedged runs one chunk against peer p, re-issuing it to the router's
@@ -711,52 +760,31 @@ type hedgeOutcome struct {
 // other arm. Reports whether the chunk was scored into out; failures are
 // recorded against every peer that actually failed.
 func (f *Fleet) sendHedged(peers []*fleetPeer, p *fleetPeer, pref int, chunk *wireChunk, out []float64) bool {
-	delay := f.hedgeDelay(p)
-	arm := func(pr *fleetPeer) (func(), chan hedgeOutcome) {
-		ctx, cancel := context.WithTimeout(context.Background(), f.chunkBudget(pr))
-		ch := make(chan hedgeOutcome, 1)
-		buf := f.getScores(len(out))
-		go func() {
-			err := pr.b.tryChunk(ctx, chunk, buf)
-			ch <- hedgeOutcome{peer: pr, out: buf, err: err}
-		}()
-		return cancel, ch
-	}
-
-	settle := func(o hedgeOutcome, won bool) bool {
-		defer f.putScores(o.out)
-		if o.err != nil {
-			f.recordFailure(o.peer)
-			return false
-		}
-		o.peer.recordSuccess(len(o.out))
-		if won {
-			copy(out, o.out)
-		}
-		return won
-	}
-
-	cancelP, chP := arm(p)
-	defer cancelP()
 	var h *fleetPeer
+	delay := f.hedgeDelay(p)
 	if delay > 0 {
 		h = f.router.Hedge(peers, pref, p)
 	}
+	primary := f.startArm(p, chunk, len(out))
 	if h == nil {
 		// no hedge candidate (or hedging unarmed): plain dispatch
-		return settle(<-chP, true)
+		return f.settle(primary, <-primary.res, out)
 	}
-	timer := time.NewTimer(delay)
+	timer, _ := f.timers.Get().(*time.Timer)
+	if timer == nil {
+		timer = time.NewTimer(delay)
+	} else {
+		timer.Reset(delay)
+	}
 	select {
-	case o := <-chP:
-		timer.Stop()
-		if settle(o, true) {
-			return true
-		}
-		// primary failed before the hedge fired: fall back to the
+	case err := <-primary.res:
+		stopTimer(timer)
+		f.timers.Put(timer)
+		// a primary that failed before the hedge fired falls back to the
 		// dispatchChunk failover loop rather than hedging a known failure
-		return false
+		return f.settle(primary, err, out)
 	case <-timer.C:
+		f.timers.Put(timer)
 	}
 
 	// Primary is past its tail trigger: issue the hedge and race the arms.
@@ -767,57 +795,43 @@ func (f *Fleet) sendHedged(peers []*fleetPeer, p *fleetPeer, pref int, chunk *wi
 	// of hedges against a briefly-slow peer is one event, not a collapse).
 	p.b.win.OnLoss()
 	f.hedges.Inc()
-	cancelH, chH := arm(h)
-	defer cancelH()
+	hedge := f.startArm(h, chunk, len(out))
 	// finish publishes the winner after draining the canceled loser. A
 	// canceled loser's error is not a health signal against its peer (the
 	// cancellation raced a possibly-fine request), so only its success is
 	// recorded.
-	finish := func(winner hedgeOutcome, loserCancel func(), loserCh chan hedgeOutcome, hedgeWon bool) bool {
-		loserCancel()
-		loser := <-loserCh
-		f.putScores(loser.out)
-		if loser.err == nil {
+	finish := func(winner, loser *hedgeArm) bool {
+		loser.cancel()
+		if err := <-loser.res; err == nil {
 			loser.peer.recordSuccess(len(loser.out))
 		} else {
-			// the cancellation raced a possibly-fine request, so this is not
-			// a failure — but the streak feeds the unhedged-probe trigger in
-			// hedgeDelay so a dead peer cannot hide behind its hedges forever
+			// not a failure — but the streak feeds the unhedged-probe trigger
+			// in hedgeDelay so a dead peer cannot hide behind its hedges
+			// forever
 			loser.peer.consecCancels.Add(1)
 		}
-		if hedgeWon {
+		f.putArm(loser)
+		if winner == hedge {
 			winner.peer.hedgeWins.Inc()
 			f.hedgeWins.Inc()
 		}
-		return settle(winner, true)
+		return f.settle(winner, nil, out)
 	}
 	select {
-	case o := <-chP:
-		if o.err == nil {
-			return finish(o, cancelH, chH, false)
+	case err := <-primary.res:
+		if err == nil {
+			return finish(primary, hedge)
 		}
 		// primary failed for real; let the hedge finish the chunk
-		settle(o, false)
-		return settle(<-chH, true)
-	case o := <-chH:
-		if o.err == nil {
-			return finish(o, cancelP, chP, true)
+		f.settle(primary, err, nil)
+		return f.settle(hedge, <-hedge.res, out)
+	case err := <-hedge.res:
+		if err == nil {
+			return finish(hedge, primary)
 		}
-		settle(o, false)
-		return settle(<-chP, true)
+		f.settle(hedge, err, nil)
+		return f.settle(primary, <-primary.res, out)
 	}
-}
-
-func (f *Fleet) getScores(n int) []float64 {
-	if sp, ok := f.scores.Get().(*[]float64); ok && cap(*sp) >= n {
-		return (*sp)[:n]
-	}
-	return make([]float64, n)
-}
-
-func (f *Fleet) putScores(s []float64) {
-	s = s[:cap(s)]
-	f.scores.Put(&s)
 }
 
 // recordFailure advances the supervisor: one more consecutive failure, and

@@ -85,7 +85,10 @@ func FuzzWireMsg(f *testing.F) {
 	f.Add(mask)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := readSockRequest(bufio.NewReader(bytes.NewReader(data))); err == nil {
+		// decode into used scratch, as a connection's reader does: whatever a
+		// previous message left behind must not show through
+		req := &sockReq{probe: true, keys: make([][32]byte, 3), phash: make([]uint64, 3)}
+		if err := req.read(bufio.NewReader(bytes.NewReader(data))); err == nil {
 			// decoded requests must be internally consistent: the server
 			// indexes keys, phashes and frames by the same count
 			if req.probe {
@@ -104,7 +107,8 @@ func FuzzWireMsg(f *testing.F) {
 				}
 			}
 		}
-		if resp, err := readSockResponse(bufio.NewReader(bytes.NewReader(data))); err == nil {
+		resp := &sockResp{masked: true, count: 9, mask: []byte{0xff, 1}, scores: make([]float64, 9)}
+		if err := resp.read(bufio.NewReader(bytes.NewReader(data))); err == nil {
 			// the client walks mask bits against the score slice; a decoded
 			// response must never send it out of bounds
 			if resp.masked {

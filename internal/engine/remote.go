@@ -338,7 +338,7 @@ func (b *RemoteBackend) tryChunk(ctx context.Context, chunk *wireChunk, out []fl
 			}
 		}
 		start := time.Now()
-		retryable, err := b.attempt(ctx, chunk, out)
+		retryable, err := b.attempt(ctx, start, chunk, out)
 		if err == nil {
 			b.batches.Add(1)
 			b.win.OnSuccess(time.Since(start))
@@ -381,11 +381,12 @@ func backoffDelay(attempt int, base, ceil time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// attempt runs one transport attempt of a chunk, bounded by the RTO-capped
-// per-attempt timeout and the caller's context (hedged dispatch cancels the
-// losing attempt through it). retryable reports whether a further attempt
-// could succeed (transport errors and 5xx yes, peer rejections no).
-func (b *RemoteBackend) attempt(ctx context.Context, chunk *wireChunk, out []float64) (retryable bool, err error) {
+// attempt runs one transport attempt of a chunk, started at start: bounded
+// by the RTO-capped per-attempt timeout and by the caller's context (the
+// whole try's budget; hedged dispatch cancels the losing arm through it).
+// retryable reports whether a further attempt could succeed (transport
+// errors and 5xx yes, peer rejections no).
+func (b *RemoteBackend) attempt(ctx context.Context, start time.Time, chunk *wireChunk, out []float64) (retryable bool, err error) {
 	timeout := b.timeout
 	if rto := b.win.RTO(); rto > 0 && rto < timeout {
 		// adaptive RTO: once the RTT estimator has warmed up, an attempt
@@ -395,9 +396,11 @@ func (b *RemoteBackend) attempt(ctx context.Context, chunk *wireChunk, out []flo
 		// contract identical across wires.
 		timeout = rto
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	return b.tr.roundTrip(ctx, chunk, out)
+	deadline := start.Add(timeout)
+	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
+		deadline = dl
+	}
+	return b.tr.roundTrip(ctx, deadline, chunk, out)
 }
 
 // Window returns the peer's shared congestion window.

@@ -71,6 +71,50 @@ func putSockHeader(dst []byte, magic string, id, flags, count uint32) {
 	binary.LittleEndian.PutUint32(dst[14:18], count)
 }
 
+// peekN returns the stream's next n bytes without copying them out of br's
+// buffer (n must fit it); they are valid until the caller's next read, which
+// is normally br.Discard(n). A stream that ends inside the n bytes is an
+// unexpected EOF, as io.ReadFull would report it.
+func peekN(br *bufio.Reader, n int) ([]byte, error) {
+	b, err := br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
+// readSockHeader reads and validates one v2 message prefix: magic, version
+// and the entry-count bound every decoder checks before it sizes anything.
+func readSockHeader(br *bufio.Reader, magic, what string) (id, flags, count uint32, err error) {
+	hdr, err := peekN(br, sockHeaderLen)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("engine: wire %s header: %w", what, err)
+	}
+	if string(hdr[:4]) != magic {
+		return 0, 0, 0, fmt.Errorf("engine: not a wire %s (magic %q)", what, hdr[:4])
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != wireVersionSock {
+		return 0, 0, 0, fmt.Errorf("engine: wire %s version %d, want %d", what, v, wireVersionSock)
+	}
+	id = binary.LittleEndian.Uint32(hdr[6:10])
+	flags = binary.LittleEndian.Uint32(hdr[10:14])
+	count = binary.LittleEndian.Uint32(hdr[14:18])
+	br.Discard(sockHeaderLen)
+	if count == 0 || count > maxWireFrames {
+		return 0, 0, 0, fmt.Errorf("engine: wire %s of %d entries (1..%d)", what, count, maxWireFrames)
+	}
+	return id, flags, count, nil
+}
+
+// resized returns s with length n, reusing its backing array when it is
+// large enough. The contents are the caller's to overwrite.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // sockReq is one decoded v2 request: a hash probe (keys+phash) or a keyed
 // pixel batch (keys+frames).
 type sockReq struct {
@@ -81,67 +125,58 @@ type sockReq struct {
 	frames []*imaging.Bitmap
 }
 
-// readSockRequest decodes one request message from the stream, validating
-// every bound before allocating. This is the server's untrusted-input
-// surface (fuzzed by FuzzWireMsg).
-func readSockRequest(r io.Reader) (*sockReq, error) {
-	var hdr [sockHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("engine: wire request header: %w", err)
+// read decodes one request message from the stream into req, validating
+// every bound before allocating and reusing req's slices where they are
+// large enough (a connection's probes all decode into one sockReq). This is
+// the server's untrusted-input surface (fuzzed by FuzzWireMsg).
+func (req *sockReq) read(br *bufio.Reader) error {
+	id, flags, count, err := readSockHeader(br, batchMagic, "request")
+	if err != nil {
+		return err
 	}
-	if string(hdr[:4]) != batchMagic {
-		return nil, fmt.Errorf("engine: not a wire request (magic %q)", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != wireVersionSock {
-		return nil, fmt.Errorf("engine: wire request version %d, want %d", v, wireVersionSock)
-	}
-	req := &sockReq{id: binary.LittleEndian.Uint32(hdr[6:10])}
-	flags := binary.LittleEndian.Uint32(hdr[10:14])
-	count := binary.LittleEndian.Uint32(hdr[14:18])
 	if flags != 0 && flags != sockFlagProbe {
-		return nil, fmt.Errorf("engine: wire request flags %#x", flags)
+		return fmt.Errorf("engine: wire request flags %#x", flags)
 	}
-	if count == 0 || count > maxWireFrames {
-		return nil, fmt.Errorf("engine: wire request of %d entries (1..%d)", count, maxWireFrames)
-	}
-	req.keys = make([][32]byte, count)
-	if flags&sockFlagProbe != 0 {
-		req.probe = true
-		req.phash = make([]uint64, count)
-		var ent [probeEntryLen]byte
+	req.id, req.probe = id, flags == sockFlagProbe
+	req.keys = resized(req.keys, int(count))
+	req.phash, req.frames = req.phash[:0], req.frames[:0]
+	if req.probe {
+		req.phash = resized(req.phash, int(count))
 		for i := range req.keys {
-			if _, err := io.ReadFull(r, ent[:]); err != nil {
-				return nil, fmt.Errorf("engine: probe entry %d: %w", i, err)
+			ent, err := peekN(br, probeEntryLen)
+			if err != nil {
+				return fmt.Errorf("engine: probe entry %d: %w", i, err)
 			}
 			copy(req.keys[i][:], ent[:wireKeyLen])
 			req.phash[i] = binary.LittleEndian.Uint64(ent[wireKeyLen:])
+			br.Discard(probeEntryLen)
 		}
-		return req, nil
+		return nil
 	}
-	req.frames = make([]*imaging.Bitmap, 0, count)
 	var total int64
-	for i := uint32(0); i < count; i++ {
-		var fh [wireKeyLen + 8]byte
-		if _, err := io.ReadFull(r, fh[:]); err != nil {
-			return nil, fmt.Errorf("engine: wire frame %d header: %w", i, err)
+	for i := range req.keys {
+		fh, err := peekN(br, wireKeyLen+8)
+		if err != nil {
+			return fmt.Errorf("engine: wire frame %d header: %w", i, err)
 		}
 		copy(req.keys[i][:], fh[:wireKeyLen])
 		w := int(binary.LittleEndian.Uint32(fh[wireKeyLen : wireKeyLen+4]))
 		h := int(binary.LittleEndian.Uint32(fh[wireKeyLen+4:]))
+		br.Discard(wireKeyLen + 8)
 		// int64 bound math, like decodeFrames: w*h*4 wraps on 32-bit
 		if w <= 0 || h <= 0 || w > maxWireEdge || h > maxWireEdge || int64(w)*int64(h)*4 > maxWireFrameBytes {
-			return nil, fmt.Errorf("engine: wire frame %d is %dx%d", i, w, h)
+			return fmt.Errorf("engine: wire frame %d is %dx%d", i, w, h)
 		}
 		if total += int64(w) * int64(h) * 4; total > maxSockPixelBytes {
-			return nil, fmt.Errorf("engine: wire request pixel payload exceeds %d bytes", maxSockPixelBytes)
+			return fmt.Errorf("engine: wire request pixel payload exceeds %d bytes", maxSockPixelBytes)
 		}
 		b := imaging.NewBitmap(w, h)
-		if _, err := io.ReadFull(r, b.Pix); err != nil {
-			return nil, fmt.Errorf("engine: wire frame %d pixels: %w", i, err)
+		if _, err := io.ReadFull(br, b.Pix); err != nil {
+			return fmt.Errorf("engine: wire frame %d pixels: %w", i, err)
 		}
 		req.frames = append(req.frames, b)
 	}
-	return req, nil
+	return nil
 }
 
 // sockResp is one decoded v2 response: either plain scores (count of them)
@@ -155,68 +190,70 @@ type sockResp struct {
 }
 
 // wireSize is the response's on-the-wire byte count (accounting).
-func (r sockResp) wireSize() int64 {
+func (r *sockResp) wireSize() int64 {
 	return int64(sockHeaderLen + len(r.mask) + 8*len(r.scores))
 }
 
-// readSockResponse decodes one response message from the stream (the
-// client side of the fuzzed surface).
-func readSockResponse(r io.Reader) (sockResp, error) {
-	var hdr [sockHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return sockResp{}, fmt.Errorf("engine: wire response header: %w", err)
+// read decodes one whole response message (the client side of the fuzzed
+// surface): the header, then readBody.
+func (r *sockResp) read(br *bufio.Reader) error {
+	id, flags, count, err := readSockHeader(br, scoreMagic, "response")
+	if err != nil {
+		return err
 	}
-	if string(hdr[:4]) != scoreMagic {
-		return sockResp{}, fmt.Errorf("engine: not a wire response (magic %q)", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != wireVersionSock {
-		return sockResp{}, fmt.Errorf("engine: wire response version %d, want %d", v, wireVersionSock)
-	}
-	resp := sockResp{id: binary.LittleEndian.Uint32(hdr[6:10])}
-	flags := binary.LittleEndian.Uint32(hdr[10:14])
-	count := binary.LittleEndian.Uint32(hdr[14:18])
+	r.id = id
+	return r.readBody(br, flags, count)
+}
+
+// readBody decodes what follows a response header, reusing r's mask and
+// score slices where they are large enough — the connection's reader
+// decodes each response straight into the scratch of the round trip that
+// waits for it.
+func (r *sockResp) readBody(br *bufio.Reader, flags, count uint32) error {
 	if flags != 0 && flags != sockFlagMask {
-		return sockResp{}, fmt.Errorf("engine: wire response flags %#x", flags)
+		return fmt.Errorf("engine: wire response flags %#x", flags)
 	}
-	if count == 0 || count > maxWireFrames {
-		return sockResp{}, fmt.Errorf("engine: wire response of %d entries (1..%d)", count, maxWireFrames)
-	}
-	resp.count = int(count)
-	nscores := resp.count
-	if flags&sockFlagMask != 0 {
-		resp.masked = true
-		resp.mask = make([]byte, (count+7)/8)
-		if _, err := io.ReadFull(r, resp.mask); err != nil {
-			return sockResp{}, fmt.Errorf("engine: wire response mask: %w", err)
+	r.masked, r.count, r.mask = flags == sockFlagMask, int(count), r.mask[:0]
+	nscores := r.count
+	if r.masked {
+		r.mask = resized(r.mask, (r.count+7)/8)
+		if _, err := io.ReadFull(br, r.mask); err != nil {
+			return fmt.Errorf("engine: wire response mask: %w", err)
+		}
+		// bits past count must be clear, or the score count is ambiguous
+		if extra := len(r.mask)*8 - r.count; extra > 0 && r.mask[len(r.mask)-1]>>(8-extra) != 0 {
+			return fmt.Errorf("engine: wire response mask sets bits past entry %d", count)
 		}
 		nscores = 0
-		for i, m := range resp.mask {
-			if i == len(resp.mask)-1 {
-				// bits past count must be clear, or the score count is
-				// ambiguous
-				if extra := len(resp.mask)*8 - resp.count; extra > 0 && m>>(8-extra) != 0 {
-					return sockResp{}, fmt.Errorf("engine: wire response mask sets bits past entry %d", count)
-				}
-			}
+		for _, m := range r.mask {
 			nscores += bits.OnesCount8(m)
 		}
 	}
-	resp.scores = make([]float64, nscores)
-	var buf [8]byte
-	for i := range resp.scores {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return sockResp{}, fmt.Errorf("engine: wire response score %d: %w", i, err)
+	r.scores = resized(r.scores, nscores)
+	for i := range r.scores {
+		b, err := peekN(br, 8)
+		if err != nil {
+			return fmt.Errorf("engine: wire response score %d: %w", i, err)
 		}
-		resp.scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+		r.scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		br.Discard(8)
 	}
-	return resp, nil
+	return nil
 }
 
-// sockResult delivers a response (or the connection's fatal error) to the
-// round trip waiting on its request ID.
-type sockResult struct {
-	resp sockResp
-	err  error
+// sockCall is one round trip's rendezvous with the connection's reader: the
+// reader decodes the response whose ID matches straight into resp and sends
+// the outcome (nil, or the connection's fatal error) on done. Calls are
+// pooled with everything a warm round trip needs — the channel, the
+// response and request scratch, the attempt timer — so one costs no garbage.
+type sockCall struct {
+	done  chan error // buffered(1): the reader never blocks
+	resp  sockResp
+	buf   []byte      // request framing scratch
+	timer *time.Timer // attempt deadline; stopped and drained between uses
+	// abandoned marks a call that returned without collecting done: the
+	// reader (or dropConn) may still write to it, so it is never recycled
+	abandoned bool
 }
 
 // sockTransport is the wire-v2 client: one hot connection, lazily dialed
@@ -231,8 +268,9 @@ type sockTransport struct {
 	wmu     sync.Mutex // serializes whole-message writes (never held with mu)
 	conn    net.Conn
 	bw      *bufio.Writer
-	pending map[uint32]chan sockResult
+	pending map[uint32]*sockCall
 	nextID  uint32
+	calls   sync.Pool // *sockCall
 
 	stats transportCounters
 }
@@ -242,7 +280,7 @@ func newSockTransport(addr, peer string, dedup bool) *sockTransport {
 		addr:    addr,
 		peer:    peer,
 		dedup:   dedup,
-		pending: make(map[uint32]chan sockResult),
+		pending: make(map[uint32]*sockCall),
 	}
 }
 
@@ -268,7 +306,7 @@ func (t *sockTransport) warm(ctx context.Context) error {
 	if t.conn != nil {
 		return nil
 	}
-	return t.dialLocked(ctx)
+	return t.dialLocked(ctx, time.Time{})
 }
 
 // compatible requires the peer to still speak v2 and advertise a listener:
@@ -277,10 +315,10 @@ func (t *sockTransport) compatible(info ModelzInfo) bool {
 	return info.WireVersion >= wireVersionSock && info.WireAddr != ""
 }
 
-// dialLocked establishes the connection and starts its reader. Caller
-// holds t.mu.
-func (t *sockTransport) dialLocked(ctx context.Context) error {
-	var d net.Dialer
+// dialLocked establishes the connection (by deadline, when it is set) and
+// starts its reader. Caller holds t.mu.
+func (t *sockTransport) dialLocked(ctx context.Context, deadline time.Time) error {
+	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", t.addr)
 	if err != nil {
 		return fmt.Errorf("engine: peer %s wire dial %s: %w", t.peer, t.addr, err)
@@ -299,9 +337,9 @@ func (t *sockTransport) dropConn(conn net.Conn, err error) {
 	t.mu.Lock()
 	if t.conn == conn {
 		t.conn, t.bw = nil, nil
-		for id, ch := range t.pending {
+		for id, c := range t.pending {
 			delete(t.pending, id)
-			ch <- sockResult{err: err}
+			c.done <- err
 		}
 	}
 	t.mu.Unlock()
@@ -309,103 +347,176 @@ func (t *sockTransport) dropConn(conn net.Conn, err error) {
 }
 
 // readLoop is the connection's single reader: it routes responses to their
-// waiting round trips by ID. A response whose ID is unknown answers a
-// request that already timed out client-side — dropped, the timeout was
-// the loss signal.
+// waiting round trips by ID, decoding each into its waiter's scratch. A
+// response whose ID is unknown answers a request that already timed out
+// client-side — decoded into a spare and dropped, the timeout was the loss
+// signal.
 func (t *sockTransport) readLoop(conn net.Conn, br *bufio.Reader) {
+	var spare sockResp
 	for {
-		resp, err := readSockResponse(br)
+		id, flags, count, err := readSockHeader(br, scoreMagic, "response")
 		if err != nil {
 			t.dropConn(conn, err)
 			return
 		}
-		t.stats.bytesIn.Add(resp.wireSize())
 		t.mu.Lock()
-		ch := t.pending[resp.id]
-		delete(t.pending, resp.id)
+		c := t.pending[id]
+		delete(t.pending, id)
 		t.mu.Unlock()
-		if ch != nil {
-			ch <- sockResult{resp: resp}
+		resp := &spare
+		if c != nil {
+			resp = &c.resp
+		}
+		resp.id = id
+		err = resp.readBody(br, flags, count)
+		if err == nil {
+			t.stats.bytesIn.Add(resp.wireSize())
+		}
+		if c != nil {
+			c.done <- err
+		}
+		if err != nil {
+			t.dropConn(conn, err)
+			return
 		}
 	}
 }
 
-// call runs one request/response exchange: register a pending ID, write
-// the message (size bytes, for accounting), await the routed response.
-// ctx expiry abandons the ID — in-flight accounting for the congestion
-// window stays with the caller, which holds the window slot.
-func (t *sockTransport) call(ctx context.Context, size int64, write func(bw *bufio.Writer, id uint32) error) (sockResp, error) {
+// sockMsg is one request for call to frame and write: a probe of every key
+// (frames nil), or the keyed pixels of the frames at idx.
+type sockMsg struct {
+	keys   [][32]byte
+	phash  []uint64
+	frames []*imaging.Bitmap
+	idx    []int
+}
+
+// size is the message's on-the-wire byte count (accounting).
+func (m sockMsg) size() int64 {
+	if m.frames == nil {
+		return int64(sockHeaderLen + len(m.keys)*probeEntryLen)
+	}
+	n := int64(sockHeaderLen)
+	for _, i := range m.idx {
+		n += wireKeyLen + 8 + int64(len(m.frames[i].Pix))
+	}
+	return n
+}
+
+// write frames the message under request ID id. The framing is built in buf
+// (returned for reuse); pixels go straight from each frame's backing buffer
+// to the socket — bufio passes large writes through. Write errors are
+// sticky; the caller's Flush surfaces them.
+func (m sockMsg) write(bw *bufio.Writer, id uint32, buf []byte) []byte {
+	buf = resized(buf, sockHeaderLen)
+	if m.frames == nil {
+		putSockHeader(buf, batchMagic, id, sockFlagProbe, uint32(len(m.keys)))
+		for i := range m.keys {
+			buf = append(buf, m.keys[i][:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, m.phash[i])
+		}
+		bw.Write(buf)
+		return buf
+	}
+	putSockHeader(buf, batchMagic, id, 0, uint32(len(m.idx)))
+	for _, i := range m.idx {
+		buf = append(buf, m.keys[i][:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.frames[i].W))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.frames[i].H))
+		bw.Write(buf)
+		bw.Write(m.frames[i].Pix)
+		buf = buf[:0]
+	}
+	return buf
+}
+
+// stopTimer stops t and discards a tick it may already have delivered, so
+// the next Reset starts from an empty channel.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
+// getCall checks a pooled round-trip rendezvous out.
+func (t *sockTransport) getCall() *sockCall {
+	if c, _ := t.calls.Get().(*sockCall); c != nil {
+		return c
+	}
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	return &sockCall{done: make(chan error, 1), timer: timer}
+}
+
+// call runs one request/response exchange: register c under a fresh ID,
+// write the message, await the response the reader decodes into c.resp.
+// The attempt ends at deadline or when ctx does, whichever is first; either
+// abandons the ID (and c) — in-flight accounting for the congestion window
+// stays with the caller, which holds the window slot.
+func (t *sockTransport) call(ctx context.Context, deadline time.Time, c *sockCall, msg sockMsg) error {
 	t.mu.Lock()
 	if t.conn == nil {
-		if err := t.dialLocked(ctx); err != nil {
+		if err := t.dialLocked(ctx, deadline); err != nil {
 			t.mu.Unlock()
-			return sockResp{}, err
+			return err
 		}
 	}
 	conn, bw := t.conn, t.bw
 	t.nextID++
 	id := t.nextID
-	ch := make(chan sockResult, 1)
-	t.pending[id] = ch
+	t.pending[id] = c
 	t.mu.Unlock()
 
 	t.wmu.Lock()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetWriteDeadline(dl)
-	} else {
-		conn.SetWriteDeadline(time.Time{})
-	}
-	err := write(bw, id)
-	if err == nil {
-		err = bw.Flush()
-	}
+	conn.SetWriteDeadline(deadline)
+	c.buf = msg.write(bw, id, c.buf)
+	err := bw.Flush()
 	t.wmu.Unlock()
 	if err != nil {
+		c.abandoned = true // dropConn's notice to c.done is never collected
 		t.dropConn(conn, err)
-		return sockResp{}, err
+		return err
 	}
-	t.stats.bytesOut.Add(size)
+	t.stats.bytesOut.Add(msg.size())
+	c.timer.Reset(time.Until(deadline))
 	select {
-	case r := <-ch:
-		return r.resp, r.err
+	case err = <-c.done:
+		stopTimer(c.timer)
+		return err
 	case <-ctx.Done():
-		t.mu.Lock()
-		delete(t.pending, id)
-		t.mu.Unlock()
-		return sockResp{}, ctx.Err()
+		err = ctx.Err()
+	case <-c.timer.C:
+		err = context.DeadlineExceeded
 	}
+	c.abandoned = true
+	t.mu.Lock()
+	delete(t.pending, id)
+	t.mu.Unlock()
+	return err
 }
 
 // roundTrip scores one chunk over the socket: hash probe first (when dedup
 // is on), then pixels for the misses only. Every socket failure is
 // retryable — the retry redials.
-func (t *sockTransport) roundTrip(ctx context.Context, chunk *wireChunk, out []float64) (retryable bool, err error) {
+func (t *sockTransport) roundTrip(ctx context.Context, deadline time.Time, chunk *wireChunk, out []float64) (retryable bool, err error) {
 	frames := chunk.frames
 	t.stats.chunks.Add(1)
 	var missArr [BatchChunk]int
 	miss := missArr[:0]
 	keys, phash := chunk.contentKeys()
+	c := t.getCall()
+	resp := &c.resp
 	if t.dedup {
 		n := len(keys)
-		size := int64(sockHeaderLen + n*probeEntryLen)
-		resp, err := t.call(ctx, size, func(bw *bufio.Writer, id uint32) error {
-			var hdr [sockHeaderLen]byte
-			putSockHeader(hdr[:], batchMagic, id, sockFlagProbe, uint32(n))
-			bw.Write(hdr[:])
-			var pb [8]byte
-			for i := range keys {
-				bw.Write(keys[i][:])
-				binary.LittleEndian.PutUint64(pb[:], phash[i])
-				bw.Write(pb[:])
-			}
-			return nil // write errors are sticky; Flush surfaces them
-		})
-		if err != nil {
-			return true, err
+		if err := t.call(ctx, deadline, c, sockMsg{keys: keys, phash: phash}); err != nil {
+			return true, t.endCall(c, err)
 		}
 		if !resp.masked || resp.count != n {
-			return true, fmt.Errorf("engine: peer %s wire: probe answered %d/%v, want %d/mask",
-				t.peer, resp.count, resp.masked, n)
+			return true, t.endCall(c, fmt.Errorf("engine: peer %s wire: probe answered %d/%v, want %d/mask",
+				t.peer, resp.count, resp.masked, n))
 		}
 		si := 0
 		for i := 0; i < n; i++ {
@@ -418,45 +529,34 @@ func (t *sockTransport) roundTrip(ctx context.Context, chunk *wireChunk, out []f
 		}
 		t.stats.framesDedup.Add(int64(n - len(miss)))
 		if len(miss) == 0 {
-			return false, nil
+			return false, t.endCall(c, nil)
 		}
 	} else {
 		for i := range frames {
 			miss = append(miss, i)
 		}
 	}
-	size := int64(sockHeaderLen)
-	for _, i := range miss {
-		size += wireKeyLen + 8 + int64(len(frames[i].Pix))
-	}
-	resp, err := t.call(ctx, size, func(bw *bufio.Writer, id uint32) error {
-		var hdr [sockHeaderLen]byte
-		putSockHeader(hdr[:], batchMagic, id, 0, uint32(len(miss)))
-		bw.Write(hdr[:])
-		var dims [8]byte
-		for _, i := range miss {
-			bw.Write(keys[i][:])
-			binary.LittleEndian.PutUint32(dims[0:4], uint32(frames[i].W))
-			binary.LittleEndian.PutUint32(dims[4:8], uint32(frames[i].H))
-			bw.Write(dims[:])
-			// zero-copy: pixels go straight from the frame's backing buffer
-			// to the socket (bufio passes large writes through)
-			bw.Write(frames[i].Pix)
-		}
-		return nil
-	})
-	if err != nil {
-		return true, err
+	if err := t.call(ctx, deadline, c, sockMsg{keys: keys, frames: frames, idx: miss}); err != nil {
+		return true, t.endCall(c, err)
 	}
 	if resp.masked || resp.count != len(miss) {
-		return true, fmt.Errorf("engine: peer %s wire: %d scores for %d frames",
-			t.peer, resp.count, len(miss))
+		return true, t.endCall(c, fmt.Errorf("engine: peer %s wire: %d scores for %d frames",
+			t.peer, resp.count, len(miss)))
 	}
 	for j, i := range miss {
 		out[i] = resp.scores[j]
 	}
 	t.stats.framesPixels.Add(int64(len(miss)))
-	return false, nil
+	return false, t.endCall(c, nil)
+}
+
+// endCall recycles a round trip's sockCall unless a call abandoned it, and
+// passes the round trip's error through.
+func (t *sockTransport) endCall(c *sockCall, err error) error {
+	if !c.abandoned {
+		t.calls.Put(c)
+	}
+	return err
 }
 
 // resolveWireAddr resolves a peer's advertised wire listener against its
@@ -696,19 +796,20 @@ func (s *WireServer) Close() {
 }
 
 // handleConn reads requests until the stream breaks: probes are answered
-// inline (cache lookups, no model time), pixel batches score on a bounded
-// pool of goroutines so a deep client window maps to concurrent forward
-// passes without unbounded fan-out. Any protocol error closes the
-// connection — framing cannot resync mid-stream.
+// inline (cache lookups, no model time) out of per-connection scratch, pixel
+// batches score on a bounded pool of goroutines so a deep client window maps
+// to concurrent forward passes without unbounded fan-out. Any protocol error
+// closes the connection — framing cannot resync mid-stream.
 func (s *WireServer) handleConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(countingReader{r: conn, n: &s.bytesIn}, sockBufSize)
 	var wmu sync.Mutex
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
+	req := &sockReq{}
+	var answer []byte // probe responses are built here, one at a time
 	for {
-		req, err := readSockRequest(br)
-		if err != nil {
+		if err := req.read(br); err != nil {
 			s.mu.Lock()
 			closed := s.closed
 			s.mu.Unlock()
@@ -719,15 +820,16 @@ func (s *WireServer) handleConn(conn net.Conn) {
 		}
 		s.requests.Add(1)
 		if req.probe {
-			s.answerProbe(conn, &wmu, req)
+			answer = s.answerProbe(conn, &wmu, req, answer)
 			continue
 		}
 		reqWG.Add(1)
 		s.sem <- struct{}{}
-		go func() {
+		go func(req *sockReq) {
 			defer func() { <-s.sem; reqWG.Done() }()
 			s.scorePixels(conn, &wmu, req)
-		}()
+		}(req)
+		req = &sockReq{} // the scoring goroutine owns the decoded one
 	}
 }
 
@@ -755,30 +857,27 @@ func unwrap(err error) error {
 }
 
 // answerProbe replies with the verdict cache's view of the probed keys:
-// hit bitmask + scores for the hits.
-func (s *WireServer) answerProbe(conn net.Conn, wmu *sync.Mutex, req *sockReq) {
+// hit bitmask + scores for the hits. The message is built in buf, which is
+// returned for the connection's next probe.
+func (s *WireServer) answerProbe(conn net.Conn, wmu *sync.Mutex, req *sockReq, buf []byte) []byte {
 	n := len(req.keys)
-	buf := make([]byte, sockHeaderLen, sockHeaderLen+(n+7)/8+8*n)
-	mask := make([]byte, (n+7)/8)
+	buf = resized(buf, sockHeaderLen+(n+7)/8)
+	putSockHeader(buf, scoreMagic, req.id, sockFlagMask, uint32(n))
+	clear(buf[sockHeaderLen:])
 	hits := 0
-	scores := make([]float64, 0, n)
 	if s.cache != nil {
 		for i, k := range req.keys {
 			if v, ok := s.cache.LookupVerdict(k); ok {
-				mask[i/8] |= 1 << (i % 8)
-				scores = append(scores, v)
+				buf[sockHeaderLen+i/8] |= 1 << (i % 8) // indexed afresh: the append below may move buf
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 				hits++
 			}
 		}
 	}
 	s.probeHits.Add(int64(hits))
 	s.probeMisses.Add(int64(n - hits))
-	putSockHeader(buf, scoreMagic, req.id, sockFlagMask, uint32(n))
-	buf = append(buf, mask...)
-	for _, v := range scores {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
 	s.writeMsg(conn, wmu, buf)
+	return buf
 }
 
 // scorePixels runs the batch on the backend, memoizes the verdicts under

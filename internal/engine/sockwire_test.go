@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -330,8 +331,8 @@ func TestSockRequestRoundTrip(t *testing.T) {
 		bw.Write(pb[:])
 	}
 	bw.Flush()
-	req, err := readSockRequest(&buf)
-	if err != nil {
+	req := &sockReq{}
+	if err := req.read(bufio.NewReader(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !req.probe || req.id != 42 || len(req.keys) != len(keys) {
@@ -355,11 +356,12 @@ func TestSockRequestRoundTrip(t *testing.T) {
 		buf.Write(dims[:])
 		buf.Write(f.Pix)
 	}
-	req, err = readSockRequest(&buf)
-	if err != nil {
+	// decoded into the same sockReq, as a connection's reader does: nothing
+	// of the probe may leak into the pixel request
+	if err := req.read(bufio.NewReader(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	if req.probe || req.id != 43 || len(req.frames) != len(frames) {
+	if req.probe || req.id != 43 || len(req.frames) != len(frames) || len(req.phash) != 0 {
 		t.Fatalf("pixel request decoded %+v", req)
 	}
 	for i, f := range frames {
@@ -373,8 +375,8 @@ func TestSockRequestRoundTrip(t *testing.T) {
 	putSockHeader(hdr[:], scoreMagic, 44, sockFlagMask, 3)
 	buf.Write(hdr[:])
 	buf.WriteByte(0xFF) // 8 bits set for 3 entries
-	resp, err := readSockResponse(&buf)
-	if err == nil {
+	var resp sockResp
+	if err := resp.read(bufio.NewReader(&buf)); err == nil {
 		t.Fatalf("overfull mask accepted: %+v", resp)
 	}
 }
@@ -421,5 +423,65 @@ func TestVerdictMap(t *testing.T) {
 	m.Reset()
 	if m.Len() != 0 {
 		t.Fatalf("reset left %d entries", m.Len())
+	}
+}
+
+// TestWarmProbeChunkAllocBudget pins the garbage one warm chunk costs end
+// to end: fleet dispatch (hedge-armed, two peers) -> congestion window ->
+// socket round trip -> the peer's probe answer from its verdict cache ->
+// response decode. It stood at ~2.3 KB a chunk while the serve batcher put a
+// 2 ms timer in front of every chunk; with the timer gone the chunk rate
+// tripled and the garbage with it, so the path now recycles what it can
+// (arms, waiters, timers, per-connection scratch). The budget is a ceiling
+// with headroom, not the measured figure.
+func TestWarmProbeChunkAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	net_, res := testNet(t, 16)
+	local := NewFP32(net_, res)
+	defer local.Close()
+	remotes := make([]*RemoteBackend, 2)
+	for i := range remotes {
+		ts, _ := newWirePeer(t, local.Replicate(), NewVerdictMap(0))
+		rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Transport: "socket"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		remotes[i] = rb
+	}
+	fleet, err := NewFleet(remotes, FleetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	lanes := []Backend{fleet.Replicate(), fleet.Replicate()}
+	frames := synth.SampleFrames(5, 8)
+	out := make([]float64, 1)
+	one := make([]*imaging.Bitmap, 1)
+	dispatch := func(rounds int) {
+		for r := 0; r < rounds; r++ {
+			for i, f := range frames {
+				one[0] = f
+				lanes[i%2].InferBatchInto(one, out)
+			}
+		}
+	}
+	dispatch(8) // cold pass fills both verdict caches; the rest warms pools, hedge trigger and RTO
+	if h := fleet.hedgeDelay((*fleet.peers.Load())[0]); h == 0 {
+		t.Fatal("hedge trigger unarmed after the warm-up: the budget would not cover the hedge timer")
+	}
+	const rounds = 64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	dispatch(rounds)
+	runtime.ReadMemStats(&m1)
+	perChunk := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(rounds*len(frames))
+	t.Logf("%.0f B and %.1f mallocs per warm chunk", perChunk, float64(m1.Mallocs-m0.Mallocs)/float64(rounds*len(frames)))
+	if perChunk > 1000 {
+		t.Fatalf("a warm probe chunk allocates %.0f B, budget 1000", perChunk)
+	}
+	if st := fleet.Stats(); st.Errors != 0 || fleet.Fallbacks() != 0 {
+		t.Fatalf("warm path failed over: %+v, %d fallbacks", st, fleet.Fallbacks())
 	}
 }

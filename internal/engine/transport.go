@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"percival/internal/imaging"
 )
@@ -153,9 +154,10 @@ type Transport interface {
 
 	// roundTrip runs one attempt of one chunk: scores land in
 	// out[:len(chunk.frames)]. retryable reports whether a further attempt
-	// could succeed (transport errors yes, peer rejections no). The context
-	// carries the attempt's RTO-capped deadline.
-	roundTrip(ctx context.Context, chunk *wireChunk, out []float64) (retryable bool, err error)
+	// could succeed (transport errors yes, peer rejections no). The attempt
+	// ends at its RTO-capped deadline or when ctx — the whole try's budget
+	// and the hedge loser's cancellation — does, whichever comes first.
+	roundTrip(ctx context.Context, deadline time.Time, chunk *wireChunk, out []float64) (retryable bool, err error)
 	// warm pre-establishes connections so the first dispatch pays no setup.
 	warm(ctx context.Context) error
 	// compatible reports whether a fresh handshake document still matches
@@ -192,7 +194,9 @@ func (t *httpTransport) compatible(info ModelzInfo) bool {
 	return wireCompatible(info.WireVersion)
 }
 
-func (t *httpTransport) roundTrip(ctx context.Context, chunk *wireChunk, out []float64) (retryable bool, err error) {
+func (t *httpTransport) roundTrip(ctx context.Context, deadline time.Time, chunk *wireChunk, out []float64) (retryable bool, err error) {
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
 	body := chunk.pixelBody()
 	t.stats.chunks.Add(1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.batchURL, bytes.NewReader(body))

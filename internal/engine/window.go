@@ -108,7 +108,8 @@ type CubicWindow struct {
 	epoch    time.Time
 	lastLoss time.Time
 	inflight int
-	wake     chan struct{} // closed+replaced on every release (broadcast)
+	wake     chan struct{} // closed+replaced to broadcast to parked Acquires
+	parked   int           // Acquires that may be waiting on wake
 
 	losses  atomic.Int64
 	blocked atomic.Int64 // Acquire calls that had to wait
@@ -166,6 +167,7 @@ func (w *CubicWindow) Acquire(ctx context.Context) bool {
 			return true
 		}
 		wake := w.wake
+		w.parked++
 		w.mu.Unlock()
 		if !waited {
 			waited = true
@@ -186,9 +188,22 @@ func (w *CubicWindow) Release() {
 	if w.inflight > 0 {
 		w.inflight--
 	}
+	w.wakeLocked()
+	w.mu.Unlock()
+}
+
+// wakeLocked broadcasts to the parked Acquires by closing the channel they
+// wait on and arming a fresh one. With nobody parked — every chunk of an
+// uncongested peer — it does nothing, so the common path allocates no
+// channel. (An Acquire that gave up on its context stays counted until the
+// next broadcast; the cost is one spare channel, never a missed wake-up.)
+func (w *CubicWindow) wakeLocked() {
+	if w.parked == 0 {
+		return
+	}
+	w.parked = 0
 	close(w.wake)
 	w.wake = make(chan struct{})
-	w.mu.Unlock()
 }
 
 // OnSuccess feeds one successful round trip: the RTT sample goes to the
@@ -223,8 +238,7 @@ func (w *CubicWindow) OnSuccess(rtt time.Duration) {
 		w.cwnd = w.opts.Max
 	}
 	// growth can unblock waiters even without a release
-	close(w.wake)
-	w.wake = make(chan struct{})
+	w.wakeLocked()
 }
 
 // OnLoss applies the multiplicative decrease for one congestion signal — a
@@ -296,8 +310,7 @@ func (w *CubicWindow) Reset() {
 	w.rtt.Reset()
 	w.mu.Lock()
 	w.resetLocked()
-	close(w.wake)
-	w.wake = make(chan struct{})
+	w.wakeLocked()
 	w.mu.Unlock()
 }
 

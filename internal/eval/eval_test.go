@@ -328,9 +328,16 @@ func TestAsyncMemoizationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// async mode's whole point: less in-path time than sync
-	if r.AsyncInPathMS >= r.SyncInPathMS {
-		t.Fatalf("async in-path %.2f >= sync %.2f", r.AsyncInPathMS, r.SyncInPathMS)
+	// async mode's whole point: the model never runs inside InspectFrame,
+	// where sync mode runs it once per cache miss. (The in-path milliseconds
+	// are for the table: they are wall-clock sums taken while the background
+	// classifications just spawned compete for the processor, and comparing
+	// them failed one run in four.)
+	if s := r.SyncStats; s.Classified == 0 || s.InPathForwards != s.Classified {
+		t.Fatalf("sync: %d forwards in-path of %d classifications, want all of them", s.InPathForwards, s.Classified)
+	}
+	if a := r.AsyncStats; a.Classified == 0 || a.InPathForwards != 0 {
+		t.Fatalf("async: %d forwards in-path (%d classifications), want none", a.InPathForwards, a.Classified)
 	}
 	if r.FirstVisitAds == 0 {
 		t.Fatal("async first visits must render some ads")

@@ -175,12 +175,14 @@ func (r *Fig15Report) Table() string {
 // model's work off the rendering critical path (the same CPU is burned, but
 // in the background).
 type AsyncReport struct {
-	SyncInPathMS    float64 // cumulative InspectFrame time, sync mode
-	AsyncInPathMS   float64 // cumulative InspectFrame time, async mode
-	SyncMedianMS    float64 // median per-page compute, sync
-	AsyncMedianMS   float64 // median per-page compute, async
-	FirstVisitAds   int     // ads that rendered during async first visits
-	SecondVisitAds  int     // static ads still rendering on revisit
+	SyncInPathMS    float64    // cumulative InspectFrame time, sync mode
+	AsyncInPathMS   float64    // cumulative InspectFrame time, async mode
+	SyncStats       core.Stats // sync service after its pass
+	AsyncStats      core.Stats // async service after its first visits drained
+	SyncMedianMS    float64    // median per-page compute, sync
+	AsyncMedianMS   float64    // median per-page compute, async
+	FirstVisitAds   int        // ads that rendered during async first visits
+	SecondVisitAds  int        // static ads still rendering on revisit
 	CacheHitsSecond int64
 }
 
@@ -210,7 +212,8 @@ func (h *Harness) AsyncMemoization() (*AsyncReport, error) {
 		syncLat.Add(res.ComputeMS)
 	}
 	rep.SyncMedianMS = syncLat.Median()
-	rep.SyncInPathMS = syncSvc.Stats().InPathMS
+	rep.SyncStats = syncSvc.Stats()
+	rep.SyncInPathMS = rep.SyncStats.InPathMS
 
 	// asynchronous first visit
 	asyncSvc, err := h.Service(core.Asynchronous)
@@ -234,6 +237,7 @@ func (h *Harness) AsyncMemoization() (*AsyncReport, error) {
 	rep.AsyncMedianMS = asyncLat.Median()
 	rep.AsyncInPathMS = asyncSvc.Stats().InPathMS
 	asyncSvc.Drain() // browser idle: background classification completes
+	rep.AsyncStats = asyncSvc.Stats()
 
 	// revisit: memoized verdicts now block (fresh browser = fresh raster
 	// caches; the service cache persists like a profile would)

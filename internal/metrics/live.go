@@ -208,67 +208,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// CountsInto copies the current per-bucket counts into dst (grown if
-// needed) and returns it — the allocation-free snapshot primitive for
-// callers that difference consecutive snapshots into a windowed
-// distribution (the adaptive batching policy).
-func (h *Histogram) CountsInto(dst []int64) []int64 {
-	nb := len(h.bounds) + 1
-	if cap(dst) < nb {
-		dst = make([]int64, nb)
-	}
-	dst = dst[:nb]
-	for i := 0; i < nb; i++ {
-		dst[i] = h.bucketCount(i)
-	}
-	return dst
-}
-
-// QuantileOf estimates the q-th quantile of an externally supplied
-// bucket-count vector with this histogram's geometry (typically the delta
-// of two CountsInto snapshots, i.e. a windowed distribution). Returns 0
-// for an empty vector; interpolation matches Quantile.
-func (h *Histogram) QuantileOf(counts []int64, q float64) float64 {
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(n)
-	var cum int64
-	for i := 0; i < len(counts) && i <= len(h.bounds); i++ {
-		c := counts[i]
-		if float64(cum+c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if i >= len(h.bounds) {
-				return lo // open-ended top bucket
-			}
-			hi := h.bounds[i]
-			if c == 0 {
-				return hi
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // EWMA is a concurrency-safe exponentially weighted moving average with a
 // companion mean-absolute-deviation estimate — the cheap streaming latency
 // model the fleet health layer uses per peer: Value tracks the typical

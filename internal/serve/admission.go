@@ -1,11 +1,11 @@
 package serve
 
 // AdmissionController is the unified per-shard overload controller: one
-// component that co-adapts the three levers the serving edge has — linger
-// (how long a coalescer holds an underfull batch), batch cap (how much work
-// one dispatch bites off), and admission itself (whether a new leader
-// request may enter the bounded queue at all) — from one smoothed pressure
-// signal, instead of three mechanisms each reading its own tea leaves.
+// component that co-adapts the levers the serving edge has — batch cap (how
+// much work one dispatch bites off), shed deadline, and admission itself
+// (whether a new leader request may enter the bounded queue at all) — from
+// one smoothed pressure signal, instead of three mechanisms each reading
+// its own tea leaves.
 //
 // Pressure folds the signals the stack already produces into one EWMA in
 // [0, ~1.25]:
@@ -23,13 +23,12 @@ package serve
 // the old binary deadline shed:
 //
 //   stage 0 normal     — blocking admission (bounded by the shed deadline),
-//                        adaptive linger, full batch cap;
+//                        full batch cap;
 //   stage 1 cache-only — over-budget requests get cache/coalesce service
 //                        only: admission stops blocking, a full queue sheds
 //                        immediately instead of queueing doomed work;
-//   stage 2 degraded   — batch cap and shed deadline halve and linger drops
-//                        to the floor: smaller bites, tighter deadlines,
-//                        no waiting for fill;
+//   stage 2 degraded   — batch cap and shed deadline halve: smaller bites,
+//                        tighter deadlines;
 //   stage 3 shed       — new leader work is shed at the edge; cache and
 //                        coalesce hits are still answered (repeats are the
 //                        common case — the cache IS the brownout capacity).
@@ -39,10 +38,6 @@ package serve
 // ExitPressure for ExitHold. The gap between the two thresholds plus the
 // hold times is the hysteresis that keeps the ladder from flapping on a
 // bursty boundary load.
-//
-// The controller is a Policy: the linger decision delegates to the wrapped
-// inner policy (the AIMD adaptive linger by default), demoted from
-// standalone authority to one input of the controller.
 
 import (
 	"fmt"
@@ -63,7 +58,7 @@ type BrownoutStage int32
 const (
 	BrownoutNormal    BrownoutStage = iota // full service
 	BrownoutCacheOnly                      // over-budget requests: cache/coalesce only
-	BrownoutDegraded                       // halved batch cap, tightened deadline, floor linger
+	BrownoutDegraded                       // halved batch cap, tightened deadline
 	BrownoutShed                           // new leader work shed at the edge
 )
 
@@ -102,10 +97,6 @@ const (
 // AdmissionOptions tunes an AdmissionController. The zero value gets
 // defaults from NewAdmissionController.
 type AdmissionOptions struct {
-	// Linger is the wrapped linger policy (default: NewAIMDPolicy()). An
-	// *AIMDPolicy with no Hist is wired to the service's latency histogram
-	// by serve.New, exactly as when used standalone.
-	Linger Policy
 	// EnterPressure / ExitPressure bound the hysteresis band (defaults
 	// 0.75 / 0.35): escalate above the first, release below the second.
 	EnterPressure float64
@@ -126,9 +117,6 @@ type AdmissionOptions struct {
 }
 
 func (o AdmissionOptions) withDefaults() AdmissionOptions {
-	if o.Linger == nil {
-		o.Linger = NewAIMDPolicy()
-	}
 	if o.EnterPressure <= 0 {
 		o.EnterPressure = admDefaultEnter
 	}
@@ -157,8 +145,7 @@ func (o AdmissionOptions) withDefaults() AdmissionOptions {
 // comment above the type set). Safe for concurrent use from every shard's
 // submitters, coalescers, and workers.
 type AdmissionController struct {
-	opts  AdmissionOptions
-	inner Policy
+	opts AdmissionOptions
 
 	stage    atomic.Int32
 	pressure atomic.Uint64 // math.Float64bits of the EWMA
@@ -181,15 +168,8 @@ type AdmissionController struct {
 // NewAdmissionController builds a controller at stage 0.
 func NewAdmissionController(opts AdmissionOptions) *AdmissionController {
 	opts = opts.withDefaults()
-	return &AdmissionController{
-		opts:  opts,
-		inner: opts.Linger,
-		now:   time.Now,
-	}
+	return &AdmissionController{opts: opts, now: time.Now}
 }
-
-// Inner returns the wrapped linger policy.
-func (c *AdmissionController) Inner() Policy { return c.inner }
 
 // Stage returns the ladder's current stage.
 func (c *AdmissionController) Stage() BrownoutStage {
@@ -327,30 +307,10 @@ func (c *AdmissionController) evaluate(now time.Time) {
 	}
 }
 
-// Linger implements Policy: the inner policy's budget normally, the floor
-// under degraded brownout — with queues this deep, batches fill on their
-// own and holding them open is pure added latency.
-func (c *AdmissionController) Linger() time.Duration {
-	if c.Stage() >= BrownoutDegraded {
-		if a, ok := c.inner.(*AIMDPolicy); ok {
-			return a.minOr()
-		}
-		return aimdDefaultMin
-	}
-	return c.inner.Linger()
-}
-
-// ObserveBatch implements Policy: the batch feeds the inner linger policy
-// and its dispatch wait (normalized by the shed deadline) feeds pressure —
-// the signal that catches saturated workers behind shallow queues.
-func (c *AdmissionController) ObserveBatch(fill, maxBatch int, wait time.Duration) {
-	c.inner.ObserveBatch(fill, maxBatch, wait)
-	x := float64(wait) / float64(c.waitNorm())
-	if x > 1.25 {
-		x = 1.25
-	}
-	c.observe(x)
-}
+// ObserveBatch feeds one dispatched batch's pre-dispatch wait (its oldest
+// member's, normalized by the shed deadline) into pressure — the signal
+// that catches saturated workers behind shallow queues.
+func (c *AdmissionController) ObserveBatch(wait time.Duration) { c.ObserveDispatchWait(wait) }
 
 // ObserveShed counts one ladder-driven admission shed. Deliberately not a
 // pressure input: at stage 3 every leader sheds, and feeding those back in

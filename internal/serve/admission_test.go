@@ -53,7 +53,6 @@ func drive(c *AdmissionController, clk *admClock, n int, qlen, qcap int, dt time
 
 func TestAdmissionLadderEscalatesAndReleases(t *testing.T) {
 	c, clk := testController(AdmissionOptions{
-		Linger:    FixedPolicy{D: time.Millisecond},
 		EnterHold: 50 * time.Millisecond,
 		ExitHold:  50 * time.Millisecond,
 	})
@@ -77,7 +76,6 @@ func TestAdmissionLadderEscalatesAndReleases(t *testing.T) {
 
 func TestAdmissionLadderHysteresis(t *testing.T) {
 	c, clk := testController(AdmissionOptions{
-		Linger:        FixedPolicy{D: time.Millisecond},
 		EnterPressure: 0.75,
 		ExitPressure:  0.35,
 		EnterHold:     50 * time.Millisecond,
@@ -106,15 +104,12 @@ func TestAdmissionLadderHysteresis(t *testing.T) {
 }
 
 func TestAdmissionStageAdjustedKnobs(t *testing.T) {
-	c, _ := testController(AdmissionOptions{Linger: FixedPolicy{D: 4 * time.Millisecond}})
+	c, _ := testController(AdmissionOptions{})
 	if got := c.BatchCap(16); got != 16 {
 		t.Fatalf("stage-0 batch cap = %d, want 16", got)
 	}
 	if got := c.ShedDeadline(time.Second); got != time.Second {
 		t.Fatalf("stage-0 deadline = %v, want 1s", got)
-	}
-	if got := c.Linger(); got != 4*time.Millisecond {
-		t.Fatalf("stage-0 linger = %v, want the inner policy's 4ms", got)
 	}
 	c.stage.Store(int32(BrownoutDegraded))
 	if got := c.BatchCap(16); got != 8 {
@@ -129,8 +124,41 @@ func TestAdmissionStageAdjustedKnobs(t *testing.T) {
 	if got := c.ShedDeadline(0); got != 0 {
 		t.Fatalf("disabled deadline must stay disabled, got %v", got)
 	}
-	if got := c.Linger(); got != aimdDefaultMin {
-		t.Fatalf("degraded linger = %v, want the %v floor", got, aimdDefaultMin)
+}
+
+// TestDegradedStageHalvesTheBatcherBite drives the stage-adjusted cap
+// through the coalescer itself: four frames queued behind a held lane ride
+// one forward pass at stage 0 and two at stage 2.
+func TestDegradedStageHalvesTheBatcherBite(t *testing.T) {
+	for _, tc := range []struct {
+		stage BrownoutStage
+		want  []int
+	}{{BrownoutNormal, []int{4}}, {BrownoutDegraded, []int{2, 2}}} {
+		ac := NewAdmissionController(AdmissionOptions{})
+		gb := newGatedBackend()
+		s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, DisableCache: true, Backend: gb, Policy: ac})
+		frames := synth.SampleFrames(97, 5)
+		futs := []*Future{s.SubmitAsync(frames[0])}
+		gb.nextCall(t)
+		ac.stage.Store(int32(tc.stage))
+		// park the EWMA inside the hysteresis band so the admissions below
+		// cannot move the pinned stage
+		ac.pressure.Store(pressureBits(0.5))
+		for _, f := range frames[1:] {
+			futs = append(futs, s.SubmitAsync(f))
+		}
+		for _, n := range tc.want {
+			gb.release <- struct{}{}
+			if call := gb.nextCall(t); len(call) != n {
+				t.Fatalf("stage %v: batch of %d, want %d", tc.stage, len(call), n)
+			}
+		}
+		gb.release <- struct{}{}
+		for _, fut := range futs {
+			if r := fut.Wait(); r.Status != StatusClassified {
+				t.Fatalf("stage %v: resolved %v", tc.stage, r.Status)
+			}
+		}
 	}
 }
 
@@ -170,7 +198,6 @@ func TestAdmissionRemoteSaturationSignal(t *testing.T) {
 	// every peer pinned at its window: remote congestion alone must push
 	// pressure past EnterPressure even though the local queue is empty
 	c, clk := testController(AdmissionOptions{
-		Linger:    FixedPolicy{D: time.Millisecond},
 		EnterHold: 50 * time.Millisecond,
 		Windows: stubWindows{stats: []engine.WindowStat{
 			{Peer: "a", Cwnd: 1, InFlight: 1},
@@ -190,7 +217,7 @@ func TestAdmissionRemoteSaturationSignal(t *testing.T) {
 // and mass-weighted deadline sheds.
 func TestAdmissionCoalescedPressureSignals(t *testing.T) {
 	newC := func() *AdmissionController {
-		c, _ := testController(AdmissionOptions{Linger: FixedPolicy{D: time.Millisecond}})
+		c, _ := testController(AdmissionOptions{})
 		c.setDeadline(100 * time.Millisecond)
 		return c
 	}
@@ -241,7 +268,7 @@ func TestAdmissionCoalescedPressureSignals(t *testing.T) {
 // stage 3: fresh leaders shed at admission without occupying queue
 // capacity, while verdicts already cached keep being answered.
 func TestServeStage3ShedsAtEdgeButServesCache(t *testing.T) {
-	ac := NewAdmissionController(AdmissionOptions{Linger: FixedPolicy{D: time.Millisecond}})
+	ac := NewAdmissionController(AdmissionOptions{})
 	s := testServer(t, core.Options{}, Options{
 		MaxBatch: 4, Workers: 1, Shards: 1, Policy: ac,
 	})
@@ -322,7 +349,7 @@ func TestServeAdmissionDeadlineShedsBlockedSubmitter(t *testing.T) {
 }
 
 func TestAdmissionExpose(t *testing.T) {
-	c, _ := testController(AdmissionOptions{Linger: FixedPolicy{D: time.Millisecond}})
+	c, _ := testController(AdmissionOptions{})
 	out := c.Expose()
 	for _, want := range []string{
 		"percival_serve_brownout_stage 0",

@@ -1,12 +1,11 @@
 // Package serve turns PERCIVAL's synchronous per-caller classifier into a
 // concurrent micro-batching service: many goroutines Submit single frames,
-// per-shard coalescing batchers collect them into batches bounded by size
-// and a latency budget, and dispatch workers run each batch through a warm
-// engine.Backend replica (FP32 or INT8, whichever the selection policy
-// chose) in one forward pass. This is the throughput story the paper's
-// deployment needs at scale: per-frame latency is already hardware-bound,
-// so serving millions of users is about amortizing forward passes and
-// never classifying the same creative twice.
+// per-shard coalescing batchers collect them into batches, and dispatch
+// workers run each batch through a warm engine.Backend replica (FP32 or
+// INT8, whichever the selection policy chose) in one forward pass. This is
+// the throughput story the paper's deployment needs at scale: per-frame
+// latency is already hardware-bound, so serving millions of users is about
+// amortizing forward passes and never classifying the same creative twice.
 //
 // The service layers four mechanisms in front of the model:
 //
@@ -24,9 +23,15 @@
 //     StatusShed ("verdict unknown", render the frame) instead of growing
 //     the queue without bound.
 //
-// How long a batcher holds an underfull batch open is set by a Policy: a
-// fixed linger by default, or the AIMD adaptive policy (see policy.go)
-// that tunes the linger against the live latency histogram.
+// Batching is work-conserving: a batch is dispatched the moment a worker is
+// free to take it and keeps filling only while every worker is busy (see
+// shard.coalesce). No timer holds a frame back while a lane sits idle, so
+// there is no batching delay to tune — an idle service answers a lone frame
+// as a batch of one, and a loaded one fills batches by itself because
+// requests queue behind the forward passes already running. (The linger
+// timer and its fixed / AIMD policies that used to decide this were removed:
+// the wait was two thirds of a warm wire frame and bought no measurable
+// per-frame saving; PERFORMANCE.md "Work-conserving batcher".)
 //
 // Counters and latency histograms are exported through internal/metrics and
 // rendered by cmd/percival-serve's /metrics endpoint.
@@ -96,10 +101,6 @@ type Options struct {
 	// MaxBatch caps frames per dispatched forward pass (default 16,
 	// matching the engine batch chunk so one dispatch is one forward pass).
 	MaxBatch int
-	// Linger is how long a coalescer holds an underfull batch open waiting
-	// for more submissions (default 2ms) when no Policy is set. Smaller
-	// favors latency, larger favors batch fill.
-	Linger time.Duration
 	// Workers is the total number of dispatch workers across all shards,
 	// each driving warm inference state (default GOMAXPROCS). Split evenly
 	// over shards, at least one per shard.
@@ -138,22 +139,16 @@ type Options struct {
 	// active backend). Each shard replicates it, so the value passed here
 	// never serves traffic directly.
 	Backend engine.Backend
-	// Policy sets the adaptive linger/batch policy (default: fixed Linger).
-	// An *AIMDPolicy with no Hist is wired to the service's own latency
-	// histogram. An *AdmissionController additionally takes over admission:
-	// graded brownout, stage-adjusted batch cap and shed deadline (its
-	// wrapped linger policy gets the same histogram wiring, and its remote
-	// congestion feed defaults to the service backend when that reports
-	// windows).
-	Policy Policy
+	// Policy, when set, hands admission to the unified controller: graded
+	// brownout at the queue door, stage-adjusted batch cap and shed deadline
+	// (its remote congestion feed defaults to the service backend when that
+	// reports windows). Nil keeps plain bounded-queue backpressure.
+	Policy *AdmissionController
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 16
-	}
-	if o.Linger == 0 {
-		o.Linger = 2 * time.Millisecond
 	}
 	if o.Shards == 0 {
 		o.Shards = 1
@@ -191,10 +186,9 @@ type Metrics struct {
 	// BatchFill records frames per dispatched batch.
 	BatchFill *metrics.Histogram
 	// LatencyMS records enqueue→resolve latency for model-scored frames.
-	// Shed resolutions are deliberately excluded: the AIMD policy holds this
-	// histogram's tail to its wait budget, and shed waits (which are capped
-	// by the deadline regardless of what the policy does) would bias its
-	// linger halvings. They go to ShedWaitMS instead.
+	// Shed resolutions are deliberately excluded: their waits are capped by
+	// the deadline, not by how fast the service answers, and would flatten
+	// the tail this histogram exists to show. They go to ShedWaitMS instead.
 	LatencyMS *metrics.Histogram
 	// ShedWaitMS records enqueue→shed wait for rejected requests.
 	ShedWaitMS *metrics.Histogram
@@ -282,8 +276,7 @@ type shard struct {
 type Server struct {
 	svc    *core.Percival
 	opts   Options
-	policy Policy
-	adm    *AdmissionController // non-nil when Policy is an AdmissionController
+	adm    *AdmissionController // Options.Policy; nil without admission control
 	shards []*shard
 
 	// partitionedPool records that New partitioned the tensor worker pool
@@ -293,8 +286,9 @@ type Server struct {
 	reqPool sync.Pool
 
 	// closeMu serializes submissions against Close: submitters hold the
-	// read side across pending-registration and the queue send, so no
-	// shard queue is ever closed under an in-flight sender.
+	// read side across pending-registration and the queue send, and Close
+	// closes the shard queues under the write side, so no queue is ever
+	// closed under an in-flight sender and closed==true means they are shut.
 	closeMu sync.RWMutex
 	closed  bool
 
@@ -327,14 +321,10 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 	if backend == nil {
 		backend = svc.Engine()
 	}
-	policy := opts.Policy
-	if policy == nil {
-		policy = FixedPolicy{D: opts.Linger}
-	}
 	s := &Server{
-		svc:    svc,
-		opts:   opts,
-		policy: policy,
+		svc:  svc,
+		opts: opts,
+		adm:  opts.Policy,
 	}
 	s.met.BatchFill = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64})
 	s.met.LatencyMS = metrics.NewHistogram(nil)
@@ -356,15 +346,8 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 		tensor.SetGemmParallelism(per)
 		s.partitionedPool = true
 	}
-	if a, ok := policy.(*AIMDPolicy); ok && a.Hist == nil {
-		a.Hist = s.met.LatencyMS
-	}
-	if ac, ok := policy.(*AdmissionController); ok {
-		s.adm = ac
+	if ac := s.adm; ac != nil {
 		ac.setDeadline(opts.Deadline)
-		if a, ok := ac.inner.(*AIMDPolicy); ok && a.Hist == nil {
-			a.Hist = s.met.LatencyMS
-		}
 		if ac.opts.Windows == nil {
 			if wr, ok := backend.(engine.WindowReporter); ok {
 				ac.opts.Windows = wr
@@ -397,7 +380,7 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 			backend:     backend.Replicate(),
 			cache:       newShardedCache(opts.CacheShards, cacheSize),
 			queue:       make(chan *request, queueDepth),
-			batches:     make(chan []*request, workers),
+			batches:     make(chan []*request),
 			freeBatches: make(chan []*request, workers+2),
 		}
 		s.shards[i] = sh
@@ -708,65 +691,51 @@ func (s *Server) SubmitAsync(frame *imaging.Bitmap) *Future {
 	return &Future{s: s, r: r}
 }
 
-// coalesce is a shard's batching loop: it drains the shard's submit queue
-// into batches bounded by MaxBatch and the policy's linger budget, then
-// hands each batch to a dispatch worker.
+// coalesce is a shard's batching loop, and it is work-conserving: it (a)
+// blocks for a first request, (b) takes whatever else is already queued, up
+// to the batch cap, without blocking, then (c) offers the open batch to the
+// workers while still accepting requests. sh.batches is unbuffered, so the
+// offer succeeds exactly when a worker is parked idle, and the batch keeps
+// filling exactly while every worker is busy — no frame waits out a timer
+// beside an idle lane, and a loaded shard fills its batches from the queue
+// that builds behind the running forward passes. A full batch stops taking
+// requests and waits for a worker (backpressure reaches the submitters
+// through the bounded queue).
 func (sh *shard) coalesce() {
 	defer sh.loopsWG.Done()
 	defer close(sh.batches)
 	s := sh.srv
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	stopTimer := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
 	batch := sh.getBatchSlice()
-	flush := func() {
-		if len(batch) > 0 {
+	for {
+		var r *request
+		var ok bool
+		switch {
+		case len(batch) == 0:
+			r, ok = <-sh.queue // (a)
+		case len(batch) >= s.batchCap():
 			sh.batches <- batch
 			batch = sh.getBatchSlice()
+			continue
+		default:
+			select {
+			case r, ok = <-sh.queue: // (b)
+			default:
+				select { // (c)
+				case r, ok = <-sh.queue:
+				case sh.batches <- batch:
+					batch = sh.getBatchSlice()
+					continue
+				}
+			}
 		}
-	}
-	for {
-		if len(batch) == 0 {
-			r, ok := <-sh.queue
-			if !ok {
-				return
+		if !ok { // Close: flush the open batch, then stop the workers
+			if len(batch) > 0 {
+				sh.batches <- batch
 			}
-			if !sh.admitPopped(r) {
-				continue
-			}
-			batch = append(batch, r)
-			if len(batch) >= s.batchCap() {
-				flush()
-				continue
-			}
-			timer.Reset(s.policy.Linger())
+			return
 		}
-		select {
-		case r, ok := <-sh.queue:
-			if !ok {
-				stopTimer()
-				flush()
-				return
-			}
-			if !sh.admitPopped(r) {
-				continue
-			}
+		if sh.admitPopped(r) {
 			batch = append(batch, r)
-			if len(batch) >= s.batchCap() {
-				stopTimer()
-				flush()
-			}
-		case <-timer.C:
-			flush()
 		}
 	}
 }
@@ -859,8 +828,8 @@ func (sh *shard) worker(pin bool) {
 			}
 		}
 		if len(live) > 0 {
-			// the oldest request's pre-dispatch wait is the queue+linger
-			// delay the policy controls (model time is not its lever)
+			// the oldest request's pre-dispatch wait: how long the batch sat
+			// behind busy workers (model time is not an admission lever)
 			wait := now.Sub(live[0].enq)
 			start := time.Now()
 			out := sh.backend.InferBatchInto(frames, scores[:len(live)])
@@ -873,12 +842,22 @@ func (sh *shard) worker(pin bool) {
 			for i, r := range live {
 				sh.resolve(r, out[i])
 			}
-			s.policy.ObserveBatch(len(live), s.opts.MaxBatch, wait)
+			if s.adm != nil {
+				s.adm.ObserveBatch(wait)
+			}
 		}
 		select {
 		case sh.freeBatches <- batch[:0]:
 		default:
 		}
+		// Yield before parking for the next batch. Resolving just made the
+		// batch's submitters runnable; without the yield, on one P the
+		// scheduler's runnext hand-off chain (worker -> last-woken client ->
+		// coalescer -> worker) runs the next forward pass for that one client
+		// while the first-woken ones sit in the run queue for a whole
+		// scheduler slice. Yielding lets every woken client resubmit first,
+		// so the next batch carries all of them.
+		runtime.Gosched()
 	}
 }
 
@@ -911,8 +890,7 @@ func (sh *shard) resolve(r *request, score float64) {
 // verdict-unknown, returning how many submissions that resolved — the
 // request mass a deadline shed feeds into the admission pressure signal.
 // The wait goes to ShedWaitMS, never LatencyMS — shed waits are
-// deadline-capped no matter what the linger policy does, and would bias its
-// tail check (see Metrics.LatencyMS).
+// deadline-capped, not service-time-driven (see Metrics.LatencyMS).
 func (sh *shard) resolveShed(r *request) int {
 	s := sh.srv
 	s.met.ShedWaitMS.Observe(float64(time.Since(r.enq).Nanoseconds()) / 1e6)
@@ -936,8 +914,8 @@ func (sh *shard) resolveShed(r *request) int {
 }
 
 // Close drains the service: it waits for in-flight submitters, stops every
-// shard's batcher and workers, resolves everything still queued (open
-// linger batches are flushed, not dropped), and closes the shard backend
+// shard's batcher and workers, resolves everything still queued (the open
+// batch is flushed, not dropped), and closes the shard backend
 // replicas. Submissions racing with Close resolve as StatusShed. The
 // server must not be used after Close.
 func (s *Server) Close() {
@@ -947,10 +925,10 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	s.closeMu.Unlock()
 	for _, sh := range s.shards {
 		close(sh.queue)
 	}
+	s.closeMu.Unlock()
 	for _, sh := range s.shards {
 		sh.loopsWG.Wait()
 		sh.backend.Close()

@@ -74,47 +74,44 @@ func TestSubmitMatchesSynchronousClassify(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmitsCoalesceIntoBatches drives many goroutines through
-// the service and checks every caller resolves with a consistent verdict
-// while the model ran fewer forward passes than submissions.
+// TestConcurrentSubmitsCoalesceIntoBatches: sixteen callers, two per
+// creative, submit while the only worker is held inside the backend. The
+// duplicates must attach to their leaders, the eight leaders must ride one
+// forward pass, and every caller must get its creative's score — fewer
+// model runs than submissions, by construction.
 func TestConcurrentSubmitsCoalesceIntoBatches(t *testing.T) {
-	s := testServer(t, core.Options{}, Options{Workers: 2, MaxBatch: 8, Linger: time.Millisecond})
-	frames := synth.SampleFrames(11, 16)
+	gb := newGatedBackend()
+	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 8, DisableCache: true, Backend: gb})
+	frames := synth.SampleFrames(11, 9)
+	head := s.SubmitAsync(frames[0])
+	gb.nextCall(t) // the lane is busy; everything below queues behind it
 	const callers = 16
-	scores := make([][]float64, callers)
+	results := make([]Result, callers)
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			scores[c] = make([]float64, len(frames))
-			for i, f := range frames {
-				r := s.Submit(f)
-				if r.Status == StatusShed {
-					t.Errorf("caller %d frame %d shed", c, i)
-					return
-				}
-				scores[c][i] = r.Score
-			}
+			results[c] = s.Submit(frames[1+c/2])
 		}(c)
 	}
+	awaitInflight(t, s, 9, 8)
+	gb.release <- struct{}{}
+	if call := gb.nextCall(t); len(call) != 8 {
+		t.Fatalf("the 8 queued leaders arrived as a batch of %d", len(call))
+	}
+	gb.release <- struct{}{}
 	wg.Wait()
-	for c := 1; c < callers; c++ {
-		for i := range frames {
-			if scores[c][i] != scores[0][i] {
-				t.Fatalf("caller %d frame %d: score %v != caller 0's %v", c, i, scores[c][i], scores[0][i])
-			}
+	head.Wait()
+	for c, r := range results {
+		if want := stubScore(frames[1+c/2]); r.Status == StatusShed || r.Score != want {
+			t.Fatalf("caller %d resolved %+v, want score %v", c, r, want)
 		}
 	}
 	m := s.Metrics()
-	if m.Classified.Load() >= m.Submitted.Load() {
-		t.Fatalf("no dedup: %d classified of %d submitted", m.Classified.Load(), m.Submitted.Load())
-	}
-	if m.CacheHits.Load()+m.Coalesced.Load() == 0 {
-		t.Fatal("identical frames must hit the cache or coalesce in flight")
-	}
-	if m.Batches.Load() == 0 {
-		t.Fatal("no batches dispatched")
+	if m.Submitted.Load() != 17 || m.Classified.Load() != 9 || m.Coalesced.Load() != 8 || m.Batches.Load() != 2 {
+		t.Fatalf("submitted %d classified %d coalesced %d batches %d, want 17 / 9 / 8 / 2",
+			m.Submitted.Load(), m.Classified.Load(), m.Coalesced.Load(), m.Batches.Load())
 	}
 }
 
@@ -173,38 +170,39 @@ func TestVerdictCacheView(t *testing.T) {
 	}
 }
 
-// TestInflightCoalescingWithCacheDisabled: concurrent submissions of the
-// same frame must share one model run even without memoization.
+// TestInflightCoalescingWithCacheDisabled: submissions of a frame whose
+// leader is held in flight must share its one model run even without
+// memoization.
 func TestInflightCoalescingWithCacheDisabled(t *testing.T) {
-	s := testServer(t, core.Options{}, Options{
-		Workers: 1, MaxBatch: 4, Linger: 20 * time.Millisecond, DisableCache: true,
-	})
+	gb := newGatedBackend()
+	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, DisableCache: true, Backend: gb})
 	f := synth.SampleFrames(17, 1)[0]
-	const callers = 8
+	leader := s.SubmitAsync(f)
+	gb.nextCall(t) // the leader is inside the backend until released
+	const followers = 7
 	var wg sync.WaitGroup
-	results := make([]Result, callers)
-	for c := 0; c < callers; c++ {
+	results := make([]Result, followers)
+	for c := 0; c < followers; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			results[c] = s.Submit(f)
 		}(c)
 	}
+	awaitInflight(t, s, 1, followers)
+	gb.noCall(t)
+	gb.release <- struct{}{}
 	wg.Wait()
-	coalesced := 0
+	if r := leader.Wait(); r.Status != StatusClassified || r.Score != stubScore(f) {
+		t.Fatalf("leader resolved %+v", r)
+	}
 	for c, r := range results {
-		if r.Status == StatusShed {
-			t.Fatalf("caller %d shed", c)
-		}
-		if r.Score != results[0].Score {
-			t.Fatalf("caller %d score %v != %v", c, r.Score, results[0].Score)
-		}
-		if r.Status == StatusCoalesced {
-			coalesced++
+		if r.Status != StatusCoalesced || r.Score != stubScore(f) {
+			t.Fatalf("follower %d resolved %+v, want coalesced %v", c, r, stubScore(f))
 		}
 	}
-	if coalesced == 0 {
-		t.Fatal("no caller coalesced onto the in-flight duplicate")
+	if got := s.Metrics().Classified.Load(); got != 1 {
+		t.Fatalf("%d model runs for one creative", got)
 	}
 	if s.CacheLen() != 0 {
 		t.Fatal("DisableCache must not memoize")
@@ -216,7 +214,7 @@ func TestInflightCoalescingWithCacheDisabled(t *testing.T) {
 // unknown, fail open) rather than waiting forever.
 func TestDeadlineLoadShedding(t *testing.T) {
 	s := testServer(t, core.Options{}, Options{
-		Workers: 1, MaxBatch: 1, Linger: time.Microsecond,
+		Workers: 1, MaxBatch: 1,
 		QueueDepth: 64, Deadline: time.Nanosecond, DisableCache: true,
 	})
 	frames := synth.SampleFrames(19, 32)
@@ -365,7 +363,7 @@ func TestSteadyStateSubmitDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, Linger: time.Microsecond})
+	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4})
 	frames := synth.SampleFrames(37, 32)
 	for _, f := range frames { // warm: request pool, batch slices, arenas, cache
 		s.Submit(f)
@@ -389,7 +387,7 @@ func TestSteadyStateSubmitDoesNotAllocate(t *testing.T) {
 // reset mid-flight, and a graceful close racing the last submitters.
 func TestRaceStress(t *testing.T) {
 	s, err := New(testCore(t, core.Options{}), Options{
-		Workers: 4, MaxBatch: 4, Linger: 200 * time.Microsecond,
+		Workers: 4, MaxBatch: 4,
 		QueueDepth: 32, Deadline: time.Second, CacheSize: 64, CacheShards: 4,
 	})
 	if err != nil {

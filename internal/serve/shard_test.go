@@ -117,7 +117,7 @@ func TestShardedSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	s := testServer(t, core.Options{}, Options{
-		Shards: 2, Workers: 2, MaxBatch: 4, Linger: time.Microsecond,
+		Shards: 2, Workers: 2, MaxBatch: 4,
 	})
 	s.Warm()
 	frames := synth.SampleFrames(59, 32)
@@ -197,12 +197,13 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 
 // TestMultiShardRaceStress is the -race stress pass over sharded dispatch:
 // many goroutines, duplicate-heavy traffic across every shard, the
-// adaptive policy live, snapshots racing submissions, and a graceful close.
+// admission controller live, snapshots racing submissions, and a graceful
+// close.
 func TestMultiShardRaceStress(t *testing.T) {
 	s, err := New(testCore(t, core.Options{}), Options{
-		Shards: 4, Workers: 4, MaxBatch: 4, Linger: 200 * time.Microsecond,
+		Shards: 4, Workers: 4, MaxBatch: 4,
 		QueueDepth: 32, Deadline: time.Second, CacheSize: 64, CacheShards: 4,
-		Policy: NewAIMDPolicy(),
+		Policy: NewAdmissionController(AdmissionOptions{}),
 	})
 	if err != nil {
 		t.Fatal(err)
