@@ -13,7 +13,7 @@ FUZZTIME ?= 15s
 # the first max pool, and the FP32 stem with that pool fused behind it).
 TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkMaxPoolU8_112x96
 
-.PHONY: check fmt vet build test race fuzz chaos bench bench-all bench-infer bench-check profile
+.PHONY: check fmt vet build test race fuzz chaos bench bench-infer bench-check profile
 
 check: fmt vet build test race
 
@@ -40,17 +40,18 @@ test:
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
 
-# Native Go fuzzing smoke pass over the decoders that face untrusted input
-# (EasyList rules, HTML, the persistent-socket wire framing, the admin
-# control-plane request bodies, model files). Each fuzzer runs for FUZZTIME;
-# crashers are written to the package's testdata/fuzz corpus and reproduced
-# by `go test`.
+# Native Go fuzzing smoke pass over the six decoders that face untrusted
+# input (EasyList rules, HTML, the persistent-socket wire framing, the admin
+# control-plane request bodies, model files, the daemon's /classify body).
+# Each fuzzer runs for FUZZTIME; crashers are written to the package's
+# testdata/fuzz corpus and reproduced by `go test`.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/easylist
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/dom
 	$(GO) test -run=NONE -fuzz=FuzzWireMsg -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzAdminRequest -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/nn
+	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./cmd/percival-serve
 
 # Fault-injection smoke: drives the fleet supervisor (eviction, redial,
 # hedging, local fallback) and the daemon's serving edge through flapping /
@@ -60,48 +61,23 @@ chaos:
 	$(GO) test -race -run Chaos -count=1 -v ./internal/engine/ ./cmd/percival-serve/
 	$(GO) test -race -count=1 ./internal/faultinject/
 
-# Headline benchmark snapshot: runs the perf-trajectory benchmarks (FP32 and
-# INT8 inference, serve-vs-sync throughput, the shard-count sweep, the
-# pinned-lane multi-core row, the two-tier remote-dispatch rotation and the
-# fault-injected fleet-health row at concurrency 8, stem GEMMs, resize,
-# training epoch) plus the GOMAXPROCS core-count sweep and the INT8
-# accuracy-parity comparison, and writes BENCH_9.json.
-#
-# BENCH_SMOKE=1 instead runs one iteration of every inference/serving
-# headline benchmark (both engines, all shard counts, the sync baselines,
-# a training epoch) plus the stem GEMM kernels and the whole conv/pool
-# stages, a GOMAXPROCS=4 run of the pinned-lane multi-core row, and compiles
-# the snapshot tool — the CI gate
-# that catches harness breakage without paying for a full trajectory run.
-# ServeOverload8x2 rides in the BenchmarkServe match and is itself a gate:
-# it fails the run unless the brownout ladder engages, releases, and holds
-# goodput under 2x offered load. ServeReroute8x2 rides the same match and
-# gates the control plane: weighted routing must beat the static baseline
-# with live membership churn and an agreement-driven canary mid-run. Not
-# covered at runtime: the eval parity experiment (compile-only via the
-# tool build).
+# The repo benchmark (BENCHMARK.json + bench/): every workload once, 10 s
+# each at seed 1; each run prints its summary and one JSON result line.
+# Nothing is written at the root; bench/README.md documents the fields and
+# the noise rule.
+BENCH_WORKLOADS = serve_rotation remote_wire serve_unique serve_unique_int8 page_render_async page_render_sync
 bench:
-ifdef BENCH_SMOKE
-	$(GO) test -run=NONE -bench='BenchmarkInfer|BenchmarkServe|BenchmarkSync|BenchmarkTrainingEpoch' -benchtime=1x .
-	GOMAXPROCS=4 $(GO) test -run=NONE -bench='BenchmarkServeRotationPinned' -benchtime=1x .
-	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1x ./internal/tensor/
-	$(GO) build -o /dev/null ./cmd/percival-bench
-else
-	$(GO) run ./cmd/percival-bench -out BENCH_9.json
-endif
-
-# Full benchmark sweep (slow: regenerates every paper figure).
-bench-all:
-	$(GO) test -run=NONE -bench=. -benchmem .
+	@for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 10 || exit 1; \
+	done
 
 # Just the inference-latency trajectory (see PERFORMANCE.md).
 bench-infer:
 	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch' -benchmem .
 	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
 
-# The repo benchmark (BENCHMARK.json + bench/) is a module of its own, so
-# `go vet ./...` and `go test ./...` at the root never see it: vet it and run
-# its short tests from inside.
+# bench/ is a module of its own, so `go vet ./...` and `go test ./...` at the
+# root never see it: vet it and run its short tests from inside.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 

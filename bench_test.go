@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"percival/internal/benchsuite"
 	"percival/internal/browser"
 	"percival/internal/core"
 	"percival/internal/crawler"
@@ -100,110 +99,93 @@ func BenchmarkAsyncMemoization(b *testing.B) { runExperiment(b, eval.ExpAsync) }
 
 // --- micro-benchmarks and ablations ---
 
+// paperNet builds the paper-scale PERCIVAL fork with the deterministic
+// warm-start initialization (weights are random but fixed; benchmark
+// latency does not depend on training).
+func paperNet() *nn.Sequential {
+	net, err := squeezenet.Build(squeezenet.PaperConfig())
+	if err != nil {
+		panic(err)
+	}
+	squeezenet.PretrainedInit(net, 1)
+	return net
+}
+
+// paperQuantNet builds and calibrates the paper-scale INT8 engine shared by
+// the Int8 benchmarks.
+func paperQuantNet() *nn.QuantizedSequential {
+	rng := rand.New(rand.NewSource(2))
+	calib := make([]*tensor.Tensor, 2)
+	for i := range calib {
+		x := tensor.New(1, 4, 224, 224)
+		for j := range x.Data {
+			x.Data[j] = float32(rng.Float64())
+		}
+		calib[i] = x
+	}
+	qnet, err := nn.Quantize(paperNet(), calib)
+	if err != nil {
+		panic(err)
+	}
+	return qnet
+}
+
+// paperFrames returns n seeded frames at paper resolution, uniform in [0,1)
+// like a decoded bitmap. The inference benchmarks time these, not the
+// all-zero tensor.New leaves: zero activations never mispredict a compare and
+// all take one side of every ReLU, which once hid a scalar loop's real cost.
+func paperFrames(n int) *tensor.Tensor {
+	rng := rand.New(rand.NewSource(5))
+	x := tensor.New(n, 4, 224, 224)
+	for i := range x.Data {
+		x.Data[i] = rng.Float32()
+	}
+	return x
+}
+
+// benchForward times predict over a batch of n paper-resolution frames on a
+// warm arena, reporting allocations and, for n > 1, ms/frame.
+func benchForward(b *testing.B, n int, predict func(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor) {
+	x := paperFrames(n)
+	a := tensor.NewArena()
+	a.PutTensor(predict(x, a)) // warm the arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.PutTensor(predict(x, a))
+	}
+	if n > 1 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n)/1e6, "ms/frame")
+	}
+}
+
+func benchForwardFP32(b *testing.B, n int) {
+	net := paperNet()
+	benchForward(b, n, func(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor { return nn.PredictArena(net, x, a) })
+}
+
+func benchForwardInt8(b *testing.B, n int) {
+	benchForward(b, n, paperQuantNet().PredictArena)
+}
+
 // BenchmarkInferSingle measures raw single-frame inference latency at paper
 // resolution on the arena fast path (model forward only, no harness
 // training): the per-frame cost PERCIVAL adds to the rendering critical
-// path. Steady state should report ~zero allocs/op.
-func BenchmarkInferSingle(b *testing.B) { benchsuite.InferSingle(b) }
+// path. Steady state should report 0 allocs/op.
+func BenchmarkInferSingle(b *testing.B) { benchForwardFP32(b, 1) }
 
 // BenchmarkInferBatch measures batched inference throughput (8 frames per
 // forward pass) on the arena fast path, the ClassifyBatch workload.
-func BenchmarkInferBatch(b *testing.B) { benchsuite.InferBatch(b) }
+func BenchmarkInferBatch(b *testing.B) { benchForwardFP32(b, 8) }
 
 // BenchmarkInferSingleInt8 measures single-frame inference latency at paper
 // resolution on the quantized arena path — the INT8 counterpart of
-// BenchmarkInferSingle. Steady state should report 0 allocs/op. (Benchmark
-// bodies live in internal/benchsuite, shared with cmd/percival-bench.)
-func BenchmarkInferSingleInt8(b *testing.B) { benchsuite.InferSingleInt8(b) }
+// BenchmarkInferSingle. Steady state should report 0 allocs/op.
+func BenchmarkInferSingleInt8(b *testing.B) { benchForwardInt8(b, 1) }
 
 // BenchmarkInferBatchInt8 measures batched quantized throughput (8 frames
 // per forward pass) — the quantized ClassifyBatch workload.
-func BenchmarkInferBatchInt8(b *testing.B) { benchsuite.InferBatchInt8(b) }
-
-// BenchmarkServeSteady8 measures the micro-batching service's steady state
-// at concurrency 8 on non-repeating frames (cache off): the pure-batching
-// throughput row, and the 0 allocs/op gate for the serve hot path.
-func BenchmarkServeSteady8(b *testing.B) { benchsuite.ServeSteady8(b) }
-
-// BenchmarkServeSteady8Int8 is the INT8 steady-state serving benchmark.
-func BenchmarkServeSteady8Int8(b *testing.B) { benchsuite.ServeSteady8Int8(b) }
-
-// BenchmarkServeRotation8 measures serving throughput on the rotation
-// workload (16 distinct creatives sighted by 8 concurrent clients each,
-// cold cache per window) — the repeated-creative reality the sharded cache
-// and in-flight coalescing exploit.
-func BenchmarkServeRotation8(b *testing.B) { benchsuite.ServeRotation8(b) }
-
-// BenchmarkServeRotation8Int8 is the INT8 rotation-workload benchmark.
-func BenchmarkServeRotation8Int8(b *testing.B) { benchsuite.ServeRotation8Int8(b) }
-
-// BenchmarkServeRotation8x2 is the rotation workload over 2 dispatch
-// shards (content-hash range partitions, per-shard backend replicas).
-func BenchmarkServeRotation8x2(b *testing.B) { benchsuite.ServeRotation8x2(b) }
-
-// BenchmarkServeRotation8x2Int8 is the INT8 2-shard rotation benchmark.
-func BenchmarkServeRotation8x2Int8(b *testing.B) { benchsuite.ServeRotation8x2Int8(b) }
-
-// BenchmarkServeRotation8x4 is the 4-shard rotation benchmark.
-func BenchmarkServeRotation8x4(b *testing.B) { benchsuite.ServeRotation8x4(b) }
-
-// BenchmarkServeRotationPinned is the core-pinned lane rotation benchmark:
-// one OS-thread-locked dispatch lane per GOMAXPROCS slot with the GEMM pool
-// partitioned across lanes. Run it under different GOMAXPROCS values (the
-// core_sweep section of BENCH_9.json does) to trace multi-core scaling.
-func BenchmarkServeRotationPinned(b *testing.B) { benchsuite.ServeRotationPinned(b) }
-
-// BenchmarkServeRemote8x2 is the two-tier rotation benchmark: 2 dispatch
-// shards proxying every forward pass to two backend replicas over loopback
-// HTTP (engine.RemoteBackend). Its delta against BenchmarkServeRotation8x2
-// is the remote-dispatch proxy overhead.
-func BenchmarkServeRemote8x2(b *testing.B) { benchsuite.ServeRemote8x2(b) }
-
-// BenchmarkServeRemoteWire8x2 is the persistent-socket transport benchmark:
-// the remote topology with the wire-v2 framed socket negotiated instead of
-// HTTP and hash-first dedup answering repeat creatives from the peers'
-// verdict caches. It gates the transport's contracts — bit-identical
-// verdicts, >=10x cache-warm wire-bytes cut, zero fail-open — and its delta
-// against BenchmarkServeRotation8x2 is the socket dispatch overhead.
-func BenchmarkServeRemoteWire8x2(b *testing.B) { benchsuite.ServeRemoteWire8x2(b) }
-
-// BenchmarkServeChaos8x2 is the fleet-health row: the remote topology plus
-// a spare replica under fault injection (one preferred peer blackholed and
-// evicted, one serving a 20% slow tail absorbed by hedging). It asserts the
-// self-healing contract — zero fail-open, steady-chaos p99 within 2x the
-// healthy-fleet p99, automatic re-admission — while measuring chaos-phase
-// throughput.
-func BenchmarkServeChaos8x2(b *testing.B) { benchsuite.ServeChaos8x2(b) }
-
-// BenchmarkServeOverload8x2 is the admission-control row: the chaos
-// topology offered 2x its measured healthy throughput open-loop while one
-// peer serves a 20% slow tail. It asserts the graded-brownout contract —
-// zero fail-open, the ladder engages (stage >= 1) and releases after the
-// load drops, goodput >= 80% of healthy throughput — while measuring
-// goodput under overload.
-func BenchmarkServeOverload8x2(b *testing.B) { benchsuite.ServeOverload8x2(b) }
-
-// BenchmarkServeReroute8x2 is the control-plane row: a 3-peer fleet with
-// one always-slow peer, routed by congestion-window headroom per unit
-// latency EWMA behind the canary dispatch proxy. It asserts the
-// fleet-control contract — weighted goodput >= the static lane-pinned
-// baseline, live drain+remove/add mid-run with zero fail-open and
-// bit-identical verdicts, canary rollback of a disagreeing model and
-// promotion of an agreeing one driven only by the live agreement floor —
-// while measuring weighted-routing throughput.
-func BenchmarkServeReroute8x2(b *testing.B) { benchsuite.ServeReroute8x2(b) }
-
-// BenchmarkServeSteady8x2 is the sharded steady-state benchmark and the
-// 0 allocs/op gate for the sharded dispatch hot path.
-func BenchmarkServeSteady8x2(b *testing.B) { benchsuite.ServeSteady8x2(b) }
-
-// BenchmarkSyncClassify8 is the baseline the serve layer is measured
-// against: the same rotation workload as synchronous single-frame Classify
-// calls from 8 concurrent goroutines.
-func BenchmarkSyncClassify8(b *testing.B) { benchsuite.SyncClassify8(b) }
-
-// BenchmarkSyncClassify8Int8 is the INT8 synchronous baseline.
-func BenchmarkSyncClassify8Int8(b *testing.B) { benchsuite.SyncClassify8Int8(b) }
+func BenchmarkInferBatchInt8(b *testing.B) { benchForwardInt8(b, 8) }
 
 // BenchmarkClassifySingleFrame measures the per-frame model latency the
 // paper quotes as 11 ms at 224px (ours runs at the harness resolution).

@@ -65,10 +65,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"image"
 	"io"
 	"log"
 	"mime"
@@ -526,7 +528,7 @@ func classifyHandler(srv *serve.Server, reg *engine.Registry, serving engine.Bac
 // selectModel maps a ?model= parameter to a backend: empty keeps the
 // serving backend, and so does an unknown or stale name — the lenient
 // fallback must be the backend actually serving traffic (on a -peers
-// front that is the remote pool, not the registry default, which is the
+// front that is the fleet, not the registry default, which is the
 // local model), and it keeps the batched dispatch path. A stale model
 // name must not take the service down or silently switch weights.
 func selectModel(reg *engine.Registry, serving engine.Backend, name string) engine.Backend {
@@ -559,12 +561,24 @@ func decodeFrame(r *http.Request, body []byte) (*imaging.Bitmap, error) {
 		if err != nil {
 			return nil, fmt.Errorf("raw frame needs integer ?h=")
 		}
-		if w <= 0 || h <= 0 || w*h*4 != len(body) {
+		if err := engine.CheckFrameDims(w, h); err != nil {
+			return nil, fmt.Errorf("raw %v", err)
+		}
+		if w*h*4 != len(body) {
 			return nil, fmt.Errorf("raw frame %dx%d does not match %d bytes", w, h, len(body))
 		}
 		b := imaging.NewBitmap(w, h)
 		copy(b.Pix, body)
 		return b, nil
+	}
+	// bound the claimed size from the header before the decoder sizes its
+	// pixel buffers from it
+	cfg, _, err := image.DecodeConfig(bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("decode frame: %v", err)
+	}
+	if err := engine.CheckFrameDims(cfg.Width, cfg.Height); err != nil {
+		return nil, fmt.Errorf("encoded %v", err)
 	}
 	frame, _, err := imaging.Decode(body)
 	if err != nil {

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"image"
+	"image/color"
+	"image/gif"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"testing"
 	"time"
 
@@ -119,6 +124,71 @@ func TestDecodeFrameRejectsMalformedDims(t *testing.T) {
 	}
 }
 
+// TestClassifyRejectsWrappingDims: /classify?w=2^62&h=1 with an empty
+// octet-stream body (w*h*4 wraps to 0 and "matches" it) used to decode to a bitmap with W=2^62 and no pixels,
+// which panicked the dispatch lane's resize — outside net/http's
+// per-connection recover, so one unauthenticated request killed the daemon.
+// It must be a 400 at the edge, and the server must keep serving.
+func TestClassifyRejectsWrappingDims(t *testing.T) {
+	svc := testService(t)
+	srv, err := serve.New(svc, serve.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	front := testFrontend(t, svc, srv, svc.Backends(), svc.Engine(), nil)
+	resp, _ := postFrame(t, front.URL+"/classify?w=4611686018427387904&h=1", "application/octet-stream", nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("wrapping dims status %d, want 400", resp.StatusCode)
+	}
+	f := synth.SampleFrames(3, 1)[0]
+	resp, v := postFrame(t, fmt.Sprintf("%s/classify?w=%d&h=%d", front.URL, f.W, f.H), "application/octet-stream", f.Pix)
+	if resp.StatusCode != http.StatusOK || v.Score != svc.Classify(f) {
+		t.Fatalf("well-formed frame after the rejection: status %d, verdict %+v", resp.StatusCode, v)
+	}
+}
+
+// FuzzDecodeFrame drives /classify's body decoder — the raw-RGBA branch with
+// its query dimensions and the sniffed PNG/JPEG/GIF branch — and holds every
+// accepted frame to the shape the dispatch lanes index by.
+func FuzzDecodeFrame(f *testing.F) {
+	frame := synth.SampleFrames(3, 1)[0]
+	f.Add("application/octet-stream", "4611686018427387904", "1", []byte{})
+	f.Add("application/octet-stream; charset=binary", strconv.Itoa(frame.W), strconv.Itoa(frame.H), frame.Pix)
+	f.Add("application/octet-stream", "64abc", "-4", frame.Pix)
+	for _, format := range []imaging.Format{imaging.PNG, imaging.JPEG, imaging.GIF} {
+		enc, err := imaging.Encode(frame, format)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add("image/"+string(format), "", "", enc)
+	}
+	// a well-sized screen whose first frame is an empty rectangle
+	pal := color.Palette{color.Black, color.White}
+	var empty bytes.Buffer
+	if err := gif.EncodeAll(&empty, &gif.GIF{
+		Image:  []*image.Paletted{image.NewPaletted(image.Rectangle{}, pal)},
+		Delay:  []int{0},
+		Config: image.Config{ColorModel: pal, Width: 10, Height: 10},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add("image/gif", "", "", empty.Bytes())
+	f.Fuzz(func(t *testing.T, contentType, w, h string, body []byte) {
+		q := url.Values{"w": {w}, "h": {h}}
+		r := httptest.NewRequest(http.MethodPost, "/classify?"+q.Encode(), nil)
+		r.Header.Set("Content-Type", contentType)
+		b, err := decodeFrame(r, body)
+		if err != nil {
+			return
+		}
+		// edges against len(Pix) first, so the product cannot wrap into a match
+		if b.W <= 0 || b.H <= 0 || b.W > len(b.Pix) || b.H > len(b.Pix) || len(b.Pix) != b.W*b.H*4 {
+			t.Fatalf("accepted a %dx%d frame with %d pixel bytes", b.W, b.H, len(b.Pix))
+		}
+	})
+}
+
 // TestTwoTierMatchesInProcessDispatch is the acceptance anchor: a front
 // daemon whose dispatch shards proxy to two backend daemons over
 // /classify/batch must answer /classify with verdicts identical to
@@ -152,16 +222,19 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 		}
 		remotes[i] = rb
 	}
-	pool, err := engine.NewRemotePool(remotes)
+	// the topology `percival-serve -peers` builds, minus a local fallback:
+	// with every peer down there is nothing left to score a frame
+	fleet, err := engine.NewFleet(remotes, engine.FleetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(svc, serve.Options{Shards: 2, MaxBatch: 4, Backend: pool})
+	defer fleet.Close()
+	srv, err := serve.New(svc, serve.Options{Shards: 2, MaxBatch: 4, Backend: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	front := testFrontend(t, svc, srv, reg, pool, nil)
+	front := testFrontend(t, svc, srv, reg, fleet, fleet)
 
 	frames := synth.SampleFrames(41, 8)
 	for i, f := range frames {
@@ -208,16 +281,13 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	if v.Score != 0 || v.Ad {
 		t.Fatalf("peer-down verdict %+v, want fail-open score 0", v)
 	}
-	if st := pool.Stats(); st.Errors == 0 {
-		// replicas own the shard traffic; the direct ?model= path and the
-		// pool share the peers' counters
-		errs := remotes[0].Stats().Errors + remotes[1].Stats().Errors
-		for _, bs := range srv.BackendStats() {
-			errs += bs.Errors
-		}
-		if errs == 0 {
-			t.Fatal("peer-down dispatch did not count a fail-open error")
-		}
+	// the shard lanes own the /classify traffic, so they count the fail-open
+	var errs int64
+	for _, bs := range srv.BackendStats() {
+		errs += bs.Errors
+	}
+	if errs == 0 {
+		t.Fatal("peer-down dispatch did not count a fail-open error")
 	}
 
 	// the fail-open must be visible to operators: /healthz engine_errors

@@ -61,7 +61,7 @@ type Config struct {
 	// is the server's own serve.Options; the browser is agnostic to it —
 	// including when the server's dispatch shards proxy forward passes to
 	// remote model processes (serve.Options.Backend = engine.RemoteBackend
-	// or a RemotePool, the `percival-serve -peers` topology). Shed verdicts
+	// or a Fleet, the `percival-serve -peers` topology). Shed verdicts
 	// fail open (the frame renders), and a remote transport failure
 	// surfaces the same way: verdict unknown, frame rendered, never a
 	// blocked page. Mutually exclusive with Inspector.

@@ -1,7 +1,7 @@
 package engine
 
 // Fleet is the self-healing control plane over a set of RemoteBackend
-// peers. RemotePool (remote.go) routes blindly: a dead peer sheds its
+// peers. A bare RemoteBackend routes blindly: a dead peer sheds its
 // shard's traffic (score 0) until a human restarts something, retries are
 // the peer's own problem, and a merely slow peer poisons its shard's tail
 // unchecked. Fleet closes those gaps with four mechanisms:
@@ -125,7 +125,7 @@ type FleetOptions struct {
 	HedgeMax time.Duration
 	// Fallback, when set, scores chunks locally when no healthy peer
 	// remains — the "-peers front also holds a model" deployment. Without
-	// it an all-evicted fleet fails open, same as RemotePool.
+	// it an all-evicted fleet fails open, same as a lone RemoteBackend.
 	Fallback Backend
 	// Router is the placement policy (router.go). Nil means StaticRouter —
 	// the pre-seam round-robin pinning, bit-for-bit.
@@ -267,8 +267,8 @@ type Fleet struct {
 	errors  atomic.Int64
 }
 
-// NewFleet builds a supervised fleet over peers (same input resolution,
-// like NewRemotePool) and starts its control plane.
+// NewFleet builds a supervised fleet over peers, which must all serve the
+// same input resolution, and starts its control plane.
 func NewFleet(peers []*RemoteBackend, opts FleetOptions) (*Fleet, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("engine: fleet needs at least one peer")
@@ -526,10 +526,10 @@ func (f *Fleet) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float6
 }
 
 // Replicate hands out the next dispatch-lane ordinal: N serve shards over
-// N peers yields a lane per peer under the static router, exactly like
-// RemotePool — but the lane fails over instead of failing open. The lane
-// is stored raw (not modded) so the router can re-map it when membership
-// changes underneath it.
+// N peers yields a lane per peer under the static router, and a lane whose
+// peer is out fails over instead of failing open. The lane is stored raw
+// (not modded) so the router can re-map it when membership changes
+// underneath it.
 func (f *Fleet) Replicate() Backend {
 	return &fleetReplica{f: f, pref: int(f.next.Add(1) - 1)}
 }

@@ -197,7 +197,7 @@ func TestChaosFleetFallsBackToLocal(t *testing.T) {
 		t.Fatalf("fail-open with a live fallback: %+v", st)
 	}
 
-	// without a fallback the same situation fails open, like RemotePool
+	// without a fallback the same situation fails open
 	// (heal for the dial-time handshake, then kill the peer again)
 	inj.Set(faultinject.Fault{})
 	f2 := dialFleet(t, FleetOptions{EvictAfter: 1, RedialBase: time.Hour}, ts.URL)
@@ -371,8 +371,8 @@ func TestFleetLiveMembership(t *testing.T) {
 	}
 }
 
-// TestFleetReplicatePinsPeers: replicas pin round-robin like RemotePool
-// (shard-per-peer), share the health table, and keep their own counters.
+// TestFleetReplicatePinsPeers: replicas pin round-robin (shard-per-peer),
+// share the health table, and keep their own counters.
 func TestFleetReplicatePinsPeers(t *testing.T) {
 	net, res := testNet(t, 16)
 	a, b := NewFP32(net, res), NewFP32(net, res)

@@ -470,88 +470,3 @@ func drainClose(body io.ReadCloser) {
 	io.Copy(io.Discard, io.LimitReader(body, 1<<20))
 	body.Close()
 }
-
-// RemotePool fronts several remote peers as one Backend: Replicate hands
-// out the next peer round-robin; calls on the pool itself round-robin per
-// batch. InferBatchInto fails open per peer, so one dead replica sheds
-// only the traffic routed to it. Most callers want Fleet instead — same
-// round-robin pinning, but with health-gated eviction, failover, redial
-// and hedging; the pool remains for the fail-fast-per-lane semantics
-// (`percival-serve -peers` builds a Fleet since PR 6).
-type RemotePool struct {
-	peers []*RemoteBackend
-	next  atomic.Int64
-}
-
-// NewRemotePool builds a pool over peers, which must all serve the same
-// input resolution.
-func NewRemotePool(peers []*RemoteBackend) (*RemotePool, error) {
-	if len(peers) == 0 {
-		return nil, fmt.Errorf("engine: remote pool needs at least one peer")
-	}
-	res := peers[0].InputRes()
-	for _, p := range peers[1:] {
-		if p.InputRes() != res {
-			return nil, fmt.Errorf("engine: remote pool mixes resolutions %d and %d (%s)",
-				res, p.InputRes(), p.Name())
-		}
-	}
-	return &RemotePool{peers: peers}, nil
-}
-
-// Peers returns the pooled backends (stats introspection).
-func (p *RemotePool) Peers() []*RemoteBackend { return p.peers }
-
-// WindowStats reports every pooled peer's congestion window state.
-func (p *RemotePool) WindowStats() []WindowStat {
-	out := make([]WindowStat, len(p.peers))
-	for i, b := range p.peers {
-		out[i] = b.WindowStats()[0]
-	}
-	return out
-}
-
-// Name identifies the pool and its size.
-func (p *RemotePool) Name() string { return fmt.Sprintf("remote-pool(%d)", len(p.peers)) }
-
-// InputRes is the shared peer resolution.
-func (p *RemotePool) InputRes() int { return p.peers[0].InputRes() }
-
-func (p *RemotePool) pick() *RemoteBackend {
-	return p.peers[int(p.next.Add(1)-1)%len(p.peers)]
-}
-
-// InferBatchInto routes the batch to the next peer round-robin.
-func (p *RemotePool) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64 {
-	return p.pick().InferBatchInto(frames, out)
-}
-
-// Replicate pins the next peer round-robin: N serve shards over N peers
-// yields exactly one shard lane per remote replica.
-func (p *RemotePool) Replicate() Backend { return p.pick().Replicate() }
-
-// Warm pings every peer.
-func (p *RemotePool) Warm(maxBatch int) {
-	for _, b := range p.peers {
-		b.Warm(maxBatch)
-	}
-}
-
-// Close releases every peer's idle connections.
-func (p *RemotePool) Close() {
-	for _, b := range p.peers {
-		b.Close()
-	}
-}
-
-// Stats aggregates the peers' counters.
-func (p *RemotePool) Stats() Stats {
-	var s Stats
-	for _, b := range p.peers {
-		ps := b.Stats()
-		s.Batches += ps.Batches
-		s.Frames += ps.Frames
-		s.Errors += ps.Errors
-	}
-	return s
-}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"percival/internal/imaging"
 	"percival/internal/synth"
 )
 
@@ -309,6 +310,40 @@ func TestRemoteRetriesAndFailsOpen(t *testing.T) {
 	}
 }
 
+// TestHTTPChunkBodyNotReusedWhileInFlight: a peer that answers 503 without
+// reading the request leaves net/http's write loop still copying the chunk's
+// body when the attempt returns; the chunk and its buffer are pooled, so the
+// next dispatch must not encode into that array. The race detector is the
+// oracle (`make race`).
+func TestHTTPChunkBodyNotReusedWhileInFlight(t *testing.T) {
+	net, res := testNet(t, 16)
+	local := NewFP32(net, res)
+	defer local.Close()
+	mux := http.NewServeMux()
+	mux.Handle("GET /modelz", ModelzHandler(nil, local, 0.5))
+	mux.HandleFunc("POST /classify/batch", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "busy", http.StatusServiceUnavailable) // body left unread
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	rb, err := NewRemote(ts.URL, RemoteOptions{Transport: "http"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	// past any socket buffer, so the write is still going when the 503 lands
+	frames := []*imaging.Bitmap{imaging.NewBitmap(1024, 1024)}
+	out := make([]float64, 1)
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		frames[0].Pix[0] = byte(i)
+		rb.InferBatchInto(frames, out)
+	}
+	if st := rb.Stats(); st.Errors != rounds {
+		t.Fatalf("stats %+v, want %d fail-open chunks", st, rounds)
+	}
+}
+
 // TestRemoteDoesNotRetryRejections: a 4xx means the peer rejected this
 // exact request — re-sending the same body cannot succeed, so the retry
 // budget must not be spent on it.
@@ -342,60 +377,6 @@ func TestRemoteDoesNotRetryRejections(t *testing.T) {
 	}
 	if st := rb.Stats(); st.Errors != 1 {
 		t.Fatalf("rejection not counted as fail-open: %+v", st)
-	}
-}
-
-// TestRemotePoolRoundRobin: Replicate must pin successive replicas to
-// successive peers (shard-per-peer), and pool stats must aggregate.
-func TestRemotePoolRoundRobin(t *testing.T) {
-	net, res := testNet(t, 16)
-	remotes := make([]*RemoteBackend, 2)
-	for i := range remotes {
-		b := NewFP32(net, res)
-		defer b.Close()
-		ts := newPeer(t, nil, b)
-		rb, err := NewRemote(ts.URL, RemoteOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		remotes[i] = rb
-	}
-	pool, err := NewRemotePool(remotes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	r0 := pool.Replicate().(*RemoteBackend)
-	r1 := pool.Replicate().(*RemoteBackend)
-	r2 := pool.Replicate().(*RemoteBackend)
-	if r0.Peer() == r1.Peer() {
-		t.Fatalf("consecutive replicas share peer %s", r0.Peer())
-	}
-	if r2.Peer() != r0.Peer() {
-		t.Fatalf("replica 2 on %s, want wraparound to %s", r2.Peer(), r0.Peer())
-	}
-
-	// dispatch on the pool round-robins batches across peers, and the pool
-	// aggregates the peers' counters (replicas keep their own, like every
-	// other Replicate)
-	frames := synth.SampleFrames(7, 4)
-	out := make([]float64, len(frames))
-	pool.InferBatchInto(frames, out)
-	pool.InferBatchInto(frames, out)
-	if st := pool.Stats(); st.Frames != 2*int64(len(frames)) {
-		t.Fatalf("pool stats %+v, want %d frames aggregated", st, 2*len(frames))
-	}
-	if remotes[0].Stats().Frames == 0 || remotes[1].Stats().Frames == 0 {
-		t.Fatalf("pool dispatch not spread: %+v / %+v", remotes[0].Stats(), remotes[1].Stats())
-	}
-	r1out := make([]float64, 1)
-	r1.InferBatchInto(frames[:1], r1out)
-	if r1.Stats().Frames != 1 {
-		t.Fatalf("replica stats %+v, want its own counters", r1.Stats())
-	}
-	if _, err := NewRemotePool(nil); err == nil {
-		t.Fatal("empty pool not rejected")
 	}
 }
 

@@ -87,6 +87,19 @@ const (
 	maxWireFrameBytes = 32 << 20
 )
 
+// CheckFrameDims is the one bound on a raw RGBA frame's claimed dimensions,
+// applied at every edge that takes them from outside the process (both wire
+// decoders and the daemon's /classify) before a pixel buffer is sized from
+// them. The byte size is computed in int64 after the per-edge check, so no
+// w*h*4 can wrap — on a 32-bit platform 32768×32768×4 is 2^32, and on any
+// platform an unchecked 2^62×1×4 is 0 and "matches" an empty body.
+func CheckFrameDims(w, h int) error {
+	if w <= 0 || h <= 0 || w > maxWireEdge || h > maxWireEdge || int64(w)*int64(h)*4 > maxWireFrameBytes {
+		return fmt.Errorf("frame is %dx%d (edges 1..%d, at most %d bytes)", w, h, maxWireEdge, maxWireFrameBytes)
+	}
+	return nil
+}
+
 // encodeFrames appends the batch wire encoding of frames to buf.
 func encodeFrames(buf []byte, frames []*imaging.Bitmap) []byte {
 	buf = append(buf, batchMagic...)
@@ -126,11 +139,8 @@ func decodeFrames(r io.Reader) ([]*imaging.Bitmap, error) {
 		}
 		w := int(binary.LittleEndian.Uint32(dims[0:4]))
 		h := int(binary.LittleEndian.Uint32(dims[4:8]))
-		// the byte-size bound is computed in int64: on a 32-bit platform
-		// w*h*4 wraps for max-edge headers (32768×32768×4 = 2^32), letting a
-		// lying header pass validation with a negative or tiny product
-		if w <= 0 || h <= 0 || w > maxWireEdge || h > maxWireEdge || int64(w)*int64(h)*4 > maxWireFrameBytes {
-			return nil, fmt.Errorf("engine: frame %d is %dx%d", i, w, h)
+		if err := CheckFrameDims(w, h); err != nil {
+			return nil, fmt.Errorf("engine: frame %d: %w", i, err)
 		}
 		b := imaging.NewBitmap(w, h)
 		if _, err := io.ReadFull(br, b.Pix); err != nil {

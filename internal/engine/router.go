@@ -17,7 +17,7 @@ import (
 // Two policies ship:
 //
 //   - static: the pre-router behaviour, bit-for-bit. Lanes pin round-robin
-//     (lane i prefers peer i mod N, shard-per-peer like RemotePool), a
+//     (lane i prefers peer i mod N, shard-per-peer), a
 //     chunk whose preferred peer is out rotates the failover scan start so
 //     displaced traffic spreads across survivors, and the hedge arm is the
 //     next routable peer after the preference.
@@ -28,8 +28,9 @@ import (
 //     absorb right now) divided by its smoothed round-trip time — and the
 //     chunk goes to the best score. A slow or saturated peer's score decays
 //     on both axes (its window shrinks, its EWMA inflates), so load drains
-//     away from it without waiting for eviction; the 100ms-slow peer in
-//     ServeReroute8x2 keeps serving, just proportionally less.
+//     away from it without waiting for eviction; the slow peer in
+//     TestWeightedRouterShedsSlowPeer keeps serving, just proportionally
+//     less.
 //
 // Routers only ever see routable (healthy, non-draining) peers filtered by
 // the fleet; health state, eviction and redial stay the fleet's job. The
@@ -78,7 +79,7 @@ type StaticRouter struct {
 func (r *StaticRouter) Name() string { return "static" }
 
 // Pin assigns lanes round-robin: N serve shards over N peers yields one
-// dispatch lane per peer, exactly like RemotePool.
+// dispatch lane per peer.
 func (r *StaticRouter) Pin(lane, npeers int) int {
 	if npeers <= 0 {
 		return 0

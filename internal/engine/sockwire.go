@@ -163,9 +163,8 @@ func (req *sockReq) read(br *bufio.Reader) error {
 		w := int(binary.LittleEndian.Uint32(fh[wireKeyLen : wireKeyLen+4]))
 		h := int(binary.LittleEndian.Uint32(fh[wireKeyLen+4:]))
 		br.Discard(wireKeyLen + 8)
-		// int64 bound math, like decodeFrames: w*h*4 wraps on 32-bit
-		if w <= 0 || h <= 0 || w > maxWireEdge || h > maxWireEdge || int64(w)*int64(h)*4 > maxWireFrameBytes {
-			return fmt.Errorf("engine: wire frame %d is %dx%d", i, w, h)
+		if err := CheckFrameDims(w, h); err != nil {
+			return fmt.Errorf("engine: wire frame %d: %w", i, err)
 		}
 		if total += int64(w) * int64(h) * 4; total > maxSockPixelBytes {
 			return fmt.Errorf("engine: wire request pixel payload exceeds %d bytes", maxSockPixelBytes)

@@ -467,7 +467,15 @@ func TestWarmProbeChunkAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	dispatch(8) // cold pass fills both verdict caches; the rest warms pools, hedge trigger and RTO
+	// every frame through both lanes first, so both peers hold every verdict:
+	// on a busy multi-P box a hedge fires now and then, and it must land on a
+	// probe hit like the primary, not ship a frame's pixels to the other peer
+	for _, f := range frames {
+		one[0] = f
+		lanes[0].InferBatchInto(one, out)
+		lanes[1].InferBatchInto(one, out)
+	}
+	dispatch(8) // warms pools, hedge trigger and RTO
 	if h := fleet.hedgeDelay((*fleet.peers.Load())[0]); h == 0 {
 		t.Fatal("hedge trigger unarmed after the warm-up: the budget would not cover the hedge timer")
 	}

@@ -62,6 +62,19 @@ func (c *wireChunk) pixelBody() []byte {
 	return c.body
 }
 
+// forfeitBody detaches the encoded body from the chunk so that nothing
+// encodes into its backing array again. A failed HTTP attempt calls it:
+// net/http may still be copying the request to the socket after Do returns
+// (a peer can answer 503 without reading it, a timeout abandons the write),
+// and the chunk, buffer included, goes back to a pool. A retry re-encodes
+// into a fresh buffer; a successful attempt keeps it, because the peer has
+// read the whole request and the transport has finished writing it.
+func (c *wireChunk) forfeitBody() {
+	c.mu.Lock()
+	c.body = nil
+	c.mu.Unlock()
+}
+
 // contentKeys returns the chunk's content keys and perceptual hashes,
 // computing them on first use (zero-alloc per frame once the chunk's slices
 // are warm: sha256.Sum256 + the pooled 8×8 downscale).
@@ -197,6 +210,11 @@ func (t *httpTransport) compatible(info ModelzInfo) bool {
 func (t *httpTransport) roundTrip(ctx context.Context, deadline time.Time, chunk *wireChunk, out []float64) (retryable bool, err error) {
 	ctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
+	defer func() {
+		if err != nil {
+			chunk.forfeitBody()
+		}
+	}()
 	body := chunk.pixelBody()
 	t.stats.chunks.Add(1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.batchURL, bytes.NewReader(body))

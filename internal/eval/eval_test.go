@@ -395,7 +395,8 @@ func TestQuantParityAndSpeed(t *testing.T) {
 	}
 	// The reduced-scale harness model leaves many samples near the decision
 	// boundary, so the bounds here are loose; the default-scale numbers
-	// (+0.006 accuracy, 99% agreement) are tracked in BENCH_2.json.
+	// (+0.006 accuracy, 99% agreement when last measured) come from
+	// `percival-eval -experiment quant`.
 	if d := r.INT8.Accuracy() - r.FP32.Accuracy(); d < -0.06 {
 		t.Fatalf("INT8 accuracy regressed by %.4f", -d)
 	}

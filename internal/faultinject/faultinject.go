@@ -7,9 +7,8 @@
 //
 // The classifier sits inline in the rendering path, so the fleet layer's
 // contract is "never block a page under any backend condition"; this
-// package is how that contract is exercised: internal/engine's fleet tests,
-// the ServeChaos8x2 benchmark row, and the `make chaos` CI smoke all drive
-// their peers through an Injector.
+// package is how that contract is exercised: internal/engine's fleet tests
+// and the `make chaos` CI smoke drive their peers through an Injector.
 package faultinject
 
 import (

@@ -49,6 +49,10 @@ func Decode(data []byte) (*Bitmap, Format, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("imaging: decode: %w", err)
 	}
+	// a GIF's first frame may be an empty rectangle inside its screen
+	if img.Bounds().Empty() {
+		return nil, "", fmt.Errorf("imaging: decode: empty %s image", name)
+	}
 	return FromImage(img), Format(name), nil
 }
 

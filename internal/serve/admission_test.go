@@ -303,6 +303,112 @@ func TestServeStage3ShedsAtEdgeButServesCache(t *testing.T) {
 	}
 }
 
+// TestServeLadderEngagesAndReleasesUnderHeldLane climbs the ladder on a
+// running server from real queue pressure and brings it back — the stage is
+// never stored by hand. The lane is a gated stub and the ladder's clock is
+// the test's, so nothing sleeps: healthy closed-loop traffic leaves the
+// stage at normal; a held lane backs the queue up until fresh leaders shed
+// at the edge while the cache keeps answering; an open lane drains the
+// queue and the ladder walks back down. Every submission resolves exactly
+// once and every model verdict is the backend's, bit for bit (no fail-open).
+func TestServeLadderEngagesAndReleasesUnderHeldLane(t *testing.T) {
+	const hold = 50 * time.Millisecond
+	// Alpha 0.5 lets occupancy cross EnterPressure with a quarter of the
+	// queue still free: at stage 0 a submitter blocks on a full queue, and
+	// this test submits from one goroutine
+	ac, clk := testController(AdmissionOptions{EnterHold: hold, ExitHold: hold, Alpha: 0.5})
+	gb := newGatedBackend()
+	s := testServer(t, core.Options{}, Options{
+		Workers: 1, Shards: 1, MaxBatch: 1, QueueDepth: 32, Backend: gb, Policy: ac,
+	})
+	frames := synth.SampleFrames(113, 72)
+	warm, fresh := frames[:8], frames[8:]
+
+	// healthy: one frame at a time through an unblocked lane, the clock
+	// running well past EnterHold
+	for _, f := range warm {
+		gb.release <- struct{}{}
+		if r := s.Submit(f); r.Status != StatusClassified || r.Score != stubScore(f) {
+			t.Fatalf("healthy submit resolved %+v", r)
+		}
+		gb.nextCall(t)
+		clk.advance(hold)
+		if st := ac.Stage(); st != BrownoutNormal {
+			t.Fatalf("stage %v under healthy closed-loop load", st)
+		}
+	}
+
+	// overload: nothing is released, so the first frame holds the lane, the
+	// second the coalescer, and the rest fill the queue
+	type sub struct {
+		f   *imaging.Bitmap
+		fut *Future
+	}
+	var subs []sub
+	for ac.Stage() < BrownoutShed {
+		if len(subs) == len(fresh) {
+			t.Fatalf("ladder stuck at %v (pressure %.2f) after %d submissions behind a held lane",
+				ac.Stage(), ac.Pressure(), len(subs))
+		}
+		q := s.shards[0].queue
+		if ac.Stage() == BrownoutNormal && len(q) == cap(q) {
+			t.Fatalf("queue filled before the ladder engaged (pressure %.2f)", ac.Pressure())
+		}
+		f := fresh[len(subs)]
+		subs = append(subs, sub{f, s.SubmitAsync(f)})
+		clk.advance(hold)
+	}
+	if r := s.Submit(warm[0]); r.Status != StatusCached || r.Score != stubScore(warm[0]) {
+		t.Fatalf("cached frame at stage 3 resolved %+v, want the cached verdict", r)
+	}
+	edge := fresh[len(subs)]
+	if r := s.Submit(edge); r.Status != StatusShed {
+		t.Fatalf("fresh leader at stage 3 resolved %v, want shed", r.Status)
+	}
+
+	// recovery: open the lane for good; the queue drains
+	close(gb.release)
+	classified, shed := 0, 0
+	for _, sb := range subs {
+		switch r := sb.fut.Wait(); {
+		case r.Status == StatusShed:
+			shed++
+		case r.Status == StatusClassified && r.Score == stubScore(sb.f):
+			classified++
+		default:
+			t.Fatalf("overload submission resolved %+v, want shed or the backend's score %v", r, stubScore(sb.f))
+		}
+	}
+	if classified == 0 || shed == 0 {
+		t.Fatalf("overload resolved %d classified / %d shed, want some of each", classified, shed)
+	}
+	// idle admissions decay the pressure and step the ladder down, one
+	// ExitHold a stage; only a fresh leader reaches the controller
+	for _, f := range fresh[len(subs)+1:] {
+		if ac.Stage() == BrownoutNormal {
+			break
+		}
+		clk.advance(hold)
+		s.Submit(f)
+	}
+	if st := ac.Stage(); st != BrownoutNormal {
+		t.Fatalf("ladder stuck at %v (pressure %.2f) after the load dropped", st, ac.Pressure())
+	}
+
+	if l, f := inflight(s); l != 0 || f != 0 {
+		t.Fatalf("%d leaders / %d followers still in flight", l, f)
+	}
+	m := s.Metrics()
+	if in, out := m.Submitted.Load(), m.Classified.Load()+m.CacheHits.Load()+m.Shed.Load(); in != out {
+		t.Fatalf("%d submitted, %d resolved", in, out)
+	}
+	for i, st := range s.BackendStats() {
+		if st.Errors != 0 {
+			t.Fatalf("shard %d counted %d fail-open errors", i, st.Errors)
+		}
+	}
+}
+
 // TestServeAdmissionDeadlineShedsBlockedSubmitter covers the
 // deadline-at-admission bugfix: a submitter blocked on a full queue past
 // the shed deadline sheds instead of waiting to be shed at dispatch.
