@@ -73,7 +73,7 @@ bench:
 
 # Just the inference-latency trajectory (see PERFORMANCE.md).
 bench-infer:
-	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch' -benchmem .
+	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16' -benchmem .
 	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
 
 # bench/ is a module of its own, so `go vet ./...` and `go test ./...` at the

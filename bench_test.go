@@ -18,6 +18,7 @@ import (
 	"percival/internal/crawler"
 	"percival/internal/dataset"
 	"percival/internal/easylist"
+	"percival/internal/engine"
 	"percival/internal/eval"
 	"percival/internal/imaging"
 	"percival/internal/nn"
@@ -186,6 +187,22 @@ func BenchmarkInferSingleInt8(b *testing.B) { benchForwardInt8(b, 1) }
 // BenchmarkInferBatchInt8 measures batched quantized throughput (8 frames
 // per forward pass) — the quantized ClassifyBatch workload.
 func BenchmarkInferBatchInt8(b *testing.B) { benchForwardInt8(b, 8) }
+
+// BenchmarkWarm16 is the set-up cost and the footprint of one backend at the
+// daemon's default MaxBatch: one 16-frame forward pass on a cold state, and
+// the bytes that state then keeps (state-MB).
+func BenchmarkWarm16(b *testing.B) {
+	net := paperNet()
+	var state int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		be := engine.NewFP32(net, 224)
+		be.Warm(16)
+		state = be.Stats().StateBytes
+		be.Close()
+	}
+	b.ReportMetric(float64(state)/(1<<20), "state-MB")
+}
 
 // BenchmarkClassifySingleFrame measures the per-frame model latency the
 // paper quotes as 11 ms at 224px (ours runs at the harness resolution).

@@ -604,6 +604,7 @@ func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet
 		for i, st := range srv.BackendStats() {
 			fmt.Fprintf(w, "percival_engine_batches_total{shard=\"%d\"} %d\n", i, st.Batches)
 			fmt.Fprintf(w, "percival_engine_errors_total{shard=\"%d\"} %d\n", i, st.Errors)
+			fmt.Fprintf(w, "percival_engine_state_bytes{shard=\"%d\"} %d\n", i, st.StateBytes)
 		}
 		for _, name := range reg.Names() {
 			if b, ok := reg.Get(name); ok {

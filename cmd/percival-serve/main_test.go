@@ -320,6 +320,9 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	if !bytes.Contains(exp.Bytes(), []byte("percival_engine_errors_total")) {
 		t.Fatal("/metrics does not expose the per-shard engine error counters")
 	}
+	if !bytes.Contains(exp.Bytes(), []byte("percival_engine_state_bytes{shard=\"0\"}")) {
+		t.Fatal("/metrics does not expose the per-shard warm-state gauge")
+	}
 }
 
 // TestClassifyBatchEndpointRejectsGarbage: the wire endpoint must 400 on a

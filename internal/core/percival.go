@@ -178,9 +178,17 @@ func (p *Percival) enableQuantized() error {
 	// quantization fidelity. If every frame is borderline there is nothing
 	// to distinguish and the engines are considered in parity.
 	const parityMargin = 0.05
-	fp32be := p.backends.Select(engine.FP32Name)
-	fpScores := fp32be.InferBatchInto(p.opts.CalibFrames, make([]float64, len(p.opts.CalibFrames)))
-	qScores := int8be.InferBatchInto(p.opts.CalibFrames, make([]float64, len(p.opts.CalibFrames)))
+	// Scored on replicas that are closed behind the gate: a backend keeps
+	// its warm states for life, and a state sized for len(CalibFrames) left
+	// in the registered backends would stay resident without ever being
+	// used again (serve lanes run their own replicas, Classify runs batch 1).
+	score := func(be engine.Backend) []float64 {
+		rep := be.Replicate()
+		defer rep.Close()
+		return rep.InferBatchInto(p.opts.CalibFrames, make([]float64, len(p.opts.CalibFrames)))
+	}
+	fpScores := score(p.backends.Select(engine.FP32Name))
+	qScores := score(int8be)
 	agree, counted := 0, 0
 	for i, fpScore := range fpScores {
 		if math.Abs(fpScore-p.opts.Threshold) < parityMargin {

@@ -78,6 +78,20 @@ func TestQuantizedParityGateFallback(t *testing.T) {
 	}
 }
 
+// TestQuantizedNewLeavesNoGateState: the parity gate scores all the
+// calibration frames in one batch, and a backend keeps its warm states for
+// life — New must not leave that batch's state in either registered backend,
+// where nothing would use it again.
+func TestQuantizedNewLeavesNoGateState(t *testing.T) {
+	p := testService(t, Options{Quantized: true, CalibFrames: calibFrames(8)})
+	for _, name := range p.Backends().Names() {
+		be, _ := p.Backends().Get(name)
+		if got := be.Stats().StateBytes; got != 0 {
+			t.Errorf("%s backend retains %d state bytes after New, want 0", name, got)
+		}
+	}
+}
+
 // TestQuantizedZeroAllocSteadyState checks the quantized Classify path keeps
 // the zero-allocation property of the FP32 path.
 func TestQuantizedZeroAllocSteadyState(t *testing.T) {

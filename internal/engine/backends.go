@@ -26,7 +26,7 @@ func NewFP32(net *nn.Sequential, res int) *FP32Backend {
 		name: FP32Name,
 		res:  res,
 		predict: func(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-			return nn.PredictArena(net, x, a)
+			return nn.PredictArenaOwned(net, x, a)
 		},
 	}
 	return b
@@ -38,7 +38,7 @@ func (b *FP32Backend) Net() *nn.Sequential { return b.net }
 // SizeBytes is the float32 weight footprint.
 func (b *FP32Backend) SizeBytes() int { return nn.SizeBytes(b.net) }
 
-// Replicate shares the weights with a fresh warm-state pool.
+// Replicate shares the weights and starts with no warm state.
 func (b *FP32Backend) Replicate() Backend { return NewFP32(b.net, b.res) }
 
 // Int8Backend runs inference on the quantized INT8 engine.
@@ -55,7 +55,9 @@ func NewInt8(qnet *nn.QuantizedSequential, res int) *Int8Backend {
 		name: Int8Name,
 		res:  res,
 		predict: func(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-			return qnet.PredictArena(x, a)
+			probs := qnet.PredictArena(x, a)
+			a.PutTensor(x)
+			return probs
 		},
 	}
 	return b
@@ -67,5 +69,5 @@ func (b *Int8Backend) QNet() *nn.QuantizedSequential { return b.qnet }
 // SizeBytes is the INT8 weight footprint.
 func (b *Int8Backend) SizeBytes() int { return b.qnet.SizeBytes() }
 
-// Replicate shares the quantized weights with a fresh warm-state pool.
+// Replicate shares the quantized weights and starts with no warm state.
 func (b *Int8Backend) Replicate() Backend { return NewInt8(b.qnet, b.res) }

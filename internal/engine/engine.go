@@ -14,10 +14,14 @@
 // can hold its own replica and never contend with its neighbours for arena
 // buffers.
 //
-// Arena-ownership rule: one Backend value owns one state pool. Replicate
-// shares the (read-only) weights but starts a fresh pool, which is what a
-// dispatch shard wants; Close drains the pool back to the global arena
-// free-list.
+// Arena-ownership rule: one Backend value owns one list of warm states, as
+// many as the peak number of goroutines that were inside it at once (one
+// per serve lane, one per raster worker). The list is the backend's own,
+// not a sync.Pool: the collector empties a pool after two cycles without
+// use, and a classifier that idles between page loads would then rebuild
+// its working set inside the next page's raster path. Replicate shares the
+// (read-only) weights but starts an empty list, which is what a dispatch
+// shard wants; Close drops the list.
 package engine
 
 import (
@@ -29,10 +33,11 @@ import (
 )
 
 // BatchChunk caps the frames per forward pass. Activation buffers scale
-// with batch size and the warm arena retains its high-water mark, so an
-// unbounded batch (a 100-image search page at paper resolution) would pin
-// hundreds of MB; chunking keeps the pre-processing amortization while
-// bounding the arena to a fixed footprint.
+// with batch size and a warm state keeps its high-water mark for the life
+// of the backend (1.9 MB a frame for the FP32 paper net), so an unbounded
+// batch (a 100-image search page at paper resolution) would pin hundreds of
+// MB; chunking keeps the pre-processing amortization while bounding a state
+// to the footprint of one BatchChunk-frame pass.
 const BatchChunk = 16
 
 // Stats are a backend's dispatch counters, readable while it serves.
@@ -46,12 +51,17 @@ type Stats struct {
 	// failures past the retry budget on a RemoteBackend. The in-process
 	// backends never fail open, so they always report 0.
 	Errors int64
+	// StateBytes is the warm inference state the backend retains: over
+	// every state it has created and not dropped, the arena's buffers plus
+	// the scaled-frame bitmap, as of each state's last return. Remote
+	// backends hold none and report 0.
+	StateBytes int64
 }
 
 // Backend is one inference engine: pre-processing, forward pass, and the
 // warm per-goroutine state both need. Implementations are safe for
 // concurrent use; a steady-state InferBatchInto performs no heap
-// allocation once the state pool is warm (see Warm).
+// allocation once a state is warm (see Warm).
 type Backend interface {
 	// Name identifies the engine ("fp32", "int8") for registries, logs and
 	// health endpoints.
@@ -62,14 +72,14 @@ type Backend interface {
 	// returns out[:len(frames)]. Scores are the ad-class probability.
 	InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64
 	// Replicate returns a backend sharing this backend's weights but owning
-	// a fresh warm-state pool — the per-shard replica serve dispatch wants.
+	// no warm state yet — the per-shard replica serve dispatch wants.
 	Replicate() Backend
-	// Warm pre-touches the state pool for every chunk size a batch of up to
-	// maxBatch frames can produce, so the first real dispatch allocates
-	// nothing.
+	// Warm builds one warm state sized for the largest chunk a batch of up
+	// to maxBatch frames can produce, so the first real dispatch at any
+	// batch size up to it allocates nothing.
 	Warm(maxBatch int)
-	// Close drains the warm-state pool back to the global arena free-list.
-	// The backend must not be used after Close.
+	// Close drops the warm states. The backend must not be used after
+	// Close.
 	Close()
 	// Stats returns the dispatch counters.
 	Stats() Stats
@@ -81,13 +91,17 @@ type Backend interface {
 type inferState struct {
 	arena  *tensor.Arena
 	scaled *imaging.Bitmap
+	// counted is this state's share of base.stateBytes.
+	counted int64
 }
 
 // predictFn runs one forward pass over a pre-processed input batch using
-// arena-backed buffers; it is the only point where FP32 and INT8 differ.
+// arena-backed buffers; it is the only point where FP32 and INT8 differ. x
+// came from a.GetTensor and the pass returns it there once it has read it;
+// the probabilities it hands back are the caller's to PutTensor.
 type predictFn func(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor
 
-// base carries the engine-independent machinery: state pool, chunked
+// base carries the engine-independent machinery: warm states, chunked
 // pre-processing loop, and stats. Concrete backends embed it and supply
 // predict.
 type base struct {
@@ -95,7 +109,13 @@ type base struct {
 	res     int
 	predict predictFn
 
-	states  sync.Pool
+	// states is the idle warm states, last returned first out so the one
+	// whose buffers are in cache is the one reused; stateBytes counts them
+	// and the ones in use.
+	mu         sync.Mutex
+	states     []*inferState
+	stateBytes int64
+
 	batches atomic.Int64
 	frames  atomic.Int64
 }
@@ -104,20 +124,33 @@ func (b *base) Name() string  { return b.name }
 func (b *base) InputRes() int { return b.res }
 
 func (b *base) Stats() Stats {
-	return Stats{Batches: b.batches.Load(), Frames: b.frames.Load()}
+	b.mu.Lock()
+	stateBytes := b.stateBytes
+	b.mu.Unlock()
+	return Stats{Batches: b.batches.Load(), Frames: b.frames.Load(), StateBytes: stateBytes}
 }
 
 func (b *base) getState() *inferState {
-	if st, ok := b.states.Get().(*inferState); ok {
-		return st
+	var st *inferState
+	b.mu.Lock()
+	if n := len(b.states); n > 0 {
+		st, b.states = b.states[n-1], b.states[:n-1]
 	}
-	return &inferState{
-		arena:  tensor.GetArena(),
-		scaled: imaging.NewBitmap(b.res, b.res),
+	b.mu.Unlock()
+	if st == nil {
+		st = &inferState{arena: tensor.NewArena(), scaled: imaging.NewBitmap(b.res, b.res)}
 	}
+	return st
 }
 
-func (b *base) putState(st *inferState) { b.states.Put(st) }
+func (b *base) putState(st *inferState) {
+	size := int64(st.arena.Bytes() + len(st.scaled.Pix))
+	b.mu.Lock()
+	b.stateBytes += size - st.counted
+	st.counted = size
+	b.states = append(b.states, st)
+	b.mu.Unlock()
+}
 
 // InferBatchInto scores frames in chunked forward passes, amortizing
 // pre-processing through the warm arena and scaled-frame buffer.
@@ -146,7 +179,6 @@ func (b *base) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64
 			out[lo+i] = float64(probs.Data[i*k+1]) // class 1 = ad
 		}
 		st.arena.PutTensor(probs)
-		st.arena.PutTensor(x)
 		b.batches.Add(1)
 	}
 	b.putState(st)
@@ -154,9 +186,19 @@ func (b *base) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64
 	return out
 }
 
-// Warm runs one forward pass at every chunk size a batch of up to maxBatch
-// frames can produce. The arena free-lists are exact-size, so a chunk size
-// first seen on the serving hot path would allocate there instead.
+// Warm runs one forward pass at the largest chunk a batch of up to maxBatch
+// frames can produce; the state it leaves serves every smaller batch
+// without allocating. Every buffer of a pass scales with the batch or not
+// at all, so each request of a smaller batch is no larger than the same
+// request of this pass; what has to hold is that best-fit hands it a buffer
+// that fit that request here. For the FP32 paper net it is the same buffer:
+// the pass leaves two (input, pooled stem output), the input takes the
+// smaller at any batch, and from then on one is out whenever the next is
+// drawn, so the two alternate down the chain exactly as they did here. The
+// INT8 pass keeps more u8 buffers and best-fit has choices among them that
+// no general argument covers; TestWarmOnceCoversEveryBatchSize pins both
+// engines at every size in ascending, descending and shuffled order. A miss
+// would be one allocation on the serving path, kept from then on.
 func (b *base) Warm(maxBatch int) {
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -169,20 +211,12 @@ func (b *base) Warm(maxBatch int) {
 	for i := range frames {
 		frames[i] = frame
 	}
-	out := make([]float64, maxBatch)
-	for n := 1; n <= maxBatch; n++ {
-		b.InferBatchInto(frames[:n], out[:n])
-	}
+	b.InferBatchInto(frames, make([]float64, maxBatch))
 }
 
-// Close drains the warm-state pool, returning arenas to the global
-// free-list.
+// Close drops the warm states for the collector to take.
 func (b *base) Close() {
-	for {
-		st, ok := b.states.Get().(*inferState)
-		if !ok {
-			return
-		}
-		tensor.PutArena(st.arena)
-	}
+	b.mu.Lock()
+	b.states, b.stateBytes = nil, 0
+	b.mu.Unlock()
 }

@@ -74,7 +74,7 @@ func TestInt8BackendRuns(t *testing.T) {
 }
 
 // TestReplicateSharesWeightsOwnsState: a replica must produce identical
-// scores (same weights) while keeping its own stats and state pool.
+// scores (same weights) while keeping its own stats and warm states.
 func TestReplicateSharesWeightsOwnsState(t *testing.T) {
 	net, res := testNet(t, 16)
 	b := NewFP32(net, res)
@@ -119,13 +119,14 @@ func TestWarmMakesInferZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestConcurrentInfer exercises the state pool under parallel callers.
+// TestConcurrentInfer exercises the state list under parallel callers.
 func TestConcurrentInfer(t *testing.T) {
 	net, res := testNet(t, 16)
 	b := NewFP32(net, res)
 	defer b.Close()
 	frames := synth.SampleFrames(17, 8)
 	want := b.InferBatchInto(frames, make([]float64, len(frames)))
+	one := b.Stats().StateBytes // the serial call left exactly one state
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -134,6 +135,7 @@ func TestConcurrentInfer(t *testing.T) {
 			out := make([]float64, len(frames))
 			for i := 0; i < 4; i++ {
 				b.InferBatchInto(frames, out)
+				b.Stats()
 				for j := range out {
 					if out[j] != want[j] {
 						t.Errorf("frame %d: concurrent score %v != %v", j, out[j], want[j])
@@ -144,6 +146,11 @@ func TestConcurrentInfer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// Every state saw the same batch, so the list holds at most one per
+	// goroutine and the gauge is that many times the first.
+	if n := int64(len(b.states)); one <= 0 || n < 1 || n > 8 || b.Stats().StateBytes != n*one {
+		t.Fatalf("%d idle states of %d bytes each, StateBytes %d", n, one, b.Stats().StateBytes)
+	}
 }
 
 // TestRegistrySelectionAndFallback covers the named-version lookup rules:

@@ -1,0 +1,124 @@
+package engine
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"percival/internal/imaging"
+	"percival/internal/nn"
+	"percival/internal/squeezenet"
+	"percival/internal/synth"
+	"percival/internal/tensor"
+)
+
+// paperBackends builds both engines over the paper net at 224 px: the warm-
+// state tests below are about the footprint of the network that ships.
+func paperBackends(t *testing.T) []Backend {
+	t.Helper()
+	cfg := squeezenet.PaperConfig()
+	net, err := squeezenet.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	squeezenet.PretrainedInit(net, 1)
+	calib := []*tensor.Tensor{imaging.PrepareInput(synth.SampleFrames(5, 1)[0], cfg.InputRes)}
+	qnet, err := nn.Quantize(net, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []Backend{NewFP32(net, cfg.InputRes), NewInt8(qnet, cfg.InputRes)}
+}
+
+// TestWarmStateSurvivesGC: a backend that sits idle across collections — a
+// classifier between page loads — must still hold its warm state, so the
+// next batch allocates no arena. A sync.Pool would have been emptied by the
+// second collection. Only the tensor scratch pool, which is a sync.Pool, may
+// regrow (≈ 4.8 MB for FP32), and that is less than the state.
+func TestWarmStateSurvivesGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the GEMM fan-out allocates
+	frames := synth.SampleFrames(19, 4)
+	out := make([]float64, len(frames))
+	for _, b := range paperBackends(t) {
+		b.Warm(len(frames))
+		warm := b.Stats().StateBytes
+		if warm <= 0 {
+			t.Fatalf("%s: StateBytes %d after Warm, want > 0", b.Name(), warm)
+		}
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b.InferBatchInto(frames, out)
+		runtime.ReadMemStats(&m1)
+		if got := b.Stats().StateBytes; got != warm {
+			t.Errorf("%s: StateBytes %d after three collections and a batch, want the warm %d", b.Name(), got, warm)
+		}
+		if grew := int64(m1.TotalAlloc - m0.TotalAlloc); grew >= warm {
+			t.Errorf("%s: first batch after three collections allocated %d bytes, want < the %d-byte state it should still hold",
+				b.Name(), grew, warm)
+		}
+		b.Close()
+		if got := b.Stats().StateBytes; got != 0 {
+			t.Errorf("%s: StateBytes %d after Close, want 0", b.Name(), got)
+		}
+	}
+}
+
+// TestWarmOnceCoversEveryBatchSize pins Warm's argument: one pass at the
+// largest batch leaves buffers that fit every request of every smaller
+// batch, whatever order the sizes arrive in, and for FP32 those buffers are
+// the 1.88 MB a frame plan (input + pooled stem output), not one copy of
+// every activation per batch size.
+func TestWarmOnceCoversEveryBatchSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const maxBatch = 8
+	frames := synth.SampleFrames(23, maxBatch)
+	out := make([]float64, maxBatch)
+	asc := make([]int, maxBatch)
+	for i := range asc {
+		asc[i] = i + 1
+	}
+	desc := make([]int, maxBatch)
+	for i := range desc {
+		desc[i] = maxBatch - i
+	}
+	shuffled := rand.New(rand.NewSource(29)).Perm(maxBatch)
+	for i := range shuffled {
+		shuffled[i]++
+	}
+	for _, b := range paperBackends(t) {
+		b.Warm(maxBatch)
+		warm := b.Stats().StateBytes
+		if limit := int64(maxBatch*2<<20 + 1<<20); b.Name() == FP32Name && warm > limit {
+			t.Errorf("fp32: %d state bytes after Warm(%d), want <= %d (2.0 MB a frame + 1 MB)", warm, maxBatch, limit)
+		}
+		for _, order := range [][]int{asc, desc, shuffled} {
+			for _, n := range order {
+				// tensor's scratch buffers sit in a sync.Pool that hands
+				// them back in any order, so a call can still find one
+				// smaller than it needs and regrow it. They only grow, so
+				// that dies out; an allocation that survives the retries is
+				// a steady-state one. The arena has no such slack: one miss
+				// moves StateBytes for good.
+				allocs := 1.0
+				for try := 0; try < 4 && allocs >= 1; try++ {
+					allocs = testing.AllocsPerRun(2, func() { b.InferBatchInto(frames[:n], out[:n]) })
+				}
+				if allocs >= 1 {
+					t.Errorf("%s: batch %d in order %v allocates %.1f/op after Warm(%d)", b.Name(), n, order, allocs, maxBatch)
+				}
+				if got := b.Stats().StateBytes; got != warm {
+					t.Fatalf("%s: StateBytes %d after batch %d in order %v, want the %d Warm(%d) left", b.Name(), got, n, order, warm, maxBatch)
+				}
+			}
+		}
+		b.Close()
+	}
+}

@@ -35,6 +35,7 @@ func TestForwardInferBatchInvariant(t *testing.T) {
 	inBatch := append([]float32(nil), mustLogits(t, net, x, a, batch)...)
 	for i := 0; i < batch; i++ {
 		one := tensor.FromSlice(x.Data[i*frame:(i+1)*frame], 1, 4, 224, 224)
+		poisonArena(a) // the batch-3 buffers serve batch 1: stale bytes must not leak in
 		for c, v := range mustLogits(t, net, one, a, 1) {
 			if w := inBatch[i*2+c]; math.Float32bits(v) != math.Float32bits(w) {
 				t.Errorf("frame %d class %d: alone %v (%#x), in batch of %d %v (%#x)",

@@ -31,7 +31,12 @@ type inferLayer interface {
 // values before returning it (or the arena) to a pool. An adjacent Conv2D,
 // ReLU and unpadded MaxPool run as one stage.
 func (s *Sequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	y, owned := s.forwardInfer(x, a, false)
+	return s.forwardInferArena(x, a, false)
+}
+
+// forwardInferArena is ForwardInfer with the caller saying whether x is a's.
+func (s *Sequential) forwardInferArena(x *tensor.Tensor, a *tensor.Arena, owned bool) *tensor.Tensor {
+	y, owned := s.forwardInfer(x, a, owned)
 	if !owned {
 		// Normalize the contract: hand back an arena-owned copy so callers
 		// can treat the result uniformly. Only reachable when the network is
@@ -189,7 +194,20 @@ func (f *Fire) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*ten
 // class probabilities ([N,C]) in an arena-owned tensor: copy out the scores
 // you need, then PutTensor it before releasing the arena.
 func PredictArena(net *Sequential, x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	logits := net.ForwardInfer(x, a)
+	return predictArena(net, x, a, false)
+}
+
+// PredictArenaOwned is PredictArena for an x that came from a.GetTensor and
+// that the caller is done with: the pass returns x to a as soon as the first
+// layer has read it, so the input's buffer serves the later, smaller layers
+// instead of sitting out the pass (the paper net then runs in two buffers,
+// input + pooled stem output). x must not be used afterwards.
+func PredictArenaOwned(net *Sequential, x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
+	return predictArena(net, x, a, true)
+}
+
+func predictArena(net *Sequential, x *tensor.Tensor, a *tensor.Arena, owned bool) *tensor.Tensor {
+	logits := net.forwardInferArena(x, a, owned)
 	probs := a.GetTensor(logits.Shape[0], logits.Shape[1])
 	tensor.SoftmaxInto(logits, probs.Data)
 	a.PutTensor(logits)

@@ -468,8 +468,10 @@ func (s *Server) BrownoutStage() BrownoutStage {
 	return s.adm.Stage()
 }
 
-// Warm pre-touches every shard replica's arena state for all batch sizes
-// the coalescers can dispatch, so the first real burst allocates nothing.
+// Warm builds every shard replica's inference state at the largest batch
+// the coalescers can dispatch — one forward pass each; the best-fit arena
+// then serves every smaller batch — so the first real burst allocates
+// nothing.
 func (s *Server) Warm() {
 	for _, sh := range s.shards {
 		sh.backend.Warm(s.opts.MaxBatch)

@@ -1,95 +1,91 @@
 package tensor
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
-// Arena is a size-classed free-list allocator for inference scratch. A
-// network forward pass requests the same buffer sizes frame after frame, so
-// after one warm-up pass every Get is satisfied from the free list and the
-// steady state allocates nothing.
+// Arena is a best-fit free-list allocator for inference scratch. Get takes
+// the smallest free buffer that is large enough, so a buffer sized for the
+// largest batch serves every smaller one and a freed layer input is reused
+// by any later, smaller layer: after one warm-up pass at the largest batch
+// every Get is satisfied from the free lists and the steady state allocates
+// nothing. A forward pass holds a handful of buffers, so the free lists are
+// a few entries long and a linear scan is the whole search.
 //
 // Ownership rules:
 //   - An Arena is NOT goroutine-safe. Each concurrent inference (e.g. one
-//     raster worker) must use its own arena; GetArena/PutArena recycle warm
-//     arenas through a global sync.Pool.
+//     raster worker) must use its own arena; engine backends own theirs,
+//     and GetArena/PutArena recycle warm arenas through a global sync.Pool
+//     for nn.Predict.
 //   - Tensors handed out by GetTensor belong to the arena. Callers must copy
 //     any values they need before PutTensor/PutArena, and must not retain the
 //     tensor (or slices of its data) afterwards.
-//   - Buffers are returned uncleared: callers must fully overwrite them.
+//   - Buffers are returned uncleared and hold whatever the last layer or
+//     batch left in them, within [:n] and beyond: callers must fully
+//     overwrite what they read.
 type Arena struct {
-	free    map[int][][]float32
-	freeU8  map[int][][]uint8
-	freeI32 map[int][][]int32
+	free    [][]float32
+	freeU8  [][]uint8
+	freeI32 [][]int32
 	headers []*Tensor
+	bytes   int
 }
 
 // NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{
-		free:    make(map[int][][]float32),
-		freeU8:  make(map[int][][]uint8),
-		freeI32: make(map[int][][]int32),
+func NewArena() *Arena { return &Arena{} }
+
+// Bytes is the size of every buffer the arena has allocated, free or handed
+// out (tensor headers not counted).
+func (a *Arena) Bytes() int { return a.bytes }
+
+// arenaGet removes the smallest buffer of *free with cap >= n and returns it
+// sliced to n; when none fits it allocates and leaves *free as it was.
+func arenaGet[T any](a *Arena, free *[][]T, n int) []T {
+	l, best := *free, -1
+	for i, b := range l {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(l[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		var zero T
+		a.bytes += n * int(unsafe.Sizeof(zero))
+		return make([]T, n)
+	}
+	buf := l[best]
+	l[best] = l[len(l)-1]
+	*free = l[:len(l)-1]
+	return buf[:n]
+}
+
+// arenaPut appends buf, at its full capacity, to *free.
+func arenaPut[T any](free *[][]T, buf []T) {
+	if cap(buf) > 0 {
+		*free = append(*free, buf[:cap(buf)])
 	}
 }
 
-// Get returns an uncleared buffer of length n, reusing a previously Put
-// buffer of the same length when available.
-func (a *Arena) Get(n int) []float32 {
-	if l := a.free[n]; len(l) > 0 {
-		buf := l[len(l)-1]
-		a.free[n] = l[:len(l)-1]
-		return buf
-	}
-	return make([]float32, n)
-}
+// Get returns an uncleared buffer of length n: the smallest free buffer that
+// holds n elements, or a new one when none does.
+func (a *Arena) Get(n int) []float32 { return arenaGet(a, &a.free, n) }
 
 // Put returns a buffer obtained from Get to the free list.
-func (a *Arena) Put(buf []float32) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:cap(buf)]
-	a.free[len(buf)] = append(a.free[len(buf)], buf)
-}
+func (a *Arena) Put(buf []float32) { arenaPut(&a.free, buf) }
 
 // GetU8 returns an uncleared byte buffer of length n from the arena — the
 // quantized-activation counterpart of Get. Same ownership rules.
-func (a *Arena) GetU8(n int) []uint8 {
-	if l := a.freeU8[n]; len(l) > 0 {
-		buf := l[len(l)-1]
-		a.freeU8[n] = l[:len(l)-1]
-		return buf
-	}
-	return make([]uint8, n)
-}
+func (a *Arena) GetU8(n int) []uint8 { return arenaGet(a, &a.freeU8, n) }
 
 // PutU8 returns a buffer obtained from GetU8 to the free list.
-func (a *Arena) PutU8(buf []uint8) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:cap(buf)]
-	a.freeU8[len(buf)] = append(a.freeU8[len(buf)], buf)
-}
+func (a *Arena) PutU8(buf []uint8) { arenaPut(&a.freeU8, buf) }
 
 // GetI32 returns an uncleared int32 buffer of length n from the arena — the
 // quantized-accumulator counterpart of Get. Same ownership rules.
-func (a *Arena) GetI32(n int) []int32 {
-	if l := a.freeI32[n]; len(l) > 0 {
-		buf := l[len(l)-1]
-		a.freeI32[n] = l[:len(l)-1]
-		return buf
-	}
-	return make([]int32, n)
-}
+func (a *Arena) GetI32(n int) []int32 { return arenaGet(a, &a.freeI32, n) }
 
 // PutI32 returns a buffer obtained from GetI32 to the free list.
-func (a *Arena) PutI32(buf []int32) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:cap(buf)]
-	a.freeI32[len(buf)] = append(a.freeI32[len(buf)], buf)
-}
+func (a *Arena) PutI32(buf []int32) { arenaPut(&a.freeI32, buf) }
 
 // GetTensor returns an arena-owned tensor with the given shape and uncleared
 // contents. Tensor headers are recycled alongside the data buffers, so the
@@ -107,7 +103,7 @@ func (a *Arena) GetTensor(shape ...int) *Tensor {
 		t = &Tensor{}
 	}
 	t.Shape = append(t.Shape[:0], shape...)
-	t.Data = a.Get(n)[:n]
+	t.Data = a.Get(n)
 	return t
 }
 
@@ -118,7 +114,8 @@ func (a *Arena) PutTensor(t *Tensor) {
 	a.headers = append(a.headers, t)
 }
 
-// arenaPool recycles warm arenas across goroutines.
+// arenaPool recycles warm arenas across goroutines for nn.Predict; engine
+// backends own theirs, which the collector cannot empty.
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
 // GetArena fetches a (possibly warm) arena from the global pool.
