@@ -1,7 +1,7 @@
 # Development targets. `make check` is the gate every change must pass: it
-# includes a gofmt cleanliness check, a cross-architecture vet and a
-# race-detector run over the packages that share the GEMM worker pool and the
-# inference arena.
+# includes a gofmt cleanliness check, a cross-architecture vet, a second run
+# of the kernel-facing packages on the AVX2 tiers and a race-detector run over
+# the packages that share the GEMM worker pool and the inference arena.
 
 GO ?= go
 
@@ -13,9 +13,9 @@ FUZZTIME ?= 15s
 # the first max pool, and the FP32 stem with that pool fused behind it).
 TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkMaxPoolU8_112x96
 
-.PHONY: check fmt vet build test race fuzz chaos bench bench-infer bench-check profile
+.PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile
 
-check: fmt vet build test race
+check: fmt vet build test test-avx2 race
 
 # Fail on unformatted files so the assembly-adjacent Go stays tidy in CI.
 fmt:
@@ -36,6 +36,17 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Both engines on their AVX2 tiers on hosts whose default is AVX-512
+# (PERCIVAL_NO_AVX512 switches off every 512-bit kernel: FP32's 8×32 and
+# INT8's VNNI 4×16), so the differential, golden-skip and warm-state suites
+# cover the tier an operator can select, not only the one the host detects.
+# On an AVX2-only host it repeats part of `test`. -count=1 because the
+# variable is read in a package initialiser, before the test cache starts
+# recording what a run depended on: without it `go test` would hand this
+# target the default tier's cached result, and hand `test` this one's.
+test-avx2:
+	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 ./internal/tensor/ ./internal/nn/ ./internal/engine/
 
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
@@ -73,7 +84,7 @@ bench:
 
 # Just the inference-latency trajectory (see PERFORMANCE.md).
 bench-infer:
-	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16' -benchmem .
+	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16|BenchmarkEngineInferInt8|BenchmarkQuantizeSetup32' -benchmem .
 	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
 
 # bench/ is a module of its own, so `go vet ./...` and `go test ./...` at the

@@ -10,6 +10,7 @@ package percival_test
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -202,6 +203,43 @@ func BenchmarkWarm16(b *testing.B) {
 		be.Close()
 	}
 	b.ReportMetric(float64(state)/(1<<20), "state-MB")
+}
+
+// BenchmarkEngineInferInt8 is one synth frame through the INT8 backend —
+// resize, input table, forward — the per-frame cost serve pays on that
+// engine. BenchmarkInferSingleInt8 enters through the float API and so times
+// a quantize pass the backend no longer runs.
+func BenchmarkEngineInferInt8(b *testing.B) {
+	be := engine.NewInt8(paperQuantNet(), 224)
+	defer be.Close()
+	frames := synth.SampleFrames(7, 1)
+	out := make([]float64, 1)
+	be.InferBatchInto(frames, out) // warm the state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		be.InferBatchInto(frames, out)
+	}
+}
+
+// BenchmarkQuantizeSetup32 is the INT8 set-up as the daemon runs it:
+// core.New with Quantized on 32 sample frames — calibration, weight
+// quantization and the parity gate — and the bytes it allocates on the way
+// (alloc-MB).
+func BenchmarkQuantizeSetup32(b *testing.B) {
+	net, cfg := paperNet(), squeezenet.PaperConfig()
+	opts := core.Options{Quantized: true, CalibFrames: synth.SampleFrames(101, 32)}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.New(net, cfg, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/(1<<20), "alloc-MB")
 }
 
 // BenchmarkClassifySingleFrame measures the per-frame model latency the

@@ -92,6 +92,7 @@ import (
 	"percival/internal/serve"
 	"percival/internal/squeezenet"
 	"percival/internal/synth"
+	"percival/internal/tensor"
 )
 
 func main() {
@@ -140,8 +141,9 @@ func main() {
 	if err != nil {
 		log.Fatal("percival-serve: ", err)
 	}
-	log.Printf("model ready: res=%d engine=%s (parity %.3f), %d KB weights",
-		svc.InputRes(), backend.Name(), svc.ParityAgreement(), svc.ModelSizeBytes()/1024)
+	log.Printf("model ready: res=%d engine=%s (parity %.3f), %d KB weights, kernels fp32=%s int8=%s",
+		svc.InputRes(), backend.Name(), svc.ParityAgreement(), svc.ModelSizeBytes()/1024,
+		tensor.GemmKernelName(), tensor.QGemmKernelName())
 
 	// A -peers fleet replaces the dispatch engine with supervised remote
 	// replicas: the registry gains one entry per peer (selectable via

@@ -159,11 +159,23 @@ func (p *Percival) enableQuantized() error {
 		minAgree = 0.99
 	}
 	res := p.cfg.InputRes
-	tensors := make([]*tensor.Tensor, len(p.opts.CalibFrames))
-	for i, f := range p.opts.CalibFrames {
-		tensors[i] = imaging.PrepareInput(f, res)
+	// One scaled bitmap and one input tensor serve every frame, and the
+	// calibrator holds one frame's activations: set-up memory does not grow
+	// with len(CalibFrames).
+	calib, err := nn.NewCalibrator(p.net)
+	if err != nil {
+		return fmt.Errorf("core: quantize: %w", err)
 	}
-	qnet, err := squeezenet.Quantize(p.net, p.cfg, tensors)
+	scaled := imaging.NewBitmap(res, res)
+	x := tensor.New(1, 4, res, res)
+	for _, f := range p.opts.CalibFrames {
+		imaging.ResizeBilinearInto(f, scaled)
+		imaging.ToTensorInto(scaled, x.Data)
+		if err := calib.Observe(x); err != nil {
+			return fmt.Errorf("core: quantize: %w", err)
+		}
+	}
+	qnet, err := calib.Quantize()
 	if err != nil {
 		return fmt.Errorf("core: quantize: %w", err)
 	}
@@ -178,24 +190,26 @@ func (p *Percival) enableQuantized() error {
 	// quantization fidelity. If every frame is borderline there is nothing
 	// to distinguish and the engines are considered in parity.
 	const parityMargin = 0.05
-	// Scored on replicas that are closed behind the gate: a backend keeps
-	// its warm states for life, and a state sized for len(CalibFrames) left
-	// in the registered backends would stay resident without ever being
-	// used again (serve lanes run their own replicas, Classify runs batch 1).
-	score := func(be engine.Backend) []float64 {
-		rep := be.Replicate()
-		defer rep.Close()
-		return rep.InferBatchInto(p.opts.CalibFrames, make([]float64, len(p.opts.CalibFrames)))
-	}
-	fpScores := score(p.backends.Select(engine.FP32Name))
-	qScores := score(int8be)
+	// Scored a frame at a time (a score does not depend on its batch) on
+	// replicas that are closed behind the gate: a backend keeps its warm
+	// states for life, and one left in the registered backends by the gate
+	// would be a state nothing asked for (serve lanes run their own
+	// replicas).
+	fp32rep := p.backends.Select(engine.FP32Name).Replicate()
+	defer fp32rep.Close()
+	int8rep := int8be.Replicate()
+	defer int8rep.Close()
+	var fpScore, qScore [1]float64
 	agree, counted := 0, 0
-	for i, fpScore := range fpScores {
-		if math.Abs(fpScore-p.opts.Threshold) < parityMargin {
+	for i := range p.opts.CalibFrames {
+		frame := p.opts.CalibFrames[i : i+1]
+		fp32rep.InferBatchInto(frame, fpScore[:])
+		if math.Abs(fpScore[0]-p.opts.Threshold) < parityMargin {
 			continue
 		}
 		counted++
-		if (fpScore >= p.opts.Threshold) == (qScores[i] >= p.opts.Threshold) {
+		int8rep.InferBatchInto(frame, qScore[:])
+		if (fpScore[0] >= p.opts.Threshold) == (qScore[0] >= p.opts.Threshold) {
 			agree++
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"percival/internal/imaging"
@@ -78,10 +79,10 @@ func TestQuantizedParityGateFallback(t *testing.T) {
 	}
 }
 
-// TestQuantizedNewLeavesNoGateState: the parity gate scores all the
-// calibration frames in one batch, and a backend keeps its warm states for
-// life — New must not leave that batch's state in either registered backend,
-// where nothing would use it again.
+// TestQuantizedNewLeavesNoGateState: the parity gate scores the calibration
+// frames on both engines, and a backend keeps its warm states for life — New
+// must not leave the gate's states in either registered backend, where
+// nothing asked for them.
 func TestQuantizedNewLeavesNoGateState(t *testing.T) {
 	p := testService(t, Options{Quantized: true, CalibFrames: calibFrames(8)})
 	for _, name := range p.Backends().Names() {
@@ -108,5 +109,40 @@ func TestQuantizedZeroAllocSteadyState(t *testing.T) {
 	// Classify draws state from a sync.Pool; allow the occasional pool miss.
 	if allocs > 1 {
 		t.Fatalf("steady-state quantized Classify allocates %v times per call", allocs)
+	}
+}
+
+// TestQuantizedSetupAllocationDoesNotScale: on the paper net at 224 px, New
+// with Quantized allocates under 48 MB whether it calibrates on 8 frames or
+// on the daemon's 32 (it was 152 and 510 MB) — frames stream through one
+// scaled bitmap, one input tensor and a calibrator that holds one frame's
+// activations, and the parity gate scores a frame at a time. The gate's
+// verdict is the one the batch-at-once set-up reached on the same frames.
+func TestQuantizedSetupAllocationDoesNotScale(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the GEMM fan-out allocates
+	cfg := squeezenet.PaperConfig()
+	net, err := squeezenet.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	squeezenet.PretrainedInit(net, 1)
+	for _, n := range []int{8, 32} {
+		frames := synth.SampleFrames(101, n)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		p, err := New(net, cfg, Options{Quantized: true, CalibFrames: frames, ParityMinAgreement: 0.01})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grew := (m1.TotalAlloc - m0.TotalAlloc) >> 20; grew >= 48 {
+			t.Errorf("%d calibration frames: New allocated %d MB, want < 48", n, grew)
+		}
+		if !p.QuantizedActive() || p.ParityAgreement() != 1 {
+			t.Errorf("%d calibration frames: active=%v parity=%v, want the INT8 engine at parity 1", n, p.QuantizedActive(), p.ParityAgreement())
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"percival/internal/imaging"
 	"percival/internal/nn"
 	"percival/internal/tensor"
 )
@@ -22,11 +23,17 @@ type FP32Backend struct {
 // resolution.
 func NewFP32(net *nn.Sequential, res int) *FP32Backend {
 	b := &FP32Backend{net: net}
+	per := 4 * res * res
 	b.base = base{
 		name: FP32Name,
 		res:  res,
-		predict: func(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-			return nn.PredictArenaOwned(net, x, a)
+		infer: func(st *inferState, chunk []*imaging.Bitmap) *tensor.Tensor {
+			x := st.arena.GetTensor(len(chunk), 4, res, res)
+			for i, f := range chunk {
+				imaging.ResizeBilinearInto(f, st.scaled)
+				imaging.ToTensorInto(st.scaled, x.Data[i*per:(i+1)*per])
+			}
+			return nn.PredictArenaOwned(net, x, st.arena)
 		},
 	}
 	return b
@@ -41,7 +48,10 @@ func (b *FP32Backend) SizeBytes() int { return nn.SizeBytes(b.net) }
 // Replicate shares the weights and starts with no warm state.
 func (b *FP32Backend) Replicate() Backend { return NewFP32(b.net, b.res) }
 
-// Int8Backend runs inference on the quantized INT8 engine.
+// Int8Backend runs inference on the quantized INT8 engine. Frames reach the
+// network as bytes: each scaled pixel byte goes through the network's input
+// table (nn.QuantizedSequential.InputTable) straight into the quantized
+// planes, so no float tensor is built, and none sits in the warm state.
 type Int8Backend struct {
 	base
 	qnet *nn.QuantizedSequential
@@ -51,13 +61,18 @@ type Int8Backend struct {
 // input resolution.
 func NewInt8(qnet *nn.QuantizedSequential, res int) *Int8Backend {
 	b := &Int8Backend{qnet: qnet}
+	per := 4 * res * res
+	lut := qnet.InputTable()
 	b.base = base{
 		name: Int8Name,
 		res:  res,
-		predict: func(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-			probs := qnet.PredictArena(x, a)
-			a.PutTensor(x)
-			return probs
+		infer: func(st *inferState, chunk []*imaging.Bitmap) *tensor.Tensor {
+			x := st.arena.GetU8(len(chunk) * per)
+			for i, f := range chunk {
+				imaging.ResizeBilinearInto(f, st.scaled)
+				imaging.ToPlanesU8Into(st.scaled, lut, x[i*per:(i+1)*per])
+			}
+			return qnet.PredictArenaU8(x, len(chunk), 4, res, res, st.arena)
 		},
 	}
 	return b

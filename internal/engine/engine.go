@@ -34,10 +34,10 @@ import (
 
 // BatchChunk caps the frames per forward pass. Activation buffers scale
 // with batch size and a warm state keeps its high-water mark for the life
-// of the backend (1.9 MB a frame for the FP32 paper net), so an unbounded
-// batch (a 100-image search page at paper resolution) would pin hundreds of
-// MB; chunking keeps the pre-processing amortization while bounding a state
-// to the footprint of one BatchChunk-frame pass.
+// of the backend (1.9 MB a frame for the FP32 paper net, 1.6 MB for the INT8
+// one), so an unbounded batch (a 100-image search page at paper resolution)
+// would pin hundreds of MB; chunking keeps the pre-processing amortization
+// while bounding a state to the footprint of one BatchChunk-frame pass.
 const BatchChunk = 16
 
 // Stats are a backend's dispatch counters, readable while it serves.
@@ -52,9 +52,10 @@ type Stats struct {
 	// backends never fail open, so they always report 0.
 	Errors int64
 	// StateBytes is the warm inference state the backend retains: over
-	// every state it has created and not dropped, the arena's buffers plus
-	// the scaled-frame bitmap, as of each state's last return. Remote
-	// backends hold none and report 0.
+	// every state it has created and not dropped, the arena's buffers
+	// (float activations for FP32; byte activations and int32 accumulators
+	// for INT8) plus the scaled-frame bitmap, as of each state's last
+	// return. Remote backends hold none and report 0.
 	StateBytes int64
 }
 
@@ -95,19 +96,21 @@ type inferState struct {
 	counted int64
 }
 
-// predictFn runs one forward pass over a pre-processed input batch using
-// arena-backed buffers; it is the only point where FP32 and INT8 differ. x
-// came from a.GetTensor and the pass returns it there once it has read it;
-// the probabilities it hands back are the caller's to PutTensor.
-type predictFn func(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor
+// inferFn scores one chunk of frames (at most BatchChunk) with st's
+// buffers: it scales each frame into st.scaled, lays it out as the network's
+// input — float planes for FP32, quantized byte planes for INT8, the one
+// point where the engines differ — in a buffer drawn from st.arena, and runs
+// the forward pass, which returns that buffer to the arena once the first
+// layer has read it. The [len(chunk), classes] probabilities it hands back
+// are the caller's to PutTensor.
+type inferFn func(st *inferState, chunk []*imaging.Bitmap) *tensor.Tensor
 
-// base carries the engine-independent machinery: warm states, chunked
-// pre-processing loop, and stats. Concrete backends embed it and supply
-// predict.
+// base carries the engine-independent machinery: warm states, chunking and
+// stats. Concrete backends embed it and supply infer.
 type base struct {
-	name    string
-	res     int
-	predict predictFn
+	name  string
+	res   int
+	infer inferFn
 
 	// states is the idle warm states, last returned first out so the one
 	// whose buffers are in cache is the one reused; stateBytes counts them
@@ -159,8 +162,6 @@ func (b *base) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64
 		return out[:0]
 	}
 	st := b.getState()
-	res := b.res
-	per := 4 * res * res
 	out = out[:len(frames)]
 	for lo := 0; lo < len(frames); lo += BatchChunk {
 		hi := lo + BatchChunk
@@ -168,12 +169,7 @@ func (b *base) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64
 			hi = len(frames)
 		}
 		chunk := frames[lo:hi]
-		x := st.arena.GetTensor(len(chunk), 4, res, res)
-		for i, f := range chunk {
-			imaging.ResizeBilinearInto(f, st.scaled)
-			imaging.ToTensorInto(st.scaled, x.Data[i*per:(i+1)*per])
-		}
-		probs := b.predict(x, st.arena)
+		probs := b.infer(st, chunk)
 		k := probs.Shape[1]
 		for i := range chunk {
 			out[lo+i] = float64(probs.Data[i*k+1]) // class 1 = ad

@@ -122,3 +122,30 @@ func TestWarmOnceCoversEveryBatchSize(t *testing.T) {
 		b.Close()
 	}
 }
+
+// TestInt8FramesEnterAsBytes pins the INT8 backend's input path: frames go
+// through the network's input table straight into quantized planes, which
+// must score exactly what the float tensor scores through the float entry
+// point — and, no float input left to sit out the pass, the warm state after
+// Warm(8) fits 1.8 MB a frame (it was 2.4 with the float planes in it).
+func TestInt8FramesEnterAsBytes(t *testing.T) {
+	b := paperBackends(t)[1].(*Int8Backend)
+	defer b.Close()
+	frames := synth.SampleFrames(41, 5)
+	got := b.InferBatchInto(frames, make([]float64, len(frames)))
+	a := tensor.NewArena()
+	for i, f := range frames {
+		probs := b.QNet().PredictArena(imaging.PrepareInput(f, b.InputRes()), a)
+		if want := float64(probs.Data[1]); got[i] != want {
+			t.Errorf("frame %d: %v from bytes, %v from the float tensor", i, got[i], want)
+		}
+		a.PutTensor(probs)
+	}
+	const maxBatch = 8
+	rep := b.Replicate()
+	defer rep.Close()
+	rep.Warm(maxBatch)
+	if warm, limit := rep.Stats().StateBytes, int64(maxBatch*18<<20/10+1<<20); warm > limit {
+		t.Errorf("int8: %d state bytes after Warm(%d), want <= %d (1.8 MB a frame + 1 MB)", warm, maxBatch, limit)
+	}
+}

@@ -2,3 +2,6 @@ package nn
 
 // RaceEnabled exposes raceEnabled to the external test package.
 const RaceEnabled = raceEnabled
+
+// InputTable exposes inputTable to the external test package.
+var InputTable = inputTable

@@ -14,9 +14,9 @@ import (
 // u8 (≤ tensor.QMaxU8) and weights as per-output-channel s8, accumulating in
 // int32 through tensor.QGemm.
 //
-// Quantize performs the calibration pass: it replays the FP32 network over a
-// calibration set, records per-quant-point activation ranges, and folds
-// every scale, bias, and zero-point compensation into two per-channel
+// A Calibrator performs the calibration pass: it replays the FP32 network
+// over calibration inputs, records per-quant-point activation ranges, and
+// folds every scale, bias, and zero-point compensation into two per-channel
 // constants (mult, beta) consumed by the fused requantize epilogue, so the
 // hot path touches no quantization arithmetic beyond one FMA per element.
 
@@ -38,7 +38,10 @@ type qOp interface {
 // the inference-path layer vocabulary (Conv2D[+ReLU], Fire, MaxPool,
 // Dropout, final Conv2D, GlobalAvgPool). Build one with Quantize.
 type QuantizedSequential struct {
-	inQ     tensor.QuantParams
+	inQ tensor.QuantParams
+	// inLUT is the whole input conversion for a pixel byte p: the float
+	// p·(1/255) a frame's tensor would hold, through QuantizeU8 with inQ.
+	inLUT   [256]uint8
 	ops     []qOp
 	final   *qFinal
 	classes int
@@ -70,6 +73,23 @@ func (q *QuantizedSequential) SizeBytes() int {
 	return total
 }
 
+// InputTable maps a pixel byte p straight to the network's quantized input
+// for the value p/255 that imaging.ToTensorInto would have produced: planes
+// built through it (imaging.ToPlanesU8Into) are PredictArenaU8's input, and
+// score exactly as the float tensor does through PredictArena.
+func (q *QuantizedSequential) InputTable() *[256]uint8 { return &q.inLUT }
+
+// inputTable is QuantizeU8 over ToTensorInto's 256 possible outputs.
+func inputTable(inQ tensor.QuantParams) (lut [256]uint8) {
+	const inv = float32(1) / 255 // imaging.ToTensorInto's
+	var vals [256]float32
+	for p := range vals {
+		vals[p] = float32(p) * inv
+	}
+	tensor.QuantizeU8(lut[:], vals[:], inQ)
+	return lut
+}
+
 // ForwardInfer runs a quantized forward pass drawing every buffer from a.
 // It accepts the same [N,C,H,W] float32 input as the FP32 path (quantization
 // happens at the entry) and returns arena-owned logits [N, classes]: copy
@@ -78,11 +98,14 @@ func (q *QuantizedSequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *t
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("nn: QuantizedSequential: input shape %s, want [N,C,H,W]", shapeStr(x.Shape)))
 	}
-	cur := qAct{
-		data: a.GetU8(len(x.Data)),
-		n:    x.Shape[0], c: x.Shape[1], h: x.Shape[2], w: x.Shape[3],
-	}
-	tensor.QuantizeU8(cur.data, x.Data, q.inQ)
+	xq := a.GetU8(len(x.Data))
+	tensor.QuantizeU8(xq, x.Data, q.inQ)
+	return q.forwardU8(qAct{data: xq, n: x.Shape[0], c: x.Shape[1], h: x.Shape[2], w: x.Shape[3]}, a)
+}
+
+// forwardU8 runs the pass from an already quantized input, whose buffer is
+// a's and goes back to it once the first layer has read it.
+func (q *QuantizedSequential) forwardU8(cur qAct, a *tensor.Arena) *tensor.Tensor {
 	for _, op := range q.ops {
 		cur = op.forward(cur, a)
 	}
@@ -93,11 +116,26 @@ func (q *QuantizedSequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *t
 // probabilities ([N,C]) in an arena-owned tensor — the INT8 counterpart of
 // nn.PredictArena.
 func (q *QuantizedSequential) PredictArena(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	logits := q.ForwardInfer(x, a)
+	return softmaxArena(q.ForwardInfer(x, a), a)
+}
+
+// softmaxArena turns arena-owned logits into arena-owned probabilities.
+func softmaxArena(logits *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	probs := a.GetTensor(logits.Shape[0], logits.Shape[1])
 	tensor.SoftmaxInto(logits, probs.Data)
 	a.PutTensor(logits)
 	return probs
+}
+
+// PredictArenaU8 is PredictArena for an input that is already the network's
+// bytes: x holds [n,c,h,w] values quantized with InputQuant (for frames,
+// planes built through InputTable). x must come from a.GetU8; the pass
+// returns it there and the caller must not use it afterwards.
+func (q *QuantizedSequential) PredictArenaU8(x []uint8, n, c, h, w int, a *tensor.Arena) *tensor.Tensor {
+	if len(x) < n*c*h*w {
+		panic(fmt.Sprintf("nn: QuantizedSequential: %d input bytes, want [%d,%d,%d,%d]", len(x), n, c, h, w))
+	}
+	return softmaxArena(q.forwardU8(qAct{data: x, n: n, c: c, h: h, w: w}, a), a)
 }
 
 // qConv is a quantized convolution with bias and ReLU fused into the
@@ -232,56 +270,113 @@ type calibNode struct {
 
 // Quantize builds the INT8 engine from a trained FP32 network, calibrating
 // activation ranges on the given input tensors (each [N,C,H,W]; a handful of
-// representative frames suffices). The FP32 network is not modified.
+// representative frames suffices). The FP32 network is not modified. A caller
+// that can produce its inputs one at a time feeds a Calibrator itself and
+// never holds the set.
 func Quantize(net *Sequential, calib []*tensor.Tensor) (*QuantizedSequential, error) {
-	if len(calib) == 0 {
-		return nil, fmt.Errorf("nn: Quantize: empty calibration set")
+	c, err := NewCalibrator(net)
+	if err != nil {
+		return nil, err
 	}
+	for _, x := range calib {
+		if err := c.Observe(x); err != nil {
+			return nil, err
+		}
+	}
+	return c.Quantize()
+}
+
+// Calibrator is the calibration pass as a stream: Observe replays the FP32
+// network over one input at a time, recording the range of every tensor that
+// will live in the quantized domain, and Quantize builds the engine from the
+// ranges seen. The replay is the inference path's (fused ReLU, packed
+// weights, expands written into their concat slots) a frame at a time, every
+// tensor back in one private arena as soon as its consumer has read it, so
+// the pass holds one frame's working set however many frames it is shown.
+// Not safe for concurrent use.
+type Calibrator struct {
+	nodes   []*calibNode
+	final   *Conv2D
+	classes int
+	inC     int // input channels the first convolution expects
+	inObs   observer
+	arena   *tensor.Arena
+}
+
+// NewCalibrator checks that net matches the quantizable topology and
+// returns a calibrator for it. The network is read, never modified.
+func NewCalibrator(net *Sequential) (*Calibrator, error) {
 	nodes, finalConv, classes, err := parseQuantizable(net)
 	if err != nil {
 		return nil, err
 	}
-
-	// Calibration: replay the FP32 inference path, recording the range of
-	// every tensor that will live in the quantized domain.
-	var inObs observer
-	for _, x := range calib {
-		if len(x.Shape) != 4 {
-			return nil, fmt.Errorf("nn: Quantize: calibration tensor shape %v, want [N,C,H,W]", x.Shape)
-		}
-		inObs.observe(x.Data)
-		cur := x
-		for _, nd := range nodes {
-			switch {
-			case nd.conv != nil:
-				y := nd.conv.Forward(cur, false)
-				if nd.relu {
-					reluInPlace(y.Data)
-				}
-				nd.out.observe(y.Data)
-				cur = y
-			case nd.fire != nil:
-				s := nd.fire.Squeeze.Forward(cur, false)
-				reluInPlace(s.Data)
-				nd.sqOut.observe(s.Data)
-				e1 := nd.fire.Expand1.Forward(s, false)
-				reluInPlace(e1.Data)
-				e3 := nd.fire.Expand3.Forward(s, false)
-				reluInPlace(e3.Data)
-				y := concatChannels(e1, e3)
-				nd.out.observe(y.Data)
-				cur = y
-			case nd.pool != nil:
-				cur = nd.pool.Forward(cur, false)
-			}
+	c := &Calibrator{nodes: nodes, final: finalConv, classes: classes, inC: finalConv.Spec.InC, arena: tensor.NewArena()}
+	for i := len(nodes) - 1; i >= 0; i-- { // the first convolution's; pools pass channels through
+		switch nd := nodes[i]; {
+		case nd.conv != nil:
+			c.inC = nd.conv.Spec.InC
+		case nd.fire != nil:
+			c.inC = nd.fire.Squeeze.Spec.InC
 		}
 	}
+	return c, nil
+}
 
+// Observe records the ranges net's activations take on x ([N,C,H,W], any N).
+// Observing a batch equals observing its frames one by one.
+func (c *Calibrator) Observe(x *tensor.Tensor) error {
+	if len(x.Shape) != 4 || x.Shape[1] != c.inC {
+		return fmt.Errorf("nn: Quantize: calibration tensor shape %v, want [N,%d,H,W]", x.Shape, c.inC)
+	}
+	c.inObs.observe(x.Data)
+	a := c.arena
+	per := x.Shape[1] * x.Shape[2] * x.Shape[3]
+	for i := 0; i < x.Shape[0]; i++ {
+		cur, owned := tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, x.Shape[1], x.Shape[2], x.Shape[3]), false
+		for _, nd := range c.nodes {
+			switch {
+			case nd.conv != nil:
+				st := nd.conv.stage()
+				st.ReLU = nd.relu
+				cur, owned = nd.conv.inferStage(&st, cur, a, owned)
+				nd.out.observe(cur.Data)
+			case nd.fire != nil:
+				// Fire.forwardInfer's body, stopping to look at the squeeze.
+				f := nd.fire
+				sq, ex1, ex3 := f.Squeeze.stage(), f.Expand1.stage(), f.Expand3.stage()
+				sq.ReLU, ex1.ReLU, ex3.ReLU = true, true, true
+				s, _ := f.Squeeze.inferStage(&sq, cur, a, owned)
+				nd.sqOut.observe(s.Data)
+				e1 := f.Expand1.Spec.OutC
+				y := a.GetTensor(1, f.OutChannels(), s.Shape[2], s.Shape[3])
+				ex1.ForwardInto(s, y, 0)
+				ex3.ForwardInto(s, y, e1)
+				a.PutTensor(s)
+				nd.out.observe(y.Data)
+				cur, owned = y, true
+			case nd.pool != nil:
+				cur, owned = nd.pool.forwardInfer(cur, a, owned)
+			}
+		}
+		if owned {
+			a.PutTensor(cur)
+		}
+	}
+	return nil
+}
+
+// Quantize builds the INT8 engine from the ranges observed so far. Each
+// call quantizes the weights afresh; the calibrator can go on observing.
+func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
+	if !c.inObs.seen {
+		return nil, fmt.Errorf("nn: Quantize: empty calibration set")
+	}
 	// Assemble the quantized ops, threading each stage's output params into
 	// the next stage's input params.
-	q := &QuantizedSequential{inQ: inObs.params(), classes: classes}
+	q := &QuantizedSequential{inQ: c.inObs.params(), classes: c.classes}
+	q.inLUT = inputTable(q.inQ)
 	curQ := q.inQ
-	for _, nd := range nodes {
+	for _, nd := range c.nodes {
 		switch {
 		case nd.conv != nil:
 			outQ := nd.out.params()
@@ -300,7 +395,7 @@ func Quantize(net *Sequential, calib []*tensor.Tensor) (*QuantizedSequential, er
 			q.ops = append(q.ops, &qPool{spec: nd.pool.Spec})
 		}
 	}
-	q.final = buildQFinal(finalConv, curQ)
+	q.final = buildQFinal(c.final, curQ)
 	return q, nil
 }
 
@@ -381,14 +476,6 @@ func buildQFinal(c *Conv2D, inQ tensor.QuantParams) *qFinal {
 		beta[oc] = c.Bias.W.Data[oc] - mult[oc]*float32(inQ.Zero)*float32(wsum[oc])
 	}
 	return &qFinal{spec: c.Spec, wq: tensor.PackQWeights(wq, c.Spec.OutC, k), mult: mult, beta: beta, inZP: uint8(inQ.Zero)}
-}
-
-func reluInPlace(data []float32) {
-	for i, v := range data {
-		if v < 0 {
-			data[i] = 0
-		}
-	}
 }
 
 // TopAgreement computes the fraction of samples whose argmax class matches

@@ -191,3 +191,58 @@ func TestQuantizedBatchMatchesSingle(t *testing.T) {
 	}
 	a.PutTensor(got)
 }
+
+// TestCalibratorBatchEqualsFrames pins the stream: observing one [3,C,H,W]
+// tensor and observing its three frames one by one calibrate the same
+// engine — same input parameters, same logits to the bit — so a caller that
+// feeds frames as it produces them loses nothing against one that holds the
+// set. Also: a calibrator shown nothing, or the wrong channel count,
+// reports it instead of building an engine.
+func TestCalibratorBatchEqualsFrames(t *testing.T) {
+	net := buildTestNet(t)
+	rng := rand.New(rand.NewSource(27))
+	const frames, per = 3, 3 * 12 * 12
+	batch := calibSet(rng, frames, 3, 12, 12, 1)[0]
+
+	whole, err := NewCalibrator(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := whole.Quantize(); err == nil {
+		t.Fatal("Quantize before any Observe: expected an error")
+	}
+	if err := whole.Observe(tensor.New(1, 4, 12, 12)); err == nil {
+		t.Fatal("Observe with 4 channels on a 3-channel network: expected an error")
+	}
+	if err := whole.Observe(batch); err != nil {
+		t.Fatal(err)
+	}
+	byFrame, err := NewCalibrator(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		if err := byFrame.Observe(tensor.FromSlice(batch.Data[i*per:(i+1)*per], 1, 3, 12, 12)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qw, err := whole.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qf, err := byFrame.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qw.InputQuant() != qf.InputQuant() {
+		t.Fatalf("input params %+v from the batch, %+v from its frames", qw.InputQuant(), qf.InputQuant())
+	}
+	x := calibSet(rng, 2, 3, 12, 12, 1)[0]
+	a := tensor.NewArena()
+	lw, lf := qw.ForwardInfer(x, a), qf.ForwardInfer(x, a)
+	for i := range lw.Data {
+		if math.Float32bits(lw.Data[i]) != math.Float32bits(lf.Data[i]) {
+			t.Errorf("logit %d: %v calibrated on the batch, %v on its frames", i, lw.Data[i], lf.Data[i])
+		}
+	}
+}

@@ -13,9 +13,11 @@ import (
 // during packing (a zero activation byte contributes nothing to the
 // accumulator, and the zero-point compensation is applied outside the GEMM).
 //
-//   - mrQTile×nrQTile is the register tile: 4 rows × 16 int32 columns = 8 YMM
-//     accumulators, plus the ones vector, two B vectors, the A broadcast and
-//     a madd temporary — 13 of the 16 YMM registers.
+//   - mrQTile×nrQTile is the register tile: 4 rows × 16 int32 columns. The
+//     AVX2 kernel holds it in 8 YMM accumulators, plus the ones vector, two B
+//     vectors, the A broadcast and a madd temporary — 13 of the 16 YMM
+//     registers; the VNNI kernel holds it in 4 ZMM accumulators, twice (even
+//     and odd quads), plus two B vectors, A coming from memory.
 //   - kcQBlock (a multiple of 4) keeps the packed A panel (4×kc bytes) and B
 //     panel (kc×16 bytes) L1-resident.
 //   - mcQBlock / ncQBlock keep the packed A block L2- and the packed B block
@@ -31,6 +33,18 @@ const (
 	qgemmParallelThreshold = 1 << 16
 	qgemmSmallThreshold    = 1 << 13
 )
+
+// QGemmKernelName identifies the dispatched quantized micro-kernel tier
+// ("avx512-vnni-4x16", "avx2-4x16", or "portable"), beside GemmKernelName.
+func QGemmKernelName() string {
+	switch {
+	case haveVNNI:
+		return "avx512-vnni-4x16"
+	case haveQuantASM:
+		return "avx2-4x16"
+	}
+	return "portable"
+}
 
 // QGemm computes C = A×B where A is an m×k int8 matrix (quantized weights),
 // B is a k×n uint8 matrix (quantized activations, values ≤ QMaxU8) and C is

@@ -61,8 +61,8 @@ func biasReLUF32x8(dst *float32, n int64, bias float32)
 //go:noescape
 func requantU8x32(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8)
 
-// qgemmKernelVNNI4x16 is the AVX512-VNNI (VPDPBUSD, YMM-width via AVX512VL)
-// variant of the micro-kernel in qgemm_amd64.s.
+// qgemmKernelVNNI4x16 is the AVX512-VNNI (VPDPBUSD, ZMM-width) variant of
+// the micro-kernel in qgemm_amd64.s.
 //
 //go:noescape
 func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
@@ -71,34 +71,22 @@ func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, st
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
 // epilogue uses FMA), and with them the byte and FP32 row helpers
 // (transposeQuad16, gather2U8x16, maxU8x16; maxF32x8, gather2F32x8,
-// biasReLUF32x8 — AVX/AVX2). haveVNNI additionally
-// selects the VPDPBUSD kernel on parts with AVX512-VNNI and AVX512VL.
+// biasReLUF32x8 — AVX/AVX2). haveVNNI additionally selects the VPDPBUSD
+// kernel on parts with AVX512-VNNI; it runs at ZMM width, so it sits behind
+// haveAVX512 — F, VL, the OS-enabled ZMM state, and PERCIVAL_NO_AVX512, which
+// therefore means no 512-bit execution on either engine.
 var (
 	haveQuantASM = haveFMA
 	haveVNNI     = detectVNNI()
 )
 
 func detectVNNI() bool {
-	if !haveFMA {
+	if !haveAVX512 {
 		return false
 	}
-	maxLeaf, _, _, _ := cpuidex(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, b7, c7, _ := cpuidex(7, 0)
-	const (
-		avx512f    = 1 << 16
-		avx512vl   = 1 << 31
-		avx512vnni = 1 << 11 // ECX
-	)
-	if b7&avx512f == 0 || b7&avx512vl == 0 || c7&avx512vnni == 0 {
-		return false
-	}
-	// The OS must have enabled XMM+YMM plus the AVX-512 opmask/upper state
-	// (XCR0 bits 1-2 and 5-7) for EVEX-encoded instructions.
-	lo, _ := xgetbv0()
-	return lo&0xe6 == 0xe6
+	_, _, c7, _ := cpuidex(7, 0)
+	const avx512vnni = 1 << 11 // ECX
+	return c7&avx512vnni != 0
 }
 
 func requantU8ASM(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8) {

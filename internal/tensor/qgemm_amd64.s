@@ -196,11 +196,16 @@ done:
 // func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
 //
 // AVX512-VNNI variant of the quantized micro-kernel over the same packed
-// quad panels: VPDPBUSD fuses the VPMADDUBSW/VPMADDWD/VPADDD chain into one
-// u8×s8 dot-product-accumulate, tripling per-instruction work. Uses only YMM
-// width (AVX512VL), so it runs at full clock on every VNNI part. The quad
-// loop is unrolled by two using the EVEX high registers for the second
-// quad's operands. store is qgemmKernel4x16's.
+// quad panels, at ZMM width: one 64-byte load is a quad's whole 16-column B
+// row group and one register a whole 16-int32 C row, so the tile is four
+// accumulators, and VPDPBUSD fuses the VPMADDUBSW/VPMADDWD/VPADDD chain into
+// one u8×s8 dot-product-accumulate whose s8 operand is A's 4-byte k-group,
+// broadcast from memory by the instruction itself. The quad loop is unrolled
+// by two with even quads accumulating in Z0–Z3 and odd quads in Z4–Z7 —
+// eight independent chains against VPDPBUSD's latency — and the two sets are
+// added before the store: int32 addition wraps, so it is associative and the
+// tile is the portable kernel's to the bit. Only installed behind haveAVX512
+// (see haveVNNI). store is qgemmKernel4x16's.
 TEXT ·qgemmKernelVNNI4x16(SB), NOSPLIT, $0-41
 	MOVQ quads+0(FP), AX
 	MOVQ a+8(FP), SI
@@ -208,34 +213,25 @@ TEXT ·qgemmKernelVNNI4x16(SB), NOSPLIT, $0-41
 	MOVQ c+24(FP), DI
 	MOVQ ldc+32(FP), DX
 	SHLQ $2, DX            // row stride in bytes
+	LEAQ (DI)(DX*2), R8    // row 2
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
 
 	MOVBLZX store+40(FP), R9
 	TESTL R9, R9
-	JZ    vload
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-	JMP   vstart
-
-vload:
+	JNZ   vstart
 	// Load the 4×16 int32 C tile.
-	MOVQ DI, R8
-	VMOVDQU (R8), Y0
-	VMOVDQU 32(R8), Y1
-	ADDQ DX, R8
-	VMOVDQU (R8), Y2
-	VMOVDQU 32(R8), Y3
-	ADDQ DX, R8
-	VMOVDQU (R8), Y4
-	VMOVDQU 32(R8), Y5
-	ADDQ DX, R8
-	VMOVDQU (R8), Y6
-	VMOVDQU 32(R8), Y7
+	VMOVDQU32 (DI), Z0
+	VMOVDQU32 (DI)(DX*1), Z1
+	VMOVDQU32 (R8), Z2
+	VMOVDQU32 (R8)(DX*1), Z3
 
 vstart:
 	MOVQ AX, CX
@@ -243,37 +239,16 @@ vstart:
 	JZ   vtail
 
 vloop2:
-	VMOVDQU (BX), Y12
-	VMOVDQU 32(BX), Y13
-	VMOVDQU32 64(BX), Y18
-	VMOVDQU32 96(BX), Y19
-
-	VPBROADCASTD (SI), Y14
-	VPBROADCASTD 4(SI), Y15
-	VPBROADCASTD 8(SI), Y16
-	VPBROADCASTD 12(SI), Y17
-	VPDPBUSD Y14, Y12, Y0
-	VPDPBUSD Y14, Y13, Y1
-	VPDPBUSD Y15, Y12, Y2
-	VPDPBUSD Y15, Y13, Y3
-	VPDPBUSD Y16, Y12, Y4
-	VPDPBUSD Y16, Y13, Y5
-	VPDPBUSD Y17, Y12, Y6
-	VPDPBUSD Y17, Y13, Y7
-
-	VPBROADCASTD 16(SI), Y20
-	VPBROADCASTD 20(SI), Y21
-	VPBROADCASTD 24(SI), Y22
-	VPBROADCASTD 28(SI), Y23
-	VPDPBUSD Y20, Y18, Y0
-	VPDPBUSD Y20, Y19, Y1
-	VPDPBUSD Y21, Y18, Y2
-	VPDPBUSD Y21, Y19, Y3
-	VPDPBUSD Y22, Y18, Y4
-	VPDPBUSD Y22, Y19, Y5
-	VPDPBUSD Y23, Y18, Y6
-	VPDPBUSD Y23, Y19, Y7
-
+	VMOVDQU32 (BX), Z12
+	VMOVDQU32 64(BX), Z13
+	VPDPBUSD.BCST (SI), Z12, Z0
+	VPDPBUSD.BCST 4(SI), Z12, Z1
+	VPDPBUSD.BCST 8(SI), Z12, Z2
+	VPDPBUSD.BCST 12(SI), Z12, Z3
+	VPDPBUSD.BCST 16(SI), Z13, Z4
+	VPDPBUSD.BCST 20(SI), Z13, Z5
+	VPDPBUSD.BCST 24(SI), Z13, Z6
+	VPDPBUSD.BCST 28(SI), Z13, Z7
 	ADDQ $32, SI
 	ADDQ $128, BX
 	DECQ CX
@@ -282,36 +257,21 @@ vloop2:
 vtail:
 	TESTQ $1, AX
 	JZ    vdone
-
-	VMOVDQU (BX), Y12
-	VMOVDQU 32(BX), Y13
-	VPBROADCASTD (SI), Y14
-	VPBROADCASTD 4(SI), Y15
-	VPBROADCASTD 8(SI), Y16
-	VPBROADCASTD 12(SI), Y17
-	VPDPBUSD Y14, Y12, Y0
-	VPDPBUSD Y14, Y13, Y1
-	VPDPBUSD Y15, Y12, Y2
-	VPDPBUSD Y15, Y13, Y3
-	VPDPBUSD Y16, Y12, Y4
-	VPDPBUSD Y16, Y13, Y5
-	VPDPBUSD Y17, Y12, Y6
-	VPDPBUSD Y17, Y13, Y7
+	VMOVDQU32 (BX), Z12
+	VPDPBUSD.BCST (SI), Z12, Z0
+	VPDPBUSD.BCST 4(SI), Z12, Z1
+	VPDPBUSD.BCST 8(SI), Z12, Z2
+	VPDPBUSD.BCST 12(SI), Z12, Z3
 
 vdone:
-	// Store the tile back.
-	MOVQ DI, R8
-	VMOVDQU Y0, (R8)
-	VMOVDQU Y1, 32(R8)
-	ADDQ DX, R8
-	VMOVDQU Y2, (R8)
-	VMOVDQU Y3, 32(R8)
-	ADDQ DX, R8
-	VMOVDQU Y4, (R8)
-	VMOVDQU Y5, 32(R8)
-	ADDQ DX, R8
-	VMOVDQU Y6, (R8)
-	VMOVDQU Y7, 32(R8)
+	VPADDD Z4, Z0, Z0
+	VPADDD Z5, Z1, Z1
+	VPADDD Z6, Z2, Z2
+	VPADDD Z7, Z3, Z3
+	VMOVDQU32 Z0, (DI)
+	VMOVDQU32 Z1, (DI)(DX*1)
+	VMOVDQU32 Z2, (R8)
+	VMOVDQU32 Z3, (R8)(DX*1)
 	VZEROUPPER
 	RET
 

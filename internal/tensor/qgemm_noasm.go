@@ -2,8 +2,12 @@
 
 package tensor
 
-// haveQuantASM is false on platforms without the AVX2 quantized kernels.
-const haveQuantASM = false
+// haveQuantASM and haveVNNI are false on platforms without the AVX2 and
+// AVX512-VNNI quantized kernels.
+const (
+	haveQuantASM = false
+	haveVNNI     = false
+)
 
 // transposeQuad16 is never called when haveQuantASM is false.
 func transposeQuad16(dst *uint8, step int64, src *uint8, ld, panels int64) {

@@ -3,6 +3,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -58,6 +59,94 @@ func TestQGemmKernelMatchesGeneric(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestQGemmKernelWrapsLikeGeneric drives the accumulators through int32
+// overflow: a C tile seeded within 2¹⁰ of MaxInt32 / MinInt32 under
+// full-range ±127 × 127 operands. The VNNI kernel sums even and odd quads in
+// separate registers and adds the two sets at the end, which equals the
+// portable kernel's single running sum only because int32 addition wraps —
+// a saturating add anywhere on the way would show here and nowhere else.
+func TestQGemmKernelWrapsLikeGeneric(t *testing.T) {
+	if !haveQuantASM {
+		t.Skip("no quantized assembly kernel on this platform")
+	}
+	rng := rand.New(rand.NewSource(14))
+	for _, quads := range []int{1, 2, 3, 4, 5, 17, 64, 129} {
+		a := make([]int8, quads*mrQTile*4)
+		b := make([]uint8, quads*nrQTile*4)
+		init := make([]int32, mrQTile*nrQTile)
+		for r := 0; r < mrQTile; r++ {
+			// Rows 0 and 1 push one way for the whole product, so their sums
+			// cross the int32 boundary and stay across; rows 2 and 3 draw
+			// signs at random and cross it back and forth.
+			for q := 0; q < quads; q++ {
+				for k := 0; k < 4; k++ {
+					v := int8(127)
+					if r == 1 || (r >= 2 && rng.Intn(2) == 0) {
+						v = -127
+					}
+					a[(q*mrQTile+r)*4+k] = v
+				}
+			}
+			for j := 0; j < nrQTile; j++ {
+				seed := math.MaxInt32 - int32(rng.Intn(1<<10))
+				if r == 1 || (r == 3 && j%2 == 0) {
+					seed = math.MinInt32 + int32(rng.Intn(1<<10))
+				}
+				init[r*nrQTile+j] = seed
+			}
+		}
+		for i := range b {
+			b[i] = QMaxU8
+			if rng.Intn(8) == 0 {
+				b[i] = uint8(rng.Intn(QMaxU8 + 1))
+			}
+		}
+		for _, store := range []bool{false, true} {
+			want := append([]int32(nil), init...)
+			qgemmKernelGeneric(quads, a, b, want, nrQTile, store)
+			if !store && want[0] >= 0 {
+				t.Fatalf("quads=%d: tile[0]=%d did not wrap; the test no longer reaches the overflow it is about", quads, want[0])
+			}
+			got := append([]int32(nil), init...)
+			qgemmKernel4x16(int64(quads), &a[0], &b[0], &got[0], int64(nrQTile), store)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("avx2 quads=%d store=%v: tile[%d]=%d want %d", quads, store, i, got[i], want[i])
+				}
+			}
+			if detectVNNI() {
+				got = append(got[:0], init...)
+				qgemmKernelVNNI4x16(int64(quads), &a[0], &b[0], &got[0], int64(nrQTile), store)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("vnni quads=%d store=%v: tile[%d]=%d want %d", quads, store, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQGemmKernelNameMatchesDetection pins the INT8 dispatch beside
+// TestGemmKernelNameMatchesDetection: the reported tier is the one the flags
+// select, and the VNNI kernel — ZMM width — is never selected where 512-bit
+// execution is not (an old part, or PERCIVAL_NO_AVX512).
+func TestQGemmKernelNameMatchesDetection(t *testing.T) {
+	want := "portable"
+	switch {
+	case haveVNNI:
+		want = "avx512-vnni-4x16"
+	case haveQuantASM:
+		want = "avx2-4x16"
+	}
+	if got := QGemmKernelName(); got != want {
+		t.Fatalf("QGemmKernelName()=%q want %q (haveQuantASM=%v haveVNNI=%v)", got, want, haveQuantASM, haveVNNI)
+	}
+	if haveVNNI && !haveAVX512 {
+		t.Fatal("haveVNNI without haveAVX512: the ZMM kernel would run where 512-bit execution is switched off")
 	}
 }
 
