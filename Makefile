@@ -82,9 +82,11 @@ bench:
 		bash bench/run.sh --workload $$w --seed 1 --seconds 10 || exit 1; \
 	done
 
-# Just the inference-latency trajectory (see PERFORMANCE.md).
+# Just the inference-latency trajectory (see PERFORMANCE.md), plus the two
+# serving paths on which the model is idle (a Submit answered by serve's
+# cache, and one answered by a warm wire peer's).
 bench-infer:
-	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16|BenchmarkEngineInferInt8|BenchmarkQuantizeSetup32' -benchmem .
+	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16|BenchmarkEngineInferInt8|BenchmarkQuantizeSetup32|BenchmarkServeCacheHit|BenchmarkServeWireWarm' -benchmem .
 	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
 
 # bench/ is a module of its own, so `go vet ./...` and `go test ./...` at the
@@ -92,16 +94,22 @@ bench-infer:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
-# Where one frame goes: `pprof -top` of the single-frame forward on each
-# engine at one P, by flat time and then by cumulative time — the
-# per-function attribution PERFORMANCE.md tabulates (its tables quote the
-# cumulative view). The test binary and the profiles land in PROFILE_DIR.
+# Where one frame goes: `pprof -top`, by flat time and then by cumulative
+# time, of four one-P benchmarks. InferSingle / InferSingleInt8 are the
+# forward pass on each engine — the per-function attribution PERFORMANCE.md
+# tabulates (its tables quote the cumulative view). ServeCacheHit /
+# ServeWireWarm are a whole Submit on the two paths where the model is idle,
+# so what a frame costs outside the model (content hash, cache, batcher,
+# fleet dispatch, wire round trip) has a profile too: a forward-pass profile
+# cannot show a frame being hashed twice. The test binary and the profiles
+# land in PROFILE_DIR.
 PROFILE_DIR ?= .bench_build/profile
 profile:
 	@mkdir -p $(PROFILE_DIR)
-	@for b in InferSingle InferSingleInt8; do \
-		GOMAXPROCS=1 $(GO) test -run=NONE -bench="Benchmark$$b\$$" -benchtime=300x \
-			-o $(PROFILE_DIR)/percival.test -cpuprofile $(PROFILE_DIR)/$$b.prof . || exit 1; \
-		$(GO) tool pprof -top -nodecount=16 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$b.prof || exit 1; \
-		$(GO) tool pprof -top -cum -nodecount=24 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$b.prof || exit 1; \
+	@for b in InferSingle:300x InferSingleInt8:300x ServeCacheHit:10000x ServeWireWarm:10000x; do \
+		name=$${b%:*}; \
+		GOMAXPROCS=1 $(GO) test -run=NONE -bench="Benchmark$$name\$$" -benchtime=$${b#*:} \
+			-o $(PROFILE_DIR)/percival.test -cpuprofile $(PROFILE_DIR)/$$name.prof . || exit 1; \
+		$(GO) tool pprof -top -nodecount=16 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$name.prof || exit 1; \
+		$(GO) tool pprof -top -cum -nodecount=24 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$name.prof || exit 1; \
 	done

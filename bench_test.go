@@ -10,6 +10,9 @@ package percival_test
 
 import (
 	"math/rand"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -23,6 +26,7 @@ import (
 	"percival/internal/eval"
 	"percival/internal/imaging"
 	"percival/internal/nn"
+	"percival/internal/serve"
 	"percival/internal/squeezenet"
 	"percival/internal/synth"
 	"percival/internal/tensor"
@@ -240,6 +244,102 @@ func BenchmarkQuantizeSetup32(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/(1<<20), "alloc-MB")
+}
+
+// The two serving paths on which the model is idle, one frame at a time from
+// one closed-loop client at one P (pinned before the server sizes its worker
+// set, so the rows compare however the run was started): what is left is the content hash, the cache or the
+// wire, and the batcher around them. `make profile` profiles both — the bar
+// that is tall on these paths (SHA-256) is invisible in a profile of the
+// forward pass.
+
+// smallService is a classifier over the small net; the warm serving paths
+// never reach it after the cold pass.
+func smallService(b *testing.B) *core.Percival {
+	cfg := squeezenet.SmallConfig(32)
+	net, err := squeezenet.Build(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	squeezenet.PretrainedInit(net, 1)
+	svc, err := core.New(net, cfg, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return svc
+}
+
+// benchSubmit times Submit over frames the server has already seen once:
+// ns/op is ns a frame.
+func benchSubmit(b *testing.B, srv *serve.Server, frames []*imaging.Bitmap) {
+	for _, f := range frames { // cold pass: fills whichever cache answers from here on
+		if r := srv.Submit(f); r.Status != serve.StatusClassified {
+			b.Fatalf("cold pass resolved %v", r.Status)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := srv.Submit(frames[i%len(frames)]); r.Status == serve.StatusShed {
+			b.Fatal("warm frame shed")
+		}
+	}
+}
+
+// BenchmarkServeCacheHit is a Submit answered by serve's own verdict cache:
+// one content hash, one sharded-map lookup (the repo benchmark's
+// serve_rotation path).
+func BenchmarkServeCacheHit(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	srv, err := serve.New(smallService(b), serve.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	benchSubmit(b, srv, synth.SampleFrames(7, 32))
+}
+
+// BenchmarkServeWireWarm is a Submit on a front with no cache of its own,
+// over a fleet of one loopback wire-v2 peer whose verdict cache is warm: one
+// content hash, the batcher, fleet dispatch, and a probe round trip the peer
+// answers without its model (the repo benchmark's remote_wire path).
+func BenchmarkServeWireWarm(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	svc := smallService(b)
+	peer := svc.Engine().Replicate()
+	defer peer.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := engine.NewWireServer(engine.WireServerOptions{Backend: peer, Cache: engine.NewVerdictMap(0)})
+	go ws.Serve(ln) // returns when ws.Close closes the listener
+	defer ws.Close()
+	mux := http.NewServeMux()
+	mux.Handle("POST /classify/batch", engine.BatchHandler(nil, peer))
+	mux.Handle("GET /modelz", engine.ModelzHandlerWire(nil, peer, svc.Threshold(), ln.Addr().String()))
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{ExpectRes: svc.InputRes(), Transport: "socket"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fleet, err := engine.NewFleet([]*engine.RemoteBackend{rb}, engine.FleetOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fleet.Close()
+	srv, err := serve.New(svc, serve.Options{DisableCache: true, Backend: fleet})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Warm()
+	frames := synth.SampleFrames(7, 32)
+	benchSubmit(b, srv, frames)
+	if st := rb.TransportStats(); st.FramesPixels != int64(len(frames)) {
+		b.Fatalf("%d frames crossed as pixels, want the cold pass's %d and none after", st.FramesPixels, len(frames))
+	}
 }
 
 // BenchmarkClassifySingleFrame measures the per-frame model latency the

@@ -298,7 +298,7 @@ func TestEpochChangesRotatingCreatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if imaging.ContentHash(r0.Surface) == imaging.ContentHash(r1.Surface) {
+	if imaging.ContentKey(r0.Surface) == imaging.ContentKey(r1.Surface) {
 		t.Fatal("rotating creative should change the rendered surface across epochs")
 	}
 }

@@ -351,7 +351,7 @@ func (p *Percival) InspectFrame(src string, frame *imaging.Bitmap) bool {
 		}
 		return verdict
 	}
-	key := imaging.ContentHash(frame)
+	key := imaging.ContentKey(frame)
 	if verdict, ok := p.cache.get(key); ok {
 		p.cacheHits.Add(1)
 		if verdict {

@@ -342,8 +342,17 @@ func (cb *CanaryBackend) syncLocked(ctl *canaryController) {
 	}
 }
 
-// InferBatchInto routes one batch through the rollout state machine.
+// InferBatchInto is the unkeyed dispatch.
 func (cb *CanaryBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64 {
+	return cb.InferKeyedInto(frames, nil, out)
+}
+
+// InferKeyedInto (KeyedBackend) routes one batch through the rollout state
+// machine. The daemon always puts this proxy between the serving layer and
+// the fleet, so the caller's keys pass through to incumbent, candidate and
+// shadow alike.
+func (cb *CanaryBackend) InferKeyedInto(frames []*imaging.Bitmap, keys [][32]byte, out []float64) []float64 {
+	checkKeys(frames, keys)
 	ctl := cb.reg.canary.Load()
 	cb.mu.Lock()
 	if ctl != cb.ctl {
@@ -352,12 +361,12 @@ func (cb *CanaryBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64)
 	base, cand := cb.base, cb.cand
 	if ctl == nil {
 		cb.mu.Unlock()
-		return base.InferBatchInto(frames, out)
+		return InferKeyed(base, frames, keys, out)
 	}
 	switch ctl.state() {
 	case CanaryPromoted:
 		cb.mu.Unlock()
-		return cand.InferBatchInto(frames, out)
+		return InferKeyed(cand, frames, keys, out)
 	case CanaryRunning:
 		if ctl.take() {
 			if cap(cb.shadow) < len(frames) {
@@ -367,8 +376,8 @@ func (cb *CanaryBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64)
 			cb.mu.Unlock()
 			// the candidate answers the caller; the incumbent shadow-scores
 			// the same frames as the agreement reference
-			out = cand.InferBatchInto(frames, out)
-			base.InferBatchInto(frames, ref)
+			out = InferKeyed(cand, frames, keys, out)
+			InferKeyed(base, frames, keys, ref)
 			agreed := 0
 			thr := ctl.opts.Threshold
 			for i := range out {
@@ -381,7 +390,7 @@ func (cb *CanaryBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64)
 		}
 	}
 	cb.mu.Unlock()
-	return base.InferBatchInto(frames, out)
+	return InferKeyed(base, frames, keys, out)
 }
 
 // baseNow reads the lane's current steady route.

@@ -25,6 +25,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -84,6 +85,46 @@ type Backend interface {
 	Close()
 	// Stats returns the dispatch counters.
 	Stats() Stats
+}
+
+// KeyedBackend is the optional keyed entry of the dispatch seam, for the
+// backends whose wire probes a peer's verdict cache by imaging.ContentKey
+// (RemoteBackend, Fleet and its replicas) and for CanaryBackend, which sits
+// between the serving layer and them. The serving layer keyed every frame
+// once, at Submit, and hands that key down instead of each layer below
+// re-hashing the bytes. The in-process engines read pixels only.
+type KeyedBackend interface {
+	Backend
+	// InferKeyedInto is InferBatchInto for a caller that holds the frames'
+	// content keys: keys is empty, or keys[i] is imaging.ContentKey(frames[i])
+	// for every frame — any other length is a caller bug and panics. A wrong
+	// key is not detected: the peer would answer for, and memoize under, a
+	// frame that was not sent. The keys are the caller's again on return.
+	InferKeyedInto(frames []*imaging.Bitmap, keys [][32]byte, out []float64) []float64
+}
+
+// InferKeyed scores frames on b, through the keyed entry when b has one.
+func InferKeyed(b Backend, frames []*imaging.Bitmap, keys [][32]byte, out []float64) []float64 {
+	if kb, ok := b.(KeyedBackend); ok {
+		return kb.InferKeyedInto(frames, keys, out)
+	}
+	return b.InferBatchInto(frames, out)
+}
+
+// checkKeys enforces InferKeyedInto's contract before anything slices keys
+// in step with the frames.
+func checkKeys(frames []*imaging.Bitmap, keys [][32]byte) {
+	if len(keys) != 0 && len(keys) != len(frames) {
+		panic(fmt.Sprintf("engine: InferKeyedInto: %d keys for %d frames", len(keys), len(frames)))
+	}
+}
+
+// chunkKeys is keys[lo:hi] of a keyed batch and nil of an unkeyed one.
+func chunkKeys(keys [][32]byte, lo, hi int) [][32]byte {
+	if len(keys) == 0 {
+		return nil
+	}
+	return keys[lo:hi]
 }
 
 // inferState bundles the reusable per-goroutine inference resources: a warm

@@ -518,11 +518,17 @@ func peerMatches(peerBase, id string) bool {
 	return err == nil && u.Host == id
 }
 
-// InferBatchInto dispatches chunks through the supervisor on a fresh
-// dispatch lane per batch (round-robin under the static router).
+// InferBatchInto is the unkeyed dispatch: each chunk's content keys are
+// hashed when (and if) its transport probes with them.
 func (f *Fleet) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64 {
+	return f.InferKeyedInto(frames, nil, out)
+}
+
+// InferKeyedInto (KeyedBackend) dispatches chunks through the supervisor on
+// a fresh dispatch lane per batch (round-robin under the static router).
+func (f *Fleet) InferKeyedInto(frames []*imaging.Bitmap, keys [][32]byte, out []float64) []float64 {
 	lane := int(f.next.Add(1) - 1)
-	return f.inferBatch(lane, frames, out, &f.batches, &f.frames, &f.errors)
+	return f.inferBatch(lane, frames, keys, out, &f.batches, &f.frames, &f.errors)
 }
 
 // Replicate hands out the next dispatch-lane ordinal: N serve shards over
@@ -596,22 +602,24 @@ func (r *fleetReplica) PeerHealth() []PeerHealthInfo { return r.f.PeerHealth() }
 func (r *fleetReplica) WindowStats() []WindowStat { return r.f.WindowStats() }
 
 func (r *fleetReplica) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64 {
-	return r.f.inferBatch(r.pref, frames, out, &r.batches, &r.frames, &r.errors)
+	return r.InferKeyedInto(frames, nil, out)
 }
 
-// inferBatch chunks a batch through the supervisor on behalf of the fleet
-// or one of its replicas, charging the caller's counters.
-func (f *Fleet) inferBatch(lane int, frames []*imaging.Bitmap, out []float64, batches, nframes, errs *atomic.Int64) []float64 {
+func (r *fleetReplica) InferKeyedInto(frames []*imaging.Bitmap, keys [][32]byte, out []float64) []float64 {
+	return r.f.inferBatch(r.pref, frames, keys, out, &r.batches, &r.frames, &r.errors)
+}
+
+// inferBatch chunks a batch (keyed or not) through the supervisor on behalf
+// of the fleet or one of its replicas, charging the caller's counters.
+func (f *Fleet) inferBatch(lane int, frames []*imaging.Bitmap, keys [][32]byte, out []float64, batches, nframes, errs *atomic.Int64) []float64 {
+	checkKeys(frames, keys)
 	if len(frames) == 0 {
 		return out[:0]
 	}
 	out = out[:len(frames)]
 	for lo := 0; lo < len(frames); lo += BatchChunk {
-		hi := lo + BatchChunk
-		if hi > len(frames) {
-			hi = len(frames)
-		}
-		if f.dispatchChunk(lane, frames[lo:hi], out[lo:hi]) {
+		hi := min(lo+BatchChunk, len(frames))
+		if f.dispatchChunk(lane, frames[lo:hi], chunkKeys(keys, lo, hi), out[lo:hi]) {
 			batches.Add(1)
 		} else {
 			// Fail open only once every peer and the fallback are gone:
@@ -630,12 +638,14 @@ func (f *Fleet) inferBatch(lane int, frames []*imaging.Bitmap, out []float64, ba
 // failing over across the remaining routable peers, then the local
 // fallback. Reports whether a real verdict was produced. The membership
 // snapshot is loaded once — the chunk routes against one consistent view.
-func (f *Fleet) dispatchChunk(lane int, frames []*imaging.Bitmap, out []float64) bool {
+// keys (the caller's, or nil) travel in the chunk to every peer that sees
+// it; the local fallback reads pixels and has no use for them.
+func (f *Fleet) dispatchChunk(lane int, frames []*imaging.Bitmap, keys [][32]byte, out []float64) bool {
 	peers := f.peerList()
 	// one wireChunk per dispatch, shared by every failover try and hedge
 	// arm: each wire encoding (HTTP body, content keys) is computed at most
 	// once no matter how many peers or transports see the chunk
-	chunk := f.chunks.get(frames)
+	chunk := f.chunks.get(frames, keys)
 	defer f.chunks.put(chunk)
 
 	pref := f.router.Pin(lane, len(peers))

@@ -265,27 +265,32 @@ func (b *RemoteBackend) Stats() Stats {
 	return Stats{Batches: b.batches.Load(), Frames: b.frames.Load(), Errors: b.errors.Load()}
 }
 
-// InferBatchInto proxies frames to the peer in BatchChunk-sized requests —
-// one forward pass per request on the peer — and fails open (score 0) for
-// any chunk still failing after the retry budget.
+// InferBatchInto is the unkeyed dispatch: each chunk's content keys are
+// hashed when (and if) its transport probes with them.
 func (b *RemoteBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64 {
+	return b.InferKeyedInto(frames, nil, out)
+}
+
+// InferKeyedInto (KeyedBackend) proxies frames to the peer in
+// BatchChunk-sized requests — one forward pass per request on the peer —
+// and fails open (score 0) for any chunk still failing after the retry
+// budget.
+func (b *RemoteBackend) InferKeyedInto(frames []*imaging.Bitmap, keys [][32]byte, out []float64) []float64 {
+	checkKeys(frames, keys)
 	if len(frames) == 0 {
 		return out[:0]
 	}
 	out = out[:len(frames)]
 	for lo := 0; lo < len(frames); lo += BatchChunk {
-		hi := lo + BatchChunk
-		if hi > len(frames) {
-			hi = len(frames)
-		}
-		b.inferChunk(frames[lo:hi], out[lo:hi])
+		hi := min(lo+BatchChunk, len(frames))
+		b.inferChunk(frames[lo:hi], chunkKeys(keys, lo, hi), out[lo:hi])
 	}
 	b.frames.Add(int64(len(frames)))
 	return out
 }
 
-func (b *RemoteBackend) inferChunk(frames []*imaging.Bitmap, out []float64) {
-	chunk := b.chunks.get(frames)
+func (b *RemoteBackend) inferChunk(frames []*imaging.Bitmap, keys [][32]byte, out []float64) {
+	chunk := b.chunks.get(frames, keys)
 	defer b.chunks.put(chunk)
 	// overall chunk budget: one per-attempt timeout per attempt; backoff
 	// sleeps spend from the same budget, so a retry that cannot finish in

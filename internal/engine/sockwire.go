@@ -880,7 +880,13 @@ func (s *WireServer) answerProbe(conn net.Conn, wmu *sync.Mutex, req *sockReq, b
 }
 
 // scorePixels runs the batch on the backend, memoizes the verdicts under
-// the client-supplied content keys, and replies with plain scores.
+// the client-supplied content keys, and replies with plain scores. The keys
+// are taken on trust (re-deriving them would put the SHA-256 the probe saves
+// back on the peer), so whoever can open a wire connection can plant a score
+// under any key in this cache — the peer's serving cache, in the daemon.
+// The wire listener is for the fleet's own fronts (-wire-listen belongs on a
+// private interface), which send the key their serving edge hashed from the
+// very pixels they send; /classify and /classify/batch take pixels only.
 func (s *WireServer) scorePixels(conn net.Conn, wmu *sync.Mutex, req *sockReq) {
 	out := make([]float64, len(req.frames))
 	s.backend.InferBatchInto(req.frames, out)

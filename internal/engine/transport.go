@@ -27,7 +27,8 @@ import (
 	"percival/internal/imaging"
 )
 
-// wireChunk is one dispatch chunk in flight to a peer: the frames plus
+// wireChunk is one dispatch chunk in flight to a peer: the frames, the
+// content keys the caller already holds for them (a keyed dispatch), and
 // lazily-computed wire representations, each computed at most once however
 // many transport attempts and hedge arms share the chunk. Hedged dispatch
 // hands the same *wireChunk to two peers concurrently, so the lazy fields
@@ -35,21 +36,20 @@ import (
 type wireChunk struct {
 	frames []*imaging.Bitmap
 
-	mu     sync.Mutex
-	body   []byte     // v1 HTTP body (header + dims + pixels), built on demand
-	keys   [][32]byte // content keys, built on demand for the dedup probe
-	phash  []uint64   // perceptual hashes, alongside keys
-	hashed bool
+	mu    sync.Mutex
+	body  []byte     // v1 HTTP body (header + dims + pixels), built on demand
+	keys  [][32]byte // content keys: the caller's, or hashed on demand for the dedup probe
+	phash []uint64   // perceptual hashes, built on demand alongside keys
 }
 
 // reset re-arms a pooled chunk for a new frame set, keeping the amortized
-// buffer capacity.
-func (c *wireChunk) reset(frames []*imaging.Bitmap) {
+// buffer capacity. keys is empty or the frames' imaging.ContentKeys in
+// order; they are copied, so the caller's slice is its own again on return.
+func (c *wireChunk) reset(frames []*imaging.Bitmap, keys [][32]byte) {
 	c.frames = frames
 	c.body = c.body[:0]
-	c.keys = c.keys[:0]
+	c.keys = append(c.keys[:0], keys...)
 	c.phash = c.phash[:0]
-	c.hashed = false
 }
 
 // pixelBody returns the chunk's v1 HTTP encoding, building it on first use.
@@ -76,17 +76,18 @@ func (c *wireChunk) forfeitBody() {
 }
 
 // contentKeys returns the chunk's content keys and perceptual hashes,
-// computing them on first use (zero-alloc per frame once the chunk's slices
-// are warm: sha256.Sum256 + the pooled 8×8 downscale).
+// computing on first use only what is missing: a chunk reset with its keys
+// is not hashed again (the serving layer keyed each frame at Submit), an
+// unkeyed one pays sha256.Sum256 per frame here; both pay the pooled 8×8
+// downscale once. Nothing allocates once the chunk's slices are warm.
 func (c *wireChunk) contentKeys() ([][32]byte, []uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.hashed {
-		for _, f := range c.frames {
-			c.keys = append(c.keys, imaging.ContentKey(f))
-			c.phash = append(c.phash, imaging.PerceptualHashPooled(f))
-		}
-		c.hashed = true
+	for _, f := range c.frames[len(c.keys):] {
+		c.keys = append(c.keys, imaging.ContentKey(f))
+	}
+	for _, f := range c.frames[len(c.phash):] {
+		c.phash = append(c.phash, imaging.PerceptualHashPooled(f))
 	}
 	return c.keys, c.phash
 }
@@ -95,12 +96,12 @@ func (c *wireChunk) contentKeys() ([][32]byte, []uint64) {
 // each own one; replicas share their parent's).
 type chunkPool struct{ p sync.Pool }
 
-func (cp *chunkPool) get(frames []*imaging.Bitmap) *wireChunk {
+func (cp *chunkPool) get(frames []*imaging.Bitmap, keys [][32]byte) *wireChunk {
 	c, _ := cp.p.Get().(*wireChunk)
 	if c == nil {
 		c = &wireChunk{}
 	}
-	c.reset(frames)
+	c.reset(frames, keys)
 	return c
 }
 

@@ -7,31 +7,14 @@ import (
 	"sync"
 )
 
-// ContentHash returns a collision-resistant digest of the exact pixel
-// content plus dimensions. PERCIVAL's asynchronous mode memoizes
-// classification results by this key, and the crawler uses it for exact
-// de-duplication.
-func ContentHash(b *Bitmap) [32]byte {
-	h := sha256.New()
-	var dims [8]byte
-	binary.LittleEndian.PutUint32(dims[0:], uint32(b.W))
-	binary.LittleEndian.PutUint32(dims[4:], uint32(b.H))
-	h.Write(dims[:])
-	h.Write(b.Pix)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// ContentKey is the canonical verdict-cache key shared by the serving layer
-// and the remote-dispatch wire: SHA-256 of the pixel buffer with the
-// dimensions XOR-folded into the leading bytes, so two buffers of equal
-// byte-length but different shapes cannot collide. Computed with
-// sha256.Sum256 (stack-allocated state), so keying a frame on the submit or
-// dispatch hot path performs no heap allocation — unlike ContentHash, whose
-// hash.Hash interface forces its state to escape. A remote peer answering a
-// hash probe from its cache and the local serve layer memoizing a verdict
-// must agree on this key byte-for-byte.
+// ContentKey is the frame's identity, the one key every verdict cache in the
+// tree uses (core's memo cache, the serving layer, the remote-dispatch wire):
+// SHA-256 of the pixel buffer with the dimensions XOR-folded into the leading
+// bytes, so two buffers of equal byte-length but different shapes cannot
+// collide. Computed with sha256.Sum256 (stack-allocated state), so keying a
+// frame on the submit hot path performs no heap allocation. A remote peer
+// answering a hash probe from its cache, a -cache-file snapshot and the local
+// serve layer memoizing a verdict must agree on this key byte-for-byte.
 func ContentKey(b *Bitmap) [32]byte {
 	k := sha256.Sum256(b.Pix)
 	var dims [8]byte

@@ -244,7 +244,7 @@ func TestBlockedSlotsAreVisuallyBlank(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a.Stats.Blocked > 0 {
-			if imaging.ContentHash(a.Surface) != imaging.ContentHash(bRes.Surface) {
+			if imaging.ContentKey(a.Surface) != imaging.ContentKey(bRes.Surface) {
 				differs = true
 			}
 		}

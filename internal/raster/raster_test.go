@@ -147,7 +147,7 @@ func TestParallelWorkersProduceSameSurface(t *testing.T) {
 	}
 	s1, _ := renderPage(t, html.String(), images, nil, 1)
 	s8, _ := renderPage(t, html.String(), images, nil, 8)
-	if imaging.ContentHash(s1) != imaging.ContentHash(s8) {
+	if imaging.ContentKey(s1) != imaging.ContentKey(s8) {
 		t.Fatal("worker count changed rendered output")
 	}
 }

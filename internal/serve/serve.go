@@ -642,6 +642,12 @@ func (sh *shard) enqueue(r *request, d time.Duration) bool {
 // Submit classifies one frame through the batching service, blocking until
 // its batch resolves (or the request is shed). Safe for arbitrary
 // concurrency; the steady state allocates nothing.
+//
+// The frame is immutable until Submit returns: it is hashed once, on entry,
+// and that key is its identity in every layer below — verdict cache,
+// in-flight table and, through engine.KeyedBackend, the wire probe a peer
+// answers and memoizes under. Pixels changed in flight would be scored and
+// cached, here and on the peer, under the key of the pixels that were hashed.
 func (s *Server) Submit(frame *imaging.Bitmap) Result {
 	res, done, r := s.begin(frame)
 	if done {
@@ -684,7 +690,10 @@ func (f *Future) resolve() {
 }
 
 // SubmitAsync starts a classification and returns a Future, letting the
-// caller overlap other work (rasterization) with the in-flight batch.
+// caller overlap other work (rasterization) with the in-flight batch. As
+// with Submit the frame is immutable until the result resolves — here, until
+// Wait returns: a caller that goes on drawing into the buffer submits a
+// Clone (the browser's async path and core.InspectFrame do).
 func (s *Server) SubmitAsync(frame *imaging.Bitmap) *Future {
 	res, done, r := s.begin(frame)
 	if done {
@@ -808,33 +817,30 @@ func (sh *shard) worker(pin bool) {
 		}
 	}
 	frames := make([]*imaging.Bitmap, 0, s.opts.MaxBatch)
+	keys := make([][32]byte, 0, s.opts.MaxBatch) // keys[i] is frames[i]'s, hashed once in begin
 	live := make([]*request, 0, s.opts.MaxBatch)
 	scores := make([]float64, s.opts.MaxBatch)
 	for batch := range sh.batches {
 		frames = frames[:0]
+		keys = keys[:0]
 		live = live[:0]
 		now := time.Now()
-		if deadline := s.shedDeadline(); deadline > 0 {
-			for _, r := range batch {
-				if now.Sub(r.enq) > deadline {
-					sh.resolveShed(r)
-					continue
-				}
-				live = append(live, r)
-				frames = append(frames, r.frame)
+		deadline := s.shedDeadline()
+		for _, r := range batch {
+			if deadline > 0 && now.Sub(r.enq) > deadline {
+				sh.resolveShed(r)
+				continue
 			}
-		} else {
-			for _, r := range batch {
-				live = append(live, r)
-				frames = append(frames, r.frame)
-			}
+			live = append(live, r)
+			frames = append(frames, r.frame)
+			keys = append(keys, r.key)
 		}
 		if len(live) > 0 {
 			// the oldest request's pre-dispatch wait: how long the batch sat
 			// behind busy workers (model time is not an admission lever)
 			wait := now.Sub(live[0].enq)
 			start := time.Now()
-			out := sh.backend.InferBatchInto(frames, scores[:len(live)])
+			out := engine.InferKeyed(sh.backend, frames, keys, scores[:len(live)])
 			s.met.LaneBusyNS[sh.id].Add(time.Since(start).Nanoseconds())
 			s.met.LaneDispatches[sh.id].Inc()
 			s.met.Batches.Inc()

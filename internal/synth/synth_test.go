@@ -15,7 +15,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		if lx != ly {
 			t.Fatal("labels diverge under same seed")
 		}
-		if imaging.ContentHash(x) != imaging.ContentHash(y) {
+		if imaging.ContentKey(x) != imaging.ContentKey(y) {
 			t.Fatal("images diverge under same seed")
 		}
 	}
@@ -24,7 +24,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		x, _ := a.Sample()
 		y, _ := c.Sample()
-		if imaging.ContentHash(x) != imaging.ContentHash(y) {
+		if imaging.ContentKey(x) != imaging.ContentKey(y) {
 			diff = true
 		}
 	}

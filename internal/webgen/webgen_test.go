@@ -69,7 +69,7 @@ func TestImageSpecsRenderDeterministically(t *testing.T) {
 	for _, spec := range page.Images {
 		a := spec.Render(0)
 		b := spec.Render(0)
-		if imaging.ContentHash(a) != imaging.ContentHash(b) {
+		if imaging.ContentKey(a) != imaging.ContentKey(b) {
 			t.Fatalf("%s renders nondeterministically", spec.URL)
 		}
 	}
@@ -93,7 +93,7 @@ func TestRefreshingCreativesRotate(t *testing.T) {
 	}
 	e0 := rotating.Render(0)
 	e1 := rotating.Render(1)
-	if imaging.ContentHash(e0) == imaging.ContentHash(e1) {
+	if imaging.ContentKey(e0) == imaging.ContentKey(e1) {
 		t.Fatal("rotating creative should differ across epochs")
 	}
 }
