@@ -51,9 +51,10 @@ test-avx2:
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
 
-# Native Go fuzzing smoke pass over the six decoders that face untrusted
+# Native Go fuzzing smoke pass over the seven decoders that face untrusted
 # input (EasyList rules, HTML, the persistent-socket wire framing, the admin
-# control-plane request bodies, model files, the daemon's /classify body).
+# control-plane request bodies, model files, the daemon's /classify body,
+# -cache-file verdict snapshots).
 # Each fuzzer runs for FUZZTIME; crashers are written to the package's
 # testdata/fuzz corpus and reproduced by `go test`.
 fuzz:
@@ -61,6 +62,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/dom
 	$(GO) test -run=NONE -fuzz=FuzzWireMsg -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzAdminRequest -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run=NONE -fuzz=FuzzRestoreCache -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/nn
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./cmd/percival-serve
 

@@ -19,8 +19,8 @@
 //
 //	percival-serve                        # train a reduced-scale model, serve on :8093
 //	percival-serve -res 224 -int8         # paper-scale INT8 engine
-//	percival-serve -shards 4              # sharded dispatch: one batcher,
-//	                                      # cache slice and replica per shard
+//	percival-serve -shards 4              # sharded dispatch: one batcher
+//	                                      # and replica per shard
 //	percival-serve -shards 4 -lanes       # multi-core: one OS-thread-locked,
 //	                                      # core-pinned dispatch lane per shard
 //	                                      # with the GEMM worker pool
@@ -114,7 +114,7 @@ func main() {
 		maxBatch    = flag.Int("batch", 16, "max frames per forward pass")
 		queue       = flag.Int("queue", 0, "submit queue depth (0 = default)")
 		deadline    = flag.Duration("deadline", 500*time.Millisecond, "load-shed deadline (0 disables)")
-		cacheSize   = flag.Int("cache", 4096, "verdict cache entries (0 = default)")
+		cacheSize   = flag.Int("cache", 4096, "verdict cache entries (0 = default, negative is an error)")
 		cacheFile   = flag.String("cache-file", "", "verdict-cache snapshot path: loaded at startup, saved on shutdown")
 		peers       = flag.String("peers", "", "comma-separated peer percival-serve addresses (host:port); dispatch shards proxy to these supervised remote replicas instead of the local engine")
 		peerTimeout = flag.Duration("peer-timeout", 5*time.Second, "per-attempt timeout for remote peer calls")
@@ -219,7 +219,7 @@ func main() {
 	// burst classifies without allocating
 	srv.Warm()
 	if *cacheFile != "" {
-		if n, err := loadCache(srv, *cacheFile); err != nil {
+		if n, err := loadCache(srv.Cache(), *cacheFile); err != nil {
 			if n > 0 {
 				// a truncated snapshot is not a cold start: report what made
 				// it in before the error so operators can size the damage
@@ -234,8 +234,8 @@ func main() {
 	}
 
 	// The persistent-socket wire listener serves the same local backend as
-	// /classify/batch and answers hash probes straight from the serving
-	// verdict cache (serve.Server implements engine.VerdictCache), so a
+	// /classify/batch and is handed the serving edge's own verdict store: it
+	// answers hash probes from it and stores what it scores in it, so a
 	// front's dedup hit and a local cache hit are the same entry. Binding
 	// before the /modelz mount lets the handshake advertise the concrete
 	// bound address (":0" included).
@@ -246,7 +246,7 @@ func main() {
 		if err != nil {
 			log.Fatal("percival-serve: wire listener: ", err)
 		}
-		wire = engine.NewWireServer(engine.WireServerOptions{Backend: local, Cache: srv})
+		wire = engine.NewWireServer(engine.WireServerOptions{Backend: local, Cache: srv.Cache()})
 		go func() {
 			if err := wire.Serve(ln); err != nil {
 				log.Printf("wire listener: %v", err)
@@ -313,7 +313,7 @@ func main() {
 			fleet.Close()
 		}
 		if *cacheFile != "" {
-			if n, err := saveCache(srv, *cacheFile); err != nil {
+			if n, err := saveCache(srv.Cache(), *cacheFile); err != nil {
 				log.Printf("cache snapshot %s: %v", *cacheFile, err)
 			} else {
 				log.Printf("saved %d cached verdicts to %s", n, *cacheFile)
@@ -398,7 +398,7 @@ func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration
 
 // loadCache restores the verdict cache from a snapshot file, tolerating a
 // missing file (first run).
-func loadCache(srv *serve.Server, path string) (int, error) {
+func loadCache(c *engine.VerdictMap, path string) (int, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return 0, nil
@@ -407,20 +407,20 @@ func loadCache(srv *serve.Server, path string) (int, error) {
 		return 0, err
 	}
 	defer f.Close()
-	return srv.RestoreCache(f)
+	return c.Restore(f)
 }
 
 // saveCache snapshots the verdict cache atomically (write temp, sync,
 // rename). The Sync before the rename matters: renaming an unsynced temp
 // file can land a zero-length .pcvc after a crash, which the next startup
 // then fails to restore.
-func saveCache(srv *serve.Server, path string) (int, error) {
+func saveCache(c *engine.VerdictMap, path string) (int, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, err
 	}
-	n, err := srv.SnapshotCache(f)
+	n, err := c.Snapshot(f)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -374,10 +374,10 @@ func TestSaveCacheSurvivesRoundTrip(t *testing.T) {
 		srv.Submit(f)
 	}
 	path := t.TempDir() + "/verdicts.pcvc"
-	if n, err := loadCache(srv, path); err != nil || n != 0 {
+	if n, err := loadCache(srv.Cache(), path); err != nil || n != 0 {
 		t.Fatalf("missing snapshot reported (%d, %v), want clean cold start", n, err)
 	}
-	n, err := saveCache(srv, path)
+	n, err := saveCache(srv.Cache(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestSaveCacheSurvivesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if m, err := loadCache(srv2, path); err != nil || m != n {
+	if m, err := loadCache(srv2.Cache(), path); err != nil || m != n {
 		t.Fatalf("restored (%d, %v), want (%d, nil)", m, err, n)
 	}
 	if r := srv2.Submit(frames[0]); r.Status != serve.StatusCached {

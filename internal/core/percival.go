@@ -46,7 +46,8 @@ type Options struct {
 	Threshold float64
 	// Mode selects synchronous or asynchronous deployment.
 	Mode Mode
-	// CacheSize bounds the memoization cache (entries). 0 uses a default.
+	// CacheSize bounds the memoization cache (entries). 0 uses the default,
+	// 4096; a negative size is an error (DisableCache turns the cache off).
 	CacheSize int
 	// MinFrameEdge skips classification of tiny images (spacer gifs,
 	// 1-px tracking pixels) that cannot be ads; 0 uses a default of 20.
@@ -89,7 +90,9 @@ type Percival struct {
 	// quantization was requested (whether or not the gate passed).
 	parityAgreement float64
 
-	cache *verdictCache
+	// cache memoizes InspectFrame's scores by content key; nil (a store
+	// that holds nothing) with DisableCache.
+	cache *engine.VerdictMap
 
 	// single recycles the one-frame scratch (frames+scores slices) Classify
 	// wraps around the batched backend entry point, keeping the single-frame
@@ -120,8 +123,8 @@ func New(net *nn.Sequential, cfg squeezenet.Config, opts Options) (*Percival, er
 	if opts.Threshold < 0 || opts.Threshold >= 1 {
 		return nil, fmt.Errorf("core: threshold %v out of range (0,1)", opts.Threshold)
 	}
-	if opts.CacheSize == 0 {
-		opts.CacheSize = 4096
+	if opts.CacheSize < 0 {
+		return nil, fmt.Errorf("core: CacheSize %d < 0", opts.CacheSize)
 	}
 	if opts.MinFrameEdge == 0 {
 		opts.MinFrameEdge = 20
@@ -131,7 +134,9 @@ func New(net *nn.Sequential, cfg squeezenet.Config, opts Options) (*Percival, er
 		cfg:      cfg,
 		opts:     opts,
 		backends: engine.NewRegistry(),
-		cache:    newVerdictCache(opts.CacheSize),
+	}
+	if !opts.DisableCache {
+		p.cache = engine.NewVerdictMap(opts.CacheSize)
 	}
 	if err := p.backends.Register(engine.FP32Name, engine.NewFP32(net, cfg.InputRes)); err != nil {
 		return nil, err
@@ -337,6 +342,9 @@ func (p *Percival) IsAdBatch(frames []*imaging.Bitmap) []bool {
 // Asynchronous: consult the memoization cache; on a hit return the cached
 // verdict instantly, otherwise let the frame render and classify in the
 // background so the verdict is available for the next sighting.
+//
+// The cache keeps the model's score, not the verdict, so a hit is decided
+// by the same threshold on the same bits as a fresh classification.
 func (p *Percival) InspectFrame(src string, frame *imaging.Bitmap) bool {
 	start := time.Now()
 	defer func() { p.inPathNanos.Add(time.Since(start).Nanoseconds()) }()
@@ -345,39 +353,42 @@ func (p *Percival) InspectFrame(src string, frame *imaging.Bitmap) bool {
 	}
 	if p.opts.DisableCache {
 		p.inPathFwd.Add(1)
-		verdict := p.IsAd(frame)
-		if verdict {
-			p.blocked.Add(1)
-		}
-		return verdict
+		return p.verdict(p.Classify(frame))
 	}
 	key := imaging.ContentKey(frame)
-	if verdict, ok := p.cache.get(key); ok {
+	if score, ok := p.cache.LookupVerdict(key); ok {
 		p.cacheHits.Add(1)
-		if verdict {
-			p.blocked.Add(1)
-		}
-		return verdict
+		return p.verdict(score)
 	}
 	switch p.opts.Mode {
 	case Synchronous:
 		p.inPathFwd.Add(1)
-		verdict := p.IsAd(frame)
-		p.cache.put(key, verdict)
-		if verdict {
-			p.blocked.Add(1)
-		}
-		return verdict
+		score := p.Classify(frame)
+		p.cache.StoreVerdict(key, score)
+		return p.verdict(score)
 	default: // Asynchronous
 		snapshot := frame.Clone() // the raster task may clear/draw the buffer
 		p.pending.Add(1)
 		go func() {
 			defer p.pending.Done()
-			p.cache.put(key, p.IsAd(snapshot))
+			p.cache.StoreVerdict(key, p.Classify(snapshot))
 		}()
 		return false
 	}
 }
+
+// verdict applies the threshold to an InspectFrame score and counts a block.
+func (p *Percival) verdict(score float64) bool {
+	ad := score >= p.opts.Threshold
+	if ad {
+		p.blocked.Add(1)
+	}
+	return ad
+}
+
+// Cache returns the store InspectFrame memoizes scores in, nil with
+// DisableCache.
+func (p *Percival) Cache() *engine.VerdictMap { return p.cache }
 
 // Drain waits for in-flight asynchronous classifications; after Drain, all
 // verdicts are memoized. (In the browser this corresponds to idle time
@@ -426,62 +437,6 @@ func (p *Percival) InputRes() int { return p.cfg.InputRes }
 
 // Threshold returns the active decision threshold.
 func (p *Percival) Threshold() float64 { return p.opts.Threshold }
-
-// verdictCache is a bounded FIFO-evicting map from content hash to verdict.
-// (True LRU order is unnecessary: creatives repeat within short windows.)
-type verdictCache struct {
-	mu    sync.Mutex
-	max   int
-	m     map[[32]byte]bool
-	order [][32]byte
-	next  int
-}
-
-func newVerdictCache(max int) *verdictCache {
-	if max < 0 {
-		// Non-positive capacity means "no memoization": the cache stays
-		// usable (get always misses, put is a no-op) instead of panicking on
-		// the ring index.
-		max = 0
-	}
-	return &verdictCache{max: max, m: make(map[[32]byte]bool, max)}
-}
-
-func (c *verdictCache) get(k [32]byte) (bool, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[k]
-	return v, ok
-}
-
-func (c *verdictCache) put(k [32]byte, v bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.max <= 0 {
-		return // capacity 0: memoization disabled, nothing to evict into
-	}
-	if _, exists := c.m[k]; exists {
-		c.m[k] = v
-		return
-	}
-	if len(c.m) >= c.max {
-		// evict the oldest inserted key (ring over insertion order)
-		old := c.order[c.next%len(c.order)]
-		delete(c.m, old)
-		c.order[c.next%len(c.order)] = k
-		c.next++
-	} else {
-		c.order = append(c.order, k)
-	}
-	c.m[k] = v
-}
-
-// Len reports the number of memoized verdicts (for tests).
-func (c *verdictCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
 
 // Gradient exposes dScore/dInput for salience mapping (Grad-CAM). It runs a
 // training-mode forward/backward pass, so it must not run concurrently with

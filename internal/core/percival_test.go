@@ -1,10 +1,11 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"image/color"
+	"math"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -165,33 +166,34 @@ func TestInspectFrameConcurrentSafety(t *testing.T) {
 	}
 }
 
+// TestVerdictCacheEviction: InspectFrame's memo is bounded by CacheSize,
+// evicts the oldest creative first, and keeps the model's score, so a hit
+// is the bits a fresh classification would produce.
 func TestVerdictCacheEviction(t *testing.T) {
-	c := newVerdictCache(3)
-	key := func(i int) [32]byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(i))
-		return sha256.Sum256(b[:])
+	p := testService(t, Options{Mode: Synchronous, CacheSize: 3})
+	frames := synth.SampleFrames(43, 5)
+	for _, f := range frames {
+		p.InspectFrame("src", f)
 	}
-	for i := 0; i < 5; i++ {
-		c.put(key(i), i%2 == 0)
-	}
-	if c.len() != 3 {
-		t.Fatalf("cache len %d, want 3", c.len())
+	if n := p.Cache().Len(); n != 3 {
+		t.Fatalf("memo holds %d scores, want 3 (bounded)", n)
 	}
 	// oldest (0, 1) evicted; 2, 3, 4 remain
-	if _, ok := c.get(key(0)); ok {
-		t.Fatal("key 0 should be evicted")
+	if _, ok := p.Cache().LookupVerdict(imaging.ContentKey(frames[0])); ok {
+		t.Fatal("frame 0 should be evicted")
 	}
-	if v, ok := c.get(key(4)); !ok || !v { // 4 was stored with verdict true
-		t.Fatalf("key 4: %v %v", v, ok)
+	got, ok := p.Cache().LookupVerdict(imaging.ContentKey(frames[4]))
+	if want := p.Classify(frames[4]); !ok || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("frame 4 memoized (%v, %v), model scores %v", got, ok, want)
 	}
-	// overwrite existing key keeps size
-	c.put(key(4), false)
-	if v, _ := c.get(key(4)); v {
-		t.Fatal("overwrite failed")
+	classified, hits := p.Stats().Classified, p.Stats().CacheHits
+	p.InspectFrame("src", frames[4])
+	if s := p.Stats(); s.Classified != classified || s.CacheHits != hits+1 {
+		t.Fatalf("memoized frame re-ran the model (%+v)", s)
 	}
-	if c.len() != 3 {
-		t.Fatal("overwrite changed size")
+	p.InspectFrame("src", frames[0])
+	if s := p.Stats(); s.Classified != classified+1 {
+		t.Fatalf("evicted frame did not re-run the model (%+v)", s)
 	}
 }
 
@@ -344,61 +346,65 @@ func TestClassifyBatchChunking(t *testing.T) {
 	}
 }
 
-// TestVerdictCacheZeroAndNegativeCapacity pins the fix for the mod-by-zero
-// panic: a cache constructed with max <= 0 must behave as "memoization
-// disabled" (put is a no-op, get always misses) instead of dividing by the
-// empty ring length on the first eviction.
+// TestVerdictCacheZeroAndNegativeCapacity pins the one capacity rule: a
+// CacheSize of 0 is the default store, a negative one is refused by New with
+// an error that names it, and DisableCache is the off switch — no store,
+// every sighting runs the model.
 func TestVerdictCacheZeroAndNegativeCapacity(t *testing.T) {
-	key := func(i int) [32]byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(i))
-		return sha256.Sum256(b[:])
+	cfg := squeezenet.SmallConfig(16)
+	net, err := squeezenet.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, max := range []int{0, -1, -4096} {
-		c := newVerdictCache(max)
-		for i := 0; i < 4; i++ {
-			c.put(key(i), true) // must not panic
+	for _, size := range []int{-1, -4096} {
+		_, err := New(net, cfg, Options{CacheSize: size})
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(size)) {
+			t.Fatalf("CacheSize %d: New returned %v, want an error naming the size", size, err)
 		}
-		if c.len() != 0 {
-			t.Fatalf("max=%d: cache stored %d entries, want 0", max, c.len())
-		}
-		if _, ok := c.get(key(0)); ok {
-			t.Fatalf("max=%d: get hit on a disabled cache", max)
-		}
+	}
+	f := adLike(t)
+	p := testService(t, Options{Mode: Synchronous})
+	p.InspectFrame("src", f)
+	p.InspectFrame("src", f)
+	if s := p.Stats(); s.Classified != 1 || s.CacheHits != 1 || p.Cache().Len() != 1 {
+		t.Fatalf("default cache: %+v, %d memoized; want 1 model run and 1 hit", s, p.Cache().Len())
+	}
+	off := testService(t, Options{Mode: Synchronous, DisableCache: true})
+	off.InspectFrame("src", f)
+	off.InspectFrame("src", f)
+	if s := off.Stats(); s.Classified != 2 || s.CacheHits != 0 || off.Cache() != nil {
+		t.Fatalf("DisableCache: %+v, store %v; want 2 model runs, no hit, no store", s, off.Cache())
 	}
 }
 
-// TestVerdictCacheFIFOOrderDeterministic drives the ring through several
-// wrap-arounds and checks that eviction is exactly insertion-ordered: after
-// inserting keys 0..n-1 into a cache of capacity c, precisely the last c
-// keys remain, for every prefix length.
+// TestVerdictCacheFIFOOrderDeterministic drives the memo's ring through
+// several wrap-arounds and checks that eviction is exactly insertion-ordered:
+// after inspecting frames 0..n-1 with a capacity of c, precisely the last c
+// are memoized, each under its model score, for every prefix length.
 func TestVerdictCacheFIFOOrderDeterministic(t *testing.T) {
 	const capacity = 4
-	key := func(i int) [32]byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(i))
-		return sha256.Sum256(b[:])
+	p := testService(t, Options{Mode: Synchronous, CacheSize: capacity})
+	frames := synth.SampleFrames(47, 3*capacity+1)
+	want := make([]float64, len(frames))
+	for i, f := range frames {
+		want[i] = p.Classify(f)
 	}
-	c := newVerdictCache(capacity)
-	for i := 0; i < 3*capacity+1; i++ {
-		c.put(key(i), i%2 == 0)
-		oldest := i + 1 - capacity
-		if oldest < 0 {
-			oldest = 0
-		}
+	for i, f := range frames {
+		p.InspectFrame("src", f)
+		oldest := max(i+1-capacity, 0)
 		for j := 0; j <= i; j++ {
-			v, ok := c.get(key(j))
+			v, ok := p.Cache().LookupVerdict(imaging.ContentKey(frames[j]))
 			if j < oldest {
 				if ok {
-					t.Fatalf("after %d inserts: key %d should be FIFO-evicted", i+1, j)
+					t.Fatalf("after %d inspections: frame %d should be FIFO-evicted", i+1, j)
 				}
 				continue
 			}
 			if !ok {
-				t.Fatalf("after %d inserts: key %d missing (oldest live %d)", i+1, j, oldest)
+				t.Fatalf("after %d inspections: frame %d missing (oldest live %d)", i+1, j, oldest)
 			}
-			if v != (j%2 == 0) {
-				t.Fatalf("key %d verdict corrupted", j)
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("frame %d memoized %v, model scores %v", j, v, want[j])
 			}
 		}
 	}

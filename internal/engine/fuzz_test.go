@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"percival/internal/synth"
@@ -124,6 +125,71 @@ func FuzzWireMsg(f *testing.F) {
 			} else if len(resp.scores) != resp.count {
 				t.Fatalf("%d scores for count %d", len(resp.scores), resp.count)
 			}
+		}
+	})
+}
+
+// FuzzRestoreCache drives VerdictMap.Restore — the -cache-file decoder —
+// with arbitrary bytes. The daemon reads the snapshot at start-up from a
+// file a crash, a full disk or an operator may have left in any shape, so
+// the contract is: never a panic, never more entries reported than the input
+// holds complete, never more stored than the store's capacity, and a clean
+// decode keeps every score bit for bit and snapshots back to bytes that
+// restore to the same store.
+func FuzzRestoreCache(f *testing.F) {
+	src := NewVerdictMap(0)
+	for i := 0; i < 5; i++ {
+		src.StoreVerdict(verdictKey(i), float64(i)/7)
+	}
+	var valid bytes.Buffer
+	if _, err := src.Snapshot(&valid); err != nil {
+		f.Fatal(err)
+	}
+	seed := func(edit func(b []byte) []byte) {
+		f.Add(edit(append([]byte{}, valid.Bytes()...)))
+	}
+	seed(func(b []byte) []byte { return b })
+	seed(func(b []byte) []byte { return b[:len(b)-snapshotEntry/2] }) // cut mid-entry
+	seed(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[6:], 0xffffffff); return b })
+	seed(func(b []byte) []byte { copy(b, "XXXX"); return b })
+	seed(func(b []byte) []byte { binary.LittleEndian.PutUint16(b[4:], 2); return b })
+	f.Add([]byte{})
+
+	const capacity = 8
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := NewVerdictMap(capacity)
+		n, err := m.Restore(bytes.NewReader(data))
+		if complete := max(len(data)-snapshotHeader, 0) / snapshotEntry; n > complete {
+			t.Fatalf("restored %d entries from %d bytes (%d complete entries)", n, len(data), complete)
+		}
+		if m.Len() > capacity {
+			t.Fatalf("store holds %d entries, capacity %d", m.Len(), capacity)
+		}
+		if err != nil {
+			return
+		}
+		// the last score stored under a key is the one kept
+		last := map[[32]byte]uint64{}
+		for i := 0; i < n; i++ {
+			e := data[snapshotHeader+i*snapshotEntry:]
+			last[[32]byte(e[:32])] = binary.LittleEndian.Uint64(e[32:])
+		}
+		if len(last) <= capacity {
+			for k, bits := range last {
+				if v, ok := m.LookupVerdict(k); !ok || math.Float64bits(v) != bits {
+					t.Fatalf("key %x restored (%v, %v), want bits %#x", k[:4], v, ok, bits)
+				}
+			}
+		}
+		var a, b bytes.Buffer
+		m.Snapshot(&a)
+		again := NewVerdictMap(capacity)
+		if _, err := again.Restore(bytes.NewReader(a.Bytes())); err != nil {
+			t.Fatalf("own snapshot refused: %v", err)
+		}
+		again.Snapshot(&b)
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("snapshot -> restore -> snapshot changed the bytes")
 		}
 	})
 }

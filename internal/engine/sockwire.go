@@ -578,75 +578,13 @@ func resolveWireAddr(httpHost, wireAddr string) string {
 }
 
 // VerdictCache answers wire hash probes and absorbs wire-scored verdicts.
-// serve.Server implements it over the sharded serving cache; VerdictMap is
-// the standalone implementation for peers without a serving edge.
+// VerdictMap implements it: a peer with a serving edge hands the listener
+// the serve.Server's own store, a bare model process a store of its own.
 type VerdictCache interface {
 	// LookupVerdict reports a memoized score by imaging.ContentKey.
 	LookupVerdict(key [32]byte) (float64, bool)
 	// StoreVerdict memoizes a freshly-scored verdict.
 	StoreVerdict(key [32]byte, score float64)
-}
-
-// VerdictMap is a bounded FIFO-evicting VerdictCache for wire peers that
-// have no serve.Server (benchmarks, bare model processes). Safe for
-// concurrent use.
-type VerdictMap struct {
-	mu    sync.Mutex
-	max   int
-	m     map[[32]byte]float64
-	order [][32]byte
-	next  int
-}
-
-// NewVerdictMap builds a cache bounded to max entries (default 4096).
-func NewVerdictMap(max int) *VerdictMap {
-	if max <= 0 {
-		max = 4096
-	}
-	return &VerdictMap{max: max, m: make(map[[32]byte]float64, max)}
-}
-
-// LookupVerdict implements VerdictCache.
-func (v *VerdictMap) LookupVerdict(key [32]byte) (float64, bool) {
-	v.mu.Lock()
-	s, ok := v.m[key]
-	v.mu.Unlock()
-	return s, ok
-}
-
-// StoreVerdict implements VerdictCache with FIFO eviction.
-func (v *VerdictMap) StoreVerdict(key [32]byte, score float64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, exists := v.m[key]; exists {
-		v.m[key] = score
-		return
-	}
-	if len(v.m) >= v.max {
-		old := v.order[v.next%len(v.order)]
-		delete(v.m, old)
-		v.order[v.next%len(v.order)] = key
-		v.next++
-	} else {
-		v.order = append(v.order, key)
-	}
-	v.m[key] = score
-}
-
-// Reset drops every memoized verdict (rotation epochs, benchmarks).
-func (v *VerdictMap) Reset() {
-	v.mu.Lock()
-	clear(v.m)
-	v.order = v.order[:0]
-	v.next = 0
-	v.mu.Unlock()
-}
-
-// Len reports the number of memoized verdicts.
-func (v *VerdictMap) Len() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.m)
 }
 
 // WireServerStats is the wire listener's counter snapshot (/metrics).

@@ -397,35 +397,6 @@ func TestResolveWireAddr(t *testing.T) {
 	}
 }
 
-// TestVerdictMap: bounded FIFO semantics, update-in-place, reset.
-func TestVerdictMap(t *testing.T) {
-	m := NewVerdictMap(3)
-	key := func(i byte) [32]byte { var k [32]byte; k[0] = i; return k }
-	for i := byte(0); i < 5; i++ {
-		m.StoreVerdict(key(i), float64(i))
-	}
-	if m.Len() != 3 {
-		t.Fatalf("len %d, want 3 (bounded)", m.Len())
-	}
-	if _, ok := m.LookupVerdict(key(0)); ok {
-		t.Fatal("oldest entry not evicted")
-	}
-	if v, ok := m.LookupVerdict(key(4)); !ok || v != 4 {
-		t.Fatalf("newest entry %v %v", v, ok)
-	}
-	m.StoreVerdict(key(4), 9) // update must not evict
-	if m.Len() != 3 {
-		t.Fatalf("update grew the map to %d", m.Len())
-	}
-	if v, _ := m.LookupVerdict(key(4)); v != 9 {
-		t.Fatalf("update not applied: %v", v)
-	}
-	m.Reset()
-	if m.Len() != 0 {
-		t.Fatalf("reset left %d entries", m.Len())
-	}
-}
-
 // TestWarmProbeChunkAllocBudget pins the garbage one warm chunk costs end
 // to end: fleet dispatch (hedge-armed, two peers) -> congestion window ->
 // socket round trip -> the peer's probe answer from its verdict cache ->

@@ -54,7 +54,7 @@ func (b *gatedBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64) [
 // stubScore is the gated backend's verdict: a pure function of the frame's
 // content, so a test can demand it back bit for bit.
 func stubScore(f *imaging.Bitmap) float64 {
-	k := hashFrame(f)
+	k := imaging.ContentKey(f)
 	return float64(binary.LittleEndian.Uint32(k[:4])) / (1 << 32)
 }
 
@@ -81,20 +81,17 @@ func (b *gatedBackend) noCall(t *testing.T) {
 	}
 }
 
-// inflight counts the leaders registered in the pending tables and the
-// followers coalesced behind them — every submission that has passed begin
-// and not yet resolved.
+// inflight counts the leaders registered in the shards' in-flight tables
+// and the followers coalesced behind them — every submission that has
+// passed begin and not yet resolved.
 func inflight(s *Server) (leaders, followers int) {
 	for _, sh := range s.shards {
-		for i := range sh.cache.shards {
-			cs := &sh.cache.shards[i]
-			cs.mu.Lock()
-			for _, r := range cs.pending {
-				leaders++
-				followers += len(r.followers)
-			}
-			cs.mu.Unlock()
+		sh.mu.Lock()
+		for _, r := range sh.pending {
+			leaders++
+			followers += len(r.followers)
 		}
+		sh.mu.Unlock()
 	}
 	return leaders, followers
 }

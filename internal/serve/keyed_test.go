@@ -180,6 +180,33 @@ func TestUnkeyedBackendGetsInferBatchInto(t *testing.T) {
 	}
 }
 
+// startWirePeer stands up a wire-v2 peer the way percival-serve
+// -wire-listen mounts it — a replica of svc's engine behind the socket
+// listener, probes answered from cache — and dials it over the socket. The
+// caller owns the returned remote (a fleet built over it closes it).
+func startWirePeer(t *testing.T, svc *core.Percival, cache engine.VerdictCache) (*engine.WireServer, *engine.RemoteBackend) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerEngine := svc.Engine().Replicate()
+	t.Cleanup(peerEngine.Close)
+	ws := engine.NewWireServer(engine.WireServerOptions{Backend: peerEngine, Cache: cache})
+	go ws.Serve(ln)
+	t.Cleanup(ws.Close)
+	mux := http.NewServeMux()
+	mux.Handle("POST /classify/batch", engine.BatchHandler(nil, peerEngine))
+	mux.Handle("GET /modelz", engine.ModelzHandlerWire(nil, peerEngine, svc.Threshold(), ln.Addr().String()))
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{ExpectRes: svc.InputRes(), Transport: "socket"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws, rb
+}
+
 // TestServeOverWireAnswersFromProbeAlone is the daemon's front tier end to
 // end: serve -> CanaryBackend -> Fleet -> a real wire-v2 peer whose verdict
 // cache already holds every frame under imaging.ContentKey. Every Submit is
@@ -195,26 +222,7 @@ func TestServeOverWireAnswersFromProbeAlone(t *testing.T) {
 	for i, f := range frames {
 		cache.StoreVerdict(imaging.ContentKey(f), want[i])
 	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	peerEngine := svc.Engine().Replicate()
-	defer peerEngine.Close()
-	ws := engine.NewWireServer(engine.WireServerOptions{Backend: peerEngine, Cache: cache})
-	go ws.Serve(ln)
-	defer ws.Close()
-	mux := http.NewServeMux()
-	mux.Handle("POST /classify/batch", engine.BatchHandler(nil, peerEngine))
-	mux.Handle("GET /modelz", engine.ModelzHandlerWire(nil, peerEngine, svc.Threshold(), ln.Addr().String()))
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{ExpectRes: svc.InputRes(), Transport: "socket"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws, rb := startWirePeer(t, svc, cache)
 	fleet, err := engine.NewFleet([]*engine.RemoteBackend{rb}, engine.FleetOptions{})
 	if err != nil {
 		t.Fatal(err)

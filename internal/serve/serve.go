@@ -11,10 +11,10 @@
 //
 //   - dispatch sharding: submissions are partitioned by content-hash range
 //     over Options.Shards independent shards, each owning its own queue,
-//     coalescing batcher, verdict-cache slice, and backend replica (own
-//     arena pool — shards never contend for inference state);
-//   - a sharded verdict cache keyed by frame content hash with shard
-//     affinity: a creative's verdict lives exactly where its repeats route;
+//     coalescing batcher, in-flight table, and backend replica (own arena
+//     pool — shards never contend for inference state);
+//   - a verdict cache keyed by frame content hash: one engine.VerdictMap
+//     per server, split into lock domains of its own;
 //   - in-flight request coalescing: a frame identical to one already being
 //     classified attaches to the in-flight request instead of queueing a
 //     duplicate model run (ad creatives repeat — that is the point);
@@ -58,7 +58,7 @@ type Status uint8
 const (
 	// StatusClassified: the model scored this frame (it led a batch slot).
 	StatusClassified Status = iota
-	// StatusCached: the verdict came from the sharded content-hash cache.
+	// StatusCached: the verdict came from the content-hash cache.
 	StatusCached
 	// StatusCoalesced: an identical frame was already in flight; this
 	// request attached to it and shares its verdict.
@@ -112,18 +112,15 @@ type Options struct {
 	// Deadline sheds requests that waited longer than this before their
 	// batch was dispatched (0 disables shedding).
 	Deadline time.Duration
-	// CacheSize bounds the verdict cache in total entries across all
-	// shards (default 4096).
+	// CacheSize bounds the verdict cache in entries (default 4096). A
+	// negative size is an error; DisableCache is the off switch.
 	CacheSize int
-	// CacheShards is the lock-domain count per dispatch shard, rounded up
-	// to a power of two (default 16).
-	CacheShards int
 	// DisableCache turns verdict memoization off. In-flight coalescing
 	// stays active.
 	DisableCache bool
 	// Shards is the number of independent dispatch shards; submissions are
 	// partitioned by content-hash range, each shard owning its own queue,
-	// batcher, verdict-cache slice, and backend replica (default 1).
+	// batcher, in-flight table, and backend replica (default 1).
 	Shards int
 	// PinLanes dedicates one core-pinned dispatch lane to each shard,
 	// ndn-dpdk lcore style: exactly one worker per shard, locked to its OS
@@ -159,12 +156,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth == 0 {
 		o.QueueDepth = 4 * o.Workers * o.MaxBatch
 	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 4096
-	}
-	if o.CacheShards == 0 {
-		o.CacheShards = 16
-	}
 	return o
 }
 
@@ -173,7 +164,7 @@ func (o Options) withDefaults() Options {
 type Metrics struct {
 	// Submitted counts every Submit/SubmitAsync call.
 	Submitted metrics.Counter
-	// CacheHits counts verdicts served from the sharded cache.
+	// CacheHits counts verdicts served from the cache.
 	CacheHits metrics.Counter
 	// Coalesced counts requests that attached to an in-flight duplicate.
 	Coalesced metrics.Counter
@@ -247,23 +238,28 @@ func (m *Metrics) Expose() string {
 // no heap allocation.
 type request struct {
 	frame     *imaging.Bitmap
-	key       frameKey
+	key       [32]byte // imaging.ContentKey(frame), hashed once in begin
 	enq       time.Time
 	score     float64
 	status    Status
 	done      chan struct{} // buffered(1): resolver never blocks
-	followers []*request    // coalesced duplicates, guarded by the key's shard lock
+	followers []*request    // coalesced duplicates, guarded by the shard's mu
 }
 
 // shard is one independent dispatch lane: a content-hash range of the key
-// space with its own submit queue, coalescing batcher, verdict-cache
-// slice, and backend replica. A shard's arena state is its own — two
-// shards never contend for inference buffers.
+// space with its own submit queue, coalescing batcher, in-flight table, and
+// backend replica. A shard's arena state is its own — two shards never
+// contend for inference buffers.
 type shard struct {
 	srv     *Server
 	id      int
 	backend engine.Backend
-	cache   *shardedCache
+
+	// mu guards pending, the in-flight leader per key: a submission of a
+	// frame that is already being scored attaches to it as a follower
+	// instead of queueing a duplicate model run.
+	mu      sync.Mutex
+	pending map[[32]byte]*request
 
 	queue       chan *request
 	batches     chan []*request
@@ -278,6 +274,7 @@ type Server struct {
 	opts   Options
 	adm    *AdmissionController // Options.Policy; nil without admission control
 	shards []*shard
+	cache  *engine.VerdictMap // nil (holds nothing) with DisableCache
 
 	// partitionedPool records that New partitioned the tensor worker pool
 	// for pinned lanes; Close restores the unpartitioned default.
@@ -317,6 +314,9 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("serve: Shards %d < 1", opts.Shards)
 	}
+	if opts.CacheSize < 0 {
+		return nil, fmt.Errorf("serve: CacheSize %d < 0", opts.CacheSize)
+	}
 	backend := opts.Backend
 	if backend == nil {
 		backend = svc.Engine()
@@ -325,6 +325,9 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 		svc:  svc,
 		opts: opts,
 		adm:  opts.Policy,
+	}
+	if !opts.DisableCache {
+		s.cache = engine.NewVerdictMap(opts.CacheSize)
 	}
 	s.met.BatchFill = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64})
 	s.met.LatencyMS = metrics.NewHistogram(nil)
@@ -368,17 +371,13 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 	}
 	workers := perShard(opts.Workers)
 	queueDepth := perShard(opts.QueueDepth)
-	cacheSize := perShard(opts.CacheSize)
-	if opts.DisableCache {
-		cacheSize = 0
-	}
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
 		sh := &shard{
 			srv:         s,
 			id:          i,
 			backend:     backend.Replicate(),
-			cache:       newShardedCache(opts.CacheShards, cacheSize),
+			pending:     map[[32]byte]*request{},
 			queue:       make(chan *request, queueDepth),
 			batches:     make(chan []*request),
 			freeBatches: make(chan []*request, workers+2),
@@ -397,9 +396,8 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 // shardFor partitions the key space by content-hash range: the leading 4
 // bytes of the (uniform, cryptographic) hash are treated as a fixed-point
 // fraction of the keyspace and scaled to the shard count, so the same
-// content hash always routes to the same shard regardless of shard-internal
-// cache geometry.
-func (s *Server) shardFor(k frameKey) *shard {
+// content hash always routes to the same shard and its in-flight table.
+func (s *Server) shardFor(k [32]byte) *shard {
 	hi := uint64(binary.BigEndian.Uint32(k[0:4]))
 	return s.shards[int(hi*uint64(len(s.shards))>>32)]
 }
@@ -478,46 +476,17 @@ func (s *Server) Warm() {
 	}
 }
 
-// CacheLen reports the number of memoized verdicts across all shards.
-func (s *Server) CacheLen() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.cache.len()
-	}
-	return n
-}
+// Cache returns the verdict store Submit reads and fills, nil with
+// DisableCache. The daemon's wire listener answers hash probes from it and
+// stores wire-scored verdicts in it, so a creative the daemon has already
+// scored never pulls pixels over the wire again; -cache-file snapshots it.
+func (s *Server) Cache() *engine.VerdictMap { return s.cache }
 
-// LookupVerdict reports a memoized verdict by its imaging.ContentKey —
-// the read half of engine.VerdictCache. The wire listener answers hash
-// probes from the same sharded cache /classify fills, so a creative this
-// daemon has already scored never pulls pixels over the wire again.
-func (s *Server) LookupVerdict(key [32]byte) (float64, bool) {
-	k := frameKey(key)
-	ch := s.shardFor(k).cache.shard(k)
-	ch.mu.Lock()
-	v, ok := ch.m[k]
-	ch.mu.Unlock()
-	return v, ok
-}
-
-// StoreVerdict memoizes a verdict scored on behalf of a wire peer — the
-// write half of engine.VerdictCache. Routed through the same shard geometry
-// as Submit, so wire-scored and locally-scored verdicts share one bounded
-// cache.
-func (s *Server) StoreVerdict(key [32]byte, score float64) {
-	k := frameKey(key)
-	ch := s.shardFor(k).cache.shard(k)
-	ch.mu.Lock()
-	ch.put(k, score)
-	ch.mu.Unlock()
-}
+// CacheLen reports the number of memoized verdicts.
+func (s *Server) CacheLen() int { return s.cache.Len() }
 
 // ResetCache drops all memoized verdicts (creative-rotation epoch).
-func (s *Server) ResetCache() {
-	for _, sh := range s.shards {
-		sh.cache.reset()
-	}
-}
+func (s *Server) ResetCache() { s.cache.Reset() }
 
 // result materializes a Result from a resolved request.
 func (s *Server) result(r *request) Result {
@@ -528,7 +497,7 @@ func (s *Server) result(r *request) Result {
 }
 
 // getRequest checks a pooled request out for one submission.
-func (s *Server) getRequest(frame *imaging.Bitmap, key frameKey) *request {
+func (s *Server) getRequest(frame *imaging.Bitmap, key [32]byte) *request {
 	r := s.reqPool.Get().(*request)
 	r.frame = frame
 	r.key = key
@@ -544,14 +513,19 @@ func (s *Server) putRequest(r *request) {
 	s.reqPool.Put(r)
 }
 
-// begin starts one submission: shard routing, cache lookup, in-flight
+// begin starts one submission: cache lookup, shard routing, in-flight
 // coalescing, or leader enqueue. It returns either an immediate result
 // (ok=true) or the request to wait on.
+//
+// A miss looks the cache up a second time under the shard's lock before it
+// registers as leader, and resolve stores a score before it takes the
+// leader out of the in-flight table under that lock: a submission either
+// finds the leader and follows it or finds its score, and never starts a
+// second model run for a key that is being resolved.
 func (s *Server) begin(frame *imaging.Bitmap) (Result, bool, *request) {
 	s.met.Submitted.Inc()
-	key := hashFrame(frame)
+	key := imaging.ContentKey(frame)
 	shd := s.shardFor(key)
-	ch := shd.cache.shard(key)
 
 	s.closeMu.RLock()
 	if s.closed {
@@ -560,23 +534,29 @@ func (s *Server) begin(frame *imaging.Bitmap) (Result, bool, *request) {
 		return Result{Status: StatusShed}, true, nil
 	}
 
-	ch.mu.Lock()
-	if v, ok := ch.m[key]; ok {
-		ch.mu.Unlock()
+	v, hit := s.cache.LookupVerdict(key)
+	if !hit {
+		shd.mu.Lock()
+		if v, hit = s.cache.LookupVerdict(key); hit {
+			shd.mu.Unlock()
+		}
+	}
+	if hit {
 		s.closeMu.RUnlock()
 		s.met.CacheHits.Inc()
 		return Result{Score: v, Ad: v >= s.svc.Threshold(), Status: StatusCached}, true, nil
 	}
-	if leader, ok := ch.pending[key]; ok {
+	// a miss holds shd.mu from here
+	if leader, ok := shd.pending[key]; ok {
 		f := s.getRequest(nil, key)
 		leader.followers = append(leader.followers, f)
-		ch.mu.Unlock()
+		shd.mu.Unlock()
 		s.closeMu.RUnlock()
 		return Result{}, false, f
 	}
 	r := s.getRequest(frame, key)
-	ch.pending[key] = r
-	ch.mu.Unlock()
+	shd.pending[key] = r
+	shd.mu.Unlock()
 
 	// Bounded queue with stage-graded admission. Normal operation blocks
 	// the submitter on a full queue (backpressure) — but never past the
@@ -870,19 +850,13 @@ func (sh *shard) worker(pin bool) {
 }
 
 // resolve publishes a model verdict: memoize, release the in-flight slot,
-// fan the score out to coalesced followers, wake the leader.
+// fan the score out to coalesced followers, wake the leader. The score is
+// stored before the slot is released (see begin).
 func (sh *shard) resolve(r *request, score float64) {
 	s := sh.srv
 	s.met.LatencyMS.Observe(float64(time.Since(r.enq).Nanoseconds()) / 1e6)
-	ch := sh.cache.shard(r.key)
-	ch.mu.Lock()
-	ch.put(r.key, score)
-	if ch.pending[r.key] == r {
-		delete(ch.pending, r.key)
-	}
-	followers := r.followers
-	r.followers = nil
-	ch.mu.Unlock()
+	s.cache.StoreVerdict(r.key, score)
+	followers := sh.release(r)
 	for _, f := range followers {
 		f.score = score
 		f.status = StatusCoalesced
@@ -902,14 +876,7 @@ func (sh *shard) resolve(r *request, score float64) {
 func (sh *shard) resolveShed(r *request) int {
 	s := sh.srv
 	s.met.ShedWaitMS.Observe(float64(time.Since(r.enq).Nanoseconds()) / 1e6)
-	ch := sh.cache.shard(r.key)
-	ch.mu.Lock()
-	if ch.pending[r.key] == r {
-		delete(ch.pending, r.key)
-	}
-	followers := r.followers
-	r.followers = nil
-	ch.mu.Unlock()
+	followers := sh.release(r)
 	for _, f := range followers {
 		f.status = StatusShed
 		s.met.Shed.Inc()
@@ -919,6 +886,19 @@ func (sh *shard) resolveShed(r *request) int {
 	s.met.Shed.Inc()
 	r.done <- struct{}{}
 	return 1 + len(followers)
+}
+
+// release takes a leader out of the in-flight table and hands back the
+// followers that attached to it; none can attach after it returns.
+func (sh *shard) release(r *request) []*request {
+	sh.mu.Lock()
+	if sh.pending[r.key] == r {
+		delete(sh.pending, r.key)
+	}
+	followers := r.followers
+	r.followers = nil
+	sh.mu.Unlock()
+	return followers
 }
 
 // Close drains the service: it waits for in-flight submitters, stops every

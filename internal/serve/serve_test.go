@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +47,19 @@ func TestNewValidatesInputs(t *testing.T) {
 	}
 	if _, err := New(testCore(t, core.Options{}), Options{MaxBatch: -1}); err == nil {
 		t.Fatal("negative MaxBatch must be rejected")
+	}
+	// a negative cache size is refused by name; 0 is the default store
+	for _, size := range []int{-1, -4096} {
+		_, err := New(testCore(t, core.Options{}), Options{CacheSize: size})
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(size)) {
+			t.Fatalf("CacheSize %d: New returned %v, want an error naming the size", size, err)
+		}
+	}
+	s := testServer(t, core.Options{}, Options{Workers: 1})
+	f := synth.SampleFrames(13, 1)[0]
+	s.Submit(f)
+	if r := s.Submit(f); r.Status != StatusCached {
+		t.Fatalf("CacheSize 0: repeat resolved %v, want cached from the default store", r.Status)
 	}
 }
 
@@ -144,26 +158,26 @@ func TestCacheHitSkipsModel(t *testing.T) {
 	}
 }
 
-// TestVerdictCacheView: the engine.VerdictCache view over the serving
-// cache (LookupVerdict/StoreVerdict, keyed by imaging.ContentKey) must be
-// the same store Submit memoizes into — that identity is what lets a wire
-// peer answer a remote front's hash probe from verdicts the local serving
-// edge already produced, and vice versa.
+// TestVerdictCacheView: the store Cache returns (the engine.VerdictCache the
+// daemon hands its wire listener, keyed by imaging.ContentKey) must be the
+// same store Submit memoizes into — that identity is what lets a wire peer
+// answer a remote front's hash probe from verdicts the local serving edge
+// already produced, and vice versa.
 func TestVerdictCacheView(t *testing.T) {
 	s := testServer(t, core.Options{}, Options{Workers: 1})
 	f := synth.SampleFrames(29, 1)[0]
-	if _, ok := s.LookupVerdict(imaging.ContentKey(f)); ok {
+	if _, ok := s.Cache().LookupVerdict(imaging.ContentKey(f)); ok {
 		t.Fatal("verdict visible before any classification")
 	}
 	r := s.Submit(f)
-	v, ok := s.LookupVerdict(imaging.ContentKey(f))
+	v, ok := s.Cache().LookupVerdict(imaging.ContentKey(f))
 	if !ok || v != r.Score {
 		t.Fatalf("LookupVerdict (%v, %v) after Submit scored %v", v, ok, r.Score)
 	}
 
 	// a wire-stored verdict must serve later Submits as a cache hit
 	g := synth.SampleFrames(31, 1)[0]
-	s.StoreVerdict(imaging.ContentKey(g), 0.625)
+	s.Cache().StoreVerdict(imaging.ContentKey(g), 0.625)
 	res := s.Submit(g)
 	if res.Status != StatusCached || res.Score != 0.625 {
 		t.Fatalf("Submit after StoreVerdict got %+v, want cached 0.625", res)
@@ -388,7 +402,7 @@ func TestSteadyStateSubmitDoesNotAllocate(t *testing.T) {
 func TestRaceStress(t *testing.T) {
 	s, err := New(testCore(t, core.Options{}), Options{
 		Workers: 4, MaxBatch: 4,
-		QueueDepth: 32, Deadline: time.Second, CacheSize: 64, CacheShards: 4,
+		QueueDepth: 32, Deadline: time.Second, CacheSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

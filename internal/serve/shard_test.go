@@ -8,6 +8,7 @@ import (
 
 	"percival/internal/core"
 	"percival/internal/engine"
+	"percival/internal/imaging"
 	"percival/internal/synth"
 )
 
@@ -21,17 +22,17 @@ func TestShardRoutingDeterminism(t *testing.T) {
 	}
 	frames := synth.SampleFrames(43, 32)
 	for i, f := range frames {
-		k := hashFrame(f)
+		k := imaging.ContentKey(f)
 		first := s.shardFor(k)
 		for rep := 0; rep < 3; rep++ {
-			if got := s.shardFor(hashFrame(f)); got != first {
+			if got := s.shardFor(imaging.ContentKey(f)); got != first {
 				t.Fatalf("frame %d: shard flapped %d -> %d", i, first.id, got.id)
 			}
 		}
 	}
 	seen := map[int]bool{}
 	for _, f := range frames {
-		seen[s.shardFor(hashFrame(f)).id] = true
+		seen[s.shardFor(imaging.ContentKey(f)).id] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("32 distinct creatives landed on %d shard(s); range partition is degenerate", len(seen))
@@ -146,7 +147,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 		want[i] = src.Submit(f)
 	}
 	var buf bytes.Buffer
-	n, err := src.SnapshotCache(&buf)
+	n, err := src.Cache().Snapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +155,9 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot wrote %d entries, want %d", n, len(frames))
 	}
 
-	// restore into a fresh server with different shard/cache geometry
-	dst := testServer(t, core.Options{}, Options{Shards: 3, Workers: 3, CacheShards: 4})
-	m, err := dst.RestoreCache(bytes.NewReader(buf.Bytes()))
+	// restore into a fresh server with a different shard and cache geometry
+	dst := testServer(t, core.Options{}, Options{Shards: 3, Workers: 3, CacheSize: 64})
+	m, err := dst.Cache().Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +182,13 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 
 	// corrupt magic must be rejected
 	bad := append([]byte("XXXX"), buf.Bytes()[4:]...)
-	if _, err := dst.RestoreCache(bytes.NewReader(bad)); err == nil {
+	if _, err := dst.Cache().Restore(bytes.NewReader(bad)); err == nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
 
 	// a DisableCache server restores nothing and must say so
 	off := testServer(t, core.Options{}, Options{Workers: 1, DisableCache: true})
-	if k, err := off.RestoreCache(bytes.NewReader(buf.Bytes())); err != nil || k != 0 {
+	if k, err := off.Cache().Restore(bytes.NewReader(buf.Bytes())); err != nil || k != 0 {
 		t.Fatalf("DisableCache restore reported (%d, %v), want (0, nil)", k, err)
 	}
 	if off.CacheLen() != 0 {
@@ -202,7 +203,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 func TestMultiShardRaceStress(t *testing.T) {
 	s, err := New(testCore(t, core.Options{}), Options{
 		Shards: 4, Workers: 4, MaxBatch: 4,
-		QueueDepth: 32, Deadline: time.Second, CacheSize: 64, CacheShards: 4,
+		QueueDepth: 32, Deadline: time.Second, CacheSize: 64,
 		Policy: NewAdmissionController(AdmissionOptions{}),
 	})
 	if err != nil {
@@ -232,7 +233,7 @@ func TestMultiShardRaceStress(t *testing.T) {
 					s.ResetCache()
 				case i%16 == 5 && g == 2:
 					var buf bytes.Buffer
-					if _, err := s.SnapshotCache(&buf); err != nil {
+					if _, err := s.Cache().Snapshot(&buf); err != nil {
 						t.Errorf("snapshot under load: %v", err)
 					}
 				case i%16 == 0:
