@@ -10,8 +10,9 @@ FUZZTIME ?= 15s
 
 # internal/tensor benchmarks the bench targets run: the GEMM kernels alone
 # and the whole stages around them (pack from the image + GEMM + epilogue,
-# the first max pool, and the FP32 stem with that pool fused behind it).
-TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkMaxPoolU8_112x96
+# the first max pool, and each engine's stem with that pool fused behind it;
+# the INT8 stem reads RGBA bytes).
+TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkMaxPoolU8_112x96
 
 .PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile
 

@@ -49,9 +49,10 @@ func (b *FP32Backend) SizeBytes() int { return nn.SizeBytes(b.net) }
 func (b *FP32Backend) Replicate() Backend { return NewFP32(b.net, b.res) }
 
 // Int8Backend runs inference on the quantized INT8 engine. Frames reach the
-// network as bytes: each scaled pixel byte goes through the network's input
-// table (nn.QuantizedSequential.InputTable) straight into the quantized
-// planes, so no float tensor is built, and none sits in the warm state.
+// network as the scaled bitmaps' bytes: each frame is resized straight into
+// the input buffer, whose pixels the network's stem maps through its input
+// table as it reads them (nn.QuantizedSequential.PredictArenaU8), so no
+// float tensor and no planes are built, and none sits in the warm state.
 type Int8Backend struct {
 	base
 	qnet *nn.QuantizedSequential
@@ -62,17 +63,17 @@ type Int8Backend struct {
 func NewInt8(qnet *nn.QuantizedSequential, res int) *Int8Backend {
 	b := &Int8Backend{qnet: qnet}
 	per := 4 * res * res
-	lut := qnet.InputTable()
 	b.base = base{
 		name: Int8Name,
 		res:  res,
 		infer: func(st *inferState, chunk []*imaging.Bitmap) *tensor.Tensor {
-			x := st.arena.GetU8(len(chunk) * per)
+			pix := st.arena.GetU8(len(chunk) * per)
+			scaled := imaging.Bitmap{W: res, H: res}
 			for i, f := range chunk {
-				imaging.ResizeBilinearInto(f, st.scaled)
-				imaging.ToPlanesU8Into(st.scaled, lut, x[i*per:(i+1)*per])
+				scaled.Pix = pix[i*per : (i+1)*per]
+				imaging.ResizeBilinearInto(f, &scaled)
 			}
-			return qnet.PredictArenaU8(x, len(chunk), 4, res, res, st.arena)
+			return qnet.PredictArenaU8(pix, len(chunk), res, res, st.arena)
 		},
 	}
 	return b

@@ -138,12 +138,12 @@ type inferState struct {
 }
 
 // inferFn scores one chunk of frames (at most BatchChunk) with st's
-// buffers: it scales each frame into st.scaled, lays it out as the network's
-// input — float planes for FP32, quantized byte planes for INT8, the one
-// point where the engines differ — in a buffer drawn from st.arena, and runs
-// the forward pass, which returns that buffer to the arena once the first
-// layer has read it. The [len(chunk), classes] probabilities it hands back
-// are the caller's to PutTensor.
+// buffers: it scales each frame and lays it out as the network's input in a
+// buffer drawn from st.arena — float planes converted from st.scaled for
+// FP32, the scaled bitmaps' own bytes for INT8, the one point where the
+// engines differ — and runs the forward pass, which returns that buffer to
+// the arena once the first layer has read it. The [len(chunk), classes]
+// probabilities it hands back are the caller's to PutTensor.
 type inferFn func(st *inferState, chunk []*imaging.Bitmap) *tensor.Tensor
 
 // base carries the engine-independent machinery: warm states, chunking and

@@ -162,29 +162,6 @@ func ToTensorInto(b *Bitmap, dst []float32) {
 	}
 }
 
-// ToPlanesU8Into writes the [4,H,W] byte planes of one bitmap into dst
-// (length >= 4*H*W), each byte mapped through lut — ToTensorInto for a
-// network whose input is bytes: with lut[p] the quantization of p/255 it
-// yields what quantizing ToTensorInto's floats would, without the floats.
-func ToPlanesU8Into(b *Bitmap, lut *[256]uint8, dst []uint8) {
-	plane := b.H * b.W
-	if len(dst) < 4*plane {
-		panic("imaging: ToPlanesU8Into dst too small")
-	}
-	r := dst[:plane]
-	g := dst[plane : 2*plane]
-	bl := dst[2*plane : 3*plane]
-	a := dst[3*plane : 4*plane]
-	pix := b.Pix[:4*plane]
-	for pi := 0; pi < plane; pi++ {
-		px := pix[pi*4 : pi*4+4]
-		r[pi] = lut[px[0]]
-		g[pi] = lut[px[1]]
-		bl[pi] = lut[px[2]]
-		a[pi] = lut[px[3]]
-	}
-}
-
 // BatchToTensor stacks same-sized bitmaps into an [N,4,H,W] batch.
 func BatchToTensor(bs []*Bitmap) *tensor.Tensor {
 	if len(bs) == 0 {

@@ -14,9 +14,9 @@ import (
 // TestInputTableMatchesFloatPath pins the byte input path against the float
 // one it replaces. A frame's float tensor holds p·(1/255) for a pixel byte p
 // and the network quantizes that; the table is the composition, so for any
-// input parameters planes built through it must equal QuantizeU8 over
-// ToTensor's floats for all 256 bytes in every channel, and on the paper net
-// PredictArenaU8 over such planes must score bit for bit what PredictArena
+// input parameters it must map every byte in every channel to what
+// QuantizeU8 makes of ToTensor's float, and on the paper net PredictArenaU8
+// over the scaled bitmaps' bytes must score bit for bit what PredictArena
 // scores over the float tensor.
 func TestInputTableMatchesFloatPath(t *testing.T) {
 	// 256 pixels; channel c of pixel i is i+64c mod 256, so every channel
@@ -36,12 +36,9 @@ func TestInputTableMatchesFloatPath(t *testing.T) {
 			want := make([]uint8, len(floats.Data))
 			tensor.QuantizeU8(want, floats.Data, q)
 			lut := nn.InputTable(q)
-			got := make([]uint8, len(want))
-			imaging.ToPlanesU8Into(all, &lut, got)
 			for i := range want {
-				if got[i] != want[i] {
-					p := all.Pix[i%256*4+i/256]
-					t.Fatalf("%+v: byte %d → %d through the table, %d through ToTensor+QuantizeU8", q, p, got[i], want[i])
+				if p := all.Pix[i%256*4+i/256]; lut[p] != want[i] {
+					t.Fatalf("%+v: byte %d → %d through the table, %d through ToTensor+QuantizeU8", q, p, lut[p], want[i])
 				}
 			}
 		}
@@ -71,11 +68,11 @@ func TestInputTableMatchesFloatPath(t *testing.T) {
 	a := tensor.NewArena()
 	for _, n := range []int{1, batch} {
 		want := qnet.PredictArena(imaging.BatchToTensor(scaled[:n]), a)
-		planes := a.GetU8(n * per)
+		pix := a.GetU8(n * per)
 		for i, b := range scaled[:n] {
-			imaging.ToPlanesU8Into(b, qnet.InputTable(), planes[i*per:(i+1)*per])
+			copy(pix[i*per:(i+1)*per], b.Pix)
 		}
-		got := qnet.PredictArenaU8(planes, n, 4, res, res, a)
+		got := qnet.PredictArenaU8(pix, n, res, res, a)
 		if !got.SameShape(want) {
 			t.Fatalf("batch %d: shape %v from bytes, %v from floats", n, got.Shape, want.Shape)
 		}

@@ -36,12 +36,19 @@ type qOp interface {
 
 // QuantizedSequential is the INT8 counterpart of a Sequential restricted to
 // the inference-path layer vocabulary (Conv2D[+ReLU], Fire, MaxPool,
-// Dropout, final Conv2D, GlobalAvgPool). Build one with Quantize.
+// Dropout, final Conv2D, GlobalAvgPool) whose first layer is a convolution
+// over at most four channels. Build one with Quantize.
+//
+// That first convolution, and the max pool when one follows it, run as one
+// tensor.QStem reading the input as pixels — four bytes each, channel-minor,
+// as a bitmap holds them — so a frame's bytes go from the bitmap to the stem
+// through the input table without being split into planes.
 type QuantizedSequential struct {
 	inQ tensor.QuantParams
 	// inLUT is the whole input conversion for a pixel byte p: the float
 	// p·(1/255) a frame's tensor would hold, through QuantizeU8 with inQ.
 	inLUT   [256]uint8
+	stem    tensor.QStem
 	ops     []qOp
 	final   *qFinal
 	classes int
@@ -57,7 +64,7 @@ func (q *QuantizedSequential) InputQuant() tensor.QuantParams { return q.inQ }
 // per-channel requantization constants), the number that shrinks 4× from
 // the FP32 model.
 func (q *QuantizedSequential) SizeBytes() int {
-	total := 0
+	total := q.stem.W.Len() + 8*len(q.stem.RQ.Mult)
 	addConv := func(c *qConv) { total += c.wq.Len() + 8*len(c.rq.Mult) }
 	for _, op := range q.ops {
 		switch o := op.(type) {
@@ -73,13 +80,11 @@ func (q *QuantizedSequential) SizeBytes() int {
 	return total
 }
 
-// InputTable maps a pixel byte p straight to the network's quantized input
-// for the value p/255 that imaging.ToTensorInto would have produced: planes
-// built through it (imaging.ToPlanesU8Into) are PredictArenaU8's input, and
-// score exactly as the float tensor does through PredictArena.
-func (q *QuantizedSequential) InputTable() *[256]uint8 { return &q.inLUT }
-
-// inputTable is QuantizeU8 over ToTensorInto's 256 possible outputs.
+// inputTable maps a pixel byte p straight to the network's quantized input
+// for the value p/255 that imaging.ToTensorInto would have produced:
+// QuantizeU8 over ToTensorInto's 256 possible outputs. PredictArenaU8's stem
+// reads a frame's bytes through it, and so scores exactly as the float
+// tensor does through PredictArena.
 func inputTable(inQ tensor.QuantParams) (lut [256]uint8) {
 	const inv = float32(1) / 255 // imaging.ToTensorInto's
 	var vals [256]float32
@@ -92,20 +97,27 @@ func inputTable(inQ tensor.QuantParams) (lut [256]uint8) {
 
 // ForwardInfer runs a quantized forward pass drawing every buffer from a.
 // It accepts the same [N,C,H,W] float32 input as the FP32 path (quantization
-// happens at the entry) and returns arena-owned logits [N, classes]: copy
-// out what you need, then PutTensor.
+// happens at the entry, into the stem's pixel layout) and returns
+// arena-owned logits [N, classes]: copy out what you need, then PutTensor.
 func (q *QuantizedSequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("nn: QuantizedSequential: input shape %s, want [N,C,H,W]", shapeStr(x.Shape)))
+	if len(x.Shape) != 4 || x.Shape[1] != q.stem.Spec.InC {
+		panic(fmt.Sprintf("nn: QuantizedSequential: input shape %s, want [N,%d,H,W]", shapeStr(x.Shape), q.stem.Spec.InC))
 	}
-	xq := a.GetU8(len(x.Data))
-	tensor.QuantizeU8(xq, x.Data, q.inQ)
-	return q.forwardU8(qAct{data: xq, n: x.Shape[0], c: x.Shape[1], h: x.Shape[2], w: x.Shape[3]}, a)
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	pix := a.GetU8(n * h * w * 4)
+	tensor.QuantizePixelsU8(pix, x.Data, n, c, h*w, q.inQ)
+	return q.forward(pix, n, h, w, nil, a)
 }
 
-// forwardU8 runs the pass from an already quantized input, whose buffer is
-// a's and goes back to it once the first layer has read it.
-func (q *QuantizedSequential) forwardU8(cur qAct, a *tensor.Arena) *tensor.Tensor {
+// forward runs the pass on n h×w images of pixels (see tensor.QStem), each
+// byte through lut (nil: already quantized). pix is a's and goes back to it
+// once the stem has read it.
+func (q *QuantizedSequential) forward(pix []uint8, n, h, w int, lut *[256]uint8, a *tensor.Arena) *tensor.Tensor {
+	oh, ow := q.stem.OutSize(h, w)
+	y := a.GetU8(n * q.stem.Spec.OutC * oh * ow)
+	q.stem.ForwardInto(pix, n, h, w, lut, y, a)
+	a.PutU8(pix)
+	cur := qAct{data: y, n: n, c: q.stem.Spec.OutC, h: oh, w: ow}
 	for _, op := range q.ops {
 		cur = op.forward(cur, a)
 	}
@@ -127,15 +139,17 @@ func softmaxArena(logits *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	return probs
 }
 
-// PredictArenaU8 is PredictArena for an input that is already the network's
-// bytes: x holds [n,c,h,w] values quantized with InputQuant (for frames,
-// planes built through InputTable). x must come from a.GetU8; the pass
-// returns it there and the caller must not use it afterwards.
-func (q *QuantizedSequential) PredictArenaU8(x []uint8, n, c, h, w int, a *tensor.Arena) *tensor.Tensor {
-	if len(x) < n*c*h*w {
-		panic(fmt.Sprintf("nn: QuantizedSequential: %d input bytes, want [%d,%d,%d,%d]", len(x), n, c, h, w))
+// PredictArenaU8 is PredictArena for frames as they are decoded: pix holds n
+// h×w RGBA8 bitmaps back to back, 4 bytes a pixel, whose bytes the stem maps
+// through the network's input table as it reads them — what PredictArena
+// scores for the float tensor imaging.ToTensorInto makes of the same
+// bitmaps. pix must come from a.GetU8; the pass returns it there and the
+// caller must not use it afterwards.
+func (q *QuantizedSequential) PredictArenaU8(pix []uint8, n, h, w int, a *tensor.Arena) *tensor.Tensor {
+	if len(pix) < n*h*w*4 {
+		panic(fmt.Sprintf("nn: QuantizedSequential: %d pixel bytes, want %d bitmaps of %d×%d", len(pix), n, w, h))
 	}
-	return softmaxArena(q.forwardU8(qAct{data: x, n: n, c: c, h: h, w: w}, a), a)
+	return softmaxArena(q.forward(pix, n, h, w, &q.inLUT, a), a)
 }
 
 // qConv is a quantized convolution with bias and ReLU fused into the
@@ -310,16 +324,17 @@ func NewCalibrator(net *Sequential) (*Calibrator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Calibrator{nodes: nodes, final: finalConv, classes: classes, inC: finalConv.Spec.InC, arena: tensor.NewArena()}
-	for i := len(nodes) - 1; i >= 0; i-- { // the first convolution's; pools pass channels through
-		switch nd := nodes[i]; {
-		case nd.conv != nil:
-			c.inC = nd.conv.Spec.InC
-		case nd.fire != nil:
-			c.inC = nd.fire.Squeeze.Spec.InC
-		}
+	// The stem packs one input pixel's channels into one 4-byte quad of the
+	// quantized GEMM (see tensor.QStem).
+	if len(nodes) == 0 || nodes[0].conv == nil {
+		return nil, fmt.Errorf("nn: Quantize: the INT8 engine reads its input through a convolution with ReLU before the classifier, and the network does not start with one")
 	}
-	return c, nil
+	stem := nodes[0].conv
+	if stem.Spec.InC > 4 {
+		return nil, fmt.Errorf("nn: Quantize: first convolution %s reads %d input channels; the INT8 engine packs one input pixel's channels into a 4-byte quad, so it takes at most 4",
+			stem.Name(), stem.Spec.InC)
+	}
+	return &Calibrator{nodes: nodes, final: finalConv, classes: classes, inC: stem.Spec.InC, arena: tensor.NewArena()}, nil
 }
 
 // Observe records the ranges net's activations take on x ([N,C,H,W], any N).
@@ -375,8 +390,16 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 	// the next stage's input params.
 	q := &QuantizedSequential{inQ: c.inObs.params(), classes: c.classes}
 	q.inLUT = inputTable(q.inQ)
-	curQ := q.inQ
-	for _, nd := range c.nodes {
+	// The first node is the stem (NewCalibrator checked), and a pool right
+	// after it runs in its epilogue.
+	stem, curQ := c.nodes[0], c.nodes[0].out.params()
+	wq, rq := quantizeConv(stem.conv, q.inQ, curQ, stem.relu)
+	q.stem = tensor.QStem{Spec: stem.conv.Spec, W: tensor.PackQStemWeights(wq, stem.conv.Spec), RQ: rq, ZP: uint8(q.inQ.Zero)}
+	rest := c.nodes[1:]
+	if len(rest) > 0 && rest[0].pool != nil {
+		q.stem.Pool, rest = rest[0].pool.Spec, rest[1:]
+	}
+	for _, nd := range rest {
 		switch {
 		case nd.conv != nil:
 			outQ := nd.out.params()
@@ -449,6 +472,14 @@ func parseQuantizable(net *Sequential) (nodes []*calibNode, finalConv *Conv2D, c
 // buildQConv quantizes one convolution's weights and folds its requantize
 // constants.
 func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool) *qConv {
+	wq, rq := quantizeConv(c, inQ, outQ, relu)
+	return &qConv{spec: c.Spec, wq: tensor.PackQWeights(wq, c.Spec.OutC, c.Spec.InC*c.Spec.KH*c.Spec.KW), inZP: uint8(inQ.Zero), rq: rq}
+}
+
+// quantizeConv returns a convolution's s8 weights, in its own (c, ky, kx)
+// order, and the requantization that folds sW·sIn/sOut and
+// bias − sW·sIn·zIn·Σw (plus zOut) per output channel.
+func quantizeConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool) ([]int8, tensor.Requant) {
 	k := c.Spec.InC * c.Spec.KH * c.Spec.KW
 	wq, ws, wsum := tensor.QuantizeWeightsPerChannel(c.Wt.W.Data, c.Spec.OutC, k)
 	mult := make([]float32, c.Spec.OutC)
@@ -458,10 +489,7 @@ func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool) *qConv {
 		mult[oc] = m / outQ.Scale
 		beta[oc] = (c.Bias.W.Data[oc]-m*float32(inQ.Zero)*float32(wsum[oc]))/outQ.Scale + float32(outQ.Zero)
 	}
-	return &qConv{
-		spec: c.Spec, wq: tensor.PackQWeights(wq, c.Spec.OutC, k), inZP: uint8(inQ.Zero),
-		rq: tensor.Requant{Mult: mult, Beta: beta, ZOut: outQ.Zero, ReLU: relu},
-	}
+	return wq, tensor.Requant{Mult: mult, Beta: beta, ZOut: outQ.Zero, ReLU: relu}
 }
 
 // buildQFinal quantizes the classifier convolution, whose epilogue maps

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"percival/internal/tensor"
@@ -159,6 +160,27 @@ func TestQuantizeRejectsUnsupported(t *testing.T) {
 	}
 	if _, err := Quantize(ok, nil); err == nil {
 		t.Fatal("expected error for empty calibration set")
+	}
+	// The stem reads one pixel's channels as one 4-byte quad, so a first
+	// convolution over more than 4 channels — or a network that does not
+	// start with a convolution — is refused with the reason.
+	wide := NewSequential(
+		NewConv2D("wide", tensor.ConvSpec{InC: 5, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}),
+		NewReLU("r"),
+		NewConv2D("head", tensor.ConvSpec{InC: 4, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}),
+		NewGlobalAvgPool("gap"),
+	)
+	if _, err := Quantize(wide, calibSet(rand.New(rand.NewSource(28)), 1, 5, 8, 8, 1)); err == nil ||
+		!strings.Contains(err.Error(), "5 input channels") || !strings.Contains(err.Error(), "at most 4") {
+		t.Fatalf("first convolution over 5 channels: error %v, want one naming the 5 channels and the limit of 4", err)
+	}
+	for _, net := range []*Sequential{
+		NewSequential(NewMaxPool("p", 2, 2), NewConv2D("head", tensor.ConvSpec{InC: 3, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}), NewGlobalAvgPool("gap")),
+		NewSequential(NewConv2D("head", tensor.ConvSpec{InC: 3, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}), NewGlobalAvgPool("gap")),
+	} {
+		if _, err := Quantize(net, calib); err == nil || !strings.Contains(err.Error(), "reads its input through a convolution") {
+			t.Fatalf("network starting with %s: error %v, want the stem's requirement", net.Layers[0].Name(), err)
+		}
 	}
 }
 

@@ -93,20 +93,24 @@ func (w QWeights) Len() int { return w.m * w.k }
 
 // qgemmB is the B operand of a quantized product: a dense row-major k×n
 // matrix, or — when conv is set — the implicit column matrix of a
-// convolution, read straight from the u8 image (see convView).
+// convolution, read straight from the u8 image (see convView), or — when
+// stem is set — the stem's, read from padded pixel rows (see stemView).
 type qgemmB struct {
 	data []uint8
 	conv *convView[uint8]
+	stem *stemView
 }
 
 // qgemmEpilogue requantizes a product's finished accumulators into the next
 // layer's u8 activations: row i of the product goes through RequantizeU8 with
-// rq's constants for channel i into dst[i*ld:]. A product with an epilogue
-// never materializes its m×n int32 matrix (see qgemmBlocked).
+// rq's constants for channel i into dst[i*ld:] — or, when pool is set, into
+// the pool's slabs, which it max-pools on the spot. A product with an
+// epilogue never materializes its m×n int32 matrix (see qgemmBlocked).
 type qgemmEpilogue struct {
-	rq  Requant
-	dst []uint8
-	ld  int
+	rq   Requant
+	dst  []uint8
+	ld   int
+	pool *qpoolRun
 }
 
 // apply requantizes the m×nc accumulator block acc (row stride nc) into
@@ -189,7 +193,9 @@ func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
 //
 // With an epilogue, the accumulator is one m×nc block instead of the m×n
 // matrix: each ncQBlock column block is accumulated over every k-block and
-// requantized into ep.dst while it is still cache-resident.
+// requantized into ep.dst while it is still cache-resident. With a pooling
+// epilogue the blocks are the pool's blockRows whole output rows instead, so
+// each is requantized and pooled while it is cache-resident (see qpoolRun).
 func qgemmBlocked(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
 	mPad := (m + mrQTile - 1) / mrQTile * mrQTile
 	// Same driver accounting as gemmBlocked: concurrent products split the
@@ -198,12 +204,16 @@ func qgemmBlocked(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogu
 	defer gemmDrivers.Add(-1)
 	budget := gemmWorkerBudget(drivers)
 	serial := m*k*n < qgemmParallelThreshold || budget < 2
+	step := ncQBlock
+	if ep != nil && ep.pool != nil {
+		step = ep.pool.blockRows * ep.pool.ow
+	}
 	var accp *[]int32
 	if ep != nil {
-		accp = GetScratchI32(m * min(ncQBlock, n))
+		accp = GetScratchI32(m * min(step, n))
 	}
-	for jc := 0; jc < n; jc += ncQBlock {
-		nc := min(ncQBlock, n-jc)
+	for jc := 0; jc < n; jc += step {
+		nc := min(step, n-jc)
 		ncPanels := (nc + nrQTile - 1) / nrQTile
 		cblk, cj, ldc := c, jc, n
 		if ep != nil {
@@ -246,7 +256,11 @@ func qgemmBlocked(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogu
 			}
 			PutScratchU8(bbufp)
 		}
-		if ep != nil {
+		switch {
+		case ep == nil:
+		case ep.pool != nil:
+			ep.pool.emit(cblk, m, nc, ep.rq)
+		default:
 			ep.apply(cblk, m, nc, jc)
 		}
 	}
@@ -374,7 +388,12 @@ func packAQuads(dst []int8, a []int8, lda, i0, mc, p0, kc int) {
 // of a dense B is transposed where it lies (ldb apart); a conv operand's four
 // taps — and a dense B's ragged last quad, above zero rows — are first
 // written as plain rows into a 4×nc staging block small enough to stay in L1.
+// A stem operand's quads are pixels already, and it packs them itself.
 func packBQuads(dst []uint8, b qgemmB, ldb, p0, kc, j0, nc int) {
+	if b.stem != nil {
+		b.stem.pack(dst, p0, kc, j0, nc)
+		return
+	}
 	quads := (kc + 3) / 4
 	stagep := GetScratchU8(4 * nc)
 	stage := *stagep

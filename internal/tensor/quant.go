@@ -63,22 +63,56 @@ func QuantizeU8(dst []uint8, src []float32, q QuantParams) {
 	if len(dst) < len(src) {
 		panic("tensor: QuantizeU8 dst too small")
 	}
-	inv := 1 / q.Scale
-	// Round half-up via the +0.5 truncation: exact for the non-negative
-	// in-range values, and the clamp absorbs the negatives.
-	zf := float32(q.Zero) + 0.5
+	inv, zf := quantConsts(q)
 	dst = dst[:len(src)]
 	for i, v := range src {
-		f := v*inv + zf
-		x := q.Zero // NaN: no comparison below holds
-		if f >= QMaxU8 {
-			x = QMaxU8
-		} else if f >= 0 {
-			x = int32(f)
-		} else if f < 0 {
-			x = 0
+		dst[i] = quantU8(v, inv, zf, q.Zero)
+	}
+}
+
+// quantConsts returns QuantizeU8's two per-call constants: 1/Scale, and the
+// zero point plus the 0.5 that makes the truncation round half-up (exact for
+// the non-negative in-range values; the clamp absorbs the negatives).
+func quantConsts(q QuantParams) (inv, zf float32) {
+	return 1 / q.Scale, float32(q.Zero) + 0.5
+}
+
+// quantU8 is QuantizeU8 for one value.
+func quantU8(v, inv, zf float32, zero int32) uint8 {
+	f := v*inv + zf
+	x := zero // NaN: no comparison below holds
+	if f >= QMaxU8 {
+		x = QMaxU8
+	} else if f >= 0 {
+		x = int32(f)
+	} else if f < 0 {
+		x = 0
+	}
+	return uint8(x)
+}
+
+// QuantizePixelsU8 is QuantizeU8 into the layout QStem reads: the n images
+// of c ≤ 4 float planes of hw values in src become n images of hw pixels, 4
+// bytes a pixel — plane ch's value for pixel j at dst[(i*hw+j)*4+ch] — and
+// the channels past c hold the zero point.
+func QuantizePixelsU8(dst []uint8, src []float32, n, c, hw int, q QuantParams) {
+	if c > 4 || len(src) < n*c*hw || len(dst) < n*hw*4 {
+		panic(fmt.Sprintf("tensor: QuantizePixelsU8: src %d / dst %d do not fit %d images of %d×%d", len(src), len(dst), n, c, hw))
+	}
+	inv, zf := quantConsts(q)
+	for i := 0; i < n; i++ {
+		img := dst[i*hw*4 : (i+1)*hw*4]
+		for ch := 0; ch < 4; ch++ {
+			if ch >= c {
+				for j := ch; j < len(img); j += 4 {
+					img[j] = uint8(q.Zero)
+				}
+				continue
+			}
+			for j, v := range src[(i*c+ch)*hw : (i*c+ch+1)*hw] {
+				img[j*4+ch] = quantU8(v, inv, zf, q.Zero)
+			}
 		}
-		dst[i] = uint8(x)
 	}
 }
 
@@ -211,25 +245,15 @@ type Requant struct {
 // GEMM: the dense [InC, H*W] matrix for a pointwise convolution, the caller's
 // convView pointed at the image otherwise. The view's fill is the activation
 // zero point — the quantized encoding of real 0 — so the zero-point
-// compensation term stays exact across padded positions.
+// compensation term stays exact across padded positions. The network's one
+// strided convolution is its stem, which reads pixels (QStem), so the view
+// reads the image's own planes.
 func qconvOperand(view *convView[uint8], img []uint8) qgemmB {
 	if view.s.is1x1Fast() {
 		return qgemmB{data: img}
 	}
 	view.setImage(img)
 	return qgemmB{conv: view}
-}
-
-// newQConvView returns the u8 view of h×w images under s, on phase planes
-// from the byte scratch pool when the convolution is strided (see
-// convView.phaseLen); the caller returns a non-nil scratch with PutScratchU8.
-func newQConvView(h, w int, s ConvSpec, zp uint8) (view convView[uint8], phases *[]uint8) {
-	view = newConvView(h, w, s, zp, gatherU8)
-	if pl := view.phaseLen(); pl > 0 {
-		phases = GetScratchU8(pl)
-		view.usePhases(*phases)
-	}
-	return view, phases
 }
 
 // QConvForwardInto is the quantized ConvForwardInto: it convolves the n u8
@@ -252,13 +276,10 @@ func QConvForwardInto(x []uint8, n, h, w int, wq QWeights, s ConvSpec, zp uint8,
 			len(x), wq.m, wq.k, len(rq.Mult), len(rq.Beta), len(y), n, s.InC, h, w, n, s.OutC, oh, ow, chOff, dstC))
 	}
 	ep := qgemmEpilogue{rq: rq, ld: spatial}
-	view, phases := newQConvView(h, w, s, zp)
+	view := newConvView(h, w, s, zp, gatherU8)
 	for i := 0; i < n; i++ {
 		ep.dst = y[(i*dstC+chOff)*spatial:]
 		qgemmDispatch(wq, qconvOperand(&view, x[i*il:(i+1)*il]), nil, s.OutC, k, spatial, &ep)
-	}
-	if phases != nil {
-		PutScratchU8(phases)
 	}
 	return oh, ow
 }
@@ -274,11 +295,8 @@ func QConvAcc(img []uint8, h, w int, wq QWeights, s ConvSpec, zp uint8, acc []in
 		panic(fmt.Sprintf("tensor: QConvAcc: img %d / wq %d×%d / acc %d do not fit [%d,%d,%d]→[%d,%d,%d]",
 			len(img), wq.m, wq.k, len(acc), s.InC, h, w, s.OutC, oh, ow))
 	}
-	view, phases := newQConvView(h, w, s, zp)
+	view := newConvView(h, w, s, zp, gatherU8)
 	qgemmDispatch(wq, qconvOperand(&view, img[:s.InC*h*w]), acc, s.OutC, k, spatial, nil)
-	if phases != nil {
-		PutScratchU8(phases)
-	}
 }
 
 // MaxPoolU8Into max-pools u8 activations ([N,C,H,W] planes in x) into y.
@@ -332,26 +350,35 @@ func MaxPoolU8Into(x []uint8, n, c, h, w int, p PoolSpec, y []uint8) (oh, ow int
 }
 
 // maxPoolU8Separable is the unpadded fast path, the byte twin of
-// maxPoolSeparable: per output row, one maxU8Into pass takes the vertical max
-// of the K window rows into rowmax, a second the horizontal K-tap max of
-// rowmax at every window start into hmax, and gatherU8 picks hmax at the
-// stride — whole rows of VPMAXUB and a vector stride-2 pick, with no branch
-// that depends on the data.
+// maxPoolSeparable: one poolRowsU8 per plane.
 func maxPoolU8Separable(x []uint8, planes, h, w int, p PoolSpec, y []uint8, oh, ow int) {
-	span := w - p.K + 1 // window start columns
-	bufp := GetScratchU8(w + span)
-	rowmax, hmax := (*bufp)[:w], (*bufp)[w:]
+	bufp := GetScratchU8(poolRowsScratch(oh, w, p))
 	for i := 0; i < planes; i++ {
-		plane := x[i*h*w : (i+1)*h*w]
-		yp := y[i*oh*ow : (i+1)*oh*ow]
-		for oy := 0; oy < oh; oy++ {
-			maxU8Into(rowmax, plane[oy*p.Stride*w:], p.K, w)
-			maxU8Into(hmax, rowmax, p.K, 1)
-			gatherU8(yp[oy*ow:oy*ow+ow], hmax, p.Stride)
-		}
+		poolRowsU8(y[i*oh*ow:(i+1)*oh*ow], ow, oh, x[i*h*w:(i+1)*h*w], w, p, *bufp)
 	}
 	PutScratchU8(bufp)
 }
+
+// poolRowsU8 writes `rows` consecutive rows of an unpadded max pool, row r
+// at dst[r*pow:], from src: the input rows from the first window's top row
+// on, w apart. Whole-run vector passes with no branch that depends on the
+// data: one maxU8Into takes the vertical max of K rows at every row start
+// into vmax, a second the horizontal K-tap max of vmax at every column into
+// hmax (the windows that wrap a row end are never picked), and gatherU8
+// picks each pooled row out of hmax at the stride.
+func poolRowsU8(dst []uint8, pow, rows int, src []uint8, w int, p PoolSpec, scratch []uint8) {
+	starts := (rows-1)*p.Stride + 1
+	vmax, hmax := scratch[:starts*w], scratch[starts*w:2*starts*w-p.K+1]
+	maxU8Into(vmax, src, p.K, w)
+	maxU8Into(hmax, vmax, p.K, 1)
+	for r := 0; r < rows; r++ {
+		gatherU8(dst[r*pow:(r+1)*pow], hmax[r*p.Stride*w:], p.Stride)
+	}
+}
+
+// poolRowsScratch is the scratch length poolRowsU8 needs for `rows` pooled
+// rows of w-wide input rows.
+func poolRowsScratch(rows, w int, p PoolSpec) int { return 2*((rows-1)*p.Stride+1)*w - p.K + 1 }
 
 // maxU8Into computes dst[i] = max(src[i], src[i+stride], …) over k taps. The
 // vector body covers a ragged end with one more vector overlapping the last,

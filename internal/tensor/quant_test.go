@@ -402,9 +402,6 @@ func benchQConvStage(b *testing.B, s ConvSpec, res int) {
 	}
 }
 
-// BenchmarkConvStemU8_224 is BenchmarkConvStem224 on the INT8 engine.
-func BenchmarkConvStemU8_224(b *testing.B) { benchQConvStage(b, stemSpec, 224) }
-
 // BenchmarkConvExpand3x3U8_13 is BenchmarkConvExpand3x3_13 on the INT8 engine.
 func BenchmarkConvExpand3x3U8_13(b *testing.B) { benchQConvStage(b, expand3x3Spec, 13) }
 
