@@ -41,16 +41,17 @@ test:
 # Both engines on their AVX2 tiers on hosts whose default is AVX-512
 # (PERCIVAL_NO_AVX512 switches off every 512-bit kernel: FP32's 8×32 and
 # INT8's VNNI 4×16), so the differential, golden-skip and warm-state suites
-# cover the tier an operator can select, not only the one the host detects.
+# — and imaging's, whose scaler runs tensor's row kernels — cover the tier
+# an operator can select, not only the one the host detects.
 # On an AVX2-only host it repeats part of `test`. -count=1 because the
 # variable is read in a package initialiser, before the test cache starts
 # recording what a run depended on: without it `go test` would hand this
 # target the default tier's cached result, and hand `test` this one's.
 test-avx2:
-	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 ./internal/tensor/ ./internal/nn/ ./internal/engine/
+	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 ./internal/tensor/ ./internal/nn/ ./internal/engine/ ./internal/imaging/
 
 race:
-	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
+	$(GO) test -race ./internal/tensor/... ./internal/imaging/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
 
 # Native Go fuzzing smoke pass over the seven decoders that face untrusted
 # input (EasyList rules, HTML, the persistent-socket wire framing, the admin
@@ -85,12 +86,15 @@ bench:
 		bash bench/run.sh --workload $$w --seed 1 --seconds 10 || exit 1; \
 	done
 
-# Just the inference-latency trajectory (see PERFORMANCE.md), plus the two
-# serving paths on which the model is idle (a Submit answered by serve's
-# cache, and one answered by a warm wire peer's).
+# Just the inference-latency trajectory (see PERFORMANCE.md): the forward
+# pass, a whole backend call on each engine (resize, input conversion,
+# forward), the two serving paths on which the model is idle (a Submit
+# answered by serve's cache, and one answered by a warm wire peer's), and the
+# scaler on the bench's creative sizes and on the 8×8 hash downscale.
 bench-infer:
-	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16|BenchmarkEngineInferInt8|BenchmarkQuantizeSetup32|BenchmarkServeCacheHit|BenchmarkServeWireWarm' -benchmem .
+	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16|BenchmarkEngineInfer|BenchmarkQuantizeSetup32|BenchmarkServeCacheHit|BenchmarkServeWireWarm' -benchmem .
 	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
+	$(GO) test -run=NONE -bench='BenchmarkResizeBilinearInto|BenchmarkResizeBilinearBenchSizes|BenchmarkPerceptualHashPooled' -benchmem ./internal/imaging/
 
 # bench/ is a module of its own, so `go vet ./...` and `go test ./...` at the
 # root never see it: vet it and run its short tests from inside.
@@ -98,18 +102,20 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Where one frame goes: `pprof -top`, by flat time and then by cumulative
-# time, of four one-P benchmarks. InferSingle / InferSingleInt8 are the
+# time, of six one-P benchmarks. InferSingle / InferSingleInt8 are the
 # forward pass on each engine — the per-function attribution PERFORMANCE.md
-# tabulates (its tables quote the cumulative view). ServeCacheHit /
-# ServeWireWarm are a whole Submit on the two paths where the model is idle,
-# so what a frame costs outside the model (content hash, cache, batcher,
-# fleet dispatch, wire round trip) has a profile too: a forward-pass profile
-# cannot show a frame being hashed twice. The test binary and the profiles
-# land in PROFILE_DIR.
+# tabulates (its tables quote the cumulative view). EngineInferFP32 /
+# EngineInferInt8 are a whole backend call on a decoded frame (resize, input
+# conversion, forward): a forward-only profile cannot show pre-processing.
+# ServeCacheHit / ServeWireWarm are a whole Submit on the two paths where the
+# model is idle, so what a frame costs outside the model (content hash,
+# cache, batcher, fleet dispatch, wire round trip) has a profile too: a
+# forward-pass profile cannot show a frame being hashed twice. The test
+# binary and the profiles land in PROFILE_DIR.
 PROFILE_DIR ?= .bench_build/profile
 profile:
 	@mkdir -p $(PROFILE_DIR)
-	@for b in InferSingle:300x InferSingleInt8:300x ServeCacheHit:10000x ServeWireWarm:10000x; do \
+	@for b in InferSingle:300x InferSingleInt8:300x EngineInferFP32:300x EngineInferInt8:1500x ServeCacheHit:10000x ServeWireWarm:10000x; do \
 		name=$${b%:*}; \
 		GOMAXPROCS=1 $(GO) test -run=NONE -bench="Benchmark$$name\$$" -benchtime=$${b#*:} \
 			-o $(PROFILE_DIR)/percival.test -cpuprofile $(PROFILE_DIR)/$$name.prof . || exit 1; \

@@ -214,7 +214,17 @@ func BenchmarkWarm16(b *testing.B) {
 // engine. BenchmarkInferSingleInt8 enters through the float API and so times
 // a quantize pass the backend no longer runs.
 func BenchmarkEngineInferInt8(b *testing.B) {
-	be := engine.NewInt8(paperQuantNet(), 224)
+	benchEngineInfer(b, engine.NewInt8(paperQuantNet(), 224))
+}
+
+// BenchmarkEngineInferFP32 is its FP32 twin — resize, ToTensorInto, forward
+// through engine.NewFP32: where BenchmarkInferSingle times the forward pass
+// alone, this is what the backend does with a decoded frame.
+func BenchmarkEngineInferFP32(b *testing.B) { benchEngineInfer(b, engine.NewFP32(paperNet(), 224)) }
+
+// benchEngineInfer times one synth frame (not 224×224, so it is resized)
+// through be's InferBatchInto on a warm state.
+func benchEngineInfer(b *testing.B, be engine.Backend) {
 	defer be.Close()
 	frames := synth.SampleFrames(7, 1)
 	out := make([]float64, 1)

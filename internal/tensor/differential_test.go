@@ -532,6 +532,75 @@ func TestByteHelpersMatchScalar(t *testing.T) {
 	}
 }
 
+// TestBilinearPassesMatchScalar pins the two row passes of the bilinear
+// scaler to their per-channel definitions on every tier, at every width from
+// below one vector to past several (the overlapping ragged ends), with
+// repeated and adjacent pairs, the last pair ending on the row's last byte,
+// the extreme weights 0 and 256 and sums at their 65280 ceiling.
+func TestBilinearPassesMatchScalar(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	rng := rand.New(rand.NewSource(47))
+	for _, tier := range quantTiers() {
+		if tier.vnni {
+			continue
+		}
+		useQuantTier(tier)
+		for n := 1; n <= 40; n++ {
+			offs := make([]int, n)
+			wts := make([]uint16, 8*n)
+			for j := range offs {
+				if j > 0 {
+					offs[j] = offs[j-1] + 4*rng.Intn(3)
+				}
+				w := uint16(rng.Intn(257))
+				switch rng.Intn(4) {
+				case 0:
+					w = 0
+				case 1:
+					w = 256
+				}
+				for c := 0; c < 4; c++ {
+					wts[8*j+c], wts[8*j+4+c] = 256-w, w
+				}
+			}
+			src := make([]uint8, offs[n-1]+8)
+			for i := range src {
+				src[i] = uint8(rng.Intn(256))
+				if rng.Intn(4) == 0 {
+					src[i] = 255
+				}
+			}
+			sums := make([]uint64, n)
+			BilinearColsU16(sums, src, offs, wts)
+			for j, s := range sums {
+				for c := 0; c < 4; c++ {
+					want := uint64(src[offs[j]+c])*uint64(wts[8*j]) + uint64(src[offs[j]+4+c])*uint64(wts[8*j+4])
+					if got := s >> (16 * c) & 0xFFFF; got != want {
+						t.Fatalf("%s BilinearColsU16 n=%d: column %d lane %d = %d want %d", tier.name, n, j, c, got, want)
+					}
+				}
+			}
+			bot := make([]uint64, n)
+			for i := range bot {
+				for c := 0; c < 4; c++ {
+					bot[i] |= uint64(rng.Intn(65281)) << (16 * c)
+				}
+			}
+			for _, wy := range []uint16{0, 1, uint16(rng.Intn(257)), 255, 256} {
+				got := make([]uint8, 4*n)
+				BilinearRowsU8(got, sums, bot, wy)
+				for i := range got {
+					a, b := sums[i/4]>>(16*(i%4))&0xFFFF, bot[i/4]>>(16*(i%4))&0xFFFF
+					want := (a*uint64(256-wy) + b*uint64(wy) + 1<<15) >> 16
+					if uint64(got[i]) != want {
+						t.Fatalf("%s BilinearRowsU8 n=%d wy=%d: [%d]=%d want %d", tier.name, n, wy, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // phaseCases are convolutions drawn for the phase-plane view: phased says
 // whether convView.phaseLen must take it (strided, and a phase plane exactly
 // one output row wide) or leave the convolution on the per-row gathers.

@@ -54,6 +54,18 @@ func copyRunsF32(dst *float32, dstStep int64, src *float32, srcStep, n, runs int
 //go:noescape
 func biasReLUF32x8(dst *float32, n int64, bias float32)
 
+// bilinearColsU16x4 is BilinearColsU16's vector body for n >= 4 columns
+// (VPMOVZXBW/VPMULLW); see qgemm_amd64.s.
+//
+//go:noescape
+func bilinearColsU16x4(dst *uint64, src *uint8, offs *int, wts *uint16, n int64)
+
+// bilinearRowsU8x8 is BilinearRowsU8's vector body for n >= 8 pixels
+// (VPMULLW on byte halves); see qgemm_amd64.s.
+//
+//go:noescape
+func bilinearRowsU8x8(dst *uint8, top, bot *uint64, n, wy int64)
+
 // requantU8x32 is the vectorized requantization epilogue in qgemm_amd64.s:
 // dst[i] = clamp(roundeven(float32(acc[i])*mult + beta), lo, hi) for n
 // elements, n a multiple of 32.
@@ -70,8 +82,8 @@ func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, st
 // haveQuantASM gates the quantized kernels on the same AVX2+FMA+OS-XSAVE
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
 // epilogue uses FMA), and with them the byte and FP32 row helpers
-// (transposeQuad16, gather2U8x16, maxU8x16; maxF32x8, gather2F32x8,
-// biasReLUF32x8 — AVX/AVX2). haveVNNI additionally selects the VPDPBUSD
+// (transposeQuad16, gather2U8x16, maxU8x16, bilinearColsU16x4,
+// bilinearRowsU8x8; maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2). haveVNNI additionally selects the VPDPBUSD
 // kernel on parts with AVX512-VNNI; it runs at ZMM width, so it sits behind
 // haveAVX512 — F, VL, the OS-enabled ZMM state, and PERCIVAL_NO_AVX512, which
 // therefore means no 512-bit execution on either engine.

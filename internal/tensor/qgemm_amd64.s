@@ -685,3 +685,138 @@ rqloop:
 
 	VZEROUPPER
 	RET
+
+// func bilinearColsU16x4(dst *uint64, src *uint8, offs *int, wts *uint16, n int64)
+//
+// BilinearColsU16's vector body, n >= 4 columns (see bilinear.go). Four
+// columns a step: each column's 8-byte source pair is widened to eight words
+// (VPMOVZXBW, two pairs to a YMM), weighed by the column's eight u16 weights
+// (VPMULLW; a product of a byte and a weight <= 256 fits the word), and the
+// pair's right pixel added to its left one by unpacking the quadwords of two
+// such registers against each other (VPUNPCKL/HQDQ, VPADDW) and putting them
+// back in column order (VPERMQ 0xD8). A ragged end is covered by one more
+// step overlapping the last.
+TEXT ·bilinearColsU16x4(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ offs+16(FP), BX
+	MOVQ wts+24(FP), DX
+	MOVQ n+32(FP), CX
+	MOVQ CX, R12
+	ANDQ $3, R12
+	SHRQ $2, CX
+
+bhstep:
+	MOVQ        (BX), R8
+	MOVQ        8(BX), R9
+	MOVQ        16(BX), R10
+	MOVQ        24(BX), R11
+	VMOVQ       (SI)(R8*1), X0
+	VPINSRQ     $1, (SI)(R9*1), X0, X0
+	VMOVQ       (SI)(R10*1), X1
+	VPINSRQ     $1, (SI)(R11*1), X1, X1
+	VPMOVZXBW   X0, Y0
+	VPMOVZXBW   X1, Y1
+	VPMULLW     (DX), Y0, Y0
+	VPMULLW     32(DX), Y1, Y1
+	VPUNPCKLQDQ Y1, Y0, Y2
+	VPUNPCKHQDQ Y1, Y0, Y3
+	VPADDW      Y3, Y2, Y2
+	VPERMQ      $0xD8, Y2, Y2
+	VMOVDQU     Y2, (DI)
+	ADDQ $32, BX
+	ADDQ $64, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNE  bhstep
+
+	TESTQ R12, R12
+	JEQ   bhdone
+	LEAQ  -32(BX)(R12*8), BX
+	SHLQ  $4, R12
+	LEAQ  -64(DX)(R12*1), DX
+	SHRQ  $1, R12
+	LEAQ  -32(DI)(R12*1), DI
+	XORQ  R12, R12
+	MOVQ  $1, CX
+	JMP   bhstep
+
+bhdone:
+	VZEROUPPER
+	RET
+
+// BLENDROWS4 leaves in a the four output pixels of the vertical pass over
+// the u16 lanes of a (top) and b (bottom), as bytes in the low half of each
+// word (see BilinearRowsU8Portable): h and l are scratch, Y8/Y9 hold wy and
+// 256-wy, Y10 the low-byte mask, Y11 the rounding 128.
+#define BLENDROWS4(a, b, h, l) \
+	VPSRLW  $8, a, h;  \
+	VPSRLW  $8, b, l;  \
+	VPAND   Y10, a, a; \
+	VPAND   Y10, b, b; \
+	VPMULLW Y9, h, h;  \
+	VPMULLW Y8, l, l;  \
+	VPADDW  l, h, h;   \
+	VPMULLW Y9, a, a;  \
+	VPMULLW Y8, b, b;  \
+	VPADDW  b, a, a;   \
+	VPSRLW  $8, a, a;  \
+	VPADDW  a, h, h;   \
+	VPADDW  Y11, h, h; \
+	VPSRLW  $8, h, a
+
+// func bilinearRowsU8x8(dst *uint8, top, bot *uint64, n, wy int64)
+//
+// BilinearRowsU8's vector body, n >= 8 pixels (see bilinear.go): eight
+// pixels a step, all in 16-bit lanes — each sum split into its high and low
+// byte so that every product fits a word — narrowed to bytes (VPACKUSWB) and
+// put back in memory order (VPERMQ 0xD8). A ragged end is covered by one more
+// step overlapping the last.
+TEXT ·bilinearRowsU8x8(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ top+8(FP), SI
+	MOVQ bot+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ wy+32(FP), AX
+	MOVQ $256, BX
+	SUBQ AX, BX
+	VMOVQ        AX, X8
+	VPBROADCASTW X8, Y8
+	VMOVQ        BX, X9
+	VPBROADCASTW X9, Y9
+	VPCMPEQW     Y10, Y10, Y10
+	VPSRLW       $15, Y10, Y11
+	VPSLLW       $7, Y11, Y11
+	VPSRLW       $8, Y10, Y10
+	MOVQ CX, R8
+	ANDQ $7, R8
+	SHRQ $3, CX
+
+bvstep:
+	VMOVDQU (SI), Y0
+	VMOVDQU (DX), Y1
+	BLENDROWS4(Y0, Y1, Y4, Y5)
+	VMOVDQU 32(SI), Y2
+	VMOVDQU 32(DX), Y3
+	BLENDROWS4(Y2, Y3, Y6, Y7)
+	VPACKUSWB Y2, Y0, Y0
+	VPERMQ    $0xD8, Y0, Y0
+	VMOVDQU   Y0, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNE  bvstep
+
+	TESTQ R8, R8
+	JEQ   bvdone
+	LEAQ  -64(SI)(R8*8), SI
+	LEAQ  -64(DX)(R8*8), DX
+	LEAQ  -32(DI)(R8*4), DI
+	XORQ  R8, R8
+	MOVQ  $1, CX
+	JMP   bvstep
+
+bvdone:
+	VZEROUPPER
+	RET

@@ -44,6 +44,16 @@ func biasReLUF32x8(dst *float32, n int64, bias float32) {
 	panic("tensor: biasReLUF32x8 without assembly support")
 }
 
+// bilinearColsU16x4 is never called when haveQuantASM is false.
+func bilinearColsU16x4(dst *uint64, src *uint8, offs *int, wts *uint16, n int64) {
+	panic("tensor: bilinearColsU16x4 without assembly support")
+}
+
+// bilinearRowsU8x8 is never called when haveQuantASM is false.
+func bilinearRowsU8x8(dst *uint8, top, bot *uint64, n, wy int64) {
+	panic("tensor: bilinearRowsU8x8 without assembly support")
+}
+
 // requantU8ASM is never called when haveQuantASM is false.
 func requantU8ASM(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8) {
 	panic("tensor: requantU8ASM without assembly support")
