@@ -53,16 +53,17 @@ test-avx2:
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/imaging/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
 
-# Native Go fuzzing smoke pass over the seven decoders that face untrusted
-# input (EasyList rules, HTML, the persistent-socket wire framing, the admin
-# control-plane request bodies, model files, the daemon's /classify body,
-# -cache-file verdict snapshots).
+# Native Go fuzzing smoke pass over the eight decoders that face untrusted
+# input (EasyList rules, HTML, the persistent-socket wire framing, the
+# /classify/batch request body, the admin control-plane request bodies, model
+# files, the daemon's /classify body, -cache-file verdict snapshots).
 # Each fuzzer runs for FUZZTIME; crashers are written to the package's
 # testdata/fuzz corpus and reproduced by `go test`.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/easylist
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/dom
 	$(GO) test -run=NONE -fuzz=FuzzWireMsg -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run=NONE -fuzz=FuzzBatchFrames -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzAdminRequest -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzRestoreCache -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/nn
@@ -90,11 +91,11 @@ bench:
 # pass, a whole backend call on each engine (resize, input conversion,
 # forward), the two serving paths on which the model is idle (a Submit
 # answered by serve's cache, and one answered by a warm wire peer's), and the
-# scaler on the bench's creative sizes and on the 8×8 hash downscale.
+# scaler on the bench's creative sizes.
 bench-infer:
 	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16|BenchmarkEngineInfer|BenchmarkQuantizeSetup32|BenchmarkServeCacheHit|BenchmarkServeWireWarm' -benchmem .
 	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
-	$(GO) test -run=NONE -bench='BenchmarkResizeBilinearInto|BenchmarkResizeBilinearBenchSizes|BenchmarkPerceptualHashPooled' -benchmem ./internal/imaging/
+	$(GO) test -run=NONE -bench='BenchmarkResizeBilinearInto|BenchmarkResizeBilinearBenchSizes' -benchmem ./internal/imaging/
 
 # bench/ is a module of its own, so `go vet ./...` and `go test ./...` at the
 # root never see it: vet it and run its short tests from inside.

@@ -11,7 +11,6 @@ package percival_test
 import (
 	"math/rand"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -310,7 +309,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 }
 
 // BenchmarkServeWireWarm is a Submit on a front with no cache of its own,
-// over a fleet of one loopback wire-v2 peer whose verdict cache is warm: one
+// over a fleet of one loopback wire peer whose verdict cache is warm: one
 // content hash, the batcher, fleet dispatch, and a probe round trip the peer
 // answers without its model (the repo benchmark's remote_wire path).
 func BenchmarkServeWireWarm(b *testing.B) {
@@ -325,12 +324,9 @@ func BenchmarkServeWireWarm(b *testing.B) {
 	ws := engine.NewWireServer(engine.WireServerOptions{Backend: peer, Cache: engine.NewVerdictMap(0)})
 	go ws.Serve(ln) // returns when ws.Close closes the listener
 	defer ws.Close()
-	mux := http.NewServeMux()
-	mux.Handle("POST /classify/batch", engine.BatchHandler(nil, peer))
-	mux.Handle("GET /modelz", engine.ModelzHandlerWire(nil, peer, svc.Threshold(), ln.Addr().String()))
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(engine.ModelzHandlerID(nil, peer, svc.Threshold(), ln.Addr().String(), ""))
 	defer ts.Close()
-	rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{ExpectRes: svc.InputRes(), Transport: "socket"})
+	rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{ExpectRes: svc.InputRes()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // without a restart, and model rollouts run through the registry's
 // agreement-gated canary.
 //
-//	POST   /admin/peers      {"addr":"host:port"[,"transport":"..."]}
+//	POST   /admin/peers      {"addr":"host:port"}
 //	                         dial + fresh /modelz handshake, admit into the
 //	                         fleet (weighted router sees it immediately)
 //	DELETE /admin/peers/{id} drain the peer's in-flight chunks, then remove
@@ -97,8 +97,8 @@ func adminError(w http.ResponseWriter, status int, err error) {
 
 // addPeer dials the requested address with the daemon's peer knobs — the
 // same fresh /modelz handshake -peers performs at startup, so a peer that
-// is unreachable, resolution-mismatched, wire-incompatible or this daemon
-// itself is rejected before it ever sees traffic.
+// is unreachable, resolution-mismatched, off wire v3, without a wire
+// listener or this daemon itself is rejected before it ever sees traffic.
 func (a *adminAPI) addPeer(w http.ResponseWriter, r *http.Request) {
 	req, err := engine.DecodeAdminPeerRequest(r.Body)
 	if err != nil {
@@ -110,11 +110,7 @@ func (a *adminAPI) addPeer(w http.ResponseWriter, r *http.Request) {
 			"error": "daemon is not fronting a fleet (start with -peers to enable live membership)"})
 		return
 	}
-	opts := a.dialTmpl
-	if req.Transport != "" {
-		opts.Transport = req.Transport
-	}
-	rb, err := engine.NewRemote(req.Addr, opts)
+	rb, err := engine.NewRemote(req.Addr, a.dialTmpl)
 	if err != nil {
 		adminError(w, http.StatusBadGateway, err)
 		return
@@ -136,9 +132,8 @@ func (a *adminAPI) addPeer(w http.ResponseWriter, r *http.Request) {
 		adminError(w, http.StatusConflict, err)
 		return
 	}
-	log.Printf("admin: added peer %s (wire=%s)", rb.Name(), rb.TransportStats().Kind)
-	adminJSON(w, http.StatusOK, map[string]string{
-		"peer": rb.Peer(), "name": rb.Name(), "transport": rb.TransportStats().Kind})
+	log.Printf("admin: added peer %s", rb.Name())
+	adminJSON(w, http.StatusOK, map[string]string{"peer": rb.Peer(), "name": rb.Name()})
 }
 
 // removePeer drains and removes the peer named by {id} ("host:port"; URL

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -55,12 +56,7 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	// three backend daemons; the third joins live via the admin API
 	peerURLs := make([]string, 3)
 	for i := range peerURLs {
-		rep := svc.Engine().Replicate()
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
-		ts := httptest.NewServer(mux)
-		t.Cleanup(ts.Close)
+		ts, _ := startPeer(t, svc, nil)
 		peerURLs[i] = ts.URL
 	}
 
@@ -93,10 +89,18 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	}
 	defer srv.Close()
 
+	// the front advertises a wire listener, as a daemon run with
+	// -wire-listen does, so the self-dial below passes the wire check and
+	// must be caught by the instance-ID guard; nothing dials it
+	frontWire, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer frontWire.Close()
 	instanceID := newInstanceID()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /classify", classifyHandler(srv, reg, fleet))
-	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, svc.Engine(), svc.Threshold(), "", instanceID))
+	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, svc.Engine(), svc.Threshold(), frontWire.Addr().String(), instanceID))
 	mux.HandleFunc("GET /healthz", healthHandler(srv, reg, fleet.Name(), nil))
 	admin := &adminAPI{
 		token: token, reg: reg, fleet: fleet, srv: srv,

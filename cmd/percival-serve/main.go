@@ -8,9 +8,9 @@
 //	                      selects a registry backend for this request
 //	                      -> {"score":0.93,"ad":true,"status":"classified"}
 //	POST /classify/batch  length-prefixed raw-RGBA frame batch in, binary
-//	                      scores out: one forward pass per request — the
-//	                      wire a front daemon's engine.RemoteBackend rides
-//	GET  /modelz          engine/resolution handshake for remote proxies
+//	                      scores out: one forward pass per request
+//	GET  /modelz          engine/resolution/wire-listener handshake a front
+//	                      dials before reaching this daemon over the wire
 //	GET  /healthz         liveness + model/engine/shard info; on a -peers
 //	                      front also the fleet supervisor's per-peer rows
 //	                      (state, evictions, redials, hedge wins, latency)
@@ -34,20 +34,20 @@
 //	percival-serve -backend fp32 -int8    # quantize, but pin serving to FP32
 //	percival-serve -peers h1:8093,h2:8093 # front a self-healing fleet: shards
 //	                                      # dispatch to supervised remote
-//	                                      # replicas over /classify/batch,
+//	                                      # replicas over the socket wire
+//	                                      # each peer's /modelz advertises
+//	                                      # (peers run -wire-listen),
 //	                                      # evicting/redialing dead peers and
 //	                                      # hedging slow ones (-evict-after,
 //	                                      # -redial-max, -hedge-quantile),
 //	                                      # falling back to the local model
 //	                                      # when no healthy peer remains
-//	percival-serve -wire-listen :8094     # also serve the persistent-socket
-//	                                      # wire (v2): fronts negotiate it via
-//	                                      # /modelz and keep one hot framed
-//	                                      # connection instead of HTTP posts,
-//	                                      # with hash-first dedup answered
-//	                                      # from the verdict cache
-//	percival-serve -peers h1:8093 -peer-transport http  # pin fronts to the
-//	                                      # v1 HTTP wire even if peers offer v2
+//	percival-serve -wire-listen :8094     # serve the persistent-socket wire
+//	                                      # (v3) that makes this daemon a
+//	                                      # peer: fronts learn it via /modelz
+//	                                      # and keep one hot framed
+//	                                      # connection, with key-probe dedup
+//	                                      # answered from the verdict cache
 //	percival-serve -peers ... -route weighted  # per-chunk least-loaded routing:
 //	                                      # every chunk goes to the peer with
 //	                                      # the best congestion-window headroom
@@ -124,9 +124,7 @@ func main() {
 		hedgeQ      = flag.Float64("hedge-quantile", 0.99, "latency quantile past which a chunk is hedged to a second peer (<=0 or >=1 disables)")
 		hedgeMax    = flag.Duration("hedge-max", 0, "ceiling on the quantile-derived hedge delay (0 = the peer chunk budget); pin near the latency SLO so hedges still fire when the fleet degrades")
 		windowMax   = flag.Int("window-max", 0, "cap on each peer's adaptive in-flight congestion window (CUBIC; 0 = default 64 chunks)")
-		wireListen  = flag.String("wire-listen", "", "also listen for the persistent-socket wire (v2) on this address and advertise it via /modelz (empty = HTTP wire only)")
-		peerTrans   = flag.String("peer-transport", "auto", "wire to each -peers replica: auto (best the peer offers), http (v1 POST per chunk), socket (require the v2 persistent socket)")
-		peerNoDedup = flag.Bool("peer-no-dedup", false, "disable the socket wire's hash-first dedup probes (measurement; scores are identical either way)")
+		wireListen  = flag.String("wire-listen", "", "listen for the persistent-socket dispatch wire (v3) on this address and advertise it via /modelz (empty = no front can use this daemon as a peer)")
 		route       = flag.String("route", "static", "fleet dispatch policy: static (one peer pinned per shard lane) or weighted (per-chunk least-loaded by congestion-window headroom per unit latency EWMA)")
 		adminToken  = flag.String("admin-token", "", "enable the authenticated /admin control plane — live peer add/drain/remove and the model canary — with this bearer token (empty = disabled)")
 		drainWait   = flag.Duration("drain-timeout", 5*time.Second, "in-flight quiesce budget when DELETE /admin/peers/{id} drains a peer before removing it")
@@ -153,9 +151,10 @@ func main() {
 	// background (backoff capped at -redial-max), hedges tail-latency chunks
 	// past -hedge-quantile, and falls back to the local model when no
 	// healthy peer remains — so a dying fleet degrades to local scoring, not
-	// to score-0 fail-open. The local model keeps serving /classify/batch,
-	// /modelz and any ?model= request that names it (`local` below), so two
-	// fronts pointed at each other cannot proxy a batch in a cycle.
+	// to score-0 fail-open. The local model keeps serving the wire listener,
+	// /classify/batch, /modelz and any ?model= request that names it
+	// (`local` below), so two fronts pointed at each other cannot proxy a
+	// batch in a cycle.
 	reg := svc.Backends()
 	local := backend
 	// the per-process identity /modelz advertises, so a dialing front (this
@@ -168,7 +167,7 @@ func main() {
 	}
 	var fleet *engine.Fleet
 	if *peers != "" {
-		remotes, err := dialPeers(reg, *peers, svc.InputRes(), *peerTimeout, *peerRetries, *windowMax, *peerTrans, *peerNoDedup, instanceID)
+		remotes, err := dialPeers(reg, *peers, svc.InputRes(), *peerTimeout, *peerRetries, *windowMax, instanceID)
 		if err != nil {
 			log.Fatal("percival-serve: ", err)
 		}
@@ -233,12 +232,12 @@ func main() {
 		}
 	}
 
-	// The persistent-socket wire listener serves the same local backend as
-	// /classify/batch and is handed the serving edge's own verdict store: it
-	// answers hash probes from it and stores what it scores in it, so a
-	// front's dedup hit and a local cache hit are the same entry. Binding
-	// before the /modelz mount lets the handshake advertise the concrete
-	// bound address (":0" included).
+	// The persistent-socket wire listener, what a front dispatches to, serves
+	// the same local backend as /classify/batch and is handed the serving
+	// edge's own verdict store: it answers key probes from it and stores what
+	// it scores in it, so a front's dedup hit and a local cache hit are the
+	// same entry. Binding before the /modelz mount lets the handshake
+	// advertise the concrete bound address (":0" included).
 	var wire *engine.WireServer
 	wireAddr := ""
 	if *wireListen != "" {
@@ -253,7 +252,7 @@ func main() {
 			}
 		}()
 		wireAddr = ln.Addr().String()
-		log.Printf("wire listener on %s (persistent-socket wire v2)", wireAddr)
+		log.Printf("wire listener on %s (persistent-socket wire v3)", wireAddr)
 	}
 
 	mux := http.NewServeMux()
@@ -276,8 +275,6 @@ func main() {
 				Retries:   *peerRetries,
 				ExpectRes: svc.InputRes(),
 				WindowMax: *windowMax,
-				Transport: *peerTrans,
-				NoDedup:   *peerNoDedup,
 			},
 		}
 		admin.mount(mux)
@@ -349,7 +346,7 @@ func pickBackend(svc *core.Percival, name string) (engine.Backend, error) {
 // peer to two shard lanes, doubling its share of dispatch — and a peer
 // whose handshake identity matches this daemon is rejected outright: a
 // front proxying batches to itself is a dispatch cycle, never a fleet.
-func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration, retries int, windowMax int, transport string, noDedup bool, localID string) ([]*engine.RemoteBackend, error) {
+func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration, retries int, windowMax int, localID string) ([]*engine.RemoteBackend, error) {
 	var remotes []*engine.RemoteBackend
 	seen := make(map[string]bool)
 	for _, addr := range strings.Split(list, ",") {
@@ -374,8 +371,6 @@ func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration
 			Retries:   retries,
 			ExpectRes: res,
 			WindowMax: windowMax,
-			Transport: transport,
-			NoDedup:   noDedup,
 		})
 		if err != nil {
 			return nil, err
@@ -388,7 +383,7 @@ func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration
 			return nil, err
 		}
 		remotes = append(remotes, rb)
-		log.Printf("peer ready: %s (res=%d wire=%s)", rb.Name(), rb.InputRes(), rb.TransportStats().Kind)
+		log.Printf("peer ready: %s (res=%d)", rb.Name(), rb.InputRes())
 	}
 	if len(remotes) == 0 {
 		return nil, fmt.Errorf("-peers %q names no peers", list)
@@ -648,11 +643,11 @@ func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet
 			fmt.Fprintf(w, "percival_fleet_peer_window_inflight{peer=%q} %d\n", ph.Peer, ph.WindowInFlight)
 			fmt.Fprintf(w, "percival_fleet_peer_window_losses_total{peer=%q} %d\n", ph.Peer, ph.WindowLosses)
 			fmt.Fprintf(w, "percival_fleet_peer_rto_ms{peer=%q} %g\n", ph.Peer, ph.RTOMS)
-			fmt.Fprintf(w, "percival_fleet_peer_wire_bytes_out_total{peer=%q,transport=%q} %d\n", ph.Peer, ph.Transport, ph.WireBytesOut)
-			fmt.Fprintf(w, "percival_fleet_peer_wire_bytes_in_total{peer=%q,transport=%q} %d\n", ph.Peer, ph.Transport, ph.WireBytesIn)
-			fmt.Fprintf(w, "percival_fleet_peer_wire_frames_pixels_total{peer=%q,transport=%q} %d\n", ph.Peer, ph.Transport, ph.WireFramesPix)
-			fmt.Fprintf(w, "percival_fleet_peer_wire_frames_dedup_total{peer=%q,transport=%q} %d\n", ph.Peer, ph.Transport, ph.WireFramesDdup)
-			fmt.Fprintf(w, "percival_fleet_peer_wire_dials_total{peer=%q,transport=%q} %d\n", ph.Peer, ph.Transport, ph.WireDials)
+			fmt.Fprintf(w, "percival_fleet_peer_wire_bytes_out_total{peer=%q} %d\n", ph.Peer, ph.WireBytesOut)
+			fmt.Fprintf(w, "percival_fleet_peer_wire_bytes_in_total{peer=%q} %d\n", ph.Peer, ph.WireBytesIn)
+			fmt.Fprintf(w, "percival_fleet_peer_wire_frames_pixels_total{peer=%q} %d\n", ph.Peer, ph.WireFramesPix)
+			fmt.Fprintf(w, "percival_fleet_peer_wire_frames_dedup_total{peer=%q} %d\n", ph.Peer, ph.WireFramesDdup)
+			fmt.Fprintf(w, "percival_fleet_peer_wire_dials_total{peer=%q} %d\n", ph.Peer, ph.WireDials)
 		}
 	}
 }

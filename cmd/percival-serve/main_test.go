@@ -7,6 +7,7 @@ import (
 	"image"
 	"image/color"
 	"image/gif"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -35,18 +36,46 @@ func testService(t testing.TB) *core.Percival {
 }
 
 // testFrontend stands up the daemon's HTTP surface over a serve.Server the
-// way main wires it. fleet is nil unless the backend is a supervised fleet.
+// way main wires it (without a wire listener). fleet is nil unless the
+// backend is a supervised fleet.
 func testFrontend(t testing.TB, svc *core.Percival, srv *serve.Server, reg *engine.Registry, backend engine.Backend, fleet *engine.Fleet) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /classify", classifyHandler(srv, reg, backend))
 	mux.Handle("POST /classify/batch", engine.BatchHandler(reg, backend))
-	mux.Handle("GET /modelz", engine.ModelzHandler(reg, backend, svc.Threshold()))
+	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, backend, svc.Threshold(), "", ""))
 	mux.HandleFunc("GET /healthz", healthHandler(srv, reg, backend.Name(), nil))
 	mux.HandleFunc("GET /metrics", metricsHandler(srv, reg, fleet, nil))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// startPeer stands up a backend daemon the way `percival-serve
+// -wire-listen` mounts one: a replica of svc's engine behind the wire
+// listener, probes answered from its own verdict store, and the /modelz
+// handshake advertising the listener — both behind inj when it is non-nil
+// (faultinject.Listener on the wire, Middleware on /modelz, so a
+// blackholed peer fails its redial probes too).
+func startPeer(t testing.TB, svc *core.Percival, inj *faultinject.Injector) (*httptest.Server, *engine.WireServer) {
+	t.Helper()
+	rep := svc.Engine().Replicate()
+	t.Cleanup(rep.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := engine.NewWireServer(engine.WireServerOptions{Backend: rep, Cache: engine.NewVerdictMap(0)})
+	var modelz http.Handler = engine.ModelzHandlerID(nil, rep, svc.Threshold(), ln.Addr().String(), "")
+	var wln net.Listener = ln
+	if inj != nil {
+		modelz, wln = faultinject.Middleware(inj, modelz), faultinject.Listener(inj, ln)
+	}
+	go ws.Serve(wln)
+	t.Cleanup(ws.Close)
+	ts := httptest.NewServer(modelz)
+	t.Cleanup(ts.Close)
+	return ts, ws
 }
 
 func postFrame(t testing.TB, url string, contentType string, body []byte) (*http.Response, verdict) {
@@ -190,10 +219,9 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // TestTwoTierMatchesInProcessDispatch is the acceptance anchor: a front
-// daemon whose dispatch shards proxy to two backend daemons over
-// /classify/batch must answer /classify with verdicts identical to
-// in-process dispatch on the same corpus — and fail open when the peers go
-// down.
+// daemon whose dispatch shards proxy to two backend daemons over the socket
+// wire must answer /classify with verdicts identical to in-process dispatch
+// on the same corpus — and fail open when the peers go down.
 func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	svc := testService(t)
 	reg := svc.Backends()
@@ -201,14 +229,10 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	// two backend daemons sharing the front's weights (the deployment would
 	// load the same .pcvl on every tier)
 	peers := make([]*httptest.Server, 2)
+	wires := make([]*engine.WireServer, 2)
 	remotes := make([]*engine.RemoteBackend, 2)
 	for i := range peers {
-		rep := svc.Engine().Replicate()
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
-		peers[i] = httptest.NewServer(mux)
-		defer peers[i].Close()
+		peers[i], wires[i] = startPeer(t, svc, nil)
 		rb, err := engine.NewRemote(peers[i].URL, engine.RemoteOptions{
 			ExpectRes: svc.InputRes(),
 			Timeout:   2 * time.Second,
@@ -268,8 +292,9 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 
 	// both peers down: the front keeps answering, failing open (score 0,
 	// not an ad) instead of erroring or blocking
-	for _, p := range peers {
-		p.Close()
+	for i := range peers {
+		wires[i].Close()
+		peers[i].Close()
 	}
 	down := synth.SampleFrames(47, 1)[0]
 	resp, v = postFrame(t,
@@ -409,21 +434,15 @@ func TestChaosSmokeZeroFailOpen(t *testing.T) {
 	svc := testService(t)
 	reg := svc.Backends()
 
-	peers := make([]*httptest.Server, 2)
 	remotes := make([]*engine.RemoteBackend, 2)
 	var flap *faultinject.Injector
-	for i := range peers {
-		rep := svc.Engine().Replicate()
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
+	for i := range remotes {
 		inj := faultinject.NewInjector(int64(i))
-		peers[i] = httptest.NewServer(faultinject.Middleware(inj, mux))
-		defer peers[i].Close()
+		peer, _ := startPeer(t, svc, inj)
 		if i == 1 {
 			flap = inj
 		}
-		rb, err := engine.NewRemote(peers[i].URL, engine.RemoteOptions{
+		rb, err := engine.NewRemote(peer.URL, engine.RemoteOptions{
 			ExpectRes: svc.InputRes(),
 			Timeout:   200 * time.Millisecond,
 			Retries:   0,
@@ -443,7 +462,9 @@ func TestChaosSmokeZeroFailOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	srv, err := serve.New(svc, serve.Options{Shards: 2, MaxBatch: 4, Backend: fleet})
+	// no front cache: every request reaches the fleet, so the flapping peer's
+	// lane keeps meeting the fault instead of a cache hit
+	srv, err := serve.New(svc, serve.Options{Shards: 2, MaxBatch: 4, Backend: fleet, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,6 +495,11 @@ func TestChaosSmokeZeroFailOpen(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("no requests issued")
+	}
+	// the flap really reached the wire: the flapping peer lost chunks
+	// (timed out or hedged away) while the fleet kept every verdict real
+	if ph := fleet.PeerHealth()[1]; ph.WindowLosses == 0 {
+		t.Fatalf("flapping peer never met its fault: %+v", ph)
 	}
 	if st := fleet.Stats(); st.Errors != 0 {
 		t.Fatalf("fleet failed open under flap: %+v", st)

@@ -6,9 +6,10 @@
 //
 // The second act scales the same service across process boundaries: a
 // front serve.Server whose dispatch shards proxy every forward pass to two
-// backend percival-serve replicas over HTTP (engine.RemoteBackend riding
-// POST /classify/batch — spawned in-process here via httptest, `-peers`
-// on a real deployment), supervised by an engine.Fleet. When a peer dies
+// backend percival-serve replicas (engine.RemoteBackend, which learns each
+// peer's wire listener from GET /modelz and then keeps one hot socket to it
+// — spawned in-process here, `-peers` and `-wire-listen` on a real
+// deployment), supervised by an engine.Fleet. When a peer dies
 // its traffic fails over to the surviving replica (or the local model as a
 // last resort), the dead peer is evicted from rotation, and a background
 // redialer re-admits it once /modelz answers again — verdicts stay
@@ -18,6 +19,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -36,12 +38,12 @@ func main() {
 	// A deterministic reduced-scale model: the example demonstrates the
 	// serving machinery, not verdict quality.
 	arch := squeezenet.SmallConfig(32)
-	net, err := squeezenet.Build(arch)
+	model, err := squeezenet.Build(arch)
 	if err != nil {
 		log.Fatal(err)
 	}
-	squeezenet.PretrainedInit(net, 1)
-	svc, err := core.New(net, arch, core.Options{DisableCache: true})
+	squeezenet.PretrainedInit(model, 1)
+	svc, err := core.New(model, arch, core.Options{DisableCache: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,19 +117,28 @@ func main() {
 	srv.Close()
 
 	// --- Two-tier topology: the same workload, but the front's dispatch
-	// shards proxy to two backend model processes over the /classify/batch
-	// wire, supervised by a self-healing fleet. Each shard pins a preferred
+	// shards proxy to two backend model processes over the socket wire,
+	// supervised by a self-healing fleet. Each shard pins a preferred
 	// peer (round-robin), and verdicts are identical to in-process dispatch
 	// because the peers run the exact same pre-processing and forward pass.
 	fmt.Println()
 	fmt.Println("two-tier: front serve.Server -> 2 remote percival-serve backends (fleet)")
 	peers := make([]*engine.RemoteBackend, 2)
 	backendSrvs := make([]*httptest.Server, 2)
+	wires := make([]*engine.WireServer, 2)
 	for i := range peers {
+		// a backend daemon: its wire listener scores chunks (and answers
+		// key probes from its own verdict store), /modelz advertises it
 		rep := svc.Engine().Replicate()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			log.Fatal(err)
+		}
+		wires[i] = engine.NewWireServer(engine.WireServerOptions{Backend: rep, Cache: engine.NewVerdictMap(0)})
+		go wires[i].Serve(ln)
+		defer wires[i].Close()
 		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
+		mux.Handle("GET /modelz", engine.ModelzHandlerID(nil, rep, svc.Threshold(), ln.Addr().String(), ""))
 		backendSrvs[i] = httptest.NewServer(mux)
 		defer backendSrvs[i].Close()
 		rb, err := engine.NewRemote(backendSrvs[i].URL, engine.RemoteOptions{ExpectRes: svc.InputRes()})
@@ -184,6 +195,7 @@ func main() {
 	// it in the background. Frames route to shards by content hash, so
 	// submit a spread of fresh frames to be sure some land on the dead
 	// peer's preferred lane.
+	wires[0].Close()
 	backendSrvs[0].Close()
 	mismatches = 0
 	for i := 0; i < 32; i++ {

@@ -25,9 +25,6 @@ const adminMaxBody = 64 << 10
 type AdminPeerRequest struct {
 	// Addr is the peer address ("host:port" or a full http URL).
 	Addr string `json:"addr"`
-	// Transport optionally pins the wire ("auto", "http", "socket");
-	// empty negotiates like -peer-transport.
-	Transport string `json:"transport,omitempty"`
 }
 
 // DecodeAdminPeerRequest strictly decodes and validates a peer-add body.
@@ -46,11 +43,6 @@ func DecodeAdminPeerRequest(r io.Reader) (AdminPeerRequest, error) {
 	}
 	if u, err := url.Parse(addr); err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
 		return AdminPeerRequest{}, fmt.Errorf("engine: admin peer request: invalid addr %q", req.Addr)
-	}
-	switch req.Transport {
-	case "", "auto", "http", "socket":
-	default:
-		return AdminPeerRequest{}, fmt.Errorf("engine: admin peer request: transport %q (want auto, http or socket)", req.Transport)
 	}
 	return req, nil
 }

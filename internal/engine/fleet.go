@@ -18,8 +18,9 @@ package engine
 //     backoff ladder (RedialBase doubling up to RedialMax, +/-50% jitter).
 //     The peer is re-admitted only after a handshake that still speaks the
 //     right wire version at the right resolution — a peer that came back
-//     as something else stays out. The probe's round trip seeds the
-//     latency EWMA so the peer re-enters warm, not blind.
+//     as something else stays out — and the wire connection follows the
+//     listener the handshake advertises now. The probe's round trip seeds
+//     the latency EWMA so the peer re-enters warm, not blind.
 //
 //     healthy --EvictAfter consecutive failures--> evicted
 //     evicted --backoff elapsed--> redialing --handshake ok--> healthy
@@ -216,14 +217,13 @@ type PeerHealthInfo struct {
 	WindowInFlight int     `json:"window_in_flight"`
 	WindowLosses   int64   `json:"window_losses"`
 	RTOMS          float64 `json:"rto_ms"`
-	// negotiated-transport state (see TransportStats); the byte counters
-	// make the dedup tier's wire savings visible per peer
-	Transport      string `json:"transport"`
-	WireBytesOut   int64  `json:"wire_bytes_out"`
-	WireBytesIn    int64  `json:"wire_bytes_in"`
-	WireFramesPix  int64  `json:"wire_frames_pixels"`
-	WireFramesDdup int64  `json:"wire_frames_dedup"`
-	WireDials      int64  `json:"wire_dials"`
+	// wire link state (see TransportStats); the byte counters make the
+	// dedup tier's wire savings visible per peer
+	WireBytesOut   int64 `json:"wire_bytes_out"`
+	WireBytesIn    int64 `json:"wire_bytes_in"`
+	WireFramesPix  int64 `json:"wire_frames_pixels"`
+	WireFramesDdup int64 `json:"wire_frames_dedup"`
+	WireDials      int64 `json:"wire_dials"`
 }
 
 // HealthReporter is implemented by backends that supervise peers; the
@@ -355,7 +355,6 @@ func (f *Fleet) PeerHealth() []PeerHealthInfo {
 			WindowInFlight: win.InFlight,
 			WindowLosses:   win.Losses,
 			RTOMS:          win.RTOMS,
-			Transport:      tr.Kind,
 			WireBytesOut:   tr.BytesOut,
 			WireBytesIn:    tr.BytesIn,
 			WireFramesPix:  tr.FramesPixels,
@@ -643,8 +642,8 @@ func (f *Fleet) inferBatch(lane int, frames []*imaging.Bitmap, keys [][32]byte, 
 func (f *Fleet) dispatchChunk(lane int, frames []*imaging.Bitmap, keys [][32]byte, out []float64) bool {
 	peers := f.peerList()
 	// one wireChunk per dispatch, shared by every failover try and hedge
-	// arm: each wire encoding (HTTP body, content keys) is computed at most
-	// once no matter how many peers or transports see the chunk
+	// arm: its content keys are computed at most once no matter how many
+	// peers see the chunk
 	chunk := f.chunks.get(frames, keys)
 	defer f.chunks.put(chunk)
 
@@ -869,8 +868,9 @@ func (f *Fleet) recordFailure(p *fleetPeer) {
 
 // redial is the background re-admission state machine for one evicted
 // peer: sleep the jittered backoff, probe /modelz, re-admit on a valid
-// handshake, double the backoff and stay evicted otherwise. A peer removed
-// from the fleet mid-redial is abandoned.
+// handshake (re-pointing the wire at the listener it advertises), double
+// the backoff and stay evicted otherwise. A peer removed from the fleet
+// mid-redial is abandoned.
 func (f *Fleet) redial(p *fleetPeer) {
 	defer f.redials.Done()
 	backoff := f.opts.RedialBase
@@ -888,9 +888,15 @@ func (f *Fleet) redial(p *fleetPeer) {
 		p.state.Store(int32(PeerRedialing))
 		p.redials.Inc()
 		probeStart := time.Now()
-		info, err := p.b.handshake(p.b.modelzURL)
+		info, err := p.b.handshake()
 		probeRTT := time.Since(probeStart)
-		if err == nil && p.b.tr.compatible(info) && info.InputRes == p.b.res {
+		if err == nil {
+			err = checkWire(p.b.tr.host, info)
+		}
+		if err == nil && info.InputRes != p.b.res {
+			err = fmt.Errorf("engine: peer %s came back serving res %d, want %d", p.b.tr.host, info.InputRes, p.b.res)
+		}
+		if err == nil {
 			if p.gone.Load() {
 				return
 			}
@@ -900,7 +906,11 @@ func (f *Fleet) redial(p *fleetPeer) {
 			// window restarts in slow start (Reset clears the shared EWMA).
 			// The probe's own round trip then seeds the estimator, so the
 			// weighted router scores the re-admitted peer off a live
-			// measurement instead of a cold optimistic prior.
+			// measurement instead of a cold optimistic prior. The wire
+			// follows the listener the peer advertises now: a peer
+			// restarted on another port would otherwise be re-admitted
+			// against the old one and evicted again by every chunk.
+			p.b.tr.repoint(info.WireAddr)
 			p.consecFails.Store(0)
 			p.consecCancels.Store(0)
 			p.b.win.Reset()
@@ -908,13 +918,6 @@ func (f *Fleet) redial(p *fleetPeer) {
 			p.state.Store(int32(PeerHealthy))
 			log.Printf("engine: fleet re-admitted %s", p.b.Peer())
 			return
-		}
-		if err == nil {
-			// the transport's own compatibility check failed: the peer came
-			// back speaking a wire this backend's negotiated transport
-			// cannot ride (e.g. socket peer restarted HTTP-only)
-			err = fmt.Errorf("handshake wire v%d addr %q res %d incompatible with %s transport (res %d)",
-				info.WireVersion, info.WireAddr, info.InputRes, p.b.tr.Kind(), p.b.res)
 		}
 		p.state.Store(int32(PeerEvicted))
 		log.Printf("engine: fleet redial %s failed (next in ~%v): %v", p.b.Peer(), backoff*2, err)

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,17 +14,14 @@ import (
 	"percival/internal/synth"
 )
 
-// newFaultyPeer stands up a peer wire surface behind a fault injector, so
-// tests can flip it between healthy, slow, erroring and blackholed while a
-// fleet is dispatching to it.
+// newFaultyPeer stands up a wire peer behind a fault injector (see
+// newInjectedPeer), so tests can flip it between healthy, slow, erroring
+// and blackholed while a fleet is dispatching to it. Its verdict store
+// answers the probes of frames it has scored, as a daemon's does.
 func newFaultyPeer(t testing.TB, def Backend) (*httptest.Server, *faultinject.Injector) {
 	t.Helper()
 	inj := faultinject.NewInjector(1)
-	mux := http.NewServeMux()
-	mux.Handle("POST /classify/batch", BatchHandler(nil, def))
-	mux.Handle("GET /modelz", ModelzHandler(nil, def, 0.5))
-	ts := httptest.NewServer(faultinject.Middleware(inj, mux))
-	t.Cleanup(ts.Close)
+	ts, _ := newInjectedPeer(t, def, NewVerdictMap(0), inj)
 	return ts, inj
 }
 
@@ -407,5 +406,92 @@ func TestFleetReplicatePinsPeers(t *testing.T) {
 	}
 	if _, err := NewFleet(nil, FleetOptions{}); err == nil {
 		t.Fatal("empty fleet not rejected")
+	}
+}
+
+// TestRedialFollowsMovedWireListener: a peer restarted with its wire
+// listener on another port (-wire-listen :0) behind the same /modelz URL is
+// re-admitted against the listener it advertises now — not re-admitted
+// against the old port, where every chunk would fail over and evict it
+// again, forever.
+func TestRedialFollowsMovedWireListener(t *testing.T) {
+	net_, res := testNet(t, 16)
+	a, b := NewFP32(net_, res), NewFP32(net_, res)
+	defer a.Close()
+	defer b.Close()
+	tsA, _ := newWirePeer(t, a, NewVerdictMap(0))
+
+	// peer B: a /modelz that advertises whichever listener is current
+	listen := func() (*WireServer, string) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := NewWireServer(WireServerOptions{Backend: b, Cache: NewVerdictMap(0)})
+		go ws.Serve(ln)
+		t.Cleanup(ws.Close)
+		return ws, ln.Addr().String()
+	}
+	oldWire, oldAddr := listen()
+	var wireAddr atomic.Value
+	wireAddr.Store(oldAddr)
+	tsB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ModelzHandlerID(nil, b, 0.5, wireAddr.Load().(string), "").ServeHTTP(w, r)
+	}))
+	defer tsB.Close()
+
+	f := dialFleet(t, FleetOptions{
+		EvictAfter: 1,
+		RedialBase: 10 * time.Millisecond,
+		RedialMax:  20 * time.Millisecond,
+		Fallback:   a,
+	}, tsA.URL, tsB.URL)
+	peerB := f.Peers()[1]
+	f.Replicate()          // lane 0 prefers peer A
+	laneB := f.Replicate() // lane 1 prefers peer B
+	frames := synth.SampleFrames(7, 3)
+	want := make([]float64, len(frames))
+	a.InferBatchInto(frames, want)
+	out := make([]float64, len(frames))
+	laneB.InferBatchInto(frames, out)
+	assertBitEqual(t, "before the restart", out, want)
+
+	// restart B's wire on a new port: the handshake moves first, then the
+	// old listener dies, so B's next chunk fails over to A and evicts B
+	newWire, newAddr := listen()
+	for newAddr == oldAddr {
+		newWire, newAddr = listen()
+	}
+	wireAddr.Store(newAddr)
+	oldWire.Close()
+	laneB.InferBatchInto(frames, out)
+	assertBitEqual(t, "failed over", out, want)
+
+	// evicted, then re-admitted off the handshake (the 10 ms redial may
+	// beat any poll of the evicted state), B must score its lane over the
+	// new listener
+	readmitted := func() bool {
+		ph := f.PeerHealth()[1]
+		return ph.Evictions == 1 && ph.StateCode == PeerHealthy
+	}
+	for end := time.Now().Add(3 * time.Second); !readmitted(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("peer B not evicted once and re-admitted: %+v", f.PeerHealth()[1])
+		}
+	}
+	before := peerB.Stats().Frames
+	fresh := synth.SampleFrames(11, 3)
+	wantFresh := make([]float64, len(fresh))
+	a.InferBatchInto(fresh, wantFresh)
+	laneB.InferBatchInto(fresh, out)
+	assertBitEqual(t, "re-admitted", out, wantFresh)
+	if got := peerB.Stats().Frames - before; got != int64(len(fresh)) {
+		t.Fatalf("re-admitted peer scored %d of %d frames on its own lane", got, len(fresh))
+	}
+	if st := newWire.Stats(); st.FramesScored != int64(len(fresh)) {
+		t.Fatalf("moved listener scored %d frames, want %d: %+v", st.FramesScored, len(fresh), st)
+	}
+	if f.Fallbacks() != 0 || f.Stats().Errors != 0 || laneB.Stats().Errors != 0 {
+		t.Fatalf("%d fallbacks, fleet %+v, lane %+v: want none and no fail-open", f.Fallbacks(), f.Stats(), laneB.Stats())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"percival/internal/imaging"
 	"percival/internal/synth"
 )
 
@@ -18,18 +19,19 @@ import (
 // re-encode/route without crashing.
 func FuzzWireMsg(f *testing.F) {
 	// seeds: well-formed messages of every shape, then each invariant the
-	// decoders enforce broken one at a time
+	// decoders enforce broken one at a time. A v3 probe entry is the 32-byte
+	// key alone.
 	frames := synth.SampleFrames(3, 2)
 	keys := make([][32]byte, len(frames))
+	for i := range keys {
+		keys[i][0], keys[i][31] = byte(i), 0x9e
+	}
 	var probe bytes.Buffer
 	var hdr [sockHeaderLen]byte
 	putSockHeader(hdr[:], batchMagic, 7, sockFlagProbe, uint32(len(frames)))
 	probe.Write(hdr[:])
-	var pb [8]byte
 	for i := range frames {
 		probe.Write(keys[i][:])
-		binary.LittleEndian.PutUint64(pb[:], uint64(i)*0x9e3779b9)
-		probe.Write(pb[:])
 	}
 	f.Add(probe.Bytes())
 
@@ -88,14 +90,13 @@ func FuzzWireMsg(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// decode into used scratch, as a connection's reader does: whatever a
 		// previous message left behind must not show through
-		req := &sockReq{probe: true, keys: make([][32]byte, 3), phash: make([]uint64, 3)}
+		req := &sockReq{probe: true, keys: make([][32]byte, 3), frames: []*imaging.Bitmap{imaging.NewBitmap(1, 1)}}
 		if err := req.read(bufio.NewReader(bytes.NewReader(data))); err == nil {
 			// decoded requests must be internally consistent: the server
-			// indexes keys, phashes and frames by the same count
+			// indexes keys and frames by the same count
 			if req.probe {
-				if len(req.phash) != len(req.keys) || len(req.frames) != 0 {
-					t.Fatalf("probe shape: %d keys, %d phash, %d frames",
-						len(req.keys), len(req.phash), len(req.frames))
+				if len(req.keys) == 0 || len(req.frames) != 0 {
+					t.Fatalf("probe shape: %d keys, %d frames", len(req.keys), len(req.frames))
 				}
 			} else {
 				if len(req.frames) != len(req.keys) || len(req.frames) == 0 {
@@ -125,6 +126,49 @@ func FuzzWireMsg(f *testing.F) {
 			} else if len(resp.scores) != resp.count {
 				t.Fatalf("%d scores for count %d", len(resp.scores), resp.count)
 			}
+		}
+	})
+}
+
+// FuzzBatchFrames drives decodeFrames, the POST /classify/batch request
+// decoder — the one batch-codec decoder still reachable from the network —
+// with arbitrary bytes. The contract: never a panic, no pixel buffer sized
+// from an unchecked header, and a clean decode returns exactly the frames
+// the body's headers declare, each with w*h*4 pixel bytes.
+func FuzzBatchFrames(f *testing.F) {
+	valid := encodeFrames(nil, synth.SampleFrames(3, 2))
+	edit := func(fn func(b []byte) []byte) []byte { return fn(append([]byte{}, valid...)) }
+	f.Add(valid)
+	f.Add(valid[:len(valid)-7]) // truncated pixels
+	f.Add(edit(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[6:], 0); return b[:wireHeaderLen] }))
+	f.Add(edit(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[6:], maxWireFrames+1); return b }))
+	f.Add(edit(func(b []byte) []byte { // 2^15 x 2^15: each edge in bounds, the byte size not
+		binary.LittleEndian.PutUint32(b[6:], 1)
+		binary.LittleEndian.PutUint32(b[wireHeaderLen:], 1<<15)
+		binary.LittleEndian.PutUint32(b[wireHeaderLen+4:], 1<<15)
+		return b[:wireHeaderLen+8]
+	}))
+	f.Add(edit(func(b []byte) []byte { copy(b, "XXXX"); return b }))
+	f.Add(edit(func(b []byte) []byte { binary.LittleEndian.PutUint16(b[4:], wireVersion+1); return b }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, err := decodeFrames(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if n := binary.LittleEndian.Uint32(data[6:]); uint32(len(frames)) != n {
+			t.Fatalf("decoded %d frames, header declares %d", len(frames), n)
+		}
+		off := wireHeaderLen
+		for i, fr := range frames {
+			w := int(binary.LittleEndian.Uint32(data[off:]))
+			h := int(binary.LittleEndian.Uint32(data[off+4:]))
+			if fr.W != w || fr.H != h || len(fr.Pix) != w*h*4 {
+				t.Fatalf("frame %d decoded %dx%d with %d pixel bytes, header says %dx%d", i, fr.W, fr.H, len(fr.Pix), w, h)
+			}
+			if !bytes.Equal(fr.Pix, data[off+8:off+8+len(fr.Pix)]) {
+				t.Fatalf("frame %d pixels differ from the body", i)
+			}
+			off += 8 + len(fr.Pix)
 		}
 	})
 }

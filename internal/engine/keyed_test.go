@@ -55,7 +55,7 @@ func (c *slowCache) LookupVerdict(key [32]byte) (float64, bool) {
 	return c.VerdictCache.LookupVerdict(key)
 }
 
-// wirePeerRig is n wire-v2 peers over one local engine, each with a verdict
+// wirePeerRig is n wire peers over one local engine, each with a verdict
 // cache holding the sentinel scores of nframes frames, and a dialed remote
 // per peer.
 type wirePeerRig struct {
@@ -76,9 +76,7 @@ func newWirePeerRig(t *testing.T, n, nframes int) *wirePeerRig {
 			cache.StoreVerdict(sentinelKey(i), sentinelScore(i))
 		}
 		ts, ws := newWirePeer(t, r.local.Replicate(), cache)
-		rb, err := NewRemote(ts.URL, RemoteOptions{
-			ExpectRes: res, Transport: "socket", Timeout: 2 * time.Second,
-		})
+		rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Timeout: 2 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,9 +129,8 @@ func assertBitEqual(t *testing.T, what string, got, want []float64) {
 }
 
 // TestWireChunkKeepsHandedKeys: a chunk reset with keys returns exactly those
-// from contentKeys — it did not hash — and still fills the perceptual
-// hashes; an unkeyed chunk hashes; and a pooled chunk carries nothing over
-// from its previous use in either direction.
+// from contentKeys — it did not hash; an unkeyed chunk hashes; and a pooled
+// chunk carries nothing over from its previous use in either direction.
 func TestWireChunkKeepsHandedKeys(t *testing.T) {
 	frames := synth.SampleFrames(9, 5)
 	handed := sentinelKeys(len(frames))
@@ -142,16 +139,13 @@ func TestWireChunkKeepsHandedKeys(t *testing.T) {
 	check := func(what string, c *wireChunk, frames []*imaging.Bitmap, want func(i int) [32]byte) {
 		t.Helper()
 		for pass := 0; pass < 2; pass++ { // the second call must be the first's answer, not a recomputation appended to it
-			keys, phash := c.contentKeys()
-			if len(keys) != len(frames) || len(phash) != len(frames) {
-				t.Fatalf("%s: %d keys and %d hashes for %d frames", what, len(keys), len(phash), len(frames))
+			keys := c.contentKeys()
+			if len(keys) != len(frames) {
+				t.Fatalf("%s: %d keys for %d frames", what, len(keys), len(frames))
 			}
-			for i, f := range frames {
+			for i := range frames {
 				if keys[i] != want(i) {
 					t.Fatalf("%s: key %d is %x, want %x", what, i, keys[i][:4], want(i))
-				}
-				if phash[i] != imaging.PerceptualHash(f) {
-					t.Fatalf("%s: perceptual hash %d not filled", what, i)
 				}
 			}
 		}
@@ -175,7 +169,7 @@ func TestWireChunkKeepsHandedKeys(t *testing.T) {
 }
 
 // TestKeyedDispatchProbesWithHandedKeys: through the daemon's stack below
-// the serving layer — CanaryBackend over a Fleet lane over a real wire-v2
+// the serving layer — CanaryBackend over a Fleet lane over a real wire
 // peer — a keyed batch is answered from the probe alone under the keys it
 // was handed, chunk by chunk past BatchChunk; the same frames unkeyed are
 // hashed by the chunk and answered under imaging.ContentKey, bit-identical

@@ -8,22 +8,36 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"percival/internal/faultinject"
 	"percival/internal/imaging"
 	"percival/internal/synth"
 )
 
-// newPeer stands up an in-process percival-serve wire surface over the
-// given backend: the two endpoints a RemoteBackend speaks.
-func newPeer(t testing.TB, reg *Registry, def Backend) *httptest.Server {
+// encodeFrames appends the batch endpoint's request encoding of frames to
+// buf — what a client of POST /classify/batch sends.
+func encodeFrames(buf []byte, frames []*imaging.Bitmap) []byte {
+	buf = append(buf, batchMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, wireVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frames)))
+	for _, f := range frames {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.W))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.H))
+		buf = append(buf, f.Pix...)
+	}
+	return buf
+}
+
+// newBatchPeer serves POST /classify/batch over def (reg may be nil).
+func newBatchPeer(t testing.TB, reg *Registry, def Backend) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.Handle("POST /classify/batch", BatchHandler(reg, def))
-	mux.Handle("GET /modelz", ModelzHandler(reg, def, 0.5))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
@@ -50,13 +64,14 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		}
 	}
 	scores := []float64{0, 0.25, 1, math.SmallestNonzeroFloat64}
-	out := make([]float64, len(scores))
-	if err := decodeScoresInto(bytes.NewReader(encodeScores(nil, scores)), out); err != nil {
-		t.Fatal(err)
+	enc = encodeScores(nil, scores)
+	if string(enc[:4]) != scoreMagic || binary.LittleEndian.Uint16(enc[4:6]) != wireVersion ||
+		binary.LittleEndian.Uint32(enc[6:10]) != uint32(len(scores)) || len(enc) != wireHeaderLen+8*len(scores) {
+		t.Fatalf("score header % x (%d bytes)", enc[:wireHeaderLen], len(enc))
 	}
 	for i := range scores {
-		if out[i] != scores[i] {
-			t.Fatalf("score %d: %v, want %v", i, out[i], scores[i])
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(enc[wireHeaderLen+8*i:])); got != scores[i] {
+			t.Fatalf("score %d: %v, want %v", i, got, scores[i])
 		}
 	}
 }
@@ -82,10 +97,6 @@ func TestWireRejectsMalformedBatches(t *testing.T) {
 		if _, err := decodeFrames(bytes.NewReader(enc)); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
 		}
-	}
-	// score count must match the caller's frame count
-	if err := decodeScoresInto(bytes.NewReader(encodeScores(nil, []float64{1, 2})), make([]float64, 3)); err == nil {
-		t.Error("score-count mismatch not rejected")
 	}
 }
 
@@ -115,7 +126,7 @@ func TestBatchHandlerContentLengthAndCounters(t *testing.T) {
 	net, res := testNet(t, 16)
 	local := NewFP32(net, res)
 	defer local.Close()
-	ts := newPeer(t, nil, local)
+	ts := newBatchPeer(t, nil, local)
 
 	before := WireHTTPStats()
 	frames := synth.SampleFrames(5, 3)
@@ -148,34 +159,15 @@ func TestBatchHandlerContentLengthAndCounters(t *testing.T) {
 	}
 }
 
-// TestRemoteDefaultClientIdleConns: the default HTTP client must keep a
-// congestion window's worth of idle connections per peer — net/http's
-// default of 2 would churn TCP setup on every >2-deep burst.
-func TestRemoteDefaultClientIdleConns(t *testing.T) {
-	o := RemoteOptions{}.withDefaults()
-	tr, ok := o.Client.Transport.(*http.Transport)
-	if !ok {
-		t.Fatalf("default client transport %T, want *http.Transport", o.Client.Transport)
-	}
-	if tr.MaxIdleConnsPerHost != o.WindowMax || tr.MaxIdleConnsPerHost < 3 {
-		t.Fatalf("MaxIdleConnsPerHost %d, want WindowMax %d", tr.MaxIdleConnsPerHost, o.WindowMax)
-	}
-	// an explicit client is never overridden
-	c := &http.Client{}
-	if o2 := (RemoteOptions{Client: c}).withDefaults(); o2.Client != c {
-		t.Fatal("explicit client replaced by defaults")
-	}
-}
-
-// TestRemoteMatchesLocalBackend is the tentpole's correctness anchor: a
-// frame proxied over the wire must score exactly what the peer's backend
+// TestRemoteMatchesLocalBackend is the remote backend's correctness anchor:
+// a frame proxied over the wire must score exactly what the peer's backend
 // scores locally — same pre-processing, same forward pass, bit-identical
 // float64 on the wire.
 func TestRemoteMatchesLocalBackend(t *testing.T) {
 	net, res := testNet(t, 16)
 	local := NewFP32(net, res)
 	defer local.Close()
-	ts := newPeer(t, nil, local)
+	ts, _ := newWirePeer(t, local, nil)
 
 	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res})
 	if err != nil {
@@ -206,13 +198,14 @@ func TestRemoteMatchesLocalBackend(t *testing.T) {
 	}
 }
 
-// TestRemoteHandshake: construction must reject unreachable peers and
-// resolution mismatches — deployment errors, not fail-open conditions.
+// TestRemoteHandshake: construction must reject unreachable peers,
+// resolution mismatches and version skew — deployment errors, not fail-open
+// conditions.
 func TestRemoteHandshake(t *testing.T) {
 	net, res := testNet(t, 16)
 	local := NewFP32(net, res)
 	defer local.Close()
-	ts := newPeer(t, nil, local)
+	ts, _ := newWirePeer(t, local, nil)
 
 	if _, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res + 8}); err == nil {
 		t.Fatal("resolution mismatch not rejected")
@@ -223,37 +216,79 @@ func TestRemoteHandshake(t *testing.T) {
 	if _, err := NewRemote("://not a url", RemoteOptions{}); err == nil {
 		t.Fatal("invalid address not rejected")
 	}
-
-	// a version-skewed peer (past the whole [v1, v2] acceptance range) must
-	// be refused at dial time, not fail every batch open at runtime
-	skew := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(ModelzInfo{WireVersion: wireVersionSock + 1, Engine: "fp32", InputRes: res})
-	}))
-	defer skew.Close()
-	if _, err := NewRemote(skew.URL, RemoteOptions{}); err == nil {
-		t.Fatal("wire-version skew not rejected")
+	// a peer on a newer wire than this front's must be refused at dial
+	// time, not fail every batch open at runtime
+	skew := handshakePeer(t, ModelzInfo{WireVersion: wireVersionSock + 1, WireAddr: "127.0.0.1:9", Engine: "fp32", InputRes: res})
+	if _, err := NewRemote(skew.URL, RemoteOptions{}); err == nil || !strings.Contains(err.Error(), "upgrade the front") {
+		t.Fatalf("wire-version skew: %v, want a refusal that says to upgrade the front", err)
 	}
+}
 
-	// a wire-v2 peer is inside the range: a v1-only proxy preference and the
-	// auto negotiation must both interoperate with it over HTTP when it
-	// advertises no socket listener
-	v2http := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(ModelzInfo{WireVersion: wireVersionSock, Engine: "fp32", InputRes: res})
+// handshakePeer answers GET /modelz with info and nothing else.
+func handshakePeer(t *testing.T, info ModelzInfo) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(info)
 	}))
-	defer v2http.Close()
-	rb, err := NewRemote(v2http.URL, RemoteOptions{})
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestDialRefusesPeerWithoutWireV3: the socket is the only dispatch wire,
+// so a peer a front cannot reach over wire v3 is refused at dial time with
+// a message that names the peer and says what to do.
+func TestDialRefusesPeerWithoutWireV3(t *testing.T) {
+	net, res := testNet(t, 16)
+	local := NewFP32(net, res)
+	defer local.Close()
+	v2 := handshakePeer(t, ModelzInfo{WireVersion: 2, WireAddr: "127.0.0.1:9", Engine: "fp32", InputRes: res})
+	noListener := handshakePeer(t, ModelzInfo{WireVersion: wireVersionSock, Engine: "fp32", InputRes: res})
+	good, _ := newWirePeer(t, local, nil)
+	host := func(ts *httptest.Server) string { return strings.TrimPrefix(ts.URL, "http://") }
+
+	for _, tc := range []struct {
+		what string
+		peer *httptest.Server
+		opts RemoteOptions
+		fix  string
+	}{
+		{"v2 peer", v2, RemoteOptions{}, "speaks wire v2; upgrade it"},
+		{"v3 peer without a listener", noListener, RemoteOptions{}, "advertises no wire listener; restart it with -wire-listen"},
+		{"http transport", good, RemoteOptions{Transport: "http"}, "leave Transport empty"},
+	} {
+		_, err := NewRemote(tc.peer.URL, tc.opts)
+		if err == nil {
+			t.Errorf("%s: dial succeeded", tc.what)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, host(tc.peer)) || !strings.Contains(msg, tc.fix) {
+			t.Errorf("%s: refusal %q, want it to name %s and say %q", tc.what, msg, host(tc.peer), tc.fix)
+		}
+	}
+	// the deprecated spelling of the only transport still dials
+	rb, err := NewRemote(good.URL, RemoteOptions{Transport: "socket"})
 	if err != nil {
-		t.Fatalf("v2 peer without socket listener rejected: %v", err)
+		t.Fatalf(`Transport "socket" refused: %v`, err)
 	}
-	if rb.tr.Kind() != "http" {
-		t.Fatalf("negotiated %s transport for a peer with no wire addr, want http", rb.tr.Kind())
-	}
+	rb.Close()
+}
 
-	// requesting the socket wire from a peer that cannot serve it is a
-	// deployment error, refused at dial time
-	if _, err := NewRemote(v2http.URL, RemoteOptions{Transport: "socket"}); err == nil {
-		t.Fatal("socket transport against socketless peer not rejected")
+// flakeOnce is a peer's verdict store that clears the injected fault at
+// the first probe lookup after its first n: with n the chunk's frame
+// count, the first probe's answer is written into the fault and every
+// later one is not — exactly one failed attempt, however the goroutines
+// interleave.
+type flakeOnce struct {
+	VerdictCache
+	inj *faultinject.Injector
+	n   atomic.Int64
+}
+
+func (c *flakeOnce) LookupVerdict(key [32]byte) (float64, bool) {
+	if c.n.Add(-1) == -1 {
+		c.inj.Set(faultinject.Fault{})
 	}
+	return c.VerdictCache.LookupVerdict(key)
 }
 
 // TestRemoteRetriesAndFailsOpen: a transient peer error is absorbed by the
@@ -263,20 +298,9 @@ func TestRemoteRetriesAndFailsOpen(t *testing.T) {
 	net, res := testNet(t, 16)
 	local := NewFP32(net, res)
 	defer local.Close()
-
-	var fails atomic.Int64
-	mux := http.NewServeMux()
-	mux.Handle("GET /modelz", ModelzHandler(nil, local, 0.5))
-	batch := BatchHandler(nil, local)
-	mux.HandleFunc("POST /classify/batch", func(w http.ResponseWriter, r *http.Request) {
-		if fails.Add(-1) >= 0 {
-			http.Error(w, "flake", http.StatusServiceUnavailable)
-			return
-		}
-		batch(w, r)
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
+	inj := faultinject.NewInjector(1)
+	cache := &flakeOnce{VerdictCache: NewVerdictMap(0), inj: inj}
+	ts, _ := newInjectedPeer(t, local, cache, inj)
 
 	rb, err := NewRemote(ts.URL, RemoteOptions{Retries: 1})
 	if err != nil {
@@ -287,8 +311,10 @@ func TestRemoteRetriesAndFailsOpen(t *testing.T) {
 	want := make([]float64, len(frames))
 	local.InferBatchInto(frames, want)
 
-	// one 503, then the retry succeeds
-	fails.Store(1)
+	// the peer drops the connection in place of its first answer, then the
+	// retry redials and succeeds
+	cache.n.Store(int64(len(frames)))
+	inj.Set(faultinject.Fault{ErrorRate: 1})
 	got := make([]float64, len(frames))
 	rb.InferBatchInto(frames, got)
 	if got[0] != want[0] || got[1] != want[1] {
@@ -297,9 +323,12 @@ func TestRemoteRetriesAndFailsOpen(t *testing.T) {
 	if st := rb.Stats(); st.Errors != 0 {
 		t.Fatalf("transient flake counted as failure: %+v", st)
 	}
+	if st := rb.TransportStats(); st.Chunks != 2 || st.Dials != 2 {
+		t.Fatalf("transport %+v, want 2 attempts over 2 dials (one retry)", st)
+	}
 
 	// peer stays down: every attempt fails, the chunk fails open
-	fails.Store(1 << 30)
+	inj.Set(faultinject.Fault{ErrorRate: 1})
 	got[0], got[1] = 0.9, 0.9
 	rb.InferBatchInto(frames, got)
 	if got[0] != 0 || got[1] != 0 {
@@ -310,79 +339,9 @@ func TestRemoteRetriesAndFailsOpen(t *testing.T) {
 	}
 }
 
-// TestHTTPChunkBodyNotReusedWhileInFlight: a peer that answers 503 without
-// reading the request leaves net/http's write loop still copying the chunk's
-// body when the attempt returns; the chunk and its buffer are pooled, so the
-// next dispatch must not encode into that array. The race detector is the
-// oracle (`make race`).
-func TestHTTPChunkBodyNotReusedWhileInFlight(t *testing.T) {
-	net, res := testNet(t, 16)
-	local := NewFP32(net, res)
-	defer local.Close()
-	mux := http.NewServeMux()
-	mux.Handle("GET /modelz", ModelzHandler(nil, local, 0.5))
-	mux.HandleFunc("POST /classify/batch", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "busy", http.StatusServiceUnavailable) // body left unread
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	rb, err := NewRemote(ts.URL, RemoteOptions{Transport: "http"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	// past any socket buffer, so the write is still going when the 503 lands
-	frames := []*imaging.Bitmap{imaging.NewBitmap(1024, 1024)}
-	out := make([]float64, 1)
-	const rounds = 20
-	for i := 0; i < rounds; i++ {
-		frames[0].Pix[0] = byte(i)
-		rb.InferBatchInto(frames, out)
-	}
-	if st := rb.Stats(); st.Errors != rounds {
-		t.Fatalf("stats %+v, want %d fail-open chunks", st, rounds)
-	}
-}
-
-// TestRemoteDoesNotRetryRejections: a 4xx means the peer rejected this
-// exact request — re-sending the same body cannot succeed, so the retry
-// budget must not be spent on it.
-func TestRemoteDoesNotRetryRejections(t *testing.T) {
-	net, res := testNet(t, 16)
-	local := NewFP32(net, res)
-	defer local.Close()
-
-	var attempts atomic.Int64
-	mux := http.NewServeMux()
-	mux.Handle("GET /modelz", ModelzHandler(nil, local, 0.5))
-	mux.HandleFunc("POST /classify/batch", func(w http.ResponseWriter, r *http.Request) {
-		attempts.Add(1)
-		http.Error(w, "rejected", http.StatusBadRequest)
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	rb, err := NewRemote(ts.URL, RemoteOptions{Retries: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	out := make([]float64, 1)
-	rb.InferBatchInto(synth.SampleFrames(7, 1), out)
-	if out[0] != 0 {
-		t.Fatalf("rejected chunk must fail open, scored %v", out[0])
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("peer saw %d attempts of a non-retryable rejection, want 1", got)
-	}
-	if st := rb.Stats(); st.Errors != 1 {
-		t.Fatalf("rejection not counted as fail-open: %+v", st)
-	}
-}
-
-// TestBatchHandlerModelSelection: ?model= must resolve through
-// Registry.Select on both wire endpoints, with the lenient
-// fallback-to-default for unknown names.
+// TestBatchHandlerModelSelection: ?model= on the batch endpoint must resolve
+// through Registry.Select, with the lenient fallback-to-default for unknown
+// names.
 func TestBatchHandlerModelSelection(t *testing.T) {
 	net, res := testNet(t, 16)
 	a, b := NewFP32(net, res), NewFP32(net, res)
@@ -395,16 +354,22 @@ func TestBatchHandlerModelSelection(t *testing.T) {
 	if err := reg.Register("fp32@2", b); err != nil {
 		t.Fatal(err)
 	}
-	ts := newPeer(t, reg, a)
-
-	rb, err := NewRemote(ts.URL, RemoteOptions{Model: "fp32@2"})
-	if err != nil {
-		t.Fatal(err)
+	ts := newBatchPeer(t, reg, a)
+	post := func(model string, frames []*imaging.Bitmap) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/classify/batch?model="+model, "application/octet-stream",
+			bytes.NewReader(encodeFrames(nil, frames)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("?model=%s: %s", model, resp.Status)
+		}
 	}
-	defer rb.Close()
+
 	frames := synth.SampleFrames(7, 3)
-	out := make([]float64, len(frames))
-	rb.InferBatchInto(frames, out)
+	post("fp32@2", frames)
 	if got := b.Stats().Frames; got != int64(len(frames)) {
 		t.Fatalf("named model served %d frames, want %d", got, int64(len(frames)))
 	}
@@ -413,12 +378,7 @@ func TestBatchHandlerModelSelection(t *testing.T) {
 	}
 
 	// unknown model name falls back to the registry default
-	rb2, err := NewRemote(ts.URL, RemoteOptions{Model: "no-such-model"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb2.Close()
-	rb2.InferBatchInto(frames[:1], out[:1])
+	post("no-such-model", frames[:1])
 	if a.Stats().Frames != 1 {
 		t.Fatalf("unknown model did not fall back to default (default served %d)", a.Stats().Frames)
 	}
@@ -431,7 +391,7 @@ func TestRemoteConcurrentDispatch(t *testing.T) {
 	net, res := testNet(t, 16)
 	local := NewFP32(net, res)
 	defer local.Close()
-	ts := newPeer(t, nil, local)
+	ts, _ := newWirePeer(t, local, NewVerdictMap(0))
 	rb, err := NewRemote(ts.URL, RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)

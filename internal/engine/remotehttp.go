@@ -1,12 +1,13 @@
 package engine
 
-// The HTTP wire surface shared by RemoteBackend (the client in remote.go)
-// and the daemon endpoints cmd/percival-serve mounts: one binary frame-batch
-// format for POST /classify/batch and one JSON handshake for GET /modelz.
-// Keeping encoder, decoder and handlers in one file means the two sides of
-// the wire can never silently diverge.
+// The HTTP surface of a peer, shared by RemoteBackend (the client in
+// remote.go) and the endpoints cmd/percival-serve mounts: the JSON handshake
+// GET /modelz every front dials first, and the client-facing binary batch
+// endpoint POST /classify/batch. Fronts never dispatch over HTTP: chunks
+// travel over the persistent-socket wire (sockwire.go) whose listener the
+// handshake advertises.
 //
-// Wire v1 — one message per HTTP exchange. Batch request body
+// Batch endpoint, one message per HTTP exchange. Request body
 // (little-endian):
 //
 //	magic   "PCVB"            4 bytes
@@ -14,38 +15,36 @@ package engine
 //	count   uint32            frames in the batch
 //	frame   w uint32, h uint32, then w*h*4 RGBA bytes, count times
 //
-// Batch response body:
+// Response body:
 //
 //	magic   "PCVS"            4 bytes
 //	version uint16            1
-//	count   uint32            must equal the request count
+//	count   uint32            equals the request count
 //	score   float64 bits (ad-class probability), count times
 //
-// Wire v2 — the persistent-socket framing (sockwire.go): the same magics
-// and little-endian layout, carried as multiplexed messages over one hot
-// TCP connection instead of one HTTP exchange each. Every message header
-// grows a request ID (echoed by the response, so responses may arrive out
-// of order) and a flags word:
+// Wire v3 — the dispatch wire (sockwire.go): the same magics and
+// little-endian layout, carried as multiplexed messages over one hot TCP
+// connection. Every message header carries a request ID (echoed by the
+// response, so responses may arrive out of order) and a flags word:
 //
 //	magic   "PCVB"/"PCVS"     4 bytes
-//	version uint16            2
+//	version uint16            3
 //	id      uint32            request ID, echoed by the response
 //	flags   uint32            sockFlagProbe (request) / sockFlagMask (response)
 //	count   uint32            entries that follow
 //
-// A request with sockFlagProbe carries count × (32-byte content key +
-// 8-byte perceptual hash) — the hash-first dedup tier: the peer answers
-// from its verdict cache and never sees the pixels. Its response carries
-// sockFlagMask: a ceil(count/8) hit bitmask followed by one float64 score
-// per set bit. A request without sockFlagProbe carries count ×
-// (32-byte content key + w uint32 + h uint32 + w*h*4 RGBA bytes) — pixels
-// for the probe misses, keyed so the peer can store the verdicts it scores
-// without re-hashing; its response is count × float64 scores, v1-style.
+// A request with sockFlagProbe carries count × 32-byte content key — the
+// hash-first dedup tier: the peer answers from its verdict cache and never
+// sees the pixels. Its response carries sockFlagMask: a ceil(count/8) hit
+// bitmask followed by one float64 score per set bit. A request without
+// sockFlagProbe carries count × (32-byte content key + w uint32 + h uint32
+// + w*h*4 RGBA bytes) — pixels for the probe misses, keyed so the peer can
+// store the verdicts it scores without re-hashing; its response is count ×
+// float64 scores.
 //
-// Which framing a peer speaks is negotiated through /modelz: wire_version
-// is the highest version the peer accepts, and wire_addr names its socket
-// listener (empty = HTTP only). A v2 proxy falls back to per-request HTTP
-// v1 against a v1 peer, so mixed fleets interoperate during rollout.
+// The handshake names the wire: wire_version is the dispatch wire version
+// the peer speaks and wire_addr its socket listener. A front refuses, at
+// dial and at redial, a peer that is not on v3 or advertises no listener.
 //
 // Frames travel at their original resolution: the peer runs the exact same
 // pre-processing (ResizeBilinearInto + ToTensorInto) an in-process backend
@@ -68,18 +67,18 @@ import (
 )
 
 const (
-	batchMagic  = "PCVB"
-	scoreMagic  = "PCVS"
+	batchMagic = "PCVB"
+	scoreMagic = "PCVS"
+	// wireVersion is the batch endpoint's message version.
 	wireVersion = 1
-	// wireVersionSock is the persistent-socket framing version (sockwire.go).
-	// A peer's /modelz advertises the highest version it speaks; proxies
-	// accept any version in [wireVersion, wireVersionSock] and pick the
-	// transport the peer's handshake supports.
-	wireVersionSock = 2
+	// wireVersionSock is the dispatch wire's version (sockwire.go), the one
+	// a peer's /modelz advertises and a front requires.
+	wireVersionSock = 3
 	// wireHeaderLen is the shared magic+version+count prefix length.
 	wireHeaderLen = 4 + 2 + 4
-	// maxWireFrames bounds one batch request; a proxy chunks by BatchChunk,
-	// so anything near this limit is a misbehaving client, not a big batch.
+	// maxWireFrames bounds one batch request or wire message; a front chunks
+	// by BatchChunk, so anything near this limit is a misbehaving client, not
+	// a big batch.
 	maxWireFrames = 4096
 	// maxWireEdge/maxWireFrameBytes bound one frame before its pixel buffer
 	// is allocated, so a lying header cannot over-allocate the peer.
@@ -100,20 +99,7 @@ func CheckFrameDims(w, h int) error {
 	return nil
 }
 
-// encodeFrames appends the batch wire encoding of frames to buf.
-func encodeFrames(buf []byte, frames []*imaging.Bitmap) []byte {
-	buf = append(buf, batchMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, wireVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(frames)))
-	for _, f := range frames {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.W))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.H))
-		buf = append(buf, f.Pix...)
-	}
-	return buf
-}
-
-// decodeFrames reads a batch wire stream, validating every frame header
+// decodeFrames reads a batch request body, validating every frame header
 // before allocating its pixel buffer.
 func decodeFrames(r io.Reader) ([]*imaging.Bitmap, error) {
 	br := bufio.NewReader(r)
@@ -151,7 +137,7 @@ func decodeFrames(r io.Reader) ([]*imaging.Bitmap, error) {
 	return frames, nil
 }
 
-// encodeScores appends the score wire encoding to buf.
+// encodeScores appends the batch response encoding of scores to buf.
 func encodeScores(buf []byte, scores []float64) []byte {
 	buf = append(buf, scoreMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, wireVersion)
@@ -162,45 +148,8 @@ func encodeScores(buf []byte, scores []float64) []byte {
 	return buf
 }
 
-// decodeScoresInto reads a score stream into out; the peer must return
-// exactly len(out) scores.
-func decodeScoresInto(r io.Reader, out []float64) error {
-	br := bufio.NewReader(r)
-	var hdr [wireHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fmt.Errorf("engine: score header: %w", err)
-	}
-	if string(hdr[:4]) != scoreMagic {
-		return fmt.Errorf("engine: not a score stream (magic %q)", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != wireVersion {
-		return fmt.Errorf("engine: score version %d, want %d", v, wireVersion)
-	}
-	if count := binary.LittleEndian.Uint32(hdr[6:10]); count != uint32(len(out)) {
-		return fmt.Errorf("engine: %d scores for %d frames", count, len(out))
-	}
-	var buf [8]byte
-	for i := range out {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return fmt.Errorf("engine: score %d: %w", i, err)
-		}
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-	}
-	return nil
-}
-
-// selectWire resolves the ?model= parameter against the registry, falling
-// back to def when the parameter is absent (Registry.Select already handles
-// unknown names leniently).
-func selectWire(reg *Registry, def Backend, r *http.Request) Backend {
-	if name := r.URL.Query().Get("model"); name != "" && reg != nil {
-		return reg.Select(name)
-	}
-	return def
-}
-
 // httpWire carries the server-side counters of the HTTP batch endpoint —
-// the /metrics view of satellite traffic a front proxies here. WriteErrors
+// the /metrics view of the batch traffic clients send here. WriteErrors
 // is the interesting one: a response write that failed mid-stream surfaces
 // client-side as a confusing truncation error, so the serving side must
 // count it as its own signal.
@@ -242,10 +191,10 @@ func (c countingReader) Read(p []byte) (int, error) {
 }
 
 // BatchHandler serves POST /classify/batch: length-prefixed raw-RGBA frames
-// in, scores out, one forward pass per request (clients chunk by BatchChunk,
-// so a well-behaved request is exactly one forward pass on the selected
-// backend). ?model= selects a registry entry; def serves when the parameter
-// is absent. reg may be nil for a single-engine peer.
+// in, scores out, one forward pass per request on the selected backend.
+// ?model= selects a registry entry (Registry.Select, lenient about unknown
+// names); def serves when the parameter is absent. reg may be nil for a
+// single-engine peer.
 func BatchHandler(reg *Registry, def Backend) http.HandlerFunc {
 	// one well-behaved request is at most BatchChunk max-size frames
 	const maxBatchBody = BatchChunk*(maxWireFrameBytes+8) + wireHeaderLen
@@ -257,7 +206,10 @@ func BatchHandler(reg *Registry, def Backend) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		b := selectWire(reg, def, r)
+		b := def
+		if name := r.URL.Query().Get("model"); name != "" && reg != nil {
+			b = reg.Select(name)
+		}
 		scores := make([]float64, len(frames))
 		b.InferBatchInto(frames, scores)
 		payload := encodeScores(make([]byte, 0, wireHeaderLen+8*len(scores)), scores)
@@ -279,25 +231,23 @@ func BatchHandler(reg *Registry, def Backend) http.HandlerFunc {
 // ModelzInfo is the GET /modelz handshake payload: everything a proxy needs
 // to validate a peer before routing traffic to it.
 type ModelzInfo struct {
-	// WireVersion is the highest wire version the peer speaks (1 = HTTP
-	// /classify/batch only, 2 = the persistent-socket framing as well). A
-	// proxy refuses a peer outside its own [wireVersion, wireVersionSock]
-	// compatibility range at dial time, because every batch would
-	// deterministically fail open otherwise; inside the range it picks the
-	// best transport both ends support.
+	// WireVersion is the dispatch wire version the peer speaks
+	// (wireVersionSock). A front refuses any other version at dial time,
+	// because every chunk would deterministically fail otherwise.
 	WireVersion int `json:"wire_version"`
 	// WireAddr is the peer's persistent-socket listener ("host:port"; an
 	// empty or wildcard host is resolved against the peer's HTTP host).
-	// Empty means HTTP only — the v1 fallback every proxy can ride.
+	// Empty means the peer runs no listener and cannot serve a front.
 	WireAddr string `json:"wire_addr,omitempty"`
-	// Engine is the backend that would serve a batch with the same ?model=.
+	// Engine is the backend the wire listener scores with.
 	Engine string `json:"engine"`
 	// InputRes is that backend's network input resolution; a proxy refuses
 	// a peer whose resolution differs from its own pre-processing contract.
 	InputRes int `json:"input_res"`
 	// Threshold is the peer's ad-probability blocking threshold.
 	Threshold float64 `json:"threshold"`
-	// Backends lists the peer's registry entries (?model= candidates).
+	// Backends lists the peer's registry entries (?model= candidates on
+	// /classify and /classify/batch).
 	Backends []string `json:"backends,omitempty"`
 	// InstanceID is the serving daemon's per-process identity (random at
 	// startup). Dialers compare it against their own to reject self-dials
@@ -306,42 +256,30 @@ type ModelzInfo struct {
 	InstanceID string `json:"instance_id,omitempty"`
 }
 
-// ModelzHandler serves GET /modelz, the proxy handshake, for an HTTP-only
-// peer (wire v1, no socket listener). ?model= reports the entry a batch
-// request with the same parameter would hit.
-func ModelzHandler(reg *Registry, def Backend, threshold float64) http.HandlerFunc {
-	return ModelzHandlerWire(reg, def, threshold, "")
-}
-
-// ModelzHandlerWire is ModelzHandler for a peer that also mounts the
-// persistent-socket wire listener at wireAddr: the handshake advertises
-// wire v2 and the listener address, so dialing proxies negotiate the socket
-// transport. An empty wireAddr degrades to the plain v1 handshake.
+// ModelzHandlerWire is ModelzHandlerID without an instance ID to advertise.
+//
+// Deprecated: call ModelzHandlerID with an empty instanceID.
 func ModelzHandlerWire(reg *Registry, def Backend, threshold float64, wireAddr string) http.HandlerFunc {
 	return ModelzHandlerID(reg, def, threshold, wireAddr, "")
 }
 
-// ModelzHandlerID is ModelzHandlerWire carrying the daemon's per-process
-// instance ID, letting dialing proxies detect self-dials (see
-// ModelzInfo.InstanceID). percival-serve mounts this variant; the shorter
-// wrappers remain for peers without an identity to advertise.
+// ModelzHandlerID serves GET /modelz, the proxy handshake, for a peer whose
+// wire listener at wireAddr scores with def (empty: no listener, and no
+// front can dial the peer). instanceID is the daemon's per-process
+// identity, letting dialing proxies detect self-dials (see
+// ModelzInfo.InstanceID).
 func ModelzHandlerID(reg *Registry, def Backend, threshold float64, wireAddr, instanceID string) http.HandlerFunc {
-	version := wireVersion
-	if wireAddr != "" {
-		version = wireVersionSock
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		b := selectWire(reg, def, r)
 		var names []string
 		if reg != nil {
 			names = reg.Names()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(ModelzInfo{
-			WireVersion: version,
+			WireVersion: wireVersionSock,
 			WireAddr:    wireAddr,
-			Engine:      b.Name(),
-			InputRes:    b.InputRes(),
+			Engine:      def.Name(),
+			InputRes:    def.InputRes(),
 			Threshold:   threshold,
 			Backends:    names,
 			InstanceID:  instanceID,

@@ -1,22 +1,22 @@
 package engine
 
-// Wire v2: the persistent-socket transport. One hot TCP connection per
-// peer carries multiplexed request/response messages (the PCVB/PCVS
-// encoding from remotehttp.go, grown a request-ID and a flags word — the
-// full format is documented in remotehttp.go's header comment), replacing
-// one HTTP exchange per chunk with framed messages on a connection that
-// never goes cold. Request IDs let responses return out of order, so the
-// CUBIC congestion window's in-flight chunks really are concurrently in
-// flight on one connection; a request that outlives its RTO deadline is
-// abandoned client-side (its ID is forgotten; a late response is dropped)
-// and feeds the window as a loss, exactly like a timed-out HTTP attempt.
+// Wire v3: the persistent-socket dispatch wire, the one way a front reaches
+// its peers. One hot TCP connection per peer carries multiplexed
+// request/response messages (the PCVB/PCVS magics from remotehttp.go, grown
+// a request ID and a flags word — the full format is documented in
+// remotehttp.go's header comment) on a connection that never goes cold.
+// Request IDs let responses return out of order, so the CUBIC congestion
+// window's in-flight chunks really are concurrently in flight on one
+// connection; a request that outlives its RTO deadline is abandoned
+// client-side (its ID is forgotten; a late response is dropped) and feeds
+// the window as a loss.
 //
 // On top of the framing sits the hash-first dedup tier: a probe message
-// carries each frame's content key + perceptual hash, the peer answers
-// what its verdict cache already knows, and only the misses are sent as
-// (keyed) pixels. On cache-warm traffic a ~200 KB frame costs 40 bytes on
-// the wire. Pixels that do travel are written straight from each frame's
-// backing buffer to the socket — no per-chunk body assembly.
+// carries each frame's 32-byte content key, the peer answers what its
+// verdict cache already knows, and only the misses are sent as (keyed)
+// pixels. On cache-warm traffic a ~200 KB frame costs 32 bytes on the wire.
+// Pixels that do travel are written straight from each frame's backing
+// buffer to the socket — no per-chunk body assembly.
 //
 // sockettransport-style stream framing (see ndn-dpdk): the reader is a
 // single goroutine per connection that routes responses to waiters by ID;
@@ -28,6 +28,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -43,18 +44,17 @@ import (
 )
 
 const (
-	// sockHeaderLen is the v2 message prefix: magic, version, id, flags,
+	// sockHeaderLen is the message prefix: magic, version, id, flags,
 	// count.
 	sockHeaderLen = 4 + 2 + 4 + 4 + 4
-	// sockFlagProbe marks a request as a hash probe (keys + phashes, no
+	// sockFlagProbe marks a request as a key probe (content keys, no
 	// pixels); sockFlagMask marks a response as a probe answer (hit bitmask
 	// + scores for the set bits). Any other flag bit is a protocol error.
 	sockFlagProbe = 1 << 0
 	sockFlagMask  = 1 << 0
-	// wireKeyLen is the content-key length (imaging.ContentKey).
+	// wireKeyLen is the content-key length (imaging.ContentKey), and so
+	// the length of one probe entry.
 	wireKeyLen = 32
-	// probeEntryLen is one probe entry: content key + perceptual hash.
-	probeEntryLen = wireKeyLen + 8
 	// maxSockPixelBytes bounds one pixel message's total pixel payload —
 	// the same budget the HTTP endpoint enforces via MaxBytesReader.
 	maxSockPixelBytes = int64(BatchChunk) * maxWireFrameBytes
@@ -62,7 +62,7 @@ const (
 	sockBufSize = 64 << 10
 )
 
-// putSockHeader writes a v2 message header into dst[:sockHeaderLen].
+// putSockHeader writes a message header into dst[:sockHeaderLen].
 func putSockHeader(dst []byte, magic string, id, flags, count uint32) {
 	copy(dst[:4], magic)
 	binary.LittleEndian.PutUint16(dst[4:6], wireVersionSock)
@@ -83,7 +83,7 @@ func peekN(br *bufio.Reader, n int) ([]byte, error) {
 	return b, err
 }
 
-// readSockHeader reads and validates one v2 message prefix: magic, version
+// readSockHeader reads and validates one message prefix: magic, version
 // and the entry-count bound every decoder checks before it sizes anything.
 func readSockHeader(br *bufio.Reader, magic, what string) (id, flags, count uint32, err error) {
 	hdr, err := peekN(br, sockHeaderLen)
@@ -115,13 +115,12 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// sockReq is one decoded v2 request: a hash probe (keys+phash) or a keyed
-// pixel batch (keys+frames).
+// sockReq is one decoded request: a key probe (keys) or a keyed pixel
+// batch (keys+frames).
 type sockReq struct {
 	id     uint32
 	probe  bool
 	keys   [][32]byte
-	phash  []uint64
 	frames []*imaging.Bitmap
 }
 
@@ -139,17 +138,15 @@ func (req *sockReq) read(br *bufio.Reader) error {
 	}
 	req.id, req.probe = id, flags == sockFlagProbe
 	req.keys = resized(req.keys, int(count))
-	req.phash, req.frames = req.phash[:0], req.frames[:0]
+	req.frames = req.frames[:0]
 	if req.probe {
-		req.phash = resized(req.phash, int(count))
 		for i := range req.keys {
-			ent, err := peekN(br, probeEntryLen)
+			ent, err := peekN(br, wireKeyLen)
 			if err != nil {
 				return fmt.Errorf("engine: probe entry %d: %w", i, err)
 			}
-			copy(req.keys[i][:], ent[:wireKeyLen])
-			req.phash[i] = binary.LittleEndian.Uint64(ent[wireKeyLen:])
-			br.Discard(probeEntryLen)
+			copy(req.keys[i][:], ent)
+			br.Discard(wireKeyLen)
 		}
 		return nil
 	}
@@ -178,7 +175,7 @@ func (req *sockReq) read(br *bufio.Reader) error {
 	return nil
 }
 
-// sockResp is one decoded v2 response: either plain scores (count of them)
+// sockResp is one decoded response: either plain scores (count of them)
 // or a probe answer (hit mask over count entries, scores for the set bits).
 type sockResp struct {
 	id     uint32
@@ -255,46 +252,54 @@ type sockCall struct {
 	abandoned bool
 }
 
-// sockTransport is the wire-v2 client: one hot connection, lazily dialed
-// and redialed, multiplexing round trips by request ID. Shared across a
-// peer's replicas like the HTTP client and the congestion window.
+// sockTransport is the wire client: one hot connection, lazily dialed and
+// redialed, multiplexing round trips by request ID. Shared across a peer's
+// replicas like the congestion window.
 type sockTransport struct {
-	addr  string // wire listener address, resolved against the peer host
-	peer  string // peer base URL, for error text
-	dedup bool
+	host string // the peer's HTTP host: error text, wildcard listener hosts
 
-	mu      sync.Mutex // connection lifecycle + pending table + nextID
-	wmu     sync.Mutex // serializes whole-message writes (never held with mu)
-	conn    net.Conn
-	bw      *bufio.Writer
-	pending map[uint32]*sockCall
-	nextID  uint32
-	calls   sync.Pool // *sockCall
+	mu     sync.Mutex // addr + connection lifecycle + pending tables + nextID
+	addr   string     // wire listener address, resolved against host
+	wmu    sync.Mutex // serializes whole-message writes (never held with mu)
+	conn   *sockConn  // the hot connection new round trips use; nil: dial
+	nextID uint32
+	calls  sync.Pool // *sockCall
 
 	stats transportCounters
 }
 
-func newSockTransport(addr, peer string, dedup bool) *sockTransport {
-	return &sockTransport{
-		addr:    addr,
-		peer:    peer,
-		dedup:   dedup,
-		pending: make(map[uint32]*sockCall),
-	}
+// sockConn is one connection and the round trips waiting on it.
+type sockConn struct {
+	net.Conn
+	bw      *bufio.Writer
+	pending map[uint32]*sockCall
+	// retired marks a connection Close detached from the transport: no new
+	// round trip uses it, and it closes once the last pending one is done
+	retired bool
 }
 
-func (t *sockTransport) Kind() string          { return "socket" }
-func (t *sockTransport) Stats() TransportStats { return t.stats.snapshot("socket") }
+// newSockTransport aims a transport at the wire listener a peer's
+// handshake advertised.
+func newSockTransport(host, wireAddr string) *sockTransport {
+	return &sockTransport{host: host, addr: resolveWireAddr(host, wireAddr)}
+}
 
-// Close drops the hot connection, failing the in-flight round trips.
-// Sibling replicas sharing the transport stay usable: the next round trip
-// redials.
+// Close retires the hot connection: round trips already in flight on it
+// finish (a fleet removes a drained peer while a chunk that raced the drain
+// may still be waiting on it), and it closes when the last one does. Close
+// is not terminal — sibling replicas share the transport, and the next round
+// trip dials a fresh connection.
 func (t *sockTransport) Close() {
 	t.mu.Lock()
-	conn := t.conn
+	sc := t.conn
+	t.conn = nil
+	idle := sc != nil && len(sc.pending) == 0
+	if sc != nil {
+		sc.retired = true
+	}
 	t.mu.Unlock()
-	if conn != nil {
-		t.dropConn(conn, net.ErrClosed)
+	if idle {
+		sc.Close()
 	}
 }
 
@@ -308,10 +313,16 @@ func (t *sockTransport) warm(ctx context.Context) error {
 	return t.dialLocked(ctx, time.Time{})
 }
 
-// compatible requires the peer to still speak v2 and advertise a listener:
-// a peer that came back HTTP-only cannot serve this transport.
-func (t *sockTransport) compatible(info ModelzInfo) bool {
-	return info.WireVersion >= wireVersionSock && info.WireAddr != ""
+// repoint aims the transport at the wire listener a fresh handshake
+// advertised — a peer restarted with another -wire-listen port has moved
+// it — and retires the current connection, which belongs to the peer as it
+// was before the fleet evicted it: the next round trip dials the listener
+// the peer advertises now.
+func (t *sockTransport) repoint(wireAddr string) {
+	t.mu.Lock()
+	t.addr = resolveWireAddr(t.host, wireAddr)
+	t.mu.Unlock()
+	t.Close()
 }
 
 // dialLocked establishes the connection (by deadline, when it is set) and
@@ -320,29 +331,39 @@ func (t *sockTransport) dialLocked(ctx context.Context, deadline time.Time) erro
 	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", t.addr)
 	if err != nil {
-		return fmt.Errorf("engine: peer %s wire dial %s: %w", t.peer, t.addr, err)
+		return fmt.Errorf("engine: peer %s wire dial %s: %w", t.host, t.addr, err)
 	}
-	t.conn = conn
-	t.bw = bufio.NewWriterSize(conn, sockBufSize)
+	sc := &sockConn{Conn: conn, bw: bufio.NewWriterSize(conn, sockBufSize), pending: make(map[uint32]*sockCall)}
+	t.conn = sc
 	t.stats.dials.Add(1)
-	go t.readLoop(conn, bufio.NewReaderSize(conn, sockBufSize))
+	go t.readLoop(sc, bufio.NewReaderSize(conn, sockBufSize))
 	return nil
 }
 
-// dropConn retires a dead connection: in-flight round trips fail with err
-// (they retry through the window machinery) and the next call redials. A
-// stale conn — already replaced — is just closed.
-func (t *sockTransport) dropConn(conn net.Conn, err error) {
+// dropConn closes a dead connection: its in-flight round trips fail with err
+// (they retry through the window machinery) and, if it was the hot one, the
+// next call redials.
+func (t *sockTransport) dropConn(sc *sockConn, err error) {
 	t.mu.Lock()
-	if t.conn == conn {
-		t.conn, t.bw = nil, nil
-		for id, c := range t.pending {
-			delete(t.pending, id)
-			c.done <- err
-		}
+	if t.conn == sc {
+		t.conn = nil
+	}
+	for id, c := range sc.pending {
+		delete(sc.pending, id)
+		c.done <- err
 	}
 	t.mu.Unlock()
-	conn.Close()
+	sc.Close()
+}
+
+// forget removes round trip id from sc's table and reports whether that
+// left a retired sc with nothing to wait for, so the caller closes it.
+func (t *sockTransport) forget(sc *sockConn, id uint32) (c *sockCall, closeNow bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c = sc.pending[id]
+	delete(sc.pending, id)
+	return c, sc.retired && len(sc.pending) == 0
 }
 
 // readLoop is the connection's single reader: it routes responses to their
@@ -350,18 +371,15 @@ func (t *sockTransport) dropConn(conn net.Conn, err error) {
 // response whose ID is unknown answers a request that already timed out
 // client-side — decoded into a spare and dropped, the timeout was the loss
 // signal.
-func (t *sockTransport) readLoop(conn net.Conn, br *bufio.Reader) {
+func (t *sockTransport) readLoop(sc *sockConn, br *bufio.Reader) {
 	var spare sockResp
 	for {
 		id, flags, count, err := readSockHeader(br, scoreMagic, "response")
 		if err != nil {
-			t.dropConn(conn, err)
+			t.dropConn(sc, err)
 			return
 		}
-		t.mu.Lock()
-		c := t.pending[id]
-		delete(t.pending, id)
-		t.mu.Unlock()
+		c, closeNow := t.forget(sc, id)
 		resp := &spare
 		if c != nil {
 			resp = &c.resp
@@ -375,8 +393,11 @@ func (t *sockTransport) readLoop(conn net.Conn, br *bufio.Reader) {
 			c.done <- err
 		}
 		if err != nil {
-			t.dropConn(conn, err)
+			t.dropConn(sc, err)
 			return
+		}
+		if closeNow {
+			sc.Close() // retired and drained: the next read ends the loop
 		}
 	}
 }
@@ -385,7 +406,6 @@ func (t *sockTransport) readLoop(conn net.Conn, br *bufio.Reader) {
 // (frames nil), or the keyed pixels of the frames at idx.
 type sockMsg struct {
 	keys   [][32]byte
-	phash  []uint64
 	frames []*imaging.Bitmap
 	idx    []int
 }
@@ -393,7 +413,7 @@ type sockMsg struct {
 // size is the message's on-the-wire byte count (accounting).
 func (m sockMsg) size() int64 {
 	if m.frames == nil {
-		return int64(sockHeaderLen + len(m.keys)*probeEntryLen)
+		return int64(sockHeaderLen + len(m.keys)*wireKeyLen)
 	}
 	n := int64(sockHeaderLen)
 	for _, i := range m.idx {
@@ -412,7 +432,6 @@ func (m sockMsg) write(bw *bufio.Writer, id uint32, buf []byte) []byte {
 		putSockHeader(buf, batchMagic, id, sockFlagProbe, uint32(len(m.keys)))
 		for i := range m.keys {
 			buf = append(buf, m.keys[i][:]...)
-			buf = binary.LittleEndian.AppendUint64(buf, m.phash[i])
 		}
 		bw.Write(buf)
 		return buf
@@ -463,20 +482,20 @@ func (t *sockTransport) call(ctx context.Context, deadline time.Time, c *sockCal
 			return err
 		}
 	}
-	conn, bw := t.conn, t.bw
+	sc := t.conn
 	t.nextID++
 	id := t.nextID
-	t.pending[id] = c
+	sc.pending[id] = c
 	t.mu.Unlock()
 
 	t.wmu.Lock()
-	conn.SetWriteDeadline(deadline)
-	c.buf = msg.write(bw, id, c.buf)
-	err := bw.Flush()
+	sc.SetWriteDeadline(deadline)
+	c.buf = msg.write(sc.bw, id, c.buf)
+	err := sc.bw.Flush()
 	t.wmu.Unlock()
 	if err != nil {
 		c.abandoned = true // dropConn's notice to c.done is never collected
-		t.dropConn(conn, err)
+		t.dropConn(sc, err)
 		return err
 	}
 	t.stats.bytesOut.Add(msg.size())
@@ -491,62 +510,54 @@ func (t *sockTransport) call(ctx context.Context, deadline time.Time, c *sockCal
 		err = context.DeadlineExceeded
 	}
 	c.abandoned = true
-	t.mu.Lock()
-	delete(t.pending, id)
-	t.mu.Unlock()
+	if _, closeNow := t.forget(sc, id); closeNow {
+		sc.Close()
+	}
 	return err
 }
 
-// roundTrip scores one chunk over the socket: hash probe first (when dedup
-// is on), then pixels for the misses only. Every socket failure is
-// retryable — the retry redials.
-func (t *sockTransport) roundTrip(ctx context.Context, deadline time.Time, chunk *wireChunk, out []float64) (retryable bool, err error) {
-	frames := chunk.frames
+// roundTrip scores one chunk over the socket: key probe first, then pixels
+// for the misses only. Scores land in out[:len(chunk.frames)].
+func (t *sockTransport) roundTrip(ctx context.Context, deadline time.Time, chunk *wireChunk, out []float64) error {
 	t.stats.chunks.Add(1)
 	var missArr [BatchChunk]int
 	miss := missArr[:0]
-	keys, phash := chunk.contentKeys()
+	keys := chunk.contentKeys()
+	n := len(keys)
 	c := t.getCall()
 	resp := &c.resp
-	if t.dedup {
-		n := len(keys)
-		if err := t.call(ctx, deadline, c, sockMsg{keys: keys, phash: phash}); err != nil {
-			return true, t.endCall(c, err)
-		}
-		if !resp.masked || resp.count != n {
-			return true, t.endCall(c, fmt.Errorf("engine: peer %s wire: probe answered %d/%v, want %d/mask",
-				t.peer, resp.count, resp.masked, n))
-		}
-		si := 0
-		for i := 0; i < n; i++ {
-			if resp.mask[i/8]&(1<<(i%8)) != 0 {
-				out[i] = resp.scores[si]
-				si++
-			} else {
-				miss = append(miss, i)
-			}
-		}
-		t.stats.framesDedup.Add(int64(n - len(miss)))
-		if len(miss) == 0 {
-			return false, t.endCall(c, nil)
-		}
-	} else {
-		for i := range frames {
+	if err := t.call(ctx, deadline, c, sockMsg{keys: keys}); err != nil {
+		return t.endCall(c, err)
+	}
+	if !resp.masked || resp.count != n {
+		return t.endCall(c, fmt.Errorf("engine: peer %s wire: probe answered %d/%v, want %d/mask",
+			t.host, resp.count, resp.masked, n))
+	}
+	si := 0
+	for i := 0; i < n; i++ {
+		if resp.mask[i/8]&(1<<(i%8)) != 0 {
+			out[i] = resp.scores[si]
+			si++
+		} else {
 			miss = append(miss, i)
 		}
 	}
-	if err := t.call(ctx, deadline, c, sockMsg{keys: keys, frames: frames, idx: miss}); err != nil {
-		return true, t.endCall(c, err)
+	t.stats.framesDedup.Add(int64(n - len(miss)))
+	if len(miss) == 0 {
+		return t.endCall(c, nil)
+	}
+	if err := t.call(ctx, deadline, c, sockMsg{keys: keys, frames: chunk.frames, idx: miss}); err != nil {
+		return t.endCall(c, err)
 	}
 	if resp.masked || resp.count != len(miss) {
-		return true, t.endCall(c, fmt.Errorf("engine: peer %s wire: %d scores for %d frames",
-			t.peer, resp.count, len(miss)))
+		return t.endCall(c, fmt.Errorf("engine: peer %s wire: %d scores for %d frames",
+			t.host, resp.count, len(miss)))
 	}
 	for j, i := range miss {
 		out[i] = resp.scores[j]
 	}
 	t.stats.framesPixels.Add(int64(len(miss)))
-	return false, t.endCall(c, nil)
+	return t.endCall(c, nil)
 }
 
 // endCall recycles a round trip's sockCall unless a call abandoned it, and
@@ -615,7 +626,7 @@ type WireServerOptions struct {
 }
 
 // WireServer is the peer side of the persistent-socket wire: an accept
-// loop over framed v2 messages, answering probes from the verdict cache
+// loop over framed v3 messages, answering probes from the verdict cache
 // inline and scoring pixel batches on the backend (concurrently per
 // request ID, so responses overtake each other exactly as the multiplexed
 // client expects).
@@ -750,7 +761,7 @@ func (s *WireServer) handleConn(conn net.Conn) {
 			s.mu.Lock()
 			closed := s.closed
 			s.mu.Unlock()
-			if !closed && err != io.EOF && !errorIsEOF(err) {
+			if !closed && !isStreamEnd(err) {
 				log.Printf("engine: wire conn %s: %v", conn.RemoteAddr(), err)
 			}
 			return
@@ -770,27 +781,11 @@ func (s *WireServer) handleConn(conn net.Conn) {
 	}
 }
 
-// errorIsEOF reports whether err wraps a clean or mid-header stream end —
+// isStreamEnd reports whether err wraps a clean or mid-message stream end —
 // the client closing its hot connection, not a protocol violation worth
 // logging.
-func errorIsEOF(err error) bool {
-	for ; err != nil; err = unwrap(err) {
-		if err == io.EOF || err == io.ErrUnexpectedEOF || err == net.ErrClosed {
-			return true
-		}
-		if ne, ok := err.(*net.OpError); ok {
-			err = ne.Err
-			continue
-		}
-	}
-	return false
-}
-
-func unwrap(err error) error {
-	if u, ok := err.(interface{ Unwrap() error }); ok {
-		return u.Unwrap()
-	}
-	return nil
+func isStreamEnd(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed)
 }
 
 // answerProbe replies with the verdict cache's view of the probed keys:

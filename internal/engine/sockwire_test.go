@@ -4,36 +4,50 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"percival/internal/faultinject"
 	"percival/internal/imaging"
 	"percival/internal/synth"
 )
 
-// newWirePeer stands up a full wire-v2 peer: the HTTP surface plus the
-// persistent-socket listener, advertised through the /modelz handshake the
-// way percival-serve -wire-listen mounts it.
+// newWirePeer stands up a peer the way percival-serve -wire-listen mounts
+// one: a wire listener scoring with def (probes answered from cache, which
+// may be nil) advertised through the /modelz handshake.
 func newWirePeer(t testing.TB, def Backend, cache VerdictCache) (*httptest.Server, *WireServer) {
+	return newInjectedPeer(t, def, cache, nil)
+}
+
+// newInjectedPeer is newWirePeer behind inj — Listener on the wire,
+// Middleware on /modelz — so a blackholed peer fails its redial probes too.
+// A nil inj injects nothing.
+func newInjectedPeer(t testing.TB, def Backend, cache VerdictCache, inj *faultinject.Injector) (*httptest.Server, *WireServer) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := NewWireServer(WireServerOptions{Backend: def, Cache: cache})
-	go ws.Serve(ln)
-	t.Cleanup(ws.Close)
 	mux := http.NewServeMux()
-	mux.Handle("POST /classify/batch", BatchHandler(nil, def))
-	mux.Handle("GET /modelz", ModelzHandlerWire(nil, def, 0.5, ln.Addr().String()))
-	ts := httptest.NewServer(mux)
+	mux.Handle("GET /modelz", ModelzHandlerID(nil, def, 0.5, ln.Addr().String(), ""))
+	var h http.Handler = mux
+	var wln net.Listener = ln
+	if inj != nil {
+		h, wln = faultinject.Middleware(inj, mux), faultinject.Listener(inj, ln)
+	}
+	go ws.Serve(wln)
+	t.Cleanup(ws.Close)
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts, ws
 }
@@ -53,9 +67,6 @@ func TestSockWireBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rb.Close()
-	if kind := rb.tr.Kind(); kind != "socket" {
-		t.Fatalf("negotiated %s transport, want socket", kind)
-	}
 
 	frames := synth.SampleFrames(7, 2*BatchChunk+3)
 	want := make([]float64, len(frames))
@@ -95,43 +106,16 @@ func TestSockWireBitIdentical(t *testing.T) {
 	if warmBytes <= 0 || warmBytes*10 > cold.BytesOut {
 		t.Fatalf("warm pass cost %d bytes vs cold %d, want >=10x cut", warmBytes, cold.BytesOut)
 	}
+	// wire v3: a probe is one header per chunk plus the 32-byte key alone
+	chunks := int64((len(frames) + BatchChunk - 1) / BatchChunk)
+	if want := chunks*sockHeaderLen + int64(len(frames))*wireKeyLen; warmBytes != want {
+		t.Fatalf("warm pass sent %d bytes, want %d (%d probe headers + %d keys)", warmBytes, want, chunks, len(frames))
+	}
 	if st := ws.Stats(); st.ProbeHits == 0 || st.FramesScored != int64(len(frames)) {
 		t.Fatalf("wire server stats %+v", st)
 	}
 	if st := rb.Stats(); st.Errors != 0 {
 		t.Fatalf("socket wire failed open: %+v", st)
-	}
-}
-
-// TestSockWireNoDedup: with probes disabled every frame's pixels travel on
-// every pass, and scores stay bit-identical.
-func TestSockWireNoDedup(t *testing.T) {
-	net_, res := testNet(t, 16)
-	local := NewFP32(net_, res)
-	defer local.Close()
-	ts, _ := newWirePeer(t, local, NewVerdictMap(0))
-
-	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, NoDedup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-
-	frames := synth.SampleFrames(11, BatchChunk)
-	want := make([]float64, len(frames))
-	local.InferBatchInto(frames, want)
-	got := make([]float64, len(frames))
-	for pass := 0; pass < 2; pass++ {
-		rb.InferBatchInto(frames, got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pass %d frame %d: %v, want %v", pass, i, got[i], want[i])
-			}
-		}
-	}
-	st := rb.TransportStats()
-	if st.FramesDedup != 0 || st.FramesPixels != int64(2*len(frames)) {
-		t.Fatalf("NoDedup stats %+v", st)
 	}
 }
 
@@ -168,6 +152,58 @@ func TestSockWireRedialsAfterClose(t *testing.T) {
 	}
 	if d := rb.TransportStats().Dials; d != dials+1 {
 		t.Fatalf("dials %d -> %d, want one redial", dials, d)
+	}
+}
+
+// gatedCache holds every probe lookup until release is closed, closing
+// arrived at the first.
+type gatedCache struct {
+	VerdictCache
+	arrived, release chan struct{}
+	once             sync.Once
+}
+
+func (c *gatedCache) LookupVerdict(key [32]byte) (float64, bool) {
+	c.once.Do(func() { close(c.arrived) })
+	<-c.release
+	return c.VerdictCache.LookupVerdict(key)
+}
+
+// TestSockWireCloseLetsInFlightFinish: Close retires the hot connection
+// rather than failing what is on it — a round trip already waiting there
+// (a chunk that raced a fleet's drain of the peer) gets its answer, and the
+// next round trip dials a fresh connection.
+func TestSockWireCloseLetsInFlightFinish(t *testing.T) {
+	net_, res := testNet(t, 16)
+	local := NewFP32(net_, res)
+	defer local.Close()
+	cache := &gatedCache{VerdictCache: NewVerdictMap(0), arrived: make(chan struct{}), release: make(chan struct{})}
+	ts, _ := newWirePeer(t, local, cache)
+	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	frames := synth.SampleFrames(29, 2)
+	want := make([]float64, len(frames))
+	local.InferBatchInto(frames, want)
+
+	got := make([]float64, len(frames))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rb.InferBatchInto(frames, got)
+	}()
+	<-cache.arrived // the probe is in flight on the hot connection
+	rb.Close()
+	close(cache.release)
+	<-done
+	assertBitEqual(t, "in flight across Close", got, want)
+	if st := rb.Stats(); st.Errors != 0 {
+		t.Fatalf("Close failed an in-flight round trip open: %+v", st)
+	}
+	if d := rb.TransportStats().Dials; d != 2 {
+		t.Fatalf("%d dials, want 2: the pixels after Close ride a fresh connection", d)
 	}
 }
 
@@ -223,7 +259,7 @@ func TestSockWireConcurrent(t *testing.T) {
 
 // TestSockWireFailsOpenWhenDown: a wire peer whose socket listener dies
 // mid-life must not wedge the proxy — chunks fail open within the retry
-// budget like any dead peer.
+// budget like any dead peer, though its /modelz still answers.
 func TestSockWireFailsOpenWhenDown(t *testing.T) {
 	net_, res := testNet(t, 16)
 	local := NewFP32(net_, res)
@@ -240,7 +276,7 @@ func TestSockWireFailsOpenWhenDown(t *testing.T) {
 	frames := synth.SampleFrames(19, 2)
 	got := make([]float64, len(frames))
 	rb.InferBatchInto(frames, got) // healthy pass establishes the conn
-	ws.Close()                     // socket listener dies; HTTP surface stays up
+	ws.Close()                     // socket listener dies; /modelz stays up
 	rb.InferBatchInto(frames, got)
 	for i, v := range got {
 		if v != 0 {
@@ -283,7 +319,7 @@ func TestWireServerRejectsGarbage(t *testing.T) {
 			putSockHeader(b[:], batchMagic, 1, sockFlagProbe, maxWireFrames+1)
 			return b[:]
 		}(),
-		// pixel frame with overflowing dims (the v1 regression, on the v2 wire)
+		// pixel frame with overflowing dims (the batch-codec regression, on the wire)
 		func() []byte {
 			var b [sockHeaderLen + wireKeyLen + 8]byte
 			putSockHeader(b[:], batchMagic, 1, 0, 1)
@@ -307,30 +343,30 @@ func TestWireServerRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSockRequestRoundTrip: the v2 request/response codecs must reproduce
-// probes, keyed pixel batches and masked responses bit-for-bit.
+// TestSockRequestRoundTrip: the request/response codecs must reproduce
+// probes, keyed pixel batches and masked responses bit-for-bit, and a v3
+// probe is the header plus 32 bytes of key per entry, byte for byte.
 func TestSockRequestRoundTrip(t *testing.T) {
 	frames := synth.SampleFrames(23, 3)
 	keys := make([][32]byte, len(frames))
-	phash := make([]uint64, len(frames))
 	for i, f := range frames {
 		keys[i] = imaging.ContentKey(f)
-		phash[i] = imaging.PerceptualHash(f)
 	}
 
-	// probe
+	// probe, framed by the client's own writer
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	var hdr [sockHeaderLen]byte
-	putSockHeader(hdr[:], batchMagic, 42, sockFlagProbe, uint32(len(keys)))
-	bw.Write(hdr[:])
-	var pb [8]byte
-	for i := range keys {
-		bw.Write(keys[i][:])
-		binary.LittleEndian.PutUint64(pb[:], phash[i])
-		bw.Write(pb[:])
-	}
+	msg := sockMsg{keys: keys}
+	msg.write(bw, 42, nil)
 	bw.Flush()
+	golden := []byte{'P', 'C', 'V', 'B', 3, 0, 42, 0, 0, 0, sockFlagProbe, 0, 0, 0, byte(len(keys)), 0, 0, 0}
+	for i := range keys {
+		golden = append(golden, keys[i][:]...)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) || int64(buf.Len()) != msg.size() {
+		t.Fatalf("v3 probe is %d bytes (size() %d), want the %d-byte header + %d x 32-byte keys:\n% x",
+			buf.Len(), msg.size(), sockHeaderLen, len(keys), buf.Bytes())
+	}
 	req := &sockReq{}
 	if err := req.read(bufio.NewReader(&buf)); err != nil {
 		t.Fatal(err)
@@ -339,10 +375,11 @@ func TestSockRequestRoundTrip(t *testing.T) {
 		t.Fatalf("probe decoded %+v", req)
 	}
 	for i := range keys {
-		if req.keys[i] != keys[i] || req.phash[i] != phash[i] {
+		if req.keys[i] != keys[i] {
 			t.Fatalf("probe entry %d mismatch", i)
 		}
 	}
+	var hdr [sockHeaderLen]byte
 
 	// keyed pixels
 	buf.Reset()
@@ -361,7 +398,7 @@ func TestSockRequestRoundTrip(t *testing.T) {
 	if err := req.read(bufio.NewReader(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	if req.probe || req.id != 43 || len(req.frames) != len(frames) || len(req.phash) != 0 {
+	if req.probe || req.id != 43 || len(req.frames) != len(frames) {
 		t.Fatalf("pixel request decoded %+v", req)
 	}
 	for i, f := range frames {
@@ -415,7 +452,7 @@ func TestWarmProbeChunkAllocBudget(t *testing.T) {
 	remotes := make([]*RemoteBackend, 2)
 	for i := range remotes {
 		ts, _ := newWirePeer(t, local.Replicate(), NewVerdictMap(0))
-		rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Transport: "socket"})
+		rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,5 +499,31 @@ func TestWarmProbeChunkAllocBudget(t *testing.T) {
 	}
 	if st := fleet.Stats(); st.Errors != 0 || fleet.Fallbacks() != 0 {
 		t.Fatalf("warm path failed over: %+v, %d fallbacks", st, fleet.Fallbacks())
+	}
+}
+
+// TestIsStreamEnd: a connection's reader stays quiet about the ways a peer
+// hangs up — bare, wrapped by the decoders' fmt.Errorf("%w"), or inside the
+// *net.OpError a closed socket reports — and logs anything else.
+func TestIsStreamEnd(t *testing.T) {
+	opErr := func(err error) error { return &net.OpError{Op: "read", Net: "tcp", Err: err} }
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{io.EOF, true},
+		{io.ErrUnexpectedEOF, true},
+		{net.ErrClosed, true},
+		{fmt.Errorf("engine: wire request header: %w", io.EOF), true},
+		{fmt.Errorf("engine: probe entry 2: %w", io.ErrUnexpectedEOF), true},
+		{fmt.Errorf("engine: wire frame 0 pixels: %w", opErr(net.ErrClosed)), true},
+		{opErr(io.EOF), true},
+		{opErr(os.ErrDeadlineExceeded), false},
+		{errors.New("engine: not a wire request (magic \"XXXX\")"), false},
+		{nil, false},
+	} {
+		if got := isStreamEnd(tc.err); got != tc.want {
+			t.Errorf("isStreamEnd(%v) = %v, want %v", tc.err, got, tc.want)
+		}
 	}
 }

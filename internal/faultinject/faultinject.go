@@ -1,6 +1,7 @@
 // Package faultinject is a reusable fault-injection harness for the serving
-// tier: an http.RoundTripper wrapper (client side) and an http.Handler
-// middleware (server side) that inject added latency, synthetic errors and
+// tier: an http.RoundTripper wrapper (client side), an http.Handler
+// middleware (server side) and a net.Listener wrapper (server side, for the
+// framed socket wire) that inject added latency, synthetic errors and
 // blackholes — either under manual control (Set) or on a timed schedule of
 // phases (SetSchedule), which is how tests and benchmarks script a flapping
 // peer (up -> blackhole -> up) without touching the code under test.
@@ -14,6 +15,7 @@ package faultinject
 import (
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -29,8 +31,8 @@ type Fault struct {
 	// in (0, 1) model a peer whose tail is poisoned (a "20% slow" peer).
 	LatencyRate float64
 	// ErrorRate is the fraction of requests answered with a synthetic
-	// failure: a transport error on the client side, a 503 on the server
-	// side. Both are retryable in engine.RemoteBackend's classification.
+	// failure: a transport error on the client side, a 503 from Middleware,
+	// a closed connection from Listener.
 	ErrorRate float64
 	// Blackhole swallows affected requests entirely: no response until the
 	// caller's context expires — the failure mode of a dead host, as opposed
@@ -207,4 +209,77 @@ func Middleware(in *Injector, next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
+}
+
+// Listener wraps a server-side listener so every connection it accepts
+// carries the Injector's current fault — Middleware's twin for a peer that
+// speaks a framed byte stream instead of HTTP. Blackhole swallows the
+// server's writes and holds its reads until the fault clears or the
+// connection is closed: a dead host holding a socket. Latency delays a
+// write (at LatencyRate). ErrorRate closes the connection in place of a
+// write: a live peer dropping the link. Faults apply per Write call, so a
+// server that writes each message whole never has one split.
+func Listener(in *Injector, ln net.Listener) net.Listener {
+	return &faultListener{Listener: ln, in: in}
+}
+
+type faultListener struct {
+	net.Listener
+	in *Injector
+}
+
+func (l *faultListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &faultConn{Conn: c, in: l.in, closed: make(chan struct{})}, nil
+}
+
+// heldReadPoll is how often a read held by a blackhole checks whether the
+// fault has cleared (a schedule can clear it without any call to observe).
+const heldReadPoll = 2 * time.Millisecond
+
+type faultConn struct {
+	net.Conn
+	in        *Injector
+	closeOnce sync.Once
+	closed    chan struct{}
+}
+
+func (c *faultConn) Read(p []byte) (int, error) {
+	for c.in.Fault().Blackhole {
+		select {
+		case <-c.closed:
+			return 0, net.ErrClosed
+		case <-time.After(heldReadPoll):
+		}
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *faultConn) Write(p []byte) (int, error) {
+	delay, fail, blackhole := c.in.decide()
+	if blackhole {
+		return len(p), nil
+	}
+	if delay > 0 {
+		timer := time.NewTimer(delay)
+		select {
+		case <-timer.C:
+		case <-c.closed:
+			timer.Stop()
+			return 0, net.ErrClosed
+		}
+	}
+	if fail {
+		c.Close()
+		return 0, injectedError{}
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *faultConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -272,5 +273,119 @@ func TestTransportScheduleConcurrent(t *testing.T) {
 			t.Fatalf("request after heal phase failed: %v", err)
 		}
 		resp.Body.Close()
+	}
+}
+
+// echoPeer serves 4-byte echo messages through Listener(in, ...) and hands
+// the test each accepted server-side connection.
+func echoPeer(t *testing.T, in *Injector) (dial func() (client, server net.Conn)) {
+	t.Helper()
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := Listener(in, raw)
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+			go func() {
+				defer c.Close()
+				msg := make([]byte, 4)
+				for {
+					if _, err := io.ReadFull(c, msg); err != nil {
+						return
+					}
+					if _, err := c.Write(msg); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return func() (net.Conn, net.Conn) {
+		t.Helper()
+		c, err := net.Dial("tcp", raw.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c, <-accepted
+	}
+}
+
+// readMsg reads one 4-byte message from c within d.
+func readMsg(c net.Conn, d time.Duration) (string, error) {
+	c.SetReadDeadline(time.Now().Add(d))
+	msg := make([]byte, 4)
+	_, err := io.ReadFull(c, msg)
+	return string(msg), err
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// TestListenerFaults: the socket-level wrapper passes healthy traffic,
+// delays writes under Latency, drops the connection under ErrorRate, and
+// under Blackhole swallows writes and holds reads until the fault clears
+// or the connection is closed — never answering while it holds.
+func TestListenerFaults(t *testing.T) {
+	in := NewInjector(1)
+	dial := echoPeer(t, in)
+
+	c, _ := dial()
+	c.Write([]byte("ping"))
+	if got, err := readMsg(c, 2*time.Second); err != nil || got != "ping" {
+		t.Fatalf("healthy echo %q, %v", got, err)
+	}
+
+	in.Set(Fault{Latency: 40 * time.Millisecond})
+	start := time.Now()
+	c.Write([]byte("slow"))
+	if got, err := readMsg(c, 2*time.Second); err != nil || got != "slow" {
+		t.Fatalf("delayed echo %q, %v", got, err)
+	}
+	if d := time.Since(start); d < 40*time.Millisecond {
+		t.Fatalf("latency injection took %v, want >= 40ms", d)
+	}
+
+	in.Set(Fault{ErrorRate: 1})
+	c.Write([]byte("fail"))
+	if _, err := readMsg(c, 2*time.Second); err != io.EOF {
+		t.Fatalf("error-injected echo read %v, want EOF (connection closed)", err)
+	}
+
+	// blackhole set before the peer reads: the request is held, not lost
+	in.Set(Fault{Blackhole: true})
+	c, _ = dial()
+	c.Write([]byte("held"))
+	if _, err := readMsg(c, 60*time.Millisecond); !isTimeout(err) {
+		t.Fatalf("blackholed echo read %v, want a timeout", err)
+	}
+	in.Set(Fault{})
+	if got, err := readMsg(c, 2*time.Second); err != nil || got != "held" {
+		t.Fatalf("held request after the fault cleared: %q, %v", got, err)
+	}
+
+	// a blackholed server's writes vanish, and closing the connection
+	// releases its held read
+	in.Set(Fault{Blackhole: true})
+	c, srv := dial()
+	if n, err := srv.Write([]byte("lost")); n != 4 || err != nil {
+		t.Fatalf("blackholed write (%d, %v), want swallowed (4, nil)", n, err)
+	}
+	if _, err := readMsg(c, 60*time.Millisecond); !isTimeout(err) {
+		t.Fatalf("swallowed write reached the client: %v", err)
+	}
+	srv.Close()
+	if _, err := readMsg(c, 2*time.Second); err != io.EOF {
+		t.Fatalf("read after the server closed its held connection: %v, want EOF", err)
 	}
 }

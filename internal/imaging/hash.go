@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/bits"
-	"sync"
 )
 
 // ContentKey is the frame's identity, the one key every verdict cache in the
@@ -31,26 +30,7 @@ func ContentKey(b *Bitmap) [32]byte {
 // mean. Visually-similar images (rescaled, recompressed ad creatives) map to
 // nearby hashes; the crawler treats small Hamming distances as duplicates.
 func PerceptualHash(b *Bitmap) uint64 {
-	return averageHash(ResizeBilinear(b, 8, 8))
-}
-
-// phashScratch pools the 8×8 downscale buffers PerceptualHashPooled reuses.
-var phashScratch = sync.Pool{New: func() any { return NewBitmap(8, 8) }}
-
-// PerceptualHashPooled is PerceptualHash on a pooled downscale buffer:
-// bit-identical output, zero steady-state heap allocation (ResizeBilinearInto
-// reuses its cached interpolation tables). The remote-dispatch wire hashes
-// every frame it probes, so the per-frame cost must not allocate.
-func PerceptualHashPooled(b *Bitmap) uint64 {
-	small := phashScratch.Get().(*Bitmap)
-	ResizeBilinearInto(b, small)
-	h := averageHash(small)
-	phashScratch.Put(small)
-	return h
-}
-
-// averageHash computes the aHash bits of an already-downscaled 8×8 frame.
-func averageHash(small *Bitmap) uint64 {
+	small := ResizeBilinear(b, 8, 8)
 	var gray [64]float64
 	var mean float64
 	for i := 0; i < 64; i++ {

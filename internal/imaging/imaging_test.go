@@ -262,36 +262,6 @@ func TestPerceptualHashToleratesRescale(t *testing.T) {
 	}
 }
 
-// TestPerceptualHashPooledBitIdentical: the pooled zero-alloc path must be
-// bit-identical to PerceptualHash on every input — the remote wire sends
-// pooled hashes and the peer compares against allocation-path history, so
-// any divergence would silently break dedup.
-func TestPerceptualHashPooledBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	inputs := []*Bitmap{
-		NewBitmap(1, 1),
-		NewBitmap(8, 8),
-		randBitmap(rng, 3, 17),
-		randBitmap(rng, 64, 64),
-		randBitmap(rng, 97, 41),
-	}
-	g := NewBitmap(64, 64)
-	g.LinearGradientV(0, 0, 64, 64, black, white)
-	inputs = append(inputs, g)
-	for i, b := range inputs {
-		if got, want := PerceptualHashPooled(b), PerceptualHash(b); got != want {
-			t.Fatalf("input %d (%dx%d): pooled %x, plain %x", i, b.W, b.H, got, want)
-		}
-	}
-	// zero-alloc is the point of the pooled path: it must stay off the
-	// serve hot path's allocation budget
-	b := inputs[3]
-	PerceptualHashPooled(b) // warm the pool
-	if allocs := testing.AllocsPerRun(100, func() { PerceptualHashPooled(b) }); allocs != 0 {
-		t.Fatalf("PerceptualHashPooled allocates %v per run, want 0", allocs)
-	}
-}
-
 // TestContentKeyDistinguishesAndIsZeroAlloc: ContentKey is the canonical
 // wire/cache key — same content and dims agree, any pixel or dimension
 // change differs, and computing it costs no allocations.

@@ -268,23 +268,6 @@ func BenchmarkResizeBilinearBenchSizes(b *testing.B) {
 	}
 }
 
-// BenchmarkPerceptualHashPooled cycles the same sizes through the 8×8
-// downscale and average hash remote_wire's front computes for every frame
-// it dispatches.
-func BenchmarkPerceptualHashPooled(b *testing.B) {
-	rng := rand.New(rand.NewSource(37))
-	srcs := make([]*Bitmap, len(benchSizes))
-	for i, s := range benchSizes {
-		srcs[i] = randomBitmap(rng, s[0], s[1])
-		PerceptualHashPooled(srcs[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PerceptualHashPooled(srcs[i%len(srcs)])
-	}
-}
-
 // BenchmarkResizeBilinearRef benchmarks the float64 reference loop for the
 // speedup comparison recorded in PERFORMANCE.md.
 func BenchmarkResizeBilinearRef(b *testing.B) {

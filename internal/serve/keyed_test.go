@@ -3,7 +3,6 @@ package serve
 import (
 	"math"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -180,7 +179,7 @@ func TestUnkeyedBackendGetsInferBatchInto(t *testing.T) {
 	}
 }
 
-// startWirePeer stands up a wire-v2 peer the way percival-serve
+// startWirePeer stands up a wire peer the way percival-serve
 // -wire-listen mounts it — a replica of svc's engine behind the socket
 // listener, probes answered from cache — and dials it over the socket. The
 // caller owns the returned remote (a fleet built over it closes it).
@@ -195,12 +194,9 @@ func startWirePeer(t *testing.T, svc *core.Percival, cache engine.VerdictCache) 
 	ws := engine.NewWireServer(engine.WireServerOptions{Backend: peerEngine, Cache: cache})
 	go ws.Serve(ln)
 	t.Cleanup(ws.Close)
-	mux := http.NewServeMux()
-	mux.Handle("POST /classify/batch", engine.BatchHandler(nil, peerEngine))
-	mux.Handle("GET /modelz", engine.ModelzHandlerWire(nil, peerEngine, svc.Threshold(), ln.Addr().String()))
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(engine.ModelzHandlerID(nil, peerEngine, svc.Threshold(), ln.Addr().String(), ""))
 	t.Cleanup(ts.Close)
-	rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{ExpectRes: svc.InputRes(), Transport: "socket"})
+	rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{ExpectRes: svc.InputRes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +204,7 @@ func startWirePeer(t *testing.T, svc *core.Percival, cache engine.VerdictCache) 
 }
 
 // TestServeOverWireAnswersFromProbeAlone is the daemon's front tier end to
-// end: serve -> CanaryBackend -> Fleet -> a real wire-v2 peer whose verdict
+// end: serve -> CanaryBackend -> Fleet -> a real wire peer whose verdict
 // cache already holds every frame under imaging.ContentKey. Every Submit is
 // answered by the peer's probe alone — the key serve hashed at the door is
 // the key the peer looks up — with the local engine's score bit for bit, and
