@@ -11,8 +11,10 @@ FUZZTIME ?= 15s
 # internal/tensor benchmarks the bench targets run: the GEMM kernels alone
 # and the whole stages around them (pack from the image + GEMM + epilogue,
 # the first max pool, and each engine's stem with that pool fused behind it;
-# the INT8 stem reads RGBA bytes).
-TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkMaxPoolU8_112x96
+# the INT8 stem reads RGBA bytes, the INT8 3×3 expand the squeeze's quad
+# planes), and the paper net's first INT8 fire whole (squeeze into quad
+# planes, both expands into the concatenated output).
+TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkMaxPoolU8_112x96
 
 .PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile
 
@@ -40,9 +42,10 @@ test:
 
 # Both engines on their AVX2 tiers on hosts whose default is AVX-512
 # (PERCIVAL_NO_AVX512 switches off every 512-bit kernel: FP32's 8×32 and
-# INT8's VNNI 4×16), so the differential, golden-skip and warm-state suites
-# — and imaging's, whose scaler runs tensor's row kernels — cover the tier
-# an operator can select, not only the one the host detects.
+# INT8's VNNI 4×16), so the differential, golden (the INT8 golden file holds
+# an entry for each FP32 tier) and warm-state suites — and imaging's, whose
+# scaler runs tensor's row kernels — cover the tier an operator can select,
+# not only the one the host detects.
 # On an AVX2-only host it repeats part of `test`. -count=1 because the
 # variable is read in a package initialiser, before the test cache starts
 # recording what a run depended on: without it `go test` would hand this

@@ -65,15 +65,15 @@ func (q *QuantizedSequential) InputQuant() tensor.QuantParams { return q.inQ }
 // the FP32 model.
 func (q *QuantizedSequential) SizeBytes() int {
 	total := q.stem.W.Len() + 8*len(q.stem.RQ.Mult)
-	addConv := func(c *qConv) { total += c.wq.Len() + 8*len(c.rq.Mult) }
+	addConv := func(c *tensor.QConv) { total += c.W.Len() + 8*len(c.RQ.Mult) }
 	for _, op := range q.ops {
 		switch o := op.(type) {
 		case *qConv:
-			addConv(o)
+			addConv(&o.QConv)
 		case *qFire:
-			addConv(o.squeeze)
-			addConv(o.expand1)
-			addConv(o.expand3)
+			addConv(&o.Squeeze)
+			addConv(&o.Expand1)
+			addConv(&o.Expand3)
 		}
 	}
 	total += q.final.wq.Len() + 8*len(q.final.mult)
@@ -153,50 +153,31 @@ func (q *QuantizedSequential) PredictArenaU8(pix []uint8, n, h, w int, a *tensor
 }
 
 // qConv is a quantized convolution with bias and ReLU fused into the
-// requantize epilogue.
-type qConv struct {
-	spec tensor.ConvSpec
-	wq   tensor.QWeights
-	// rq folds sW·sIn/sOut and bias − sW·sIn·zIn·Σw (plus zOut) per output
-	// channel; see Quantize.
-	rq   tensor.Requant
-	inZP uint8
-}
-
-// runInto computes the convolution into channels [chOff, chOff+OutC) of the
-// u8 output buffer y laid out [n, dstC, oh, ow] — the direct-to-concat hook
-// used by the fire module.
-func (c *qConv) runInto(x qAct, y []uint8, dstC, chOff int) (oh, ow int) {
-	if x.c != c.spec.InC {
-		panic(fmt.Sprintf("nn: quantized conv: input has %d channels, want %d", x.c, c.spec.InC))
-	}
-	return tensor.QConvForwardInto(x.data, x.n, x.h, x.w, c.wq, c.spec, c.inZP, c.rq, y, dstC, chOff)
-}
+// requantize epilogue; its weights are packed planar.
+type qConv struct{ tensor.QConv }
 
 func (c *qConv) forward(x qAct, a *tensor.Arena) qAct {
-	oh, ow := c.spec.OutSize(x.h, x.w)
-	y := a.GetU8(x.n * c.spec.OutC * oh * ow)
-	c.runInto(x, y, c.spec.OutC, 0)
+	if x.c != c.Spec.InC {
+		panic(fmt.Sprintf("nn: quantized conv: input has %d channels, want %d", x.c, c.Spec.InC))
+	}
+	oh, ow := c.Spec.OutSize(x.h, x.w)
+	y := a.GetU8(x.n * c.Spec.OutC * oh * ow)
+	tensor.QConvForwardInto(x.data, x.n, x.h, x.w, c.W, c.Spec, c.ZP, c.RQ, y, c.Spec.OutC, 0)
 	a.PutU8(x.data)
-	return qAct{data: y, n: x.n, c: c.spec.OutC, h: oh, w: ow}
+	return qAct{data: y, n: x.n, c: c.Spec.OutC, h: oh, w: ow}
 }
 
-// qFire runs a quantized fire module: squeeze, then both expand branches
-// written straight into their slots of the concatenated output. Both expands
-// requantize into the shared quantization parameters of the concatenated
-// tensor, so the concat is free.
-type qFire struct {
-	squeeze, expand1, expand3 *qConv
-}
+// qFire runs a quantized fire module (see tensor.QFire): squeeze, then both
+// expand branches written straight into their slots of the concatenated
+// output. Both expands requantize into the shared quantization parameters of
+// the concatenated tensor, so the concat is free.
+type qFire struct{ tensor.QFire }
 
 func (f *qFire) forward(x qAct, a *tensor.Arena) qAct {
-	s := f.squeeze.forward(x, a)
-	e1, e3 := f.expand1.spec.OutC, f.expand3.spec.OutC
-	y := a.GetU8(s.n * (e1 + e3) * s.h * s.w)
-	f.expand1.runInto(s, y, e1+e3, 0)
-	f.expand3.runInto(s, y, e1+e3, e1)
-	a.PutU8(s.data)
-	return qAct{data: y, n: s.n, c: e1 + e3, h: s.h, w: s.w}
+	if x.c != f.Squeeze.Spec.InC {
+		panic(fmt.Sprintf("nn: quantized fire: input has %d channels, want %d", x.c, f.Squeeze.Spec.InC))
+	}
+	return qAct{data: f.Forward(x.data, x.n, x.h, x.w, a), n: x.n, c: f.OutC(), h: x.h, w: x.w}
 }
 
 // qPool max-pools in the quantized domain; quantization parameters pass
@@ -393,8 +374,8 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 	// The first node is the stem (NewCalibrator checked), and a pool right
 	// after it runs in its epilogue.
 	stem, curQ := c.nodes[0], c.nodes[0].out.params()
-	wq, rq := quantizeConv(stem.conv, q.inQ, curQ, stem.relu)
-	q.stem = tensor.QStem{Spec: stem.conv.Spec, W: tensor.PackQStemWeights(wq, stem.conv.Spec), RQ: rq, ZP: uint8(q.inQ.Zero)}
+	sc := buildQConv(stem.conv, q.inQ, curQ, stem.relu, true)
+	q.stem = tensor.QStem{Spec: sc.Spec, W: sc.W, RQ: sc.RQ, ZP: sc.ZP}
 	rest := c.nodes[1:]
 	if len(rest) > 0 && rest[0].pool != nil {
 		q.stem.Pool, rest = rest[0].pool.Spec, rest[1:]
@@ -403,16 +384,16 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 		switch {
 		case nd.conv != nil:
 			outQ := nd.out.params()
-			q.ops = append(q.ops, buildQConv(nd.conv, curQ, outQ, nd.relu))
+			q.ops = append(q.ops, &qConv{buildQConv(nd.conv, curQ, outQ, nd.relu, false)})
 			curQ = outQ
 		case nd.fire != nil:
 			sqQ := nd.sqOut.params()
 			outQ := nd.out.params()
-			q.ops = append(q.ops, &qFire{
-				squeeze: buildQConv(nd.fire.Squeeze, curQ, sqQ, true),
-				expand1: buildQConv(nd.fire.Expand1, sqQ, outQ, true),
-				expand3: buildQConv(nd.fire.Expand3, sqQ, outQ, true),
-			})
+			q.ops = append(q.ops, &qFire{tensor.QFire{
+				Squeeze: buildQConv(nd.fire.Squeeze, curQ, sqQ, true, false),
+				Expand1: buildQConv(nd.fire.Expand1, sqQ, outQ, true, true),
+				Expand3: buildQConv(nd.fire.Expand3, sqQ, outQ, true, true),
+			}})
 			curQ = outQ
 		case nd.pool != nil:
 			q.ops = append(q.ops, &qPool{spec: nd.pool.Spec})
@@ -469,11 +450,18 @@ func parseQuantizable(net *Sequential) (nodes []*calibNode, finalConv *Conv2D, c
 	return nodes, finalConv, classes, nil
 }
 
-// buildQConv quantizes one convolution's weights and folds its requantize
-// constants.
-func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool) *qConv {
+// buildQConv quantizes one convolution's weights, packed planar or — for a
+// convolution that reads pixels or quad planes — in quad order, and folds
+// its requantize constants.
+func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu, quads bool) tensor.QConv {
 	wq, rq := quantizeConv(c, inQ, outQ, relu)
-	return &qConv{spec: c.Spec, wq: tensor.PackQWeights(wq, c.Spec.OutC, c.Spec.InC*c.Spec.KH*c.Spec.KW), inZP: uint8(inQ.Zero), rq: rq}
+	qc := tensor.QConv{Spec: c.Spec, RQ: rq, ZP: uint8(inQ.Zero)}
+	if quads {
+		qc.W = tensor.PackQQuadWeights(wq, c.Spec)
+	} else {
+		qc.W = tensor.PackQWeights(wq, c.Spec.OutC, c.Spec.InC*c.Spec.KH*c.Spec.KW)
+	}
+	return qc
 }
 
 // quantizeConv returns a convolution's s8 weights, in its own (c, ky, kx)

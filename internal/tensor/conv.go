@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // ConvSpec describes a 2-D convolution (square kernels are the common case in
@@ -158,8 +159,9 @@ func checkColScratch(fn string, col []float32, s ConvSpec, oh, ow int) {
 }
 
 // pixel is the element type of an image a convView reads: float32 on the
-// FP32 forward, uint8 on the quantized one.
-type pixel interface{ float32 | uint8 }
+// FP32 forward, uint8 on the quantized one's planar convolutions, uint32 on
+// its quad planes (see QFire), where one element is four channels' bytes.
+type pixel interface{ float32 | uint8 | uint32 }
 
 // convView presents one image (C×H×W) as the K×N column matrix of a
 // convolution — row p is the tap (ch, ky, kx), column j the output position
@@ -167,7 +169,7 @@ type pixel interface{ float32 | uint8 }
 // GEMM on both engines: the blocked drivers pack their panels straight from
 // the image, so every input element is read once and written once. Padding
 // positions read as fill: 0 for float32, the activation zero point (the
-// encoding of real 0) for uint8.
+// encoding of real 0) for uint8, four of them for a uint32 quad.
 //
 // Taps read planes of h×w elements at a step of (sh, sw) per output row and
 // column. Those are the image's own channels at the convolution's strides —
@@ -185,7 +187,8 @@ type convView[T pixel] struct {
 	s      ConvSpec
 	oh, ow int
 	fill   T
-	// strided is the element type's gather, gatherF32 or gatherU8.
+	// strided is the element type's gather, gatherF32 or gatherU8 (nil for
+	// quad planes, which only stride-1 convolutions read).
 	strided func(dst, src []T, stride int)
 	// spread, when set, is the element type's copyRuns: gather hands it a
 	// contiguous source that covers whole panels.
@@ -351,20 +354,34 @@ func (v *convView[T]) gather(r *panelRow[T], j, n int, src []T) {
 }
 
 // copyRuns copies `runs` runs of n elements, run i from src[i*srcStep:] to
-// dst[i*dstStep:] — the inner loop of both panel packers: one contiguous
-// source row spread across the same row of consecutive panels (gather), or
-// one panel's rows collected from a row-major matrix (packB). The vector body
-// covers the two FP32 panel widths, 16 and 32, without a memmove call per
-// run.
-func copyRuns(dst []float32, dstStep int, src []float32, srcStep, n, runs int) {
+// dst[i*dstStep:] — the inner loop of every panel packer: one contiguous
+// source row spread across the same row of consecutive panels (gather), one
+// panel's rows collected from a row-major matrix (packB), or the INT8
+// packers' 16-word quad rows. The vector body covers the two FP32 panel
+// widths, 16 and 32, without a memmove call per run; it loads and stores
+// without arithmetic, so uint32 words move through it bit for bit.
+func copyRuns[T float32 | uint32](dst []T, dstStep int, src []T, srcStep, n, runs int) {
 	if haveQuantASM && (n == 16 || n == 32) {
 		_, _ = dst[(runs-1)*dstStep+n-1], src[(runs-1)*srcStep+n-1]
-		copyRunsF32(&dst[0], int64(dstStep), &src[0], int64(srcStep), int64(n), int64(runs))
+		copyRunsF32((*float32)(unsafe.Pointer(&dst[0])), int64(dstStep), (*float32)(unsafe.Pointer(&src[0])), int64(srcStep), int64(n), int64(runs))
 		return
 	}
 	for i := 0; i < runs; i++ {
 		copy(dst[i*dstStep:i*dstStep+n], src[i*srcStep:])
 	}
+}
+
+// quadWords returns b's bytes as len(b)/4 native-endian 32-bit words, the
+// view through which the INT8 quad paths move a pixel's four channel bytes
+// as one element. b must start 4-aligned, which every arena or scratch-pool
+// buffer of 16 bytes or more does, at any offset that is a multiple of 4:
+// the Go allocator aligns such objects to 8, and only its tiny allocator,
+// below 16 bytes, packs byte slices unaligned.
+func quadWords(b []uint8) []uint32 {
+	if len(b) < 4 {
+		return nil
+	}
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
 // gatherF32 writes dst[i] = src[i*stride]. Stride 2 — the paper net's stem
@@ -406,8 +423,9 @@ func (v *convView[T]) row(dst []T, p, j0 int) {
 
 // walk is the one tap walker both engines pack through: it writes columns
 // [j0, j0+nc) of row p of the column matrix to columns [0, nc) of r, which
-// lays them out as the sink wants them (FP32 micro-panel rows for
-// packConvPanels, a plain staging row for the quantized quad transposer).
+// lays them out as the sink wants them (micro-panel rows for packConvPanels —
+// FP32 elements, or the INT8 fires' quad words — or a plain staging row for
+// the quad transposer of a planar INT8 convolution).
 //
 // Columns whose input row falls outside the plane are fill. The rest are
 // gathered one output row at a time, each row's valid run from one plane row
@@ -456,17 +474,19 @@ func (v *convView[T]) walk(r *panelRow[T], p, j0, nc int) {
 	}
 }
 
-// packConvPanels is packB for the FP32 conv operand: it writes the kc×nc
-// block at (p0, j0) into nr-column micro-panels, zero-padded past the last
-// valid column. nr must be a power of two.
-func packConvPanels(v *convView[float32], dst []float32, p0, kc, j0, nc, nr int) {
+// packConvPanels is packB for a conv operand: it writes the kc×nc block at
+// (p0, j0) into nr-column micro-panels, zero-padded past the last valid
+// column. nr must be a power of two. The FP32 driver packs elements; the
+// INT8 one packs the quad rows of a quad-plane view, one 32-bit word per
+// column (nr = nrQTile), which is the quad panel layout itself.
+func packConvPanels[T pixel](v *convView[T], dst []T, p0, kc, j0, nc, nr int) {
 	if nr&(nr-1) != 0 {
 		panic(fmt.Sprintf("tensor: packConvPanels: panel width %d is not a power of two", nr))
 	}
 	padded := (nc + nr - 1) / nr * nr
 	shift := uint(bits.TrailingZeros(uint(nr)))
 	for p := 0; p < kc; p++ {
-		r := panelRow[float32]{dst: dst[p*nr:], shift: shift, step: nr * kc}
+		r := panelRow[T]{dst: dst[p*nr:], shift: shift, step: nr * kc}
 		v.walk(&r, p0+p, j0, nc)
 		r.fill(nc, padded-nc, 0)
 	}

@@ -92,32 +92,76 @@ func PackQWeights(wq []int8, m, k int) QWeights {
 func (w QWeights) Len() int { return w.m * w.k }
 
 // qgemmB is the B operand of a quantized product: a dense row-major k×n
-// matrix, or — when conv is set — the implicit column matrix of a
+// matrix, or — when conv is set — the implicit column matrix of a planar
 // convolution, read straight from the u8 image (see convView), or — when
-// stem is set — the stem's, read from padded pixel rows (see stemView).
+// quad is set — that of a convolution over quad planes, whose row q is K
+// quad q, one 32-bit word a column (see QFire), or — when stem is set — the
+// stem's, read from padded pixel rows (see stemView).
 type qgemmB struct {
 	data []uint8
 	conv *convView[uint8]
+	quad *convView[uint32]
 	stem *stemView
 }
 
 // qgemmEpilogue requantizes a product's finished accumulators into the next
 // layer's u8 activations: row i of the product goes through RequantizeU8 with
-// rq's constants for channel i into dst[i*ld:] — or, when pool is set, into
-// the pool's slabs, which it max-pools on the spot. A product with an
-// epilogue never materializes its m×n int32 matrix (see qgemmBlocked).
+// rq's constants for channel i into dst[i*ld:] — or, when quads is set, into
+// quad planes of ld words, rows 4g…4g+3 as the four bytes of each word of
+// plane g (see putQuads) — or, when pool is set, into the pool's slabs,
+// which it max-pools on the spot. A product with an epilogue never
+// materializes its m×n int32 matrix (see qgemmBlocked).
 type qgemmEpilogue struct {
-	rq   Requant
-	dst  []uint8
-	ld   int
-	pool *qpoolRun
+	rq    Requant
+	dst   []uint8
+	ld    int
+	quads bool
+	pool  *qpoolRun
 }
 
 // apply requantizes the m×nc accumulator block acc (row stride nc) into
-// columns [j0, j0+nc) of the destination.
+// columns [j0, j0+nc) of the destination. Quad planes take four rows at a
+// time through a 4×nc staging block small enough to stay in L1; the rows of
+// the last plane past m, which no weight reads, hold the output zero point.
 func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int) {
-	for i := 0; i < m; i++ {
-		RequantizeU8(e.dst[i*e.ld+j0:i*e.ld+j0+nc], acc[i*nc:(i+1)*nc], e.rq.Mult[i], e.rq.Beta[i], e.rq.ZOut, e.rq.ReLU)
+	if !e.quads {
+		for i := 0; i < m; i++ {
+			RequantizeU8(e.dst[i*e.ld+j0:i*e.ld+j0+nc], acc[i*nc:(i+1)*nc], e.rq.Mult[i], e.rq.Beta[i], e.rq.ZOut, e.rq.ReLU)
+		}
+		return
+	}
+	stagep := GetScratchU8(4 * nc)
+	stage := *stagep
+	for g := 0; g*4 < m; g++ {
+		for r := 0; r < 4; r++ {
+			row := stage[r*nc : (r+1)*nc]
+			if i := g*4 + r; i < m {
+				RequantizeU8(row, acc[i*nc:(i+1)*nc], e.rq.Mult[i], e.rq.Beta[i], e.rq.ZOut, e.rq.ReLU)
+				continue
+			}
+			for j := range row {
+				row[j] = uint8(e.rq.ZOut)
+			}
+		}
+		off := (g*e.ld + j0) * 4
+		putQuads(e.dst[off:off+nc*4:off+nc*4], stage, nc)
+	}
+	PutScratchU8(stagep)
+}
+
+// putQuads writes four nc-byte rows (src[r*nc:], r < 4) to dst as nc 32-bit
+// words, column j's four row bytes at dst[4j:]: transposeQuad over the whole
+// 16-column groups, then the ragged tail a word at a time. transposeQuad's
+// own tail would zero-pad its group to 16 columns, which in a quad plane
+// runs into the next plane.
+func putQuads(dst, src []uint8, nc int) {
+	full := nc &^ (nrQTile - 1)
+	if full > 0 {
+		transposeQuad(dst, 4*nrQTile, src, nc, full)
+	}
+	for j := full; j < nc; j++ {
+		d := dst[4*j : 4*j+4 : 4*j+4]
+		d[0], d[1], d[2], d[3] = src[j], src[nc+j], src[2*nc+j], src[3*nc+j]
 	}
 }
 
@@ -154,21 +198,35 @@ func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilog
 
 // qgemmSmall is the unblocked path for problems too small to amortize
 // packing. k is outermost so a conv operand produces each row of its column
-// matrix once.
+// matrix once; a quad operand produces four at a time, interleaved: row p is
+// every fourth byte of quad row p/4, from byte p%4 on.
 func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
 	var rowp *[]uint8
-	if b.conv != nil {
+	var words []uint32
+	switch {
+	case b.conv != nil:
 		rowp = GetScratchU8(n)
+	case b.quad != nil:
+		// At least 16 bytes, so the words are aligned (see quadWords).
+		rowp = GetScratchU8(max(4*n, 16))
+		words = quadWords((*rowp)[:4*n])
 	}
 	for p := 0; p < k; p++ {
 		var brow []uint8
-		if b.conv != nil {
+		step := 1
+		switch {
+		case b.conv != nil:
 			// row gets the scratch itself, not brow: through a variable that
 			// also holds b.data, escape analysis would move the caller's
 			// stack-resident view to the heap (the zero-alloc tests notice).
 			b.conv.row(*rowp, p, 0)
 			brow = *rowp
-		} else {
+		case b.quad != nil:
+			if p%4 == 0 {
+				b.quad.row(words, p/4, 0)
+			}
+			brow, step = (*rowp)[p%4:4*n], 4
+		default:
 			brow = b.data[p*n : p*n+n]
 		}
 		for i := 0; i < m; i++ {
@@ -177,8 +235,8 @@ func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
 				continue
 			}
 			crow := c[i*n : i*n+n]
-			for j, bv := range brow {
-				crow[j] += w * int32(bv)
+			for j := range crow {
+				crow[j] += w * int32(brow[j*step])
 			}
 		}
 	}
@@ -384,14 +442,20 @@ func packAQuads(dst []int8, a []int8, lda, i0, mc, p0, kc int) {
 // groups [c0 k..k+3 | c1 k..k+3 | ...], zero-padded past the last valid
 // column and past kc within the final partial quad.
 //
-// Each quad is four rows of the block run through transposeQuad. A full quad
-// of a dense B is transposed where it lies (ldb apart); a conv operand's four
-// taps — and a dense B's ragged last quad, above zero rows — are first
-// written as plain rows into a 4×nc staging block small enough to stay in L1.
-// A stem operand's quads are pixels already, and it packs them itself.
+// A quad operand's quads are words already: its rows go straight into the
+// panels as words, through the walker FP32 packs with (packConvPanels), and
+// a stem operand packs its pixels itself. Any other quad is four rows of the
+// block run through transposeQuad. A full quad of a dense B is transposed
+// where it lies (ldb apart); a planar conv operand's four taps — and a dense
+// B's ragged last quad, above zero rows — are first written as plain rows
+// into a 4×nc staging block small enough to stay in L1.
 func packBQuads(dst []uint8, b qgemmB, ldb, p0, kc, j0, nc int) {
-	if b.stem != nil {
+	switch {
+	case b.stem != nil:
 		b.stem.pack(dst, p0, kc, j0, nc)
+		return
+	case b.quad != nil:
+		packConvPanels(b.quad, quadWords(dst), p0/4, kc/4, j0, nc, nrQTile)
 		return
 	}
 	quads := (kc + 3) / 4

@@ -3,7 +3,6 @@ package tensor
 import (
 	"encoding/binary"
 	"fmt"
-	"unsafe"
 )
 
 // QStem is the INT8 network's first stage: a convolution over pixel bytes as
@@ -20,7 +19,7 @@ import (
 type QStem struct {
 	// Spec is the convolution; InC is at most 4.
 	Spec ConvSpec
-	// W is PackQStemWeights of the convolution's s8 weights.
+	// W is PackQQuadWeights of the convolution's s8 weights.
 	W QWeights
 	// RQ requantizes the accumulators (see Requant).
 	RQ Requant
@@ -32,26 +31,30 @@ type QStem struct {
 	Pool PoolSpec
 }
 
-// PackQStemWeights reorders the row-major OutC×(InC·KH·KW) s8 matrix wq —
-// the (c, ky, kx) order every other convolution uses — into the stem's
-// (ky, kx, c) order with each tap's channels padded to 4 by zero weights,
-// and packs it. Zero weights add nothing to an accumulator and nothing to
-// Σw, so the stem's requantization constants are the planar convolution's.
-func PackQStemWeights(wq []int8, s ConvSpec) QWeights {
+// PackQQuadWeights reorders the row-major OutC×(InC·KH·KW) s8 matrix wq —
+// the (c, ky, kx) order of a planar convolution (PackQWeights) — into the
+// quad order (c/4, ky, kx, c%4), the channels padded to a multiple of 4 by
+// zero weights, and packs it. K quad (g, ky, kx) is then channels 4g…4g+3 of
+// one input pixel: the 32-bit word that a quad plane (QFire's expands) or,
+// for InC ≤ 4 and so the order (ky, kx, c), a padded pixel row (QStem)
+// holds. Zero weights add nothing to an accumulator and nothing to Σw, so
+// the requantization constants are the planar convolution's.
+func PackQQuadWeights(wq []int8, s ConvSpec) QWeights {
 	taps := s.KH * s.KW
-	if s.InC > 4 || len(wq) < s.OutC*s.InC*taps {
-		panic(fmt.Sprintf("tensor: PackQStemWeights: %d weights for %+v (at most 4 input channels)", len(wq), s))
-	}
 	k := s.InC * taps
-	p := make([]int8, s.OutC*taps*4)
+	if len(wq) < s.OutC*k {
+		panic(fmt.Sprintf("tensor: PackQQuadWeights: %d weights for %+v", len(wq), s))
+	}
+	kq := (s.InC + 3) / 4 * taps * 4
+	p := make([]int8, s.OutC*kq)
 	for oc := 0; oc < s.OutC; oc++ {
 		for c := 0; c < s.InC; c++ {
 			for t := 0; t < taps; t++ {
-				p[(oc*taps+t)*4+c] = wq[oc*k+c*taps+t]
+				p[oc*kq+(c/4*taps+t)*4+c%4] = wq[oc*k+c*taps+t]
 			}
 		}
 	}
-	return PackQWeights(p, s.OutC, taps*4)
+	return PackQWeights(p, s.OutC, kq)
 }
 
 // OutSize returns the stage's output size for h×w images: the
@@ -230,7 +233,7 @@ func (v *stemView) pack(dst []uint8, p0, kc, j0, nc int) {
 // spreadQuads writes the n 4-byte pixels at the head of src to columns
 // [c, c+n) of one quad row of a packed block, whose panels are step bytes
 // apart: a partial panel at either end by copy, every whole panel between
-// them in one copyQuadRuns.
+// them as one copyRuns of 16-word runs.
 func spreadQuads(dst []uint8, step, c, n int, src []uint8) {
 	if lane := c % nrQTile; lane != 0 {
 		l := min(n, nrQTile-lane)
@@ -238,27 +241,11 @@ func spreadQuads(dst []uint8, step, c, n int, src []uint8) {
 		c, n, src = c+l, n-l, src[l*4:]
 	}
 	if full := n / nrQTile; full > 0 {
-		copyQuadRuns(dst[c/nrQTile*step:], step, src, 4*nrQTile, full)
+		copyRuns(quadWords(dst[c/nrQTile*step:]), step/4, quadWords(src), nrQTile, nrQTile, full)
 		c, n, src = c+full*nrQTile, n-full*nrQTile, src[full*4*nrQTile:]
 	}
 	if n > 0 {
 		copy(dst[c/nrQTile*step:][:n*4], src)
-	}
-}
-
-// copyQuadRuns copies `runs` runs of one panel's 16 pixels (64 bytes), run i
-// from src[i*srcStep:] to dst[i*dstStep:], steps multiples of 4. The bytes
-// move as float32 words through copyRuns' vector body, which loads and
-// stores them without arithmetic, so every bit pattern survives.
-func copyQuadRuns(dst []uint8, dstStep int, src []uint8, srcStep, runs int) {
-	const n = 4 * nrQTile
-	_, _ = dst[(runs-1)*dstStep+n-1], src[(runs-1)*srcStep+n-1]
-	if haveQuantASM {
-		copyRunsF32((*float32)(unsafe.Pointer(&dst[0])), int64(dstStep/4), (*float32)(unsafe.Pointer(&src[0])), int64(srcStep/4), nrQTile, int64(runs))
-		return
-	}
-	for i := 0; i < runs; i++ {
-		copy(dst[i*dstStep:i*dstStep+n], src[i*srcStep:])
 	}
 }
 

@@ -77,7 +77,7 @@ func TestQStemMatchesPlanarConvPool(t *testing.T) {
 			s, h, w := cc.s, cc.h, cc.w
 			k := s.InC * s.KH * s.KW
 			wq, _ := randQOperands(rng, s.OutC, k, 0)
-			st := QStem{Spec: s, W: PackQStemWeights(wq, s), Pool: cc.pool,
+			st := QStem{Spec: s, W: PackQQuadWeights(wq, s), Pool: cc.pool,
 				RQ: Requant{Mult: make([]float32, s.OutC), Beta: make([]float32, s.OutC), ZOut: int32(rng.Intn(QMaxU8)), ReLU: ci%2 == 0}}
 			for oc := range st.RQ.Mult {
 				st.RQ.Mult[oc] = float32((0.5 + rng.Float64()) / (80 * math.Sqrt(float64(k))))
@@ -165,7 +165,7 @@ func benchQStem(b *testing.B, pool PoolSpec) {
 	s := stemSpec
 	k := s.InC * s.KH * s.KW
 	wq, _ := randQOperands(rng, s.OutC, k, 0)
-	st := QStem{Spec: s, W: PackQStemWeights(wq, s), ZP: 17, Pool: pool,
+	st := QStem{Spec: s, W: PackQQuadWeights(wq, s), ZP: 17, Pool: pool,
 		RQ: Requant{Mult: make([]float32, s.OutC), Beta: make([]float32, s.OutC), ZOut: 3, ReLU: true}}
 	for oc := range st.RQ.Mult {
 		st.RQ.Mult[oc], st.RQ.Beta[oc] = float32(1/(80*math.Sqrt(float64(k)))), 40

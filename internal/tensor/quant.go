@@ -94,23 +94,34 @@ func quantU8(v, inv, zf float32, zero int32) uint8 {
 // QuantizePixelsU8 is QuantizeU8 into the layout QStem reads: the n images
 // of c ≤ 4 float planes of hw values in src become n images of hw pixels, 4
 // bytes a pixel — plane ch's value for pixel j at dst[(i*hw+j)*4+ch] — and
-// the channels past c hold the zero point.
+// the channels past c hold the zero point. It is one pass over the pixels,
+// each pixel's four bytes written together; with four planes, the paper
+// net's, the four reads are unrolled.
 func QuantizePixelsU8(dst []uint8, src []float32, n, c, hw int, q QuantParams) {
 	if c > 4 || len(src) < n*c*hw || len(dst) < n*hw*4 {
 		panic(fmt.Sprintf("tensor: QuantizePixelsU8: src %d / dst %d do not fit %d images of %d×%d", len(src), len(dst), n, c, hw))
 	}
 	inv, zf := quantConsts(q)
 	for i := 0; i < n; i++ {
-		img := dst[i*hw*4 : (i+1)*hw*4]
-		for ch := 0; ch < 4; ch++ {
-			if ch >= c {
-				for j := ch; j < len(img); j += 4 {
-					img[j] = uint8(q.Zero)
-				}
-				continue
+		img, im := dst[i*hw*4:(i+1)*hw*4], src[i*c*hw:(i+1)*c*hw]
+		if c == 4 {
+			p0, p1, p2, p3 := im[:hw], im[hw:2*hw], im[2*hw:3*hw], im[3*hw:4*hw]
+			for j := range p0 {
+				d := img[j*4 : j*4+4 : j*4+4]
+				d[0] = quantU8(p0[j], inv, zf, q.Zero)
+				d[1] = quantU8(p1[j], inv, zf, q.Zero)
+				d[2] = quantU8(p2[j], inv, zf, q.Zero)
+				d[3] = quantU8(p3[j], inv, zf, q.Zero)
 			}
-			for j, v := range src[(i*c+ch)*hw : (i*c+ch+1)*hw] {
-				img[j*4+ch] = quantU8(v, inv, zf, q.Zero)
+			continue
+		}
+		for j := 0; j < hw; j++ {
+			d := img[j*4 : j*4+4 : j*4+4]
+			for ch := range d {
+				d[ch] = uint8(q.Zero)
+				if ch < c {
+					d[ch] = quantU8(im[ch*hw+j], inv, zf, q.Zero)
+				}
 			}
 		}
 	}
@@ -216,18 +227,6 @@ func RequantizeU8(dst []uint8, acc []int32, mult, beta float32, zOut int32, relu
 			x = QMaxU8
 		}
 		dst[i] = uint8(x)
-	}
-}
-
-// DequantizeAcc converts one output-channel row of int32 accumulators
-// straight to real values: v = acc·mult + beta — the final-layer epilogue,
-// where the logits leave the quantized domain.
-func DequantizeAcc(dst []float32, acc []int32, mult, beta float32) {
-	if len(dst) < len(acc) {
-		panic("tensor: DequantizeAcc dst too small")
-	}
-	for i, a := range acc {
-		dst[i] = float32(a)*mult + beta
 	}
 }
 

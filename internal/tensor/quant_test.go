@@ -382,29 +382,6 @@ func BenchmarkRequantizeU8(b *testing.B) {
 	}
 }
 
-// benchQConvStage times one whole quantized convolution stage — quad panels
-// packed from the u8 image, GEMM, requantize epilogue — on seeded random
-// bytes.
-func benchQConvStage(b *testing.B, s ConvSpec, res int) {
-	rng := rand.New(rand.NewSource(33))
-	k := s.InC * s.KH * s.KW
-	wq, x := randQOperands(rng, s.OutC, k, s.InC*res*res/k+1)
-	rq := Requant{Mult: make([]float32, s.OutC), Beta: make([]float32, s.OutC), ZOut: 3, ReLU: true}
-	for oc := range rq.Mult {
-		rq.Mult[oc], rq.Beta[oc] = float32(1/(80*math.Sqrt(float64(k)))), 40
-	}
-	oh, ow := s.OutSize(res, res)
-	y := make([]uint8, s.OutC*oh*ow)
-	packed := PackQWeights(wq, s.OutC, k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		QConvForwardInto(x, 1, res, res, packed, s, 17, rq, y, s.OutC, 0)
-	}
-}
-
-// BenchmarkConvExpand3x3U8_13 is BenchmarkConvExpand3x3_13 on the INT8 engine.
-func BenchmarkConvExpand3x3U8_13(b *testing.B) { benchQConvStage(b, expand3x3Spec, 13) }
-
 // BenchmarkMaxPoolU8_112x96 is the paper net's first pool on the INT8 engine:
 // 3×3/2 over the stem's 96 planes of 112×112, on seeded random bytes — an
 // all-zero plane never mispredicts a compare, which hid what the scalar
