@@ -56,10 +56,11 @@ test-avx2:
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/imaging/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
 
-# Native Go fuzzing smoke pass over the eight decoders that face untrusted
+# Native Go fuzzing smoke pass over the nine decoders that face untrusted
 # input (EasyList rules, HTML, the persistent-socket wire framing, the
 # /classify/batch request body, the admin control-plane request bodies, model
-# files, the daemon's /classify body, -cache-file verdict snapshots).
+# files, the daemon's /classify body, -cache-file verdict snapshots, and
+# encoded images through imaging.Decode, held to its per-pixel oracle).
 # Each fuzzer runs for FUZZTIME; crashers are written to the package's
 # testdata/fuzz corpus and reproduced by `go test`.
 fuzz:
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzRestoreCache -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/nn
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./cmd/percival-serve
+	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/imaging
 
 # Fault-injection smoke: drives the fleet supervisor (eviction, redial,
 # hedging, local fallback) and the daemon's serving edge through flapping /
@@ -93,10 +95,11 @@ bench:
 # Just the inference-latency trajectory (see PERFORMANCE.md): the forward
 # pass, a whole backend call on each engine (resize, input conversion,
 # forward), the two serving paths on which the model is idle (a Submit
-# answered by serve's cache, and one answered by a warm wire peer's), and the
-# scaler on the bench's creative sizes.
+# answered by serve's cache, and one answered by a warm wire peer's), the
+# base page render the paper's overhead divides by, and the scaler on the
+# bench's creative sizes.
 bench-infer:
-	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16|BenchmarkEngineInfer|BenchmarkQuantizeSetup32|BenchmarkServeCacheHit|BenchmarkServeWireWarm' -benchmem .
+	$(GO) test -run=NONE -bench='BenchmarkInferSingle|BenchmarkInferBatch|BenchmarkWarm16|BenchmarkEngineInfer|BenchmarkQuantizeSetup32|BenchmarkServeCacheHit|BenchmarkServeWireWarm|BenchmarkRenderPage' -benchmem .
 	$(GO) test -run=NONE -bench='$(TENSOR_BENCH)' -benchtime=1s ./internal/tensor/
 	$(GO) test -run=NONE -bench='BenchmarkResizeBilinearInto|BenchmarkResizeBilinearBenchSizes' -benchmem ./internal/imaging/
 
@@ -106,7 +109,7 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Where one frame goes: `pprof -top`, by flat time and then by cumulative
-# time, of six one-P benchmarks. InferSingle / InferSingleInt8 are the
+# time, of seven one-P benchmarks. InferSingle / InferSingleInt8 are the
 # forward pass on each engine — the per-function attribution PERFORMANCE.md
 # tabulates (its tables quote the cumulative view). EngineInferFP32 /
 # EngineInferInt8 are a whole backend call on a decoded frame (resize, input
@@ -114,12 +117,15 @@ bench-check:
 # ServeCacheHit / ServeWireWarm are a whole Submit on the two paths where the
 # model is idle, so what a frame costs outside the model (content hash,
 # cache, batcher, fleet dispatch, wire round trip) has a profile too: a
-# forward-pass profile cannot show a frame being hashed twice. The test
-# binary and the profiles land in PROFILE_DIR.
+# forward-pass profile cannot show a frame being hashed twice. RenderPage is
+# the base page render with no model at all (parse, layout, decode, raster,
+# plus the simulation's drawing and encoding of the creatives): the base the
+# paper's overhead percentage divides by. The test binary and the profiles
+# land in PROFILE_DIR.
 PROFILE_DIR ?= .bench_build/profile
 profile:
 	@mkdir -p $(PROFILE_DIR)
-	@for b in InferSingle:300x InferSingleInt8:300x EngineInferFP32:300x EngineInferInt8:1500x ServeCacheHit:10000x ServeWireWarm:10000x; do \
+	@for b in InferSingle:300x InferSingleInt8:300x EngineInferFP32:300x EngineInferInt8:1500x ServeCacheHit:10000x ServeWireWarm:10000x RenderPage:120x; do \
 		name=$${b%:*}; \
 		GOMAXPROCS=1 $(GO) test -run=NONE -bench="Benchmark$$name\$$" -benchtime=$${b#*:} \
 			-o $(PROFILE_DIR)/percival.test -cpuprofile $(PROFILE_DIR)/$$name.prof . || exit 1; \

@@ -500,6 +500,36 @@ func BenchmarkAblationRasterWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderPage is the base render the paper's overhead divides by:
+// browser.Render of webgen front pages with no inspector attached — parse,
+// layout, decode and raster — one page per op in rotation. compute-ms/page
+// is the mean ComputeMS, which leaves out drawing and encoding the creatives
+// (the simulation's stand-in for the network); ns/op and allocs/op include
+// them. `make profile` profiles it: the decode and raster bars are invisible
+// in every model-side profile.
+func BenchmarkRenderPage(b *testing.B) {
+	corpus := webgen.NewCorpus(99, 6)
+	br, err := browser.New(browser.Config{Profile: browser.Chromium(), Corpus: corpus, RasterWorkers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var urls []string
+	for _, s := range corpus.TopSites(6) {
+		urls = append(urls, s.PageURLs[0])
+	}
+	var computeMS float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := br.Render(urls[i%len(urls)], 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		computeMS += res.ComputeMS
+	}
+	b.ReportMetric(computeMS/float64(b.N), "compute-ms/page")
+}
+
 func workerName(n int) string {
 	return string(rune('0'+n)) + "-workers"
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"image/draw"
 )
 
 // Bitmap is a dense 8-bit RGBA pixel buffer, equivalent to the SkBitmap that
@@ -54,20 +55,12 @@ func (b *Bitmap) Set(x, y int, c color.RGBA) {
 }
 
 // Fill paints the whole bitmap with a solid color.
-func (b *Bitmap) Fill(c color.RGBA) {
-	for i := 0; i < len(b.Pix); i += 4 {
-		b.Pix[i], b.Pix[i+1], b.Pix[i+2], b.Pix[i+3] = c.R, c.G, c.B, c.A
-	}
-}
+func (b *Bitmap) Fill(c color.RGBA) { b.fill(0, 0, b.W, b.H, c) }
 
 // Clear zeroes every pixel. This is exactly what PERCIVAL does to an ad
 // frame: "if PERCIVAL determines that the buffer contains an ad, it clears
 // the buffer, effectively blocking the image frame" (§3.3).
-func (b *Bitmap) Clear() {
-	for i := range b.Pix {
-		b.Pix[i] = 0
-	}
-}
+func (b *Bitmap) Clear() { clear(b.Pix) }
 
 // IsCleared reports whether every pixel is zero (a blocked frame).
 func (b *Bitmap) IsCleared() bool {
@@ -94,15 +87,23 @@ func (b *Bitmap) FillRect(x0, y0, x1, y1 int, c color.RGBA) {
 	if y1 > b.H {
 		y1 = b.H
 	}
-	for y := y0; y < y1; y++ {
-		row := (y*b.W + x0) * 4
-		for x := x0; x < x1; x++ {
-			b.Pix[row] = c.R
-			b.Pix[row+1] = c.G
-			b.Pix[row+2] = c.B
-			b.Pix[row+3] = c.A
-			row += 4
-		}
+	b.fill(x0, y0, x1, y1, c)
+}
+
+// fill paints the in-bounds rectangle [x0,x1)×[y0,y1) by rows: one pixel is
+// written, doubled by copy across the first row, and that row is copied down.
+func (b *Bitmap) fill(x0, y0, x1, y1 int, c color.RGBA) {
+	if x1 <= x0 || y1 <= y0 {
+		return
+	}
+	stride := b.W * 4
+	row := b.Pix[y0*stride+x0*4 : y0*stride+x1*4]
+	row[0], row[1], row[2], row[3] = c.R, c.G, c.B, c.A
+	for n := 4; n < len(row); n *= 2 {
+		copy(row[n:], row[:n])
+	}
+	for y := y0 + 1; y < y1; y++ {
+		copy(b.Pix[y*stride+x0*4:y*stride+x1*4], row)
 	}
 }
 
@@ -159,26 +160,6 @@ func (b *Bitmap) LinearGradientV(x0, y0, x1, y1 int, top, bottom color.RGBA) {
 	}
 }
 
-// Blit copies src onto b with its top-left corner at (dx, dy), clipping as
-// needed. Alpha is ignored (source-over with opaque sources).
-func (b *Bitmap) Blit(src *Bitmap, dx, dy int) {
-	for y := 0; y < src.H; y++ {
-		ty := dy + y
-		if ty < 0 || ty >= b.H {
-			continue
-		}
-		for x := 0; x < src.W; x++ {
-			tx := dx + x
-			if tx < 0 || tx >= b.W {
-				continue
-			}
-			si := (y*src.W + x) * 4
-			di := (ty*b.W + tx) * 4
-			copy(b.Pix[di:di+4], src.Pix[si:si+4])
-		}
-	}
-}
-
 // SubImage copies the rectangle [x0,x1)×[y0,y1) (clipped) into a new bitmap.
 func (b *Bitmap) SubImage(x0, y0, x1, y1 int) *Bitmap {
 	if x0 < 0 {
@@ -210,16 +191,16 @@ func (b *Bitmap) ToImage() *image.RGBA {
 	return img
 }
 
-// FromImage converts any stdlib image into a Bitmap.
+// FromImage converts any stdlib image into a Bitmap in one bulk pass: a
+// draw.Src onto an *image.RGBA view of the bitmap's pixels. Every path
+// image/draw takes here (the copy for RGBA, DrawYCbCr, the NRGBA, Gray and
+// CMYK loops, the generic RGBA64At loop for the rest) writes exactly the
+// bytes of At(x, y).RGBA() >> 8, without boxing a color per pixel.
 func FromImage(img image.Image) *Bitmap {
 	bounds := img.Bounds()
 	b := NewBitmap(bounds.Dx(), bounds.Dy())
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			r, g, bl, a := img.At(bounds.Min.X+x, bounds.Min.Y+y).RGBA()
-			b.Set(x, y, color.RGBA{uint8(r >> 8), uint8(g >> 8), uint8(bl >> 8), uint8(a >> 8)})
-		}
-	}
+	dst := &image.RGBA{Pix: b.Pix, Stride: 4 * b.W, Rect: image.Rect(0, 0, b.W, b.H)}
+	draw.Draw(dst, dst.Rect, img, bounds.Min, draw.Src)
 	return b
 }
 

@@ -53,6 +53,12 @@ func Decode(data []byte) (*Bitmap, Format, error) {
 	if img.Bounds().Empty() {
 		return nil, "", fmt.Errorf("imaging: decode: empty %s image", name)
 	}
+	// the decoder's own buffer is ours: an RGBA image (an opaque PNG) whose
+	// rows are tight from the origin already is the bitmap's layout
+	if m, ok := img.(*image.RGBA); ok && m.Rect.Min == (image.Point{}) && m.Stride == 4*m.Rect.Dx() {
+		w, h := m.Rect.Dx(), m.Rect.Dy()
+		return &Bitmap{W: w, H: h, Pix: m.Pix[:4*w*h]}, Format(name), nil
+	}
 	return FromImage(img), Format(name), nil
 }
 

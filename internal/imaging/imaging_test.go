@@ -111,30 +111,48 @@ func TestLinearGradientV(t *testing.T) {
 	}
 }
 
-func TestBlitAndSubImage(t *testing.T) {
-	dst := NewBitmap(10, 10)
-	src := NewBitmap(3, 3)
-	src.Fill(red)
-	dst.Blit(src, 4, 4)
-	if dst.At(4, 4) != red || dst.At(6, 6) != red {
-		t.Fatal("blit failed")
-	}
-	if dst.At(3, 3) == red || dst.At(7, 7) == red {
-		t.Fatal("blit overdrawn")
-	}
-	// clipping blit
-	dst.Blit(src, 9, 9)
-	if dst.At(9, 9) != red {
-		t.Fatal("clipped blit failed")
-	}
-	sub := dst.SubImage(4, 4, 7, 7)
-	if sub.W != 3 || sub.H != 3 || sub.At(0, 0) != red {
+func TestSubImage(t *testing.T) {
+	src := NewBitmap(10, 10)
+	src.FillRect(4, 4, 7, 7, red)
+	sub := src.SubImage(4, 4, 7, 7)
+	if sub.W != 3 || sub.H != 3 || sub.At(0, 0) != red || sub.At(2, 2) != red {
 		t.Fatal("subimage wrong")
 	}
 	// degenerate subimage
-	d := dst.SubImage(8, 8, 2, 2)
+	d := src.SubImage(8, 8, 2, 2)
 	if d.W != 1 || d.H != 1 {
 		t.Fatal("degenerate subimage should be 1x1")
+	}
+}
+
+// TestFillRectMatchesSet holds the row-doubling fill to a per-pixel Set loop
+// over clipped, degenerate and whole-bitmap rectangles.
+func TestFillRectMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		w, h := 1+rng.Intn(40), 1+rng.Intn(30)
+		got := randBitmap(rng, w, h)
+		want := got.Clone()
+		x0, y0 := rng.Intn(w+20)-10, rng.Intn(h+20)-10
+		x1, y1 := x0+rng.Intn(w+10)-3, y0+rng.Intn(h+10)-3
+		c := color.RGBA{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
+		if trial%10 == 0 {
+			got.Fill(c)
+			x0, y0, x1, y1 = 0, 0, w, h
+		} else {
+			got.FillRect(x0, y0, x1, y1, c)
+		}
+		for y := y0; y < y1; y++ {
+			for x := x0; x < x1; x++ {
+				want.Set(x, y, c)
+			}
+		}
+		for i := range want.Pix {
+			if got.Pix[i] != want.Pix[i] {
+				t.Fatalf("%dx%d rect (%d,%d)-(%d,%d): byte %d is %d, want %d",
+					w, h, x0, y0, x1, y1, i, got.Pix[i], want.Pix[i])
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@
 package raster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"image/color"
 	"sync"
@@ -270,8 +271,11 @@ func drawTextClipped(s *imaging.Bitmap, it *layout.DisplayItem, cx0, cy0, cx1, c
 	}
 }
 
-// drawImageClipped scales the frame into the item's box, writing only
-// within the clip rect.
+// drawImageClipped scales the frame into the item's box by nearest
+// neighbour, writing only within the clip rect (at most one tile wide). A
+// frame drawn at its own size is copied a clipped row at a time; otherwise
+// each destination column's source offset is computed once for the item, not
+// once per pixel.
 func drawImageClipped(s *imaging.Bitmap, frame *imaging.Bitmap, it *layout.DisplayItem, cx0, cy0, cx1, cy1 int) {
 	x0, y0 := it.X, it.Y
 	x1, y1 := it.X+it.W, it.Y+it.H
@@ -290,11 +294,27 @@ func drawImageClipped(s *imaging.Bitmap, frame *imaging.Bitmap, it *layout.Displ
 	if x1 <= x0 || y1 <= y0 || it.W <= 0 || it.H <= 0 {
 		return
 	}
+	fstride, sstride := frame.W*4, s.W*4
+	if frame.W == it.W && frame.H == it.H {
+		n := (x1 - x0) * 4
+		for y := y0; y < y1; y++ {
+			so := (y-it.Y)*fstride + (x0-it.X)*4
+			do := y*sstride + x0*4
+			copy(s.Pix[do:do+n], frame.Pix[so:so+n])
+		}
+		return
+	}
+	var cols [TileSize]int
+	off := cols[:x1-x0]
+	for i := range off {
+		off[i] = (x0 + i - it.X) * frame.W / it.W * 4
+	}
 	for y := y0; y < y1; y++ {
 		sy := (y - it.Y) * frame.H / it.H
-		for x := x0; x < x1; x++ {
-			sx := (x - it.X) * frame.W / it.W
-			s.Set(x, y, frame.At(sx, sy))
+		src := frame.Pix[sy*fstride : (sy+1)*fstride]
+		dst := s.Pix[y*sstride+x0*4 : y*sstride+x1*4]
+		for i, so := range off {
+			binary.LittleEndian.PutUint32(dst[i*4:], binary.LittleEndian.Uint32(src[so:]))
 		}
 	}
 }

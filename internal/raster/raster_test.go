@@ -2,6 +2,7 @@ package raster
 
 import (
 	"image/color"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -149,6 +150,74 @@ func TestParallelWorkersProduceSameSurface(t *testing.T) {
 	s8, _ := renderPage(t, html.String(), images, nil, 8)
 	if imaging.ContentKey(s1) != imaging.ContentKey(s8) {
 		t.Fatal("worker count changed rendered output")
+	}
+}
+
+// drawImageNearest is the per-pixel blit drawImageClipped replaced, kept as
+// its oracle: two divisions, an At and a Set per pixel.
+func drawImageNearest(s, frame *imaging.Bitmap, it *layout.DisplayItem, cx0, cy0, cx1, cy1 int) {
+	x0, y0 := max(it.X, cx0), max(it.Y, cy0)
+	x1, y1 := min(it.X+it.W, cx1), min(it.Y+it.H, cy1)
+	if x1 <= x0 || y1 <= y0 || it.W <= 0 || it.H <= 0 {
+		return
+	}
+	for y := y0; y < y1; y++ {
+		sy := (y - it.Y) * frame.H / it.H
+		for x := x0; x < x1; x++ {
+			sx := (x - it.X) * frame.W / it.W
+			s.Set(x, y, frame.At(sx, sy))
+		}
+	}
+}
+
+// TestDrawImageMatchesNearest draws frames 1:1, downscaled and upscaled
+// (integer and non-integer ratios) into boxes that cross tile edges, hang
+// off every side of the surface and start at negative coordinates, tile by
+// tile as rasterTile does, and holds every surface byte to the oracle.
+func TestDrawImageMatchesNearest(t *testing.T) {
+	const sw, sh = 600, 530
+	rng := rand.New(rand.NewSource(17))
+	randFrame := func(w, h int) *imaging.Bitmap {
+		b := imaging.NewBitmap(w, h)
+		rng.Read(b.Pix)
+		return b
+	}
+	cases := []struct {
+		name       string
+		fw, fh     int
+		x, y, w, h int
+	}{
+		{"1:1 inside a tile", 120, 90, 10, 20, 120, 90},
+		{"1:1 across tile edges", 300, 250, 200, 180, 300, 250},
+		{"1:1 off the right and bottom", 120, 100, 530, 470, 120, 100},
+		{"1:1 negative origin", 90, 70, -30, -20, 90, 70},
+		{"1:1 wider than a tile", 640, 40, -20, 300, 640, 40},
+		{"down 2x", 300, 250, 240, 100, 150, 125},
+		{"down non-integer", 728, 90, 0, 400, 468, 60},
+		{"up 4x", 40, 30, 230, 240, 160, 120},
+		{"up non-integer", 97, 41, 100, 250, 300, 250},
+		{"mixed across the surface edge", 160, 600, 500, -10, 200, 550},
+		{"one pixel", 1, 1, 255, 255, 3, 2},
+	}
+	for _, c := range cases {
+		frame := randFrame(c.fw, c.fh)
+		it := &layout.DisplayItem{Kind: layout.ItemImage, X: c.x, Y: c.y, W: c.w, H: c.h}
+		got := randFrame(sw, sh)
+		want := got.Clone()
+		for ty := 0; ty*TileSize < sh; ty++ {
+			for tx := 0; tx*TileSize < sw; tx++ {
+				x0, y0 := tx*TileSize, ty*TileSize
+				x1, y1 := min(x0+TileSize, sw), min(y0+TileSize, sh)
+				drawImageClipped(got, frame, it, x0, y0, x1, y1)
+				drawImageNearest(want, frame, it, x0, y0, x1, y1)
+			}
+		}
+		for i := range want.Pix {
+			if got.Pix[i] != want.Pix[i] {
+				t.Fatalf("%s: surface pixel (%d,%d) channel %d is %d, want %d",
+					c.name, i/4%sw, i/4/sw, i%4, got.Pix[i], want.Pix[i])
+			}
+		}
 	}
 }
 
