@@ -16,7 +16,7 @@ FUZZTIME ?= 15s
 # planes, both expands into the concatenated output).
 TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkMaxPoolU8_112x96
 
-.PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile
+.PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile loc
 
 check: fmt vet build test test-avx2 race
 
@@ -132,3 +132,19 @@ profile:
 		$(GO) tool pprof -top -nodecount=16 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$name.prof || exit 1; \
 		$(GO) tool pprof -top -cum -nodecount=24 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$name.prof || exit 1; \
 	done
+
+# Size of the serving stack, for ROADMAP item 3 and any change that claims to
+# shrink it: non-test Go lines of the daemon's three packages (engine + serve
+# + daemon = the tracked count) and of internal/tensor, and the number of
+# flags the daemon defines.
+LOC_TRACKED = internal/engine internal/serve cmd/percival-serve
+loc:
+	@gocount() { cat $$(ls $$1/*.go | grep -v '_test\.go$$') | wc -l; }; \
+	total=0; for d in $(LOC_TRACKED); do \
+		n=$$(gocount $$d); total=$$((total + n)); \
+		printf '%-20s %6d\n' $$d $$n; \
+	done; \
+	printf '%-20s %6d\n' tracked $$total; \
+	printf '%-20s %6d\n' internal/tensor $$(gocount internal/tensor); \
+	printf '%-20s %6d\n' daemon-flags $$(cat $$(ls cmd/percival-serve/*.go | grep -v '_test\.go$$') | \
+		grep -cE '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(')

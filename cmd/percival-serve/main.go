@@ -19,13 +19,10 @@
 //
 //	percival-serve                        # train a reduced-scale model, serve on :8093
 //	percival-serve -res 224 -int8         # paper-scale INT8 engine
-//	percival-serve -shards 4              # sharded dispatch: one batcher
-//	                                      # and replica per shard
-//	percival-serve -shards 4 -lanes       # multi-core: one OS-thread-locked,
-//	                                      # core-pinned dispatch lane per shard
-//	                                      # with the GEMM worker pool
-//	                                      # partitioned across the lanes
-//	                                      # (per-lane counters on /metrics)
+//	percival-serve -shards 4              # sharded dispatch: one batcher,
+//	                                      # replica and dispatch worker per
+//	                                      # shard (per-shard busy time on
+//	                                      # /metrics)
 //	percival-serve -admission             # unified admission controller: the
 //	                                      # graded brownout ladder gates the
 //	                                      # queue door and co-adapts batch
@@ -107,10 +104,8 @@ func main() {
 		threshold   = flag.Float64("threshold", 0.5, "ad-probability blocking threshold")
 		int8Flag    = flag.Bool("int8", false, "quantize and serve the INT8 engine (parity-gated)")
 		backendName = flag.String("backend", "auto", "serving backend: fp32, int8, or auto (the parity-gated default)")
-		shards      = flag.Int("shards", 1, "dispatch shards (content-hash range partitions, each with its own batcher and backend replica)")
-		lanes       = flag.Bool("lanes", false, "pin one dispatch lane per shard to its own OS thread and core, and partition the GEMM worker pool across the lanes (multi-core serving; overrides -workers)")
+		shards      = flag.Int("shards", 1, "dispatch shards (content-hash range partitions, each with its own batcher, backend replica and dispatch worker): how many forward passes run at once")
 		admission   = flag.Bool("admission", false, "run the unified admission controller: graded brownout (cache-only -> degraded -> shed) gates the queue door and co-adapts batch cap and shed deadline")
-		workers     = flag.Int("workers", 0, "dispatch workers across all shards (0 = GOMAXPROCS)")
 		maxBatch    = flag.Int("batch", 16, "max frames per forward pass")
 		queue       = flag.Int("queue", 0, "submit queue depth (0 = default)")
 		deadline    = flag.Duration("deadline", 500*time.Millisecond, "load-shed deadline (0 disables)")
@@ -198,12 +193,10 @@ func main() {
 	serving := engine.NewCanaryBackend(reg, backend)
 	opts := serve.Options{
 		MaxBatch:   *maxBatch,
-		Workers:    *workers,
 		QueueDepth: *queue,
 		Deadline:   *deadline,
 		CacheSize:  *cacheSize,
 		Shards:     *shards,
-		PinLanes:   *lanes,
 		Backend:    serving,
 	}
 	if *admission {

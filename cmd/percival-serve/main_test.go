@@ -160,7 +160,7 @@ func TestDecodeFrameRejectsMalformedDims(t *testing.T) {
 // It must be a 400 at the edge, and the server must keep serving.
 func TestClassifyRejectsWrappingDims(t *testing.T) {
 	svc := testService(t)
-	srv, err := serve.New(svc, serve.Options{Workers: 1})
+	srv, err := serve.New(svc, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 // non-batch body rather than 500 or hang.
 func TestClassifyBatchEndpointRejectsGarbage(t *testing.T) {
 	svc := testService(t)
-	srv, err := serve.New(svc, serve.Options{Workers: 1})
+	srv, err := serve.New(svc, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestClassifyBatchEndpointRejectsGarbage(t *testing.T) {
 // is a clean cold start.
 func TestSaveCacheSurvivesRoundTrip(t *testing.T) {
 	svc := testService(t)
-	srv, err := serve.New(svc, serve.Options{Workers: 1})
+	srv, err := serve.New(svc, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestSaveCacheSurvivesRoundTrip(t *testing.T) {
 	}
 	srv.Close()
 
-	srv2, err := serve.New(svc, serve.Options{Workers: 1})
+	srv2, err := serve.New(svc, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

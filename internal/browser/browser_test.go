@@ -338,7 +338,7 @@ func TestAsyncServeInspectionMatchesDirectVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(svc, serve.Options{Workers: 2, MaxBatch: 8})
+	srv, err := serve.New(svc, serve.Options{Shards: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestAsyncServeConfigValidation(t *testing.T) {
 	net, _ := squeezenet.Build(arch)
 	squeezenet.PretrainedInit(net, 1)
 	svc, _ := core.New(net, arch, core.Options{})
-	srv, err := serve.New(svc, serve.Options{Workers: 1})
+	srv, err := serve.New(svc, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -635,12 +635,16 @@ func (f *Fleet) inferBatch(lane int, frames []*imaging.Bitmap, keys [][32]byte, 
 
 // dispatchChunk scores one chunk somewhere: the router's pick (hedged),
 // failing over across the remaining routable peers, then the local
-// fallback. Reports whether a real verdict was produced. The membership
-// snapshot is loaded once — the chunk routes against one consistent view.
-// keys (the caller's, or nil) travel in the chunk to every peer that sees
-// it; the local fallback reads pixels and has no use for them.
+// fallback. Reports whether a real verdict was produced. The chunk routes
+// against one consistent membership snapshot; if that view runs out while
+// membership has changed under it (a peer admitted after the load, every
+// peer it holds draining away), it routes once more against the live one
+// before giving up. keys (the caller's, or nil) travel in the chunk to
+// every peer that sees it; the local fallback reads pixels and has no use
+// for them.
 func (f *Fleet) dispatchChunk(lane int, frames []*imaging.Bitmap, keys [][32]byte, out []float64) bool {
-	peers := f.peerList()
+	snap := f.peers.Load()
+	peers := *snap
 	// one wireChunk per dispatch, shared by every failover try and hedge
 	// arm: its content keys are computed at most once no matter how many
 	// peers see the chunk
@@ -658,16 +662,25 @@ func (f *Fleet) dispatchChunk(lane int, frames []*imaging.Bitmap, keys [][32]byt
 		}
 		return false
 	}
-	for ntried < len(peers) && ntried < len(tried) {
-		p := f.router.Pick(peers, pref, skip, ntried == 0)
-		if p == nil {
+	for refreshed := false; ; refreshed = true {
+		// Pick never returns a tried peer, so this ends within len(peers)
+		for ntried < len(tried) {
+			p := f.router.Pick(peers, pref, skip, ntried == 0)
+			if p == nil {
+				break
+			}
+			if f.sendHedged(peers, p, pref, chunk, out) {
+				return true
+			}
+			tried[ntried] = p
+			ntried++
+		}
+		live := f.peers.Load()
+		if refreshed || live == snap {
 			break
 		}
-		if f.sendHedged(peers, p, pref, chunk, out) {
-			return true
-		}
-		tried[ntried] = p
-		ntried++
+		snap, peers = live, *live
+		pref = f.router.Pin(lane, len(peers))
 	}
 	if f.opts.Fallback != nil {
 		f.opts.Fallback.InferBatchInto(frames, out)

@@ -370,6 +370,64 @@ func TestFleetLiveMembership(t *testing.T) {
 	}
 }
 
+// hookRouter is the static policy with a hook run before the first Pick it
+// serves: a membership change landing between a chunk's snapshot load and
+// its routing.
+type hookRouter struct {
+	StaticRouter
+	once sync.Once
+	hook func()
+}
+
+func (r *hookRouter) Pick(peers []*fleetPeer, pref int, tried func(*fleetPeer) bool, first bool) *fleetPeer {
+	r.once.Do(r.hook)
+	return r.StaticRouter.Pick(peers, pref, tried, first)
+}
+
+// TestFleetRoutesAroundStaleSnapshot: a chunk that loaded the membership
+// before a peer was admitted, and routes only after every peer it saw was
+// drained away, is scored by the admitted peer instead of failing open.
+func TestFleetRoutesAroundStaleSnapshot(t *testing.T) {
+	net, res := testNet(t, 16)
+	a, b := NewFP32(net, res), NewFP32(net, res)
+	defer a.Close()
+	defer b.Close()
+	tsA, _ := newFaultyPeer(t, a)
+	tsB, _ := newFaultyPeer(t, b)
+	rbB, err := NewRemote(tsB.URL, RemoteOptions{Timeout: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f *Fleet
+	r := &hookRouter{hook: func() {
+		peerA := f.Peers()[0].Peer()
+		if err := f.AddPeer(rbB); err != nil {
+			t.Error(err)
+		}
+		if _, err := f.DrainRemovePeer(peerA, time.Second); err != nil {
+			t.Error(err)
+		}
+	}}
+	f = dialFleet(t, FleetOptions{HedgeQuantile: -1, Router: r}, tsA.URL)
+
+	frames := synth.SampleFrames(7, 3)
+	want := make([]float64, len(frames))
+	a.InferBatchInto(frames, want)
+	out := make([]float64, len(frames))
+	f.InferBatchInto(frames, out)
+	if st := f.Stats(); st.Errors != 0 {
+		t.Fatalf("chunk failed open against a stale membership snapshot: %+v", st)
+	}
+	for i := range out {
+		if out[i] != want[i] {
+			t.Fatalf("frame %d scored %v, want %v", i, out[i], want[i])
+		}
+	}
+	if rbB.Stats().Frames == 0 {
+		t.Fatal("admitted peer never served the chunk")
+	}
+}
+
 // TestFleetReplicatePinsPeers: replicas pin round-robin (shard-per-peer),
 // share the health table, and keep their own counters.
 func TestFleetReplicatePinsPeers(t *testing.T) {

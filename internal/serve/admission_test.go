@@ -136,7 +136,7 @@ func TestDegradedStageHalvesTheBatcherBite(t *testing.T) {
 	}{{BrownoutNormal, []int{4}}, {BrownoutDegraded, []int{2, 2}}} {
 		ac := NewAdmissionController(AdmissionOptions{})
 		gb := newGatedBackend()
-		s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, DisableCache: true, Backend: gb, Policy: ac})
+		s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: gb, Policy: ac})
 		frames := synth.SampleFrames(97, 5)
 		futs := []*Future{s.SubmitAsync(frames[0])}
 		gb.nextCall(t)
@@ -270,7 +270,7 @@ func TestAdmissionCoalescedPressureSignals(t *testing.T) {
 func TestServeStage3ShedsAtEdgeButServesCache(t *testing.T) {
 	ac := NewAdmissionController(AdmissionOptions{})
 	s := testServer(t, core.Options{}, Options{
-		MaxBatch: 4, Workers: 1, Shards: 1, Policy: ac,
+		MaxBatch: 4, Shards: 1, Policy: ac,
 	})
 	frames := synth.SampleFrames(3, 5)
 	// warm a verdict into the cache at stage 0
@@ -319,7 +319,7 @@ func TestServeLadderEngagesAndReleasesUnderHeldLane(t *testing.T) {
 	ac, clk := testController(AdmissionOptions{EnterHold: hold, ExitHold: hold, Alpha: 0.5})
 	gb := newGatedBackend()
 	s := testServer(t, core.Options{}, Options{
-		Workers: 1, Shards: 1, MaxBatch: 1, QueueDepth: 32, Backend: gb, Policy: ac,
+		Shards: 1, MaxBatch: 1, QueueDepth: 32, Backend: gb, Policy: ac,
 	})
 	frames := synth.SampleFrames(113, 72)
 	warm, fresh := frames[:8], frames[8:]
@@ -415,7 +415,7 @@ func TestServeLadderEngagesAndReleasesUnderHeldLane(t *testing.T) {
 func TestServeAdmissionDeadlineShedsBlockedSubmitter(t *testing.T) {
 	// a backend this slow with queue depth 1 jams the lone shard instantly
 	s := testServer(t, core.Options{}, Options{
-		MaxBatch: 1, Workers: 1, Shards: 1, QueueDepth: 1,
+		MaxBatch: 1, Shards: 1, QueueDepth: 1,
 		Deadline: 30 * time.Millisecond,
 		Backend:  slowBackend{d: 300 * time.Millisecond, res: 16},
 	})

@@ -130,7 +130,7 @@ func sameFrames(a, b []*imaging.Bitmap) bool {
 // second request, is needed to push it out.
 func TestLoneSubmitDispatchesAtOnce(t *testing.T) {
 	gb := newGatedBackend()
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, DisableCache: true, Backend: gb})
+	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: gb})
 	f := synth.SampleFrames(71, 1)[0]
 	fut := s.SubmitAsync(f)
 	if call := gb.nextCall(t); !sameFrames(call, []*imaging.Bitmap{f}) {
@@ -151,7 +151,7 @@ func TestLoneSubmitDispatchesAtOnce(t *testing.T) {
 func TestBusyLaneFillsBatchesInQueueOrder(t *testing.T) {
 	const maxBatch, n = 4, 10
 	gb := newGatedBackend()
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: maxBatch, DisableCache: true, Backend: gb})
+	s := testServer(t, core.Options{}, Options{MaxBatch: maxBatch, DisableCache: true, Backend: gb})
 	frames := synth.SampleFrames(73, n+1)
 	futs := []*Future{s.SubmitAsync(frames[0])}
 	gb.nextCall(t) // the lane is now busy with frames[0]
@@ -177,13 +177,24 @@ func TestBusyLaneFillsBatchesInQueueOrder(t *testing.T) {
 	}
 }
 
-// TestTwoWorkersTakeTwoLoneFrames: with two workers on one shard a second
-// lone frame does not wait behind the first — both are in the backend at
-// once.
-func TestTwoWorkersTakeTwoLoneFrames(t *testing.T) {
+// TestTwoShardsTakeTwoLoneFrames: with two shards, a lone frame routed to
+// the second does not wait behind the first shard's forward pass — both are
+// in the backend at once.
+func TestTwoShardsTakeTwoLoneFrames(t *testing.T) {
 	gb := newGatedBackend()
-	s := testServer(t, core.Options{}, Options{Workers: 2, MaxBatch: 4, DisableCache: true, Backend: gb})
-	frames := synth.SampleFrames(79, 2)
+	s := testServer(t, core.Options{}, Options{Shards: 2, MaxBatch: 4, DisableCache: true, Backend: gb})
+	// two sample frames that route to different shards
+	samples := synth.SampleFrames(79, 16)
+	frames := samples[:1]
+	for _, f := range samples[1:] {
+		if s.shardFor(imaging.ContentKey(f)) != s.shardFor(imaging.ContentKey(frames[0])) {
+			frames = append(frames, f)
+			break
+		}
+	}
+	if len(frames) != 2 {
+		t.Fatal("every sample frame routes to one shard")
+	}
 	a := s.SubmitAsync(frames[0])
 	first := gb.nextCall(t)
 	b := s.SubmitAsync(frames[1])
@@ -203,7 +214,7 @@ func TestTwoWorkersTakeTwoLoneFrames(t *testing.T) {
 // exactly once, with the backend's scores bit for bit (ROADMAP 5b).
 func TestCloseFlushesHeldAndOpenBatches(t *testing.T) {
 	gb := newGatedBackend()
-	s, err := New(testCore(t, core.Options{}), Options{Workers: 1, MaxBatch: 4, DisableCache: true, Backend: gb})
+	s, err := New(testCore(t, core.Options{}), Options{MaxBatch: 4, DisableCache: true, Backend: gb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +297,7 @@ func TestClosedLoopClientsAreNotStarved(t *testing.T) {
 	for i, f := range frames {
 		log.owner[f] = i % 2
 	}
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, DisableCache: true, Backend: log})
+	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: log})
 	log.live.Store(2)
 	var wg sync.WaitGroup
 	for c := 0; c < 2; c++ {

@@ -89,7 +89,7 @@ func awaitQueueDrained(t *testing.T, s *Server) {
 // duplicate contributes nothing (one key, one frame, two submitters).
 func TestLaneHandsKeysDown(t *testing.T) {
 	kb := &keyedGated{gatedBackend: newGatedBackend()}
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, DisableCache: true, Backend: kb})
+	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: kb})
 	frames := synth.SampleFrames(83, 5)
 
 	first := s.SubmitAsync(frames[0])
@@ -132,7 +132,7 @@ func TestLaneHandsKeysDown(t *testing.T) {
 func TestThinnedBatchKeepsKeysInStep(t *testing.T) {
 	const deadline = 200 * time.Millisecond
 	kb := &keyedGated{gatedBackend: newGatedBackend()}
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, DisableCache: true, Deadline: deadline, Backend: kb})
+	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Deadline: deadline, Backend: kb})
 	frames := synth.SampleFrames(89, 3)
 
 	held := s.SubmitAsync(frames[0])
@@ -167,7 +167,7 @@ func TestUnkeyedBackendGetsInferBatchInto(t *testing.T) {
 	if _, keyed := engine.Backend(gb).(engine.KeyedBackend); keyed {
 		t.Fatal("the plain gated stub grew a keyed entry; this test needs one without")
 	}
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, DisableCache: true, Backend: gb})
+	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: gb})
 	f := synth.SampleFrames(97, 1)[0]
 	fut := s.SubmitAsync(f)
 	if call := gb.nextCall(t); !sameFrames(call, []*imaging.Bitmap{f}) {

@@ -1,11 +1,12 @@
 // Package serve turns PERCIVAL's synchronous per-caller classifier into a
 // concurrent micro-batching service: many goroutines Submit single frames,
-// per-shard coalescing batchers collect them into batches, and dispatch
-// workers run each batch through a warm engine.Backend replica (FP32 or
-// INT8, whichever the selection policy chose) in one forward pass. This is
-// the throughput story the paper's deployment needs at scale: per-frame
-// latency is already hardware-bound, so serving millions of users is about
-// amortizing forward passes and never classifying the same creative twice.
+// per-shard coalescing batchers collect them into batches, and each shard's
+// one dispatch worker runs each batch through a warm engine.Backend replica
+// (FP32 or INT8, whichever the selection policy chose) in one forward pass.
+// This is the throughput story the paper's deployment needs at scale:
+// per-frame latency is already hardware-bound, so serving millions of users
+// is about amortizing forward passes and never classifying the same creative
+// twice.
 //
 // The service layers four mechanisms in front of the model:
 //
@@ -23,8 +24,8 @@
 //     StatusShed ("verdict unknown", render the frame) instead of growing
 //     the queue without bound.
 //
-// Batching is work-conserving: a batch is dispatched the moment a worker is
-// free to take it and keeps filling only while every worker is busy (see
+// Batching is work-conserving: a batch is dispatched the moment the shard's
+// worker is free to take it and keeps filling only while it is busy (see
 // shard.coalesce). No timer holds a frame back while a lane sits idle, so
 // there is no batching delay to tune — an idle service answers a lone frame
 // as a batch of one, and a loaded one fills batches by itself because
@@ -48,7 +49,6 @@ import (
 	"percival/internal/engine"
 	"percival/internal/imaging"
 	"percival/internal/metrics"
-	"percival/internal/tensor"
 )
 
 // Status reports how a submission was resolved.
@@ -101,12 +101,8 @@ type Options struct {
 	// MaxBatch caps frames per dispatched forward pass (default 16,
 	// matching the engine batch chunk so one dispatch is one forward pass).
 	MaxBatch int
-	// Workers is the total number of dispatch workers across all shards,
-	// each driving warm inference state (default GOMAXPROCS). Split evenly
-	// over shards, at least one per shard.
-	Workers int
 	// QueueDepth bounds the submit queues in total entries across shards
-	// (default 4*Workers*MaxBatch). A full shard queue blocks submitters —
+	// (default 4*GOMAXPROCS*MaxBatch). A full shard queue blocks submitters —
 	// backpressure, not buffering.
 	QueueDepth int
 	// Deadline sheds requests that waited longer than this before their
@@ -120,18 +116,11 @@ type Options struct {
 	DisableCache bool
 	// Shards is the number of independent dispatch shards; submissions are
 	// partitioned by content-hash range, each shard owning its own queue,
-	// batcher, in-flight table, and backend replica (default 1).
+	// batcher, in-flight table, backend replica and one dispatch worker
+	// (default 1). It is the service's one concurrency knob: a forward pass
+	// fans its products out across the GEMM pool, and Shards of them run at
+	// once.
 	Shards int
-	// PinLanes dedicates one core-pinned dispatch lane to each shard,
-	// ndn-dpdk lcore style: exactly one worker per shard, locked to its OS
-	// thread and (on Linux, when the machine has more than one CPU) bound to
-	// core shard-id mod NumCPU with sched_setaffinity. The GEMM worker pool
-	// is partitioned to match — tensor.SetGemmParallelism(GOMAXPROCS/Shards)
-	// — so N lanes running forward passes never oversubscribe the cores the
-	// way N shards × M workers × a GOMAXPROCS-wide pool did. Options.Workers
-	// is ignored (each lane is its own worker); Close restores the
-	// unpartitioned pool.
-	PinLanes bool
 	// Backend overrides the inference engine (default: the classifier's
 	// active backend). Each shard replicates it, so the value passed here
 	// never serves traffic directly.
@@ -150,11 +139,8 @@ func (o Options) withDefaults() Options {
 	if o.Shards == 0 {
 		o.Shards = 1
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.QueueDepth == 0 {
-		o.QueueDepth = 4 * o.Workers * o.MaxBatch
+		o.QueueDepth = 4 * runtime.GOMAXPROCS(0) * o.MaxBatch
 	}
 	return o
 }
@@ -186,15 +172,10 @@ type Metrics struct {
 	// ShardFrames counts model-dispatched frames per shard (routing and
 	// balance observability).
 	ShardFrames []metrics.Counter
-	// LaneDispatches counts forward passes per dispatch lane (indexed by
-	// shard; with PinLanes each shard is exactly one lane).
-	LaneDispatches []metrics.Counter
-	// LaneBusyNS accumulates nanoseconds each lane spent inside the model —
-	// lane occupancy is LaneBusyNS rate over wall time.
+	// LaneBusyNS accumulates nanoseconds each shard's worker spent inside
+	// the model (indexed by shard) — shard occupancy is its rate over wall
+	// time.
 	LaneBusyNS []metrics.Counter
-	// LanePinned is 1 when the lane's OS thread was successfully bound to a
-	// CPU core, 0 otherwise (non-Linux, single-CPU, or PinLanes off).
-	LanePinned []metrics.Counter
 }
 
 // Expose renders every metric in Prometheus text exposition format.
@@ -212,24 +193,10 @@ func (m *Metrics) Expose() string {
 		s += fmt.Sprintf("percival_serve_shard_frames_total{shard=\"%d\"} %d\n",
 			i, m.ShardFrames[i].Load())
 	}
-	for i := range m.LaneDispatches {
-		s += fmt.Sprintf("percival_serve_lane_dispatches_total{lane=\"%d\"} %d\n",
-			i, m.LaneDispatches[i].Load())
-	}
 	for i := range m.LaneBusyNS {
 		s += fmt.Sprintf("percival_serve_lane_busy_ns_total{lane=\"%d\"} %d\n",
 			i, m.LaneBusyNS[i].Load())
 	}
-	for i := range m.LanePinned {
-		s += fmt.Sprintf("percival_serve_lane_pinned{lane=\"%d\"} %d\n",
-			i, m.LanePinned[i].Load())
-	}
-	// Shared GEMM pool occupancy: how the lanes' forward passes are drawing
-	// on the tensor worker pool right now.
-	ps := tensor.PoolStats()
-	s += fmt.Sprintf("percival_serve_gemm_pool_workers %d\n", ps.Workers)
-	s += fmt.Sprintf("percival_serve_gemm_pool_max_fanout %d\n", ps.MaxFanout)
-	s += fmt.Sprintf("percival_serve_gemm_pool_active_drivers %d\n", ps.ActiveDrivers)
 	return s
 }
 
@@ -265,7 +232,7 @@ type shard struct {
 	batches     chan []*request
 	freeBatches chan []*request
 
-	loopsWG sync.WaitGroup // coalescer + workers
+	loopsWG sync.WaitGroup // coalescer + worker
 }
 
 // Server is the sharded micro-batching classification service.
@@ -275,10 +242,6 @@ type Server struct {
 	adm    *AdmissionController // Options.Policy; nil without admission control
 	shards []*shard
 	cache  *engine.VerdictMap // nil (holds nothing) with DisableCache
-
-	// partitionedPool records that New partitioned the tensor worker pool
-	// for pinned lanes; Close restores the unpartitioned default.
-	partitionedPool bool
 
 	reqPool sync.Pool
 
@@ -298,15 +261,8 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: nil classifier service")
 	}
 	opts = opts.withDefaults()
-	if opts.PinLanes {
-		// One dispatch lane per shard; the lane is the worker.
-		opts.Workers = opts.Shards
-	}
 	if opts.MaxBatch < 1 {
 		return nil, fmt.Errorf("serve: MaxBatch %d < 1", opts.MaxBatch)
-	}
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("serve: Workers %d < 1", opts.Workers)
 	}
 	if opts.QueueDepth < 1 {
 		return nil, fmt.Errorf("serve: QueueDepth %d < 1", opts.QueueDepth)
@@ -333,22 +289,7 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 	s.met.LatencyMS = metrics.NewHistogram(nil)
 	s.met.ShedWaitMS = metrics.NewHistogram(nil)
 	s.met.ShardFrames = make([]metrics.Counter, opts.Shards)
-	s.met.LaneDispatches = make([]metrics.Counter, opts.Shards)
 	s.met.LaneBusyNS = make([]metrics.Counter, opts.Shards)
-	s.met.LanePinned = make([]metrics.Counter, opts.Shards)
-	if opts.PinLanes {
-		// Partition the shared GEMM pool across lanes: each forward pass may
-		// fan out to at most its core share, so L concurrent lanes never
-		// stack L × GOMAXPROCS helpers on the same cores. On a partition of
-		// 1 every lane runs its GEMMs serial on its own pinned core — the
-		// ndn-dpdk run-to-completion model.
-		per := runtime.GOMAXPROCS(0) / opts.Shards
-		if per < 1 {
-			per = 1
-		}
-		tensor.SetGemmParallelism(per)
-		s.partitionedPool = true
-	}
 	if ac := s.adm; ac != nil {
 		ac.setDeadline(opts.Deadline)
 		if ac.opts.Windows == nil {
@@ -361,16 +302,8 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 		return &request{done: make(chan struct{}, 1)}
 	}
 
-	// split the global budgets evenly across shards, at least 1 each
-	perShard := func(total int) int {
-		n := (total + opts.Shards - 1) / opts.Shards
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	workers := perShard(opts.Workers)
-	queueDepth := perShard(opts.QueueDepth)
+	// split the queue budget evenly across shards, rounding up
+	queueDepth := (opts.QueueDepth + opts.Shards - 1) / opts.Shards
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
 		sh := &shard{
@@ -380,15 +313,12 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 			pending:     map[[32]byte]*request{},
 			queue:       make(chan *request, queueDepth),
 			batches:     make(chan []*request),
-			freeBatches: make(chan []*request, workers+2),
+			freeBatches: make(chan []*request, 3), // the worker's, the open one, a spare
 		}
 		s.shards[i] = sh
-		sh.loopsWG.Add(1)
+		sh.loopsWG.Add(2)
 		go sh.coalesce()
-		for w := 0; w < workers; w++ {
-			sh.loopsWG.Add(1)
-			go sh.worker(opts.PinLanes)
-		}
+		go sh.worker()
 	}
 	return s, nil
 }
@@ -685,13 +615,13 @@ func (s *Server) SubmitAsync(frame *imaging.Bitmap) *Future {
 // coalesce is a shard's batching loop, and it is work-conserving: it (a)
 // blocks for a first request, (b) takes whatever else is already queued, up
 // to the batch cap, without blocking, then (c) offers the open batch to the
-// workers while still accepting requests. sh.batches is unbuffered, so the
-// offer succeeds exactly when a worker is parked idle, and the batch keeps
-// filling exactly while every worker is busy — no frame waits out a timer
-// beside an idle lane, and a loaded shard fills its batches from the queue
-// that builds behind the running forward passes. A full batch stops taking
-// requests and waits for a worker (backpressure reaches the submitters
-// through the bounded queue).
+// worker while still accepting requests. sh.batches is unbuffered, so the
+// offer succeeds exactly when the worker is parked idle, and the batch keeps
+// filling exactly while it is busy — no frame waits out a timer beside an
+// idle lane, and a loaded shard fills its batches from the queue that builds
+// behind the running forward pass. A full batch stops taking requests and
+// waits for the worker (backpressure reaches the submitters through the
+// bounded queue).
 func (sh *shard) coalesce() {
 	defer sh.loopsWG.Done()
 	defer close(sh.batches)
@@ -719,7 +649,7 @@ func (sh *shard) coalesce() {
 				}
 			}
 		}
-		if !ok { // Close: flush the open batch, then stop the workers
+		if !ok { // Close: flush the open batch, then stop the worker
 			if len(batch) > 0 {
 				sh.batches <- batch
 			}
@@ -779,23 +709,11 @@ func (sh *shard) getBatchSlice() []*request {
 	}
 }
 
-// worker is one shard dispatch loop: it owns reusable frame/score slices
-// and runs each batch through the shard's warm backend replica. With pin
-// set (PinLanes) the loop is the shard's dedicated lane: it locks to its OS
-// thread and binds that thread to a core, so the lane's forward passes stop
-// migrating and stop stealing each other's cache residency. The thread is
-// intentionally never unlocked — it is destroyed when the lane exits at
-// Close, which is cheaper than giving a core-bound thread back to the
-// scheduler pool.
-func (sh *shard) worker(pin bool) {
+// worker is the shard's one dispatch loop: it owns reusable frame/score
+// slices and runs each batch through the shard's warm backend replica.
+func (sh *shard) worker() {
 	defer sh.loopsWG.Done()
 	s := sh.srv
-	if pin {
-		runtime.LockOSThread()
-		if pinThreadToCPU(sh.id) {
-			s.met.LanePinned[sh.id].Inc()
-		}
-	}
 	frames := make([]*imaging.Bitmap, 0, s.opts.MaxBatch)
 	keys := make([][32]byte, 0, s.opts.MaxBatch) // keys[i] is frames[i]'s, hashed once in begin
 	live := make([]*request, 0, s.opts.MaxBatch)
@@ -817,12 +735,11 @@ func (sh *shard) worker(pin bool) {
 		}
 		if len(live) > 0 {
 			// the oldest request's pre-dispatch wait: how long the batch sat
-			// behind busy workers (model time is not an admission lever)
+			// behind a busy worker (model time is not an admission lever)
 			wait := now.Sub(live[0].enq)
 			start := time.Now()
 			out := engine.InferKeyed(sh.backend, frames, keys, scores[:len(live)])
 			s.met.LaneBusyNS[sh.id].Add(time.Since(start).Nanoseconds())
-			s.met.LaneDispatches[sh.id].Inc()
 			s.met.Batches.Inc()
 			s.met.BatchFill.Observe(float64(len(live)))
 			s.met.Classified.Add(int64(len(live)))
@@ -902,7 +819,7 @@ func (sh *shard) release(r *request) []*request {
 }
 
 // Close drains the service: it waits for in-flight submitters, stops every
-// shard's batcher and workers, resolves everything still queued (the open
+// shard's batcher and worker, resolves everything still queued (the open
 // batch is flushed, not dropped), and closes the shard backend
 // replicas. Submissions racing with Close resolve as StatusShed. The
 // server must not be used after Close.
@@ -920,8 +837,5 @@ func (s *Server) Close() {
 	for _, sh := range s.shards {
 		sh.loopsWG.Wait()
 		sh.backend.Close()
-	}
-	if s.partitionedPool {
-		tensor.SetGemmParallelism(0)
 	}
 }

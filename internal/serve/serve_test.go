@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,7 +57,14 @@ func TestNewValidatesInputs(t *testing.T) {
 			t.Fatalf("CacheSize %d: New returned %v, want an error naming the size", size, err)
 		}
 	}
-	s := testServer(t, core.Options{}, Options{Workers: 1})
+	// the default queue is 4×GOMAXPROCS×MaxBatch entries across all shards
+	old := runtime.GOMAXPROCS(1)
+	depth := (Options{Shards: 2}).withDefaults().QueueDepth
+	runtime.GOMAXPROCS(old)
+	if depth != 64 {
+		t.Fatalf("default QueueDepth at GOMAXPROCS=1 with 2 shards = %d, want 64", depth)
+	}
+	s := testServer(t, core.Options{}, Options{})
 	f := synth.SampleFrames(13, 1)[0]
 	s.Submit(f)
 	if r := s.Submit(f); r.Status != StatusCached {
@@ -68,7 +77,7 @@ func TestNewValidatesInputs(t *testing.T) {
 // path produces (both run the same engine over the same warm state).
 func TestSubmitMatchesSynchronousClassify(t *testing.T) {
 	svc := testCore(t, core.Options{})
-	s, err := New(svc, Options{Workers: 2, MaxBatch: 4})
+	s, err := New(svc, Options{Shards: 2, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestSubmitMatchesSynchronousClassify(t *testing.T) {
 // model runs than submissions, by construction.
 func TestConcurrentSubmitsCoalesceIntoBatches(t *testing.T) {
 	gb := newGatedBackend()
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 8, DisableCache: true, Backend: gb})
+	s := testServer(t, core.Options{}, Options{MaxBatch: 8, DisableCache: true, Backend: gb})
 	frames := synth.SampleFrames(11, 9)
 	head := s.SubmitAsync(frames[0])
 	gb.nextCall(t) // the lane is busy; everything below queues behind it
@@ -132,7 +141,7 @@ func TestConcurrentSubmitsCoalesceIntoBatches(t *testing.T) {
 // TestCacheHitSkipsModel: a repeat submission must resolve from the sharded
 // cache without another forward pass.
 func TestCacheHitSkipsModel(t *testing.T) {
-	s := testServer(t, core.Options{}, Options{Workers: 1})
+	s := testServer(t, core.Options{}, Options{})
 	f := synth.SampleFrames(13, 1)[0]
 	first := s.Submit(f)
 	if first.Status != StatusClassified {
@@ -164,7 +173,7 @@ func TestCacheHitSkipsModel(t *testing.T) {
 // answer a remote front's hash probe from verdicts the local serving edge
 // already produced, and vice versa.
 func TestVerdictCacheView(t *testing.T) {
-	s := testServer(t, core.Options{}, Options{Workers: 1})
+	s := testServer(t, core.Options{}, Options{})
 	f := synth.SampleFrames(29, 1)[0]
 	if _, ok := s.Cache().LookupVerdict(imaging.ContentKey(f)); ok {
 		t.Fatal("verdict visible before any classification")
@@ -189,7 +198,7 @@ func TestVerdictCacheView(t *testing.T) {
 // memoization.
 func TestInflightCoalescingWithCacheDisabled(t *testing.T) {
 	gb := newGatedBackend()
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4, DisableCache: true, Backend: gb})
+	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: gb})
 	f := synth.SampleFrames(17, 1)[0]
 	leader := s.SubmitAsync(f)
 	gb.nextCall(t) // the leader is inside the backend until released
@@ -228,7 +237,7 @@ func TestInflightCoalescingWithCacheDisabled(t *testing.T) {
 // unknown, fail open) rather than waiting forever.
 func TestDeadlineLoadShedding(t *testing.T) {
 	s := testServer(t, core.Options{}, Options{
-		Workers: 1, MaxBatch: 1,
+		MaxBatch:   1,
 		QueueDepth: 64, Deadline: time.Nanosecond, DisableCache: true,
 	})
 	frames := synth.SampleFrames(19, 32)
@@ -262,7 +271,7 @@ func TestDeadlineLoadShedding(t *testing.T) {
 // the blocking path produces, and Wait is idempotent.
 func TestSubmitAsyncOverlapsAndResolves(t *testing.T) {
 	svc := testCore(t, core.Options{})
-	s, err := New(svc, Options{Workers: 2, MaxBatch: 8})
+	s, err := New(svc, Options{Shards: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +307,7 @@ func TestSubmitAsyncOverlapsAndResolves(t *testing.T) {
 // `make race` runs this under -race.
 func TestFutureWaitConcurrent(t *testing.T) {
 	svc := testCore(t, core.Options{})
-	s, err := New(svc, Options{Workers: 2, MaxBatch: 4, DisableCache: true})
+	s, err := New(svc, Options{Shards: 2, MaxBatch: 4, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +341,7 @@ func TestFutureWaitConcurrent(t *testing.T) {
 // TestCloseDrainsAndSheds: Close resolves queued work, and submissions
 // after Close shed instead of panicking.
 func TestCloseDrainsAndSheds(t *testing.T) {
-	s, err := New(testCore(t, core.Options{}), Options{Workers: 1, MaxBatch: 4})
+	s, err := New(testCore(t, core.Options{}), Options{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,19 +362,35 @@ func TestCloseDrainsAndSheds(t *testing.T) {
 	s.Close() // idempotent
 }
 
-// TestMetricsExposition sanity-checks the Prometheus rendering.
+// TestMetricsExposition sanity-checks the Prometheus rendering: the service
+// counters, one busy-time series per shard, and no per-lane dispatch,
+// pinned or GEMM-pool series.
 func TestMetricsExposition(t *testing.T) {
-	s := testServer(t, core.Options{}, Options{Workers: 1})
+	const shards = 3
+	s := testServer(t, core.Options{}, Options{Shards: shards})
 	s.Submit(synth.SampleFrames(31, 1)[0])
 	text := s.Metrics().Expose()
-	for _, want := range []string{
+	want := []string{
 		"percival_serve_submitted_total 1",
 		"percival_serve_classified_total 1",
 		"percival_serve_batches_total 1",
 		"percival_serve_latency_ms_count 1",
+	}
+	for i := 0; i < shards; i++ {
+		want = append(want, fmt.Sprintf("percival_serve_lane_busy_ns_total{lane=\"%d\"}", i))
+	}
+	for _, w := range want {
+		if !strings.Contains(text, w) {
+			t.Fatalf("exposition missing %q:\n%s", w, text)
+		}
+	}
+	for _, gone := range []string{
+		"percival_serve_lane_dispatches_total",
+		"percival_serve_lane_pinned",
+		"percival_serve_gemm_pool_",
 	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
+		if strings.Contains(text, gone) {
+			t.Fatalf("exposition carries removed series %q:\n%s", gone, text)
 		}
 	}
 }
@@ -377,7 +402,7 @@ func TestSteadyStateSubmitDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s := testServer(t, core.Options{}, Options{Workers: 1, MaxBatch: 4})
+	s := testServer(t, core.Options{}, Options{MaxBatch: 4})
 	frames := synth.SampleFrames(37, 32)
 	for _, f := range frames { // warm: request pool, batch slices, arenas, cache
 		s.Submit(f)
@@ -401,7 +426,7 @@ func TestSteadyStateSubmitDoesNotAllocate(t *testing.T) {
 // reset mid-flight, and a graceful close racing the last submitters.
 func TestRaceStress(t *testing.T) {
 	s, err := New(testCore(t, core.Options{}), Options{
-		Workers: 4, MaxBatch: 4,
+		Shards: 4, MaxBatch: 4,
 		QueueDepth: 32, Deadline: time.Second, CacheSize: 64,
 	})
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // same shard on every submission — cache affinity and in-flight coalescing
 // depend on it — and distinct creatives should spread over the shard map.
 func TestShardRoutingDeterminism(t *testing.T) {
-	s := testServer(t, core.Options{}, Options{Shards: 4, Workers: 4, MaxBatch: 2})
+	s := testServer(t, core.Options{}, Options{Shards: 4, MaxBatch: 2})
 	if s.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", s.Shards())
 	}
@@ -62,7 +62,7 @@ func TestShardRoutingDeterminism(t *testing.T) {
 // change scores — every shard replica shares the same weights.
 func TestShardedSubmitMatchesSynchronousClassify(t *testing.T) {
 	svc := testCore(t, core.Options{})
-	s, err := New(svc, Options{Shards: 3, Workers: 3, MaxBatch: 4})
+	s, err := New(svc, Options{Shards: 3, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBackendOverride(t *testing.T) {
 	if !ok {
 		t.Fatal("classifier has no fp32 backend")
 	}
-	s, err := New(svc, Options{Shards: 2, Workers: 2, Backend: fp32})
+	s, err := New(svc, Options{Shards: 2, Backend: fp32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestShardedSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	s := testServer(t, core.Options{}, Options{
-		Shards: 2, Workers: 2, MaxBatch: 4,
+		Shards: 2, MaxBatch: 4,
 	})
 	s.Warm()
 	frames := synth.SampleFrames(59, 32)
@@ -140,7 +140,7 @@ func TestShardedSteadyStateZeroAlloc(t *testing.T) {
 // restore into another — including one with a different shard geometry —
 // and serve repeats without model runs.
 func TestCachePersistenceRoundTrip(t *testing.T) {
-	src := testServer(t, core.Options{}, Options{Shards: 2, Workers: 2})
+	src := testServer(t, core.Options{}, Options{Shards: 2})
 	frames := synth.SampleFrames(61, 12)
 	want := make([]Result, len(frames))
 	for i, f := range frames {
@@ -156,7 +156,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 	}
 
 	// restore into a fresh server with a different shard and cache geometry
-	dst := testServer(t, core.Options{}, Options{Shards: 3, Workers: 3, CacheSize: 64})
+	dst := testServer(t, core.Options{}, Options{Shards: 3, CacheSize: 64})
 	m, err := dst.Cache().Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 	}
 
 	// a DisableCache server restores nothing and must say so
-	off := testServer(t, core.Options{}, Options{Workers: 1, DisableCache: true})
+	off := testServer(t, core.Options{}, Options{DisableCache: true})
 	if k, err := off.Cache().Restore(bytes.NewReader(buf.Bytes())); err != nil || k != 0 {
 		t.Fatalf("DisableCache restore reported (%d, %v), want (0, nil)", k, err)
 	}
@@ -202,7 +202,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 // close.
 func TestMultiShardRaceStress(t *testing.T) {
 	s, err := New(testCore(t, core.Options{}), Options{
-		Shards: 4, Workers: 4, MaxBatch: 4,
+		Shards: 4, MaxBatch: 4,
 		QueueDepth: 32, Deadline: time.Second, CacheSize: 64,
 		Policy: NewAdmissionController(AdmissionOptions{}),
 	})

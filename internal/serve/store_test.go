@@ -56,7 +56,7 @@ func TestVerdictTiersBitIdentical(t *testing.T) {
 				t.Fatalf("core memo: %d hits for %d repeats", hits, len(frames))
 			}
 
-			s, err := New(svc, Options{Workers: 1, MaxBatch: 4})
+			s, err := New(svc, Options{MaxBatch: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestEveryKeyScoredOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const submitters, perSubmitter, distinct = 8, 200, 20
 	cb := &countingBackend{runs: map[[32]byte]int{}}
-	s := testServer(t, core.Options{}, Options{Shards: 2, Workers: 2, MaxBatch: 4, Backend: cb})
+	s := testServer(t, core.Options{}, Options{Shards: 2, MaxBatch: 4, Backend: cb})
 	frames := synth.SampleFrames(107, distinct)
 	var (
 		wg       sync.WaitGroup

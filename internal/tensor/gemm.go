@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Blocked-GEMM tuning knobs (see PERFORMANCE.md for the derivation):
 //
@@ -352,13 +355,8 @@ func gemmBlocked(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmEp
 			panels = p.panels
 		}
 	}
-	// Register as a driver so concurrent products split the pool instead of
-	// each fanning to GOMAXPROCS (see gemmWorkerBudget); a budget below 2
-	// goroutines means serial is the faster plan.
-	drivers := int(gemmDrivers.Add(1))
-	defer gemmDrivers.Add(-1)
-	budget := gemmWorkerBudget(drivers)
-	serial := m*k*n < gemmParallelThreshold || budget < 2
+	// One P has no idle core to recruit: run serial.
+	serial := m*k*n < gemmParallelThreshold || runtime.GOMAXPROCS(0) < 2
 	step := ncBlock
 	var fused poolRun
 	if ow := ep.pool.ow; ep.pool.active() {
@@ -413,7 +411,7 @@ func gemmBlocked(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmEp
 						blk.panel(jp)
 					}
 				} else {
-					blk.parallel(ncPanels, budget)
+					blk.parallel(ncPanels)
 				}
 				if abufp != nil {
 					PutScratch(abufp)
@@ -443,12 +441,11 @@ type gemmBlock struct {
 	store              bool // overwrite C with the block product instead of adding to it
 }
 
-// parallel fans the block's column panels across the worker pool, bounded by
-// the driver's goroutine budget. The value receiver confines the
-// heap-escaping method value to this path, keeping the serial caller's
-// gemmBlock on the stack.
-func (g gemmBlock) parallel(ncPanels, budget int) {
-	parallelForBudget(ncPanels, budget, g.panel)
+// parallel fans the block's column panels across the worker pool. The value
+// receiver confines the heap-escaping method value to this path, keeping the
+// serial caller's gemmBlock on the stack.
+func (g gemmBlock) parallel(ncPanels int) {
+	parallelFor(ncPanels, g.panel)
 }
 
 func (g *gemmBlock) panel(jp int) {

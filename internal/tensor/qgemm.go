@@ -3,6 +3,7 @@ package tensor
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 )
 
 // Quantized-GEMM tuning knobs. The driver mirrors the FP32 blocked GEMM
@@ -256,12 +257,8 @@ func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
 // each is requantized and pooled while it is cache-resident (see qpoolRun).
 func qgemmBlocked(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
 	mPad := (m + mrQTile - 1) / mrQTile * mrQTile
-	// Same driver accounting as gemmBlocked: concurrent products split the
-	// pool budget, and a share below 2 goroutines runs serial.
-	drivers := int(gemmDrivers.Add(1))
-	defer gemmDrivers.Add(-1)
-	budget := gemmWorkerBudget(drivers)
-	serial := m*k*n < qgemmParallelThreshold || budget < 2
+	// One P has no idle core to recruit: run serial.
+	serial := m*k*n < qgemmParallelThreshold || runtime.GOMAXPROCS(0) < 2
 	step := ncQBlock
 	if ep != nil && ep.pool != nil {
 		step = ep.pool.blockRows * ep.pool.ow
@@ -306,7 +303,7 @@ func qgemmBlocked(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogu
 						blk.panel(jp)
 					}
 				} else {
-					blk.parallel(ncPanels, budget)
+					blk.parallel(ncPanels)
 				}
 				if abufp != nil {
 					PutScratchI8(abufp)
@@ -339,8 +336,8 @@ type qgemmBlock struct {
 	store         bool // overwrite C with the block product instead of adding to it
 }
 
-func (g qgemmBlock) parallel(ncPanels, budget int) {
-	parallelForBudget(ncPanels, budget, g.panel)
+func (g qgemmBlock) parallel(ncPanels int) {
+	parallelFor(ncPanels, g.panel)
 }
 
 func (g *qgemmBlock) panel(jp int) {

@@ -20,70 +20,7 @@ var (
 	workCh      = make(chan func(), 256)
 	workerCount atomic.Int32
 	workerMu    sync.Mutex
-
-	// gemmDrivers counts blocked GEMM/QGemm products currently inside the
-	// driver loop. Each driver divides the fan-out budget by this count so N
-	// concurrent products (e.g. N serve shards) share the pool instead of
-	// each claiming GOMAXPROCS helpers and oversubscribing the cores.
-	gemmDrivers atomic.Int32
-
-	// gemmMaxFanout, when >0, caps the goroutines (caller + helpers) one
-	// blocked product may occupy. Serve lanes set it to partition the pool.
-	gemmMaxFanout atomic.Int32
 )
-
-// SetGemmParallelism caps how many goroutines (the calling one plus pool
-// helpers) a single blocked GEMM/QGemm product may occupy. Pinned serve
-// lanes use it to partition the shared pool: with L lanes on P cores,
-// SetGemmParallelism(P/L) keeps L concurrent products from oversubscribing
-// the machine, and SetGemmParallelism(1) forces every product serial inside
-// its own lane. n <= 0 restores the default (GOMAXPROCS, split dynamically
-// across however many drivers are in flight).
-func SetGemmParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	gemmMaxFanout.Store(int32(n))
-}
-
-// GemmParallelism returns the cap set by SetGemmParallelism (0 = unset).
-func GemmParallelism() int { return int(gemmMaxFanout.Load()) }
-
-// GemmPoolStats is a point-in-time snapshot of the shared worker pool, for
-// /metrics exposure: pool size, the per-product fan-out cap, and how many
-// blocked products are in flight right now.
-type GemmPoolStats struct {
-	Workers       int // goroutines in the persistent pool
-	MaxFanout     int // SetGemmParallelism cap (0 = GOMAXPROCS)
-	ActiveDrivers int // blocked products currently executing
-}
-
-// PoolStats returns the current shared-pool snapshot.
-func PoolStats() GemmPoolStats {
-	return GemmPoolStats{
-		Workers:       int(workerCount.Load()),
-		MaxFanout:     int(gemmMaxFanout.Load()),
-		ActiveDrivers: int(gemmDrivers.Load()),
-	}
-}
-
-// gemmWorkerBudget returns the number of goroutines (including the caller)
-// one blocked product should use when `drivers` products are in flight —
-// the caller must already be registered in gemmDrivers. A budget below 2
-// means the product should run serial: with the pool shared N ways there is
-// no idle worker to recruit, and queueing helpers behind other drivers'
-// work only adds scheduler churn (the former m*k*n-only cutoff
-// double-committed the pool exactly this way).
-func gemmWorkerBudget(drivers int) int {
-	avail := runtime.GOMAXPROCS(0)
-	if limit := int(gemmMaxFanout.Load()); limit > 0 && limit < avail {
-		avail = limit
-	}
-	if drivers > 1 {
-		avail /= drivers
-	}
-	return avail
-}
 
 // ensureWorkers grows the pool to the current GOMAXPROCS. Workers are never
 // torn down; they block on the channel when idle.
@@ -117,25 +54,14 @@ func ensureWorkers() int {
 // caller may recycle immediately after return), and the caller never waits
 // on it.
 func parallelFor(parts int, body func(part int)) {
-	parallelForBudget(parts, 0, body)
-}
-
-// parallelForBudget is parallelFor with an explicit goroutine budget
-// (caller + helpers); budget <= 0 means the full pool width.
-func parallelForBudget(parts, budget int, body func(part int)) {
 	if parts <= 0 {
 		return
 	}
-	if parts == 1 || budget == 1 {
-		for p := 0; p < parts; p++ {
-			body(p)
-		}
+	if parts == 1 {
+		body(0)
 		return
 	}
 	workers := ensureWorkers()
-	if budget > 0 && budget < workers {
-		workers = budget
-	}
 	var next, pending atomic.Int32
 	pending.Store(int32(parts))
 	done := make(chan struct{})

@@ -7,89 +7,60 @@ import (
 	"testing"
 )
 
-// TestGemmWorkerBudget pins the pool-partition arithmetic: concurrent
-// drivers split GOMAXPROCS, SetGemmParallelism caps the per-driver share,
-// and a share below 2 signals serial.
-func TestGemmWorkerBudget(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	defer SetGemmParallelism(0)
-
-	SetGemmParallelism(0)
-	for _, tc := range []struct{ drivers, want int }{
-		{1, 8}, {2, 4}, {3, 2}, {4, 2}, {8, 1}, {9, 0},
-	} {
-		if got := gemmWorkerBudget(tc.drivers); got != tc.want {
-			t.Fatalf("budget(drivers=%d)=%d want %d", tc.drivers, got, tc.want)
-		}
-	}
-
-	SetGemmParallelism(2)
-	if got := GemmParallelism(); got != 2 {
-		t.Fatalf("GemmParallelism()=%d want 2", got)
-	}
-	if got := gemmWorkerBudget(1); got != 2 {
-		t.Fatalf("capped budget(1)=%d want 2", got)
-	}
-	if got := gemmWorkerBudget(2); got != 1 {
-		t.Fatalf("capped budget(2)=%d want 1 (serial)", got)
-	}
-
-	// The pinned-lane setting: every product serial inside its own lane.
-	SetGemmParallelism(1)
-	if got := gemmWorkerBudget(1); got != 1 {
-		t.Fatalf("lane budget=%d want 1", got)
-	}
-}
-
 // TestParallelForBudgetCoversAllParts checks exactly-once part execution
-// for every budget, including the inline budget=1 path.
+// now that parallelFor sizes its own fan-out from GOMAXPROCS: at one P (the
+// inline path) and at two and four, where helpers race the calling goroutine
+// for parts.
 func TestParallelForBudgetCoversAllParts(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
+	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
-	for _, budget := range []int{0, 1, 2, 3} {
-		for _, parts := range []int{1, 2, 17, 64} {
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, parts := range []int{1, 2, 3, 17, 256} {
 			hits := make([]int32, parts)
 			var mu sync.Mutex
-			parallelForBudget(parts, budget, func(p int) {
+			parallelFor(parts, func(p int) {
 				mu.Lock()
 				hits[p]++
 				mu.Unlock()
 			})
 			for p, h := range hits {
 				if h != 1 {
-					t.Fatalf("budget=%d parts=%d: part %d ran %d times", budget, parts, p, h)
+					t.Fatalf("GOMAXPROCS=%d parts=%d: part %d ran %d times", procs, parts, p, h)
 				}
 			}
 		}
 	}
 }
 
-// TestGemmSerialUnderPartition runs a product big enough for the parallel
-// path with the lane cap at 1 (forcing serial) and checks correctness plus
-// the driver-count bookkeeping.
-func TestGemmSerialUnderPartition(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
+// TestBlockedProductsAtOneAndFourProcs runs one above-threshold Gemm and one
+// QGemm at GOMAXPROCS 1 (the serial branch) and 4 (the pool fan-out) against
+// naive oracles, so both branches of each driver stay covered.
+func TestBlockedProductsAtOneAndFourProcs(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
-	SetGemmParallelism(1)
-	defer SetGemmParallelism(0)
 	rng := rand.New(rand.NewSource(31))
-	m, k, n := 37, 52, 123 // above gemmParallelThreshold
+	m, k, n := 37, 52, 123 // above both parallel thresholds
 	a := randSlice(rng, m*k)
 	b := randSlice(rng, k*n)
 	want := naiveGemmOp(a, b, m, k, n, false, false)
-	c := make([]float32, m*n)
-	Gemm(a, b, c, m, k, n)
-	for i := range c {
-		if !relClose(float64(c[i]), float64(want[i]), 1e-3) {
-			t.Fatalf("c[%d]=%v want %v", i, c[i], want[i])
+	qa, qb := randQOperands(rng, m, k, n)
+	qwant := qgemmRef(qa, qb, m, k, n)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		c := make([]float32, m*n)
+		Gemm(a, b, c, m, k, n)
+		for i := range c {
+			if !relClose(float64(c[i]), float64(want[i]), 1e-3) {
+				t.Fatalf("GOMAXPROCS=%d: Gemm c[%d]=%v want %v", procs, i, c[i], want[i])
+			}
 		}
-	}
-	st := PoolStats()
-	if st.ActiveDrivers != 0 {
-		t.Fatalf("ActiveDrivers=%d after Gemm returned, want 0", st.ActiveDrivers)
-	}
-	if st.MaxFanout != 1 {
-		t.Fatalf("MaxFanout=%d want 1", st.MaxFanout)
+		qc := make([]int32, m*n)
+		QGemm(qa, qb, qc, m, k, n)
+		for i := range qc {
+			if qc[i] != qwant[i] {
+				t.Fatalf("GOMAXPROCS=%d: QGemm c[%d]=%d want %d", procs, i, qc[i], qwant[i])
+			}
+		}
 	}
 }
