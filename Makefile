@@ -10,10 +10,11 @@ FUZZTIME ?= 15s
 
 # internal/tensor benchmarks the bench targets run: the GEMM kernels alone
 # and the whole stages around them (pack from the image + GEMM + epilogue,
-# the first max pool, and each engine's stem with that pool fused behind it;
-# the INT8 stem reads RGBA bytes, the INT8 3×3 expand the squeeze's quad
-# planes), and the paper net's first INT8 fire whole (squeeze into quad
-# planes, both expands into the concatenated output).
+# the first max pool — on the INT8 engine over quad planes — and each
+# engine's stem with that pool fused behind it; the INT8 stem reads RGBA
+# bytes, the INT8 3×3 expand the squeeze's quad planes), and the paper net's
+# first INT8 fire whole (quad planes in, the squeeze, both expands into the
+# concatenated output's quad planes).
 TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkMaxPoolU8_112x96
 
 .PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile loc
@@ -135,8 +136,9 @@ profile:
 
 # Size of the serving stack, for ROADMAP item 3 and any change that claims to
 # shrink it: non-test Go lines of the daemon's three packages (engine + serve
-# + daemon = the tracked count) and of internal/tensor, and the number of
-# flags the daemon defines.
+# + daemon = the tracked count), of internal/tensor and of internal/nn (the
+# INT8 engine is split across those two), and the number of flags the daemon
+# defines.
 LOC_TRACKED = internal/engine internal/serve cmd/percival-serve
 loc:
 	@gocount() { cat $$(ls $$1/*.go | grep -v '_test\.go$$') | wc -l; }; \
@@ -146,5 +148,6 @@ loc:
 	done; \
 	printf '%-20s %6d\n' tracked $$total; \
 	printf '%-20s %6d\n' internal/tensor $$(gocount internal/tensor); \
+	printf '%-20s %6d\n' internal/nn $$(gocount internal/nn); \
 	printf '%-20s %6d\n' daemon-flags $$(cat $$(ls cmd/percival-serve/*.go | grep -v '_test\.go$$') | \
 		grep -cE '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(')

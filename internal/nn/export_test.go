@@ -5,3 +5,6 @@ const RaceEnabled = raceEnabled
 
 // InputTable exposes inputTable to the external test package.
 var InputTable = inputTable
+
+// BuildTestNet exposes buildTestNet to the external test package.
+var BuildTestNet = buildTestNet

@@ -9,10 +9,11 @@ import (
 
 // This file implements the post-training INT8 inference engine: a
 // QuantizedSequential mirrors Sequential.ForwardInfer — arena-backed,
-// zero-alloc steady state, fused conv+bias+ReLU in the requantize pass, 1×1
-// fast path and direct-to-concat fire expands — but carries activations as
-// u8 (≤ tensor.QMaxU8) and weights as per-output-channel s8, accumulating in
-// int32 through tensor.QGemm.
+// zero-alloc steady state, fused conv+bias+ReLU in the requantize pass and
+// direct-to-concat fire expands — but carries activations as u8
+// (≤ tensor.QMaxU8) in quad planes, four channels of a pixel per 32-bit word
+// (see tensor.QConv), and weights as per-output-channel s8, accumulating in
+// int32 through the quantized GEMM.
 //
 // A Calibrator performs the calibration pass: it replays the FP32 network
 // over calibration inputs, records per-quant-point activation ranges, and
@@ -20,14 +21,17 @@ import (
 // constants (mult, beta) consumed by the fused requantize epilogue, so the
 // hot path touches no quantization arithmetic beyond one FMA per element.
 
-// qAct is a quantized activation tensor threaded between ops. The backing
-// buffer belongs to the inference arena.
+// qAct is a quantized activation tensor threaded between ops: n images of
+// ⌈c/4⌉ quad planes of h×w, where c counts the channels as the planes lay
+// them out, a concatenation's padding lanes included (see quadGap). The
+// backing buffer belongs to the inference arena.
 type qAct struct {
 	data       []uint8
 	n, c, h, w int
 }
 
-func (x qAct) imageLen() int { return x.c * x.h * x.w }
+func (x qAct) planes() int   { return (x.c + 3) / 4 }
+func (x qAct) imageLen() int { return x.planes() * 4 * x.h * x.w }
 
 // qOp is one stage of the quantized pipeline.
 type qOp interface {
@@ -35,9 +39,9 @@ type qOp interface {
 }
 
 // QuantizedSequential is the INT8 counterpart of a Sequential restricted to
-// the inference-path layer vocabulary (Conv2D[+ReLU], Fire, MaxPool,
-// Dropout, final Conv2D, GlobalAvgPool) whose first layer is a convolution
-// over at most four channels. Build one with Quantize.
+// the inference-path layer vocabulary (a first Conv2D+ReLU over at most four
+// channels, then Fire, unpadded MaxPool and Dropout, a final Conv2D and
+// GlobalAvgPool). Build one with Quantize.
 //
 // That first convolution, and the max pool when one follows it, run as one
 // tensor.QStem reading the input as pixels — four bytes each, channel-minor,
@@ -67,16 +71,13 @@ func (q *QuantizedSequential) SizeBytes() int {
 	total := q.stem.W.Len() + 8*len(q.stem.RQ.Mult)
 	addConv := func(c *tensor.QConv) { total += c.W.Len() + 8*len(c.RQ.Mult) }
 	for _, op := range q.ops {
-		switch o := op.(type) {
-		case *qConv:
-			addConv(&o.QConv)
-		case *qFire:
-			addConv(&o.Squeeze)
-			addConv(&o.Expand1)
-			addConv(&o.Expand3)
+		if f, ok := op.(*qFire); ok {
+			addConv(&f.Squeeze)
+			addConv(&f.Expand1)
+			addConv(&f.Expand3)
 		}
 	}
-	total += q.final.wq.Len() + 8*len(q.final.mult)
+	total += q.final.conv.W.Len() + 8*len(q.final.mult)
 	return total
 }
 
@@ -114,10 +115,10 @@ func (q *QuantizedSequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *t
 // once the stem has read it.
 func (q *QuantizedSequential) forward(pix []uint8, n, h, w int, lut *[256]uint8, a *tensor.Arena) *tensor.Tensor {
 	oh, ow := q.stem.OutSize(h, w)
-	y := a.GetU8(n * q.stem.Spec.OutC * oh * ow)
-	q.stem.ForwardInto(pix, n, h, w, lut, y, a)
+	cur := qAct{n: n, c: q.stem.Spec.OutC, h: oh, w: ow}
+	cur.data = a.GetU8(n * cur.imageLen())
+	q.stem.ForwardInto(pix, n, h, w, lut, cur.data, a)
 	a.PutU8(pix)
-	cur := qAct{data: y, n: n, c: q.stem.Spec.OutC, h: oh, w: ow}
 	for _, op := range q.ops {
 		cur = op.forward(cur, a)
 	}
@@ -152,21 +153,6 @@ func (q *QuantizedSequential) PredictArenaU8(pix []uint8, n, h, w int, a *tensor
 	return softmaxArena(q.forward(pix, n, h, w, &q.inLUT, a), a)
 }
 
-// qConv is a quantized convolution with bias and ReLU fused into the
-// requantize epilogue; its weights are packed planar.
-type qConv struct{ tensor.QConv }
-
-func (c *qConv) forward(x qAct, a *tensor.Arena) qAct {
-	if x.c != c.Spec.InC {
-		panic(fmt.Sprintf("nn: quantized conv: input has %d channels, want %d", x.c, c.Spec.InC))
-	}
-	oh, ow := c.Spec.OutSize(x.h, x.w)
-	y := a.GetU8(x.n * c.Spec.OutC * oh * ow)
-	tensor.QConvForwardInto(x.data, x.n, x.h, x.w, c.W, c.Spec, c.ZP, c.RQ, y, c.Spec.OutC, 0)
-	a.PutU8(x.data)
-	return qAct{data: y, n: x.n, c: c.Spec.OutC, h: oh, w: ow}
-}
-
 // qFire runs a quantized fire module (see tensor.QFire): squeeze, then both
 // expand branches written straight into their slots of the concatenated
 // output. Both expands requantize into the shared quantization parameters of
@@ -180,46 +166,51 @@ func (f *qFire) forward(x qAct, a *tensor.Arena) qAct {
 	return qAct{data: f.Forward(x.data, x.n, x.h, x.w, a), n: x.n, c: f.OutC(), h: x.h, w: x.w}
 }
 
-// qPool max-pools in the quantized domain; quantization parameters pass
-// through unchanged (max commutes with the monotonic dequantization map).
+// qPool max-pools in the quantized domain, plane by plane; quantization
+// parameters and the channel layout pass through unchanged (max commutes
+// with the monotonic dequantization map).
 type qPool struct {
 	spec tensor.PoolSpec
 }
 
 func (p *qPool) forward(x qAct, a *tensor.Arena) qAct {
 	oh, ow := p.spec.OutSize(x.h, x.w)
-	y := a.GetU8(x.n * x.c * oh * ow)
-	tensor.MaxPoolU8Into(x.data, x.n, x.c, x.h, x.w, p.spec, y)
+	y := qAct{n: x.n, c: x.c, h: oh, w: ow}
+	y.data = a.GetU8(x.n * y.imageLen())
+	tensor.MaxPoolQuadsInto(x.data, x.n*x.planes(), x.h, x.w, p.spec, y.data)
 	a.PutU8(x.data)
-	return qAct{data: y, n: x.n, c: x.c, h: oh, w: ow}
+	return y
 }
 
 // qFinal is the classifier convolution fused with global average pooling:
 // the int32 accumulators are averaged per channel and mapped straight to
 // FP32 logits (GAP and the affine dequantization commute), so the network
-// leaves the quantized domain exactly once, on C·N values.
+// leaves the quantized domain exactly once, on C·N values. conv's RQ is
+// unused.
 type qFinal struct {
-	spec       tensor.ConvSpec
-	wq         tensor.QWeights
+	conv       tensor.QConv
 	mult, beta []float32
-	inZP       uint8
 }
 
 func (f *qFinal) forward(x qAct, a *tensor.Arena) *tensor.Tensor {
-	oh, ow := f.spec.OutSize(x.h, x.w)
+	s := f.conv.Spec
+	if x.c != s.InC {
+		panic(fmt.Sprintf("nn: quantized classifier: input has %d channels, want %d", x.c, s.InC))
+	}
+	oh, ow := s.OutSize(x.h, x.w)
 	spatial := oh * ow
-	acc := a.GetI32(f.spec.OutC * spatial)
-	out := a.GetTensor(x.n, f.spec.OutC)
+	acc := a.GetI32(s.OutC * spatial)
+	out := a.GetTensor(x.n, s.OutC)
 	il := x.imageLen()
 	inv := 1 / float32(spatial)
 	for i := 0; i < x.n; i++ {
-		tensor.QConvAcc(x.data[i*il:(i+1)*il], x.h, x.w, f.wq, f.spec, f.inZP, acc)
-		for oc := 0; oc < f.spec.OutC; oc++ {
+		f.conv.AccInto(x.data[i*il:(i+1)*il], x.h, x.w, acc)
+		for oc := 0; oc < s.OutC; oc++ {
 			var sum int64
 			for _, v := range acc[oc*spatial : (oc+1)*spatial] {
 				sum += int64(v)
 			}
-			out.Data[i*f.spec.OutC+oc] = f.mult[oc]*float32(sum)*inv + f.beta[oc]
+			out.Data[i*s.OutC+oc] = f.mult[oc]*float32(sum)*inv + f.beta[oc]
 		}
 	}
 	a.PutI32(acc)
@@ -315,6 +306,18 @@ func NewCalibrator(net *Sequential) (*Calibrator, error) {
 		return nil, fmt.Errorf("nn: Quantize: first convolution %s reads %d input channels; the INT8 engine packs one input pixel's channels into a 4-byte quad, so it takes at most 4",
 			stem.Name(), stem.Spec.InC)
 	}
+	// After the stem every activation is quad planes, which only fires,
+	// unpadded pools and the classifier read.
+	for _, nd := range nodes[1:] {
+		switch {
+		case nd.conv != nil:
+			return nil, fmt.Errorf("nn: Quantize: convolution %s follows the first one outside a fire module; the INT8 engine runs convolutions after its first only as fire squeezes and expands and as the classifier, so it cannot take this network (the FP32 engine still serves it)",
+				nd.conv.Name())
+		case nd.pool != nil && nd.pool.Spec.Pad != 0:
+			return nil, fmt.Errorf("nn: Quantize: max pool %s is padded (pad %d); the INT8 engine pools only without padding, so it cannot take this network (the FP32 engine still serves it)",
+				nd.pool.Name(), nd.pool.Spec.Pad)
+		}
+	}
 	return &Calibrator{nodes: nodes, final: finalConv, classes: classes, inC: stem.Spec.InC, arena: tensor.NewArena()}, nil
 }
 
@@ -372,35 +375,60 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 	q := &QuantizedSequential{inQ: c.inObs.params(), classes: c.classes}
 	q.inLUT = inputTable(q.inQ)
 	// The first node is the stem (NewCalibrator checked), and a pool right
-	// after it runs in its epilogue.
+	// after it runs in its epilogue. Every other node is a fire or a pool.
 	stem, curQ := c.nodes[0], c.nodes[0].out.params()
-	sc := buildQConv(stem.conv, q.inQ, curQ, stem.relu, true)
+	sc := buildQConv(stem.conv, q.inQ, curQ, stem.relu, quadGap{})
 	q.stem = tensor.QStem{Spec: sc.Spec, W: sc.W, RQ: sc.RQ, ZP: sc.ZP}
 	rest := c.nodes[1:]
 	if len(rest) > 0 && rest[0].pool != nil {
 		q.stem.Pool, rest = rest[0].pool.Spec, rest[1:]
 	}
+	var gap quadGap // in the current activation's layout
 	for _, nd := range rest {
 		switch {
-		case nd.conv != nil:
-			outQ := nd.out.params()
-			q.ops = append(q.ops, &qConv{buildQConv(nd.conv, curQ, outQ, nd.relu, false)})
-			curQ = outQ
 		case nd.fire != nil:
 			sqQ := nd.sqOut.params()
 			outQ := nd.out.params()
-			q.ops = append(q.ops, &qFire{tensor.QFire{
-				Squeeze: buildQConv(nd.fire.Squeeze, curQ, sqQ, true, false),
-				Expand1: buildQConv(nd.fire.Expand1, sqQ, outQ, true, true),
-				Expand3: buildQConv(nd.fire.Expand3, sqQ, outQ, true, true),
-			}})
-			curQ = outQ
+			f := &qFire{tensor.QFire{
+				Squeeze: buildQConv(nd.fire.Squeeze, curQ, sqQ, true, gap),
+				Expand1: buildQConv(nd.fire.Expand1, sqQ, outQ, true, quadGap{}),
+				Expand3: buildQConv(nd.fire.Expand3, sqQ, outQ, true, quadGap{}),
+			}}
+			q.ops = append(q.ops, f)
+			e1 := f.Expand1.Spec.OutC
+			curQ, gap = outQ, quadGap{at: e1, pad: (e1+3)/4*4 - e1}
 		case nd.pool != nil:
 			q.ops = append(q.ops, &qPool{spec: nd.pool.Spec})
 		}
 	}
-	q.final = buildQFinal(c.final, curQ)
+	q.final = buildQFinal(c.final, curQ, gap)
 	return q, nil
+}
+
+// quadGap is where an activation's quad-plane layout departs from its
+// channels: a fire's concatenation pads Expand1's channels to a multiple of
+// 4, so the channels from at on sit pad lanes further along. The zero value
+// is no gap.
+type quadGap struct{ at, pad int }
+
+// widen returns the s8 weights wq of a convolution s ([OutC, InC·KH·KW] in
+// (c, ky, kx) order) and s itself over the layout's channels: pad zero input
+// channels inserted at at. Zero weights add nothing to an accumulator or to
+// Σw, so the convolution's requantization constants still hold.
+func (g quadGap) widen(wq []int8, s tensor.ConvSpec) ([]int8, tensor.ConvSpec) {
+	if g.pad == 0 {
+		return wq, s
+	}
+	taps := s.KH * s.KW
+	k, head := s.InC*taps, g.at*taps
+	s.InC += g.pad
+	kw := s.InC * taps
+	w := make([]int8, s.OutC*kw)
+	for oc := 0; oc < s.OutC; oc++ {
+		copy(w[oc*kw:], wq[oc*k:oc*k+head])
+		copy(w[oc*kw+head+g.pad*taps:], wq[oc*k+head:(oc+1)*k])
+	}
+	return w, s
 }
 
 // parseQuantizable walks the layer list and checks it matches the supported
@@ -450,18 +478,12 @@ func parseQuantizable(net *Sequential) (nodes []*calibNode, finalConv *Conv2D, c
 	return nodes, finalConv, classes, nil
 }
 
-// buildQConv quantizes one convolution's weights, packed planar or — for a
-// convolution that reads pixels or quad planes — in quad order, and folds
-// its requantize constants.
-func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu, quads bool) tensor.QConv {
+// buildQConv quantizes one convolution's weights, widened over gap and
+// packed in quad order, and folds its requantize constants.
+func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool, gap quadGap) tensor.QConv {
 	wq, rq := quantizeConv(c, inQ, outQ, relu)
-	qc := tensor.QConv{Spec: c.Spec, RQ: rq, ZP: uint8(inQ.Zero)}
-	if quads {
-		qc.W = tensor.PackQQuadWeights(wq, c.Spec)
-	} else {
-		qc.W = tensor.PackQWeights(wq, c.Spec.OutC, c.Spec.InC*c.Spec.KH*c.Spec.KW)
-	}
-	return qc
+	wq, s := gap.widen(wq, c.Spec)
+	return tensor.QConv{Spec: s, W: tensor.PackQQuadWeights(wq, s), RQ: rq, ZP: uint8(inQ.Zero)}
 }
 
 // quantizeConv returns a convolution's s8 weights, in its own (c, ky, kx)
@@ -480,9 +502,10 @@ func quantizeConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool) ([]int8, t
 	return wq, tensor.Requant{Mult: mult, Beta: beta, ZOut: outQ.Zero, ReLU: relu}
 }
 
-// buildQFinal quantizes the classifier convolution, whose epilogue maps
-// accumulators straight to FP32 logits.
-func buildQFinal(c *Conv2D, inQ tensor.QuantParams) *qFinal {
+// buildQFinal quantizes the classifier convolution, reading quad planes
+// laid out with gap, whose epilogue maps accumulators straight to FP32
+// logits.
+func buildQFinal(c *Conv2D, inQ tensor.QuantParams, gap quadGap) *qFinal {
 	k := c.Spec.InC * c.Spec.KH * c.Spec.KW
 	wq, ws, wsum := tensor.QuantizeWeightsPerChannel(c.Wt.W.Data, c.Spec.OutC, k)
 	mult := make([]float32, c.Spec.OutC)
@@ -491,7 +514,8 @@ func buildQFinal(c *Conv2D, inQ tensor.QuantParams) *qFinal {
 		mult[oc] = ws[oc] * inQ.Scale
 		beta[oc] = c.Bias.W.Data[oc] - mult[oc]*float32(inQ.Zero)*float32(wsum[oc])
 	}
-	return &qFinal{spec: c.Spec, wq: tensor.PackQWeights(wq, c.Spec.OutC, k), mult: mult, beta: beta, inZP: uint8(inQ.Zero)}
+	wq, s := gap.widen(wq, c.Spec)
+	return &qFinal{conv: tensor.QConv{Spec: s, W: tensor.PackQQuadWeights(wq, s), ZP: uint8(inQ.Zero)}, mult: mult, beta: beta}
 }
 
 // TopAgreement computes the fraction of samples whose argmax class matches

@@ -174,6 +174,37 @@ func TestQuantizeRejectsUnsupported(t *testing.T) {
 		!strings.Contains(err.Error(), "5 input channels") || !strings.Contains(err.Error(), "at most 4") {
 		t.Fatalf("first convolution over 5 channels: error %v, want one naming the 5 channels and the limit of 4", err)
 	}
+	// After the stem every activation is quad planes: a convolution that is
+	// not a fire's (nor the classifier) and a padded pool are refused by
+	// name, with what the INT8 engine requires and the FP32 fallback.
+	padded := NewMaxPool("padded", 3, 2)
+	padded.Spec.Pad = 1
+	for _, bad := range []struct {
+		layer Layer
+		want  string
+	}{
+		{NewConv2D("mid", tensor.ConvSpec{InC: 4, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}), "fire squeezes and expands"},
+		{padded, "pools only without padding"},
+	} {
+		layers := []Layer{
+			NewConv2D("c", tensor.ConvSpec{InC: 3, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}),
+			NewReLU("r"),
+			NewFire("fire", 4, 2, 2, 2),
+			bad.layer,
+		}
+		if _, ok := bad.layer.(*Conv2D); ok {
+			layers = append(layers, NewReLU("mid_relu"))
+		}
+		net := NewSequential(append(layers,
+			NewConv2D("head", tensor.ConvSpec{InC: 4, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}),
+			NewGlobalAvgPool("gap"))...)
+		InitHe(net, rand.New(rand.NewSource(29)))
+		_, err := Quantize(net, calib)
+		if err == nil || !strings.Contains(err.Error(), bad.layer.Name()) || !strings.Contains(err.Error(), bad.want) ||
+			!strings.Contains(err.Error(), "FP32 engine still serves") {
+			t.Fatalf("network with %s after a fire: error %v, want one naming it, %q and the FP32 engine", bad.layer.Name(), err, bad.want)
+		}
+	}
 	for _, net := range []*Sequential{
 		NewSequential(NewMaxPool("p", 2, 2), NewConv2D("head", tensor.ConvSpec{InC: 3, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}), NewGlobalAvgPool("gap")),
 		NewSequential(NewConv2D("head", tensor.ConvSpec{InC: 3, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}), NewGlobalAvgPool("gap")),
@@ -265,6 +296,43 @@ func TestCalibratorBatchEqualsFrames(t *testing.T) {
 	for i := range lw.Data {
 		if math.Float32bits(lw.Data[i]) != math.Float32bits(lf.Data[i]) {
 			t.Errorf("logit %d: %v calibrated on the batch, %v on its frames", i, lw.Data[i], lf.Data[i])
+		}
+	}
+}
+
+// TestQuantizedOnePixelOnFreshArena runs a net whose second fire and
+// classifier see 1×1 activations — two quad planes of one pixel are 8 bytes
+// — on fresh arenas, batch 1 and 3, with the second fire's expands 2 and 4
+// wide: every INT8 activation buffer is viewed as 32-bit words however small
+// it is (the alignment itself is TestU8BuffersAreWordAligned's), and the
+// classifier reads a concatenation padded mid-way at one pixel. Batch 3 must
+// score each frame as batch 1 does. make race runs it under the race
+// detector.
+func TestQuantizedOnePixelOnFreshArena(t *testing.T) {
+	net := NewSequential(
+		NewConv2D("conv1", tensor.ConvSpec{InC: 3, OutC: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}),
+		NewReLU("relu1"),
+		NewMaxPool("pool1", 2, 2),
+		NewFire("fire1", 6, 6, 3, 3),
+		NewMaxPool("pool2", 2, 2),
+		NewFire("fire2", 6, 5, 2, 4),
+		NewConv2D("conv_final", tensor.ConvSpec{InC: 6, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}),
+		NewGlobalAvgPool("gap"),
+	)
+	InitHe(net, rand.New(rand.NewSource(30)))
+	rng := rand.New(rand.NewSource(31))
+	qnet, err := Quantize(net, calibSet(rng, 2, 3, 4, 4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := calibSet(rng, 3, 3, 4, 4, 1)[0]
+	batch := qnet.ForwardInfer(x, tensor.NewArena())
+	for i := 0; i < 3; i++ {
+		one := qnet.ForwardInfer(tensor.FromSlice(x.Data[i*48:(i+1)*48], 1, 3, 4, 4), tensor.NewArena())
+		for j, v := range one.Data {
+			if math.Float32bits(v) != math.Float32bits(batch.Data[i*2+j]) {
+				t.Fatalf("frame %d logit %d: %v alone, %v in the batch", i, j, v, batch.Data[i*2+j])
+			}
 		}
 	}
 }

@@ -74,8 +74,10 @@ func (a *Arena) Get(n int) []float32 { return arenaGet(a, &a.free, n) }
 func (a *Arena) Put(buf []float32) { arenaPut(&a.free, buf) }
 
 // GetU8 returns an uncleared byte buffer of length n from the arena — the
-// quantized-activation counterpart of Get. Same ownership rules.
-func (a *Arena) GetU8(n int) []uint8 { return arenaGet(a, &a.freeU8, n) }
+// quantized-activation counterpart of Get. Same ownership rules. Its
+// capacity is at least 16 bytes, so the buffer is word-aligned (see
+// quadWords).
+func (a *Arena) GetU8(n int) []uint8 { return arenaGet(a, &a.freeU8, max(n, 16))[:n] }
 
 // PutU8 returns a buffer obtained from GetU8 to the free list.
 func (a *Arena) PutU8(buf []uint8) { arenaPut(&a.freeU8, buf) }
@@ -156,14 +158,15 @@ var (
 )
 
 // GetScratchU8 returns a pointer to an uncleared byte scratch buffer of
-// length n. Release with PutScratchU8.
+// length n. Release with PutScratchU8. Its capacity is at least 16 bytes, so
+// the buffer is word-aligned (see quadWords).
 func GetScratchU8(n int) *[]uint8 {
 	p, _ := scratchPoolU8.Get().(*[]uint8)
 	if p == nil {
 		p = new([]uint8)
 	}
 	if cap(*p) < n {
-		*p = make([]uint8, n)
+		*p = make([]uint8, max(n, 16))
 	}
 	*p = (*p)[:n]
 	return p

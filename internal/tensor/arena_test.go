@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestArenaBestFit pins the free-list policy the one-pass Warm leans on: Get
 // takes the smallest buffer that is large enough, a miss allocates without
@@ -76,4 +79,25 @@ func TestArenaGetTensorOnLargerBuffer(t *testing.T) {
 	if y := a.GetTensor(50); len(y.Data) != 50 || a.Bytes() != 0 {
 		t.Fatalf("PutTensor did not return the buffer at full capacity: len %d, %d bytes allocated", len(y.Data), a.Bytes())
 	}
+}
+
+// TestU8BuffersAreWordAligned pins the rule quadWords leans on: every byte
+// buffer Arena.GetU8 or GetScratchU8 hands out starts word-aligned, however
+// few bytes were asked for — the Go allocator packs allocations below 16
+// bytes at any byte offset, so each small request of an odd size would
+// otherwise leave the next one misaligned.
+func TestU8BuffersAreWordAligned(t *testing.T) {
+	aligned := func(b []uint8) bool { return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 == 0 }
+	var keep [][]uint8 // held, so the allocator cannot hand a slot back
+	for n := 1; n <= 16; n++ {
+		for i := 0; i < 4; i++ {
+			b := NewArena().GetU8(n)
+			p := GetScratchU8(n)
+			if !aligned(b) || !aligned(*p) {
+				t.Fatalf("%d bytes: arena buffer at %p, scratch buffer at %p, want both 4-aligned", n, unsafe.SliceData(b), unsafe.SliceData(*p))
+			}
+			keep = append(keep, b, *p)
+		}
+	}
+	_ = keep
 }

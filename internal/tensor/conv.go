@@ -159,17 +159,17 @@ func checkColScratch(fn string, col []float32, s ConvSpec, oh, ow int) {
 }
 
 // pixel is the element type of an image a convView reads: float32 on the
-// FP32 forward, uint8 on the quantized one's planar convolutions, uint32 on
-// its quad planes (see QFire), where one element is four channels' bytes.
-type pixel interface{ float32 | uint8 | uint32 }
+// FP32 forward, uint32 on the quantized one's quad planes (see QConv), where
+// one element is four channels' bytes.
+type pixel interface{ float32 | uint32 }
 
 // convView presents one image (C×H×W) as the K×N column matrix of a
 // convolution — row p is the tap (ch, ky, kx), column j the output position
 // (oy, ox) — without materializing it. It is the B operand of the forward
 // GEMM on both engines: the blocked drivers pack their panels straight from
 // the image, so every input element is read once and written once. Padding
-// positions read as fill: 0 for float32, the activation zero point (the
-// encoding of real 0) for uint8, four of them for a uint32 quad.
+// positions read as fill: 0 for float32, four activation zero points (the
+// encoding of real 0) for a uint32 quad.
 //
 // Taps read planes of h×w elements at a step of (sh, sw) per output row and
 // column. Those are the image's own channels at the convolution's strides —
@@ -187,8 +187,7 @@ type convView[T pixel] struct {
 	s      ConvSpec
 	oh, ow int
 	fill   T
-	// strided is the element type's gather, gatherF32 or gatherU8 (nil for
-	// quad planes, which only stride-1 convolutions read).
+	// strided is the element type's gather, gatherWords.
 	strided func(dst, src []T, stride int)
 	// spread, when set, is the element type's copyRuns: gather hands it a
 	// contiguous source that covers whole panels.
@@ -372,11 +371,11 @@ func copyRuns[T float32 | uint32](dst []T, dstStep int, src []T, srcStep, n, run
 }
 
 // quadWords returns b's bytes as len(b)/4 native-endian 32-bit words, the
-// view through which the INT8 quad paths move a pixel's four channel bytes
-// as one element. b must start 4-aligned, which every arena or scratch-pool
-// buffer of 16 bytes or more does, at any offset that is a multiple of 4:
-// the Go allocator aligns such objects to 8, and only its tiny allocator,
-// below 16 bytes, packs byte slices unaligned.
+// view through which the INT8 engine moves a pixel's four channel bytes as
+// one element. b must start 4-aligned, which every arena or scratch-pool
+// byte buffer does at any offset that is a multiple of 4: Arena.GetU8 and
+// GetScratchU8 allocate at least 16 bytes, which the Go allocator aligns to
+// 8 — only its tiny allocator, below 16 bytes, packs byte slices unaligned.
 func quadWords(b []uint8) []uint32 {
 	if len(b) < 4 {
 		return nil
@@ -384,30 +383,19 @@ func quadWords(b []uint8) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-// gatherF32 writes dst[i] = src[i*stride]. Stride 2 — the paper net's stem
-// and its pools — has a vector body that de-interleaves 16 source elements
-// into 8 at a time; it reads the odd element after the last even one, so it
-// stops where src does and the loop finishes.
-func gatherF32(dst, src []float32, stride int) {
+// gatherWords writes dst[i] = src[i*stride] for 32-bit elements: FP32
+// values, or the INT8 engine's quad words (the pools' pick of pooled
+// pixels). Stride 2 — the paper net's stem and its pools — has a vector body
+// that de-interleaves 16 source elements into 8 at a time; it reads the odd
+// element after the last even one, so it stops where src does and the loop
+// finishes. It moves words without arithmetic, so quads go through it bit
+// for bit, as through copyRuns.
+func gatherWords[T float32 | uint32](dst, src []T, stride int) {
 	i := 0
 	if stride == 2 && haveQuantASM {
 		if i = min(len(dst), len(src)/2) &^ 7; i > 0 {
-			gather2F32x8(&dst[0], &src[0], int64(i))
+			gather2F32x8((*float32)(unsafe.Pointer(&dst[0])), (*float32)(unsafe.Pointer(&src[0])), int64(i))
 		}
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = src[i*stride]
-	}
-}
-
-// gatherU8 is gatherF32 for bytes. Its stride-2 body covers a ragged end
-// with one more 16-byte step overlapping the last, so only a run shorter than
-// 16 — or the one ending on src's last byte — reaches the loop.
-func gatherU8(dst, src []uint8, stride int) {
-	i := 0
-	if n := min(len(dst), len(src)/2); stride == 2 && haveQuantASM && n >= 16 {
-		gather2U8x16(&dst[0], &src[0], int64(n))
-		i = n
 	}
 	for ; i < len(dst); i++ {
 		dst[i] = src[i*stride]
@@ -424,8 +412,8 @@ func (v *convView[T]) row(dst []T, p, j0 int) {
 // walk is the one tap walker both engines pack through: it writes columns
 // [j0, j0+nc) of row p of the column matrix to columns [0, nc) of r, which
 // lays them out as the sink wants them (micro-panel rows for packConvPanels —
-// FP32 elements, or the INT8 fires' quad words — or a plain staging row for
-// the quad transposer of a planar INT8 convolution).
+// FP32 elements, or the INT8 engine's quad words — or a plain row for the
+// INT8 unblocked product).
 //
 // Columns whose input row falls outside the plane are fill. The rest are
 // gathered one output row at a time, each row's valid run from one plane row
@@ -585,7 +573,7 @@ func (st *ConvStage) forwardInto(fn string, x, y *Tensor, chOff int) {
 		panic(fmt.Sprintf("tensor: %s: input %v / %d weights do not match spec %+v", fn, x.Shape, len(st.W), s))
 	}
 	a := gemmA{data: st.W, pack: st.Packed}
-	view := newConvView(h, wd, s, 0, gatherF32)
+	view := newConvView(h, wd, s, 0, gatherWords[float32])
 	view.spread = copyRuns
 	var phases *[]float32
 	if pl := view.phaseLen(); pl > 0 {

@@ -7,12 +7,16 @@ import (
 	"testing"
 )
 
+// oracleElem is an element type the oracle reads: an FP32 value, one
+// channel's byte of a planar INT8 image, or a quad word.
+type oracleElem interface{ float32 | uint8 | uint32 }
+
 // at is the differential tests' oracle: element (iy, ix) of an h×w plane by
 // plain index arithmetic, or pad when the position lies outside it. Both the
 // convolution's column matrix and the pooling window are defined through it,
-// on either element type, so no reference shares a loop with the code under
+// on any element type, so no reference shares a loop with the code under
 // test.
-func at[T pixel](plane []T, h, w, iy, ix int, pad T) T {
+func at[T oracleElem](plane []T, h, w, iy, ix int, pad T) T {
 	if iy < 0 || iy >= h || ix < 0 || ix >= w {
 		return pad
 	}
@@ -22,7 +26,7 @@ func at[T pixel](plane []T, h, w, iy, ix int, pad T) T {
 // oracleCol builds the [C*KH*KW, oh*ow] column matrix of one image element by
 // element: row p is tap (ch, ky, kx), column j is output position (oy, ox),
 // and positions outside the image read pad.
-func oracleCol[T pixel](img []T, c, h, w int, s ConvSpec, pad T) []T {
+func oracleCol[T oracleElem](img []T, c, h, w int, s ConvSpec, pad T) []T {
 	oh, ow := s.OutSize(h, w)
 	k, n := c*s.KH*s.KW, oh*ow
 	col := make([]T, k*n)
@@ -328,20 +332,25 @@ func TestVectorHelpersMatchScalar(t *testing.T) {
 				want[i] = src[i*stride]
 			}
 			got := make([]float32, n)
-			gatherF32(got, src, stride)
-			same(fmt.Sprintf("gatherF32 stride=%d", stride), n, got, want)
+			gatherWords(got, src, stride)
+			same(fmt.Sprintf("gatherWords stride=%d", stride), n, got, want)
 		}
 	}
 }
 
 // TestQConvDirectPackMatchesOracle is the quantized forward convolution's
-// differential test: QConvForwardInto — quad panels packed straight from the
-// u8 image, requantized per cache-hot column block — must equal, byte for
-// byte, the oracle's column matrix with zero-point padding, multiplied by the
-// naive reference product and requantized one element at a time by the fused
-// scalar formula; QConvAcc must equal the reference product itself. It runs
-// over the FP32 test's cases under every quantized kernel tier the CPU
-// offers, with batch 3 and the zero point cycling through 0, 17 and 127.
+// differential test: QConv over quad planes — panels packed from the planes
+// as words, requantized per cache-hot column block into quad planes
+// (quadConvInto), or left as raw accumulators (AccInto) — must equal, byte
+// for byte, the oracle's column matrix of the planar image with zero-point
+// padding, multiplied by the naive reference product (qgemmRef) and
+// requantized one element at a time by the fused scalar formula
+// (requantRef). The input's spare lanes hold random bytes, which the zero
+// weights PackQQuadWeights pads with must cancel. It runs over the FP32
+// test's cases (ragged widths, pads 0–3, strides 1–3, K and N past a block)
+// and pointwise ones, under every quantized kernel tier the CPU offers, with
+// batch 3, the output at plane offset chOff of one plane more than it needs
+// and the zero point cycling through 0, 17 and 127.
 func TestQConvDirectPackMatchesOracle(t *testing.T) {
 	defer useQuantTier(currentQuantTier())
 	const batch = 3
@@ -349,7 +358,13 @@ func TestQConvDirectPackMatchesOracle(t *testing.T) {
 	for _, tier := range quantTiers() {
 		useQuantTier(tier)
 		rng := rand.New(rand.NewSource(44))
-		for ci, cc := range convCases(rng) {
+		cases := append(convCases(rng),
+			convCase{s: ConvSpec{InC: 20, OutC: 10, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, h: 11, w: 13, relu: true, chOff: 1},
+			convCase{s: ConvSpec{InC: 128, OutC: 32, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, h: 13, w: 13, chOff: 2},
+			convCase{s: ConvSpec{InC: 7, OutC: 5, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, h: 3, w: 3, relu: true},
+			convCase{s: ConvSpec{InC: 6, OutC: 9, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h: 1, w: 1, relu: true},
+		)
+		for ci, cc := range cases {
 			s, h, w := cc.s, cc.h, cc.w
 			zp := []uint8{0, 17, 127}[ci%3]
 			name := fmt.Sprintf("%s case %d %+v zp %d", tier.name, ci, cc, zp)
@@ -357,50 +372,101 @@ func TestQConvDirectPackMatchesOracle(t *testing.T) {
 			k, n, il := s.InC*s.KH*s.KW, oh*ow, s.InC*h*w
 			wq, x := randQOperands(rng, s.OutC, k, batch*il/k+1)
 			x = x[:batch*il]
-			rq := Requant{Mult: make([]float32, s.OutC), Beta: make([]float32, s.OutC), ZOut: int32(rng.Intn(QMaxU8)), ReLU: cc.relu}
-			for oc := range rq.Mult {
-				rq.Mult[oc] = float32((0.5 + rng.Float64()) / (80 * math.Sqrt(float64(k))))
-				rq.Beta[oc] = float32(60 + 20*rng.NormFloat64())
+			q := quadsOf(x, batch, s.InC, h*w, func() uint8 { return uint8(rng.Intn(256)) })
+			e := QConv{Spec: s, W: PackQQuadWeights(wq, s), ZP: zp, RQ: Requant{Mult: make([]float32, s.OutC), Beta: make([]float32, s.OutC), ZOut: int32(rng.Intn(QMaxU8)), ReLU: cc.relu}}
+			for oc := range e.RQ.Mult {
+				e.RQ.Mult[oc] = float32((0.5 + rng.Float64()) / (80 * math.Sqrt(float64(k))))
+				e.RQ.Beta[oc] = float32(60 + 20*rng.NormFloat64())
 			}
-			dstC := cc.chOff + s.OutC + 1
-			y := make([]uint8, batch*dstC*n)
+			planes := quadPlanes(s.OutC)
+			dstPlanes := cc.chOff + planes + 1
+			y := make([]uint8, batch*dstPlanes*4*n)
 			for i := range y {
 				y[i] = sentinel
 			}
-			// Weights packed once for the requantized product, per call (a
-			// QWeights without panels, as QGemm builds) for the raw one.
-			QConvForwardInto(x, batch, h, w, PackQWeights(wq, s.OutC, k), s, zp, rq, y, dstC, cc.chOff)
+			e.quadConvInto(q, batch, h, w, y, dstPlanes, cc.chOff)
 
 			acc := make([]int32, s.OutC*n)
-			lo := int32(0)
-			if rq.ReLU {
-				lo = rq.ZOut
-			}
+			ql := quadPlanes(s.InC) * 4 * h * w
 			for i := 0; i < batch; i++ {
-				img := x[i*il : (i+1)*il]
-				want := qgemmRef(wq, oracleCol(img, s.InC, h, w, s, zp), s.OutC, k, n)
-				QConvAcc(img, h, w, QWeights{data: wq, m: s.OutC, k: k}, s, zp, acc)
-				for e := range want {
-					if acc[e] != want[e] {
-						t.Fatalf("%s: QConvAcc[%d,%d,%d]=%d, want %d", name, i, e/n, e%n, acc[e], want[e])
+				want := qgemmRef(wq, oracleCol(x[i*il:(i+1)*il], s.InC, h, w, s, zp), s.OutC, k, n)
+				e.AccInto(q[i*ql:(i+1)*ql], h, w, acc)
+				for j := range want {
+					if acc[j] != want[j] {
+						t.Fatalf("%s: AccInto[%d,%d,%d]=%d, want %d", name, i, j/n, j%n, acc[j], want[j])
 					}
 				}
-				for ch := 0; ch < dstC; ch++ {
-					got := y[(i*dstC+ch)*n : (i*dstC+ch+1)*n]
-					oc := ch - cc.chOff
-					for j, g := range got {
-						wv := uint8(sentinel) // channels outside [chOff, chOff+OutC) stay untouched
-						if oc >= 0 && oc < s.OutC {
-							wv = requantRef(want[oc*n+j], rq.Mult[oc], rq.Beta[oc], lo)
-						}
-						if g != wv {
-							t.Fatalf("%s: y[%d,%d,%d]=%d, want %d", name, i, ch, j, g, wv)
-						}
+				wantQ := quadsOf(requantPlanes(want, s.OutC, n, e.RQ), 1, s.OutC, n, func() uint8 { return uint8(e.RQ.ZOut) })
+				got := y[i*dstPlanes*4*n : (i+1)*dstPlanes*4*n]
+				for j, g := range got {
+					wv := uint8(sentinel) // planes outside [chOff, chOff+planes) stay untouched
+					if g0 := cc.chOff * 4 * n; j >= g0 && j < g0+planes*4*n {
+						wv = wantQ[j-g0]
+					}
+					if g != wv {
+						t.Fatalf("%s: image %d plane %d pixel %d lane %d = %d, want %d", name, i, j/(4*n), j/4%n, j%4, g, wv)
 					}
 				}
 			}
 		}
 	}
+}
+
+// quadsOf lays out the n planar images of c planes of hw bytes in x as quad
+// planes: plane g of image i holds channels 4g…4g+3 of each pixel in its
+// four bytes, the lanes past c from pad.
+func quadsOf(x []uint8, n, c, hw int, pad func() uint8) []uint8 {
+	planes := quadPlanes(c)
+	q := make([]uint8, n*planes*4*hw)
+	for i := 0; i < n; i++ {
+		for ch := 0; ch < planes*4; ch++ {
+			for j := 0; j < hw; j++ {
+				v := uint8(0)
+				if ch < c {
+					v = x[(i*c+ch)*hw+j]
+				} else {
+					v = pad()
+				}
+				q[((i*planes+ch/4)*hw+j)*4+ch%4] = v
+			}
+		}
+	}
+	return q
+}
+
+// requantPlanes requantizes an m×n accumulator matrix one element at a time
+// (requantRef) into m planes of n bytes.
+func requantPlanes(acc []int32, m, n int, rq Requant) []uint8 {
+	lo := int32(0)
+	if rq.ReLU {
+		lo = rq.ZOut
+	}
+	y := make([]uint8, m*n)
+	for j := range y {
+		y[j] = requantRef(acc[j], rq.Mult[j/n], rq.Beta[j/n], lo)
+	}
+	return y
+}
+
+// maxPoolRef max-pools c planes of h×w bytes by scanning each K×K window
+// through the oracle (unpadded pools only).
+func maxPoolRef(x []uint8, c, h, w int, p PoolSpec) []uint8 {
+	oh, ow := p.OutSize(h, w)
+	y := make([]uint8, c*oh*ow)
+	for pl := 0; pl < c; pl++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				var m uint8
+				for ky := 0; ky < p.K; ky++ {
+					for kx := 0; kx < p.K; kx++ {
+						m = max(m, at(x[pl*h*w:(pl+1)*h*w], h, w, oy*p.Stride+ky, ox*p.Stride+kx, 0))
+					}
+				}
+				y[(pl*oh+oy)*ow+ox] = m
+			}
+		}
+	}
+	return y
 }
 
 // requantRef is RequantizeU8 for one element, as its contract states it:
@@ -410,13 +476,15 @@ func requantRef(acc int32, mult, beta float32, lo int32) uint8 {
 	return uint8(min(max(int32(math.RoundToEven(float64(f))), lo), QMaxU8))
 }
 
-// TestMaxPoolU8MatchesWindowScan is the u8 max pool's differential test:
-// MaxPoolU8Into — whole-row vector passes when unpadded, the scalar loop when
-// padded — must equal a K×K window scan through the oracle with 0 padding,
-// for K 2–3, stride 1–3 and every width from below one 16-byte vector to
-// past two 32-byte ones (every w%32 class), on the vector and portable paths.
+// TestMaxPoolU8MatchesWindowScan is the INT8 max pool's differential test:
+// MaxPoolQuadsInto — whole-row vector passes at byte strides of 4·w and 4,
+// pooled pixels picked as words — must equal a K×K window scan through the
+// oracle, lane by lane, for K 2–3, stride 1–3 and every width from below one
+// 16-byte vector to past two 32-byte ones (every w%32 class), on the vector
+// and portable paths; the bytes after its last output stay untouched.
 func TestMaxPoolU8MatchesWindowScan(t *testing.T) {
 	defer useQuantTier(currentQuantTier())
+	const sentinel = 0xEE
 	for _, tier := range quantTiers() {
 		if tier.vnni {
 			continue // same row helpers as the AVX2 tier
@@ -425,33 +493,36 @@ func TestMaxPoolU8MatchesWindowScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(45))
 		for _, k := range []int{2, 3} {
 			for stride := 1; stride <= 3; stride++ {
-				for _, pad := range []int{0, 1} {
-					for w := 3; w <= 99; w++ {
-						p := PoolSpec{K: k, Stride: stride, Pad: pad}
-						h := 3 + rng.Intn(7)
-						oh, ow := p.OutSize(h, w)
-						const planes = 4 // [2,2,h,w]
-						x := make([]uint8, planes*h*w)
-						for i := range x {
-							x[i] = uint8(rng.Intn(256))
-						}
-						y := make([]uint8, planes*oh*ow)
-						MaxPoolU8Into(x, 2, 2, h, w, p, y)
-						for pl := 0; pl < planes; pl++ {
-							plane := x[pl*h*w : (pl+1)*h*w]
-							for oy := 0; oy < oh; oy++ {
-								for ox := 0; ox < ow; ox++ {
-									var want uint8
-									for ky := 0; ky < k; ky++ {
-										for kx := 0; kx < k; kx++ {
-											want = max(want, at(plane, h, w, oy*stride-pad+ky, ox*stride-pad+kx, 0))
-										}
-									}
-									if got := y[(pl*oh+oy)*ow+ox]; got != want {
-										t.Fatalf("%s %+v on %dx%d plane %d: y[%d,%d]=%d want %d", tier.name, p, h, w, pl, oy, ox, got, want)
-									}
+				for w := 3; w <= 99; w++ {
+					p := PoolSpec{K: k, Stride: stride}
+					h := 3 + rng.Intn(7)
+					oh, ow := p.OutSize(h, w)
+					const planes = 3
+					x := make([]uint8, planes*4*h*w)
+					for i := range x {
+						x[i] = uint8(rng.Intn(256))
+					}
+					y := make([]uint8, planes*4*oh*ow+4)
+					for i := range y {
+						y[i] = sentinel
+					}
+					MaxPoolQuadsInto(x, planes, h, w, p, y)
+					for pl := 0; pl < planes; pl++ {
+						for l := 0; l < 4; l++ {
+							lane := make([]uint8, h*w)
+							for j := range lane {
+								lane[j] = x[(pl*h*w+j)*4+l]
+							}
+							for j, want := range maxPoolRef(lane, 1, h, w, p) {
+								if got := y[(pl*oh*ow+j)*4+l]; got != want {
+									t.Fatalf("%s %+v on %dx%d plane %d lane %d: y[%d,%d]=%d want %d", tier.name, p, h, w, pl, l, j/ow, j%ow, got, want)
 								}
 							}
+						}
+					}
+					for i, v := range y[planes*4*oh*ow:] {
+						if v != sentinel {
+							t.Fatalf("%s %+v on %dx%d: wrote byte %d past the output", tier.name, p, h, w, i)
 						}
 					}
 				}
@@ -460,9 +531,9 @@ func TestMaxPoolU8MatchesWindowScan(t *testing.T) {
 	}
 }
 
-// TestByteHelpersMatchScalar pins the three byte row helpers of the INT8
-// forward — the quad transposer, the strided gather and the K-tap row max —
-// to their scalar definitions at every length from below one vector to past
+// TestByteHelpersMatchScalar pins the two byte row helpers of the INT8
+// forward — the quad transposer and the K-tap row max — to their scalar
+// definitions at every length from below one vector to past
 // several, so the vector bodies, their overlapping ragged ends and the
 // portable loops cannot drift apart.
 func TestByteHelpersMatchScalar(t *testing.T) {
@@ -500,16 +571,6 @@ func TestByteHelpersMatchScalar(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s transposeQuad nc=%d: [%d]=%d want %d", tier.name, n, i, got[i], want[i])
-				}
-			}
-			for stride := 1; stride <= 3; stride++ {
-				src := draw((n-1)*stride + 1) // ends on the last element read
-				got := make([]uint8, n)
-				gatherU8(got, src, stride)
-				for i := range got {
-					if got[i] != src[i*stride] {
-						t.Fatalf("%s gatherU8 n=%d stride=%d: [%d]=%d want %d", tier.name, n, stride, i, got[i], src[i*stride])
-					}
 				}
 			}
 			for k := 1; k <= 3; k++ {
@@ -673,10 +734,9 @@ func checkPhaseView[T pixel](t *testing.T, name string, s ConvSpec, h, w int, ph
 
 // TestPhaseViewMatchesOracle pins the phase-plane conv view — the image
 // de-interleaved once, every tap then read at step 1 — to the oracle's column
-// matrix bit for bit, on float32 and on uint8 with a non-zero fill, with the
-// vector gathers on and off, for strides 2 and 3 on odd and even planes, and
-// checks that shapes without the linear path stay on the per-row walk (which
-// the same comparison covers).
+// matrix bit for bit, with the vector gathers on and off, for strides 2 and
+// 3 on odd and even planes, and checks that shapes without the linear path
+// stay on the per-row walk (which the same comparison covers).
 func TestPhaseViewMatchesOracle(t *testing.T) {
 	defer useQuantTier(currentQuantTier())
 	for _, tier := range quantTiers() {
@@ -688,7 +748,7 @@ func TestPhaseViewMatchesOracle(t *testing.T) {
 		for ci, pc := range phaseCases {
 			name := fmt.Sprintf("%s case %d %+v on %dx%d", tier.name, ci, pc.s, pc.h, pc.w)
 			// Compared with ==, so no NaN; -0 never appears (fill is +0).
-			checkPhaseView(t, name+" f32", pc.s, pc.h, pc.w, pc.phased, 0, gatherF32,
+			checkPhaseView(t, name+" f32", pc.s, pc.h, pc.w, pc.phased, 0, gatherWords[float32],
 				func(n int) []float32 { return randSlice(rng, n) },
 				func(v *convView[float32], col []float32, k, n int) {
 					for _, nr := range []int{16, 32} {
@@ -710,14 +770,6 @@ func TestPhaseViewMatchesOracle(t *testing.T) {
 						}
 					}
 				})
-			checkPhaseView(t, name+" u8", pc.s, pc.h, pc.w, pc.phased, 17, gatherU8,
-				func(n int) []uint8 {
-					b := make([]uint8, n)
-					for i := range b {
-						b[i] = uint8(rng.Intn(256))
-					}
-					return b
-				}, nil)
 		}
 	}
 }

@@ -159,7 +159,7 @@ func poolRow(dst, src []float32, w int, p PoolSpec, scratch []float32) {
 	rowmax, hmax := scratch[:w], scratch[w:2*w-p.K+1]
 	maxF32Into(rowmax, src, p.K, w)
 	maxF32Into(hmax, rowmax, p.K, 1)
-	gatherF32(dst, hmax, p.Stride)
+	gatherWords(dst, hmax, p.Stride)
 }
 
 // poolSink is the pooling half of a fused convolution → max-pool stage, as

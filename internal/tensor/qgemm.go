@@ -61,7 +61,7 @@ func QGemm(a []int8, b []uint8, c []int32, m, k, n int) {
 }
 
 // QWeights is the A operand of a quantized product: the row-major m×k s8
-// matrix and, when built by PackQWeights, its quad micro-panels, so the
+// matrix and, when built by packQWeights, its quad micro-panels, so the
 // blocked driver packs nothing. The panel layout is the same under every
 // kernel tier. Immutable once built: share it freely.
 type QWeights struct {
@@ -74,12 +74,12 @@ type QWeights struct {
 	quads []int8
 }
 
-// PackQWeights wraps the row-major m×k matrix wq, which it keeps (the
+// packQWeights wraps the row-major m×k matrix wq, which it keeps (the
 // unblocked path reads it) and must not change afterwards, with its packed
 // panels.
-func PackQWeights(wq []int8, m, k int) QWeights {
+func packQWeights(wq []int8, m, k int) QWeights {
 	if len(wq) < m*k {
-		panic(fmt.Sprintf("tensor: PackQWeights: %d weights, want %d×%d", len(wq), m, k))
+		panic(fmt.Sprintf("tensor: packQWeights: %d weights, want %d×%d", len(wq), m, k))
 	}
 	mPad := (m + mrQTile - 1) / mrQTile * mrQTile
 	w := QWeights{data: wq, m: m, k: k, quads: make([]int8, mPad*((k+3)/4*4))}
@@ -93,44 +93,35 @@ func PackQWeights(wq []int8, m, k int) QWeights {
 func (w QWeights) Len() int { return w.m * w.k }
 
 // qgemmB is the B operand of a quantized product: a dense row-major k×n
-// matrix, or — when conv is set — the implicit column matrix of a planar
-// convolution, read straight from the u8 image (see convView), or — when
-// quad is set — that of a convolution over quad planes, whose row q is K
-// quad q, one 32-bit word a column (see QFire), or — when stem is set — the
-// stem's, read from padded pixel rows (see stemView).
+// matrix (QGemm), or — when quad is set — the implicit column matrix of a
+// convolution over quad planes, whose row q is K quad q, one 32-bit word a
+// column (see QConv), or — when stem is set — the stem's, read from padded
+// pixel rows (see stemView).
 type qgemmB struct {
 	data []uint8
-	conv *convView[uint8]
 	quad *convView[uint32]
 	stem *stemView
 }
 
 // qgemmEpilogue requantizes a product's finished accumulators into the next
-// layer's u8 activations: row i of the product goes through RequantizeU8 with
-// rq's constants for channel i into dst[i*ld:] — or, when quads is set, into
-// quad planes of ld words, rows 4g…4g+3 as the four bytes of each word of
-// plane g (see putQuads) — or, when pool is set, into the pool's slabs,
-// which it max-pools on the spot. A product with an epilogue never
-// materializes its m×n int32 matrix (see qgemmBlocked).
+// layer's u8 activations, quad planes of ld words: row i of the product goes
+// through RequantizeU8 with rq's constants for channel i, rows 4g…4g+3 as
+// the four bytes of each word of plane g from dst on (see putQuads) — or,
+// when pool is set, into the pool's slabs, which it max-pools on the spot. A
+// product with an epilogue never materializes its m×n int32 matrix (see
+// qgemmBlocked).
 type qgemmEpilogue struct {
-	rq    Requant
-	dst   []uint8
-	ld    int
-	quads bool
-	pool  *qpoolRun
+	rq   Requant
+	dst  []uint8
+	ld   int
+	pool *qpoolRun
 }
 
 // apply requantizes the m×nc accumulator block acc (row stride nc) into
-// columns [j0, j0+nc) of the destination. Quad planes take four rows at a
-// time through a 4×nc staging block small enough to stay in L1; the rows of
-// the last plane past m, which no weight reads, hold the output zero point.
+// columns [j0, j0+nc) of the destination planes, four rows at a time
+// through a 4×nc staging block small enough to stay in L1; the rows of the
+// last plane past m, which no weight reads, hold the output zero point.
 func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int) {
-	if !e.quads {
-		for i := 0; i < m; i++ {
-			RequantizeU8(e.dst[i*e.ld+j0:i*e.ld+j0+nc], acc[i*nc:(i+1)*nc], e.rq.Mult[i], e.rq.Beta[i], e.rq.ZOut, e.rq.ReLU)
-		}
-		return
-	}
 	stagep := GetScratchU8(4 * nc)
 	stage := *stagep
 	for g := 0; g*4 < m; g++ {
@@ -198,36 +189,25 @@ func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilog
 }
 
 // qgemmSmall is the unblocked path for problems too small to amortize
-// packing. k is outermost so a conv operand produces each row of its column
-// matrix once; a quad operand produces four at a time, interleaved: row p is
-// every fourth byte of quad row p/4, from byte p%4 on.
+// packing. k is outermost so a quad operand produces each row of its column
+// matrix once, four product rows at a time, interleaved: row p is every
+// fourth byte of quad row p/4, from byte p%4 on.
 func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
 	var rowp *[]uint8
 	var words []uint32
-	switch {
-	case b.conv != nil:
-		rowp = GetScratchU8(n)
-	case b.quad != nil:
-		// At least 16 bytes, so the words are aligned (see quadWords).
-		rowp = GetScratchU8(max(4*n, 16))
-		words = quadWords((*rowp)[:4*n])
+	if b.quad != nil {
+		rowp = GetScratchU8(4 * n)
+		words = quadWords(*rowp)
 	}
 	for p := 0; p < k; p++ {
 		var brow []uint8
 		step := 1
-		switch {
-		case b.conv != nil:
-			// row gets the scratch itself, not brow: through a variable that
-			// also holds b.data, escape analysis would move the caller's
-			// stack-resident view to the heap (the zero-alloc tests notice).
-			b.conv.row(*rowp, p, 0)
-			brow = *rowp
-		case b.quad != nil:
+		if b.quad != nil {
 			if p%4 == 0 {
 				b.quad.row(words, p/4, 0)
 			}
-			brow, step = (*rowp)[p%4:4*n], 4
-		default:
+			brow, step = (*rowp)[p%4:], 4
+		} else {
 			brow = b.data[p*n : p*n+n]
 		}
 		for i := 0; i < m; i++ {
@@ -441,11 +421,9 @@ func packAQuads(dst []int8, a []int8, lda, i0, mc, p0, kc int) {
 //
 // A quad operand's quads are words already: its rows go straight into the
 // panels as words, through the walker FP32 packs with (packConvPanels), and
-// a stem operand packs its pixels itself. Any other quad is four rows of the
-// block run through transposeQuad. A full quad of a dense B is transposed
-// where it lies (ldb apart); a planar conv operand's four taps — and a dense
-// B's ragged last quad, above zero rows — are first written as plain rows
-// into a 4×nc staging block small enough to stay in L1.
+// a stem operand packs its pixels itself. A dense B's quad is four rows of
+// the block run through transposeQuad: a full one where it lies (ldb
+// apart), the ragged last one, above zero rows, from a 4×nc staging block.
 func packBQuads(dst []uint8, b qgemmB, ldb, p0, kc, j0, nc int) {
 	switch {
 	case b.stem != nil:
@@ -461,16 +439,11 @@ func packBQuads(dst []uint8, b qgemmB, ldb, p0, kc, j0, nc int) {
 	for q := 0; q < quads; q++ {
 		p, rows := p0+q*4, min(4, kc-q*4)
 		src, ld := stage, nc
-		if b.conv == nil && rows == 4 {
+		if rows == 4 {
 			src, ld = b.data[p*ldb+j0:], ldb
 		} else {
 			for t := 0; t < rows; t++ {
-				row := stage[t*nc : (t+1)*nc]
-				if b.conv != nil {
-					b.conv.row(row, p+t, j0)
-				} else {
-					copy(row, b.data[(p+t)*ldb+j0:])
-				}
+				copy(stage[t*nc:(t+1)*nc], b.data[(p+t)*ldb+j0:])
 			}
 			clear(stage[rows*nc:])
 		}

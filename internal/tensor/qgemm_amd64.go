@@ -17,12 +17,6 @@ func qgemmKernel4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store 
 //go:noescape
 func transposeQuad16(dst *uint8, step int64, src *uint8, ld, panels int64)
 
-// gather2U8x16 writes dst[i] = src[2*i] for n >= 16 bytes, reading 2n source
-// bytes; see qgemm_amd64.s.
-//
-//go:noescape
-func gather2U8x16(dst, src *uint8, n int64)
-
 // maxU8x16 computes dst[i] = max over t < k of src[i+t*stride] for n >= 16
 // bytes with VPMAXUB; see qgemm_amd64.s.
 //
@@ -82,11 +76,12 @@ func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, st
 // haveQuantASM gates the quantized kernels on the same AVX2+FMA+OS-XSAVE
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
 // epilogue uses FMA), and with them the byte and FP32 row helpers
-// (transposeQuad16, gather2U8x16, maxU8x16, bilinearColsU16x4,
-// bilinearRowsU8x8; maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2). haveVNNI additionally selects the VPDPBUSD
-// kernel on parts with AVX512-VNNI; it runs at ZMM width, so it sits behind
-// haveAVX512 — F, VL, the OS-enabled ZMM state, and PERCIVAL_NO_AVX512, which
-// therefore means no 512-bit execution on either engine.
+// (transposeQuad16, maxU8x16, bilinearColsU16x4, bilinearRowsU8x8;
+// maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2). haveVNNI additionally
+// selects the VPDPBUSD kernel on parts with AVX512-VNNI; it runs at ZMM
+// width, so it sits behind haveAVX512 — F, VL, the OS-enabled ZMM state,
+// and PERCIVAL_NO_AVX512, which therefore means no 512-bit execution on
+// either engine.
 var (
 	haveQuantASM = haveFMA
 	haveVNNI     = detectVNNI()

@@ -347,66 +347,14 @@ tqdone:
 	VZEROUPPER
 	RET
 
-// func gather2U8x16(dst, src *uint8, n int64)
-//
-// dst[i] = src[2*i] for n >= 16 bytes — the stride-2 gather of the quantized
-// stem's packing and of the u8 pools' column pick, beside gather2F32x8. Each
-// step masks the odd bytes out of 64 (or 32) consecutive source bytes, so 2n
-// are read in all, one past the last even one, narrows the 16-bit lanes
-// (VPACKUSWB) and, at YMM width, puts the four quadwords back in memory order
-// (VPERMQ 0xD8). 32 bytes a step while they last, then 16; a ragged end is
-// covered by one more 16-byte step overlapping the last.
-TEXT ·gather2U8x16(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	VPCMPEQW Y2, Y2, Y2
-	VPSRLW   $8, Y2, Y2
-
-g2b32:
-	CMPQ CX, $32
-	JLT  g2b16
-	VPAND     (SI), Y2, Y0
-	VPAND     32(SI), Y2, Y1
-	VPACKUSWB Y1, Y0, Y0
-	VPERMQ    $0xD8, Y0, Y0
-	VMOVDQU   Y0, (DI)
-	ADDQ $64, SI
-	ADDQ $32, DI
-	SUBQ $32, CX
-	JMP  g2b32
-
-g2b16:
-	CMPQ CX, $16
-	JLT  g2btail
-	VPAND     (SI), X2, X0
-	VPAND     16(SI), X2, X1
-	VPACKUSWB X1, X0, X0
-	VMOVDQU   X0, (DI)
-	ADDQ $32, SI
-	ADDQ $16, DI
-	SUBQ $16, CX
-	JMP  g2b16
-
-g2btail:
-	TESTQ CX, CX
-	JEQ   g2bdone
-	LEAQ  -32(SI)(CX*2), SI
-	LEAQ  -16(DI)(CX*1), DI
-	MOVQ  $16, CX
-	JMP   g2b16
-
-g2bdone:
-	VZEROUPPER
-	RET
-
 // func maxU8x16(dst, src *uint8, n, k, stride int64)
 //
 // dst[i] = max(src[i], src[i+stride], …, src[i+(k-1)*stride]) for n >= 16
-// bytes, k >= 1 — both passes of the separable u8 max pool (stride = row
-// width for the vertical one, 1 for the horizontal one), the byte twin of
-// maxF32x8. 32 bytes a step while they last, then 16; a ragged end is covered
-// by one more 16-byte step overlapping the last instead of a scalar tail.
+// bytes, k >= 1 — both passes of the separable u8 max pool over quad planes
+// (stride = 4 × row width for the vertical one, 4 for the horizontal one),
+// the byte twin of maxF32x8. 32 bytes a step while they last, then 16; a
+// ragged end is covered by one more 16-byte step overlapping the last
+// instead of a scalar tail.
 TEXT ·maxU8x16(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -525,7 +473,8 @@ mxfdone:
 // func gather2F32x8(dst, src *float32, n int64)
 //
 // dst[i] = src[2*i] for n float32s, n a positive multiple of 8 — the stride-2
-// gather of the stem's panel packing and of the pools' column pick. Each
+// gather of the stem's panel packing and of the pools' column pick, on FP32
+// values and on the INT8 engine's quad words alike (it only moves them). Each
 // iteration loads 16 consecutive source elements (so 2n in all, one past the
 // last even one), keeps the even ones of each 128-bit lane (VSHUFPS 0x88)
 // and puts the four pairs back in memory order (VPERMPD 0xD8).

@@ -14,11 +14,6 @@ func transposeQuad16(dst *uint8, step int64, src *uint8, ld, panels int64) {
 	panic("tensor: transposeQuad16 without assembly support")
 }
 
-// gather2U8x16 is never called when haveQuantASM is false.
-func gather2U8x16(dst, src *uint8, n int64) {
-	panic("tensor: gather2U8x16 without assembly support")
-}
-
 // maxU8x16 is never called when haveQuantASM is false.
 func maxU8x16(dst, src *uint8, n, k, stride int64) {
 	panic("tensor: maxU8x16 without assembly support")

@@ -7,15 +7,16 @@ import (
 
 // QStem is the INT8 network's first stage: a convolution over pixel bytes as
 // a bitmap stores them — four bytes a pixel, channel-minor — its
-// requantization, and optionally the unpadded max pool that follows it.
+// requantization into quad planes (see QConv), and optionally the unpadded
+// max pool that follows it.
 //
 // The stem orders its K dimension tap-major and channel-minor, (ky, kx, c),
 // so that one packed quad of the quantized GEMM is one input pixel's four
 // bytes, and a panel row of 16 output positions is 16 consecutive pixels of
 // one padded input row (one phase of it, when the stem is strided): a 64-byte
 // copy instead of a tap walk and a byte transpose. Integer sums do not depend
-// on the order of their terms, so every output byte is what the planar
-// convolution (QConvForwardInto, weights in (c, ky, kx) order) computes.
+// on the order of their terms, so every output byte is what the convolution
+// with its weights in (c, ky, kx) order computes.
 type QStem struct {
 	// Spec is the convolution; InC is at most 4.
 	Spec ConvSpec
@@ -27,18 +28,18 @@ type QStem struct {
 	ZP uint8
 	// Pool, when K > 0, is a max pool (Pad must be 0) applied to the
 	// requantized output, which is then never materialized: ForwardInto's y
-	// is the pooled tensor.
+	// is the pooled planes.
 	Pool PoolSpec
 }
 
 // PackQQuadWeights reorders the row-major OutC×(InC·KH·KW) s8 matrix wq —
-// the (c, ky, kx) order of a planar convolution (PackQWeights) — into the
-// quad order (c/4, ky, kx, c%4), the channels padded to a multiple of 4 by
-// zero weights, and packs it. K quad (g, ky, kx) is then channels 4g…4g+3 of
-// one input pixel: the 32-bit word that a quad plane (QFire's expands) or,
+// the convolution's own (c, ky, kx) order — into the quad order
+// (c/4, ky, kx, c%4), the channels padded to a multiple of 4 by zero
+// weights, and packs it (packQWeights). K quad (g, ky, kx) is then channels
+// 4g…4g+3 of one input pixel: the 32-bit word that a quad plane (QConv) or,
 // for InC ≤ 4 and so the order (ky, kx, c), a padded pixel row (QStem)
 // holds. Zero weights add nothing to an accumulator and nothing to Σw, so
-// the requantization constants are the planar convolution's.
+// the requantization constants are the convolution's own.
 func PackQQuadWeights(wq []int8, s ConvSpec) QWeights {
 	taps := s.KH * s.KW
 	k := s.InC * taps
@@ -54,7 +55,7 @@ func PackQQuadWeights(wq []int8, s ConvSpec) QWeights {
 			}
 		}
 	}
-	return PackQWeights(p, s.OutC, kq)
+	return packQWeights(p, s.OutC, kq)
 }
 
 // OutSize returns the stage's output size for h×w images: the
@@ -85,14 +86,15 @@ var identityU8 = func() (t [256]uint8) {
 // ForwardInto runs the stage on n images of h×w pixels in pix (pixel (y, x)
 // of image i at pix[((i*h+y)*w+x)*4:], channels c < Spec.InC used), each
 // byte through lut — nil when the bytes already are the quantized input —
-// into y ([n, OutC, outH, outW], OutSize's). Its scratch, one image's padded
-// pixel rows and the pool's row slabs, comes from a and goes back to it.
+// into y: each image's ⌈OutC/4⌉ quad planes of OutSize's pixels. Its
+// scratch, one image's padded pixel rows and the pool's row slabs, comes
+// from a and goes back to it.
 //
 // Each image is one quantized GEMM whose B operand is the image's padded
 // rows (see stemView); with a pool, the blocked driver hands the epilogue
-// whole output rows, which are requantized into per-channel slabs and pooled
-// there while they are cache-resident (see qpoolRun), and the convolution
-// stops at the last row a pooling window reads.
+// whole output rows, which are requantized into quad slabs and pooled there
+// while they are cache-resident (see qpoolRun), and the convolution stops at
+// the last row a pooling window reads.
 func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint8, a *Arena) {
 	s := st.Spec
 	oh, ow := s.OutSize(h, w)
@@ -109,7 +111,8 @@ func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint
 		}
 		convH = (outH-1)*st.Pool.Stride + st.Pool.K
 	}
-	k, il, ol := s.KH*s.KW*4, h*w*4, s.OutC*outH*outW
+	planes := quadPlanes(s.OutC)
+	k, il, ol := s.KH*s.KW*4, h*w*4, planes*4*outH*outW
 	if s.InC > 4 || len(pix) < n*il || st.W.m != s.OutC || st.W.k != k ||
 		len(st.RQ.Mult) < s.OutC || len(st.RQ.Beta) < s.OutC || len(y) < n*ol {
 		panic(fmt.Sprintf("tensor: QStem.ForwardInto: pixels %d / weights %d×%d / requant %d,%d / y %d do not fit %d images of %d×%d under %+v",
@@ -126,7 +129,7 @@ func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint
 	if st.Pool.K > 0 {
 		pool = qpoolRun{spec: st.Pool, ow: ow, poh: outH, pow: outW, blockRows: max(qstemBlockCols/ow, 1)}
 		pool.cap = pool.blockRows + st.Pool.K - 1
-		pool.buf = a.GetU8(s.OutC*pool.cap*ow + poolRowsScratch(pool.cap, ow, st.Pool))
+		pool.buf = a.GetU8(planes * 4 * pool.cap * ow)
 		ep.pool = &pool
 	}
 	for i := 0; i < n; i++ {
@@ -251,18 +254,18 @@ func spreadQuads(dst []uint8, step, c, n int, src []uint8) {
 
 // qpoolRun is poolRun for the INT8 stem: the blocked driver hands it each
 // block's int32 accumulators — whole output rows of the convolution, in
-// order — and emit requantizes them into each channel's slab below the rows
-// carried over from the block before (a window overhangs its block by up to
-// K-1 rows), pools every window they complete with poolRowsU8 and moves the
-// rows later windows still need to the slab's head. Each pooled row is the
-// one MaxPoolU8Into computes from the materialized output.
+// order — and emit requantizes them into each quad plane's slab below the
+// rows carried over from the block before (a window overhangs its block by
+// up to K-1 rows), pools every window they complete with poolQuadRows and
+// moves the rows later windows still need to the slab's head. Each pooled
+// row is the one MaxPoolQuadsInto computes from the materialized output.
 type qpoolRun struct {
 	spec      PoolSpec
 	ow        int
 	poh, pow  int
 	blockRows int     // rows per block the driver hands over (the last may be fewer)
-	dst       []uint8 // the image's pooled output: m planes of poh×pow
-	buf       []uint8 // m slabs of cap rows, then poolRowsU8's scratch
+	dst       []uint8 // the image's pooled output: ⌈m/4⌉ quad planes of poh×pow
+	buf       []uint8 // ⌈m/4⌉ quad slabs of cap rows
 	cap       int     // rows per slab: blockRows + K-1
 	base      int     // the output row held in slab row 0
 	held      int     // rows carried from earlier blocks: slab rows [0, held)
@@ -272,8 +275,8 @@ type qpoolRun struct {
 // emit takes the m×nc accumulator block acc (nc whole rows of ow columns).
 func (r *qpoolRun) emit(acc []int32, m, nc int, rq Requant) {
 	k, stride, ow := r.spec.K, r.spec.Stride, r.ow
-	ld := r.cap * ow
-	e := qgemmEpilogue{rq: rq, dst: r.buf[r.held*ow:], ld: ld}
+	ld := r.cap * ow // words per slab
+	e := qgemmEpilogue{rq: rq, dst: r.buf[r.held*ow*4:], ld: ld}
 	e.apply(acc, m, nc, 0)
 	end := r.base + r.held + nc/ow // rows [base, end) are held
 	done := r.py
@@ -284,13 +287,12 @@ func (r *qpoolRun) emit(acc []int32, m, nc int, rq Requant) {
 	if done < r.poh {
 		keep = min(max(done*stride, r.base), end)
 	}
-	scratch := r.buf[m*ld:]
-	for i := 0; i < m; i++ {
-		slab := r.buf[i*ld : (i+1)*ld]
+	for g := 0; g < quadPlanes(m); g++ {
+		slab := r.buf[g*ld*4 : (g+1)*ld*4]
 		if done > r.py {
-			poolRowsU8(r.dst[(i*r.poh+r.py)*r.pow:(i*r.poh+done)*r.pow], r.pow, done-r.py, slab[(r.py*stride-r.base)*ow:], ow, r.spec, scratch)
+			poolQuadRows(r.dst[(g*r.poh+r.py)*r.pow*4:(g*r.poh+done)*r.pow*4], r.pow, done-r.py, slab[(r.py*stride-r.base)*ow*4:], ow, r.spec)
 		}
-		copy(slab, slab[(keep-r.base)*ow:(end-r.base)*ow])
+		copy(slab, slab[(keep-r.base)*ow*4:(end-r.base)*ow*4])
 	}
 	r.base, r.held, r.py = keep, end-keep, done
 }

@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// qstemRef is the stem as the planar engine computes it: the pixels through
-// lut into [InC, h, w] byte planes, QConvForwardInto with the weights in
-// their (c, ky, kx) order, then MaxPoolU8Into when the stage pools.
+// qstemRef is the stem by the scalar oracle: the pixels through lut into
+// [InC, h, w] byte planes, the convolution with the weights in their
+// (c, ky, kx) order (qconvRef), the pool by window scan (maxPoolRef) when
+// the stage pools, and the result laid out as quad planes, spare lanes at
+// the output zero point.
 func qstemRef(st *QStem, wq []int8, pix []uint8, n, h, w int, lut *[256]uint8) []uint8 {
 	s := st.Spec
 	if lut == nil {
@@ -23,23 +25,20 @@ func qstemRef(st *QStem, wq []int8, pix []uint8, n, h, w int, lut *[256]uint8) [
 			}
 		}
 	}
+	y := qconvRef(&QConv{Spec: s, RQ: st.RQ, ZP: st.ZP}, wq, planes, n, h, w)
 	oh, ow := s.OutSize(h, w)
-	y := make([]uint8, n*s.OutC*oh*ow)
-	QConvForwardInto(planes, n, h, w, PackQWeights(wq, s.OutC, s.InC*s.KH*s.KW), s, st.ZP, st.RQ, y, s.OutC, 0)
-	if st.Pool.K == 0 {
-		return y
+	if st.Pool.K > 0 {
+		y = maxPoolRef(y, n*s.OutC, oh, ow, st.Pool)
+		oh, ow = st.Pool.OutSize(oh, ow)
 	}
-	poh, pow := st.Pool.OutSize(oh, ow)
-	pooled := make([]uint8, n*s.OutC*poh*pow)
-	MaxPoolU8Into(y, n, s.OutC, oh, ow, st.Pool, pooled)
-	return pooled
+	return quadsOf(y, n, s.OutC, oh*ow, func() uint8 { return uint8(st.RQ.ZOut) })
 }
 
 // TestQStemMatchesPlanarConvPool is the INT8 stem's differential test:
 // QStem.ForwardInto — tap-major quads copied from padded pixel rows, pool1
-// fused into the epilogue — must equal, byte for byte, the planar
-// convolution and the separate pool it replaces (qstemRef), under every
-// quantized kernel tier the CPU offers. Cases: the paper stem at 224 and the
+// fused into the epilogue, quad planes out — must equal, byte for byte, the
+// convolution and the separate pool by the scalar oracle (qstemRef), under
+// every quantized kernel tier the CPU offers. Cases: the paper stem at 224 and the
 // SmallConfig 16/32/64 stems; an InC-3 stem (the nn tests' net) and one with
 // no pool after it; odd sizes whose output rows are no multiple of a panel
 // and whose pool windows straddle blocks — the small cases run again with
@@ -70,6 +69,7 @@ func TestQStemMatchesPlanarConvPool(t *testing.T) {
 	}
 	const sentinel = 0xEE
 	a := NewArena()
+	refs := map[[2]int][]uint8{} // every tier draws the same cases: one oracle run each
 	for _, tier := range quantTiers() {
 		useQuantTier(tier)
 		rng := rand.New(rand.NewSource(47))
@@ -101,7 +101,11 @@ func TestQStemMatchesPlanarConvPool(t *testing.T) {
 				for i := range pix {
 					pix[i] = uint8(rng.Intn(top))
 				}
-				want := qstemRef(&st, wq, pix, n, h, w, lut)
+				want, ok := refs[[2]int{ci, bi}]
+				if !ok {
+					want = qstemRef(&st, wq, pix, n, h, w, lut)
+					refs[[2]int{ci, bi}] = want
+				}
 				for _, cols := range blocks {
 					qstemBlockCols = cols
 					name := fmt.Sprintf("%s %s batch %d zp %d lut %v block cols %d", tier.name, cc.name, n, st.ZP, lut != nil, cols)
@@ -179,7 +183,7 @@ func benchQStem(b *testing.B, pool PoolSpec) {
 		pix[i] = uint8(rng.Intn(256))
 	}
 	oh, ow := st.OutSize(224, 224)
-	y := make([]uint8, s.OutC*oh*ow)
+	y := make([]uint8, quadPlanes(s.OutC)*4*oh*ow)
 	a := NewArena()
 	st.ForwardInto(pix, 1, 224, 224, &lut, y, a)
 	b.ReportAllocs()

@@ -240,144 +240,49 @@ type Requant struct {
 	ReLU       bool
 }
 
-// qconvOperand returns one u8 image as the B operand of its convolution's
-// GEMM: the dense [InC, H*W] matrix for a pointwise convolution, the caller's
-// convView pointed at the image otherwise. The view's fill is the activation
-// zero point — the quantized encoding of real 0 — so the zero-point
-// compensation term stays exact across padded positions. The network's one
-// strided convolution is its stem, which reads pixels (QStem), so the view
-// reads the image's own planes.
-func qconvOperand(view *convView[uint8], img []uint8) qgemmB {
-	if view.s.is1x1Fast() {
-		return qgemmB{data: img}
-	}
-	view.setImage(img)
-	return qgemmB{conv: view}
-}
-
-// QConvForwardInto is the quantized ConvForwardInto: it convolves the n u8
-// images in x ([n, InC, h, w], zero point zp) with the s8 weights wq
-// ([OutC, InC*KH*KW], packed once) and requantizes the result into channels
-// [chOff, chOff+OutC) of the u8 output y ([n, dstC, outH, outW]).
-//
-// Each image is one quantized GEMM whose B operand is the image itself and
-// whose epilogue is the requantization, so neither the column matrix nor the
-// OutC×outH×outW int32 accumulator exists (see qgemmBlocked).
-func QConvForwardInto(x []uint8, n, h, w int, wq QWeights, s ConvSpec, zp uint8, rq Requant, y []uint8, dstC, chOff int) (oh, ow int) {
-	oh, ow = s.OutSize(h, w)
-	if oh == 0 || ow == 0 {
-		panicEmptyOutput("QConvForwardInto", []int{n, s.InC, h, w}, s.KH, s.KW, s.PadH, s.PadW)
-	}
-	spatial, k, il := oh*ow, s.InC*s.KH*s.KW, s.InC*h*w
-	if len(x) < n*il || wq.m != s.OutC || wq.k != k || len(rq.Mult) < s.OutC || len(rq.Beta) < s.OutC ||
-		chOff+s.OutC > dstC || len(y) < n*dstC*spatial {
-		panic(fmt.Sprintf("tensor: QConvForwardInto: x %d / wq %d×%d / requant %d,%d / y %d do not fit [%d,%d,%d,%d]→[%d,%d,%d,%d] at channel offset %d of %d",
-			len(x), wq.m, wq.k, len(rq.Mult), len(rq.Beta), len(y), n, s.InC, h, w, n, s.OutC, oh, ow, chOff, dstC))
-	}
-	ep := qgemmEpilogue{rq: rq, ld: spatial}
-	view := newConvView(h, w, s, zp, gatherU8)
-	for i := 0; i < n; i++ {
-		ep.dst = y[(i*dstC+chOff)*spatial:]
-		qgemmDispatch(wq, qconvOperand(&view, x[i*il:(i+1)*il]), nil, s.OutC, k, spatial, &ep)
-	}
-	return oh, ow
-}
-
-// QConvAcc convolves one u8 image ([InC, h, w], zero point zp) with the s8
-// weights wq and leaves the raw int32 accumulators in acc ([OutC, outH*outW])
-// — for the classifier head, whose epilogue is an average, not a
-// requantization.
-func QConvAcc(img []uint8, h, w int, wq QWeights, s ConvSpec, zp uint8, acc []int32) {
-	oh, ow := s.OutSize(h, w)
-	spatial, k := oh*ow, s.InC*s.KH*s.KW
-	if len(img) < s.InC*h*w || wq.m != s.OutC || wq.k != k || len(acc) < s.OutC*spatial {
-		panic(fmt.Sprintf("tensor: QConvAcc: img %d / wq %d×%d / acc %d do not fit [%d,%d,%d]→[%d,%d,%d]",
-			len(img), wq.m, wq.k, len(acc), s.InC, h, w, s.OutC, oh, ow))
-	}
-	view := newConvView(h, w, s, zp, gatherU8)
-	qgemmDispatch(wq, qconvOperand(&view, img[:s.InC*h*w]), acc, s.OutC, k, spatial, nil)
-}
-
-// MaxPoolU8Into max-pools u8 activations ([N,C,H,W] planes in x) into y.
-// Max pooling commutes with the (monotonic) quantization map, so the window
-// maximum is taken directly on the quantized bytes and the tensor's
-// quantization parameters pass through unchanged.
-//
-// Unpadded pooling (every pool in the PERCIVAL architectures) runs the
-// separable path — see maxPoolU8Separable.
-func MaxPoolU8Into(x []uint8, n, c, h, w int, p PoolSpec, y []uint8) (oh, ow int) {
+// MaxPoolQuadsInto max-pools `planes` quad planes of h×w pixels in x (see
+// QFire: four channels' bytes a 32-bit word) into planes of OutSize's
+// pixels in y, unpadded — the only pool the INT8 engine runs. Max pooling
+// commutes with the (monotonic) quantization map, so the window maximum is
+// taken directly on the quantized bytes, each lane of a word on its own
+// channel, and the quantization parameters pass through unchanged.
+func MaxPoolQuadsInto(x []uint8, planes, h, w int, p PoolSpec, y []uint8) (oh, ow int) {
 	oh, ow = p.OutSize(h, w)
 	if oh == 0 || ow == 0 {
-		panicEmptyOutput("MaxPoolU8Into", []int{n, c, h, w}, p.K, p.K, p.Pad, p.Pad)
+		panicEmptyOutput("MaxPoolQuadsInto", []int{planes, h, w, 4}, p.K, p.K, p.Pad, p.Pad)
 	}
-	if len(x) < n*c*h*w || len(y) < n*c*oh*ow {
-		panic(fmt.Sprintf("tensor: MaxPoolU8Into: x %d / y %d too small for [%d,%d,%d,%d]→[%d,%d]",
-			len(x), len(y), n, c, h, w, oh, ow))
+	if p.Pad != 0 || len(x) < planes*4*h*w || len(y) < planes*4*oh*ow {
+		panic(fmt.Sprintf("tensor: MaxPoolQuadsInto: pool %+v / x %d / y %d do not pool %d quad planes of %d×%d unpadded",
+			p, len(x), len(y), planes, h, w))
 	}
-	if p.Pad == 0 {
-		maxPoolU8Separable(x, n*c, h, w, p, y, oh, ow)
-		return oh, ow
-	}
-	oi := 0
-	for i := 0; i < n*c; i++ {
-		plane := x[i*h*w : (i+1)*h*w]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var best uint8
-				for ky := 0; ky < p.K; ky++ {
-					iy := oy*p.Stride - p.Pad + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					row := plane[iy*w : iy*w+w]
-					for kx := 0; kx < p.K; kx++ {
-						ix := ox*p.Stride - p.Pad + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						if v := row[ix]; v > best {
-							best = v
-						}
-					}
-				}
-				y[oi] = best
-				oi++
-			}
-		}
+	for i := 0; i < planes; i++ {
+		poolQuadRows(y[i*4*oh*ow:(i+1)*4*oh*ow], ow, oh, x[i*4*h*w:(i+1)*4*h*w], w, p)
 	}
 	return oh, ow
 }
 
-// maxPoolU8Separable is the unpadded fast path, the byte twin of
-// maxPoolSeparable: one poolRowsU8 per plane.
-func maxPoolU8Separable(x []uint8, planes, h, w int, p PoolSpec, y []uint8, oh, ow int) {
-	bufp := GetScratchU8(poolRowsScratch(oh, w, p))
-	for i := 0; i < planes; i++ {
-		poolRowsU8(y[i*oh*ow:(i+1)*oh*ow], ow, oh, x[i*h*w:(i+1)*h*w], w, p, *bufp)
+// poolQuadRows writes `rows` consecutive rows of an unpadded max pool of one
+// quad plane, row r at dst[r*pow*4:], from src: the input rows of w pixels
+// from the first window's top row on. Whole-run vector passes with no branch
+// that depends on the data: one maxU8Into takes the vertical max of K rows
+// at every row start into vmax (a byte stride of 4·w), a second the
+// horizontal K-tap max of vmax at every column into hmax (a byte stride of
+// 4, one pixel: each lane against its own channel; the windows that wrap a
+// row end are never picked), and gatherWords picks each pooled row's pixels
+// out of hmax as words at the stride. The two passes' scratch comes from the
+// scratch pool.
+func poolQuadRows(dst []uint8, pow, rows int, src []uint8, w int, p PoolSpec) {
+	starts := (rows-1)*p.Stride + 1
+	bufp := GetScratchU8(4 * (2*starts*w - p.K + 1))
+	vmax, hmax := (*bufp)[:4*starts*w], (*bufp)[4*starts*w:]
+	maxU8Into(vmax, src, p.K, 4*w)
+	maxU8Into(hmax, vmax, p.K, 4)
+	words := quadWords(hmax)
+	for r := 0; r < rows; r++ {
+		gatherWords(quadWords(dst[r*pow*4:(r+1)*pow*4]), words[r*p.Stride*w:], p.Stride)
 	}
 	PutScratchU8(bufp)
 }
-
-// poolRowsU8 writes `rows` consecutive rows of an unpadded max pool, row r
-// at dst[r*pow:], from src: the input rows from the first window's top row
-// on, w apart. Whole-run vector passes with no branch that depends on the
-// data: one maxU8Into takes the vertical max of K rows at every row start
-// into vmax, a second the horizontal K-tap max of vmax at every column into
-// hmax (the windows that wrap a row end are never picked), and gatherU8
-// picks each pooled row out of hmax at the stride.
-func poolRowsU8(dst []uint8, pow, rows int, src []uint8, w int, p PoolSpec, scratch []uint8) {
-	starts := (rows-1)*p.Stride + 1
-	vmax, hmax := scratch[:starts*w], scratch[starts*w:2*starts*w-p.K+1]
-	maxU8Into(vmax, src, p.K, w)
-	maxU8Into(hmax, vmax, p.K, 1)
-	for r := 0; r < rows; r++ {
-		gatherU8(dst[r*pow:(r+1)*pow], hmax[r*p.Stride*w:], p.Stride)
-	}
-}
-
-// poolRowsScratch is the scratch length poolRowsU8 needs for `rows` pooled
-// rows of w-wide input rows.
-func poolRowsScratch(rows, w int, p PoolSpec) int { return 2*((rows-1)*p.Stride+1)*w - p.K + 1 }
 
 // maxU8Into computes dst[i] = max(src[i], src[i+stride], …) over k taps. The
 // vector body covers a ragged end with one more vector overlapping the last,

@@ -21,10 +21,11 @@ type quantTier struct {
 func qgemmRef(a []int8, b []uint8, m, k, n int) []int32 {
 	c := make([]int32, m*n)
 	for i := 0; i < m; i++ {
+		crow := c[i*n : (i+1)*n]
 		for p := 0; p < k; p++ {
-			av := int32(a[i*k+p])
-			for j := 0; j < n; j++ {
-				c[i*n+j] += av * int32(b[p*n+j])
+			av, brow := int32(a[i*k+p]), b[p*n:(p+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * int32(bv)
 			}
 		}
 	}
@@ -261,8 +262,9 @@ func TestRequantizeU8MatchesScalar(t *testing.T) {
 	}
 }
 
-// TestMaxPoolU8MatchesFloat checks u8 pooling against float pooling of the
-// same values.
+// TestMaxPoolU8MatchesFloat checks the quad-plane pool against float
+// pooling of the same values, channel by channel, for a channel count that
+// leaves spare lanes.
 func TestMaxPoolU8MatchesFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n, c, h, w := 2, 3, 9, 9
@@ -274,13 +276,14 @@ func TestMaxPoolU8MatchesFloat(t *testing.T) {
 	}
 	p := PoolSpec{K: 3, Stride: 2}
 	oh, ow := p.OutSize(h, w)
-	yu := make([]uint8, n*c*oh*ow)
-	MaxPoolU8Into(xu, n, c, h, w, p, yu)
+	yu := make([]uint8, n*4*oh*ow)
+	MaxPoolQuadsInto(quadsOf(xu, n, c, h*w, func() uint8 { return 0 }), n, h, w, p, yu)
 	yf := New(n, c, oh, ow)
 	MaxPoolForwardInto(xf, p, yf)
-	for i := range yu {
-		if float32(yu[i]) != yf.Data[i] {
-			t.Fatalf("pool[%d]=%d want %v", i, yu[i], yf.Data[i])
+	for i, want := range yf.Data {
+		img, ch, j := i/(c*oh*ow), i/(oh*ow)%c, i%(oh*ow)
+		if got := yu[(img*oh*ow+j)*4+ch]; float32(got) != want {
+			t.Fatalf("pool[%d,%d,%d]=%d want %v", img, ch, j, got, want)
 		}
 	}
 }
@@ -383,9 +386,9 @@ func BenchmarkRequantizeU8(b *testing.B) {
 }
 
 // BenchmarkMaxPoolU8_112x96 is the paper net's first pool on the INT8 engine:
-// 3×3/2 over the stem's 96 planes of 112×112, on seeded random bytes — an
-// all-zero plane never mispredicts a compare, which hid what the scalar
-// horizontal pass cost on real frames.
+// 3×3/2 over the stem's 96 channels of 112×112, 24 quad planes, on seeded
+// random bytes — an all-zero plane never mispredicts a compare, which hid
+// what a scalar horizontal pass cost on real frames.
 func BenchmarkMaxPoolU8_112x96(b *testing.B) {
 	rng := rand.New(rand.NewSource(34))
 	x := make([]uint8, 96*112*112)
@@ -395,8 +398,9 @@ func BenchmarkMaxPoolU8_112x96(b *testing.B) {
 	p := PoolSpec{K: 3, Stride: 2}
 	oh, ow := p.OutSize(112, 112)
 	y := make([]uint8, 96*oh*ow)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxPoolU8Into(x, 1, 96, 112, 112, p, y)
+		MaxPoolQuadsInto(x, 24, 112, 112, p, y)
 	}
 }

@@ -528,13 +528,17 @@ func TestEmptyOutputRejected(t *testing.T) {
 	y := New(1, 1, 1, 1)
 	p := PoolSpec{K: 3, Stride: 2}
 	s := ConvSpec{InC: 1, OutC: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 2}
-	for name, fn := range map[string]func(){
-		"ConvForwardInto":    func() { ConvForwardInto(x, make([]float32, 9), nil, s, y, 0, false) },
-		"MaxPoolForwardInto": func() { MaxPoolForwardInto(x, p, y) },
-		"MaxPoolU8Into":      func() { MaxPoolU8Into(make([]uint8, 4), 1, 1, 2, 2, p, make([]uint8, 1)) },
+	for name, c := range map[string]struct {
+		fn    func()
+		shape string
+	}{
+		"ConvForwardInto":    {func() { ConvForwardInto(x, make([]float32, 9), nil, s, y, 0, false) }, "[1 1 2 2]"},
+		"MaxPoolForwardInto": {func() { MaxPoolForwardInto(x, p, y) }, "[1 1 2 2]"},
+		// One quad plane of 2×2 pixels, four bytes each.
+		"MaxPoolQuadsInto": {func() { MaxPoolQuadsInto(make([]uint8, 16), 1, 2, 2, p, make([]uint8, 4)) }, "[1 2 2 4]"},
 	} {
-		msg := panicMessage(t, name, fn)
-		if !strings.Contains(msg, name) || !strings.Contains(msg, "3×3 window") || !strings.Contains(msg, "[1 1 2 2]") {
+		msg := panicMessage(t, name, c.fn)
+		if !strings.Contains(msg, name) || !strings.Contains(msg, "3×3 window") || !strings.Contains(msg, c.shape) {
 			t.Errorf("%s: panic %q does not name the function and shapes", name, msg)
 		}
 	}
