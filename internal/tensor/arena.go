@@ -127,84 +127,68 @@ func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 // hold any tensor or buffer obtained from it.
 func PutArena(a *Arena) { arenaPool.Put(a) }
 
-// scratchPool recycles transient scratch buffers (GEMM packing panels,
-// im2col columns, conv backward dcol). Pointers to slice headers are pooled
-// so the steady state performs no boxing allocation.
-var scratchPool sync.Pool
+// The scratch pools recycle transient buffers (GEMM packing panels, im2col
+// columns, conv backward dcol, the quantized kernels' staging), one pool an
+// element type. Pointers to slice headers are pooled so the steady state
+// performs no boxing allocation.
+var scratchF32, scratchU8, scratchI8, scratchI32 sync.Pool
 
-// GetScratch returns a pointer to a scratch buffer of length n. Contents are
-// uncleared. Release with PutScratch.
-func GetScratch(n int) *[]float32 {
-	p, _ := scratchPool.Get().(*[]float32)
+// scratchPoolOf returns T's scratch pool.
+func scratchPoolOf[T kernelElem]() *sync.Pool {
+	switch any((*T)(nil)).(type) {
+	case *float32:
+		return &scratchF32
+	case *uint8:
+		return &scratchU8
+	case *int8:
+		return &scratchI8
+	}
+	return &scratchI32
+}
+
+// getScratch returns a pointer to an uncleared scratch buffer of length n,
+// from T's pool. Its capacity is at least 16 bytes, so a byte buffer is
+// word-aligned (see quadWords). Release with putScratch.
+func getScratch[T kernelElem](n int) *[]T {
+	p, _ := scratchPoolOf[T]().Get().(*[]T)
 	if p == nil {
-		p = new([]float32)
+		p = new([]T)
 	}
 	if cap(*p) < n {
-		*p = make([]float32, n)
+		var zero T
+		*p = make([]T, max(n, 16/int(unsafe.Sizeof(zero))))
 	}
 	*p = (*p)[:n]
 	return p
 }
+
+// putScratch returns a buffer obtained from getScratch to its pool.
+func putScratch[T kernelElem](p *[]T) { scratchPoolOf[T]().Put(p) }
+
+// GetScratch returns a pointer to an uncleared float32 scratch buffer of
+// length n. Release with PutScratch.
+func GetScratch(n int) *[]float32 { return getScratch[float32](n) }
 
 // PutScratch returns a buffer obtained from GetScratch to the pool.
-func PutScratch(p *[]float32) { scratchPool.Put(p) }
-
-// Typed scratch pools for the quantized kernels and the training path; same
-// pointer-boxing scheme as scratchPool so steady-state Put allocates nothing.
-var (
-	scratchPoolU8  sync.Pool
-	scratchPoolI8  sync.Pool
-	scratchPoolI32 sync.Pool
-)
+func PutScratch(p *[]float32) { putScratch(p) }
 
 // GetScratchU8 returns a pointer to an uncleared byte scratch buffer of
-// length n. Release with PutScratchU8. Its capacity is at least 16 bytes, so
-// the buffer is word-aligned (see quadWords).
-func GetScratchU8(n int) *[]uint8 {
-	p, _ := scratchPoolU8.Get().(*[]uint8)
-	if p == nil {
-		p = new([]uint8)
-	}
-	if cap(*p) < n {
-		*p = make([]uint8, max(n, 16))
-	}
-	*p = (*p)[:n]
-	return p
-}
+// length n, word-aligned. Release with PutScratchU8.
+func GetScratchU8(n int) *[]uint8 { return getScratch[uint8](n) }
 
 // PutScratchU8 returns a buffer obtained from GetScratchU8 to the pool.
-func PutScratchU8(p *[]uint8) { scratchPoolU8.Put(p) }
+func PutScratchU8(p *[]uint8) { putScratch(p) }
 
 // GetScratchI8 returns a pointer to an uncleared int8 scratch buffer of
 // length n. Release with PutScratchI8.
-func GetScratchI8(n int) *[]int8 {
-	p, _ := scratchPoolI8.Get().(*[]int8)
-	if p == nil {
-		p = new([]int8)
-	}
-	if cap(*p) < n {
-		*p = make([]int8, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
+func GetScratchI8(n int) *[]int8 { return getScratch[int8](n) }
 
 // PutScratchI8 returns a buffer obtained from GetScratchI8 to the pool.
-func PutScratchI8(p *[]int8) { scratchPoolI8.Put(p) }
+func PutScratchI8(p *[]int8) { putScratch(p) }
 
 // GetScratchI32 returns a pointer to an uncleared int32 scratch buffer of
 // length n. Release with PutScratchI32.
-func GetScratchI32(n int) *[]int32 {
-	p, _ := scratchPoolI32.Get().(*[]int32)
-	if p == nil {
-		p = new([]int32)
-	}
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
+func GetScratchI32(n int) *[]int32 { return getScratch[int32](n) }
 
 // PutScratchI32 returns a buffer obtained from GetScratchI32 to the pool.
-func PutScratchI32(p *[]int32) { scratchPoolI32.Put(p) }
+func PutScratchI32(p *[]int32) { putScratch(p) }

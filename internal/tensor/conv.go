@@ -536,7 +536,7 @@ type ConvStage struct {
 // [InC, H*W] matrix for 1×1/stride-1/unpadded convolutions, as a convView
 // otherwise — on phase planes when the convolution is strided. Bias, ReLU
 // and the pool run as the GEMM's epilogue, per cache-resident column block
-// (see gemmBlocked). The result is bit for bit what ConvForwardInto followed
+// (see gemmDispatch). The result is bit for bit what ConvForwardInto followed
 // by MaxPoolForwardInto computes.
 func (st *ConvStage) ForwardInto(x, y *Tensor, chOff int) {
 	st.forwardInto("ConvStage.ForwardInto", x, y, chOff)
@@ -560,7 +560,7 @@ func (st *ConvStage) forwardInto(fn string, x, y *Tensor, chOff int) {
 		if outH == 0 || outW == 0 {
 			panicEmptyOutput(fn, []int{n, s.OutC, oh, ow}, st.Pool.K, st.Pool.K, 0, 0)
 		}
-		ep.pool = poolSink{spec: st.Pool, ow: ow, poh: outH, pow: outW}
+		ep.pool = poolSink{poolWindow: poolWindow{spec: st.Pool, ow: ow, poh: outH, pow: outW}}
 	}
 	spatial := outH * outW
 	dstC := y.Shape[1]

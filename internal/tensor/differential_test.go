@@ -52,10 +52,10 @@ type convCase struct {
 
 // convCases returns the structural cases the blocked drivers of both engines
 // can hit — every n%nr remainder and every k%4 one, output rows narrower
-// and wider than a panel, K past one kcBlock / kcQBlock, N past one ncBlock /
-// ncQBlock, the strided padded stem — followed by random draws over stride
-// 1–3, pad 0–3 and rectangular kernels, most of which are small enough for
-// the unblocked path.
+// and wider than a panel, K past one kcBlock / kcQBlock, M past one mcBlock
+// / mcQBlock, N past one ncBlock / ncQBlock, the strided padded stem —
+// followed by random draws over stride 1–3, pad 0–3 and rectangular
+// kernels, most of which are small enough for the unblocked path.
 func convCases(rng *rand.Rand) []convCase {
 	var cases []convCase
 	// One output row of every width 33..65: n%16 and n%32 take every value,
@@ -90,8 +90,11 @@ func convCases(rng *rand.Rand) []convCase {
 		convCase{s: ConvSpec{InC: 2, OutC: 11, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, h: 29, w: 31, bias: true, chOff: 2},
 		convCase{s: ConvSpec{InC: 4, OutC: 9, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}, h: 33, w: 36, relu: true},
 		convCase{s: ConvSpec{InC: 4, OutC: 9, KH: 3, KW: 3, StrideH: 2, StrideW: 2}, h: 40, w: 40, relu: true, bias: true},
+		// OutC = 136 spans two mcBlocks and two mcQBlocks, so both engines'
+		// products and epilogues cross an M block.
+		convCase{s: ConvSpec{InC: 6, OutC: 136, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h: 7, w: 9, relu: true, bias: true, chOff: 1},
 	)
-	for len(cases) < 167 {
+	for len(cases) < 168 {
 		cc := convCase{
 			s: ConvSpec{
 				InC: 1 + rng.Intn(4), OutC: 1 + rng.Intn(20),
@@ -116,7 +119,7 @@ func convCases(rng *rand.Rand) []convCase {
 func fp32Tiers() []gemmTierT {
 	tiers := []gemmTierT{gemmTier}
 	if gemmTier.kind == tierKind8x32 {
-		tiers = append(tiers, gemmTierT{name: "avx2-6x16", kind: tierKind6x16, mr: mrTile, nr: nrTile, mc: mcBlock})
+		tiers = append(tiers, gemmTierT{name: "avx2-6x16", kind: tierKind6x16, mr: mrTile, nr: nrTile, mc: mcBlock, kc: kcBlock, nc: ncBlock})
 	}
 	return tiers
 }

@@ -2,7 +2,10 @@
 
 package tensor
 
-import "os"
+import (
+	"os"
+	"unsafe"
+)
 
 // sgemmKernel6x16 is the FMA micro-kernel in gemm_amd64.s. With store set it
 // overwrites the C tile with the product instead of adding to it.
@@ -78,34 +81,45 @@ func detectAVX512() bool {
 	return lo&0xe6 == 0xe6
 }
 
-// init upgrades the FP32 kernel tier past the portable default: AVX-512F
-// 8×32 when the CPU qualifies, else the FMA-dispatching 6×16 keeps the
-// default geometry and only the reported name changes.
+// init upgrades both engines' kernel tiers past the portable defaults. FP32:
+// AVX-512F 8×32 when the CPU qualifies, else the FMA-dispatching 6×16 keeps
+// the default geometry and only the reported name changes. INT8: the
+// AVX512-VNNI kernel, else the AVX2 one, at the one quad geometry.
 func init() {
 	if haveAVX512 {
-		gemmTier = gemmTierT{name: "avx512-8x32", kind: tierKind8x32, mr: 8, nr: 32, mc: 128}
+		gemmTier = gemmTierT{name: "avx512-8x32", kind: tierKind8x32, mr: 8, nr: 32, mc: 128, kc: kcBlock, nc: ncBlock}
 	} else if haveFMA {
 		gemmTier.name = "avx2-6x16"
 	}
+	switch {
+	case haveVNNI:
+		qgemmTier.name, qgemmTier.kind = "avx512-vnni-4x16", tierKindQuadVNNI
+	case haveQuantASM:
+		qgemmTier.name, qgemmTier.kind = "avx2-4x16", tierKindQuadAVX2
+	}
 }
 
-// gemmKernel runs one packed 6×16 micro-tile update (see gemmKernelGeneric
-// for the semantics), dispatching to the FMA kernel when available.
-func gemmKernel(kc int, a, b, ctile []float32, ldc int, store bool) {
-	if haveFMA {
-		sgemmKernel6x16(int64(kc), &a[0], &b[0], &ctile[0], int64(ldc), store)
-		return
+// tileKernel runs one packed micro-tile update of any kernel kind by direct
+// call (see gemmTierT for why this is not a func value): the mr×nr tile at c,
+// rows ldc apart — cleared first when store is set — accumulates the
+// product of the A micro-panel at a and the B micro-panel at b, depth packed
+// k-steps deep (gemmTierT.depth). The 8×32 and VNNI kinds are only ever
+// installed behind detectAVX512; the 6×16 kind falls back to Go without FMA.
+func tileKernel(kind uint8, depth int, a, b, c unsafe.Pointer, ldc int, store bool) {
+	switch kind {
+	case tierKindQuadVNNI:
+		qgemmKernelVNNI4x16(int64(depth/4), (*int8)(a), (*uint8)(b), (*int32)(c), int64(ldc), store)
+	case tierKind8x32:
+		sgemmKernel8x32(int64(depth), (*float32)(a), (*float32)(b), (*float32)(c), int64(ldc), store)
+	case tierKindQuadAVX2:
+		qgemmKernel4x16(int64(depth/4), (*int8)(a), (*uint8)(b), (*int32)(c), int64(ldc), store)
+	case tierKind6x16:
+		if haveFMA {
+			sgemmKernel6x16(int64(depth), (*float32)(a), (*float32)(b), (*float32)(c), int64(ldc), store)
+			return
+		}
+		fallthrough
+	default:
+		portableTile(kind, depth, a, b, c, ldc, store)
 	}
-	gemmKernelGeneric(kc, a, b, ctile, ldc, store)
-}
-
-// gemmKernelTier dispatches one packed micro-tile update by tier kind with
-// direct calls (see gemmTierT for why this is not a func value). The 8×32
-// kind is only ever installed behind detectAVX512.
-func gemmKernelTier(kind uint8, kc int, a, b, ctile []float32, ldc int, store bool) {
-	if kind == tierKind8x32 {
-		sgemmKernel8x32(int64(kc), &a[0], &b[0], &ctile[0], int64(ldc), store)
-		return
-	}
-	gemmKernel(kc, a, b, ctile, ldc, store)
 }

@@ -86,8 +86,18 @@ func TestGemmAVX512TierMatchesAVX2Tier(t *testing.T) {
 		t.Skip("no AVX-512F+VL on this CPU")
 	}
 	avx512 := gemmTier
-	avx2 := gemmTierT{name: "avx2-6x16", kind: tierKind6x16, mr: mrTile, nr: nrTile, mc: mcBlock}
-	defer func() { gemmTier = avx512 }()
+	avx2 := gemmTierT{name: "avx2-6x16", kind: tierKind6x16, mr: mrTile, nr: nrTile, mc: mcBlock, kc: kcBlock, nc: ncBlock}
+	// The blocked driver alone, whatever the product's size.
+	product := func(t gemmTierT, a, b []float32, m, k, n int) []float32 {
+		c := make([]float32, m*n)
+		bop := gemmB{data: b, ld: n}
+		panels, buf := gemmA{data: a}.panels(t, m, k)
+		for jc := 0; jc < n; jc += t.nc {
+			blocked[float32, float32](&bop, t, panels, c, jc, n, m, k, jc, min(t.nc, n-jc), false)
+		}
+		PutScratch(buf)
+		return c
+	}
 	rng := rand.New(rand.NewSource(23))
 	ms := []int{1, 5, 7, 8, 9, 14, 16, 129}
 	ns := []int{1, 17, 31, 32, 33, 63, 64, 97}
@@ -96,12 +106,8 @@ func TestGemmAVX512TierMatchesAVX2Tier(t *testing.T) {
 			for _, n := range ns {
 				a := randSlice(rng, m*k)
 				b := randSlice(rng, k*n)
-				gemmTier = avx512
-				c512 := make([]float32, m*n)
-				gemmBlocked(gemmA{data: a}, gemmB{data: b}, c512, m, k, n, false, gemmEpilogue{})
-				gemmTier = avx2
-				c256 := make([]float32, m*n)
-				gemmBlocked(gemmA{data: a}, gemmB{data: b}, c256, m, k, n, false, gemmEpilogue{})
+				c512 := product(avx512, a, b, m, k, n)
+				c256 := product(avx2, a, b, m, k, n)
 				for i := range c512 {
 					if c512[i] != c256[i] {
 						t.Fatalf("m=%d k=%d n=%d: c[%d]=%b (avx512) vs %b (avx2)", m, k, n, i, c512[i], c256[i])

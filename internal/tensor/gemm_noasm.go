@@ -2,18 +2,10 @@
 
 package tensor
 
-// gemmKernel runs one packed 6×16 micro-tile update on platforms without an
-// assembly kernel.
-func gemmKernel(kc int, a, b, ctile []float32, ldc int, store bool) {
-	gemmKernelGeneric(kc, a, b, ctile, ldc, store)
-}
+import "unsafe"
 
-// gemmKernelTier dispatches by tier kind; without assembly both kinds run
-// the portable kernel at the tier's geometry.
-func gemmKernelTier(kind uint8, kc int, a, b, ctile []float32, ldc int, store bool) {
-	if kind == tierKind8x32 {
-		gemmKernelGeneric8x32(kc, a, b, ctile, ldc, store)
-		return
-	}
-	gemmKernelGeneric(kc, a, b, ctile, ldc, store)
+// tileKernel runs one packed micro-tile update of any kernel kind (see the
+// amd64 shim); without assembly every kind runs in Go at its geometry.
+func tileKernel(kind uint8, depth int, a, b, c unsafe.Pointer, ldc int, store bool) {
+	portableTile(kind, depth, a, b, c, ldc, store)
 }

@@ -202,6 +202,39 @@ func TestGemmAccVariantsAccumulate(t *testing.T) {
 	}
 }
 
+// TestGemmPanicsNameEntryPoint shorts each operand of each product entry
+// point by one element in turn: the panic must name the entry point, the
+// short buffer and the length it needed.
+func TestGemmPanicsNameEntryPoint(t *testing.T) {
+	const m, k, n = 3, 4, 5
+	f32 := func(fn func(a, b, c []float32, m, k, n int)) func(la, lb, lc int) {
+		return func(la, lb, lc int) { fn(make([]float32, la), make([]float32, lb), make([]float32, lc), m, k, n) }
+	}
+	for _, e := range []struct {
+		name string
+		run  func(la, lb, lc int)
+	}{
+		{"Gemm", f32(Gemm)},
+		{"GemmAcc", f32(GemmAcc)},
+		{"GemmTA", f32(GemmTA)},
+		{"GemmTAAcc", f32(GemmTAAcc)},
+		{"GemmTB", f32(GemmTB)},
+		{"GemmTBAcc", f32(GemmTBAcc)},
+		{"QGemm", func(la, lb, lc int) { QGemm(make([]int8, la), make([]uint8, lb), make([]int32, lc), m, k, n) }},
+	} {
+		lens := [3]int{m * k, k * n, m * n}
+		for i, buf := range []string{"a", "b", "c"} {
+			short := lens
+			short[i]--
+			msg := panicMessage(t, e.name, func() { e.run(short[0], short[1], short[2]) })
+			want := fmt.Sprintf("tensor: %s: %s has %d elements, need %d", e.name, buf, short[i], lens[i])
+			if msg != want {
+				t.Errorf("%s with %s short: panic %q, want %q", e.name, buf, msg, want)
+			}
+		}
+	}
+}
+
 // TestGemmConcurrentSharedPool hammers the persistent worker pool from many
 // goroutines at once (run under -race to check the pool's synchronization).
 func TestGemmConcurrentSharedPool(t *testing.T) {

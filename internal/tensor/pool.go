@@ -162,40 +162,67 @@ func poolRow(dst, src []float32, w int, p PoolSpec, scratch []float32) {
 	gatherWords(dst, hmax, p.Stride)
 }
 
-// poolSink is the pooling half of a fused convolution → max-pool stage, as
-// the GEMM epilogue sees it: the product's columns are rows of ow (the
-// convolution's output rows, m planes of them), and instead of landing in C
-// they are max-pooled, unpadded, into dst — m planes of poh×pow. The zero
-// value is inactive.
-type poolSink struct {
+// poolWindow is the row bookkeeping of a max pool fused into a blocked
+// product, shared by both engines: the driver hands the convolution's
+// output over a block of whole rows at a time, in order; each plane's rows
+// sit in its slab of the run's scratch, below the few rows carried over from
+// the block before (a window overhangs its block by up to K-1 rows), and
+// every window a block completes is pooled while the block is still
+// cache-resident. Each pooled row is the one the unfused pool computes from
+// the materialized output. The zero value is inactive.
+type poolWindow struct {
 	spec     PoolSpec
-	ow       int
-	poh, pow int
-	dst      []float32
+	ow       int // the convolution's output row width
+	poh, pow int // the pooled planes' size
+	cap      int // rows per slab: one block's plus the K-1 carried
+	base     int // the output row held in slab row 0
+	held     int // rows carried from earlier blocks: slab rows [0, held)
+	py       int // next pooled row to emit
 }
 
-func (p *poolSink) active() bool { return p.spec.K > 0 }
+func (w *poolWindow) active() bool { return w.spec.K > 0 }
 
-// poolRun is one product's pass through a poolSink. The blocked driver hands
-// it the convolution's output a block of whole rows at a time, in order; each
-// plane's rows sit in its slab of the scratch, below the few rows carried
-// over from the block before (a window overhangs its block by up to K-1
-// rows), and emit pools every window that is complete while the block is
-// still cache-resident. Each pooled row is poolRow's, exactly as
-// MaxPoolForwardInto would compute it from the materialized output.
+// advance takes rows new rows, written below the held ones, and returns the
+// pooled rows [py, done) they complete — pooled row y's window starting at
+// slab row first+(y-py)*Stride — and the slab rows [keep, end) that later
+// windows still read, which the caller moves to the head of each slab.
+func (w *poolWindow) advance(rows int) (py, done, first, keep, end int) {
+	k, stride := w.spec.K, w.spec.Stride
+	end = w.base + w.held + rows // rows [base, end) are held
+	py, done = w.py, w.py
+	if end >= k {
+		done = max(done, min((end-k)/stride+1, w.poh))
+	}
+	keep = end // first row a later window reads
+	if done < w.poh {
+		keep = min(max(done*stride, w.base), end)
+	}
+	base := w.base
+	w.base, w.held, w.py = keep, end-keep, done
+	return py, done, py*stride - base, keep - base, end - base
+}
+
+// poolSink is the pooling half of a fused FP32 convolution → max-pool stage,
+// as the GEMM epilogue sees it: the product's columns are rows of ow (the
+// convolution's output rows, m planes of them), and instead of landing in C
+// they are max-pooled, unpadded, into dst — m planes of poh×pow.
+type poolSink struct {
+	poolWindow
+	dst []float32
+}
+
+// poolRun is one product's pass through a poolSink. Each pooled row is
+// poolRow's, exactly as MaxPoolForwardInto would compute it.
 type poolRun struct {
 	poolSink
 	m    int
 	bufp *[]float32 // m slabs of cap rows, then poolRow's scratch
-	cap  int        // rows per slab: one block's plus the K-1 carried
-	base int        // the output row held in slab row 0
-	held int        // rows carried from earlier blocks: slab rows [0, held)
-	py   int        // next pooled row to emit
 }
 
 // start begins a run over m planes fed at most blockRows rows at a time.
 func (p *poolSink) start(m, blockRows int) poolRun {
-	r := poolRun{poolSink: *p, m: m, cap: blockRows + p.spec.K - 1}
+	r := poolRun{poolSink: *p, m: m}
+	r.cap = blockRows + p.spec.K - 1
 	r.bufp = GetScratch(m*r.cap*p.ow + poolRowScratch(p.ow, p.spec))
 	return r
 }
@@ -207,29 +234,18 @@ func (r *poolRun) target() (c []float32, ldc int) {
 }
 
 // emit takes the rows just written at target (bias and ReLU applied), pools
-// every window they complete and moves the rows later windows still need to
-// the head of each slab.
+// every window they complete and carries the rows later windows still need.
 func (r *poolRun) emit(rows int) {
-	k, stride, ow := r.spec.K, r.spec.Stride, r.ow
-	end := r.base + r.held + rows // rows [base, end) are held
-	done := r.py
-	if end >= k {
-		done = max(done, min((end-k)/stride+1, r.poh))
-	}
-	keep := end // first row a later window reads
-	if done < r.poh {
-		keep = min(max(done*stride, r.base), end)
-	}
-	ld := r.cap * ow
+	py, done, first, keep, end := r.advance(rows)
+	ow, ld := r.ow, r.cap*r.ow
 	scratch := (*r.bufp)[r.m*ld:]
 	for i := 0; i < r.m; i++ {
 		slab := (*r.bufp)[i*ld : (i+1)*ld]
-		for py := r.py; py < done; py++ {
-			poolRow(r.dst[(i*r.poh+py)*r.pow:][:r.pow], slab[(py*stride-r.base)*ow:], ow, r.spec, scratch)
+		for y := py; y < done; y++ {
+			poolRow(r.dst[(i*r.poh+y)*r.pow:][:r.pow], slab[(first+(y-py)*r.spec.Stride)*ow:], ow, r.spec, scratch)
 		}
-		copy(slab, slab[(keep-r.base)*ow:(end-r.base)*ow])
+		copy(slab, slab[keep*ow:end*ow])
 	}
-	r.base, r.held, r.py = keep, end-keep, done
 }
 
 // release returns the run's scratch.

@@ -3,16 +3,16 @@ package tensor
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 )
 
-// Quantized-GEMM tuning knobs. The driver mirrors the FP32 blocked GEMM
-// (gemm.go) — same three-level blocking, same worker pool — but the packed
-// layout groups the K dimension into quads of 4 bytes, matching the AVX2
-// VPMADDUBSW/VPMADDWD micro-kernel which consumes 4 k-steps per instruction
-// pair. K blocks are therefore multiples of 4; partial quads are zero-padded
-// during packing (a zero activation byte contributes nothing to the
-// accumulator, and the zero-point compensation is applied outside the GEMM).
+// Quantized-GEMM tuning knobs. INT8 runs the same blocked driver as FP32
+// (blocked.go) — same three-level blocking, same worker pool — with its own
+// tier, whose packed layout groups the K dimension into quads of 4 bytes,
+// matching the AVX2 VPMADDUBSW/VPMADDWD micro-kernel which consumes 4 k-steps
+// per instruction pair. K blocks are therefore multiples of 4; partial quads
+// are zero-padded during packing (a zero activation byte contributes nothing
+// to the accumulator, and the zero-point compensation is applied outside the
+// GEMM).
 //
 //   - mrQTile×nrQTile is the register tile: 4 rows × 16 int32 columns. The
 //     AVX2 kernel holds it in 8 YMM accumulators, plus the ones vector, two B
@@ -30,22 +30,17 @@ const (
 	kcQBlock = 512
 	mcQBlock = 128
 	ncQBlock = 4096
-
-	qgemmParallelThreshold = 1 << 16
-	qgemmSmallThreshold    = 1 << 13
 )
+
+// qgemmTier is the INT8 kernel tier in use: the portable quad kernel by
+// default; init in gemm_amd64.go selects the AVX2 or AVX512-VNNI kernel
+// once, when the CPU qualifies. Every tier has the same geometry, so packed
+// weights serve all of them.
+var qgemmTier = gemmTierT{name: "portable", kind: tierKindQuad, mr: mrQTile, nr: nrQTile, mc: mcQBlock, kc: kcQBlock, nc: ncQBlock}
 
 // QGemmKernelName identifies the dispatched quantized micro-kernel tier
 // ("avx512-vnni-4x16", "avx2-4x16", or "portable"), beside GemmKernelName.
-func QGemmKernelName() string {
-	switch {
-	case haveVNNI:
-		return "avx512-vnni-4x16"
-	case haveQuantASM:
-		return "avx2-4x16"
-	}
-	return "portable"
-}
+func QGemmKernelName() string { return qgemmTier.name }
 
 // QGemm computes C = A×B where A is an m×k int8 matrix (quantized weights),
 // B is a k×n uint8 matrix (quantized activations, values ≤ QMaxU8) and C is
@@ -54,9 +49,7 @@ func QGemmKernelName() string {
 // Activation values must not exceed QMaxU8: the AVX2 kernel's pairwise int16
 // accumulation relies on 2·127·127 < 2¹⁵−1 to be saturation-free.
 func QGemm(a []int8, b []uint8, c []int32, m, k, n int) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic("tensor: QGemm buffer too small")
-	}
+	checkGemm("QGemm", len(a), len(b), len(c), m, k, n)
 	qgemmDispatch(QWeights{data: a}, qgemmB{data: b}, c, m, k, n, nil)
 }
 
@@ -67,10 +60,7 @@ func QGemm(a []int8, b []uint8, c []int32, m, k, n int) {
 type QWeights struct {
 	data []int8
 	m, k int
-	// quads holds, for each kcQBlock of K in turn, packAQuads' output for
-	// all M rows: the block at k offset pc starts at mPad*pc (mPad = M
-	// rounded up to mrQTile; every block but the last spans whole quads), and
-	// its rows from ic on — ic a multiple of mrQTile — ic*quads*4 further.
+	// quads is packPanels' output, the same for every INT8 tier.
 	quads []int8
 }
 
@@ -81,24 +71,33 @@ func packQWeights(wq []int8, m, k int) QWeights {
 	if len(wq) < m*k {
 		panic(fmt.Sprintf("tensor: packQWeights: %d weights, want %d×%d", len(wq), m, k))
 	}
-	mPad := (m + mrQTile - 1) / mrQTile * mrQTile
-	w := QWeights{data: wq, m: m, k: k, quads: make([]int8, mPad*((k+3)/4*4))}
-	for pc := 0; pc < k; pc += kcQBlock {
-		packAQuads(w.quads[mPad*pc:], wq, k, 0, m, pc, min(kcQBlock, k-pc))
-	}
+	w := QWeights{data: wq, m: m, k: k, quads: make([]int8, qgemmTier.panelsLen(m, k))}
+	packPanels(w.quads, wq, k, false, m, k, qgemmTier)
 	return w
+}
+
+// panels returns the quad micro-panels of the m×k weights: the packed ones,
+// or the matrix packed now into scratch, which the caller returns.
+func (w QWeights) panels(m, k int) ([]int8, *[]int8) {
+	if w.quads != nil {
+		return w.quads, nil
+	}
+	buf := GetScratchI8(qgemmTier.panelsLen(m, k))
+	packPanels(*buf, w.data, k, false, m, k, qgemmTier)
+	return *buf, buf
 }
 
 // Len returns the number of weights, m×k.
 func (w QWeights) Len() int { return w.m * w.k }
 
 // qgemmB is the B operand of a quantized product: a dense row-major k×n
-// matrix (QGemm), or — when quad is set — the implicit column matrix of a
-// convolution over quad planes, whose row q is K quad q, one 32-bit word a
-// column (see QConv), or — when stem is set — the stem's, read from padded
-// pixel rows (see stemView).
+// matrix (QGemm), rows ld apart, or — when quad is set — the implicit column
+// matrix of a convolution over quad planes, whose row q is K quad q, one
+// 32-bit word a column (see QConv), or — when stem is set — the stem's, read
+// from padded pixel rows (see stemView).
 type qgemmB struct {
 	data []uint8
+	ld   int
 	quad *convView[uint32]
 	stem *stemView
 }
@@ -109,7 +108,7 @@ type qgemmB struct {
 // the four bytes of each word of plane g from dst on (see putQuads) — or,
 // when pool is set, into the pool's slabs, which it max-pools on the spot. A
 // product with an epilogue never materializes its m×n int32 matrix (see
-// qgemmBlocked).
+// qgemmDispatch).
 type qgemmEpilogue struct {
 	rq   Requant
 	dst  []uint8
@@ -157,11 +156,16 @@ func putQuads(dst, src []uint8, nc int) {
 	}
 }
 
-// qgemmDispatch routes a product to the small unblocked loop or the packed
-// blocked kernel. With ep nil it overwrites the m×n matrix c with the
-// product; with an epilogue c is unused and the requantized bytes land in
-// ep.dst. Neither way does the blocked path clear an accumulator: the first
-// k-block's kernels store instead of adding.
+// qgemmDispatch routes a product to the small unblocked loop or the blocked
+// driver, a column block at a time. With ep nil it overwrites the m×n matrix
+// c with the product; with an epilogue c is unused and the requantized bytes
+// land in ep.dst: the accumulator is one m×nc column block instead of the
+// m×n matrix, each block accumulated over every k-block and requantized
+// while it is still cache-resident. With a pooling epilogue the blocks are
+// the pool's blockRows whole output rows, each requantized and pooled while
+// it is cache-resident (see qpoolRun). Neither way does the blocked path
+// clear an accumulator: the first k-block's kernels store instead of adding.
+// A stem operand only packs panels, so it always runs the blocked driver.
 func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
 	if m == 0 || n == 0 {
 		return
@@ -172,20 +176,49 @@ func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilog
 		}
 		return
 	}
-	if m*k*n > qgemmSmallThreshold {
-		qgemmBlocked(a, b, c, m, k, n, ep)
-		return
+	t := qgemmTier
+	small := m*k*n <= gemmSmallThreshold && b.stem == nil
+	step := n
+	var panels []int8
+	var buf *[]int8
+	if !small {
+		step = t.nc
+		if ep != nil && ep.pool != nil {
+			step = ep.pool.blockRows * ep.pool.ow
+		}
+		panels, buf = a.panels(m, k)
 	}
-	if ep == nil {
-		clear(c[:m*n])
-		qgemmSmall(a.data, b, c, m, k, n)
-		return
+	var accp *[]int32
+	if ep != nil {
+		accp = GetScratchI32(m * min(step, n))
 	}
-	accp := GetScratchI32(m * n)
-	clear(*accp)
-	qgemmSmall(a.data, b, *accp, m, k, n)
-	ep.apply(*accp, m, n, 0)
-	PutScratchI32(accp)
+	b.ld = n
+	for jc := 0; jc < n; jc += step {
+		nc := min(step, n-jc)
+		cblk, cj, ldc := c, jc, n
+		if ep != nil {
+			cblk, cj, ldc = (*accp)[:m*nc], 0, nc
+		}
+		if small {
+			clear(cblk[:m*n])
+			qgemmSmall(a.data, b, cblk, m, k, n)
+		} else {
+			blocked[int8, uint8](&b, t, panels, cblk, cj, ldc, m, k, jc, nc, false)
+		}
+		switch {
+		case ep == nil:
+		case ep.pool != nil:
+			ep.pool.emit(cblk, m, nc, ep.rq)
+		default:
+			ep.apply(cblk, m, nc, jc)
+		}
+	}
+	if buf != nil {
+		PutScratchI8(buf)
+	}
+	if accp != nil {
+		PutScratchI32(accp)
+	}
 }
 
 // qgemmSmall is the unblocked path for problems too small to amortize
@@ -226,195 +259,7 @@ func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
 	}
 }
 
-// qgemmBlocked runs the packed three-level blocked product. Column panels of
-// each block fan across the shared worker pool exactly like the FP32 path;
-// panels write disjoint C regions.
-//
-// With an epilogue, the accumulator is one m×nc block instead of the m×n
-// matrix: each ncQBlock column block is accumulated over every k-block and
-// requantized into ep.dst while it is still cache-resident. With a pooling
-// epilogue the blocks are the pool's blockRows whole output rows instead, so
-// each is requantized and pooled while it is cache-resident (see qpoolRun).
-func qgemmBlocked(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
-	mPad := (m + mrQTile - 1) / mrQTile * mrQTile
-	// One P has no idle core to recruit: run serial.
-	serial := m*k*n < qgemmParallelThreshold || runtime.GOMAXPROCS(0) < 2
-	step := ncQBlock
-	if ep != nil && ep.pool != nil {
-		step = ep.pool.blockRows * ep.pool.ow
-	}
-	var accp *[]int32
-	if ep != nil {
-		accp = GetScratchI32(m * min(step, n))
-	}
-	for jc := 0; jc < n; jc += step {
-		nc := min(step, n-jc)
-		ncPanels := (nc + nrQTile - 1) / nrQTile
-		cblk, cj, ldc := c, jc, n
-		if ep != nil {
-			cblk, cj, ldc = (*accp)[:m*nc], 0, nc
-		}
-		for pc := 0; pc < k; pc += kcQBlock {
-			kc := min(kcQBlock, k-pc)
-			quads := (kc + 3) / 4
-			bbufp := GetScratchU8(ncPanels * nrQTile * quads * 4)
-			bbuf := *bbufp
-			packBQuads(bbuf, b, n, pc, kc, jc, nc)
-			for ic := 0; ic < m; ic += mcQBlock {
-				mc := min(mcQBlock, m-ic)
-				mcPanels := (mc + mrQTile - 1) / mrQTile
-				var abufp *[]int8
-				var abuf []int8
-				if a.quads != nil {
-					abuf = a.quads[mPad*pc+ic*quads*4:]
-				} else {
-					abufp = GetScratchI8(mcPanels * mrQTile * quads * 4)
-					abuf = *abufp
-					packAQuads(abuf, a.data, k, ic, mc, pc, kc)
-				}
-				blk := qgemmBlock{
-					abuf: abuf, bbuf: bbuf, c: cblk,
-					ic: ic, jc: cj, quads: quads, mc: mc, nc: nc,
-					mcPanels: mcPanels, n: ldc,
-					store: pc == 0,
-				}
-				if serial {
-					for jp := 0; jp < ncPanels; jp++ {
-						blk.panel(jp)
-					}
-				} else {
-					blk.parallel(ncPanels)
-				}
-				if abufp != nil {
-					PutScratchI8(abufp)
-				}
-			}
-			PutScratchU8(bbufp)
-		}
-		switch {
-		case ep == nil:
-		case ep.pool != nil:
-			ep.pool.emit(cblk, m, nc, ep.rq)
-		default:
-			ep.apply(cblk, m, nc, jc)
-		}
-	}
-	if accp != nil {
-		PutScratchI32(accp)
-	}
-}
-
-// qgemmBlock carries one packed block product; panel runs the micro-kernel
-// down one nrQTile-wide column panel. Same stack/heap split as gemmBlock.
-type qgemmBlock struct {
-	abuf          []int8
-	bbuf          []uint8
-	c             []int32
-	ic, jc        int
-	quads, mc, nc int
-	mcPanels, n   int
-	store         bool // overwrite C with the block product instead of adding to it
-}
-
-func (g qgemmBlock) parallel(ncPanels int) {
-	parallelFor(ncPanels, g.panel)
-}
-
-func (g *qgemmBlock) panel(jp int) {
-	var tile [mrQTile * nrQTile]int32
-	bpanel := g.bbuf[jp*nrQTile*g.quads*4:]
-	j := g.jc + jp*nrQTile
-	cols := min(nrQTile, g.nc-jp*nrQTile)
-	for ip := 0; ip < g.mcPanels; ip++ {
-		apanel := g.abuf[ip*mrQTile*g.quads*4:]
-		i := g.ic + ip*mrQTile
-		rows := min(mrQTile, g.mc-ip*mrQTile)
-		if rows == mrQTile && cols == nrQTile {
-			qgemmKernel(g.quads, apanel, bpanel, g.c[i*g.n+j:], g.n, g.store)
-			continue
-		}
-		// Edge tile: the full-size kernel stores into a scratch tile, whose
-		// valid region then replaces or joins C's.
-		qgemmKernel(g.quads, apanel, bpanel, tile[:], nrQTile, true)
-		for r := 0; r < rows; r++ {
-			crow := g.c[(i+r)*g.n+j:]
-			trow := tile[r*nrQTile:]
-			if g.store {
-				copy(crow[:cols], trow)
-				continue
-			}
-			for t := 0; t < cols; t++ {
-				crow[t] += trow[t]
-			}
-		}
-	}
-}
-
-// packAQuads copies the mc×kc block of A at (i0, p0) into quad micro-panel
-// layout: for each panel of mrQTile rows, quad q holds rows' bytes
-// [r0 k..k+3 | r1 k..k+3 | ...], zero-padded past the last valid row and past
-// kc within the final partial quad.
-func packAQuads(dst []int8, a []int8, lda, i0, mc, p0, kc int) {
-	quads := (kc + 3) / 4
-	fullQuads := kc / 4
-	di := 0
-	for ir := 0; ir < mc; ir += mrQTile {
-		rows := min(mrQTile, mc-ir)
-		if rows == mrQTile {
-			// Full panel: copy 4-byte k-groups from the four source rows.
-			base := (i0 + ir) * lda
-			r0 := a[base+p0:]
-			r1 := a[base+lda+p0:]
-			r2 := a[base+2*lda+p0:]
-			r3 := a[base+3*lda+p0:]
-			for q := 0; q < fullQuads; q++ {
-				p := q * 4
-				out := dst[di : di+16]
-				copy(out[0:4], r0[p:p+4])
-				copy(out[4:8], r1[p:p+4])
-				copy(out[8:12], r2[p:p+4])
-				copy(out[12:16], r3[p:p+4])
-				di += 16
-			}
-			if fullQuads < quads {
-				p := fullQuads * 4
-				kq := kc - p
-				out := dst[di : di+16]
-				clear(out)
-				copy(out[0:], r0[p:p+kq])
-				copy(out[4:], r1[p:p+kq])
-				copy(out[8:], r2[p:p+kq])
-				copy(out[12:], r3[p:p+kq])
-				di += 16
-			}
-			continue
-		}
-		for q := 0; q < quads; q++ {
-			p := q * 4
-			kq := min(4, kc-p)
-			for r := 0; r < mrQTile; r++ {
-				if r < rows {
-					src := (i0+ir+r)*lda + p0 + p
-					for t := 0; t < 4; t++ {
-						if t < kq {
-							dst[di+t] = a[src+t]
-						} else {
-							dst[di+t] = 0
-						}
-					}
-				} else {
-					dst[di] = 0
-					dst[di+1] = 0
-					dst[di+2] = 0
-					dst[di+3] = 0
-				}
-				di += 4
-			}
-		}
-	}
-}
-
-// packBQuads writes the kc×nc block of B at (p0, j0) into quad micro-panel
+// pack writes the kc×nc block of B at (p0, j0) into quad micro-panel
 // layout: for each panel of nrQTile columns, quad q holds per-column byte
 // groups [c0 k..k+3 | c1 k..k+3 | ...], zero-padded past the last valid
 // column and past kc within the final partial quad.
@@ -422,9 +267,9 @@ func packAQuads(dst []int8, a []int8, lda, i0, mc, p0, kc int) {
 // A quad operand's quads are words already: its rows go straight into the
 // panels as words, through the walker FP32 packs with (packConvPanels), and
 // a stem operand packs its pixels itself. A dense B's quad is four rows of
-// the block run through transposeQuad: a full one where it lies (ldb
+// the block run through transposeQuad: a full one where it lies (ld
 // apart), the ragged last one, above zero rows, from a 4×nc staging block.
-func packBQuads(dst []uint8, b qgemmB, ldb, p0, kc, j0, nc int) {
+func (b *qgemmB) pack(dst []uint8, p0, kc, j0, nc int) {
 	switch {
 	case b.stem != nil:
 		b.stem.pack(dst, p0, kc, j0, nc)
@@ -440,10 +285,10 @@ func packBQuads(dst []uint8, b qgemmB, ldb, p0, kc, j0, nc int) {
 		p, rows := p0+q*4, min(4, kc-q*4)
 		src, ld := stage, nc
 		if rows == 4 {
-			src, ld = b.data[p*ldb+j0:], ldb
+			src, ld = b.data[p*b.ld+j0:], b.ld
 		} else {
 			for t := 0; t < rows; t++ {
-				copy(stage[t*nc:(t+1)*nc], b.data[(p+t)*ldb+j0:])
+				copy(stage[t*nc:(t+1)*nc], b.data[(p+t)*b.ld+j0:])
 			}
 			clear(stage[rows*nc:])
 		}
@@ -474,36 +319,5 @@ func transposeQuad(dst []uint8, step int, src []uint8, ld, nc int) {
 			binary.LittleEndian.PutUint32(out[j*4:], w)
 		}
 		clear(out[cols*4:])
-	}
-}
-
-// qgemmKernelGeneric is the portable micro-kernel over the packed quad
-// panels: the mrQTile×nrQTile int32 tile at stride ldc accumulates `quads`
-// groups of 4 rank-1 byte updates. Used on non-amd64 builds and as the
-// runtime fallback when AVX2 is unavailable. With store set the tile is
-// cleared first.
-func qgemmKernelGeneric(quads int, a []int8, b []uint8, ctile []int32, ldc int, store bool) {
-	if store {
-		for r := 0; r < mrQTile; r++ {
-			clear(ctile[r*ldc : r*ldc+nrQTile])
-		}
-	}
-	for q := 0; q < quads; q++ {
-		ap := a[q*mrQTile*4 : (q+1)*mrQTile*4]
-		bp := b[q*nrQTile*4 : (q+1)*nrQTile*4]
-		for r := 0; r < mrQTile; r++ {
-			a0 := int32(ap[r*4])
-			a1 := int32(ap[r*4+1])
-			a2 := int32(ap[r*4+2])
-			a3 := int32(ap[r*4+3])
-			if a0|a1|a2|a3 == 0 {
-				continue
-			}
-			crow := ctile[r*ldc : r*ldc+nrQTile]
-			for j := 0; j < nrQTile; j++ {
-				bj := bp[j*4 : j*4+4]
-				crow[j] += a0*int32(bj[0]) + a1*int32(bj[1]) + a2*int32(bj[2]) + a3*int32(bj[3])
-			}
-		}
 	}
 }

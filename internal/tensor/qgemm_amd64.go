@@ -99,18 +99,3 @@ func detectVNNI() bool {
 func requantU8ASM(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8) {
 	requantU8x32(acc, dst, n, mult, beta, lo, hi)
 }
-
-// qgemmKernel runs one packed 4×16 micro-tile update (see qgemmKernelGeneric
-// for the semantics), dispatching to the best available kernel:
-// AVX512-VNNI, then AVX2, then the portable Go fallback.
-func qgemmKernel(quads int, a []int8, b []uint8, ctile []int32, ldc int, store bool) {
-	if haveVNNI {
-		qgemmKernelVNNI4x16(int64(quads), &a[0], &b[0], &ctile[0], int64(ldc), store)
-		return
-	}
-	if haveQuantASM {
-		qgemmKernel4x16(int64(quads), &a[0], &b[0], &ctile[0], int64(ldc), store)
-		return
-	}
-	qgemmKernelGeneric(quads, a, b, ctile, ldc, store)
-}

@@ -53,9 +53,3 @@ func bilinearRowsU8x8(dst *uint8, top, bot *uint64, n, wy int64) {
 func requantU8ASM(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8) {
 	panic("tensor: requantU8ASM without assembly support")
 }
-
-// qgemmKernel runs one packed 4×16 micro-tile update on platforms without an
-// assembly kernel.
-func qgemmKernel(quads int, a []int8, b []uint8, ctile []int32, ldc int, store bool) {
-	qgemmKernelGeneric(quads, a, b, ctile, ldc, store)
-}

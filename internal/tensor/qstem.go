@@ -127,7 +127,7 @@ func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint
 	ep := qgemmEpilogue{rq: st.RQ, ld: oh * ow}
 	var pool qpoolRun
 	if st.Pool.K > 0 {
-		pool = qpoolRun{spec: st.Pool, ow: ow, poh: outH, pow: outW, blockRows: max(qstemBlockCols/ow, 1)}
+		pool = qpoolRun{poolWindow: poolWindow{spec: st.Pool, ow: ow, poh: outH, pow: outW}, blockRows: max(qstemBlockCols/ow, 1)}
 		pool.cap = pool.blockRows + st.Pool.K - 1
 		pool.buf = a.GetU8(planes * 4 * pool.cap * ow)
 		ep.pool = &pool
@@ -139,7 +139,7 @@ func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint
 		} else {
 			ep.dst = y[i*ol:]
 		}
-		qgemmBlocked(st.W, qgemmB{stem: &view}, nil, s.OutC, k, convH*ow, &ep)
+		qgemmDispatch(st.W, qgemmB{stem: &view}, nil, s.OutC, k, convH*ow, &ep)
 	}
 	a.PutU8(view.buf)
 	if ep.pool != nil {
@@ -206,7 +206,7 @@ func setRun(run []uint8, lo, hi int, src []uint8, step int, lut *[256]uint8, fil
 }
 
 // pack writes the kc×nc block of the column matrix at (p0, j0) into quad
-// micro-panel layout (see packBQuads). p0 and kc are multiples of 4, so the
+// micro-panel layout (see qgemmB.pack). p0 and kc are multiples of 4, so the
 // block's quads are the taps p0/4 …; each output row's run of columns is,
 // per tap, one run of consecutive words of one padded row, spread across the
 // panels by spreadQuads. Columns past nc in the last panel read zero.
@@ -254,45 +254,27 @@ func spreadQuads(dst []uint8, step, c, n int, src []uint8) {
 
 // qpoolRun is poolRun for the INT8 stem: the blocked driver hands it each
 // block's int32 accumulators — whole output rows of the convolution, in
-// order — and emit requantizes them into each quad plane's slab below the
-// rows carried over from the block before (a window overhangs its block by
-// up to K-1 rows), pools every window they complete with poolQuadRows and
-// moves the rows later windows still need to the slab's head. Each pooled
-// row is the one MaxPoolQuadsInto computes from the materialized output.
+// order — and emit requantizes them into each quad plane's slab of buf, then
+// pools every window they complete with poolQuadRows. Each pooled row is the
+// one MaxPoolQuadsInto computes from the materialized output.
 type qpoolRun struct {
-	spec      PoolSpec
-	ow        int
-	poh, pow  int
+	poolWindow
 	blockRows int     // rows per block the driver hands over (the last may be fewer)
 	dst       []uint8 // the image's pooled output: ⌈m/4⌉ quad planes of poh×pow
 	buf       []uint8 // ⌈m/4⌉ quad slabs of cap rows
-	cap       int     // rows per slab: blockRows + K-1
-	base      int     // the output row held in slab row 0
-	held      int     // rows carried from earlier blocks: slab rows [0, held)
-	py        int     // next pooled row to emit
 }
 
 // emit takes the m×nc accumulator block acc (nc whole rows of ow columns).
 func (r *qpoolRun) emit(acc []int32, m, nc int, rq Requant) {
-	k, stride, ow := r.spec.K, r.spec.Stride, r.ow
-	ld := r.cap * ow // words per slab
+	ow, ld := r.ow, r.cap*r.ow // words per slab
 	e := qgemmEpilogue{rq: rq, dst: r.buf[r.held*ow*4:], ld: ld}
 	e.apply(acc, m, nc, 0)
-	end := r.base + r.held + nc/ow // rows [base, end) are held
-	done := r.py
-	if end >= k {
-		done = max(done, min((end-k)/stride+1, r.poh))
-	}
-	keep := end // first row a later window reads
-	if done < r.poh {
-		keep = min(max(done*stride, r.base), end)
-	}
+	py, done, first, keep, end := r.advance(nc / ow)
 	for g := 0; g < quadPlanes(m); g++ {
 		slab := r.buf[g*ld*4 : (g+1)*ld*4]
-		if done > r.py {
-			poolQuadRows(r.dst[(g*r.poh+r.py)*r.pow*4:(g*r.poh+done)*r.pow*4], r.pow, done-r.py, slab[(r.py*stride-r.base)*ow*4:], ow, r.spec)
+		if done > py {
+			poolQuadRows(r.dst[(g*r.poh+py)*r.pow*4:(g*r.poh+done)*r.pow*4], r.pow, done-py, slab[first*ow*4:], ow, r.spec)
 		}
-		copy(slab, slab[(keep-r.base)*ow*4:(end-r.base)*ow*4])
+		copy(slab, slab[keep*ow*4:end*ow*4])
 	}
-	r.base, r.held, r.py = keep, end-keep, done
 }

@@ -29,14 +29,15 @@ func TestQGemmKernelMatchesGeneric(t *testing.T) {
 		for i := range init {
 			init[i] = int32(rng.Intn(1000) - 500)
 		}
+		portable := func(c []int32, store bool) { tileGeneric(4*quads, 4, a, b, c, nrQTile, mrQTile, nrQTile, store) }
 		for _, store := range []bool{false, true} {
 			want := append([]int32(nil), init...)
 			if store {
 				clear(want)
 			}
-			qgemmKernelGeneric(quads, a, b, want, nrQTile, false)
+			portable(want, false)
 			got := append([]int32(nil), init...)
-			qgemmKernelGeneric(quads, a, b, got, nrQTile, store)
+			portable(got, store)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("portable quads=%d store=%v: tile[%d]=%d want %d", quads, store, i, got[i], want[i])
@@ -106,7 +107,7 @@ func TestQGemmKernelWrapsLikeGeneric(t *testing.T) {
 		}
 		for _, store := range []bool{false, true} {
 			want := append([]int32(nil), init...)
-			qgemmKernelGeneric(quads, a, b, want, nrQTile, store)
+			tileGeneric(4*quads, 4, a, b, want, nrQTile, mrQTile, nrQTile, store)
 			if !store && want[0] >= 0 {
 				t.Fatalf("quads=%d: tile[0]=%d did not wrap; the test no longer reaches the overflow it is about", quads, want[0])
 			}
@@ -131,19 +132,20 @@ func TestQGemmKernelWrapsLikeGeneric(t *testing.T) {
 }
 
 // TestQGemmKernelNameMatchesDetection pins the INT8 dispatch beside
-// TestGemmKernelNameMatchesDetection: the reported tier is the one the flags
-// select, and the VNNI kernel — ZMM width — is never selected where 512-bit
-// execution is not (an old part, or PERCIVAL_NO_AVX512).
+// TestGemmKernelNameMatchesDetection: the tier descriptor is the one the
+// flags select, and the VNNI kernel — ZMM width — is never selected where
+// 512-bit execution is not (an old part, or PERCIVAL_NO_AVX512).
 func TestQGemmKernelNameMatchesDetection(t *testing.T) {
-	want := "portable"
+	want, kind := "portable", tierKindQuad
 	switch {
 	case haveVNNI:
-		want = "avx512-vnni-4x16"
+		want, kind = "avx512-vnni-4x16", tierKindQuadVNNI
 	case haveQuantASM:
-		want = "avx2-4x16"
+		want, kind = "avx2-4x16", tierKindQuadAVX2
 	}
-	if got := QGemmKernelName(); got != want {
-		t.Fatalf("QGemmKernelName()=%q want %q (haveQuantASM=%v haveVNNI=%v)", got, want, haveQuantASM, haveVNNI)
+	if got := QGemmKernelName(); got != want || qgemmTier.name != want || qgemmTier.kind != kind {
+		t.Fatalf("QGemmKernelName()=%q, tier %q kind %d, want %q kind %d (haveQuantASM=%v haveVNNI=%v)",
+			got, qgemmTier.name, qgemmTier.kind, want, kind, haveQuantASM, haveVNNI)
 	}
 	if haveVNNI && !haveAVX512 {
 		t.Fatal("haveVNNI without haveAVX512: the ZMM kernel would run where 512-bit execution is switched off")
@@ -152,18 +154,25 @@ func TestQGemmKernelNameMatchesDetection(t *testing.T) {
 
 // quantTiers lists the tiers this CPU can run, portable first.
 func quantTiers() []quantTier {
-	tiers := []quantTier{{name: "portable"}}
+	tier := func(name string, kind uint8) gemmTierT {
+		t := qgemmTier
+		t.name, t.kind = name, kind
+		return t
+	}
+	tiers := []quantTier{{gemmTierT: tier("portable", tierKindQuad)}}
 	if haveFMA {
-		tiers = append(tiers, quantTier{name: "avx2", asm: true})
+		tiers = append(tiers, quantTier{gemmTierT: tier("avx2-4x16", tierKindQuadAVX2), asm: true})
 	}
 	if detectVNNI() {
-		tiers = append(tiers, quantTier{name: "vnni", asm: true, vnni: true})
+		tiers = append(tiers, quantTier{gemmTierT: tier("avx512-vnni-4x16", tierKindQuadVNNI), asm: true, vnni: true})
 	}
 	return tiers
 }
 
-func currentQuantTier() quantTier { return quantTier{asm: haveQuantASM, vnni: haveVNNI} }
+func currentQuantTier() quantTier {
+	return quantTier{gemmTierT: qgemmTier, asm: haveQuantASM, vnni: qgemmTier.kind == tierKindQuadVNNI}
+}
 
-// useQuantTier switches the dispatch flags; tests restore the detected tier
-// with defer useQuantTier(currentQuantTier()).
-func useQuantTier(q quantTier) { haveQuantASM, haveVNNI = q.asm, q.vnni }
+// useQuantTier installs the tier's descriptor and row-helper flag; tests
+// restore the detected tier with defer useQuantTier(currentQuantTier()).
+func useQuantTier(q quantTier) { qgemmTier, haveQuantASM = q.gemmTierT, q.asm }

@@ -2,10 +2,9 @@
 
 package tensor
 
-// Without assembly the portable tier is the only one, and switching to it
-// does nothing.
-func quantTiers() []quantTier { return []quantTier{{name: "portable"}} }
+// Without assembly the portable tier is the only one.
+func quantTiers() []quantTier { return []quantTier{{gemmTierT: qgemmTier}} }
 
-func currentQuantTier() quantTier { return quantTier{name: "portable"} }
+func currentQuantTier() quantTier { return quantTier{gemmTierT: qgemmTier} }
 
-func useQuantTier(quantTier) {}
+func useQuantTier(q quantTier) { qgemmTier = q.gemmTierT }

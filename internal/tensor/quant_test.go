@@ -13,8 +13,8 @@ import (
 // kernel. quantTiers, currentQuantTier and useQuantTier are per-architecture
 // (quant_amd64_test.go, quant_noasm_test.go).
 type quantTier struct {
-	name      string
-	asm, vnni bool
+	gemmTierT      // the descriptor useQuantTier installs as qgemmTier
+	asm, vnni bool // haveQuantASM under it (the byte and float helpers); a VNNI kernel
 }
 
 // qgemmRef is the naive int32 reference product for the quantized GEMM.
@@ -55,6 +55,8 @@ func TestQGemmMatchesReference(t *testing.T) {
 		{1, 1, 1}, {3, 5, 7}, {4, 16, 16}, {6, 3, 33},
 		{16, 96, 49}, {5, 7, 129}, {96, 196, 50}, {13, 200, 37},
 		{64, 147, 121}, {2, 513, 18},
+		// M past one mcQBlock, N past one ncQBlock.
+		{133, 40, 20}, {5, 20, 4113},
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]

@@ -7,7 +7,8 @@ import (
 )
 
 // The package keeps one persistent pool of worker goroutines, sized by
-// GOMAXPROCS, that every parallel kernel (all three GEMM variants) shares.
+// GOMAXPROCS, that every parallel kernel shares: the blocked driver's column
+// panels (see blocked), for both engines and every GEMM variant.
 // Spawning goroutines per GEMM call — the previous design — costs scheduler
 // round-trips on every convolution; the pool pays that cost once.
 //
