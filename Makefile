@@ -1,7 +1,8 @@
 # Development targets. `make check` is the gate every change must pass: it
 # includes a gofmt cleanliness check, a cross-architecture vet, a second run
 # of the kernel-facing packages on the AVX2 tiers and a race-detector run over
-# the packages that share the GEMM worker pool and the inference arena.
+# the packages that share the GEMM worker pool and the compiled forward plans
+# (each inference state runs them in its own arena).
 
 GO ?= go
 
@@ -54,8 +55,11 @@ test:
 test-avx2:
 	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 ./internal/tensor/ ./internal/nn/ ./internal/engine/ ./internal/imaging/
 
+# The browser run is the real raster pipeline driving one backend from
+# several raster workers, synchronously and through the serving stack.
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/imaging/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
+	$(GO) test -race -run 'TestInspector|TestAsyncServe' ./internal/browser/
 
 # Native Go fuzzing smoke pass over the nine decoders that face untrusted
 # input (EasyList rules, HTML, the persistent-socket wire framing, the

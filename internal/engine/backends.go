@@ -12,8 +12,9 @@ const (
 	Int8Name = "int8"
 )
 
-// FP32Backend runs inference on the float32 arena fast path
-// (nn.PredictArena over the trained Sequential).
+// FP32Backend runs inference on the float32 forward plan (nn.PredictArena
+// over the trained Sequential). Each frame is scaled into the plan's byte
+// region and converted into its slot of the plan's input region.
 type FP32Backend struct {
 	base
 	net *nn.Sequential
@@ -28,12 +29,13 @@ func NewFP32(net *nn.Sequential, res int) *FP32Backend {
 		name: FP32Name,
 		res:  res,
 		infer: func(st *inferState, chunk []*imaging.Bitmap) *tensor.Tensor {
-			x := st.arena.GetTensor(len(chunk), 4, res, res)
+			x, pix := nn.InputArena(net, st.arena, len(chunk), 4, res, res)
+			scaled := imaging.Bitmap{W: res, H: res, Pix: pix}
 			for i, f := range chunk {
-				imaging.ResizeBilinearInto(f, st.scaled)
-				imaging.ToTensorInto(st.scaled, x.Data[i*per:(i+1)*per])
+				imaging.ResizeBilinearInto(f, &scaled)
+				imaging.ToTensorInto(&scaled, x.Data[i*per:(i+1)*per])
 			}
-			return nn.PredictArenaOwned(net, x, st.arena)
+			return nn.PredictArena(net, x, st.arena)
 		},
 	}
 	return b
@@ -50,9 +52,10 @@ func (b *FP32Backend) Replicate() Backend { return NewFP32(b.net, b.res) }
 
 // Int8Backend runs inference on the quantized INT8 engine. Frames reach the
 // network as the scaled bitmaps' bytes: each frame is resized straight into
-// the input buffer, whose pixels the network's stem maps through its input
-// table as it reads them (nn.QuantizedSequential.PredictArenaU8), so no
-// float tensor and no planes are built, and none sits in the warm state.
+// the plan's input region, whose pixels the network's stem maps through its
+// input table as it reads them (nn.QuantizedSequential.PredictArenaU8), so
+// no float tensor, no planes and no separate scaled frame are built, and
+// none sits in the warm state.
 type Int8Backend struct {
 	base
 	qnet *nn.QuantizedSequential
@@ -67,7 +70,7 @@ func NewInt8(qnet *nn.QuantizedSequential, res int) *Int8Backend {
 		name: Int8Name,
 		res:  res,
 		infer: func(st *inferState, chunk []*imaging.Bitmap) *tensor.Tensor {
-			pix := st.arena.GetU8(len(chunk) * per)
+			pix := qnet.InputArenaU8(st.arena, len(chunk), res, res)
 			scaled := imaging.Bitmap{W: res, H: res}
 			for i, f := range chunk {
 				scaled.Pix = pix[i*per : (i+1)*per]

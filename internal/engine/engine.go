@@ -10,11 +10,11 @@
 // Classify/ClassifyBatch/ClassifyBatchInto), and internal/serve could only
 // dispatch to the single core.Percival it was constructed with. Backends
 // pull that branching out: each backend owns its warm per-goroutine
-// inference state (tensor arena + scaled-frame buffer), so a serve shard
-// can hold its own replica and never contend with its neighbours for arena
-// buffers.
+// inference state (a tensor arena whose slabs hold every buffer of the
+// network's forward plan, the scaled frame included), so a serve shard can
+// hold its own replica and never contend with its neighbours for them.
 //
-// Arena-ownership rule: one Backend value owns one list of warm states, as
+// State-ownership rule: one Backend value owns one list of warm states, as
 // many as the peak number of goroutines that were inside it at once (one
 // per serve lane, one per raster worker). The list is the backend's own,
 // not a sync.Pool: the collector empties a pool after two cycles without
@@ -35,10 +35,11 @@ import (
 
 // BatchChunk caps the frames per forward pass. Activation buffers scale
 // with batch size and a warm state keeps its high-water mark for the life
-// of the backend (1.9 MB a frame for the FP32 paper net, 1.6 MB for the INT8
-// one), so an unbounded batch (a 100-image search page at paper resolution)
-// would pin hundreds of MB; chunking keeps the pre-processing amortization
-// while bounding a state to the footprint of one BatchChunk-frame pass.
+// of the backend (about 2 MB a frame for the FP32 paper net, 0.6 MB for the
+// INT8 one), so an unbounded batch (a 100-image search page at paper
+// resolution) would pin hundreds of MB; chunking keeps the pre-processing
+// amortization while bounding a state to the footprint of one
+// BatchChunk-frame pass.
 const BatchChunk = 16
 
 // Stats are a backend's dispatch counters, readable while it serves.
@@ -53,10 +54,11 @@ type Stats struct {
 	// backends never fail open, so they always report 0.
 	Errors int64
 	// StateBytes is the warm inference state the backend retains: over
-	// every state it has created and not dropped, the arena's buffers
-	// (float activations for FP32; byte activations and int32 accumulators
-	// for INT8) plus the scaled-frame bitmap, as of each state's last
-	// return. Remote backends hold none and report 0.
+	// every state it has created and not dropped, the size of its arena's
+	// slabs as of its last return — exactly what the largest forward plan
+	// it ran lays out (FP32: float activations and scratch, and the scaled
+	// frame's bytes; INT8: byte activations and scratch, int32
+	// accumulators, the logits). Remote backends hold none and report 0.
 	StateBytes int64
 }
 
@@ -127,23 +129,22 @@ func chunkKeys(keys [][32]byte, lo, hi int) [][32]byte {
 	return keys[lo:hi]
 }
 
-// inferState bundles the reusable per-goroutine inference resources: a warm
-// tensor arena holding every buffer one forward pass needs, plus the scaled
-// bitmap the pre-processing writes into.
+// inferState is one goroutine's reusable inference memory: a warm tensor
+// arena holding every buffer one forward pass needs.
 type inferState struct {
-	arena  *tensor.Arena
-	scaled *imaging.Bitmap
+	arena *tensor.Arena
 	// counted is this state's share of base.stateBytes.
 	counted int64
 }
 
-// inferFn scores one chunk of frames (at most BatchChunk) with st's
-// buffers: it scales each frame and lays it out as the network's input in a
-// buffer drawn from st.arena — float planes converted from st.scaled for
-// FP32, the scaled bitmaps' own bytes for INT8, the one point where the
-// engines differ — and runs the forward pass, which returns that buffer to
-// the arena once the first layer has read it. The [len(chunk), classes]
-// probabilities it hands back are the caller's to PutTensor.
+// inferFn scores one chunk of frames (at most BatchChunk) in st's arena: it
+// scales each frame and lays it out as the network's input in the plan's
+// input region — float planes converted from a scaled frame in the plan's
+// byte region for FP32, the scaled bitmaps' own bytes for INT8, the one
+// point where the engines differ — and runs the forward pass, whose later
+// stages reuse that region once the first has read it. The
+// [len(chunk), classes] probabilities it hands back are a view of the arena,
+// read before its next pass.
 type inferFn func(st *inferState, chunk []*imaging.Bitmap) *tensor.Tensor
 
 // base carries the engine-independent machinery: warm states, chunking and
@@ -182,13 +183,13 @@ func (b *base) getState() *inferState {
 	}
 	b.mu.Unlock()
 	if st == nil {
-		st = &inferState{arena: tensor.NewArena(), scaled: imaging.NewBitmap(b.res, b.res)}
+		st = &inferState{arena: tensor.NewArena()}
 	}
 	return st
 }
 
 func (b *base) putState(st *inferState) {
-	size := int64(st.arena.Bytes() + len(st.scaled.Pix))
+	size := int64(st.arena.Bytes())
 	b.mu.Lock()
 	b.stateBytes += size - st.counted
 	st.counted = size
@@ -197,7 +198,7 @@ func (b *base) putState(st *inferState) {
 }
 
 // InferBatchInto scores frames in chunked forward passes, amortizing
-// pre-processing through the warm arena and scaled-frame buffer.
+// pre-processing through the warm arena.
 func (b *base) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64 {
 	if len(frames) == 0 {
 		return out[:0]
@@ -215,7 +216,6 @@ func (b *base) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64
 		for i := range chunk {
 			out[lo+i] = float64(probs.Data[i*k+1]) // class 1 = ad
 		}
-		st.arena.PutTensor(probs)
 		b.batches.Add(1)
 	}
 	b.putState(st)
@@ -225,17 +225,10 @@ func (b *base) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64
 
 // Warm runs one forward pass at the largest chunk a batch of up to maxBatch
 // frames can produce; the state it leaves serves every smaller batch
-// without allocating. Every buffer of a pass scales with the batch or not
-// at all, so each request of a smaller batch is no larger than the same
-// request of this pass; what has to hold is that best-fit hands it a buffer
-// that fit that request here. For the FP32 paper net it is the same buffer:
-// the pass leaves two (input, pooled stem output), the input takes the
-// smaller at any batch, and from then on one is out whenever the next is
-// drawn, so the two alternate down the chain exactly as they did here. The
-// INT8 pass keeps more u8 buffers and best-fit has choices among them that
-// no general argument covers; TestWarmOnceCoversEveryBatchSize pins both
-// engines at every size in ascending, descending and shuffled order. A miss
-// would be one allocation on the serving path, kept from then on.
+// without allocating. The pass runs the network's forward plan for exactly
+// that chunk (compiled on its first use), sizes the state's arena to it and
+// records it there; a smaller batch runs in the same plan, a prefix of each
+// of its regions.
 func (b *base) Warm(maxBatch int) {
 	if maxBatch < 1 {
 		maxBatch = 1

@@ -10,42 +10,28 @@ import (
 	"percival/internal/tensor"
 )
 
-// poisonArena overwrites every free buffer of a, end to end, with values no
-// kernel could mistake for its own output: NaN floats, 0xFF bytes, -1
-// accumulators.
+// poisonArena overwrites a's slabs, end to end, with values no kernel could
+// mistake for its own output: NaN floats, 0xFF bytes, -1 accumulators.
 func poisonArena(a *tensor.Arena) {
-	poisonFree(a, a.Get, a.Put, float32(math.NaN()))
-	poisonFree(a, a.GetU8, a.PutU8, 0xFF)
-	poisonFree(a, a.GetI32, a.PutI32, -1)
-}
-
-// poisonFree drains one of a's free lists through get(1) — a draw that
-// grows Bytes was a miss, so the list is empty — fills each buffer to its
-// capacity with v and puts it back.
-func poisonFree[T any](a *tensor.Arena, get func(int) []T, put func([]T), v T) {
-	var drained [][]T
-	for before := a.Bytes(); ; {
-		b := get(1)
-		if a.Bytes() != before {
-			break
-		}
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = v
-		}
-		drained = append(drained, b)
+	f, u, i := a.Slabs(0, 0, 0)
+	for j := range f {
+		f[j] = float32(math.NaN())
 	}
-	for _, b := range drained {
-		put(b)
+	for j := range u {
+		u[j] = 0xFF
+	}
+	for j := range i {
+		i[j] = -1
 	}
 }
 
-// TestForwardInferIgnoresArenaGarbage pins the property a best-fit arena
-// leans on: buffers come back holding another layer's or another batch
-// size's bytes, inside [:n] and beyond it, so no kernel may read what it did
-// not write. Each engine runs on an arena warmed at batch 3 and then
-// poisoned, at batch 3 and at batch 1 (every buffer larger than its
-// request), and must reproduce a fresh arena's output bit for bit.
+// TestForwardInferIgnoresArenaGarbage pins the property a forward plan
+// leans on: its regions hold another stage's, another batch size's or
+// another network's bytes, inside what a pass uses and beyond it, so no
+// kernel may read what it did not write. Each engine runs on an arena warmed
+// at batch 3 and then poisoned whole, at batch 3 and at batch 1 (every
+// region larger than the pass uses), and must reproduce a fresh arena's
+// output bit for bit.
 func TestForwardInferIgnoresArenaGarbage(t *testing.T) {
 	net, err := squeezenet.Build(squeezenet.PaperConfig())
 	if err != nil {
@@ -72,9 +58,9 @@ func TestForwardInferIgnoresArenaGarbage(t *testing.T) {
 	}{
 		{"fp32", net.ForwardInfer},
 		{"fp32-arena-input", func(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-			in := a.GetTensor(x.Shape...)
+			in, _ := nn.InputArena(net, a, x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3])
 			copy(in.Data, x.Data)
-			return nn.PredictArenaOwned(net, in, a)
+			return nn.PredictArena(net, in, a)
 		}},
 		{"int8", qnet.ForwardInfer},
 	}

@@ -6,83 +6,169 @@ import (
 	"percival/internal/tensor"
 )
 
-// This file implements the zero-allocation inference path. Unlike
-// Layer.Forward, which allocates a fresh output tensor per layer, the infer
-// path draws every intermediate buffer from a tensor.Arena and returns each
-// layer's input to the arena as soon as it has been consumed. After one
-// warm-up pass the arena's free lists hold every buffer the network needs and
-// a forward pass performs no heap allocation.
-//
-// Ownership protocol: forwardInfer receives `owned` reporting whether x
-// belongs to the arena. A layer that produces a new output from an owned
-// input must PutTensor the input; in-place layers pass ownership through.
-// The tensor returned by ForwardInfer/PredictArena is arena-owned: callers
-// copy out what they need, then PutTensor it (or stop using the arena).
+// This file is the FP32 inference path. Layer.Forward allocates a fresh
+// output per layer and stays the reference a pass is tested against; a pass
+// here runs the network's forward plan (plan.go) in a tensor.Arena. The
+// first pass at an input shape compiles the plan: each Conv2D with the ReLU
+// and unpadded MaxPool behind it is one stage, a Fire is its three
+// convolutions with the expands writing their slots of the concatenation,
+// nested Sequentials are flattened, and every activation and stage scratch
+// gets its place in the arena's float slab. Once the arena has run the plan
+// a pass allocates nothing. The tensors a pass returns are views of the
+// arena: copy out what you need before its next pass.
 
-// inferLayer is implemented by layers that support arena-backed inference.
-// Layers without it fall back to Forward(x, false) and their outputs are
-// treated as heap-owned.
-type inferLayer interface {
-	forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool)
-}
+// Stage kinds of an FP32 plan.
+const (
+	stageConv    = iota // a tensor.ConvStage: conv, bias, optional ReLU and pool
+	stageReLU           // a ReLU behind no convolution, never in place
+	stagePool           // a max pool behind no convolution
+	stageGAP            // global average pooling to [N,C]
+	stageSoftmax        // the probabilities PredictArena returns
+)
 
-// ForwardInfer runs an inference-mode forward pass drawing all intermediate
-// buffers from a. The returned tensor is owned by the arena: copy out any
-// values before returning it (or the arena) to a pool. An adjacent Conv2D,
-// ReLU and unpadded MaxPool run as one stage.
-func (s *Sequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return s.forwardInferArena(x, a, false)
-}
-
-// forwardInferArena is ForwardInfer with the caller saying whether x is a's.
-func (s *Sequential) forwardInferArena(x *tensor.Tensor, a *tensor.Arena, owned bool) *tensor.Tensor {
-	y, owned := s.forwardInfer(x, a, owned)
-	if !owned {
-		// Normalize the contract: hand back an arena-owned copy so callers
-		// can treat the result uniformly. Only reachable when the network is
-		// empty or ends in a non-arena layer.
-		c := a.GetTensor(y.Shape...)
-		copy(c.Data, y.Data)
-		return c
-	}
-	return y
-}
-
-// forwardInfer implements inferLayer, peephole-fusing a Conv2D with the ReLU
-// and then the unpadded MaxPool that follow it: the pool runs in the
-// convolution's epilogue and the convolution's own output — the paper net's
-// largest tensor, 4.8 MB a frame after the stem — is never written.
-func (s *Sequential) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	for i := 0; i < len(s.Layers); i++ {
-		l := s.Layers[i]
-		if c, ok := l.(*Conv2D); ok {
-			st := c.stage()
-			if i+1 < len(s.Layers) {
-				if _, isRelu := s.Layers[i+1].(*ReLU); isRelu {
-					st.ReLU = true
-					i++
-				}
+// compilePlan compiles layers' forward pass into p, for images of
+// p.key.c×h×w. A layer without an inference stage, or one that cannot take
+// its input, panics here, before any pass runs.
+func compilePlan(p *plan, layers []Layer) {
+	k := p.key
+	cur := p.newAct(k.c, k.h, k.w)
+	flat := flatten(nil, layers)
+	for i := 0; i < len(flat); i++ {
+		switch l := flat[i].(type) {
+		case *Conv2D:
+			st := stage{kind: stageConv, conv: l}
+			if _, ok := next(flat, i).(*ReLU); ok {
+				st.relu, i = true, i+1
 			}
-			if i+1 < len(s.Layers) {
-				if m, isPool := s.Layers[i+1].(*MaxPool); isPool && m.Spec.Pad == 0 {
-					st.Pool = m.Spec
-					i++
-				}
+			if m, ok := next(flat, i).(*MaxPool); ok && k.fuse && m.Spec.Pad == 0 {
+				st.pool, i = m.Spec, i+1
 			}
-			x, owned = c.inferStage(&st, x, a, owned)
-			continue
+			cur = p.addConv(st, cur, -1)
+		case *Fire:
+			sq := p.addConv(stage{kind: stageConv, conv: l.Squeeze, relu: true}, cur, -1)
+			y := p.newAct(l.OutChannels(), p.dims[sq][1], p.dims[sq][2])
+			p.addConv(stage{kind: stageConv, conv: l.Expand1, relu: true}, sq, y)
+			cur = p.addConv(stage{kind: stageConv, conv: l.Expand3, relu: true, chOff: l.Expand1.Spec.OutC}, sq, y)
+		case *ReLU:
+			cur = p.add(stage{kind: stageReLU}, cur, p.newAct(p.dims[cur]...), slabF32, 0, 0)
+		case *MaxPool:
+			c, h, w := p.image(cur, l.Name())
+			oh, ow := l.Spec.OutSize(h, w)
+			cur = p.add(stage{kind: stagePool, pool: l.Spec}, cur, p.newAct(c, oh, ow), slabF32, l.Spec.ScratchLen(w), 0)
+		case *GlobalAvgPool:
+			c, _, _ := p.image(cur, l.Name())
+			cur = p.add(stage{kind: stageGAP}, cur, p.newAct(c), slabF32, 0, 0)
+		case *Dropout: // the identity at inference
+		default:
+			panic(fmt.Sprintf("nn: layer %s (%T) has no inference stage", l.Name(), l))
 		}
-		if il, ok := l.(inferLayer); ok {
-			x, owned = il.forwardInfer(x, a, owned)
-			continue
-		}
-		y := l.Forward(x, false)
-		if owned && y != x {
-			a.PutTensor(x)
-		}
-		x, owned = y, owned && y == x
 	}
-	return x, owned
+	p.logits = cur
+	p.probs = p.add(stage{kind: stageSoftmax}, cur, p.newAct(p.dims[cur][0]), slabF32, 0, 0)
+	p.pix = p.region(region{slab: slabU8, size: k.h * k.w * 4})
+}
+
+// flatten appends layers to dst with every nested Sequential spliced in.
+func flatten(dst, layers []Layer) []Layer {
+	for _, l := range layers {
+		if s, ok := l.(*Sequential); ok {
+			dst = flatten(dst, s.Layers)
+		} else {
+			dst = append(dst, l)
+		}
+	}
+	return dst
+}
+
+// next returns the layer after flat[i], or nil.
+func next(flat []Layer, i int) Layer {
+	if i+1 < len(flat) {
+		return flat[i+1]
+	}
+	return nil
+}
+
+// newAct adds a float activation of shape dims an image.
+func (p *plan) newAct(dims ...int) int {
+	per := 1
+	for _, d := range dims {
+		per *= d
+	}
+	i := p.act(slabF32, per)
+	p.dims[i] = dims
+	return i
+}
+
+// image returns activation i's channels and size, or panics naming the
+// layer that wanted an image.
+func (p *plan) image(i int, name string) (c, h, w int) {
+	if d := p.dims[i]; len(d) == 3 {
+		return d[0], d[1], d[2]
+	}
+	panic(fmt.Sprintf("nn: %s: input shape %s, want [N,C,H,W]", name, shapeStr(p.dims[i])))
+}
+
+// addConv adds st over activation in into out — when out is -1, a new
+// activation of the convolution's (or its pool's) output — and returns out.
+func (p *plan) addConv(st stage, in, out int) int {
+	s, d := st.conv.Spec, p.dims[in]
+	if len(d) != 3 || d[0] != s.InC {
+		panic(fmt.Sprintf("nn: conv %s: input shape %s, want [N,%d,H,W]", st.conv.name, shapeStr(d), s.InC))
+	}
+	if out < 0 {
+		oh, ow := s.OutSize(d[1], d[2])
+		if st.pool.K > 0 {
+			oh, ow = st.pool.OutSize(oh, ow)
+		}
+		out = p.newAct(s.OutC, oh, ow)
+	}
+	cs := tensor.ConvStage{Spec: s, ReLU: st.relu, Pool: st.pool}
+	return p.add(st, in, out, slabF32, cs.ScratchLen(d[1], d[2]), 0)
+}
+
+// run makes one pass of x's n images through p in a, calling observe, when
+// set, with each convolution and its output. It returns the logits and the
+// probabilities, views of a.
+func (p *plan) run(x *tensor.Tensor, a *tensor.Arena, observe func(*Conv2D, []float32)) (logits, probs *tensor.Tensor) {
+	n := x.Shape[0]
+	f, _, _ := p.slabsIn(a)
+	ts := a.Tensors(len(p.dims))
+	for i := 1; i < len(ts); i++ {
+		if p.dims[i] != nil {
+			ts[i].Shape = append(append(ts[i].Shape[:0], n), p.dims[i]...)
+			ts[i].Data = view(f, &p.regions[i], n)
+		}
+	}
+	for i := range p.stages {
+		st := &p.stages[i]
+		in, out, scratch := x, &ts[st.out], view(f, &p.regions[st.scratch], n)
+		if st.in > 0 {
+			in = &ts[st.in]
+		}
+		switch st.kind {
+		case stageConv:
+			c := st.conv
+			cs := tensor.ConvStage{Spec: c.Spec, W: c.Wt.W.Data, Packed: c.packedWeights(), Bias: c.Bias.W.Data, ReLU: st.relu, Pool: st.pool}
+			cs.ForwardInto(in, out, st.chOff, scratch)
+			if observe != nil {
+				observe(c, out.Data)
+			}
+		case stageReLU:
+			for j, v := range in.Data {
+				if v < 0 {
+					v = 0
+				}
+				out.Data[j] = v
+			}
+		case stagePool:
+			tensor.MaxPoolForwardInto(in, st.pool, out, scratch)
+		case stageGAP:
+			tensor.GlobalAvgPoolInto(in, out.Data)
+		case stageSoftmax:
+			tensor.SoftmaxInto(in, out.Data)
+		}
+	}
+	return &ts[p.logits], &ts[p.probs]
 }
 
 // packedWeights returns the weights' GEMM panels, packed on first use and
@@ -100,116 +186,43 @@ func (c *Conv2D) packedWeights() *tensor.PackedWeights {
 	return p.weights
 }
 
-// stage returns the convolution as an inference stage with packed weights;
-// callers add the ReLU and pool they fuse behind it.
-func (c *Conv2D) stage() tensor.ConvStage {
-	return tensor.ConvStage{Spec: c.Spec, W: c.Wt.W.Data, Packed: c.packedWeights(), Bias: c.Bias.W.Data}
+// plan returns the plan a runs n images of c×h×w in (see planCache.get).
+func (s *Sequential) plan(a *tensor.Arena, n, c, h, w int, fuse bool) *plan {
+	return s.plans.get(a, planKey{c: c, h: h, w: w, fuse: fuse}, n, func(p *plan) { compilePlan(p, s.Layers) })
 }
 
-// inferStage runs st — c's stage — from x into a fresh arena tensor.
-func (c *Conv2D) inferStage(st *tensor.ConvStage, x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	if len(x.Shape) != 4 || x.Shape[1] != c.Spec.InC {
-		panic(fmt.Sprintf("nn: conv %s: input shape %s, want [N,%d,H,W]", c.name, shapeStr(x.Shape), c.Spec.InC))
+// forward runs the fused plan for x ([N,C,H,W]) on x in a.
+func (s *Sequential) forward(x *tensor.Tensor, a *tensor.Arena) (logits, probs *tensor.Tensor) {
+	if len(x.Shape) != 4 {
+		panic(fmt.Sprintf("nn: input shape %s, want [N,C,H,W]", shapeStr(x.Shape)))
 	}
-	oh, ow := c.Spec.OutSize(x.Shape[2], x.Shape[3])
-	if st.Pool.K > 0 {
-		oh, ow = st.Pool.OutSize(oh, ow)
-	}
-	y := a.GetTensor(x.Shape[0], c.Spec.OutC, oh, ow)
-	st.ForwardInto(x, y, 0)
-	if owned {
-		a.PutTensor(x)
-	}
-	return y, true
+	return s.plan(a, x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], true).run(x, a, nil)
 }
 
-func (c *Conv2D) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	st := c.stage()
-	return c.inferStage(&st, x, a, owned)
+// ForwardInfer runs the network's forward plan on x ([N,C,H,W], left
+// untouched) in a and returns the logits, a view of a.
+func (s *Sequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
+	logits, _ := s.forward(x, a)
+	return logits
 }
 
-// forwardInfer for ReLU clamps in place on arena-owned tensors. A caller-
-// owned input is copied into the arena first: Predict promises x is left
-// untouched, and a standalone head ReLU would otherwise scribble on it.
-func (r *ReLU) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	if !owned {
-		y := a.GetTensor(x.Shape...)
-		for i, v := range x.Data {
-			if v < 0 {
-				v = 0
-			}
-			y.Data[i] = v
-		}
-		return y, true
-	}
-	for i, v := range x.Data {
-		if v < 0 {
-			x.Data[i] = 0
-		}
-	}
-	return x, owned
-}
-
-func (m *MaxPool) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	oh, ow := m.Spec.OutSize(x.Shape[2], x.Shape[3])
-	y := a.GetTensor(x.Shape[0], x.Shape[1], oh, ow)
-	tensor.MaxPoolForwardInto(x, m.Spec, y)
-	if owned {
-		a.PutTensor(x)
-	}
-	return y, true
-}
-
-func (g *GlobalAvgPool) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	y := a.GetTensor(x.Shape[0], x.Shape[1])
-	tensor.GlobalAvgPoolInto(x, y.Data)
-	if owned {
-		a.PutTensor(x)
-	}
-	return y, true
-}
-
-// forwardInfer for Dropout is the identity: dropout only acts in training.
-func (d *Dropout) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	return x, owned
-}
-
-// forwardInfer for Fire fuses each convolution with its ReLU and writes the
-// two expand branches directly into their slots of the concatenated output,
-// eliminating the intermediate expand tensors and the concat copy.
-func (f *Fire) forwardInfer(x *tensor.Tensor, a *tensor.Arena, owned bool) (*tensor.Tensor, bool) {
-	sq, ex1, ex3 := f.Squeeze.stage(), f.Expand1.stage(), f.Expand3.stage()
-	sq.ReLU, ex1.ReLU, ex3.ReLU = true, true, true
-	s, _ := f.Squeeze.inferStage(&sq, x, a, owned)
-	n, h, w := s.Shape[0], s.Shape[2], s.Shape[3]
-	e1, e3 := f.Expand1.Spec.OutC, f.Expand3.Spec.OutC
-	y := a.GetTensor(n, e1+e3, h, w)
-	ex1.ForwardInto(s, y, 0)
-	ex3.ForwardInto(s, y, e1)
-	a.PutTensor(s)
-	return y, true
-}
-
-// PredictArena runs inference using buffers from a and returns per-sample
-// class probabilities ([N,C]) in an arena-owned tensor: copy out the scores
-// you need, then PutTensor it before releasing the arena.
+// PredictArena runs the network's forward plan on x in a and returns the
+// per-sample class probabilities ([N,C]), a view of a.
 func PredictArena(net *Sequential, x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return predictArena(net, x, a, false)
-}
-
-// PredictArenaOwned is PredictArena for an x that came from a.GetTensor and
-// that the caller is done with: the pass returns x to a as soon as the first
-// layer has read it, so the input's buffer serves the later, smaller layers
-// instead of sitting out the pass (the paper net then runs in two buffers,
-// input + pooled stem output). x must not be used afterwards.
-func PredictArenaOwned(net *Sequential, x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return predictArena(net, x, a, true)
-}
-
-func predictArena(net *Sequential, x *tensor.Tensor, a *tensor.Arena, owned bool) *tensor.Tensor {
-	logits := net.forwardInferArena(x, a, owned)
-	probs := a.GetTensor(logits.Shape[0], logits.Shape[1])
-	tensor.SoftmaxInto(logits, probs.Data)
-	a.PutTensor(logits)
+	_, probs := net.forward(x, a)
 	return probs
+}
+
+// InputArena returns where n images of c×h×w wait in a for net's forward
+// plan: x, the [n,c,h,w] tensor over the plan's input region, whose place
+// later stages reuse once PredictArena's first has read it, and pix, h·w·4
+// bytes for one RGBA8 frame on its way into x. Both are a's until its next
+// pass.
+func InputArena(net *Sequential, a *tensor.Arena, n, c, h, w int) (x *tensor.Tensor, pix []uint8) {
+	p := net.plan(a, n, c, h, w, true)
+	f, u, _ := p.slabsIn(a)
+	x = &a.Tensors(len(p.dims))[0]
+	x.Shape = append(x.Shape[:0], n, c, h, w)
+	x.Data = view(f, &p.regions[0], n)
+	return x, view(u, &p.regions[p.pix], n)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"percival/internal/tensor"
@@ -27,26 +28,68 @@ func buildTestNet(t *testing.T) *Sequential {
 	return net
 }
 
-// TestForwardInferMatchesForward checks the arena path (fused conv+ReLU,
-// direct-to-concat fire branches, pooled scratch) is numerically identical
-// to the reference Layer.Forward path.
+// inferTopologies are the nets TestForwardInferMatchesForward runs: the
+// paper-like stack, plus one for each place where the inference path decides
+// something the layer walk does not — what fuses with a convolution, what
+// may be written in place, where a stage's input lives.
+func inferTopologies(t *testing.T) []struct {
+	name string
+	net  *Sequential
+} {
+	conv := func(name string, in, out, k int) *Conv2D {
+		return NewConv2D(name, tensor.ConvSpec{InC: in, OutC: out, KH: k, KW: k, StrideH: 1, StrideW: 1, PadH: k / 2, PadW: k / 2})
+	}
+	paddedPool := NewMaxPool("pool_padded", 3, 2)
+	paddedPool.Spec.Pad = 1
+	nets := []struct {
+		name string
+		net  *Sequential
+	}{
+		{"paper-like", buildTestNet(t)},
+		{"conv+pool without relu", NewSequential(conv("c1", 3, 6, 3), NewMaxPool("p1", 2, 2), conv("c2", 6, 2, 1), NewGlobalAvgPool("gap"))},
+		{"padded pool after conv+relu", NewSequential(conv("c1", 3, 6, 3), NewReLU("r1"), paddedPool, conv("c2", 6, 2, 1), NewGlobalAvgPool("gap"))},
+		{"head relu", NewSequential(NewReLU("r0"), conv("c1", 3, 4, 1), NewReLU("r1"), conv("c2", 4, 2, 3), NewGlobalAvgPool("gap"))},
+		{"fire pool fire", NewSequential(conv("c1", 3, 8, 3), NewReLU("r1"), NewFire("f1", 8, 4, 6, 6), NewMaxPool("p1", 2, 2),
+			NewFire("f2", 12, 4, 5, 7), conv("c2", 12, 2, 1), NewGlobalAvgPool("gap"))},
+		{"dropout between stages", NewSequential(conv("c1", 3, 6, 3), NewReLU("r1"), NewDropout("d1", 0.5, 1), conv("c2", 6, 4, 3),
+			NewDropout("d2", 0.3, 2), NewReLU("r2"), conv("c3", 4, 2, 1), NewGlobalAvgPool("gap"))},
+		{"nested sequential", NewSequential(NewSequential(conv("c1", 3, 8, 3), NewReLU("r1")), NewMaxPool("p1", 2, 2),
+			NewSequential(NewFire("f1", 8, 4, 3, 5), NewSequential(NewDropout("d1", 0.5, 3))), conv("c2", 8, 2, 1), NewGlobalAvgPool("gap"))},
+	}
+	for i := range nets {
+		InitHe(nets[i].net, rand.New(rand.NewSource(int64(40+i))))
+	}
+	return nets
+}
+
+// TestForwardInferMatchesForward checks the arena path (fused conv+ReLU+pool,
+// direct-to-concat fire branches, arena scratch) is numerically identical to
+// the reference Layer.Forward path on every topology of inferTopologies, at
+// batch 1 and 3, and leaves the caller's input as it was.
 func TestForwardInferMatchesForward(t *testing.T) {
-	net := buildTestNet(t)
 	rng := rand.New(rand.NewSource(4))
-	for _, batch := range []int{1, 3} {
-		x := tensor.New(batch, 3, 12, 12)
-		for i := range x.Data {
-			x.Data[i] = float32(rng.NormFloat64())
-		}
-		want := net.Forward(x.Clone(), false)
-		a := tensor.NewArena()
-		got := net.ForwardInfer(x, a)
-		if !got.SameShape(want) {
-			t.Fatalf("shape %v want %v", got.Shape, want.Shape)
-		}
-		for i := range got.Data {
-			if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4*(1+math.Abs(float64(want.Data[i]))) {
-				t.Fatalf("batch %d: y[%d]=%v want %v", batch, i, got.Data[i], want.Data[i])
+	for _, tc := range inferTopologies(t) {
+		for _, batch := range []int{1, 3} {
+			x := tensor.New(batch, 3, 12, 12)
+			for i := range x.Data {
+				x.Data[i] = float32(rng.NormFloat64())
+			}
+			orig := append([]float32(nil), x.Data...)
+			want := tc.net.Forward(x.Clone(), false)
+			a := tensor.NewArena()
+			got := tc.net.ForwardInfer(x, a)
+			if !got.SameShape(want) {
+				t.Fatalf("%s batch %d: shape %v want %v", tc.name, batch, got.Shape, want.Shape)
+			}
+			for i := range got.Data {
+				if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4*(1+math.Abs(float64(want.Data[i]))) {
+					t.Fatalf("%s batch %d: y[%d]=%v want %v", tc.name, batch, i, got.Data[i], want.Data[i])
+				}
+			}
+			for i, v := range x.Data {
+				if math.Float32bits(v) != math.Float32bits(orig[i]) {
+					t.Fatalf("%s batch %d: caller input mutated at %d: %v -> %v", tc.name, batch, i, orig[i], v)
+				}
 			}
 		}
 	}
@@ -99,20 +142,25 @@ func TestForwardInferZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestForwardInferConcurrentArenas runs inference from several goroutines,
-// each with its own pooled arena (run under -race).
+// each with its own pooled arena, and then has 8 goroutines make their first
+// pass on a never-run net at once, each on a fresh arena at its own batch
+// size, so whatever the first pass at a shape builds is built concurrently
+// (run under -race).
 func TestForwardInferConcurrentArenas(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	net := buildTestNet(t)
-	x := tensor.New(1, 3, 12, 12)
+	x := tensor.New(3, 3, 12, 12)
 	for i := range x.Data {
 		x.Data[i] = float32(i%13) / 13
 	}
-	want := Predict(net, x)
+	x1 := tensor.FromSlice(x.Data[:3*12*12], 1, 3, 12, 12)
+	want := Predict(net, x1)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
 			for iter := 0; iter < 20; iter++ {
 				a := tensor.GetArena()
-				probs := PredictArena(net, x, a)
+				probs := PredictArena(net, x1, a)
 				for i := range want.Data {
 					if math.Abs(float64(probs.Data[i]-want.Data[i])) > 1e-6 {
 						done <- errMismatch
@@ -126,6 +174,40 @@ func TestForwardInferConcurrentArenas(t *testing.T) {
 		}()
 	}
 	for g := 0; g < 8; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// First use at a new shape: the reference runs on an identical net, so
+	// the shared one is untouched until the goroutines start together.
+	batches := []int{1, 3, 2, 3, 1, 2, 3, 1}
+	wants := map[int][]float32{}
+	ref := buildTestNet(t)
+	for _, n := range batches {
+		xn := tensor.FromSlice(x.Data[:n*3*12*12], n, 3, 12, 12)
+		wants[n] = append([]float32(nil), PredictArena(ref, xn, tensor.NewArena()).Data...)
+	}
+	shared := buildTestNet(t)
+	var start sync.WaitGroup
+	start.Add(1)
+	for _, n := range batches {
+		go func() {
+			xn := tensor.FromSlice(x.Data[:n*3*12*12], n, 3, 12, 12)
+			a := tensor.NewArena()
+			start.Wait()
+			probs := PredictArena(shared, xn, a)
+			for i, w := range wants[n] {
+				if math.Float32bits(probs.Data[i]) != math.Float32bits(w) {
+					done <- errMismatch
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	start.Done()
+	for range batches {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh, ow := m.Spec.OutSize(x.Shape[2], x.Shape[3])
 	y := tensor.New(x.Shape[0], x.Shape[1], oh, ow)
 	if !train {
-		tensor.MaxPoolForwardInto(x, m.Spec, y)
+		tensor.MaxPoolForwardInto(x, m.Spec, y, make([]float32, m.Spec.ScratchLen(x.Shape[3])))
 		return y
 	}
 	if m.argmaxP != nil { // forward without backward: recycle the old scratch

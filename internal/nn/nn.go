@@ -55,9 +55,13 @@ type Layer interface {
 	Params() []*Param
 }
 
-// Sequential chains layers in order.
+// Sequential chains layers in order. Its forward plans (see plan.go) are
+// compiled from Layers on first use at each input shape: the list must not
+// change once the network has run inference.
 type Sequential struct {
 	Layers []Layer
+
+	plans planCache
 }
 
 // NewSequential builds a sequential network from the given layers.

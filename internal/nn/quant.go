@@ -8,12 +8,12 @@ import (
 )
 
 // This file implements the post-training INT8 inference engine: a
-// QuantizedSequential mirrors Sequential.ForwardInfer — arena-backed,
-// zero-alloc steady state, fused conv+bias+ReLU in the requantize pass and
-// direct-to-concat fire expands — but carries activations as u8
-// (≤ tensor.QMaxU8) in quad planes, four channels of a pixel per 32-bit word
-// (see tensor.QConv), and weights as per-output-channel s8, accumulating in
-// int32 through the quantized GEMM.
+// QuantizedSequential runs the way Sequential.ForwardInfer does — a forward
+// plan per input size, every buffer in the arena's slabs, fused
+// conv+bias+ReLU in the requantize pass and direct-to-concat fire expands —
+// but carries activations as u8 (≤ tensor.QMaxU8) in quad planes, four
+// channels of a pixel per 32-bit word (see tensor.QConv), and weights as
+// per-output-channel s8, accumulating in int32 through the quantized GEMM.
 //
 // A Calibrator performs the calibration pass: it replays the FP32 network
 // over calibration inputs, records per-quant-point activation ranges, and
@@ -21,21 +21,13 @@ import (
 // constants (mult, beta) consumed by the fused requantize epilogue, so the
 // hot path touches no quantization arithmetic beyond one FMA per element.
 
-// qAct is a quantized activation tensor threaded between ops: n images of
-// ⌈c/4⌉ quad planes of h×w, where c counts the channels as the planes lay
-// them out, a concatenation's padding lanes included (see quadGap). The
-// backing buffer belongs to the inference arena.
-type qAct struct {
-	data       []uint8
-	n, c, h, w int
-}
-
-func (x qAct) planes() int   { return (x.c + 3) / 4 }
-func (x qAct) imageLen() int { return x.planes() * 4 * x.h * x.w }
-
-// qOp is one stage of the quantized pipeline.
-type qOp interface {
-	forward(x qAct, a *tensor.Arena) qAct
+// qLayer is one layer of the INT8 body between the stem and the classifier:
+// a fire, or (fire nil) an unpadded max pool over quad planes, which passes
+// the quantization parameters and the channel layout through unchanged (max
+// commutes with the monotonic dequantization map).
+type qLayer struct {
+	fire *tensor.QFire
+	pool tensor.PoolSpec
 }
 
 // QuantizedSequential is the INT8 counterpart of a Sequential restricted to
@@ -53,9 +45,21 @@ type QuantizedSequential struct {
 	// p·(1/255) a frame's tensor would hold, through QuantizeU8 with inQ.
 	inLUT   [256]uint8
 	stem    tensor.QStem
-	ops     []qOp
-	final   *qFinal
+	body    []qLayer
+	final   qFinal
 	classes int
+
+	plans planCache
+}
+
+// qFinal is the classifier convolution fused with global average pooling:
+// the int32 accumulators are averaged per channel and mapped straight to
+// FP32 logits (GAP and the affine dequantization commute), so the network
+// leaves the quantized domain exactly once, on C·N values. conv's RQ is
+// unused.
+type qFinal struct {
+	conv       tensor.QConv
+	mult, beta []float32
 }
 
 // Classes returns the output class count.
@@ -69,16 +73,14 @@ func (q *QuantizedSequential) InputQuant() tensor.QuantParams { return q.inQ }
 // the FP32 model.
 func (q *QuantizedSequential) SizeBytes() int {
 	total := q.stem.W.Len() + 8*len(q.stem.RQ.Mult)
-	addConv := func(c *tensor.QConv) { total += c.W.Len() + 8*len(c.RQ.Mult) }
-	for _, op := range q.ops {
-		if f, ok := op.(*qFire); ok {
-			addConv(&f.Squeeze)
-			addConv(&f.Expand1)
-			addConv(&f.Expand3)
+	for _, l := range q.body {
+		if f := l.fire; f != nil {
+			for _, c := range [...]*tensor.QConv{&f.Squeeze, &f.Expand1, &f.Expand3} {
+				total += c.W.Len() + 8*len(c.RQ.Mult)
+			}
 		}
 	}
-	total += q.final.conv.W.Len() + 8*len(q.final.mult)
-	return total
+	return total + q.final.conv.W.Len() + 8*len(q.final.mult)
 }
 
 // inputTable maps a pixel byte p straight to the network's quantized input
@@ -96,126 +98,157 @@ func inputTable(inQ tensor.QuantParams) (lut [256]uint8) {
 	return lut
 }
 
-// ForwardInfer runs a quantized forward pass drawing every buffer from a.
-// It accepts the same [N,C,H,W] float32 input as the FP32 path (quantization
-// happens at the entry, into the stem's pixel layout) and returns
-// arena-owned logits [N, classes]: copy out what you need, then PutTensor.
+// Stage kinds of an INT8 plan.
+const (
+	qStageStem     = iota // the stem (and pool1) from the input pixels
+	qStageConv            // a fire's squeeze or expand
+	qStagePool            // a max pool over planes quad planes an image
+	qStageClassify        // the classifier and GAP into the logits
+	qStageSoftmax         // the probabilities
+)
+
+// compile compiles the forward pass into p, for frames of p.key.h×w.
+func (q *QuantizedSequential) compile(p *plan) {
+	h, w := p.key.h, p.key.w
+	p.pix = p.act(slabU8, h*w*4)
+	c := q.stem.Spec.OutC
+	u8, i32 := q.stem.ScratchLen(h, w)
+	stem := stage{kind: qStageStem, h: h, w: w}
+	h, w = q.stem.OutSize(h, w)
+	cur := p.add(stem, p.pix, p.act(slabU8, quadBytes(c, h, w)), slabU8, u8, i32)
+	conv := func(e *tensor.QConv, in, out, planes, off int) int {
+		u8, i32 := e.ScratchLen(h, w)
+		return p.add(stage{kind: qStageConv, qconv: e, h: h, w: w, planes: planes, chOff: off}, in, out, slabU8, u8, i32)
+	}
+	for _, l := range q.body {
+		if f := l.fire; f != nil {
+			sqC := f.Squeeze.Spec.OutC
+			sq := conv(&f.Squeeze, cur, p.act(slabU8, quadBytes(sqC, h, w)), (sqC+3)/4, 0)
+			c = f.OutC()
+			y := p.act(slabU8, quadBytes(c, h, w))
+			conv(&f.Expand1, sq, y, (c+3)/4, 0)
+			cur = conv(&f.Expand3, sq, y, (c+3)/4, (f.Expand1.Spec.OutC+3)/4)
+			continue
+		}
+		st := stage{kind: qStagePool, pool: l.pool, h: h, w: w, planes: (c + 3) / 4}
+		u8 := l.pool.QuadScratchLen(h, w)
+		h, w = l.pool.OutSize(h, w)
+		cur = p.add(st, cur, p.act(slabU8, quadBytes(c, h, w)), slabU8, u8, 0)
+	}
+	fc := &q.final.conv
+	u8, _ = fc.ScratchLen(h, w)
+	fh, fw := fc.Spec.OutSize(h, w) // the accumulators are the classifier's int32 scratch
+	p.logits = p.add(stage{kind: qStageClassify, h: h, w: w}, cur, p.act(slabF32, q.classes), slabU8, u8, fc.Spec.OutC*fh*fw)
+	p.probs = p.add(stage{kind: qStageSoftmax}, p.logits, p.act(slabF32, q.classes), slabU8, 0, 0)
+}
+
+// quadBytes is the size of an image's activation of c channels of h×w in
+// quad planes.
+func quadBytes(c, h, w int) int { return (c + 3) / 4 * 4 * h * w }
+
+// run makes one pass of the n frames of pix (see tensor.QStem; each byte
+// through lut, nil when already quantized) through p in a and returns the
+// logits and the probabilities, views of a.
+func (q *QuantizedSequential) run(p *plan, pix []uint8, n int, lut *[256]uint8, a *tensor.Arena) (logits, probs *tensor.Tensor) {
+	f, u, i32 := p.slabsIn(a)
+	ts := a.Tensors(2)
+	for j, r := range [2]int{p.logits, p.probs} {
+		ts[j].Shape = append(ts[j].Shape[:0], n, q.classes)
+		ts[j].Data = view(f, &p.regions[r], n)
+	}
+	for i := range p.stages {
+		st := &p.stages[i]
+		x, y := pix, view(u, &p.regions[st.out], n)
+		if st.kind != qStageStem {
+			x = view(u, &p.regions[st.in], n)
+		}
+		su, si := view(u, &p.regions[st.scratch], n), view(i32, &p.regions[st.i32], n)
+		switch st.kind {
+		case qStageStem:
+			q.stem.ForwardInto(x, n, st.h, st.w, lut, y, su, si)
+		case qStageConv:
+			st.qconv.ForwardInto(x, n, st.h, st.w, y, st.planes, st.chOff, su, si)
+		case qStagePool:
+			tensor.MaxPoolQuadsInto(x, n*st.planes, st.h, st.w, st.pool, y, su)
+		case qStageClassify:
+			q.final.forward(x, n, st.h, st.w, si, su, ts[0].Data)
+		case qStageSoftmax:
+			tensor.SoftmaxInto(&ts[0], ts[1].Data)
+		}
+	}
+	return &ts[0], &ts[1]
+}
+
+// forward runs the classifier over the n images of h×w quad planes in x
+// into logits, one image at a time through acc.
+func (f *qFinal) forward(x []uint8, n, h, w int, acc []int32, scratch []uint8, logits []float32) {
+	s := f.conv.Spec
+	oh, ow := s.OutSize(h, w)
+	spatial, il := oh*ow, len(x)/n
+	inv := 1 / float32(spatial)
+	for i := 0; i < n; i++ {
+		f.conv.AccInto(x[i*il:(i+1)*il], h, w, acc, scratch)
+		for oc := 0; oc < s.OutC; oc++ {
+			var sum int64
+			for _, v := range acc[oc*spatial : (oc+1)*spatial] {
+				sum += int64(v)
+			}
+			logits[i*s.OutC+oc] = f.mult[oc]*float32(sum)*inv + f.beta[oc]
+		}
+	}
+}
+
+// plan returns the plan a runs n frames of h×w in (see planCache.get).
+func (q *QuantizedSequential) plan(a *tensor.Arena, n, h, w int) *plan {
+	return q.plans.get(a, planKey{h: h, w: w}, n, q.compile)
+}
+
+// ForwardInfer runs a quantized forward pass in a on the same [N,C,H,W]
+// float32 input as the FP32 path, quantized at the entry into the stem's
+// pixel layout in the plan's input region, and returns the logits
+// [N, classes], a view of a.
 func (q *QuantizedSequential) ForwardInfer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
+	logits, _ := q.forwardFloat(x, a)
+	return logits
+}
+
+// PredictArena is ForwardInfer returning per-sample class probabilities
+// ([N,C]) — the INT8 counterpart of nn.PredictArena.
+func (q *QuantizedSequential) PredictArena(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
+	_, probs := q.forwardFloat(x, a)
+	return probs
+}
+
+func (q *QuantizedSequential) forwardFloat(x *tensor.Tensor, a *tensor.Arena) (logits, probs *tensor.Tensor) {
 	if len(x.Shape) != 4 || x.Shape[1] != q.stem.Spec.InC {
 		panic(fmt.Sprintf("nn: QuantizedSequential: input shape %s, want [N,%d,H,W]", shapeStr(x.Shape), q.stem.Spec.InC))
 	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	pix := a.GetU8(n * h * w * 4)
+	pix := q.InputArenaU8(a, n, h, w)
 	tensor.QuantizePixelsU8(pix, x.Data, n, c, h*w, q.inQ)
-	return q.forward(pix, n, h, w, nil, a)
+	return q.run(q.plan(a, n, h, w), pix, n, nil, a)
 }
 
-// forward runs the pass on n h×w images of pixels (see tensor.QStem), each
-// byte through lut (nil: already quantized). pix is a's and goes back to it
-// once the stem has read it.
-func (q *QuantizedSequential) forward(pix []uint8, n, h, w int, lut *[256]uint8, a *tensor.Arena) *tensor.Tensor {
-	oh, ow := q.stem.OutSize(h, w)
-	cur := qAct{n: n, c: q.stem.Spec.OutC, h: oh, w: ow}
-	cur.data = a.GetU8(n * cur.imageLen())
-	q.stem.ForwardInto(pix, n, h, w, lut, cur.data, a)
-	a.PutU8(pix)
-	for _, op := range q.ops {
-		cur = op.forward(cur, a)
-	}
-	return q.final.forward(cur, a)
-}
-
-// PredictArena runs quantized inference and returns per-sample class
-// probabilities ([N,C]) in an arena-owned tensor — the INT8 counterpart of
-// nn.PredictArena.
-func (q *QuantizedSequential) PredictArena(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return softmaxArena(q.ForwardInfer(x, a), a)
-}
-
-// softmaxArena turns arena-owned logits into arena-owned probabilities.
-func softmaxArena(logits *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	probs := a.GetTensor(logits.Shape[0], logits.Shape[1])
-	tensor.SoftmaxInto(logits, probs.Data)
-	a.PutTensor(logits)
-	return probs
+// InputArenaU8 returns the plan's input region in a for n frames of h×w:
+// n·h·w·4 bytes for PredictArenaU8 to read, a's until its next pass.
+func (q *QuantizedSequential) InputArenaU8(a *tensor.Arena, n, h, w int) []uint8 {
+	p := q.plan(a, n, h, w)
+	_, u, _ := p.slabsIn(a)
+	return view(u, &p.regions[p.pix], n)
 }
 
 // PredictArenaU8 is PredictArena for frames as they are decoded: pix holds n
 // h×w RGBA8 bitmaps back to back, 4 bytes a pixel, whose bytes the stem maps
 // through the network's input table as it reads them — what PredictArena
 // scores for the float tensor imaging.ToTensorInto makes of the same
-// bitmaps. pix must come from a.GetU8; the pass returns it there and the
-// caller must not use it afterwards.
+// bitmaps. pix is usually InputArenaU8's region, whose place later stages
+// reuse once the stem has read it.
 func (q *QuantizedSequential) PredictArenaU8(pix []uint8, n, h, w int, a *tensor.Arena) *tensor.Tensor {
 	if len(pix) < n*h*w*4 {
 		panic(fmt.Sprintf("nn: QuantizedSequential: %d pixel bytes, want %d bitmaps of %d×%d", len(pix), n, w, h))
 	}
-	return softmaxArena(q.forward(pix, n, h, w, &q.inLUT, a), a)
-}
-
-// qFire runs a quantized fire module (see tensor.QFire): squeeze, then both
-// expand branches written straight into their slots of the concatenated
-// output. Both expands requantize into the shared quantization parameters of
-// the concatenated tensor, so the concat is free.
-type qFire struct{ tensor.QFire }
-
-func (f *qFire) forward(x qAct, a *tensor.Arena) qAct {
-	if x.c != f.Squeeze.Spec.InC {
-		panic(fmt.Sprintf("nn: quantized fire: input has %d channels, want %d", x.c, f.Squeeze.Spec.InC))
-	}
-	return qAct{data: f.Forward(x.data, x.n, x.h, x.w, a), n: x.n, c: f.OutC(), h: x.h, w: x.w}
-}
-
-// qPool max-pools in the quantized domain, plane by plane; quantization
-// parameters and the channel layout pass through unchanged (max commutes
-// with the monotonic dequantization map).
-type qPool struct {
-	spec tensor.PoolSpec
-}
-
-func (p *qPool) forward(x qAct, a *tensor.Arena) qAct {
-	oh, ow := p.spec.OutSize(x.h, x.w)
-	y := qAct{n: x.n, c: x.c, h: oh, w: ow}
-	y.data = a.GetU8(x.n * y.imageLen())
-	tensor.MaxPoolQuadsInto(x.data, x.n*x.planes(), x.h, x.w, p.spec, y.data)
-	a.PutU8(x.data)
-	return y
-}
-
-// qFinal is the classifier convolution fused with global average pooling:
-// the int32 accumulators are averaged per channel and mapped straight to
-// FP32 logits (GAP and the affine dequantization commute), so the network
-// leaves the quantized domain exactly once, on C·N values. conv's RQ is
-// unused.
-type qFinal struct {
-	conv       tensor.QConv
-	mult, beta []float32
-}
-
-func (f *qFinal) forward(x qAct, a *tensor.Arena) *tensor.Tensor {
-	s := f.conv.Spec
-	if x.c != s.InC {
-		panic(fmt.Sprintf("nn: quantized classifier: input has %d channels, want %d", x.c, s.InC))
-	}
-	oh, ow := s.OutSize(x.h, x.w)
-	spatial := oh * ow
-	acc := a.GetI32(s.OutC * spatial)
-	out := a.GetTensor(x.n, s.OutC)
-	il := x.imageLen()
-	inv := 1 / float32(spatial)
-	for i := 0; i < x.n; i++ {
-		f.conv.AccInto(x.data[i*il:(i+1)*il], x.h, x.w, acc)
-		for oc := 0; oc < s.OutC; oc++ {
-			var sum int64
-			for _, v := range acc[oc*spatial : (oc+1)*spatial] {
-				sum += int64(v)
-			}
-			out.Data[i*s.OutC+oc] = f.mult[oc]*float32(sum)*inv + f.beta[oc]
-		}
-	}
-	a.PutI32(acc)
-	a.PutU8(x.data)
-	return out
+	_, probs := q.run(q.plan(a, n, h, w), pix, n, &q.inLUT, a)
+	return probs
 }
 
 // observer tracks the real-valued range of one quantization point.
@@ -243,15 +276,12 @@ func (o *observer) params() tensor.QuantParams {
 	return tensor.ChooseQuantParams(o.min, o.max)
 }
 
-// calibNode is one stage of the parsed FP32 network with the observers that
-// watch its outputs during calibration.
+// calibNode is one stage of the parsed FP32 network: a convolution with
+// its ReLU, a fire or a max pool.
 type calibNode struct {
-	conv  *Conv2D  // fused conv(+ReLU) or final conv
-	relu  bool     // ReLU fused after conv
-	fire  *Fire    // fire module
-	pool  *MaxPool // max pooling
-	out   observer // output range (conv / fire concat)
-	sqOut observer // fire squeeze output range
+	conv *Conv2D
+	fire *Fire
+	pool *MaxPool
 }
 
 // Quantize builds the INT8 engine from a trained FP32 network, calibrating
@@ -275,18 +305,21 @@ func Quantize(net *Sequential, calib []*tensor.Tensor) (*QuantizedSequential, er
 // Calibrator is the calibration pass as a stream: Observe replays the FP32
 // network over one input at a time, recording the range of every tensor that
 // will live in the quantized domain, and Quantize builds the engine from the
-// ranges seen. The replay is the inference path's (fused ReLU, packed
-// weights, expands written into their concat slots) a frame at a time, every
-// tensor back in one private arena as soon as its consumer has read it, so
-// the pass holds one frame's working set however many frames it is shown.
-// Not safe for concurrent use.
+// ranges seen. The replay is the network's FP32 forward plan with no pool
+// fused into a convolution, so the stem's own output is seen, a frame at a
+// time, so the pass holds one frame's working set however many frames it is
+// shown. Not safe for concurrent use.
 type Calibrator struct {
-	nodes   []*calibNode
+	net     *Sequential
+	nodes   []calibNode
 	final   *Conv2D
 	classes int
 	inC     int // input channels the first convolution expects
 	inObs   observer
-	arena   *tensor.Arena
+	// obs watches the outputs that are quantization points: the stem's
+	// (before any pool), and each fire's squeeze and concatenation (whose
+	// last writer is Expand3).
+	obs map[*Conv2D]*observer
 }
 
 // NewCalibrator checks that net matches the quantizable topology and
@@ -318,7 +351,13 @@ func NewCalibrator(net *Sequential) (*Calibrator, error) {
 				nd.pool.Name(), nd.pool.Spec.Pad)
 		}
 	}
-	return &Calibrator{nodes: nodes, final: finalConv, classes: classes, inC: stem.Spec.InC, arena: tensor.NewArena()}, nil
+	c := &Calibrator{net: net, nodes: nodes, final: finalConv, classes: classes, inC: stem.Spec.InC, obs: map[*Conv2D]*observer{stem: {}}}
+	for _, nd := range nodes {
+		if f := nd.fire; f != nil {
+			c.obs[f.Squeeze], c.obs[f.Expand3] = &observer{}, &observer{}
+		}
+	}
+	return c, nil
 }
 
 // Observe records the ranges net's activations take on x ([N,C,H,W], any N).
@@ -328,40 +367,21 @@ func (c *Calibrator) Observe(x *tensor.Tensor) error {
 		return fmt.Errorf("nn: Quantize: calibration tensor shape %v, want [N,%d,H,W]", x.Shape, c.inC)
 	}
 	c.inObs.observe(x.Data)
-	a := c.arena
-	per := x.Shape[1] * x.Shape[2] * x.Shape[3]
-	for i := 0; i < x.Shape[0]; i++ {
-		cur, owned := tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, x.Shape[1], x.Shape[2], x.Shape[3]), false
-		for _, nd := range c.nodes {
-			switch {
-			case nd.conv != nil:
-				st := nd.conv.stage()
-				st.ReLU = nd.relu
-				cur, owned = nd.conv.inferStage(&st, cur, a, owned)
-				nd.out.observe(cur.Data)
-			case nd.fire != nil:
-				// Fire.forwardInfer's body, stopping to look at the squeeze.
-				f := nd.fire
-				sq, ex1, ex3 := f.Squeeze.stage(), f.Expand1.stage(), f.Expand3.stage()
-				sq.ReLU, ex1.ReLU, ex3.ReLU = true, true, true
-				s, _ := f.Squeeze.inferStage(&sq, cur, a, owned)
-				nd.sqOut.observe(s.Data)
-				e1 := f.Expand1.Spec.OutC
-				y := a.GetTensor(1, f.OutChannels(), s.Shape[2], s.Shape[3])
-				ex1.ForwardInto(s, y, 0)
-				ex3.ForwardInto(s, y, e1)
-				a.PutTensor(s)
-				nd.out.observe(y.Data)
-				cur, owned = y, true
-			case nd.pool != nil:
-				cur, owned = nd.pool.forwardInfer(cur, a, owned)
-			}
-		}
-		if owned {
-			a.PutTensor(cur)
-		}
+	a := tensor.GetArena()
+	defer tensor.PutArena(a)
+	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	p, per := c.net.plan(a, 1, ch, h, w, false), ch*h*w
+	for i := 0; i < n; i++ {
+		p.run(tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, ch, h, w), a, c.observe)
 	}
 	return nil
+}
+
+// observe records conv's output y if it is a quantization point.
+func (c *Calibrator) observe(conv *Conv2D, y []float32) {
+	if o := c.obs[conv]; o != nil {
+		o.observe(y)
+	}
 }
 
 // Quantize builds the INT8 engine from the ranges observed so far. Each
@@ -376,8 +396,9 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 	q.inLUT = inputTable(q.inQ)
 	// The first node is the stem (NewCalibrator checked), and a pool right
 	// after it runs in its epilogue. Every other node is a fire or a pool.
-	stem, curQ := c.nodes[0], c.nodes[0].out.params()
-	sc := buildQConv(stem.conv, q.inQ, curQ, stem.relu, quadGap{})
+	stem := c.nodes[0].conv
+	curQ := c.obs[stem].params()
+	sc := buildQConv(stem, q.inQ, curQ, true, quadGap{})
 	q.stem = tensor.QStem{Spec: sc.Spec, W: sc.W, RQ: sc.RQ, ZP: sc.ZP}
 	rest := c.nodes[1:]
 	if len(rest) > 0 && rest[0].pool != nil {
@@ -387,18 +408,17 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 	for _, nd := range rest {
 		switch {
 		case nd.fire != nil:
-			sqQ := nd.sqOut.params()
-			outQ := nd.out.params()
-			f := &qFire{tensor.QFire{
+			sqQ, outQ := c.obs[nd.fire.Squeeze].params(), c.obs[nd.fire.Expand3].params()
+			f := &tensor.QFire{
 				Squeeze: buildQConv(nd.fire.Squeeze, curQ, sqQ, true, gap),
 				Expand1: buildQConv(nd.fire.Expand1, sqQ, outQ, true, quadGap{}),
 				Expand3: buildQConv(nd.fire.Expand3, sqQ, outQ, true, quadGap{}),
-			}}
-			q.ops = append(q.ops, f)
+			}
+			q.body = append(q.body, qLayer{fire: f})
 			e1 := f.Expand1.Spec.OutC
 			curQ, gap = outQ, quadGap{at: e1, pad: (e1+3)/4*4 - e1}
 		case nd.pool != nil:
-			q.ops = append(q.ops, &qPool{spec: nd.pool.Spec})
+			q.body = append(q.body, qLayer{pool: nd.pool.Spec})
 		}
 	}
 	q.final = buildQFinal(c.final, curQ, gap)
@@ -433,7 +453,7 @@ func (g quadGap) widen(wq []int8, s tensor.ConvSpec) ([]int8, tensor.ConvSpec) {
 
 // parseQuantizable walks the layer list and checks it matches the supported
 // inference topology.
-func parseQuantizable(net *Sequential) (nodes []*calibNode, finalConv *Conv2D, classes int, err error) {
+func parseQuantizable(net *Sequential) (nodes []calibNode, finalConv *Conv2D, classes int, err error) {
 	layers := net.Layers
 	if len(layers) < 2 {
 		return nil, nil, 0, fmt.Errorf("nn: Quantize: network too short")
@@ -461,11 +481,11 @@ func parseQuantizable(net *Sequential) (nodes []*calibNode, finalConv *Conv2D, c
 			if !relu {
 				return nil, nil, 0, fmt.Errorf("nn: Quantize: conv %s without ReLU is only supported as the classifier head", l.Name())
 			}
-			nodes = append(nodes, &calibNode{conv: l, relu: true})
+			nodes = append(nodes, calibNode{conv: l})
 		case *Fire:
-			nodes = append(nodes, &calibNode{fire: l})
+			nodes = append(nodes, calibNode{fire: l})
 		case *MaxPool:
-			nodes = append(nodes, &calibNode{pool: l})
+			nodes = append(nodes, calibNode{pool: l})
 		case *Dropout:
 			// identity at inference
 		default:
@@ -505,7 +525,7 @@ func quantizeConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool) ([]int8, t
 // buildQFinal quantizes the classifier convolution, reading quad planes
 // laid out with gap, whose epilogue maps accumulators straight to FP32
 // logits.
-func buildQFinal(c *Conv2D, inQ tensor.QuantParams, gap quadGap) *qFinal {
+func buildQFinal(c *Conv2D, inQ tensor.QuantParams, gap quadGap) qFinal {
 	k := c.Spec.InC * c.Spec.KH * c.Spec.KW
 	wq, ws, wsum := tensor.QuantizeWeightsPerChannel(c.Wt.W.Data, c.Spec.OutC, k)
 	mult := make([]float32, c.Spec.OutC)
@@ -515,7 +535,7 @@ func buildQFinal(c *Conv2D, inQ tensor.QuantParams, gap quadGap) *qFinal {
 		beta[oc] = c.Bias.W.Data[oc] - mult[oc]*float32(inQ.Zero)*float32(wsum[oc])
 	}
 	wq, s := gap.widen(wq, c.Spec)
-	return &qFinal{conv: tensor.QConv{Spec: s, W: tensor.PackQQuadWeights(wq, s), ZP: uint8(inQ.Zero)}, mult: mult, beta: beta}
+	return qFinal{conv: tensor.QConv{Spec: s, W: tensor.PackQQuadWeights(wq, s), ZP: uint8(inQ.Zero)}, mult: mult, beta: beta}
 }
 
 // TopAgreement computes the fraction of samples whose argmax class matches

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"percival/internal/tensor"
@@ -93,27 +94,33 @@ func TestQuantizedForwardZeroAllocSteadyState(t *testing.T) {
 
 // TestQuantizedConcurrentArenas runs quantized inference from several
 // goroutines, each with its own pooled arena (exercised under -race by make
-// check), checking results stay bit-identical across goroutines.
+// check), checking results stay bit-identical across goroutines; then 8
+// goroutines make their first pass on a never-run engine at once, each on a
+// fresh arena at its own batch size, so whatever the first pass at a shape
+// builds is built concurrently.
 func TestQuantizedConcurrentArenas(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	net := buildTestNet(t)
 	rng := rand.New(rand.NewSource(23))
-	qnet, err := Quantize(net, calibSet(rng, 2, 3, 12, 12, 2))
+	calib := calibSet(rng, 2, 3, 12, 12, 2)
+	qnet, err := Quantize(net, calib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(1, 3, 12, 12)
+	x := tensor.New(3, 3, 12, 12)
 	for i := range x.Data {
 		x.Data[i] = float32(i%17) / 17
 	}
+	x1 := tensor.FromSlice(x.Data[:3*12*12], 1, 3, 12, 12)
 	ref := tensor.NewArena()
-	wantT := qnet.PredictArena(x, ref)
+	wantT := qnet.PredictArena(x1, ref)
 	want := append([]float32(nil), wantT.Data...)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
 			for iter := 0; iter < 20; iter++ {
 				a := tensor.GetArena()
-				probs := qnet.PredictArena(x, a)
+				probs := qnet.PredictArena(x1, a)
 				for i := range want {
 					if probs.Data[i] != want[i] {
 						done <- errMismatch
@@ -127,6 +134,42 @@ func TestQuantizedConcurrentArenas(t *testing.T) {
 		}()
 	}
 	for g := 0; g < 8; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// First use at a new shape, on an engine quantized afresh from the same
+	// calibration set: it scores what qnet does.
+	batches := []int{1, 3, 2, 3, 1, 2, 3, 1}
+	wants := map[int][]float32{}
+	for _, n := range batches {
+		xn := tensor.FromSlice(x.Data[:n*3*12*12], n, 3, 12, 12)
+		wants[n] = append([]float32(nil), qnet.PredictArena(xn, tensor.NewArena()).Data...)
+	}
+	shared, err := Quantize(net, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var start sync.WaitGroup
+	start.Add(1)
+	for _, n := range batches {
+		go func() {
+			xn := tensor.FromSlice(x.Data[:n*3*12*12], n, 3, 12, 12)
+			a := tensor.NewArena()
+			start.Wait()
+			probs := shared.PredictArena(xn, a)
+			for i, w := range wants[n] {
+				if math.Float32bits(probs.Data[i]) != math.Float32bits(w) {
+					done <- errMismatch
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	start.Done()
+	for range batches {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +273,7 @@ func TestQuantizedBatchMatchesSingle(t *testing.T) {
 		xb.Data[i] = float32(rng.Float64())
 	}
 	a := tensor.NewArena()
-	got := qnet.PredictArena(xb, a)
+	got := qnet.PredictArena(xb, a).Clone() // the next pass on a reuses its place
 	per := 3 * 12 * 12
 	for i := 0; i < batch; i++ {
 		x1 := tensor.FromSlice(append([]float32(nil), xb.Data[i*per:(i+1)*per]...), 1, 3, 12, 12)
@@ -242,7 +285,6 @@ func TestQuantizedBatchMatchesSingle(t *testing.T) {
 		}
 		a.PutTensor(p1)
 	}
-	a.PutTensor(got)
 }
 
 // TestCalibratorBatchEqualsFrames pins the stream: observing one [3,C,H,W]
@@ -292,7 +334,8 @@ func TestCalibratorBatchEqualsFrames(t *testing.T) {
 	}
 	x := calibSet(rng, 2, 3, 12, 12, 1)[0]
 	a := tensor.NewArena()
-	lw, lf := qw.ForwardInfer(x, a), qf.ForwardInfer(x, a)
+	lw := qw.ForwardInfer(x, a).Clone() // qf's pass on a reuses its place
+	lf := qf.ForwardInfer(x, a)
 	for i := range lw.Data {
 		if math.Float32bits(lw.Data[i]) != math.Float32bits(lf.Data[i]) {
 			t.Errorf("logit %d: %v calibrated on the batch, %v on its frames", i, lw.Data[i], lf.Data[i])

@@ -27,16 +27,13 @@ func TrainStep(net Layer, opt *SGD, x *tensor.Tensor, labels []int) (loss float6
 }
 
 // Predict runs inference and returns per-sample class probabilities ([N,C]).
-// Sequential networks run on the arena-backed fast path (fused conv+ReLU,
-// pooled scratch); x is left untouched and the returned tensor is freshly
+// Sequential networks run their forward plan (see PredictArena) in an arena
+// from tensor's pool; x is left untouched and the returned tensor is freshly
 // allocated and caller-owned.
 func Predict(net Layer, x *tensor.Tensor) *tensor.Tensor {
 	if s, ok := net.(*Sequential); ok {
 		a := tensor.GetArena()
-		probs := PredictArena(s, x, a)
-		out := tensor.New(probs.Shape...)
-		copy(out.Data, probs.Data)
-		a.PutTensor(probs)
+		out := PredictArena(s, x, a).Clone()
 		tensor.PutArena(a)
 		return out
 	}

@@ -397,7 +397,7 @@ func (s *Server) BrownoutStage() BrownoutStage {
 }
 
 // Warm builds every shard replica's inference state at the largest batch
-// the coalescers can dispatch — one forward pass each; the best-fit arena
+// the coalescers can dispatch — one forward pass each, whose forward plan
 // then serves every smaller batch — so the first real burst allocates
 // nothing.
 func (s *Server) Warm() {

@@ -5,116 +5,73 @@ import (
 	"unsafe"
 )
 
-// Arena is a best-fit free-list allocator for inference scratch. Get takes
-// the smallest free buffer that is large enough, so a buffer sized for the
-// largest batch serves every smaller one and a freed layer input is reused
-// by any later, smaller layer: after one warm-up pass at the largest batch
-// every Get is satisfied from the free lists and the steady state allocates
-// nothing. A forward pass holds a handful of buffers, so the free lists are
-// a few entries long and a linear scan is the whole search.
+// Arena is the memory one inference state runs its forward passes in: one
+// slab per element type — float32 activations and scratch, byte activations
+// and scratch, int32 accumulators — in which a compiled forward plan (nn)
+// gives every buffer of a pass a fixed offset. A pass asks for the slab
+// lengths its plan needs; the first pass at a plan grows the slabs, and from
+// then on a pass at that plan, or any plan no larger, allocates nothing.
+// Plans of different networks take turns in the same slabs.
 //
 // Ownership rules:
 //   - An Arena is NOT goroutine-safe. Each concurrent inference (e.g. one
 //     raster worker) must use its own arena; engine backends own theirs,
 //     and GetArena/PutArena recycle warm arenas through a global sync.Pool
 //     for nn.Predict.
-//   - Tensors handed out by GetTensor belong to the arena. Callers must copy
-//     any values they need before PutTensor/PutArena, and must not retain the
-//     tensor (or slices of its data) afterwards.
-//   - Buffers are returned uncleared and hold whatever the last layer or
-//     batch left in them, within [:n] and beyond: callers must fully
-//     overwrite what they read.
+//   - A tensor a pass returns is a view of the slabs: copy out what you
+//     need before the next pass on the arena, which overwrites it.
+//   - The slabs are never cleared and hold whatever the last pass left in
+//     them: every stage fully writes what it reads.
 type Arena struct {
-	free    [][]float32
-	freeU8  [][]uint8
-	freeI32 [][]int32
-	headers []*Tensor
-	bytes   int
+	f32 []float32
+	u8  []uint8
+	i32 []int32
+	// headers are the tensor views a pass hands out over the slabs.
+	headers []Tensor
+	// Plan is the arena's user's record of what its slabs were last sized
+	// for: nn keeps the forward plan there, so a state runs every batch its
+	// slabs hold in one plan.
+	Plan any
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Bytes is the size of every buffer the arena has allocated, free or handed
-// out (tensor headers not counted).
-func (a *Arena) Bytes() int { return a.bytes }
+// Bytes is the size of the arena's slabs.
+func (a *Arena) Bytes() int { return 4*len(a.f32) + len(a.u8) + 4*len(a.i32) }
 
-// arenaGet removes the smallest buffer of *free with cap >= n and returns it
-// sliced to n; when none fits it allocates and leaves *free as it was.
-func arenaGet[T any](a *Arena, free *[][]T, n int) []T {
-	l, best := *free, -1
-	for i, b := range l {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(l[best])) {
-			best = i
-		}
+// Slabs returns a's slabs, each grown to at least the given length. A slab
+// that grows is replaced, contents dropped, by one of exactly that length
+// (the byte slab, word-aligned, by at least 16 bytes: see quadWords); the
+// ones returned are whole.
+func (a *Arena) Slabs(f32, u8, i32 int) ([]float32, []uint8, []int32) {
+	if len(a.f32) < f32 {
+		a.f32 = make([]float32, f32)
 	}
-	if best < 0 {
-		var zero T
-		a.bytes += n * int(unsafe.Sizeof(zero))
-		return make([]T, n)
+	if len(a.u8) < u8 {
+		a.u8 = make([]uint8, max(u8, 16))
 	}
-	buf := l[best]
-	l[best] = l[len(l)-1]
-	*free = l[:len(l)-1]
-	return buf[:n]
+	if len(a.i32) < i32 {
+		a.i32 = make([]int32, i32)
+	}
+	return a.f32, a.u8, a.i32
 }
 
-// arenaPut appends buf, at its full capacity, to *free.
-func arenaPut[T any](free *[][]T, buf []T) {
-	if cap(buf) > 0 {
-		*free = append(*free, buf[:cap(buf)])
+// Tensors returns k tensor headers of a's, for a pass to view its slabs
+// through. Each keeps its shape's storage from pass to pass, so a warm arena
+// allocates none.
+func (a *Arena) Tensors(k int) []Tensor {
+	if len(a.headers) < k {
+		a.headers = append(a.headers, make([]Tensor, k-len(a.headers))...)
 	}
+	return a.headers[:k]
 }
 
-// Get returns an uncleared buffer of length n: the smallest free buffer that
-// holds n elements, or a new one when none does.
-func (a *Arena) Get(n int) []float32 { return arenaGet(a, &a.free, n) }
-
-// Put returns a buffer obtained from Get to the free list.
-func (a *Arena) Put(buf []float32) { arenaPut(&a.free, buf) }
-
-// GetU8 returns an uncleared byte buffer of length n from the arena — the
-// quantized-activation counterpart of Get. Same ownership rules. Its
-// capacity is at least 16 bytes, so the buffer is word-aligned (see
-// quadWords).
-func (a *Arena) GetU8(n int) []uint8 { return arenaGet(a, &a.freeU8, max(n, 16))[:n] }
-
-// PutU8 returns a buffer obtained from GetU8 to the free list.
-func (a *Arena) PutU8(buf []uint8) { arenaPut(&a.freeU8, buf) }
-
-// GetI32 returns an uncleared int32 buffer of length n from the arena — the
-// quantized-accumulator counterpart of Get. Same ownership rules.
-func (a *Arena) GetI32(n int) []int32 { return arenaGet(a, &a.freeI32, n) }
-
-// PutI32 returns a buffer obtained from GetI32 to the free list.
-func (a *Arena) PutI32(buf []int32) { arenaPut(&a.freeI32, buf) }
-
-// GetTensor returns an arena-owned tensor with the given shape and uncleared
-// contents. Tensor headers are recycled alongside the data buffers, so the
-// steady state performs no heap allocation.
-func (a *Arena) GetTensor(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	var t *Tensor
-	if len(a.headers) > 0 {
-		t = a.headers[len(a.headers)-1]
-		a.headers = a.headers[:len(a.headers)-1]
-	} else {
-		t = &Tensor{}
-	}
-	t.Shape = append(t.Shape[:0], shape...)
-	t.Data = a.Get(n)
-	return t
-}
-
-// PutTensor returns an arena-owned tensor's buffer and header to the arena.
-func (a *Arena) PutTensor(t *Tensor) {
-	a.Put(t.Data)
-	t.Data = nil
-	a.headers = append(a.headers, t)
-}
+// PutTensor hands back t, a tensor a pass on a returned. A pass's tensors
+// are views of a's slabs, which the next pass reuses whether or not this is
+// called: there is nothing to free, and t must not be read after the next
+// pass.
+func (a *Arena) PutTensor(t *Tensor) {}
 
 // arenaPool recycles warm arenas across goroutines for nn.Predict; engine
 // backends own theirs, which the collector cannot empty.
@@ -127,9 +84,10 @@ func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 // hold any tensor or buffer obtained from it.
 func PutArena(a *Arena) { arenaPool.Put(a) }
 
-// The scratch pools recycle transient buffers (GEMM packing panels, im2col
-// columns, conv backward dcol, the quantized kernels' staging), one pool an
-// element type. Pointers to slice headers are pooled so the steady state
+// The scratch pools recycle the transient buffers of training and of the
+// public GEMM entry points (packing panels, conv backward dcol, the max
+// pool's argmax, quantized staging), one pool an element type; inference
+// takes its scratch from an Arena instead. Pointers to slice headers are pooled so the steady state
 // performs no boxing allocation.
 var scratchF32, scratchU8, scratchI8, scratchI32 sync.Pool
 

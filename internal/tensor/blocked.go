@@ -107,13 +107,14 @@ func packPanels[T kernelElem](dst, a []T, lda int, trans bool, m, k int, t gemmT
 // worker pool; panels write disjoint regions. Unless acc is set, the first
 // k-block's kernels store their tiles instead of adding to them. Each engine
 // loops over its column blocks and runs its epilogue over each right after
-// this, while it is still cache-resident.
+// this, while it is still cache-resident. bp is the caller's scratch for the
+// packed B block: bBlockLen(t, k, nc) elements.
 //
 // The packer is reached by a type switch (see packBlockB), so the call is
 // direct: a method on a type parameter goes through a dictionary, a func
 // value is opaque, and either way escape analysis would move the caller's
 // operand views to the heap, one allocation a product.
-func blocked[A, B, C kernelElem, O *gemmB | *qgemmB](b O, t gemmTierT, ap []A, c []C, cj, ldc, m, k, jc, nc int, acc bool) {
+func blocked[A, B, C kernelElem, O *gemmB | *qgemmB](b O, t gemmTierT, ap []A, bp []B, c []C, cj, ldc, m, k, jc, nc int, acc bool) {
 	// One P has no idle core to recruit: run serial.
 	serial := m*k*nc < gemmParallelThreshold || runtime.GOMAXPROCS(0) < 2
 	mPad := (m + t.mr - 1) / t.mr * t.mr
@@ -121,11 +122,11 @@ func blocked[A, B, C kernelElem, O *gemmB | *qgemmB](b O, t gemmTierT, ap []A, c
 	for pc := 0; pc < k; pc += t.kc {
 		kc := min(t.kc, k-pc)
 		d := t.depth(kc)
-		bp := getScratch[B](ncPanels * t.nr * d)
-		packBlockB(b, bp, pc, kc, jc, nc, t.nr)
+		bbuf := bp[:ncPanels*t.nr*d]
+		packBlockB(b, bbuf, pc, kc, jc, nc, t.nr)
 		for ic := 0; ic < m; ic += t.mc {
 			blk := gemmBlock[A, B, C]{
-				abuf: ap[mPad*pc+ic*d:], bbuf: *bp, c: c,
+				abuf: ap[mPad*pc+ic*d:], bbuf: bbuf, c: c,
 				ic: ic, jc: cj, depth: d, mc: min(t.mc, m-ic), nc: nc, ldc: ldc,
 				mr: t.mr, nr: t.nr, kind: t.kind,
 				store: !acc && pc == 0,
@@ -138,18 +139,23 @@ func blocked[A, B, C kernelElem, O *gemmB | *qgemmB](b O, t gemmTierT, ap []A, c
 				blk.parallel(ncPanels)
 			}
 		}
-		putScratch(bp)
 	}
 }
 
-// packBlockB packs the kc×nc block of op(B) at (pc, jc) into *bp, nr-wide
+// bBlockLen is the length of blocked's packed B block for nc columns of a
+// product of depth k on tier t.
+func bBlockLen(t gemmTierT, k, nc int) int {
+	return (nc + t.nr - 1) / t.nr * t.nr * t.depth(min(t.kc, k))
+}
+
+// packBlockB packs the kc×nc block of op(B) at (pc, jc) into bp, nr-wide
 // panels.
-func packBlockB[B kernelElem, O *gemmB | *qgemmB](b O, bp *[]B, pc, kc, jc, nc, nr int) {
+func packBlockB[B kernelElem, O *gemmB | *qgemmB](b O, bp []B, pc, kc, jc, nc, nr int) {
 	switch o := any(b).(type) {
 	case *gemmB:
-		o.pack(*any(bp).(*[]float32), pc, kc, jc, nc, nr)
+		o.pack(any(bp).([]float32), pc, kc, jc, nc, nr)
 	case *qgemmB:
-		o.pack(*any(bp).(*[]uint8), pc, kc, jc, nc)
+		o.pack(any(bp).([]uint8), pc, kc, jc, nc)
 	}
 }
 

@@ -373,9 +373,10 @@ func copyRuns[T float32 | uint32](dst []T, dstStep int, src []T, srcStep, n, run
 // quadWords returns b's bytes as len(b)/4 native-endian 32-bit words, the
 // view through which the INT8 engine moves a pixel's four channel bytes as
 // one element. b must start 4-aligned, which every arena or scratch-pool
-// byte buffer does at any offset that is a multiple of 4: Arena.GetU8 and
+// byte buffer does at any offset that is a multiple of 4: Arena.Slabs and
 // GetScratchU8 allocate at least 16 bytes, which the Go allocator aligns to
-// 8 — only its tiny allocator, below 16 bytes, packs byte slices unaligned.
+// 8 — only its tiny allocator, below 16 bytes, packs byte slices unaligned —
+// and a forward plan puts its byte regions at multiples of 64.
 func quadWords(b []uint8) []uint32 {
 	if len(b) < 4 {
 		return nil
@@ -505,10 +506,13 @@ func panicEmptyOutput(fn string, inShape []int, kh, kw, padH, padW int) {
 // result lands in channels [chOff, chOff+OutC), which lets callers write
 // branch outputs (SqueezeNet's expand pair) directly into their concatenated
 // destination. When relu is set, max(0,·) is fused with the bias addition.
-// It is ConvStage.ForwardInto without packed weights or a pool.
+// It is ConvStage.ForwardInto without packed weights or a pool, on scratch
+// from the pool.
 func ConvForwardInto(x *Tensor, w, b []float32, s ConvSpec, y *Tensor, chOff int, relu bool) {
 	st := ConvStage{Spec: s, W: w, Bias: b, ReLU: relu}
-	st.forwardInto("ConvForwardInto", x, y, chOff)
+	buf := GetScratch(st.ScratchLen(x.Shape[2], x.Shape[3]))
+	st.forwardInto("ConvForwardInto", x, y, chOff, *buf)
+	PutScratch(buf)
 }
 
 // ConvStage is one inference-time convolution stage: the convolution, its
@@ -530,7 +534,8 @@ type ConvStage struct {
 
 // ForwardInto runs the stage on x ([N,InC,H,W]) into channels
 // [chOff, chOff+OutC) of y ([N, dstC, outH, outW], the stage's output size:
-// the convolution's, or the pool's of it).
+// the convolution's, or the pool's of it), in scratch of ScratchLen(H, W)
+// elements.
 //
 // Each image is one GEMM whose B operand is the image itself: as the dense
 // [InC, H*W] matrix for 1×1/stride-1/unpadded convolutions, as a convView
@@ -538,12 +543,23 @@ type ConvStage struct {
 // and the pool run as the GEMM's epilogue, per cache-resident column block
 // (see gemmDispatch). The result is bit for bit what ConvForwardInto followed
 // by MaxPoolForwardInto computes.
-func (st *ConvStage) ForwardInto(x, y *Tensor, chOff int) {
-	st.forwardInto("ConvStage.ForwardInto", x, y, chOff)
+func (st *ConvStage) ForwardInto(x, y *Tensor, chOff int, scratch []float32) {
+	st.forwardInto("ConvStage.ForwardInto", x, y, chOff, scratch)
+}
+
+// ScratchLen is the scratch ForwardInto needs for h×w images: the phase
+// planes of a strided convolution, then what its product takes (gemmSplit)
+// on the current kernel tier.
+func (st *ConvStage) ScratchLen(h, w int) int {
+	s := st.Spec
+	oh, ow := s.OutSize(h, w)
+	view := newConvView(h, w, s, 0, gatherWords[float32])
+	_, _, bLen, poolLen := gemmSplit(gemmTier, s.OutC, s.InC*s.KH*s.KW, oh*ow, st.Pool, ow)
+	return roundUp(view.phaseLen(), 16) + bLen + poolLen
 }
 
 // forwardInto is ForwardInto reporting misuse under the entry point's name.
-func (st *ConvStage) forwardInto(fn string, x, y *Tensor, chOff int) {
+func (st *ConvStage) forwardInto(fn string, x, y *Tensor, chOff int, scratch []float32) {
 	s := st.Spec
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := s.OutSize(h, wd)
@@ -575,10 +591,10 @@ func (st *ConvStage) forwardInto(fn string, x, y *Tensor, chOff int) {
 	a := gemmA{data: st.W, pack: st.Packed}
 	view := newConvView(h, wd, s, 0, gatherWords[float32])
 	view.spread = copyRuns
-	var phases *[]float32
-	if pl := view.phaseLen(); pl > 0 {
-		phases = GetScratch(pl)
-		view.usePhases(*phases)
+	checkScratch(fn, len(scratch), st.ScratchLen(h, wd))
+	pl := roundUp(view.phaseLen(), 16)
+	if pl > 0 {
+		view.usePhases(scratch[:pl])
 	}
 	for i := 0; i < n; i++ {
 		img := x.Data[i*c*h*wd : (i+1)*c*h*wd]
@@ -591,10 +607,7 @@ func (st *ConvStage) forwardInto(fn string, x, y *Tensor, chOff int) {
 		if ep.pool.active() {
 			ep.pool.dst, out = out, nil
 		}
-		gemmDispatch(a, bop, out, s.OutC, k, oh*ow, false, ep)
-	}
-	if phases != nil {
-		PutScratch(phases)
+		gemmDispatch(a, bop, out, s.OutC, k, oh*ow, false, ep, scratch[pl:])
 	}
 }
 

@@ -209,35 +209,6 @@ func TestIm2colCol2imAdjointHardSpecs(t *testing.T) {
 	}
 }
 
-// TestArenaReusesBuffersExactly verifies Get/Put round-trips reuse storage
-// (the zero-steady-state-allocation property) and that tensor headers are
-// recycled alongside.
-func TestArenaReusesBuffersExactly(t *testing.T) {
-	a := NewArena()
-	b1 := a.Get(128)
-	b1[0] = 42
-	a.Put(b1)
-	b2 := a.Get(128)
-	if &b1[0] != &b2[0] {
-		t.Fatal("arena did not reuse the freed buffer")
-	}
-	a.Put(b2)
-
-	t1 := a.GetTensor(2, 3)
-	d1 := &t1.Data[0]
-	a.PutTensor(t1)
-	t2 := a.GetTensor(3, 2)
-	if t1 != t2 {
-		t.Fatal("arena did not recycle the tensor header")
-	}
-	if &t2.Data[0] != d1 {
-		t.Fatal("arena did not reuse the tensor buffer for an equal-size shape")
-	}
-	if t2.Shape[0] != 3 || t2.Shape[1] != 2 {
-		t.Fatalf("recycled tensor shape %v", t2.Shape)
-	}
-}
-
 // benchConvStage times one whole convolution stage — pack from the image,
 // GEMM, bias+ReLU epilogue — on random data, so the clamp sees both signs.
 func benchConvStage(b *testing.B, s ConvSpec, res int) {
@@ -276,9 +247,10 @@ func BenchmarkConvStemPool224(b *testing.B) {
 	oh, ow := s.OutSize(224, 224)
 	oh, ow = p.OutSize(oh, ow)
 	y := New(1, s.OutC, oh, ow)
+	scratch := convScratch(&st, 224, 224)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.ForwardInto(x, y, 0)
+		st.ForwardInto(x, y, 0, scratch)
 	}
 }
 
@@ -293,8 +265,9 @@ func BenchmarkMaxPool112x96(b *testing.B) {
 	p := PoolSpec{K: 3, Stride: 2}
 	oh, ow := p.OutSize(112, 112)
 	y := New(1, 96, oh, ow)
+	scratch := make([]float32, p.ScratchLen(112))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxPoolForwardInto(x, p, y)
+		MaxPoolForwardInto(x, p, y, scratch)
 	}
 }

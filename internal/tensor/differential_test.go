@@ -164,7 +164,7 @@ func TestConvDirectPackMatchesIm2colGemm(t *testing.T) {
 				gemmTier = tier
 				yp := New(batch, dstC, oh, ow)
 				yp.Fill(sentinel)
-				st.ForwardInto(x, yp, cc.chOff)
+				st.ForwardInto(x, yp, cc.chOff, convScratch(&st, h, w))
 				for e := range y.Data {
 					if math.Float32bits(yp.Data[e]) != math.Float32bits(y.Data[e]) {
 						t.Fatalf("%s: packed under %s: y[%d]=%v, packed per call %v", name, packTier.name, e, yp.Data[e], y.Data[e])
@@ -233,7 +233,7 @@ func TestMaxPoolMatchesWindowScan(t *testing.T) {
 						x.Data[2*h*w+i] = negInf
 					}
 					y := New(2, 3, oh, ow)
-					MaxPoolForwardInto(x, p, y)
+					MaxPoolForwardInto(x, p, y, make([]float32, p.ScratchLen(w)))
 					for pl := 0; pl < 6; pl++ {
 						plane := x.Data[pl*h*w : (pl+1)*h*w]
 						for oy := 0; oy < oh; oy++ {
@@ -344,7 +344,7 @@ func TestVectorHelpersMatchScalar(t *testing.T) {
 // TestQConvDirectPackMatchesOracle is the quantized forward convolution's
 // differential test: QConv over quad planes — panels packed from the planes
 // as words, requantized per cache-hot column block into quad planes
-// (quadConvInto), or left as raw accumulators (AccInto) — must equal, byte
+// (ForwardInto), or left as raw accumulators (AccInto) — must equal, byte
 // for byte, the oracle's column matrix of the planar image with zero-point
 // padding, multiplied by the naive reference product (qgemmRef) and
 // requantized one element at a time by the fused scalar formula
@@ -387,13 +387,14 @@ func TestQConvDirectPackMatchesOracle(t *testing.T) {
 			for i := range y {
 				y[i] = sentinel
 			}
-			e.quadConvInto(q, batch, h, w, y, dstPlanes, cc.chOff)
+			u8, i32 := e.ScratchLen(h, w)
+			e.ForwardInto(q, batch, h, w, y, dstPlanes, cc.chOff, make([]uint8, u8), make([]int32, i32))
 
 			acc := make([]int32, s.OutC*n)
 			ql := quadPlanes(s.InC) * 4 * h * w
 			for i := 0; i < batch; i++ {
 				want := qgemmRef(wq, oracleCol(x[i*il:(i+1)*il], s.InC, h, w, s, zp), s.OutC, k, n)
-				e.AccInto(q[i*ql:(i+1)*ql], h, w, acc)
+				e.AccInto(q[i*ql:(i+1)*ql], h, w, acc, make([]uint8, u8))
 				for j := range want {
 					if acc[j] != want[j] {
 						t.Fatalf("%s: AccInto[%d,%d,%d]=%d, want %d", name, i, j/n, j%n, acc[j], want[j])
@@ -509,7 +510,7 @@ func TestMaxPoolU8MatchesWindowScan(t *testing.T) {
 					for i := range y {
 						y[i] = sentinel
 					}
-					MaxPoolQuadsInto(x, planes, h, w, p, y)
+					MaxPoolQuadsInto(x, planes, h, w, p, y, make([]uint8, p.QuadScratchLen(h, w)))
 					for pl := 0; pl < planes; pl++ {
 						for l := 0; l < 4; l++ {
 							lane := make([]uint8, h*w)
@@ -844,14 +845,14 @@ func TestConvPoolFusedMatchesConvThenPool(t *testing.T) {
 			full := New(batch, s.OutC, oh, ow)
 			ConvForwardInto(x, wt, bias, s, full, 0, relu)
 			want := New(batch, s.OutC, poh, pow)
-			MaxPoolForwardInto(full, cc.p, want)
+			MaxPoolForwardInto(full, cc.p, want, make([]float32, cc.p.ScratchLen(ow)))
 
 			for _, packed := range []*PackedWeights{nil, PackWeights(wt, s.OutC, k)} {
 				st := ConvStage{Spec: s, W: wt, Packed: packed, Bias: bias, ReLU: relu, Pool: cc.p}
 				dstC := chOff + s.OutC + 1
 				got := New(batch, dstC, poh, pow)
 				got.Fill(sentinel)
-				st.ForwardInto(x, got, chOff)
+				st.ForwardInto(x, got, chOff, convScratch(&st, cc.h, cc.w))
 				for i := 0; i < batch; i++ {
 					for ch := 0; ch < dstC; ch++ {
 						for j := 0; j < poh*pow; j++ {

@@ -38,38 +38,47 @@ func GemmKernelName() string { return gemmTier.name }
 // with a register-tiled micro-kernel, split across the shared worker pool.
 func Gemm(a, b, c []float32, m, k, n int) {
 	checkGemm("Gemm", len(a), len(b), len(c), m, k, n)
-	gemmDispatch(gemmA{data: a}, gemmB{data: b}, c, m, k, n, false, gemmEpilogue{})
+	gemmPooled(gemmA{data: a}, gemmB{data: b}, c, m, k, n, false)
 }
 
 // GemmAcc computes C += A×B with the same layout as Gemm.
 func GemmAcc(a, b, c []float32, m, k, n int) {
 	checkGemm("GemmAcc", len(a), len(b), len(c), m, k, n)
-	gemmDispatch(gemmA{data: a}, gemmB{data: b}, c, m, k, n, true, gemmEpilogue{})
+	gemmPooled(gemmA{data: a}, gemmB{data: b}, c, m, k, n, true)
 }
 
 // GemmTA computes C = Aᵀ×B where A is stored K×M (so Aᵀ is M×K), B is K×N,
 // C is M×N.
 func GemmTA(a, b, c []float32, m, k, n int) {
 	checkGemm("GemmTA", len(a), len(b), len(c), m, k, n)
-	gemmDispatch(gemmA{data: a, trans: true}, gemmB{data: b}, c, m, k, n, false, gemmEpilogue{})
+	gemmPooled(gemmA{data: a, trans: true}, gemmB{data: b}, c, m, k, n, false)
 }
 
 // GemmTAAcc computes C += Aᵀ×B with A stored K×M.
 func GemmTAAcc(a, b, c []float32, m, k, n int) {
 	checkGemm("GemmTAAcc", len(a), len(b), len(c), m, k, n)
-	gemmDispatch(gemmA{data: a, trans: true}, gemmB{data: b}, c, m, k, n, true, gemmEpilogue{})
+	gemmPooled(gemmA{data: a, trans: true}, gemmB{data: b}, c, m, k, n, true)
 }
 
 // GemmTB computes C = A×Bᵀ where A is M×K, B is stored N×K, C is M×N.
 func GemmTB(a, b, c []float32, m, k, n int) {
 	checkGemm("GemmTB", len(a), len(b), len(c), m, k, n)
-	gemmDispatch(gemmA{data: a}, gemmB{data: b, trans: true}, c, m, k, n, false, gemmEpilogue{})
+	gemmPooled(gemmA{data: a}, gemmB{data: b, trans: true}, c, m, k, n, false)
 }
 
 // GemmTBAcc computes C += A×Bᵀ with B stored N×K.
 func GemmTBAcc(a, b, c []float32, m, k, n int) {
 	checkGemm("GemmTBAcc", len(a), len(b), len(c), m, k, n)
-	gemmDispatch(gemmA{data: a}, gemmB{data: b, trans: true}, c, m, k, n, true, gemmEpilogue{})
+	gemmPooled(gemmA{data: a}, gemmB{data: b, trans: true}, c, m, k, n, true)
+}
+
+// gemmPooled runs a product without an epilogue on scratch from the pool:
+// the public entry points', whose callers hold no arena.
+func gemmPooled(a gemmA, b gemmB, c []float32, m, k, n int, acc bool) {
+	_, _, bLen, _ := gemmSplit(gemmTier, m, k, n, PoolSpec{}, 0)
+	buf := GetScratch(bLen)
+	gemmDispatch(a, b, c, m, k, n, acc, gemmEpilogue{}, *buf)
+	PutScratch(buf)
 }
 
 // checkGemm panics, naming the entry point fn, when a, b or c is shorter
@@ -211,20 +220,49 @@ func biasReLU(row []float32, bias float32) {
 	}
 }
 
+// gemmSplit is how gemmDispatch runs an m×k×n product on tier t: unblocked
+// (small), or blocked step columns at a time; and the scratch that takes:
+// bLen for the packed B block (an unblocked convolution's one row of B),
+// then poolLen for a pool over rows ow wide (pool.K > 0) — its slabs and
+// poolRow's scratch.
+func gemmSplit(t gemmTierT, m, k, n int, pool PoolSpec, ow int) (small bool, step, bLen, poolLen int) {
+	small = m*k*n <= gemmSmallThreshold
+	step, bLen = n, roundUp(n, 16)
+	if !small {
+		step = t.nc
+		if pool.K > 0 {
+			// Blocks are whole output rows and, but for the last, whole
+			// panels (ow&-ow is the largest power of two dividing ow, as nr
+			// is one): the product's panels, and with them the columns whose
+			// later k-blocks an edge tile sums apart, then sit exactly where
+			// the unfused product has them, and the two agree bit for bit at
+			// any k.
+			unit := t.nr / min(t.nr, ow&-ow)
+			step = max(t.nc/ow/unit, 1) * unit * ow
+		}
+		bLen = bBlockLen(t, k, min(step, n))
+	}
+	if pool.K > 0 && ow > 0 {
+		poolLen = m*(min(step, n)/ow+pool.K-1)*ow + pool.ScratchLen(ow)
+	}
+	return small, step, bLen, poolLen
+}
+
 // gemmDispatch routes the product op(A)×op(B), followed by the epilogue, to
 // the small unblocked loop or the blocked driver, a column block at a time:
 // C += product when acc is set, C = product otherwise — without a clearing
 // pass over C: the first k-block's kernels store instead of accumulating.
 // The epilogue runs over each column block right after its last k-block,
 // while it is still cache-resident. At most one of a.trans/b.trans is set by
-// the public entry points.
+// the public entry points. scratch holds what gemmSplit says the product
+// takes.
 //
 // With a pooling epilogue c is unused and acc must be false: the column
 // blocks are whole output rows of the convolution and land in the pool's
 // row scratch instead of C, where each is biased, clamped and max-pooled, so
 // the convolution's full output is never written, swept or read back (see
 // poolRun).
-func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmEpilogue) {
+func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmEpilogue, scratch []float32) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -235,12 +273,11 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 		return
 	}
 	t := gemmTier
-	small := m*k*n <= gemmSmallThreshold
-	step := n
+	small, step, bLen, poolLen := gemmSplit(t, m, k, n, ep.pool.spec, ep.pool.ow)
+	checkScratch("gemm", len(scratch), bLen+poolLen)
 	var panels []float32
 	var buf *[]float32
 	if !small {
-		step = t.nc
 		panels, buf = a.panels(t, m, k)
 	}
 	b.ld = n
@@ -248,18 +285,8 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 		b.ld = k
 	}
 	var fused poolRun
-	if ow := ep.pool.ow; ep.pool.active() {
-		if !small {
-			// Blocks are whole output rows and, but for the last, whole
-			// panels (ow&-ow is the largest power of two dividing ow, as nr
-			// is one): the product's panels, and with them the columns whose
-			// later k-blocks an edge tile sums apart, then sit exactly where
-			// the unfused product has them, and the two agree bit for bit at
-			// any k.
-			unit := t.nr / min(t.nr, ow&-ow)
-			step = max(t.nc/ow/unit, 1) * unit * ow
-		}
-		fused = ep.pool.start(m, step/ow)
+	if ep.pool.active() {
+		fused = ep.pool.start(m, min(step, n)/ep.pool.ow, scratch[bLen:bLen+poolLen])
 	}
 	for jc := 0; jc < n; jc += step {
 		nc := min(step, n-jc)
@@ -274,9 +301,9 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 					clear(cblk[i*ldc : i*ldc+n])
 				}
 			}
-			gemmSmall(a, b, cblk, ldc, m, k, n)
+			gemmSmall(a, b, cblk, ldc, m, k, n, scratch[:n])
 		} else {
-			blocked[float32, float32](&b, t, panels, cblk, cj, ldc, m, k, jc, nc, acc)
+			blocked[float32, float32](&b, t, panels, scratch[:bLen], cblk, cj, ldc, m, k, jc, nc, acc)
 		}
 		ep.apply(cblk, m, ldc, cj, nc)
 		if ep.pool.active() {
@@ -286,8 +313,17 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 	if buf != nil {
 		PutScratch(buf)
 	}
-	if ep.pool.active() {
-		fused.release()
+}
+
+// roundUp rounds n up to a multiple of m: the scratch a stage splits into
+// parts keeps each part 64-byte aligned when the whole is.
+func roundUp(n, m int) int { return (n + m - 1) / m * m }
+
+// checkScratch panics, naming the stage fn, when the caller's scratch is
+// shorter than the stage needs.
+func checkScratch(fn string, have, need int) {
+	if have < need {
+		panic(fmt.Sprintf("tensor: %s: scratch has %d elements, need %d", fn, have, need))
 	}
 }
 
@@ -295,7 +331,8 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 // packing: C (rows ldc apart) += op(A)×op(B). Loop orders match the storage
 // layouts so every inner loop streams contiguously; every C element
 // accumulates its k terms in ascending order whichever loop is outermost.
-func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int) {
+// brow is scratch for one row of a convolution's B.
+func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int, brow []float32) {
 	a, b := aop.data, bop.data
 	if bop.trans {
 		// C[i,j] = dot(A row i, B row j): both contiguous.
@@ -317,8 +354,6 @@ func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int) {
 		// B rows come from the image one at a time, so k is outermost: each
 		// row is produced once and spent on every row of A (never transposed
 		// here).
-		rowp := GetScratch(n)
-		brow := *rowp
 		for p := 0; p < k; p++ {
 			bop.conv.row(brow, p, 0)
 			for i := 0; i < m; i++ {
@@ -332,7 +367,6 @@ func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int) {
 				}
 			}
 		}
-		PutScratch(rowp)
 		return
 	}
 	for i := 0; i < m; i++ {

@@ -92,8 +92,9 @@ func TestGemmAVX512TierMatchesAVX2Tier(t *testing.T) {
 		c := make([]float32, m*n)
 		bop := gemmB{data: b, ld: n}
 		panels, buf := gemmA{data: a}.panels(t, m, k)
+		bp := make([]float32, bBlockLen(t, k, min(t.nc, n)))
 		for jc := 0; jc < n; jc += t.nc {
-			blocked[float32, float32](&bop, t, panels, c, jc, n, m, k, jc, min(t.nc, n-jc), false)
+			blocked[float32, float32](&bop, t, panels, bp, c, jc, n, m, k, jc, min(t.nc, n-jc), false)
 		}
 		PutScratch(buf)
 		return c

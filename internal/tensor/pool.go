@@ -81,7 +81,8 @@ func MaxPoolForwardArgmax(x *Tensor, p PoolSpec, y *Tensor, argmax []int32) {
 
 // MaxPoolForwardInto computes max pooling into a caller-provided output
 // tensor without recording argmax indices — the inference-path variant, which
-// performs no allocation. y must be [N,C,outH,outW].
+// performs no allocation. y must be [N,C,outH,outW]; scratch holds
+// p.ScratchLen(W) elements.
 //
 // Unpadded pooling (every pool in the PERCIVAL architectures) takes the
 // separable path, which agrees with the scalar window scan by value on
@@ -89,7 +90,7 @@ func MaxPoolForwardArgmax(x *Tensor, p PoolSpec, y *Tensor, argmax []int32) {
 // holding both +0 and -0 as its maximum may yield either (they compare
 // equal), and a NaN, which the scalar scan never selects, propagates from
 // the separable path when it sits first in its column or row of the window.
-func MaxPoolForwardInto(x *Tensor, p PoolSpec, y *Tensor) {
+func MaxPoolForwardInto(x *Tensor, p PoolSpec, y *Tensor, scratch []float32) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := p.OutSize(h, w)
 	if oh == 0 || ow == 0 {
@@ -99,7 +100,8 @@ func MaxPoolForwardInto(x *Tensor, p PoolSpec, y *Tensor) {
 		panic(fmt.Sprintf("tensor: MaxPoolForwardInto: output shape %v, want [%d,%d,%d,%d]", y.Shape, n, c, oh, ow))
 	}
 	if p.Pad == 0 {
-		maxPoolSeparable(x.Data, n*c, h, w, p, y.Data, oh, ow)
+		checkScratch("MaxPoolForwardInto", len(scratch), p.ScratchLen(w))
+		maxPoolSeparable(x.Data, n*c, h, w, p, y.Data, oh, ow, scratch)
 		return
 	}
 	oi := 0
@@ -134,20 +136,24 @@ func MaxPoolForwardInto(x *Tensor, p PoolSpec, y *Tensor) {
 // maxPoolSeparable is the unpadded fast path over `planes` h×w planes: one
 // poolRow per output row. Every window lies inside the plane (OutSize drops
 // partial ones), so nothing is range-checked.
-func maxPoolSeparable(x []float32, planes, h, w int, p PoolSpec, y []float32, oh, ow int) {
-	bufp := GetScratch(poolRowScratch(w, p))
+func maxPoolSeparable(x []float32, planes, h, w int, p PoolSpec, y []float32, oh, ow int, scratch []float32) {
 	for i := 0; i < planes; i++ {
 		plane := x[i*h*w : (i+1)*h*w]
 		yp := y[i*oh*ow : (i+1)*oh*ow]
 		for oy := 0; oy < oh; oy++ {
-			poolRow(yp[oy*ow:oy*ow+ow], plane[oy*p.Stride*w:], w, p, *bufp)
+			poolRow(yp[oy*ow:oy*ow+ow], plane[oy*p.Stride*w:], w, p, scratch)
 		}
 	}
-	PutScratch(bufp)
 }
 
-// poolRowScratch is the scratch length poolRow needs for w-wide rows.
-func poolRowScratch(w int, p PoolSpec) int { return 2*w - p.K + 1 }
+// ScratchLen is the scratch MaxPoolForwardInto needs to pool planes w
+// wide: poolRow's for an unpadded pool, none for a padded one.
+func (p PoolSpec) ScratchLen(w int) int {
+	if p.Pad != 0 {
+		return 0
+	}
+	return 2*w - p.K + 1
+}
 
 // poolRow writes one output row of an unpadded max pool from the K input
 // rows at the head of src, w apart. One maxF32Into pass takes the vertical
@@ -215,22 +221,22 @@ type poolSink struct {
 // poolRow's, exactly as MaxPoolForwardInto would compute it.
 type poolRun struct {
 	poolSink
-	m    int
-	bufp *[]float32 // m slabs of cap rows, then poolRow's scratch
+	m   int
+	buf []float32 // m slabs of cap rows, then poolRow's scratch
 }
 
-// start begins a run over m planes fed at most blockRows rows at a time.
-func (p *poolSink) start(m, blockRows int) poolRun {
-	r := poolRun{poolSink: *p, m: m}
+// start begins a run over m planes fed at most blockRows rows at a time, in
+// buf: the poolLen of gemmSplit.
+func (p *poolSink) start(m, blockRows int, buf []float32) poolRun {
+	r := poolRun{poolSink: *p, m: m, buf: buf}
 	r.cap = blockRows + p.spec.K - 1
-	r.bufp = GetScratch(m*r.cap*p.ow + poolRowScratch(p.ow, p.spec))
 	return r
 }
 
 // target returns where the next block's product goes: row i of the block's
 // m×(rows·ow) matrix at c[i*ldc:].
 func (r *poolRun) target() (c []float32, ldc int) {
-	return (*r.bufp)[r.held*r.ow:], r.cap * r.ow
+	return r.buf[r.held*r.ow:], r.cap * r.ow
 }
 
 // emit takes the rows just written at target (bias and ReLU applied), pools
@@ -238,18 +244,15 @@ func (r *poolRun) target() (c []float32, ldc int) {
 func (r *poolRun) emit(rows int) {
 	py, done, first, keep, end := r.advance(rows)
 	ow, ld := r.ow, r.cap*r.ow
-	scratch := (*r.bufp)[r.m*ld:]
+	scratch := r.buf[r.m*ld:]
 	for i := 0; i < r.m; i++ {
-		slab := (*r.bufp)[i*ld : (i+1)*ld]
+		slab := r.buf[i*ld : (i+1)*ld]
 		for y := py; y < done; y++ {
 			poolRow(r.dst[(i*r.poh+y)*r.pow:][:r.pow], slab[(first+(y-py)*r.spec.Stride)*ow:], ow, r.spec, scratch)
 		}
 		copy(slab, slab[keep*ow:end*ow])
 	}
 }
-
-// release returns the run's scratch.
-func (r *poolRun) release() { PutScratch(r.bufp) }
 
 // maxF32Into computes dst[i] = max(src[i], src[i+stride], …) over k taps. A
 // later tap replaces the running maximum only when it compares greater, in

@@ -49,41 +49,6 @@ func (f *QFire) OutC() int { return quadPlanes(f.Expand1.Spec.OutC)*4 + f.Expand
 // quadPlanes is the number of quad planes that hold c channels.
 func quadPlanes(c int) int { return (c + 3) / 4 }
 
-// Forward runs the fire on the n images of h×w in x (quad planes of
-// Squeeze.Spec.InC channels), which must come from a and goes back to it
-// once the squeeze has read it, and returns the output (quad planes of OutC
-// channels), from a. The squeeze's planes come from a and go back to it as
-// well.
-func (f *QFire) Forward(x []uint8, n, h, w int, a *Arena) []uint8 {
-	sq := &f.Squeeze
-	if !sq.fits(sq.Spec.InC, h, w) || len(x) < n*quadPlanes(sq.Spec.InC)*4*h*w ||
-		!f.Expand1.fits(sq.Spec.OutC, h, w) || !f.Expand3.fits(sq.Spec.OutC, h, w) {
-		panic(fmt.Sprintf("tensor: QFire.Forward: x %d / squeeze %+v (weights %d×%d) / expands %+v, %+v (weights %d×%d, %d×%d) do not make a fire over %d images of %d×%d",
-			len(x), sq.Spec, sq.W.m, sq.W.k, f.Expand1.Spec, f.Expand3.Spec, f.Expand1.W.m, f.Expand1.W.k, f.Expand3.W.m, f.Expand3.W.k, n, h, w))
-	}
-	sqPlanes, outPlanes := quadPlanes(sq.Spec.OutC), quadPlanes(f.OutC())
-	q := a.GetU8(n * sqPlanes * 4 * h * w)
-	sq.quadConvInto(x, n, h, w, q, sqPlanes, 0)
-	a.PutU8(x)
-	y := a.GetU8(n * outPlanes * 4 * h * w)
-	f.Expand1.quadConvInto(q, n, h, w, y, outPlanes, 0)
-	f.Expand3.quadConvInto(q, n, h, w, y, outPlanes, quadPlanes(f.Expand1.Spec.OutC))
-	a.PutU8(q)
-	return y
-}
-
-// fits reports whether rq holds constants for m output channels.
-func (rq *Requant) fits(m int) bool { return len(rq.Mult) >= m && len(rq.Beta) >= m }
-
-// fits reports whether e is a fire convolution over inC channels of h×w:
-// weights in quad order for them, requantization constants for its output
-// channels, and an output of the input's size.
-func (e *QConv) fits(inC, h, w int) bool {
-	s := e.Spec
-	oh, ow := s.OutSize(h, w)
-	return s.InC == inC && oh == h && ow == w && e.W.m == s.OutC && e.W.k == quadPlanes(inC)*4*s.KH*s.KW && e.RQ.fits(s.OutC)
-}
-
 // quadView returns the column-matrix view of e's input: quad planes read as
 // a convolution's input of ⌈InC/4⌉ channels of 32-bit words, padding
 // positions four zero points.
@@ -95,27 +60,42 @@ func (e *QConv) quadView(h, w int) convView[uint32] {
 	return v
 }
 
-// quadConvInto runs e on the quad planes of n h×w images in q (⌈InC/4⌉
+// ScratchLen is the scratch e needs to run over h×w quad planes: the
+// product's u8 and i32 (qgemmSplit). AccInto takes the u8 part.
+func (e *QConv) ScratchLen(h, w int) (u8, i32 int) {
+	oh, ow := e.Spec.OutSize(h, w)
+	_, _, _, u8, i32 = qgemmSplit(e.Spec.OutC, e.W.k, oh*ow, false, 0, true)
+	return u8, i32
+}
+
+// ForwardInto runs e on the quad planes of n h×w images in q (⌈InC/4⌉
 // planes an image) and requantizes the result into planes [planeOff,
 // planeOff+⌈OutC/4⌉) of y (dstPlanes quad planes of the output size an
-// image).
-func (e *QConv) quadConvInto(q []uint8, n, h, w int, y []uint8, dstPlanes, planeOff int) {
-	oh, ow := e.Spec.OutSize(h, w)
-	ql, ol := quadPlanes(e.Spec.InC)*4*h*w, dstPlanes*4*oh*ow
+// image), in scratch of ScratchLen — a fire's expands write their slots of
+// the concatenation so.
+func (e *QConv) ForwardInto(q []uint8, n, h, w int, y []uint8, dstPlanes, planeOff int, u8 []uint8, i32 []int32) {
+	s := e.Spec
+	oh, ow := s.OutSize(h, w)
+	ql, ol := quadPlanes(s.InC)*4*h*w, dstPlanes*4*oh*ow
+	if e.W.m != s.OutC || e.W.k != quadPlanes(s.InC)*4*s.KH*s.KW || len(e.RQ.Mult) < s.OutC || len(e.RQ.Beta) < s.OutC ||
+		len(q) < n*ql || len(y) < n*ol || planeOff+quadPlanes(s.OutC) > dstPlanes {
+		panic(fmt.Sprintf("tensor: QConv.ForwardInto: q %d / weights %d×%d / requant %d,%d / y %d at plane %d of %d do not fit %+v over %d images of %d×%d",
+			len(q), e.W.m, e.W.k, len(e.RQ.Mult), len(e.RQ.Beta), len(y), planeOff, dstPlanes, s, n, h, w))
+	}
 	view := e.quadView(h, w)
 	ep := qgemmEpilogue{rq: e.RQ, ld: oh * ow}
 	for i := 0; i < n; i++ {
 		view.setImage(quadWords(q[i*ql : (i+1)*ql]))
 		ep.dst = y[i*ol+planeOff*4*oh*ow : (i+1)*ol]
-		qgemmDispatch(e.W, qgemmB{quad: &view}, nil, e.Spec.OutC, e.W.k, oh*ow, &ep)
+		qgemmDispatch(e.W, qgemmB{quad: &view}, nil, e.Spec.OutC, e.W.k, oh*ow, &ep, u8, i32)
 	}
 }
 
 // AccInto runs e on one image's quad planes in q (⌈InC/4⌉ planes of h×w)
 // and leaves the raw int32 accumulators in acc ([OutC, outH·outW]) — for
 // the classifier head, whose epilogue is an average, not a requantization.
-// RQ is unused.
-func (e *QConv) AccInto(q []uint8, h, w int, acc []int32) {
+// RQ is unused; scratch holds ScratchLen's u8.
+func (e *QConv) AccInto(q []uint8, h, w int, acc []int32, scratch []uint8) {
 	s := e.Spec
 	oh, ow := s.OutSize(h, w)
 	ql := quadPlanes(s.InC) * 4 * h * w
@@ -128,5 +108,5 @@ func (e *QConv) AccInto(q []uint8, h, w int, acc []int32) {
 	}
 	view := e.quadView(h, w)
 	view.setImage(quadWords(q[:ql]))
-	qgemmDispatch(e.W, qgemmB{quad: &view}, acc, s.OutC, e.W.k, oh*ow, nil)
+	qgemmDispatch(e.W, qgemmB{quad: &view}, acc, s.OutC, e.W.k, oh*ow, nil, scratch, nil)
 }

@@ -112,7 +112,6 @@ func TestQuadFireMatchesPlanar(t *testing.T) {
 		{"two squeeze blocks 65", 8, 4, 8, 8, 65, 65},
 	}
 	const sentinel = 0xEE
-	a := NewArena()
 	refs := map[[2]int][2][]uint8{} // every tier draws the same cases: one oracle run each
 	for _, tier := range quantTiers() {
 		useQuantTier(tier)
@@ -142,7 +141,9 @@ func TestQuadFireMatchesPlanar(t *testing.T) {
 				for i := range q {
 					q[i] = sentinel
 				}
-				f.Squeeze.quadConvInto(xq, n, cc.h, cc.w, q, sqPlanes, 0)
+				u8, i32 := qfireScratch(&f, cc.h, cc.w)
+				poison(u8, i32)
+				f.Squeeze.ForwardInto(xq, n, cc.h, cc.w, q, sqPlanes, 0, u8, i32)
 				for i, v := range wantQ {
 					if q[i] != v {
 						t.Fatalf("%s: squeeze quad plane %d of image %d, pixel %d lane %d = %d, want %d", name, i/(4*hw)%sqPlanes, i/(4*hw*sqPlanes), i/4%hw, i%4, q[i], v)
@@ -154,11 +155,16 @@ func TestQuadFireMatchesPlanar(t *testing.T) {
 					}
 				}
 
-				xa := a.GetU8(len(xq))
-				copy(xa, xq)
-				y := f.Forward(xa, n, cc.h, cc.w, a)
-				if len(y) != len(want) {
-					t.Fatalf("%s: %d output bytes, want %d", name, len(y), len(want))
+				y := make([]uint8, len(want)+4*nrQTile)
+				for i := range y {
+					y[i] = sentinel
+				}
+				poison(u8, i32)
+				fireForward(&f, xq, n, cc.h, cc.w, q, y, u8, i32)
+				for i, v := range y[len(want):] {
+					if v != sentinel {
+						t.Fatalf("%s: the fire wrote %d bytes past its output", name, i+1)
+					}
 				}
 				for i, v := range want {
 					if y[i] != v {
@@ -166,7 +172,6 @@ func TestQuadFireMatchesPlanar(t *testing.T) {
 						t.Fatalf("%s: image %d plane %d pixel %d lane %d = %d, oracle %d", name, i/(4*hw*planes), i/(4*hw)%planes, i/4%hw, i%4, y[i], v)
 					}
 				}
-				a.PutU8(y)
 			}
 		}
 	}
@@ -184,17 +189,18 @@ func BenchmarkConvExpand3x3U8_13(b *testing.B) {
 		q[i] = uint8(rng.Intn(QMaxU8 + 1))
 	}
 	y := make([]uint8, quadPlanes(s.OutC)*4*13*13)
+	u8, i32 := e.ScratchLen(13, 13)
+	su8, si32 := make([]uint8, u8), make([]int32, i32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.quadConvInto(q, 1, 13, 13, y, quadPlanes(s.OutC), 0)
+		e.ForwardInto(q, 1, 13, 13, y, quadPlanes(s.OutC), 0, su8, si32)
 	}
 }
 
 // BenchmarkQFire55 is the paper net's first fire as inference runs it: 96
 // channels of 55×55 in quad planes, the squeeze into quad planes, both
-// expands into the 64-channel concatenated output, every buffer from one
-// arena. Each pass copies the input into an arena buffer first (0.29 MB),
-// since the fire hands its input back to the arena.
+// expands into the 64-channel concatenated output, on scratch held across
+// passes as a forward plan holds it.
 func BenchmarkQFire55(b *testing.B) {
 	rng := rand.New(rand.NewSource(35))
 	f, _, _, _ := randQFire(rng, 96, 16, 32, 32, 17, 3, true)
@@ -202,12 +208,10 @@ func BenchmarkQFire55(b *testing.B) {
 	for i := range x {
 		x[i] = uint8(rng.Intn(QMaxU8 + 1))
 	}
-	a := NewArena()
-	run := func() {
-		xa := a.GetU8(len(x))
-		copy(xa, x)
-		a.PutU8(f.Forward(xa, 1, 55, 55, a))
-	}
+	y := make([]uint8, quadPlanes(f.OutC())*4*55*55)
+	sq := make([]uint8, quadPlanes(16)*4*55*55)
+	u8, i32 := qfireScratch(&f, 55, 55)
+	run := func() { fireForward(&f, x, 1, 55, 55, sq, y, u8, i32) }
 	run()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -50,7 +50,10 @@ func QGemmKernelName() string { return qgemmTier.name }
 // accumulation relies on 2·127·127 < 2¹⁵−1 to be saturation-free.
 func QGemm(a []int8, b []uint8, c []int32, m, k, n int) {
 	checkGemm("QGemm", len(a), len(b), len(c), m, k, n)
-	qgemmDispatch(QWeights{data: a}, qgemmB{data: b}, c, m, k, n, nil)
+	_, _, _, u8Len, _ := qgemmSplit(m, k, n, false, 0, false)
+	buf := GetScratchU8(u8Len)
+	qgemmDispatch(QWeights{data: a}, qgemmB{data: b}, c, m, k, n, nil, *buf, nil)
+	PutScratchU8(buf)
 }
 
 // QWeights is the A operand of a quantized product: the row-major m×k s8
@@ -100,6 +103,8 @@ type qgemmB struct {
 	ld   int
 	quad *convView[uint32]
 	stem *stemView
+	// stage is a dense B's scratch for its ragged last quad (see pack).
+	stage []uint8
 }
 
 // qgemmEpilogue requantizes a product's finished accumulators into the next
@@ -118,11 +123,10 @@ type qgemmEpilogue struct {
 
 // apply requantizes the m×nc accumulator block acc (row stride nc) into
 // columns [j0, j0+nc) of the destination planes, four rows at a time
-// through a 4×nc staging block small enough to stay in L1; the rows of the
-// last plane past m, which no weight reads, hold the output zero point.
-func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int) {
-	stagep := GetScratchU8(4 * nc)
-	stage := *stagep
+// through stage, a 4×nc staging block small enough to stay in L1; the rows
+// of the last plane past m, which no weight reads, hold the output zero
+// point.
+func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int, stage []uint8) {
 	for g := 0; g*4 < m; g++ {
 		for r := 0; r < 4; r++ {
 			row := stage[r*nc : (r+1)*nc]
@@ -137,7 +141,6 @@ func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int) {
 		off := (g*e.ld + j0) * 4
 		putQuads(e.dst[off:off+nc*4:off+nc*4], stage, nc)
 	}
-	PutScratchU8(stagep)
 }
 
 // putQuads writes four nc-byte rows (src[r*nc:], r < 4) to dst as nc 32-bit
@@ -156,6 +159,29 @@ func putQuads(dst, src []uint8, nc int) {
 	}
 }
 
+// qgemmSplit is how qgemmDispatch runs an m×k×n product: unblocked (small:
+// never a stem's, whose operand only packs panels) or blocked step columns
+// at a time — blockCols when set, else the tier's nc; and the scratch that
+// takes: u8Len bytes — bLen for the packed B block (an unblocked product's
+// one row of B quads), then a 4-row staging block as wide as a column block
+// — and i32Len accumulators for an epilogue's column block.
+func qgemmSplit(m, k, n int, stem bool, blockCols int, ep bool) (small bool, step, bLen, u8Len, i32Len int) {
+	t := qgemmTier
+	small = m*k*n <= gemmSmallThreshold && !stem
+	step, bLen = n, roundUp(4*n, 64)
+	if !small {
+		step = t.nc
+		if blockCols > 0 {
+			step = blockCols
+		}
+		bLen = bBlockLen(t, k, min(step, n))
+	}
+	if ep {
+		i32Len = m * min(step, n)
+	}
+	return small, step, bLen, bLen + 4*min(step, n), i32Len
+}
+
 // qgemmDispatch routes a product to the small unblocked loop or the blocked
 // driver, a column block at a time. With ep nil it overwrites the m×n matrix
 // c with the product; with an epilogue c is unused and the requantized bytes
@@ -165,8 +191,8 @@ func putQuads(dst, src []uint8, nc int) {
 // the pool's blockRows whole output rows, each requantized and pooled while
 // it is cache-resident (see qpoolRun). Neither way does the blocked path
 // clear an accumulator: the first k-block's kernels store instead of adding.
-// A stem operand only packs panels, so it always runs the blocked driver.
-func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue) {
+// u8 and i32 hold the scratch qgemmSplit says the product takes.
+func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue, u8 []uint8, i32 []int32) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -176,61 +202,53 @@ func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilog
 		}
 		return
 	}
-	t := qgemmTier
-	small := m*k*n <= gemmSmallThreshold && b.stem == nil
-	step := n
+	blockCols := 0
+	if ep != nil && ep.pool != nil {
+		blockCols = ep.pool.blockRows * ep.pool.ow
+	}
+	small, step, bLen, u8Len, i32Len := qgemmSplit(m, k, n, b.stem != nil, blockCols, ep != nil)
+	checkScratch("qgemm", len(u8), u8Len)
+	checkScratch("qgemm accumulators", len(i32), i32Len)
 	var panels []int8
 	var buf *[]int8
 	if !small {
-		step = t.nc
-		if ep != nil && ep.pool != nil {
-			step = ep.pool.blockRows * ep.pool.ow
-		}
 		panels, buf = a.panels(m, k)
 	}
-	var accp *[]int32
-	if ep != nil {
-		accp = GetScratchI32(m * min(step, n))
-	}
-	b.ld = n
+	b.ld, b.stage = n, u8[bLen:u8Len]
 	for jc := 0; jc < n; jc += step {
 		nc := min(step, n-jc)
 		cblk, cj, ldc := c, jc, n
 		if ep != nil {
-			cblk, cj, ldc = (*accp)[:m*nc], 0, nc
+			cblk, cj, ldc = i32[:m*nc], 0, nc
 		}
 		if small {
 			clear(cblk[:m*n])
-			qgemmSmall(a.data, b, cblk, m, k, n)
+			qgemmSmall(a.data, b, cblk, m, k, n, u8[:bLen])
 		} else {
-			blocked[int8, uint8](&b, t, panels, cblk, cj, ldc, m, k, jc, nc, false)
+			blocked[int8, uint8](&b, qgemmTier, panels, u8[:bLen], cblk, cj, ldc, m, k, jc, nc, false)
 		}
 		switch {
 		case ep == nil:
 		case ep.pool != nil:
-			ep.pool.emit(cblk, m, nc, ep.rq)
+			ep.pool.emit(cblk, m, nc, ep.rq, b.stage)
 		default:
-			ep.apply(cblk, m, nc, jc)
+			ep.apply(cblk, m, nc, jc, b.stage)
 		}
 	}
 	if buf != nil {
 		PutScratchI8(buf)
-	}
-	if accp != nil {
-		PutScratchI32(accp)
 	}
 }
 
 // qgemmSmall is the unblocked path for problems too small to amortize
 // packing. k is outermost so a quad operand produces each row of its column
 // matrix once, four product rows at a time, interleaved: row p is every
-// fourth byte of quad row p/4, from byte p%4 on.
-func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
-	var rowp *[]uint8
+// fourth byte of quad row p/4, from byte p%4 on. row is scratch for one row
+// of quads.
+func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int, row []uint8) {
 	var words []uint32
 	if b.quad != nil {
-		rowp = GetScratchU8(4 * n)
-		words = quadWords(*rowp)
+		words = quadWords(row[:4*n])
 	}
 	for p := 0; p < k; p++ {
 		var brow []uint8
@@ -239,7 +257,7 @@ func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
 			if p%4 == 0 {
 				b.quad.row(words, p/4, 0)
 			}
-			brow, step = (*rowp)[p%4:], 4
+			brow, step = row[p%4:], 4
 		} else {
 			brow = b.data[p*n : p*n+n]
 		}
@@ -253,9 +271,6 @@ func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int) {
 				crow[j] += w * int32(brow[j*step])
 			}
 		}
-	}
-	if rowp != nil {
-		PutScratchU8(rowp)
 	}
 }
 
@@ -279,8 +294,7 @@ func (b *qgemmB) pack(dst []uint8, p0, kc, j0, nc int) {
 		return
 	}
 	quads := (kc + 3) / 4
-	stagep := GetScratchU8(4 * nc)
-	stage := *stagep
+	stage := b.stage
 	for q := 0; q < quads; q++ {
 		p, rows := p0+q*4, min(4, kc-q*4)
 		src, ld := stage, nc
@@ -290,11 +304,10 @@ func (b *qgemmB) pack(dst []uint8, p0, kc, j0, nc int) {
 			for t := 0; t < rows; t++ {
 				copy(stage[t*nc:(t+1)*nc], b.data[(p+t)*b.ld+j0:])
 			}
-			clear(stage[rows*nc:])
+			clear(stage[rows*nc : 4*nc])
 		}
 		transposeQuad(dst[q*4*nrQTile:], quads*4*nrQTile, src, ld, nc)
 	}
-	PutScratchU8(stagep)
 }
 
 // transposeQuad interleaves four nc-byte rows (src[r*ld:], r < 4) into quad

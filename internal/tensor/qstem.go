@@ -86,50 +86,48 @@ var identityU8 = func() (t [256]uint8) {
 // ForwardInto runs the stage on n images of h×w pixels in pix (pixel (y, x)
 // of image i at pix[((i*h+y)*w+x)*4:], channels c < Spec.InC used), each
 // byte through lut — nil when the bytes already are the quantized input —
-// into y: each image's ⌈OutC/4⌉ quad planes of OutSize's pixels. Its
-// scratch, one image's padded pixel rows and the pool's row slabs, comes
-// from a and goes back to it.
+// into y: each image's ⌈OutC/4⌉ quad planes of OutSize's pixels. u8 and i32
+// hold ScratchLen(h, w): one image's padded pixel rows, the pool's row
+// slabs, and the product's own.
 //
 // Each image is one quantized GEMM whose B operand is the image's padded
 // rows (see stemView); with a pool, the blocked driver hands the epilogue
 // whole output rows, which are requantized into quad slabs and pooled there
 // while they are cache-resident (see qpoolRun), and the convolution stops at
 // the last row a pooling window reads.
-func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint8, a *Arena) {
+func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint8, u8 []uint8, i32 []int32) {
 	s := st.Spec
-	oh, ow := s.OutSize(h, w)
-	if oh == 0 || ow == 0 {
+	g := st.geometry(h, w)
+	if g.oh == 0 || g.ow == 0 {
 		panicEmptyOutput("QStem.ForwardInto", []int{n, s.InC, h, w}, s.KH, s.KW, s.PadH, s.PadW)
 	}
-	outH, outW, convH := oh, ow, oh
 	if st.Pool.K > 0 {
 		if st.Pool.Pad != 0 {
 			panic(fmt.Sprintf("tensor: QStem.ForwardInto: fused pool %+v must be unpadded", st.Pool))
 		}
-		if outH, outW = st.Pool.OutSize(oh, ow); outH == 0 || outW == 0 {
-			panicEmptyOutput("QStem.ForwardInto", []int{n, s.OutC, oh, ow}, st.Pool.K, st.Pool.K, 0, 0)
+		if g.outH == 0 || g.outW == 0 {
+			panicEmptyOutput("QStem.ForwardInto", []int{n, s.OutC, g.oh, g.ow}, st.Pool.K, st.Pool.K, 0, 0)
 		}
-		convH = (outH-1)*st.Pool.Stride + st.Pool.K
 	}
 	planes := quadPlanes(s.OutC)
-	k, il, ol := s.KH*s.KW*4, h*w*4, planes*4*outH*outW
+	k, il, ol := s.KH*s.KW*4, h*w*4, planes*4*g.outH*g.outW
 	if s.InC > 4 || len(pix) < n*il || st.W.m != s.OutC || st.W.k != k ||
 		len(st.RQ.Mult) < s.OutC || len(st.RQ.Beta) < s.OutC || len(y) < n*ol {
 		panic(fmt.Sprintf("tensor: QStem.ForwardInto: pixels %d / weights %d×%d / requant %d,%d / y %d do not fit %d images of %d×%d under %+v",
 			len(pix), st.W.m, st.W.k, len(st.RQ.Mult), len(st.RQ.Beta), len(y), n, h, w, s))
 	}
+	checkScratch("QStem.ForwardInto", len(u8), g.u8)
+	checkScratch("QStem.ForwardInto accumulators", len(i32), g.i32)
 	if lut == nil {
 		lut = &identityU8
 	}
-	view := stemView{s: s, ow: ow, words: (w + 2*s.PadW + s.StrideW - 1) / s.StrideW, rows: (convH-1)*s.StrideH + s.KH}
-	view.rowLen = 4 * s.StrideW * view.words
-	view.buf = a.GetU8(view.rows * view.rowLen)
-	ep := qgemmEpilogue{rq: st.RQ, ld: oh * ow}
+	view := g.view
+	view.buf, u8 = u8[:g.viewLen], u8[g.viewLen:]
+	ep := qgemmEpilogue{rq: st.RQ, ld: g.oh * g.ow}
 	var pool qpoolRun
 	if st.Pool.K > 0 {
-		pool = qpoolRun{poolWindow: poolWindow{spec: st.Pool, ow: ow, poh: outH, pow: outW}, blockRows: max(qstemBlockCols/ow, 1)}
-		pool.cap = pool.blockRows + st.Pool.K - 1
-		pool.buf = a.GetU8(planes * 4 * pool.cap * ow)
+		pool = qpoolRun{poolWindow: poolWindow{spec: st.Pool, ow: g.ow, poh: g.outH, pow: g.outW, cap: g.blockRows + st.Pool.K - 1}, blockRows: g.blockRows}
+		pool.buf, pool.rows, u8 = u8[:g.slabLen], u8[g.slabLen:g.slabLen+g.rowsLen], u8[g.slabLen+g.rowsLen:]
 		ep.pool = &pool
 	}
 	for i := 0; i < n; i++ {
@@ -139,12 +137,51 @@ func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint
 		} else {
 			ep.dst = y[i*ol:]
 		}
-		qgemmDispatch(st.W, qgemmB{stem: &view}, nil, s.OutC, k, convH*ow, &ep)
+		qgemmDispatch(st.W, qgemmB{stem: &view}, nil, s.OutC, k, g.convH*g.ow, &ep, u8, i32)
 	}
-	a.PutU8(view.buf)
-	if ep.pool != nil {
-		a.PutU8(pool.buf)
+}
+
+// stemGeometry is how ForwardInto runs over h×w images: the convolution's
+// output size, the stage's, and the rows the convolution computes; the
+// padded-row view; rows per block; and its scratch — the view's rows, then
+// the pool's slabs and poolQuadRows' scratch, then the product's, each
+// starting 64 bytes from the last so the kernels' loads do not split cache
+// lines.
+type stemGeometry struct {
+	oh, ow, outH, outW, convH int
+	view                      stemView
+	blockRows                 int
+	viewLen, slabLen, rowsLen int
+	u8, i32                   int
+}
+
+func (st *QStem) geometry(h, w int) stemGeometry {
+	s := st.Spec
+	g := stemGeometry{}
+	g.oh, g.ow = s.OutSize(h, w)
+	g.outH, g.outW, g.convH = g.oh, g.ow, g.oh
+	blockCols := 0
+	if p := st.Pool; p.K > 0 {
+		g.outH, g.outW = p.OutSize(g.oh, g.ow)
+		g.convH = max((g.outH-1)*p.Stride+p.K, 0)
+		g.blockRows = max(qstemBlockCols/max(g.ow, 1), 1)
+		blockCols = g.blockRows * g.ow
+		rows := g.blockRows + p.K - 1
+		g.slabLen = roundUp(quadPlanes(s.OutC)*4*rows*g.ow, 64)
+		g.rowsLen = roundUp(4*max(2*rows*g.ow-p.K+1, 0), 64)
 	}
+	g.view = stemView{s: s, ow: g.ow, words: (w + 2*s.PadW + s.StrideW - 1) / s.StrideW, rows: (g.convH-1)*s.StrideH + s.KH}
+	g.view.rowLen = 4 * s.StrideW * g.view.words
+	g.viewLen = roundUp(g.view.rows*g.view.rowLen, 64)
+	_, _, _, u8, i32 := qgemmSplit(s.OutC, s.KH*s.KW*4, g.convH*g.ow, true, blockCols, true)
+	g.u8, g.i32 = g.viewLen+g.slabLen+g.rowsLen+u8, i32
+	return g
+}
+
+// ScratchLen is the scratch ForwardInto needs for h×w images.
+func (st *QStem) ScratchLen(h, w int) (u8, i32 int) {
+	g := st.geometry(h, w)
+	return g.u8, g.i32
 }
 
 // stemView is the stem's B operand: one image's pixels, mapped through the
@@ -262,18 +299,20 @@ type qpoolRun struct {
 	blockRows int     // rows per block the driver hands over (the last may be fewer)
 	dst       []uint8 // the image's pooled output: ⌈m/4⌉ quad planes of poh×pow
 	buf       []uint8 // ⌈m/4⌉ quad slabs of cap rows
+	rows      []uint8 // poolQuadRows' scratch
 }
 
-// emit takes the m×nc accumulator block acc (nc whole rows of ow columns).
-func (r *qpoolRun) emit(acc []int32, m, nc int, rq Requant) {
+// emit takes the m×nc accumulator block acc (nc whole rows of ow columns),
+// requantizing through stage (see qgemmEpilogue.apply).
+func (r *qpoolRun) emit(acc []int32, m, nc int, rq Requant, stage []uint8) {
 	ow, ld := r.ow, r.cap*r.ow // words per slab
 	e := qgemmEpilogue{rq: rq, dst: r.buf[r.held*ow*4:], ld: ld}
-	e.apply(acc, m, nc, 0)
+	e.apply(acc, m, nc, 0, stage)
 	py, done, first, keep, end := r.advance(nc / ow)
 	for g := 0; g < quadPlanes(m); g++ {
 		slab := r.buf[g*ld*4 : (g+1)*ld*4]
 		if done > py {
-			poolQuadRows(r.dst[(g*r.poh+py)*r.pow*4:(g*r.poh+done)*r.pow*4], r.pow, done-py, slab[first*ow*4:], ow, r.spec)
+			poolQuadRows(r.dst[(g*r.poh+py)*r.pow*4:(g*r.poh+done)*r.pow*4], r.pow, done-py, slab[first*ow*4:], ow, r.spec, r.rows)
 		}
 		copy(slab, slab[keep*ow*4:end*ow*4])
 	}

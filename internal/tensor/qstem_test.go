@@ -68,7 +68,6 @@ func TestQStemMatchesPlanarConvPool(t *testing.T) {
 		{"stride 3 over one column", ConvSpec{InC: 4, OutC: 3, KH: 3, KW: 3, StrideH: 3, StrideW: 3, PadH: 1, PadW: 1}, PoolSpec{}, 5, 1},
 	}
 	const sentinel = 0xEE
-	a := NewArena()
 	refs := map[[2]int][]uint8{} // every tier draws the same cases: one oracle run each
 	for _, tier := range quantTiers() {
 		useQuantTier(tier)
@@ -113,7 +112,9 @@ func TestQStemMatchesPlanarConvPool(t *testing.T) {
 					for i := range y {
 						y[i] = sentinel
 					}
-					st.ForwardInto(pix, n, h, w, lut, y, a)
+					u8, i32 := qstemScratch(&st, h, w)
+					poison(u8, i32)
+					st.ForwardInto(pix, n, h, w, lut, y, u8, i32)
 					for i, v := range want {
 						if y[i] != v {
 							t.Fatalf("%s: y[%d] = %d, want %d", name, i, y[i], v)
@@ -184,12 +185,12 @@ func benchQStem(b *testing.B, pool PoolSpec) {
 	}
 	oh, ow := st.OutSize(224, 224)
 	y := make([]uint8, quadPlanes(s.OutC)*4*oh*ow)
-	a := NewArena()
-	st.ForwardInto(pix, 1, 224, 224, &lut, y, a)
+	u8, i32 := qstemScratch(&st, 224, 224)
+	st.ForwardInto(pix, 1, 224, 224, &lut, y, u8, i32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.ForwardInto(pix, 1, 224, 224, &lut, y, a)
+		st.ForwardInto(pix, 1, 224, 224, &lut, y, u8, i32)
 	}
 }
 

@@ -242,11 +242,12 @@ type Requant struct {
 
 // MaxPoolQuadsInto max-pools `planes` quad planes of h×w pixels in x (see
 // QFire: four channels' bytes a 32-bit word) into planes of OutSize's
-// pixels in y, unpadded — the only pool the INT8 engine runs. Max pooling
-// commutes with the (monotonic) quantization map, so the window maximum is
-// taken directly on the quantized bytes, each lane of a word on its own
-// channel, and the quantization parameters pass through unchanged.
-func MaxPoolQuadsInto(x []uint8, planes, h, w int, p PoolSpec, y []uint8) (oh, ow int) {
+// pixels in y, unpadded — the only pool the INT8 engine runs — in scratch of
+// QuadScratchLen(h, w) bytes. Max pooling commutes with the (monotonic)
+// quantization map, so the window maximum is taken directly on the
+// quantized bytes, each lane of a word on its own channel, and the
+// quantization parameters pass through unchanged.
+func MaxPoolQuadsInto(x []uint8, planes, h, w int, p PoolSpec, y []uint8, scratch []uint8) (oh, ow int) {
 	oh, ow = p.OutSize(h, w)
 	if oh == 0 || ow == 0 {
 		panicEmptyOutput("MaxPoolQuadsInto", []int{planes, h, w, 4}, p.K, p.K, p.Pad, p.Pad)
@@ -255,10 +256,17 @@ func MaxPoolQuadsInto(x []uint8, planes, h, w int, p PoolSpec, y []uint8) (oh, o
 		panic(fmt.Sprintf("tensor: MaxPoolQuadsInto: pool %+v / x %d / y %d do not pool %d quad planes of %d×%d unpadded",
 			p, len(x), len(y), planes, h, w))
 	}
+	checkScratch("MaxPoolQuadsInto", len(scratch), p.QuadScratchLen(h, w))
 	for i := 0; i < planes; i++ {
-		poolQuadRows(y[i*4*oh*ow:(i+1)*4*oh*ow], ow, oh, x[i*4*h*w:(i+1)*4*h*w], w, p)
+		poolQuadRows(y[i*4*oh*ow:(i+1)*4*oh*ow], ow, oh, x[i*4*h*w:(i+1)*4*h*w], w, p, scratch)
 	}
 	return oh, ow
+}
+
+// QuadScratchLen is the scratch MaxPoolQuadsInto needs for h×w planes.
+func (p PoolSpec) QuadScratchLen(h, w int) int {
+	oh, _ := p.OutSize(h, w)
+	return 4 * max(2*((oh-1)*p.Stride+1)*w-p.K+1, 0)
 }
 
 // poolQuadRows writes `rows` consecutive rows of an unpadded max pool of one
@@ -269,19 +277,18 @@ func MaxPoolQuadsInto(x []uint8, planes, h, w int, p PoolSpec, y []uint8) (oh, o
 // horizontal K-tap max of vmax at every column into hmax (a byte stride of
 // 4, one pixel: each lane against its own channel; the windows that wrap a
 // row end are never picked), and gatherWords picks each pooled row's pixels
-// out of hmax as words at the stride. The two passes' scratch comes from the
-// scratch pool.
-func poolQuadRows(dst []uint8, pow, rows int, src []uint8, w int, p PoolSpec) {
+// out of hmax as words at the stride. The two passes' scratch is the
+// caller's: 4·(2·starts·w − K + 1) bytes for the rows' starts
+// (rows−1)·Stride + 1.
+func poolQuadRows(dst []uint8, pow, rows int, src []uint8, w int, p PoolSpec, scratch []uint8) {
 	starts := (rows-1)*p.Stride + 1
-	bufp := GetScratchU8(4 * (2*starts*w - p.K + 1))
-	vmax, hmax := (*bufp)[:4*starts*w], (*bufp)[4*starts*w:]
+	vmax, hmax := scratch[:4*starts*w], scratch[4*starts*w:4*(2*starts*w-p.K+1)]
 	maxU8Into(vmax, src, p.K, 4*w)
 	maxU8Into(hmax, vmax, p.K, 4)
 	words := quadWords(hmax)
 	for r := 0; r < rows; r++ {
 		gatherWords(quadWords(dst[r*pow*4:(r+1)*pow*4]), words[r*p.Stride*w:], p.Stride)
 	}
-	PutScratchU8(bufp)
 }
 
 // maxU8Into computes dst[i] = max(src[i], src[i+stride], …) over k taps. The

@@ -279,9 +279,9 @@ func TestMaxPoolU8MatchesFloat(t *testing.T) {
 	p := PoolSpec{K: 3, Stride: 2}
 	oh, ow := p.OutSize(h, w)
 	yu := make([]uint8, n*4*oh*ow)
-	MaxPoolQuadsInto(quadsOf(xu, n, c, h*w, func() uint8 { return 0 }), n, h, w, p, yu)
+	MaxPoolQuadsInto(quadsOf(xu, n, c, h*w, func() uint8 { return 0 }), n, h, w, p, yu, make([]uint8, p.QuadScratchLen(h, w)))
 	yf := New(n, c, oh, ow)
-	MaxPoolForwardInto(xf, p, yf)
+	MaxPoolForwardInto(xf, p, yf, make([]float32, p.ScratchLen(w)))
 	for i, want := range yf.Data {
 		img, ch, j := i/(c*oh*ow), i/(oh*ow)%c, i%(oh*ow)
 		if got := yu[(img*oh*ow+j)*4+ch]; float32(got) != want {
@@ -400,9 +400,10 @@ func BenchmarkMaxPoolU8_112x96(b *testing.B) {
 	p := PoolSpec{K: 3, Stride: 2}
 	oh, ow := p.OutSize(112, 112)
 	y := make([]uint8, 96*oh*ow)
+	scratch := make([]uint8, p.QuadScratchLen(112, 112))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxPoolQuadsInto(x, 24, 112, 112, p, y)
+		MaxPoolQuadsInto(x, 24, 112, 112, p, y, scratch)
 	}
 }

@@ -533,9 +533,9 @@ func TestEmptyOutputRejected(t *testing.T) {
 		shape string
 	}{
 		"ConvForwardInto":    {func() { ConvForwardInto(x, make([]float32, 9), nil, s, y, 0, false) }, "[1 1 2 2]"},
-		"MaxPoolForwardInto": {func() { MaxPoolForwardInto(x, p, y) }, "[1 1 2 2]"},
+		"MaxPoolForwardInto": {func() { MaxPoolForwardInto(x, p, y, nil) }, "[1 1 2 2]"},
 		// One quad plane of 2×2 pixels, four bytes each.
-		"MaxPoolQuadsInto": {func() { MaxPoolQuadsInto(make([]uint8, 16), 1, 2, 2, p, make([]uint8, 4)) }, "[1 2 2 4]"},
+		"MaxPoolQuadsInto": {func() { MaxPoolQuadsInto(make([]uint8, 16), 1, 2, 2, p, make([]uint8, 4), nil) }, "[1 2 2 4]"},
 	} {
 		msg := panicMessage(t, name, c.fn)
 		if !strings.Contains(msg, name) || !strings.Contains(msg, "3×3 window") || !strings.Contains(msg, c.shape) {
