@@ -398,7 +398,10 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 	// after it runs in its epilogue. Every other node is a fire or a pool.
 	stem := c.nodes[0].conv
 	curQ := c.obs[stem].params()
-	sc := buildQConv(stem, q.inQ, curQ, true, quadGap{})
+	sc, err := buildQConv(stem, q.inQ, curQ, true, quadGap{})
+	if err != nil {
+		return nil, err
+	}
 	q.stem = tensor.QStem{Spec: sc.Spec, W: sc.W, RQ: sc.RQ, ZP: sc.ZP}
 	rest := c.nodes[1:]
 	if len(rest) > 0 && rest[0].pool != nil {
@@ -409,10 +412,20 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 		switch {
 		case nd.fire != nil:
 			sqQ, outQ := c.obs[nd.fire.Squeeze].params(), c.obs[nd.fire.Expand3].params()
-			f := &tensor.QFire{
-				Squeeze: buildQConv(nd.fire.Squeeze, curQ, sqQ, true, gap),
-				Expand1: buildQConv(nd.fire.Expand1, sqQ, outQ, true, quadGap{}),
-				Expand3: buildQConv(nd.fire.Expand3, sqQ, outQ, true, quadGap{}),
+			f := &tensor.QFire{}
+			for _, b := range [...]struct {
+				dst     *tensor.QConv
+				conv    *Conv2D
+				in, out tensor.QuantParams
+				gap     quadGap
+			}{
+				{&f.Squeeze, nd.fire.Squeeze, curQ, sqQ, gap},
+				{&f.Expand1, nd.fire.Expand1, sqQ, outQ, quadGap{}},
+				{&f.Expand3, nd.fire.Expand3, sqQ, outQ, quadGap{}},
+			} {
+				if *b.dst, err = buildQConv(b.conv, b.in, b.out, true, b.gap); err != nil {
+					return nil, err
+				}
 			}
 			q.body = append(q.body, qLayer{fire: f})
 			e1 := f.Expand1.Spec.OutC
@@ -499,11 +512,31 @@ func parseQuantizable(net *Sequential) (nodes []calibNode, finalConv *Conv2D, cl
 }
 
 // buildQConv quantizes one convolution's weights, widened over gap and
-// packed in quad order, and folds its requantize constants.
-func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool, gap quadGap) tensor.QConv {
+// packed in quad order, and folds its requantize constants, which it
+// refuses unless they never decrease (checkMonotonic).
+func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool, gap quadGap) (tensor.QConv, error) {
 	wq, rq := quantizeConv(c, inQ, outQ, relu)
+	if err := checkMonotonic(c.Name(), rq); err != nil {
+		return tensor.QConv{}, err
+	}
 	wq, s := gap.widen(wq, c.Spec)
-	return tensor.QConv{Spec: s, W: tensor.PackQQuadWeights(wq, s), RQ: rq, ZP: uint8(inQ.Zero)}
+	return tensor.QConv{Spec: s, W: tensor.PackQQuadWeights(wq, s), RQ: rq, ZP: uint8(inQ.Zero)}, nil
+}
+
+// checkMonotonic refuses a requantization that could decrease as its
+// accumulator grows: a negative or NaN multiplier on some channel. The INT8
+// stages max-pool in the requantized domain — the stem's fused pool takes
+// each window's maximum of raw accumulators and requantizes only that, the
+// later pools take the maximum of requantized bytes — which equals pooling
+// the real-valued outputs only under a map that never decreases. It is
+// checked once, where a stage is built; the stages run unchecked.
+func checkMonotonic(stage string, rq tensor.Requant) error {
+	for oc, m := range rq.Mult {
+		if !(m >= 0) {
+			return fmt.Errorf("nn: Quantize: %s channel %d: requantization multiplier %v is negative or NaN; the INT8 pools need a requantization that never decreases", stage, oc, m)
+		}
+	}
+	return nil
 }
 
 // quantizeConv returns a convolution's s8 weights, in its own (c, ky, kx)

@@ -379,3 +379,24 @@ func TestQuantizedOnePixelOnFreshArena(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantizeRefusesDecreasingRequant pins the precondition the INT8 pools
+// rest on: a stage's requantization must never decrease as its accumulator
+// grows. A hand-built Requant with a multiplier of −1 — or NaN — on one
+// channel is refused with the stage's and the channel's name; 0, a constant
+// map, is allowed.
+func TestQuantizeRefusesDecreasingRequant(t *testing.T) {
+	for _, bad := range []float32{-1, float32(math.NaN())} {
+		rq := tensor.Requant{Mult: []float32{0.5, 0, bad, 0.25}, Beta: make([]float32, 4), ZOut: 3, ReLU: true}
+		err := checkMonotonic("fire3/expand3", rq)
+		if err == nil {
+			t.Fatalf("multiplier %v accepted", bad)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "fire3/expand3") || !strings.Contains(msg, "channel 2") {
+			t.Fatalf("multiplier %v: error %q does not name the stage and the channel", bad, msg)
+		}
+	}
+	if err := checkMonotonic("conv1", tensor.Requant{Mult: []float32{0, 1e-9, 3}}); err != nil {
+		t.Fatalf("non-negative multipliers refused: %v", err)
+	}
+}

@@ -39,15 +39,27 @@ type gemmTierT struct {
 	mc, kc, nc int
 }
 
-// Kernel kinds for gemmTierT.kind: two FP32 tiles, and the INT8 4×16 quad
-// tile in three kernels.
+// Kernel kinds for gemmTierT.kind: two FP32 tiles, the INT8 4×16 quad tile
+// in two kernels, and the INT8 8×32 quad tile.
 const (
 	tierKind6x16     uint8 = iota // FP32 6×16 (sgemmKernel6x16 with FMA, else tileGeneric)
 	tierKind8x32                  // FP32 AVX-512F 8×32 (sgemmKernel8x32)
-	tierKindQuad                  // INT8 portable (tileGeneric)
-	tierKindQuadAVX2              // INT8 AVX2 (qgemmKernel4x16)
-	tierKindQuadVNNI              // INT8 AVX512-VNNI (qgemmKernelVNNI4x16)
+	tierKindQuad                  // INT8 portable 4×16 (tileGeneric)
+	tierKindQuadAVX2              // INT8 AVX2 4×16 (qgemmKernel4x16)
+	tierKindQuadVNNI              // INT8 AVX512-VNNI 8×32 (qgemmKernelVNNI8x32)
 )
+
+// tileOf is the register tile mr×nr of a kernel kind: what its kernel
+// updates, and what portableTile runs in its place.
+func tileOf(kind uint8) (mr, nr int) {
+	switch kind {
+	case tierKind8x32, tierKindQuadVNNI:
+		return 8, 32
+	case tierKindQuad, tierKindQuadAVX2:
+		return mrQTile, nrQTile
+	}
+	return mrTile, nrTile
+}
 
 // kernelElem is an operand or accumulator element of either engine's
 // product: FP32's float32 × float32 → float32, INT8's int8 × uint8 → int32.
@@ -155,7 +167,7 @@ func packBlockB[B kernelElem, O *gemmB | *qgemmB](b O, bp []B, pc, kc, jc, nc, n
 	case *gemmB:
 		o.pack(any(bp).([]float32), pc, kc, jc, nc, nr)
 	case *qgemmB:
-		o.pack(any(bp).([]uint8), pc, kc, jc, nc)
+		o.pack(any(bp).([]uint8), pc, kc, jc, nc, nr)
 	}
 }
 
@@ -215,17 +227,15 @@ func (g *gemmBlock[A, B, C]) panel(jp int) {
 }
 
 // portableTile runs one micro-tile update of the given kind in Go (see
-// tileKernel): the FP32 kinds at their own geometry, every INT8 kind as the
-// 4×16 tile over quads. The caller bounds-checked the panels and the tile.
+// tileKernel) at the kind's geometry (tileOf): FP32 values one k-step a
+// group, INT8 ones a quad. The caller bounds-checked the panels and the
+// tile.
 func portableTile(kind uint8, depth int, a, b, c unsafe.Pointer, ldc int, store bool) {
+	mr, nr := tileOf(kind)
 	if kind >= tierKindQuad {
-		tileGeneric(depth, 4, unsafe.Slice((*int8)(a), mrQTile*depth), unsafe.Slice((*uint8)(b), nrQTile*depth),
-			unsafe.Slice((*int32)(c), (mrQTile-1)*ldc+nrQTile), ldc, mrQTile, nrQTile, store)
+		tileGeneric(depth, 4, unsafe.Slice((*int8)(a), mr*depth), unsafe.Slice((*uint8)(b), nr*depth),
+			unsafe.Slice((*int32)(c), (mr-1)*ldc+nr), ldc, mr, nr, store)
 		return
-	}
-	mr, nr := mrTile, nrTile
-	if kind == tierKind8x32 {
-		mr, nr = 8, 32
 	}
 	tileGeneric(depth, 1, unsafe.Slice((*float32)(a), mr*depth), unsafe.Slice((*float32)(b), nr*depth),
 		unsafe.Slice((*float32)(c), (mr-1)*ldc+nr), ldc, mr, nr, store)

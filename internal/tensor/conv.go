@@ -385,13 +385,13 @@ func quadWords(b []uint8) []uint32 {
 }
 
 // gatherWords writes dst[i] = src[i*stride] for 32-bit elements: FP32
-// values, or the INT8 engine's quad words (the pools' pick of pooled
-// pixels). Stride 2 — the paper net's stem and its pools — has a vector body
+// values, the INT8 engine's quad words (the pools' pick of pooled pixels),
+// or a fused INT8 pool's accumulators. Stride 2 — the paper net's stem and its pools — has a vector body
 // that de-interleaves 16 source elements into 8 at a time; it reads the odd
 // element after the last even one, so it stops where src does and the loop
 // finishes. It moves words without arithmetic, so quads go through it bit
 // for bit, as through copyRuns.
-func gatherWords[T float32 | uint32](dst, src []T, stride int) {
+func gatherWords[T float32 | uint32 | int32](dst, src []T, stride int) {
 	i := 0
 	if stride == 2 && haveQuantASM {
 		if i = min(len(dst), len(src)/2) &^ 7; i > 0 {
@@ -467,7 +467,7 @@ func (v *convView[T]) walk(r *panelRow[T], p, j0, nc int) {
 // (p0, j0) into nr-column micro-panels, zero-padded past the last valid
 // column. nr must be a power of two. The FP32 driver packs elements; the
 // INT8 one packs the quad rows of a quad-plane view, one 32-bit word per
-// column (nr = nrQTile), which is the quad panel layout itself.
+// column (nr its tier's), which is the quad panel layout itself.
 func packConvPanels[T pixel](v *convView[T], dst []T, p0, kc, j0, nc, nr int) {
 	if nr&(nr-1) != 0 {
 		panic(fmt.Sprintf("tensor: packConvPanels: panel width %d is not a power of two", nr))

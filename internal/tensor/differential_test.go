@@ -324,8 +324,29 @@ func TestVectorHelpersMatchScalar(t *testing.T) {
 					want[i] = m
 				}
 				got := make([]float32, n)
-				maxF32Into(got, src, k, stride)
-				same(fmt.Sprintf("maxF32Into k=%d stride=%d", k, stride), n, got, want)
+				maxInto(got, src, k, stride)
+				same(fmt.Sprintf("maxInto k=%d stride=%d", k, stride), n, got, want)
+
+				// The int32 body, over accumulators of either sign and at
+				// both ends of the range.
+				isrc := make([]int32, len(src))
+				for i := range isrc {
+					isrc[i] = []int32{math.MinInt32, math.MaxInt32, -1, 0, rng.Int31() - 1<<30}[rng.Intn(5)]
+				}
+				iwant := make([]int32, n)
+				for i := range iwant {
+					iwant[i] = isrc[i]
+					for tap := 1; tap < k; tap++ {
+						iwant[i] = max(iwant[i], isrc[i+tap*stride])
+					}
+				}
+				igot := make([]int32, n)
+				maxInto(igot, isrc, k, stride)
+				for i := range iwant {
+					if igot[i] != iwant[i] {
+						t.Fatalf("maxInto int32 k=%d stride=%d n=%d: [%d]=%d, want %d", k, stride, n, i, igot[i], iwant[i])
+					}
+				}
 			}
 		}
 		for stride := 1; stride <= 3; stride++ {
@@ -556,25 +577,28 @@ func TestByteHelpersMatchScalar(t *testing.T) {
 		}
 		useQuantTier(tier)
 		for n := 1; n <= 100; n++ {
-			// Four rows ld apart into panels step apart; bytes between the
-			// panels' quads must stay untouched, missing columns read 0.
-			ld, step, panels := n+5, 4*nrQTile+7, (n+nrQTile-1)/nrQTile
-			src := draw(3*ld + n)
-			got := draw(panels * step)
-			want := append([]uint8(nil), got...)
-			for j := 0; j < panels*nrQTile; j++ {
-				for r := 0; r < 4; r++ {
-					var v uint8
-					if j < n {
-						v = src[r*ld+j]
+			// Four rows ld apart into panels of either quad tile's width,
+			// step apart; bytes between the panels' quads must stay
+			// untouched, missing columns read 0.
+			for _, nr := range []int{16, 32} {
+				ld, step, panels := n+5, 4*nr+7, (n+nr-1)/nr
+				src := draw(3*ld + n)
+				got := draw(panels * step)
+				want := append([]uint8(nil), got...)
+				for j := 0; j < panels*nr; j++ {
+					for r := 0; r < 4; r++ {
+						var v uint8
+						if j < n {
+							v = src[r*ld+j]
+						}
+						want[j/nr*step+j%nr*4+r] = v
 					}
-					want[j/nrQTile*step+j%nrQTile*4+r] = v
 				}
-			}
-			transposeQuad(got, step, src, ld, n)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s transposeQuad nc=%d: [%d]=%d want %d", tier.name, n, i, got[i], want[i])
+				transposeQuad(got, step, src, ld, n, nr)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s transposeQuad nc=%d nr=%d: [%d]=%d want %d", tier.name, n, nr, i, got[i], want[i])
+					}
 				}
 			}
 			for k := 1; k <= 3; k++ {

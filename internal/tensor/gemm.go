@@ -181,22 +181,26 @@ type gemmEpilogue struct {
 // apply runs the bias and ReLU over columns [j0, j0+nc) of the m-row matrix
 // c, rows ldc apart.
 func (e gemmEpilogue) apply(c []float32, m, ldc, j0, nc int) {
+	for i := 0; i < m; i++ {
+		e.row(c[i*ldc+j0:i*ldc+j0+nc], i)
+	}
+}
+
+// row runs the bias and ReLU of matrix row i over row.
+func (e gemmEpilogue) row(row []float32, i int) {
 	if e.bias == nil && !e.relu {
 		return
 	}
-	for i := 0; i < m; i++ {
-		var bias float32
-		if e.bias != nil {
-			bias = e.bias[i]
-		}
-		row := c[i*ldc+j0 : i*ldc+j0+nc]
-		if e.relu {
-			biasReLU(row, bias)
-		} else {
-			for j := range row {
-				row[j] += bias
-			}
-		}
+	var bias float32
+	if e.bias != nil {
+		bias = e.bias[i]
+	}
+	if e.relu {
+		biasReLU(row, bias)
+		return
+	}
+	for j := range row {
+		row[j] += bias
 	}
 }
 
@@ -259,9 +263,9 @@ func gemmSplit(t gemmTierT, m, k, n int, pool PoolSpec, ow int) (small bool, ste
 //
 // With a pooling epilogue c is unused and acc must be false: the column
 // blocks are whole output rows of the convolution and land in the pool's
-// row scratch instead of C, where each is biased, clamped and max-pooled, so
-// the convolution's full output is never written, swept or read back (see
-// poolRun).
+// row scratch instead of C, where each is max-pooled and only the pooled
+// values biased and clamped, so the convolution's full output is never
+// written, swept or read back (see poolRun).
 func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmEpilogue, scratch []float32) {
 	if m == 0 || n == 0 {
 		return
@@ -286,7 +290,7 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 	}
 	var fused poolRun
 	if ep.pool.active() {
-		fused = ep.pool.start(m, min(step, n)/ep.pool.ow, scratch[bLen:bLen+poolLen])
+		fused = ep.pool.start(m, min(step, n)/ep.pool.ow, gemmEpilogue{bias: ep.bias, relu: ep.relu}, scratch[bLen:bLen+poolLen])
 	}
 	for jc := 0; jc < n; jc += step {
 		nc := min(step, n-jc)
@@ -305,9 +309,10 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 		} else {
 			blocked[float32, float32](&b, t, panels, scratch[:bLen], cblk, cj, ldc, m, k, jc, nc, acc)
 		}
-		ep.apply(cblk, m, ldc, cj, nc)
 		if ep.pool.active() {
 			fused.emit(nc / ep.pool.ow)
+		} else {
+			ep.apply(cblk, m, ldc, cj, nc)
 		}
 	}
 	if buf != nil {

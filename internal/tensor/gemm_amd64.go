@@ -84,7 +84,8 @@ func detectAVX512() bool {
 // init upgrades both engines' kernel tiers past the portable defaults. FP32:
 // AVX-512F 8×32 when the CPU qualifies, else the FMA-dispatching 6×16 keeps
 // the default geometry and only the reported name changes. INT8: the
-// AVX512-VNNI kernel, else the AVX2 one, at the one quad geometry.
+// AVX512-VNNI 8×32 tile, else the AVX2 kernel at the portable 4×16
+// geometry.
 func init() {
 	if haveAVX512 {
 		gemmTier = gemmTierT{name: "avx512-8x32", kind: tierKind8x32, mr: 8, nr: 32, mc: 128, kc: kcBlock, nc: ncBlock}
@@ -93,11 +94,16 @@ func init() {
 	}
 	switch {
 	case haveVNNI:
-		qgemmTier.name, qgemmTier.kind = "avx512-vnni-4x16", tierKindQuadVNNI
+		qgemmTier = vnniQTier
 	case haveQuantASM:
 		qgemmTier.name, qgemmTier.kind = "avx2-4x16", tierKindQuadAVX2
 	}
 }
+
+// vnniQTier is the INT8 tier on AVX512-VNNI parts: the 8×32 tile, whose A
+// panel (8×kc bytes) and B panel (kc×32 bytes) stay L1-resident at the quad
+// tiers' kc, and whose mc and nc are multiples of its mr and nr.
+var vnniQTier = gemmTierT{name: "avx512-vnni-8x32", kind: tierKindQuadVNNI, mr: 8, nr: 32, mc: mcQBlock, kc: kcQBlock, nc: ncQBlock}
 
 // tileKernel runs one packed micro-tile update of any kernel kind by direct
 // call (see gemmTierT for why this is not a func value): the mr×nr tile at c,
@@ -108,7 +114,7 @@ func init() {
 func tileKernel(kind uint8, depth int, a, b, c unsafe.Pointer, ldc int, store bool) {
 	switch kind {
 	case tierKindQuadVNNI:
-		qgemmKernelVNNI4x16(int64(depth/4), (*int8)(a), (*uint8)(b), (*int32)(c), int64(ldc), store)
+		qgemmKernelVNNI8x32(int64(depth/4), (*int8)(a), (*uint8)(b), (*int32)(c), int64(ldc), store)
 	case tierKind8x32:
 		sgemmKernel8x32(int64(depth), (*float32)(a), (*float32)(b), (*float32)(c), int64(ldc), store)
 	case tierKindQuadAVX2:

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // PoolSpec describes a 2-D pooling window.
@@ -156,15 +157,16 @@ func (p PoolSpec) ScratchLen(w int) int {
 }
 
 // poolRow writes one output row of an unpadded max pool from the K input
-// rows at the head of src, w apart. One maxF32Into pass takes the vertical
-// max of the K rows into rowmax, a second takes the horizontal K-tap max of
-// rowmax at every window start column into hmax, and the outputs are hmax at
-// the stride — 2K reads per output instead of K² bounds-tested window
-// probes, and no branch that depends on the data.
-func poolRow(dst, src []float32, w int, p PoolSpec, scratch []float32) {
+// rows at the head of src, w apart: FP32 values, or a fused INT8 pool's raw
+// accumulators. One maxInto pass takes the vertical max of the K rows into
+// rowmax, a second takes the horizontal K-tap max of rowmax at every window
+// start column into hmax, and the outputs are hmax at the stride — 2K reads
+// per output instead of K² bounds-tested window probes, and no branch that
+// depends on the data.
+func poolRow[T float32 | int32](dst, src []T, w int, p PoolSpec, scratch []T) {
 	rowmax, hmax := scratch[:w], scratch[w:2*w-p.K+1]
-	maxF32Into(rowmax, src, p.K, w)
-	maxF32Into(hmax, rowmax, p.K, 1)
+	maxInto(rowmax, src, p.K, w)
+	maxInto(hmax, rowmax, p.K, 1)
 	gatherWords(dst, hmax, p.Stride)
 }
 
@@ -217,18 +219,24 @@ type poolSink struct {
 	dst []float32
 }
 
-// poolRun is one product's pass through a poolSink. Each pooled row is
-// poolRow's, exactly as MaxPoolForwardInto would compute it.
+// poolRun is one product's pass through a poolSink: the raw product rows
+// are pooled first and the epilogue's bias and ReLU then finish only the
+// pooled values. Both never decrease as their input grows (a float32 sum
+// rounds monotonically; the clamp keeps a -0 or NaN sum, as the unfused
+// epilogue does), so each pooled value is the one MaxPoolForwardInto
+// computes from the biased, clamped output — but for the ±0 corner that
+// function leaves unpinned.
 type poolRun struct {
 	poolSink
-	m   int
-	buf []float32 // m slabs of cap rows, then poolRow's scratch
+	m      int
+	finish gemmEpilogue // the bias and ReLU, applied to pooled rows
+	buf    []float32    // m slabs of cap rows, then poolRow's scratch
 }
 
 // start begins a run over m planes fed at most blockRows rows at a time, in
-// buf: the poolLen of gemmSplit.
-func (p *poolSink) start(m, blockRows int, buf []float32) poolRun {
-	r := poolRun{poolSink: *p, m: m, buf: buf}
+// buf: the poolLen of gemmSplit. finish is applied to each pooled row.
+func (p *poolSink) start(m, blockRows int, finish gemmEpilogue, buf []float32) poolRun {
+	r := poolRun{poolSink: *p, m: m, finish: finish, buf: buf}
 	r.cap = blockRows + p.spec.K - 1
 	return r
 }
@@ -239,8 +247,9 @@ func (r *poolRun) target() (c []float32, ldc int) {
 	return r.buf[r.held*r.ow:], r.cap * r.ow
 }
 
-// emit takes the rows just written at target (bias and ReLU applied), pools
-// every window they complete and carries the rows later windows still need.
+// emit takes the raw product rows just written at target, pools every
+// window they complete, finishes the pooled rows and carries the rows later
+// windows still need.
 func (r *poolRun) emit(rows int) {
 	py, done, first, keep, end := r.advance(rows)
 	ow, ld := r.ow, r.cap*r.ow
@@ -250,18 +259,25 @@ func (r *poolRun) emit(rows int) {
 		for y := py; y < done; y++ {
 			poolRow(r.dst[(i*r.poh+y)*r.pow:][:r.pow], slab[(first+(y-py)*r.spec.Stride)*ow:], ow, r.spec, scratch)
 		}
+		r.finish.row(r.dst[(i*r.poh+py)*r.pow:(i*r.poh+done)*r.pow], i)
 		copy(slab, slab[keep*ow:end*ow])
 	}
 }
 
-// maxF32Into computes dst[i] = max(src[i], src[i+stride], …) over k taps. A
+// maxInto computes dst[i] = max(src[i], src[i+stride], …) over k taps. A
 // later tap replaces the running maximum only when it compares greater, in
-// the vector body (VMAXPS, the running maximum as second source) as in the
-// loop, so the two agree bit for bit.
-func maxF32Into(dst, src []float32, k, stride int) {
+// the vector bodies (VMAXPS with the running maximum as second source;
+// VPMAXSD) as in the loop, so the two agree bit for bit.
+func maxInto[T float32 | int32](dst, src []T, k, stride int) {
 	src = src[:len(dst)+(k-1)*stride]
 	if haveQuantASM && len(dst) >= 8 {
-		maxF32x8(&dst[0], &src[0], int64(len(dst)), int64(k), int64(stride))
+		d, s, n := unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), int64(len(dst))
+		switch any(dst[0]).(type) {
+		case float32:
+			maxF32x8((*float32)(d), (*float32)(s), n, int64(k), int64(stride))
+		case int32:
+			maxI32x8((*int32)(d), (*int32)(s), n, int64(k), int64(stride))
+		}
 		return
 	}
 	for i := range dst {

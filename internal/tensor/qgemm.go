@@ -8,22 +8,24 @@ import (
 // Quantized-GEMM tuning knobs. INT8 runs the same blocked driver as FP32
 // (blocked.go) — same three-level blocking, same worker pool — with its own
 // tier, whose packed layout groups the K dimension into quads of 4 bytes,
-// matching the AVX2 VPMADDUBSW/VPMADDWD micro-kernel which consumes 4 k-steps
-// per instruction pair. K blocks are therefore multiples of 4; partial quads
-// are zero-padded during packing (a zero activation byte contributes nothing
-// to the accumulator, and the zero-point compensation is applied outside the
-// GEMM).
+// matching the kernels, which consume 4 k-steps per instruction (pair). K
+// blocks are therefore multiples of 4; partial quads are zero-padded during
+// packing (a zero activation byte contributes nothing to the accumulator,
+// and the zero-point compensation is applied outside the GEMM).
 //
-//   - mrQTile×nrQTile is the register tile: 4 rows × 16 int32 columns. The
-//     AVX2 kernel holds it in 8 YMM accumulators, plus the ones vector, two B
-//     vectors, the A broadcast and a madd temporary — 13 of the 16 YMM
-//     registers; the VNNI kernel holds it in 4 ZMM accumulators, twice (even
-//     and odd quads), plus two B vectors, A coming from memory.
-//   - kcQBlock (a multiple of 4) keeps the packed A panel (4×kc bytes) and B
-//     panel (kc×16 bytes) L1-resident.
+//   - mrQTile×nrQTile is the portable and AVX2 register tile: 4 rows × 16
+//     int32 columns. The AVX2 kernel holds it in 8 YMM accumulators, plus
+//     the ones vector, two B vectors, the A broadcast and a madd temporary —
+//     13 of the 16 YMM registers. The AVX512-VNNI tier runs an 8×32 tile
+//     instead (vnniQTier): 16 ZMM accumulators, two B vectors and eight A
+//     broadcasts a quad. Each tier's packers and edge tiles read its own
+//     mr and nr.
+//   - kcQBlock (a multiple of 4) keeps the packed A panel (mr×kc bytes) and
+//     B panel (kc×nr bytes) L1-resident.
 //   - mcQBlock / ncQBlock keep the packed A block L2- and the packed B block
 //     LLC-resident; int8 data is 4× denser than float32, so the same cache
-//     budget covers 4× the logical block volume.
+//     budget covers 4× the logical block volume. Both are multiples of
+//     every tier's mr and nr.
 const (
 	mrQTile  = 4
 	nrQTile  = 16
@@ -33,13 +35,12 @@ const (
 )
 
 // qgemmTier is the INT8 kernel tier in use: the portable quad kernel by
-// default; init in gemm_amd64.go selects the AVX2 or AVX512-VNNI kernel
-// once, when the CPU qualifies. Every tier has the same geometry, so packed
-// weights serve all of them.
+// default; init in gemm_amd64.go selects the AVX2 4×16 or the AVX512-VNNI
+// 8×32 tier once, when the CPU qualifies.
 var qgemmTier = gemmTierT{name: "portable", kind: tierKindQuad, mr: mrQTile, nr: nrQTile, mc: mcQBlock, kc: kcQBlock, nc: ncQBlock}
 
 // QGemmKernelName identifies the dispatched quantized micro-kernel tier
-// ("avx512-vnni-4x16", "avx2-4x16", or "portable"), beside GemmKernelName.
+// ("avx512-vnni-8x32", "avx2-4x16", or "portable"), beside GemmKernelName.
 func QGemmKernelName() string { return qgemmTier.name }
 
 // QGemm computes C = A×B where A is an m×k int8 matrix (quantized weights),
@@ -57,14 +58,15 @@ func QGemm(a []int8, b []uint8, c []int32, m, k, n int) {
 }
 
 // QWeights is the A operand of a quantized product: the row-major m×k s8
-// matrix and, when built by packQWeights, its quad micro-panels, so the
-// blocked driver packs nothing. The panel layout is the same under every
-// kernel tier. Immutable once built: share it freely.
+// matrix and, when built by packQWeights, its quad micro-panels for the tier
+// active then, so the blocked driver packs nothing. Immutable once built:
+// share it freely.
 type QWeights struct {
 	data []int8
 	m, k int
-	// quads is packPanels' output, the same for every INT8 tier.
+	// quads is packPanels' output for a tile mr rows high.
 	quads []int8
+	mr    int
 }
 
 // packQWeights wraps the row-major m×k matrix wq, which it keeps (the
@@ -74,19 +76,22 @@ func packQWeights(wq []int8, m, k int) QWeights {
 	if len(wq) < m*k {
 		panic(fmt.Sprintf("tensor: packQWeights: %d weights, want %d×%d", len(wq), m, k))
 	}
-	w := QWeights{data: wq, m: m, k: k, quads: make([]int8, qgemmTier.panelsLen(m, k))}
-	packPanels(w.quads, wq, k, false, m, k, qgemmTier)
+	t := qgemmTier
+	w := QWeights{data: wq, m: m, k: k, quads: make([]int8, t.panelsLen(m, k)), mr: t.mr}
+	packPanels(w.quads, wq, k, false, m, k, t)
 	return w
 }
 
-// panels returns the quad micro-panels of the m×k weights: the packed ones,
-// or the matrix packed now into scratch, which the caller returns.
-func (w QWeights) panels(m, k int) ([]int8, *[]int8) {
-	if w.quads != nil {
+// panels returns the quad micro-panels of the m×k weights for tier t: the
+// packed ones, or — when there are none, or they were packed for another
+// tier's tile height (tests swap tiers) — the matrix packed now into
+// scratch, which the caller returns.
+func (w QWeights) panels(t gemmTierT, m, k int) ([]int8, *[]int8) {
+	if w.quads != nil && w.mr == t.mr {
 		return w.quads, nil
 	}
-	buf := GetScratchI8(qgemmTier.panelsLen(m, k))
-	packPanels(*buf, w.data, k, false, m, k, qgemmTier)
+	buf := GetScratchI8(t.panelsLen(m, k))
+	packPanels(*buf, w.data, k, false, m, k, t)
 	return *buf, buf
 }
 
@@ -111,8 +116,9 @@ type qgemmB struct {
 // layer's u8 activations, quad planes of ld words: row i of the product goes
 // through RequantizeU8 with rq's constants for channel i, rows 4g…4g+3 as
 // the four bytes of each word of plane g from dst on (see putQuads) — or,
-// when pool is set, into the pool's slabs, which it max-pools on the spot. A
-// product with an epilogue never materializes its m×n int32 matrix (see
+// when pool is set, the pool's: the product then lands in the pool's slabs,
+// which max-pool it first and requantize only the pooled values. A product
+// with an epilogue never materializes its m×n int32 matrix (see
 // qgemmDispatch).
 type qgemmEpilogue struct {
 	rq   Requant
@@ -145,13 +151,13 @@ func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int, stage []uint8) {
 
 // putQuads writes four nc-byte rows (src[r*nc:], r < 4) to dst as nc 32-bit
 // words, column j's four row bytes at dst[4j:]: transposeQuad over the whole
-// 16-column groups, then the ragged tail a word at a time. transposeQuad's
-// own tail would zero-pad its group to 16 columns, which in a quad plane
-// runs into the next plane.
+// 16-column groups, as one panel that wide, then the ragged tail a word at
+// a time. transposeQuad's own tail would zero-pad its panel, which in a
+// quad plane runs into the next plane.
 func putQuads(dst, src []uint8, nc int) {
-	full := nc &^ (nrQTile - 1)
+	full := nc &^ 15
 	if full > 0 {
-		transposeQuad(dst, 4*nrQTile, src, nc, full)
+		transposeQuad(dst, 0, src, nc, full, full)
 	}
 	for j := full; j < nc; j++ {
 		d := dst[4*j : 4*j+4 : 4*j+4]
@@ -164,8 +170,9 @@ func putQuads(dst, src []uint8, nc int) {
 // at a time — blockCols when set, else the tier's nc; and the scratch that
 // takes: u8Len bytes — bLen for the packed B block (an unblocked product's
 // one row of B quads), then a 4-row staging block as wide as a column block
-// — and i32Len accumulators for an epilogue's column block.
-func qgemmSplit(m, k, n int, stem bool, blockCols int, ep bool) (small bool, step, bLen, u8Len, i32Len int) {
+// — and, when acc is set, i32Len accumulators for an epilogue's column
+// block (a pooling epilogue brings its own).
+func qgemmSplit(m, k, n int, stem bool, blockCols int, acc bool) (small bool, step, bLen, u8Len, i32Len int) {
 	t := qgemmTier
 	small = m*k*n <= gemmSmallThreshold && !stem
 	step, bLen = n, roundUp(4*n, 64)
@@ -176,7 +183,7 @@ func qgemmSplit(m, k, n int, stem bool, blockCols int, ep bool) (small bool, ste
 		}
 		bLen = bBlockLen(t, k, min(step, n))
 	}
-	if ep {
+	if acc {
 		i32Len = m * min(step, n)
 	}
 	return small, step, bLen, bLen + 4*min(step, n), i32Len
@@ -188,10 +195,11 @@ func qgemmSplit(m, k, n int, stem bool, blockCols int, ep bool) (small bool, ste
 // land in ep.dst: the accumulator is one m×nc column block instead of the
 // m×n matrix, each block accumulated over every k-block and requantized
 // while it is still cache-resident. With a pooling epilogue the blocks are
-// the pool's blockRows whole output rows, each requantized and pooled while
-// it is cache-resident (see qpoolRun). Neither way does the blocked path
-// clear an accumulator: the first k-block's kernels store instead of adding.
-// u8 and i32 hold the scratch qgemmSplit says the product takes.
+// the pool's blockRows whole output rows, which land in its slabs and are
+// pooled and requantized while they are cache-resident (see qpoolRun).
+// Neither way does the blocked path clear an accumulator: the first
+// k-block's kernels store instead of adding. u8 and i32 hold the scratch
+// qgemmSplit says the product takes.
 func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilogue, u8 []uint8, i32 []int32) {
 	if m == 0 || n == 0 {
 		return
@@ -203,35 +211,40 @@ func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilog
 		return
 	}
 	blockCols := 0
-	if ep != nil && ep.pool != nil {
+	pool := ep != nil && ep.pool != nil
+	if pool {
 		blockCols = ep.pool.blockRows * ep.pool.ow
 	}
-	small, step, bLen, u8Len, i32Len := qgemmSplit(m, k, n, b.stem != nil, blockCols, ep != nil)
+	t := qgemmTier
+	small, step, bLen, u8Len, i32Len := qgemmSplit(m, k, n, b.stem != nil, blockCols, ep != nil && !pool)
 	checkScratch("qgemm", len(u8), u8Len)
 	checkScratch("qgemm accumulators", len(i32), i32Len)
 	var panels []int8
 	var buf *[]int8
 	if !small {
-		panels, buf = a.panels(m, k)
+		panels, buf = a.panels(t, m, k)
 	}
 	b.ld, b.stage = n, u8[bLen:u8Len]
 	for jc := 0; jc < n; jc += step {
 		nc := min(step, n-jc)
 		cblk, cj, ldc := c, jc, n
-		if ep != nil {
+		switch {
+		case pool:
+			cblk, ldc = ep.pool.target()
+			cj = 0
+		case ep != nil:
 			cblk, cj, ldc = i32[:m*nc], 0, nc
 		}
 		if small {
 			clear(cblk[:m*n])
 			qgemmSmall(a.data, b, cblk, m, k, n, u8[:bLen])
 		} else {
-			blocked[int8, uint8](&b, qgemmTier, panels, u8[:bLen], cblk, cj, ldc, m, k, jc, nc, false)
+			blocked[int8, uint8](&b, t, panels, u8[:bLen], cblk, cj, ldc, m, k, jc, nc, false)
 		}
 		switch {
-		case ep == nil:
-		case ep.pool != nil:
-			ep.pool.emit(cblk, m, nc, ep.rq, b.stage)
-		default:
+		case pool:
+			ep.pool.emit(nc/ep.pool.ow, ep.rq, b.stage)
+		case ep != nil:
 			ep.apply(cblk, m, nc, jc, b.stage)
 		}
 	}
@@ -275,22 +288,22 @@ func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int, row []uint8) {
 }
 
 // pack writes the kc×nc block of B at (p0, j0) into quad micro-panel
-// layout: for each panel of nrQTile columns, quad q holds per-column byte
-// groups [c0 k..k+3 | c1 k..k+3 | ...], zero-padded past the last valid
-// column and past kc within the final partial quad.
+// layout for panels nr columns wide: for each panel, quad q holds
+// per-column byte groups [c0 k..k+3 | c1 k..k+3 | ...], zero-padded past
+// the last valid column and past kc within the final partial quad.
 //
 // A quad operand's quads are words already: its rows go straight into the
 // panels as words, through the walker FP32 packs with (packConvPanels), and
 // a stem operand packs its pixels itself. A dense B's quad is four rows of
 // the block run through transposeQuad: a full one where it lies (ld
 // apart), the ragged last one, above zero rows, from a 4×nc staging block.
-func (b *qgemmB) pack(dst []uint8, p0, kc, j0, nc int) {
+func (b *qgemmB) pack(dst []uint8, p0, kc, j0, nc, nr int) {
 	switch {
 	case b.stem != nil:
-		b.stem.pack(dst, p0, kc, j0, nc)
+		b.stem.pack(dst, p0, kc, j0, nc, nr)
 		return
 	case b.quad != nil:
-		packConvPanels(b.quad, quadWords(dst), p0/4, kc/4, j0, nc, nrQTile)
+		packConvPanels(b.quad, quadWords(dst), p0/4, kc/4, j0, nc, nr)
 		return
 	}
 	quads := (kc + 3) / 4
@@ -306,29 +319,29 @@ func (b *qgemmB) pack(dst []uint8, p0, kc, j0, nc int) {
 			}
 			clear(stage[rows*nc : 4*nc])
 		}
-		transposeQuad(dst[q*4*nrQTile:], quads*4*nrQTile, src, ld, nc)
+		transposeQuad(dst[q*4*nr:], quads*4*nr, src, ld, nc, nr)
 	}
 }
 
 // transposeQuad interleaves four nc-byte rows (src[r*ld:], r < 4) into quad
-// groups: panel jp's 16 columns become the 64 bytes at dst[jp*step:], column
-// j's four row bytes adjacent. The vector body is a 4×16 byte transpose per
-// panel; the portable loop assembles one little-endian word per column, and
-// also finishes the last panel when nc is not a multiple of 16, zero-padding
-// the missing columns.
-func transposeQuad(dst []uint8, step int, src []uint8, ld, nc int) {
-	jp := 0
-	if full := nc / nrQTile; haveQuantASM && full > 0 {
-		transposeQuad16(&dst[0], int64(step), &src[0], int64(ld), int64(full))
-		jp = full
-	}
-	r0, r1, r2, r3 := src[:nc], src[ld:ld+nc], src[2*ld:2*ld+nc], src[3*ld:3*ld+nc]
-	for ; jp*nrQTile < nc; jp++ {
-		j0 := jp * nrQTile
-		cols := min(nrQTile, nc-j0)
-		out := dst[jp*step : jp*step+4*nrQTile]
-		for j := 0; j < cols; j++ {
-			w := uint32(r0[j0+j]) | uint32(r1[j0+j])<<8 | uint32(r2[j0+j])<<16 | uint32(r3[j0+j])<<24
+// panels nr columns wide (a multiple of 16): panel jp's columns become the
+// 4·nr bytes at dst[jp*step:], column j's four row bytes adjacent. The
+// vector body is a 4×16 byte transpose per 16-column group; the portable
+// loop assembles one little-endian word per column, and also finishes the
+// last panel when nc is not a multiple of 16, zero-padding the missing
+// columns.
+func transposeQuad(dst []uint8, step int, src []uint8, ld, nc, nr int) {
+	for j0 := 0; j0 < nc; j0 += nr {
+		cols := min(nr, nc-j0)
+		out := dst[j0/nr*step : j0/nr*step+4*nr]
+		j := 0
+		if full := cols / 16; haveQuantASM && full > 0 {
+			transposeQuad16(&out[0], 64, &src[j0], int64(ld), int64(full))
+			j = full * 16
+		}
+		r0, r1, r2, r3 := src[j0:j0+cols], src[ld+j0:ld+j0+cols], src[2*ld+j0:2*ld+j0+cols], src[3*ld+j0:3*ld+j0+cols]
+		for ; j < cols; j++ {
+			w := uint32(r0[j]) | uint32(r1[j])<<8 | uint32(r2[j])<<16 | uint32(r3[j])<<24
 			binary.LittleEndian.PutUint32(out[j*4:], w)
 		}
 		clear(out[cols*4:])

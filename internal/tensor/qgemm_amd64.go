@@ -29,6 +29,19 @@ func maxU8x16(dst, src *uint8, n, k, stride int64)
 //go:noescape
 func maxF32x8(dst, src *float32, n, k, stride int64)
 
+// maxI32x8 computes dst[i] = max over t < k of src[i+t*stride] for n >= 8
+// int32s with VPMAXSD; see qgemm_amd64.s.
+//
+//go:noescape
+func maxI32x8(dst, src *int32, n, k, stride int64)
+
+// poolI32K3S2 max-pools `rows` rows of pow >= 16 outputs 3×3 at stride 2
+// from int32 rows w apart, at ZMM width; see qgemm_amd64.s. Only called
+// behind haveAVX512.
+//
+//go:noescape
+func poolI32K3S2(dst, src *int32, w, pow, rows int64)
+
 // gather2F32x8 writes dst[i] = src[2*i] for n float32s (n a multiple of 8),
 // reading 2n source elements; see qgemm_amd64.s.
 //
@@ -67,17 +80,18 @@ func bilinearRowsU8x8(dst *uint8, top, bot *uint64, n, wy int64)
 //go:noescape
 func requantU8x32(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8)
 
-// qgemmKernelVNNI4x16 is the AVX512-VNNI (VPDPBUSD, ZMM-width) variant of
-// the micro-kernel in qgemm_amd64.s.
+// qgemmKernelVNNI8x32 is the AVX512-VNNI (VPDPBUSD, ZMM-width) micro-kernel
+// in qgemm_amd64.s: one packed 8×32 int32 micro-tile update, held in 16 ZMM
+// accumulators. store is qgemmKernel4x16's.
 //
 //go:noescape
-func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
+func qgemmKernelVNNI8x32(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
 
 // haveQuantASM gates the quantized kernels on the same AVX2+FMA+OS-XSAVE
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
 // epilogue uses FMA), and with them the byte and FP32 row helpers
-// (transposeQuad16, maxU8x16, bilinearColsU16x4, bilinearRowsU8x8;
-// maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2). haveVNNI additionally
+// (transposeQuad16, maxU8x16, maxI32x8, bilinearColsU16x4,
+// bilinearRowsU8x8; maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2). haveVNNI additionally
 // selects the VPDPBUSD kernel on parts with AVX512-VNNI; it runs at ZMM
 // width, so it sits behind haveAVX512 — F, VL, the OS-enabled ZMM state,
 // and PERCIVAL_NO_AVX512, which therefore means no 512-bit execution on

@@ -193,28 +193,62 @@ done:
 	VZEROUPPER
 	RET
 
-// func qgemmKernelVNNI4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
+// func qgemmKernelVNNI8x32(quads int64, a *int8, b *uint8, c *int32, ldc int64, store bool)
 //
-// AVX512-VNNI variant of the quantized micro-kernel over the same packed
-// quad panels, at ZMM width: one 64-byte load is a quad's whole 16-column B
-// row group and one register a whole 16-int32 C row, so the tile is four
-// accumulators, and VPDPBUSD fuses the VPMADDUBSW/VPMADDWD/VPADDD chain into
-// one u8×s8 dot-product-accumulate whose s8 operand is A's 4-byte k-group,
-// broadcast from memory by the instruction itself. The quad loop is unrolled
-// by two with even quads accumulating in Z0–Z3 and odd quads in Z4–Z7 —
-// eight independent chains against VPDPBUSD's latency — and the two sets are
-// added before the store: int32 addition wraps, so it is associative and the
-// tile is the portable kernel's to the bit. Only installed behind haveAVX512
-// (see haveVNNI). store is qgemmKernel4x16's.
-TEXT ·qgemmKernelVNNI4x16(SB), NOSPLIT, $0-41
+// AVX512-VNNI micro-kernel at ZMM width over 8×32 packed quad panels:
+//   a: quads groups of 32 bytes — 8 rows × 4 consecutive k-values (s8)
+//   b: quads groups of 128 bytes — 32 cols × 4 consecutive k-values (u8)
+// The tile is 8 rows × 32 int32 columns in 16 accumulators (Z0–Z15, row r
+// in Z(2r) and Z(2r+1)). Per quad the two 64-byte B vectors are loaded once
+// and each row's 4-byte k-group is broadcast once (VPBROADCASTD) and spent
+// on both, each VPDPBUSD a u8×s8 dot-product-accumulate of four byte pairs
+// into one int32 lane: 10 loads for 16 VPDPBUSD, and 16 independent chains
+// to cover its latency on both 512-bit ports. Terms add in k order, in
+// wrapping int32, so the tile is the portable kernel's to the bit. The quad
+// loop is unrolled by two. With store set the tile starts from zero instead
+// of from C, which is then only written. Only installed behind haveAVX512
+// (see haveVNNI).
+#define VNNIQUAD(boff, aoff) \
+	VMOVDQU32    boff(BX), Z16;      \
+	VMOVDQU32    boff+64(BX), Z17;   \
+	VPBROADCASTD aoff(SI), Z18;      \
+	VPBROADCASTD aoff+4(SI), Z19;    \
+	VPBROADCASTD aoff+8(SI), Z20;    \
+	VPBROADCASTD aoff+12(SI), Z21;   \
+	VPDPBUSD     Z18, Z16, Z0;       \
+	VPDPBUSD     Z18, Z17, Z1;       \
+	VPDPBUSD     Z19, Z16, Z2;       \
+	VPDPBUSD     Z19, Z17, Z3;       \
+	VPDPBUSD     Z20, Z16, Z4;       \
+	VPDPBUSD     Z20, Z17, Z5;       \
+	VPDPBUSD     Z21, Z16, Z6;       \
+	VPDPBUSD     Z21, Z17, Z7;       \
+	VPBROADCASTD aoff+16(SI), Z22;   \
+	VPBROADCASTD aoff+20(SI), Z23;   \
+	VPBROADCASTD aoff+24(SI), Z24;   \
+	VPBROADCASTD aoff+28(SI), Z25;   \
+	VPDPBUSD     Z22, Z16, Z8;       \
+	VPDPBUSD     Z22, Z17, Z9;       \
+	VPDPBUSD     Z23, Z16, Z10;      \
+	VPDPBUSD     Z23, Z17, Z11;      \
+	VPDPBUSD     Z24, Z16, Z12;      \
+	VPDPBUSD     Z24, Z17, Z13;      \
+	VPDPBUSD     Z25, Z16, Z14;      \
+	VPDPBUSD     Z25, Z17, Z15
+
+TEXT ·qgemmKernelVNNI8x32(SB), NOSPLIT, $0-41
 	MOVQ quads+0(FP), AX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), BX
 	MOVQ c+24(FP), DI
 	MOVQ ldc+32(FP), DX
 	SHLQ $2, DX            // row stride in bytes
-	LEAQ (DI)(DX*2), R8    // row 2
+	LEAQ (DX)(DX*2), R9    // three rows
+	LEAQ (DI)(DX*4), R8    // row 4
 
+	MOVBLZX store+40(FP), R10
+	TESTL R10, R10
+	JZ    v8load
 	VPXORD Z0, Z0, Z0
 	VPXORD Z1, Z1, Z1
 	VPXORD Z2, Z2, Z2
@@ -223,55 +257,70 @@ TEXT ·qgemmKernelVNNI4x16(SB), NOSPLIT, $0-41
 	VPXORD Z5, Z5, Z5
 	VPXORD Z6, Z6, Z6
 	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+	JMP   v8start
 
-	MOVBLZX store+40(FP), R9
-	TESTL R9, R9
-	JNZ   vstart
-	// Load the 4×16 int32 C tile.
+v8load:
+	// Load the 8×32 int32 C tile.
 	VMOVDQU32 (DI), Z0
-	VMOVDQU32 (DI)(DX*1), Z1
-	VMOVDQU32 (R8), Z2
-	VMOVDQU32 (R8)(DX*1), Z3
+	VMOVDQU32 64(DI), Z1
+	VMOVDQU32 (DI)(DX*1), Z2
+	VMOVDQU32 64(DI)(DX*1), Z3
+	VMOVDQU32 (DI)(DX*2), Z4
+	VMOVDQU32 64(DI)(DX*2), Z5
+	VMOVDQU32 (DI)(R9*1), Z6
+	VMOVDQU32 64(DI)(R9*1), Z7
+	VMOVDQU32 (R8), Z8
+	VMOVDQU32 64(R8), Z9
+	VMOVDQU32 (R8)(DX*1), Z10
+	VMOVDQU32 64(R8)(DX*1), Z11
+	VMOVDQU32 (R8)(DX*2), Z12
+	VMOVDQU32 64(R8)(DX*2), Z13
+	VMOVDQU32 (R8)(R9*1), Z14
+	VMOVDQU32 64(R8)(R9*1), Z15
 
-vstart:
+v8start:
 	MOVQ AX, CX
 	SHRQ $1, CX
-	JZ   vtail
+	JZ   v8tail
 
-vloop2:
-	VMOVDQU32 (BX), Z12
-	VMOVDQU32 64(BX), Z13
-	VPDPBUSD.BCST (SI), Z12, Z0
-	VPDPBUSD.BCST 4(SI), Z12, Z1
-	VPDPBUSD.BCST 8(SI), Z12, Z2
-	VPDPBUSD.BCST 12(SI), Z12, Z3
-	VPDPBUSD.BCST 16(SI), Z13, Z4
-	VPDPBUSD.BCST 20(SI), Z13, Z5
-	VPDPBUSD.BCST 24(SI), Z13, Z6
-	VPDPBUSD.BCST 28(SI), Z13, Z7
-	ADDQ $32, SI
-	ADDQ $128, BX
+v8loop2:
+	VNNIQUAD(0, 0)
+	VNNIQUAD(128, 32)
+	ADDQ $64, SI
+	ADDQ $256, BX
 	DECQ CX
-	JNE  vloop2
+	JNE  v8loop2
 
-vtail:
+v8tail:
 	TESTQ $1, AX
-	JZ    vdone
-	VMOVDQU32 (BX), Z12
-	VPDPBUSD.BCST (SI), Z12, Z0
-	VPDPBUSD.BCST 4(SI), Z12, Z1
-	VPDPBUSD.BCST 8(SI), Z12, Z2
-	VPDPBUSD.BCST 12(SI), Z12, Z3
+	JZ    v8done
+	VNNIQUAD(0, 0)
 
-vdone:
-	VPADDD Z4, Z0, Z0
-	VPADDD Z5, Z1, Z1
-	VPADDD Z6, Z2, Z2
-	VPADDD Z7, Z3, Z3
+v8done:
 	VMOVDQU32 Z0, (DI)
-	VMOVDQU32 Z1, (DI)(DX*1)
-	VMOVDQU32 Z2, (R8)
-	VMOVDQU32 Z3, (R8)(DX*1)
+	VMOVDQU32 Z1, 64(DI)
+	VMOVDQU32 Z2, (DI)(DX*1)
+	VMOVDQU32 Z3, 64(DI)(DX*1)
+	VMOVDQU32 Z4, (DI)(DX*2)
+	VMOVDQU32 Z5, 64(DI)(DX*2)
+	VMOVDQU32 Z6, (DI)(R9*1)
+	VMOVDQU32 Z7, 64(DI)(R9*1)
+	VMOVDQU32 Z8, (R8)
+	VMOVDQU32 Z9, 64(R8)
+	VMOVDQU32 Z10, (R8)(DX*1)
+	VMOVDQU32 Z11, 64(R8)(DX*1)
+	VMOVDQU32 Z12, (R8)(DX*2)
+	VMOVDQU32 Z13, 64(R8)(DX*2)
+	VMOVDQU32 Z14, (R8)(R9*1)
+	VMOVDQU32 Z15, 64(R8)(R9*1)
 	VZEROUPPER
 	RET
 
@@ -467,6 +516,187 @@ mxfstore:
 	JMP   mxfvec
 
 mxfdone:
+	VZEROUPPER
+	RET
+
+// func maxI32x8(dst, src *int32, n, k, stride int64)
+//
+// maxF32x8 over int32 accumulators (VPMAXSD): both passes of the separable
+// max pool a fused INT8 pool takes over a product's raw accumulators. The
+// maximum does not depend on the order of its operands, so three taps — the
+// paper net's pools — take one unrolled step with both later taps as memory
+// operands; other tap counts walk them in a loop. A ragged end is covered by
+// one more vector overlapping the last full one.
+TEXT ·maxI32x8(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ k+24(FP), R8
+	MOVQ stride+32(FP), R9
+	SHLQ $2, R9
+	MOVQ CX, DX
+	ANDQ $7, DX
+	SHRQ $3, CX
+	CMPQ R8, $3
+	JEQ  mxi3vec
+
+mxivec:
+	VMOVDQU (SI), Y0
+	MOVQ SI, R10
+	MOVQ R8, R11
+
+mxitap:
+	DECQ R11
+	JEQ  mxistore
+	ADDQ R9, R10
+	VPMAXSD (R10), Y0, Y0
+	JMP  mxitap
+
+mxistore:
+	VMOVDQU Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNE  mxivec
+
+	TESTQ DX, DX
+	JEQ   mxidone
+	LEAQ  -32(SI)(DX*4), SI
+	LEAQ  -32(DI)(DX*4), DI
+	XORQ  DX, DX
+	MOVQ  $1, CX
+	JMP   mxivec
+
+mxidone:
+	VZEROUPPER
+	RET
+
+mxi3vec:
+	VMOVDQU (SI), Y0
+	VPMAXSD (SI)(R9*1), Y0, Y0
+	VPMAXSD (SI)(R9*2), Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNE  mxi3vec
+
+	TESTQ DX, DX
+	JEQ   mxidone
+	LEAQ  -32(SI)(DX*4), SI
+	LEAQ  -32(DI)(DX*4), DI
+	XORQ  DX, DX
+	MOVQ  $1, CX
+	JMP   mxi3vec
+
+// poolEvenIdx and poolOddIdx pick the even and the odd dwords of a pair of
+// ZMM registers (VPERMI2D: indices 16–31 read the second table).
+DATA poolEvenIdx<>+0(SB)/4, $0
+DATA poolEvenIdx<>+4(SB)/4, $2
+DATA poolEvenIdx<>+8(SB)/4, $4
+DATA poolEvenIdx<>+12(SB)/4, $6
+DATA poolEvenIdx<>+16(SB)/4, $8
+DATA poolEvenIdx<>+20(SB)/4, $10
+DATA poolEvenIdx<>+24(SB)/4, $12
+DATA poolEvenIdx<>+28(SB)/4, $14
+DATA poolEvenIdx<>+32(SB)/4, $16
+DATA poolEvenIdx<>+36(SB)/4, $18
+DATA poolEvenIdx<>+40(SB)/4, $20
+DATA poolEvenIdx<>+44(SB)/4, $22
+DATA poolEvenIdx<>+48(SB)/4, $24
+DATA poolEvenIdx<>+52(SB)/4, $26
+DATA poolEvenIdx<>+56(SB)/4, $28
+DATA poolEvenIdx<>+60(SB)/4, $30
+GLOBL poolEvenIdx<>(SB), RODATA, $64
+
+DATA poolOddIdx<>+0(SB)/4, $1
+DATA poolOddIdx<>+4(SB)/4, $3
+DATA poolOddIdx<>+8(SB)/4, $5
+DATA poolOddIdx<>+12(SB)/4, $7
+DATA poolOddIdx<>+16(SB)/4, $9
+DATA poolOddIdx<>+20(SB)/4, $11
+DATA poolOddIdx<>+24(SB)/4, $13
+DATA poolOddIdx<>+28(SB)/4, $15
+DATA poolOddIdx<>+32(SB)/4, $17
+DATA poolOddIdx<>+36(SB)/4, $19
+DATA poolOddIdx<>+40(SB)/4, $21
+DATA poolOddIdx<>+44(SB)/4, $23
+DATA poolOddIdx<>+48(SB)/4, $25
+DATA poolOddIdx<>+52(SB)/4, $27
+DATA poolOddIdx<>+56(SB)/4, $29
+DATA poolOddIdx<>+60(SB)/4, $31
+GLOBL poolOddIdx<>(SB), RODATA, $64
+
+// func poolI32K3S2(dst, src *int32, w, pow, rows int64)
+//
+// The 3×3, stride-2 max pool of int32 accumulators at ZMM width, `rows`
+// pooled rows of pow >= 16 outputs: pooled row r (at dst + r*pow) from the
+// three input rows w apart at src + 2r*w. Sixteen outputs a step: the
+// vertical maximum of input columns 2x…2x+31 in two registers and of column
+// 2x+32 broadcast, then the window's three columns as the even columns
+// (VPERMI2D), the odd ones, and the even ones moved on by one (VALIGND with
+// column 2x+32) — no column past 2x+32 is read. A ragged end steps back to
+// end on the last output, recomputing a few. The maximum does not depend on
+// the order of its operands, so each output is the window's.
+TEXT ·poolI32K3S2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ pow+24(FP), R9
+	MOVQ rows+32(FP), R10
+	SHLQ $2, R8                 // input row stride in bytes
+	VMOVDQU32 poolEvenIdx<>(SB), Z30
+	VMOVDQU32 poolOddIdx<>(SB), Z31
+
+prow:
+	MOVQ SI, R11
+	MOVQ DI, R12
+	MOVQ R9, CX
+
+pchunk:
+	CMPQ CX, $16
+	JGE  pstep
+	TESTQ CX, CX
+	JEQ   pnext
+	MOVQ $16, DX                // step back 16-CX outputs
+	SUBQ CX, DX
+	SHLQ $2, DX
+	SUBQ DX, R12
+	SHLQ $1, DX
+	SUBQ DX, R11
+	MOVQ $16, CX
+
+pstep:
+	VMOVDQU32    (R11), Z0
+	VMOVDQU32    64(R11), Z1
+	VPBROADCASTD 128(R11), Z2
+	VPMAXSD      (R11)(R8*1), Z0, Z0
+	VPMAXSD      64(R11)(R8*1), Z1, Z1
+	VPBROADCASTD 128(R11)(R8*1), Z3
+	VPMAXSD      Z3, Z2, Z2
+	VPMAXSD      (R11)(R8*2), Z0, Z0
+	VPMAXSD      64(R11)(R8*2), Z1, Z1
+	VPBROADCASTD 128(R11)(R8*2), Z3
+	VPMAXSD      Z3, Z2, Z2
+	VMOVDQA32    Z30, Z4
+	VPERMI2D     Z1, Z0, Z4     // columns 2x
+	VMOVDQA32    Z31, Z5
+	VPERMI2D     Z1, Z0, Z5     // columns 2x+1
+	VALIGND      $1, Z4, Z2, Z6 // columns 2x+2
+	VPMAXSD      Z5, Z4, Z4
+	VPMAXSD      Z6, Z4, Z4
+	VMOVDQU32    Z4, (R12)
+	ADDQ $128, R11
+	ADDQ $64, R12
+	SUBQ $16, CX
+	JMP  pchunk
+
+pnext:
+	LEAQ (SI)(R8*2), SI
+	LEAQ (DI)(R9*4), DI
+	DECQ R10
+	JNE  prow
+
 	VZEROUPPER
 	RET
 

@@ -24,6 +24,16 @@ func maxF32x8(dst, src *float32, n, k, stride int64) {
 	panic("tensor: maxF32x8 without assembly support")
 }
 
+// maxI32x8 is never called when haveQuantASM is false.
+func maxI32x8(dst, src *int32, n, k, stride int64) {
+	panic("tensor: maxI32x8 without assembly support")
+}
+
+// poolI32K3S2 is never called when haveAVX512 is false.
+func poolI32K3S2(dst, src *int32, w, pow, rows int64) {
+	panic("tensor: poolI32K3S2 without assembly support")
+}
+
 // gather2F32x8 is never called when haveQuantASM is false.
 func gather2F32x8(dst, src *float32, n int64) {
 	panic("tensor: gather2F32x8 without assembly support")

@@ -71,9 +71,22 @@ func (st *QStem) OutSize(h, w int) (oh, ow int) {
 // qstemBlockCols is the column budget of one stem block: the blocked driver
 // takes whole output rows, as many as fit (at least one), so a block's int32
 // accumulators (OutC × cols × 4 bytes) and its packed panels stay in L2
-// while they are requantized and pooled. A variable so the tests can shrink
+// while they are pooled and requantized. A variable so the tests can shrink
 // blocks to a single row.
 var qstemBlockCols = 1024
+
+// stemBlockRows is how many output rows ow wide one stem block takes: as
+// many as qstemBlockCols holds, at least one, and — when that many fit — a
+// multiple of the rows whose columns fill whole panels of nr (ow&-ow is the
+// largest power of two dividing ow, as nr is one), so no block but the last
+// ends in a ragged panel.
+func stemBlockRows(ow, nr int) int {
+	rows := max(qstemBlockCols/max(ow, 1), 1)
+	if unit := nr / min(nr, ow&-ow); rows >= unit {
+		rows = rows / unit * unit
+	}
+	return rows
+}
 
 // identityU8 is the input table of bytes that are already quantized.
 var identityU8 = func() (t [256]uint8) {
@@ -91,10 +104,10 @@ var identityU8 = func() (t [256]uint8) {
 // slabs, and the product's own.
 //
 // Each image is one quantized GEMM whose B operand is the image's padded
-// rows (see stemView); with a pool, the blocked driver hands the epilogue
-// whole output rows, which are requantized into quad slabs and pooled there
-// while they are cache-resident (see qpoolRun), and the convolution stops at
-// the last row a pooling window reads.
+// rows (see stemView); with a pool, the blocked driver writes whole output
+// rows of accumulators into the pool's slabs, which are pooled and only then
+// requantized while they are cache-resident (see qpoolRun), and the
+// convolution stops at the last row a pooling window reads.
 func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint8, u8 []uint8, i32 []int32) {
 	s := st.Spec
 	g := st.geometry(h, w)
@@ -126,8 +139,10 @@ func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint
 	ep := qgemmEpilogue{rq: st.RQ, ld: g.oh * g.ow}
 	var pool qpoolRun
 	if st.Pool.K > 0 {
-		pool = qpoolRun{poolWindow: poolWindow{spec: st.Pool, ow: g.ow, poh: g.outH, pow: g.outW, cap: g.blockRows + st.Pool.K - 1}, blockRows: g.blockRows}
-		pool.buf, pool.rows, u8 = u8[:g.slabLen], u8[g.slabLen:g.slabLen+g.rowsLen], u8[g.slabLen+g.rowsLen:]
+		pool = qpoolRun{poolWindow: poolWindow{spec: st.Pool, ow: g.ow, poh: g.outH, pow: g.outW, cap: g.blockRows + st.Pool.K - 1}, blockRows: g.blockRows, m: s.OutC, zmm: qgemmTier.kind == tierKindQuadVNNI}
+		pool.buf, i32 = i32[:g.slabLen], i32[g.slabLen:]
+		pool.pooled, i32 = i32[:g.pooledLen], i32[g.pooledLen:]
+		pool.rows, i32 = i32[:g.rowsLen], i32[g.rowsLen:]
 		ep.pool = &pool
 	}
 	for i := 0; i < n; i++ {
@@ -143,16 +158,17 @@ func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint
 
 // stemGeometry is how ForwardInto runs over h×w images: the convolution's
 // output size, the stage's, and the rows the convolution computes; the
-// padded-row view; rows per block; and its scratch — the view's rows, then
-// the pool's slabs and poolQuadRows' scratch, then the product's, each
-// starting 64 bytes from the last so the kernels' loads do not split cache
-// lines.
+// padded-row view; rows per block; and its scratch — u8: the view's rows,
+// then the product's; i32: the pool's accumulator slabs, its pooled rows
+// and poolRow's scratch, then the product's, each part starting 64 bytes
+// from the last so the kernels' loads do not split cache lines.
 type stemGeometry struct {
-	oh, ow, outH, outW, convH int
-	view                      stemView
-	blockRows                 int
-	viewLen, slabLen, rowsLen int
-	u8, i32                   int
+	oh, ow, outH, outW, convH   int
+	view                        stemView
+	blockRows                   int
+	viewLen                     int
+	slabLen, pooledLen, rowsLen int
+	u8, i32                     int
 }
 
 func (st *QStem) geometry(h, w int) stemGeometry {
@@ -164,17 +180,18 @@ func (st *QStem) geometry(h, w int) stemGeometry {
 	if p := st.Pool; p.K > 0 {
 		g.outH, g.outW = p.OutSize(g.oh, g.ow)
 		g.convH = max((g.outH-1)*p.Stride+p.K, 0)
-		g.blockRows = max(qstemBlockCols/max(g.ow, 1), 1)
+		g.blockRows = stemBlockRows(g.ow, qgemmTier.nr)
 		blockCols = g.blockRows * g.ow
-		rows := g.blockRows + p.K - 1
-		g.slabLen = roundUp(quadPlanes(s.OutC)*4*rows*g.ow, 64)
-		g.rowsLen = roundUp(4*max(2*rows*g.ow-p.K+1, 0), 64)
+		// A block completes at most (blockRows-1)/Stride+1 pooled rows.
+		g.slabLen = roundUp(s.OutC*(g.blockRows+p.K-1)*g.ow, 16)
+		g.pooledLen = roundUp(4*((g.blockRows-1)/p.Stride+1)*g.outW, 16)
+		g.rowsLen = roundUp(p.ScratchLen(g.ow), 16)
 	}
 	g.view = stemView{s: s, ow: g.ow, words: (w + 2*s.PadW + s.StrideW - 1) / s.StrideW, rows: (g.convH-1)*s.StrideH + s.KH}
 	g.view.rowLen = 4 * s.StrideW * g.view.words
 	g.viewLen = roundUp(g.view.rows*g.view.rowLen, 64)
-	_, _, _, u8, i32 := qgemmSplit(s.OutC, s.KH*s.KW*4, g.convH*g.ow, true, blockCols, true)
-	g.u8, g.i32 = g.viewLen+g.slabLen+g.rowsLen+u8, i32
+	_, _, _, u8, i32 := qgemmSplit(s.OutC, s.KH*s.KW*4, g.convH*g.ow, true, blockCols, st.Pool.K == 0)
+	g.u8, g.i32 = g.viewLen+u8, g.slabLen+g.pooledLen+g.rowsLen+i32
 	return g
 }
 
@@ -243,15 +260,16 @@ func setRun(run []uint8, lo, hi int, src []uint8, step int, lut *[256]uint8, fil
 }
 
 // pack writes the kc×nc block of the column matrix at (p0, j0) into quad
-// micro-panel layout (see qgemmB.pack). p0 and kc are multiples of 4, so the
-// block's quads are the taps p0/4 …; each output row's run of columns is,
-// per tap, one run of consecutive words of one padded row, spread across the
-// panels by spreadQuads. Columns past nc in the last panel read zero.
-func (v *stemView) pack(dst []uint8, p0, kc, j0, nc int) {
+// micro-panel layout, panels nr columns wide (see qgemmB.pack). p0 and kc
+// are multiples of 4, so the block's quads are the taps p0/4 …; each output
+// row's run of columns is, per tap, one run of consecutive words of one
+// padded row, spread across the panels by spreadQuads. Columns past nc in
+// the last panel read zero.
+func (v *stemView) pack(dst []uint8, p0, kc, j0, nc, nr int) {
 	s := v.s
-	quads, step := kc/4, kc*nrQTile
-	if nc%nrQTile != 0 {
-		clear(dst[nc/nrQTile*step:][:step])
+	quads, step := kc/4, kc*nr
+	if nc%nr != 0 {
+		clear(dst[nc/nr*step:][:step])
 	}
 	// Each quad's tap as a byte offset from its window's first word.
 	var taps [kcQBlock / 4]int
@@ -264,56 +282,89 @@ func (v *stemView) pack(dst []uint8, p0, kc, j0, nc int) {
 		cols := min(v.ow-ox, j0+nc-j)
 		window := oy*s.StrideH*v.rowLen + ox*4
 		for q, off := range taps[:quads] {
-			spreadQuads(dst[q*4*nrQTile:], step, j-j0, cols, v.buf[window+off:])
+			spreadQuads(dst[q*4*nr:], step, nr, j-j0, cols, v.buf[window+off:])
 		}
 		j += cols
 	}
 }
 
 // spreadQuads writes the n 4-byte pixels at the head of src to columns
-// [c, c+n) of one quad row of a packed block, whose panels are step bytes
-// apart: a partial panel at either end by copy, every whole panel between
-// them as one copyRuns of 16-word runs.
-func spreadQuads(dst []uint8, step, c, n int, src []uint8) {
-	if lane := c % nrQTile; lane != 0 {
-		l := min(n, nrQTile-lane)
-		copy(dst[c/nrQTile*step+lane*4:][:l*4], src)
+// [c, c+n) of one quad row of a packed block, whose panels are nr columns
+// wide and step bytes apart: a partial panel at either end by copy, every
+// whole panel between them as one copyRuns of nr-word runs.
+func spreadQuads(dst []uint8, step, nr, c, n int, src []uint8) {
+	if lane := c % nr; lane != 0 {
+		l := min(n, nr-lane)
+		copy(dst[c/nr*step+lane*4:][:l*4], src)
 		c, n, src = c+l, n-l, src[l*4:]
 	}
-	if full := n / nrQTile; full > 0 {
-		copyRuns(quadWords(dst[c/nrQTile*step:]), step/4, quadWords(src), nrQTile, nrQTile, full)
-		c, n, src = c+full*nrQTile, n-full*nrQTile, src[full*4*nrQTile:]
+	if full := n / nr; full > 0 {
+		copyRuns(quadWords(dst[c/nr*step:]), step/4, quadWords(src), nr, nr, full)
+		c, n, src = c+full*nr, n-full*nr, src[full*4*nr:]
 	}
 	if n > 0 {
-		copy(dst[c/nrQTile*step:][:n*4], src)
+		copy(dst[c/nr*step:][:n*4], src)
 	}
 }
 
-// qpoolRun is poolRun for the INT8 stem: the blocked driver hands it each
+// qpoolRun is poolRun for the INT8 stem: the blocked driver writes each
 // block's int32 accumulators — whole output rows of the convolution, in
-// order — and emit requantizes them into each quad plane's slab of buf, then
-// pools every window they complete with poolQuadRows. Each pooled row is the
-// one MaxPoolQuadsInto computes from the materialized output.
+// order — into the channel slabs of buf (see target), and emit max-pools
+// every window they complete on the raw accumulators, then requantizes only
+// the pooled values into the output's quad planes. RequantizeU8 never
+// decreases as its accumulator grows (Mult ≥ 0, which the INT8 engine's
+// builder checks), so the requantized window maximum is the window maximum
+// of the requantized values: each pooled row is the one MaxPoolQuadsInto
+// computes from the materialized output.
 type qpoolRun struct {
 	poolWindow
 	blockRows int     // rows per block the driver hands over (the last may be fewer)
+	m         int     // channels
 	dst       []uint8 // the image's pooled output: ⌈m/4⌉ quad planes of poh×pow
-	buf       []uint8 // ⌈m/4⌉ quad slabs of cap rows
-	rows      []uint8 // poolQuadRows' scratch
+	buf       []int32 // m slabs of cap rows of accumulators
+	pooled    []int32 // one quad plane's four channels of a block's pooled rows
+	rows      []int32 // poolRow's scratch
+	// zmm pools 3×3/2 windows with poolI32K3S2: set on the VNNI tier, which
+	// only runs where 512-bit execution does.
+	zmm bool
 }
 
-// emit takes the m×nc accumulator block acc (nc whole rows of ow columns),
-// requantizing through stage (see qgemmEpilogue.apply).
-func (r *qpoolRun) emit(acc []int32, m, nc int, rq Requant, stage []uint8) {
-	ow, ld := r.ow, r.cap*r.ow // words per slab
-	e := qgemmEpilogue{rq: rq, dst: r.buf[r.held*ow*4:], ld: ld}
-	e.apply(acc, m, nc, 0, stage)
-	py, done, first, keep, end := r.advance(nc / ow)
-	for g := 0; g < quadPlanes(m); g++ {
-		slab := r.buf[g*ld*4 : (g+1)*ld*4]
-		if done > py {
-			poolQuadRows(r.dst[(g*r.poh+py)*r.pow*4:(g*r.poh+done)*r.pow*4], r.pow, done-py, slab[first*ow*4:], ow, r.spec, r.rows)
+// target returns where the next block's product goes: row i of the block's
+// m×(rows·ow) accumulator matrix at c[i*ldc:], below the rows held in slab
+// i.
+func (r *qpoolRun) target() (c []int32, ldc int) {
+	return r.buf[r.held*r.ow:], r.cap * r.ow
+}
+
+// emit takes the rows just written at target, pools every window they
+// complete, requantizes the pooled rows through stage a quad plane at a time
+// (see qgemmEpilogue.apply) and carries the rows later windows still need.
+func (r *qpoolRun) emit(rows int, rq Requant, stage []uint8) {
+	py, done, first, keep, end := r.advance(rows)
+	ow, ld, pow := r.ow, r.cap*r.ow, r.pow
+	if cols := (done - py) * pow; cols > 0 {
+		zmm := r.zmm && r.spec.K == 3 && r.spec.Stride == 2 && pow >= 16
+		for g := 0; g*4 < r.m; g++ {
+			ch := min(4, r.m-g*4)
+			for c := 0; c < ch; c++ {
+				slab := r.buf[(g*4+c)*ld : (g*4+c+1)*ld]
+				if zmm {
+					// The last window's bottom row, up to its last column.
+					_ = slab[(first+2*(done-py))*ow+2*pow]
+					poolI32K3S2(&r.pooled[c*cols], &slab[first*ow], int64(ow), int64(pow), int64(done-py))
+					continue
+				}
+				for y := py; y < done; y++ {
+					poolRow(r.pooled[c*cols+(y-py)*pow:][:pow], slab[(first+(y-py)*r.spec.Stride)*ow:], ow, r.spec, r.rows)
+				}
+			}
+			e := qgemmEpilogue{rq: Requant{Mult: rq.Mult[g*4:], Beta: rq.Beta[g*4:], ZOut: rq.ZOut, ReLU: rq.ReLU},
+				dst: r.dst[g*r.poh*pow*4:], ld: r.poh * pow}
+			e.apply(r.pooled, ch, cols, py*pow, stage)
 		}
-		copy(slab, slab[keep*ow*4:end*ow*4])
+	}
+	for i := 0; i < r.m; i++ {
+		slab := r.buf[i*ld : (i+1)*ld]
+		copy(slab, slab[keep*ow:end*ow])
 	}
 }

@@ -49,6 +49,11 @@ func randQOperands(rng *rand.Rand, m, k, n int) ([]int8, []uint8) {
 // naive reference across awkward shapes. Negative weights distinguish the
 // signed from the unsigned VPMADDUBSW operand, so an operand-order bug in the
 // assembly cannot pass.
+//
+// The grid is every tile's edge classes: M around the 8-row and 4-row tiles
+// and the paper net's 96 channels, N around the 16- and 32-column panels,
+// 169 (a 13×13 fire) and 3025 (55×55), and K of one quad, the stem's 49,
+// one kcQBlock of 128 quads, one quad past it, and a 3×3 expand's 144.
 func TestQGemmMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][3]int{
@@ -57,6 +62,16 @@ func TestQGemmMatchesReference(t *testing.T) {
 		{64, 147, 121}, {2, 513, 18},
 		// M past one mcQBlock, N past one ncQBlock.
 		{133, 40, 20}, {5, 20, 4113},
+	}
+	for _, m := range []int{1, 7, 8, 9, 95, 96, 97} {
+		for _, n := range []int{1, 15, 16, 17, 31, 32, 33, 169, 3025} {
+			for _, quads := range []int{1, 49, 128, 129, 144} {
+				if (testing.Short() || raceEnabled) && m*n*quads > 1<<20 {
+					continue // the arithmetic is the same with or without -race
+				}
+				shapes = append(shapes, [3]int{m, 4 * quads, n})
+			}
+		}
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
