@@ -100,8 +100,8 @@ var identityU8 = func() (t [256]uint8) {
 // of image i at pix[((i*h+y)*w+x)*4:], channels c < Spec.InC used), each
 // byte through lut — nil when the bytes already are the quantized input —
 // into y: each image's ⌈OutC/4⌉ quad planes of OutSize's pixels. u8 and i32
-// hold ScratchLen(h, w): one image's padded pixel rows, the pool's row
-// slabs, and the product's own.
+// hold ScratchLen(h, w): one image's padded pixel rows, the pool's
+// accumulator slabs, and the product's own.
 //
 // Each image is one quantized GEMM whose B operand is the image's padded
 // rows (see stemView); with a pool, the blocked driver writes whole output
