@@ -386,11 +386,11 @@ func quadWords(b []uint8) []uint32 {
 
 // gatherWords writes dst[i] = src[i*stride] for 32-bit elements: FP32
 // values, the INT8 engine's quad words (the pools' pick of pooled pixels),
-// or a fused INT8 pool's accumulators. Stride 2 — the paper net's stem and its pools — has a vector body
-// that de-interleaves 16 source elements into 8 at a time; it reads the odd
-// element after the last even one, so it stops where src does and the loop
-// finishes. It moves words without arithmetic, so quads go through it bit
-// for bit, as through copyRuns.
+// or a fused INT8 pool's accumulators. Stride 2 — the paper net's stem and
+// its pools — has a vector body that de-interleaves 16 source elements into
+// 8 at a time; it reads the odd element after the last even one, so it
+// stops where src does and the loop finishes. It moves words without
+// arithmetic, so quads go through it bit for bit, as through copyRuns.
 func gatherWords[T float32 | uint32 | int32](dst, src []T, stride int) {
 	i := 0
 	if stride == 2 && haveQuantASM {

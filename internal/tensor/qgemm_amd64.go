@@ -36,8 +36,8 @@ func maxF32x8(dst, src *float32, n, k, stride int64)
 func maxI32x8(dst, src *int32, n, k, stride int64)
 
 // poolI32K3S2 max-pools `rows` rows of pow >= 16 outputs 3×3 at stride 2
-// from int32 rows w apart, at ZMM width; see qgemm_amd64.s. Only called
-// behind haveAVX512.
+// from int32 rows w apart, at ZMM width; see qgemm_amd64.s. Only called on
+// the VNNI tier, which only runs behind haveAVX512.
 //
 //go:noescape
 func poolI32K3S2(dst, src *int32, w, pow, rows int64)
@@ -91,11 +91,11 @@ func qgemmKernelVNNI8x32(quads int64, a *int8, b *uint8, c *int32, ldc int64, st
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
 // epilogue uses FMA), and with them the byte and FP32 row helpers
 // (transposeQuad16, maxU8x16, maxI32x8, bilinearColsU16x4,
-// bilinearRowsU8x8; maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2). haveVNNI additionally
-// selects the VPDPBUSD kernel on parts with AVX512-VNNI; it runs at ZMM
-// width, so it sits behind haveAVX512 — F, VL, the OS-enabled ZMM state,
-// and PERCIVAL_NO_AVX512, which therefore means no 512-bit execution on
-// either engine.
+// bilinearRowsU8x8; maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2).
+// haveVNNI additionally selects the VPDPBUSD kernel on parts with
+// AVX512-VNNI; it runs at ZMM width, so it sits behind haveAVX512 — F, VL,
+// the OS-enabled ZMM state, and PERCIVAL_NO_AVX512, which therefore means
+// no 512-bit execution on either engine.
 var (
 	haveQuantASM = haveFMA
 	haveVNNI     = detectVNNI()
