@@ -645,6 +645,8 @@ TEXT ·poolI32K3S2(SB), NOSPLIT, $0-40
 	MOVQ pow+24(FP), R9
 	MOVQ rows+32(FP), R10
 	SHLQ $2, R8                 // input row stride in bytes
+	TESTQ R10, R10
+	JEQ   pdone
 	VMOVDQU32 poolEvenIdx<>(SB), Z30
 	VMOVDQU32 poolOddIdx<>(SB), Z31
 
@@ -697,6 +699,7 @@ pnext:
 	DECQ R10
 	JNE  prow
 
+pdone:
 	VZEROUPPER
 	RET
 

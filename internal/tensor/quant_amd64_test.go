@@ -297,13 +297,13 @@ func TestQGemmVNNITierMatchesAVX2Tier(t *testing.T) {
 	// The blocked driver alone, whatever the product's size.
 	product := func(q quantTier, a []int8, b []uint8, m, k, n int) []int32 {
 		useQuantTier(q)
-		t := q.gemmTierT
+		tier := q.gemmTierT
 		c := make([]int32, m*n)
 		bop := qgemmB{data: b, ld: n, stage: make([]uint8, 4*n)}
-		panels, buf := QWeights{data: a}.panels(t, m, k)
-		bp := make([]uint8, bBlockLen(t, k, min(t.nc, n)))
-		for jc := 0; jc < n; jc += t.nc {
-			blocked[int8, uint8](&bop, t, panels, bp, c, jc, n, m, k, jc, min(t.nc, n-jc), false)
+		panels, buf := QWeights{data: a}.panels(tier, m, k)
+		bp := make([]uint8, bBlockLen(tier, k, min(tier.nc, n)))
+		for jc := 0; jc < n; jc += tier.nc {
+			blocked[int8, uint8](&bop, tier, panels, bp, c, jc, n, m, k, jc, min(tier.nc, n-jc), false)
 		}
 		PutScratchI8(buf)
 		return c
