@@ -35,9 +35,8 @@ func maxF32x8(dst, src *float32, n, k, stride int64)
 //go:noescape
 func maxI32x8(dst, src *int32, n, k, stride int64)
 
-// poolI32K3S2 max-pools `rows` rows of pow >= 16 outputs 3×3 at stride 2
-// from int32 rows w apart, at ZMM width; see qgemm_amd64.s. Only called on
-// the VNNI tier, which only runs behind haveAVX512.
+// poolI32K3S2 max-pools `rows` rows of pow >= 8 outputs 3×3 at stride 2
+// from int32 rows w apart in one pass; see qgemm_amd64.s.
 //
 //go:noescape
 func poolI32K3S2(dst, src *int32, w, pow, rows int64)
@@ -90,7 +89,7 @@ func qgemmKernelVNNI8x32(quads int64, a *int8, b *uint8, c *int32, ldc int64, st
 // haveQuantASM gates the quantized kernels on the same AVX2+FMA+OS-XSAVE
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
 // epilogue uses FMA), and with them the byte and FP32 row helpers
-// (transposeQuad16, maxU8x16, maxI32x8, bilinearColsU16x4,
+// (transposeQuad16, maxU8x16, maxI32x8, poolI32K3S2, bilinearColsU16x4,
 // bilinearRowsU8x8; maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2).
 // haveVNNI additionally selects the VPDPBUSD kernel on parts with
 // AVX512-VNNI; it runs at ZMM width, so it sits behind haveAVX512 — F, VL,

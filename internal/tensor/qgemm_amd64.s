@@ -522,11 +522,8 @@ mxfdone:
 // func maxI32x8(dst, src *int32, n, k, stride int64)
 //
 // maxF32x8 over int32 accumulators (VPMAXSD): both passes of the separable
-// max pool a fused INT8 pool takes over a product's raw accumulators. The
-// maximum does not depend on the order of its operands, so three taps — the
-// paper net's pools — take one unrolled step with both later taps as memory
-// operands; other tap counts walk them in a loop. A ragged end is covered by
-// one more vector overlapping the last full one.
+// max pool a fused INT8 pool takes over a product's raw accumulators. A
+// ragged end is covered by one more vector overlapping the last full one.
 TEXT ·maxI32x8(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -537,8 +534,6 @@ TEXT ·maxI32x8(SB), NOSPLIT, $0-40
 	MOVQ CX, DX
 	ANDQ $7, DX
 	SHRQ $3, CX
-	CMPQ R8, $3
-	JEQ  mxi3vec
 
 mxivec:
 	VMOVDQU (SI), Y0
@@ -571,73 +566,33 @@ mxidone:
 	VZEROUPPER
 	RET
 
-mxi3vec:
-	VMOVDQU (SI), Y0
-	VPMAXSD (SI)(R9*1), Y0, Y0
-	VPMAXSD (SI)(R9*2), Y0, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNE  mxi3vec
-
-	TESTQ DX, DX
-	JEQ   mxidone
-	LEAQ  -32(SI)(DX*4), SI
-	LEAQ  -32(DI)(DX*4), DI
-	XORQ  DX, DX
-	MOVQ  $1, CX
-	JMP   mxi3vec
-
-// poolEvenIdx and poolOddIdx pick the even and the odd dwords of a pair of
-// ZMM registers (VPERMI2D: indices 16–31 read the second table).
-DATA poolEvenIdx<>+0(SB)/4, $0
-DATA poolEvenIdx<>+4(SB)/4, $2
-DATA poolEvenIdx<>+8(SB)/4, $4
-DATA poolEvenIdx<>+12(SB)/4, $6
-DATA poolEvenIdx<>+16(SB)/4, $8
-DATA poolEvenIdx<>+20(SB)/4, $10
-DATA poolEvenIdx<>+24(SB)/4, $12
-DATA poolEvenIdx<>+28(SB)/4, $14
-DATA poolEvenIdx<>+32(SB)/4, $16
-DATA poolEvenIdx<>+36(SB)/4, $18
-DATA poolEvenIdx<>+40(SB)/4, $20
-DATA poolEvenIdx<>+44(SB)/4, $22
-DATA poolEvenIdx<>+48(SB)/4, $24
-DATA poolEvenIdx<>+52(SB)/4, $26
-DATA poolEvenIdx<>+56(SB)/4, $28
-DATA poolEvenIdx<>+60(SB)/4, $30
-GLOBL poolEvenIdx<>(SB), RODATA, $64
-
-DATA poolOddIdx<>+0(SB)/4, $1
-DATA poolOddIdx<>+4(SB)/4, $3
-DATA poolOddIdx<>+8(SB)/4, $5
-DATA poolOddIdx<>+12(SB)/4, $7
-DATA poolOddIdx<>+16(SB)/4, $9
-DATA poolOddIdx<>+20(SB)/4, $11
-DATA poolOddIdx<>+24(SB)/4, $13
-DATA poolOddIdx<>+28(SB)/4, $15
-DATA poolOddIdx<>+32(SB)/4, $17
-DATA poolOddIdx<>+36(SB)/4, $19
-DATA poolOddIdx<>+40(SB)/4, $21
-DATA poolOddIdx<>+44(SB)/4, $23
-DATA poolOddIdx<>+48(SB)/4, $25
-DATA poolOddIdx<>+52(SB)/4, $27
-DATA poolOddIdx<>+56(SB)/4, $29
-DATA poolOddIdx<>+60(SB)/4, $31
-GLOBL poolOddIdx<>(SB), RODATA, $64
+// poolShiftIdx moves the even columns one lane on (VPERMD) in the order
+// VSHUFPS leaves them: lanes hold columns 0, 2, 8, 10 | 4, 6, 12, 14 of a
+// 16-column step, and lane i of the result holds the column two past lane
+// i's (lane 7's, column 16, is blended in from a broadcast).
+DATA poolShiftIdx<>+0(SB)/4, $1
+DATA poolShiftIdx<>+4(SB)/4, $4
+DATA poolShiftIdx<>+8(SB)/4, $3
+DATA poolShiftIdx<>+12(SB)/4, $6
+DATA poolShiftIdx<>+16(SB)/4, $5
+DATA poolShiftIdx<>+20(SB)/4, $2
+DATA poolShiftIdx<>+24(SB)/4, $7
+DATA poolShiftIdx<>+28(SB)/4, $7
+GLOBL poolShiftIdx<>(SB), RODATA, $32
 
 // func poolI32K3S2(dst, src *int32, w, pow, rows int64)
 //
-// The 3×3, stride-2 max pool of int32 accumulators at ZMM width, `rows`
-// pooled rows of pow >= 16 outputs: pooled row r (at dst + r*pow) from the
-// three input rows w apart at src + 2r*w. Sixteen outputs a step: the
-// vertical maximum of input columns 2x…2x+31 in two registers and of column
-// 2x+32 broadcast, then the window's three columns as the even columns
-// (VPERMI2D), the odd ones, and the even ones moved on by one (VALIGND with
-// column 2x+32) — no column past 2x+32 is read. A ragged end steps back to
-// end on the last output, recomputing a few. The maximum does not depend on
-// the order of its operands, so each output is the window's.
+// The 3×3, stride-2 max pool of int32 accumulators in one pass, `rows`
+// pooled rows of pow >= 8 outputs: pooled row r (at dst + r*pow) from the
+// three input rows w apart at src + 2r*w. Eight outputs a step: the
+// vertical maximum of input columns 2x…2x+15 in two registers and of column
+// 2x+16 broadcast; then the window's three columns as the even columns and
+// the odd ones (VSHUFPS, both in the same lane order) and the even ones
+// moved on by one (VPERMD, column 2x+16 blended into the last lane); one
+// VPERMQ puts the maxima in order. No column past 2x+16 is read. A ragged
+// end steps back to end on the last output, recomputing a few. The maximum
+// does not depend on the order of its operands, so each output is the
+// window's, as poolRow computes it.
 TEXT ·poolI32K3S2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -647,8 +602,7 @@ TEXT ·poolI32K3S2(SB), NOSPLIT, $0-40
 	SHLQ $2, R8                 // input row stride in bytes
 	TESTQ R10, R10
 	JEQ   pdone
-	VMOVDQU32 poolEvenIdx<>(SB), Z30
-	VMOVDQU32 poolOddIdx<>(SB), Z31
+	VMOVDQU poolShiftIdx<>(SB), Y15
 
 prow:
 	MOVQ SI, R11
@@ -656,41 +610,41 @@ prow:
 	MOVQ R9, CX
 
 pchunk:
-	CMPQ CX, $16
+	CMPQ CX, $8
 	JGE  pstep
 	TESTQ CX, CX
 	JEQ   pnext
-	MOVQ $16, DX                // step back 16-CX outputs
+	MOVQ $8, DX                 // step back 8-CX outputs
 	SUBQ CX, DX
 	SHLQ $2, DX
 	SUBQ DX, R12
 	SHLQ $1, DX
 	SUBQ DX, R11
-	MOVQ $16, CX
+	MOVQ $8, CX
 
 pstep:
-	VMOVDQU32    (R11), Z0
-	VMOVDQU32    64(R11), Z1
-	VPBROADCASTD 128(R11), Z2
-	VPMAXSD      (R11)(R8*1), Z0, Z0
-	VPMAXSD      64(R11)(R8*1), Z1, Z1
-	VPBROADCASTD 128(R11)(R8*1), Z3
-	VPMAXSD      Z3, Z2, Z2
-	VPMAXSD      (R11)(R8*2), Z0, Z0
-	VPMAXSD      64(R11)(R8*2), Z1, Z1
-	VPBROADCASTD 128(R11)(R8*2), Z3
-	VPMAXSD      Z3, Z2, Z2
-	VMOVDQA32    Z30, Z4
-	VPERMI2D     Z1, Z0, Z4     // columns 2x
-	VMOVDQA32    Z31, Z5
-	VPERMI2D     Z1, Z0, Z5     // columns 2x+1
-	VALIGND      $1, Z4, Z2, Z6 // columns 2x+2
-	VPMAXSD      Z5, Z4, Z4
-	VPMAXSD      Z6, Z4, Z4
-	VMOVDQU32    Z4, (R12)
-	ADDQ $128, R11
-	ADDQ $64, R12
-	SUBQ $16, CX
+	VMOVDQU      (R11), Y0
+	VMOVDQU      32(R11), Y1
+	VPBROADCASTD 64(R11), Y2
+	VPMAXSD      (R11)(R8*1), Y0, Y0
+	VPMAXSD      32(R11)(R8*1), Y1, Y1
+	VPBROADCASTD 64(R11)(R8*1), Y3
+	VPMAXSD      Y3, Y2, Y2
+	VPMAXSD      (R11)(R8*2), Y0, Y0
+	VPMAXSD      32(R11)(R8*2), Y1, Y1
+	VPBROADCASTD 64(R11)(R8*2), Y3
+	VPMAXSD      Y3, Y2, Y2
+	VSHUFPS      $0x88, Y1, Y0, Y4 // columns 2x
+	VSHUFPS      $0xDD, Y1, Y0, Y5 // columns 2x+1
+	VPERMD       Y4, Y15, Y6
+	VPBLENDD     $0x80, Y2, Y6, Y6 // columns 2x+2
+	VPMAXSD      Y5, Y4, Y4
+	VPMAXSD      Y6, Y4, Y4
+	VPERMQ       $0xD8, Y4, Y4
+	VMOVDQU      Y4, (R12)
+	ADDQ $64, R11
+	ADDQ $32, R12
+	SUBQ $8, CX
 	JMP  pchunk
 
 pnext:

@@ -29,7 +29,7 @@ func maxI32x8(dst, src *int32, n, k, stride int64) {
 	panic("tensor: maxI32x8 without assembly support")
 }
 
-// poolI32K3S2 is never called without the VNNI tier.
+// poolI32K3S2 is never called when haveQuantASM is false.
 func poolI32K3S2(dst, src *int32, w, pow, rows int64) {
 	panic("tensor: poolI32K3S2 without assembly support")
 }

@@ -12,9 +12,9 @@ import (
 //
 // The stem orders its K dimension tap-major and channel-minor, (ky, kx, c),
 // so that one packed quad of the quantized GEMM is one input pixel's four
-// bytes, and a panel row of 16 output positions is 16 consecutive pixels of
-// one padded input row (one phase of it, when the stem is strided): a 64-byte
-// copy instead of a tap walk and a byte transpose. Integer sums do not depend
+// bytes, and a panel row of the tier's nr output positions is nr consecutive
+// pixels of one padded input row (one phase of it, when the stem is
+// strided): a copy of 4·nr bytes instead of a tap walk and a byte transpose. Integer sums do not depend
 // on the order of their terms, so every output byte is what the convolution
 // with its weights in (c, ky, kx) order computes.
 type QStem struct {
@@ -28,7 +28,9 @@ type QStem struct {
 	ZP uint8
 	// Pool, when K > 0, is a max pool (Pad must be 0) applied to the
 	// requantized output, which is then never materialized: ForwardInto's y
-	// is the pooled planes.
+	// is the pooled planes. The pool takes each window's maximum of the raw
+	// accumulators and requantizes only that, which equals pooling the
+	// requantized bytes only when every RQ.Mult is ≥ 0 (see Requant).
 	Pool PoolSpec
 }
 
@@ -139,7 +141,7 @@ func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint
 	ep := qgemmEpilogue{rq: st.RQ, ld: g.oh * g.ow}
 	var pool qpoolRun
 	if st.Pool.K > 0 {
-		pool = qpoolRun{poolWindow: poolWindow{spec: st.Pool, ow: g.ow, poh: g.outH, pow: g.outW, cap: g.blockRows + st.Pool.K - 1}, blockRows: g.blockRows, m: s.OutC, zmm: qgemmTier.kind == tierKindQuadVNNI}
+		pool = qpoolRun{poolWindow: poolWindow{spec: st.Pool, ow: g.ow, poh: g.outH, pow: g.outW, cap: g.blockRows + st.Pool.K - 1}, blockRows: g.blockRows, m: s.OutC}
 		pool.buf, i32 = i32[:g.slabLen], i32[g.slabLen:]
 		pool.pooled, i32 = i32[:g.pooledLen], i32[g.pooledLen:]
 		pool.rows, i32 = i32[:g.rowsLen], i32[g.rowsLen:]
@@ -324,9 +326,6 @@ type qpoolRun struct {
 	buf       []int32 // m slabs of cap rows of accumulators
 	pooled    []int32 // one quad plane's four channels of a block's pooled rows
 	rows      []int32 // poolRow's scratch
-	// zmm pools 3×3/2 windows with poolI32K3S2: set on the VNNI tier, which
-	// only runs where 512-bit execution does.
-	zmm bool
 }
 
 // target returns where the next block's product goes: row i of the block's
@@ -342,20 +341,23 @@ func (r *qpoolRun) target() (c []int32, ldc int) {
 func (r *qpoolRun) emit(rows int, rq Requant, stage []uint8) {
 	py, done, first, keep, end := r.advance(rows)
 	ow, ld, pow := r.ow, r.cap*r.ow, r.pow
-	if cols := (done - py) * pow; cols > 0 {
-		zmm := r.zmm && r.spec.K == 3 && r.spec.Stride == 2 && pow >= 16
+	if pooledRows := done - py; pooledRows > 0 {
+		cols := pooledRows * pow
+		// The paper net's pool1 takes one pass over the slab (poolI32K3S2)
+		// instead of poolRow's three a row.
+		k3s2 := haveQuantASM && r.spec.K == 3 && r.spec.Stride == 2 && pow >= 8
 		for g := 0; g*4 < r.m; g++ {
 			ch := min(4, r.m-g*4)
 			for c := 0; c < ch; c++ {
-				slab := r.buf[(g*4+c)*ld : (g*4+c+1)*ld]
-				if zmm {
-					// The last window's bottom row, up to its last column.
-					_ = slab[(first+2*(done-py))*ow+2*pow]
-					poolI32K3S2(&r.pooled[c*cols], &slab[first*ow], int64(ow), int64(pow), int64(done-py))
+				slab, pooled := r.buf[(g*4+c)*ld+first*ow:(g*4+c+1)*ld], r.pooled[c*cols:][:cols]
+				if k3s2 {
+					// Through the last window's bottom row and last column.
+					slab = slab[:2*pooledRows*ow+2*pow+1]
+					poolI32K3S2(&pooled[0], &slab[0], int64(ow), int64(pow), int64(pooledRows))
 					continue
 				}
-				for y := py; y < done; y++ {
-					poolRow(r.pooled[c*cols+(y-py)*pow:][:pow], slab[(first+(y-py)*r.spec.Stride)*ow:], ow, r.spec, r.rows)
+				for y := range pooledRows {
+					poolRow(pooled[y*pow:][:pow], slab[y*r.spec.Stride*ow:], ow, r.spec, r.rows)
 				}
 			}
 			e := qgemmEpilogue{rq: Requant{Mult: rq.Mult[g*4:], Beta: rq.Beta[g*4:], ZOut: rq.ZOut, ReLU: rq.ReLU},

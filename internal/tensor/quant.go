@@ -233,7 +233,10 @@ func RequantizeU8(dst []uint8, acc []int32, mult, beta float32, zOut int32, relu
 // Requant is the per-output-channel requantization a quantized convolution
 // applies to its int32 accumulators (see RequantizeU8): Mult and Beta hold
 // one constant per output channel, ZOut is the output zero point, and ReLU
-// raises the lower clamp to it.
+// raises the lower clamp to it. Every Mult must be ≥ 0 (not NaN): then the
+// requantized byte never decreases as its accumulator grows, which the
+// fused pools (QStem.Pool) and MaxPoolQuadsInto rely on. The INT8 engine's
+// builder refuses any other Mult.
 type Requant struct {
 	Mult, Beta []float32
 	ZOut       int32

@@ -238,19 +238,19 @@ func BenchmarkQKernelTile(b *testing.B) {
 	}
 }
 
-// TestPoolI32K3S2MatchesPoolRow pins the ZMM 3×3/2 accumulator pool to the
-// separable one (poolRow) for every row width whose pooled row has 16 to 40
-// outputs, odd and even, over several pooled rows at once and accumulators
-// near both ends of the int32 range; the word after its last output stays
-// untouched, and the input past the last window's last column, MaxInt32
-// everywhere, never reaches an output.
+// TestPoolI32K3S2MatchesPoolRow pins the one-pass 3×3/2 accumulator pool
+// to the separable one (poolRow) for every row width whose pooled row has 8
+// to 40 outputs, odd and even, over several pooled rows at once and
+// accumulators near both ends of the int32 range; the word after its last
+// output stays untouched, and the input past the last window's last column,
+// MaxInt32 everywhere, never reaches an output.
 func TestPoolI32K3S2MatchesPoolRow(t *testing.T) {
-	if !haveAVX512 {
-		t.Skip("no AVX-512F+VL on this CPU")
+	if !haveQuantASM {
+		t.Skip("no AVX2+FMA on this CPU")
 	}
 	rng := rand.New(rand.NewSource(16))
 	p := PoolSpec{K: 3, Stride: 2}
-	for w := 33; w <= 82; w++ {
+	for w := 17; w <= 82; w++ {
 		_, pow := p.OutSize(3, w)
 		for _, rows := range []int{1, 4} {
 			src := make([]int32, (2*rows+1)*w)
