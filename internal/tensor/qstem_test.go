@@ -202,3 +202,153 @@ func BenchmarkConvStemU8_224(b *testing.B) { benchQStem(b, PoolSpec{}) }
 // engine: RGBA bytes in, the stem with pool1 fused into its epilogue, the
 // pooled bytes out — the whole first stage as inference runs it.
 func BenchmarkConvStemPoolU8_224(b *testing.B) { benchQStem(b, PoolSpec{K: 3, Stride: 2}) }
+
+// newStemView is the stem's padded-row view of an h×w image under s, every
+// padded row built: the view QStem.ForwardInto sets up, outside a product.
+func newStemView(s ConvSpec, h, w int) stemView {
+	oh, ow := s.OutSize(h, w)
+	v := stemView{s: s, ow: ow, words: (w + 2*s.PadW + s.StrideW - 1) / s.StrideW, rows: (oh-1)*s.StrideH + s.KH}
+	v.rowLen = 4 * s.StrideW * v.words
+	v.buf = make([]uint8, v.rows*v.rowLen)
+	return v
+}
+
+// TestStemRowsMatchSetRun pins the stem's padded rows on every tier to the
+// portable byte loop (setRun, the tier without assembly): both phases of a
+// stride-2 view and the one of a stride-1 view, every padding width from 0
+// to 4 (so the first image word lands at every offset into both phase runs,
+// and the last at every distance from a run's end) and 9 (a block wholly
+// left of the image), widths 1…40 and 224,
+// rows above and below the image, through a random table and the identity
+// table. One 64-pixel row holds every byte value. Stride 3 keeps the
+// portable loop on every tier and rides along. The buffer is poisoned
+// first, so every word must be written.
+func TestStemRowsMatchSetRun(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	rng := rand.New(rand.NewSource(52))
+	var random [256]uint8
+	for i := range random {
+		random[i] = uint8(rng.Intn(256))
+	}
+	widths := []int{224}
+	for w := 1; w <= 40; w++ {
+		widths = append(widths, w)
+	}
+	const h = 3
+	for _, w := range widths {
+		pix := make([]uint8, h*w*4)
+		for i := range pix {
+			pix[i] = uint8(rng.Intn(256))
+		}
+		if w == 64 {
+			for i := 0; i < 256; i++ {
+				pix[w*4+i] = uint8(i)
+			}
+		}
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, 2, 3, 4, 9} {
+				s := ConvSpec{InC: 4, OutC: 4, KH: 1 + 2*pad, KW: 1 + 2*pad, StrideH: 1, StrideW: stride, PadH: pad, PadW: pad}
+				for ti, lut := range []*[256]uint8{&random, &identityU8} {
+					zp := uint8(17 + 40*ti)
+					useQuantTier(quantTiers()[0])
+					want := newStemView(s, h, w)
+					want.setImage(pix, h, w, lut, zp)
+					for _, tier := range quantTiers() {
+						useQuantTier(tier)
+						got := newStemView(s, h, w)
+						for i := range got.buf {
+							got.buf[i] = 0xEE
+						}
+						got.setImage(pix, h, w, lut, zp)
+						for i := range want.buf {
+							if got.buf[i] != want.buf[i] {
+								r, c := i/want.rowLen, i%want.rowLen
+								t.Fatalf("%s width %d stride %d pad %d table %d: row %d phase %d word %d byte %d = %d, want %d",
+									tier.name, w, stride, pad, ti, r, c/(4*want.words), c%(4*want.words)/4, c%4, got.buf[i], want.buf[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// packStemRef is the stem's panel pack as it ran before copyTaps: per output
+// row segment, per tap, one spreadQuads of the segment's pixel run across
+// the panels.
+func packStemRef(v *stemView, dst []uint8, p0, kc, j0, nc, nr int) {
+	s := v.s
+	quads, step := kc/4, kc*nr
+	if nc%nr != 0 {
+		clear(dst[nc/nr*step:][:step])
+	}
+	var taps [kcQBlock / 4]int
+	for q := range taps[:quads] {
+		ky, kx := (p0/4+q)/s.KW, (p0/4+q)%s.KW
+		taps[q] = ky*v.rowLen + (kx%s.StrideW*v.words+kx/s.StrideW)*4
+	}
+	for j := j0; j < j0+nc; {
+		oy, ox := j/v.ow, j%v.ow
+		cols := min(v.ow-ox, j0+nc-j)
+		window := oy*s.StrideH*v.rowLen + ox*4
+		for q, off := range taps[:quads] {
+			spreadQuads(dst[q*4*nr:], step, nr, j-j0, cols, v.buf[window+off:])
+		}
+		j += cols
+	}
+}
+
+// TestStemPackMatchesSpreadQuads pins the stem's panel pack on every tier,
+// byte for byte, to the layout the per-tap spreadQuads walk wrote: the paper
+// stem's 7×7/2 view at output widths 112 (the paper net's), 55 and 53 (rows
+// that end inside a panel of either width) and 1, packed for both quad tile
+// widths, block by block as the driver hands them over — at the default
+// block budget, with qstemBlockCols shrunk to one row, and in two K blocks
+// (so the tap table starts past tap 0). Both packs start from the same
+// poisoned panels, so a byte either one leaves alone must match too.
+func TestStemPackMatchesSpreadQuads(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	defer func(cols int) { qstemBlockCols = cols }(qstemBlockCols)
+	rng := rand.New(rand.NewSource(53))
+	s := stemSpec
+	k := s.KH * s.KW * 4
+	for _, ow := range []int{112, 55, 53, 1} {
+		w := 2 * ow
+		h := min(w, 24)
+		v := newStemView(s, h, w)
+		for i := range v.buf {
+			v.buf[i] = uint8(rng.Intn(256))
+		}
+		oh, _ := s.OutSize(h, w)
+		n := oh * ow
+		for _, tier := range quantTiers() {
+			useQuantTier(tier)
+			for _, nr := range []int{16, 32} {
+				for _, cols := range []int{1024, 1} {
+					qstemBlockCols = cols
+					block := stemBlockRows(ow, nr) * ow
+					for _, kb := range [][2]int{{0, k}, {0, 80}, {80, k - 80}} {
+						p0, kc := kb[0], kb[1]
+						for j0 := 0; j0 < n; j0 += block {
+							nc := min(block, n-j0)
+							size := (nc + nr - 1) / nr * kc * nr
+							got, want := make([]uint8, size), make([]uint8, size)
+							for i := range got {
+								got[i], want[i] = 0xEE, 0xEE
+							}
+							packStemRef(&v, want, p0, kc, j0, nc, nr)
+							v.pack(got, p0, kc, j0, nc, nr)
+							for i := range want {
+								if got[i] != want[i] {
+									t.Fatalf("%s ow %d nr %d block %d k block %d+%d columns %d+%d: byte %d (panel %d quad %d lane %d) = %d, want %d",
+										tier.name, ow, nr, block, p0, kc, j0, nc, i, i/(kc*nr), i%(kc*nr)/(4*nr), i%(4*nr)/4, got[i], want[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
