@@ -112,18 +112,7 @@ var identityU8 = func() (t [256]uint8) {
 // convolution stops at the last row a pooling window reads.
 func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint8, u8 []uint8, i32 []int32) {
 	s := st.Spec
-	g := st.geometry(h, w)
-	if g.oh == 0 || g.ow == 0 {
-		panicEmptyOutput("QStem.ForwardInto", []int{n, s.InC, h, w}, s.KH, s.KW, s.PadH, s.PadW)
-	}
-	if st.Pool.K > 0 {
-		if st.Pool.Pad != 0 {
-			panic(fmt.Sprintf("tensor: QStem.ForwardInto: fused pool %+v must be unpadded", st.Pool))
-		}
-		if g.outH == 0 || g.outW == 0 {
-			panicEmptyOutput("QStem.ForwardInto", []int{n, s.OutC, g.oh, g.ow}, st.Pool.K, st.Pool.K, 0, 0)
-		}
-	}
+	g := st.geometry(n, h, w)
 	planes := quadPlanes(s.OutC)
 	k, il, ol := s.KH*s.KW*4, h*w*4, planes*4*g.outH*g.outW
 	if s.InC > 4 || len(pix) < n*il || st.W.m != s.OutC || st.W.k != k ||
@@ -173,14 +162,23 @@ type stemGeometry struct {
 	u8, i32                     int
 }
 
-func (st *QStem) geometry(h, w int) stemGeometry {
+func (st *QStem) geometry(n, h, w int) stemGeometry {
 	s := st.Spec
 	g := stemGeometry{}
 	g.oh, g.ow = s.OutSize(h, w)
+	if g.oh == 0 || g.ow == 0 {
+		panicEmptyOutput("QStem.ForwardInto", []int{n, s.InC, h, w}, s.KH, s.KW, s.PadH, s.PadW)
+	}
 	g.outH, g.outW, g.convH = g.oh, g.ow, g.oh
 	blockCols := 0
 	if p := st.Pool; p.K > 0 {
+		if p.Pad != 0 {
+			panic(fmt.Sprintf("tensor: QStem.ForwardInto: fused pool %+v must be unpadded", p))
+		}
 		g.outH, g.outW = p.OutSize(g.oh, g.ow)
+		if g.outH == 0 || g.outW == 0 {
+			panicEmptyOutput("QStem.ForwardInto", []int{n, s.OutC, g.oh, g.ow}, p.K, p.K, 0, 0)
+		}
 		g.convH = max((g.outH-1)*p.Stride+p.K, 0)
 		g.blockRows = stemBlockRows(g.ow, qgemmTier.nr)
 		blockCols = g.blockRows * g.ow
@@ -197,9 +195,10 @@ func (st *QStem) geometry(h, w int) stemGeometry {
 	return g
 }
 
-// ScratchLen is the scratch ForwardInto needs for h×w images.
+// ScratchLen is the scratch ForwardInto needs for h×w images. Like
+// ForwardInto, it refuses a stem whose convolution or pool output is empty.
 func (st *QStem) ScratchLen(h, w int) (u8, i32 int) {
-	g := st.geometry(h, w)
+	g := st.geometry(1, h, w)
 	return g.u8, g.i32
 }
 

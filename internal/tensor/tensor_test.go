@@ -522,23 +522,30 @@ func TestConvSpecOutSize(t *testing.T) {
 
 // TestEmptyOutputRejected checks the forward kernels refuse a window that
 // does not fit its input, naming the shapes, instead of scoring a partial
-// window.
+// window. The INT8 stem is refused by its scratch size too, both naming
+// QStem.ForwardInto.
 func TestEmptyOutputRejected(t *testing.T) {
 	x := New(1, 1, 2, 2)
 	y := New(1, 1, 1, 1)
 	p := PoolSpec{K: 3, Stride: 2}
 	s := ConvSpec{InC: 1, OutC: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 2}
+	pix := make([]uint8, 16) // one 2×2 image, four bytes a pixel
 	for name, c := range map[string]struct {
 		fn    func()
+		entry string // the function the panic names
 		shape string
 	}{
-		"ConvForwardInto":    {func() { ConvForwardInto(x, make([]float32, 9), nil, s, y, 0, false) }, "[1 1 2 2]"},
-		"MaxPoolForwardInto": {func() { MaxPoolForwardInto(x, p, y, nil) }, "[1 1 2 2]"},
+		"ConvForwardInto":    {func() { ConvForwardInto(x, make([]float32, 9), nil, s, y, 0, false) }, "ConvForwardInto", "[1 1 2 2]"},
+		"MaxPoolForwardInto": {func() { MaxPoolForwardInto(x, p, y, nil) }, "MaxPoolForwardInto", "[1 1 2 2]"},
 		// One quad plane of 2×2 pixels, four bytes each.
-		"MaxPoolQuadsInto": {func() { MaxPoolQuadsInto(make([]uint8, 16), 1, 2, 2, p, make([]uint8, 4), nil) }, "[1 2 2 4]"},
+		"MaxPoolQuadsInto":        {func() { MaxPoolQuadsInto(make([]uint8, 16), 1, 2, 2, p, make([]uint8, 4), nil) }, "MaxPoolQuadsInto", "[1 2 2 4]"},
+		"QStem":                   {func() { (&QStem{Spec: s}).ForwardInto(pix, 1, 2, 2, nil, nil, nil, nil) }, "QStem.ForwardInto", "[1 1 2 2]"},
+		"pooled QStem":            {func() { (&QStem{Spec: s, Pool: p}).ForwardInto(pix, 1, 2, 2, nil, nil, nil, nil) }, "QStem.ForwardInto", "[1 1 2 2]"},
+		"QStem.ScratchLen":        {func() { (&QStem{Spec: s}).ScratchLen(2, 2) }, "QStem.ForwardInto", "[1 1 2 2]"},
+		"pooled QStem.ScratchLen": {func() { (&QStem{Spec: s, Pool: p}).ScratchLen(2, 2) }, "QStem.ForwardInto", "[1 1 2 2]"},
 	} {
 		msg := panicMessage(t, name, c.fn)
-		if !strings.Contains(msg, name) || !strings.Contains(msg, "3×3 window") || !strings.Contains(msg, c.shape) {
+		if !strings.Contains(msg, c.entry) || !strings.Contains(msg, "3×3 window") || !strings.Contains(msg, c.shape) {
 			t.Errorf("%s: panic %q does not name the function and shapes", name, msg)
 		}
 	}
