@@ -16,8 +16,10 @@ FUZZTIME ?= 15s
 # each engine's stem with that pool fused behind it; the INT8 stem reads
 # RGBA bytes, the INT8 3×3 expand the squeeze's quad planes), and the paper
 # net's first INT8 fire whole (quad planes in, the squeeze, both expands
-# into the concatenated output's quad planes).
-TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkQKernelTile|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkMaxPoolU8_112x96
+# into the concatenated output's quad planes); and the INT8 byte passes
+# around the kernels alone: the stem's input rows, panel pack and pooled
+# write-out on one 224 frame, and a 64-channel requantization into quads.
+TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkQKernelTile|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkMaxPoolU8_112x96|BenchmarkQStemParts|BenchmarkRequantQuads
 
 .PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile loc
 
@@ -115,7 +117,7 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Where one frame goes: `pprof -top`, by flat time and then by cumulative
-# time, of seven one-P benchmarks. InferSingle / InferSingleInt8 are the
+# time, of eight one-P benchmarks. InferSingle / InferSingleInt8 are the
 # forward pass on each engine — the per-function attribution PERFORMANCE.md
 # tabulates (its tables quote the cumulative view). EngineInferFP32 /
 # EngineInferInt8 are a whole backend call on a decoded frame (resize, input
@@ -126,17 +128,21 @@ bench-check:
 # forward-pass profile cannot show a frame being hashed twice. RenderPage is
 # the base page render with no model at all (parse, layout, decode, raster,
 # plus the simulation's drawing and encoding of the creatives): the base the
-# paper's overhead percentage divides by. The test binary and the profiles
-# land in PROFILE_DIR.
+# paper's overhead percentage divides by. ConvStemPoolU8_224 (internal/tensor)
+# is the INT8 stem with pool1 alone, so its byte passes and kernel have a
+# flat profile of their own. Each entry is package:benchmark:benchtime; the
+# test binaries and the profiles land in PROFILE_DIR.
 PROFILE_DIR ?= .bench_build/profile
+PROFILE_BENCH = .:InferSingle:300x .:InferSingleInt8:300x .:EngineInferFP32:300x .:EngineInferInt8:1500x \
+	.:ServeCacheHit:10000x .:ServeWireWarm:10000x .:RenderPage:120x ./internal/tensor/:ConvStemPoolU8_224:3000x
 profile:
 	@mkdir -p $(PROFILE_DIR)
-	@for b in InferSingle:300x InferSingleInt8:300x EngineInferFP32:300x EngineInferInt8:1500x ServeCacheHit:10000x ServeWireWarm:10000x RenderPage:120x; do \
-		name=$${b%:*}; \
-		GOMAXPROCS=1 $(GO) test -run=NONE -bench="Benchmark$$name\$$" -benchtime=$${b#*:} \
-			-o $(PROFILE_DIR)/percival.test -cpuprofile $(PROFILE_DIR)/$$name.prof . || exit 1; \
-		$(GO) tool pprof -top -nodecount=16 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$name.prof || exit 1; \
-		$(GO) tool pprof -top -cum -nodecount=24 $(PROFILE_DIR)/percival.test $(PROFILE_DIR)/$$name.prof || exit 1; \
+	@for b in $(PROFILE_BENCH); do \
+		pkg=$${b%%:*}; rest=$${b#*:}; name=$${rest%:*}; \
+		GOMAXPROCS=1 $(GO) test -run=NONE -bench="Benchmark$$name\$$" -benchtime=$${rest#*:} \
+			-o $(PROFILE_DIR)/$$name.test -cpuprofile $(PROFILE_DIR)/$$name.prof $$pkg || exit 1; \
+		$(GO) tool pprof -top -nodecount=16 $(PROFILE_DIR)/$$name.test $(PROFILE_DIR)/$$name.prof || exit 1; \
+		$(GO) tool pprof -top -cum -nodecount=24 $(PROFILE_DIR)/$$name.test $(PROFILE_DIR)/$$name.prof || exit 1; \
 	done
 
 # Size of the serving stack, for ROADMAP item 3 and any change that claims to

@@ -940,3 +940,97 @@ func TestGemmOverwritesWithoutClearing(t *testing.T) {
 		}
 	}
 }
+
+// putQuads writes four nc-byte rows (src[r*nc:], r < 4) to dst as nc 32-bit
+// words, column j's four row bytes at dst[4j:] — the second pass of the
+// requantizing epilogue before requantQuads fused it into the first.
+func putQuads(dst, src []uint8, nc int) {
+	for j := 0; j < nc; j++ {
+		d := dst[4*j : 4*j+4 : 4*j+4]
+		d[0], d[1], d[2], d[3] = src[j], src[nc+j], src[2*nc+j], src[3*nc+j]
+	}
+}
+
+// TestRequantQuadsMatchesRequantizeU8 pins the quad requantizer on every
+// tier to the two passes it replaced: RequantizeU8 row by row into a 4×n
+// staging block, the rows past m at the output zero point, then putQuads.
+// Widths 1…70 (below one vector step, at it, and every ragged end past it)
+// and 3025 (the 55×55 planes of the paper net's first fires); 4, 1, 2 and 3
+// rows; ReLU on and off; rows ld apart past their width; accumulators at
+// ±(2³¹−1) and values that land on exact .5 ties (mult ½, or beta ±½ with
+// mult 1). Every byte past the 4n written must stay untouched.
+func TestRequantQuadsMatchesRequantizeU8(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	rng := rand.New(rand.NewSource(54))
+	widths := []int{3025}
+	for n := 1; n <= 70; n++ {
+		widths = append(widths, n)
+	}
+	for ci, n := range widths {
+		for _, rows := range []int{4, 1, 2, 3} {
+			relu := (ci+rows)%2 == 0
+			ld := n + 3
+			acc := make([]int32, 4*ld)
+			rq := Requant{Mult: make([]float32, 8), Beta: make([]float32, 8), ZOut: int32(rng.Intn(QMaxU8 + 1)), ReLU: relu}
+			for r := 0; r < 8; r++ {
+				rq.Mult[r], rq.Beta[r] = float32(rng.Float64()*1e-4), float32(rng.NormFloat64()*20+40)
+			}
+			const ch = 2 // the rows' channels start mid-Requant
+			switch ci % 3 {
+			case 0: // ±(2³¹−1) and their neighbours among random sums
+				for i := range acc {
+					acc[i] = []int32{math.MaxInt32, -math.MaxInt32, math.MaxInt32 - 1, math.MinInt32}[rng.Intn(4)]
+					if rng.Intn(2) == 0 {
+						acc[i] = int32(rng.Intn(2_000_000) - 1_000_000)
+					}
+				}
+			case 1: // acc·½ and acc ± ½: every odd sum is a tie
+				for r := 0; r < 4; r++ {
+					rq.Mult[ch+r], rq.Beta[ch+r] = []float32{0.5, 1, 1, 0.5}[r], []float32{0, 0.5, -0.5, 0}[r]
+				}
+				for i := range acc {
+					acc[i] = int32(rng.Intn(300) - 20)
+				}
+			default:
+				for i := range acc {
+					acc[i] = int32(rng.Intn(2_000_000) - 1_000_000)
+				}
+			}
+			stage := make([]uint8, 4*n)
+			for r := 0; r < 4; r++ {
+				row := stage[r*n : (r+1)*n]
+				if r < rows {
+					RequantizeU8(row, acc[r*ld:r*ld+n], rq.Mult[ch+r], rq.Beta[ch+r], rq.ZOut, relu)
+					continue
+				}
+				for j := range row {
+					row[j] = uint8(rq.ZOut)
+				}
+			}
+			want := make([]uint8, 4*n)
+			putQuads(want, stage, n)
+			for _, tier := range quantTiers() {
+				if tier.vnni {
+					continue // the AVX2 tier's requantizer
+				}
+				useQuantTier(tier)
+				got := make([]uint8, 4*n+8)
+				for i := range got {
+					got[i] = 0xEE
+				}
+				requantQuads(got[:4*n], acc, ld, rows, n, rq, ch)
+				for i, v := range want {
+					if got[i] != v {
+						t.Fatalf("%s n=%d rows=%d relu=%v case %d: column %d row %d = %d, want %d (acc %d)",
+							tier.name, n, rows, relu, ci%3, i/4, i%4, got[i], v, acc[i%4*ld+i/4])
+					}
+				}
+				for i := 4 * n; i < len(got); i++ {
+					if got[i] != 0xEE {
+						t.Fatalf("%s n=%d rows=%d: wrote byte %d past its %d words", tier.name, n, rows, i, n)
+					}
+				}
+			}
+		}
+	}
+}

@@ -64,7 +64,7 @@ func (e *QConv) quadView(h, w int) convView[uint32] {
 // product's u8 and i32 (qgemmSplit). AccInto takes the u8 part.
 func (e *QConv) ScratchLen(h, w int) (u8, i32 int) {
 	oh, ow := e.Spec.OutSize(h, w)
-	_, _, _, u8, i32 = qgemmSplit(e.Spec.OutC, e.W.k, oh*ow, false, 0, true)
+	_, _, u8, i32 = qgemmSplit(e.Spec.OutC, e.W.k, oh*ow, false, 0, true)
 	return u8, i32
 }
 

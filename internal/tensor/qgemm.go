@@ -51,9 +51,9 @@ func QGemmKernelName() string { return qgemmTier.name }
 // accumulation relies on 2·127·127 < 2¹⁵−1 to be saturation-free.
 func QGemm(a []int8, b []uint8, c []int32, m, k, n int) {
 	checkGemm("QGemm", len(a), len(b), len(c), m, k, n)
-	_, _, _, u8Len, _ := qgemmSplit(m, k, n, false, 0, false)
-	buf := GetScratchU8(u8Len)
-	qgemmDispatch(QWeights{data: a}, qgemmB{data: b}, c, m, k, n, nil, *buf, nil)
+	_, step, u8Len, _ := qgemmSplit(m, k, n, false, 0, false)
+	buf := GetScratchU8(u8Len + 4*min(step, n))
+	qgemmDispatch(QWeights{data: a}, qgemmB{data: b, stage: (*buf)[u8Len:]}, c, m, k, n, nil, (*buf)[:u8Len], nil)
 	PutScratchU8(buf)
 }
 
@@ -108,18 +108,18 @@ type qgemmB struct {
 	ld   int
 	quad *convView[uint32]
 	stem *stemView
-	// stage is a dense B's scratch for its ragged last quad (see pack).
+	// stage is a dense B's scratch for its ragged last quad (see pack): 4
+	// rows as wide as a column block.
 	stage []uint8
 }
 
 // qgemmEpilogue requantizes a product's finished accumulators into the next
-// layer's u8 activations, quad planes of ld words: row i of the product goes
-// through RequantizeU8 with rq's constants for channel i, rows 4g…4g+3 as
-// the four bytes of each word of plane g from dst on (see putQuads) — or,
-// when pool is set, the pool's: the product then lands in the pool's slabs,
-// which max-pool it first and requantize only the pooled values. A product
-// with an epilogue never materializes its m×n int32 matrix (see
-// qgemmDispatch).
+// layer's u8 activations, quad planes of ld words: rows 4g…4g+3 of the
+// product, with rq's constants for their channels, as the four bytes of
+// each word of plane g from dst on (see requantQuads) — or, when pool is
+// set, the pool's: the product then lands in the pool's slabs, which
+// max-pool it first and requantize only the pooled values. A product with an
+// epilogue never materializes its m×n int32 matrix (see qgemmDispatch).
 type qgemmEpilogue struct {
 	rq   Requant
 	dst  []uint8
@@ -128,65 +128,83 @@ type qgemmEpilogue struct {
 }
 
 // apply requantizes the m×nc accumulator block acc (row stride nc) into
-// columns [j0, j0+nc) of the destination planes, four rows at a time
-// through stage, a 4×nc staging block small enough to stay in L1; the rows
-// of the last plane past m, which no weight reads, hold the output zero
-// point.
-func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int, stage []uint8) {
+// columns [j0, j0+nc) of the destination planes, a plane's four rows at a
+// time.
+func (e *qgemmEpilogue) apply(acc []int32, m, nc, j0 int) {
 	for g := 0; g*4 < m; g++ {
-		for r := 0; r < 4; r++ {
-			row := stage[r*nc : (r+1)*nc]
-			if i := g*4 + r; i < m {
-				RequantizeU8(row, acc[i*nc:(i+1)*nc], e.rq.Mult[i], e.rq.Beta[i], e.rq.ZOut, e.rq.ReLU)
-				continue
-			}
-			for j := range row {
-				row[j] = uint8(e.rq.ZOut)
-			}
-		}
 		off := (g*e.ld + j0) * 4
-		putQuads(e.dst[off:off+nc*4:off+nc*4], stage, nc)
+		requantQuads(e.dst[off:], acc[g*4*nc:], nc, min(4, m-g*4), nc, e.rq, g*4)
 	}
 }
 
-// putQuads writes four nc-byte rows (src[r*nc:], r < 4) to dst as nc 32-bit
-// words, column j's four row bytes at dst[4j:]: transposeQuad over the whole
-// 16-column groups, as one panel that wide, then the ragged tail a word at
-// a time. transposeQuad's own tail would zero-pad its panel, which in a
-// quad plane runs into the next plane.
-func putQuads(dst, src []uint8, nc int) {
-	full := nc &^ 15
-	if full > 0 {
-		transposeQuad(dst, 0, src, nc, full, full)
+// requantQuads requantizes columns [0, n) of `rows` ≤ 4 accumulator rows —
+// row r at acc[r*ld:], channel ch+r of rq — into n quad words at dst:
+// column j's word at dst[4j:], row r's byte (RequantizeU8) in its byte r,
+// the bytes of rows past `rows`, which no weight reads, at the output zero
+// point. The vector body takes those rows as rows of acc's first times 0
+// plus ZOut, which is ZOut exactly; fewer than 8 columns go through it
+// zero-padded to 8.
+func requantQuads(dst []uint8, acc []int32, ld, rows, n int, rq Requant, ch int) {
+	dst = dst[:4*n]
+	lo := int32(0)
+	if rq.ReLU {
+		lo = rq.ZOut
 	}
-	for j := full; j < nc; j++ {
-		d := dst[4*j : 4*j+4 : 4*j+4]
-		d[0], d[1], d[2], d[3] = src[j], src[nc+j], src[2*nc+j], src[3*nc+j]
+	if !haveQuantASM {
+		for j := 0; j < n; j++ {
+			d := dst[4*j : 4*j+4 : 4*j+4]
+			for r := range d {
+				d[r] = uint8(rq.ZOut)
+				if r < rows {
+					d[r] = requantU8(acc[r*ld+j], rq.Mult[ch+r], rq.Beta[ch+r], lo)
+				}
+			}
+		}
+		return
 	}
+	var k [8]float32
+	var a [4]*int32
+	for r := range a {
+		k[r], k[4+r], a[r] = 0, float32(rq.ZOut), &acc[0]
+		if r < rows {
+			row := acc[r*ld : r*ld+n]
+			k[r], k[4+r], a[r] = rq.Mult[ch+r], rq.Beta[ch+r], &row[0]
+		}
+	}
+	if n >= 8 {
+		requantQuads8(&dst[0], a[0], a[1], a[2], a[3], int64(n), &k, uint8(lo), QMaxU8)
+		return
+	}
+	var pad [4][8]int32
+	var out [32]uint8
+	for r := 0; r < rows; r++ {
+		copy(pad[r][:n], acc[r*ld:])
+	}
+	requantQuads8(&out[0], &pad[0][0], &pad[1][0], &pad[2][0], &pad[3][0], 8, &k, uint8(lo), QMaxU8)
+	copy(dst, out[:])
 }
 
 // qgemmSplit is how qgemmDispatch runs an m×k×n product: unblocked (small:
 // never a stem's, whose operand only packs panels) or blocked step columns
 // at a time — blockCols when set, else the tier's nc; and the scratch that
-// takes: u8Len bytes — bLen for the packed B block (an unblocked product's
-// one row of B quads), then a 4-row staging block as wide as a column block
-// — and, when acc is set, i32Len accumulators for an epilogue's column
-// block (a pooling epilogue brings its own).
-func qgemmSplit(m, k, n int, stem bool, blockCols int, acc bool) (small bool, step, bLen, u8Len, i32Len int) {
+// takes: u8Len bytes for the packed B block (an unblocked product's one row
+// of B quads) and, when acc is set, i32Len accumulators for an epilogue's
+// column block (a pooling epilogue brings its own).
+func qgemmSplit(m, k, n int, stem bool, blockCols int, acc bool) (small bool, step, u8Len, i32Len int) {
 	t := qgemmTier
 	small = m*k*n <= gemmSmallThreshold && !stem
-	step, bLen = n, roundUp(4*n, 64)
+	step, u8Len = n, roundUp(4*n, 64)
 	if !small {
 		step = t.nc
 		if blockCols > 0 {
 			step = blockCols
 		}
-		bLen = bBlockLen(t, k, min(step, n))
+		u8Len = bBlockLen(t, k, min(step, n))
 	}
 	if acc {
 		i32Len = m * min(step, n)
 	}
-	return small, step, bLen, bLen + 4*min(step, n), i32Len
+	return small, step, u8Len, i32Len
 }
 
 // qgemmDispatch routes a product to the small unblocked loop or the blocked
@@ -216,7 +234,7 @@ func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilog
 		blockCols = ep.pool.blockRows * ep.pool.ow
 	}
 	t := qgemmTier
-	small, step, bLen, u8Len, i32Len := qgemmSplit(m, k, n, b.stem != nil, blockCols, ep != nil && !pool)
+	small, step, u8Len, i32Len := qgemmSplit(m, k, n, b.stem != nil, blockCols, ep != nil && !pool)
 	checkScratch("qgemm", len(u8), u8Len)
 	checkScratch("qgemm accumulators", len(i32), i32Len)
 	var panels []int8
@@ -224,7 +242,7 @@ func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilog
 	if !small {
 		panels, buf = a.panels(t, m, k)
 	}
-	b.ld, b.stage = n, u8[bLen:u8Len]
+	b.ld = n
 	for jc := 0; jc < n; jc += step {
 		nc := min(step, n-jc)
 		cblk, cj, ldc := c, jc, n
@@ -237,15 +255,15 @@ func qgemmDispatch(a QWeights, b qgemmB, c []int32, m, k, n int, ep *qgemmEpilog
 		}
 		if small {
 			clear(cblk[:m*n])
-			qgemmSmall(a.data, b, cblk, m, k, n, u8[:bLen])
+			qgemmSmall(a.data, b, cblk, m, k, n, u8[:u8Len])
 		} else {
-			blocked[int8, uint8](&b, t, panels, u8[:bLen], cblk, cj, ldc, m, k, jc, nc, false)
+			blocked[int8, uint8](&b, t, panels, u8[:u8Len], cblk, cj, ldc, m, k, jc, nc, false)
 		}
 		switch {
 		case pool:
-			ep.pool.emit(nc/ep.pool.ow, ep.rq, b.stage)
+			ep.pool.emit(nc/ep.pool.ow, ep.rq)
 		case ep != nil:
-			ep.apply(cblk, m, nc, jc, b.stage)
+			ep.apply(cblk, m, nc, jc)
 		}
 	}
 	if buf != nil {

@@ -72,12 +72,27 @@ func bilinearColsU16x4(dst *uint64, src *uint8, offs *int, wts *uint16, n int64)
 //go:noescape
 func bilinearRowsU8x8(dst *uint8, top, bot *uint64, n, wy int64)
 
-// requantU8x32 is the vectorized requantization epilogue in qgemm_amd64.s:
-// dst[i] = clamp(roundeven(float32(acc[i])*mult + beta), lo, hi) for n
-// elements, n a multiple of 32.
+// requantQuads8 requantizes columns [0, n) of the four accumulator rows a0…a3
+// straight into n quad words at dst — row r through k[r]·acc + k[4+r],
+// rounded to nearest even and clamped to [lo, hi], as byte r of each word —
+// for n >= 8; see qgemm_amd64.s.
 //
 //go:noescape
-func requantU8x32(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8)
+func requantQuads8(dst *uint8, a0, a1, a2, a3 *int32, n int64, k *[8]float32, lo, hi uint8)
+
+// lutRowU8 builds one padded row of the stem's view — `stride` (1 or 2)
+// phase runs of `words` 32-bit words, each the pixel of src it stands for
+// through the table whose lutDeltas are deltas, or fill — for
+// stride·words >= 16; see qgemm_amd64.s.
+//
+//go:noescape
+func lutRowU8(dst, src *uint8, deltas *[256]uint8, words, stride, pad, w int64, fill uint32)
+
+// copyTaps copies n 32-bit words from src + taps[q] to dst + q·step for
+// each of `quads` taps, quads >= 1; see qgemm_amd64.s.
+//
+//go:noescape
+func copyTaps(dst *uint8, step int64, src *uint8, taps *int, quads, n int64)
 
 // qgemmKernelVNNI8x32 is the AVX512-VNNI (VPDPBUSD, ZMM-width) micro-kernel
 // in qgemm_amd64.s: one packed 8×32 int32 micro-tile update, held in 16 ZMM
@@ -89,8 +104,9 @@ func qgemmKernelVNNI8x32(quads int64, a *int8, b *uint8, c *int32, ldc int64, st
 // haveQuantASM gates the quantized kernels on the same AVX2+FMA+OS-XSAVE
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
 // epilogue uses FMA), and with them the byte and FP32 row helpers
-// (transposeQuad16, maxU8x16, maxI32x8, poolI32K3S2, bilinearColsU16x4,
-// bilinearRowsU8x8; maxF32x8, gather2F32x8, biasReLUF32x8 — AVX/AVX2).
+// (transposeQuad16, maxU8x16, maxI32x8, poolI32K3S2, lutRowU8, copyTaps,
+// bilinearColsU16x4, bilinearRowsU8x8; maxF32x8, gather2F32x8,
+// biasReLUF32x8 — AVX/AVX2).
 // haveVNNI additionally selects the VPDPBUSD kernel on parts with
 // AVX512-VNNI; it runs at ZMM width, so it sits behind haveAVX512 — F, VL,
 // the OS-enabled ZMM state, and PERCIVAL_NO_AVX512, which therefore means
@@ -107,8 +123,4 @@ func detectVNNI() bool {
 	_, _, c7, _ := cpuidex(7, 0)
 	const avx512vnni = 1 << 11 // ECX
 	return c7&avx512vnni != 0
-}
-
-func requantU8ASM(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8) {
-	requantU8x32(acc, dst, n, mult, beta, lo, hi)
 }

@@ -754,71 +754,88 @@ brloop:
 	VZEROUPPER
 	RET
 
-// qpermIdx reorders the dword groups produced by the in-lane
-// VPACKSSDW/VPACKUSWB cascade back into memory order.
-DATA qpermIdx<>+0(SB)/4, $0
-DATA qpermIdx<>+4(SB)/4, $4
-DATA qpermIdx<>+8(SB)/4, $1
-DATA qpermIdx<>+12(SB)/4, $5
-DATA qpermIdx<>+16(SB)/4, $2
-DATA qpermIdx<>+20(SB)/4, $6
-DATA qpermIdx<>+24(SB)/4, $3
-DATA qpermIdx<>+28(SB)/4, $7
-GLOBL qpermIdx<>(SB), RODATA, $32
+// quadTransposeIdx is the 4×4 byte transpose within each 128-bit lane: the
+// bytes r0c0 r0c1 r0c2 r0c3 r1c0 … r3c3 (four rows of four columns, as the
+// VPACKSSDW/VPACKUSWB cascade leaves them) become c0r0 c0r1 c0r2 c0r3 c1r0 …
+// c3r3, four quad words.
+DATA quadTransposeIdx<>+0(SB)/8, $0x0d0905010c080400
+DATA quadTransposeIdx<>+8(SB)/8, $0x0f0b07030e0a0602
+DATA quadTransposeIdx<>+16(SB)/8, $0x0d0905010c080400
+DATA quadTransposeIdx<>+24(SB)/8, $0x0f0b07030e0a0602
+GLOBL quadTransposeIdx<>(SB), RODATA, $32
 
-// func requantU8x32(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8)
+// func requantQuads8(dst *uint8, a0, a1, a2, a3 *int32, n int64, k *[8]float32, lo, hi uint8)
 //
-// Vectorized requantization: 32 int32 accumulators per iteration are
-// converted to float32, scaled (acc*mult + beta, one FMA), rounded to
-// nearest-even (VCVTPS2DQ), narrowed int32→int16→u8 with saturation
-// (VPACKSSDW/VPACKUSWB + VPERMD lane fix) and clamped to [lo, hi].
-// n must be a positive multiple of 32.
-TEXT ·requantU8x32(SB), NOSPLIT, $0-34
-	MOVQ acc+0(FP), SI
-	MOVQ dst+8(FP), DI
-	MOVQ n+16(FP), CX
-	SHRQ $5, CX
+// Requantizes columns [0, n) of four accumulator rows, a0…a3, straight into
+// n quad words at dst — column j's word at dst + 4j, row r's byte in its
+// byte r — for n >= 8. Eight columns a step: each row converted to float32,
+// scaled (acc*k[r] + k[4+r], one FMA), rounded to nearest-even (VCVTPS2DQ),
+// the four rows narrowed with saturation (VPACKSSDW, VPACKUSWB: per 128-bit
+// lane, the four rows of four columns, row-major) and clamped to [lo, hi],
+// then transposed in-lane (VPSHUFB) to four words a lane, which is memory
+// order. An accumulator and its word sit at the same byte offset from their
+// bases. A ragged end is covered by one more step overlapping the last.
+TEXT ·requantQuads8(SB), NOSPLIT, $0-58
+	MOVQ dst+0(FP), DI
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ n+40(FP), CX
+	MOVQ k+48(FP), AX
+	VBROADCASTSS 0(AX), Y4
+	VBROADCASTSS 4(AX), Y5
+	VBROADCASTSS 8(AX), Y6
+	VBROADCASTSS 12(AX), Y7
+	VBROADCASTSS 16(AX), Y8
+	VBROADCASTSS 20(AX), Y9
+	VBROADCASTSS 24(AX), Y10
+	VBROADCASTSS 28(AX), Y11
+	VPBROADCASTB lo+56(FP), Y12
+	VPBROADCASTB hi+57(FP), Y13
+	VMOVDQU      quadTransposeIdx<>(SB), Y14
+	SHLQ         $2, CX
+	XORQ         BX, BX
 
-	VBROADCASTSS mult+24(FP), Y13
-	VBROADCASTSS beta+28(FP), Y14
-	VPBROADCASTB lo+32(FP), Y11
-	VPBROADCASTB hi+33(FP), Y10
-	VMOVDQU      qpermIdx<>(SB), Y12
-
-rqloop:
-	VMOVDQU (SI), Y0
-	VMOVDQU 32(SI), Y1
-	VMOVDQU 64(SI), Y2
-	VMOVDQU 96(SI), Y3
+rqqloop:
+	VMOVDQU (R8)(BX*1), Y0
+	VMOVDQU (R9)(BX*1), Y1
+	VMOVDQU (R10)(BX*1), Y2
+	VMOVDQU (R11)(BX*1), Y3
 
 	VCVTDQ2PS Y0, Y0
 	VCVTDQ2PS Y1, Y1
 	VCVTDQ2PS Y2, Y2
 	VCVTDQ2PS Y3, Y3
 
-	VFMADD213PS Y14, Y13, Y0
-	VFMADD213PS Y14, Y13, Y1
-	VFMADD213PS Y14, Y13, Y2
-	VFMADD213PS Y14, Y13, Y3
+	VFMADD213PS Y8, Y4, Y0
+	VFMADD213PS Y9, Y5, Y1
+	VFMADD213PS Y10, Y6, Y2
+	VFMADD213PS Y11, Y7, Y3
 
 	VCVTPS2DQ Y0, Y0
 	VCVTPS2DQ Y1, Y1
 	VCVTPS2DQ Y2, Y2
 	VCVTPS2DQ Y3, Y3
 
-	VPACKSSDW Y1, Y0, Y4
-	VPACKSSDW Y3, Y2, Y5
-	VPACKUSWB Y5, Y4, Y6
-	VPERMD    Y6, Y12, Y6
-	VPMAXUB   Y11, Y6, Y6
-	VPMINUB   Y10, Y6, Y6
-	VMOVDQU   Y6, (DI)
+	VPACKSSDW Y1, Y0, Y0
+	VPACKSSDW Y3, Y2, Y2
+	VPACKUSWB Y2, Y0, Y0
+	VPMAXUB   Y12, Y0, Y0
+	VPMINUB   Y13, Y0, Y0
+	VPSHUFB   Y14, Y0, Y0
+	VMOVDQU   Y0, (DI)(BX*1)
 
-	ADDQ $128, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNE  rqloop
+	ADDQ $32, BX
+	CMPQ BX, CX
+	JEQ  rqqdone
+	LEAQ 32(BX), DX
+	CMPQ DX, CX
+	JLE  rqqloop
+	LEAQ -32(CX), BX
+	JMP  rqqloop
 
+rqqdone:
 	VZEROUPPER
 	RET
 
@@ -955,4 +972,317 @@ bvstep:
 
 bvdone:
 	VZEROUPPER
+	RET
+
+// lutIota is 0, 1, …, 15 as int32s: the pixel offsets of one lutRowU8 block.
+DATA lutIota<>+0(SB)/4, $0
+DATA lutIota<>+4(SB)/4, $1
+DATA lutIota<>+8(SB)/4, $2
+DATA lutIota<>+12(SB)/4, $3
+DATA lutIota<>+16(SB)/4, $4
+DATA lutIota<>+20(SB)/4, $5
+DATA lutIota<>+24(SB)/4, $6
+DATA lutIota<>+28(SB)/4, $7
+DATA lutIota<>+32(SB)/4, $8
+DATA lutIota<>+36(SB)/4, $9
+DATA lutIota<>+40(SB)/4, $10
+DATA lutIota<>+44(SB)/4, $11
+DATA lutIota<>+48(SB)/4, $12
+DATA lutIota<>+52(SB)/4, $13
+DATA lutIota<>+56(SB)/4, $14
+DATA lutIota<>+60(SB)/4, $15
+GLOBL lutIota<>(SB), RODATA, $64
+
+// lutSatK holds 0x70, 0x60, …, 0x10 in every byte, one 32-byte vector each:
+// a byte whose high nibble (of three bits, bit 7 clear) is h, plus vector i
+// with unsigned saturation, keeps bit 7 clear exactly when h <= i.
+DATA lutSatK<>+0(SB)/8, $0x7070707070707070
+DATA lutSatK<>+8(SB)/8, $0x7070707070707070
+DATA lutSatK<>+16(SB)/8, $0x7070707070707070
+DATA lutSatK<>+24(SB)/8, $0x7070707070707070
+DATA lutSatK<>+32(SB)/8, $0x6060606060606060
+DATA lutSatK<>+40(SB)/8, $0x6060606060606060
+DATA lutSatK<>+48(SB)/8, $0x6060606060606060
+DATA lutSatK<>+56(SB)/8, $0x6060606060606060
+DATA lutSatK<>+64(SB)/8, $0x5050505050505050
+DATA lutSatK<>+72(SB)/8, $0x5050505050505050
+DATA lutSatK<>+80(SB)/8, $0x5050505050505050
+DATA lutSatK<>+88(SB)/8, $0x5050505050505050
+DATA lutSatK<>+96(SB)/8, $0x4040404040404040
+DATA lutSatK<>+104(SB)/8, $0x4040404040404040
+DATA lutSatK<>+112(SB)/8, $0x4040404040404040
+DATA lutSatK<>+120(SB)/8, $0x4040404040404040
+DATA lutSatK<>+128(SB)/8, $0x3030303030303030
+DATA lutSatK<>+136(SB)/8, $0x3030303030303030
+DATA lutSatK<>+144(SB)/8, $0x3030303030303030
+DATA lutSatK<>+152(SB)/8, $0x3030303030303030
+DATA lutSatK<>+160(SB)/8, $0x2020202020202020
+DATA lutSatK<>+168(SB)/8, $0x2020202020202020
+DATA lutSatK<>+176(SB)/8, $0x2020202020202020
+DATA lutSatK<>+184(SB)/8, $0x2020202020202020
+DATA lutSatK<>+192(SB)/8, $0x1010101010101010
+DATA lutSatK<>+200(SB)/8, $0x1010101010101010
+DATA lutSatK<>+208(SB)/8, $0x1010101010101010
+DATA lutSatK<>+216(SB)/8, $0x1010101010101010
+GLOBL lutSatK<>(SB), RODATA, $224
+
+// LUTROUND is one round of the byte lookup over Y14 and Y15: slice i of the
+// delta table at R8 (its 16 bytes at toff, in both lanes) indexed by each
+// byte's low nibble (VPSHUFB), under a control that is the byte plus
+// lutSatK's vector for i (koff) — bit 7 clear, so not zeroed, only when the
+// byte's high nibble is at most i — XOR-ed into Y2 and Y3. Y11–Y13 are
+// scratch.
+#define LUTROUND(toff, koff) \
+	VBROADCASTI128 toff(R8), Y11;               \
+	VPADDUSB       lutSatK<>+koff(SB), Y14, Y12; \
+	VPADDUSB       lutSatK<>+koff(SB), Y15, Y13; \
+	VPSHUFB        Y12, Y11, Y12;               \
+	VPSHUFB        Y13, Y11, Y13;               \
+	VPXOR          Y12, Y2, Y2;                 \
+	VPXOR          Y13, Y3, Y3
+
+// LUTHALF XORs into Y2 and Y3 the delta-table slices 0…7 from toff on: a
+// byte of Y14/Y15 with bit 7 clear and high nibble h is picked by the
+// rounds h…7, so it collects slice h ^ … ^ slice 7 of the deltas, which is
+// table slice h (see lutDeltas); a byte with bit 7 set is never picked.
+// Round 7's control is the byte itself.
+#define LUTHALF(toff) \
+	VBROADCASTI128 toff+112(R8), Y11; \
+	VPSHUFB        Y14, Y11, Y12;     \
+	VPSHUFB        Y15, Y11, Y13;     \
+	VPXOR          Y12, Y2, Y2;       \
+	VPXOR          Y13, Y3, Y3;       \
+	LUTROUND(toff, 0);                \
+	LUTROUND(toff+16, 32);            \
+	LUTROUND(toff+32, 64);            \
+	LUTROUND(toff+48, 96);            \
+	LUTROUND(toff+64, 128);           \
+	LUTROUND(toff+80, 160);           \
+	LUTROUND(toff+96, 192)
+
+// LUTBLOCK leaves in Y2 and Y3 the 16 padded columns whose first is pixel
+// AX (signed) of the row at SI: each pixel x with 0 <= x < w (Y8) as its
+// four bytes through the table whose deltas are at R8, every other column
+// the fill word (Y6). Only the image's pixels are loaded (VPMASKMOVD: a
+// masked-off dword is never read), so a block may straddle either end of
+// the row. The table's upper half takes a second LUTHALF on the bytes with
+// bit 7 flipped (Y9 holds 0x80 bytes).
+#define LUTBLOCK \
+	VMOVQ          AX, X0;                   \
+	VPBROADCASTD   X0, Y0;                   \
+	VPADDD         lutIota<>+32(SB), Y0, Y1; \
+	VPADDD         lutIota<>(SB), Y0, Y0;    \
+	VPCMPGTD       Y0, Y8, Y4;               \
+	VPSRAD         $31, Y0, Y0;              \
+	VPANDN         Y4, Y0, Y4;               \
+	VPCMPGTD       Y1, Y8, Y5;               \
+	VPSRAD         $31, Y1, Y1;              \
+	VPANDN         Y5, Y1, Y5;               \
+	LEAQ           (SI)(AX*4), BX;           \
+	VPMASKMOVD     (BX), Y4, Y14;            \
+	VPMASKMOVD     32(BX), Y5, Y15;          \
+	VPXOR          Y2, Y2, Y2;               \
+	VPXOR          Y3, Y3, Y3;               \
+	LUTHALF(0);                              \
+	VPXOR          Y9, Y14, Y14;             \
+	VPXOR          Y9, Y15, Y15;             \
+	LUTHALF(128);                            \
+	VPBLENDVB      Y4, Y2, Y6, Y2;           \
+	VPBLENDVB      Y5, Y3, Y6, Y3
+
+// func lutRowU8(dst, src *uint8, deltas *[256]uint8, words, stride, pad, w int64, fill uint32)
+//
+// One padded row of the stem's view (see stemView.setImage): `stride` (1 or
+// 2) phase runs of `words` 32-bit words at dst, run p at dst + 4p·words,
+// whose word i is padded column c = i·stride + p — pixel c − pad of the w
+// pixels at src, its four bytes through the table whose lutDeltas are at
+// deltas, when that pixel exists, else fill. 16 padded columns a block
+// (LUTBLOCK), the stride-2 blocks split into their even and odd columns
+// (VSHUFPS, then VPERMQ for memory order), one word run each; a ragged end
+// is covered by one more block overlapping the last. stride·words must be at
+// least 16.
+TEXT ·lutRowU8(SB), NOSPLIT, $0-60
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         deltas+16(FP), R8
+	MOVQ         words+24(FP), R9
+	MOVQ         stride+32(FP), R10
+	MOVQ         pad+40(FP), R11
+	MOVQ         w+48(FP), AX
+	VMOVQ        AX, X8
+	VPBROADCASTD X8, Y8
+	MOVL         fill+56(FP), AX
+	VMOVD        AX, X6
+	VPBROADCASTD X6, Y6
+	MOVL         $0x80808080, AX
+	VMOVD        AX, X9
+	VPBROADCASTD X9, Y9
+	XORQ         R12, R12
+	CMPQ         R10, $2
+	JEQ          lr2
+	LEAQ         -16(R9), R13
+
+lr1:
+	CMPQ R12, R13
+	JLE  lr1go
+	MOVQ R13, R12
+
+lr1go:
+	MOVQ    R12, AX
+	SUBQ    R11, AX
+	LUTBLOCK
+	VMOVDQU Y2, (DI)(R12*4)
+	VMOVDQU Y3, 32(DI)(R12*4)
+	ADDQ    $16, R12
+	CMPQ    R12, R9
+	JLT     lr1
+	VZEROUPPER
+	RET
+
+lr2:
+	LEAQ (DI)(R9*4), R10
+	LEAQ -8(R9), R13
+
+lr2loop:
+	CMPQ R12, R13
+	JLE  lr2go
+	MOVQ R13, R12
+
+lr2go:
+	LEAQ    (R12)(R12*1), AX
+	SUBQ    R11, AX
+	LUTBLOCK
+	VSHUFPS $0x88, Y3, Y2, Y0
+	VSHUFPS $0xDD, Y3, Y2, Y1
+	VPERMQ  $0xD8, Y0, Y0
+	VPERMQ  $0xD8, Y1, Y1
+	VMOVDQU Y0, (DI)(R12*4)
+	VMOVDQU Y1, (R10)(R12*4)
+	ADDQ    $8, R12
+	CMPQ    R12, R9
+	JLT     lr2loop
+	VZEROUPPER
+	RET
+
+// func copyTaps(dst *uint8, step int64, src *uint8, taps *int, quads, n int64)
+//
+// The stem's panel copy (see stemView.pack): for each of `quads` taps, the
+// n 32-bit words at src + taps[q] to dst + q·step. 32 bytes a step, a
+// ragged end covered by one more step overlapping the last; a tap shorter
+// than 32 bytes by two overlapping 16-, 8- or one 4-byte move.
+TEXT ·copyTaps(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ step+8(FP), DX
+	MOVQ src+16(FP), SI
+	MOVQ taps+24(FP), R8
+	MOVQ quads+32(FP), CX
+	MOVQ n+40(FP), R9
+	SHLQ $2, R9
+	CMPQ R9, $64
+	JEQ  ct64
+	CMPQ R9, $128
+	JEQ  ct128
+	CMPQ R9, $32
+	JLT  ct16
+	LEAQ -32(R9), R10
+
+cttap:
+	MOVQ (R8), AX
+	ADDQ SI, AX
+	XORQ BX, BX
+
+ctstep:
+	VMOVDQU (AX)(BX*1), Y0
+	VMOVDQU Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	CMPQ    BX, R10
+	JLE     ctstep
+	CMPQ    BX, R9
+	JEQ     ctnext
+	VMOVDQU (AX)(R10*1), Y0
+	VMOVDQU Y0, (DI)(R10*1)
+
+ctnext:
+	ADDQ $8, R8
+	ADDQ DX, DI
+	DECQ CX
+	JNE  cttap
+	VZEROUPPER
+	RET
+
+ct64:
+	MOVQ    (R8), AX
+	VMOVDQU (SI)(AX*1), Y0
+	VMOVDQU 32(SI)(AX*1), Y1
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y1, 32(DI)
+	ADDQ    $8, R8
+	ADDQ    DX, DI
+	DECQ    CX
+	JNE     ct64
+	VZEROUPPER
+	RET
+
+ct128:
+	MOVQ    (R8), AX
+	VMOVDQU (SI)(AX*1), Y0
+	VMOVDQU 32(SI)(AX*1), Y1
+	VMOVDQU 64(SI)(AX*1), Y2
+	VMOVDQU 96(SI)(AX*1), Y3
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y1, 32(DI)
+	VMOVDQU Y2, 64(DI)
+	VMOVDQU Y3, 96(DI)
+	ADDQ    $8, R8
+	ADDQ    DX, DI
+	DECQ    CX
+	JNE     ct128
+	VZEROUPPER
+	RET
+
+ct16:
+	CMPQ R9, $16
+	JLT  ct8
+	LEAQ -16(R9), R10
+
+ct16tap:
+	MOVQ    (R8), AX
+	ADDQ    SI, AX
+	VMOVDQU (AX), X0
+	VMOVDQU (AX)(R10*1), X1
+	VMOVDQU X0, (DI)
+	VMOVDQU X1, (DI)(R10*1)
+	ADDQ    $8, R8
+	ADDQ    DX, DI
+	DECQ    CX
+	JNE     ct16tap
+	RET
+
+ct8:
+	CMPQ R9, $8
+	JLT  ct4
+	LEAQ -8(R9), R10
+
+ct8tap:
+	MOVQ (R8), AX
+	ADDQ SI, AX
+	MOVQ (AX), R11
+	MOVQ (AX)(R10*1), R12
+	MOVQ R11, (DI)
+	MOVQ R12, (DI)(R10*1)
+	ADDQ $8, R8
+	ADDQ DX, DI
+	DECQ CX
+	JNE  ct8tap
+	RET
+
+ct4:
+	MOVQ (R8), AX
+	ADDQ SI, AX
+	MOVL (AX), R11
+	MOVL R11, (DI)
+	ADDQ $8, R8
+	ADDQ DX, DI
+	DECQ CX
+	JNE  ct4
 	RET

@@ -59,7 +59,17 @@ func bilinearRowsU8x8(dst *uint8, top, bot *uint64, n, wy int64) {
 	panic("tensor: bilinearRowsU8x8 without assembly support")
 }
 
-// requantU8ASM is never called when haveQuantASM is false.
-func requantU8ASM(acc *int32, dst *uint8, n int64, mult, beta float32, lo, hi uint8) {
-	panic("tensor: requantU8ASM without assembly support")
+// requantQuads8 is never called when haveQuantASM is false.
+func requantQuads8(dst *uint8, a0, a1, a2, a3 *int32, n int64, k *[8]float32, lo, hi uint8) {
+	panic("tensor: requantQuads8 without assembly support")
+}
+
+// lutRowU8 is never called when haveQuantASM is false.
+func lutRowU8(dst, src *uint8, deltas *[256]uint8, words, stride, pad, w int64, fill uint32) {
+	panic("tensor: lutRowU8 without assembly support")
+}
+
+// copyTaps is never called when haveQuantASM is false.
+func copyTaps(dst *uint8, step int64, src *uint8, taps *int, quads, n int64) {
+	panic("tensor: copyTaps without assembly support")
 }

@@ -190,7 +190,7 @@ func (st *QStem) geometry(n, h, w int) stemGeometry {
 	g.view = stemView{s: s, ow: g.ow, words: (w + 2*s.PadW + s.StrideW - 1) / s.StrideW, rows: (g.convH-1)*s.StrideH + s.KH}
 	g.view.rowLen = 4 * s.StrideW * g.view.words
 	g.viewLen = roundUp(g.view.rows*g.view.rowLen, 64)
-	_, _, _, u8, i32 := qgemmSplit(s.OutC, s.KH*s.KW*4, g.convH*g.ow, true, blockCols, st.Pool.K == 0)
+	_, _, u8, i32 := qgemmSplit(s.OutC, s.KH*s.KW*4, g.convH*g.ow, true, blockCols, st.Pool.K == 0)
 	g.u8, g.i32 = g.viewLen+u8, g.slabLen+g.pooledLen+g.rowsLen+i32
 	return g
 }
@@ -222,14 +222,30 @@ type stemView struct {
 
 // setImage builds the padded rows of one h×w image: each pixel byte through
 // lut into its phase run, every padding pixel — and the slots past a short
-// phase run's end, which no window reads — four zero points.
+// phase run's end, which no window reads — four zero points. The vector tier
+// builds a row, all its phase runs, in one lutRowU8 call when StrideW is 1
+// or 2 and the row is at least 16 words; setRun is the portable tier.
 func (v *stemView) setImage(pix []uint8, h, w int, lut *[256]uint8, zp uint8) {
 	s := v.s
 	fill := uint32(zp) * 0x01010101
+	vector := haveQuantASM && s.StrideW <= 2 && s.StrideW*v.words >= 16
+	var deltas [256]uint8
+	if vector {
+		lutDeltas(&deltas, lut)
+	}
 	for r := 0; r < v.rows; r++ {
 		iy := r - s.PadH
+		row := v.buf[r*v.rowLen : (r+1)*v.rowLen]
+		if vector {
+			src, cols := pix, 0
+			if iy >= 0 && iy < h {
+				src, cols = pix[iy*w*4:(iy+1)*w*4], w
+			}
+			lutRowU8(&row[0], &src[0], &deltas, int64(v.words), int64(s.StrideW), int64(s.PadW), int64(cols), fill)
+			continue
+		}
 		for p := 0; p < s.StrideW; p++ {
-			run := v.buf[r*v.rowLen+p*v.words*4 : r*v.rowLen+(p+1)*v.words*4]
+			run := row[p*v.words*4 : (p+1)*v.words*4]
 			// Words [lo, hi) hold image columns x = i·StrideW + p − PadW.
 			lo, hi := 0, 0
 			var src []uint8
@@ -242,6 +258,20 @@ func (v *stemView) setImage(pix []uint8, h, w int, lut *[256]uint8, zp uint8) {
 			}
 			setRun(run, lo, hi, src, 4*s.StrideW, lut, fill)
 		}
+	}
+}
+
+// lutDeltas writes the table lutRowU8 looks bytes up in: lut in 16-byte
+// slices, each half's slice i XOR its slice i+1, and each half's last slice
+// as it is. XOR-ing the slices h…7 of a half back together telescopes to
+// lut's slice h, which is how lutRowU8's rounds, each picking the bytes
+// whose high nibble is at most its own, arrive at each byte's entry.
+func lutDeltas(deltas, lut *[256]uint8) {
+	for i, v := range lut {
+		if i&0x70 != 0x70 {
+			v ^= lut[i+16]
+		}
+		deltas[i] = v
 	}
 }
 
@@ -262,9 +292,11 @@ func setRun(run []uint8, lo, hi int, src []uint8, step int, lut *[256]uint8, fil
 
 // pack writes the kc×nc block of the column matrix at (p0, j0) into quad
 // micro-panel layout, panels nr columns wide (see qgemmB.pack). p0 and kc
-// are multiples of 4, so the block's quads are the taps p0/4 …; each output
-// row's run of columns is, per tap, one run of consecutive words of one
-// padded row, spread across the panels by spreadQuads. Columns past nc in
+// are multiples of 4, so the block's quads are the taps p0/4 …; the columns
+// of one panel that lie in one output row are, per tap, one run of
+// consecutive words of one padded row, so each such segment — a whole
+// panel, unless the panel straddles a row end or the block's — is one
+// copyTaps of every tap through the tap-offset table. Columns past nc in
 // the last panel read zero.
 func (v *stemView) pack(dst []uint8, p0, kc, j0, nc, nr int) {
 	s := v.s
@@ -274,37 +306,29 @@ func (v *stemView) pack(dst []uint8, p0, kc, j0, nc, nr int) {
 	}
 	// Each quad's tap as a byte offset from its window's first word.
 	var taps [kcQBlock / 4]int
+	reach := 0 // past the furthest tap's first word
 	for q := range taps[:quads] {
 		ky, kx := (p0/4+q)/s.KW, (p0/4+q)%s.KW
 		taps[q] = ky*v.rowLen + (kx%s.StrideW*v.words+kx/s.StrideW)*4
+		reach = max(reach, taps[q])
 	}
 	for j := j0; j < j0+nc; {
 		oy, ox := j/v.ow, j%v.ow
-		cols := min(v.ow-ox, j0+nc-j)
+		c := j - j0
+		lane := c % nr
+		cols := min(v.ow-ox, j0+nc-j, nr-lane)
 		window := oy*s.StrideH*v.rowLen + ox*4
-		for q, off := range taps[:quads] {
-			spreadQuads(dst[q*4*nr:], step, nr, j-j0, cols, v.buf[window+off:])
+		// Every byte either loop touches, bounds-checked once.
+		src := v.buf[window : window+reach+cols*4]
+		panel := dst[c/nr*step+lane*4:][:(quads-1)*4*nr+cols*4]
+		if haveQuantASM {
+			copyTaps(&panel[0], int64(4*nr), &src[0], &taps[0], int64(quads), int64(cols))
+		} else {
+			for q, off := range taps[:quads] {
+				copy(panel[q*4*nr:][:cols*4], src[off:])
+			}
 		}
 		j += cols
-	}
-}
-
-// spreadQuads writes the n 4-byte pixels at the head of src to columns
-// [c, c+n) of one quad row of a packed block, whose panels are nr columns
-// wide and step bytes apart: a partial panel at either end by copy, every
-// whole panel between them as one copyRuns of nr-word runs.
-func spreadQuads(dst []uint8, step, nr, c, n int, src []uint8) {
-	if lane := c % nr; lane != 0 {
-		l := min(n, nr-lane)
-		copy(dst[c/nr*step+lane*4:][:l*4], src)
-		c, n, src = c+l, n-l, src[l*4:]
-	}
-	if full := n / nr; full > 0 {
-		copyRuns(quadWords(dst[c/nr*step:]), step/4, quadWords(src), nr, nr, full)
-		c, n, src = c+full*nr, n-full*nr, src[full*4*nr:]
-	}
-	if n > 0 {
-		copy(dst[c/nr*step:][:n*4], src)
 	}
 }
 
@@ -335,9 +359,9 @@ func (r *qpoolRun) target() (c []int32, ldc int) {
 }
 
 // emit takes the rows just written at target, pools every window they
-// complete, requantizes the pooled rows through stage a quad plane at a time
-// (see qgemmEpilogue.apply) and carries the rows later windows still need.
-func (r *qpoolRun) emit(rows int, rq Requant, stage []uint8) {
+// complete, requantizes the pooled rows a quad plane at a time
+// (requantQuads) and carries the rows later windows still need.
+func (r *qpoolRun) emit(rows int, rq Requant) {
 	py, done, first, keep, end := r.advance(rows)
 	ow, ld, pow := r.ow, r.cap*r.ow, r.pow
 	if pooledRows := done - py; pooledRows > 0 {
@@ -359,9 +383,8 @@ func (r *qpoolRun) emit(rows int, rq Requant, stage []uint8) {
 					poolRow(pooled[y*pow:][:pow], slab[y*r.spec.Stride*ow:], ow, r.spec, r.rows)
 				}
 			}
-			e := qgemmEpilogue{rq: Requant{Mult: rq.Mult[g*4:], Beta: rq.Beta[g*4:], ZOut: rq.ZOut, ReLU: rq.ReLU},
-				dst: r.dst[g*r.poh*pow*4:], ld: r.poh * pow}
-			e.apply(r.pooled, ch, cols, py*pow, stage)
+			off := (g*r.poh + py) * pow * 4
+			requantQuads(r.dst[off:], r.pooled, cols, ch, cols, rq, g*4)
 		}
 	}
 	for i := 0; i < r.m; i++ {

@@ -299,6 +299,25 @@ func packStemRef(v *stemView, dst []uint8, p0, kc, j0, nc, nr int) {
 	}
 }
 
+// spreadQuads writes the n 4-byte pixels at the head of src to columns
+// [c, c+n) of one quad row of a packed block, whose panels are nr columns
+// wide and step bytes apart: a partial panel at either end by copy, every
+// whole panel between them as one copyRuns of nr-word runs.
+func spreadQuads(dst []uint8, step, nr, c, n int, src []uint8) {
+	if lane := c % nr; lane != 0 {
+		l := min(n, nr-lane)
+		copy(dst[c/nr*step+lane*4:][:l*4], src)
+		c, n, src = c+l, n-l, src[l*4:]
+	}
+	if full := n / nr; full > 0 {
+		copyRuns(quadWords(dst[c/nr*step:]), step/4, quadWords(src), nr, nr, full)
+		c, n, src = c+full*nr, n-full*nr, src[full*4*nr:]
+	}
+	if n > 0 {
+		copy(dst[c/nr*step:][:n*4], src)
+	}
+}
+
 // TestStemPackMatchesSpreadQuads pins the stem's panel pack on every tier,
 // byte for byte, to the layout the per-tap spreadQuads walk wrote: the paper
 // stem's 7×7/2 view at output widths 112 (the paper net's), 55 and 53 (rows
@@ -351,4 +370,63 @@ func TestStemPackMatchesSpreadQuads(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkQStemParts times, on one 224 frame through the paper stem with
+// pool1 fused, the three byte passes around the stem's kernel, each over the
+// whole frame as ForwardInto runs them: rows (every padded input row built
+// through the input table: setImage), pack (every column block's panels for
+// the tier's nr: stemView.pack) and pooled (every block's accumulators
+// pooled and the pooled values requantized into quad planes: qpoolRun.emit,
+// on accumulators that stay as the first pass left them).
+func BenchmarkQStemParts(b *testing.B) {
+	rng := rand.New(rand.NewSource(33))
+	s := stemSpec
+	st := QStem{Spec: s, ZP: 17, Pool: PoolSpec{K: 3, Stride: 2},
+		RQ: Requant{Mult: make([]float32, s.OutC), Beta: make([]float32, s.OutC), ZOut: 3, ReLU: true}}
+	for oc := range st.RQ.Mult {
+		st.RQ.Mult[oc], st.RQ.Beta[oc] = 1e-4, 40
+	}
+	var lut [256]uint8
+	for i := range lut {
+		lut[i] = uint8(i / 2)
+	}
+	pix := make([]uint8, 224*224*4)
+	for i := range pix {
+		pix[i] = uint8(rng.Intn(256))
+	}
+	g := st.geometry(1, 224, 224)
+	view := g.view
+	view.buf = make([]uint8, g.viewLen)
+	view.setImage(pix, 224, 224, &lut, st.ZP)
+	n, block, t := g.convH*g.ow, g.blockRows*g.ow, qgemmTier
+	b.Run("rows", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			view.setImage(pix, 224, 224, &lut, st.ZP)
+		}
+	})
+	b.Run("pack", func(b *testing.B) {
+		k := s.KH * s.KW * 4
+		dst := make([]uint8, bBlockLen(t, k, block))
+		for i := 0; i < b.N; i++ {
+			for j0 := 0; j0 < n; j0 += block {
+				view.pack(dst, 0, k, j0, min(block, n-j0), t.nr)
+			}
+		}
+	})
+	b.Run("pooled", func(b *testing.B) {
+		pool := qpoolRun{poolWindow: poolWindow{spec: st.Pool, ow: g.ow, poh: g.outH, pow: g.outW, cap: g.blockRows + st.Pool.K - 1},
+			blockRows: g.blockRows, m: s.OutC,
+			buf: make([]int32, g.slabLen), pooled: make([]int32, g.pooledLen), rows: make([]int32, g.rowsLen)}
+		for i := range pool.buf {
+			pool.buf[i] = int32(rng.Intn(1 << 20))
+		}
+		y := make([]uint8, quadPlanes(s.OutC)*4*g.outH*g.outW)
+		for i := 0; i < b.N; i++ {
+			pool.dst, pool.base, pool.held, pool.py = y, 0, 0, 0
+			for j0 := 0; j0 < n; j0 += block {
+				pool.emit(min(block, n-j0)/g.ow, st.RQ)
+			}
+		}
+	})
 }

@@ -189,13 +189,10 @@ func QuantizeWeightsPerChannel(w []float32, outC, k int) (wq []int8, scales []fl
 // element.
 //
 // acc·mult + beta is one fused multiply-add — a single rounding — wherever an
-// element sits in the row and whichever path computes it, so a byte does not
-// depend on how the caller split the row into blocks or on the replica's CPU.
-// The vector body is VFMADD213PS; a ragged end goes through the same routine
-// on a zero-padded 32-element block; the portable loop fuses in float64,
-// where the product of two float32s is exact (it could differ from the
-// hardware FMA only when the float64 sum lands exactly on a float32 rounding
-// midpoint, which the differential test has never drawn).
+// element sits and whichever path computes it, so a byte does not depend on
+// the replica's CPU. It is the portable definition, element by element
+// (requantU8); the engine requantizes four channel rows at a time straight
+// into quad words (requantQuads), whose vector body is VFMADD213PS.
 func RequantizeU8(dst []uint8, acc []int32, mult, beta float32, zOut int32, relu bool) {
 	if len(dst) < len(acc) {
 		panic("tensor: RequantizeU8 dst too small")
@@ -204,30 +201,24 @@ func RequantizeU8(dst []uint8, acc []int32, mult, beta float32, zOut int32, relu
 	if relu {
 		lo = zOut
 	}
-	if haveQuantASM {
-		n := len(acc) &^ 31
-		if n > 0 {
-			requantU8ASM(&acc[0], &dst[0], int64(n), mult, beta, uint8(lo), QMaxU8)
-		}
-		if tail := len(acc) - n; tail > 0 {
-			var ta [32]int32
-			var td [32]uint8
-			copy(ta[:], acc[n:])
-			requantU8ASM(&ta[0], &td[0], 32, mult, beta, uint8(lo), QMaxU8)
-			copy(dst[n:], td[:tail])
-		}
-		return
-	}
 	for i, a := range acc {
-		f := float32(math.FMA(float64(float32(a)), float64(mult), float64(beta)))
-		x := int32(math.RoundToEven(float64(f)))
-		if x < lo {
-			x = lo
-		} else if x > QMaxU8 {
-			x = QMaxU8
-		}
-		dst[i] = uint8(x)
+		dst[i] = requantU8(a, mult, beta, lo)
 	}
+}
+
+// requantU8 is RequantizeU8 for one element, clamped to [lo, QMaxU8]. It
+// fuses in float64, where the product of two float32s is exact: it could
+// differ from the hardware FMA only when the float64 sum lands exactly on a
+// float32 rounding midpoint, which the differential test has never drawn.
+func requantU8(a int32, mult, beta float32, lo int32) uint8 {
+	f := float32(math.FMA(float64(float32(a)), float64(mult), float64(beta)))
+	x := int32(math.RoundToEven(float64(f)))
+	if x < lo {
+		x = lo
+	} else if x > QMaxU8 {
+		x = QMaxU8
+	}
+	return uint8(x)
 }
 
 // Requant is the per-output-channel requantization a quantized convolution

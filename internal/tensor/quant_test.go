@@ -197,11 +197,12 @@ func TestQuantizeU8Saturates(t *testing.T) {
 	}
 }
 
-// TestRequantizeU8MatchesScalar holds RequantizeU8 to its contract — one
-// fused multiply-add, round to nearest even, clamp — wherever an element sits
-// and whichever path computes it: over 2²⁴ random draws (2²⁰ with -short)
-// the 32-wide vector body (a whole row), the ragged-end path (the same row in
-// 31-element calls) and the portable loop must all equal the scalar
+// TestRequantizeU8MatchesScalar holds the requantization to its contract —
+// one fused multiply-add, round to nearest even, clamp — wherever an element
+// sits and whichever path computes it: over 2²⁴ random draws (2²⁰ with
+// -short) RequantizeU8 and the quad requantizer on every tier — its vector
+// body over a whole row, and the same row in 31-column calls (ragged ends,
+// the last step overlapping the one before it) — must all equal the scalar
 // reference. The three tuples are draws on which the two-rounding
 // acc·mult, then +beta that the tail and the portable loop used to compute
 // lands one step away from the fused result.
@@ -219,14 +220,19 @@ func TestRequantizeU8MatchesScalar(t *testing.T) {
 		if got := requantRef(c.acc, c.mult, c.beta, 0); got != c.want {
 			t.Fatalf("reference (%d, %v, %v) = %d, want %d", c.acc, c.mult, c.beta, got, c.want)
 		}
+		got := make([]uint8, 1)
+		if RequantizeU8(got, []int32{c.acc}, c.mult, c.beta, 0, false); got[0] != c.want {
+			t.Errorf("RequantizeU8 (%d, %v, %v) = %d, want %d", c.acc, c.mult, c.beta, got[0], c.want)
+		}
+		rq := Requant{Mult: []float32{c.mult}, Beta: []float32{c.beta}}
 		for _, tier := range quantTiers() {
 			useQuantTier(tier)
-			for _, n := range []int{1, 32, 33} { // alone in a tail, in a body, in the tail after a body
-				acc, got := make([]int32, n), make([]uint8, n)
+			for _, n := range []int{1, 8, 9} { // alone in a padded step, in a step, in the overlapping last step
+				acc, got := make([]int32, n), make([]uint8, 4*n)
 				acc[n-1] = c.acc
-				RequantizeU8(got, acc, c.mult, c.beta, 0, false)
-				if got[n-1] != c.want {
-					t.Errorf("%s n=%d: (%d, %v, %v) = %d, want %d", tier.name, n, c.acc, c.mult, c.beta, got[n-1], c.want)
+				requantQuads(got, acc, n, 1, n, rq, 0)
+				if got[4*(n-1)] != c.want {
+					t.Errorf("%s n=%d: (%d, %v, %v) = %d, want %d", tier.name, n, c.acc, c.mult, c.beta, got[4*(n-1)], c.want)
 				}
 			}
 		}
@@ -238,7 +244,7 @@ func TestRequantizeU8MatchesScalar(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(15))
 	acc := make([]int32, rowLen)
-	want, got := make([]uint8, rowLen), make([]uint8, rowLen)
+	want, got, quads := make([]uint8, rowLen), make([]uint8, rowLen), make([]uint8, 4*rowLen)
 	for r := 0; r < rows; r++ {
 		for i := range acc {
 			acc[i] = int32(rng.Intn(2_000_000) - 1_000_000)
@@ -261,20 +267,30 @@ func TestRequantizeU8MatchesScalar(t *testing.T) {
 				}
 			}
 		}
+		clear(got)
+		RequantizeU8(got, acc, mult, beta, zOut, relu)
+		check("RequantizeU8")
+		rq := Requant{Mult: []float32{mult}, Beta: []float32{beta}, ZOut: zOut, ReLU: relu}
 		for _, tier := range quantTiers() {
 			if tier.vnni {
 				continue // same requantize routine as the AVX2 tier
 			}
 			useQuantTier(tier)
-			clear(got)
-			RequantizeU8(got, acc, mult, beta, zOut, relu)
+			clear(quads)
+			requantQuads(quads, acc, rowLen, 1, rowLen, rq, 0)
+			for i := range got {
+				got[i] = quads[4*i]
+			}
 			check(tier.name + " whole row")
-			clear(got)
+			clear(quads)
 			for i := 0; i < rowLen; i += 31 {
 				e := min(i+31, rowLen)
-				RequantizeU8(got[i:e], acc[i:e], mult, beta, zOut, relu)
+				requantQuads(quads[4*i:4*e], acc[i:e], e-i, 1, e-i, rq, 0)
 			}
-			check(tier.name + " 31-element calls")
+			for i := range got {
+				got[i] = quads[4*i]
+			}
+			check(tier.name + " 31-column calls")
 		}
 	}
 }
@@ -389,16 +405,25 @@ func benchQGemm(b *testing.B, m, k, n int) {
 	}
 }
 
-func BenchmarkRequantizeU8(b *testing.B) {
-	acc := make([]int32, 96*12544)
+// BenchmarkRequantQuads is the requantizing epilogue of a 64-channel
+// convolution over 55×55 planes (a fire's expand in the paper net): 64
+// accumulator rows of 3025 into 16 quad planes, four rows a call.
+func BenchmarkRequantQuads(b *testing.B) {
+	const m, n = 64, 3025
+	acc := make([]int32, m*n)
 	for i := range acc {
 		acc[i] = int32(i%100000 - 50000)
 	}
-	dst := make([]uint8, len(acc))
+	rq := Requant{Mult: make([]float32, m), Beta: make([]float32, m), ZOut: 5, ReLU: true}
+	for i := range rq.Mult {
+		rq.Mult[i], rq.Beta[i] = 1e-4, 3
+	}
+	dst := make([]uint8, m*n)
+	e := qgemmEpilogue{rq: rq, dst: dst, ld: n}
 	b.SetBytes(int64(len(acc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RequantizeU8(dst, acc, 1e-4, 3, 5, true)
+		e.apply(acc, m, n, 0)
 	}
 }
 
