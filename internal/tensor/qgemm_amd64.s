@@ -1167,9 +1167,11 @@ lr2go:
 // func copyTaps(dst *uint8, step int64, src *uint8, taps *int, quads, n int64)
 //
 // The stem's panel copy (see stemView.pack): for each of `quads` taps, the
-// n 32-bit words at src + taps[q] to dst + q·step. 32 bytes a step, a
-// ragged end covered by one more step overlapping the last; a tap shorter
-// than 32 bytes by two overlapping 16-, 8- or one 4-byte move.
+// n 32-bit words at src + taps[q] to dst + q·step. A whole panel's tap of
+// either quad tile width (64 or 128 bytes) is straight-line YMM moves;
+// otherwise 32 bytes a step, a ragged end covered by one more step
+// overlapping the last, and a tap shorter than 32 bytes by two overlapping
+// 16- or 8-byte moves or one 4-byte move.
 TEXT ·copyTaps(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ step+8(FP), DX
