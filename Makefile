@@ -21,7 +21,7 @@ FUZZTIME ?= 15s
 # write-out on one 224 frame, and a 64-channel requantization into quads.
 TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkQKernelTile|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkMaxPoolU8_112x96|BenchmarkQStemParts|BenchmarkRequantQuads
 
-.PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile loc
+.PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile loc surface
 
 check: fmt vet build test test-avx2 race
 
@@ -66,9 +66,10 @@ race:
 
 # Native Go fuzzing smoke pass over the nine decoders that face untrusted
 # input (EasyList rules, HTML, the persistent-socket wire framing, the
-# /classify/batch request body, the admin control-plane request bodies, model
-# files, the daemon's /classify body, -cache-file verdict snapshots, and
-# encoded images through imaging.Decode, held to its per-pixel oracle).
+# batch-endpoint request body (engine.BatchHandler, which bench/ mounts), the
+# admin control-plane request bodies, model files, the daemon's /classify
+# body, -cache-file verdict snapshots, and encoded images through
+# imaging.Decode, held to its per-pixel oracle).
 # Each fuzzer runs for FUZZTIME; crashers are written to the package's
 # testdata/fuzz corpus and reproduced by `go test`.
 fuzz:
@@ -148,7 +149,8 @@ profile:
 # Size of the serving stack, for ROADMAP item 3 and any change that claims to
 # shrink it: non-test Go lines of the daemon's three packages (engine + serve
 # + daemon = the tracked count), of internal/tensor and of internal/nn (the
-# INT8 engine is split across those two), and the number of flags the daemon
+# INT8 engine is split across those two), the hand-written assembly of every
+# package that has some (its .s lines), and the number of flags the daemon
 # defines.
 LOC_TRACKED = internal/engine internal/serve cmd/percival-serve
 loc:
@@ -160,5 +162,33 @@ loc:
 	printf '%-20s %6d\n' tracked $$total; \
 	printf '%-20s %6d\n' internal/tensor $$(gocount internal/tensor); \
 	printf '%-20s %6d\n' internal/nn $$(gocount internal/nn); \
+	for d in $$(ls internal/*/*.s | xargs -n1 dirname | sort -u); do \
+		printf '%-20s %6d\n' "$$d .s" $$(cat $$d/*.s | wc -l); \
+	done; \
 	printf '%-20s %6d\n' daemon-flags $$(cat $$(ls cmd/percival-serve/*.go | grep -v '_test\.go$$') | \
 		grep -cE '\bflag\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var)(Var)?\(')
+
+# The code each binary links (ROADMAP item 19): every cmd/*, every
+# examples/* and bench, built with inlining off (-gcflags=all=-l, so no
+# function hides inside its caller) into a temporary directory and read with
+# `go tool nm`. Prints each binary's count of linked percival/internal
+# functions, and fails if the serving daemon links the trainer (any
+# Backward, TrainStep, the SGD optimizer), the training-set package or the
+# /classify/batch codec: the daemon serves a model file, it never trains,
+# and it does not mount the batch endpoint. Twelve builds, so it is a CI
+# step of its own rather than part of `check`.
+SURFACE_FORBIDDEN = Backward|TrainStep|nn\.\(\*SGD\)|percival/internal/dataset\.|engine\.decodeFrames|engine\.BatchHandler
+surface:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for p in cmd/* examples/*; do \
+		$(GO) build -gcflags=all=-l -o "$$dir/$${p#*/}" ./$$p || exit 1; \
+	done; \
+	(cd bench && $(GO) build -gcflags=all=-l -o "$$dir/bench" .) || exit 1; \
+	linked() { $(GO) tool nm "$$1" | awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^percival\/internal\// { print $$3 }'; }; \
+	for b in "$$dir"/*; do \
+		printf '%-20s %6d\n' "$${b##*/}" $$(linked "$$b" | wc -l); \
+	done; \
+	bad=$$(linked "$$dir/percival-serve" | grep -E '$(SURFACE_FORBIDDEN)'); \
+	if [ -n "$$bad" ]; then \
+		echo "percival-serve links training or batch-endpoint code:"; echo "$$bad"; exit 1; \
+	fi

@@ -99,7 +99,7 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	defer frontWire.Close()
 	instanceID := newInstanceID()
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /classify", classifyHandler(srv, reg, fleet))
+	mux.HandleFunc("POST /classify", classifyHandler(srv))
 	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, svc.Engine(), svc.Threshold(), frontWire.Addr().String(), instanceID))
 	mux.HandleFunc("GET /healthz", healthHandler(srv, reg, fleet.Name(), nil))
 	admin := &adminAPI{

@@ -1,14 +1,14 @@
 // Command percival-serve runs PERCIVAL as a standalone classification
 // daemon: an HTTP front end over the internal/serve sharded micro-batching
 // service, turning many concurrent single-frame requests into batched
-// forward passes on the FP32 or INT8 engine.
+// forward passes on the FP32 or INT8 engine. It serves a model that
+// percival-train wrote; it never trains one.
 //
 //	POST /classify        body = PNG/JPEG/GIF (or raw RGBA with ?w=&h= and
-//	                      Content-Type: application/octet-stream); ?model=
-//	                      selects a registry backend for this request
+//	                      Content-Type: application/octet-stream); every
+//	                      frame goes through the batcher, the admission
+//	                      ladder and the verdict store
 //	                      -> {"score":0.93,"ad":true,"status":"classified"}
-//	POST /classify/batch  length-prefixed raw-RGBA frame batch in, binary
-//	                      scores out: one forward pass per request
 //	GET  /modelz          engine/resolution/wire-listener handshake a front
 //	                      dials before reaching this daemon over the wire
 //	GET  /healthz         liveness + model/engine/shard info; on a -peers
@@ -17,8 +17,14 @@
 //	GET  /metrics         Prometheus text exposition (serve counters/histograms,
 //	                      fleet per-peer gauges on a -peers front)
 //
-//	percival-serve                        # train a reduced-scale model, serve on :8093
-//	percival-serve -res 224 -int8         # paper-scale INT8 engine
+//	percival-train -res 32 -o m.pcvl      # first, train a model offline
+//	percival-serve -model m.pcvl -res 32  # serve it on :8093; -backend auto
+//	                                      # (the default) quantizes and
+//	                                      # serves INT8 if it passes the
+//	                                      # parity gate against FP32
+//	percival-serve -pretrained            # deterministic untrained weights (smoke)
+//	percival-serve -model m.pcvl -res 224 -backend int8  # paper scale, INT8
+//	percival-serve -model m.pcvl -backend fp32  # FP32 only: no INT8 engine
 //	percival-serve -shards 4              # sharded dispatch: one batcher,
 //	                                      # replica and dispatch worker per
 //	                                      # shard (per-shard busy time on
@@ -28,7 +34,6 @@
 //	                                      # queue door and co-adapts batch
 //	                                      # cap and shed deadline under
 //	                                      # overload (stage in /healthz)
-//	percival-serve -backend fp32 -int8    # quantize, but pin serving to FP32
 //	percival-serve -peers h1:8093,h2:8093 # front a self-healing fleet: shards
 //	                                      # dispatch to supervised remote
 //	                                      # replicas over the socket wire
@@ -57,8 +62,8 @@
 //	                                      # POST/DELETE /admin/canary
 //	                                      # (agreement-gated model rollout)
 //	percival-serve -cache-file v.pcvc     # verdict cache survives restarts
-//	percival-serve -model m.pcvl -res 32  # serve saved weights
-//	percival-serve -pretrained            # deterministic untrained weights (smoke)
+//
+// The examples from -shards on need -model or -pretrained as well.
 package main
 
 import (
@@ -81,7 +86,6 @@ import (
 	"syscall"
 	"time"
 
-	"percival"
 	"percival/internal/core"
 	"percival/internal/engine"
 	"percival/internal/imaging"
@@ -96,14 +100,11 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8093", "listen address")
 		res         = flag.Int("res", 32, "classifier input resolution (224 = paper scale)")
-		modelPath   = flag.String("model", "", "serve saved PCVL weights instead of training")
-		pretrained  = flag.Bool("pretrained", false, "deterministic untrained weights (no training; smoke/bench)")
-		samples     = flag.Int("samples", 700, "training samples when training")
-		epochs      = flag.Int("epochs", 8, "training epochs when training")
-		seed        = flag.Int64("seed", 1, "seed for training/calibration data")
+		modelPath   = flag.String("model", "", "serve the PCVL weights percival-train wrote to this path")
+		pretrained  = flag.Bool("pretrained", false, "serve deterministic untrained weights instead of a model file (smoke/bench)")
+		seed        = flag.Int64("seed", 1, "seed for -pretrained's weights and the INT8 calibration frames")
 		threshold   = flag.Float64("threshold", 0.5, "ad-probability blocking threshold")
-		int8Flag    = flag.Bool("int8", false, "quantize and serve the INT8 engine (parity-gated)")
-		backendName = flag.String("backend", "auto", "serving backend: fp32, int8, or auto (the parity-gated default)")
+		backendName = flag.String("backend", "auto", "serving engine: fp32, int8, or auto (quantize, and serve INT8 if it passes the parity gate against FP32)")
 		shards      = flag.Int("shards", 1, "dispatch shards (content-hash range partitions, each with its own batcher, backend replica and dispatch worker): how many forward passes run at once")
 		admission   = flag.Bool("admission", false, "run the unified admission controller: graded brownout (cache-only -> degraded -> shed) gates the queue door and co-adapts batch cap and shed deadline")
 		maxBatch    = flag.Int("batch", 16, "max frames per forward pass")
@@ -126,11 +127,7 @@ func main() {
 	)
 	flag.Parse()
 
-	svc, err := buildService(*res, *modelPath, *pretrained, *samples, *epochs, *seed, *threshold, *int8Flag)
-	if err != nil {
-		log.Fatal("percival-serve: ", err)
-	}
-	backend, err := pickBackend(svc, *backendName)
+	svc, backend, err := buildService(*res, *modelPath, *pretrained, *seed, *threshold, *backendName)
 	if err != nil {
 		log.Fatal("percival-serve: ", err)
 	}
@@ -139,17 +136,16 @@ func main() {
 		tensor.GemmKernelName(), tensor.QGemmKernelName())
 
 	// A -peers fleet replaces the dispatch engine with supervised remote
-	// replicas: the registry gains one entry per peer (selectable via
-	// ?model=), and the serve shards replicate the fleet round-robin so
+	// replicas: the registry gains one entry per peer (a canary candidate
+	// names one), and the serve shards replicate the fleet round-robin so
 	// every peer owns its own dispatch lane. The fleet health layer evicts
 	// peers after -evict-after consecutive failures, redials them in the
 	// background (backoff capped at -redial-max), hedges tail-latency chunks
 	// past -hedge-quantile, and falls back to the local model when no
 	// healthy peer remains — so a dying fleet degrades to local scoring, not
-	// to score-0 fail-open. The local model keeps serving the wire listener,
-	// /classify/batch, /modelz and any ?model= request that names it
-	// (`local` below), so two fronts pointed at each other cannot proxy a
-	// batch in a cycle.
+	// to score-0 fail-open. The local model keeps serving the wire listener
+	// and /modelz (`local` below), so two fronts pointed at each other
+	// cannot proxy a batch in a cycle.
 	reg := svc.Backends()
 	local := backend
 	// the per-process identity /modelz advertises, so a dialing front (this
@@ -226,11 +222,11 @@ func main() {
 	}
 
 	// The persistent-socket wire listener, what a front dispatches to, serves
-	// the same local backend as /classify/batch and is handed the serving
-	// edge's own verdict store: it answers key probes from it and stores what
-	// it scores in it, so a front's dedup hit and a local cache hit are the
-	// same entry. Binding before the /modelz mount lets the handshake
-	// advertise the concrete bound address (":0" included).
+	// the local backend and is handed the serving edge's own verdict store:
+	// it answers key probes from it and stores what it scores in it, so a
+	// front's dedup hit and a local cache hit are the same entry. Binding
+	// before the /modelz mount lets the handshake advertise the concrete
+	// bound address (":0" included).
 	var wire *engine.WireServer
 	wireAddr := ""
 	if *wireListen != "" {
@@ -249,8 +245,7 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /classify", classifyHandler(srv, reg, backend))
-	mux.Handle("POST /classify/batch", engine.BatchHandler(reg, local))
+	mux.HandleFunc("POST /classify", classifyHandler(srv))
 	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, local, svc.Threshold(), wireAddr, instanceID))
 	mux.HandleFunc("GET /healthz", healthHandler(srv, reg, backend.Name(), wire))
 	mux.HandleFunc("GET /metrics", metricsHandler(srv, reg, fleet, wire))
@@ -318,22 +313,9 @@ func main() {
 	<-done
 }
 
-// pickBackend resolves the -backend flag against the classifier's registry:
-// "auto" takes the parity-gated default; a named engine must exist.
-func pickBackend(svc *core.Percival, name string) (engine.Backend, error) {
-	if name == "" || name == "auto" {
-		return svc.Engine(), nil
-	}
-	b, ok := svc.Backends().Get(name)
-	if !ok {
-		return nil, fmt.Errorf("backend %q not available (have %v)", name, svc.Backends().Names())
-	}
-	return b, nil
-}
-
 // dialPeers performs the /modelz handshake with every -peers address,
 // validating each peer's input resolution against the local model, and
-// registers the resulting remote backends (selectable via ?model=).
+// registers the resulting remote backends (nameable as canary candidates).
 // Addresses are deduplicated at parse time — "h1:8093,h1:8093" (or the
 // same host spelled with and without a scheme) used to silently pin the
 // peer to two shard lanes, doubling its share of dispatch — and a peer
@@ -422,44 +404,50 @@ func saveCache(c *engine.VerdictMap, path string) (int, error) {
 	return n, os.Rename(tmp, path)
 }
 
-// buildService assembles the core classifier from flags: saved weights, a
-// quick-trained model, or deterministic untrained weights.
-func buildService(res int, modelPath string, pretrained bool, samples int, epochs int, seed int64, threshold float64, useInt8 bool) (*core.Percival, error) {
-	var arch squeezenet.Config
-	if res >= 224 {
-		arch = squeezenet.PaperConfig()
-	} else {
-		arch = squeezenet.SmallConfig(res)
-	}
-	var net *nn.Sequential
-	var err error
-	switch {
-	case modelPath != "":
-		net, err = squeezenet.Build(arch)
-		if err == nil {
-			err = nn.LoadFile(modelPath, net)
-		}
-	case pretrained:
-		net, err = squeezenet.Build(arch)
-		if err == nil {
-			squeezenet.PretrainedInit(net, seed)
-		}
-	default:
-		log.Printf("training reduced-scale model (res=%d samples=%d epochs=%d)...", res, samples, epochs)
-		net, _, err = percival.TrainNetwork(percival.QuickTrainOptions{
-			Res: res, Samples: samples, Epochs: epochs, Seed: seed, Log: os.Stderr,
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
+// buildService assembles the core classifier from a model file, or from
+// deterministic untrained weights under -pretrained, and returns it with the
+// engine -backend names: fp32 builds no INT8 engine; int8 quantizes and
+// serves INT8; auto quantizes and serves whichever engine the parity gate
+// picked. The daemon never trains: a model comes from percival-train.
+func buildService(res int, modelPath string, pretrained bool, seed int64, threshold float64, backend string) (*core.Percival, engine.Backend, error) {
 	opts := core.Options{Threshold: threshold, DisableCache: true} // serve owns memoization
-	if useInt8 {
+	switch backend {
+	case engine.FP32Name:
+	case "auto", engine.Int8Name:
 		opts.Quantized = true
 		// representative creatives for calibration and the parity gate
 		opts.CalibFrames = synth.SampleFrames(seed+100, 32)
+	default:
+		return nil, nil, fmt.Errorf("-backend %q: want fp32, int8 or auto", backend)
 	}
-	return core.New(net, arch, opts)
+	if modelPath == "" && !pretrained {
+		return nil, nil, fmt.Errorf("no model to serve: train one with `percival-train -res %d -o m.pcvl` "+
+			"and pass -model m.pcvl, or pass -pretrained for deterministic untrained weights", res)
+	}
+	arch := squeezenet.SmallConfig(res)
+	if res >= 224 {
+		arch = squeezenet.PaperConfig()
+	}
+	net, err := squeezenet.Build(arch)
+	if err != nil {
+		return nil, nil, err
+	}
+	if modelPath != "" {
+		if err := nn.LoadFile(modelPath, net); err != nil {
+			return nil, nil, fmt.Errorf("load -model at -res %d: %w", res, err)
+		}
+	} else {
+		squeezenet.PretrainedInit(net, seed)
+	}
+	svc, err := core.New(net, arch, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if backend == engine.Int8Name {
+		b, _ := svc.Backends().Get(engine.Int8Name) // registered: Quantized was set
+		return svc, b, nil
+	}
+	return svc, svc.Engine(), nil
 }
 
 // verdict is the /classify response schema.
@@ -470,12 +458,10 @@ type verdict struct {
 }
 
 // classifyHandler decodes the request body into a frame and submits it to
-// the batching service. Encoded images are sniffed (PNG/JPEG/GIF, like the
-// renderer's decode stage); raw RGBA needs ?w= and ?h=. ?model= resolves a
-// registry backend through Registry.Select: the serving backend keeps the
-// batched dispatch path, any other entry (a pinned engine, a specific
-// remote peer) answers with a direct forward pass.
-func classifyHandler(srv *serve.Server, reg *engine.Registry, serving engine.Backend) http.HandlerFunc {
+// the batching service, so every verdict passes the admission ladder and the
+// verdict store. Encoded images are sniffed (PNG/JPEG/GIF, like the
+// renderer's decode stage); raw RGBA needs ?w= and ?h=.
+func classifyHandler(srv *serve.Server) http.HandlerFunc {
 	const maxBody = 32 << 20
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
@@ -492,18 +478,7 @@ func classifyHandler(srv *serve.Server, reg *engine.Registry, serving engine.Bac
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		var res serve.Result
-		if b := selectModel(reg, serving, r.URL.Query().Get("model")); b != serving {
-			var one [1]float64
-			b.InferBatchInto([]*imaging.Bitmap{frame}, one[:])
-			res = serve.Result{
-				Score:  one[0],
-				Ad:     one[0] >= srv.Service().Threshold(),
-				Status: serve.StatusClassified,
-			}
-		} else {
-			res = srv.Submit(frame)
-		}
+		res := srv.Submit(frame)
 		w.Header().Set("Content-Type", "application/json")
 		if res.Status == serve.StatusShed {
 			// overloaded: the verdict is unknown; the client should render
@@ -513,22 +488,6 @@ func classifyHandler(srv *serve.Server, reg *engine.Registry, serving engine.Bac
 		}
 		json.NewEncoder(w).Encode(verdict{Score: res.Score, Ad: res.Ad, Status: res.Status.String()})
 	}
-}
-
-// selectModel maps a ?model= parameter to a backend: empty keeps the
-// serving backend, and so does an unknown or stale name — the lenient
-// fallback must be the backend actually serving traffic (on a -peers
-// front that is the fleet, not the registry default, which is the
-// local model), and it keeps the batched dispatch path. A stale model
-// name must not take the service down or silently switch weights.
-func selectModel(reg *engine.Registry, serving engine.Backend, name string) engine.Backend {
-	if name == "" || reg == nil {
-		return serving
-	}
-	if b, ok := reg.Get(name); ok {
-		return b
-	}
-	return serving
 }
 
 // decodeFrame interprets the request body as raw RGBA (octet-stream with
@@ -580,8 +539,8 @@ func decodeFrame(r *http.Request, body []byte) (*imaging.Bitmap, error) {
 // metricsHandler renders the serve counters plus each shard replica's
 // engine counters — including Errors, the fail-open count that is the only
 // sign a remote peer is down (the service itself keeps answering) — and
-// the registry entries' counters, which carry the ?model= direct-path and
-// local /classify/batch traffic. A -peers front also exposes the fleet
+// the registry entries' counters: the local engine the wire listener scores
+// on, and each -peers peer. A -peers front also exposes the fleet
 // supervisor: per-peer state/eviction/redial/hedge counters and latency
 // EWMAs, plus the fleet-wide hedge and local-fallback totals.
 func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet, wire *engine.WireServer) http.HandlerFunc {
@@ -603,11 +562,6 @@ func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet
 				fmt.Fprintf(w, "percival_engine_backend_errors_total{backend=%q} %d\n", name, st.Errors)
 			}
 		}
-		hw := engine.WireHTTPStats()
-		fmt.Fprintf(w, "percival_wire_http_requests_total %d\n", hw.Requests)
-		fmt.Fprintf(w, "percival_wire_http_bytes_in_total %d\n", hw.BytesIn)
-		fmt.Fprintf(w, "percival_wire_http_bytes_out_total %d\n", hw.BytesOut)
-		fmt.Fprintf(w, "percival_wire_http_write_errors_total %d\n", hw.WriteErrors)
 		if wire != nil {
 			ws := wire.Stats()
 			fmt.Fprintf(w, "percival_wire_sock_conns_total %d\n", ws.Conns)
@@ -646,9 +600,9 @@ func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet
 }
 
 // engineErrors sums every fail-open counter the daemon can reach: the
-// shard replicas (batched dispatch) and the registry entries (?model=
-// direct path, local batch endpoint). The two sets never share counters —
-// Replicate starts fresh ones.
+// shard replicas (batched dispatch) and the registry entries (the local
+// engine behind the wire listener, each -peers peer). The two sets never
+// share counters — Replicate starts fresh ones.
 func engineErrors(srv *serve.Server, reg *engine.Registry) int64 {
 	var errs int64
 	for _, st := range srv.BackendStats() {

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,20 +20,90 @@ import (
 	"percival/internal/engine"
 	"percival/internal/faultinject"
 	"percival/internal/imaging"
+	"percival/internal/nn"
 	"percival/internal/serve"
+	"percival/internal/squeezenet"
 	"percival/internal/synth"
 )
 
 // testService builds the daemon's classifier the way main does, at smoke
-// scale (deterministic untrained weights — the tests exercise the serving
-// edge, not verdict quality).
+// scale on the FP32 engine (deterministic untrained weights — the tests
+// exercise the serving edge, not verdict quality).
 func testService(t testing.TB) *core.Percival {
 	t.Helper()
-	svc, err := buildService(16, "", true, 0, 0, 1, 0.5, false)
+	svc, _, err := buildService(16, "", true, 1, 0.5, engine.FP32Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return svc
+}
+
+// TestBuildServiceSelectsEngine: -backend is the one engine selector. fp32
+// builds no INT8 engine, auto serves what the parity gate picked, int8
+// serves INT8 whatever the gate says, and an unknown name is an error.
+func TestBuildServiceSelectsEngine(t *testing.T) {
+	for _, tc := range []struct {
+		backend string
+		want    func(svc *core.Percival) string // the engine that must serve
+	}{
+		{engine.FP32Name, func(*core.Percival) string { return engine.FP32Name }},
+		{"auto", func(svc *core.Percival) string { return svc.Backends().DefaultName() }},
+		{engine.Int8Name, func(*core.Percival) string { return engine.Int8Name }},
+	} {
+		svc, b, err := buildService(16, "", true, 1, 0.5, tc.backend)
+		if err != nil {
+			t.Fatalf("-backend %s: %v", tc.backend, err)
+		}
+		if got, want := b.Name(), tc.want(svc); got != want {
+			t.Errorf("-backend %s serves %s, want %s", tc.backend, got, want)
+		}
+		_, quantized := svc.Backends().Get(engine.Int8Name)
+		if quantized != (tc.backend != engine.FP32Name) {
+			t.Errorf("-backend %s: INT8 engine registered = %v", tc.backend, quantized)
+		}
+		// the gate measures a nonzero agreement whenever it runs
+		if ran := svc.ParityAgreement() != 0; ran != quantized {
+			t.Errorf("-backend %s: parity gate ran = %v (agreement %v)", tc.backend, ran, svc.ParityAgreement())
+		}
+		t.Logf("-backend %s serves %s (parity %.3f)", tc.backend, b.Name(), svc.ParityAgreement())
+	}
+	if _, _, err := buildService(16, "", true, 1, 0.5, "tpu"); err == nil {
+		t.Fatal("-backend tpu accepted")
+	}
+}
+
+// TestBuildServiceRefusesToTrain: with neither a model file nor
+// -pretrained the daemon has nothing to serve, and the error names the
+// command that makes a model.
+func TestBuildServiceRefusesToTrain(t *testing.T) {
+	_, _, err := buildService(16, "", false, 1, 0.5, "auto")
+	if err == nil || !strings.Contains(err.Error(), "percival-train") {
+		t.Fatalf("no model: error %v, want one naming percival-train", err)
+	}
+}
+
+// TestBuildServiceLoadsModelFile: -model serves the weights in the file,
+// whatever -seed says.
+func TestBuildServiceLoadsModelFile(t *testing.T) {
+	net, err := squeezenet.Build(squeezenet.SmallConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	squeezenet.PretrainedInit(net, 1)
+	path := t.TempDir() + "/m.pcvl"
+	if err := nn.SaveFile(path, net, false); err != nil {
+		t.Fatal(err)
+	}
+	svc, _, err := buildService(16, path, false, 2, 0.5, engine.FP32Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testService(t)
+	for _, f := range synth.SampleFrames(61, 4) {
+		if got, want := svc.Classify(f), want.Classify(f); got != want {
+			t.Fatalf("served from the file %v, saved weights score %v", got, want)
+		}
+	}
 }
 
 // testFrontend stands up the daemon's HTTP surface over a serve.Server the
@@ -41,8 +112,7 @@ func testService(t testing.TB) *core.Percival {
 func testFrontend(t testing.TB, svc *core.Percival, srv *serve.Server, reg *engine.Registry, backend engine.Backend, fleet *engine.Fleet) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /classify", classifyHandler(srv, reg, backend))
-	mux.Handle("POST /classify/batch", engine.BatchHandler(reg, backend))
+	mux.HandleFunc("POST /classify", classifyHandler(srv))
 	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, backend, svc.Threshold(), "", ""))
 	mux.HandleFunc("GET /healthz", healthHandler(srv, reg, backend.Name(), nil))
 	mux.HandleFunc("GET /metrics", metricsHandler(srv, reg, fleet, nil))
@@ -277,9 +347,10 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 		}
 	}
 
-	// per-request model selection: naming a specific peer routes a direct
-	// forward pass through that registry entry
+	// every /classify goes through the batcher: naming a registered peer
+	// in ?model= is ignored, and the frame is counted as a submission
 	named := synth.SampleFrames(43, 1)[0]
+	submitted := srv.Metrics().Submitted.Load()
 	resp, v := postFrame(t,
 		fmt.Sprintf("%s/classify?model=%s&w=%d&h=%d", front.URL, remotes[1].Name(), named.W, named.H),
 		"application/octet-stream", named.Pix)
@@ -288,6 +359,9 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	}
 	if want := svc.Classify(named); v.Score != want {
 		t.Fatalf("?model= score %v, want %v", v.Score, want)
+	}
+	if got := srv.Metrics().Submitted.Load(); got != submitted+1 {
+		t.Fatalf("?model= request: %d submissions, want %d (it bypassed the batcher)", got, submitted+1)
 	}
 
 	// both peers down: the front keeps answering, failing open (score 0,
@@ -350,9 +424,9 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchEndpointRejectsGarbage: the wire endpoint must 400 on a
-// non-batch body rather than 500 or hang.
-func TestClassifyBatchEndpointRejectsGarbage(t *testing.T) {
+// TestModelzReportsServingEngine: the handshake a front dials reports the
+// engine and input resolution this daemon serves.
+func TestModelzReportsServingEngine(t *testing.T) {
 	svc := testService(t)
 	srv, err := serve.New(svc, serve.Options{})
 	if err != nil {
@@ -360,17 +434,6 @@ func TestClassifyBatchEndpointRejectsGarbage(t *testing.T) {
 	}
 	defer srv.Close()
 	front := testFrontend(t, svc, srv, svc.Backends(), svc.Engine(), nil)
-	resp, err := http.Post(front.URL+"/classify/batch", "application/octet-stream",
-		bytes.NewReader([]byte("not a frame batch")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage batch status %d, want 400", resp.StatusCode)
-	}
-
-	// and the handshake endpoint reports the serving engine
 	hresp, err := http.Get(front.URL + "/modelz")
 	if err != nil {
 		t.Fatal(err)

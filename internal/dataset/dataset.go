@@ -175,10 +175,3 @@ func GenerateUnbalanced(seed int64, style synth.Style, ads, nonAds int) *Dataset
 	}
 	return d
 }
-
-// External synthesizes the Hussain-et-al.-style held-out set (§5.1): a
-// sample of nAds ad images plus matching negatives drawn from the shifted
-// external distribution.
-func External(seed int64, n int) *Dataset {
-	return Generate(seed, synth.ExternalStyle(), n)
-}

@@ -359,9 +359,6 @@ func (b *RemoteBackend) attempt(ctx context.Context, start time.Time, chunk *wir
 	return b.tr.roundTrip(ctx, deadline, chunk, out)
 }
 
-// Window returns the peer's shared congestion window.
-func (b *RemoteBackend) Window() *CubicWindow { return b.win }
-
 // WindowStats reports this peer's window state (WindowReporter).
 func (b *RemoteBackend) WindowStats() []WindowStat {
 	st := b.win.Stat()

@@ -72,14 +72,6 @@ func (h *Harness) n(base int) int {
 	return v
 }
 
-// Arch returns the architecture in use (training it first if needed).
-func (h *Harness) Arch() (squeezenet.Config, error) {
-	if _, err := h.Model(); err != nil {
-		return squeezenet.Config{}, err
-	}
-	return h.arch, nil
-}
-
 // Model returns the shared trained network, training it on first use on the
 // synthetic crawl distribution (§4.4.2's final dataset stands in here).
 func (h *Harness) Model() (*nn.Sequential, error) {

@@ -10,7 +10,6 @@ import (
 	"math"
 	"strings"
 
-	"percival/internal/imaging"
 	"percival/internal/nn"
 	"percival/internal/tensor"
 )
@@ -135,36 +134,6 @@ func (h *Heatmap) ASCII() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// PGM encodes the heatmap as a binary PGM image (P5).
-func (h *Heatmap) PGM() []byte {
-	header := fmt.Sprintf("P5\n%d %d\n255\n", h.W, h.H)
-	out := make([]byte, 0, len(header)+len(h.Data))
-	out = append(out, header...)
-	for _, v := range h.Data {
-		out = append(out, byte(v*255))
-	}
-	return out
-}
-
-// Overlay tints a bitmap with the heatmap (red where salient) for visual
-// inspection; returns a new bitmap at the heatmap's resolution.
-func Overlay(base *imaging.Bitmap, h *Heatmap) *imaging.Bitmap {
-	scaled := imaging.ResizeBilinear(base, h.W, h.H)
-	out := scaled.Clone()
-	for y := 0; y < h.H; y++ {
-		for x := 0; x < h.W; x++ {
-			v := h.At(x, y)
-			c := scaled.At(x, y)
-			r := float64(c.R) + v*(255-float64(c.R))
-			g := float64(c.G) * (1 - 0.6*v)
-			b := float64(c.B) * (1 - 0.6*v)
-			c.R, c.G, c.B = uint8(r), uint8(g), uint8(b)
-			out.Set(x, y, c)
-		}
-	}
-	return out
 }
 
 // MeanSalience returns the average salience inside the rectangle

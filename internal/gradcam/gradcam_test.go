@@ -1,12 +1,10 @@
 package gradcam
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"percival/internal/imaging"
 	"percival/internal/nn"
 	"percival/internal/tensor"
 )
@@ -125,7 +123,7 @@ func TestUpsampleDimensions(t *testing.T) {
 	}
 }
 
-func TestASCIIAndPGM(t *testing.T) {
+func TestASCIIRamp(t *testing.T) {
 	hm := &Heatmap{W: 3, H: 2, Data: []float64{0, 0.5, 1, 1, 0.5, 0}}
 	art := hm.ASCII()
 	lines := strings.Split(strings.TrimRight(art, "\n"), "\n")
@@ -134,26 +132,6 @@ func TestASCIIAndPGM(t *testing.T) {
 	}
 	if lines[0][0] != ' ' || lines[0][2] != '@' {
 		t.Fatalf("ascii ramp wrong: %q", lines[0])
-	}
-	pgm := hm.PGM()
-	if !bytes.HasPrefix(pgm, []byte("P5\n3 2\n255\n")) {
-		t.Fatalf("pgm header: %q", pgm[:12])
-	}
-	if len(pgm) != len("P5\n3 2\n255\n")+6 {
-		t.Fatalf("pgm size %d", len(pgm))
-	}
-}
-
-func TestOverlayTintsSalientRegions(t *testing.T) {
-	base := imaging.NewBitmap(4, 4)
-	base.Fill(colorGray())
-	hm := &Heatmap{W: 4, H: 4, Data: make([]float64, 16)}
-	hm.Data[0] = 1 // top-left fully salient
-	out := Overlay(base, hm)
-	hot := out.At(0, 0)
-	cold := out.At(3, 3)
-	if hot.R <= cold.R {
-		t.Fatalf("salient pixel should be redder: %v vs %v", hot, cold)
 	}
 }
 
@@ -165,8 +143,4 @@ func TestMeanSalienceBounds(t *testing.T) {
 	if hm.MeanSalience(-5, -5, 0, 0) != 0 {
 		t.Fatal("empty region should be 0")
 	}
-}
-
-func colorGray() (c struct{ R, G, B, A uint8 }) {
-	return struct{ R, G, B, A uint8 }{128, 128, 128, 255}
 }

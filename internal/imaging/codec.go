@@ -7,7 +7,6 @@ import (
 	"image/gif"
 	"image/jpeg"
 	"image/png"
-	"io"
 )
 
 // Format identifies an encoded image format. Advertisers serve creatives in
@@ -60,13 +59,4 @@ func Decode(data []byte) (*Bitmap, Format, error) {
 		return &Bitmap{W: w, H: h, Pix: m.Pix[:4*w*h]}, Format(name), nil
 	}
 	return FromImage(img), Format(name), nil
-}
-
-// DecodeFrom decodes from a reader.
-func DecodeFrom(r io.Reader) (*Bitmap, Format, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, "", fmt.Errorf("imaging: decode: %w", err)
-	}
-	return Decode(data)
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"percival/internal/tensor"
 )
@@ -569,24 +568,4 @@ func buildQFinal(c *Conv2D, inQ tensor.QuantParams, gap quadGap) qFinal {
 	}
 	wq, s := gap.widen(wq, c.Spec)
 	return qFinal{conv: tensor.QConv{Spec: s, W: tensor.PackQQuadWeights(wq, s), ZP: uint8(inQ.Zero)}, mult: mult, beta: beta}
-}
-
-// TopAgreement computes the fraction of samples whose argmax class matches
-// between two probability (or logit) tensors of shape [N,C] — the
-// accuracy-parity metric gating the quantized mode.
-func TopAgreement(a, b *tensor.Tensor) float64 {
-	if !a.SameShape(b) || len(a.Shape) != 2 {
-		panic(fmt.Sprintf("nn: TopAgreement: shapes %v vs %v", a.Shape, b.Shape))
-	}
-	n, c := a.Shape[0], a.Shape[1]
-	if n == 0 {
-		return math.NaN()
-	}
-	agree := 0
-	for i := 0; i < n; i++ {
-		if tensor.Argmax(a.Data[i*c:(i+1)*c]) == tensor.Argmax(b.Data[i*c:(i+1)*c]) {
-			agree++
-		}
-	}
-	return float64(agree) / float64(n)
 }

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math/rand"
-
-	"percival/internal/tensor"
-)
+import "percival/internal/tensor"
 
 // TrainStep runs one optimization step on a batch: forward, softmax
 // cross-entropy, backward, SGD update. x is [N,C,H,W]; labels are class
@@ -38,24 +34,4 @@ func Predict(net Layer, x *tensor.Tensor) *tensor.Tensor {
 		return out
 	}
 	return tensor.Softmax(net.Forward(x, false))
-}
-
-// PredictClasses runs inference and returns the argmax class per sample.
-func PredictClasses(net Layer, x *tensor.Tensor) []int {
-	probs := Predict(net, x)
-	n, c := probs.Shape[0], probs.Shape[1]
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = tensor.Argmax(probs.Data[i*c : (i+1)*c])
-	}
-	return out
-}
-
-// Shuffle permutes parallel slices of samples and labels in lock-step using
-// the supplied RNG; used between epochs.
-func Shuffle(rng *rand.Rand, n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		swap(i, j)
-	}
 }

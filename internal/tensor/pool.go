@@ -302,77 +302,6 @@ func MaxPoolBackward(dy *Tensor, argmax []int32, inShape []int) *Tensor {
 	return dx
 }
 
-// AvgPoolForward computes average pooling over x ([N,C,H,W]). The divisor is
-// the full window area (count_include_pad=false is not needed because the
-// network only average-pools unpadded).
-func AvgPoolForward(x *Tensor, p PoolSpec) *Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := p.OutSize(h, w)
-	y := New(n, c, oh, ow)
-	inv := 1 / float32(p.K*p.K)
-	oi := 0
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			plane := (i*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var sum float32
-					for ky := 0; ky < p.K; ky++ {
-						iy := oy*p.Stride - p.Pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < p.K; kx++ {
-							ix := ox*p.Stride - p.Pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							sum += x.Data[plane+iy*w+ix]
-						}
-					}
-					y.Data[oi] = sum * inv
-					oi++
-				}
-			}
-		}
-	}
-	return y
-}
-
-// AvgPoolBackward distributes dy uniformly over each pooling window.
-func AvgPoolBackward(dy *Tensor, p PoolSpec, inShape []int) *Tensor {
-	dx := New(inShape...)
-	n, c, h, w := inShape[0], inShape[1], inShape[2], inShape[3]
-	oh, ow := p.OutSize(h, w)
-	inv := 1 / float32(p.K*p.K)
-	oi := 0
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			plane := (i*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := dy.Data[oi] * inv
-					oi++
-					for ky := 0; ky < p.K; ky++ {
-						iy := oy*p.Stride - p.Pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < p.K; kx++ {
-							ix := ox*p.Stride - p.Pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							dx.Data[plane+iy*w+ix] += g
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
-}
-
 // GlobalAvgPoolForward averages each channel plane to a single value,
 // producing [N,C,1,1]. This is SqueezeNet's classifier head reduction.
 func GlobalAvgPoolForward(x *Tensor) *Tensor {

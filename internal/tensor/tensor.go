@@ -49,9 +49,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // SameShape reports whether t and u have identical shapes.
 func (t *Tensor) SameShape(u *Tensor) bool {
 	if len(t.Shape) != len(u.Shape) {

@@ -344,30 +344,6 @@ func TestMaxPoolOverlappingWindows(t *testing.T) {
 	}
 }
 
-func TestAvgPoolForwardBackward(t *testing.T) {
-	x := FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 1, 4, 4)
-	p := PoolSpec{K: 2, Stride: 2}
-	y := AvgPoolForward(x, p)
-	want := []float32{3.5, 5.5, 11.5, 13.5}
-	for i := range want {
-		if y.Data[i] != want[i] {
-			t.Fatalf("avgpool y=%v want %v", y.Data, want)
-		}
-	}
-	dy := FromSlice([]float32{4, 4, 4, 4}, 1, 1, 2, 2)
-	dx := AvgPoolBackward(dy, p, x.Shape)
-	for _, v := range dx.Data {
-		if v != 1 {
-			t.Fatalf("avgpool backward should spread uniformly: %v", dx.Data)
-		}
-	}
-}
-
 func TestGlobalAvgPool(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
 	y := GlobalAvgPoolForward(x)

@@ -68,31 +68,3 @@ func (c *Corpus) GenerateSearchResults(q SearchQuery, n int) *Page {
 	c.RegisterPage(page)
 	return page
 }
-
-// GenerateRegionalSites adds language-region sites for the §5.5 evaluation:
-// nSites per language, built from the language's style so ads carry the
-// region's script texture.
-func (c *Corpus) GenerateRegionalSites(lang string, nSites int) ([]*Site, error) {
-	style, ok := synth.LanguageStyle(lang)
-	if !ok {
-		return nil, fmt.Errorf("webgen: unknown language %q", lang)
-	}
-	rng := rand.New(rand.NewSource(c.seed ^ int64(hashString("region:"+lang))))
-	var sites []*Site
-	for i := 1; i <= nSites; i++ {
-		site := &Site{
-			Domain:   fmt.Sprintf("%s-site%d.example", lang, i),
-			Rank:     i,
-			Category: "news",
-			Lang:     lang,
-		}
-		nPages := 2 + rng.Intn(3)
-		for p := 0; p < nPages; p++ {
-			page := c.generatePage(rng, site, p, style)
-			site.PageURLs = append(site.PageURLs, page.URL)
-		}
-		sites = append(sites, site)
-		c.Sites = append(c.Sites, site)
-	}
-	return sites, nil
-}

@@ -262,36 +262,6 @@ func TestSearchResultIntents(t *testing.T) {
 	}
 }
 
-func TestRegionalSites(t *testing.T) {
-	c := NewCorpus(8, 2)
-	sites, err := c.GenerateRegionalSites("arabic", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sites) != 3 {
-		t.Fatalf("%d sites", len(sites))
-	}
-	for _, s := range sites {
-		if s.Lang != "arabic" {
-			t.Fatalf("lang %q", s.Lang)
-		}
-		for _, u := range s.PageURLs {
-			p, ok := c.Page(u)
-			if !ok {
-				t.Fatalf("page %s missing", u)
-			}
-			for _, spec := range p.Images {
-				if spec.Style.Name != "arabic" {
-					t.Fatalf("image style %q on arabic site", spec.Style.Name)
-				}
-			}
-		}
-	}
-	if _, err := c.GenerateRegionalSites("klingon", 1); err == nil {
-		t.Fatal("unknown language should error")
-	}
-}
-
 func TestTopSites(t *testing.T) {
 	c := NewCorpus(9, 10)
 	top := c.TopSites(3)
