@@ -12,14 +12,14 @@ FUZZTIME ?= 15s
 # internal/tensor benchmarks the bench targets run: the GEMM kernels alone
 # (the INT8 quad kernels also on hot L1 panels, in dots/ns: their issue
 # rate) and the whole stages around them (pack from the image + GEMM +
-# epilogue, the first max pool — on the INT8 engine over quad planes — and
-# each engine's stem with that pool fused behind it; the INT8 stem reads
+# epilogue, the first FP32 max pool alone, and each engine's stem with that
+# pool fused behind it; the INT8 stem reads
 # RGBA bytes, the INT8 3×3 expand the squeeze's quad planes), and the paper
 # net's first INT8 fire whole (quad planes in, the squeeze, both expands
 # into the concatenated output's quad planes); and the INT8 byte passes
 # around the kernels alone: the stem's input rows, panel pack and pooled
 # write-out on one 224 frame, and a 64-channel requantization into quads.
-TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkQKernelTile|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkMaxPoolU8_112x96|BenchmarkQStemParts|BenchmarkRequantQuads
+TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkQKernelTile|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkQStemParts|BenchmarkRequantQuads
 
 .PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile loc surface
 
@@ -64,12 +64,14 @@ race:
 	$(GO) test -race ./internal/tensor/... ./internal/imaging/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
 	$(GO) test -race -run 'TestInspector|TestAsyncServe' ./internal/browser/
 
-# Native Go fuzzing smoke pass over the nine decoders that face untrusted
-# input (EasyList rules, HTML, the persistent-socket wire framing, the
-# batch-endpoint request body (engine.BatchHandler, which bench/ mounts), the
-# admin control-plane request bodies, model files, the daemon's /classify
+# Native Go fuzzing smoke pass, ten fuzzers: the nine decoders that face
+# untrusted input (EasyList rules, HTML, the persistent-socket wire framing,
+# the batch-endpoint request body (engine.BatchHandler, which bench/ mounts),
+# the admin control-plane request bodies, model files, the daemon's /classify
 # body, -cache-file verdict snapshots, and encoded images through
-# imaging.Decode, held to its per-pixel oracle).
+# imaging.Decode, held to its per-pixel oracle), and the INT8 engine's 3×3/2
+# pool kernel (poolI32K3S2, which every paper-net pool runs) held to the
+# separable pool on fuzzed accumulators.
 # Each fuzzer runs for FUZZTIME; crashers are written to the package's
 # testdata/fuzz corpus and reproduced by `go test`.
 fuzz:
@@ -82,6 +84,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/nn
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./cmd/percival-serve
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/imaging
+	$(GO) test -run=NONE -fuzz=FuzzPoolI32K3S2 -fuzztime=$(FUZZTIME) ./internal/tensor
 
 # Fault-injection smoke: drives the fleet supervisor (eviction, redial,
 # hedging, local fallback) and the daemon's serving edge through flapping /

@@ -132,7 +132,7 @@ func main() {
 		log.Fatal("percival-serve: ", err)
 	}
 	log.Printf("model ready: res=%d engine=%s (parity %.3f), %d KB weights, kernels fp32=%s int8=%s",
-		svc.InputRes(), backend.Name(), svc.ParityAgreement(), svc.ModelSizeBytes()/1024,
+		svc.InputRes(), backend.Name(), svc.ParityAgreement(), weightBytes(backend)/1024,
 		tensor.GemmKernelName(), tensor.QGemmKernelName())
 
 	// A -peers fleet replaces the dispatch engine with supervised remote
@@ -448,6 +448,15 @@ func buildService(res int, modelPath string, pretrained bool, seed int64, thresh
 		return svc, b, nil
 	}
 	return svc, svc.Engine(), nil
+}
+
+// weightBytes is the weight footprint of the engine b: the INT8 engine's own
+// when it serves INT8, not the FP32 model it was quantized from.
+func weightBytes(b engine.Backend) int {
+	if s, ok := b.(interface{ SizeBytes() int }); ok {
+		return s.SizeBytes()
+	}
+	return 0
 }
 
 // verdict is the /classify response schema.

@@ -65,7 +65,15 @@ func TestBuildServiceSelectsEngine(t *testing.T) {
 		if ran := svc.ParityAgreement() != 0; ran != quantized {
 			t.Errorf("-backend %s: parity gate ran = %v (agreement %v)", tc.backend, ran, svc.ParityAgreement())
 		}
-		t.Logf("-backend %s serves %s (parity %.3f)", tc.backend, b.Name(), svc.ParityAgreement())
+		// The model-ready line reports the served engine's own weights.
+		size := map[string]int{engine.FP32Name: svc.ModelSizeBytes(), engine.Int8Name: svc.QuantizedModelSizeBytes()}[b.Name()]
+		if got := weightBytes(b); got != size || got == 0 {
+			t.Errorf("-backend %s: reports %d weight bytes for %s, want %d", tc.backend, got, b.Name(), size)
+		}
+		if b.Name() == engine.Int8Name && 2*weightBytes(b) > svc.ModelSizeBytes() {
+			t.Errorf("-backend %s: INT8 weights %d B, not under half the FP32 model's %d B", tc.backend, weightBytes(b), svc.ModelSizeBytes())
+		}
+		t.Logf("-backend %s serves %s (parity %.3f, %d B weights)", tc.backend, b.Name(), svc.ParityAgreement(), weightBytes(b))
 	}
 	if _, _, err := buildService(16, "", true, 1, 0.5, "tpu"); err == nil {
 		t.Fatal("-backend tpu accepted")

@@ -1,7 +1,8 @@
 package engine
 
-// Agreement-gated model canary: the automated rollout primitive the
-// registry's ?model= selection was always pointed at. An operator (or the
+// Agreement-gated model canary: the automated rollout primitive over the
+// backend registry (the daemon's /classify takes no ?model= selection; only
+// the BatchHandler that bench/ mounts reads one). An operator (or the
 // retrain pipeline) registers a new model version and begins a canary; the
 // controller shifts a configurable fraction of live traffic to the
 // candidate, shadow-scores the same frames on the incumbent path, and

@@ -246,8 +246,9 @@ type ModelzInfo struct {
 	InputRes int `json:"input_res"`
 	// Threshold is the peer's ad-probability blocking threshold.
 	Threshold float64 `json:"threshold"`
-	// Backends lists the peer's registry entries (?model= candidates on
-	// /classify and /classify/batch).
+	// Backends lists the peer's registry entries: the canary's candidates,
+	// and the ?model= selections of a BatchHandler where one is mounted
+	// (bench/ mounts it; the daemon's /classify ignores ?model=).
 	Backends []string `json:"backends,omitempty"`
 	// InstanceID is the serving daemon's per-process identity (random at
 	// startup). Dialers compare it against their own to reject self-dials

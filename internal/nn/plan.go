@@ -33,8 +33,9 @@ type region struct {
 // stage is one step of a plan: kind over region in into region out — a
 // convolution at channel (FP32) or quad plane (INT8) offset chOff — with
 // scratch regions scratch (the engine's own element type) and i32. An FP32
-// stage runs conv, with relu and pool; an INT8 one qconv or pool over input
-// images of h×w, whose output images hold planes quad planes.
+// stage runs conv, with relu and pool; an INT8 one qconv (its pool
+// included) over input images of h×w, whose output images hold planes quad
+// planes.
 type stage struct {
 	kind                  int
 	in, out, scratch, i32 int

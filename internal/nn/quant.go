@@ -20,15 +20,6 @@ import (
 // constants (mult, beta) consumed by the fused requantize epilogue, so the
 // hot path touches no quantization arithmetic beyond one FMA per element.
 
-// qLayer is one layer of the INT8 body between the stem and the classifier:
-// a fire, or (fire nil) an unpadded max pool over quad planes, which passes
-// the quantization parameters and the channel layout through unchanged (max
-// commutes with the monotonic dequantization map).
-type qLayer struct {
-	fire *tensor.QFire
-	pool tensor.PoolSpec
-}
-
 // QuantizedSequential is the INT8 counterpart of a Sequential restricted to
 // the inference-path layer vocabulary (a first Conv2D+ReLU over at most four
 // channels, then Fire, unpadded MaxPool and Dropout, a final Conv2D and
@@ -37,14 +28,17 @@ type qLayer struct {
 // That first convolution, and the max pool when one follows it, run as one
 // tensor.QStem reading the input as pixels — four bytes each, channel-minor,
 // as a bitmap holds them — so a frame's bytes go from the bitmap to the stem
-// through the input table without being split into planes.
+// through the input table without being split into planes. Every other max
+// pool follows a fire and runs in both of its expands (tensor.QConv.Pool),
+// which write the pooled concatenation: pooling passes the quantization
+// parameters and the channel layout through unchanged.
 type QuantizedSequential struct {
 	inQ tensor.QuantParams
 	// inLUT is the whole input conversion for a pixel byte p: the float
 	// p·(1/255) a frame's tensor would hold, through QuantizeU8 with inQ.
 	inLUT   [256]uint8
 	stem    tensor.QStem
-	body    []qLayer
+	body    []tensor.QFire
 	final   qFinal
 	classes int
 
@@ -72,11 +66,10 @@ func (q *QuantizedSequential) InputQuant() tensor.QuantParams { return q.inQ }
 // the FP32 model.
 func (q *QuantizedSequential) SizeBytes() int {
 	total := q.stem.W.Len() + 8*len(q.stem.RQ.Mult)
-	for _, l := range q.body {
-		if f := l.fire; f != nil {
-			for _, c := range [...]*tensor.QConv{&f.Squeeze, &f.Expand1, &f.Expand3} {
-				total += c.W.Len() + 8*len(c.RQ.Mult)
-			}
+	for i := range q.body {
+		f := &q.body[i]
+		for _, c := range [...]*tensor.QConv{&f.Squeeze, &f.Expand1, &f.Expand3} {
+			total += c.W.Len() + 8*len(c.RQ.Mult)
 		}
 	}
 	return total + q.final.conv.W.Len() + 8*len(q.final.mult)
@@ -100,8 +93,7 @@ func inputTable(inQ tensor.QuantParams) (lut [256]uint8) {
 // Stage kinds of an INT8 plan.
 const (
 	qStageStem     = iota // the stem (and pool1) from the input pixels
-	qStageConv            // a fire's squeeze or expand
-	qStagePool            // a max pool over planes quad planes an image
+	qStageConv            // a fire's squeeze or expand, the latter maybe pooled
 	qStageClassify        // the classifier and GAP into the logits
 	qStageSoftmax         // the probabilities
 )
@@ -119,20 +111,16 @@ func (q *QuantizedSequential) compile(p *plan) {
 		u8, i32 := e.ScratchLen(h, w)
 		return p.add(stage{kind: qStageConv, qconv: e, h: h, w: w, planes: planes, chOff: off}, in, out, slabU8, u8, i32)
 	}
-	for _, l := range q.body {
-		if f := l.fire; f != nil {
-			sqC := f.Squeeze.Spec.OutC
-			sq := conv(&f.Squeeze, cur, p.act(slabU8, quadBytes(sqC, h, w)), (sqC+3)/4, 0)
-			c = f.OutC()
-			y := p.act(slabU8, quadBytes(c, h, w))
-			conv(&f.Expand1, sq, y, (c+3)/4, 0)
-			cur = conv(&f.Expand3, sq, y, (c+3)/4, (f.Expand1.Spec.OutC+3)/4)
-			continue
-		}
-		st := stage{kind: qStagePool, pool: l.pool, h: h, w: w, planes: (c + 3) / 4}
-		u8 := l.pool.QuadScratchLen(h, w)
-		h, w = l.pool.OutSize(h, w)
-		cur = p.add(st, cur, p.act(slabU8, quadBytes(c, h, w)), slabU8, u8, 0)
+	for i := range q.body {
+		f := &q.body[i]
+		sqC := f.Squeeze.Spec.OutC
+		sq := conv(&f.Squeeze, cur, p.act(slabU8, quadBytes(sqC, h, w)), (sqC+3)/4, 0)
+		c = f.OutC()
+		oh, ow := f.Expand1.OutSize(h, w)
+		y := p.act(slabU8, quadBytes(c, oh, ow))
+		conv(&f.Expand1, sq, y, (c+3)/4, 0)
+		cur = conv(&f.Expand3, sq, y, (c+3)/4, (f.Expand1.Spec.OutC+3)/4)
+		h, w = oh, ow
 	}
 	fc := &q.final.conv
 	u8, _ = fc.ScratchLen(h, w)
@@ -167,8 +155,6 @@ func (q *QuantizedSequential) run(p *plan, pix []uint8, n int, lut *[256]uint8, 
 			q.stem.ForwardInto(x, n, st.h, st.w, lut, y, su, si)
 		case qStageConv:
 			st.qconv.ForwardInto(x, n, st.h, st.w, y, st.planes, st.chOff, su, si)
-		case qStagePool:
-			tensor.MaxPoolQuadsInto(x, n*st.planes, st.h, st.w, st.pool, y, su)
 		case qStageClassify:
 			q.final.forward(x, n, st.h, st.w, si, su, ts[0].Data)
 		case qStageSoftmax:
@@ -338,9 +324,10 @@ func NewCalibrator(net *Sequential) (*Calibrator, error) {
 		return nil, fmt.Errorf("nn: Quantize: first convolution %s reads %d input channels; the INT8 engine packs one input pixel's channels into a 4-byte quad, so it takes at most 4",
 			stem.Name(), stem.Spec.InC)
 	}
-	// After the stem every activation is quad planes, which only fires,
-	// unpadded pools and the classifier read.
-	for _, nd := range nodes[1:] {
+	// After the stem every activation is quad planes, which only fires and
+	// the classifier read; every pool runs in the epilogue of the stem or a
+	// fire's expands, unpadded.
+	for i, nd := range nodes[1:] {
 		switch {
 		case nd.conv != nil:
 			return nil, fmt.Errorf("nn: Quantize: convolution %s follows the first one outside a fire module; the INT8 engine runs convolutions after its first only as fire squeezes and expands and as the classifier, so it cannot take this network (the FP32 engine still serves it)",
@@ -348,6 +335,9 @@ func NewCalibrator(net *Sequential) (*Calibrator, error) {
 		case nd.pool != nil && nd.pool.Spec.Pad != 0:
 			return nil, fmt.Errorf("nn: Quantize: max pool %s is padded (pad %d); the INT8 engine pools only without padding, so it cannot take this network (the FP32 engine still serves it)",
 				nd.pool.Name(), nd.pool.Spec.Pad)
+		case nd.pool != nil && i > 0 && nodes[i].fire == nil:
+			return nil, fmt.Errorf("nn: Quantize: max pool %s follows neither the first convolution nor a fire module; the INT8 engine pools only in the epilogue of one of those, so it cannot take this network (the FP32 engine still serves it)",
+				nd.pool.Name())
 		}
 	}
 	c := &Calibrator{net: net, nodes: nodes, final: finalConv, classes: classes, inC: stem.Spec.InC, obs: map[*Conv2D]*observer{stem: {}}}
@@ -394,7 +384,8 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 	q := &QuantizedSequential{inQ: c.inObs.params(), classes: c.classes}
 	q.inLUT = inputTable(q.inQ)
 	// The first node is the stem (NewCalibrator checked), and a pool right
-	// after it runs in its epilogue. Every other node is a fire or a pool.
+	// after it runs in its epilogue. Every other node is a fire or a pool
+	// right after one, which runs in the fire's expands.
 	stem := c.nodes[0].conv
 	curQ := c.obs[stem].params()
 	sc, err := buildQConv(stem, q.inQ, curQ, true, quadGap{})
@@ -409,9 +400,12 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 	var gap quadGap // in the current activation's layout
 	for _, nd := range rest {
 		switch {
+		case nd.pool != nil: // behind the last fire (NewCalibrator checked)
+			f := &q.body[len(q.body)-1]
+			f.Expand1.Pool, f.Expand3.Pool = nd.pool.Spec, nd.pool.Spec
 		case nd.fire != nil:
 			sqQ, outQ := c.obs[nd.fire.Squeeze].params(), c.obs[nd.fire.Expand3].params()
-			f := &tensor.QFire{}
+			var f tensor.QFire
 			for _, b := range [...]struct {
 				dst     *tensor.QConv
 				conv    *Conv2D
@@ -426,11 +420,9 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 					return nil, err
 				}
 			}
-			q.body = append(q.body, qLayer{fire: f})
+			q.body = append(q.body, f)
 			e1 := f.Expand1.Spec.OutC
 			curQ, gap = outQ, quadGap{at: e1, pad: (e1+3)/4*4 - e1}
-		case nd.pool != nil:
-			q.body = append(q.body, qLayer{pool: nd.pool.Spec})
 		}
 	}
 	q.final = buildQFinal(c.final, curQ, gap)
@@ -523,12 +515,11 @@ func buildQConv(c *Conv2D, inQ, outQ tensor.QuantParams, relu bool, gap quadGap)
 }
 
 // checkMonotonic refuses a requantization that could decrease as its
-// accumulator grows: a negative or NaN multiplier on some channel. The INT8
-// stages max-pool in the requantized domain — the stem's fused pool takes
-// each window's maximum of raw accumulators and requantizes only that, the
-// later pools take the maximum of requantized bytes — which equals pooling
-// the real-valued outputs only under a map that never decreases. It is
-// checked once, where a stage is built; the stages run unchecked.
+// accumulator grows: a negative or NaN multiplier on some channel. Every
+// INT8 pool — the stem's and those in fire expands — takes each window's
+// maximum of raw accumulators and requantizes only that, which equals
+// pooling the real-valued outputs only under a map that never decreases. It
+// is checked once, where a stage is built; the stages run unchecked.
 func checkMonotonic(stage string, rq tensor.Requant) error {
 	for oc, m := range rq.Mult {
 		if !(m >= 0) {

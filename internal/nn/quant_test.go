@@ -248,6 +248,20 @@ func TestQuantizeRejectsUnsupported(t *testing.T) {
 			t.Fatalf("network with %s after a fire: error %v, want one naming it, %q and the FP32 engine", bad.layer.Name(), err, bad.want)
 		}
 	}
+	// Every INT8 pool runs in the epilogue of the stem or a fire's expands,
+	// so a pool behind a pool is refused the same way.
+	twice := NewSequential(
+		NewConv2D("c", tensor.ConvSpec{InC: 3, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}),
+		NewReLU("r"),
+		NewMaxPool("pool1", 2, 2),
+		NewMaxPool("pool2", 2, 2),
+		NewConv2D("head", tensor.ConvSpec{InC: 4, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}),
+		NewGlobalAvgPool("gap"))
+	InitHe(twice, rand.New(rand.NewSource(30)))
+	if _, err := Quantize(twice, calib); err == nil || !strings.Contains(err.Error(), "pool2") ||
+		!strings.Contains(err.Error(), "neither the first convolution nor a fire") || !strings.Contains(err.Error(), "FP32 engine still serves") {
+		t.Fatalf("network with a pool after a pool: error %v, want one naming pool2, where INT8 pools run and the FP32 engine", err)
+	}
 	for _, net := range []*Sequential{
 		NewSequential(NewMaxPool("p", 2, 2), NewConv2D("head", tensor.ConvSpec{InC: 3, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}), NewGlobalAvgPool("gap")),
 		NewSequential(NewConv2D("head", tensor.ConvSpec{InC: 3, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}), NewGlobalAvgPool("gap")),

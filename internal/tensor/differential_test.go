@@ -494,6 +494,24 @@ func maxPoolRef(x []uint8, c, h, w int, p PoolSpec) []uint8 {
 	return y
 }
 
+// maxPoolQuadsRef max-pools `planes` quad planes of h×w pixels by scanning
+// each K×K window, each lane of a word on its own channel (unpadded pools
+// only): what a pooled INT8 stage must write for the quad planes its
+// unpooled twin materializes.
+func maxPoolQuadsRef(x []uint8, planes, h, w int, p PoolSpec) []uint8 {
+	oh, ow := p.OutSize(h, w)
+	y := make([]uint8, planes*4*oh*ow)
+	for i := range y {
+		l, ox, oy, pl := i%4, i/4%ow, i/4/ow%oh, i/(4*oh*ow)
+		for ky := 0; ky < p.K; ky++ {
+			for kx := 0; kx < p.K; kx++ {
+				y[i] = max(y[i], x[((pl*h+oy*p.Stride+ky)*w+ox*p.Stride+kx)*4+l])
+			}
+		}
+	}
+	return y
+}
+
 // requantRef is RequantizeU8 for one element, as its contract states it:
 // one fused multiply-add, round to nearest even, clamp to [lo, QMaxU8].
 func requantRef(acc int32, mult, beta float32, lo int32) uint8 {
@@ -501,66 +519,10 @@ func requantRef(acc int32, mult, beta float32, lo int32) uint8 {
 	return uint8(min(max(int32(math.RoundToEven(float64(f))), lo), QMaxU8))
 }
 
-// TestMaxPoolU8MatchesWindowScan is the INT8 max pool's differential test:
-// MaxPoolQuadsInto — whole-row vector passes at byte strides of 4·w and 4,
-// pooled pixels picked as words — must equal a K×K window scan through the
-// oracle, lane by lane, for K 2–3, stride 1–3 and every width from below one
-// 16-byte vector to past two 32-byte ones (every w%32 class), on the vector
-// and portable paths; the bytes after its last output stay untouched.
-func TestMaxPoolU8MatchesWindowScan(t *testing.T) {
-	defer useQuantTier(currentQuantTier())
-	const sentinel = 0xEE
-	for _, tier := range quantTiers() {
-		if tier.vnni {
-			continue // same row helpers as the AVX2 tier
-		}
-		useQuantTier(tier)
-		rng := rand.New(rand.NewSource(45))
-		for _, k := range []int{2, 3} {
-			for stride := 1; stride <= 3; stride++ {
-				for w := 3; w <= 99; w++ {
-					p := PoolSpec{K: k, Stride: stride}
-					h := 3 + rng.Intn(7)
-					oh, ow := p.OutSize(h, w)
-					const planes = 3
-					x := make([]uint8, planes*4*h*w)
-					for i := range x {
-						x[i] = uint8(rng.Intn(256))
-					}
-					y := make([]uint8, planes*4*oh*ow+4)
-					for i := range y {
-						y[i] = sentinel
-					}
-					MaxPoolQuadsInto(x, planes, h, w, p, y, make([]uint8, p.QuadScratchLen(h, w)))
-					for pl := 0; pl < planes; pl++ {
-						for l := 0; l < 4; l++ {
-							lane := make([]uint8, h*w)
-							for j := range lane {
-								lane[j] = x[(pl*h*w+j)*4+l]
-							}
-							for j, want := range maxPoolRef(lane, 1, h, w, p) {
-								if got := y[(pl*oh*ow+j)*4+l]; got != want {
-									t.Fatalf("%s %+v on %dx%d plane %d lane %d: y[%d,%d]=%d want %d", tier.name, p, h, w, pl, l, j/ow, j%ow, got, want)
-								}
-							}
-						}
-					}
-					for i, v := range y[planes*4*oh*ow:] {
-						if v != sentinel {
-							t.Fatalf("%s %+v on %dx%d: wrote byte %d past the output", tier.name, p, h, w, i)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestByteHelpersMatchScalar pins the two byte row helpers of the INT8
-// forward — the quad transposer and the K-tap row max — to their scalar
-// definitions at every length from below one vector to past
-// several, so the vector bodies, their overlapping ragged ends and the
-// portable loops cannot drift apart.
+// TestByteHelpersMatchScalar pins the quad transposer, the byte row helper
+// the dense QGemm packs with, to its scalar definition at every length from
+// below one vector to past several, so the vector body and the portable loop
+// cannot drift apart.
 func TestByteHelpersMatchScalar(t *testing.T) {
 	defer useQuantTier(currentQuantTier())
 	rng := rand.New(rand.NewSource(46))
@@ -598,22 +560,6 @@ func TestByteHelpersMatchScalar(t *testing.T) {
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("%s transposeQuad nc=%d nr=%d: [%d]=%d want %d", tier.name, n, nr, i, got[i], want[i])
-					}
-				}
-			}
-			for k := 1; k <= 3; k++ {
-				for _, stride := range []int{1, n + 3} {
-					src := draw(n + (k-1)*stride)
-					got := make([]uint8, n)
-					maxU8Into(got, src, k, stride)
-					for i := range got {
-						want := src[i]
-						for tap := 1; tap < k; tap++ {
-							want = max(want, src[i+tap*stride])
-						}
-						if got[i] != want {
-							t.Fatalf("%s maxU8Into n=%d k=%d stride=%d: [%d]=%d want %d", tier.name, n, k, stride, i, got[i], want)
-						}
 					}
 				}
 			}

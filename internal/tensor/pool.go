@@ -20,21 +20,11 @@ func (p PoolSpec) OutSize(h, w int) (oh, ow int) {
 	return windowCount(h, p.Pad, p.K, p.Stride), windowCount(w, p.Pad, p.K, p.Stride)
 }
 
-// MaxPoolForward computes max pooling over x ([N,C,H,W]) and records the
-// linear argmax index of each output element (into x.Data) so the backward
-// pass can route gradients. Padded positions are -inf and never win.
-func MaxPoolForward(x *Tensor, p PoolSpec) (y *Tensor, argmax []int32) {
-	n, c := x.Shape[0], x.Shape[1]
-	oh, ow := p.OutSize(x.Shape[2], x.Shape[3])
-	y = New(n, c, oh, ow)
-	argmax = make([]int32, y.Len())
-	MaxPoolForwardArgmax(x, p, y, argmax)
-	return y, argmax
-}
-
-// MaxPoolForwardArgmax is the scratch-friendly body of MaxPoolForward: it
-// pools into the caller-provided y ([N,C,outH,outW]) and argmax (y.Len()
-// elements), allocating nothing. The training path routes argmax through
+// MaxPoolForwardArgmax computes max pooling over x ([N,C,H,W]) into the
+// caller-provided y ([N,C,outH,outW]) and records the linear argmax index of
+// each output element (into x.Data) in argmax (y.Len() elements), so the
+// backward pass can route gradients. Padded positions are -inf and never
+// win. It allocates nothing: the training path routes argmax through
 // GetScratchI32/PutScratchI32 so repeated forward/backward cycles reuse one
 // buffer instead of allocating per call.
 func MaxPoolForwardArgmax(x *Tensor, p PoolSpec, y *Tensor, argmax []int32) {

@@ -7,20 +7,51 @@ import (
 	"testing"
 )
 
+// edgeRequant draws m channels' requantization onto its edges, where a
+// window maximum is most easily taken in the wrong domain: per channel a
+// constant map (Mult 0), a map so flat that neighbouring accumulators land
+// on one byte, one so steep that most clamp at 0 or QMaxU8 (or zOut under
+// ReLU), and Beta on a rounding midpoint.
+func edgeRequant(rng *rand.Rand, m int, zOut int32) Requant {
+	rq := Requant{Mult: make([]float32, m), Beta: make([]float32, m), ZOut: zOut}
+	for oc := range rq.Mult {
+		switch oc % 4 {
+		case 0: // one byte everywhere
+			rq.Mult[oc], rq.Beta[oc] = 0, float32(rng.Intn(QMaxU8+1))
+		case 1: // neighbouring accumulators share a byte
+			rq.Mult[oc], rq.Beta[oc] = 1.0/64, float32(zOut)+0.5
+		case 2: // most values clamp at one end or the other
+			rq.Mult[oc], rq.Beta[oc] = 9, float32(zOut)-2.5
+		default:
+			rq.Mult[oc], rq.Beta[oc] = 0.75, float32(rng.Intn(QMaxU8+1))+0.5
+		}
+	}
+	return rq
+}
+
+// tieWeights draws s8 weights in {-1, 0, 1}: over a handful of input values
+// the accumulators then tie within a window.
+func tieWeights(rng *rand.Rand, n int) []int8 {
+	wq := make([]int8, n)
+	for i := range wq {
+		wq[i] = int8(rng.Intn(3) - 1)
+	}
+	return wq
+}
+
+// tieBytes are the input bytes the tie tests draw from.
+var tieBytes = []uint8{0, 1, 2, 3, 126, 127, 255}
+
 // TestQStemPoolMatchesStemThenPool pins the fused INT8 stem to the two
 // stages it replaces: QStem with a pool must equal, byte for byte, the same
-// stem without one — its output materialized as quad planes — followed by
-// MaxPoolQuadsInto. The data is drawn to sit on the requantization's edges,
-// where the window maximum is most easily taken in the wrong domain: weights
-// in {-1, 0, 1} over a handful of pixel values, so accumulators tie within a
-// window; and per channel a constant map (Mult 0), a map so flat that
-// neighbouring accumulators land on one byte, one so steep that most clamp
-// at 0 or QMaxU8 (or ZOut under ReLU), and Beta on a rounding midpoint.
-// Every tier; batch 1 and 2, default blocks and one-row blocks — so windows
-// straddle blocks and rows are carried between them — on the small cases.
+// stem without one — its output materialized as quad planes — followed by a
+// window scan (maxPoolQuadsRef), on tie weights and pixels and edge
+// requantizations (edgeRequant). Every tier; batch 1 and 2, default blocks
+// and one-row blocks — so windows straddle blocks and rows are carried
+// between them — on the small cases.
 func TestQStemPoolMatchesStemThenPool(t *testing.T) {
 	defer useQuantTier(currentQuantTier())
-	defer func(cols int) { qstemBlockCols = cols }(qstemBlockCols)
+	defer func(cols int) { qpoolBlockCols = cols }(qpoolBlockCols)
 	cases := []struct {
 		name string
 		s    ConvSpec
@@ -38,33 +69,15 @@ func TestQStemPoolMatchesStemThenPool(t *testing.T) {
 		rng := rand.New(rand.NewSource(61))
 		for ci, cc := range cases {
 			s := cc.s
-			k := s.InC * s.KH * s.KW
-			wq := make([]int8, s.OutC*k)
-			for i := range wq {
-				wq[i] = int8(rng.Intn(3) - 1)
-			}
+			wq := tieWeights(rng, s.OutC*s.InC*s.KH*s.KW)
 			zOut := []int32{0, 9, QMaxU8}[ci%3]
-			rq := Requant{Mult: make([]float32, s.OutC), Beta: make([]float32, s.OutC), ZOut: zOut}
-			for oc := range rq.Mult {
-				switch oc % 4 {
-				case 0: // one byte everywhere
-					rq.Mult[oc], rq.Beta[oc] = 0, float32(rng.Intn(QMaxU8+1))
-				case 1: // neighbouring accumulators share a byte
-					rq.Mult[oc], rq.Beta[oc] = 1.0/64, float32(zOut)+0.5
-				case 2: // most values clamp at one end or the other
-					rq.Mult[oc], rq.Beta[oc] = 9, float32(zOut)-2.5
-				default:
-					rq.Mult[oc], rq.Beta[oc] = 0.75, float32(rng.Intn(QMaxU8+1))+0.5
-				}
-			}
-			values := []uint8{0, 1, 2, 3, 126, 127, 255}
+			rq := edgeRequant(rng, s.OutC, zOut)
 			for _, relu := range []bool{true, false} {
 				rq.ReLU = relu
 				fused := QStem{Spec: s, W: PackQQuadWeights(wq, s), RQ: rq, ZP: uint8(zOut), Pool: cc.pool}
 				plain := fused
 				plain.Pool = PoolSpec{}
 				oh, ow := s.OutSize(cc.h, cc.w)
-				poh, pow := cc.pool.OutSize(oh, ow)
 				planes := quadPlanes(s.OutC)
 				batches, blocks := []int{1, 2}, []int{1024, 1}
 				if cc.h*cc.w > 64*64 {
@@ -73,19 +86,14 @@ func TestQStemPoolMatchesStemThenPool(t *testing.T) {
 				for _, n := range batches {
 					pix := make([]uint8, n*cc.h*cc.w*4)
 					for i := range pix {
-						pix[i] = values[rng.Intn(len(values))]
+						pix[i] = tieBytes[rng.Intn(len(tieBytes))]
 					}
-					qstemBlockCols = 1024
 					full := make([]uint8, n*planes*4*oh*ow)
 					u8, i32 := qstemScratch(&plain, cc.h, cc.w)
 					plain.ForwardInto(pix, n, cc.h, cc.w, nil, full, u8, i32)
-					want := make([]uint8, n*planes*4*poh*pow)
-					scratch := make([]uint8, cc.pool.QuadScratchLen(oh, ow))
-					for i := 0; i < n; i++ {
-						MaxPoolQuadsInto(full[i*planes*4*oh*ow:], planes, oh, ow, cc.pool, want[i*planes*4*poh*pow:], scratch)
-					}
+					want := maxPoolQuadsRef(full, n*planes, oh, ow, cc.pool)
 					for _, cols := range blocks {
-						qstemBlockCols = cols
+						qpoolBlockCols = cols
 						name := fmt.Sprintf("%s %s relu %v batch %d block cols %d", tier.name, cc.name, relu, n, cols)
 						got := make([]uint8, len(want))
 						u8, i32 := qstemScratch(&fused, cc.h, cc.w)
@@ -97,7 +105,100 @@ func TestQStemPoolMatchesStemThenPool(t *testing.T) {
 							}
 						}
 					}
+					qpoolBlockCols = 1024
 				}
+			}
+		}
+	}
+}
+
+// TestQFirePoolMatchesFireThenPool is the stem test's twin for the pools
+// behind fires: a QFire whose expands carry the pool must write, byte for
+// byte, what the unpooled fire's materialized concatenation pools to by
+// window scan (maxPoolQuadsRef), spare lanes included, and nothing past it.
+// Tie weights and squeeze planes, edge requantizations. Cases: the paper
+// net's pooled fires at 55 and 27 (3×3/2, pooled widths 27 and 13: the
+// one-pass kernel), SmallConfig(16)'s at 8 and 4 (2×2/2, pooled widths 4
+// and 2, as every width below 8: poolRow), and an Expand1 width that is no
+// multiple of 4, so its spare lanes sit between the expands. Every tier,
+// batch 1 and 3, default blocks and one-row ones.
+func TestQFirePoolMatchesFireThenPool(t *testing.T) {
+	defer useQuantTier(currentQuantTier())
+	defer func(cols int) { qpoolBlockCols = cols }(qpoolBlockCols)
+	k3s2, k2s2 := PoolSpec{K: 3, Stride: 2}, PoolSpec{K: 2, Stride: 2}
+	cases := []struct {
+		name       string
+		sq, e1, e3 int
+		h, w       int
+		pool       PoolSpec
+	}{
+		{"paper fire2 55", 16, 32, 32, 55, 55, k3s2},
+		{"paper fire4 27", 32, 64, 64, 27, 27, k3s2},
+		{"small16 fire2 8", 8, 8, 8, 8, 8, k2s2},
+		{"small16 fire4 4", 12, 12, 12, 4, 4, k2s2},
+		{"expand1 6 at 11×17", 5, 6, 7, 11, 17, k3s2},
+	}
+	const sentinel = 0xEE
+	for _, tier := range quantTiers() {
+		useQuantTier(tier)
+		rng := rand.New(rand.NewSource(63))
+		for ci, cc := range cases {
+			zs, zOut := uint8([]int{0, 9, QMaxU8}[ci%3]), []int32{9, QMaxU8, 0}[ci%3]
+			expand := func(oc, k int, s ConvSpec) QConv {
+				s.InC, s.OutC, s.KH, s.KW, s.StrideH, s.StrideW = cc.sq, oc, k, k, 1, 1
+				rq := edgeRequant(rng, oc, zOut)
+				rq.ReLU = true
+				return QConv{Spec: s, W: PackQQuadWeights(tieWeights(rng, oc*cc.sq*k*k), s), RQ: rq, ZP: zs}
+			}
+			plain := QFire{Expand1: expand(cc.e1, 1, ConvSpec{}), Expand3: expand(cc.e3, 3, ConvSpec{PadH: 1, PadW: 1})}
+			pooled := plain
+			pooled.Expand1.Pool, pooled.Expand3.Pool = cc.pool, cc.pool
+			scratch := func(f *QFire) ([]uint8, []int32) { // the expands'; there is no squeeze
+				u1, i1 := f.Expand1.ScratchLen(cc.h, cc.w)
+				u3, i3 := f.Expand3.ScratchLen(cc.h, cc.w)
+				return make([]uint8, max(u1, u3)), make([]int32, max(i1, i3))
+			}
+			sqPlanes, planes := quadPlanes(cc.sq), quadPlanes(plain.OutC())
+			hw := cc.h * cc.w
+			poh, pow := pooled.Expand1.OutSize(cc.h, cc.w)
+			for _, n := range []int{1, 3} {
+				// The squeeze's planes, spare lanes at its zero point.
+				sq := make([]uint8, n*sqPlanes*4*hw)
+				for i := range sq {
+					sq[i] = zs
+					if i/(4*hw)%sqPlanes*4+i%4 < cc.sq {
+						sq[i] = tieBytes[rng.Intn(len(tieBytes))]
+					}
+				}
+				full := make([]uint8, n*planes*4*hw)
+				u8, i32 := scratch(&plain)
+				plain.Expand1.ForwardInto(sq, n, cc.h, cc.w, full, planes, 0, u8, i32)
+				plain.Expand3.ForwardInto(sq, n, cc.h, cc.w, full, planes, quadPlanes(cc.e1), u8, i32)
+				want := maxPoolQuadsRef(full, n*planes, cc.h, cc.w, cc.pool)
+				for _, cols := range []int{1024, 1} {
+					qpoolBlockCols = cols
+					name := fmt.Sprintf("%s %s batch %d block cols %d", tier.name, cc.name, n, cols)
+					got := make([]uint8, len(want)+4*nrQTile)
+					for i := range got {
+						got[i] = sentinel
+					}
+					u8, i32 := scratch(&pooled)
+					poison(u8, i32)
+					pooled.Expand1.ForwardInto(sq, n, cc.h, cc.w, got, planes, 0, u8, i32)
+					pooled.Expand3.ForwardInto(sq, n, cc.h, cc.w, got, planes, quadPlanes(cc.e1), u8, i32)
+					for i, v := range want {
+						if got[i] != v {
+							t.Fatalf("%s: image %d plane %d pooled pixel %d lane %d = %d, fire then pool %d",
+								name, i/(4*poh*pow*planes), i/(4*poh*pow)%planes, i/4%(poh*pow), i%4, got[i], v)
+						}
+					}
+					for i, v := range got[len(want):] {
+						if v != sentinel {
+							t.Fatalf("%s: the pooled expands wrote %d bytes past their output", name, i+1)
+						}
+					}
+				}
+				qpoolBlockCols = 1024
 			}
 		}
 	}

@@ -18,6 +18,11 @@ type QConv struct {
 	RQ Requant
 	// ZP is the input zero point: what padding positions read.
 	ZP uint8
+	// Pool, when K > 0, is a max pool (Pad must be 0) applied to the
+	// requantized output, which is then never materialized: ForwardInto's y
+	// is the pooled planes. As QStem's pool, it takes each window's maximum
+	// of the raw accumulators and requantizes only that.
+	Pool PoolSpec
 }
 
 // QFire is a quantized fire module, SqueezeNet's building block: a pointwise
@@ -32,7 +37,8 @@ type QConv struct {
 // The concatenated output is Expand1's planes, then Expand3's: when
 // Expand1's width is no multiple of 4, its last plane's spare lanes (the
 // output zero point) sit between the two, and a consumer's weights skip them
-// with zero columns.
+// with zero columns. A max pool behind the fire is both expands' Pool, so
+// they write the pooled concatenation.
 type QFire struct {
 	// Squeeze reads the fire's input planes.
 	Squeeze QConv
@@ -60,34 +66,62 @@ func (e *QConv) quadView(h, w int) convView[uint32] {
 	return v
 }
 
-// ScratchLen is the scratch e needs to run over h×w quad planes: the
-// product's u8 and i32 (qgemmSplit). AccInto takes the u8 part.
-func (e *QConv) ScratchLen(h, w int) (u8, i32 int) {
+// OutSize returns the stage's output size for h×w images: the
+// convolution's, or the pool's of it.
+func (e *QConv) OutSize(h, w int) (oh, ow int) {
+	oh, ow = e.Spec.OutSize(h, w)
+	if e.Pool.K > 0 {
+		return e.Pool.OutSize(oh, ow)
+	}
+	return oh, ow
+}
+
+// geometry is how ForwardInto runs e over n h×w images: its pool's (see
+// qpoolGeometry), and the scratch that takes — u8: the product's; i32: the
+// pool's, then the product's.
+func (e *QConv) geometry(n, h, w int) (g qpoolGeometry, u8, i32 int) {
 	oh, ow := e.Spec.OutSize(h, w)
-	_, _, u8, i32 = qgemmSplit(e.Spec.OutC, e.W.k, oh*ow, false, 0, true)
+	g = newQPoolGeometry("QConv.ForwardInto", e.Pool, n, e.Spec.OutC, oh, ow)
+	_, _, u8, i32 = qgemmSplit(e.Spec.OutC, e.W.k, g.convH*ow, false, g.blockCols, e.Pool.K == 0)
+	return g, u8, g.i32Len + i32
+}
+
+// ScratchLen is the scratch e needs to run over h×w quad planes (see
+// geometry). AccInto takes the u8 part. Like ForwardInto, it refuses a pool
+// whose output is empty.
+func (e *QConv) ScratchLen(h, w int) (u8, i32 int) {
+	_, u8, i32 = e.geometry(1, h, w)
 	return u8, i32
 }
 
 // ForwardInto runs e on the quad planes of n h×w images in q (⌈InC/4⌉
 // planes an image) and requantizes the result into planes [planeOff,
-// planeOff+⌈OutC/4⌉) of y (dstPlanes quad planes of the output size an
+// planeOff+⌈OutC/4⌉) of y (dstPlanes quad planes of OutSize's pixels an
 // image), in scratch of ScratchLen — a fire's expands write their slots of
-// the concatenation so.
+// the concatenation so, pooled or not. With a pool the epilogue pools
+// before it requantizes (see qpoolGeometry).
 func (e *QConv) ForwardInto(q []uint8, n, h, w int, y []uint8, dstPlanes, planeOff int, u8 []uint8, i32 []int32) {
 	s := e.Spec
-	oh, ow := s.OutSize(h, w)
-	ql, ol := quadPlanes(s.InC)*4*h*w, dstPlanes*4*oh*ow
+	g, u8Len, i32Len := e.geometry(n, h, w)
+	ql, pl := quadPlanes(s.InC)*4*h*w, 4*g.outH*g.outW
 	if e.W.m != s.OutC || e.W.k != quadPlanes(s.InC)*4*s.KH*s.KW || len(e.RQ.Mult) < s.OutC || len(e.RQ.Beta) < s.OutC ||
-		len(q) < n*ql || len(y) < n*ol || planeOff+quadPlanes(s.OutC) > dstPlanes {
+		len(q) < n*ql || len(y) < n*dstPlanes*pl || planeOff+quadPlanes(s.OutC) > dstPlanes {
 		panic(fmt.Sprintf("tensor: QConv.ForwardInto: q %d / weights %d×%d / requant %d,%d / y %d at plane %d of %d do not fit %+v over %d images of %d×%d",
 			len(q), e.W.m, e.W.k, len(e.RQ.Mult), len(e.RQ.Beta), len(y), planeOff, dstPlanes, s, n, h, w))
 	}
+	checkScratch("QConv.ForwardInto", len(u8), u8Len)
+	checkScratch("QConv.ForwardInto accumulators", len(i32), i32Len)
 	view := e.quadView(h, w)
-	ep := qgemmEpilogue{rq: e.RQ, ld: oh * ow}
+	ep := qgemmEpilogue{rq: e.RQ, ld: g.outH * g.outW}
+	var pool qpoolRun
+	if g.spec.K > 0 {
+		pool, i32 = g.run(i32)
+		ep.pool = &pool
+	}
 	for i := 0; i < n; i++ {
 		view.setImage(quadWords(q[i*ql : (i+1)*ql]))
-		ep.dst = y[i*ol+planeOff*4*oh*ow : (i+1)*ol]
-		qgemmDispatch(e.W, qgemmB{quad: &view}, nil, e.Spec.OutC, e.W.k, oh*ow, &ep, u8, i32)
+		ep.begin(y[(i*dstPlanes+planeOff)*pl : (i+1)*dstPlanes*pl])
+		qgemmDispatch(e.W, qgemmB{quad: &view}, nil, s.OutC, e.W.k, g.convH*g.ow, &ep, u8, i32)
 	}
 }
 

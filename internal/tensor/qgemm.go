@@ -127,6 +127,17 @@ type qgemmEpilogue struct {
 	pool *qpoolRun
 }
 
+// begin points e at one image's destination: the quad planes apply writes
+// from, or the pooled planes of a pooling epilogue, whose carried rows it
+// drops.
+func (e *qgemmEpilogue) begin(dst []uint8) {
+	if e.pool != nil {
+		e.pool.dst, e.pool.base, e.pool.held, e.pool.py = dst, 0, 0, 0
+		return
+	}
+	e.dst = dst
+}
+
 // apply requantizes the m×nc accumulator block acc (row stride nc) into
 // columns [j0, j0+nc) of the destination planes, a plane's four rows at a
 // time.
@@ -185,14 +196,15 @@ func requantQuads(dst []uint8, acc []int32, ld, rows, n int, rq Requant, ch int)
 }
 
 // qgemmSplit is how qgemmDispatch runs an m×k×n product: unblocked (small:
-// never a stem's, whose operand only packs panels) or blocked step columns
-// at a time — blockCols when set, else the tier's nc; and the scratch that
-// takes: u8Len bytes for the packed B block (an unblocked product's one row
-// of B quads) and, when acc is set, i32Len accumulators for an epilogue's
-// column block (a pooling epilogue brings its own).
+// never a stem's, whose operand only packs panels, nor a pooled one's, whose
+// blocks are whole output rows) or blocked step columns at a time —
+// blockCols when set, else the tier's nc; and the scratch that takes: u8Len
+// bytes for the packed B block (an unblocked product's one row of B quads)
+// and, when acc is set, i32Len accumulators for an epilogue's column block
+// (a pooling epilogue brings its own).
 func qgemmSplit(m, k, n int, stem bool, blockCols int, acc bool) (small bool, step, u8Len, i32Len int) {
 	t := qgemmTier
-	small = m*k*n <= gemmSmallThreshold && !stem
+	small = m*k*n <= gemmSmallThreshold && !stem && blockCols == 0
 	step, u8Len = n, roundUp(4*n, 64)
 	if !small {
 		step = t.nc

@@ -17,12 +17,6 @@ func qgemmKernel4x16(quads int64, a *int8, b *uint8, c *int32, ldc int64, store 
 //go:noescape
 func transposeQuad16(dst *uint8, step int64, src *uint8, ld, panels int64)
 
-// maxU8x16 computes dst[i] = max over t < k of src[i+t*stride] for n >= 16
-// bytes with VPMAXUB; see qgemm_amd64.s.
-//
-//go:noescape
-func maxU8x16(dst, src *uint8, n, k, stride int64)
-
 // maxF32x8 computes dst[i] = max over t < k of src[i+t*stride] for n >= 8
 // elements with VMAXPS; see qgemm_amd64.s.
 //
@@ -104,7 +98,7 @@ func qgemmKernelVNNI8x32(quads int64, a *int8, b *uint8, c *int32, ldc int64, st
 // haveQuantASM gates the quantized kernels on the same AVX2+FMA+OS-XSAVE
 // detection as the FP32 kernel (VPMADDUBSW/VPMADDWD are AVX2; the requant
 // epilogue uses FMA), and with them the byte and FP32 row helpers
-// (transposeQuad16, maxU8x16, maxI32x8, poolI32K3S2, lutRowU8, copyTaps,
+// (transposeQuad16, maxI32x8, poolI32K3S2, lutRowU8, copyTaps,
 // bilinearColsU16x4, bilinearRowsU8x8; maxF32x8, gather2F32x8,
 // biasReLUF32x8 — AVX/AVX2).
 // haveVNNI additionally selects the VPDPBUSD kernel on parts with

@@ -396,77 +396,6 @@ tqdone:
 	VZEROUPPER
 	RET
 
-// func maxU8x16(dst, src *uint8, n, k, stride int64)
-//
-// dst[i] = max(src[i], src[i+stride], …, src[i+(k-1)*stride]) for n >= 16
-// bytes, k >= 1 — both passes of the separable u8 max pool over quad planes
-// (stride = 4 × row width for the vertical one, 4 for the horizontal one),
-// the byte twin of maxF32x8. 32 bytes a step while they last, then 16; a
-// ragged end is covered by one more 16-byte step overlapping the last
-// instead of a scalar tail.
-TEXT ·maxU8x16(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ k+24(FP), R8
-	MOVQ stride+32(FP), R9
-
-mxb32:
-	CMPQ CX, $32
-	JLT  mxb16
-	VMOVDQU (SI), Y0
-	MOVQ SI, R10
-	MOVQ R8, R11
-	DECQ R11
-	JEQ  mxb32store
-
-mxb32tap:
-	ADDQ R9, R10
-	VPMAXUB (R10), Y0, Y0
-	DECQ R11
-	JNE  mxb32tap
-
-mxb32store:
-	VMOVDQU Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $32, CX
-	JMP  mxb32
-
-mxb16:
-	CMPQ CX, $16
-	JLT  mxbtail
-	VMOVDQU (SI), X0
-	MOVQ SI, R10
-	MOVQ R8, R11
-	DECQ R11
-	JEQ  mxb16store
-
-mxb16tap:
-	ADDQ R9, R10
-	VPMAXUB (R10), X0, X0
-	DECQ R11
-	JNE  mxb16tap
-
-mxb16store:
-	VMOVDQU X0, (DI)
-	ADDQ $16, SI
-	ADDQ $16, DI
-	SUBQ $16, CX
-	JMP  mxb16
-
-mxbtail:
-	TESTQ CX, CX
-	JEQ   mxbdone
-	LEAQ  -16(SI)(CX*1), SI
-	LEAQ  -16(DI)(CX*1), DI
-	MOVQ  $16, CX
-	JMP   mxb16
-
-mxbdone:
-	VZEROUPPER
-	RET
-
 // func maxF32x8(dst, src *float32, n, k, stride int64)
 //
 // dst[i] = max(src[i], src[i+stride], …, src[i+(k-1)*stride]) for n >= 8

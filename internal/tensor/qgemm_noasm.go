@@ -14,11 +14,6 @@ func transposeQuad16(dst *uint8, step int64, src *uint8, ld, panels int64) {
 	panic("tensor: transposeQuad16 without assembly support")
 }
 
-// maxU8x16 is never called when haveQuantASM is false.
-func maxU8x16(dst, src *uint8, n, k, stride int64) {
-	panic("tensor: maxU8x16 without assembly support")
-}
-
 // maxF32x8 is never called when haveQuantASM is false.
 func maxF32x8(dst, src *float32, n, k, stride int64) {
 	panic("tensor: maxF32x8 without assembly support")

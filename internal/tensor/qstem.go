@@ -70,20 +70,20 @@ func (st *QStem) OutSize(h, w int) (oh, ow int) {
 	return oh, ow
 }
 
-// qstemBlockCols is the column budget of one stem block: the blocked driver
-// takes whole output rows, as many as fit (at least one), so a block's int32
-// accumulators (OutC × cols × 4 bytes) and its packed panels stay in L2
-// while they are pooled and requantized. A variable so the tests can shrink
-// blocks to a single row.
-var qstemBlockCols = 1024
+// qpoolBlockCols is the column budget of one block of a pooled quantized
+// convolution (QStem, QConv): the blocked driver takes whole output rows, as
+// many as fit (at least one), so a block's int32 accumulators (OutC × cols ×
+// 4 bytes) and its packed panels stay in L2 while they are pooled and
+// requantized. A variable so the tests can shrink blocks to a single row.
+var qpoolBlockCols = 1024
 
-// stemBlockRows is how many output rows ow wide one stem block takes: as
-// many as qstemBlockCols holds, at least one, and — when that many fit — a
+// qpoolBlockRows is how many output rows ow wide one pooled block takes: as
+// many as qpoolBlockCols holds, at least one, and — when that many fit — a
 // multiple of the rows whose columns fill whole panels of nr (ow&-ow is the
 // largest power of two dividing ow, as nr is one), so no block but the last
 // ends in a ragged panel.
-func stemBlockRows(ow, nr int) int {
-	rows := max(qstemBlockCols/max(ow, 1), 1)
+func qpoolBlockRows(ow, nr int) int {
+	rows := max(qpoolBlockCols/max(ow, 1), 1)
 	if unit := nr / min(nr, ow&-ow); rows >= unit {
 		rows = rows / unit * unit
 	}
@@ -106,15 +106,12 @@ var identityU8 = func() (t [256]uint8) {
 // accumulator slabs, and the product's own.
 //
 // Each image is one quantized GEMM whose B operand is the image's padded
-// rows (see stemView); with a pool, the blocked driver writes whole output
-// rows of accumulators into the pool's slabs, which are pooled and only then
-// requantized while they are cache-resident (see qpoolRun), and the
-// convolution stops at the last row a pooling window reads.
+// rows (see stemView); with a pool, the epilogue pools before it
+// requantizes (see qpoolGeometry).
 func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint8, u8 []uint8, i32 []int32) {
 	s := st.Spec
 	g := st.geometry(n, h, w)
-	planes := quadPlanes(s.OutC)
-	k, il, ol := s.KH*s.KW*4, h*w*4, planes*4*g.outH*g.outW
+	k, il, ol := s.KH*s.KW*4, h*w*4, quadPlanes(s.OutC)*4*g.outH*g.outW
 	if s.InC > 4 || len(pix) < n*il || st.W.m != s.OutC || st.W.k != k ||
 		len(st.RQ.Mult) < s.OutC || len(st.RQ.Beta) < s.OutC || len(y) < n*ol {
 		panic(fmt.Sprintf("tensor: QStem.ForwardInto: pixels %d / weights %d×%d / requant %d,%d / y %d do not fit %d images of %d×%d under %+v",
@@ -127,71 +124,42 @@ func (st *QStem) ForwardInto(pix []uint8, n, h, w int, lut *[256]uint8, y []uint
 	}
 	view := g.view
 	view.buf, u8 = u8[:g.viewLen], u8[g.viewLen:]
-	ep := qgemmEpilogue{rq: st.RQ, ld: g.oh * g.ow}
+	ep := qgemmEpilogue{rq: st.RQ, ld: g.outH * g.outW}
 	var pool qpoolRun
-	if st.Pool.K > 0 {
-		pool = qpoolRun{poolWindow: poolWindow{spec: st.Pool, ow: g.ow, poh: g.outH, pow: g.outW, cap: g.blockRows + st.Pool.K - 1}, blockRows: g.blockRows, m: s.OutC}
-		pool.buf, i32 = i32[:g.slabLen], i32[g.slabLen:]
-		pool.pooled, i32 = i32[:g.pooledLen], i32[g.pooledLen:]
-		pool.rows, i32 = i32[:g.rowsLen], i32[g.rowsLen:]
+	if g.spec.K > 0 {
+		pool, i32 = g.run(i32)
 		ep.pool = &pool
 	}
 	for i := 0; i < n; i++ {
 		view.setImage(pix[i*il:(i+1)*il], h, w, lut, st.ZP)
-		if ep.pool != nil {
-			pool.dst, pool.base, pool.held, pool.py = y[i*ol:(i+1)*ol], 0, 0, 0
-		} else {
-			ep.dst = y[i*ol:]
-		}
+		ep.begin(y[i*ol : (i+1)*ol])
 		qgemmDispatch(st.W, qgemmB{stem: &view}, nil, s.OutC, k, g.convH*g.ow, &ep, u8, i32)
 	}
 }
 
 // stemGeometry is how ForwardInto runs over h×w images: the convolution's
-// output size, the stage's, and the rows the convolution computes; the
-// padded-row view; rows per block; and its scratch — u8: the view's rows,
-// then the product's; i32: the pool's accumulator slabs, its pooled rows
-// and poolRow's scratch, then the product's, each part starting 64 bytes
-// from the last so the kernels' loads do not split cache lines.
+// output and its pool (see qpoolGeometry), the padded-row view, and the
+// scratch — u8: the view's rows, then the product's; i32: the pool's, then
+// the product's.
 type stemGeometry struct {
-	oh, ow, outH, outW, convH   int
-	view                        stemView
-	blockRows                   int
-	viewLen                     int
-	slabLen, pooledLen, rowsLen int
-	u8, i32                     int
+	qpoolGeometry
+	view    stemView
+	viewLen int
+	u8, i32 int
 }
 
 func (st *QStem) geometry(n, h, w int) stemGeometry {
 	s := st.Spec
-	g := stemGeometry{}
-	g.oh, g.ow = s.OutSize(h, w)
-	if g.oh == 0 || g.ow == 0 {
+	oh, ow := s.OutSize(h, w)
+	if oh == 0 || ow == 0 {
 		panicEmptyOutput("QStem.ForwardInto", []int{n, s.InC, h, w}, s.KH, s.KW, s.PadH, s.PadW)
 	}
-	g.outH, g.outW, g.convH = g.oh, g.ow, g.oh
-	blockCols := 0
-	if p := st.Pool; p.K > 0 {
-		if p.Pad != 0 {
-			panic(fmt.Sprintf("tensor: QStem.ForwardInto: fused pool %+v must be unpadded", p))
-		}
-		g.outH, g.outW = p.OutSize(g.oh, g.ow)
-		if g.outH == 0 || g.outW == 0 {
-			panicEmptyOutput("QStem.ForwardInto", []int{n, s.OutC, g.oh, g.ow}, p.K, p.K, 0, 0)
-		}
-		g.convH = max((g.outH-1)*p.Stride+p.K, 0)
-		g.blockRows = stemBlockRows(g.ow, qgemmTier.nr)
-		blockCols = g.blockRows * g.ow
-		// A block completes at most (blockRows-1)/Stride+1 pooled rows.
-		g.slabLen = roundUp(s.OutC*(g.blockRows+p.K-1)*g.ow, 16)
-		g.pooledLen = roundUp(4*((g.blockRows-1)/p.Stride+1)*g.outW, 16)
-		g.rowsLen = roundUp(p.ScratchLen(g.ow), 16)
-	}
-	g.view = stemView{s: s, ow: g.ow, words: (w + 2*s.PadW + s.StrideW - 1) / s.StrideW, rows: (g.convH-1)*s.StrideH + s.KH}
+	g := stemGeometry{qpoolGeometry: newQPoolGeometry("QStem.ForwardInto", st.Pool, n, s.OutC, oh, ow)}
+	g.view = stemView{s: s, ow: ow, words: (w + 2*s.PadW + s.StrideW - 1) / s.StrideW, rows: (g.convH-1)*s.StrideH + s.KH}
 	g.view.rowLen = 4 * s.StrideW * g.view.words
 	g.viewLen = roundUp(g.view.rows*g.view.rowLen, 64)
-	_, _, u8, i32 := qgemmSplit(s.OutC, s.KH*s.KW*4, g.convH*g.ow, true, blockCols, st.Pool.K == 0)
-	g.u8, g.i32 = g.viewLen+u8, g.slabLen+g.pooledLen+g.rowsLen+i32
+	_, _, u8, i32 := qgemmSplit(s.OutC, s.KH*s.KW*4, g.convH*ow, true, g.blockCols, st.Pool.K == 0)
+	g.u8, g.i32 = g.viewLen+u8, g.i32Len+i32
 	return g
 }
 
@@ -332,15 +300,69 @@ func (v *stemView) pack(dst []uint8, p0, kc, j0, nc, nr int) {
 	}
 }
 
-// qpoolRun is poolRun for the INT8 stem: the blocked driver writes each
+// qpoolGeometry is how a quantized convolution of m channels with an oh×ow
+// output runs the unpadded max pool behind it, if any (spec.K > 0), in its
+// epilogue (see qpoolRun): the stage's output size, the convolution's rows
+// that some window reads (it computes no others), the rows per block — whole
+// output rows, as qpoolBlockRows picks them, at most the rows computed — and
+// the product's columns a block, and the pool's int32 scratch (i32Len): the
+// m accumulator slabs, one quad plane's pooled rows and poolRow's, each part
+// starting 64 bytes from the last so the kernels' loads do not split cache
+// lines. Without a pool it is the convolution's own output, all of it, in
+// the tier's column blocks (blockCols 0) and no scratch of its own.
+type qpoolGeometry struct {
+	spec                        PoolSpec
+	m, ow                       int
+	outH, outW, convH           int
+	blockRows, blockCols        int
+	slabLen, pooledLen, rowsLen int
+	i32Len                      int
+}
+
+// newQPoolGeometry returns the geometry of spec over an oh×ow output of m
+// channels. It refuses a padded pool, and one whose output is empty, naming
+// fn and the n images' convolution output.
+func newQPoolGeometry(fn string, spec PoolSpec, n, m, oh, ow int) qpoolGeometry {
+	g := qpoolGeometry{spec: spec, m: m, ow: ow, outH: oh, outW: ow, convH: oh}
+	if spec.K == 0 {
+		return g
+	}
+	if spec.Pad != 0 {
+		panic(fmt.Sprintf("tensor: %s: fused pool %+v must be unpadded", fn, spec))
+	}
+	g.outH, g.outW = spec.OutSize(oh, ow)
+	if g.outH == 0 || g.outW == 0 {
+		panicEmptyOutput(fn, []int{n, m, oh, ow}, spec.K, spec.K, 0, 0)
+	}
+	g.convH = (g.outH-1)*spec.Stride + spec.K
+	g.blockRows = min(qpoolBlockRows(ow, qgemmTier.nr), g.convH)
+	// A block completes at most (blockRows-1)/Stride+1 pooled rows.
+	g.slabLen = roundUp(m*(g.blockRows+spec.K-1)*ow, 16)
+	g.pooledLen = roundUp(4*((g.blockRows-1)/spec.Stride+1)*g.outW, 16)
+	g.rowsLen = roundUp(spec.ScratchLen(ow), 16)
+	g.blockCols, g.i32Len = g.blockRows*ow, g.slabLen+g.pooledLen+g.rowsLen
+	return g
+}
+
+// run returns the pooled epilogue over the head of i32 (i32Len of it) and
+// the rest of i32.
+func (g *qpoolGeometry) run(i32 []int32) (qpoolRun, []int32) {
+	r := qpoolRun{poolWindow: poolWindow{spec: g.spec, ow: g.ow, poh: g.outH, pow: g.outW, cap: g.blockRows + g.spec.K - 1}, blockRows: g.blockRows, m: g.m}
+	r.buf, i32 = i32[:g.slabLen], i32[g.slabLen:]
+	r.pooled, i32 = i32[:g.pooledLen], i32[g.pooledLen:]
+	r.rows, i32 = i32[:g.rowsLen], i32[g.rowsLen:]
+	return r, i32
+}
+
+// qpoolRun is poolRun for the INT8 engine: the blocked driver writes each
 // block's int32 accumulators — whole output rows of the convolution, in
 // order — into the channel slabs of buf (see target), and emit max-pools
 // every window they complete on the raw accumulators, then requantizes only
 // the pooled values into the output's quad planes. RequantizeU8 never
 // decreases as its accumulator grows (Mult ≥ 0, which the INT8 engine's
 // builder checks), so the requantized window maximum is the window maximum
-// of the requantized values: each pooled row is the one MaxPoolQuadsInto
-// computes from the materialized output.
+// of the requantized values: each pooled byte is the one a window scan of
+// the materialized output finds.
 type qpoolRun struct {
 	poolWindow
 	blockRows int     // rows per block the driver hands over (the last may be fewer)
@@ -366,8 +388,8 @@ func (r *qpoolRun) emit(rows int, rq Requant) {
 	ow, ld, pow := r.ow, r.cap*r.ow, r.pow
 	if pooledRows := done - py; pooledRows > 0 {
 		cols := pooledRows * pow
-		// The paper net's pool1 takes one pass over the slab (poolI32K3S2)
-		// instead of poolRow's three a row.
+		// A 3×3/2 pool, each of the paper net's, takes one pass over the
+		// slab (poolI32K3S2) instead of poolRow's three a row.
 		k3s2 := haveQuantASM && r.spec.K == 3 && r.spec.Stride == 2 && pow >= 8
 		for g := 0; g*4 < r.m; g++ {
 			ch := min(4, r.m-g*4)

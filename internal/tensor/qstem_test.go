@@ -47,7 +47,7 @@ func qstemRef(st *QStem, wq []int8, pix []uint8, n, h, w int, lut *[256]uint8) [
 // arena serves every call, so each reads buffers another call left dirty.
 func TestQStemMatchesPlanarConvPool(t *testing.T) {
 	defer useQuantTier(currentQuantTier())
-	defer func(cols int) { qstemBlockCols = cols }(qstemBlockCols)
+	defer func(cols int) { qpoolBlockCols = cols }(qpoolBlockCols)
 	small := ConvSpec{InC: 4, OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	cases := []struct {
 		name string
@@ -82,7 +82,7 @@ func TestQStemMatchesPlanarConvPool(t *testing.T) {
 				st.RQ.Mult[oc] = float32((0.5 + rng.Float64()) / (80 * math.Sqrt(float64(k))))
 				st.RQ.Beta[oc] = float32(60 + 20*rng.NormFloat64())
 			}
-			blocks := []int{qstemBlockCols, 1}
+			blocks := []int{qpoolBlockCols, 1}
 			if h*w > 64*64 {
 				blocks = blocks[:1]
 			}
@@ -106,7 +106,7 @@ func TestQStemMatchesPlanarConvPool(t *testing.T) {
 					refs[[2]int{ci, bi}] = want
 				}
 				for _, cols := range blocks {
-					qstemBlockCols = cols
+					qpoolBlockCols = cols
 					name := fmt.Sprintf("%s %s batch %d zp %d lut %v block cols %d", tier.name, cc.name, n, st.ZP, lut != nil, cols)
 					y := make([]uint8, len(want)+1)
 					for i := range y {
@@ -124,7 +124,7 @@ func TestQStemMatchesPlanarConvPool(t *testing.T) {
 						t.Fatalf("%s: wrote past its output", name)
 					}
 				}
-				qstemBlockCols = blocks[0]
+				qpoolBlockCols = blocks[0]
 			}
 		}
 	}
@@ -323,12 +323,12 @@ func spreadQuads(dst []uint8, step, nr, c, n int, src []uint8) {
 // stem's 7×7/2 view at output widths 112 (the paper net's), 55 and 53 (rows
 // that end inside a panel of either width) and 1, packed for both quad tile
 // widths, block by block as the driver hands them over — at the default
-// block budget, with qstemBlockCols shrunk to one row, and in two K blocks
+// block budget, with qpoolBlockCols shrunk to one row, and in two K blocks
 // (so the tap table starts past tap 0). Both packs start from the same
 // poisoned panels, so a byte either one leaves alone must match too.
 func TestStemPackMatchesSpreadQuads(t *testing.T) {
 	defer useQuantTier(currentQuantTier())
-	defer func(cols int) { qstemBlockCols = cols }(qstemBlockCols)
+	defer func(cols int) { qpoolBlockCols = cols }(qpoolBlockCols)
 	rng := rand.New(rand.NewSource(53))
 	s := stemSpec
 	k := s.KH * s.KW * 4
@@ -345,8 +345,8 @@ func TestStemPackMatchesSpreadQuads(t *testing.T) {
 			useQuantTier(tier)
 			for _, nr := range []int{16, 32} {
 				for _, cols := range []int{1024, 1} {
-					qstemBlockCols = cols
-					block := stemBlockRows(ow, nr) * ow
+					qpoolBlockCols = cols
+					block := qpoolBlockRows(ow, nr) * ow
 					for _, kb := range [][2]int{{0, k}, {0, 80}, {80, k - 80}} {
 						p0, kc := kb[0], kb[1]
 						for j0 := 0; j0 < n; j0 += block {

@@ -226,79 +226,10 @@ func requantU8(a int32, mult, beta float32, lo int32) uint8 {
 // one constant per output channel, ZOut is the output zero point, and ReLU
 // raises the lower clamp to it. Every Mult must be ≥ 0 (not NaN): then the
 // requantized byte never decreases as its accumulator grows, which the
-// fused pools (QStem.Pool) and MaxPoolQuadsInto rely on. The INT8 engine's
-// builder refuses any other Mult.
+// fused pools (QStem.Pool, QConv.Pool) rely on. The INT8 engine's builder
+// refuses any other Mult.
 type Requant struct {
 	Mult, Beta []float32
 	ZOut       int32
 	ReLU       bool
-}
-
-// MaxPoolQuadsInto max-pools `planes` quad planes of h×w pixels in x (see
-// QFire: four channels' bytes a 32-bit word) into planes of OutSize's
-// pixels in y, unpadded — the only pool the INT8 engine runs — in scratch of
-// QuadScratchLen(h, w) bytes. Max pooling commutes with the (monotonic)
-// quantization map, so the window maximum is taken directly on the
-// quantized bytes, each lane of a word on its own channel, and the
-// quantization parameters pass through unchanged.
-func MaxPoolQuadsInto(x []uint8, planes, h, w int, p PoolSpec, y []uint8, scratch []uint8) (oh, ow int) {
-	oh, ow = p.OutSize(h, w)
-	if oh == 0 || ow == 0 {
-		panicEmptyOutput("MaxPoolQuadsInto", []int{planes, h, w, 4}, p.K, p.K, p.Pad, p.Pad)
-	}
-	if p.Pad != 0 || len(x) < planes*4*h*w || len(y) < planes*4*oh*ow {
-		panic(fmt.Sprintf("tensor: MaxPoolQuadsInto: pool %+v / x %d / y %d do not pool %d quad planes of %d×%d unpadded",
-			p, len(x), len(y), planes, h, w))
-	}
-	checkScratch("MaxPoolQuadsInto", len(scratch), p.QuadScratchLen(h, w))
-	for i := 0; i < planes; i++ {
-		poolQuadRows(y[i*4*oh*ow:(i+1)*4*oh*ow], ow, oh, x[i*4*h*w:(i+1)*4*h*w], w, p, scratch)
-	}
-	return oh, ow
-}
-
-// QuadScratchLen is the scratch MaxPoolQuadsInto needs for h×w planes.
-func (p PoolSpec) QuadScratchLen(h, w int) int {
-	oh, _ := p.OutSize(h, w)
-	return 4 * max(2*((oh-1)*p.Stride+1)*w-p.K+1, 0)
-}
-
-// poolQuadRows writes `rows` consecutive rows of an unpadded max pool of one
-// quad plane, row r at dst[r*pow*4:], from src: the input rows of w pixels
-// from the first window's top row on. Whole-run vector passes with no branch
-// that depends on the data: one maxU8Into takes the vertical max of K rows
-// at every row start into vmax (a byte stride of 4·w), a second the
-// horizontal K-tap max of vmax at every column into hmax (a byte stride of
-// 4, one pixel: each lane against its own channel; the windows that wrap a
-// row end are never picked), and gatherWords picks each pooled row's pixels
-// out of hmax as words at the stride. The two passes' scratch is the
-// caller's: 4·(2·starts·w − K + 1) bytes for the rows' starts
-// (rows−1)·Stride + 1.
-func poolQuadRows(dst []uint8, pow, rows int, src []uint8, w int, p PoolSpec, scratch []uint8) {
-	starts := (rows-1)*p.Stride + 1
-	vmax, hmax := scratch[:4*starts*w], scratch[4*starts*w:4*(2*starts*w-p.K+1)]
-	maxU8Into(vmax, src, p.K, 4*w)
-	maxU8Into(hmax, vmax, p.K, 4)
-	words := quadWords(hmax)
-	for r := 0; r < rows; r++ {
-		gatherWords(quadWords(dst[r*pow*4:(r+1)*pow*4]), words[r*p.Stride*w:], p.Stride)
-	}
-}
-
-// maxU8Into computes dst[i] = max(src[i], src[i+stride], …) over k taps. The
-// vector body covers a ragged end with one more vector overlapping the last,
-// so rows of 16 bytes or more never reach the loop.
-func maxU8Into(dst, src []uint8, k, stride int) {
-	src = src[:len(dst)+(k-1)*stride]
-	if haveQuantASM && len(dst) >= 16 {
-		maxU8x16(&dst[0], &src[0], int64(len(dst)), int64(k), int64(stride))
-		return
-	}
-	for i := range dst {
-		m := src[i]
-		for t := 1; t < k; t++ {
-			m = max(m, src[i+t*stride])
-		}
-		dst[i] = m
-	}
 }

@@ -3,6 +3,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -278,6 +279,62 @@ func TestPoolI32K3S2MatchesPoolRow(t *testing.T) {
 	}
 }
 
+// FuzzPoolI32K3S2 holds the one-pass 3×3/2 accumulator pool, which every
+// INT8 pool of the paper net runs, to the separable one (poolRow) on slabs of
+// fuzzed accumulators: pooled widths 8, 9, 15, 16 and 17 (one vector, one
+// past it, either side of two), odd and even row widths, 1–3 pooled rows.
+// The slab is the input's bytes, four a little-endian accumulator, repeated
+// to fill it; past the last window's last column it is MaxInt32, which no
+// output may take, and the word after the last output must stay untouched.
+// The seeds run under go test; make fuzz explores.
+func FuzzPoolI32K3S2(f *testing.F) {
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 15; i++ {
+		data := make([]byte, 4*(1+rng.Intn(400)))
+		rng.Read(data)
+		// Accumulators at both ends of the int32 range, and ties.
+		for j := 0; j+4 <= len(data); j += 4 * (1 + rng.Intn(5)) {
+			binary.LittleEndian.PutUint32(data[j:], []uint32{0x80000000, 0x7FFFFFFE, 0xFFFFFFFF, 0}[rng.Intn(4)])
+		}
+		f.Add(uint8(i%5), uint8(i/5), i%2 == 1, data)
+	}
+	widths := [...]int{8, 9, 15, 16, 17}
+	f.Fuzz(func(t *testing.T, width, rows uint8, odd bool, data []byte) {
+		if !haveQuantASM {
+			t.Skip("no AVX2+FMA on this CPU")
+		}
+		p := PoolSpec{K: 3, Stride: 2}
+		pow, n := widths[int(width)%len(widths)], 1+int(rows)%3
+		w := 2*pow + 2
+		if odd {
+			w--
+		}
+		src := make([]int32, (2*n+1)*w)
+		last := 2*n*w + 2*pow // the last window's bottom-right accumulator
+		for i := range src {
+			src[i] = math.MaxInt32
+			if i <= last && len(data) >= 4 {
+				j := 4 * i % (len(data) / 4 * 4)
+				src[i] = int32(binary.LittleEndian.Uint32(data[j:]))
+			}
+		}
+		want := make([]int32, n*pow+1)
+		scratch := make([]int32, p.ScratchLen(w))
+		for r := 0; r < n; r++ {
+			poolRow(want[r*pow:(r+1)*pow], src[2*r*w:], w, p, scratch)
+		}
+		want[n*pow] = 0x5EED
+		got := make([]int32, len(want))
+		got[n*pow] = 0x5EED
+		poolI32K3S2(&got[0], &src[0], int64(w), int64(pow), int64(n))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("w=%d pow=%d rows=%d: [%d]=%d want %d", w, pow, n, i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // TestQGemmVNNITierMatchesAVX2Tier is the INT8 twin of
 // TestGemmAVX512TierMatchesAVX2Tier: whole blocked products under the
 // AVX512-VNNI 8×32 tier and the AVX2 4×16 tier must be bit-identical —
@@ -366,11 +423,7 @@ func TestQGemmVNNITierMatchesAVX2Tier(t *testing.T) {
 			fireForward(&f, x, 1, res, res, sq, y, fu8, fi32)
 			x = y
 			if fa.poolAft {
-				p := PoolSpec{K: 3, Stride: 2}
-				oh, ow := p.OutSize(res, res)
-				pooled := make([]uint8, quadPlanes(f.OutC())*4*oh*ow)
-				MaxPoolQuadsInto(x, quadPlanes(f.OutC()), res, res, p, pooled, make([]uint8, p.QuadScratchLen(res, res)))
-				x = pooled
+				x = maxPoolQuadsRef(x, quadPlanes(f.OutC()), res, res, PoolSpec{K: 3, Stride: 2})
 			}
 		}
 		acc := make([]int32, 2*13*13)

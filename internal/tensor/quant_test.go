@@ -295,32 +295,6 @@ func TestRequantizeU8MatchesScalar(t *testing.T) {
 	}
 }
 
-// TestMaxPoolU8MatchesFloat checks the quad-plane pool against float
-// pooling of the same values, channel by channel, for a channel count that
-// leaves spare lanes.
-func TestMaxPoolU8MatchesFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	n, c, h, w := 2, 3, 9, 9
-	xu := make([]uint8, n*c*h*w)
-	xf := New(n, c, h, w)
-	for i := range xu {
-		xu[i] = uint8(rng.Intn(QMaxU8 + 1))
-		xf.Data[i] = float32(xu[i])
-	}
-	p := PoolSpec{K: 3, Stride: 2}
-	oh, ow := p.OutSize(h, w)
-	yu := make([]uint8, n*4*oh*ow)
-	MaxPoolQuadsInto(quadsOf(xu, n, c, h*w, func() uint8 { return 0 }), n, h, w, p, yu, make([]uint8, p.QuadScratchLen(h, w)))
-	yf := New(n, c, oh, ow)
-	MaxPoolForwardInto(xf, p, yf, make([]float32, p.ScratchLen(w)))
-	for i, want := range yf.Data {
-		img, ch, j := i/(c*oh*ow), i/(oh*ow)%c, i%(oh*ow)
-		if got := yu[(img*oh*ow+j)*4+ch]; float32(got) != want {
-			t.Fatalf("pool[%d,%d,%d]=%d want %v", img, ch, j, got, want)
-		}
-	}
-}
-
 // TestQGemmConcurrentSharedPool hammers the quantized GEMM from several
 // goroutines sharing the worker pool (run under -race), checking results
 // stay correct under contention.
@@ -424,26 +398,5 @@ func BenchmarkRequantQuads(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.apply(acc, m, n, 0)
-	}
-}
-
-// BenchmarkMaxPoolU8_112x96 is the paper net's first pool on the INT8 engine:
-// 3×3/2 over the stem's 96 channels of 112×112, 24 quad planes, on seeded
-// random bytes — an all-zero plane never mispredicts a compare, which hid
-// what a scalar horizontal pass cost on real frames.
-func BenchmarkMaxPoolU8_112x96(b *testing.B) {
-	rng := rand.New(rand.NewSource(34))
-	x := make([]uint8, 96*112*112)
-	for i := range x {
-		x[i] = uint8(rng.Intn(QMaxU8 + 1))
-	}
-	p := PoolSpec{K: 3, Stride: 2}
-	oh, ow := p.OutSize(112, 112)
-	y := make([]uint8, 96*oh*ow)
-	scratch := make([]uint8, p.QuadScratchLen(112, 112))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaxPoolQuadsInto(x, 24, 112, 112, p, y, scratch)
 	}
 }

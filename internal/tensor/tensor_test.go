@@ -306,7 +306,8 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
 	p := PoolSpec{K: 2, Stride: 2}
-	y, arg := MaxPoolForward(x, p)
+	y, arg := New(1, 1, 2, 2), make([]int32, 4)
+	MaxPoolForwardArgmax(x, p, y, arg)
 	want := []float32{6, 8, 14, 16}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -328,11 +329,13 @@ func TestMaxPoolOverlappingWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := FromSlice(randSlice(rng, 1*2*7*7), 1, 2, 7, 7)
 	p := PoolSpec{K: 3, Stride: 2}
-	y, arg := MaxPoolForward(x, p)
 	oh, ow := p.OutSize(7, 7)
-	if y.Shape[2] != oh || y.Shape[3] != ow || oh != 3 {
-		t.Fatalf("out shape %v", y.Shape)
+	if oh != 3 || ow != 3 {
+		t.Fatalf("out size %d×%d", oh, ow)
 	}
+	y := New(1, 2, oh, ow)
+	arg := make([]int32, y.Len())
+	MaxPoolForwardArgmax(x, p, y, arg)
 	// every argmax must point at an element >= all others in its window
 	for i, a := range arg {
 		if a < 0 {
@@ -498,13 +501,14 @@ func TestConvSpecOutSize(t *testing.T) {
 
 // TestEmptyOutputRejected checks the forward kernels refuse a window that
 // does not fit its input, naming the shapes, instead of scoring a partial
-// window. The INT8 stem is refused by its scratch size too, both naming
-// QStem.ForwardInto.
+// window. The INT8 stem and a pooled INT8 convolution are refused by their
+// scratch sizes too, each naming its ForwardInto.
 func TestEmptyOutputRejected(t *testing.T) {
 	x := New(1, 1, 2, 2)
 	y := New(1, 1, 1, 1)
 	p := PoolSpec{K: 3, Stride: 2}
 	s := ConvSpec{InC: 1, OutC: 1, KH: 3, KW: 3, StrideH: 2, StrideW: 2}
+	pointwise := ConvSpec{InC: 1, OutC: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 	pix := make([]uint8, 16) // one 2×2 image, four bytes a pixel
 	for name, c := range map[string]struct {
 		fn    func()
@@ -513,8 +517,10 @@ func TestEmptyOutputRejected(t *testing.T) {
 	}{
 		"ConvForwardInto":    {func() { ConvForwardInto(x, make([]float32, 9), nil, s, y, 0, false) }, "ConvForwardInto", "[1 1 2 2]"},
 		"MaxPoolForwardInto": {func() { MaxPoolForwardInto(x, p, y, nil) }, "MaxPoolForwardInto", "[1 1 2 2]"},
-		// One quad plane of 2×2 pixels, four bytes each.
-		"MaxPoolQuadsInto":        {func() { MaxPoolQuadsInto(make([]uint8, 16), 1, 2, 2, p, make([]uint8, 4), nil) }, "MaxPoolQuadsInto", "[1 2 2 4]"},
+		// One quad plane of 2×2 pixels, four bytes each, through a 1×1
+		// convolution.
+		"pooled QConv":            {func() { (&QConv{Spec: pointwise, Pool: p}).ForwardInto(pix, 1, 2, 2, nil, 1, 0, nil, nil) }, "QConv.ForwardInto", "[1 1 2 2]"},
+		"pooled QConv.ScratchLen": {func() { (&QConv{Spec: pointwise, Pool: p}).ScratchLen(2, 2) }, "QConv.ForwardInto", "[1 1 2 2]"},
 		"QStem":                   {func() { (&QStem{Spec: s}).ForwardInto(pix, 1, 2, 2, nil, nil, nil, nil) }, "QStem.ForwardInto", "[1 1 2 2]"},
 		"pooled QStem":            {func() { (&QStem{Spec: s, Pool: p}).ForwardInto(pix, 1, 2, 2, nil, nil, nil, nil) }, "QStem.ForwardInto", "[1 1 2 2]"},
 		"QStem.ScratchLen":        {func() { (&QStem{Spec: s}).ScratchLen(2, 2) }, "QStem.ForwardInto", "[1 1 2 2]"},

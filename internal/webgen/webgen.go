@@ -127,7 +127,7 @@ func NewCorpus(seed int64, nSites int) *Corpus {
 		c.Sites = append(c.Sites, site)
 		nPages := 3 + rng.Intn(4)
 		for p := 0; p < nPages; p++ {
-			page := c.generatePage(rng, site, p, synth.CrawlStyle())
+			page := c.generatePage(rng, site, p)
 			site.PageURLs = append(site.PageURLs, page.URL)
 		}
 	}
@@ -167,8 +167,10 @@ func (c *Corpus) servePath(net AdNetwork, frame bool) string {
 }
 
 // generatePage builds one document for a site: a header, paragraphs with
-// content images, and ad slots. News sites get more slots.
-func (c *Corpus) generatePage(rng *rand.Rand, site *Site, idx int, style synth.Style) *Page {
+// content images, and ad slots, every creative in the training crawl's
+// style. News sites get more slots.
+func (c *Corpus) generatePage(rng *rand.Rand, site *Site, idx int) *Page {
+	style := synth.CrawlStyle()
 	url := fmt.Sprintf("http://%s/page%d.html", site.Domain, idx)
 	page := &Page{URL: url, Site: site}
 	var html htmlBuilder
