@@ -5,10 +5,10 @@
 //
 //	POST   /admin/peers      {"addr":"host:port"}
 //	                         dial + fresh /modelz handshake, admit into the
-//	                         fleet (weighted router sees it immediately)
+//	                         fleet (the next chunk's placement sees it)
 //	DELETE /admin/peers/{id} drain the peer's in-flight chunks, then remove
 //	                         it from the fleet and the registry
-//	GET    /admin/topology   router policy, per-peer health + windows,
+//	GET    /admin/topology   shards, per-peer health + windows,
 //	                         registry entries, canary status
 //	POST   /admin/canary     {"candidate":"name",...} start an agreement-
 //	                         gated rollout (engine.CanaryOptions knobs)
@@ -166,7 +166,6 @@ func (a *adminAPI) removePeer(w http.ResponseWriter, r *http.Request) {
 
 // adminTopology is the GET /admin/topology document.
 type adminTopology struct {
-	Router   string                  `json:"router"`
 	Shards   int                     `json:"shards"`
 	Default  string                  `json:"default"`
 	Backends []string                `json:"backends"`
@@ -179,14 +178,12 @@ type adminTopology struct {
 // it is, and what the canary is doing about the next model version.
 func (a *adminAPI) topology(w http.ResponseWriter, r *http.Request) {
 	top := adminTopology{
-		Router:   "local",
 		Shards:   a.srv.Shards(),
 		Default:  a.reg.DefaultName(),
 		Backends: a.reg.Names(),
 		Canary:   a.reg.CanaryStatus(),
 	}
 	if a.fleet != nil {
-		top.Router = a.fleet.Router().Name()
 		top.Peers = a.fleet.PeerHealth()
 		top.Windows = a.fleet.WindowStats()
 	}

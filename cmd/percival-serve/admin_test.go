@@ -75,7 +75,6 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	fleet, err := engine.NewFleet(remotes, engine.FleetOptions{
 		EvictAfter:    50,
 		HedgeQuantile: -1,
-		Router:        &engine.WeightedRouter{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,9 +182,6 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	code, top := adminReq(t, "GET", adminURL+"/topology", token, "")
 	if code != http.StatusOK || len(top["peers"].([]any)) != 3 {
 		t.Fatalf("topology after add: %d %v", code, top)
-	}
-	if top["router"] != "weighted" {
-		t.Fatalf("topology router %v", top["router"])
 	}
 
 	// drain + remove the first peer under load: zero fail-open required

@@ -50,11 +50,6 @@
 //	                                      # and keep one hot framed
 //	                                      # connection, with key-probe dedup
 //	                                      # answered from the verdict cache
-//	percival-serve -peers ... -route weighted  # per-chunk least-loaded routing:
-//	                                      # every chunk goes to the peer with
-//	                                      # the best congestion-window headroom
-//	                                      # per unit latency EWMA, instead of
-//	                                      # the static shard->peer pinning
 //	percival-serve -admin-token s3cret    # authenticated control plane:
 //	                                      # POST /admin/peers (live add),
 //	                                      # DELETE /admin/peers/{id} (drain +
@@ -121,7 +116,6 @@ func main() {
 		hedgeMax    = flag.Duration("hedge-max", 0, "ceiling on the quantile-derived hedge delay (0 = the peer chunk budget); pin near the latency SLO so hedges still fire when the fleet degrades")
 		windowMax   = flag.Int("window-max", 0, "cap on each peer's adaptive in-flight congestion window (CUBIC; 0 = default 64 chunks)")
 		wireListen  = flag.String("wire-listen", "", "listen for the persistent-socket dispatch wire (v3) on this address and advertise it via /modelz (empty = no front can use this daemon as a peer)")
-		route       = flag.String("route", "static", "fleet dispatch policy: static (one peer pinned per shard lane) or weighted (per-chunk least-loaded by congestion-window headroom per unit latency EWMA)")
 		adminToken  = flag.String("admin-token", "", "enable the authenticated /admin control plane — live peer add/drain/remove and the model canary — with this bearer token (empty = disabled)")
 		drainWait   = flag.Duration("drain-timeout", 5*time.Second, "in-flight quiesce budget when DELETE /admin/peers/{id} drains a peer before removing it")
 	)
@@ -152,10 +146,6 @@ func main() {
 	// daemon's own dialPeers and admin API included) can tell "that peer is
 	// me" apart from "that peer serves the same model"
 	instanceID := newInstanceID()
-	router, err := engine.NewRouter(*route)
-	if err != nil {
-		log.Fatal("percival-serve: ", err)
-	}
 	var fleet *engine.Fleet
 	if *peers != "" {
 		remotes, err := dialPeers(reg, *peers, svc.InputRes(), *peerTimeout, *peerRetries, *windowMax, instanceID)
@@ -168,7 +158,6 @@ func main() {
 			HedgeQuantile: *hedgeQ,
 			HedgeMax:      *hedgeMax,
 			Fallback:      local,
-			Router:        router,
 		})
 		if err != nil {
 			log.Fatal("percival-serve: ", err)
@@ -266,7 +255,7 @@ func main() {
 			},
 		}
 		admin.mount(mux)
-		log.Printf("admin control plane enabled: /admin/peers, /admin/topology, /admin/canary (router=%s)", router.Name())
+		log.Printf("admin control plane enabled: /admin/peers, /admin/topology, /admin/canary")
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: mux}

@@ -41,14 +41,18 @@ package engine
 //     receiving new chunks, in-flight chunks quiesce through its
 //     congestion window, then it leaves the snapshot.
 //
-// Placement itself — which peer a lane prefers, which peer serves a chunk,
-// which peer runs a hedge arm — is delegated to the Router seam
-// (router.go): static round-robin pinning by default, weighted
-// least-loaded placement off the window/EWMA signals when configured.
+// Placement is static and the fleet's own (pin, pick, hedgePeer): a
+// dispatch lane prefers peer lane mod N of the live membership, so N serve
+// shards over N peers give each peer one lane; a chunk whose preferred
+// peer is out, or has already failed it, starts its failover scan at a
+// rotating offset so displaced traffic spreads across the survivors; and a
+// hedge arm goes to the next routable peer after the preference. Load is
+// not weighed: a slow peer that stays healthy costs hedges, and one that
+// stops answering is evicted.
 //
 // Fleet is an ordinary Backend: serve shards call Replicate and get a
-// replica carrying a dispatch-lane ordinal (the router maps it to a
-// preferred peer against live membership) with its own Stats counters,
+// replica carrying a dispatch-lane ordinal (pin maps it to a preferred
+// peer against live membership) with its own Stats counters,
 // while all replicas share one health table — an eviction observed by one
 // shard protects every shard.
 
@@ -58,6 +62,7 @@ import (
 	"log"
 	"math"
 	"net/url"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,9 +133,6 @@ type FleetOptions struct {
 	// remains — the "-peers front also holds a model" deployment. Without
 	// it an all-evicted fleet fails open, same as a lone RemoteBackend.
 	Fallback Backend
-	// Router is the placement policy (router.go). Nil means StaticRouter —
-	// the pre-seam round-robin pinning, bit-for-bit.
-	Router Router
 }
 
 func (o FleetOptions) withDefaults() FleetOptions {
@@ -148,9 +150,6 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	}
 	if o.HedgeMin <= 0 {
 		o.HedgeMin = 2 * time.Millisecond
-	}
-	if o.Router == nil {
-		o.Router = &StaticRouter{}
 	}
 	return o
 }
@@ -175,13 +174,13 @@ type fleetPeer struct {
 	redials       metrics.Counter // probe attempts (successful or not)
 	hedgeWins     metrics.Counter // chunks this peer rescued as the hedge
 	// lat aliases the peer's congestion-window RTT estimator: the window
-	// observes every attempt's round trip inside tryChunk, and the hedge
-	// trigger and weighted router read the same stream here — one feed,
-	// three consumers.
+	// observes every attempt's round trip inside tryChunk (its adaptive
+	// RTO reads it there), and the hedge trigger and the health surface
+	// read the same stream here — one feed, no second model.
 	lat *metrics.EWMA // attempt latency, milliseconds
 }
 
-// routable reports whether the router may place new chunks on the peer:
+// routable reports whether the fleet may place new chunks on the peer:
 // healthy only — evicted, redialing and draining peers take no traffic.
 func (p *fleetPeer) routable() bool {
 	return PeerState(p.state.Load()) == PeerHealthy
@@ -236,10 +235,9 @@ type HealthReporter interface {
 // Fleet fronts supervised remote peers as one Backend. Safe for concurrent
 // use; replicas share the health table and the live membership snapshot.
 type Fleet struct {
-	opts   FleetOptions
-	router Router
-	res    int     // shared peer input resolution, fixed for the fleet's life
-	zHi    float64 // sigma multiplier derived from HedgeQuantile
+	opts FleetOptions
+	res  int     // shared peer input resolution, fixed for the fleet's life
+	zHi  float64 // sigma multiplier derived from HedgeQuantile
 
 	// peers is the copy-on-write membership snapshot: dispatch loads it
 	// once per chunk and routes against that view, while AddPeer and
@@ -250,6 +248,15 @@ type Fleet struct {
 	peersMu sync.Mutex // serializes membership mutation, never dispatch
 
 	next atomic.Int64 // dispatch-lane ordinal source (Replicate, batches)
+	// reroute is the rotating failover-scan start (see pick). A fixed
+	// forward scan would send every displaced lane to the same next peer:
+	// with the first peer down that doubles one survivor's load while the
+	// spare sits idle.
+	reroute atomic.Int64
+	// beforePick, when set, runs at the top of every pick: a test's hook
+	// for a membership change landing between a chunk's snapshot load and
+	// its placement.
+	beforePick func()
 
 	hedges    metrics.Counter // hedges issued
 	hedgeWins metrics.Counter // hedges that beat the primary
@@ -287,7 +294,6 @@ func NewFleet(peers []*RemoteBackend, opts FleetOptions) (*Fleet, error) {
 	}
 	f := &Fleet{
 		opts:   opts,
-		router: opts.Router,
 		res:    res,
 		closed: make(chan struct{}),
 	}
@@ -310,9 +316,6 @@ func NewFleet(peers []*RemoteBackend, opts FleetOptions) (*Fleet, error) {
 func (f *Fleet) peerList() []*fleetPeer {
 	return *f.peers.Load()
 }
-
-// Router reports the active placement policy (the /admin/topology surface).
-func (f *Fleet) Router() Router { return f.router }
 
 // Name identifies the fleet and its current size.
 func (f *Fleet) Name() string { return fmt.Sprintf("fleet(%d)", len(f.peerList())) }
@@ -437,7 +440,7 @@ func (f *Fleet) AddPeer(rb *RemoteBackend) error {
 
 // DrainRemovePeer removes the peer matching id ("host:port" or the full
 // base URL) — the DELETE /admin/peers/{id} control plane. A healthy peer
-// drains first: it stops receiving new chunks immediately (the router
+// drains first: it stops receiving new chunks immediately (placement
 // skips draining peers) and its in-flight chunks are waited out through
 // the congestion window, up to timeout (default 5s; removal proceeds
 // regardless after it, logged). Evicted and redialing peers have no
@@ -470,7 +473,7 @@ func (f *Fleet) DrainRemovePeer(id string, timeout time.Duration) (*RemoteBacken
 		f.peersMu.Unlock()
 		return nil, fmt.Errorf("engine: peer %s is already draining", victim.b.Peer())
 	}
-	// stop new placements: the router never picks a non-healthy peer, so
+	// stop new placements: pick never returns a non-healthy peer, so
 	// flipping the state is the whole admission cut. Evicted/redialing
 	// peers fail the CAS and skip straight to removal below.
 	draining := victim.state.CompareAndSwap(int32(PeerHealthy), int32(PeerDraining))
@@ -524,17 +527,16 @@ func (f *Fleet) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float6
 }
 
 // InferKeyedInto (KeyedBackend) dispatches chunks through the supervisor on
-// a fresh dispatch lane per batch (round-robin under the static router).
+// a fresh dispatch lane per batch, so successive batches go round-robin.
 func (f *Fleet) InferKeyedInto(frames []*imaging.Bitmap, keys [][32]byte, out []float64) []float64 {
 	lane := int(f.next.Add(1) - 1)
 	return f.inferBatch(lane, frames, keys, out, &f.batches, &f.frames, &f.errors)
 }
 
 // Replicate hands out the next dispatch-lane ordinal: N serve shards over
-// N peers yields a lane per peer under the static router, and a lane whose
-// peer is out fails over instead of failing open. The lane is stored raw
-// (not modded) so the router can re-map it when membership changes
-// underneath it.
+// N peers yields a lane per peer, and a lane whose peer is out fails over
+// instead of failing open. The lane is stored raw (not modded) so pin can
+// re-map it when membership changes underneath it.
 func (f *Fleet) Replicate() Backend {
 	return &fleetReplica{f: f, pref: int(f.next.Add(1) - 1)}
 }
@@ -571,7 +573,7 @@ func (f *Fleet) Close() {
 // dispatch-lane ordinal, everything else shared.
 type fleetReplica struct {
 	f    *Fleet
-	pref int // lane ordinal; the router maps it to a preferred peer
+	pref int // lane ordinal; pin maps it to a preferred peer
 
 	batches atomic.Int64
 	frames  atomic.Int64
@@ -589,7 +591,7 @@ func (r *fleetReplica) Warm(maxBatch int) {
 	if len(peers) == 0 {
 		return
 	}
-	peers[r.f.router.Pin(r.pref, len(peers))].b.Warm(maxBatch)
+	peers[r.f.pin(r.pref, len(peers))].b.Warm(maxBatch)
 }
 func (r *fleetReplica) Close() {} // the fleet owns the shared transports
 
@@ -633,7 +635,7 @@ func (f *Fleet) inferBatch(lane int, frames []*imaging.Bitmap, keys [][32]byte, 
 	return out
 }
 
-// dispatchChunk scores one chunk somewhere: the router's pick (hedged),
+// dispatchChunk scores one chunk somewhere: the pinned peer (hedged),
 // failing over across the remaining routable peers, then the local
 // fallback. Reports whether a real verdict was produced. The chunk routes
 // against one consistent membership snapshot; if that view runs out while
@@ -651,36 +653,30 @@ func (f *Fleet) dispatchChunk(lane int, frames []*imaging.Bitmap, keys [][32]byt
 	chunk := f.chunks.get(frames, keys)
 	defer f.chunks.put(chunk)
 
-	pref := f.router.Pin(lane, len(peers))
-	var tried [8]*fleetPeer // failover path; fleets are small
-	ntried := 0
-	skip := func(p *fleetPeer) bool {
-		for i := 0; i < ntried; i++ {
-			if tried[i] == p {
-				return true
-			}
-		}
-		return false
-	}
+	pref := f.pin(lane, len(peers))
+	// the peers that failed this chunk: on the stack for fleets of up to
+	// eight, growing onto the heap past that so a larger fleet still tries
+	// every routable peer before the fallback
+	var triedBuf [8]*fleetPeer
+	tried := triedBuf[:0]
 	for refreshed := false; ; refreshed = true {
-		// Pick never returns a tried peer, so this ends within len(peers)
-		for ntried < len(tried) {
-			p := f.router.Pick(peers, pref, skip, ntried == 0)
+		// pick never returns a tried peer, so this ends within len(peers)
+		for {
+			p := f.pick(peers, pref, tried, len(tried) == 0)
 			if p == nil {
 				break
 			}
 			if f.sendHedged(peers, p, pref, chunk, out) {
 				return true
 			}
-			tried[ntried] = p
-			ntried++
+			tried = append(tried, p)
 		}
 		live := f.peers.Load()
 		if refreshed || live == snap {
 			break
 		}
 		snap, peers = live, *live
-		pref = f.router.Pin(lane, len(peers))
+		pref = f.pin(lane, len(peers))
 	}
 	if f.opts.Fallback != nil {
 		f.opts.Fallback.InferBatchInto(frames, out)
@@ -688,6 +684,54 @@ func (f *Fleet) dispatchChunk(lane int, frames []*imaging.Bitmap, keys [][32]byt
 		return true
 	}
 	return false
+}
+
+// pin maps a dispatch lane ordinal to its preferred peer index in a
+// membership of npeers. Called per chunk, since membership is live.
+func (f *Fleet) pin(lane, npeers int) int {
+	if npeers <= 0 {
+		return 0
+	}
+	return lane % npeers
+}
+
+// pick chooses the peer to serve a chunk: the preferred peer pref on the
+// chunk's first try while it is routable; otherwise the first routable
+// peer not in tried, scanning from a rotating start so displaced traffic
+// spreads across the survivors. Returns nil when no routable untried peer
+// remains.
+func (f *Fleet) pick(peers []*fleetPeer, pref int, tried []*fleetPeer, first bool) *fleetPeer {
+	if f.beforePick != nil {
+		f.beforePick()
+	}
+	n := len(peers)
+	if n == 0 {
+		return nil
+	}
+	start := pref % n
+	if !first || !peers[start].routable() {
+		start = int(f.reroute.Add(1) - 1)
+	}
+	for i := 0; i < n; i++ {
+		c := peers[(start%n+n+i)%n]
+		if c.routable() && !slices.Contains(tried, c) {
+			return c
+		}
+	}
+	return nil
+}
+
+// hedgePeer chooses a hedged chunk's second arm: the next routable peer
+// after the preference other than primary, or nil to skip the hedge.
+func (f *Fleet) hedgePeer(peers []*fleetPeer, pref int, primary *fleetPeer) *fleetPeer {
+	n := len(peers)
+	for i := 0; i < n; i++ {
+		p := peers[(pref+1+i)%n]
+		if p != primary && p.routable() {
+			return p
+		}
+	}
+	return nil
 }
 
 // chunkBudget bounds one peer's whole try (retries and backoffs included).
@@ -777,15 +821,15 @@ func (f *Fleet) settle(a *hedgeArm, err error, out []float64) bool {
 	return true
 }
 
-// sendHedged runs one chunk against peer p, re-issuing it to the router's
-// hedge pick once p's hedge delay expires; the first success cancels the
+// sendHedged runs one chunk against peer p, re-issuing it to hedgePeer's
+// choice once p's hedge delay expires; the first success cancels the
 // other arm. Reports whether the chunk was scored into out; failures are
 // recorded against every peer that actually failed.
 func (f *Fleet) sendHedged(peers []*fleetPeer, p *fleetPeer, pref int, chunk *wireChunk, out []float64) bool {
 	var h *fleetPeer
 	delay := f.hedgeDelay(p)
 	if delay > 0 {
-		h = f.router.Hedge(peers, pref, p)
+		h = f.hedgePeer(peers, pref, p)
 	}
 	primary := f.startArm(p, chunk, len(out))
 	if h == nil {
@@ -917,12 +961,13 @@ func (f *Fleet) redial(p *fleetPeer) {
 			// with a clean slate — stale pre-eviction latency must not arm
 			// the hedge trigger against a peer that just came back, and the
 			// window restarts in slow start (Reset clears the shared EWMA).
-			// The probe's own round trip then seeds the estimator, so the
-			// weighted router scores the re-admitted peer off a live
-			// measurement instead of a cold optimistic prior. The wire
-			// follows the listener the peer advertises now: a peer
-			// restarted on another port would otherwise be re-admitted
-			// against the old one and evicted again by every chunk.
+			// The probe's own round trip then seeds the estimator as its
+			// first sample (see CubicWindow.SeedRTT): it enters the mean,
+			// and the hedge trigger re-arms after two dispatch samples, the
+			// adaptive RTO after seven. The wire follows the listener the
+			// peer advertises now: a peer restarted on another port would
+			// otherwise be re-admitted against the old one and evicted
+			// again by every chunk.
 			p.b.tr.repoint(info.WireAddr)
 			p.consecFails.Store(0)
 			p.consecCancels.Store(0)

@@ -208,6 +208,45 @@ func TestChaosFleetFallsBackToLocal(t *testing.T) {
 	}
 }
 
+// TestChaosFailoverPastEightPeers: in a fleet of nine peers whose first
+// eight fail every chunk, a chunk still fails over to the ninth and is
+// scored — failover tries every routable peer, however large the fleet.
+func TestChaosFailoverPastEightPeers(t *testing.T) {
+	net, res := testNet(t, 16)
+	b := NewFP32(net, res)
+	defer b.Close()
+	urls := make([]string, 9)
+	injs := make([]*faultinject.Injector, len(urls))
+	for i := range urls {
+		ts, inj := newFaultyPeer(t, b)
+		urls[i], injs[i] = ts.URL, inj
+	}
+	f := dialFleet(t, FleetOptions{
+		EvictAfter:    50, // every peer stays routable: failover, not eviction
+		HedgeQuantile: -1,
+	}, urls...)
+	for _, inj := range injs[:8] {
+		inj.Set(faultinject.Fault{ErrorRate: 1})
+	}
+
+	frames := synth.SampleFrames(7, 2)
+	want := make([]float64, len(frames))
+	b.InferBatchInto(frames, want)
+	out := make([]float64, len(frames))
+	f.InferBatchInto(frames, out)
+	if st := f.Stats(); st.Errors != 0 {
+		t.Fatalf("chunk failed open with a healthy ninth peer: %+v, scores %v", st, out)
+	}
+	for i := range out {
+		if out[i] != want[i] {
+			t.Fatalf("frame %d scored %v, want %v", i, out[i], want[i])
+		}
+	}
+	if got := f.Peers()[8].Stats().Frames; got != int64(len(frames)) {
+		t.Fatalf("ninth peer scored %d frames, want %d", got, len(frames))
+	}
+}
+
 // TestChaosHedgeRescuesSlowPeer: a peer past its tail trigger must be
 // hedged to the second replica, the hedge must win with a correct verdict,
 // and the canceled primary must neither lose the verdict nor leak
@@ -370,20 +409,6 @@ func TestFleetLiveMembership(t *testing.T) {
 	}
 }
 
-// hookRouter is the static policy with a hook run before the first Pick it
-// serves: a membership change landing between a chunk's snapshot load and
-// its routing.
-type hookRouter struct {
-	StaticRouter
-	once sync.Once
-	hook func()
-}
-
-func (r *hookRouter) Pick(peers []*fleetPeer, pref int, tried func(*fleetPeer) bool, first bool) *fleetPeer {
-	r.once.Do(r.hook)
-	return r.StaticRouter.Pick(peers, pref, tried, first)
-}
-
 // TestFleetRoutesAroundStaleSnapshot: a chunk that loaded the membership
 // before a peer was admitted, and routes only after every peer it saw was
 // drained away, is scored by the admitted peer instead of failing open.
@@ -398,17 +423,21 @@ func TestFleetRoutesAroundStaleSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f *Fleet
-	r := &hookRouter{hook: func() {
-		peerA := f.Peers()[0].Peer()
-		if err := f.AddPeer(rbB); err != nil {
-			t.Error(err)
-		}
-		if _, err := f.DrainRemovePeer(peerA, time.Second); err != nil {
-			t.Error(err)
-		}
-	}}
-	f = dialFleet(t, FleetOptions{HedgeQuantile: -1, Router: r}, tsA.URL)
+	f := dialFleet(t, FleetOptions{HedgeQuantile: -1}, tsA.URL)
+	// the membership change lands before the first pick, after the chunk
+	// loaded its snapshot
+	var once sync.Once
+	f.beforePick = func() {
+		once.Do(func() {
+			peerA := f.Peers()[0].Peer()
+			if err := f.AddPeer(rbB); err != nil {
+				t.Error(err)
+			}
+			if _, err := f.DrainRemovePeer(peerA, time.Second); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 
 	frames := synth.SampleFrames(7, 3)
 	want := make([]float64, len(frames))
@@ -442,9 +471,9 @@ func TestFleetReplicatePinsPeers(t *testing.T) {
 	r0 := f.Replicate().(*fleetReplica)
 	r1 := f.Replicate().(*fleetReplica)
 	r2 := f.Replicate().(*fleetReplica)
-	// lanes are raw ordinals; the router maps them onto live membership
+	// lanes are raw ordinals; pin maps them onto live membership
 	n := len(f.peerList())
-	p0, p1, p2 := f.router.Pin(r0.pref, n), f.router.Pin(r1.pref, n), f.router.Pin(r2.pref, n)
+	p0, p1, p2 := f.pin(r0.pref, n), f.pin(r1.pref, n), f.pin(r2.pref, n)
 	if p0 == p1 || p2 != p0 {
 		t.Fatalf("replica pinning %d/%d/%d, want round-robin with wraparound", p0, p1, p2)
 	}
@@ -464,6 +493,89 @@ func TestFleetReplicatePinsPeers(t *testing.T) {
 	}
 	if _, err := NewFleet(nil, FleetOptions{}); err == nil {
 		t.Fatal("empty fleet not rejected")
+	}
+}
+
+// placementPeers builds bare fleet peers in the given states, enough for
+// the placement methods, which read nothing but the state.
+func placementPeers(states ...PeerState) []*fleetPeer {
+	peers := make([]*fleetPeer, len(states))
+	for i, s := range states {
+		p := &fleetPeer{}
+		p.state.Store(int32(s))
+		peers[i] = p
+	}
+	return peers
+}
+
+// TestStaticRouterPinsAndFailsOver: static placement pins lanes
+// round-robin and fails over by forward scan off an unroutable preferred
+// peer.
+func TestStaticRouterPinsAndFailsOver(t *testing.T) {
+	f := &Fleet{}
+	if f.pin(0, 3) != 0 || f.pin(4, 3) != 1 {
+		t.Fatalf("static pinning broke: %d,%d", f.pin(0, 3), f.pin(4, 3))
+	}
+	peers := placementPeers(PeerHealthy, PeerHealthy, PeerHealthy)
+	if got := f.pick(peers, 1, nil, true); got != peers[1] {
+		t.Fatal("first attempt not on the preferred peer")
+	}
+	peers[1].state.Store(int32(PeerEvicted))
+	if got := f.pick(peers, 1, nil, true); got == peers[1] || got == nil {
+		t.Fatal("unroutable preferred peer still picked")
+	}
+	// draining peers take no fresh chunks either
+	peers = placementPeers(PeerDraining, PeerHealthy)
+	if got := f.pick(peers, 0, nil, true); got != peers[1] {
+		t.Fatal("draining peer picked for a fresh chunk")
+	}
+	// all tried -> nil, the dispatcher's fallback signal
+	if got := f.pick(peers, 0, peers, false); got != nil {
+		t.Fatal("exhausted candidate set did not return nil")
+	}
+}
+
+// TestStaticPlacementSpreadsDisplacedPicks: with a lane's preferred peer
+// evicted, its first-try picks rotate over the survivors instead of all
+// landing on the next peer — the reason the fleet keeps a reroute counter.
+func TestStaticPlacementSpreadsDisplacedPicks(t *testing.T) {
+	f := &Fleet{}
+	peers := placementPeers(PeerEvicted, PeerHealthy, PeerHealthy)
+	hits := make(map[*fleetPeer]int)
+	for i := 0; i < 6; i++ {
+		p := f.pick(peers, f.pin(0, len(peers)), nil, true)
+		if p == nil || p == peers[0] {
+			t.Fatalf("pick %d: displaced lane placed on %v", i, p)
+		}
+		hits[p]++
+	}
+	if hits[peers[1]] == 0 || hits[peers[2]] == 0 {
+		t.Fatalf("displaced picks did not spread: peer 1 got %d, peer 2 got %d", hits[peers[1]], hits[peers[2]])
+	}
+}
+
+// TestStaticHedgeSkipsPrimaryAndUnroutable: the hedge arm never goes to
+// the primary, a draining peer or an evicted one, and is skipped (nil)
+// when no other routable peer exists.
+func TestStaticHedgeSkipsPrimaryAndUnroutable(t *testing.T) {
+	f := &Fleet{}
+	peers := placementPeers(PeerHealthy, PeerDraining, PeerEvicted, PeerRedialing, PeerHealthy)
+	for pref := range peers {
+		for _, primary := range peers {
+			h := f.hedgePeer(peers, pref, primary)
+			if h == nil || h == primary || !h.routable() {
+				t.Fatalf("pref %d: hedge arm %v for primary %v", pref, h, primary)
+			}
+		}
+	}
+	peers = placementPeers(PeerHealthy, PeerDraining, PeerEvicted)
+	for pref := range peers {
+		if h := f.hedgePeer(peers, pref, peers[0]); h != nil {
+			t.Fatalf("pref %d: hedged to %v with no other routable peer", pref, h)
+		}
+	}
+	if h := f.hedgePeer(peers[:1], 0, peers[0]); h != nil {
+		t.Fatal("one-peer fleet hedged")
 	}
 }
 

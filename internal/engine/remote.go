@@ -142,9 +142,9 @@ func NewRemote(peer string, opts RemoteOptions) (*RemoteBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: remote peer %s: %w", u.Host, err)
 	}
-	// the handshake round trip seeds the latency EWMA so the peer enters
-	// the fleet warm — the weighted router and hedging would otherwise fly
-	// blind until dispatch samples converge (see CubicWindow.SeedRTT)
+	// the handshake round trip is the latency EWMA's first sample, so the
+	// hedge trigger and the adaptive RTO each arm one dispatch sample
+	// sooner (see CubicWindow.SeedRTT)
 	b.win.SeedRTT(time.Since(dialStart))
 	if err := checkWire(u.Host, info); err != nil {
 		return nil, err

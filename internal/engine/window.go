@@ -315,13 +315,13 @@ func (w *CubicWindow) Reset() {
 }
 
 // SeedRTT primes the RTT estimator with one measured round trip — the
-// /modelz handshake RTT at dial and re-admission time. Without the seed a
-// (re)dialed peer enters cold: hedging and the weighted router both
-// misjudge it until dispatch samples re-converge, and the static failover
-// scan meanwhile routes real traffic by a fiction. One sample is
-// deliberate: the hedge trigger arms at N() >= 3 and the adaptive RTO at
-// windowRTOSamples, so a seed can bias neither — it only gives the
-// weighted router's score a live prior instead of the optimistic floor.
+// /modelz handshake RTT at dial and re-admission time. The seed is an
+// ordinary sample: on a fresh estimator it becomes the mean that later
+// dispatch samples blend into, and it counts toward N(), so the fleet's
+// hedge trigger (N() >= 3) arms after two dispatch samples instead of
+// three and the adaptive RTO (windowRTOSamples) after seven instead of
+// eight. A peer therefore enters with a measured latency on /healthz and
+// hedges one chunk sooner than an unseeded one would.
 func (w *CubicWindow) SeedRTT(d time.Duration) {
 	if d <= 0 {
 		return
