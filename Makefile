@@ -59,9 +59,10 @@ test-avx2:
 	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 ./internal/tensor/ ./internal/nn/ ./internal/engine/ ./internal/imaging/
 
 # The browser run is the real raster pipeline driving one backend from
-# several raster workers, synchronously and through the serving stack.
+# several raster workers, synchronously and through the serving stack; the
+# daemon package drives serve's shard loops over HTTP and the wire.
 race:
-	$(GO) test -race ./internal/tensor/... ./internal/imaging/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
+	$(GO) test -race ./internal/tensor/... ./internal/imaging/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/... ./cmd/percival-serve/
 	$(GO) test -race -run 'TestInspector|TestAsyncServe' ./internal/browser/
 
 # Native Go fuzzing smoke pass, ten fuzzers: the nine decoders that face

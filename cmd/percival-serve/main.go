@@ -25,8 +25,8 @@
 //	percival-serve -pretrained            # deterministic untrained weights (smoke)
 //	percival-serve -model m.pcvl -res 224 -backend int8  # paper scale, INT8
 //	percival-serve -model m.pcvl -backend fp32  # FP32 only: no INT8 engine
-//	percival-serve -shards 4              # sharded dispatch: one batcher,
-//	                                      # replica and dispatch worker per
+//	percival-serve -shards 4              # sharded dispatch: one queue,
+//	                                      # replica and dispatch loop per
 //	                                      # shard (per-shard busy time on
 //	                                      # /metrics)
 //	percival-serve -admission             # unified admission controller: the
@@ -100,7 +100,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for -pretrained's weights and the INT8 calibration frames")
 		threshold   = flag.Float64("threshold", 0.5, "ad-probability blocking threshold")
 		backendName = flag.String("backend", "auto", "serving engine: fp32, int8, or auto (quantize, and serve INT8 if it passes the parity gate against FP32)")
-		shards      = flag.Int("shards", 1, "dispatch shards (content-hash range partitions, each with its own batcher, backend replica and dispatch worker): how many forward passes run at once")
+		shards      = flag.Int("shards", 1, "dispatch shards (content-hash range partitions, each with its own queue, backend replica and dispatch loop): how many forward passes run at once")
 		admission   = flag.Bool("admission", false, "run the unified admission controller: graded brownout (cache-only -> degraded -> shed) gates the queue door and co-adapts batch cap and shed deadline")
 		maxBatch    = flag.Int("batch", 16, "max frames per forward pass")
 		queue       = flag.Int("queue", 0, "submit queue depth (0 = default)")
@@ -267,7 +267,7 @@ func main() {
 		<-sig
 		log.Print("shutting down: draining in-flight requests")
 		// Graceful drain, not drop: finish in-flight HTTP requests, then
-		// close the serve layer (which flushes the open batches and
+		// close the serve layer (which dispatches what is still queued and
 		// resolves every queued future) before snapshotting the cache.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		if err := httpSrv.Shutdown(ctx); err != nil {

@@ -248,10 +248,10 @@ type Fleet struct {
 	peersMu sync.Mutex // serializes membership mutation, never dispatch
 
 	next atomic.Int64 // dispatch-lane ordinal source (Replicate, batches)
-	// reroute is the rotating failover-scan start (see pick). A fixed
-	// forward scan would send every displaced lane to the same next peer:
-	// with the first peer down that doubles one survivor's load while the
-	// spare sits idle.
+	// reroute takes displaced picks in turn over the open peers (see
+	// pick). A fixed forward scan would send every displaced lane to the
+	// same next peer: with the first peer down that doubles one survivor's
+	// load while the spare sits idle.
 	reroute atomic.Int64
 	// beforePick, when set, runs at the top of every pick: a test's hook
 	// for a membership change landing between a chunk's snapshot load and
@@ -696,10 +696,10 @@ func (f *Fleet) pin(lane, npeers int) int {
 }
 
 // pick chooses the peer to serve a chunk: the preferred peer pref on the
-// chunk's first try while it is routable; otherwise the first routable
-// peer not in tried, scanning from a rotating start so displaced traffic
-// spreads across the survivors. Returns nil when no routable untried peer
-// remains.
+// chunk's first try while it is routable; otherwise one of the routable
+// peers not in tried, taken in turn by a rotating counter so displaced
+// traffic spreads evenly across the survivors. Returns nil when no routable
+// untried peer remains.
 func (f *Fleet) pick(peers []*fleetPeer, pref int, tried []*fleetPeer, first bool) *fleetPeer {
 	if f.beforePick != nil {
 		f.beforePick()
@@ -708,17 +708,21 @@ func (f *Fleet) pick(peers []*fleetPeer, pref int, tried []*fleetPeer, first boo
 	if n == 0 {
 		return nil
 	}
-	start := pref % n
-	if !first || !peers[start].routable() {
-		start = int(f.reroute.Add(1) - 1)
+	if p := peers[pref%n]; first && p.routable() {
+		return p
 	}
-	for i := 0; i < n; i++ {
-		c := peers[(start%n+n+i)%n]
-		if c.routable() && !slices.Contains(tried, c) {
-			return c
+	// the routable untried peers, on the stack for fleets of up to eight
+	var openBuf [8]*fleetPeer
+	open := openBuf[:0]
+	for _, p := range peers {
+		if p.routable() && !slices.Contains(tried, p) {
+			open = append(open, p)
 		}
 	}
-	return nil
+	if len(open) == 0 {
+		return nil
+	}
+	return open[uint64(f.reroute.Add(1)-1)%uint64(len(open))]
 }
 
 // hedgePeer chooses a hedged chunk's second arm: the next routable peer

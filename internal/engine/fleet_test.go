@@ -536,8 +536,9 @@ func TestStaticRouterPinsAndFailsOver(t *testing.T) {
 }
 
 // TestStaticPlacementSpreadsDisplacedPicks: with a lane's preferred peer
-// evicted, its first-try picks rotate over the survivors instead of all
-// landing on the next peer — the reason the fleet keeps a reroute counter.
+// evicted, its first-try picks rotate evenly over the survivors instead of
+// all landing on the next peer — the reason the fleet keeps a reroute
+// counter.
 func TestStaticPlacementSpreadsDisplacedPicks(t *testing.T) {
 	f := &Fleet{}
 	peers := placementPeers(PeerEvicted, PeerHealthy, PeerHealthy)
@@ -549,8 +550,8 @@ func TestStaticPlacementSpreadsDisplacedPicks(t *testing.T) {
 		}
 		hits[p]++
 	}
-	if hits[peers[1]] == 0 || hits[peers[2]] == 0 {
-		t.Fatalf("displaced picks did not spread: peer 1 got %d, peer 2 got %d", hits[peers[1]], hits[peers[2]])
+	if hits[peers[1]] != 3 || hits[peers[2]] != 3 {
+		t.Fatalf("displaced picks split %d:%d over peers 1 and 2, want 3:3", hits[peers[1]], hits[peers[2]])
 	}
 }
 

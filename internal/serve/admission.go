@@ -12,9 +12,9 @@ package serve
 //
 //   - queue occupancy: every leader admission observes len(queue)/cap —
 //     the direct "are we keeping up" signal;
-//   - dispatch wait: every dispatched batch observes the oldest member's
-//     pre-dispatch wait over the shed deadline — catches worker saturation
-//     while queues still look shallow;
+//   - dispatch wait: every leader a shard's loop pops for dispatch observes
+//     its queue age over the shed deadline — catches lane saturation while
+//     queues still look shallow;
 //   - remote congestion: when the backend gates peers with CUBIC windows
 //     (engine.WindowReporter), mean in-flight/cwnd saturation is sampled —
 //     catches a congested fleet before the local queue backs up.
@@ -34,10 +34,9 @@ package serve
 //                        common case — the cache IS the brownout capacity).
 //
 // Transitions move one stage at a time: escalate after pressure has held
-// above EnterPressure for EnterHold, release after it has held below
-// ExitPressure for ExitHold. The gap between the two thresholds plus the
-// hold times is the hysteresis that keeps the ladder from flapping on a
-// bursty boundary load.
+// above admEnter for EnterHold, release after it has held below admExit for
+// ExitHold. The gap between the two thresholds plus the hold times is the
+// hysteresis that keeps the ladder from flapping on a bursty boundary load.
 
 import (
 	"fmt"
@@ -77,30 +76,29 @@ func (st BrownoutStage) String() string {
 	return fmt.Sprintf("stage(%d)", int32(st))
 }
 
-// Admission defaults; see AdmissionOptions.
+// Admission constants and the defaults of AdmissionOptions.
 const (
-	admDefaultEnter     = 0.75
-	admDefaultExit      = 0.35
+	// admEnter / admExit bound the hysteresis band: escalate above the
+	// first, release below the second.
+	admEnter = 0.75
+	admExit  = 0.35
+	// admWinPeriod rate-limits Windows sampling.
+	admWinPeriod        = 25 * time.Millisecond
 	admDefaultEnterHold = 100 * time.Millisecond
 	admDefaultExitHold  = 300 * time.Millisecond
 	admDefaultAlpha     = 0.1
-	admDefaultWinPeriod = 25 * time.Millisecond
 	// admDefaultWaitNorm normalizes dispatch waits into pressure when no
 	// shed deadline is configured.
 	admDefaultWaitNorm = 100 * time.Millisecond
 	// admWindowWeight discounts the remote-saturation signal: a pipeline
 	// briefly running at its window is normal; only sustained saturation
-	// should push past EnterPressure.
+	// should push past admEnter.
 	admWindowWeight = 0.9
 )
 
 // AdmissionOptions tunes an AdmissionController. The zero value gets
 // defaults from NewAdmissionController.
 type AdmissionOptions struct {
-	// EnterPressure / ExitPressure bound the hysteresis band (defaults
-	// 0.75 / 0.35): escalate above the first, release below the second.
-	EnterPressure float64
-	ExitPressure  float64
 	// EnterHold / ExitHold are how long pressure must sit past a threshold
 	// before the ladder moves one stage (defaults 100ms / 300ms — brownout
 	// engages faster than it releases).
@@ -112,20 +110,9 @@ type AdmissionOptions struct {
 	// signal. serve.New wires the service backend automatically when it
 	// reports windows (fleet or remote) and this is nil.
 	Windows engine.WindowReporter
-	// WindowPeriod rate-limits Windows sampling (default 25ms).
-	WindowPeriod time.Duration
 }
 
 func (o AdmissionOptions) withDefaults() AdmissionOptions {
-	if o.EnterPressure <= 0 {
-		o.EnterPressure = admDefaultEnter
-	}
-	if o.ExitPressure <= 0 {
-		o.ExitPressure = admDefaultExit
-	}
-	if o.ExitPressure > o.EnterPressure {
-		o.ExitPressure = o.EnterPressure
-	}
 	if o.EnterHold <= 0 {
 		o.EnterHold = admDefaultEnterHold
 	}
@@ -135,15 +122,12 @@ func (o AdmissionOptions) withDefaults() AdmissionOptions {
 	if o.Alpha <= 0 || o.Alpha > 1 {
 		o.Alpha = admDefaultAlpha
 	}
-	if o.WindowPeriod <= 0 {
-		o.WindowPeriod = admDefaultWinPeriod
-	}
 	return o
 }
 
 // AdmissionController is the unified overload controller (see the package
 // comment above the type set). Safe for concurrent use from every shard's
-// submitters, coalescers, and workers.
+// submitters and dispatch loops.
 type AdmissionController struct {
 	opts AdmissionOptions
 
@@ -154,13 +138,15 @@ type AdmissionController struct {
 	// ladder/bookkeeping state, TryLock'd from the hot path: a submission
 	// that loses the race simply leaves the evaluation to the winner.
 	mu      sync.Mutex
-	above   time.Time // since when pressure has sat above EnterPressure
-	below   time.Time // since when pressure has sat below ExitPressure
+	above   time.Time // since when pressure has sat above admEnter
+	below   time.Time // since when pressure has sat below admExit
 	lastWin time.Time // last Windows sample
 	winSat  float64   // last sampled mean in-flight/cwnd over peers
 
 	transitions metrics.Counter // ladder moves, either direction
-	admSheds    metrics.Counter // requests shed by the ladder at admission
+	// admSheds counts requests the ladder shed at admission (stage >= 1
+	// queue-full rejections and stage-3 edge sheds), not deadline sheds
+	admSheds metrics.Counter
 
 	now func() time.Time // test clock hook
 }
@@ -180,14 +166,6 @@ func (c *AdmissionController) Stage() BrownoutStage {
 func (c *AdmissionController) Pressure() float64 {
 	return math.Float64frombits(c.pressure.Load())
 }
-
-// Transitions reports ladder moves in either direction.
-func (c *AdmissionController) Transitions() int64 { return c.transitions.Load() }
-
-// AdmissionSheds reports requests the ladder shed at admission (stage >= 1
-// queue-full rejections and stage-3 edge sheds) — dispatch-time deadline
-// sheds are not included.
-func (c *AdmissionController) AdmissionSheds() int64 { return c.admSheds.Load() }
 
 // setDeadline publishes the configured shed deadline as the dispatch-wait
 // normalizer (serve.New calls this; a zero deadline falls back to
@@ -233,7 +211,7 @@ func (c *AdmissionController) AdmitQueue(qlen, qcap int) BrownoutStage {
 }
 
 // sampleWindows refreshes the remote-saturation reading at most once per
-// WindowPeriod and returns the latest value: the mean, over peers, of
+// admWinPeriod and returns the latest value: the mean, over peers, of
 // in-flight depth against the congestion window. A fleet pinned at its
 // windows is congested no matter how shallow the local queues are. The
 // reporter's rows cover only peers that can take traffic (the fleet
@@ -247,7 +225,7 @@ func (c *AdmissionController) sampleWindows() float64 {
 		return 0 // a concurrent sampler owns the fresh value this instant
 	}
 	defer c.mu.Unlock()
-	if now.Sub(c.lastWin) >= c.opts.WindowPeriod {
+	if now.Sub(c.lastWin) >= admWinPeriod {
 		c.lastWin = now
 		stats := c.opts.Windows.WindowStats()
 		sat := 0.0
@@ -271,7 +249,7 @@ func (c *AdmissionController) sampleWindows() float64 {
 }
 
 // evaluate advances the hysteresis ladder: one stage per EnterHold above
-// EnterPressure, one stage back per ExitHold below ExitPressure. TryLock —
+// admEnter, one stage back per ExitHold below admExit. TryLock —
 // concurrent submissions race to evaluate and only one needs to win.
 func (c *AdmissionController) evaluate(now time.Time) {
 	if !c.mu.TryLock() {
@@ -281,7 +259,7 @@ func (c *AdmissionController) evaluate(now time.Time) {
 	p := c.Pressure()
 	st := c.stage.Load()
 	switch {
-	case p >= c.opts.EnterPressure:
+	case p >= admEnter:
 		c.below = time.Time{}
 		if c.above.IsZero() {
 			c.above = now
@@ -291,7 +269,7 @@ func (c *AdmissionController) evaluate(now time.Time) {
 			c.transitions.Inc()
 			c.above = now // the next step needs its own sustained hold
 		}
-	case p <= c.opts.ExitPressure:
+	case p <= admExit:
 		c.above = time.Time{}
 		if c.below.IsZero() {
 			c.below = now
@@ -306,11 +284,6 @@ func (c *AdmissionController) evaluate(now time.Time) {
 		c.above, c.below = time.Time{}, time.Time{}
 	}
 }
-
-// ObserveBatch feeds one dispatched batch's pre-dispatch wait (its oldest
-// member's, normalized by the shed deadline) into pressure — the signal
-// that catches saturated workers behind shallow queues.
-func (c *AdmissionController) ObserveBatch(wait time.Duration) { c.ObserveDispatchWait(wait) }
 
 // ObserveShed counts one ladder-driven admission shed. Deliberately not a
 // pressure input: at stage 3 every leader sheds, and feeding those back in

@@ -69,17 +69,15 @@ func TestAdmissionLadderEscalatesAndReleases(t *testing.T) {
 	if c.Stage() != BrownoutNormal {
 		t.Fatalf("stage after load drop = %v, want %v", c.Stage(), BrownoutNormal)
 	}
-	if c.Transitions() < 6 {
-		t.Fatalf("transitions = %d, want >= 6 (3 up + 3 down)", c.Transitions())
+	if n := c.transitions.Load(); n < 6 {
+		t.Fatalf("transitions = %d, want >= 6 (3 up + 3 down)", n)
 	}
 }
 
 func TestAdmissionLadderHysteresis(t *testing.T) {
 	c, clk := testController(AdmissionOptions{
-		EnterPressure: 0.75,
-		ExitPressure:  0.35,
-		EnterHold:     50 * time.Millisecond,
-		ExitHold:      50 * time.Millisecond,
+		EnterHold: 50 * time.Millisecond,
+		ExitHold:  50 * time.Millisecond,
 	})
 	// a short burst (shorter than EnterHold) must not move the ladder
 	drive(c, clk, 100, 64, 64, 100*time.Microsecond)
@@ -127,8 +125,8 @@ func TestAdmissionStageAdjustedKnobs(t *testing.T) {
 }
 
 // TestDegradedStageHalvesTheBatcherBite drives the stage-adjusted cap
-// through the coalescer itself: four frames queued behind a held lane ride
-// one forward pass at stage 0 and two at stage 2.
+// through the shard's dispatch loop itself: four frames queued behind a
+// held lane ride one forward pass at stage 0 and two at stage 2.
 func TestDegradedStageHalvesTheBatcherBite(t *testing.T) {
 	for _, tc := range []struct {
 		stage BrownoutStage
@@ -196,7 +194,7 @@ func (b slowBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64) []f
 
 func TestAdmissionRemoteSaturationSignal(t *testing.T) {
 	// every peer pinned at its window: remote congestion alone must push
-	// pressure past EnterPressure even though the local queue is empty
+	// pressure past admEnter even though the local queue is empty
 	c, clk := testController(AdmissionOptions{
 		EnterHold: 50 * time.Millisecond,
 		Windows: stubWindows{stats: []engine.WindowStat{
@@ -259,8 +257,8 @@ func TestAdmissionCoalescedPressureSignals(t *testing.T) {
 	if c.Pressure() != 0 {
 		t.Fatalf("ladder shed moved pressure to %.4f, want 0", c.Pressure())
 	}
-	if c.AdmissionSheds() != 1 {
-		t.Fatalf("AdmissionSheds = %d, want 1", c.AdmissionSheds())
+	if n := c.admSheds.Load(); n != 1 {
+		t.Fatalf("admission sheds = %d, want 1", n)
 	}
 }
 
@@ -287,7 +285,7 @@ func TestServeStage3ShedsAtEdgeButServesCache(t *testing.T) {
 	if res := s.Submit(frames[1]); res.Status != StatusShed {
 		t.Fatalf("fresh leader at stage 3 resolved %v, want shed", res.Status)
 	}
-	if got := ac.AdmissionSheds(); got < 1 {
+	if got := ac.admSheds.Load(); got < 1 {
 		t.Fatalf("admission sheds = %d, want >= 1", got)
 	}
 	// shed waits land in the shed histogram, not the latency histogram
@@ -313,7 +311,7 @@ func TestServeStage3ShedsAtEdgeButServesCache(t *testing.T) {
 // once and every model verdict is the backend's, bit for bit (no fail-open).
 func TestServeLadderEngagesAndReleasesUnderHeldLane(t *testing.T) {
 	const hold = 50 * time.Millisecond
-	// Alpha 0.5 lets occupancy cross EnterPressure with a quarter of the
+	// Alpha 0.5 lets occupancy cross admEnter with a quarter of the
 	// queue still free: at stage 0 a submitter blocks on a full queue, and
 	// this test submits from one goroutine
 	ac, clk := testController(AdmissionOptions{EnterHold: hold, ExitHold: hold, Alpha: 0.5})
@@ -338,8 +336,8 @@ func TestServeLadderEngagesAndReleasesUnderHeldLane(t *testing.T) {
 		}
 	}
 
-	// overload: nothing is released, so the first frame holds the lane, the
-	// second the coalescer, and the rest fill the queue
+	// overload: nothing is released, so the first frame holds the lane and
+	// the rest fill the queue
 	type sub struct {
 		f   *imaging.Bitmap
 		fut *Future

@@ -210,7 +210,7 @@ func TestTwoShardsTakeTwoLoneFrames(t *testing.T) {
 }
 
 // TestCloseFlushesHeldAndOpenBatches: Close with one batch inside the
-// backend and another still open in the coalescer resolves every request
+// backend and more frames still queued behind it resolves every request
 // exactly once, with the backend's scores bit for bit (ROADMAP 5b).
 func TestCloseFlushesHeldAndOpenBatches(t *testing.T) {
 	gb := newGatedBackend()
@@ -221,14 +221,14 @@ func TestCloseFlushesHeldAndOpenBatches(t *testing.T) {
 	frames := synth.SampleFrames(83, 3)
 	futs := []*Future{s.SubmitAsync(frames[0])}
 	gb.nextCall(t)
-	futs = append(futs, s.SubmitAsync(frames[1]), s.SubmitAsync(frames[2])) // open batch, cap not reached
+	futs = append(futs, s.SubmitAsync(frames[1]), s.SubmitAsync(frames[2])) // queued, cap not reached
 	closed := make(chan struct{})
 	go func() {
 		s.Close()
 		close(closed)
 	}()
 	// Close shuts the queues under closeMu, so once the flag reads true the
-	// coalescer can only flush what it holds
+	// shard's loop can only flush what is already queued
 	for isClosed := false; !isClosed; runtime.Gosched() {
 		s.closeMu.RLock()
 		isClosed = s.closed
@@ -250,6 +250,53 @@ func TestCloseFlushesHeldAndOpenBatches(t *testing.T) {
 	if m.Classified.Load() != 3 || m.LatencyMS.N() != 3 || m.Shed.Load() != 0 || m.ShedWaitMS.N() != 0 {
 		t.Fatalf("resolutions: %d classified (%d latency samples), %d shed — want 3 / 3 / 0",
 			m.Classified.Load(), m.LatencyMS.N(), m.Shed.Load())
+	}
+}
+
+// TestQueueBoundIsExact: a shard holds QueueDepth waiting leaders plus the
+// batch inside the model, and nothing more. The ladder is pinned at
+// cache-only, where a full queue sheds at once: with one frame in the held
+// lane and four queued, a sixth fresh leader sheds, and the five admitted
+// each resolve once with the backend's score.
+func TestQueueBoundIsExact(t *testing.T) {
+	ac := NewAdmissionController(AdmissionOptions{})
+	gb := newGatedBackend()
+	s := testServer(t, core.Options{}, Options{
+		Shards: 1, MaxBatch: 4, QueueDepth: 4, DisableCache: true, Backend: gb, Policy: ac,
+	})
+	frames := synth.SampleFrames(131, 6)
+	futs := []*Future{s.SubmitAsync(frames[0])}
+	gb.nextCall(t)
+	ac.stage.Store(int32(BrownoutCacheOnly))
+	// park the EWMA inside the hysteresis band so the admissions below
+	// cannot move the pinned stage
+	ac.pressure.Store(pressureBits(0.5))
+	for _, f := range frames[1:5] {
+		futs = append(futs, s.SubmitAsync(f))
+	}
+	// a sixth leader admitted past the bound would wait for the lane, so
+	// take its verdict after the lane opens
+	sixth := s.SubmitAsync(frames[5])
+	gb.release <- struct{}{}
+	if call := gb.nextCall(t); !sameFrames(call, frames[1:5]) {
+		t.Fatalf("queued batch carried %d frames, want the 4 queued in order", len(call))
+	}
+	close(gb.release)
+	if r := sixth.Wait(); r.Status != StatusShed {
+		t.Fatalf("leader past a full queue resolved %+v, want shed", r)
+	}
+	for i, fut := range futs {
+		if r := fut.Wait(); r.Status != StatusClassified || r.Score != stubScore(frames[i]) {
+			t.Fatalf("frame %d resolved %+v, want classified %v", i, r, stubScore(frames[i]))
+		}
+	}
+	m := s.Metrics()
+	if m.Classified.Load() != 5 || m.LatencyMS.N() != 5 || m.Shed.Load() != 1 {
+		t.Fatalf("resolutions: %d classified (%d latency samples), %d shed — want 5 / 5 / 1",
+			m.Classified.Load(), m.LatencyMS.N(), m.Shed.Load())
+	}
+	if l, f := inflight(s); l != 0 || f != 0 {
+		t.Fatalf("%d leaders / %d followers still in flight", l, f)
 	}
 }
 
@@ -287,9 +334,9 @@ func (b *servedLog) InferBatchInto(frames []*imaging.Bitmap, out []float64) []fl
 // TestClosedLoopClientsAreNotStarved pins the one-P starvation the lane's
 // yield exists for: two closed-loop clients on GOMAXPROCS(1) must never see
 // one of them served three forward passes running while the other waits.
-// Without runtime.Gosched() in shard.worker the scheduler's runnext chain
-// (worker -> last-woken client -> coalescer -> worker) serves one client
-// for a whole scheduler slice.
+// Without runtime.Gosched() in shard.run the scheduler's runnext chain
+// (loop -> last-woken client -> loop) serves one client for a whole
+// scheduler slice.
 func TestClosedLoopClientsAreNotStarved(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	frames := synth.SampleFrames(89, 16)

@@ -1,8 +1,8 @@
 // Package serve turns PERCIVAL's synchronous per-caller classifier into a
-// concurrent micro-batching service: many goroutines Submit single frames,
-// per-shard coalescing batchers collect them into batches, and each shard's
-// one dispatch worker runs each batch through a warm engine.Backend replica
-// (FP32 or INT8, whichever the selection policy chose) in one forward pass.
+// concurrent micro-batching service: many goroutines Submit single frames
+// into per-shard queues, and each shard's one dispatch loop takes what is
+// queued as a batch and runs it through a warm engine.Backend replica (FP32
+// or INT8, whichever the selection policy chose) in one forward pass.
 // This is the throughput story the paper's deployment needs at scale:
 // per-frame latency is already hardware-bound, so serving millions of users
 // is about amortizing forward passes and never classifying the same creative
@@ -12,8 +12,8 @@
 //
 //   - dispatch sharding: submissions are partitioned by content-hash range
 //     over Options.Shards independent shards, each owning its own queue,
-//     coalescing batcher, in-flight table, and backend replica (own arena
-//     pool — shards never contend for inference state);
+//     dispatch loop, in-flight table, and backend replica (own arena pool —
+//     shards never contend for inference state);
 //   - a verdict cache keyed by frame content hash: one engine.VerdictMap
 //     per server, split into lock domains of its own;
 //   - in-flight request coalescing: a frame identical to one already being
@@ -24,15 +24,16 @@
 //     StatusShed ("verdict unknown", render the frame) instead of growing
 //     the queue without bound.
 //
-// Batching is work-conserving: a batch is dispatched the moment the shard's
-// worker is free to take it and keeps filling only while it is busy (see
-// shard.coalesce). No timer holds a frame back while a lane sits idle, so
-// there is no batching delay to tune — an idle service answers a lone frame
-// as a batch of one, and a loaded one fills batches by itself because
-// requests queue behind the forward passes already running. (The linger
-// timer and its fixed / AIMD policies that used to decide this were removed:
-// the wait was two thirds of a warm wire frame and bought no measurable
-// per-frame saving; PERFORMANCE.md "Work-conserving batcher".)
+// Batching is work-conserving: the shard's loop takes a batch the moment it
+// is free, and requests that arrive while the model runs wait in the bounded
+// queue to form the next one (see shard.run). No timer holds a frame back
+// while a lane sits idle, so there is no batching delay to tune — an idle
+// service answers a lone frame as a batch of one, and a loaded one fills
+// batches by itself because requests queue behind the forward pass already
+// running. (The linger timer and its fixed / AIMD policies that used to
+// decide this were removed: the wait was two thirds of a warm wire frame and
+// bought no measurable per-frame saving; PERFORMANCE.md "Work-conserving
+// batcher".)
 //
 // Counters and latency histograms are exported through internal/metrics and
 // rendered by cmd/percival-serve's /metrics endpoint.
@@ -103,7 +104,9 @@ type Options struct {
 	MaxBatch int
 	// QueueDepth bounds the submit queues in total entries across shards
 	// (default 4*GOMAXPROCS*MaxBatch). A full shard queue blocks submitters —
-	// backpressure, not buffering.
+	// backpressure, not buffering. The bound is exact: a shard holds its
+	// share of QueueDepth waiting leaders plus the one batch inside the
+	// model, and nothing between the queue and the lane.
 	QueueDepth int
 	// Deadline sheds requests that waited longer than this before their
 	// batch was dispatched (0 disables shedding).
@@ -116,10 +119,9 @@ type Options struct {
 	DisableCache bool
 	// Shards is the number of independent dispatch shards; submissions are
 	// partitioned by content-hash range, each shard owning its own queue,
-	// batcher, in-flight table, backend replica and one dispatch worker
-	// (default 1). It is the service's one concurrency knob: a forward pass
-	// fans its products out across the GEMM pool, and Shards of them run at
-	// once.
+	// in-flight table, backend replica and one dispatch loop (default 1).
+	// It is the service's one concurrency knob: a forward pass fans its
+	// products out across the GEMM pool, and Shards of them run at once.
 	Shards int
 	// Backend overrides the inference engine (default: the classifier's
 	// active backend). Each shard replicates it, so the value passed here
@@ -172,7 +174,7 @@ type Metrics struct {
 	// ShardFrames counts model-dispatched frames per shard (routing and
 	// balance observability).
 	ShardFrames []metrics.Counter
-	// LaneBusyNS accumulates nanoseconds each shard's worker spent inside
+	// LaneBusyNS accumulates nanoseconds each shard's loop spent inside
 	// the model (indexed by shard) — shard occupancy is its rate over wall
 	// time.
 	LaneBusyNS []metrics.Counter
@@ -214,7 +216,7 @@ type request struct {
 }
 
 // shard is one independent dispatch lane: a content-hash range of the key
-// space with its own submit queue, coalescing batcher, in-flight table, and
+// space with its own submit queue, dispatch loop, in-flight table, and
 // backend replica. A shard's arena state is its own — two shards never
 // contend for inference buffers.
 type shard struct {
@@ -228,11 +230,8 @@ type shard struct {
 	mu      sync.Mutex
 	pending map[[32]byte]*request
 
-	queue       chan *request
-	batches     chan []*request
-	freeBatches chan []*request
-
-	loopsWG sync.WaitGroup // coalescer + worker
+	queue chan *request
+	done  chan struct{} // closed when run returns
 }
 
 // Server is the sharded micro-batching classification service.
@@ -307,18 +306,15 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
 		sh := &shard{
-			srv:         s,
-			id:          i,
-			backend:     backend.Replicate(),
-			pending:     map[[32]byte]*request{},
-			queue:       make(chan *request, queueDepth),
-			batches:     make(chan []*request),
-			freeBatches: make(chan []*request, 3), // the worker's, the open one, a spare
+			srv:     s,
+			id:      i,
+			backend: backend.Replicate(),
+			pending: map[[32]byte]*request{},
+			queue:   make(chan *request, queueDepth),
+			done:    make(chan struct{}),
 		}
 		s.shards[i] = sh
-		sh.loopsWG.Add(2)
-		go sh.coalesce()
-		go sh.worker()
+		go sh.run()
 	}
 	return s, nil
 }
@@ -387,17 +383,8 @@ func (s *Server) WindowStats() []engine.WindowStat {
 // service's policy, nil otherwise.
 func (s *Server) Admission() *AdmissionController { return s.adm }
 
-// BrownoutStage reports the admission ladder's current stage
-// (BrownoutNormal when no admission controller is installed).
-func (s *Server) BrownoutStage() BrownoutStage {
-	if s.adm == nil {
-		return BrownoutNormal
-	}
-	return s.adm.Stage()
-}
-
 // Warm builds every shard replica's inference state at the largest batch
-// the coalescers can dispatch — one forward pass each, whose forward plan
+// a shard can dispatch — one forward pass each, whose forward plan
 // then serves every smaller batch — so the first real burst allocates
 // nothing.
 func (s *Server) Warm() {
@@ -414,9 +401,6 @@ func (s *Server) Cache() *engine.VerdictMap { return s.cache }
 
 // CacheLen reports the number of memoized verdicts.
 func (s *Server) CacheLen() int { return s.cache.Len() }
-
-// ResetCache drops all memoized verdicts (creative-rotation epoch).
-func (s *Server) ResetCache() { s.cache.Reset() }
 
 // result materializes a Result from a resolved request.
 func (s *Server) result(r *request) Result {
@@ -612,78 +596,6 @@ func (s *Server) SubmitAsync(frame *imaging.Bitmap) *Future {
 	return &Future{s: s, r: r}
 }
 
-// coalesce is a shard's batching loop, and it is work-conserving: it (a)
-// blocks for a first request, (b) takes whatever else is already queued, up
-// to the batch cap, without blocking, then (c) offers the open batch to the
-// worker while still accepting requests. sh.batches is unbuffered, so the
-// offer succeeds exactly when the worker is parked idle, and the batch keeps
-// filling exactly while it is busy — no frame waits out a timer beside an
-// idle lane, and a loaded shard fills its batches from the queue that builds
-// behind the running forward pass. A full batch stops taking requests and
-// waits for the worker (backpressure reaches the submitters through the
-// bounded queue).
-func (sh *shard) coalesce() {
-	defer sh.loopsWG.Done()
-	defer close(sh.batches)
-	s := sh.srv
-	batch := sh.getBatchSlice()
-	for {
-		var r *request
-		var ok bool
-		switch {
-		case len(batch) == 0:
-			r, ok = <-sh.queue // (a)
-		case len(batch) >= s.batchCap():
-			sh.batches <- batch
-			batch = sh.getBatchSlice()
-			continue
-		default:
-			select {
-			case r, ok = <-sh.queue: // (b)
-			default:
-				select { // (c)
-				case r, ok = <-sh.queue:
-				case sh.batches <- batch:
-					batch = sh.getBatchSlice()
-					continue
-				}
-			}
-		}
-		if !ok { // Close: flush the open batch, then stop the worker
-			if len(batch) > 0 {
-				sh.batches <- batch
-			}
-			return
-		}
-		if sh.admitPopped(r) {
-			batch = append(batch, r)
-		}
-	}
-}
-
-// admitPopped screens a request leaving the queue: one already past the
-// shed deadline can only be shed at dispatch, so shedding it here frees its
-// batch slot for live work instead of carrying a doomed passenger through
-// the coalescer. Every pop also feeds the admission controller's pressure
-// signal with the leader's queue age — in a coalescing service the leader
-// population is bounded by the distinct-creative count, so occupancy alone
-// under-reads saturation; age against the deadline is the signal that
-// actually pins high when dispatch falls behind.
-func (sh *shard) admitPopped(r *request) bool {
-	age := time.Since(r.enq)
-	if sh.srv.adm != nil {
-		sh.srv.adm.ObserveDispatchWait(age)
-	}
-	if d := sh.srv.shedDeadline(); d > 0 && age > d {
-		n := sh.resolveShed(r)
-		if sh.srv.adm != nil {
-			sh.srv.adm.ObserveOverloadShed(n)
-		}
-		return false
-	}
-	return true
-}
-
 // batchCap is the stage-adjusted frames-per-dispatch cap.
 func (s *Server) batchCap() int {
 	if s.adm != nil {
@@ -700,68 +612,69 @@ func (s *Server) shedDeadline() time.Duration {
 	return s.opts.Deadline
 }
 
-func (sh *shard) getBatchSlice() []*request {
-	select {
-	case b := <-sh.freeBatches:
-		return b
-	default:
-		return make([]*request, 0, sh.srv.opts.MaxBatch)
-	}
-}
-
-// worker is the shard's one dispatch loop: it owns reusable frame/score
-// slices and runs each batch through the shard's warm backend replica.
-func (sh *shard) worker() {
-	defer sh.loopsWG.Done()
+// run is the shard's one dispatch loop, and it is work-conserving: it
+// blocks for a first request, takes whatever else is already queued, up to
+// the batch cap, without blocking, and runs that batch through the shard's
+// warm backend replica. No frame waits out a timer beside an idle lane, and
+// a loaded shard fills its batches from the queue that builds behind the
+// running forward pass. After Close it dispatches what is still queued, then
+// returns.
+func (sh *shard) run() {
+	defer close(sh.done)
 	s := sh.srv
 	frames := make([]*imaging.Bitmap, 0, s.opts.MaxBatch)
 	keys := make([][32]byte, 0, s.opts.MaxBatch) // keys[i] is frames[i]'s, hashed once in begin
 	live := make([]*request, 0, s.opts.MaxBatch)
 	scores := make([]float64, s.opts.MaxBatch)
-	for batch := range sh.batches {
-		frames = frames[:0]
-		keys = keys[:0]
-		live = live[:0]
-		now := time.Now()
-		deadline := s.shedDeadline()
-		for _, r := range batch {
-			if deadline > 0 && now.Sub(r.enq) > deadline {
-				sh.resolveShed(r)
-				continue
-			}
-			live = append(live, r)
-			frames = append(frames, r.frame)
-			keys = append(keys, r.key)
-		}
-		if len(live) > 0 {
-			// the oldest request's pre-dispatch wait: how long the batch sat
-			// behind a busy worker (model time is not an admission lever)
-			wait := now.Sub(live[0].enq)
-			start := time.Now()
-			out := engine.InferKeyed(sh.backend, frames, keys, scores[:len(live)])
-			s.met.LaneBusyNS[sh.id].Add(time.Since(start).Nanoseconds())
-			s.met.Batches.Inc()
-			s.met.BatchFill.Observe(float64(len(live)))
-			s.met.Classified.Add(int64(len(live)))
-			s.met.ShardFrames[sh.id].Add(int64(len(live)))
-			for i, r := range live {
-				sh.resolve(r, out[i])
-			}
+	for r := range sh.queue {
+		frames, keys, live = frames[:0], keys[:0], live[:0]
+		batchCap, deadline := s.batchCap(), s.shedDeadline()
+		for ok := true; ok; {
+			// pop time is dispatch time: the leader's queue age feeds the
+			// pressure signal (see ObserveDispatchWait), and a leader past
+			// the deadline is shed instead of taking a batch slot
+			age := time.Since(r.enq)
 			if s.adm != nil {
-				s.adm.ObserveBatch(wait)
+				s.adm.ObserveDispatchWait(age)
+			}
+			if deadline > 0 && age > deadline {
+				n := sh.resolveShed(r)
+				if s.adm != nil {
+					s.adm.ObserveOverloadShed(n)
+				}
+			} else {
+				live = append(live, r)
+				frames = append(frames, r.frame)
+				keys = append(keys, r.key)
+			}
+			if len(live) >= batchCap {
+				break
+			}
+			select {
+			case r, ok = <-sh.queue:
+			default:
+				ok = false
 			}
 		}
-		select {
-		case sh.freeBatches <- batch[:0]:
-		default:
+		if len(live) == 0 {
+			continue
 		}
-		// Yield before parking for the next batch. Resolving just made the
-		// batch's submitters runnable; without the yield, on one P the
-		// scheduler's runnext hand-off chain (worker -> last-woken client ->
-		// coalescer -> worker) runs the next forward pass for that one client
-		// while the first-woken ones sit in the run queue for a whole
-		// scheduler slice. Yielding lets every woken client resubmit first,
-		// so the next batch carries all of them.
+		start := time.Now()
+		out := engine.InferKeyed(sh.backend, frames, keys, scores[:len(live)])
+		s.met.LaneBusyNS[sh.id].Add(time.Since(start).Nanoseconds())
+		s.met.Batches.Inc()
+		s.met.BatchFill.Observe(float64(len(live)))
+		s.met.Classified.Add(int64(len(live)))
+		s.met.ShardFrames[sh.id].Add(int64(len(live)))
+		for i, r := range live {
+			sh.resolve(r, out[i])
+		}
+		// Yield before parking on the queue. Resolving just made the batch's
+		// submitters runnable; without the yield, on one P the scheduler's
+		// runnext hand-off (loop -> last-woken client -> loop) runs the next
+		// forward pass for that one client while the first-woken ones sit in
+		// the run queue for a whole scheduler slice. Yielding lets every woken
+		// client resubmit first, so the next batch carries all of them.
 		runtime.Gosched()
 	}
 }
@@ -818,9 +731,9 @@ func (sh *shard) release(r *request) []*request {
 	return followers
 }
 
-// Close drains the service: it waits for in-flight submitters, stops every
-// shard's batcher and worker, resolves everything still queued (the open
-// batch is flushed, not dropped), and closes the shard backend
+// Close drains the service: it waits for in-flight submitters, closes every
+// shard's queue, waits for each shard's loop to dispatch what is still
+// queued (it is flushed, not dropped), and closes the shard backend
 // replicas. Submissions racing with Close resolve as StatusShed. The
 // server must not be used after Close.
 func (s *Server) Close() {
@@ -835,7 +748,7 @@ func (s *Server) Close() {
 	}
 	s.closeMu.Unlock()
 	for _, sh := range s.shards {
-		sh.loopsWG.Wait()
+		<-sh.done
 		sh.backend.Close()
 	}
 }

@@ -161,9 +161,9 @@ func TestCacheHitSkipsModel(t *testing.T) {
 	if s.CacheLen() == 0 {
 		t.Fatal("cache empty after a classified frame")
 	}
-	s.ResetCache()
+	s.Cache().Reset()
 	if s.CacheLen() != 0 {
-		t.Fatal("ResetCache left entries behind")
+		t.Fatal("Cache().Reset left entries behind")
 	}
 }
 
@@ -407,7 +407,7 @@ func TestSteadyStateSubmitDoesNotAllocate(t *testing.T) {
 	for _, f := range frames { // warm: request pool, batch slices, arenas, cache
 		s.Submit(f)
 	}
-	s.ResetCache() // measure the full classify path, not the hit path
+	s.Cache().Reset() // measure the full classify path, not the hit path
 	i := 0
 	allocs := testing.AllocsPerRun(len(frames)*4, func() {
 		s.Submit(frames[i%len(frames)])
@@ -453,7 +453,7 @@ func TestRaceStress(t *testing.T) {
 					s.Submit(f)
 				}
 				if i == perG/2 && g == 1 {
-					s.ResetCache()
+					s.Cache().Reset()
 				}
 				if i%16 == 0 {
 					_ = s.Metrics().Expose()

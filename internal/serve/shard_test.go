@@ -125,7 +125,7 @@ func TestShardedSteadyStateZeroAlloc(t *testing.T) {
 	for _, f := range frames { // warm: request pool, batch slices, cache state
 		s.Submit(f)
 	}
-	s.ResetCache() // measure the full classify path, not the hit path
+	s.Cache().Reset() // measure the full classify path, not the hit path
 	i := 0
 	allocs := testing.AllocsPerRun(len(frames)*4, func() {
 		s.Submit(frames[i%len(frames)])
@@ -230,7 +230,7 @@ func TestMultiShardRaceStress(t *testing.T) {
 				}
 				switch {
 				case i == perG/2 && g == 1:
-					s.ResetCache()
+					s.Cache().Reset()
 				case i%16 == 5 && g == 2:
 					var buf bytes.Buffer
 					if _, err := s.Cache().Snapshot(&buf); err != nil {
