@@ -1,7 +1,6 @@
 // Admin control plane: the authenticated /admin endpoints that turn a
 // running front's topology into something operable — peers join and leave
-// without a restart, and model rollouts run through the registry's
-// agreement-gated canary.
+// without a restart.
 //
 //	POST   /admin/peers      {"addr":"host:port"}
 //	                         dial + fresh /modelz handshake, admit into the
@@ -9,14 +8,11 @@
 //	DELETE /admin/peers/{id} drain the peer's in-flight chunks, then remove
 //	                         it from the fleet and the registry
 //	GET    /admin/topology   shards, per-peer health + windows,
-//	                         registry entries, canary status
-//	POST   /admin/canary     {"candidate":"name",...} start an agreement-
-//	                         gated rollout (engine.CanaryOptions knobs)
-//	DELETE /admin/canary     cancel a running rollout
+//	                         registry entries
 //
 // The API mounts only when -admin-token is set; every request must carry
 // the token (Authorization: Bearer <tok> or X-Admin-Token: <tok>).
-// Request bodies go through the strict engine decoders (fuzzed by
+// Request bodies go through the strict engine decoder (fuzzed by
 // FuzzAdminRequest) before any topology mutation happens.
 package main
 
@@ -55,7 +51,6 @@ type adminAPI struct {
 	fleet     *engine.Fleet // nil when the daemon serves locally
 	srv       *serve.Server
 	localID   string
-	threshold float64
 	drainWait time.Duration
 	dialTmpl  engine.RemoteOptions // per-peer dial knobs from the flags
 }
@@ -65,8 +60,6 @@ func (a *adminAPI) mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /admin/peers", a.auth(a.addPeer))
 	mux.HandleFunc("DELETE /admin/peers/{id}", a.auth(a.removePeer))
 	mux.HandleFunc("GET /admin/topology", a.auth(a.topology))
-	mux.HandleFunc("POST /admin/canary", a.auth(a.beginCanary))
-	mux.HandleFunc("DELETE /admin/canary", a.auth(a.cancelCanary))
 }
 
 // auth gates a handler on the admin token (constant-time compare; the
@@ -164,61 +157,25 @@ func (a *adminAPI) removePeer(w http.ResponseWriter, r *http.Request) {
 	adminJSON(w, http.StatusOK, map[string]string{"removed": rb.Peer(), "name": rb.Name()})
 }
 
-// adminTopology is the GET /admin/topology document.
+// adminTopology is the GET /admin/topology document. It names no served
+// engine: /healthz's engine is the one place that does.
 type adminTopology struct {
 	Shards   int                     `json:"shards"`
-	Default  string                  `json:"default"`
 	Backends []string                `json:"backends"`
 	Peers    []engine.PeerHealthInfo `json:"peers,omitempty"`
 	Windows  []engine.WindowStat     `json:"windows,omitempty"`
-	Canary   engine.CanaryStatus     `json:"canary"`
 }
 
-// topology snapshots the dispatch topology: what routes where, how healthy
-// it is, and what the canary is doing about the next model version.
+// topology snapshots the dispatch topology: what is registered and how
+// healthy the fleet's peers are.
 func (a *adminAPI) topology(w http.ResponseWriter, r *http.Request) {
 	top := adminTopology{
 		Shards:   a.srv.Shards(),
-		Default:  a.reg.DefaultName(),
 		Backends: a.reg.Names(),
-		Canary:   a.reg.CanaryStatus(),
 	}
 	if a.fleet != nil {
 		top.Peers = a.fleet.PeerHealth()
 		top.Windows = a.fleet.WindowStats()
 	}
 	adminJSON(w, http.StatusOK, top)
-}
-
-// beginCanary starts an agreement-gated rollout of a registered backend.
-func (a *adminAPI) beginCanary(w http.ResponseWriter, r *http.Request) {
-	req, err := engine.DecodeAdminCanaryRequest(r.Body)
-	if err != nil {
-		adminError(w, http.StatusBadRequest, err)
-		return
-	}
-	err = a.reg.BeginCanary(req.Candidate, engine.CanaryOptions{
-		Fraction:   req.Fraction,
-		Floor:      req.Floor,
-		HoldWindow: req.HoldWindow,
-		MinSamples: req.MinSamples,
-		Threshold:  a.threshold,
-	})
-	if err != nil {
-		adminError(w, http.StatusConflict, err)
-		return
-	}
-	adminJSON(w, http.StatusOK, a.reg.CanaryStatus())
-}
-
-// cancelCanary aborts a running rollout.
-func (a *adminAPI) cancelCanary(w http.ResponseWriter, r *http.Request) {
-	canceled := a.reg.CancelCanary()
-	st := a.reg.CanaryStatus()
-	if !canceled && st.State != engine.CanaryRolledBack.String() {
-		adminJSON(w, http.StatusConflict, map[string]any{
-			"error": "no running canary to cancel", "canary": st})
-		return
-	}
-	adminJSON(w, http.StatusOK, st)
 }

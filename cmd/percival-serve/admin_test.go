@@ -43,11 +43,10 @@ func adminReq(t testing.TB, method, url, token string, body string) (int, map[st
 	return resp.StatusCode, out
 }
 
-// TestAdminPeerLifecycle is the control plane's e2e smoke, CI's admin
-// gate: a front under live load adds a peer, drains and removes another,
-// and runs an agreement-gated canary to promotion — all through the
+// TestAdminPeerLifecycle is the control plane's e2e smoke: a front under
+// live load adds a peer and drains and removes another, all through the
 // authenticated HTTP surface, with every verdict correct and zero
-// fail-open throughout.
+// fail-open throughout. The topology names no served engine.
 func TestAdminPeerLifecycle(t *testing.T) {
 	const token = "t0p-s3cret"
 	svc := testService(t)
@@ -81,8 +80,7 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	}
 	defer fleet.Close()
 
-	serving := engine.NewCanaryBackend(reg, fleet)
-	srv, err := serve.New(svc, serve.Options{Shards: 2, MaxBatch: 4, Backend: serving})
+	srv, err := serve.New(svc, serve.Options{Shards: 2, MaxBatch: 4, Backend: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +101,7 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	mux.HandleFunc("GET /healthz", healthHandler(srv, reg, fleet.Name(), nil))
 	admin := &adminAPI{
 		token: token, reg: reg, fleet: fleet, srv: srv,
-		localID: instanceID, threshold: svc.Threshold(),
+		localID:   instanceID,
 		drainWait: 3 * time.Second, dialTmpl: dial,
 	}
 	admin.mount(mux)
@@ -119,10 +117,11 @@ func TestAdminPeerLifecycle(t *testing.T) {
 		t.Fatalf("wrong-token peer add: %d", code)
 	}
 
-	// Live load for the whole membership + canary sequence. A fixed frame
-	// set is verified against in-process scores; every iteration also posts
-	// fresh frames (unique seeds), which miss the verdict cache and keep
-	// real dispatch — and therefore canary shadow samples — flowing.
+	// Live load for the whole membership sequence. A fixed frame set is
+	// verified against in-process scores; every iteration also posts fresh
+	// frames (unique seeds), which miss the verdict cache and keep real
+	// dispatch flowing. Each lane finishes at least one round before it
+	// looks at stop, so the verdict check never passes on no traffic.
 	fixed := synth.SampleFrames(61, 6)
 	wants := make([]float64, len(fixed))
 	for i, f := range fixed {
@@ -135,11 +134,6 @@ func TestAdminPeerLifecycle(t *testing.T) {
 		go func(lane int) {
 			defer wg.Done()
 			for round := 0; ; round++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
 				fresh := synth.SampleFrames(int64(1000+lane*1_000_000+round), 2)
 				for i, f := range append(fresh, fixed...) {
 					resp, err := http.Post(
@@ -162,6 +156,11 @@ func TestAdminPeerLifecycle(t *testing.T) {
 						return
 					}
 				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
 		}(g)
 	}
@@ -183,6 +182,13 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	if code != http.StatusOK || len(top["peers"].([]any)) != 3 {
 		t.Fatalf("topology after add: %d %v", code, top)
 	}
+	// the registry default is not what a -peers front serves: /healthz's
+	// engine is the one field naming that
+	for _, key := range []string{"default", "canary"} {
+		if _, ok := top[key]; ok {
+			t.Fatalf("topology carries %q: %v", key, top)
+		}
+	}
 
 	// drain + remove the first peer under load: zero fail-open required
 	id := strings.TrimPrefix(peerURLs[0], "http://")
@@ -196,36 +202,6 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	_, top = adminReq(t, "GET", adminURL+"/topology", token, "")
 	if len(top["peers"].([]any)) != 2 {
 		t.Fatalf("topology after remove: %v", top)
-	}
-
-	// agreement-gated canary to promotion, driven only by live agreement:
-	// the candidate shares the incumbent's weights, so it must promote
-	cand := svc.Engine().Replicate()
-	if err := reg.Register("canary-cand", cand); err != nil {
-		t.Fatal(err)
-	}
-	code, body = adminReq(t, "POST", adminURL+"/canary", token,
-		`{"candidate":"canary-cand","fraction":1,"floor":0.99,"hold_window":16,"min_samples":8}`)
-	if code != http.StatusOK {
-		t.Fatalf("canary begin: %d %v", code, body)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, top = adminReq(t, "GET", adminURL+"/topology", token, "")
-		state := top["canary"].(map[string]any)["state"]
-		if state == "promoted" {
-			break
-		}
-		if state == "rolled_back" {
-			t.Fatalf("agreeing canary rolled back: %v", top["canary"])
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("canary never promoted: %v", top["canary"])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if reg.DefaultName() != "canary-cand" {
-		t.Fatalf("default %q after promotion", reg.DefaultName())
 	}
 
 	close(stop)

@@ -53,9 +53,7 @@
 //	percival-serve -admin-token s3cret    # authenticated control plane:
 //	                                      # POST /admin/peers (live add),
 //	                                      # DELETE /admin/peers/{id} (drain +
-//	                                      # remove), GET /admin/topology,
-//	                                      # POST/DELETE /admin/canary
-//	                                      # (agreement-gated model rollout)
+//	                                      # remove), GET /admin/topology
 //	percival-serve -cache-file v.pcvc     # verdict cache survives restarts
 //
 // The examples from -shards on need -model or -pretrained as well.
@@ -116,7 +114,7 @@ func main() {
 		hedgeMax    = flag.Duration("hedge-max", 0, "ceiling on the quantile-derived hedge delay (0 = the peer chunk budget); pin near the latency SLO so hedges still fire when the fleet degrades")
 		windowMax   = flag.Int("window-max", 0, "cap on each peer's adaptive in-flight congestion window (CUBIC; 0 = default 64 chunks)")
 		wireListen  = flag.String("wire-listen", "", "listen for the persistent-socket dispatch wire (v3) on this address and advertise it via /modelz (empty = no front can use this daemon as a peer)")
-		adminToken  = flag.String("admin-token", "", "enable the authenticated /admin control plane — live peer add/drain/remove and the model canary — with this bearer token (empty = disabled)")
+		adminToken  = flag.String("admin-token", "", "enable the authenticated /admin control plane — live peer add/drain/remove and the topology view — with this bearer token (empty = disabled)")
 		drainWait   = flag.Duration("drain-timeout", 5*time.Second, "in-flight quiesce budget when DELETE /admin/peers/{id} drains a peer before removing it")
 	)
 	flag.Parse()
@@ -130,16 +128,17 @@ func main() {
 		tensor.GemmKernelName(), tensor.QGemmKernelName())
 
 	// A -peers fleet replaces the dispatch engine with supervised remote
-	// replicas: the registry gains one entry per peer (a canary candidate
-	// names one), and the serve shards replicate the fleet round-robin so
-	// every peer owns its own dispatch lane. The fleet health layer evicts
-	// peers after -evict-after consecutive failures, redials them in the
-	// background (backoff capped at -redial-max), hedges tail-latency chunks
-	// past -hedge-quantile, and falls back to the local model when no
-	// healthy peer remains — so a dying fleet degrades to local scoring, not
-	// to score-0 fail-open. The local model keeps serving the wire listener
-	// and /modelz (`local` below), so two fronts pointed at each other
-	// cannot proxy a batch in a cycle.
+	// replicas: the registry gains one entry per peer (its frame and error
+	// counters feed /metrics and /healthz), and the serve shards replicate
+	// the fleet round-robin so every peer owns its own dispatch lane. The
+	// fleet health layer evicts peers after -evict-after consecutive
+	// failures, redials them in the background (backoff capped at
+	// -redial-max), hedges tail-latency chunks past -hedge-quantile, and
+	// falls back to the local model when no healthy peer remains — so a
+	// dying fleet degrades to local scoring, not to score-0 fail-open. The
+	// local model keeps serving the wire listener and /modelz (`local`
+	// below), so two fronts pointed at each other cannot proxy a batch in a
+	// cycle.
 	reg := svc.Backends()
 	local := backend
 	// the per-process identity /modelz advertises, so a dialing front (this
@@ -170,19 +169,13 @@ func main() {
 		}
 	}
 
-	// The canary proxy rides every dispatch lane between serve and the
-	// serving path (local engine or fleet): passthrough — one atomic load
-	// per batch — until POST /admin/canary starts a rollout, at which point
-	// it splits the configured traffic fraction onto the candidate and
-	// shadow-scores it against the incumbent.
-	serving := engine.NewCanaryBackend(reg, backend)
 	opts := serve.Options{
 		MaxBatch:   *maxBatch,
 		QueueDepth: *queue,
 		Deadline:   *deadline,
 		CacheSize:  *cacheSize,
 		Shards:     *shards,
-		Backend:    serving,
+		Backend:    backend,
 	}
 	if *admission {
 		// the fleet's congestion windows feed its pressure signal automatically
@@ -245,7 +238,6 @@ func main() {
 			fleet:     fleet,
 			srv:       srv,
 			localID:   instanceID,
-			threshold: svc.Threshold(),
 			drainWait: *drainWait,
 			dialTmpl: engine.RemoteOptions{
 				Timeout:   *peerTimeout,
@@ -255,7 +247,7 @@ func main() {
 			},
 		}
 		admin.mount(mux)
-		log.Printf("admin control plane enabled: /admin/peers, /admin/topology, /admin/canary")
+		log.Printf("admin control plane enabled: /admin/peers, /admin/topology")
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: mux}
@@ -304,7 +296,8 @@ func main() {
 
 // dialPeers performs the /modelz handshake with every -peers address,
 // validating each peer's input resolution against the local model, and
-// registers the resulting remote backends (nameable as canary candidates).
+// registers the resulting remote backends (so /metrics and /healthz count
+// each peer's frames and errors).
 // Addresses are deduplicated at parse time — "h1:8093,h1:8093" (or the
 // same host spelled with and without a scheme) used to silently pin the
 // peer to two shard lanes, doubling its share of dispatch — and a peer

@@ -90,11 +90,10 @@ type Backend interface {
 }
 
 // KeyedBackend is the optional keyed entry of the dispatch seam, for the
-// backends whose wire probes a peer's verdict cache by imaging.ContentKey
-// (RemoteBackend, Fleet and its replicas) and for CanaryBackend, which sits
-// between the serving layer and them. The serving layer keyed every frame
-// once, at Submit, and hands that key down instead of each layer below
-// re-hashing the bytes. The in-process engines read pixels only.
+// backends whose wire probes a peer's verdict cache by imaging.ContentKey:
+// RemoteBackend, Fleet and its replicas. The serving layer keyed every
+// frame once, at Submit, and hands that key down instead of each layer
+// below re-hashing the bytes. The in-process engines read pixels only.
 type KeyedBackend interface {
 	Backend
 	// InferKeyedInto is InferBatchInto for a caller that holds the frames'

@@ -197,5 +197,6 @@ func TestRegistrySelectionAndFallback(t *testing.T) {
 	if got := r.Names(); len(got) != 2 || got[0] != FP32Name || got[1] != "fp32@2" {
 		t.Fatalf("Names order %v", got)
 	}
-	r.Close()
+	fp.Close()
+	rep.Close()
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -169,11 +168,10 @@ func TestWireChunkKeepsHandedKeys(t *testing.T) {
 }
 
 // TestKeyedDispatchProbesWithHandedKeys: through the daemon's stack below
-// the serving layer — CanaryBackend over a Fleet lane over a real wire
-// peer — a keyed batch is answered from the probe alone under the keys it
-// was handed, chunk by chunk past BatchChunk; the same frames unkeyed are
-// hashed by the chunk and answered under imaging.ContentKey, bit-identical
-// to the local engine.
+// the serving layer — a Fleet lane over a real wire peer — a keyed batch is
+// answered from the probe alone under the keys it was handed, chunk by
+// chunk past BatchChunk; the same frames unkeyed are hashed by the chunk
+// and answered under imaging.ContentKey, bit-identical to the local engine.
 func TestKeyedDispatchProbesWithHandedKeys(t *testing.T) {
 	const n = BatchChunk + 3 // two chunks, the second ragged
 	r := newWirePeerRig(t, 1, n)
@@ -189,13 +187,13 @@ func TestKeyedDispatchProbesWithHandedKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	cb := NewCanaryBackend(NewRegistry(), fleet.Replicate())
+	lane := fleet.Replicate().(KeyedBackend)
 	out := make([]float64, n)
 
-	assertSentinelScores(t, "sentinel-keyed", InferKeyed(cb, frames, sentinelKeys(n), out))
+	assertSentinelScores(t, "sentinel-keyed", InferKeyed(lane, frames, sentinelKeys(n), out))
 	r.assertProbeOnly(t, n)
 
-	assertBitEqual(t, "unkeyed", InferKeyed(cb, frames, nil, out), want)
+	assertBitEqual(t, "unkeyed", InferKeyed(lane, frames, nil, out), want)
 	r.assertProbeOnly(t, 2*n)
 
 	// the serving layer's case: real keys, handed down
@@ -203,7 +201,7 @@ func TestKeyedDispatchProbesWithHandedKeys(t *testing.T) {
 	for i, f := range frames {
 		keys[i] = imaging.ContentKey(f)
 	}
-	assertBitEqual(t, "keyed", cb.InferKeyedInto(frames, keys, out), want)
+	assertBitEqual(t, "keyed", lane.InferKeyedInto(frames, keys, out), want)
 	r.assertProbeOnly(t, 3*n)
 	if st := fleet.Stats(); st.Errors != 0 || fleet.Fallbacks() != 0 {
 		t.Fatalf("dispatch failed over: %+v, %d fallbacks", st, fleet.Fallbacks())
@@ -298,91 +296,6 @@ func TestKeyedFallbackIgnoresKeys(t *testing.T) {
 	}
 }
 
-// keyRecorder is a KeyedBackend that keeps the keys of every call.
-type keyRecorder struct {
-	scriptedBackend
-	mu    sync.Mutex
-	calls [][][32]byte
-}
-
-func (b *keyRecorder) Replicate() Backend { return b }
-
-func (b *keyRecorder) InferKeyedInto(frames []*imaging.Bitmap, keys [][32]byte, out []float64) []float64 {
-	b.mu.Lock()
-	b.calls = append(b.calls, append([][32]byte(nil), keys...))
-	b.mu.Unlock()
-	return b.InferBatchInto(frames, out)
-}
-
-func (b *keyRecorder) lastKeys(t *testing.T, wantCalls int) [][32]byte {
-	t.Helper()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.calls) != wantCalls {
-		t.Fatalf("%s: %d keyed calls, want %d", b.name, len(b.calls), wantCalls)
-	}
-	return b.calls[len(b.calls)-1]
-}
-
-// TestCanaryForwardsKeys: the rollout proxy hands the caller's keys to the
-// incumbent when idle, to candidate and shadow alike when a chunk is
-// shifted, and an unkeyed backend behind it still gets InferBatchInto.
-func TestCanaryForwardsKeys(t *testing.T) {
-	reg := NewRegistry()
-	inc := &keyRecorder{scriptedBackend: scriptedBackend{name: "incumbent", res: 16}}
-	cand := &keyRecorder{scriptedBackend: scriptedBackend{name: "candidate", res: 16}}
-	inc.setScore(0.9)
-	cand.setScore(0.8)
-	for _, b := range []*keyRecorder{inc, cand} {
-		if err := reg.Register(b.name, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := reg.SetDefault("incumbent"); err != nil {
-		t.Fatal(err)
-	}
-	cb := NewCanaryBackend(reg, inc)
-	defer cb.Close()
-
-	frames := synth.SampleFrames(3, 4)
-	keys := sentinelKeys(len(frames))
-	out := make([]float64, len(frames))
-	sameKeys := func(what string, got [][32]byte) {
-		t.Helper()
-		if len(got) != len(keys) {
-			t.Fatalf("%s saw %d keys, want %d", what, len(got), len(keys))
-		}
-		for i := range keys {
-			if got[i] != keys[i] {
-				t.Fatalf("%s: key %d differs from the caller's", what, i)
-			}
-		}
-	}
-
-	cb.InferKeyedInto(frames, keys, out)
-	sameKeys("idle incumbent", inc.lastKeys(t, 1))
-
-	if err := reg.BeginCanary("candidate", CanaryOptions{Fraction: 1, HoldWindow: 1024, MinSamples: 1024}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cb.InferKeyedInto(frames, keys, out); got[0] != 0.8 {
-		t.Fatalf("shifted chunk answered %v, want the candidate's 0.8", got[0])
-	}
-	sameKeys("candidate", cand.lastKeys(t, 1))
-	sameKeys("shadow", inc.lastKeys(t, 2))
-
-	cb.InferBatchInto(frames, out) // unkeyed in, unkeyed all the way down
-	if got := cand.lastKeys(t, 2); len(got) != 0 {
-		t.Fatalf("unkeyed dispatch reached the candidate with %d keys", len(got))
-	}
-
-	plain := newScripted("plain", 16, 0.7)
-	pcb := NewCanaryBackend(NewRegistry(), plain)
-	if got := pcb.InferKeyedInto(frames, keys, out); got[0] != 0.7 || plain.frames.Load() != int64(len(frames)) {
-		t.Fatalf("unkeyed backend behind the proxy: out %v, %d frames", got[0], plain.frames.Load())
-	}
-}
-
 // TestInferKeyedIntoRejectsMismatchedKeys: a keys slice that is neither
 // empty nor one per frame is a caller bug every implementer reports at the
 // door, before anything slices it in step with the frames.
@@ -399,7 +312,6 @@ func TestInferKeyedIntoRejectsMismatchedKeys(t *testing.T) {
 		"remote":  r.remotes[0],
 		"fleet":   fleet,
 		"replica": fleet.Replicate().(KeyedBackend),
-		"canary":  NewCanaryBackend(NewRegistry(), newScripted("plain", 16, 0.5)),
 	}
 	for name, b := range backends {
 		for _, nkeys := range []int{1, 3} {

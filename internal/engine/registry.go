@@ -3,26 +3,19 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Registry names the backends a service knows about — model versions,
 // engine variants — and designates one as the default. Selecting a backend
 // by name with fallback to the default is how callers express engine
 // policy ("int8 if the parity gate passed, fp32 otherwise") without inline
-// branching at every call site. It also hosts the agreement-gated canary
-// controller (canary.go) that automates default promotion between model
-// versions.
+// branching at every call site. The daemon registers its dialed peers here
+// too, so /metrics and /healthz can count each one's frames and errors.
 type Registry struct {
 	mu    sync.RWMutex
 	m     map[string]Backend
 	names []string // registration order, for stable listings
 	def   string
-
-	// canary is the active (or most recently finished) rollout controller.
-	// Atomic so the CanaryBackend dispatch path reads it lock-free; only
-	// BeginCanary swaps it, under mu.
-	canary atomic.Pointer[canaryController]
 }
 
 // NewRegistry returns an empty registry.
@@ -128,13 +121,4 @@ func (r *Registry) Names() []string {
 	out := make([]string, len(r.names))
 	copy(out, r.names)
 	return out
-}
-
-// Close closes every registered backend.
-func (r *Registry) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, b := range r.m {
-		b.Close()
-	}
 }

@@ -188,11 +188,11 @@ func startWirePeer(t *testing.T, svc *core.Percival, cache engine.VerdictCache) 
 }
 
 // TestServeOverWireAnswersFromProbeAlone is the daemon's front tier end to
-// end: serve -> CanaryBackend -> Fleet -> a real wire peer whose verdict
-// cache already holds every frame under imaging.ContentKey. Every Submit is
-// answered by the peer's probe alone — the key serve hashed at the door is
-// the key the peer looks up — with the local engine's score bit for bit, and
-// the peer's model never runs.
+// end: serve -> Fleet -> a real wire peer whose verdict cache already holds
+// every frame under imaging.ContentKey. Every Submit is answered by the
+// peer's probe alone — the key serve hashed at the door is the key the peer
+// looks up — with the local engine's score bit for bit, and the peer's model
+// never runs.
 func TestServeOverWireAnswersFromProbeAlone(t *testing.T) {
 	svc := testCore(t, core.Options{})
 	frames := synth.SampleFrames(101, 12)
@@ -210,7 +210,7 @@ func TestServeOverWireAnswersFromProbeAlone(t *testing.T) {
 	defer fleet.Close()
 	s, err := New(svc, Options{
 		MaxBatch: 4, Shards: 2, DisableCache: true,
-		Backend: engine.NewCanaryBackend(engine.NewRegistry(), fleet),
+		Backend: fleet,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -348,33 +348,22 @@ func (s *Server) BackendStats() []engine.Stats {
 
 // FleetHealth reports per-peer supervisor state when the shards dispatch
 // into a supervised fleet (engine.HealthReporter), nil for local backends.
-// Replicas share one health table, so any shard's answer is the fleet's.
-// A reporter answering nil does not end the scan: proxy backends (the
-// canary rollout wrapper) implement the interface unconditionally and
-// answer nil when their inner path is local.
+// Every shard's backend is a replica of Options.Backend, and replicas share
+// one health table, so shard 0's answer is the fleet's.
 func (s *Server) FleetHealth() []engine.PeerHealthInfo {
-	for _, sh := range s.shards {
-		if hr, ok := sh.backend.(engine.HealthReporter); ok {
-			if ph := hr.PeerHealth(); ph != nil {
-				return ph
-			}
-		}
+	if hr, ok := s.shards[0].backend.(engine.HealthReporter); ok {
+		return hr.PeerHealth()
 	}
 	return nil
 }
 
 // WindowStats reports per-peer congestion-window state when the shards
 // dispatch into window-gated remotes (engine.WindowReporter), nil for local
-// backends. Replicas share their peer's window, so any shard's answer is
-// the fleet's. Like FleetHealth, a nil answer from a proxy backend does
-// not end the scan.
+// backends. Replicas share their peers' windows, so shard 0's answer is the
+// fleet's.
 func (s *Server) WindowStats() []engine.WindowStat {
-	for _, sh := range s.shards {
-		if wr, ok := sh.backend.(engine.WindowReporter); ok {
-			if ws := wr.WindowStats(); ws != nil {
-				return ws
-			}
-		}
+	if wr, ok := s.shards[0].backend.(engine.WindowReporter); ok {
+		return wr.WindowStats()
 	}
 	return nil
 }
