@@ -48,15 +48,16 @@ test:
 # Both engines on their AVX2 tiers on hosts whose default is AVX-512
 # (PERCIVAL_NO_AVX512 switches off every 512-bit kernel: FP32's 8×32 and
 # INT8's VNNI 8×32), so the differential, golden (the INT8 golden file holds
-# an entry for each FP32 tier) and warm-state suites — and imaging's, whose
-# scaler runs tensor's row kernels — cover the tier an operator can select,
-# not only the one the host detects.
+# an entry for each FP32 tier) and warm-state suites — imaging's, whose
+# scaler runs tensor's row kernels, and core's, whose INT8 boot calibrates on
+# the FP32 net and gates on the calibration pass's scores — cover the tier
+# an operator can select, not only the one the host detects.
 # On an AVX2-only host it repeats part of `test`. -count=1 because the
 # variable is read in a package initialiser, before the test cache starts
 # recording what a run depended on: without it `go test` would hand this
 # target the default tier's cached result, and hand `test` this one's.
 test-avx2:
-	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 ./internal/tensor/ ./internal/nn/ ./internal/engine/ ./internal/imaging/
+	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 ./internal/tensor/ ./internal/nn/ ./internal/engine/ ./internal/imaging/ ./internal/core/
 
 # The browser run is the real raster pipeline driving one backend from
 # several raster workers, synchronously and through the serving stack; the

@@ -193,8 +193,8 @@ func BenchmarkInferSingleInt8(b *testing.B) { benchForwardInt8(b, 1) }
 func BenchmarkInferBatchInt8(b *testing.B) { benchForwardInt8(b, 8) }
 
 // BenchmarkWarm16 is the set-up cost and the footprint of one backend at the
-// daemon's default MaxBatch: one 16-frame forward pass on a cold state, and
-// the bytes that state then keeps (state-MB).
+// daemon's default MaxBatch: a cold state sized for a 16-frame chunk and one
+// blank frame run in it, and the bytes that state then keeps (state-MB).
 func BenchmarkWarm16(b *testing.B) {
 	net := paperNet()
 	var state int64
@@ -236,9 +236,10 @@ func benchEngineInfer(b *testing.B, be engine.Backend) {
 }
 
 // BenchmarkQuantizeSetup32 is the INT8 set-up as the daemon runs it:
-// core.New with Quantized on 32 sample frames — calibration, weight
-// quantization and the parity gate — and the bytes it allocates on the way
-// (alloc-MB).
+// core.New with Quantized on 32 sample frames — one FP32 calibration pass a
+// frame, whose probabilities are the parity gate's FP32 scores, weight
+// quantization, and the gate's INT8 pass a frame — and the bytes it
+// allocates on the way (alloc-MB).
 func BenchmarkQuantizeSetup32(b *testing.B) {
 	net, cfg := paperNet(), squeezenet.PaperConfig()
 	opts := core.Options{Quantized: true, CalibFrames: synth.SampleFrames(101, 32)}

@@ -164,6 +164,14 @@ func TestAdminPeerLifecycle(t *testing.T) {
 			}
 		}(g)
 	}
+	// Stop the load and wait for it before anything is torn down, on a
+	// failure too: the deferred closes run after this one, so no lane posts
+	// to a closed front or reports after the test has returned.
+	stopLoad := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopLoad()
 
 	// self-dial guard: pointing the front at itself must be rejected
 	code, body := adminReq(t, "POST", adminURL+"/peers", token,
@@ -204,8 +212,7 @@ func TestAdminPeerLifecycle(t *testing.T) {
 		t.Fatalf("topology after remove: %v", top)
 	}
 
-	close(stop)
-	wg.Wait()
+	stopLoad()
 
 	// zero fail-open across the whole sequence, visible on /healthz
 	hresp, err := http.Get(front.URL + "/healthz")

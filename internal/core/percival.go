@@ -154,7 +154,9 @@ func New(net *nn.Sequential, cfg squeezenet.Config, opts Options) (*Percival, er
 // the INT8 backend, and runs the accuracy-parity gate: INT8 becomes the
 // registry default only if its top-1 verdicts agree with FP32 on at least
 // ParityMinAgreement of the frames; otherwise it stays registered (callers
-// may still select it by name) while FP32 keeps the default slot.
+// may still select it by name) while FP32 keeps the default slot. Each frame
+// runs through the FP32 net once: the calibration pass runs the plan the
+// FP32 backend serves, and its probabilities are the gate's FP32 scores.
 func (p *Percival) enableQuantized() error {
 	if len(p.opts.CalibFrames) == 0 {
 		return fmt.Errorf("core: quantized mode requires calibration frames")
@@ -173,12 +175,15 @@ func (p *Percival) enableQuantized() error {
 	}
 	scaled := imaging.NewBitmap(res, res)
 	x := tensor.New(1, 4, res, res)
-	for _, f := range p.opts.CalibFrames {
+	fpScores := make([]float64, len(p.opts.CalibFrames))
+	for i, f := range p.opts.CalibFrames {
 		imaging.ResizeBilinearInto(f, scaled)
 		imaging.ToTensorInto(scaled, x.Data)
-		if err := calib.Observe(x); err != nil {
+		probs, err := calib.Observe(x)
+		if err != nil {
 			return fmt.Errorf("core: quantize: %w", err)
 		}
+		fpScores[i] = float64(probs.Data[1]) // class 1 = ad, as the backends read it
 	}
 	qnet, err := calib.Quantize()
 	if err != nil {
@@ -195,26 +200,21 @@ func (p *Percival) enableQuantized() error {
 	// quantization fidelity. If every frame is borderline there is nothing
 	// to distinguish and the engines are considered in parity.
 	const parityMargin = 0.05
-	// Scored a frame at a time (a score does not depend on its batch) on
-	// replicas that are closed behind the gate: a backend keeps its warm
-	// states for life, and one left in the registered backends by the gate
-	// would be a state nothing asked for (serve lanes run their own
-	// replicas).
-	fp32rep := p.backends.Select(engine.FP32Name).Replicate()
-	defer fp32rep.Close()
+	// INT8 scores a frame at a time (a score does not depend on its batch)
+	// on a replica closed behind the gate: a backend keeps its warm states
+	// for life, and one left in the registered backend by the gate would be
+	// a state nothing asked for (serve lanes run their own replicas).
 	int8rep := int8be.Replicate()
 	defer int8rep.Close()
-	var fpScore, qScore [1]float64
+	var qScore [1]float64
 	agree, counted := 0, 0
-	for i := range p.opts.CalibFrames {
-		frame := p.opts.CalibFrames[i : i+1]
-		fp32rep.InferBatchInto(frame, fpScore[:])
-		if math.Abs(fpScore[0]-p.opts.Threshold) < parityMargin {
+	for i, fpScore := range fpScores {
+		if math.Abs(fpScore-p.opts.Threshold) < parityMargin {
 			continue
 		}
 		counted++
-		int8rep.InferBatchInto(frame, qScore[:])
-		if (fpScore[0] >= p.opts.Threshold) == (qScore[0] >= p.opts.Threshold) {
+		int8rep.InferBatchInto(p.opts.CalibFrames[i:i+1], qScore[:])
+		if (fpScore >= p.opts.Threshold) == (qScore[0] >= p.opts.Threshold) {
 			agree++
 		}
 	}

@@ -37,6 +37,7 @@ func NewFP32(net *nn.Sequential, res int) *FP32Backend {
 			}
 			return nn.PredictArena(net, x, st.arena)
 		},
+		size: func(a *tensor.Arena, n int) { nn.InputArena(net, a, n, 4, res, res) },
 	}
 	return b
 }
@@ -78,6 +79,7 @@ func NewInt8(qnet *nn.QuantizedSequential, res int) *Int8Backend {
 			}
 			return qnet.PredictArenaU8(pix, len(chunk), res, res, st.arena)
 		},
+		size: func(a *tensor.Arena, n int) { qnet.InputArenaU8(a, n, res, res) },
 	}
 	return b
 }

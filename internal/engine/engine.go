@@ -80,7 +80,8 @@ type Backend interface {
 	Replicate() Backend
 	// Warm builds one warm state sized for the largest chunk a batch of up
 	// to maxBatch frames can produce, so the first real dispatch at any
-	// batch size up to it allocates nothing.
+	// batch size up to it allocates nothing. An in-process engine runs one
+	// blank frame to do so, which its Stats do not count.
 	Warm(maxBatch int)
 	// Close drops the warm states. The backend must not be used after
 	// Close.
@@ -147,11 +148,14 @@ type inferState struct {
 type inferFn func(st *inferState, chunk []*imaging.Bitmap) *tensor.Tensor
 
 // base carries the engine-independent machinery: warm states, chunking and
-// stats. Concrete backends embed it and supply infer.
+// stats. Concrete backends embed it and supply infer, and size, which sizes
+// a state's arena for an n-frame chunk through the engine's input entry
+// (the one infer lays a chunk out through) without running a pass.
 type base struct {
 	name  string
 	res   int
 	infer inferFn
+	size  func(a *tensor.Arena, n int)
 
 	// states is the idle warm states, last returned first out so the one
 	// whose buffers are in cache is the one reused; stateBytes counts them
@@ -222,25 +226,20 @@ func (b *base) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64
 	return out
 }
 
-// Warm runs one forward pass at the largest chunk a batch of up to maxBatch
-// frames can produce; the state it leaves serves every smaller batch
-// without allocating. The pass runs the network's forward plan for exactly
-// that chunk (compiled on its first use), sizes the state's arena to it and
-// records it there; a smaller batch runs in the same plan, a prefix of each
-// of its regions.
+// Warm sizes one state for the largest chunk a batch of up to maxBatch
+// frames can produce, then runs one blank frame in it: the network's forward
+// plan for that chunk is compiled on its first use and recorded in the
+// state, every buffer of it allocated, and the weights packed, so every
+// batch up to that chunk runs in the same plan, a prefix of each of its
+// regions, without allocating. The pages of a buffer past the first frame
+// are touched first by the first batch that large. Warm's frame is not
+// counted in Stats.
 func (b *base) Warm(maxBatch int) {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	if maxBatch > BatchChunk {
-		maxBatch = BatchChunk
-	}
-	frame := imaging.NewBitmap(b.res, b.res)
-	frames := make([]*imaging.Bitmap, maxBatch)
-	for i := range frames {
-		frames[i] = frame
-	}
-	b.InferBatchInto(frames, make([]float64, maxBatch))
+	n := min(max(maxBatch, 1), BatchChunk)
+	st := b.getState()
+	b.size(st.arena, n)
+	b.infer(st, []*imaging.Bitmap{imaging.NewBitmap(b.res, b.res)})
+	b.putState(st)
 }
 
 // Close drops the warm states for the collector to take.

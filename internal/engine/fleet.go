@@ -248,11 +248,13 @@ type Fleet struct {
 	peersMu sync.Mutex // serializes membership mutation, never dispatch
 
 	next atomic.Int64 // dispatch-lane ordinal source (Replicate, batches)
-	// reroute takes displaced picks in turn over the open peers (see
+	// reroute takes displaced first tries in turn over the open peers (see
 	// pick). A fixed forward scan would send every displaced lane to the
 	// same next peer: with the first peer down that doubles one survivor's
-	// load while the spare sits idle.
-	reroute atomic.Int64
+	// load while the spare sits idle. failover does the same for later
+	// tries, on a counter of its own so failovers do not move the displaced
+	// rotation.
+	reroute, failover atomic.Int64
 	// beforePick, when set, runs at the top of every pick: a test's hook
 	// for a membership change landing between a chunk's snapshot load and
 	// its placement.
@@ -697,9 +699,10 @@ func (f *Fleet) pin(lane, npeers int) int {
 
 // pick chooses the peer to serve a chunk: the preferred peer pref on the
 // chunk's first try while it is routable; otherwise one of the routable
-// peers not in tried, taken in turn by a rotating counter so displaced
-// traffic spreads evenly across the survivors. Returns nil when no routable
-// untried peer remains.
+// peers not in tried, taken in turn by a rotating counter — one for
+// displaced first tries, one for failover tries — so displaced traffic
+// spreads evenly across the survivors whatever the failovers do. Returns
+// nil when no routable untried peer remains.
 func (f *Fleet) pick(peers []*fleetPeer, pref int, tried []*fleetPeer, first bool) *fleetPeer {
 	if f.beforePick != nil {
 		f.beforePick()
@@ -722,7 +725,11 @@ func (f *Fleet) pick(peers []*fleetPeer, pref int, tried []*fleetPeer, first boo
 	if len(open) == 0 {
 		return nil
 	}
-	return open[uint64(f.reroute.Add(1)-1)%uint64(len(open))]
+	turn := &f.failover
+	if first {
+		turn = &f.reroute
+	}
+	return open[uint64(turn.Add(1)-1)%uint64(len(open))]
 }
 
 // hedgePeer chooses a hedged chunk's second arm: the next routable peer

@@ -538,20 +538,29 @@ func TestStaticRouterPinsAndFailsOver(t *testing.T) {
 // TestStaticPlacementSpreadsDisplacedPicks: with a lane's preferred peer
 // evicted, its first-try picks rotate evenly over the survivors instead of
 // all landing on the next peer — the reason the fleet keeps a reroute
-// counter.
+// counter — and stay even when each is followed by another chunk's failover
+// try, which must not move that rotation (a shared counter put all six on
+// peer 1).
 func TestStaticPlacementSpreadsDisplacedPicks(t *testing.T) {
-	f := &Fleet{}
-	peers := placementPeers(PeerEvicted, PeerHealthy, PeerHealthy)
-	hits := make(map[*fleetPeer]int)
-	for i := 0; i < 6; i++ {
-		p := f.pick(peers, f.pin(0, len(peers)), nil, true)
-		if p == nil || p == peers[0] {
-			t.Fatalf("pick %d: displaced lane placed on %v", i, p)
+	for _, interleave := range []bool{false, true} {
+		f := &Fleet{}
+		peers := placementPeers(PeerEvicted, PeerHealthy, PeerHealthy)
+		hits := make(map[*fleetPeer]int)
+		for i := 0; i < 6; i++ {
+			p := f.pick(peers, f.pin(0, len(peers)), nil, true)
+			if p == nil || p == peers[0] {
+				t.Fatalf("interleaved %v, pick %d: displaced lane placed on %v", interleave, i, p)
+			}
+			hits[p]++
+			if interleave {
+				if q := f.pick(peers, f.pin(1, len(peers)), []*fleetPeer{peers[1]}, false); q != peers[2] {
+					t.Fatalf("failover pick %d after peer 1 placed on %v, want peer 2", i, q)
+				}
+			}
 		}
-		hits[p]++
-	}
-	if hits[peers[1]] != 3 || hits[peers[2]] != 3 {
-		t.Fatalf("displaced picks split %d:%d over peers 1 and 2, want 3:3", hits[peers[1]], hits[peers[2]])
+		if hits[peers[1]] != 3 || hits[peers[2]] != 3 {
+			t.Fatalf("interleaved %v: displaced picks split %d:%d over peers 1 and 2, want 3:3", interleave, hits[peers[1]], hits[peers[2]])
+		}
 	}
 }
 

@@ -74,12 +74,13 @@ func TestWarmStateSurvivesGC(t *testing.T) {
 	}
 }
 
-// TestWarmOnceCoversEveryBatchSize pins Warm's argument: one pass at the
-// largest batch leaves an arena that runs every smaller batch, whatever
-// order the sizes arrive in, without allocating or growing, and for FP32
-// that arena is the plan's peak — input, pooled stem output and the stem's
-// scratch, about 2 MB a frame and 3.2 MB — not one copy of every activation
-// per batch size.
+// TestWarmOnceCoversEveryBatchSize pins Warm's argument: a state sized for
+// the largest batch runs every smaller batch, whatever order the sizes
+// arrive in, without allocating or growing, and for FP32 that arena is the
+// plan's peak — input, pooled stem output and the stem's scratch, about 2 MB
+// a frame and 3.2 MB — not one copy of every activation per batch size.
+// Warm's own blank frame is no batch a caller asked for: Stats count
+// nothing until the first real one.
 func TestWarmOnceCoversEveryBatchSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -101,6 +102,9 @@ func TestWarmOnceCoversEveryBatchSize(t *testing.T) {
 	}
 	for _, b := range paperBackends(t) {
 		b.Warm(maxBatch)
+		if st := b.Stats(); st.Batches != 0 || st.Frames != 0 {
+			t.Errorf("%s: Stats after Warm(%d) read %d batches, %d frames, want 0 and 0", b.Name(), maxBatch, st.Batches, st.Frames)
+		}
 		warm := b.Stats().StateBytes
 		// 20,779,840 bytes is what the state held before the stem's scratch
 		// moved into it (15,916,032) plus what that scratch, then in

@@ -21,9 +21,9 @@ type PlanLayout struct {
 	Stages  [][2]int
 }
 
-// FP32Layout compiles net's fused plan for n images of c×h×w.
+// FP32Layout compiles net's plan for n images of c×h×w.
 func FP32Layout(net *Sequential, n, c, h, w int) PlanLayout {
-	return layoutOf(net.plan(nil, n, c, h, w, true))
+	return layoutOf(net.plan(nil, n, c, h, w))
 }
 
 // Int8Layout compiles q's plan for n frames of h×w.

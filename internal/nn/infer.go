@@ -40,7 +40,7 @@ func compilePlan(p *plan, layers []Layer) {
 			if _, ok := next(flat, i).(*ReLU); ok {
 				st.relu, i = true, i+1
 			}
-			if m, ok := next(flat, i).(*MaxPool); ok && k.fuse && m.Spec.Pad == 0 {
+			if m, ok := next(flat, i).(*MaxPool); ok && m.Spec.Pad == 0 {
 				st.pool, i = m.Spec, i+1
 			}
 			cur = p.addConv(st, cur, -1)
@@ -187,16 +187,16 @@ func (c *Conv2D) packedWeights() *tensor.PackedWeights {
 }
 
 // plan returns the plan a runs n images of c×h×w in (see planCache.get).
-func (s *Sequential) plan(a *tensor.Arena, n, c, h, w int, fuse bool) *plan {
-	return s.plans.get(a, planKey{c: c, h: h, w: w, fuse: fuse}, n, func(p *plan) { compilePlan(p, s.Layers) })
+func (s *Sequential) plan(a *tensor.Arena, n, c, h, w int) *plan {
+	return s.plans.get(a, planKey{c: c, h: h, w: w}, n, func(p *plan) { compilePlan(p, s.Layers) })
 }
 
-// forward runs the fused plan for x ([N,C,H,W]) on x in a.
+// forward runs the plan for x ([N,C,H,W]) on x in a.
 func (s *Sequential) forward(x *tensor.Tensor, a *tensor.Arena) (logits, probs *tensor.Tensor) {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("nn: input shape %s, want [N,C,H,W]", shapeStr(x.Shape)))
 	}
-	return s.plan(a, x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], true).run(x, a, nil)
+	return s.plan(a, x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]).run(x, a, nil)
 }
 
 // ForwardInfer runs the network's forward plan on x ([N,C,H,W], left
@@ -219,7 +219,7 @@ func PredictArena(net *Sequential, x *tensor.Tensor, a *tensor.Arena) *tensor.Te
 // bytes for one RGBA8 frame on its way into x. Both are a's until its next
 // pass.
 func InputArena(net *Sequential, a *tensor.Arena, n, c, h, w int) (x *tensor.Tensor, pix []uint8) {
-	p := net.plan(a, n, c, h, w, true)
+	p := net.plan(a, n, c, h, w)
 	f, u, _ := p.slabsIn(a)
 	x = &a.Tensors(len(p.dims))[0]
 	x.Shape = append(x.Shape[:0], n, c, h, w)

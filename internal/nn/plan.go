@@ -62,11 +62,8 @@ type plan struct {
 }
 
 // planKey is what a plan is compiled for besides its batch: the input's
-// shape, and whether convolutions take in the max pool behind them.
-type planKey struct {
-	c, h, w int
-	fuse    bool
-}
+// shape.
+type planKey struct{ c, h, w int }
 
 // region adds r and returns its index.
 func (p *plan) region(r region) int {

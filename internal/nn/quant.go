@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"percival/internal/tensor"
 )
@@ -280,7 +281,7 @@ func Quantize(net *Sequential, calib []*tensor.Tensor) (*QuantizedSequential, er
 		return nil, err
 	}
 	for _, x := range calib {
-		if err := c.Observe(x); err != nil {
+		if _, err := c.Observe(x); err != nil {
 			return nil, err
 		}
 	}
@@ -289,11 +290,12 @@ func Quantize(net *Sequential, calib []*tensor.Tensor) (*QuantizedSequential, er
 
 // Calibrator is the calibration pass as a stream: Observe replays the FP32
 // network over one input at a time, recording the range of every tensor that
-// will live in the quantized domain, and Quantize builds the engine from the
-// ranges seen. The replay is the network's FP32 forward plan with no pool
-// fused into a convolution, so the stem's own output is seen, a frame at a
-// time, so the pass holds one frame's working set however many frames it is
-// shown. Not safe for concurrent use.
+// will live in the quantized domain and returning the probabilities the pass
+// computed, and Quantize builds the engine from the ranges seen. The replay
+// is the network's FP32 forward plan — the one PredictArena serves, with the
+// stem's pool fused into it — a frame at a time, so the pass holds one
+// frame's working set however many frames it is shown. Not safe for
+// concurrent use.
 type Calibrator struct {
 	net     *Sequential
 	nodes   []calibNode
@@ -302,9 +304,12 @@ type Calibrator struct {
 	inC     int // input channels the first convolution expects
 	inObs   observer
 	// obs watches the outputs that are quantization points: the stem's
-	// (before any pool), and each fire's squeeze and concatenation (whose
-	// last writer is Expand3).
-	obs map[*Conv2D]*observer
+	// (after the pool fused into it, the only values the INT8 stem
+	// requantizes, since it pools raw accumulators), and each fire's squeeze
+	// and concatenation (whose last writer is Expand3, with any pool behind
+	// the fire still a stage of its own).
+	obs   map[*Conv2D]*observer
+	probs tensor.Tensor // the last Observe's probabilities
 }
 
 // NewCalibrator checks that net matches the quantizable topology and
@@ -349,21 +354,26 @@ func NewCalibrator(net *Sequential) (*Calibrator, error) {
 	return c, nil
 }
 
-// Observe records the ranges net's activations take on x ([N,C,H,W], any N).
+// Observe records the ranges net's activations take on x ([N,C,H,W], any N)
+// and returns the [N,classes] probabilities of the pass that saw them —
+// PredictArena's for x, bit for bit — a view valid until the next call.
 // Observing a batch equals observing its frames one by one.
-func (c *Calibrator) Observe(x *tensor.Tensor) error {
+func (c *Calibrator) Observe(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if len(x.Shape) != 4 || x.Shape[1] != c.inC {
-		return fmt.Errorf("nn: Quantize: calibration tensor shape %v, want [N,%d,H,W]", x.Shape, c.inC)
+		return nil, fmt.Errorf("nn: Quantize: calibration tensor shape %v, want [N,%d,H,W]", x.Shape, c.inC)
 	}
 	c.inObs.observe(x.Data)
 	a := tensor.GetArena()
 	defer tensor.PutArena(a)
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	p, per := c.net.plan(a, 1, ch, h, w, false), ch*h*w
+	p, per := c.net.plan(a, 1, ch, h, w), ch*h*w
+	c.probs.Shape = append(c.probs.Shape[:0], n, c.classes)
+	c.probs.Data = slices.Grow(c.probs.Data[:0], n*c.classes)[:n*c.classes]
 	for i := 0; i < n; i++ {
-		p.run(tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, ch, h, w), a, c.observe)
+		_, probs := p.run(tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, ch, h, w), a, c.observe)
+		copy(c.probs.Data[i*c.classes:], probs.Data)
 	}
-	return nil
+	return &c.probs, nil
 }
 
 // observe records conv's output y if it is a quantization point.

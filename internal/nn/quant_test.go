@@ -320,10 +320,10 @@ func TestCalibratorBatchEqualsFrames(t *testing.T) {
 	if _, err := whole.Quantize(); err == nil {
 		t.Fatal("Quantize before any Observe: expected an error")
 	}
-	if err := whole.Observe(tensor.New(1, 4, 12, 12)); err == nil {
+	if _, err := whole.Observe(tensor.New(1, 4, 12, 12)); err == nil {
 		t.Fatal("Observe with 4 channels on a 3-channel network: expected an error")
 	}
-	if err := whole.Observe(batch); err != nil {
+	if _, err := whole.Observe(batch); err != nil {
 		t.Fatal(err)
 	}
 	byFrame, err := NewCalibrator(net)
@@ -331,7 +331,7 @@ func TestCalibratorBatchEqualsFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < frames; i++ {
-		if err := byFrame.Observe(tensor.FromSlice(batch.Data[i*per:(i+1)*per], 1, 3, 12, 12)); err != nil {
+		if _, err := byFrame.Observe(tensor.FromSlice(batch.Data[i*per:(i+1)*per], 1, 3, 12, 12)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,6 +354,52 @@ func TestCalibratorBatchEqualsFrames(t *testing.T) {
 		if math.Float32bits(lw.Data[i]) != math.Float32bits(lf.Data[i]) {
 			t.Errorf("logit %d: %v calibrated on the batch, %v on its frames", i, lw.Data[i], lf.Data[i])
 		}
+	}
+}
+
+// TestStemRangeIsPooled: the stem's quantization parameters are those of its
+// pooled output, the only values the INT8 stem requantizes, since its pool
+// takes the maximum of raw accumulators. The stem copies input channel 0 and
+// its 5×5 output is pooled 2×2/2, so row 4 lies in no window; the input's
+// largest value sits there alone, so the unpooled range is wider.
+func TestStemRangeIsPooled(t *testing.T) {
+	stem := NewConv2D("conv1", tensor.ConvSpec{InC: 3, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1})
+	relu, pool := NewReLU("relu1"), NewMaxPool("pool1", 2, 2)
+	net := NewSequential(stem, relu, pool,
+		NewFire("fire1", 4, 2, 4, 4),
+		NewConv2D("conv_final", tensor.ConvSpec{InC: 8, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}),
+		NewGlobalAvgPool("gap"),
+	)
+	InitHe(net, rand.New(rand.NewSource(40)))
+	clear(stem.Wt.W.Data)
+	clear(stem.Bias.W.Data)
+	stem.Wt.W.Data[0] = 1 // output channel 0 is input channel 0
+	stem.Wt.Changed()
+	x := tensor.New(1, 3, 5, 5)
+	for i := range x.Data[:25] {
+		x.Data[i] = 0.1 + 0.01*float32(i%4)
+	}
+	x.Data[4*5+2] = 0.9 // row 4, column 2
+	c, err := NewCalibrator(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Observe(x); err != nil {
+		t.Fatal(err)
+	}
+	rangeOf := func(y *tensor.Tensor) tensor.QuantParams {
+		o := observer{}
+		o.observe(y.Data)
+		return o.params()
+	}
+	unpooled := relu.Forward(stem.Forward(x, false), false)
+	pooled := pool.Forward(unpooled, false)
+	got, want := c.obs[stem].params(), rangeOf(pooled)
+	if got != want {
+		t.Errorf("stem params %+v, want %+v from the pooled output (unpooled %+v)", got, want, rangeOf(unpooled))
+	}
+	if want == rangeOf(unpooled) {
+		t.Fatal("the crafted input does not tell the pooled range from the unpooled one")
 	}
 }
 

@@ -373,9 +373,9 @@ func (s *Server) WindowStats() []engine.WindowStat {
 func (s *Server) Admission() *AdmissionController { return s.adm }
 
 // Warm builds every shard replica's inference state at the largest batch
-// a shard can dispatch — one forward pass each, whose forward plan
-// then serves every smaller batch — so the first real burst allocates
-// nothing.
+// a shard can dispatch — sized for that batch and run on one blank frame
+// each, whose forward plan then serves every batch up to it — so the first
+// real burst allocates nothing.
 func (s *Server) Warm() {
 	for _, sh := range s.shards {
 		sh.backend.Warm(s.opts.MaxBatch)
