@@ -50,14 +50,16 @@ test:
 # INT8's VNNI 8×32), so the differential, golden (the INT8 golden file holds
 # an entry for each FP32 tier) and warm-state suites — imaging's, whose
 # scaler runs tensor's row kernels, and core's, whose INT8 boot calibrates on
-# the FP32 net and gates on the calibration pass's scores — cover the tier
-# an operator can select, not only the one the host detects.
+# the FP32 net and gates on the calibration pass's scores — and the golden
+# pages' blocked sets on both engines (integration's verdict-set pin) cover
+# the tier an operator can select, not only the one the host detects.
 # On an AVX2-only host it repeats part of `test`. -count=1 because the
 # variable is read in a package initialiser, before the test cache starts
 # recording what a run depended on: without it `go test` would hand this
 # target the default tier's cached result, and hand `test` this one's.
 test-avx2:
 	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 ./internal/tensor/ ./internal/nn/ ./internal/engine/ ./internal/imaging/ ./internal/core/
+	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 -run TestGoldenRenderBlockedSets ./internal/integration/
 
 # The browser run is the real raster pipeline driving one backend from
 # several raster workers, synchronously and through the serving stack; the

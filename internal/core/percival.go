@@ -437,14 +437,3 @@ func (p *Percival) InputRes() int { return p.cfg.InputRes }
 
 // Threshold returns the active decision threshold.
 func (p *Percival) Threshold() float64 { return p.opts.Threshold }
-
-// Gradient exposes dScore/dInput for salience mapping (Grad-CAM). It runs a
-// training-mode forward/backward pass, so it must not run concurrently with
-// other training-mode calls.
-func (p *Percival) Gradient(frame *imaging.Bitmap) *tensor.Tensor {
-	x := imaging.PrepareInput(frame, p.cfg.InputRes)
-	logits := p.net.Forward(x, true)
-	dl := tensor.New(logits.Shape...)
-	dl.Data[1] = 1 // d(ad logit)
-	return p.net.Backward(dl)
-}

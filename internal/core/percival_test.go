@@ -215,24 +215,6 @@ func TestModelSizeUnder2MB(t *testing.T) {
 	}
 }
 
-func TestGradientShapeMatchesInput(t *testing.T) {
-	p := testService(t, Options{})
-	grad := p.Gradient(adLike(t))
-	if grad.Shape[1] != 4 || grad.Shape[2] != 16 || grad.Shape[3] != 16 {
-		t.Fatalf("gradient shape %v", grad.Shape)
-	}
-	nonZero := false
-	for _, v := range grad.Data {
-		if v != 0 {
-			nonZero = true
-			break
-		}
-	}
-	if !nonZero {
-		t.Fatal("gradient all zero")
-	}
-}
-
 // TestTrainedServiceSeparatesClasses is the package's end-to-end check: a
 // quickly-trained model must block generated ads and pass generated content
 // well above chance.

@@ -13,12 +13,20 @@ var BuildTestNet = buildTestNet
 // from Off on, live from stage First through Last.
 type PlanRegion struct{ Slab, Off, Size, First, Last int }
 
-// PlanLayout is what the liveness test reads of a compiled plan: its
-// regions, its slab lengths, and each stage's input and output region.
+// Stage kinds of an FP32 plan, as PlanLayout.Kinds holds them.
+const (
+	StageConv = stageConv
+	StagePool = stagePool
+)
+
+// PlanLayout is what the plan tests read of a compiled plan: its regions,
+// its slab lengths, and each stage's input and output region and kind
+// (an FP32 plan's stage* or an INT8 plan's qStage* constant).
 type PlanLayout struct {
 	Regions []PlanRegion
 	Slabs   [3]int
 	Stages  [][2]int
+	Kinds   []int
 }
 
 // FP32Layout compiles net's plan for n images of c×h×w.
@@ -38,6 +46,7 @@ func layoutOf(p *plan) PlanLayout {
 	}
 	for _, st := range p.stages {
 		l.Stages = append(l.Stages, [2]int{st.in, st.out})
+		l.Kinds = append(l.Kinds, st.kind)
 	}
 	return l
 }

@@ -9,22 +9,75 @@ import (
 // This file is the FP32 inference path. Layer.Forward allocates a fresh
 // output per layer and stays the reference a pass is tested against; a pass
 // here runs the network's forward plan (plan.go) in a tensor.Arena. The
-// first pass at an input shape compiles the plan: each Conv2D with the ReLU
+// first pass at an input shape compiles the plan from fuse's units, the
+// walk the INT8 engine (quant.go) is built from too: a Conv2D with the ReLU
 // and unpadded MaxPool behind it is one stage, a Fire is its three
-// convolutions with the expands writing their slots of the concatenation,
-// nested Sequentials are flattened, and every activation and stage scratch
-// gets its place in the arena's float slab. Once the arena has run the plan
-// a pass allocates nothing. The tensors a pass returns are views of the
-// arena: copy out what you need before its next pass.
+// convolutions with the expands writing their slots of the concatenation —
+// pooled, when an unpadded MaxPool follows the fire — and every activation
+// and stage scratch gets its place in the arena's float slab. Once the
+// arena has run the plan a pass allocates nothing. The tensors a pass
+// returns are views of the arena: copy out what you need before its next
+// pass.
 
 // Stage kinds of an FP32 plan.
 const (
 	stageConv    = iota // a tensor.ConvStage: conv, bias, optional ReLU and pool
 	stageReLU           // a ReLU behind no convolution, never in place
-	stagePool           // a max pool behind no convolution
+	stagePool           // a max pool behind neither a convolution nor a fire
 	stageGAP            // global average pooling to [N,C]
 	stageSoftmax        // the probabilities PredictArena returns
 )
+
+// unit is one step of a network's fused layer walk: a layer, and what runs
+// in its epilogue.
+type unit struct {
+	layer Layer
+	relu  bool            // a Conv2D's ReLU
+	pool  tensor.PoolSpec // when K > 0, the unpadded max pool behind a Conv2D or Fire
+}
+
+// fuse is the one decision of what fuses into what, read by both engines:
+// layers with nested Sequentials spliced in and Dropout (the identity at
+// inference) left out, each Conv2D bound to the ReLU and the unpadded
+// MaxPool right behind it, and each Fire to the unpadded MaxPool right
+// behind it.
+func fuse(layers []Layer) []unit {
+	var us []unit
+	for _, l := range flatten(nil, layers) {
+		if _, ok := l.(*Dropout); ok {
+			continue
+		}
+		if n := len(us); n > 0 && us[n-1].absorb(l) {
+			continue
+		}
+		us = append(us, unit{layer: l})
+	}
+	return us
+}
+
+// absorb binds l into u's epilogue and reports whether it did: a ReLU right
+// behind a Conv2D, and an unpadded MaxPool right behind a Conv2D (and its
+// ReLU) or a Fire.
+func (u *unit) absorb(l Layer) bool {
+	if u.pool.K > 0 {
+		return false
+	}
+	switch u.layer.(type) {
+	case *Conv2D:
+		if _, ok := l.(*ReLU); ok && !u.relu {
+			u.relu = true
+			return true
+		}
+	case *Fire:
+	default:
+		return false
+	}
+	if m, ok := l.(*MaxPool); ok && m.Spec.Pad == 0 {
+		u.pool = m.Spec
+		return true
+	}
+	return false
+}
 
 // compilePlan compiles layers' forward pass into p, for images of
 // p.key.c×h×w. A layer without an inference stage, or one that cannot take
@@ -32,23 +85,19 @@ const (
 func compilePlan(p *plan, layers []Layer) {
 	k := p.key
 	cur := p.newAct(k.c, k.h, k.w)
-	flat := flatten(nil, layers)
-	for i := 0; i < len(flat); i++ {
-		switch l := flat[i].(type) {
+	for _, u := range fuse(layers) {
+		switch l := u.layer.(type) {
 		case *Conv2D:
-			st := stage{kind: stageConv, conv: l}
-			if _, ok := next(flat, i).(*ReLU); ok {
-				st.relu, i = true, i+1
-			}
-			if m, ok := next(flat, i).(*MaxPool); ok && m.Spec.Pad == 0 {
-				st.pool, i = m.Spec, i+1
-			}
-			cur = p.addConv(st, cur, -1)
+			cur = p.addConv(stage{kind: stageConv, conv: l, relu: u.relu, pool: u.pool}, cur, -1)
 		case *Fire:
 			sq := p.addConv(stage{kind: stageConv, conv: l.Squeeze, relu: true}, cur, -1)
-			y := p.newAct(l.OutChannels(), p.dims[sq][1], p.dims[sq][2])
-			p.addConv(stage{kind: stageConv, conv: l.Expand1, relu: true}, sq, y)
-			cur = p.addConv(stage{kind: stageConv, conv: l.Expand3, relu: true, chOff: l.Expand1.Spec.OutC}, sq, y)
+			h, w := p.dims[sq][1], p.dims[sq][2] // both expands keep the squeeze's size
+			if u.pool.K > 0 {
+				h, w = u.pool.OutSize(h, w)
+			}
+			y := p.newAct(l.OutChannels(), h, w)
+			p.addConv(stage{kind: stageConv, conv: l.Expand1, relu: true, pool: u.pool}, sq, y)
+			cur = p.addConv(stage{kind: stageConv, conv: l.Expand3, relu: true, pool: u.pool, chOff: l.Expand1.Spec.OutC}, sq, y)
 		case *ReLU:
 			cur = p.add(stage{kind: stageReLU}, cur, p.newAct(p.dims[cur]...), slabF32, 0, 0)
 		case *MaxPool:
@@ -58,7 +107,6 @@ func compilePlan(p *plan, layers []Layer) {
 		case *GlobalAvgPool:
 			c, _, _ := p.image(cur, l.Name())
 			cur = p.add(stage{kind: stageGAP}, cur, p.newAct(c), slabF32, 0, 0)
-		case *Dropout: // the identity at inference
 		default:
 			panic(fmt.Sprintf("nn: layer %s (%T) has no inference stage", l.Name(), l))
 		}
@@ -78,14 +126,6 @@ func flatten(dst, layers []Layer) []Layer {
 		}
 	}
 	return dst
-}
-
-// next returns the layer after flat[i], or nil.
-func next(flat []Layer, i int) Layer {
-	if i+1 < len(flat) {
-		return flat[i+1]
-	}
-	return nil
 }
 
 // newAct adds a float activation of shape dims an image.

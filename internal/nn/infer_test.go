@@ -55,6 +55,10 @@ func inferTopologies(t *testing.T) []struct {
 			NewDropout("d2", 0.3, 2), NewReLU("r2"), conv("c3", 4, 2, 1), NewGlobalAvgPool("gap"))},
 		{"nested sequential", NewSequential(NewSequential(conv("c1", 3, 8, 3), NewReLU("r1")), NewMaxPool("p1", 2, 2),
 			NewSequential(NewFire("f1", 8, 4, 3, 5), NewSequential(NewDropout("d1", 0.5, 3))), conv("c2", 8, 2, 1), NewGlobalAvgPool("gap"))},
+		// The pool reads no element of the fire's row or column 11: its
+		// expands must still pool only the windows' elements.
+		{"fire ragged pool", NewSequential(conv("c1", 3, 8, 3), NewReLU("r1"), NewFire("f1", 8, 4, 6, 6), NewMaxPool("p1", 3, 2),
+			conv("c2", 12, 2, 1), NewGlobalAvgPool("gap"))},
 	}
 	for i := range nets {
 		InitHe(nets[i].net, rand.New(rand.NewSource(int64(40+i))))
@@ -63,9 +67,10 @@ func inferTopologies(t *testing.T) []struct {
 }
 
 // TestForwardInferMatchesForward checks the arena path (fused conv+ReLU+pool,
-// direct-to-concat fire branches, arena scratch) is numerically identical to
-// the reference Layer.Forward path on every topology of inferTopologies, at
-// batch 1 and 3, and leaves the caller's input as it was.
+// direct-to-concat fire branches pooled in their epilogue, arena scratch)
+// is bit for bit the reference Layer.Forward path on every topology of
+// inferTopologies, at batch 1 and 3, and leaves the caller's input as it
+// was.
 func TestForwardInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, tc := range inferTopologies(t) {
@@ -82,7 +87,7 @@ func TestForwardInferMatchesForward(t *testing.T) {
 				t.Fatalf("%s batch %d: shape %v want %v", tc.name, batch, got.Shape, want.Shape)
 			}
 			for i := range got.Data {
-				if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4*(1+math.Abs(float64(want.Data[i]))) {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 					t.Fatalf("%s batch %d: y[%d]=%v want %v", tc.name, batch, i, got.Data[i], want.Data[i])
 				}
 			}

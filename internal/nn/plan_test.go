@@ -15,7 +15,9 @@ import (
 // SmallConfig 16, 32 and 64, on both engines, for plans compiled at every
 // batch from 1 to 16: no two regions of a slab that are live at one stage
 // overlap, every region lies inside its slab, and no stage's output aliases
-// its input.
+// its input. It also pins the FP32 stage list to the INT8 one's shape:
+// every pool runs in its producer's epilogue, so there is no pool stage,
+// and a fire is exactly its three convolutions.
 func TestPlanLiveness(t *testing.T) {
 	configs := []squeezenet.Config{squeezenet.PaperConfig(), squeezenet.SmallConfig(16), squeezenet.SmallConfig(32), squeezenet.SmallConfig(64)}
 	for _, cfg := range configs {
@@ -29,9 +31,32 @@ func TestPlanLiveness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fires, convs := 0, 0
+		for _, l := range net.Layers {
+			switch l.(type) {
+			case *nn.Fire:
+				fires++
+			case *nn.Conv2D:
+				convs++
+			}
+		}
 		res := cfg.InputRes
 		for n := 1; n <= 16; n++ {
-			checkLayout(t, fmt.Sprintf("%s fp32 batch %d", cfg.Name, n), nn.FP32Layout(net, n, cfg.InChannels, res, res))
+			name := fmt.Sprintf("%s fp32 batch %d", cfg.Name, n)
+			fp32 := nn.FP32Layout(net, n, cfg.InChannels, res, res)
+			checkLayout(t, name, fp32)
+			convStages := 0
+			for s, kind := range fp32.Kinds {
+				switch kind {
+				case nn.StagePool:
+					t.Fatalf("%s: stage %d is a standalone max pool", name, s)
+				case nn.StageConv:
+					convStages++
+				}
+			}
+			if want := 3*fires + convs; convStages != want {
+				t.Fatalf("%s: %d conv stages, want %d: three for each of %d fires and one for each of %d other convolutions", name, convStages, want, fires, convs)
+			}
 			checkLayout(t, fmt.Sprintf("%s int8 batch %d", cfg.Name, n), nn.Int8Layout(qnet, n, res, res))
 		}
 	}

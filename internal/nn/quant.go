@@ -21,18 +21,19 @@ import (
 // constants (mult, beta) consumed by the fused requantize epilogue, so the
 // hot path touches no quantization arithmetic beyond one FMA per element.
 
-// QuantizedSequential is the INT8 counterpart of a Sequential restricted to
-// the inference-path layer vocabulary (a first Conv2D+ReLU over at most four
-// channels, then Fire, unpadded MaxPool and Dropout, a final Conv2D and
-// GlobalAvgPool). Build one with Quantize.
+// QuantizedSequential is the INT8 counterpart of a Sequential whose fused
+// layer walk (fuse, which the FP32 plan compiles from too) is a first
+// Conv2D+ReLU over at most four channels, then fires, then a final Conv2D
+// and GlobalAvgPool, with an unpadded max pool behind the first convolution
+// or any fire. Build one with Quantize.
 //
-// That first convolution, and the max pool when one follows it, run as one
-// tensor.QStem reading the input as pixels — four bytes each, channel-minor,
-// as a bitmap holds them — so a frame's bytes go from the bitmap to the stem
-// through the input table without being split into planes. Every other max
-// pool follows a fire and runs in both of its expands (tensor.QConv.Pool),
-// which write the pooled concatenation: pooling passes the quantization
-// parameters and the channel layout through unchanged.
+// That first convolution, and its pool, run as one tensor.QStem reading the
+// input as pixels — four bytes each, channel-minor, as a bitmap holds them —
+// so a frame's bytes go from the bitmap to the stem through the input table
+// without being split into planes. A fire's pool runs in both of its
+// expands (tensor.QConv.Pool), which write the pooled concatenation, as the
+// FP32 plan's expands do: pooling passes the quantization parameters and
+// the channel layout through unchanged.
 type QuantizedSequential struct {
 	inQ tensor.QuantParams
 	// inLUT is the whole input conversion for a pixel byte p: the float
@@ -55,12 +56,6 @@ type qFinal struct {
 	conv       tensor.QConv
 	mult, beta []float32
 }
-
-// Classes returns the output class count.
-func (q *QuantizedSequential) Classes() int { return q.classes }
-
-// InputQuant exposes the calibrated input quantization parameters.
-func (q *QuantizedSequential) InputQuant() tensor.QuantParams { return q.inQ }
 
 // SizeBytes returns the quantized weight footprint (s8 weights plus the
 // per-channel requantization constants), the number that shrinks 4× from
@@ -262,14 +257,6 @@ func (o *observer) params() tensor.QuantParams {
 	return tensor.ChooseQuantParams(o.min, o.max)
 }
 
-// calibNode is one stage of the parsed FP32 network: a convolution with
-// its ReLU, a fire or a max pool.
-type calibNode struct {
-	conv *Conv2D
-	fire *Fire
-	pool *MaxPool
-}
-
 // Quantize builds the INT8 engine from a trained FP32 network, calibrating
 // activation ranges on the given input tensors (each [N,C,H,W]; a handful of
 // representative frames suffices). The FP32 network is not modified. A caller
@@ -292,39 +279,48 @@ func Quantize(net *Sequential, calib []*tensor.Tensor) (*QuantizedSequential, er
 // network over one input at a time, recording the range of every tensor that
 // will live in the quantized domain and returning the probabilities the pass
 // computed, and Quantize builds the engine from the ranges seen. The replay
-// is the network's FP32 forward plan — the one PredictArena serves, with the
-// stem's pool fused into it — a frame at a time, so the pass holds one
-// frame's working set however many frames it is shown. Not safe for
-// concurrent use.
+// is the network's FP32 forward plan — the one PredictArena serves, built
+// from the same fused units as the engine, so each pool runs where the INT8
+// one does — a frame at a time, so the pass holds one frame's working set
+// however many frames it is shown. Not safe for concurrent use.
 type Calibrator struct {
-	net     *Sequential
-	nodes   []calibNode
-	final   *Conv2D
-	classes int
-	inC     int // input channels the first convolution expects
-	inObs   observer
+	net   *Sequential
+	stem  unit    // the first of fuse's units: a convolution with ReLU and any pool
+	fires []unit  // the units between it and the classifier, each a fire and any pool
+	final *Conv2D // the classifier, the last unit but the GlobalAvgPool
+	inObs observer
 	// obs watches the outputs that are quantization points: the stem's
 	// (after the pool fused into it, the only values the INT8 stem
 	// requantizes, since it pools raw accumulators), and each fire's squeeze
-	// and concatenation (whose last writer is Expand3, with any pool behind
-	// the fire still a stage of its own).
+	// and concatenation (whose last writer is Expand3; pooled, when a pool
+	// follows the fire, as the INT8 expands requantize only pooled values).
 	obs   map[*Conv2D]*observer
 	probs tensor.Tensor // the last Observe's probabilities
 }
 
-// NewCalibrator checks that net matches the quantizable topology and
-// returns a calibrator for it. The network is read, never modified.
+// NewCalibrator checks that net's fused layer walk is one the INT8 engine
+// runs and returns a calibrator for it. The network is read, never
+// modified.
 func NewCalibrator(net *Sequential) (*Calibrator, error) {
-	nodes, finalConv, classes, err := parseQuantizable(net)
-	if err != nil {
-		return nil, err
+	us := fuse(net.Layers)
+	if len(us) < 2 {
+		return nil, fmt.Errorf("nn: Quantize: network too short")
 	}
+	if _, ok := us[len(us)-1].layer.(*GlobalAvgPool); !ok {
+		return nil, fmt.Errorf("nn: Quantize: network must end in GlobalAvgPool, got %T", us[len(us)-1].layer)
+	}
+	head := us[len(us)-2]
+	final, ok := head.layer.(*Conv2D)
+	if !ok || head.relu || head.pool.K > 0 {
+		return nil, fmt.Errorf("nn: Quantize: no classifier convolution (without ReLU or pool) right before GlobalAvgPool")
+	}
+	us = us[:len(us)-2]
 	// The stem packs one input pixel's channels into one 4-byte quad of the
 	// quantized GEMM (see tensor.QStem).
-	if len(nodes) == 0 || nodes[0].conv == nil {
+	if len(us) == 0 || !us[0].relu {
 		return nil, fmt.Errorf("nn: Quantize: the INT8 engine reads its input through a convolution with ReLU before the classifier, and the network does not start with one")
 	}
-	stem := nodes[0].conv
+	stem := us[0].layer.(*Conv2D)
 	if stem.Spec.InC > 4 {
 		return nil, fmt.Errorf("nn: Quantize: first convolution %s reads %d input channels; the INT8 engine packs one input pixel's channels into a 4-byte quad, so it takes at most 4",
 			stem.Name(), stem.Spec.InC)
@@ -332,23 +328,23 @@ func NewCalibrator(net *Sequential) (*Calibrator, error) {
 	// After the stem every activation is quad planes, which only fires and
 	// the classifier read; every pool runs in the epilogue of the stem or a
 	// fire's expands, unpadded.
-	for i, nd := range nodes[1:] {
-		switch {
-		case nd.conv != nil:
+	c := &Calibrator{net: net, stem: us[0], fires: us[1:], final: final, obs: map[*Conv2D]*observer{stem: {}}}
+	for _, u := range c.fires {
+		switch l := u.layer.(type) {
+		case *Fire:
+			c.obs[l.Squeeze], c.obs[l.Expand3] = &observer{}, &observer{}
+		case *Conv2D:
 			return nil, fmt.Errorf("nn: Quantize: convolution %s follows the first one outside a fire module; the INT8 engine runs convolutions after its first only as fire squeezes and expands and as the classifier, so it cannot take this network (the FP32 engine still serves it)",
-				nd.conv.Name())
-		case nd.pool != nil && nd.pool.Spec.Pad != 0:
-			return nil, fmt.Errorf("nn: Quantize: max pool %s is padded (pad %d); the INT8 engine pools only without padding, so it cannot take this network (the FP32 engine still serves it)",
-				nd.pool.Name(), nd.pool.Spec.Pad)
-		case nd.pool != nil && i > 0 && nodes[i].fire == nil:
+				l.Name())
+		case *MaxPool:
+			if l.Spec.Pad != 0 {
+				return nil, fmt.Errorf("nn: Quantize: max pool %s is padded (pad %d); the INT8 engine pools only without padding, so it cannot take this network (the FP32 engine still serves it)",
+					l.Name(), l.Spec.Pad)
+			}
 			return nil, fmt.Errorf("nn: Quantize: max pool %s follows neither the first convolution nor a fire module; the INT8 engine pools only in the epilogue of one of those, so it cannot take this network (the FP32 engine still serves it)",
-				nd.pool.Name())
-		}
-	}
-	c := &Calibrator{net: net, nodes: nodes, final: finalConv, classes: classes, inC: stem.Spec.InC, obs: map[*Conv2D]*observer{stem: {}}}
-	for _, nd := range nodes {
-		if f := nd.fire; f != nil {
-			c.obs[f.Squeeze], c.obs[f.Expand3] = &observer{}, &observer{}
+				l.Name())
+		default:
+			return nil, fmt.Errorf("nn: Quantize: unsupported layer %T (%s)", l, l.Name())
 		}
 	}
 	return c, nil
@@ -359,19 +355,19 @@ func NewCalibrator(net *Sequential) (*Calibrator, error) {
 // PredictArena's for x, bit for bit — a view valid until the next call.
 // Observing a batch equals observing its frames one by one.
 func (c *Calibrator) Observe(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(x.Shape) != 4 || x.Shape[1] != c.inC {
-		return nil, fmt.Errorf("nn: Quantize: calibration tensor shape %v, want [N,%d,H,W]", x.Shape, c.inC)
+	if inC := c.stem.layer.(*Conv2D).Spec.InC; len(x.Shape) != 4 || x.Shape[1] != inC {
+		return nil, fmt.Errorf("nn: Quantize: calibration tensor shape %v, want [N,%d,H,W]", x.Shape, inC)
 	}
 	c.inObs.observe(x.Data)
 	a := tensor.GetArena()
 	defer tensor.PutArena(a)
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	p, per := c.net.plan(a, 1, ch, h, w), ch*h*w
-	c.probs.Shape = append(c.probs.Shape[:0], n, c.classes)
-	c.probs.Data = slices.Grow(c.probs.Data[:0], n*c.classes)[:n*c.classes]
+	p, per, classes := c.net.plan(a, 1, ch, h, w), ch*h*w, c.final.Spec.OutC
+	c.probs.Shape = append(c.probs.Shape[:0], n, classes)
+	c.probs.Data = slices.Grow(c.probs.Data[:0], n*classes)[:n*classes]
 	for i := 0; i < n; i++ {
 		_, probs := p.run(tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, ch, h, w), a, c.observe)
-		copy(c.probs.Data[i*c.classes:], probs.Data)
+		copy(c.probs.Data[i*classes:], probs.Data)
 	}
 	return &c.probs, nil
 }
@@ -390,50 +386,40 @@ func (c *Calibrator) Quantize() (*QuantizedSequential, error) {
 		return nil, fmt.Errorf("nn: Quantize: empty calibration set")
 	}
 	// Assemble the quantized ops, threading each stage's output params into
-	// the next stage's input params.
-	q := &QuantizedSequential{inQ: c.inObs.params(), classes: c.classes}
+	// the next stage's input params. Each pool runs in its producer's
+	// epilogue.
+	q := &QuantizedSequential{inQ: c.inObs.params(), classes: c.final.Spec.OutC}
 	q.inLUT = inputTable(q.inQ)
-	// The first node is the stem (NewCalibrator checked), and a pool right
-	// after it runs in its epilogue. Every other node is a fire or a pool
-	// right after one, which runs in the fire's expands.
-	stem := c.nodes[0].conv
+	stem := c.stem.layer.(*Conv2D)
 	curQ := c.obs[stem].params()
 	sc, err := buildQConv(stem, q.inQ, curQ, true, quadGap{})
 	if err != nil {
 		return nil, err
 	}
-	q.stem = tensor.QStem{Spec: sc.Spec, W: sc.W, RQ: sc.RQ, ZP: sc.ZP}
-	rest := c.nodes[1:]
-	if len(rest) > 0 && rest[0].pool != nil {
-		q.stem.Pool, rest = rest[0].pool.Spec, rest[1:]
-	}
+	q.stem = tensor.QStem{Spec: sc.Spec, W: sc.W, RQ: sc.RQ, ZP: sc.ZP, Pool: c.stem.pool}
 	var gap quadGap // in the current activation's layout
-	for _, nd := range rest {
-		switch {
-		case nd.pool != nil: // behind the last fire (NewCalibrator checked)
-			f := &q.body[len(q.body)-1]
-			f.Expand1.Pool, f.Expand3.Pool = nd.pool.Spec, nd.pool.Spec
-		case nd.fire != nil:
-			sqQ, outQ := c.obs[nd.fire.Squeeze].params(), c.obs[nd.fire.Expand3].params()
-			var f tensor.QFire
-			for _, b := range [...]struct {
-				dst     *tensor.QConv
-				conv    *Conv2D
-				in, out tensor.QuantParams
-				gap     quadGap
-			}{
-				{&f.Squeeze, nd.fire.Squeeze, curQ, sqQ, gap},
-				{&f.Expand1, nd.fire.Expand1, sqQ, outQ, quadGap{}},
-				{&f.Expand3, nd.fire.Expand3, sqQ, outQ, quadGap{}},
-			} {
-				if *b.dst, err = buildQConv(b.conv, b.in, b.out, true, b.gap); err != nil {
-					return nil, err
-				}
+	for _, u := range c.fires {
+		fire := u.layer.(*Fire)
+		sqQ, outQ := c.obs[fire.Squeeze].params(), c.obs[fire.Expand3].params()
+		var f tensor.QFire
+		for _, b := range [...]struct {
+			dst     *tensor.QConv
+			conv    *Conv2D
+			in, out tensor.QuantParams
+			gap     quadGap
+		}{
+			{&f.Squeeze, fire.Squeeze, curQ, sqQ, gap},
+			{&f.Expand1, fire.Expand1, sqQ, outQ, quadGap{}},
+			{&f.Expand3, fire.Expand3, sqQ, outQ, quadGap{}},
+		} {
+			if *b.dst, err = buildQConv(b.conv, b.in, b.out, true, b.gap); err != nil {
+				return nil, err
 			}
-			q.body = append(q.body, f)
-			e1 := f.Expand1.Spec.OutC
-			curQ, gap = outQ, quadGap{at: e1, pad: (e1+3)/4*4 - e1}
 		}
+		f.Expand1.Pool, f.Expand3.Pool = u.pool, u.pool
+		q.body = append(q.body, f)
+		e1 := f.Expand1.Spec.OutC
+		curQ, gap = outQ, quadGap{at: e1, pad: (e1+3)/4*4 - e1}
 	}
 	q.final = buildQFinal(c.final, curQ, gap)
 	return q, nil
@@ -463,53 +449,6 @@ func (g quadGap) widen(wq []int8, s tensor.ConvSpec) ([]int8, tensor.ConvSpec) {
 		copy(w[oc*kw+head+g.pad*taps:], wq[oc*k+head:(oc+1)*k])
 	}
 	return w, s
-}
-
-// parseQuantizable walks the layer list and checks it matches the supported
-// inference topology.
-func parseQuantizable(net *Sequential) (nodes []calibNode, finalConv *Conv2D, classes int, err error) {
-	layers := net.Layers
-	if len(layers) < 2 {
-		return nil, nil, 0, fmt.Errorf("nn: Quantize: network too short")
-	}
-	last := layers[len(layers)-1]
-	if _, ok := last.(*GlobalAvgPool); !ok {
-		return nil, nil, 0, fmt.Errorf("nn: Quantize: network must end in GlobalAvgPool, got %T", last)
-	}
-	body := layers[:len(layers)-1]
-	for i := 0; i < len(body); i++ {
-		switch l := body[i].(type) {
-		case *Conv2D:
-			relu := false
-			if i+1 < len(body) {
-				if _, ok := body[i+1].(*ReLU); ok {
-					relu = true
-					i++
-				}
-			}
-			if !relu && i == len(body)-1 {
-				finalConv = l
-				classes = l.Spec.OutC
-				continue
-			}
-			if !relu {
-				return nil, nil, 0, fmt.Errorf("nn: Quantize: conv %s without ReLU is only supported as the classifier head", l.Name())
-			}
-			nodes = append(nodes, calibNode{conv: l})
-		case *Fire:
-			nodes = append(nodes, calibNode{fire: l})
-		case *MaxPool:
-			nodes = append(nodes, calibNode{pool: l})
-		case *Dropout:
-			// identity at inference
-		default:
-			return nil, nil, 0, fmt.Errorf("nn: Quantize: unsupported layer %T (%s)", l, l.Name())
-		}
-	}
-	if finalConv == nil {
-		return nil, nil, 0, fmt.Errorf("nn: Quantize: no classifier convolution before GlobalAvgPool")
-	}
-	return nodes, finalConv, classes, nil
 }
 
 // buildQConv quantizes one convolution's weights, widened over gap and

@@ -272,6 +272,38 @@ func TestQuantizeRejectsUnsupported(t *testing.T) {
 	}
 }
 
+// TestNestedNetworkQuantizes: the quantizer reads the same fused walk as
+// the FP32 plan, nested Sequentials spliced in, so a nested network
+// quantizes to the engine of its layers flattened into one Sequential,
+// logit for logit.
+func TestNestedNetworkQuantizes(t *testing.T) {
+	var nested *Sequential
+	for _, tc := range inferTopologies(t) {
+		if tc.name == "nested sequential" {
+			nested = tc.net
+		}
+	}
+	flat := NewSequential(flatten(nil, nested.Layers)...)
+	calib := calibSet(rand.New(rand.NewSource(31)), 2, 3, 12, 12, 2)
+	qn, err := Quantize(nested, calib)
+	if err != nil {
+		t.Fatalf("nested network: %v", err)
+	}
+	qf, err := Quantize(flat, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := calibSet(rand.New(rand.NewSource(32)), 3, 3, 12, 12, 1)[0]
+	a := tensor.NewArena()
+	ln := qn.ForwardInfer(x, a).Clone() // qf's pass on a reuses its place
+	lf := qf.ForwardInfer(x, a)
+	for i := range ln.Data {
+		if math.Float32bits(ln.Data[i]) != math.Float32bits(lf.Data[i]) {
+			t.Fatalf("logit %d: %v nested, %v flattened", i, ln.Data[i], lf.Data[i])
+		}
+	}
+}
+
 // TestQuantizedBatchMatchesSingle checks batched quantized inference agrees
 // with per-sample inference (the ClassifyBatch path).
 func TestQuantizedBatchMatchesSingle(t *testing.T) {
@@ -343,8 +375,8 @@ func TestCalibratorBatchEqualsFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qw.InputQuant() != qf.InputQuant() {
-		t.Fatalf("input params %+v from the batch, %+v from its frames", qw.InputQuant(), qf.InputQuant())
+	if qw.inQ != qf.inQ {
+		t.Fatalf("input params %+v from the batch, %+v from its frames", qw.inQ, qf.inQ)
 	}
 	x := calibSet(rng, 2, 3, 12, 12, 1)[0]
 	a := tensor.NewArena()
