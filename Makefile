@@ -94,9 +94,11 @@ fuzz:
 # hedging, local fallback) and the daemon's serving edge through flapping /
 # blackholed / slow peers, under the race detector. Tests opt in by carrying
 # the Chaos name prefix; the faultinject package's own tests ride along.
+# The suite takes about 10 s under -race on 2 vCPUs; -timeout 5m makes a
+# hang fail in minutes rather than at go test's 10-minute default.
 chaos:
-	$(GO) test -race -run Chaos -count=1 -v ./internal/engine/ ./cmd/percival-serve/
-	$(GO) test -race -count=1 ./internal/faultinject/
+	$(GO) test -race -timeout 5m -run Chaos -count=1 -v ./internal/engine/ ./cmd/percival-serve/
+	$(GO) test -race -timeout 5m -count=1 ./internal/faultinject/
 
 # The repo benchmark (BENCHMARK.json + bench/): every workload once, 10 s
 # each at seed 1; each run prints its summary and one JSON result line.

@@ -112,7 +112,6 @@ func main() {
 		redialMax   = flag.Duration("redial-max", 15*time.Second, "cap on the evicted-peer redial backoff (base 250ms, doubling)")
 		hedgeQ      = flag.Float64("hedge-quantile", 0.99, "latency quantile past which a chunk is hedged to a second peer (<=0 or >=1 disables)")
 		hedgeMax    = flag.Duration("hedge-max", 0, "ceiling on the quantile-derived hedge delay (0 = the peer chunk budget); pin near the latency SLO so hedges still fire when the fleet degrades")
-		windowMax   = flag.Int("window-max", 0, "cap on each peer's adaptive in-flight congestion window (CUBIC; 0 = default 64 chunks)")
 		wireListen  = flag.String("wire-listen", "", "listen for the persistent-socket dispatch wire (v3) on this address and advertise it via /modelz (empty = no front can use this daemon as a peer)")
 		adminToken  = flag.String("admin-token", "", "enable the authenticated /admin control plane — live peer add/drain/remove and the topology view — with this bearer token (empty = disabled)")
 		drainWait   = flag.Duration("drain-timeout", 5*time.Second, "in-flight quiesce budget when DELETE /admin/peers/{id} drains a peer before removing it")
@@ -147,7 +146,7 @@ func main() {
 	instanceID := newInstanceID()
 	var fleet *engine.Fleet
 	if *peers != "" {
-		remotes, err := dialPeers(reg, *peers, svc.InputRes(), *peerTimeout, *peerRetries, *windowMax, instanceID)
+		remotes, err := dialPeers(reg, *peers, svc.InputRes(), *peerTimeout, *peerRetries, instanceID)
 		if err != nil {
 			log.Fatal("percival-serve: ", err)
 		}
@@ -178,7 +177,8 @@ func main() {
 		Backend:    backend,
 	}
 	if *admission {
-		// the fleet's congestion windows feed its pressure signal automatically
+		// the fleet's per-peer in-flight counts feed its pressure signal
+		// automatically
 		opts.Policy = serve.NewAdmissionController(serve.AdmissionOptions{})
 	}
 	srv, err := serve.New(svc, opts)
@@ -243,7 +243,6 @@ func main() {
 				Timeout:   *peerTimeout,
 				Retries:   *peerRetries,
 				ExpectRes: svc.InputRes(),
-				WindowMax: *windowMax,
 			},
 		}
 		admin.mount(mux)
@@ -303,7 +302,7 @@ func main() {
 // peer to two shard lanes, doubling its share of dispatch — and a peer
 // whose handshake identity matches this daemon is rejected outright: a
 // front proxying batches to itself is a dispatch cycle, never a fleet.
-func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration, retries int, windowMax int, localID string) ([]*engine.RemoteBackend, error) {
+func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration, retries int, localID string) ([]*engine.RemoteBackend, error) {
 	var remotes []*engine.RemoteBackend
 	seen := make(map[string]bool)
 	for _, addr := range strings.Split(list, ",") {
@@ -327,7 +326,6 @@ func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration
 			Timeout:   timeout,
 			Retries:   retries,
 			ExpectRes: res,
-			WindowMax: windowMax,
 		})
 		if err != nil {
 			return nil, err
@@ -577,7 +575,6 @@ func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet
 			fmt.Fprintf(w, "percival_fleet_peer_redials_total{peer=%q} %d\n", ph.Peer, ph.Redials)
 			fmt.Fprintf(w, "percival_fleet_peer_hedge_wins_total{peer=%q} %d\n", ph.Peer, ph.HedgeWins)
 			fmt.Fprintf(w, "percival_fleet_peer_latency_ewma_ms{peer=%q} %g\n", ph.Peer, ph.LatencyEWMAMS)
-			fmt.Fprintf(w, "percival_fleet_peer_cwnd{peer=%q} %g\n", ph.Peer, ph.Cwnd)
 			fmt.Fprintf(w, "percival_fleet_peer_window_inflight{peer=%q} %d\n", ph.Peer, ph.WindowInFlight)
 			fmt.Fprintf(w, "percival_fleet_peer_window_losses_total{peer=%q} %d\n", ph.Peer, ph.WindowLosses)
 			fmt.Fprintf(w, "percival_fleet_peer_rto_ms{peer=%q} %g\n", ph.Peer, ph.RTOMS)

@@ -38,8 +38,8 @@ package engine
 //     atomic pointer, so AddPeer and DrainRemovePeer (the /admin/peers
 //     control plane) mutate topology while dispatch runs lock-free against
 //     whatever snapshot it loaded. Removal drains first — the peer stops
-//     receiving new chunks, in-flight chunks quiesce through its
-//     congestion window, then it leaves the snapshot.
+//     receiving new chunks, its in-flight chunks (counted by its window's
+//     slots) quiesce, then it leaves the snapshot.
 //
 // Placement is static and the fleet's own (pin, pick, hedgePeer): a
 // dispatch lane prefers peer lane mod N of the live membership, so N serve
@@ -173,10 +173,11 @@ type fleetPeer struct {
 	evictions     metrics.Counter
 	redials       metrics.Counter // probe attempts (successful or not)
 	hedgeWins     metrics.Counter // chunks this peer rescued as the hedge
-	// lat aliases the peer's congestion-window RTT estimator: the window
-	// observes every attempt's round trip inside tryChunk (its adaptive
-	// RTO reads it there), and the hedge trigger and the health surface
-	// read the same stream here — one feed, no second model.
+	// lat aliases the RTT estimator of the peer's window (peerWindow): the
+	// window observes every successful attempt's round trip inside
+	// tryChunk (its adaptive RTO reads it there), and the hedge trigger and
+	// the health surface read the same stream here — one feed, no second
+	// model.
 	lat *metrics.EWMA // attempt latency, milliseconds
 }
 
@@ -189,8 +190,8 @@ func (p *fleetPeer) routable() bool {
 // recordSuccess resets the failure streaks and charges the scored frames to
 // the peer's own counters (fleet dispatch goes through tryChunk, below the
 // peer's InferBatchInto accounting). The latency model is NOT fed here:
-// tryChunk already observed the attempt's round trip into the shared window
-// EWMA, and a second observation would double-weight every sample.
+// tryChunk already observed the attempt's round trip into the window's
+// shared EWMA, and a second observation would double-weight every sample.
 func (p *fleetPeer) recordSuccess(nframes int) {
 	p.consecFails.Store(0)
 	p.consecCancels.Store(0)
@@ -211,8 +212,7 @@ type PeerHealthInfo struct {
 	LatencyDevMS  float64   `json:"latency_dev_ms"`
 	Frames        int64     `json:"frames"`
 	Errors        int64     `json:"errors"`
-	// congestion-window state (see CubicWindow)
-	Cwnd           float64 `json:"cwnd"`
+	// in-flight and RTT state (see peerWindow)
 	WindowInFlight int     `json:"window_in_flight"`
 	WindowLosses   int64   `json:"window_losses"`
 	RTOMS          float64 `json:"rto_ms"`
@@ -325,16 +325,6 @@ func (f *Fleet) Name() string { return fmt.Sprintf("fleet(%d)", len(f.peerList()
 // InputRes is the shared peer resolution.
 func (f *Fleet) InputRes() int { return f.res }
 
-// Peers returns the supervised transports (stats introspection).
-func (f *Fleet) Peers() []*RemoteBackend {
-	peers := f.peerList()
-	out := make([]*RemoteBackend, len(peers))
-	for i, p := range peers {
-		out[i] = p.b
-	}
-	return out
-}
-
 // PeerHealth snapshots every peer's supervisor state.
 func (f *Fleet) PeerHealth() []PeerHealthInfo {
 	peers := f.peerList()
@@ -356,7 +346,6 @@ func (f *Fleet) PeerHealth() []PeerHealthInfo {
 			LatencyDevMS:   p.lat.Deviation(),
 			Frames:         st.Frames,
 			Errors:         st.Errors,
-			Cwnd:           win.Cwnd,
 			WindowInFlight: win.InFlight,
 			WindowLosses:   win.Losses,
 			RTOMS:          win.RTOMS,
@@ -370,12 +359,11 @@ func (f *Fleet) PeerHealth() []PeerHealthInfo {
 	return out
 }
 
-// WindowStats reports the congestion-window state of every peer that can
+// WindowStats reports the in-flight cap state of every peer that can
 // actually take traffic (WindowReporter) — the serve admission
 // controller's remote-saturation signal. Evicted and draining peers are
-// excluded: their windows are collapsed or quiescing by design, and
-// averaging them in would misreport a healthy fleet as saturated (or a
-// drained one as idle capacity).
+// excluded: they take no new chunks, and averaging them in would
+// misreport a drained fleet as idle capacity.
 func (f *Fleet) WindowStats() []WindowStat {
 	peers := f.peerList()
 	out := make([]WindowStat, 0, len(peers))
@@ -408,7 +396,7 @@ func (f *Fleet) Stats() Stats {
 // AddPeer admits a freshly-dialed peer into the fleet — the POST
 // /admin/peers control plane. The backend must already have passed its
 // dial-time /modelz handshake (NewRemote enforces it) and serve the
-// fleet's resolution; it enters healthy, with its window's EWMA seeded
+// fleet's resolution; it enters healthy, with its RTT estimator seeded
 // from that handshake, and starts taking traffic on the next chunk that
 // loads the new snapshot.
 func (f *Fleet) AddPeer(rb *RemoteBackend) error {
@@ -443,8 +431,8 @@ func (f *Fleet) AddPeer(rb *RemoteBackend) error {
 // DrainRemovePeer removes the peer matching id ("host:port" or the full
 // base URL) — the DELETE /admin/peers/{id} control plane. A healthy peer
 // drains first: it stops receiving new chunks immediately (placement
-// skips draining peers) and its in-flight chunks are waited out through
-// the congestion window, up to timeout (default 5s; removal proceeds
+// skips draining peers) and its in-flight chunks, counted by its window's
+// slots, are waited out up to timeout (default 5s; removal proceeds
 // regardless after it, logged). Evicted and redialing peers have no
 // traffic to drain and are removed at once. Returns the removed backend
 // (already closed) so the caller can deregister it elsewhere. The last
@@ -866,10 +854,9 @@ func (f *Fleet) sendHedged(peers []*fleetPeer, p *fleetPeer, pref int, chunk *wi
 
 	// Primary is past its tail trigger: issue the hedge and race the arms.
 	// The loser is canceled and always waited out, so no goroutine (or
-	// scratch buffer) outlives the chunk. Firing is itself a congestion
-	// signal against the primary — it blew past its own tail estimate — so
-	// its window backs off (coalesced to one decrease per RTT, so a burst
-	// of hedges against a briefly-slow peer is one event, not a collapse).
+	// scratch buffer) outlives the chunk. Firing counts as a loss against
+	// the primary (it blew past its own tail estimate); the count is only
+	// reported (window_losses) and changes no limit.
 	p.b.win.OnLoss()
 	f.hedges.Inc()
 	hedge := f.startArm(h, chunk, len(out))
@@ -926,9 +913,6 @@ func (f *Fleet) recordFailure(p *fleetPeer) {
 		return
 	}
 	p.evictions.Inc()
-	// the peer stopped answering entirely: drop its window to the floor so
-	// a racing in-flight dispatch cannot stack chunks onto a dead peer
-	p.b.win.Collapse()
 	log.Printf("engine: fleet evicted %s after %d consecutive failures", p.b.Peer(), p.consecFails.Load())
 	f.redials.Add(1)
 	go f.redial(p)
@@ -970,13 +954,13 @@ func (f *Fleet) redial(p *fleetPeer) {
 			}
 			// fresh handshake at the right version and resolution: re-admit
 			// with a clean slate — stale pre-eviction latency must not arm
-			// the hedge trigger against a peer that just came back, and the
-			// window restarts in slow start (Reset clears the shared EWMA).
-			// The probe's own round trip then seeds the estimator as its
-			// first sample (see CubicWindow.SeedRTT): it enters the mean,
-			// and the hedge trigger re-arms after two dispatch samples, the
-			// adaptive RTO after seven. The wire follows the listener the
-			// peer advertises now: a peer restarted on another port would
+			// the hedge trigger against a peer that just came back (Reset
+			// clears the shared EWMA). The probe's own round trip then
+			// seeds the estimator as its first sample (see
+			// peerWindow.SeedRTT): it enters the mean, and the hedge
+			// trigger re-arms after two dispatch samples, the adaptive RTO
+			// after seven. The wire follows the listener the peer
+			// advertises now: a peer restarted on another port would
 			// otherwise be re-admitted against the old one and evicted
 			// again by every chunk.
 			p.b.tr.repoint(info.WireAddr)

@@ -14,6 +14,16 @@ import (
 	"percival/internal/synth"
 )
 
+// Peers returns the supervised transports in membership order.
+func (f *Fleet) Peers() []*RemoteBackend {
+	peers := f.peerList()
+	out := make([]*RemoteBackend, len(peers))
+	for i, p := range peers {
+		out[i] = p.b
+	}
+	return out
+}
+
 // newFaultyPeer stands up a wire peer behind a fault injector (see
 // newInjectedPeer), so tests can flip it between healthy, slow, erroring
 // and blackholed while a fleet is dispatching to it. Its verdict store
@@ -318,6 +328,60 @@ func TestChaosHedgeRescuesSlowPeer(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked across hedged chunks: %d before, %d after",
 		before, runtime.NumGoroutine())
+}
+
+// TestChaosSlowSiblingNeverFailsOpen: a peer that slows down but keeps
+// answering, beside a fast sibling, must never cost a frame its verdict.
+// Four lanes of three closed-loop clients send 2-frame chunks for two
+// seconds while one peer adds 15 ms to every response, with no local
+// fallback: every score must equal the local engine's. Hedge fires and
+// timed-out attempts against the slow peer must not leave its chunks
+// waiting out their budget for an in-flight slot and failing open.
+func TestChaosSlowSiblingNeverFailsOpen(t *testing.T) {
+	net, res := testNet(t, 16)
+	a, b := NewFP32(net, res), NewFP32(net, res)
+	defer a.Close()
+	defer b.Close()
+	tsA, injA := newFaultyPeer(t, a)
+	tsB, _ := newFaultyPeer(t, b)
+	f := dialFleet(t, FleetOptions{}, tsA.URL, tsB.URL)
+
+	frames := synth.SampleFrames(7, 24)
+	want := make([]float64, len(frames))
+	a.InferBatchInto(frames, want)
+
+	injA.Set(faultinject.Fault{Latency: 15 * time.Millisecond})
+	stop := time.Now().Add(2 * time.Second)
+	var wg sync.WaitGroup
+	var chunks, wrong atomic.Int64
+	lanes := make([]Backend, 4)
+	for l := range lanes {
+		lanes[l] = f.Replicate()
+		for c := 0; c < 3; c++ {
+			wg.Add(1)
+			go func(lane Backend, c int) {
+				defer wg.Done()
+				out := make([]float64, 2)
+				for i := c; time.Now().Before(stop); i++ {
+					lo := 2 * (i % (len(frames) / 2))
+					lane.InferBatchInto(frames[lo:lo+2], out)
+					chunks.Add(1)
+					if out[0] != want[lo] || out[1] != want[lo+1] {
+						wrong.Add(1)
+					}
+				}
+			}(lanes[l], c)
+		}
+	}
+	wg.Wait()
+	var failedOpen int64
+	for _, lane := range lanes {
+		failedOpen += lane.Stats().Errors
+	}
+	if wrong.Load() != 0 || failedOpen != 0 {
+		t.Fatalf("%d of %d chunks scored wrong, %d failed open, with a healthy sibling serving; health %+v",
+			wrong.Load(), chunks.Load(), failedOpen, f.PeerHealth())
+	}
 }
 
 // TestFleetLiveMembership: peers join and leave a dispatching fleet with

@@ -31,7 +31,9 @@ import (
 )
 
 // RemoteOptions tunes a RemoteBackend. The zero value gets defaults from
-// NewRemote.
+// NewRemote. The per-peer in-flight cap is not an option: every peer takes
+// at most windowLimit (64) chunks at once, shared by all its replicas (see
+// peerWindow).
 type RemoteOptions struct {
 	// Timeout bounds each attempt, handshake included (default 5s).
 	Timeout time.Duration
@@ -53,12 +55,6 @@ type RemoteOptions struct {
 	// differs — the proxy's frames would be pre-processed for the wrong
 	// network.
 	ExpectRes int
-	// WindowMax caps the peer's adaptive in-flight congestion window
-	// (default 64 chunks). The window starts small, grows CUBIC-style on
-	// RTT-sample success, and backs off multiplicatively on timeouts and
-	// hedge fires — see CubicWindow. All replicas of one backend share one
-	// window, so every lane sees one congestion picture per peer.
-	WindowMax int
 	// Transport must be empty or "socket".
 	//
 	// Deprecated: the wire-v3 socket is the only dispatch transport. Any
@@ -79,9 +75,6 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.RetryBackoffMax <= 0 {
 		o.RetryBackoffMax = 250 * time.Millisecond
 	}
-	if o.WindowMax <= 0 {
-		o.WindowMax = windowDefaultMax
-	}
 	return o
 }
 
@@ -100,7 +93,7 @@ type RemoteBackend struct {
 	backoffMax time.Duration
 	tr         *sockTransport // shared across replicas, like win
 	chunks     *chunkPool     // shared across replicas: pooled dispatch chunks
-	win        *CubicWindow   // shared across replicas: one window per peer
+	win        *peerWindow    // shared across replicas: one in-flight cap per peer
 
 	batches atomic.Int64
 	frames  atomic.Int64
@@ -135,7 +128,7 @@ func NewRemote(peer string, opts RemoteOptions) (*RemoteBackend, error) {
 		backoff:    opts.RetryBackoff,
 		backoffMax: opts.RetryBackoffMax,
 		chunks:     &chunkPool{},
-		win:        NewCubicWindow(WindowOptions{Max: float64(opts.WindowMax)}),
+		win:        newPeerWindow(),
 	}
 	dialStart := time.Now()
 	info, err := b.handshake()
@@ -144,7 +137,7 @@ func NewRemote(peer string, opts RemoteOptions) (*RemoteBackend, error) {
 	}
 	// the handshake round trip is the latency EWMA's first sample, so the
 	// hedge trigger and the adaptive RTO each arm one dispatch sample
-	// sooner (see CubicWindow.SeedRTT)
+	// sooner (see peerWindow.SeedRTT)
 	b.win.SeedRTT(time.Since(dialStart))
 	if err := checkWire(u.Host, info); err != nil {
 		return nil, err
@@ -273,17 +266,17 @@ func (b *RemoteBackend) inferChunk(frames []*imaging.Bitmap, keys [][32]byte, ou
 // failure instead of failing open — the fleet layer re-routes a failed
 // chunk to another replica before giving up on a verdict.
 //
-// The whole try holds one slot of the peer's congestion window: a peer
-// whose window has shrunk takes proportionally fewer chunks in flight, and
-// every attempt's round trip feeds the window (growth on success, backoff
-// on a failed attempt) so the in-flight bound tracks what the peer can
-// actually absorb.
+// The whole try holds one of the peer's fixed in-flight slots
+// (windowLimit), so however many lanes, failovers and hedges land on one
+// peer, at most that many chunks are against it at once. Every successful
+// attempt's round trip feeds the peer's RTT estimator, and every failed one
+// counts as a loss.
 func (b *RemoteBackend) tryChunk(ctx context.Context, chunk *wireChunk, out []float64) error {
 	if !b.win.Acquire(ctx) {
-		// the window never opened within the chunk budget: the peer is
-		// saturated, which the caller treats like any other chunk failure
-		// (the fleet fails over; standalone use fails open)
-		return fmt.Errorf("engine: peer %s: congestion window saturated: %w", b.peer, ctx.Err())
+		// no slot freed within the chunk budget: the peer is saturated,
+		// which the caller treats like any other chunk failure (the fleet
+		// fails over; standalone use fails open)
+		return fmt.Errorf("engine: peer %s: in-flight cap saturated: %w", b.peer, ctx.Err())
 	}
 	defer b.win.Release()
 	var lastErr error
@@ -309,10 +302,10 @@ func (b *RemoteBackend) tryChunk(ctx context.Context, chunk *wireChunk, out []fl
 			return nil
 		}
 		if ctx.Err() != context.Canceled {
-			// a canceled hedge loser is not a congestion signal — the
-			// cancellation raced a possibly-fine request; everything else
-			// (timeout, broken connection, protocol error) backs the window
-			// off. Every socket failure is retryable: the retry redials.
+			// a canceled hedge loser is not a loss — the cancellation raced
+			// a possibly-fine request; everything else (timeout, broken
+			// connection, protocol error) counts. Every socket failure is
+			// retryable: the retry redials.
 			b.win.OnLoss()
 		}
 		lastErr = err
@@ -342,8 +335,9 @@ func backoffDelay(attempt int, base, ceil time.Duration) time.Duration {
 }
 
 // attempt runs one round trip of a chunk, started at start: bounded by the
-// RTO-capped per-attempt timeout and by the caller's context (the whole
-// try's budget; hedged dispatch cancels the losing arm through it).
+// per-attempt timeout, capped by the peer's RTO once its estimator has
+// warmed up, and by the caller's context (the whole try's budget; hedged
+// dispatch cancels the losing arm through it).
 func (b *RemoteBackend) attempt(ctx context.Context, start time.Time, chunk *wireChunk, out []float64) error {
 	timeout := b.timeout
 	if rto := b.win.RTO(); rto > 0 && rto < timeout {
@@ -359,7 +353,7 @@ func (b *RemoteBackend) attempt(ctx context.Context, start time.Time, chunk *wir
 	return b.tr.roundTrip(ctx, deadline, chunk, out)
 }
 
-// WindowStats reports this peer's window state (WindowReporter).
+// WindowStats reports this peer's in-flight cap state (WindowReporter).
 func (b *RemoteBackend) WindowStats() []WindowStat {
 	st := b.win.Stat()
 	st.Peer = b.peer
@@ -371,9 +365,9 @@ func (b *RemoteBackend) WindowStats() []WindowStat {
 func (b *RemoteBackend) TransportStats() TransportStats { return b.tr.stats.snapshot() }
 
 // Replicate returns a proxy to the same peer sharing this backend's
-// transport (one connection picture per peer), chunk pool and congestion
-// window with its own counters — the per-shard replica serve dispatch
-// wants.
+// transport (one connection picture per peer), chunk pool and window (one
+// in-flight cap and RTT estimator per peer) with its own counters — the
+// per-shard replica serve dispatch wants.
 func (b *RemoteBackend) Replicate() Backend {
 	return &RemoteBackend{
 		peer:       b.peer,

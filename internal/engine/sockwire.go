@@ -5,11 +5,11 @@ package engine
 // request/response messages (the PCVB/PCVS magics from remotehttp.go, grown
 // a request ID and a flags word — the full format is documented in
 // remotehttp.go's header comment) on a connection that never goes cold.
-// Request IDs let responses return out of order, so the CUBIC congestion
-// window's in-flight chunks really are concurrently in flight on one
+// Request IDs let responses return out of order, so the chunks a peer's
+// in-flight cap admits really are concurrently in flight on one
 // connection; a request that outlives its RTO deadline is abandoned
-// client-side (its ID is forgotten; a late response is dropped) and feeds
-// the window as a loss.
+// client-side (its ID is forgotten; a late response is dropped) and counts
+// as a loss.
 //
 // On top of the framing sits the hash-first dedup tier: a probe message
 // carries each frame's 32-byte content key, the peer answers what its
@@ -190,17 +190,6 @@ func (r *sockResp) wireSize() int64 {
 	return int64(sockHeaderLen + len(r.mask) + 8*len(r.scores))
 }
 
-// read decodes one whole response message (the client side of the fuzzed
-// surface): the header, then readBody.
-func (r *sockResp) read(br *bufio.Reader) error {
-	id, flags, count, err := readSockHeader(br, scoreMagic, "response")
-	if err != nil {
-		return err
-	}
-	r.id = id
-	return r.readBody(br, flags, count)
-}
-
 // readBody decodes what follows a response header, reusing r's mask and
 // score slices where they are large enough — the connection's reader
 // decodes each response straight into the scratch of the round trip that
@@ -254,7 +243,7 @@ type sockCall struct {
 
 // sockTransport is the wire client: one hot connection, lazily dialed and
 // redialed, multiplexing round trips by request ID. Shared across a peer's
-// replicas like the congestion window.
+// replicas like the in-flight cap.
 type sockTransport struct {
 	host string // the peer's HTTP host: error text, wildcard listener hosts
 
@@ -341,7 +330,7 @@ func (t *sockTransport) dialLocked(ctx context.Context, deadline time.Time) erro
 }
 
 // dropConn closes a dead connection: its in-flight round trips fail with err
-// (they retry through the window machinery) and, if it was the hot one, the
+// (tryChunk's retry loop redials) and, if it was the hot one, the
 // next call redials.
 func (t *sockTransport) dropConn(sc *sockConn, err error) {
 	t.mu.Lock()
@@ -472,8 +461,8 @@ func (t *sockTransport) getCall() *sockCall {
 // call runs one request/response exchange: register c under a fresh ID,
 // write the message, await the response the reader decodes into c.resp.
 // The attempt ends at deadline or when ctx does, whichever is first; either
-// abandons the ID (and c) — in-flight accounting for the congestion window
-// stays with the caller, which holds the window slot.
+// abandons the ID (and c) — in-flight accounting stays with the caller,
+// which holds the window slot.
 func (t *sockTransport) call(ctx context.Context, deadline time.Time, c *sockCall, msg sockMsg) error {
 	t.mu.Lock()
 	if t.conn == nil {
@@ -620,7 +609,7 @@ type WireServerOptions struct {
 	Cache VerdictCache
 	// MaxConcurrent bounds concurrent forward passes across all
 	// connections (default 2×GOMAXPROCS): the multiplexed wire would
-	// otherwise let one proxy's whole congestion window fan out into
+	// otherwise let one proxy's whole in-flight cap fan out into
 	// unbounded goroutines.
 	MaxConcurrent int
 }

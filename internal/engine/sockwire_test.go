@@ -21,6 +21,18 @@ import (
 	"percival/internal/synth"
 )
 
+// read decodes one whole response message (the client side of the fuzzed
+// surface): the header, then readBody. The connection's reader splits the
+// two, so only the tests decode a response whole.
+func (r *sockResp) read(br *bufio.Reader) error {
+	id, flags, count, err := readSockHeader(br, scoreMagic, "response")
+	if err != nil {
+		return err
+	}
+	r.id = id
+	return r.readBody(br, flags, count)
+}
+
 // newWirePeer stands up a peer the way percival-serve -wire-listen mounts
 // one: a wire listener scoring with def (probes answered from cache, which
 // may be nil) advertised through the /modelz handshake.
@@ -435,7 +447,7 @@ func TestResolveWireAddr(t *testing.T) {
 }
 
 // TestWarmProbeChunkAllocBudget pins the garbage one warm chunk costs end
-// to end: fleet dispatch (hedge-armed, two peers) -> congestion window ->
+// to end: fleet dispatch (hedge-armed, two peers) -> in-flight cap ->
 // socket round trip -> the peer's probe answer from its verdict cache ->
 // response decode. It stood at ~2.3 KB a chunk while the serve batcher put a
 // 2 ms timer in front of every chunk; with the timer gone the chunk rate

@@ -15,9 +15,9 @@ package serve
 //   - dispatch wait: every leader a shard's loop pops for dispatch observes
 //     its queue age over the shed deadline — catches lane saturation while
 //     queues still look shallow;
-//   - remote congestion: when the backend gates peers with CUBIC windows
-//     (engine.WindowReporter), mean in-flight/cwnd saturation is sampled —
-//     catches a congested fleet before the local queue backs up.
+//   - remote congestion: when the backend caps each peer's in-flight
+//     chunks (engine.WindowReporter), mean in-flight/limit saturation is
+//     sampled — catches a congested fleet before the local queue backs up.
 //
 // The pressure drives a graded brownout ladder with hysteresis, replacing
 // the old binary deadline shed:
@@ -91,7 +91,7 @@ const (
 	// shed deadline is configured.
 	admDefaultWaitNorm = 100 * time.Millisecond
 	// admWindowWeight discounts the remote-saturation signal: a pipeline
-	// briefly running at its window is normal; only sustained saturation
+	// briefly running at its in-flight cap is normal; only sustained saturation
 	// should push past admEnter.
 	admWindowWeight = 0.9
 )
@@ -106,7 +106,7 @@ type AdmissionOptions struct {
 	ExitHold  time.Duration
 	// Alpha is the pressure EWMA smoothing factor (default 0.1).
 	Alpha float64
-	// Windows feeds remote congestion-window saturation into the pressure
+	// Windows feeds remote in-flight saturation into the pressure
 	// signal. serve.New wires the service backend automatically when it
 	// reports windows (fleet or remote) and this is nil.
 	Windows engine.WindowReporter
@@ -141,7 +141,7 @@ type AdmissionController struct {
 	above   time.Time // since when pressure has sat above admEnter
 	below   time.Time // since when pressure has sat below admExit
 	lastWin time.Time // last Windows sample
-	winSat  float64   // last sampled mean in-flight/cwnd over peers
+	winSat  float64   // last sampled mean in-flight/limit over peers
 
 	transitions metrics.Counter // ladder moves, either direction
 	// admSheds counts requests the ladder shed at admission (stage >= 1
@@ -212,13 +212,13 @@ func (c *AdmissionController) AdmitQueue(qlen, qcap int) BrownoutStage {
 
 // sampleWindows refreshes the remote-saturation reading at most once per
 // admWinPeriod and returns the latest value: the mean, over peers, of
-// in-flight depth against the congestion window. A fleet pinned at its
-// windows is congested no matter how shallow the local queues are. The
+// in-flight depth against the peer's in-flight limit. A fleet pinned at
+// its limits is congested no matter how shallow the local queues are. The
 // reporter's rows cover only peers that can take traffic (the fleet
 // excludes evicted and draining peers — see Fleet.WindowStats), so a
-// mid-drain topology change neither dilutes the mean with a quiescing
-// window nor spikes it with a collapsed one; an empty row set (no routable
-// peer, dispatch on the local fallback) reads as zero remote saturation.
+// mid-drain topology change does not dilute the mean with a quiescing
+// peer; an empty row set (no routable peer, dispatch on the local
+// fallback) reads as zero remote saturation.
 func (c *AdmissionController) sampleWindows() float64 {
 	now := c.now()
 	if !c.mu.TryLock() {
@@ -230,15 +230,7 @@ func (c *AdmissionController) sampleWindows() float64 {
 		stats := c.opts.Windows.WindowStats()
 		sat := 0.0
 		for _, st := range stats {
-			limit := st.Cwnd
-			if limit < 1 {
-				limit = 1
-			}
-			f := float64(st.InFlight) / limit
-			if f > 1 {
-				f = 1
-			}
-			sat += f
+			sat += min(float64(st.InFlight)/float64(max(st.Limit, 1)), 1)
 		}
 		if len(stats) > 0 {
 			sat /= float64(len(stats))

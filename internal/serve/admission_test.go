@@ -133,7 +133,7 @@ func TestDegradedStageHalvesTheBatcherBite(t *testing.T) {
 		want  []int
 	}{{BrownoutNormal, []int{4}}, {BrownoutDegraded, []int{2, 2}}} {
 		ac := NewAdmissionController(AdmissionOptions{})
-		gb := newGatedBackend()
+		gb := newGatedBackend(t)
 		s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: gb, Policy: ac})
 		frames := synth.SampleFrames(97, 5)
 		futs := []*Future{s.SubmitAsync(frames[0])}
@@ -153,7 +153,7 @@ func TestDegradedStageHalvesTheBatcherBite(t *testing.T) {
 		}
 		gb.release <- struct{}{}
 		for _, fut := range futs {
-			if r := fut.Wait(); r.Status != StatusClassified {
+			if r := await(t, fut, "stage %v: classified", tc.stage); r.Status != StatusClassified {
 				t.Fatalf("stage %v: resolved %v", tc.stage, r.Status)
 			}
 		}
@@ -198,8 +198,8 @@ func TestAdmissionRemoteSaturationSignal(t *testing.T) {
 	c, clk := testController(AdmissionOptions{
 		EnterHold: 50 * time.Millisecond,
 		Windows: stubWindows{stats: []engine.WindowStat{
-			{Peer: "a", Cwnd: 1, InFlight: 1},
-			{Peer: "b", Cwnd: 2, InFlight: 2},
+			{Peer: "a", Limit: 1, InFlight: 1},
+			{Peer: "b", Limit: 2, InFlight: 2},
 		}},
 	})
 	drive(c, clk, 100, 0, 64, 5*time.Millisecond)
@@ -315,7 +315,7 @@ func TestServeLadderEngagesAndReleasesUnderHeldLane(t *testing.T) {
 	// queue still free: at stage 0 a submitter blocks on a full queue, and
 	// this test submits from one goroutine
 	ac, clk := testController(AdmissionOptions{EnterHold: hold, ExitHold: hold, Alpha: 0.5})
-	gb := newGatedBackend()
+	gb := newGatedBackend(t)
 	s := testServer(t, core.Options{}, Options{
 		Shards: 1, MaxBatch: 1, QueueDepth: 32, Backend: gb, Policy: ac,
 	})
@@ -368,7 +368,7 @@ func TestServeLadderEngagesAndReleasesUnderHeldLane(t *testing.T) {
 	close(gb.release)
 	classified, shed := 0, 0
 	for _, sb := range subs {
-		switch r := sb.fut.Wait(); {
+		switch r := await(t, sb.fut, "shed or classified %v", stubScore(sb.f)); {
 		case r.Status == StatusShed:
 			shed++
 		case r.Status == StatusClassified && r.Score == stubScore(sb.f):

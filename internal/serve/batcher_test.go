@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,23 +15,39 @@ import (
 	"percival/internal/synth"
 )
 
+// gateBound turns a hang in the gated tests into a failure: a forward pass
+// held, or a verdict awaited, this long is a test that has already gone
+// wrong. No passing run waits on it.
+const gateBound = 10 * time.Second
+
 // gatedBackend is an engine.Backend whose forward passes park until the test
 // lets them go: every InferBatchInto announces its frames on entered and then
 // blocks on release, so a test decides exactly which batches are in the
 // backend while it submits more work. Nothing here sleeps — the batcher
 // tests hold by construction, not because a model happens to be slow.
 // Replicas share the gates (Replicate returns the receiver).
+//
+// A pass still held after gateBound fails the test and opens the gate for
+// good: it and every later pass score at once, so a test that stops before
+// releasing its passes fails instead of hanging in a blocked Submit or in
+// the server's Close, which waits for the lane.
 type gatedBackend struct {
-	entered chan []*imaging.Bitmap
-	release chan struct{}
+	t        *testing.T
+	entered  chan []*imaging.Bitmap
+	release  chan struct{}
+	calls    atomic.Int64
+	open     chan struct{} // closed by the first pass held past gateBound
+	openOnce sync.Once
 }
 
-func newGatedBackend() *gatedBackend {
+func newGatedBackend(t *testing.T) *gatedBackend {
 	// 64 is past any test's number of forward passes: announcing a call never
 	// blocks the lane, and a test may bank releases ahead of the calls
 	return &gatedBackend{
+		t:       t,
 		entered: make(chan []*imaging.Bitmap, 64),
 		release: make(chan struct{}, 64),
+		open:    make(chan struct{}),
 	}
 }
 
@@ -42,8 +59,17 @@ func (b *gatedBackend) Close()                    {}
 func (b *gatedBackend) Stats() engine.Stats       { return engine.Stats{} }
 
 func (b *gatedBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64 {
+	call := b.calls.Add(1)
 	b.entered <- append([]*imaging.Bitmap(nil), frames...)
-	<-b.release
+	timer := time.NewTimer(gateBound)
+	defer timer.Stop()
+	select {
+	case <-b.release:
+	case <-b.open:
+	case <-timer.C:
+		b.t.Errorf("forward pass %d (%d frames) held %v and never released", call, len(frames), gateBound)
+		b.openOnce.Do(func() { close(b.open) })
+	}
 	out = out[:len(frames)]
 	for i, f := range frames {
 		out[i] = stubScore(f)
@@ -65,9 +91,26 @@ func (b *gatedBackend) nextCall(t *testing.T) []*imaging.Bitmap {
 	select {
 	case call := <-b.entered:
 		return call
-	case <-time.After(10 * time.Second):
+	case <-time.After(gateBound):
 		t.Fatal("no batch reached the backend")
 		return nil
+	}
+}
+
+// await takes fut's verdict, failing the test if none arrives within
+// gateBound; want (a format for args) says which verdict was expected. On
+// a failure the waiting goroutine exits once the server resolves the
+// request, at the latest when its Close flushes the queues.
+func await(t *testing.T, fut *Future, want string, args ...any) Result {
+	t.Helper()
+	got := make(chan Result, 1)
+	go func() { got <- fut.Wait() }()
+	select {
+	case r := <-got:
+		return r
+	case <-time.After(gateBound):
+		t.Fatalf("no verdict within %v: want %s", gateBound, fmt.Sprintf(want, args...))
+		return Result{}
 	}
 }
 
@@ -129,7 +172,7 @@ func sameFrames(a, b []*imaging.Bitmap) bool {
 // the backend as a batch of one with nothing else submitted — no timer, no
 // second request, is needed to push it out.
 func TestLoneSubmitDispatchesAtOnce(t *testing.T) {
-	gb := newGatedBackend()
+	gb := newGatedBackend(t)
 	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: gb})
 	f := synth.SampleFrames(71, 1)[0]
 	fut := s.SubmitAsync(f)
@@ -137,7 +180,7 @@ func TestLoneSubmitDispatchesAtOnce(t *testing.T) {
 		t.Fatalf("lone frame arrived as a batch of %d", len(call))
 	}
 	gb.release <- struct{}{}
-	if r := fut.Wait(); r.Status != StatusClassified || r.Score != stubScore(f) {
+	if r := await(t, fut, "lone frame classified %v", stubScore(f)); r.Status != StatusClassified || r.Score != stubScore(f) {
 		t.Fatalf("lone frame resolved %+v, want classified %v", r, stubScore(f))
 	}
 	if got := s.Metrics().Batches.Load(); got != 1 {
@@ -150,7 +193,7 @@ func TestLoneSubmitDispatchesAtOnce(t *testing.T) {
 // full-as-possible batches, in submission order.
 func TestBusyLaneFillsBatchesInQueueOrder(t *testing.T) {
 	const maxBatch, n = 4, 10
-	gb := newGatedBackend()
+	gb := newGatedBackend(t)
 	s := testServer(t, core.Options{}, Options{MaxBatch: maxBatch, DisableCache: true, Backend: gb})
 	frames := synth.SampleFrames(73, n+1)
 	futs := []*Future{s.SubmitAsync(frames[0])}
@@ -168,7 +211,7 @@ func TestBusyLaneFillsBatchesInQueueOrder(t *testing.T) {
 	}
 	gb.release <- struct{}{}
 	for i, fut := range futs {
-		if r := fut.Wait(); r.Status != StatusClassified || r.Score != stubScore(frames[i]) {
+		if r := await(t, fut, "frame %d classified %v", i, stubScore(frames[i])); r.Status != StatusClassified || r.Score != stubScore(frames[i]) {
 			t.Fatalf("frame %d resolved %+v", i, r)
 		}
 	}
@@ -181,7 +224,7 @@ func TestBusyLaneFillsBatchesInQueueOrder(t *testing.T) {
 // the second does not wait behind the first shard's forward pass — both are
 // in the backend at once.
 func TestTwoShardsTakeTwoLoneFrames(t *testing.T) {
-	gb := newGatedBackend()
+	gb := newGatedBackend(t)
 	s := testServer(t, core.Options{}, Options{Shards: 2, MaxBatch: 4, DisableCache: true, Backend: gb})
 	// two sample frames that route to different shards
 	samples := synth.SampleFrames(79, 16)
@@ -204,7 +247,9 @@ func TestTwoShardsTakeTwoLoneFrames(t *testing.T) {
 	}
 	gb.release <- struct{}{}
 	gb.release <- struct{}{}
-	if ra, rb := a.Wait(), b.Wait(); ra.Score != stubScore(frames[0]) || rb.Score != stubScore(frames[1]) {
+	ra := await(t, a, "first lone frame scored %v", stubScore(frames[0]))
+	rb := await(t, b, "second lone frame scored %v", stubScore(frames[1]))
+	if ra.Score != stubScore(frames[0]) || rb.Score != stubScore(frames[1]) {
 		t.Fatalf("scores %v / %v", ra.Score, rb.Score)
 	}
 }
@@ -213,7 +258,7 @@ func TestTwoShardsTakeTwoLoneFrames(t *testing.T) {
 // backend and more frames still queued behind it resolves every request
 // exactly once, with the backend's scores bit for bit (ROADMAP 5b).
 func TestCloseFlushesHeldAndOpenBatches(t *testing.T) {
-	gb := newGatedBackend()
+	gb := newGatedBackend(t)
 	s, err := New(testCore(t, core.Options{}), Options{MaxBatch: 4, DisableCache: true, Backend: gb})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +287,7 @@ func TestCloseFlushesHeldAndOpenBatches(t *testing.T) {
 	gb.release <- struct{}{}
 	<-closed
 	for i, fut := range futs {
-		if r := fut.Wait(); r.Status != StatusClassified || r.Score != stubScore(frames[i]) {
+		if r := await(t, fut, "frame %d classified %v", i, stubScore(frames[i])); r.Status != StatusClassified || r.Score != stubScore(frames[i]) {
 			t.Fatalf("frame %d resolved %+v, want classified %v", i, r, stubScore(frames[i]))
 		}
 	}
@@ -260,7 +305,7 @@ func TestCloseFlushesHeldAndOpenBatches(t *testing.T) {
 // each resolve once with the backend's score.
 func TestQueueBoundIsExact(t *testing.T) {
 	ac := NewAdmissionController(AdmissionOptions{})
-	gb := newGatedBackend()
+	gb := newGatedBackend(t)
 	s := testServer(t, core.Options{}, Options{
 		Shards: 1, MaxBatch: 4, QueueDepth: 4, DisableCache: true, Backend: gb, Policy: ac,
 	})
@@ -282,11 +327,11 @@ func TestQueueBoundIsExact(t *testing.T) {
 		t.Fatalf("queued batch carried %d frames, want the 4 queued in order", len(call))
 	}
 	close(gb.release)
-	if r := sixth.Wait(); r.Status != StatusShed {
+	if r := await(t, sixth, "the sixth leader shed"); r.Status != StatusShed {
 		t.Fatalf("leader past a full queue resolved %+v, want shed", r)
 	}
 	for i, fut := range futs {
-		if r := fut.Wait(); r.Status != StatusClassified || r.Score != stubScore(frames[i]) {
+		if r := await(t, fut, "frame %d classified %v", i, stubScore(frames[i])); r.Status != StatusClassified || r.Score != stubScore(frames[i]) {
 			t.Fatalf("frame %d resolved %+v, want classified %v", i, r, stubScore(frames[i]))
 		}
 	}

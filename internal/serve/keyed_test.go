@@ -74,7 +74,7 @@ func (b *keyedGated) checkCalls(t *testing.T, want ...[]*imaging.Bitmap) {
 // Submit, and a batch filled behind a busy lane in which a coalesced
 // duplicate contributes nothing (one key, one frame, two submitters).
 func TestLaneHandsKeysDown(t *testing.T) {
-	kb := &keyedGated{gatedBackend: newGatedBackend()}
+	kb := &keyedGated{gatedBackend: newGatedBackend(t)}
 	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: kb})
 	frames := synth.SampleFrames(83, 5)
 
@@ -90,13 +90,13 @@ func TestLaneHandsKeysDown(t *testing.T) {
 	kb.release <- struct{}{}
 	kb.nextCall(t)
 	kb.release <- struct{}{}
-	if r := first.Wait(); r.Status != StatusClassified {
+	if r := await(t, first, "first frame classified"); r.Status != StatusClassified {
 		t.Fatalf("first frame resolved %+v", r)
 	}
 	wantFrame := []*imaging.Bitmap{frames[1], frames[2], frames[1], frames[3]}
 	wantStatus := []Status{StatusClassified, StatusClassified, StatusCoalesced, StatusClassified}
 	for i, fut := range futs {
-		if r := fut.Wait(); r.Status != wantStatus[i] || r.Score != stubScore(wantFrame[i]) {
+		if r := await(t, fut, "submission %d %v %v", i, wantStatus[i], stubScore(wantFrame[i])); r.Status != wantStatus[i] || r.Score != stubScore(wantFrame[i]) {
 			t.Fatalf("submission %d resolved %+v, want %v %v", i, r, wantStatus[i], stubScore(wantFrame[i]))
 		}
 	}
@@ -117,7 +117,7 @@ func TestLaneHandsKeysDown(t *testing.T) {
 // from queue positions.
 func TestThinnedBatchKeepsKeysInStep(t *testing.T) {
 	const deadline = 200 * time.Millisecond
-	kb := &keyedGated{gatedBackend: newGatedBackend()}
+	kb := &keyedGated{gatedBackend: newGatedBackend(t)}
 	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Deadline: deadline, Backend: kb})
 	frames := synth.SampleFrames(89, 3)
 
@@ -132,13 +132,13 @@ func TestThinnedBatchKeepsKeysInStep(t *testing.T) {
 	kb.nextCall(t)
 	kb.release <- struct{}{}
 
-	if r := held.Wait(); r.Status != StatusClassified {
+	if r := await(t, held, "held frame classified"); r.Status != StatusClassified {
 		t.Fatalf("held frame resolved %+v", r)
 	}
-	if r := stale.Wait(); r.Status != StatusShed {
+	if r := await(t, stale, "frame past the deadline shed"); r.Status != StatusShed {
 		t.Fatalf("frame past the deadline resolved %+v, want shed at dispatch", r)
 	}
-	if r := fresh.Wait(); r.Status != StatusClassified || r.Score != stubScore(frames[2]) {
+	if r := await(t, fresh, "fresh frame classified %v", stubScore(frames[2])); r.Status != StatusClassified || r.Score != stubScore(frames[2]) {
 		t.Fatalf("fresh frame resolved %+v (a stall longer than the %v deadline between its submit and dispatch would shed it too)", r, deadline)
 	}
 	kb.checkCalls(t, frames[0:1], frames[2:3])
@@ -147,7 +147,7 @@ func TestThinnedBatchKeepsKeysInStep(t *testing.T) {
 // TestUnkeyedBackendGetsInferBatchInto: a backend without the keyed entry is
 // driven exactly as before.
 func TestUnkeyedBackendGetsInferBatchInto(t *testing.T) {
-	gb := newGatedBackend()
+	gb := newGatedBackend(t)
 	if _, keyed := engine.Backend(gb).(engine.KeyedBackend); keyed {
 		t.Fatal("the plain gated stub grew a keyed entry; this test needs one without")
 	}
@@ -158,7 +158,7 @@ func TestUnkeyedBackendGetsInferBatchInto(t *testing.T) {
 		t.Fatalf("InferBatchInto saw %d frames, want the one submitted", len(call))
 	}
 	gb.release <- struct{}{}
-	if r := fut.Wait(); r.Status != StatusClassified || r.Score != stubScore(f) {
+	if r := await(t, fut, "classified %v", stubScore(f)); r.Status != StatusClassified || r.Score != stubScore(f) {
 		t.Fatalf("resolved %+v", r)
 	}
 }

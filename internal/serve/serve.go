@@ -357,9 +357,8 @@ func (s *Server) FleetHealth() []engine.PeerHealthInfo {
 	return nil
 }
 
-// WindowStats reports per-peer congestion-window state when the shards
-// dispatch into window-gated remotes (engine.WindowReporter), nil for local
-// backends. Replicas share their peers' windows, so shard 0's answer is the
+// WindowStats reports per-peer in-flight cap state when the shards
+// dispatch into remotes (engine.WindowReporter), nil for local backends. Replicas share their peers' windows, so shard 0's answer is the
 // fleet's.
 func (s *Server) WindowStats() []engine.WindowStat {
 	if wr, ok := s.shards[0].backend.(engine.WindowReporter); ok {

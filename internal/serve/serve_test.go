@@ -103,7 +103,7 @@ func TestSubmitMatchesSynchronousClassify(t *testing.T) {
 // forward pass, and every caller must get its creative's score — fewer
 // model runs than submissions, by construction.
 func TestConcurrentSubmitsCoalesceIntoBatches(t *testing.T) {
-	gb := newGatedBackend()
+	gb := newGatedBackend(t)
 	s := testServer(t, core.Options{}, Options{MaxBatch: 8, DisableCache: true, Backend: gb})
 	frames := synth.SampleFrames(11, 9)
 	head := s.SubmitAsync(frames[0])
@@ -197,7 +197,7 @@ func TestVerdictCacheView(t *testing.T) {
 // leader is held in flight must share its one model run even without
 // memoization.
 func TestInflightCoalescingWithCacheDisabled(t *testing.T) {
-	gb := newGatedBackend()
+	gb := newGatedBackend(t)
 	s := testServer(t, core.Options{}, Options{MaxBatch: 4, DisableCache: true, Backend: gb})
 	f := synth.SampleFrames(17, 1)[0]
 	leader := s.SubmitAsync(f)
