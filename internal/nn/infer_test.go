@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -94,6 +95,51 @@ func TestForwardInferMatchesForward(t *testing.T) {
 			for i, v := range x.Data {
 				if math.Float32bits(v) != math.Float32bits(orig[i]) {
 					t.Fatalf("%s batch %d: caller input mutated at %d: %v -> %v", tc.name, batch, i, orig[i], v)
+				}
+			}
+		}
+	}
+}
+
+// TestPooledFireMatchesLayerForward holds a fire whose max pool runs in its
+// expands' epilogue to the naive oracle — Fire.Forward, then MaxPool.Forward,
+// each layer's own reference pass composed by hand — bit for bit, at the
+// sizes the shipped nets pool a fire at: the paper net's fires 2 and 4 (55 →
+// 27 and 27 → 13 under 3×3/2, their own channel widths) and SmallConfig's
+// fires at even widths under 2×2/2 (res 32 and 64), at batch 1 and 3. It
+// runs on the process's FP32 tier; `make test-avx2` runs it again on the
+// AVX2 one.
+func TestPooledFireMatchesLayerForward(t *testing.T) {
+	cases := []struct {
+		name              string
+		inC, sq, e1, e3   int
+		hw, poolK, stride int
+	}{
+		{"paper fire2 55→27", 128, 16, 64, 64, 55, 3, 2},
+		{"paper fire4 27→13", 256, 32, 128, 128, 27, 3, 2},
+		{"small(64) fire2 32→16", 16, 8, 8, 8, 32, 2, 2},
+		{"small(32) fire2 16→8", 16, 8, 8, 8, 16, 2, 2},
+		{"small(32) fire4 8→4", 24, 12, 12, 12, 8, 2, 2},
+	}
+	rng := rand.New(rand.NewSource(22))
+	for ci, tc := range cases {
+		fire := NewFire("fire", tc.inC, tc.sq, tc.e1, tc.e3)
+		pool := NewMaxPool("pool", tc.poolK, tc.stride)
+		net := NewSequential(fire, pool)
+		InitHe(net, rand.New(rand.NewSource(int64(60+ci))))
+		for _, batch := range []int{1, 3} {
+			x := tensor.New(batch, tc.inC, tc.hw, tc.hw)
+			for i := range x.Data {
+				x.Data[i] = float32(rng.NormFloat64())
+			}
+			want := pool.Forward(fire.Forward(x.Clone(), false), false)
+			got := net.ForwardInfer(x, tensor.NewArena())
+			if !slices.Equal(got.Shape, want.Shape) {
+				t.Fatalf("%s batch %d: shape %v want %v", tc.name, batch, got.Shape, want.Shape)
+			}
+			for i := range got.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s batch %d on %s: y[%d]=%v want %v", tc.name, batch, tensor.GemmKernelName(), i, got.Data[i], want.Data[i])
 				}
 			}
 		}
