@@ -105,7 +105,13 @@ func TestLaneHandsKeysDown(t *testing.T) {
 	go func() { done <- s.Submit(frames[4]) }()
 	kb.nextCall(t)
 	kb.release <- struct{}{}
-	if r := <-done; r.Status != StatusClassified || r.Score != stubScore(frames[4]) {
+	var r Result
+	select {
+	case r = <-done:
+	case <-time.After(gateBound):
+		t.Fatalf("blocking Submit: no verdict within %v: want %v %v", gateBound, StatusClassified, stubScore(frames[4]))
+	}
+	if r.Status != StatusClassified || r.Score != stubScore(frames[4]) {
 		t.Fatalf("blocking Submit resolved %+v", r)
 	}
 

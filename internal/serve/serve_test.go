@@ -125,7 +125,7 @@ func TestConcurrentSubmitsCoalesceIntoBatches(t *testing.T) {
 	}
 	gb.release <- struct{}{}
 	wg.Wait()
-	head.Wait()
+	await(t, head, "head frame %v %v", StatusClassified, stubScore(frames[0]))
 	for c, r := range results {
 		if want := stubScore(frames[1+c/2]); r.Status == StatusShed || r.Score != want {
 			t.Fatalf("caller %d resolved %+v, want score %v", c, r, want)
@@ -216,7 +216,7 @@ func TestInflightCoalescingWithCacheDisabled(t *testing.T) {
 	gb.noCall(t)
 	gb.release <- struct{}{}
 	wg.Wait()
-	if r := leader.Wait(); r.Status != StatusClassified || r.Score != stubScore(f) {
+	if r := await(t, leader, "leader %v %v", StatusClassified, stubScore(f)); r.Status != StatusClassified || r.Score != stubScore(f) {
 		t.Fatalf("leader resolved %+v", r)
 	}
 	for c, r := range results {
