@@ -460,11 +460,11 @@ func directConv(x *tensor.Tensor, w []float32, s tensor.ConvSpec) *tensor.Tensor
 								if ix < 0 || ix >= wd {
 									continue
 								}
-								sum += w[((oc*c+ic)*s.KH+ky)*s.KW+kx] * x.At(i, ic, iy, ix)
+								sum += w[((oc*c+ic)*s.KH+ky)*s.KW+kx] * x.Data[((i*c+ic)*h+iy)*wd+ix]
 							}
 						}
 					}
-					y.Set(sum, i, oc, oy, ox)
+					y.Data[((i*s.OutC+oc)*oh+oy)*ow+ox] = sum
 				}
 			}
 		}

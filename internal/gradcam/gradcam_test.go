@@ -79,7 +79,7 @@ func TestSalienceTracksDiscriminativeRegion(t *testing.T) {
 					if labels[i] == 1 && y < 4 && xx < 4 {
 						v += 1.2
 					}
-					x.Set(v, i, 0, y, xx)
+					x.Data[(i*8+y)*8+xx] = v
 				}
 			}
 		}
@@ -93,7 +93,7 @@ func TestSalienceTracksDiscriminativeRegion(t *testing.T) {
 	x := tensor.New(1, 1, 8, 8)
 	for y := 0; y < 4; y++ {
 		for xx := 0; xx < 4; xx++ {
-			x.Set(1.2, 0, 0, y, xx)
+			x.Data[y*8+xx] = 1.2
 		}
 	}
 	hm, err := Compute(net, x, 0, 1)

@@ -209,13 +209,14 @@ func TestToTensorLayoutAndRange(t *testing.T) {
 	if tns.Shape[0] != 1 || tns.Shape[1] != 4 || tns.Shape[2] != 2 || tns.Shape[3] != 2 {
 		t.Fatalf("shape %v", tns.Shape)
 	}
-	if tns.At(0, 0, 0, 0) != 1 { // R
+	// Pixel (0, 0) of channel c is element c·2·2.
+	if tns.Data[0] != 1 { // R
 		t.Fatal("R channel wrong")
 	}
-	if tns.At(0, 1, 0, 0) != 0 { // G
+	if tns.Data[4] != 0 { // G
 		t.Fatal("G channel wrong")
 	}
-	if v := tns.At(0, 2, 0, 0); v < 0.49 || v > 0.51 { // B = 128/255
+	if v := tns.Data[8]; v < 0.49 || v > 0.51 { // B = 128/255
 		t.Fatalf("B channel %v", v)
 	}
 	for _, v := range tns.Data {
@@ -234,7 +235,7 @@ func TestBatchToTensor(t *testing.T) {
 	if batch.Shape[0] != 2 {
 		t.Fatalf("batch shape %v", batch.Shape)
 	}
-	if batch.At(0, 0, 0, 0) != 1 || batch.At(1, 0, 0, 0) != 0 {
+	if batch.Data[0] != 1 || batch.Data[4*3*3] != 0 { // R of pixel (0, 0) in each image
 		t.Fatal("batch values wrong")
 	}
 }

@@ -84,7 +84,7 @@ func TestForwardInferMatchesForward(t *testing.T) {
 			want := tc.net.Forward(x.Clone(), false)
 			a := tensor.NewArena()
 			got := tc.net.ForwardInfer(x, a)
-			if !got.SameShape(want) {
+			if !slices.Equal(got.Shape, want.Shape) {
 				t.Fatalf("%s batch %d: shape %v want %v", tc.name, batch, got.Shape, want.Shape)
 			}
 			for i := range got.Data {
@@ -157,7 +157,9 @@ func TestPredictMatchesPredictArena(t *testing.T) {
 		x.Data[i] = float32(rng.NormFloat64())
 	}
 	p1 := Predict(net, x)
-	p1.Fill(-99) // caller-owned: scribbling must be harmless
+	for i := range p1.Data { // caller-owned: scribbling must be harmless
+		p1.Data[i] = -99
+	}
 	a := tensor.NewArena()
 	p2 := PredictArena(net, x, a)
 	p3 := Predict(net, x)

@@ -2,6 +2,7 @@ package nn_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"percival/internal/imaging"
@@ -73,7 +74,7 @@ func TestInputTableMatchesFloatPath(t *testing.T) {
 			copy(pix[i*per:(i+1)*per], b.Pix)
 		}
 		got := qnet.PredictArenaU8(pix, n, res, res, a)
-		if !got.SameShape(want) {
+		if !slices.Equal(got.Shape, want.Shape) {
 			t.Fatalf("batch %d: shape %v from bytes, %v from floats", n, got.Shape, want.Shape)
 		}
 		for i := range want.Data {

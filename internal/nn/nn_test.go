@@ -189,7 +189,7 @@ func TestTrainingConvergesOnToyTask(t *testing.T) {
 					if (labels[i] == 0 && y < 4) || (labels[i] == 1 && y >= 4) {
 						v += 1
 					}
-					x.Set(v, i, 0, y, xx)
+					x.Data[(i*8+y)*8+xx] = v
 				}
 			}
 		}
@@ -259,7 +259,9 @@ func TestStepLRSchedule(t *testing.T) {
 func TestDropoutTrainVsInference(t *testing.T) {
 	d := NewDropout("d", 0.5, 42)
 	x := tensor.New(1, 1, 32, 32)
-	x.Fill(1)
+	for i := range x.Data {
+		x.Data[i] = 1
+	}
 	y := d.Forward(x.Clone(), false)
 	for _, v := range y.Data {
 		if v != 1 {

@@ -196,7 +196,9 @@ func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net := newNet()
 		for _, p := range net.Params() {
-			p.W.Fill(0.5)
+			for i := range p.W.Data {
+				p.W.Data[i] = 0.5
+			}
 		}
 		if err := Load(bytes.NewReader(data), net); err == nil {
 			return

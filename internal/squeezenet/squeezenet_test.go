@@ -178,7 +178,7 @@ func TestSmallNetTrainsOnSeparableTask(t *testing.T) {
 						if labels[i] == 1 && (yy < 2 || yy >= 14 || xx < 2 || xx >= 14) {
 							v += 1
 						}
-						x.Set(v, i, c, yy, xx)
+						x.Data[((i*4+c)*16+yy)*16+xx] = v
 					}
 				}
 			}

@@ -41,29 +41,11 @@ func Gemm(a, b, c []float32, m, k, n int) {
 	gemmPooled(gemmA{data: a}, gemmB{data: b}, c, m, k, n, false)
 }
 
-// GemmAcc computes C += A×B with the same layout as Gemm.
-func GemmAcc(a, b, c []float32, m, k, n int) {
-	checkGemm("GemmAcc", len(a), len(b), len(c), m, k, n)
-	gemmPooled(gemmA{data: a}, gemmB{data: b}, c, m, k, n, true)
-}
-
 // GemmTA computes C = Aᵀ×B where A is stored K×M (so Aᵀ is M×K), B is K×N,
 // C is M×N.
 func GemmTA(a, b, c []float32, m, k, n int) {
 	checkGemm("GemmTA", len(a), len(b), len(c), m, k, n)
 	gemmPooled(gemmA{data: a, trans: true}, gemmB{data: b}, c, m, k, n, false)
-}
-
-// GemmTAAcc computes C += Aᵀ×B with A stored K×M.
-func GemmTAAcc(a, b, c []float32, m, k, n int) {
-	checkGemm("GemmTAAcc", len(a), len(b), len(c), m, k, n)
-	gemmPooled(gemmA{data: a, trans: true}, gemmB{data: b}, c, m, k, n, true)
-}
-
-// GemmTB computes C = A×Bᵀ where A is M×K, B is stored N×K, C is M×N.
-func GemmTB(a, b, c []float32, m, k, n int) {
-	checkGemm("GemmTB", len(a), len(b), len(c), m, k, n)
-	gemmPooled(gemmA{data: a}, gemmB{data: b, trans: true}, c, m, k, n, false)
 }
 
 // GemmTBAcc computes C += A×Bᵀ with B stored N×K.

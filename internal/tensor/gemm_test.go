@@ -9,6 +9,28 @@ import (
 	"testing"
 )
 
+// The variants below are test helpers: no binary calls them, and each is
+// one gemmPooled call, so the tests cover every transpose and accumulate
+// combination the driver takes.
+
+// GemmAcc computes C += A×B with the same layout as Gemm.
+func GemmAcc(a, b, c []float32, m, k, n int) {
+	checkGemm("GemmAcc", len(a), len(b), len(c), m, k, n)
+	gemmPooled(gemmA{data: a}, gemmB{data: b}, c, m, k, n, true)
+}
+
+// GemmTAAcc computes C += Aᵀ×B with A stored K×M.
+func GemmTAAcc(a, b, c []float32, m, k, n int) {
+	checkGemm("GemmTAAcc", len(a), len(b), len(c), m, k, n)
+	gemmPooled(gemmA{data: a, trans: true}, gemmB{data: b}, c, m, k, n, true)
+}
+
+// GemmTB computes C = A×Bᵀ where A is M×K, B is stored N×K, C is M×N.
+func GemmTB(a, b, c []float32, m, k, n int) {
+	checkGemm("GemmTB", len(a), len(b), len(c), m, k, n)
+	gemmPooled(gemmA{data: a}, gemmB{data: b, trans: true}, c, m, k, n, false)
+}
+
 // relClose reports whether got is within tol relative tolerance of want.
 func relClose(got, want, tol float64) bool {
 	return math.Abs(got-want) <= tol*(1+math.Abs(want))

@@ -127,17 +127,6 @@ func QuantizePixelsU8(dst []uint8, src []float32, n, c, hw int, q QuantParams) {
 	}
 }
 
-// DequantizeU8 maps quantized activations back to real values.
-func DequantizeU8(dst []float32, src []uint8, q QuantParams) {
-	if len(dst) < len(src) {
-		panic("tensor: DequantizeU8 dst too small")
-	}
-	z := float32(q.Zero)
-	for i, v := range src {
-		dst[i] = q.Scale * (float32(v) - z)
-	}
-}
-
 // QuantizeWeightsPerChannel quantizes a [outC, k] weight matrix symmetrically
 // per output channel: wq = round(w/s) with s = maxAbs(row)/127. It returns
 // the quantized weights, the per-channel scales, and the per-channel row sums
@@ -178,32 +167,6 @@ func QuantizeWeightsPerChannel(w []float32, outC, k int) (wq []int8, scales []fl
 		rowSums[oc] = sum
 	}
 	return wq, scales, rowSums
-}
-
-// RequantizeU8 converts one output-channel row of int32 accumulators into the
-// next layer's u8 activation domain: q = clamp(round(acc·mult + beta), lo,
-// QMaxU8). mult folds the weight, input, and output scales
-// (sW·sA/sOut); beta folds the bias, the activation-zero-point compensation,
-// and the output zero-point. relu raises the lower clamp to the output zero
-// point, fusing the activation into the pass that already touches every
-// element.
-//
-// acc·mult + beta is one fused multiply-add — a single rounding — wherever an
-// element sits and whichever path computes it, so a byte does not depend on
-// the replica's CPU. It is the portable definition, element by element
-// (requantU8); the engine requantizes four channel rows at a time straight
-// into quad words (requantQuads), whose vector body is VFMADD213PS.
-func RequantizeU8(dst []uint8, acc []int32, mult, beta float32, zOut int32, relu bool) {
-	if len(dst) < len(acc) {
-		panic("tensor: RequantizeU8 dst too small")
-	}
-	lo := int32(0)
-	if relu {
-		lo = zOut
-	}
-	for i, a := range acc {
-		dst[i] = requantU8(a, mult, beta, lo)
-	}
 }
 
 // requantU8 is RequantizeU8 for one element, clamped to [lo, QMaxU8]. It

@@ -8,6 +8,46 @@ import (
 	"testing"
 )
 
+// DequantizeU8 and RequantizeU8 are the scalar definitions the tests hold
+// the engine to; no binary calls them.
+
+// DequantizeU8 maps quantized activations back to real values.
+func DequantizeU8(dst []float32, src []uint8, q QuantParams) {
+	if len(dst) < len(src) {
+		panic("tensor: DequantizeU8 dst too small")
+	}
+	z := float32(q.Zero)
+	for i, v := range src {
+		dst[i] = q.Scale * (float32(v) - z)
+	}
+}
+
+// RequantizeU8 converts one output-channel row of int32 accumulators into the
+// next layer's u8 activation domain: q = clamp(round(acc·mult + beta), lo,
+// QMaxU8). mult folds the weight, input, and output scales
+// (sW·sA/sOut); beta folds the bias, the activation-zero-point compensation,
+// and the output zero-point. relu raises the lower clamp to the output zero
+// point, fusing the activation into the pass that already touches every
+// element.
+//
+// acc·mult + beta is one fused multiply-add — a single rounding — wherever an
+// element sits and whichever path computes it, so a byte does not depend on
+// the replica's CPU. It is the portable definition, element by element
+// (requantU8); the engine requantizes four channel rows at a time straight
+// into quad words (requantQuads), whose vector body is VFMADD213PS.
+func RequantizeU8(dst []uint8, acc []int32, mult, beta float32, zOut int32, relu bool) {
+	if len(dst) < len(acc) {
+		panic("tensor: RequantizeU8 dst too small")
+	}
+	lo := int32(0)
+	if relu {
+		lo = zOut
+	}
+	for i, a := range acc {
+		dst[i] = requantU8(a, mult, beta, lo)
+	}
+}
+
 // quantTier is one of the quantized engine's kernel tiers: the portable Go
 // loops, the AVX2 kernel and row helpers, or AVX2 helpers with the VNNI
 // kernel. quantTiers, currentQuantTier and useQuantTier are per-architecture

@@ -49,19 +49,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.Shape) != len(u.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != u.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
@@ -88,37 +75,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
-// At returns the element at NCHW (or generally multi-dimensional) index.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set stores v at the given multi-dimensional index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.Shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
 // AddInPlace accumulates u into t element-wise. Shapes must match.
 func (t *Tensor) AddInPlace(u *Tensor) {
 	if len(t.Data) != len(u.Data) {
@@ -127,33 +83,6 @@ func (t *Tensor) AddInPlace(u *Tensor) {
 	for i, v := range u.Data {
 		t.Data[i] += v
 	}
-}
-
-// Scale multiplies every element by s.
-func (t *Tensor) Scale(s float32) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
-// MaxAbs returns the largest absolute value in t (0 for empty tensors).
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		if a := float32(math.Abs(float64(v))); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of all elements (accumulated in float64 for accuracy).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
 }
 
 // String renders a compact description for debugging.

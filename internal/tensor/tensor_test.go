@@ -1,12 +1,86 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// The Tensor methods below are test helpers: no binary calls them.
+
+// SameShape reports whether t and u have identical shapes.
+func (t *Tensor) SameShape(u *Tensor) bool {
+	if len(t.Shape) != len(u.Shape) {
+		return false
+	}
+	for i := range t.Shape {
+		if t.Shape[i] != u.Shape[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Fill sets every element to v.
+func (t *Tensor) Fill(v float32) {
+	for i := range t.Data {
+		t.Data[i] = v
+	}
+}
+
+// At returns the element at NCHW (or generally multi-dimensional) index.
+func (t *Tensor) At(idx ...int) float32 {
+	return t.Data[t.offset(idx)]
+}
+
+// Set stores v at the given multi-dimensional index.
+func (t *Tensor) Set(v float32, idx ...int) {
+	t.Data[t.offset(idx)] = v
+}
+
+func (t *Tensor) offset(idx []int) int {
+	if len(idx) != len(t.Shape) {
+		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.Shape))
+	}
+	off := 0
+	for i, x := range idx {
+		if x < 0 || x >= t.Shape[i] {
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
+		}
+		off = off*t.Shape[i] + x
+	}
+	return off
+}
+
+// Scale multiplies every element by s.
+func (t *Tensor) Scale(s float32) {
+	for i := range t.Data {
+		t.Data[i] *= s
+	}
+}
+
+// MaxAbs returns the largest absolute value in t (0 for empty tensors).
+func (t *Tensor) MaxAbs() float32 {
+	var m float32
+	for _, v := range t.Data {
+		if a := float32(math.Abs(float64(v))); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// Sum returns the sum of all elements (accumulated in float64 for accuracy).
+func (t *Tensor) Sum() float64 {
+	var s float64
+	for _, v := range t.Data {
+		s += float64(v)
+	}
+	return s
+}
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
