@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math/bits"
 	"unsafe"
 )
 
@@ -32,20 +31,6 @@ func windowCount(size, pad, k, stride int) int {
 		return 0
 	}
 	return span/stride + 1
-}
-
-// validOx returns the range 0 <= lo <= hi <= ow of output columns ox whose
-// tap base+ox*stride lands inside a w-wide input row; columns outside [lo, hi)
-// read padding. Hoisting this out of the pixel loop is what lets the
-// im2col-style copies run without a per-element bounds test.
-func validOx(base, stride, w, ow int) (lo, hi int) {
-	if base < 0 {
-		lo = min((-base+stride-1)/stride, ow)
-	}
-	if last := w - 1 - base; last >= 0 {
-		hi = min(last/stride+1, ow)
-	}
-	return lo, max(lo, hi)
 }
 
 // Im2col expands one image (C×H×W, a slice of a batch tensor) into the column
@@ -167,207 +152,179 @@ type pixel interface{ float32 | uint32 }
 // convolution — row p is the tap (ch, ky, kx), column j the output position
 // (oy, ox) — without materializing it. It is the B operand of the forward
 // GEMM on both engines: the blocked drivers pack their panels straight from
-// the image, so every input element is read once and written once. Padding
-// positions read as fill: 0 for float32, four activation zero points (the
-// encoding of real 0) for a uint32 quad.
+// it. Padding positions read as fill: 0 for float32, four activation zero
+// points (the encoding of real 0) for a uint32 quad.
 //
-// Taps read planes of h×w elements at a step of (sh, sw) per output row and
-// column. Those are the image's own channels at the convolution's strides —
-// or, once usePhases has run on a strided convolution, the image's phase
-// planes at step 1: channel ch de-interleaved into ph×pw planes, plane
-// (py, px) holding img[ch][y*ph+py][x*pw+px] at (y, x), so that tap
-// (ch, ky, kx) of a stride-2 stem walks one plane contiguously, as every tap
-// of a stride-1 convolution does, instead of gathering every other element
-// of every other image row once per tap.
+// Taps read bordered phase planes: channel ch of the image padded on every
+// side, de-interleaved into StrideH×StrideW planes of ph×pw elements, plane
+// (py, px) holding the padded image's element (y·StrideH+py, x·StrideW+px)
+// at (y, x). Tap (ch, ky, kx) of output position (oy, ox) is then element
+// (oy + ky/StrideH, ox + kx/StrideW) of plane (ch, ky%StrideH, kx%StrideW):
+// a fixed offset from the output position, with no bounds to test, and
+// consecutive positions of one output row read consecutive elements. Only
+// the rows and columns some tap reaches are kept. The image of a stride-1
+// unpadded convolution is its own plane set; any other is copied into the
+// planes once per image (setImage), which is where the padding is decided.
 type convView[T pixel] struct {
 	planes []T
-	h, w   int
-	sh, sw int
-	ph, pw int
 	s      ConvSpec
+	h, w   int // the image's plane size
+	ph, pw int // a bordered phase plane's size
 	oh, ow int
 	fill   T
-	// strided is the element type's gather, gatherWords.
-	strided func(dst, src []T, stride int)
-	// spread, when set, is the element type's copyRuns: gather hands it a
-	// contiguous source that covers whole panels.
-	spread func(dst []T, dstStep int, src []T, srcStep, n, runs int)
-	// phases is the scratch setImage splits each image into (nil: taps read
-	// the image itself); srcH×srcW is the image's own plane size.
-	phases     []T
-	srcH, srcW int
+	// buf holds the bordered planes setImage copies each image into: nil
+	// when the image is its own plane set.
+	buf []T
 }
 
-// newConvView returns the view of h×w images under s, reading the image's
-// own planes.
-func newConvView[T pixel](h, w int, s ConvSpec, fill T, strided func(dst, src []T, stride int)) convView[T] {
+// newConvView returns the view of h×w images under s. A view that copies
+// its images needs useScratch before setImage.
+func newConvView[T pixel](h, w int, s ConvSpec, fill T) convView[T] {
 	oh, ow := s.OutSize(h, w)
-	return convView[T]{h: h, w: w, sh: s.StrideH, sw: s.StrideW, ph: 1, pw: 1, s: s, oh: oh, ow: ow, fill: fill, strided: strided}
+	return convView[T]{s: s, h: h, w: w, ph: oh + (s.KH-1)/s.StrideH, pw: ow + (s.KW-1)/s.StrideW, oh: oh, ow: ow, fill: fill}
 }
 
-// phaseLen returns the scratch length usePhases needs, or 0 when the view
-// should keep reading the image: an unstrided convolution has nothing to
-// de-interleave, and only phase planes exactly one output row wide
-// (ceil(w/StrideW) = ow) give the walker its linear single-copy path (see
-// walk) — narrower or wider ones would trade a strided gather per row for a
-// copy per row, at the price of the split.
-func (v *convView[T]) phaseLen() int {
+// Len returns the scratch the bordered planes take: 0 when the image is its
+// own plane set.
+func (v *convView[T]) Len() int {
 	s := v.s
-	if s.StrideH*s.StrideW == 1 || (v.w+s.StrideW-1)/s.StrideW != v.ow {
+	if s.StrideH == 1 && s.StrideW == 1 && s.PadH == 0 && s.PadW == 0 {
 		return 0
 	}
-	return s.InC * s.StrideH * s.StrideW * ((v.h + s.StrideH - 1) / s.StrideH) * v.ow
+	return s.InC * s.StrideH * s.StrideW * v.ph * v.pw
 }
 
-// usePhases switches the view to phase planes held in buf (phaseLen
-// elements); each setImage then de-interleaves its image into them.
-func (v *convView[T]) usePhases(buf []T) {
-	v.phases, v.srcH, v.srcW = buf, v.h, v.w
-	v.ph, v.pw = v.sh, v.sw
-	v.h, v.w = (v.h+v.ph-1)/v.ph, (v.w+v.pw-1)/v.pw
-	v.sh, v.sw = 1, 1
+// useScratch hands the view the Len elements of buf for its planes.
+func (v *convView[T]) useScratch(buf []T) {
+	if n := v.Len(); n > 0 {
+		v.buf = buf[:n]
+	}
 }
 
-// setImage points the view at one image, splitting it into the phase planes
-// when those are in use. Slots of a phase plane past the image's last row or
-// column (an odd size leaves the later phases one short) are padding and
-// hold fill.
+// setImage points the view at one image, copying it into the bordered
+// planes when it is not its own plane set. Every slot of a plane that lies
+// in the padding, or past the image's last row or column (an odd size
+// leaves the later phases one short), is written with fill for every image:
+// the scratch is shared with other stages.
 func (v *convView[T]) setImage(img []T) {
-	if v.phases == nil {
+	if v.buf == nil {
 		v.planes = img
 		return
 	}
-	v.planes = v.phases
+	v.planes = v.buf
+	s := v.s
 	di := 0
-	for ch := 0; ch < v.s.InC; ch++ {
-		plane := img[ch*v.srcH*v.srcW : (ch+1)*v.srcH*v.srcW]
-		for py := 0; py < v.ph; py++ {
-			for px := 0; px < v.pw; px++ {
-				cols := (v.srcW - px + v.pw - 1) / v.pw
-				for iy := py; iy < v.h*v.ph; iy, di = iy+v.ph, di+v.w {
-					row := plainRow(v.phases[di : di+v.w])
-					if iy >= v.srcH {
-						cols = 0
-					} else if v.pw == 1 {
-						copy(row.dst, plane[iy*v.srcW:])
-					} else {
-						v.strided(row.dst[:cols], plane[iy*v.srcW+px:], v.pw)
+	for ch := 0; ch < s.InC; ch++ {
+		plane := img[ch*v.h*v.w : (ch+1)*v.h*v.w]
+		for py := 0; py < s.StrideH; py++ {
+			for px := 0; px < s.StrideW; px++ {
+				// Columns [lo, hi) hold image columns x·StrideW + px − PadW.
+				lo := min((max(s.PadW-px, 0)+s.StrideW-1)/s.StrideW, v.pw)
+				hi := max(min((s.PadW+v.w-px+s.StrideW-1)/s.StrideW, v.pw), lo)
+				for y := 0; y < v.ph; y, di = y+1, di+v.pw {
+					row := v.buf[di : di+v.pw]
+					iy := y*s.StrideH + py - s.PadH
+					if iy < 0 || iy >= v.h {
+						fillWords(row, v.fill)
+						continue
 					}
-					row.fill(cols, v.w-cols, v.fill)
+					fillWords(row[:lo], v.fill)
+					if lo < hi {
+						src := plane[iy*v.w+lo*s.StrideW+px-s.PadW:]
+						if s.StrideW == 1 {
+							copy(row[lo:hi], src)
+						} else {
+							gatherWords(row[lo:hi], src, s.StrideW)
+						}
+					}
+					fillWords(row[hi:], v.fill)
 				}
 			}
 		}
 	}
 }
 
-// convTap is one row of the column matrix resolved to its plane and offsets
-// within it, with the valid output row and column ranges hoisted (see
-// validOx): outside them the tap reads padding.
-type convTap[T pixel] struct {
-	plane      []T
-	top, base  int // plane row = top + oy*sh, column = base + ox*sw
-	oyLo, oyHi int
-	oxLo, oxHi int
+// fillWords sets every element of d to v.
+func fillWords[T pixel](d []T, v T) {
+	for i := range d {
+		d[i] = v
+	}
 }
 
-// tap resolves row p. Kernel offset (dy, dx) from the output position's
-// origin lands in phase (dy mod ph, dx mod pw) at plane offset
-// (⌊dy/ph⌋, ⌊dx/pw⌋); with one phase per axis that is the channel's plane at
-// (dy, dx) itself.
-func (v *convView[T]) tap(p int) convTap[T] {
-	khw := v.s.KH * v.s.KW
-	ch, r := p/khw, p%khw
-	dy, dx := r/v.s.KW-v.s.PadH, r%v.s.KW-v.s.PadW
-	py, px := (dy%v.ph+v.ph)%v.ph, (dx%v.pw+v.pw)%v.pw
-	pl := (ch*v.ph+py)*v.pw + px
-	t := convTap[T]{plane: v.planes[pl*v.h*v.w : (pl+1)*v.h*v.w], top: (dy - py) / v.ph, base: (dx - px) / v.pw}
-	t.oyLo, t.oyHi = validOx(t.top, v.sh, v.h, v.oh)
-	t.oxLo, t.oxHi = validOx(t.base, v.sw, v.w, v.ow)
-	return t
+// tapOffset returns the bytes from an output position's window — element
+// (oy, ox) of the first plane — to the element tap p reads there.
+func (v *convView[T]) tapOffset(p int) int {
+	s := v.s
+	khw := s.KH * s.KW
+	ch, ky, kx := p/khw, p%khw/s.KW, p%s.KW
+	plane := (ch*s.StrideH+ky%s.StrideH)*s.StrideW + kx%s.StrideW
+	return 4 * (plane*v.ph*v.pw + ky/s.StrideH*v.pw + kx/s.StrideW)
 }
 
-// panelRow is one row of a packed block, addressed by column: column j sits
-// in lane j%nr of panel j/nr, and the same row of the next panel starts step
-// elements later. nr = 1<<shift (every FP32 tier's panel width is a power of
-// two); plainRow's shift puts every column in panel 0, a plain slice.
-type panelRow[T pixel] struct {
-	dst   []T
-	shift uint
-	step  int
+// row writes columns [j0, j0+len(dst)) of row p of the column matrix into
+// dst, one column per element.
+func (v *convView[T]) row(dst []T, p, j0 int) {
+	packConvPanels(v, dst, p, 1, j0, len(dst), len(dst))
 }
 
-// plainRow addresses dst as one unbroken row.
-func plainRow[T pixel](dst []T) panelRow[T] { return panelRow[T]{dst: dst, shift: 62} }
-
-// run returns the slots of columns [j, j+n) that lie in column j's panel.
-func (r *panelRow[T]) run(j, n int) []T {
-	lane := j & (1<<r.shift - 1)
-	o := j>>r.shift*r.step + lane
-	return r.dst[o : o+min(n, 1<<r.shift-lane)]
+// packConvPanels is packB for a conv operand: it writes the kc×nc block at
+// (p0, j0), kc at most kcBlock, into nr-column micro-panels, zero-padded
+// past the last valid column (see packTaps). The FP32 driver packs
+// elements; the INT8 one packs the quad rows of a quad-plane view, one
+// 32-bit word per column (nr its tier's), which is the quad panel layout
+// itself.
+func packConvPanels[T pixel](v *convView[T], dst []T, p0, kc, j0, nc, nr int) {
+	var taps [kcBlock]int
+	for q := range taps[:kc] {
+		taps[q] = v.tapOffset(p0 + q)
+	}
+	packTaps(wordBytes(dst), wordBytes(v.planes), taps[:kc], 4*v.pw, v.ow, j0, nc, nr)
 }
 
-// set sets column j to v.
-func (r *panelRow[T]) set(j int, v T) {
-	r.dst[j>>r.shift*r.step+j&(1<<r.shift-1)] = v
-}
-
-// fill sets columns [j, j+n) to v.
-func (r *panelRow[T]) fill(j, n int, v T) {
-	for n > 0 {
-		d := r.run(j, n)
-		if v == 0 {
-			clear(d)
+// packTaps is the one panel packer of every convolution operand: it writes
+// columns [j0, j0+nc) of len(taps) rows of 32-bit words into micro-panels
+// at dst, nr words a panel row, one panel's rows after another, zero past
+// nc in the last panel. Column j of row q is the word at src + window +
+// taps[q] bytes, window = (j/ow)·rowLen + (j%ow)·4: the columns of one panel
+// that lie in one output row are, per row, a run of consecutive words, so
+// each such segment is one copyTaps through the tap table. Where rowLen is
+// 4·ow the output rows follow each other in src too, and a segment is a
+// whole panel.
+func packTaps(dst, src []uint8, taps []int, rowLen, ow, j0, nc, nr int) {
+	step := 4 * nr * len(taps)
+	if nc%nr != 0 {
+		clear(dst[nc/nr*step:][:step])
+	}
+	if rowLen == 4*ow {
+		ow, rowLen = j0+nc, 0
+	}
+	reach := 0 // past the furthest tap's first word
+	for _, off := range taps {
+		reach = max(reach, off)
+	}
+	for j := j0; j < j0+nc; {
+		oy, ox := j/ow, j%ow
+		c := j - j0
+		lane := c % nr
+		cols := min(ow-ox, j0+nc-j, nr-lane)
+		window := oy*rowLen + ox*4
+		// Every byte either loop touches, bounds-checked once.
+		seg := src[window : window+reach+cols*4]
+		panel := dst[c/nr*step+lane*4:][:(len(taps)-1)*4*nr+cols*4]
+		if haveQuantASM {
+			copyTaps(&panel[0], int64(4*nr), &seg[0], &taps[0], int64(len(taps)), int64(cols))
 		} else {
-			for i := range d {
-				d[i] = v
+			for q, off := range taps {
+				copy(panel[q*4*nr:][:cols*4], seg[off:])
 			}
 		}
-		j, n = j+len(d), n-len(d)
+		j += cols
 	}
 }
 
-// gather sets r's columns [j, j+n) to src read at the view's column step: a
-// copy for step 1 (SqueezeNet's 3×3 expands, and the stem through its phase
-// planes), a branch-free strided gather otherwise.
-func (v *convView[T]) gather(r *panelRow[T], j, n int, src []T) {
-	stride := v.sw
-	for n > 0 {
-		if full := n >> r.shift; full > 0 && stride == 1 && v.spread != nil && j&(1<<r.shift-1) == 0 {
-			// Whole panels ahead: one call spreads the source across them.
-			nr := 1 << r.shift
-			v.spread(r.dst[j>>r.shift*r.step:], r.step, src, nr, nr, full)
-			j, n, src = j+full*nr, n-full*nr, src[full*nr:]
-			continue
-		}
-		d := r.run(j, n)
-		if stride == 1 {
-			copy(d, src)
-		} else {
-			v.strided(d, src, stride)
-		}
-		j += len(d)
-		if n -= len(d); n > 0 {
-			src = src[len(d)*stride:]
-		}
-	}
-}
-
-// copyRuns copies `runs` runs of n elements, run i from src[i*srcStep:] to
-// dst[i*dstStep:] — the inner loop of every panel packer: one contiguous
-// source row spread across the same row of consecutive panels (gather), one
-// panel's rows collected from a row-major matrix (packB), or the INT8
-// packers' 16-word quad rows. The vector body covers the two FP32 panel
-// widths, 16 and 32, without a memmove call per run; it loads and stores
-// without arithmetic, so uint32 words move through it bit for bit.
-func copyRuns[T float32 | uint32](dst []T, dstStep int, src []T, srcStep, n, runs int) {
-	if haveQuantASM && (n == 16 || n == 32) {
-		_, _ = dst[(runs-1)*dstStep+n-1], src[(runs-1)*srcStep+n-1]
-		copyRunsF32((*float32)(unsafe.Pointer(&dst[0])), int64(dstStep), (*float32)(unsafe.Pointer(&src[0])), int64(srcStep), int64(n), int64(runs))
-		return
-	}
-	for i := 0; i < runs; i++ {
-		copy(dst[i*dstStep:i*dstStep+n], src[i*srcStep:])
-	}
+// wordBytes returns the bytes of a slice of 32-bit words.
+func wordBytes[T pixel](s []T) []uint8 {
+	return unsafe.Slice((*uint8)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
 }
 
 // quadWords returns b's bytes as len(b)/4 native-endian 32-bit words, the
@@ -390,7 +347,7 @@ func quadWords(b []uint8) []uint32 {
 // its pools — has a vector body that de-interleaves 16 source elements into
 // 8 at a time; it reads the odd element after the last even one, so it
 // stops where src does and the loop finishes. It moves words without
-// arithmetic, so quads go through it bit for bit, as through copyRuns.
+// arithmetic, so quads go through it bit for bit.
 func gatherWords[T float32 | uint32 | int32](dst, src []T, stride int) {
 	i := 0
 	if stride == 2 && haveQuantASM {
@@ -400,84 +357,6 @@ func gatherWords[T float32 | uint32 | int32](dst, src []T, stride int) {
 	}
 	for ; i < len(dst); i++ {
 		dst[i] = src[i*stride]
-	}
-}
-
-// row writes columns [j0, j0+len(dst)) of row p of the column matrix into
-// dst, one column per element.
-func (v *convView[T]) row(dst []T, p, j0 int) {
-	r := plainRow(dst)
-	v.walk(&r, p, j0, len(dst))
-}
-
-// walk is the one tap walker both engines pack through: it writes columns
-// [j0, j0+nc) of row p of the column matrix to columns [0, nc) of r, which
-// lays them out as the sink wants them (micro-panel rows for packConvPanels —
-// FP32 elements, or the INT8 engine's quad words — or a plain row for the
-// INT8 unblocked product).
-//
-// Columns whose input row falls outside the plane are fill. The rest are
-// gathered one output row at a time, each row's valid run from one plane row
-// — or, when an output row's step through the plane equals its length in
-// source elements (sh·w = sw·ow: every "same" 3×3, and every phase-plane
-// view), all rows at once: the source index is then sw·column + constant
-// across row boundaries too, and one gather writes every run, with in-plane
-// neighbours at the padding columns. Those columns are stamped with fill
-// last, one strided pass per padding column.
-func (v *convView[T]) walk(r *panelRow[T], p, j0, nc int) {
-	t := v.tap(p)
-	sh, sw, ow := v.sh, v.sw, v.ow
-	// Slots [a, b): the block's columns whose input row exists.
-	a := min(max(t.oyLo*ow-j0, 0), nc)
-	b := max(min(t.oyHi*ow-j0, nc), a)
-	r.fill(0, a, v.fill)
-	r.fill(b, nc-b, v.fill)
-	if a == b {
-		return
-	}
-	row0 := (j0+a)/ow*ow - j0 // slot of column 0 of the first output row in [a, b)
-	if sh*v.w == sw*ow {
-		off := t.top*v.w + t.base + sw*j0 // slot s reads plane[off+s*sw]
-		lo, hi := validOx(off, sw, len(t.plane), nc)
-		if lo, hi = max(lo, a), min(hi, b); lo < hi {
-			v.gather(r, lo, hi-lo, t.plane[off+lo*sw:])
-		}
-	} else {
-		si := (t.top+(j0+a)/ow*sh)*v.w + t.base // plane index of column 0's tap
-		for s := row0; s < b; s, si = s+ow, si+sh*v.w {
-			if lo, hi := max(s+t.oxLo, a), min(s+t.oxHi, b); lo < hi {
-				v.gather(r, lo, hi-lo, t.plane[si+(lo-s)*sw:])
-			}
-		}
-	}
-	for _, pad := range [2][2]int{{0, t.oxLo}, {t.oxHi, ow}} {
-		for ox := pad[0]; ox < pad[1]; ox++ {
-			s := row0 + ox
-			if s < a {
-				s += ow
-			}
-			for ; s < b; s += ow {
-				r.set(s, v.fill)
-			}
-		}
-	}
-}
-
-// packConvPanels is packB for a conv operand: it writes the kc×nc block at
-// (p0, j0) into nr-column micro-panels, zero-padded past the last valid
-// column. nr must be a power of two. The FP32 driver packs elements; the
-// INT8 one packs the quad rows of a quad-plane view, one 32-bit word per
-// column (nr its tier's), which is the quad panel layout itself.
-func packConvPanels[T pixel](v *convView[T], dst []T, p0, kc, j0, nc, nr int) {
-	if nr&(nr-1) != 0 {
-		panic(fmt.Sprintf("tensor: packConvPanels: panel width %d is not a power of two", nr))
-	}
-	padded := (nc + nr - 1) / nr * nr
-	shift := uint(bits.TrailingZeros(uint(nr)))
-	for p := 0; p < kc; p++ {
-		r := panelRow[T]{dst: dst[p*nr:], shift: shift, step: nr * kc}
-		v.walk(&r, p0+p, j0, nc)
-		r.fill(nc, padded-nc, 0)
 	}
 }
 
@@ -539,7 +418,8 @@ type ConvStage struct {
 //
 // Each image is one GEMM whose B operand is the image itself: as the dense
 // [InC, H*W] matrix for 1×1/stride-1/unpadded convolutions, as a convView
-// otherwise — on phase planes when the convolution is strided. Bias, ReLU
+// otherwise — on bordered phase planes unless the convolution is stride-1
+// and unpadded. Bias, ReLU
 // and the pool run as the GEMM's epilogue, per cache-resident column block
 // (see gemmDispatch). The result is bit for bit what ConvForwardInto followed
 // by MaxPoolForwardInto computes.
@@ -547,15 +427,14 @@ func (st *ConvStage) ForwardInto(x, y *Tensor, chOff int, scratch []float32) {
 	st.forwardInto("ConvStage.ForwardInto", x, y, chOff, scratch)
 }
 
-// ScratchLen is the scratch ForwardInto needs for h×w images: the phase
-// planes of a strided convolution, then what its product takes (gemmSplit)
-// on the current kernel tier.
+// ScratchLen is the scratch ForwardInto needs for h×w images: the bordered
+// planes of a convolution that copies its image (see convView), then what
+// its product takes (gemmSplit) on the current kernel tier.
 func (st *ConvStage) ScratchLen(h, w int) int {
 	s := st.Spec
-	oh, ow := s.OutSize(h, w)
-	view := newConvView(h, w, s, 0, gatherWords[float32])
-	_, _, bLen, poolLen := gemmSplit(gemmTier, s.OutC, s.InC*s.KH*s.KW, oh*ow, st.Pool, ow)
-	return roundUp(view.phaseLen(), 16) + bLen + poolLen
+	view := newConvView[float32](h, w, s, 0)
+	_, _, bLen, poolLen := gemmSplit(gemmTier, s.OutC, s.InC*s.KH*s.KW, view.oh*view.ow, st.Pool, view.ow)
+	return roundUp(view.Len(), 16) + bLen + poolLen
 }
 
 // forwardInto is ForwardInto reporting misuse under the entry point's name.
@@ -589,13 +468,10 @@ func (st *ConvStage) forwardInto(fn string, x, y *Tensor, chOff int, scratch []f
 		panic(fmt.Sprintf("tensor: %s: input %v / %d weights do not match spec %+v", fn, x.Shape, len(st.W), s))
 	}
 	a := gemmA{data: st.W, pack: st.Packed}
-	view := newConvView(h, wd, s, 0, gatherWords[float32])
-	view.spread = copyRuns
+	view := newConvView[float32](h, wd, s, 0)
 	checkScratch(fn, len(scratch), st.ScratchLen(h, wd))
-	pl := roundUp(view.phaseLen(), 16)
-	if pl > 0 {
-		view.usePhases(scratch[:pl])
-	}
+	pl := roundUp(view.Len(), 16)
+	view.useScratch(scratch[:pl])
 	for i := 0; i < n; i++ {
 		img := x.Data[i*c*h*wd : (i+1)*c*h*wd]
 		out := y.Data[(i*dstC+chOff)*spatial : (i*dstC+chOff)*spatial+s.OutC*spatial]

@@ -254,6 +254,18 @@ func BenchmarkConvStemPool224(b *testing.B) {
 	}
 }
 
+// BenchmarkConvExpand3x3_55 is the first fire pair's 3×3 expand at 55×55
+// (16 squeeze planes in, 64 out).
+func BenchmarkConvExpand3x3_55(b *testing.B) {
+	benchConvStage(b, ConvSpec{InC: 16, OutC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 55)
+}
+
+// BenchmarkConvExpand3x3_27 is the second fire pair's 3×3 expand at 27×27
+// (32 squeeze planes in, 128 out).
+func BenchmarkConvExpand3x3_27(b *testing.B) {
+	benchConvStage(b, ConvSpec{InC: 32, OutC: 128, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 27)
+}
+
 // BenchmarkConvExpand3x3_13 is the last fire pair's 3×3 expand at 13×13.
 func BenchmarkConvExpand3x3_13(b *testing.B) { benchConvStage(b, expand3x3Spec, 13) }
 

@@ -282,21 +282,6 @@ func TestVectorHelpersMatchScalar(t *testing.T) {
 			}
 		}
 	}
-	// copyRuns at both vector widths and one it has no body for; elements
-	// between the destination runs must stay as they were.
-	for _, n := range []int{16, 32, 24} {
-		for runs := 1; runs <= 5; runs++ {
-			dstStep, srcStep := n+9, n+rng.Intn(3)*7
-			src := draw((runs-1)*srcStep + n)
-			got := draw((runs-1)*dstStep + n)
-			want := append([]float32(nil), got...)
-			for i := 0; i < runs; i++ {
-				copy(want[i*dstStep:i*dstStep+n], src[i*srcStep:])
-			}
-			copyRuns(got, dstStep, src, srcStep, n, runs)
-			same(fmt.Sprintf("copyRuns runs=%d steps %d,%d", runs, dstStep, srcStep), n, got, want)
-		}
-	}
 	for n := 1; n <= 41; n++ {
 		for _, bias := range []float32{0.75, float32(math.Copysign(0, -1))} {
 			row := draw(n)
@@ -636,54 +621,57 @@ func TestBilinearPassesMatchScalar(t *testing.T) {
 	}
 }
 
-// phaseCases are convolutions drawn for the phase-plane view: phased says
-// whether convView.phaseLen must take it (strided, and a phase plane exactly
-// one output row wide) or leave the convolution on the per-row gathers.
+// phaseCases are convolutions drawn for the bordered phase-plane view.
 var phaseCases = []struct {
-	s      ConvSpec
-	h, w   int
-	phased bool
+	s    ConvSpec
+	h, w int
 }{
 	// The stem's 7×7/2 pad 3 on even and on odd planes (odd: the later
 	// phases are a row and a column short, and must read as padding there).
-	{ConvSpec{InC: 3, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 38, 40, true},
-	{ConvSpec{InC: 3, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 37, 41, true},
-	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 9, 33, true},
+	{ConvSpec{InC: 3, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 38, 40},
+	{ConvSpec{InC: 3, KH: 7, KW: 7, StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}, 37, 41},
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 9, 33},
 	// Stride 3 on every w%3.
-	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, 30, 30, true},
-	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, 29, 31, true},
-	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, 31, 32, true},
+	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, 30, 30},
+	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, 29, 31},
+	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 3, StrideW: 3, PadH: 2, PadW: 2}, 31, 32},
 	// One axis strided, and the two at different strides.
-	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}, 21, 36, true},
-	{ConvSpec{InC: 2, KH: 3, KW: 4, StrideH: 1, StrideW: 2, PadH: 1, PadW: 1}, 21, 40, true},
-	{ConvSpec{InC: 2, KH: 4, KW: 5, StrideH: 3, StrideW: 2, PadH: 1, PadW: 2}, 20, 35, true},
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}, 21, 36},
+	{ConvSpec{InC: 2, KH: 3, KW: 4, StrideH: 1, StrideW: 2, PadH: 1, PadW: 1}, 21, 40},
+	{ConvSpec{InC: 2, KH: 4, KW: 5, StrideH: 3, StrideW: 2, PadH: 1, PadW: 2}, 20, 35},
 	// Padding past the kernel: taps whose offset is below -stride.
-	{ConvSpec{InC: 1, KH: 2, KW: 3, StrideH: 2, StrideW: 2, PadH: 3, PadW: 1}, 12, 18, true},
-	// Output rows narrower or wider than a phase plane: no linear path, so
-	// the view stays on the image.
-	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 2}, 40, 40, false},
-	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 2, StrideW: 2}, 21, 33, false},
-	{ConvSpec{InC: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 20, 40, false},
-	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 3, StrideW: 3, PadH: 0, PadW: 3}, 20, 30, false},
-	// Unstrided: nothing to de-interleave.
-	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 13, 17, false},
+	{ConvSpec{InC: 1, KH: 2, KW: 3, StrideH: 2, StrideW: 2, PadH: 3, PadW: 1}, 12, 18},
+	// Output rows narrower than a phase plane: image columns and rows no
+	// window reaches are left out of the planes.
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 2, StrideW: 2}, 40, 40},
+	{ConvSpec{InC: 2, KH: 5, KW: 5, StrideH: 2, StrideW: 2}, 21, 33},
+	{ConvSpec{InC: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, 20, 40},
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 3, StrideW: 3, PadH: 0, PadW: 3}, 20, 30},
+	// Planes exactly one output row wide (2×2/2 on even sizes, and a
+	// pointwise view, which reads the image itself): one copy spans
+	// output rows.
+	{ConvSpec{InC: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2}, 14, 22},
+	{ConvSpec{InC: 3, KH: 1, KW: 1, StrideH: 1, StrideW: 1}, 7, 9},
+	// Unstrided: the 3×3 expand's border, and an unpadded view that reads
+	// the image itself.
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 13, 17},
+	{ConvSpec{InC: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1}, 11, 19},
+	// K = 576, past two kcBlocks: the packer's tap table starts mid-K.
+	{ConvSpec{InC: 64, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, 5, 7},
 }
 
 // checkPhaseView compares every way the drivers read a view — whole rows,
 // rows from the middle of an output row, and (via panels, for float32) the
 // packed micro-panels at both tile widths — with the oracle's column matrix,
-// for a batch of three images bound to the view one after the other.
-func checkPhaseView[T pixel](t *testing.T, name string, s ConvSpec, h, w int, phased bool, fill T, strided func(dst, src []T, stride int),
+// for a batch of three images bound to the view one after the other. The
+// scratch starts, and between images is left, full of garbage: the view
+// must write every border slot for every image.
+func checkPhaseView[T pixel](t *testing.T, name string, s ConvSpec, h, w int, fill T,
 	draw func(n int) []T, panels func(v *convView[T], col []T, k, n int)) {
 	t.Helper()
-	view := newConvView(h, w, s, fill, strided)
-	if got := view.phaseLen() > 0; got != phased {
-		t.Fatalf("%s: phaseLen()=%d, want phased=%v", name, view.phaseLen(), phased)
-	}
-	if phased {
-		buf := draw(view.phaseLen()) // stale planes from a previous image
-		view.usePhases(buf)
-	}
+	view := newConvView(h, w, s, fill)
+	buf := draw(view.Len())
+	view.useScratch(buf)
 	k, n := s.InC*s.KH*s.KW, view.oh*view.ow
 	for img := 0; img < 3; img++ {
 		x := draw(s.InC * h * w)
@@ -703,14 +691,17 @@ func checkPhaseView[T pixel](t *testing.T, name string, s ConvSpec, h, w int, ph
 		if panels != nil {
 			panels(&view, col, k, n)
 		}
+		copy(buf, draw(len(buf)))
 	}
 }
 
-// TestPhaseViewMatchesOracle pins the phase-plane conv view — the image
-// de-interleaved once, every tap then read at step 1 — to the oracle's column
-// matrix bit for bit, with the vector gathers on and off, for strides 2 and
-// 3 on odd and even planes, and checks that shapes without the linear path
-// stay on the per-row walk (which the same comparison covers).
+// TestPhaseViewMatchesOracle pins the bordered phase-plane conv view — the
+// image copied once into planes that hold its padding, every tap then a
+// fixed offset from the output position — to the oracle's column matrix bit
+// for bit, with the vector copies on and off, for strides 1 to 3 on odd and
+// even planes. Panels are packed as the blocked driver packs them, kcBlock
+// rows of K at a time, from the middle of an output row, so panels straddle
+// output-row ends and the last one is ragged.
 func TestPhaseViewMatchesOracle(t *testing.T) {
 	defer useQuantTier(currentQuantTier())
 	for _, tier := range quantTiers() {
@@ -722,23 +713,26 @@ func TestPhaseViewMatchesOracle(t *testing.T) {
 		for ci, pc := range phaseCases {
 			name := fmt.Sprintf("%s case %d %+v on %dx%d", tier.name, ci, pc.s, pc.h, pc.w)
 			// Compared with ==, so no NaN; -0 never appears (fill is +0).
-			checkPhaseView(t, name+" f32", pc.s, pc.h, pc.w, pc.phased, 0, gatherWords[float32],
+			checkPhaseView(t, name+" f32", pc.s, pc.h, pc.w, 0,
 				func(n int) []float32 { return randSlice(rng, n) },
 				func(v *convView[float32], col []float32, k, n int) {
 					for _, nr := range []int{16, 32} {
 						j0 := v.ow % n
 						nc := n - j0
 						padded := (nc + nr - 1) / nr * nr
-						buf := randSlice(rng, padded*k)
-						packConvPanels(v, buf, 0, k, j0, nc, nr)
-						for p := 0; p < k; p++ {
-							for j := 0; j < padded; j++ {
-								var want float32
-								if j < nc {
-									want = col[p*n+j0+j]
-								}
-								if got := buf[j/nr*nr*k+p*nr+j%nr]; math.Float32bits(got) != math.Float32bits(want) {
-									t.Fatalf("%s: nr=%d panel row %d col %d = %v, oracle %v", name, nr, p, j, got, want)
+						for p0 := 0; p0 < k; p0 += kcBlock {
+							kc := min(kcBlock, k-p0)
+							buf := randSlice(rng, padded*kc)
+							packConvPanels(v, buf, p0, kc, j0, nc, nr)
+							for p := 0; p < kc; p++ {
+								for j := 0; j < padded; j++ {
+									var want float32
+									if j < nc {
+										want = col[(p0+p)*n+j0+j]
+									}
+									if got := buf[j/nr*nr*kc+p*nr+j%nr]; math.Float32bits(got) != math.Float32bits(want) {
+										t.Fatalf("%s: nr=%d panel row %d col %d = %v, oracle %v", name, nr, p0+p, j, got, want)
+									}
 								}
 							}
 						}

@@ -376,27 +376,28 @@ func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int, brow []float
 	}
 }
 
-// packB copies the kc×nc block of op(B) at (p0, j0) into micro-panel layout:
-// consecutive groups of nr values hold one row of an nr-column panel,
-// zero-padded past the last valid column.
+// packB copies the kc×nc block of op(B) at (p0, j0), kc at most kcBlock,
+// into micro-panel layout: consecutive groups of nr values hold one row of
+// an nr-column panel, zero-padded past the last valid column. Rows of an
+// untransposed B are the taps of packTaps, ldb elements apart, each one
+// unbroken row of columns.
 func packB(dst, b []float32, ldb int, trans bool, p0, kc, j0, nc, nr int) {
+	if !trans {
+		var taps [kcBlock]int
+		for q := range taps[:kc] {
+			taps[q] = 4 * (p0 + q) * ldb
+		}
+		packTaps(wordBytes(dst), wordBytes(b), taps[:kc], 4*ldb, ldb, j0, nc, nr)
+		return
+	}
 	di := 0
 	for jr := 0; jr < nc; jr += nr {
 		cols := min(nr, nc-jr)
-		if !trans && cols == nr {
-			copyRuns(dst[di:], nr, b[p0*ldb+j0+jr:], ldb, nr, kc)
-			di += kc * nr
-			continue
-		}
 		for p := 0; p < kc; p++ {
 			for cidx := 0; cidx < nr; cidx++ {
 				var v float32
 				if cidx < cols {
-					if trans {
-						v = b[(j0+jr+cidx)*ldb+p0+p]
-					} else {
-						v = b[(p0+p)*ldb+j0+jr+cidx]
-					}
+					v = b[(j0+jr+cidx)*ldb+p0+p]
 				}
 				dst[di] = v
 				di++

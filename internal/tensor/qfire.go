@@ -31,9 +31,10 @@ type QConv struct {
 // quad planes (see QConv).
 //
 // Each convolution packs its B panels from its input's planes as words: a
-// panel row of 16 output positions is 16 consecutive words of one plane,
-// padding columns aside, copied through the walker FP32 packs with; its
-// requantizing epilogue transposes each output row group into words once.
+// panel row's output positions within one output row are consecutive words
+// of one (for the 3×3 expand, bordered) plane, copied by the packer FP32
+// uses (packConvPanels); its requantizing epilogue transposes each output
+// row group into words once.
 // The concatenated output is Expand1's planes, then Expand3's: when
 // Expand1's width is no multiple of 4, its last plane's spare lanes (the
 // output zero point) sit between the two, and a consumer's weights skip them
@@ -57,13 +58,12 @@ func quadPlanes(c int) int { return (c + 3) / 4 }
 
 // quadView returns the column-matrix view of e's input: quad planes read as
 // a convolution's input of ⌈InC/4⌉ channels of 32-bit words, padding
-// positions four zero points.
+// positions four zero points. A padded convolution (a fire's 3×3 expand)
+// copies each image into bordered planes at the head of its u8 scratch.
 func (e *QConv) quadView(h, w int) convView[uint32] {
 	s := e.Spec
 	s.InC = quadPlanes(s.InC)
-	v := newConvView(h, w, s, uint32(e.ZP)*0x01010101, gatherWords[uint32])
-	v.spread = copyRuns
-	return v
+	return newConvView(h, w, s, uint32(e.ZP)*0x01010101)
 }
 
 // OutSize returns the stage's output size for h×w images: the
@@ -77,20 +77,23 @@ func (e *QConv) OutSize(h, w int) (oh, ow int) {
 }
 
 // geometry is how ForwardInto runs e over n h×w images: its pool's (see
-// qpoolGeometry), and the scratch that takes — u8: the product's; i32: the
-// pool's, then the product's.
-func (e *QConv) geometry(n, h, w int) (g qpoolGeometry, u8, i32 int) {
+// qpoolGeometry), and the scratch that takes — u8: the bordered planes
+// (planes bytes, a multiple of 64), then the product's; i32: the pool's,
+// then the product's.
+func (e *QConv) geometry(n, h, w int) (g qpoolGeometry, planes, u8, i32 int) {
 	oh, ow := e.Spec.OutSize(h, w)
 	g = newQPoolGeometry("QConv.ForwardInto", e.Pool, n, e.Spec.OutC, oh, ow)
+	view := e.quadView(h, w)
+	planes = roundUp(4*view.Len(), 64)
 	_, _, u8, i32 = qgemmSplit(e.Spec.OutC, e.W.k, g.convH*ow, false, g.blockCols, e.Pool.K == 0)
-	return g, u8, g.i32Len + i32
+	return g, planes, planes + u8, g.i32Len + i32
 }
 
 // ScratchLen is the scratch e needs to run over h×w quad planes (see
 // geometry). AccInto takes the u8 part. Like ForwardInto, it refuses a pool
 // whose output is empty.
 func (e *QConv) ScratchLen(h, w int) (u8, i32 int) {
-	_, u8, i32 = e.geometry(1, h, w)
+	_, _, u8, i32 = e.geometry(1, h, w)
 	return u8, i32
 }
 
@@ -102,7 +105,7 @@ func (e *QConv) ScratchLen(h, w int) (u8, i32 int) {
 // before it requantizes (see qpoolGeometry).
 func (e *QConv) ForwardInto(q []uint8, n, h, w int, y []uint8, dstPlanes, planeOff int, u8 []uint8, i32 []int32) {
 	s := e.Spec
-	g, u8Len, i32Len := e.geometry(n, h, w)
+	g, planes, u8Len, i32Len := e.geometry(n, h, w)
 	ql, pl := quadPlanes(s.InC)*4*h*w, 4*g.outH*g.outW
 	if e.W.m != s.OutC || e.W.k != quadPlanes(s.InC)*4*s.KH*s.KW || len(e.RQ.Mult) < s.OutC || len(e.RQ.Beta) < s.OutC ||
 		len(q) < n*ql || len(y) < n*dstPlanes*pl || planeOff+quadPlanes(s.OutC) > dstPlanes {
@@ -112,6 +115,8 @@ func (e *QConv) ForwardInto(q []uint8, n, h, w int, y []uint8, dstPlanes, planeO
 	checkScratch("QConv.ForwardInto", len(u8), u8Len)
 	checkScratch("QConv.ForwardInto accumulators", len(i32), i32Len)
 	view := e.quadView(h, w)
+	view.useScratch(quadWords(u8[:planes]))
+	u8 = u8[planes:]
 	ep := qgemmEpilogue{rq: e.RQ, ld: g.outH * g.outW}
 	var pool qpoolRun
 	if g.spec.K > 0 {
@@ -141,6 +146,9 @@ func (e *QConv) AccInto(q []uint8, h, w int, acc []int32, scratch []uint8) {
 			len(q), e.W.m, e.W.k, len(acc), s, h, w))
 	}
 	view := e.quadView(h, w)
+	planes := roundUp(4*view.Len(), 64)
+	checkScratch("QConv.AccInto", len(scratch), planes)
+	view.useScratch(quadWords(scratch[:planes]))
 	view.setImage(quadWords(q[:ql]))
-	qgemmDispatch(e.W, qgemmB{quad: &view}, acc, s.OutC, e.W.k, oh*ow, nil, scratch, nil)
+	qgemmDispatch(e.W, qgemmB{quad: &view}, acc, s.OutC, e.W.k, oh*ow, nil, scratch[planes:], nil)
 }

@@ -323,8 +323,8 @@ func qgemmSmall(a []int8, b qgemmB, c []int32, m, k, n int, row []uint8) {
 // the last valid column and past kc within the final partial quad.
 //
 // A quad operand's quads are words already: its rows go straight into the
-// panels as words, through the walker FP32 packs with (packConvPanels), and
-// a stem operand packs its pixels itself. A dense B's quad is four rows of
+// panels as words, through the packer FP32 uses (packConvPanels), and a
+// stem operand packs its pixels itself. A dense B's quad is four rows of
 // the block run through transposeQuad: a full one where it lies (ld
 // apart), the ragged last one, above zero rows, from a 4×nc staging block.
 func (b *qgemmB) pack(dst []uint8, p0, kc, j0, nc, nr int) {

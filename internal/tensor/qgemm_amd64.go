@@ -41,12 +41,6 @@ func poolI32K3S2(dst, src *int32, w, pow, rows int64)
 //go:noescape
 func gather2F32x8(dst, src *float32, n int64)
 
-// copyRunsF32 copies `runs` runs of n float32s (n = 16 or 32), run i from
-// src+i*srcStep to dst+i*dstStep; see qgemm_amd64.s.
-//
-//go:noescape
-func copyRunsF32(dst *float32, dstStep int64, src *float32, srcStep, n, runs int64)
-
 // biasReLUF32x8 computes dst = max(dst+bias, 0) over n float32s (n a
 // multiple of 8) with VADDPS/VMAXPS, the sum as the second source; see
 // qgemm_amd64.s.

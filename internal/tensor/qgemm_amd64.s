@@ -614,51 +614,6 @@ g2loop:
 	VZEROUPPER
 	RET
 
-// func copyRunsF32(dst *float32, dstStep int64, src *float32, srcStep, n, runs int64)
-//
-// Copies `runs` runs of n float32s, n = 16 or 32 (one micro-panel row of
-// either FP32 tier): run i from src + i*srcStep to dst + i*dstStep, steps in
-// elements. It is copyRuns' vector body (see conv.go).
-TEXT ·copyRunsF32(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ dstStep+8(FP), R8
-	MOVQ src+16(FP), SI
-	MOVQ srcStep+24(FP), R9
-	MOVQ n+32(FP), DX
-	MOVQ runs+40(FP), CX
-	SHLQ $2, R8
-	SHLQ $2, R9
-	CMPQ DX, $32
-	JEQ  cr32
-
-cr16:
-	VMOVUPS (SI), Y0
-	VMOVUPS 32(SI), Y1
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	ADDQ R9, SI
-	ADDQ R8, DI
-	DECQ CX
-	JNE  cr16
-	VZEROUPPER
-	RET
-
-cr32:
-	VMOVUPS (SI), Y0
-	VMOVUPS 32(SI), Y1
-	VMOVUPS 64(SI), Y2
-	VMOVUPS 96(SI), Y3
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ R9, SI
-	ADDQ R8, DI
-	DECQ CX
-	JNE  cr32
-	VZEROUPPER
-	RET
-
 // func biasReLUF32x8(dst *float32, n int64, bias float32)
 //
 // dst = max(dst + bias, 0) element-wise over n float32s, n a positive

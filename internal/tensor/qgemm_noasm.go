@@ -34,11 +34,6 @@ func gather2F32x8(dst, src *float32, n int64) {
 	panic("tensor: gather2F32x8 without assembly support")
 }
 
-// copyRunsF32 is never called when haveQuantASM is false.
-func copyRunsF32(dst *float32, dstStep int64, src *float32, srcStep, n, runs int64) {
-	panic("tensor: copyRunsF32 without assembly support")
-}
-
 // biasReLUF32x8 is never called when haveQuantASM is false.
 func biasReLUF32x8(dst *float32, n int64, bias float32) {
 	panic("tensor: biasReLUF32x8 without assembly support")

@@ -14,9 +14,9 @@ import (
 // so that one packed quad of the quantized GEMM is one input pixel's four
 // bytes, and a panel row of the tier's nr output positions is nr consecutive
 // pixels of one padded input row (one phase of it, when the stem is
-// strided): a copy of 4·nr bytes instead of a tap walk and a byte transpose. Integer sums do not depend
-// on the order of their terms, so every output byte is what the convolution
-// with its weights in (c, ky, kx) order computes.
+// strided): a copy of 4·nr bytes, not a byte transpose. Integer sums do not
+// depend on the order of their terms, so every output byte is what the
+// convolution with its weights in (c, ky, kx) order computes.
 type QStem struct {
 	// Spec is the convolution; InC is at most 4.
 	Spec ConvSpec
@@ -262,42 +262,17 @@ func setRun(run []uint8, lo, hi int, src []uint8, step int, lut *[256]uint8, fil
 // micro-panel layout, panels nr columns wide (see qgemmB.pack). p0 and kc
 // are multiples of 4, so the block's quads are the taps p0/4 …; the columns
 // of one panel that lie in one output row are, per tap, one run of
-// consecutive words of one padded row, so each such segment — a whole
-// panel, unless the panel straddles a row end or the block's — is one
-// copyTaps of every tap through the tap-offset table. Columns past nc in
-// the last panel read zero.
+// consecutive words of one padded row, StrideH padded rows per output row,
+// which is packTaps' layout.
 func (v *stemView) pack(dst []uint8, p0, kc, j0, nc, nr int) {
 	s := v.s
-	quads, step := kc/4, kc*nr
-	if nc%nr != 0 {
-		clear(dst[nc/nr*step:][:step])
-	}
 	// Each quad's tap as a byte offset from its window's first word.
 	var taps [kcQBlock / 4]int
-	reach := 0 // past the furthest tap's first word
-	for q := range taps[:quads] {
+	for q := range taps[:kc/4] {
 		ky, kx := (p0/4+q)/s.KW, (p0/4+q)%s.KW
 		taps[q] = ky*v.rowLen + (kx%s.StrideW*v.words+kx/s.StrideW)*4
-		reach = max(reach, taps[q])
 	}
-	for j := j0; j < j0+nc; {
-		oy, ox := j/v.ow, j%v.ow
-		c := j - j0
-		lane := c % nr
-		cols := min(v.ow-ox, j0+nc-j, nr-lane)
-		window := oy*s.StrideH*v.rowLen + ox*4
-		// Every byte either loop touches, bounds-checked once.
-		src := v.buf[window : window+reach+cols*4]
-		panel := dst[c/nr*step+lane*4:][:(quads-1)*4*nr+cols*4]
-		if haveQuantASM {
-			copyTaps(&panel[0], int64(4*nr), &src[0], &taps[0], int64(quads), int64(cols))
-		} else {
-			for q, off := range taps[:quads] {
-				copy(panel[q*4*nr:][:cols*4], src[off:])
-			}
-		}
-		j += cols
-	}
+	packTaps(dst, v.buf, taps[:kc/4], s.StrideH*v.rowLen, v.ow, j0, nc, nr)
 }
 
 // qpoolGeometry is how a quantized convolution of m channels with an oh×ow

@@ -301,20 +301,13 @@ func packStemRef(v *stemView, dst []uint8, p0, kc, j0, nc, nr int) {
 
 // spreadQuads writes the n 4-byte pixels at the head of src to columns
 // [c, c+n) of one quad row of a packed block, whose panels are nr columns
-// wide and step bytes apart: a partial panel at either end by copy, every
-// whole panel between them as one copyRuns of nr-word runs.
+// wide and step bytes apart, one panel's part at a time.
 func spreadQuads(dst []uint8, step, nr, c, n int, src []uint8) {
-	if lane := c % nr; lane != 0 {
+	for n > 0 {
+		lane := c % nr
 		l := min(n, nr-lane)
 		copy(dst[c/nr*step+lane*4:][:l*4], src)
 		c, n, src = c+l, n-l, src[l*4:]
-	}
-	if full := n / nr; full > 0 {
-		copyRuns(quadWords(dst[c/nr*step:]), step/4, quadWords(src), nr, nr, full)
-		c, n, src = c+full*nr, n-full*nr, src[full*4*nr:]
-	}
-	if n > 0 {
-		copy(dst[c/nr*step:][:n*4], src)
 	}
 }
 

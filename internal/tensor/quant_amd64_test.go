@@ -335,6 +335,64 @@ func FuzzPoolI32K3S2(f *testing.F) {
 	})
 }
 
+// FuzzCopyTaps holds the panel copy every convolution operand packs
+// through (copyTaps, see packTaps) to the plain Go copy loop: segments of 1
+// to 33 words, panel steps of 64 and 128 bytes (the 16- and 32-word tiles
+// of both engines), 1 to 8 taps at offsets drawn from the input — a segment
+// wider than a panel row only as a single tap, the unblocked path's row.
+// The source ends at the last byte a tap reads and the panel rows at the
+// last byte written; the buffer around them, and each row's bytes past its
+// segment, must come out as the Go loop leaves them. The seeds run under go
+// test; make fuzz explores.
+func FuzzCopyTaps(f *testing.F) {
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 16; i++ {
+		data := make([]byte, 1+rng.Intn(64))
+		rng.Read(data)
+		f.Add(uint8(i*3), i%2 == 1, uint8(i), data)
+	}
+	const guard = 64
+	f.Fuzz(func(t *testing.T, width uint8, wide bool, taps uint8, data []byte) {
+		if !haveQuantASM {
+			t.Skip("no AVX2+FMA on this CPU")
+		}
+		if len(data) == 0 {
+			return
+		}
+		n, step, quads := 1+int(width)%33, 64, 1+int(taps)%8
+		if wide {
+			step = 128
+		}
+		if 4*n > step {
+			quads = 1
+		}
+		offs := make([]int, quads)
+		reach := 0
+		for q := range offs {
+			offs[q] = 4 * (int(data[q%len(data)]) + q*int(data[0]))
+			reach = max(reach, offs[q])
+		}
+		src := make([]byte, reach+4*n)
+		for i := range src {
+			src[i] = data[i%len(data)] ^ byte(i)
+		}
+		want := make([]byte, guard+(quads-1)*step+4*n+guard)
+		for i := range want {
+			want[i] = 0xA5
+		}
+		got := append([]byte(nil), want...)
+		for q, off := range offs {
+			copy(want[guard+q*step:][:4*n], src[off:])
+		}
+		copyTaps(&got[guard], int64(step), &src[0], &offs[0], int64(quads), int64(n))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d step=%d taps %v: byte %d (panel byte %d) = %#x, want %#x", n, step, offs, i, i-guard, got[i], want[i])
+			}
+		}
+	})
+}
+
 // TestQGemmVNNITierMatchesAVX2Tier is the INT8 twin of
 // TestGemmAVX512TierMatchesAVX2Tier: whole blocked products under the
 // AVX512-VNNI 8×32 tier and the AVX2 4×16 tier must be bit-identical —
