@@ -225,9 +225,8 @@ func TestTrainedServiceSeparatesClasses(t *testing.T) {
 	arch := squeezenet.SmallConfig(32)
 	train := dataset.Generate(42, synth.CrawlStyle(), 360)
 	// 6 epochs, not 5: at 5 this recipe is still mid-descent and the final
-	// accuracy swings ±0.1 with the FP32 kernel tier's rounding (the AVX-512
-	// 8×32 tile folds edge tiles differently than the 6×16 tile); one more
-	// epoch converges to ~0.90 under every tier.
+	// accuracy swings ±0.1 with the FP32 products' rounding; one more epoch
+	// converges to ~0.90.
 	cfg := dataset.FastTraining(arch, 6)
 	net, err := dataset.Train(cfg, train)
 	if err != nil {

@@ -220,8 +220,7 @@ func (c *Conv2D) packedWeights() *tensor.PackedWeights {
 	if p := c.pack.Load(); p != nil && p.gen == gen {
 		return p.weights
 	}
-	k := c.Spec.InC * c.Spec.KH * c.Spec.KW
-	p := &convPack{gen: gen, weights: tensor.PackWeights(c.Wt.W.Data, c.Spec.OutC, k)}
+	p := &convPack{gen: gen, weights: tensor.PackConvWeights(c.Wt.W.Data, c.Spec)}
 	c.pack.Store(p)
 	return p.weights
 }

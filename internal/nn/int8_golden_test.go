@@ -23,9 +23,11 @@ const (
 
 // int8Golden pins one net's INT8 logits bit for bit: four seeded frames
 // scored one at a time, and frames 1..3 again as one batch of three.
-// Calibration replays the FP32 network, whose edge-tile rounding depends on
-// the kernel tier, so each entry names the tier it was written under and a
-// file holds one entry per net and tier, back to back.
+// Calibration replays the FP32 network, so each entry names the FP32 tier it
+// was written under and a file holds one entry per net and tier, back to
+// back. Every FMA tier now computes the FP32 network to the same bits, so a
+// net's entries are equal; the key stays so a tier that ever rounds
+// differently shows as its own entry, not as a failure on one host only.
 type int8Golden struct {
 	// Net names the network in a file that pins more than one; empty in
 	// int8_logits_golden.json, which holds the paper net alone.

@@ -26,7 +26,7 @@ func TestForwardStagesAllocateNothing(t *testing.T) {
 
 	stage := func(s ConvSpec, pool PoolSpec, res int) (ConvStage, *Tensor, *Tensor) {
 		w := randSlice(rng, s.OutC*s.InC*s.KH*s.KW)
-		st := ConvStage{Spec: s, W: w, Packed: PackWeights(w, s.OutC, s.InC*s.KH*s.KW), Bias: randSlice(rng, s.OutC), ReLU: true, Pool: pool}
+		st := ConvStage{Spec: s, W: w, Packed: PackConvWeights(w, s), Bias: randSlice(rng, s.OutC), ReLU: true, Pool: pool}
 		oh, ow := s.OutSize(res, res)
 		if pool.K > 0 {
 			oh, ow = pool.OutSize(oh, ow)

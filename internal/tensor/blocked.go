@@ -117,7 +117,10 @@ func packPanels[T kernelElem](dst, a []T, lda int, trans bool, m, k int, t gemmT
 // op(A)'s panels (see packPanels). Row i of the block lands at
 // c[i*ldc+cj:]. The column panels of each (pc, ic) block fan across the
 // worker pool; panels write disjoint regions. Unless acc is set, the first
-// k-block's kernels store their tiles instead of adding to them. Each engine
+// k-block's kernels store their tiles instead of adding to them. Every other
+// kernel, on a full tile or an edge tile's scratch, continues what C holds,
+// so an FP32 element is one k-ordered FMA chain — from +0, or from C's value
+// with acc — whatever the tile grid and the k-blocks. Each engine
 // loops over its column blocks and runs its epilogue over each right after
 // this, while it is still cache-resident. bp is the caller's scratch for the
 // packed B block: bBlockLen(t, k, nc) elements.
@@ -207,21 +210,20 @@ func (g *gemmBlock[A, B, C]) panel(jp int) {
 			tileKernel(g.kind, d, a, b, unsafe.Pointer(&g.c[ci]), ldc, g.store)
 			continue
 		}
-		// Edge tile: the full-size kernel stores into a scratch tile, whose
-		// valid region then replaces or joins C's. Declared here, it is
-		// cleared for edge tiles only.
+		// Edge tile: the full-size kernel runs on a scratch tile that holds
+		// C's valid region (zero past it) unless the kernel stores, and the
+		// valid region is copied back, so an edge element continues its
+		// chain as a full tile's does. Declared here, it is cleared for edge
+		// tiles only.
 		var tile [maxMrTile * maxNrTile]C
-		tileKernel(g.kind, d, a, b, unsafe.Pointer(&tile[0]), nr, true)
+		if !g.store {
+			for r := 0; r < rows; r++ {
+				copy(tile[r*nr:r*nr+cols], g.c[ci+r*ldc:])
+			}
+		}
+		tileKernel(g.kind, d, a, b, unsafe.Pointer(&tile[0]), nr, g.store)
 		for r := 0; r < rows; r++ {
-			crow := g.c[ci+r*ldc:]
-			trow := tile[r*nr:]
-			if g.store {
-				copy(crow[:cols], trow)
-				continue
-			}
-			for t := 0; t < cols; t++ {
-				crow[t] += trow[t]
-			}
+			copy(g.c[ci+r*ldc:ci+r*ldc+cols], tile[r*nr:])
 		}
 	}
 }

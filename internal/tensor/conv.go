@@ -112,6 +112,32 @@ func Col2im(col []float32, c, h, w int, s ConvSpec, img []float32) {
 	}
 }
 
+// kOrder is the order in which a convolution's product runs its K = InC·KH·KW
+// taps, the weight columns and the column-matrix rows alike: the last input
+// channel's KH·KW taps first, then channels 0…InC−2 in stored order. Over an
+// RGBA image that puts the alpha plane at the head of every output's FMA
+// chain, where an opaque plane's share is a constant prefix. It is the one k order of the FP32 forward convolution, packed weights,
+// unpacked weights and the unblocked loop alike; its zero value runs K as
+// stored, as a plain matrix product does.
+type kOrder struct{ lead, k int }
+
+// kOrder returns the convolution's k order.
+func (s ConvSpec) kOrder() kOrder {
+	if s.InC < 2 {
+		return kOrder{}
+	}
+	return kOrder{lead: s.KH * s.KW, k: s.InC * s.KH * s.KW}
+}
+
+// tap returns the tap — weight column, column-matrix row — that k-step q
+// runs.
+func (o kOrder) tap(q int) int {
+	if q < o.lead {
+		return q + o.k - o.lead
+	}
+	return q - o.lead
+}
+
 // is1x1Fast reports whether the convolution is a pointwise (1×1, stride 1,
 // unpadded) conv, for which the input image already is the im2col column
 // matrix and the expansion can be skipped entirely. SqueezeNet's squeeze and
@@ -400,8 +426,8 @@ func ConvForwardInto(x *Tensor, w, b []float32, s ConvSpec, y *Tensor, chOff int
 type ConvStage struct {
 	Spec ConvSpec
 	W    []float32 // [OutC, InC*KH*KW] flattened
-	// Packed, when set, is PackWeights(W, OutC, InC*KH*KW): the forward GEMM
-	// then packs no weights. The caller keeps it in step with W.
+	// Packed, when set, is PackConvWeights(W, Spec): the forward GEMM then
+	// packs no weights. The caller keeps it in step with W.
 	Packed *PackedWeights
 	Bias   []float32 // [OutC], may be nil
 	ReLU   bool
@@ -419,10 +445,10 @@ type ConvStage struct {
 // Each image is one GEMM whose B operand is the image itself: as the dense
 // [InC, H*W] matrix for 1×1/stride-1/unpadded convolutions, as a convView
 // otherwise — on bordered phase planes unless the convolution is stride-1
-// and unpadded. Bias, ReLU
-// and the pool run as the GEMM's epilogue, per cache-resident column block
-// (see gemmDispatch). The result is bit for bit what ConvForwardInto followed
-// by MaxPoolForwardInto computes.
+// and unpadded — its taps in the convolution's k order (ConvSpec.kOrder).
+// Bias, ReLU and the pool run as the GEMM's epilogue, per cache-resident
+// column block (see gemmDispatch). The result is bit for bit what
+// ConvForwardInto followed by MaxPoolForwardInto computes.
 func (st *ConvStage) ForwardInto(x, y *Tensor, chOff int, scratch []float32) {
 	st.forwardInto("ConvStage.ForwardInto", x, y, chOff, scratch)
 }
@@ -475,10 +501,10 @@ func (st *ConvStage) forwardInto(fn string, x, y *Tensor, chOff int, scratch []f
 	for i := 0; i < n; i++ {
 		img := x.Data[i*c*h*wd : (i+1)*c*h*wd]
 		out := y.Data[(i*dstC+chOff)*spatial : (i*dstC+chOff)*spatial+s.OutC*spatial]
-		bop := gemmB{data: img}
+		bop := gemmB{data: img, order: s.kOrder()}
 		if !s.is1x1Fast() {
 			view.setImage(img)
-			bop = gemmB{conv: &view}
+			bop = gemmB{conv: &view, order: s.kOrder()}
 		}
 		if ep.pool.active() {
 			ep.pool.dst, out = out, nil

@@ -243,7 +243,7 @@ func BenchmarkConvStemPool224(b *testing.B) {
 	s, p := stemSpec, PoolSpec{K: 3, Stride: 2}
 	x := FromSlice(randSlice(rng, s.InC*224*224), 1, s.InC, 224, 224)
 	w := randSlice(rng, s.OutC*s.InC*s.KH*s.KW)
-	st := ConvStage{Spec: s, W: w, Packed: PackWeights(w, s.OutC, s.InC*s.KH*s.KW), Bias: randSlice(rng, s.OutC), ReLU: true, Pool: p}
+	st := ConvStage{Spec: s, W: w, Packed: PackConvWeights(w, s), Bias: randSlice(rng, s.OutC), ReLU: true, Pool: p}
 	oh, ow := s.OutSize(224, 224)
 	oh, ow = p.OutSize(oh, ow)
 	y := New(1, s.OutC, oh, ow)

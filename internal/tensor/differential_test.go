@@ -119,17 +119,22 @@ func convCases(rng *rand.Rand) []convCase {
 func fp32Tiers() []gemmTierT {
 	tiers := []gemmTierT{gemmTier}
 	if gemmTier.kind == tierKind8x32 {
-		tiers = append(tiers, gemmTierT{name: "avx2-6x16", kind: tierKind6x16, mr: mrTile, nr: nrTile, mc: mcBlock, kc: kcBlock, nc: ncBlock})
+		tiers = append(tiers, avx2Tier)
 	}
 	return tiers
 }
+
+// avx2Tier is the 6×16 FP32 tier as an AVX-512 part runs it too.
+var avx2Tier = gemmTierT{name: "avx2-6x16", kind: tierKind6x16, mr: mrTile, nr: nrTile, mc: mcBlock, kc: kcBlock, nc: ncBlock}
 
 // TestConvDirectPackMatchesIm2colGemm is the forward convolution's
 // differential test: ConvForwardInto, which packs GEMM panels straight from
 // the image and finishes each column block with the fused epilogue, must
 // equal — bit for bit — the column matrix built by the oracle (which Im2col
-// must equal too), multiplied by Gemm, then biased and clamped by a scalar
-// loop. It runs under every FP32 kernel tier the CPU offers, with batch 3.
+// must equal too), multiplied by Gemm in the convolution's k order (the last
+// input channel's taps first: lastPlaneFirst), then biased and clamped by a
+// scalar loop. It runs under every FP32 kernel tier the CPU offers, with
+// batch 3.
 func TestConvDirectPackMatchesIm2colGemm(t *testing.T) {
 	active := gemmTier
 	defer func() { gemmTier = active }()
@@ -160,7 +165,7 @@ func TestConvDirectPackMatchesIm2colGemm(t *testing.T) {
 			// the driver has to set them aside.
 			for _, packTier := range tiers {
 				gemmTier = packTier
-				st := ConvStage{Spec: s, W: wt, Packed: PackWeights(wt, s.OutC, k), Bias: bias, ReLU: cc.relu}
+				st := ConvStage{Spec: s, W: wt, Packed: PackConvWeights(wt, s), Bias: bias, ReLU: cc.relu}
 				gemmTier = tier
 				yp := New(batch, dstC, oh, ow)
 				yp.Fill(sentinel)
@@ -183,7 +188,7 @@ func TestConvDirectPackMatchesIm2colGemm(t *testing.T) {
 						t.Fatalf("%s: Im2col[%d,%d]=%v, oracle %v", name, e/n, e%n, im2col[e], col[e])
 					}
 				}
-				Gemm(wt, col, want, s.OutC, k, n)
+				Gemm(lastPlaneFirst(wt, s.OutC, k, s.KH*s.KW, 1), lastPlaneFirst(col, 1, k, s.KH*s.KW, n), want, s.OutC, k, n)
 				for ch := 0; ch < dstC; ch++ {
 					got := y.Data[(i*dstC+ch)*n : (i*dstC+ch+1)*n]
 					oc := ch - cc.chOff
@@ -207,6 +212,19 @@ func TestConvDirectPackMatchesIm2colGemm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lastPlaneFirst returns a copy of the m rows of x, each k groups of g
+// elements — a convolution's weights (g = 1) or column matrix (m = 1, g =
+// its width) — with the last channel's taps, the last khw groups, moved to
+// the front: the k order the forward convolution runs.
+func lastPlaneFirst[T oracleElem](x []T, m, k, khw, g int) []T {
+	out := make([]T, 0, m*k*g)
+	for i := 0; i < m; i++ {
+		row := x[i*k*g : (i+1)*k*g]
+		out = append(append(out, row[(k-khw)*g:]...), row[:(k-khw)*g]...)
+	}
+	return out
 }
 
 // TestMaxPoolMatchesWindowScan is the max pool's differential test:
@@ -699,8 +717,9 @@ func checkPhaseView[T pixel](t *testing.T, name string, s ConvSpec, h, w int, fi
 // image copied once into planes that hold its padding, every tap then a
 // fixed offset from the output position — to the oracle's column matrix bit
 // for bit, with the vector copies on and off, for strides 1 to 3 on odd and
-// even planes. Panels are packed as the blocked driver packs them, kcBlock
-// rows of K at a time, from the middle of an output row, so panels straddle
+// even planes. Panels are packed as the FP32 driver packs them, kcBlock rows
+// of K at a time in the convolution's k order (the oracle's rows reordered
+// by lastPlaneFirst), from the middle of an output row, so panels straddle
 // output-row ends and the last one is ragged.
 func TestPhaseViewMatchesOracle(t *testing.T) {
 	defer useQuantTier(currentQuantTier())
@@ -716,6 +735,8 @@ func TestPhaseViewMatchesOracle(t *testing.T) {
 			checkPhaseView(t, name+" f32", pc.s, pc.h, pc.w, 0,
 				func(n int) []float32 { return randSlice(rng, n) },
 				func(v *convView[float32], col []float32, k, n int) {
+					col = lastPlaneFirst(col, 1, k, v.s.KH*v.s.KW, n)
+					bop := gemmB{conv: v, order: v.s.kOrder()}
 					for _, nr := range []int{16, 32} {
 						j0 := v.ow % n
 						nc := n - j0
@@ -723,7 +744,7 @@ func TestPhaseViewMatchesOracle(t *testing.T) {
 						for p0 := 0; p0 < k; p0 += kcBlock {
 							kc := min(kcBlock, k-p0)
 							buf := randSlice(rng, padded*kc)
-							packConvPanels(v, buf, p0, kc, j0, nc, nr)
+							bop.pack(buf, p0, kc, j0, nc, nr)
 							for p := 0; p < kc; p++ {
 								for j := 0; j < padded; j++ {
 									var want float32
@@ -772,9 +793,8 @@ func TestConvPoolFusedMatchesConvThenPool(t *testing.T) {
 		// An odd ow = 47 shares no factor with the panel width: blocks of 32
 		// rows keep every panel but the last whole.
 		{stem, 99, 93, PoolSpec{K: 3, Stride: 2}},
-		// Three blocks (32 or 40 rows by tier) and two k-blocks, the second
-		// of which an edge tile sums apart: the panels must sit where the
-		// unfused product's do.
+		// Three blocks (32 or 40 rows by tier) and two k-blocks, which an
+		// edge tile must chain as the unfused product's full tiles do.
 		{deep, 90, 50, PoolSpec{K: 3, Stride: 2}},
 		{deep, 90, 50, PoolSpec{K: 2, Stride: 2}},
 		// Stride above the window: rows between windows are skipped.
@@ -811,7 +831,7 @@ func TestConvPoolFusedMatchesConvThenPool(t *testing.T) {
 			want := New(batch, s.OutC, poh, pow)
 			MaxPoolForwardInto(full, cc.p, want, make([]float32, cc.p.ScratchLen(ow)))
 
-			for _, packed := range []*PackedWeights{nil, PackWeights(wt, s.OutC, k)} {
+			for _, packed := range []*PackedWeights{nil, PackConvWeights(wt, s)} {
 				st := ConvStage{Spec: s, W: wt, Packed: packed, Bias: bias, ReLU: relu, Pool: cc.p}
 				dstC := chOff + s.OutC + 1
 				got := New(batch, dstC, poh, pow)

@@ -78,75 +78,119 @@ func checkGemm(fn string, la, lb, lc, m, k, n int) {
 
 // gemmA is the A operand of a product: a dense row-major matrix (stored M×K,
 // or K×M when trans), with — when pack is set — its micro-panels already
-// built (see PackWeights), so the blocked driver packs nothing.
+// built (see PackConvWeights), so the blocked driver packs nothing.
 type gemmA struct {
 	data  []float32
 	trans bool
 	pack  *PackedWeights
 }
 
-// PackedWeights holds an M×K left operand — a convolution's weights — in the
-// blocked driver's micro-panel layout for the kernel tier active when
-// PackWeights ran, so a forward pass stops re-packing the same matrix on
-// every product. It is immutable: share it between goroutines freely, and
-// build a new one when the weights change.
+// PackedWeights holds a convolution's weights — the M×K left operand of its
+// product — in the blocked driver's micro-panel layout for the kernel tier
+// active when PackConvWeights ran, so a forward pass stops re-packing the
+// same matrix on every product. It is immutable: share it between goroutines
+// freely, and build a new one when the weights change.
 type PackedWeights struct {
-	m, k int
-	mr   int
+	m, k  int
+	mr    int
+	order kOrder // the convolution's k order, which the panels run in
 	// panels is packPanels' output for the tier's mr.
 	panels []float32
 }
 
-// PackWeights packs the row-major m×k matrix w. The result does not alias w.
-func PackWeights(w []float32, m, k int) *PackedWeights {
+// PackConvWeights packs the weights of a convolution under s — ConvStage.W,
+// [OutC, InC*KH*KW] — for ConvStage.Packed: in the order the convolution
+// runs its taps (see ConvSpec.kOrder). The result does not alias w.
+func PackConvWeights(w []float32, s ConvSpec) *PackedWeights {
+	m, k := s.OutC, s.InC*s.KH*s.KW
 	if len(w) < m*k {
-		panic(fmt.Sprintf("tensor: PackWeights: %d weights, want %d×%d", len(w), m, k))
+		panic(fmt.Sprintf("tensor: PackConvWeights: %d weights, want %d×%d", len(w), m, k))
 	}
 	t := gemmTier
-	p := &PackedWeights{m: m, k: k, mr: t.mr, panels: make([]float32, t.panelsLen(m, k))}
-	packPanels(p.panels, w, k, false, m, k, t)
+	p := &PackedWeights{m: m, k: k, mr: t.mr, order: s.kOrder(), panels: make([]float32, t.panelsLen(m, k))}
+	packOrdered(p.panels, w, m, k, p.order, t)
 	return p
 }
 
-// panels returns op(A)'s micro-panels for tier t: the packed weights, or —
-// when there are none, or they were packed for another tier's tile height
-// (tests swap tiers) — A packed now into scratch, which the caller returns.
-func (a gemmA) panels(t gemmTierT, m, k int) ([]float32, *[]float32) {
+// packOrdered packs the row-major m×k matrix a into tier t's micro-panels
+// with its columns in order o: k-step q holds column o.tap(q).
+func packOrdered(dst, a []float32, m, k int, o kOrder, t gemmTierT) {
+	if o.lead == 0 {
+		packPanels(dst, a, k, false, m, k, t)
+		return
+	}
+	buf := GetScratch(m * k)
+	rot := *buf
+	for i := 0; i < m; i++ {
+		row, r := a[i*k:(i+1)*k], rot[i*k:(i+1)*k]
+		copy(r, row[k-o.lead:])
+		copy(r[o.lead:], row)
+	}
+	packPanels(dst, rot, k, false, m, k, t)
+	PutScratch(buf)
+}
+
+// panels returns op(A)'s micro-panels, its k-steps in order o, for tier t:
+// the packed weights, or — when there are none, or they were packed for
+// another tier's tile height (tests swap tiers) — A packed now into
+// scratch, which the caller returns.
+func (a gemmA) panels(t gemmTierT, m, k int, o kOrder) ([]float32, *[]float32) {
 	if p := a.pack; p != nil {
-		if p.m != m || p.k != k {
-			panic(fmt.Sprintf("tensor: packed weights are %d×%d, product wants %d×%d", p.m, p.k, m, k))
+		if p.m != m || p.k != k || p.order != o {
+			panic(fmt.Sprintf("tensor: packed weights are %d×%d leading with %d k-steps, product wants %d×%d leading with %d",
+				p.m, p.k, p.order.lead, m, k, o.lead))
 		}
 		if p.mr == t.mr {
 			return p.panels, nil
 		}
 	}
-	lda := k
-	if a.trans {
-		lda = m
-	}
 	buf := GetScratch(t.panelsLen(m, k))
-	packPanels(*buf, a.data, lda, a.trans, m, k, t)
+	if a.trans {
+		packPanels(*buf, a.data, m, true, m, k, t)
+	} else {
+		packOrdered(*buf, a.data, m, k, o, t)
+	}
 	return *buf, buf
 }
 
 // gemmB is the B operand of a product: a dense row-major matrix (stored K×N,
 // or N×K when trans, rows ld apart), or — when conv is set — the implicit
 // K×N column matrix of a convolution, read straight from the image (see
-// convView).
+// convView). order is the k order the product runs in, A's as well as B's:
+// a convolution's (ConvSpec.kOrder), or K as stored.
 type gemmB struct {
 	data  []float32
 	ld    int
 	trans bool
 	conv  *convView[float32]
+	order kOrder
 }
 
-// pack packs the kc×nc block of op(B) at (pc, jc) into nr-wide micro-panels.
+// pack packs the kc×nc block of op(B) at (pc, jc), pc counted in the
+// product's k order, into nr-wide micro-panels, zero-padded past the last
+// valid column. Untransposed, the block's rows are the taps of packTaps:
+// view taps, or rows of the dense matrix, ld elements apart, each one
+// unbroken row of columns.
 func (b *gemmB) pack(dst []float32, pc, kc, jc, nc, nr int) {
-	if b.conv != nil {
-		packConvPanels(b.conv, dst, pc, kc, jc, nc, nr)
+	if b.trans {
+		packBT(dst, b.data, b.ld, pc, kc, jc, nc, nr)
 		return
 	}
-	packB(dst, b.data, b.ld, b.trans, pc, kc, jc, nc, nr)
+	var taps [kcBlock]int
+	v := b.conv
+	for q := range taps[:kc] {
+		p := b.order.tap(pc + q)
+		if v != nil {
+			taps[q] = v.tapOffset(p)
+		} else {
+			taps[q] = 4 * p * b.ld
+		}
+	}
+	if v != nil {
+		packTaps(wordBytes(dst), wordBytes(v.planes), taps[:kc], 4*v.pw, v.ow, jc, nc, nr)
+		return
+	}
+	packTaps(wordBytes(dst), wordBytes(b.data), taps[:kc], 4*b.ld, b.ld, jc, nc, nr)
 }
 
 // gemmEpilogue is what a convolution does to its finished product: the
@@ -219,10 +263,7 @@ func gemmSplit(t gemmTierT, m, k, n int, pool PoolSpec, ow int) (small bool, ste
 		if pool.K > 0 {
 			// Blocks are whole output rows and, but for the last, whole
 			// panels (ow&-ow is the largest power of two dividing ow, as nr
-			// is one): the product's panels, and with them the columns whose
-			// later k-blocks an edge tile sums apart, then sit exactly where
-			// the unfused product has them, and the two agree bit for bit at
-			// any k.
+			// is one), so no block but the last ends on an edge tile.
 			unit := t.nr / min(t.nr, ow&-ow)
 			step = max(t.nc/ow/unit, 1) * unit * ow
 		}
@@ -264,7 +305,7 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 	var panels []float32
 	var buf *[]float32
 	if !small {
-		panels, buf = a.panels(t, m, k)
+		panels, buf = a.panels(t, m, k, b.order)
 	}
 	b.ld = n
 	if b.trans {
@@ -317,8 +358,8 @@ func checkScratch(fn string, have, need int) {
 // gemmSmall is the unblocked fallback for problems too small to amortize
 // packing: C (rows ldc apart) += op(A)×op(B). Loop orders match the storage
 // layouts so every inner loop streams contiguously; every C element
-// accumulates its k terms in ascending order whichever loop is outermost.
-// brow is scratch for one row of a convolution's B.
+// accumulates its k terms in the product's k order (bop.order) whichever
+// loop is outermost. brow is scratch for one row of a convolution's B.
 func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int, brow []float32) {
 	a, b := aop.data, bop.data
 	if bop.trans {
@@ -341,7 +382,8 @@ func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int, brow []float
 		// B rows come from the image one at a time, so k is outermost: each
 		// row is produced once and spent on every row of A (never transposed
 		// here).
-		for p := 0; p < k; p++ {
+		for q := 0; q < k; q++ {
+			p := bop.order.tap(q)
 			bop.conv.row(brow, p, 0)
 			for i := 0; i < m; i++ {
 				av := a[i*k+p]
@@ -358,7 +400,8 @@ func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int, brow []float
 	}
 	for i := 0; i < m; i++ {
 		crow := c[i*ldc : i*ldc+n]
-		for p := 0; p < k; p++ {
+		for q := 0; q < k; q++ {
+			p := bop.order.tap(q)
 			var av float32
 			if aop.trans {
 				av = a[p*m+i]
@@ -376,20 +419,11 @@ func gemmSmall(aop gemmA, bop gemmB, c []float32, ldc, m, k, n int, brow []float
 	}
 }
 
-// packB copies the kc×nc block of op(B) at (p0, j0), kc at most kcBlock,
-// into micro-panel layout: consecutive groups of nr values hold one row of
-// an nr-column panel, zero-padded past the last valid column. Rows of an
-// untransposed B are the taps of packTaps, ldb elements apart, each one
-// unbroken row of columns.
-func packB(dst, b []float32, ldb int, trans bool, p0, kc, j0, nc, nr int) {
-	if !trans {
-		var taps [kcBlock]int
-		for q := range taps[:kc] {
-			taps[q] = 4 * (p0 + q) * ldb
-		}
-		packTaps(wordBytes(dst), wordBytes(b), taps[:kc], 4*ldb, ldb, j0, nc, nr)
-		return
-	}
+// packBT copies the kc×nc block of op(B) = Bᵀ at (p0, j0), B stored N×K
+// with rows ldb apart and kc at most kcBlock, into micro-panel layout:
+// consecutive groups of nr values hold one row of an nr-column panel,
+// zero-padded past the last valid column.
+func packBT(dst, b []float32, ldb int, p0, kc, j0, nc, nr int) {
 	di := 0
 	for jr := 0; jr < nc; jr += nr {
 		cols := min(nr, nc-jr)

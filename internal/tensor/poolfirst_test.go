@@ -254,7 +254,7 @@ func TestConvPoolMatchesConvThenPoolAtTies(t *testing.T) {
 					plain.ForwardInto(x, full, 0, convScratch(&plain, cc.h, cc.w))
 					want := New(n, s.OutC, poh, pow)
 					MaxPoolForwardInto(full, cc.pool, want, make([]float32, cc.pool.ScratchLen(ow)))
-					for _, packed := range []*PackedWeights{nil, PackWeights(wt, s.OutC, k)} {
+					for _, packed := range []*PackedWeights{nil, PackConvWeights(wt, s)} {
 						name := fmt.Sprintf("%s %s relu %v batch %d packed %v", tier.name, cc.name, relu, n, packed != nil)
 						st := ConvStage{Spec: s, W: wt, Packed: packed, Bias: bias, ReLU: relu, Pool: cc.pool}
 						got := New(n, s.OutC, poh, pow)
