@@ -20,7 +20,7 @@ FUZZTIME ?= 15s
 # into the concatenated output's quad planes); and the INT8 byte passes
 # around the kernels alone: the stem's input rows, panel pack and pooled
 # write-out on one 224 frame, and a 64-channel requantization into quads.
-TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkQKernelTile|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvExpand3x3_55|BenchmarkConvExpand3x3_27|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkQStemParts|BenchmarkRequantQuads
+TENSOR_BENCH = BenchmarkGemm|BenchmarkQGemm|BenchmarkQKernelTile|BenchmarkConvStem224|BenchmarkConvStemPool224|BenchmarkConvStemPool224Opaque|BenchmarkConvStemPool224Badge|BenchmarkConvExpand3x3_55|BenchmarkConvExpand3x3_27|BenchmarkConvExpand3x3_13|BenchmarkMaxPool112x96|BenchmarkConvStemU8_224|BenchmarkConvStemPoolU8_224|BenchmarkConvExpand3x3U8_13|BenchmarkQFire55|BenchmarkQStemParts|BenchmarkRequantQuads
 
 .PHONY: check fmt vet build test test-avx2 race fuzz chaos bench bench-infer bench-check profile loc surface
 
@@ -48,8 +48,10 @@ test:
 
 # Both engines on their AVX2 tiers on hosts whose default is AVX-512
 # (PERCIVAL_NO_AVX512 switches off every 512-bit kernel: FP32's 8×32 and
-# INT8's VNNI 8×32), so the differential, golden (the INT8 golden file holds
-# an entry for each FP32 tier) and warm-state suites — imaging's, whose
+# INT8's VNNI 8×32), so the differential, golden (the one FP32 logit golden
+# must hold on every FMA tier, as each computes every product element as one
+# k-ordered FMA chain; the INT8 golden files keep an entry per FP32 tier,
+# now equal) and warm-state suites — imaging's, whose
 # scaler runs tensor's row kernels, and core's, whose INT8 boot calibrates on
 # the FP32 net and gates on the calibration pass's scores — and the golden
 # pages' blocked sets on both engines (integration's verdict-set pin) cover
@@ -130,7 +132,7 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Where one frame goes: `pprof -top`, by flat time and then by cumulative
-# time, of eight one-P benchmarks. InferSingle / InferSingleInt8 are the
+# time, of nine one-P benchmarks. InferSingle / InferSingleInt8 are the
 # forward pass on each engine — the per-function attribution PERFORMANCE.md
 # tabulates (its tables quote the cumulative view). EngineInferFP32 /
 # EngineInferInt8 are a whole backend call on a decoded frame (resize, input
@@ -143,11 +145,14 @@ bench-check:
 # plus the simulation's drawing and encoding of the creatives): the base the
 # paper's overhead percentage divides by. ConvStemPoolU8_224 (internal/tensor)
 # is the INT8 stem with pool1 alone, so its byte passes and kernel have a
-# flat profile of their own. Each entry is package:benchmark:benchtime; the
+# flat profile of their own; ConvStemPool224Opaque is the FP32 stem with
+# pool1 on an opaque frame, every column block starting from the alpha
+# prefix (the seed copy shows as memmove under alphaSeeds.prefill). Each entry is package:benchmark:benchtime; the
 # test binaries and the profiles land in PROFILE_DIR.
 PROFILE_DIR ?= .bench_build/profile
 PROFILE_BENCH = .:InferSingle:300x .:InferSingleInt8:300x .:EngineInferFP32:300x .:EngineInferInt8:1500x \
-	.:ServeCacheHit:10000x .:ServeWireWarm:10000x .:RenderPage:120x ./internal/tensor/:ConvStemPoolU8_224:3000x
+	.:ServeCacheHit:10000x .:ServeWireWarm:10000x .:RenderPage:120x ./internal/tensor/:ConvStemPoolU8_224:3000x \
+	./internal/tensor/:ConvStemPool224Opaque:600x
 profile:
 	@mkdir -p $(PROFILE_DIR)
 	@for b in $(PROFILE_BENCH); do \

@@ -116,7 +116,8 @@ func Col2im(col []float32, c, h, w int, s ConvSpec, img []float32) {
 // taps, the weight columns and the column-matrix rows alike: the last input
 // channel's KH·KW taps first, then channels 0…InC−2 in stored order. Over an
 // RGBA image that puts the alpha plane at the head of every output's FMA
-// chain, where an opaque plane's share is a constant prefix. It is the one k order of the FP32 forward convolution, packed weights,
+// chain, where an opaque plane's share is a constant prefix (see alphaFold).
+// It is the one k order of the FP32 forward convolution, packed weights,
 // unpacked weights and the unblocked loop alike; its zero value runs K as
 // stored, as a plain matrix product does.
 type kOrder struct{ lead, k int }
@@ -193,6 +194,7 @@ type pixel interface{ float32 | uint32 }
 // planes once per image (setImage), which is where the padding is decided.
 type convView[T pixel] struct {
 	planes []T
+	img    []T // the image setImage was last given
 	s      ConvSpec
 	h, w   int // the image's plane size
 	ph, pw int // a bordered phase plane's size
@@ -233,6 +235,7 @@ func (v *convView[T]) useScratch(buf []T) {
 // leaves the later phases one short), is written with fill for every image:
 // the scratch is shared with other stages.
 func (v *convView[T]) setImage(img []T) {
+	v.img = img
 	if v.buf == nil {
 		v.planes = img
 		return
@@ -427,7 +430,8 @@ type ConvStage struct {
 	Spec ConvSpec
 	W    []float32 // [OutC, InC*KH*KW] flattened
 	// Packed, when set, is PackConvWeights(W, Spec): the forward GEMM then
-	// packs no weights. The caller keeps it in step with W.
+	// packs no weights, and a stage over an RGBA image skips the alpha plane
+	// where it is opaque. The caller keeps it in step with W.
 	Packed *PackedWeights
 	Bias   []float32 // [OutC], may be nil
 	ReLU   bool
@@ -447,8 +451,10 @@ type ConvStage struct {
 // otherwise — on bordered phase planes unless the convolution is stride-1
 // and unpadded — its taps in the convolution's k order (ConvSpec.kOrder).
 // Bias, ReLU and the pool run as the GEMM's epilogue, per cache-resident
-// column block (see gemmDispatch). The result is bit for bit what
-// ConvForwardInto followed by MaxPoolForwardInto computes.
+// column block (see gemmDispatch). With packed weights over an RGBA image,
+// a column block whose windows read only opaque alpha skips the alpha taps
+// (see alphaFold). The result is bit for bit what ConvForwardInto followed
+// by MaxPoolForwardInto computes.
 func (st *ConvStage) ForwardInto(x, y *Tensor, chOff int, scratch []float32) {
 	st.forwardInto("ConvStage.ForwardInto", x, y, chOff, scratch)
 }

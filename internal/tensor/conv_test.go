@@ -209,18 +209,21 @@ func TestIm2colCol2imAdjointHardSpecs(t *testing.T) {
 	}
 }
 
-// benchConvStage times one whole convolution stage — pack from the image,
-// GEMM, bias+ReLU epilogue — on random data, so the clamp sees both signs.
+// benchConvStage times one whole convolution stage as a forward plan runs
+// it — packed weights, pack from the image, GEMM, bias+ReLU epilogue, on
+// scratch held across calls — on random data, so the clamp sees both signs
+// (and a stem's random alpha plane never folds).
 func benchConvStage(b *testing.B, s ConvSpec, res int) {
 	rng := rand.New(rand.NewSource(31))
 	x := FromSlice(randSlice(rng, s.InC*res*res), 1, s.InC, res, res)
 	w := randSlice(rng, s.OutC*s.InC*s.KH*s.KW)
-	bias := randSlice(rng, s.OutC)
+	st := ConvStage{Spec: s, W: w, Packed: PackConvWeights(w, s), Bias: randSlice(rng, s.OutC), ReLU: true}
 	oh, ow := s.OutSize(res, res)
 	y := New(1, s.OutC, oh, ow)
+	scratch := convScratch(&st, res, res)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConvForwardInto(x, w, bias, s, y, 0, true)
+		st.ForwardInto(x, y, 0, scratch)
 	}
 }
 
@@ -237,11 +240,37 @@ func BenchmarkConvStem224(b *testing.B) { benchConvStage(b, stemSpec, 224) }
 // BenchmarkConvStemPool224 is the paper net's whole first stage as inference
 // runs it: the stem with packed weights, ReLU and the 3×3/2 pool fused into
 // its epilogue — what BenchmarkConvStem224 plus BenchmarkMaxPool112x96 cost
-// before the two were one pass.
+// before the two were one pass. Its alpha plane is random, so no column
+// block folds: the stage's worst case.
 func BenchmarkConvStemPool224(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
+	x := FromSlice(randSlice(rng, 4*224*224), 1, 4, 224, 224)
+	benchStemPool(b, rng, x)
+}
+
+// BenchmarkConvStemPool224Opaque is the first stage on an opaque frame, as
+// most frames decode: every column block starts from the alpha prefix and
+// skips the alpha taps.
+func BenchmarkConvStemPool224Opaque(b *testing.B) {
+	rng := rand.New(rand.NewSource(31))
+	x := New(1, 4, 224, 224)
+	alphaFrame(rng, x.Data, 224, 224, "opaque")
+	benchStemPool(b, rng, x)
+}
+
+// BenchmarkConvStemPool224Badge is the first stage on an opaque frame with a
+// translucent corner badge, as an ad carries: the first column block runs
+// the alpha taps, the others skip them.
+func BenchmarkConvStemPool224Badge(b *testing.B) {
+	rng := rand.New(rand.NewSource(31))
+	x := New(1, 4, 224, 224)
+	alphaFrame(rng, x.Data, 224, 224, "badge")
+	benchStemPool(b, rng, x)
+}
+
+// benchStemPool times the first stage on the frame x.
+func benchStemPool(b *testing.B, rng *rand.Rand, x *Tensor) {
 	s, p := stemSpec, PoolSpec{K: 3, Stride: 2}
-	x := FromSlice(randSlice(rng, s.InC*224*224), 1, s.InC, 224, 224)
 	w := randSlice(rng, s.OutC*s.InC*s.KH*s.KW)
 	st := ConvStage{Spec: s, W: w, Packed: PackConvWeights(w, s), Bias: randSlice(rng, s.OutC), ReLU: true, Pool: p}
 	oh, ow := s.OutSize(224, 224)

@@ -96,11 +96,15 @@ type PackedWeights struct {
 	order kOrder // the convolution's k order, which the panels run in
 	// panels is packPanels' output for the tier's mr.
 	panels []float32
+	// fold lets a convolution over an RGBA image skip its opaque alpha
+	// plane (see alphaFold); nil for any other convolution.
+	fold *alphaFold
 }
 
 // PackConvWeights packs the weights of a convolution under s — ConvStage.W,
 // [OutC, InC*KH*KW] — for ConvStage.Packed: in the order the convolution
-// runs its taps (see ConvSpec.kOrder). The result does not alias w.
+// runs its taps (see ConvSpec.kOrder) and, over the four planes of an RGBA
+// image, with its alpha fold. The result does not alias w.
 func PackConvWeights(w []float32, s ConvSpec) *PackedWeights {
 	m, k := s.OutC, s.InC*s.KH*s.KW
 	if len(w) < m*k {
@@ -109,6 +113,9 @@ func PackConvWeights(w []float32, s ConvSpec) *PackedWeights {
 	t := gemmTier
 	p := &PackedWeights{m: m, k: k, mr: t.mr, order: s.kOrder(), panels: make([]float32, t.panelsLen(m, k))}
 	packOrdered(p.panels, w, m, k, p.order, t)
+	if foldsAlpha(s) {
+		p.fold = newAlphaFold(w, s, t)
+	}
 	return p
 }
 
@@ -304,8 +311,12 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 	checkScratch("gemm", len(scratch), bLen+poolLen)
 	var panels []float32
 	var buf *[]float32
+	var seeds *alphaSeeds
 	if !small {
 		panels, buf = a.panels(t, m, k, b.order)
+		if f := a.pack; f != nil && f.fold != nil && f.mr == t.mr && b.conv != nil && !acc {
+			seeds = f.fold.seedsFor(b.conv)
+		}
 	}
 	b.ld = n
 	if b.trans {
@@ -329,6 +340,8 @@ func gemmDispatch(a gemmA, b gemmB, c []float32, m, k, n int, acc bool, ep gemmE
 				}
 			}
 			gemmSmall(a, b, cblk, ldc, m, k, n, scratch[:n])
+		} else if seeds != nil && foldAlpha && seeds.opaque(b.conv, jc, nc) {
+			a.pack.fold.product(seeds, b, t, scratch[:bLen], cblk, cj, ldc, jc, nc)
 		} else {
 			blocked[float32, float32](&b, t, panels, scratch[:bLen], cblk, cj, ldc, m, k, jc, nc, acc)
 		}
