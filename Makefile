@@ -65,11 +65,16 @@ test-avx2:
 	PERCIVAL_NO_AVX512=1 $(GO) test -count=1 -run TestGoldenRenderBlockedSets ./internal/integration/
 
 # The browser run is the real raster pipeline driving one backend from
-# several raster workers, synchronously and through the serving stack; the
-# daemon package drives serve's shard loops over HTTP and the wire.
+# several raster workers, synchronously and through the serving stack, the
+# latter both waiting for verdicts and rendering first; the integration run
+# is render-first end to end (a trained model, the store filled by one visit
+# and read by the next; its training makes it about 75 s under -race on 2
+# vCPUs); the daemon package drives serve's shard loops over HTTP and the
+# wire.
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/imaging/... ./internal/nn/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/... ./cmd/percival-serve/
-	$(GO) test -race -run 'TestInspector|TestAsyncServe' ./internal/browser/
+	$(GO) test -race -run 'TestInspector|TestAsyncServe|TestRenderFirst' ./internal/browser/
+	$(GO) test -race -run 'TestAsyncModeBlocksOnRevisitEndToEnd' ./internal/integration/
 
 # Native Go fuzzing smoke pass, eleven fuzzers: the nine decoders that face
 # untrusted input (EasyList rules, HTML, the persistent-socket wire framing,
@@ -166,9 +171,10 @@ profile:
 # Size of the serving stack, for ROADMAP item 3 and any change that claims to
 # shrink it: non-test Go lines of the daemon's three packages (engine + serve
 # + daemon = the tracked count), of internal/tensor and of internal/nn (the
-# INT8 engine is split across those two), the hand-written assembly of every
-# package that has some (its .s lines), and the number of flags the daemon
-# defines.
+# INT8 engine is split across those two), of internal/core (the classifier
+# the daemon and the browser build on; outside the tracked count, which keeps
+# its history), the hand-written assembly of every package that has some
+# (its .s lines), and the number of flags the daemon defines.
 LOC_TRACKED = internal/engine internal/serve cmd/percival-serve
 loc:
 	@gocount() { cat $$(ls $$1/*.go | grep -v '_test\.go$$') | wc -l; }; \
@@ -179,6 +185,7 @@ loc:
 	printf '%-20s %6d\n' tracked $$total; \
 	printf '%-20s %6d\n' internal/tensor $$(gocount internal/tensor); \
 	printf '%-20s %6d\n' internal/nn $$(gocount internal/nn); \
+	printf '%-20s %6d\n' internal/core $$(gocount internal/core); \
 	for d in $$(ls internal/*/*.s | xargs -n1 dirname | sort -u); do \
 		printf '%-20s %6d\n' "$$d .s" $$(cat $$d/*.s | wc -l); \
 	done; \

@@ -353,7 +353,7 @@ func BenchmarkServeWireWarm(b *testing.B) {
 // paper quotes as 11 ms at 224px (ours runs at the harness resolution).
 func BenchmarkClassifySingleFrame(b *testing.B) {
 	h := harness(b)
-	svc, err := h.Service(core.Synchronous)
+	svc, err := h.Service()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func directConv(x *tensor.Tensor, w []float32, s tensor.ConvSpec) *tensor.Tensor
 // §3.1 parallelism win (one classifier instance per raster worker).
 func BenchmarkAblationRasterWorkers(b *testing.B) {
 	h := harness(b)
-	svc, err := h.Service(core.Synchronous)
+	svc, err := h.Service()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func BenchmarkMemoizationHitRate(b *testing.B) {
 	}
 	b.Run("cold-every-frame", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			svc, err := h.Service(core.Synchronous)
+			svc, err := h.Service()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -586,7 +586,7 @@ func BenchmarkMemoizationHitRate(b *testing.B) {
 		}
 	})
 	b.Run("warm-cache", func(b *testing.B) {
-		svc, err := h.Service(core.Synchronous)
+		svc, err := h.Service()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -390,7 +390,7 @@ func saveCache(c *engine.VerdictMap, path string) (int, error) {
 // serves INT8; auto quantizes and serves whichever engine the parity gate
 // picked. The daemon never trains: a model comes from percival-train.
 func buildService(res int, modelPath string, pretrained bool, seed int64, threshold float64, backend string) (*core.Percival, engine.Backend, error) {
-	opts := core.Options{Threshold: threshold, DisableCache: true} // serve owns memoization
+	opts := core.Options{Threshold: threshold}
 	switch backend {
 	case engine.FP32Name:
 	case "auto", engine.Int8Name:

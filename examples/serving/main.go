@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	squeezenet.PretrainedInit(model, 1)
-	svc, err := core.New(model, arch, core.Options{DisableCache: true})
+	svc, err := core.New(model, arch, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

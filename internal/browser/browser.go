@@ -66,6 +66,13 @@ type Config struct {
 	// surfaces the same way: verdict unknown, frame rendered, never a
 	// blocked page. Mutually exclusive with Inspector.
 	AsyncServe *serve.Server
+	// RenderFirst is the paper's asynchronous mode (§6) on AsyncServe:
+	// raster blocks a frame only if the server already held its verdict
+	// when the page submitted it, and every other frame renders while its
+	// classification lands in the server's store for the next sighting.
+	// Render returns once every verdict it asked for is stored. Valid only
+	// with AsyncServe.
+	RenderFirst bool
 	// RasterWorkers sizes the raster thread pool (default 4, Chromium's
 	// desktop default).
 	RasterWorkers int
@@ -88,6 +95,9 @@ func New(cfg Config) (*Browser, error) {
 	}
 	if cfg.Inspector != nil && cfg.AsyncServe != nil {
 		return nil, fmt.Errorf("browser: Inspector and AsyncServe are mutually exclusive")
+	}
+	if cfg.RenderFirst && cfg.AsyncServe == nil {
+		return nil, fmt.Errorf("browser: RenderFirst needs AsyncServe")
 	}
 	if cfg.RasterWorkers == 0 {
 		cfg.RasterWorkers = 4
@@ -303,7 +313,7 @@ func (b *Browser) Render(url string, epoch int) (*RenderResult, error) {
 	}
 	inspector := b.cfg.Inspector
 	if futures != nil {
-		inspector = &futureInspector{futures: futures}
+		inspector = &futureInspector{futures: futures, renderFirst: b.cfg.RenderFirst}
 	}
 	r := raster.NewRasterizer(b.cfg.RasterWorkers, fetchFn, inspector)
 	h := box.H
@@ -319,6 +329,12 @@ func (b *Browser) Render(url string, epoch int) (*RenderResult, error) {
 	res.Stats = stats
 	res.DocHeight = box.H
 	res.RenderTimeMS = res.NetworkMS + res.ComputeMS
+	if b.cfg.RenderFirst {
+		// the page is drawn; the verdicts it did not wait for still land
+		for _, f := range futures {
+			f.Wait()
+		}
+	}
 
 	// mark inspector-blocked creatives
 	if stats.Blocked > 0 {
@@ -339,15 +355,22 @@ func (b *Browser) Render(url string, epoch int) (*RenderResult, error) {
 // inspection mode: the frame's classification has been in flight since its
 // pixels were materialized, so raster workers only resolve the verdict
 // future — in-path time is the residual wait, not a model run. A shed
-// verdict (service overloaded) fails open and the frame renders.
+// verdict (service overloaded) fails open and the frame renders. With
+// renderFirst it never waits: only a verdict resolved at submission, one
+// the server's store already held, can block the frame.
 type futureInspector struct {
-	futures map[string]*serve.Future
+	futures     map[string]*serve.Future
+	renderFirst bool
 }
 
 func (fi *futureInspector) InspectFrame(src string, frame *imaging.Bitmap) bool {
 	fut, ok := fi.futures[src]
 	if !ok {
 		return false
+	}
+	if fi.renderFirst {
+		res, _ := fut.Immediate()
+		return res.Ad
 	}
 	return fut.Wait().Ad
 }

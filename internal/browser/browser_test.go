@@ -2,6 +2,7 @@ package browser
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"percival/internal/core"
 	"percival/internal/easylist"
+	"percival/internal/engine"
 	"percival/internal/imaging"
 	"percival/internal/raster"
 	"percival/internal/serve"
@@ -334,7 +336,7 @@ func TestAsyncServeInspectionMatchesDirectVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	squeezenet.PretrainedInit(net, 1)
-	svc, err := core.New(net, arch, core.Options{DisableCache: true})
+	svc, err := core.New(net, arch, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +384,105 @@ func TestAsyncServeInspectionMatchesDirectVerdicts(t *testing.T) {
 	}
 }
 
-// TestAsyncServeConfigValidation: Inspector and AsyncServe are exclusive.
+// everyFrameAnAd is a model that calls every frame an ad after a fixed
+// latency per batch.
+type everyFrameAnAd struct {
+	latency time.Duration
+	scored  atomic.Int64
+}
+
+func (b *everyFrameAnAd) Name() string              { return "every-frame-an-ad" }
+func (b *everyFrameAnAd) InputRes() int             { return 16 }
+func (b *everyFrameAnAd) Replicate() engine.Backend { return b }
+func (b *everyFrameAnAd) Warm(int)                  {}
+func (b *everyFrameAnAd) Close()                    {}
+func (b *everyFrameAnAd) Stats() engine.Stats       { return engine.Stats{} }
+
+func (b *everyFrameAnAd) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64 {
+	time.Sleep(b.latency)
+	b.scored.Add(int64(len(frames)))
+	out = out[:len(frames)]
+	for i := range out {
+		out[i] = 1
+	}
+	return out
+}
+
+// TestRenderFirstBlocksOnlyStoredVerdicts: with RenderFirst, raster blocks
+// a frame only if the server's store held its verdict when the page was
+// submitted, whether the model answers at once (every verdict is ready
+// before raster needs it) or slowly; and Render returns with every
+// submission resolved once, every verdict stored and nothing left running.
+func TestRenderFirstBlocksOnlyStoredVerdicts(t *testing.T) {
+	c, _ := corpusAndList(t, 9, 6)
+	arch := squeezenet.SmallConfig(16)
+	net, err := squeezenet.Build(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := core.New(net, arch, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, latency := range []time.Duration{0, 50 * time.Millisecond} {
+		t.Run(latency.String(), func(t *testing.T) {
+			model := &everyFrameAnAd{latency: latency}
+			srv, err := serve.New(svc, serve.Options{Shards: 2, MaxBatch: 8, Backend: model})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			b, err := New(Config{Profile: Chromium(), Corpus: c, AsyncServe: srv, RenderFirst: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			url := firstPage(c)
+
+			before := runtime.NumGoroutine()
+			first, err := b.Render(url, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Stats.Inspects == 0 || first.Stats.Blocked != 0 {
+				t.Fatalf("first visit: %d frames inspected, %d blocked; want some, none blocked",
+					first.Stats.Inspects, first.Stats.Blocked)
+			}
+			for _, ri := range first.Images {
+				if _, ok := srv.Cache().LookupVerdict(imaging.ContentKey(ri.Spec.Render(0))); !ri.BlockedByList && !ok {
+					t.Fatalf("Render returned before %s's verdict was stored", ri.Spec.URL)
+				}
+			}
+			m := srv.Metrics()
+			if s, r := m.Submitted.Load(), m.CacheHits.Load()+m.Coalesced.Load()+m.Classified.Load()+m.Shed.Load(); s == 0 || s != r {
+				t.Fatalf("%d submissions, %d resolutions", s, r)
+			}
+			if n := svc.Stats().Classified; n != 0 || model.scored.Load() == 0 {
+				t.Fatalf("core classified %d frames, the shards' model %d: the model must run only in the shards",
+					n, model.scored.Load())
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines after the render, %d before", n, before)
+			}
+
+			second, err := b.Render(url, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ri := range second.Images {
+				if !ri.BlockedByList && !ri.BlockedByInspector {
+					t.Errorf("revisit rendered %s, whose ad verdict the first visit stored", ri.Spec.URL)
+				}
+			}
+		})
+	}
+}
+
+// TestAsyncServeConfigValidation: Inspector and AsyncServe are exclusive,
+// and RenderFirst needs AsyncServe.
 func TestAsyncServeConfigValidation(t *testing.T) {
 	c, _ := corpusAndList(t, 10, 2)
 	ci := &countingInspector{corpus: c}
@@ -397,5 +497,8 @@ func TestAsyncServeConfigValidation(t *testing.T) {
 	defer srv.Close()
 	if _, err := New(Config{Profile: Chromium(), Corpus: c, Inspector: ci, AsyncServe: srv}); err == nil {
 		t.Fatal("Inspector+AsyncServe must be rejected")
+	}
+	if _, err := New(Config{Profile: Chromium(), Corpus: c, Inspector: ci, RenderFirst: true}); err == nil {
+		t.Fatal("RenderFirst without AsyncServe must be rejected")
 	}
 }

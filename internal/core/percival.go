@@ -3,14 +3,14 @@
 // decode/raster choke point. It wraps the compressed SqueezeNet fork with
 // the pre-processing the paper describes (§3.3: scale the decoded buffer to
 // the network input, build a tensor, forward pass, clear the buffer on an
-// ad verdict) and provides both deployment modes from §1:
+// ad verdict). Its InspectFrame is the synchronous deployment from §1:
+// classification runs inside the raster task, adding its latency to the
+// rendering critical path (the Fig. 14/15 treatment).
 //
-//   - Synchronous: classification runs inside the raster task, adding its
-//     latency to the rendering critical path (the Fig. 14/15 treatment).
-//   - Asynchronous: the frame renders immediately while classification runs
-//     in the background; verdicts are memoized by content hash, so the ad is
-//     blocked on the next occurrence/visit (§6's "memorize ... and filter it
-//     out on consecutive page visitations").
+// core memoizes nothing and runs nothing in the background. The paper's
+// asynchronous mode — render first, memorize the verdict, block the ad on
+// the next visit (§6) — is the browser rendering through a serve.Server,
+// which owns the verdict store, the bounded queues and the batching.
 package core
 
 import (
@@ -27,34 +27,35 @@ import (
 	"percival/internal/tensor"
 )
 
-// Mode selects how classification interacts with rendering.
+// Mode is the deployment mode; Synchronous is its only value.
+//
+// Deprecated: InspectFrame always classifies in the raster task, and the
+// render-first mode is browser.Config.RenderFirst on a serve.Server. Mode
+// survives only because bench/rig.go sets it (bench/ is frozen with
+// BENCHMARK.json until ROADMAP 1(c)); nothing else may set it.
 type Mode int
 
-// Deployment modes.
-const (
-	// Synchronous classifies in the raster task (blocks rendering).
-	Synchronous Mode = iota
-	// Asynchronous renders first, classifies in the background, and blocks
-	// memoized ads on later sightings.
-	Asynchronous
-)
+// Synchronous classifies in the raster task (blocks rendering).
+//
+// Deprecated: see Mode.
+const Synchronous Mode = 0
 
 // Options configures a PERCIVAL instance.
 type Options struct {
 	// Threshold is the ad-probability above which a frame is blocked.
 	// 0.5 reproduces argmax; raising it trades recall for precision.
 	Threshold float64
-	// Mode selects synchronous or asynchronous deployment.
+	// Mode does nothing.
+	//
+	// Deprecated: kept only for bench/rig.go (see the Mode type).
 	Mode Mode
-	// CacheSize bounds the memoization cache (entries). 0 uses the default,
-	// 4096; a negative size is an error (DisableCache turns the cache off).
-	CacheSize int
 	// MinFrameEdge skips classification of tiny images (spacer gifs,
 	// 1-px tracking pixels) that cannot be ads; 0 uses a default of 20.
 	MinFrameEdge int
-	// DisableCache turns memoization off, forcing a model run on every
-	// sighting. Used by the performance evaluation, which measures the
-	// paper's synchronous classify-every-image treatment.
+	// DisableCache does nothing: core keeps no verdict store, serve does.
+	//
+	// Deprecated: kept only for bench/rig.go (bench/ is frozen with
+	// BENCHMARK.json until ROADMAP 1(c)); nothing else may set it.
 	DisableCache bool
 	// Quantized requests the INT8 inference engine. The model is quantized
 	// at load time, calibrated on CalibFrames, and gated by an
@@ -90,26 +91,17 @@ type Percival struct {
 	// quantization was requested (whether or not the gate passed).
 	parityAgreement float64
 
-	// cache memoizes InspectFrame's scores by content key; nil (a store
-	// that holds nothing) with DisableCache.
-	cache *engine.VerdictMap
-
 	// single recycles the one-frame scratch (frames+scores slices) Classify
 	// wraps around the batched backend entry point, keeping the single-frame
 	// path zero-alloc; the warm per-goroutine inference state itself lives
 	// inside each engine.Backend.
 	single sync.Pool
 
-	// async bookkeeping
-	pending sync.WaitGroup
-
 	// stats
 	classified  atomic.Int64
 	blocked     atomic.Int64
-	cacheHits   atomic.Int64
 	totalNanos  atomic.Int64
 	inPathNanos atomic.Int64
-	inPathFwd   atomic.Int64
 }
 
 // New builds a PERCIVAL service around a trained network.
@@ -123,9 +115,6 @@ func New(net *nn.Sequential, cfg squeezenet.Config, opts Options) (*Percival, er
 	if opts.Threshold < 0 || opts.Threshold >= 1 {
 		return nil, fmt.Errorf("core: threshold %v out of range (0,1)", opts.Threshold)
 	}
-	if opts.CacheSize < 0 {
-		return nil, fmt.Errorf("core: CacheSize %d < 0", opts.CacheSize)
-	}
 	if opts.MinFrameEdge == 0 {
 		opts.MinFrameEdge = 20
 	}
@@ -134,9 +123,6 @@ func New(net *nn.Sequential, cfg squeezenet.Config, opts Options) (*Percival, er
 		cfg:      cfg,
 		opts:     opts,
 		backends: engine.NewRegistry(),
-	}
-	if !opts.DisableCache {
-		p.cache = engine.NewVerdictMap(opts.CacheSize)
 	}
 	if err := p.backends.Register(engine.FP32Name, engine.NewFP32(net, cfg.InputRes)); err != nil {
 		return nil, err
@@ -334,94 +320,41 @@ func (p *Percival) IsAdBatch(frames []*imaging.Bitmap) []bool {
 }
 
 // InspectFrame implements raster.FrameInspector — PERCIVAL's attachment
-// point in the rendering pipeline. Behaviour depends on the mode:
-//
-// Synchronous: classify now; return the verdict (blocking the frame before
-// it is drawn).
-//
-// Asynchronous: consult the memoization cache; on a hit return the cached
-// verdict instantly, otherwise let the frame render and classify in the
-// background so the verdict is available for the next sighting.
-//
-// The cache keeps the model's score, not the verdict, so a hit is decided
-// by the same threshold on the same bits as a fresh classification.
+// point in the rendering pipeline: frames too small to be ads pass, every
+// other frame is classified now and blocked (before it is drawn) when its
+// score reaches the threshold. Every sighting runs the model; memoizing
+// verdicts across sightings is serve's job.
 func (p *Percival) InspectFrame(src string, frame *imaging.Bitmap) bool {
 	start := time.Now()
 	defer func() { p.inPathNanos.Add(time.Since(start).Nanoseconds()) }()
 	if frame.W < p.opts.MinFrameEdge || frame.H < p.opts.MinFrameEdge {
 		return false
 	}
-	if p.opts.DisableCache {
-		p.inPathFwd.Add(1)
-		return p.verdict(p.Classify(frame))
-	}
-	key := imaging.ContentKey(frame)
-	if score, ok := p.cache.LookupVerdict(key); ok {
-		p.cacheHits.Add(1)
-		return p.verdict(score)
-	}
-	switch p.opts.Mode {
-	case Synchronous:
-		p.inPathFwd.Add(1)
-		score := p.Classify(frame)
-		p.cache.StoreVerdict(key, score)
-		return p.verdict(score)
-	default: // Asynchronous
-		snapshot := frame.Clone() // the raster task may clear/draw the buffer
-		p.pending.Add(1)
-		go func() {
-			defer p.pending.Done()
-			p.cache.StoreVerdict(key, p.Classify(snapshot))
-		}()
-		return false
-	}
-}
-
-// verdict applies the threshold to an InspectFrame score and counts a block.
-func (p *Percival) verdict(score float64) bool {
-	ad := score >= p.opts.Threshold
+	ad := p.Classify(frame) >= p.opts.Threshold
 	if ad {
 		p.blocked.Add(1)
 	}
 	return ad
 }
 
-// Cache returns the store InspectFrame memoizes scores in, nil with
-// DisableCache.
-func (p *Percival) Cache() *engine.VerdictMap { return p.cache }
-
-// Drain waits for in-flight asynchronous classifications; after Drain, all
-// verdicts are memoized. (In the browser this corresponds to idle time
-// between page visits.)
-func (p *Percival) Drain() { p.pending.Wait() }
-
 // Stats reports service counters.
 type Stats struct {
 	Classified int64
 	Blocked    int64
-	CacheHits  int64
 	// AvgClassifyMS is the mean model latency per classified frame.
 	AvgClassifyMS float64
 	// InPathMS is the cumulative time spent inside InspectFrame — the
-	// rendering critical path. In asynchronous mode this excludes background
-	// classification, which is the mode's whole point.
+	// rendering critical path.
 	InPathMS float64
-	// InPathForwards counts the model forward passes InspectFrame ran before
-	// it returned: one per cache miss in synchronous mode, none in
-	// asynchronous mode — the structural fact behind InPathMS, which a test
-	// can assert where wall-clock sums are at the scheduler's mercy.
-	InPathForwards int64
 }
 
 // Stats returns a snapshot of the service counters.
 func (p *Percival) Stats() Stats {
 	n := p.classified.Load()
 	s := Stats{
-		Classified:     n,
-		Blocked:        p.blocked.Load(),
-		CacheHits:      p.cacheHits.Load(),
-		InPathMS:       float64(p.inPathNanos.Load()) / 1e6,
-		InPathForwards: p.inPathFwd.Load(),
+		Classified: n,
+		Blocked:    p.blocked.Load(),
+		InPathMS:   float64(p.inPathNanos.Load()) / 1e6,
 	}
 	if n > 0 {
 		s.AvgClassifyMS = float64(p.totalNanos.Load()) / float64(n) / 1e6

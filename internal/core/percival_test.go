@@ -1,12 +1,9 @@
 package core
 
 import (
-	"image/color"
-	"math"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"percival/internal/dataset"
@@ -86,44 +83,24 @@ func TestClassifyBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-func TestSynchronousInspectBlocksAndMemoizes(t *testing.T) {
-	p := testService(t, Options{Mode: Synchronous})
+// TestSynchronousInspectClassifiesEverySighting: InspectFrame is classify
+// and threshold — the same pixels get the same verdict under any URL, and
+// each sighting runs the model (serve, not core, memoizes).
+func TestSynchronousInspectClassifiesEverySighting(t *testing.T) {
+	p := testService(t, Options{})
 	frame := adLike(t)
 	verdict1 := p.InspectFrame("http://x/a.png", frame.Clone())
-	hits0 := p.Stats().CacheHits
 	verdict2 := p.InspectFrame("http://y/b.png", frame.Clone()) // same pixels, new URL
-	if verdict1 != verdict2 {
-		t.Fatal("same content must get same verdict")
+	if verdict1 != verdict2 || verdict1 != p.IsAd(frame) {
+		t.Fatal("same content must get the classifier's verdict")
 	}
-	if p.Stats().CacheHits != hits0+1 {
-		t.Fatal("second sighting should hit the content-hash cache")
-	}
-	if p.Stats().Classified != 1 {
-		t.Fatalf("classified %d, want 1 (memoized)", p.Stats().Classified)
-	}
-}
-
-func TestAsynchronousModeRendersFirstBlocksLater(t *testing.T) {
-	p := testService(t, Options{Mode: Asynchronous})
-	frame := adLike(t)
-	// first sighting always renders (returns false) in async mode
-	if p.InspectFrame("http://x/a.png", frame.Clone()) {
-		t.Fatal("async first sighting must not block")
-	}
-	p.Drain()
-	// second sighting uses the memoized verdict, whatever it is
-	verdict := p.InspectFrame("http://x/a.png", frame.Clone())
-	want := p.Classify(frame) >= p.Threshold()
-	if verdict != want {
-		t.Fatalf("memoized verdict %v, classifier says %v", verdict, want)
-	}
-	if p.Stats().CacheHits != 1 {
-		t.Fatalf("cache hits %d", p.Stats().CacheHits)
+	if s := p.Stats(); s.Classified != 3 {
+		t.Fatalf("classified %d, want 3 (one model run per sighting)", s.Classified)
 	}
 }
 
 func TestTinyFramesSkipped(t *testing.T) {
-	p := testService(t, Options{Mode: Synchronous})
+	p := testService(t, Options{})
 	pixel := imaging.NewBitmap(1, 1)
 	if p.InspectFrame("http://t/pixel.gif", pixel) {
 		t.Fatal("tracking pixel blocked")
@@ -134,66 +111,36 @@ func TestTinyFramesSkipped(t *testing.T) {
 }
 
 func TestInspectFrameConcurrentSafety(t *testing.T) {
-	p := testService(t, Options{Mode: Synchronous})
+	p := testService(t, Options{})
 	g := synth.NewGenerator(5, synth.CrawlStyle())
 	frames := make([]*imaging.Bitmap, 8)
+	want := make([]bool, len(frames))
 	for i := range frames {
 		frames[i], _ = g.Sample()
+		want[i] = p.IsAd(frames[i])
 	}
+	serial := p.Stats()
 	var wg sync.WaitGroup
+	var wrong atomic.Int64
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				p.InspectFrame("src", frames[(w+i)%len(frames)].Clone())
+				j := (w + i) % len(frames)
+				if p.InspectFrame("src", frames[j].Clone()) != want[j] {
+					wrong.Add(1)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Concurrent first sightings of the same content may classify more than
-	// once (the raster layer, not core, provides per-resource singleflight),
-	// but once the cache is warm no further model work happens.
-	warm := p.Stats().Classified
-	if warm > 80 {
-		t.Fatalf("classified %d of 80 inspections — memoization ineffective", warm)
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d of 80 concurrent inspections disagree with the serial verdict", n)
 	}
-	for _, f := range frames {
-		p.InspectFrame("src", f.Clone())
-	}
-	if p.Stats().Classified != warm {
-		t.Fatal("warm cache should serve all repeat sightings")
-	}
-}
-
-// TestVerdictCacheEviction: InspectFrame's memo is bounded by CacheSize,
-// evicts the oldest creative first, and keeps the model's score, so a hit
-// is the bits a fresh classification would produce.
-func TestVerdictCacheEviction(t *testing.T) {
-	p := testService(t, Options{Mode: Synchronous, CacheSize: 3})
-	frames := synth.SampleFrames(43, 5)
-	for _, f := range frames {
-		p.InspectFrame("src", f)
-	}
-	if n := p.Cache().Len(); n != 3 {
-		t.Fatalf("memo holds %d scores, want 3 (bounded)", n)
-	}
-	// oldest (0, 1) evicted; 2, 3, 4 remain
-	if _, ok := p.Cache().LookupVerdict(imaging.ContentKey(frames[0])); ok {
-		t.Fatal("frame 0 should be evicted")
-	}
-	got, ok := p.Cache().LookupVerdict(imaging.ContentKey(frames[4]))
-	if want := p.Classify(frames[4]); !ok || math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("frame 4 memoized (%v, %v), model scores %v", got, ok, want)
-	}
-	classified, hits := p.Stats().Classified, p.Stats().CacheHits
-	p.InspectFrame("src", frames[4])
-	if s := p.Stats(); s.Classified != classified || s.CacheHits != hits+1 {
-		t.Fatalf("memoized frame re-ran the model (%+v)", s)
-	}
-	p.InspectFrame("src", frames[0])
-	if s := p.Stats(); s.Classified != classified+1 {
-		t.Fatalf("evicted frame did not re-run the model (%+v)", s)
+	// every inspection is one model run; none is lost or doubled
+	if s := p.Stats(); s.Classified-serial.Classified != 80 {
+		t.Fatalf("classified %d frames for 80 inspections", s.Classified-serial.Classified)
 	}
 }
 
@@ -232,7 +179,7 @@ func TestTrainedServiceSeparatesClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(net, arch, Options{Mode: Synchronous})
+	p, err := New(net, arch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,16 +193,6 @@ func TestTrainedServiceSeparatesClasses(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(total); acc < 0.8 {
 		t.Fatalf("trained service accuracy %v < 0.8", acc)
-	}
-}
-
-func TestBlockedFrameClearedByRaster(t *testing.T) {
-	// document the §3.3 contract: core flags, raster clears
-	b := imaging.NewBitmap(4, 4)
-	b.Fill(color.RGBA{1, 2, 3, 255})
-	b.Clear()
-	if !b.IsCleared() {
-		t.Fatal("clear failed")
 	}
 }
 
@@ -327,75 +264,11 @@ func TestClassifyBatchChunking(t *testing.T) {
 	}
 }
 
-// TestVerdictCacheZeroAndNegativeCapacity pins the one capacity rule: a
-// CacheSize of 0 is the default store, a negative one is refused by New with
-// an error that names it, and DisableCache is the off switch — no store,
-// every sighting runs the model.
-func TestVerdictCacheZeroAndNegativeCapacity(t *testing.T) {
-	cfg := squeezenet.SmallConfig(16)
-	net, err := squeezenet.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{-1, -4096} {
-		_, err := New(net, cfg, Options{CacheSize: size})
-		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(size)) {
-			t.Fatalf("CacheSize %d: New returned %v, want an error naming the size", size, err)
-		}
-	}
-	f := adLike(t)
-	p := testService(t, Options{Mode: Synchronous})
-	p.InspectFrame("src", f)
-	p.InspectFrame("src", f)
-	if s := p.Stats(); s.Classified != 1 || s.CacheHits != 1 || p.Cache().Len() != 1 {
-		t.Fatalf("default cache: %+v, %d memoized; want 1 model run and 1 hit", s, p.Cache().Len())
-	}
-	off := testService(t, Options{Mode: Synchronous, DisableCache: true})
-	off.InspectFrame("src", f)
-	off.InspectFrame("src", f)
-	if s := off.Stats(); s.Classified != 2 || s.CacheHits != 0 || off.Cache() != nil {
-		t.Fatalf("DisableCache: %+v, store %v; want 2 model runs, no hit, no store", s, off.Cache())
-	}
-}
-
-// TestVerdictCacheFIFOOrderDeterministic drives the memo's ring through
-// several wrap-arounds and checks that eviction is exactly insertion-ordered:
-// after inspecting frames 0..n-1 with a capacity of c, precisely the last c
-// are memoized, each under its model score, for every prefix length.
-func TestVerdictCacheFIFOOrderDeterministic(t *testing.T) {
-	const capacity = 4
-	p := testService(t, Options{Mode: Synchronous, CacheSize: capacity})
-	frames := synth.SampleFrames(47, 3*capacity+1)
-	want := make([]float64, len(frames))
-	for i, f := range frames {
-		want[i] = p.Classify(f)
-	}
-	for i, f := range frames {
-		p.InspectFrame("src", f)
-		oldest := max(i+1-capacity, 0)
-		for j := 0; j <= i; j++ {
-			v, ok := p.Cache().LookupVerdict(imaging.ContentKey(frames[j]))
-			if j < oldest {
-				if ok {
-					t.Fatalf("after %d inspections: frame %d should be FIFO-evicted", i+1, j)
-				}
-				continue
-			}
-			if !ok {
-				t.Fatalf("after %d inspections: frame %d missing (oldest live %d)", i+1, j, oldest)
-			}
-			if math.Float64bits(v) != math.Float64bits(want[j]) {
-				t.Fatalf("frame %d memoized %v, model scores %v", j, v, want[j])
-			}
-		}
-	}
-}
-
 // TestClassifyBatchIntoReusesCallerSlice checks the zero-alloc batched entry
 // point used by the serve dispatch workers: scores land in the provided
 // slice and match ClassifyBatch.
 func TestClassifyBatchIntoReusesCallerSlice(t *testing.T) {
-	p := testService(t, Options{DisableCache: true})
+	p := testService(t, Options{})
 	g := synth.NewGenerator(41, synth.CrawlStyle())
 	frames := make([]*imaging.Bitmap, 5)
 	for i := range frames {

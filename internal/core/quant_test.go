@@ -134,7 +134,7 @@ func TestQuantizedZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	p := testService(t, Options{Quantized: true, CalibFrames: calibFrames(16), DisableCache: true})
+	p := testService(t, Options{Quantized: true, CalibFrames: calibFrames(16)})
 	if !p.QuantizedActive() {
 		t.Skipf("parity gate kept FP32 (agreement %.3f)", p.ParityAgreement())
 	}

@@ -14,8 +14,8 @@ const defaultVerdicts = 4096
 
 // VerdictMap is the verdict store: a bounded map from imaging.ContentKey to
 // the model's score, evicting the oldest insertion first (creatives repeat
-// within short windows, so true LRU order buys nothing). core's InspectFrame
-// memo, serve's cache and a wire peer's probe answers all live in one.
+// within short windows, so true LRU order buys nothing). serve's cache and a
+// wire peer's probe answers live in one.
 //
 // The map is split into lock domains by key so concurrent submitters do not
 // queue on one mutex; FIFO order holds within a domain. A nil *VerdictMap is

@@ -16,7 +16,6 @@ import (
 
 	"percival/internal/core"
 	"percival/internal/dataset"
-	"percival/internal/metrics"
 	"percival/internal/nn"
 	"percival/internal/squeezenet"
 	"percival/internal/synth"
@@ -94,21 +93,12 @@ func (h *Harness) Model() (*nn.Sequential, error) {
 	return h.model, h.err
 }
 
-// Service wraps the shared model in a PERCIVAL classifier service.
-func (h *Harness) Service(mode core.Mode) (*core.Percival, error) {
+// Service wraps the shared model in a PERCIVAL classifier service: the
+// paper's classify-every-image inspector.
+func (h *Harness) Service() (*core.Percival, error) {
 	net, err := h.Model()
 	if err != nil {
 		return nil, err
 	}
-	return core.New(net, h.arch, core.Options{Mode: mode})
-}
-
-// evaluateStyle classifies a generated dataset and returns its confusion.
-func (h *Harness) evaluateStyle(style synth.Style, nAds, nNonAds int) (metrics.Confusion, error) {
-	net, err := h.Model()
-	if err != nil {
-		return metrics.Confusion{}, err
-	}
-	d := dataset.GenerateUnbalanced(h.Seed+int64(len(style.Name))*31, style, nAds, nNonAds)
-	return dataset.Evaluate(net, h.Res, 0.5, d), nil
+	return core.New(net, h.arch, core.Options{})
 }

@@ -130,7 +130,7 @@ type Fig8Report struct {
 // Fig8 trains on the crawl distribution (the shared model) and tests on the
 // shifted external distribution.
 func (h *Harness) Fig8() (*Fig8Report, error) {
-	svc, err := h.Service(0)
+	svc, err := h.Service()
 	if err != nil {
 		return nil, err
 	}

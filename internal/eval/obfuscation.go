@@ -24,7 +24,7 @@ type ObfuscationReport struct {
 
 // Obfuscation runs both blockers over clean pages and overlay-attack pages.
 func (h *Harness) Obfuscation() (*ObfuscationReport, error) {
-	svc, err := h.Service(core.Synchronous)
+	svc, err := h.Service()
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"percival/internal/core"
 	"percival/internal/easylist"
 	"percival/internal/metrics"
+	"percival/internal/serve"
 	"percival/internal/webgen"
 )
 
@@ -59,16 +60,6 @@ func (h *Harness) Fig14() (*Fig14Report, error) {
 		pages = append(pages, s.PageURLs[0]) // landing pages, like the paper
 	}
 
-	// classify-every-image treatment: memoization off so repeats measure the
-	// model's true in-path cost
-	mkInspector := func() (*core.Percival, error) {
-		net, err := h.Model()
-		if err != nil {
-			return nil, err
-		}
-		return core.New(net, h.arch, core.Options{Mode: core.Synchronous, DisableCache: true})
-	}
-
 	conditions := []struct {
 		name    string
 		profile browser.Profile
@@ -83,7 +74,8 @@ func (h *Harness) Fig14() (*Fig14Report, error) {
 	for _, cond := range conditions {
 		cfg := browser.Config{Profile: cond.profile, Corpus: corpus}
 		if cond.insp {
-			svc, err := mkInspector()
+			// classify-every-image: repeats measure the model's in-path cost
+			svc, err := h.Service()
 			if err != nil {
 				return nil, err
 			}
@@ -138,16 +130,6 @@ func (r *Fig14Report) Table() string {
 	return t.String()
 }
 
-// CDF exposes one condition's distribution for plotting.
-func (r *Fig14Report) CDF(name string, points int) []metrics.CDFPoint {
-	for _, c := range r.Conditions {
-		if c.Name == name {
-			return c.Latencies.CDF(points)
-		}
-	}
-	return nil
-}
-
 // Fig15 derives the overhead table from a Fig. 14 report.
 func (h *Harness) Fig15(f14 *Fig14Report) (*Fig15Report, error) {
 	med := map[string]float64{}
@@ -184,25 +166,34 @@ func (r *Fig15Report) Table() string {
 }
 
 // AsyncReport contrasts the two deployment modes (§1): synchronous blocking
-// in the critical path versus asynchronous classification with memoization.
-// The decisive metric is in-path inspector time: asynchronous mode moves the
-// model's work off the rendering critical path (the same CPU is burned, but
-// in the background).
+// in the critical path versus render-first on the serving stack, which
+// memoizes verdicts for the next visit. The decisive fact is where the model
+// runs: inside InspectFrame for every synchronous sighting, never on the
+// rendering path in render-first mode (the same CPU is burned, but in
+// serve's shard loops).
 type AsyncReport struct {
-	SyncInPathMS    float64    // cumulative InspectFrame time, sync mode
-	AsyncInPathMS   float64    // cumulative InspectFrame time, async mode
-	SyncStats       core.Stats // sync service after its pass
-	AsyncStats      core.Stats // async service after its first visits drained
-	SyncMedianMS    float64    // median per-page compute, sync
-	AsyncMedianMS   float64    // median per-page compute, async
-	FirstVisitAds   int        // ads that rendered during async first visits
-	SecondVisitAds  int        // static ads still rendering on revisit
+	SyncStats      core.Stats // synchronous service after its pass
+	AsyncStats     core.Stats // core under the server after both render-first visits
+	Serve          ServeCounts
+	SyncMedianMS   float64 // median per-page compute, synchronous
+	AsyncMedianMS  float64 // median per-page compute, render-first first visit
+	SyncAds        int     // ads that rendered (were not blocked) synchronously
+	FirstVisitAds  int     // ads that rendered during render-first first visits
+	SecondVisitAds int     // static ads still rendering on revisit
+	// CacheHitsSecond counts the revisit's verdicts served from the store.
 	CacheHitsSecond int64
 }
 
-// AsyncMemoization renders a page set twice under each mode: asynchronous
-// mode must be cheaper in-path, and after the first visit its memoized
-// verdicts must block on the revisit.
+// ServeCounts are the server's resolution counters after the render-first
+// visits: every submission resolves exactly one way.
+type ServeCounts struct {
+	Submitted, CacheHits, Coalesced, Classified, Shed int64
+}
+
+// AsyncMemoization renders a page set synchronously, then twice render-first
+// through a serve.Server: render-first must keep the model off the
+// rendering path, and the verdicts the first visit stored must block on the
+// revisit.
 func (h *Harness) AsyncMemoization() (*AsyncReport, error) {
 	corpus := webgen.NewCorpus(h.Seed+150, h.n(15))
 	var pages []string
@@ -211,8 +202,7 @@ func (h *Harness) AsyncMemoization() (*AsyncReport, error) {
 	}
 	rep := &AsyncReport{}
 
-	// synchronous pass
-	syncSvc, err := h.Service(core.Synchronous)
+	syncSvc, err := h.Service()
 	if err != nil {
 		return nil, err
 	}
@@ -224,17 +214,25 @@ func (h *Harness) AsyncMemoization() (*AsyncReport, error) {
 			return nil, err
 		}
 		syncLat.Add(res.ComputeMS)
+		rep.SyncAds += adsShown(res, false)
 	}
 	rep.SyncMedianMS = syncLat.Median()
 	rep.SyncStats = syncSvc.Stats()
-	rep.SyncInPathMS = rep.SyncStats.InPathMS
 
-	// asynchronous first visit
-	asyncSvc, err := h.Service(core.Asynchronous)
+	// the server's store persists across visits, like a profile would
+	asyncSvc, err := h.Service()
 	if err != nil {
 		return nil, err
 	}
-	bAsync, _ := browser.New(browser.Config{Profile: browser.Chromium(), Corpus: corpus, Inspector: asyncSvc})
+	srv, err := serve.New(asyncSvc, serve.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
+	bAsync, err := browser.New(browser.Config{Profile: browser.Chromium(), Corpus: corpus, AsyncServe: srv, RenderFirst: true})
+	if err != nil {
+		return nil, err
+	}
 	asyncLat := &metrics.Latencies{}
 	for _, u := range pages {
 		res, err := bAsync.Render(u, 0)
@@ -242,41 +240,44 @@ func (h *Harness) AsyncMemoization() (*AsyncReport, error) {
 			return nil, err
 		}
 		asyncLat.Add(res.ComputeMS)
-		for _, ri := range res.Images {
-			if ri.Spec.IsAd && !ri.BlockedByInspector {
-				rep.FirstVisitAds++
-			}
-		}
+		rep.FirstVisitAds += adsShown(res, false)
 	}
 	rep.AsyncMedianMS = asyncLat.Median()
-	rep.AsyncInPathMS = asyncSvc.Stats().InPathMS
-	asyncSvc.Drain() // browser idle: background classification completes
-	rep.AsyncStats = asyncSvc.Stats()
 
-	// revisit: memoized verdicts now block (fresh browser = fresh raster
-	// caches; the service cache persists like a profile would)
-	hitsBefore := asyncSvc.Stats().CacheHits
-	bAsync2, _ := browser.New(browser.Config{Profile: browser.Chromium(), Corpus: corpus, Inspector: asyncSvc})
+	m := srv.Metrics()
+	hitsBefore := m.CacheHits.Load()
 	for _, u := range pages {
-		res, err := bAsync2.Render(u, 0)
+		res, err := bAsync.Render(u, 0)
 		if err != nil {
 			return nil, err
 		}
-		for _, ri := range res.Images {
-			if ri.Spec.IsAd && !ri.BlockedByInspector && ri.Spec.RefreshMS == 0 {
-				rep.SecondVisitAds++
-			}
-		}
+		rep.SecondVisitAds += adsShown(res, true)
 	}
-	rep.CacheHitsSecond = asyncSvc.Stats().CacheHits - hitsBefore
+	rep.CacheHitsSecond = m.CacheHits.Load() - hitsBefore
+	rep.AsyncStats = asyncSvc.Stats()
+	rep.Serve = ServeCounts{m.Submitted.Load(), m.CacheHits.Load(), m.Coalesced.Load(), m.Classified.Load(), m.Shed.Load()}
 	return rep, nil
 }
 
-// Table renders the async-mode comparison.
+// adsShown counts the ads a render drew, only the static ones (no rotation)
+// if static is set.
+func adsShown(res *browser.RenderResult, static bool) int {
+	n := 0
+	for _, ri := range res.Images {
+		if ri.Spec.IsAd && !ri.BlockedByInspector && (!static || ri.Spec.RefreshMS == 0) {
+			n++
+		}
+	}
+	return n
+}
+
+// Table renders the deployment-mode comparison.
 func (r *AsyncReport) Table() string {
-	t := metrics.Table{Header: []string{"Mode", "In-path inspector (ms)", "Median page compute (ms)", "Ads shown (1st visit)", "Static ads shown (revisit)"}}
-	t.AddRow("synchronous", fmt.Sprintf("%.2f", r.SyncInPathMS), fmt.Sprintf("%.2f", r.SyncMedianMS), "0", "0")
-	t.AddRow("asynchronous", fmt.Sprintf("%.2f", r.AsyncInPathMS), fmt.Sprintf("%.2f", r.AsyncMedianMS),
+	t := metrics.Table{Header: []string{"Mode", "In-path model runs", "Median page compute (ms)", "Ads shown (1st visit)", "Static ads shown (revisit)"}}
+	t.AddRow("synchronous", fmt.Sprintf("%d", r.SyncStats.Classified), fmt.Sprintf("%.2f", r.SyncMedianMS),
+		fmt.Sprintf("%d", r.SyncAds), "-")
+	t.AddRow("render-first", fmt.Sprintf("%d", r.AsyncStats.Classified), fmt.Sprintf("%.2f", r.AsyncMedianMS),
 		fmt.Sprintf("%d", r.FirstVisitAds), fmt.Sprintf("%d", r.SecondVisitAds))
-	return t.String() + fmt.Sprintf("revisit cache hits: %d\n", r.CacheHitsSecond)
+	return t.String() + fmt.Sprintf("synchronous in-path inspector time: %.2f ms; revisit cache hits: %d\n",
+		r.SyncStats.InPathMS, r.CacheHitsSecond)
 }

@@ -36,7 +36,7 @@ func (h *Harness) Quant() (*QuantReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp32, err := core.New(net, h.arch, core.Options{Mode: core.Synchronous, DisableCache: true})
+	fp32, err := core.New(net, h.arch, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -45,10 +45,7 @@ func (h *Harness) Quant() (*QuantReport, error) {
 	for i := range calib {
 		calib[i], _ = g.Sample()
 	}
-	int8svc, err := core.New(net, h.arch, core.Options{
-		Mode: core.Synchronous, DisableCache: true,
-		Quantized: true, CalibFrames: calib,
-	})
+	int8svc, err := core.New(net, h.arch, core.Options{Quantized: true, CalibFrames: calib})
 	if err != nil {
 		return nil, err
 	}

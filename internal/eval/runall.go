@@ -50,7 +50,7 @@ var titles = map[string]string{
 	ExpFig14: "Fig. 14 — render-time distributions",
 	ExpFig15: "Fig. 15 — render-time overhead",
 	ExpCrawl: "§4.4 — crawler methodology comparison",
-	ExpAsync: "§1/§6 — async classification with memoization",
+	ExpAsync: "§1/§6 — synchronous vs render-first (memoized) classification",
 	ExpAdv:   "§6/§7 — adversarial (FGSM) exposure probe",
 	ExpObf:   "§2.2/§7 — overlay-mask obfuscation vs element-based blocking",
 	ExpQuant: "INT8 — quantized engine vs FP32 (accuracy delta, latency)",

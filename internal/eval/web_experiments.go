@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"percival/internal/core"
 	"percival/internal/crawler"
 	"percival/internal/dataset"
 	"percival/internal/dom"
@@ -201,7 +200,7 @@ type Fig10Report struct {
 // Fig10 browses simulated Facebook sessions (the paper browsed for 35 days)
 // and classifies every feed unit's creative.
 func (h *Harness) Fig10() (*Fig10Report, error) {
-	svc, err := h.Service(core.Synchronous)
+	svc, err := h.Service()
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +249,7 @@ type Fig13Report struct{ Rows []QueryResult }
 
 // Fig13 classifies the top-100 image results for each Fig. 13 query.
 func (h *Harness) Fig13() (*Fig13Report, error) {
-	svc, err := h.Service(core.Synchronous)
+	svc, err := h.Service()
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // ContentKey is the frame's identity, the one key every verdict cache in the
-// tree uses (core's memo cache, the serving layer, the remote-dispatch wire):
+// tree uses (the serving layer's cache, the remote-dispatch wire):
 // SHA-256 of the pixel buffer with the dimensions XOR-folded into the leading
 // bytes, so two buffers of equal byte-length but different shapes cannot
 // collide. Computed with sha256.Sum256 (stack-allocated state), so keying a

@@ -47,7 +47,7 @@ func pixelKey(b *imaging.Bitmap) string {
 func TestGoldenSurfaces(t *testing.T) {
 	net, arch := trainedModel(t)
 	corpus := webgen.NewCorpus(goldenSeed, goldenSites)
-	inspector, err := core.New(net, arch, core.Options{Mode: core.Synchronous})
+	inspector, err := core.New(net, arch, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

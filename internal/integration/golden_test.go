@@ -122,7 +122,7 @@ func TestGoldenRenderBlockedSets(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 
-	fp32, err := core.New(net, arch, core.Options{Mode: core.Synchronous})
+	fp32, err := core.New(net, arch, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,6 @@ func TestGoldenRenderBlockedSets(t *testing.T) {
 	// INT8 parity leg: the quantized engine, gated on the same model, must
 	// reproduce the FP32 verdict set exactly on this corpus.
 	int8svc, err := core.New(net, arch, core.Options{
-		Mode:      core.Synchronous,
 		Quantized: true,
 		// activation floor only — verdict-set identity is asserted below,
 		// which is strictly stronger than any agreement fraction

@@ -7,6 +7,39 @@ import (
 	"testing/quick"
 )
 
+// Mean returns the arithmetic mean.
+func (l *Latencies) Mean() float64 {
+	if len(l.samples) == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range l.samples {
+		s += v
+	}
+	return s / float64(len(l.samples))
+}
+
+// CDFPoint is one point of an empirical CDF.
+type CDFPoint struct {
+	ValueMS float64
+	Frac    float64
+}
+
+// CDF returns the empirical distribution sampled at n evenly spaced
+// fractions, the form plotted in Fig. 14.
+func (l *Latencies) CDF(n int) []CDFPoint {
+	if len(l.samples) == 0 || n < 2 {
+		return nil
+	}
+	l.ensureSorted()
+	out := make([]CDFPoint, n)
+	for i := 0; i < n; i++ {
+		f := float64(i) / float64(n-1)
+		out[i] = CDFPoint{ValueMS: l.Percentile(f * 100), Frac: f}
+	}
+	return out
+}
+
 func TestConfusionCounts(t *testing.T) {
 	var c Confusion
 	c.Add(true, true)   // TP

@@ -571,11 +571,21 @@ func (f *Future) resolve() {
 	f.r = nil
 }
 
+// Immediate reads the verdict without blocking: it is there if SubmitAsync
+// resolved it on submission (a cache hit, or a shed at the door), and false
+// if the frame went to a shard, however soon its batch resolves.
+func (f *Future) Immediate() (Result, bool) {
+	if f.s != nil {
+		return Result{}, false
+	}
+	return f.res, true
+}
+
 // SubmitAsync starts a classification and returns a Future, letting the
 // caller overlap other work (rasterization) with the in-flight batch. As
 // with Submit the frame is immutable until the result resolves — here, until
 // Wait returns: a caller that goes on drawing into the buffer submits a
-// Clone (the browser's async path and core.InspectFrame do).
+// Clone. The browser submits bitmaps that nothing draws into afterwards.
 func (s *Server) SubmitAsync(frame *imaging.Bitmap) *Future {
 	res, done, r := s.begin(frame)
 	if done {

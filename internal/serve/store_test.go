@@ -14,20 +14,19 @@ import (
 )
 
 // TestVerdictTiersBitIdentical: one frame read back from every tier that
-// memoizes its score — core's InspectFrame memo, serve's cache on a repeat
-// Submit, a wire peer answering the probe from that same store, and a store
-// restored from its snapshot — is the model's Classify score bit for bit,
-// on both engines.
+// memoizes its score — serve's cache on a repeat Submit, a wire peer
+// answering the probe from that same store, and a store restored from its
+// snapshot — is the model's Classify score bit for bit, on both engines.
 func TestVerdictTiersBitIdentical(t *testing.T) {
 	frames := synth.SampleFrames(103, 6)
 	for _, tc := range []struct {
 		name string
 		opts core.Options
 	}{
-		{"fp32", core.Options{Mode: core.Synchronous}},
+		{"fp32", core.Options{}},
 		// any agreement passes the gate: the test wants the INT8 engine
 		// serving, not the gate's verdict on an untrained net
-		{"int8", core.Options{Mode: core.Synchronous, Quantized: true, CalibFrames: frames, ParityMinAgreement: -1}},
+		{"int8", core.Options{Quantized: true, CalibFrames: frames, ParityMinAgreement: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			svc := testCore(t, tc.opts)
@@ -44,16 +43,6 @@ func TestVerdictTiersBitIdentical(t *testing.T) {
 					t.Fatalf("%s: frame %d reads (%v, %v), Classify scores %v",
 						tier, i, score, ok, math.Float64frombits(want[i]))
 				}
-			}
-
-			for i, f := range frames {
-				svc.InspectFrame("src", f) // scores and memoizes
-				svc.InspectFrame("src", f) // a memo hit
-				v, ok := svc.Cache().LookupVerdict(imaging.ContentKey(f))
-				check("core memo", i, v, ok)
-			}
-			if hits := svc.Stats().CacheHits; hits != int64(len(frames)) {
-				t.Fatalf("core memo: %d hits for %d repeats", hits, len(frames))
 			}
 
 			s, err := New(svc, Options{MaxBatch: 4})

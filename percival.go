@@ -34,19 +34,11 @@ import (
 // parallel raster workers.
 type Classifier = core.Percival
 
-// Options configures a Classifier (decision threshold, sync/async mode,
-// memoization cache size).
+// Options configures a Classifier (decision threshold, minimum frame edge,
+// the INT8 engine and its calibration). A Classifier inspects synchronously
+// and memoizes nothing; rendering first and blocking memoized ads on later
+// sightings is a browser on a serve.Server (browser.Config.RenderFirst).
 type Options = core.Options
-
-// Deployment modes for Options.Mode.
-const (
-	// Synchronous classifies inside the raster task, blocking ads before
-	// first paint at the cost of added render latency.
-	Synchronous = core.Synchronous
-	// Asynchronous renders first and classifies in the background,
-	// memoizing verdicts so ads are blocked on subsequent sightings.
-	Asynchronous = core.Asynchronous
-)
 
 // Arch is a network architecture configuration.
 type Arch = squeezenet.Config
@@ -77,8 +69,7 @@ type QuickTrainOptions struct {
 	Seed int64
 	// Log receives per-epoch training lines when non-nil.
 	Log io.Writer
-	// Mode and Threshold configure the resulting classifier.
-	Mode      core.Mode
+	// Threshold configures the resulting classifier.
 	Threshold float64
 }
 
@@ -91,7 +82,7 @@ func QuickTrain(o QuickTrainOptions) (*Classifier, Arch, error) {
 	if err != nil {
 		return nil, arch, err
 	}
-	clf, err := core.New(net, arch, Options{Mode: o.Mode, Threshold: o.Threshold})
+	clf, err := core.New(net, arch, Options{Threshold: o.Threshold})
 	if err != nil {
 		return nil, arch, err
 	}
